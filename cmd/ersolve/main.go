@@ -24,15 +24,17 @@
 // /v1/resolve/incremental, which re-prepares only blocks whose membership
 // changed since the previous run. With -data DIR the store and every
 // configuration's incremental snapshot are durable: ingested batches are
-// journaled (and fsynced) before they are acknowledged, snapshots are
-// saved after every incremental run, and a restarted server replays the
-// journal and reloads the snapshots — its first incremental resolution
-// reuses every block instead of re-preparing the corpus. GET /metrics
-// exposes every counter and latency histogram in the Prometheus text
-// format, and GET /v1/traces dumps the last -trace-buffer request traces
-// with per-stage pipeline spans. On SIGINT/SIGTERM the server drains
-// in-flight requests and queued ingest jobs for up to -drain before
-// canceling what remains, then flushes and closes the data directory.
+// journaled (and fsynced) before they are acknowledged, snapshots (each
+// block's cluster labels and score, nothing else) are saved after every
+// incremental run, and a restarted server replays the journal and reloads
+// the snapshots — its first incremental resolution reuses every block
+// instead of re-preparing the corpus. GET /metrics exposes every counter
+// and latency histogram in the Prometheus text format, and GET /v1/traces
+// dumps the last -trace-buffer request traces with per-stage pipeline
+// spans plus the incremental resolve's snapshot load and commit steps. On
+// SIGINT/SIGTERM the server drains in-flight requests and queued ingest
+// jobs for up to -drain before canceling what remains, then flushes and
+// closes the data directory.
 package main
 
 import (

@@ -83,33 +83,6 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 	}, nil
 }
 
-// AdoptPrepared rebinds externally reconstructed prepared state — a
-// decoded persistence snapshot — to this resolver, so its Run/RunWith use
-// this resolver's options and function set. It validates that the state
-// covers every function the resolver scores with and that each matrix
-// matches the block's document count; adopting a snapshot produced by a
-// different function subset fails here rather than misresolving later.
-func (r *Resolver) AdoptPrepared(block *simfn.Block, matrices map[string]*simfn.Matrix) (*Prepared, error) {
-	if block == nil {
-		return nil, fmt.Errorf("core: adopting prepared state with no block")
-	}
-	if len(block.Truth) != len(block.Docs) {
-		return nil, fmt.Errorf("core: block %q has %d documents but %d truth labels",
-			block.Name, len(block.Docs), len(block.Truth))
-	}
-	for _, f := range r.funcs {
-		m := matrices[f.ID]
-		if m == nil {
-			return nil, fmt.Errorf("core: prepared state for block %q lacks the %s matrix", block.Name, f.ID)
-		}
-		if m.Len() != len(block.Docs) {
-			return nil, fmt.Errorf("core: block %q matrix %s covers %d documents, block has %d",
-				block.Name, f.ID, m.Len(), len(block.Docs))
-		}
-	}
-	return &Prepared{Block: block, Matrices: matrices, resolver: r}, nil
-}
-
 // PrepareAll prepares independent collections concurrently on a bounded
 // worker pool (GOMAXPROCS) and returns the results in input order. Blocks
 // are independent by construction — the paper's blocking scheme computes

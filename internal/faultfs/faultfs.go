@@ -46,12 +46,10 @@ type FS interface {
 	SyncDir(dir string) error
 }
 
-// File is one open file. It carries Seek so the snapshot codec can keep
-// its single-pass patch-the-header-after encoding path.
+// File is one open file.
 type File interface {
 	io.Reader
 	io.Writer
-	io.Seeker
 	io.Closer
 	// Sync flushes the file to stable storage.
 	Sync() error

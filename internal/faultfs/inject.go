@@ -221,8 +221,7 @@ func (f *injFile) Sync() error {
 	return f.f.Sync()
 }
 
-func (f *injFile) Read(p []byte) (int, error)                { return f.f.Read(p) }
-func (f *injFile) Seek(off int64, whence int) (int64, error) { return f.f.Seek(off, whence) }
-func (f *injFile) Close() error                              { return f.f.Close() }
-func (f *injFile) Stat() (fs.FileInfo, error)                { return f.f.Stat() }
-func (f *injFile) Name() string                              { return f.f.Name() }
+func (f *injFile) Read(p []byte) (int, error) { return f.f.Read(p) }
+func (f *injFile) Close() error               { return f.f.Close() }
+func (f *injFile) Stat() (fs.FileInfo, error) { return f.f.Stat() }
+func (f *injFile) Name() string               { return f.f.Name() }

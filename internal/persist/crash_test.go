@@ -3,7 +3,9 @@ package persist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/faultfs"
+	"repro/internal/pipeline"
 	"repro/internal/service"
 	"repro/internal/store"
 )
@@ -300,6 +303,99 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	healed := postIncremental(t, ts3, knobs)
 	if healed.Incremental.ReusedBlocks != healed.Incremental.Blocks || healed.Incremental.Blocks == 0 {
 		t.Errorf("post-rebuild restart stats = %+v, want every block reused", healed.Incremental)
+	}
+}
+
+// TestSnapshotVersionSkewRebuilds is the upgrade path across a snapshot
+// format bump, at the service level: a restart finds a .snap file written
+// by format version 1 (the reader decides on the header's version field
+// alone, so a current file with that field rewritten stands in for one).
+// It is refused with ErrSnapshotVersion and quarantined, that resolve is a
+// full one with identical clusters and re-saves, and the restart after it
+// reuses every block.
+func TestSnapshotVersionSkewRebuilds(t *testing.T) {
+	dir := t.TempDir()
+	const knobs = `{"seed": 42}`
+	// serve opens dir and resolves once; logged is what the service
+	// reported through ErrorLog.
+	serve := func() (out incResponse, data *Data, logged []any) {
+		t.Helper()
+		data, err := OpenWithOptions(dir, Options{Log: quietLog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := service.New(service.Config{
+			Store: data.Store, Snapshots: data.Snapshots,
+			ErrorLog: func(_ string, args ...any) { logged = append(logged, args...) },
+		})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if data.Store.Stats().Docs == 0 {
+			ingestAll(t, ts, restartCorpus(t))
+		}
+		out = postIncremental(t, ts, knobs)
+		if err := srv.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return out, data, logged
+	}
+
+	before, data, _ := serve()
+	if err := data.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "snapshots", "*.snap"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshot files = %v (%v), want exactly one", files, err)
+	}
+	buf, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The codec version field sits right after the envelope (magic + key
+	// length + key) and the codec magic.
+	klen := int(binary.LittleEndian.Uint32(buf[len(snapFileMagic):]))
+	binary.LittleEndian.PutUint32(buf[len(snapFileMagic)+4+klen+8:], 1)
+	if err := os.WriteFile(files[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	after, data, logged := serve()
+	refused := false
+	for _, arg := range logged {
+		if err, ok := arg.(error); ok && errors.Is(err, pipeline.ErrSnapshotVersion) {
+			refused = true
+		}
+	}
+	if !refused {
+		t.Errorf("service logged %v, want an ErrSnapshotVersion load failure", logged)
+	}
+	if got := data.Snapshots.Quarantined(); got != 1 {
+		t.Errorf("snapshot quarantine count = %d, want 1", got)
+	}
+	if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
+		t.Errorf("the version-1 file was not quarantined: %v", err)
+	}
+	if after.Incremental.ReusedBlocks != 0 {
+		t.Errorf("run against a version-1 snapshot reused %d blocks; it must resolve in full", after.Incremental.ReusedBlocks)
+	}
+	for i := range before.Blocks {
+		a, b := before.Blocks[i], after.Blocks[i]
+		if a.Name != b.Name || !equalLabels(a.Labels, b.Labels) {
+			t.Errorf("block %q: clusters diverged across the format bump (%v vs %v)", a.Name, a.Labels, b.Labels)
+		}
+	}
+	if err := data.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	healed, data, logged := serve()
+	defer data.Close()
+	if healed.Incremental.ReusedBlocks != healed.Incremental.Blocks || healed.Incremental.Blocks == 0 {
+		t.Errorf("restart after the re-save: stats = %+v, want every block reused", healed.Incremental)
+	}
+	if len(logged) != 0 {
+		t.Errorf("restart after the re-save logged %v, want a clean load", logged)
 	}
 }
 

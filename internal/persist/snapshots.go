@@ -29,8 +29,8 @@ const maxSnapshotKeyBytes = 1 << 16
 
 // defaultMaxSnapshotFiles caps how many configurations keep a snapshot
 // file. Knobs include client-chosen values (seed, train fraction), so
-// without a cap a client iterating seeds would grow the directory — each
-// file holding every block's matrices — without bound.
+// without a cap a client iterating seeds would grow the directory — one
+// file of per-block labels and scores per seed — without bound.
 const defaultMaxSnapshotFiles = 64
 
 // SnapshotDir stores one encoded pipeline.Snapshot per resolution

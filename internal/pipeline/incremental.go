@@ -15,7 +15,7 @@ import (
 
 // Snapshot is the carry-over state of one incremental resolution: every
 // block of that run keyed by its stable membership fingerprint, together
-// with the prepared state and clustering it produced. A Snapshot is
+// with the clustering (and optional score) it produced. A Snapshot is
 // immutable — RunIncremental reads one and builds a fresh one — so an old
 // snapshot can keep serving concurrent readers while a new run is in
 // flight. Snapshots are only meaningful to a pipeline with the same
@@ -37,13 +37,13 @@ func (s *Snapshot) Blocks() int {
 	return len(s.entries)
 }
 
-// cachedBlock is one block's reusable output: the expensive prepared state
-// (nil for trivial blocks below the training size) plus the final
-// clustering and optional score.
+// cachedBlock is one block's reusable output, and its own wire form in
+// EncodeSnapshot: the final clustering and, for scored runs, its score.
+// Blocks resolve independently, so nothing else of a clean block is ever
+// read again.
 type cachedBlock struct {
-	prep  *core.Prepared
-	res   *core.Resolution
-	score *eval.Result
+	Res   *core.Resolution
+	Score *eval.Result
 }
 
 // IncrementalStats reports what the dirty-block diff did in one
@@ -52,8 +52,8 @@ type IncrementalStats struct {
 	// Blocks is the total number of blocks in this run.
 	Blocks int
 	// Reused is the number of blocks whose membership fingerprint matched
-	// the previous snapshot: their prepared state and clustering were
-	// reused and no re-preparation happened.
+	// the previous snapshot: their clustering and score were reused
+	// verbatim and no preparation happened.
 	Reused int
 	// Prepared is the number of dirty blocks that went through the full
 	// prepare → analyze → cluster stages (the prepare-count probe).
@@ -86,8 +86,8 @@ type IncrementalResult struct {
 // membership against prev (the snapshot of the previous run over an
 // earlier version of the same growing corpus) and re-prepares and
 // re-analyzes only the dirty blocks — blocks whose member documents
-// changed. Untouched blocks reuse the previous run's core.Prepared and
-// clustering verbatim. A nil prev makes this a full resolution.
+// changed. Untouched blocks reuse the previous run's clustering and score
+// verbatim. A nil prev makes this a full resolution.
 //
 // Unlike Run, which seeds each block's training draw by block index,
 // RunIncremental derives the seed from the block's membership fingerprint,
@@ -140,7 +140,6 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 	p.observe(StageBlock, "", blockStart)
 
 	results := make([]Result, len(blocks))
-	preps := make([]*core.Prepared, len(blocks))
 	next := &Snapshot{entries: make(map[uint64]*cachedBlock, len(blocks))}
 	st := IncrementalStats{Blocks: len(blocks), Blocking: blockingStats}
 
@@ -151,7 +150,7 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 		if prev != nil {
 			if cb, hit := prev.entries[fps[i]]; hit {
 				cb = p.rescored(cb, blocks[i])
-				results[i] = Result{Index: i, Block: blocks[i], Resolution: cb.res, Score: cb.score}
+				results[i] = Result{Index: i, Block: blocks[i], Resolution: cb.Res, Score: cb.Score}
 				next.entries[fps[i]] = cb
 				st.Reused++
 				continue
@@ -165,16 +164,12 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 	seedOf := func(i int) int64 {
 		return stats.SplitSeed(baseSeed, strconv.FormatUint(fps[i], 16))
 	}
-	if err := p.stream(ctx, blocks, todo, seedOf, results, preps, &prepares); err != nil {
+	if err := p.stream(ctx, blocks, todo, seedOf, results, &prepares); err != nil {
 		return nil, err
 	}
 
 	for _, i := range todo {
-		next.entries[fps[i]] = &cachedBlock{
-			prep:  preps[i],
-			res:   results[i].Resolution,
-			score: results[i].Score,
-		}
+		next.entries[fps[i]] = &cachedBlock{Res: results[i].Resolution, Score: results[i].Score}
 	}
 	st.Prepared = int(prepares.Load())
 	st.Trivial = len(todo) - st.Prepared
@@ -191,17 +186,17 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 // has none (the previous run was unscored); the cached entry itself is
 // never mutated.
 func (p *Pipeline) rescored(cb *cachedBlock, block *corpus.Collection) *cachedBlock {
-	if !p.score || cb.score != nil || len(block.Docs) == 0 {
+	if !p.score || cb.Score != nil || len(block.Docs) == 0 {
 		return cb
 	}
-	s, err := eval.Evaluate(cb.res.Labels, block.GroundTruth())
+	s, err := eval.Evaluate(cb.Res.Labels, block.GroundTruth())
 	if err != nil {
 		// An unscoreable cached block keeps its nil score rather than
 		// failing the whole run; scoring is advisory output.
 		return cb
 	}
 	out := *cb
-	out.score = &s
+	out.Score = &s
 	return &out
 }
 

@@ -13,7 +13,7 @@ import (
 // incrementalCollections generates the growing corpus the incremental
 // tests ingest: three person-name collections with different sizes and
 // persona structure.
-func incrementalCollections(t *testing.T) []*corpus.Collection {
+func incrementalCollections(t testing.TB) []*corpus.Collection {
 	t.Helper()
 	cfgs := []corpus.CollectionConfig{
 		{Name: "rivera", NumDocs: 16, NumPersonas: 3, Noise: 0.4, MissingInfo: 0.2, Spurious: 0.2, Seed: 21},
@@ -53,7 +53,7 @@ func batchPrefix(cols []*corpus.Collection, k, total int) []*corpus.Collection {
 	return out
 }
 
-func incrementalPipeline(t *testing.T, scheme, strategy, clustering string) *Pipeline {
+func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pipeline {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.Seed = 42

@@ -209,7 +209,7 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 	for i := range todo {
 		todo[i] = i
 	}
-	if err := p.stream(ctx, blocks, todo, p.seedFn, results, nil, nil); err != nil {
+	if err := p.stream(ctx, blocks, todo, p.seedFn, results, nil); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -219,11 +219,11 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 // of Run and RunIncremental: it pushes the blocks named by todo through the
 // bounded-channel worker stages and writes each block's Result into
 // results[idx]. seedOf derives a block's training seed from its index.
-// When preps is non-nil, each non-trivial block's Prepared is retained in
-// preps[idx]; when prepares is non-nil it counts the PrepareCtx calls made
+// A block's Prepared lives only from its prepare to the end of its
+// analysis. When prepares is non-nil it counts the PrepareCtx calls made
 // (the prepare-count probe the incremental tests assert against).
 func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo []int,
-	seedOf func(blockIndex int) int64, results []Result, preps []*core.Prepared, prepares *atomic.Int64) error {
+	seedOf func(blockIndex int) int64, results []Result, prepares *atomic.Int64) error {
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -291,9 +291,6 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 					return
 				}
 				p.observe(StagePrepare, col.Name, prepStart)
-				if preps != nil {
-					preps[i] = prep
-				}
 				select {
 				case prepCh <- prepped{idx: i, prep: prep}:
 				case <-runCtx.Done():

@@ -8,18 +8,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-
-	"repro/internal/core"
-	"repro/internal/eval"
-	"repro/internal/simfn"
 )
 
 // SnapshotFormatVersion is the on-disk snapshot format this build writes
-// and reads. Bump it whenever the wire form of any cached type (prepared
-// blocks, matrices, packed vectors, resolutions) changes incompatibly; a
-// reader refuses other versions with ErrSnapshotVersion instead of
-// silently misdecoding old state into wrong clusters.
-const SnapshotFormatVersion = 1
+// and reads. Bump it whenever the wire form of a cached block changes
+// incompatibly; a reader refuses other versions with ErrSnapshotVersion
+// instead of silently misdecoding old state into wrong clusters.
+const SnapshotFormatVersion = 2
 
 // snapshotMagic identifies a snapshot stream. The trailing NUL guards
 // against text files that happen to start with the same letters.
@@ -37,56 +32,30 @@ var (
 // snapshotCRC is the Castagnoli table used for payload checksums.
 var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// snapshotPrepared is the wire form of a core.Prepared: the exported state
-// only. The resolver binding is re-established at decode time by the
-// pipeline doing the reading.
-type snapshotPrepared struct {
-	Block    *simfn.Block
-	Matrices map[string]*simfn.Matrix
-}
-
-// snapshotEntry is the wire form of one cached block. Prep is nil for
-// trivial blocks (below the training size) and Score is nil for unscored
-// runs, mirroring cachedBlock.
-type snapshotEntry struct {
-	Prep  *snapshotPrepared
-	Res   *core.Resolution
-	Score *eval.Result
-}
-
-// EncodeSnapshot serializes a Snapshot — every cached block's prepared
-// state (packed vectors, similarity matrices), resolution and score, keyed
-// by membership fingerprint — to w as one self-describing record:
+// EncodeSnapshot serializes a Snapshot — every cached block's resolution
+// and score, keyed by membership fingerprint; a few bytes per document —
+// to w as one self-describing record:
 //
 //	magic[8] | version u32 | payload length u64 | payload crc32c u32 | payload
 //
 // The payload is a gob stream. A nil snapshot encodes as an empty one.
-// When w is seekable (a file), the payload streams straight to it and the
-// length/checksum header is patched in afterwards, so encoding costs no
-// second in-memory copy of the snapshot; other writers get the payload
-// buffered first. Snapshots are only meaningful to a pipeline with the
-// same configuration (options, blocker, strategy) that produced them;
-// persistence layers should key stored snapshots by configuration.
+// Snapshots are only meaningful to a pipeline with the same configuration
+// (options, blocker, strategy) that produced them; persistence layers
+// should key stored snapshots by configuration.
 func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
-	entries := make(map[uint64]snapshotEntry, snap.Blocks())
+	var entries map[uint64]*cachedBlock
 	if snap != nil {
-		for fp, cb := range snap.entries {
-			e := snapshotEntry{Res: cb.res, Score: cb.score}
-			if cb.prep != nil {
-				e.Prep = &snapshotPrepared{Block: cb.prep.Block, Matrices: cb.prep.Matrices}
-			}
-			entries[fp] = e
-		}
+		entries = snap.entries
 	}
-	if ws, ok := w.(io.WriteSeeker); ok {
-		return encodeSnapshotSeek(ws, entries)
-	}
-
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(entries); err != nil {
 		return fmt.Errorf("pipeline: encoding snapshot: %w", err)
 	}
-	header := snapshotHeader(uint64(payload.Len()), crc32.Checksum(payload.Bytes(), snapshotCRC))
+	header := make([]byte, 0, 8+4+8+4)
+	header = append(header, snapshotMagic[:]...)
+	header = binary.LittleEndian.AppendUint32(header, SnapshotFormatVersion)
+	header = binary.LittleEndian.AppendUint64(header, uint64(payload.Len()))
+	header = binary.LittleEndian.AppendUint32(header, crc32.Checksum(payload.Bytes(), snapshotCRC))
 	if _, err := w.Write(header); err != nil {
 		return fmt.Errorf("pipeline: writing snapshot header: %w", err)
 	}
@@ -96,64 +65,15 @@ func EncodeSnapshot(w io.Writer, snap *Snapshot) error {
 	return nil
 }
 
-// snapshotHeader renders the 24-byte record header.
-func snapshotHeader(length uint64, sum uint32) []byte {
-	header := make([]byte, 0, 8+4+8+4)
-	header = append(header, snapshotMagic[:]...)
-	header = binary.LittleEndian.AppendUint32(header, SnapshotFormatVersion)
-	header = binary.LittleEndian.AppendUint64(header, length)
-	header = binary.LittleEndian.AppendUint32(header, sum)
-	return header
-}
-
-// encodeSnapshotSeek writes a placeholder header, streams the gob payload
-// through a checksumming counter directly into ws, then seeks back and
-// patches the real length and checksum — one pass over the data, no
-// full-payload buffer.
-func encodeSnapshotSeek(ws io.WriteSeeker, entries map[uint64]snapshotEntry) error {
-	start, err := ws.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fmt.Errorf("pipeline: locating snapshot start: %w", err)
-	}
-	if _, err := ws.Write(snapshotHeader(0, 0)); err != nil {
-		return fmt.Errorf("pipeline: writing snapshot header: %w", err)
-	}
-	sum := crc32.New(snapshotCRC)
-	count := &countingWriter{}
-	if err := gob.NewEncoder(io.MultiWriter(ws, sum, count)).Encode(entries); err != nil {
-		return fmt.Errorf("pipeline: encoding snapshot: %w", err)
-	}
-	if _, err := ws.Seek(start, io.SeekStart); err != nil {
-		return fmt.Errorf("pipeline: seeking to snapshot header: %w", err)
-	}
-	if _, err := ws.Write(snapshotHeader(uint64(count.n), sum.Sum32())); err != nil {
-		return fmt.Errorf("pipeline: patching snapshot header: %w", err)
-	}
-	if _, err := ws.Seek(0, io.SeekEnd); err != nil {
-		return fmt.Errorf("pipeline: seeking past snapshot payload: %w", err)
-	}
-	return nil
-}
-
-// countingWriter counts bytes written through it.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// DecodeSnapshot reads a snapshot encoded by EncodeSnapshot and rebinds
-// every cached prepared block to this pipeline's resolver. It consumes r
+// DecodeSnapshot reads a snapshot encoded by EncodeSnapshot. It consumes r
 // to EOF and fails with ErrSnapshotVersion on a format-version mismatch
 // and ErrSnapshotCorrupt on truncation, checksum failure, trailing
-// garbage, or structurally invalid cached state — a failed decode never
+// garbage, or a cached block without a resolution — a failed decode never
 // yields a partially filled snapshot.
 //
-// Feeding a snapshot to a pipeline configured differently from its writer
-// is detected only as far as the function set goes (missing or misshapen
-// matrices fail); callers are responsible for keying persisted snapshots
-// by the full configuration.
+// Nothing in the stream identifies the configuration that wrote it:
+// callers are responsible for keying persisted snapshots by the full
+// configuration.
 func (p *Pipeline) DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -187,25 +107,14 @@ func (p *Pipeline) DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			ErrSnapshotCorrupt, got, sum)
 	}
 
-	var entries map[uint64]snapshotEntry
+	var entries map[uint64]*cachedBlock
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&entries); err != nil {
 		return nil, fmt.Errorf("%w: decoding payload: %v", ErrSnapshotCorrupt, err)
 	}
-
-	snap := &Snapshot{entries: make(map[uint64]*cachedBlock, len(entries))}
-	for fp, e := range entries {
-		if e.Res == nil {
+	for fp, cb := range entries {
+		if cb.Res == nil {
 			return nil, fmt.Errorf("%w: cached block %016x has no resolution", ErrSnapshotCorrupt, fp)
 		}
-		cb := &cachedBlock{res: e.Res, score: e.Score}
-		if e.Prep != nil {
-			prep, err := p.resolver.AdoptPrepared(e.Prep.Block, e.Prep.Matrices)
-			if err != nil {
-				return nil, fmt.Errorf("%w: cached block %016x: %v", ErrSnapshotCorrupt, fp, err)
-			}
-			cb.prep = prep
-		}
-		snap.entries[fp] = cb
 	}
-	return snap, nil
+	return &Snapshot{entries: entries}, nil
 }

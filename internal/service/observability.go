@@ -75,6 +75,10 @@ func (s *Server) initObservability() {
 	s.latency.analyze = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "analyze")
 	s.latency.cluster = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "cluster")
 	s.latency.lookup = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "lookup")
+	s.latency.snapshotLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "snapshot.load")
+	s.latency.publishServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "publish.serving")
+	s.latency.persistIndex = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.index")
+	s.latency.persistSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.snapshot")
 
 	r.Gauge("ersolve_queue_depth", "Ingest jobs enqueued but not yet finished.",
 		func() float64 { return float64(s.jobs.Depth()) })
@@ -241,6 +245,16 @@ func (s *Server) stageObserver(tr *tracing.Active) func(stage, block string, d t
 			tr.Span(stage, time.Now().Add(-d), d)
 		}
 	}
+}
+
+// timed runs fn as one child span of tr named stage and one observation
+// of that stage's latency histogram.
+func timed(tr *tracing.Active, stage string, h *metrics.Histogram, fn func()) {
+	start := time.Now()
+	fn()
+	d := time.Since(start)
+	h.Observe(d)
+	tr.Span(stage, start, d)
 }
 
 // handleMetrics answers GET /metrics with the Prometheus text exposition

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/corpus"
 	"repro/internal/metrics"
+	"repro/internal/pipeline"
+	"repro/internal/store"
 	"repro/internal/tracing"
 )
 
@@ -196,6 +199,77 @@ func TestResolveTraceSpans(t *testing.T) {
 	}
 	if code := getJSON(t, ts, "/v1/traces?limit=0", &struct{}{}); code != http.StatusBadRequest {
 		t.Fatalf("limit=0 = %d, want 400", code)
+	}
+}
+
+// slowLoadStore is a SnapshotStore whose Load takes at least delay, like a
+// large snapshot file on a cold disk.
+type slowLoadStore struct {
+	*memSnapStore
+	delay time.Duration
+}
+
+func (s slowLoadStore) Load(key string, pl *pipeline.Pipeline) (*pipeline.Snapshot, error) {
+	time.Sleep(s.delay)
+	return s.memSnapStore.Load(key, pl)
+}
+
+// TestRestartDeltaResolveIsObserved pins that nothing the client waits
+// for hides: the first resolve after a restart, over a corpus that grew
+// meanwhile, reports the snapshot load in elapsed_ms and carries the load
+// and the three commit steps as child spans inside the root span, with
+// the same stages in the latency histogram family.
+func TestRestartDeltaResolveIsObserved(t *testing.T) {
+	shared := store.NewMemStore()
+	snaps := newMemSnapStore()
+	col := testCollection(t, 24)
+	head := &corpus.Collection{Name: col.Name, Docs: col.Docs[:22], NumPersonas: col.NumPersonas}
+	if _, err := shared.Append([]*corpus.Collection{head}); err != nil {
+		t.Fatal(err)
+	}
+	resolveOK(t, testServer(t, Config{Store: shared, Snapshots: snaps}), IncrementalResolveRequest{})
+
+	tail := &corpus.Collection{Name: col.Name, Docs: col.Docs[22:], NumPersonas: col.NumPersonas}
+	if _, err := shared.Append([]*corpus.Collection{tail}); err != nil {
+		t.Fatal(err)
+	}
+	const delay = 50 * time.Millisecond
+	_, ts := serverPair(t, Config{Store: shared, Snapshots: slowLoadStore{snaps, delay}})
+	got := resolveOK(t, ts, IncrementalResolveRequest{})
+	if got.ElapsedMillis < delay.Milliseconds() {
+		t.Errorf("elapsed_ms = %d, want >= %d: the snapshot load the client waited for is missing",
+			got.ElapsedMillis, delay.Milliseconds())
+	}
+
+	var out TracesResponse
+	if code := getJSON(t, ts, "/v1/traces", &out); code != http.StatusOK || len(out.Traces) != 1 {
+		t.Fatalf("GET /v1/traces = %d with %d traces, want the one resolve", code, len(out.Traces))
+	}
+	root := out.Traces[0].Spans[0]
+	// Durations are truncated to whole microseconds.
+	rootEnd := root.Start.Add(time.Duration(root.DurationMicros+1) * time.Microsecond)
+	seen := map[string]tracing.Span{}
+	for _, s := range out.Traces[0].Spans[1:] {
+		seen[s.Name] = s
+	}
+	text := scrapeMetrics(t, ts)
+	for _, stage := range []string{"snapshot.load", "publish.serving", "persist.index", "persist.snapshot"} {
+		s, ok := seen[stage]
+		if !ok {
+			t.Errorf("trace has no %q child span", stage)
+			continue
+		}
+		end := s.Start.Add(time.Duration(s.DurationMicros) * time.Microsecond)
+		if s.Parent != tracing.RootSpanID || s.Start.Before(root.Start) || end.After(rootEnd) {
+			t.Errorf("span %q [%v, %v] parent %d does not nest in the root [%v, %v]",
+				stage, s.Start, end, s.Parent, root.Start, rootEnd)
+		}
+		if n := sampleValue(t, text, `ersolve_stage_latency_seconds_count{stage="`+stage+`"}`); n != 1 {
+			t.Errorf("%s histogram count = %g, want 1", stage, n)
+		}
+	}
+	if d := seen["snapshot.load"].DurationMicros; d < delay.Microseconds() {
+		t.Errorf("snapshot.load span = %dus, want >= %dus", d, delay.Microseconds())
 	}
 }
 

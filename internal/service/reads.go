@@ -27,12 +27,15 @@ type ServingStore interface {
 	LoadLatestServing() (*serving.Index, error)
 }
 
-// stageHistograms are the per-stage latency histograms /v1/stats reports:
-// the four pipeline stages plus the read-path lookup. All registry-backed
+// stageHistograms are the per-stage latency histograms: the four pipeline
+// stages plus the read-path lookup, which /v1/stats reports, and the
+// incremental resolve's commit tail. All registry-backed
 // (initObservability), so the same instruments feed the Prometheus
 // exposition as the ersolve_stage_latency_seconds family.
 type stageHistograms struct {
 	block, prepare, analyze, cluster, lookup *metrics.Histogram
+
+	snapshotLoad, publishServing, persistIndex, persistSnapshot *metrics.Histogram
 }
 
 // publishServing materializes the committed run's serving index, swaps it

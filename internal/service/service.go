@@ -52,7 +52,7 @@ type Config struct {
 	// QueueBuffer bounds the ingest job backlog; zero selects 64.
 	QueueBuffer int
 	// MaxSnapshots caps how many knob configurations keep an incremental
-	// snapshot (each retains the prepared state of every block); the
+	// snapshot (each retains every block's labels and score); the
 	// least-recently-used is evicted beyond the cap, except states pinned
 	// by an in-flight run. Zero selects 16.
 	MaxSnapshots int
@@ -763,7 +763,9 @@ type IncrementalResolveResponse struct {
 	// whole blocking pass was served from the index) and which
 	// implementation ran ("index" or "scheme").
 	Blocking pipeline.BlockingStats `json:"blocking"`
-	// ElapsedMillis is the server-side resolution time.
+	// ElapsedMillis is the server-side resolution time: the persisted
+	// snapshot load on the first resolve after a restart, the run, and
+	// the commit (publish and persist).
 	ElapsedMillis int64 `json:"elapsed_ms"`
 }
 
@@ -1009,6 +1011,9 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 			errorResponse{Error: "the store is empty; ingest documents via POST /v1/collections first"})
 		return
 	}
+	// elapsed_ms covers everything the client waits for from here on: the
+	// one-time snapshot load, the run, and the commit tail.
+	start := time.Now()
 	prev := state.snap
 	if prev == nil && !state.loadTried && s.cfg.Snapshots != nil && !req.Fresh {
 		// First non-fresh use of this configuration since the server
@@ -1019,7 +1024,11 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		// if it fails mid-run, the persisted snapshot still serves the
 		// next non-fresh request.
 		state.loadTried = true
-		loaded, err := s.cfg.Snapshots.Load(state.key, pl)
+		var loaded *pipeline.Snapshot
+		var err error
+		timed(tr, "snapshot.load", s.latency.snapshotLoad, func() {
+			loaded, err = s.cfg.Snapshots.Load(state.key, pl)
+		})
 		if err != nil {
 			s.counters.snapshotLoadFailures.Add(1)
 			s.cfg.ErrorLog("service: loading snapshot for %q: %v", state.key, err)
@@ -1041,7 +1050,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	start := time.Now()
 	inc, err := pl.RunIncremental(ctx, cols, prev)
 	if !writeRunError(w, err, timeout) {
 		return
@@ -1051,9 +1059,13 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// clean blocks' materializations), swap it in for lock-free reads, and
 	// persist it — all before the resolve is acknowledged, so a client that
 	// saw the response can immediately GET the clusters it describes.
-	s.publishServing(state.key, cols, version, inc)
-	s.persistIndex(indexEntry, false)
-	s.persistANNIndex(annIndex, false)
+	timed(tr, "publish.serving", s.latency.publishServing, func() {
+		s.publishServing(state.key, cols, version, inc)
+	})
+	timed(tr, "persist.index", s.latency.persistIndex, func() {
+		s.persistIndex(indexEntry, false)
+		s.persistANNIndex(annIndex, false)
+	})
 	tr.SetAttr("blocks", strconv.Itoa(inc.Stats.Blocks))
 	tr.SetAttr("reused", strconv.Itoa(inc.Stats.Reused))
 	s.counters.runs.Add(1)
@@ -1072,24 +1084,26 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		// every block reused and the block set identical to prev's — the
 		// stored snapshot is already semantically equal; Touch it (so
 		// recency-based backend GC keeps the busiest configurations)
-		// instead of rewriting megabytes per steady-state poll. The skip
-		// requires the previous store write to have succeeded
+		// instead of rewriting and fsyncing it per steady-state poll. The
+		// skip requires the previous store write to have succeeded
 		// (state.stored) and the Touch to find the entry; either failing
 		// falls back to a full Save, so a transient store error or a
 		// GC'd entry never disables durability for the rest of the
 		// process lifetime.
-		unchanged := prev != nil && state.stored &&
-			inc.Stats.Reused == inc.Stats.Blocks &&
-			inc.Snapshot.Blocks() == prev.Blocks() &&
-			s.cfg.Snapshots.Touch(state.key) == nil
-		if !unchanged {
-			err := s.cfg.Snapshots.Save(state.key, inc.Snapshot)
-			state.stored = err == nil
-			if err != nil {
-				s.counters.snapshotSaveFailures.Add(1)
-				s.cfg.ErrorLog("service: saving snapshot for %q: %v", state.key, err)
+		timed(tr, "persist.snapshot", s.latency.persistSnapshot, func() {
+			unchanged := prev != nil && state.stored &&
+				inc.Stats.Reused == inc.Stats.Blocks &&
+				inc.Snapshot.Blocks() == prev.Blocks() &&
+				s.cfg.Snapshots.Touch(state.key) == nil
+			if !unchanged {
+				err := s.cfg.Snapshots.Save(state.key, inc.Snapshot)
+				state.stored = err == nil
+				if err != nil {
+					s.counters.snapshotSaveFailures.Add(1)
+					s.cfg.ErrorLog("service: saving snapshot for %q: %v", state.key, err)
+				}
 			}
-		}
+		})
 	}
 
 	blockingStats := pipeline.BlockingStats{Indexer: "scheme"}
