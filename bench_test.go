@@ -189,6 +189,7 @@ func BenchmarkPrepareBlock(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		simfn.PrepareBlock(col, nil)
@@ -281,18 +282,21 @@ func BenchmarkStringSimilarities(b *testing.B) {
 		{"leslie kaelbling", "fernando pereira"},
 	}
 	b.Run("JaroWinkler", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			textsim.JaroWinkler(p[0], p[1])
 		}
 	})
 	b.Run("Levenshtein", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			textsim.Levenshtein(p[0], p[1])
 		}
 	})
 	b.Run("NameSimilarity", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			textsim.NameSimilarity(p[0], p[1])

@@ -1,5 +1,10 @@
 package analysis
 
+import (
+	"strings"
+	"unicode/utf8"
+)
+
 // Analyzer is a configurable text-analysis chain producing index terms from
 // raw text: tokenize → lower-case → (optional) stopword removal →
 // (optional) Porter stemming. The zero value is not usable; construct one
@@ -41,25 +46,37 @@ func NewAnalyzer(opts ...Option) *Analyzer {
 // Standard is the shared default analyzer used across the framework.
 var Standard = NewAnalyzer()
 
-// Terms runs the full chain on text and returns the resulting index terms
-// in document order (duplicates preserved — term frequency matters).
-func (a *Analyzer) Terms(text string) []string {
-	raw := Tokenize(text)
-	out := make([]string, 0, len(raw))
-	for _, tok := range raw {
-		t := FoldCase(tok)
+// Analyze runs the chain once over text and returns both views of it the
+// framework consumes: every token lower-cased, in document order (what the
+// dictionary matchers read), and the index terms the chain derives from
+// them (duplicates preserved — term frequency matters). The strings are
+// substrings of one lower-cased copy of text wherever stemming allows.
+func (a *Analyzer) Analyze(text string) (lower, terms []string) {
+	// Lower-casing maps runes one to one and never turns a letter or digit
+	// into a separator or back (TestLowerPreservesTokenRunes), so the tokens
+	// of the lowered text are the lowered tokens of the text.
+	lower = appendTokens(make([]string, 0, len(text)/6+1), strings.ToLower(text))
+	terms = make([]string, 0, len(lower))
+	for _, t := range lower {
 		if a.removeStopwords && IsStopword(t) {
 			continue
 		}
 		if a.stem {
 			t = PorterStem(t)
 		}
-		if len([]rune(t)) < a.minTokenLen {
+		if utf8.RuneCountInString(t) < a.minTokenLen {
 			continue
 		}
-		out = append(out, t)
+		terms = append(terms, t)
 	}
-	return out
+	return lower, terms
+}
+
+// Terms runs the full chain on text and returns the resulting index terms
+// in document order.
+func (a *Analyzer) Terms(text string) []string {
+	_, terms := a.Analyze(text)
+	return terms
 }
 
 // TermFreqs runs the chain and returns a term → frequency map.

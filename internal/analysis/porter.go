@@ -25,6 +25,11 @@ func PorterStem(word string) string {
 	s.step4()
 	s.step5a()
 	s.step5b()
+	// Most stems only drop a suffix: hand back that prefix of word instead
+	// of a copy.
+	if n := len(s.b); n <= len(word) && word[:n] == string(s.b) {
+		return word[:n]
+	}
 	return string(s.b)
 }
 

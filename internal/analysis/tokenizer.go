@@ -7,6 +7,7 @@ package analysis
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits text into word tokens. A token is a maximal run of
@@ -14,21 +15,40 @@ import (
 // other characters separate tokens. Tokens are returned in document order,
 // preserving case (use the Analyzer for the full normalizing chain).
 func Tokenize(text string) []string {
-	var tokens []string
-	runes := []rune(text)
-	i := 0
-	for i < len(runes) {
-		if !isTokenRune(runes[i]) {
-			i++
-			continue
+	return appendTokens(nil, text)
+}
+
+// appendTokens appends the tokens of text to dst as substrings of text: it
+// decodes one rune at a time and never copies the text or a token.
+func appendTokens(dst []string, text string) []string {
+	start := -1      // byte offset of the open token, -1 between tokens
+	prevTok := false // the previous rune was a letter or digit
+	for i := 0; i < len(text); {
+		r, size := rune(text[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(text[i:])
 		}
-		start := i
-		for i < len(runes) && (isTokenRune(runes[i]) || isJoiner(runes, i)) {
-			i++
+		switch {
+		case isTokenRune(r):
+			if start < 0 {
+				start = i
+			}
+			prevTok = true
+		case prevTok && isJoiner(r, text[i+size:]):
+			prevTok = false
+		default:
+			if start >= 0 {
+				dst = append(dst, text[start:i])
+				start = -1
+			}
+			prevTok = false
 		}
-		tokens = append(tokens, string(runes[start:i]))
+		i += size
 	}
-	return tokens
+	if start >= 0 {
+		dst = append(dst, text[start:])
+	}
+	return dst
 }
 
 // isTokenRune reports whether r can appear inside a token on its own.
@@ -36,24 +56,16 @@ func isTokenRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// isJoiner reports whether the rune at position i joins two token runes
-// (apostrophe or hyphen flanked by letters/digits), so "don't" and
-// "state-of-the-art" survive as single tokens.
-func isJoiner(runes []rune, i int) bool {
-	r := runes[i]
+// isJoiner reports whether r, which follows a letter or digit, joins it to
+// the letter or digit that starts rest (an apostrophe or hyphen flanked by
+// letters/digits), so "don't" and "state-of-the-art" survive as single
+// tokens.
+func isJoiner(r rune, rest string) bool {
 	if r != '\'' && r != '-' && r != '’' {
 		return false
 	}
-	if i == 0 || i+1 >= len(runes) {
-		return false
-	}
-	return isTokenRune(runes[i-1]) && isTokenRune(runes[i+1])
-}
-
-// FoldCase lower-cases a token using Unicode case folding rules adequate for
-// English web text.
-func FoldCase(token string) string {
-	return strings.ToLower(token)
+	next, _ := utf8.DecodeRuneInString(rest)
+	return isTokenRune(next)
 }
 
 // Sentences splits text into rough sentences on terminal punctuation. The

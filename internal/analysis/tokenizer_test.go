@@ -47,12 +47,6 @@ func TestTokenizeNoEmptyTokensProperty(t *testing.T) {
 	}
 }
 
-func TestFoldCase(t *testing.T) {
-	if got := FoldCase("HeLLo"); got != "hello" {
-		t.Errorf("FoldCase = %q", got)
-	}
-}
-
 func TestSentences(t *testing.T) {
 	in := "First sentence. Second one! A third? Trailing fragment"
 	got := Sentences(in)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
-	"repro/internal/extract"
 	"repro/internal/simfn"
 	"repro/internal/stats"
 )
@@ -20,7 +19,6 @@ import (
 type Resolver struct {
 	opts  Options
 	funcs []simfn.Func
-	fe    *extract.FeatureExtractor
 }
 
 // New validates the options and returns a resolver.
@@ -32,7 +30,7 @@ func New(opts Options) (*Resolver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Resolver{opts: opts, funcs: funcs, fe: extract.NewFeatureExtractor(nil, nil)}, nil
+	return &Resolver{opts: opts, funcs: funcs}, nil
 }
 
 // Options returns a copy of the resolver's options.
@@ -68,7 +66,7 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 	if len(col.Docs) < 2 {
 		return nil, fmt.Errorf("core: collection %q has %d documents", col.Name, len(col.Docs))
 	}
-	block, err := simfn.PrepareBlockCtx(ctx, col, r.fe)
+	block, err := simfn.PrepareBlockCtx(ctx, col, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func PivotCluster(g *Graph, rng *rand.Rand) []int {
 			continue
 		}
 		labels[pivot] = next
-		for nbr := range g.adj[pivot] {
+		for nbr := range g.neighbors(pivot) {
 			if labels[nbr] == -1 {
 				labels[nbr] = next
 			}
@@ -86,7 +86,7 @@ func LocalSearch(g *Graph, start []int, maxPasses int) []int {
 			// every run — map iteration order must not leak into the
 			// clustering.
 			candSet := map[int]struct{}{freshLabel: {}}
-			for nbr := range g.adj[v] {
+			for nbr := range g.neighbors(v) {
 				candSet[labels[nbr]] = struct{}{}
 			}
 			cands := make([]int, 0, len(candSet))

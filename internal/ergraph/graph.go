@@ -9,13 +9,21 @@
 // transitive, so a clustering step reconciles them.
 package ergraph
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"math/bits"
+)
 
 // Graph is an undirected simple graph over n vertices (documents of one
-// block), stored as adjacency sets.
+// block), stored as one adjacency bit row per vertex: a block's thirty-odd
+// decision graphs cost n²/8 bytes each and no allocation per edge.
 type Graph struct {
-	n   int
-	adj []map[int]struct{}
+	n int
+	// words is the length of one row, ⌈n/64⌉.
+	words int
+	// adj holds the rows back to back; bit j of row i is the edge (i, j).
+	adj []uint64
 }
 
 // NewGraph returns an edgeless graph on n vertices.
@@ -23,15 +31,28 @@ func NewGraph(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
-	g := &Graph{n: n, adj: make([]map[int]struct{}, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]struct{})
-	}
-	return g
+	words := (n + 63) / 64
+	return &Graph{n: n, words: words, adj: make([]uint64, n*words)}
 }
 
 // Len returns the number of vertices.
 func (g *Graph) Len() int { return g.n }
+
+// row returns the adjacency bit row of vertex i.
+func (g *Graph) row(i int) []uint64 { return g.adj[i*g.words : (i+1)*g.words] }
+
+// neighbors iterates over the neighbors of i in ascending order.
+func (g *Graph) neighbors(i int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for w, word := range g.row(i) {
+			for ; word != 0; word &= word - 1 {
+				if !yield(w*64 + bits.TrailingZeros64(word)) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // AddEdge inserts the undirected edge (i, j). Self-loops and out-of-range
 // vertices are rejected with an error.
@@ -42,8 +63,8 @@ func (g *Graph) AddEdge(i, j int) error {
 	if i < 0 || j < 0 || i >= g.n || j >= g.n {
 		return fmt.Errorf("ergraph: edge (%d,%d) out of range [0,%d)", i, j, g.n)
 	}
-	g.adj[i][j] = struct{}{}
-	g.adj[j][i] = struct{}{}
+	g.row(i)[j/64] |= 1 << (j % 64)
+	g.row(j)[i/64] |= 1 << (i % 64)
 	return nil
 }
 
@@ -52,17 +73,16 @@ func (g *Graph) RemoveEdge(i, j int) {
 	if i < 0 || j < 0 || i >= g.n || j >= g.n {
 		return
 	}
-	delete(g.adj[i], j)
-	delete(g.adj[j], i)
+	g.row(i)[j/64] &^= 1 << (j % 64)
+	g.row(j)[i/64] &^= 1 << (i % 64)
 }
 
 // HasEdge reports whether (i, j) is an edge.
 func (g *Graph) HasEdge(i, j int) bool {
-	if i < 0 || j < 0 || i >= g.n || j >= g.n || i == j {
+	if i < 0 || j < 0 || i >= g.n || j >= g.n {
 		return false
 	}
-	_, ok := g.adj[i][j]
-	return ok
+	return g.row(i)[j/64]&(1<<(j%64)) != 0
 }
 
 // Degree returns the degree of vertex i.
@@ -70,16 +90,18 @@ func (g *Graph) Degree(i int) int {
 	if i < 0 || i >= g.n {
 		return 0
 	}
-	return len(g.adj[i])
+	return popcount(g.row(i))
 }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
+func (g *Graph) NumEdges() int { return popcount(g.adj) / 2 }
+
+func popcount(words []uint64) int {
 	total := 0
-	for _, nbrs := range g.adj {
-		total += len(nbrs)
+	for _, w := range words {
+		total += bits.OnesCount64(w)
 	}
-	return total / 2
+	return total
 }
 
 // Neighbors returns the neighbors of i in ascending order.
@@ -87,23 +109,18 @@ func (g *Graph) Neighbors(i int) []int {
 	if i < 0 || i >= g.n {
 		return nil
 	}
-	out := make([]int, 0, len(g.adj[i]))
-	for j := range g.adj[i] {
+	out := make([]int, 0, g.Degree(i))
+	for j := range g.neighbors(i) {
 		out = append(out, j)
 	}
-	sortInts(out)
 	return out
 }
 
 // Clone returns an independent copy of the graph.
 func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for i, nbrs := range g.adj {
-		for j := range nbrs {
-			c.adj[i][j] = struct{}{}
-		}
-	}
-	return c
+	c := *g
+	c.adj = append([]uint64(nil), g.adj...)
+	return &c
 }
 
 // ConnectedComponents labels each vertex with its component index; labels
@@ -125,7 +142,7 @@ func (g *Graph) ConnectedComponents() []int {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for w := range g.adj[v] {
+			for w := range g.neighbors(v) {
 				if labels[w] == -1 {
 					labels[w] = next
 					stack = append(stack, w)
@@ -135,14 +152,4 @@ func (g *Graph) ConnectedComponents() []int {
 		next++
 	}
 	return labels
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: neighbor lists are small and this avoids pulling in
-	// sort for a hot path.
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

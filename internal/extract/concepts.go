@@ -61,19 +61,26 @@ func DefaultConceptExtractor() *ConceptExtractor {
 	return NewConceptExtractor(wordlists.Concepts, wordlists.TopicWords)
 }
 
-// Extract returns the weighted concept vector of text, L2-normalized so
-// that cosine comparisons (F1) are well scaled. The vector is empty when no
-// concept is activated.
+// Extract analyzes text and returns its concept vector; see ExtractTokens.
 func (ce *ConceptExtractor) Extract(text string) textsim.SparseVector {
+	return ce.ExtractTokens(analysis.Standard.Analyze(text))
+}
+
+// ExtractTokens returns the weighted concept vector of a page given as its
+// lower-cased tokens and standard-chain terms, L2-normalized so that cosine
+// comparisons (F1) are well scaled. The vector is empty when no concept is
+// activated.
+func (ce *ConceptExtractor) ExtractTokens(lower, terms []string) textsim.SparseVector {
 	v := textsim.NewSparseVector()
 	// Trigger-word activation over the analyzed (stemmed) terms.
-	for _, term := range analysis.Standard.Terms(text) {
+	for _, term := range terms {
 		for _, tr := range ce.triggers[term] {
 			v.Add(tr.concept, tr.weight)
 		}
 	}
-	// Literal label mentions are strong evidence.
-	for _, m := range ce.labels.FindAllInText(text) {
+	// Literal label mentions are strong evidence. Labels are matched on
+	// the unstemmed tokens, since entity names may contain stopwords.
+	for _, m := range ce.labels.FindAll(lower) {
 		if concept, ok := ce.labelConcept[m.Canonical]; ok {
 			v.Add(concept, 3)
 		}
@@ -84,11 +91,10 @@ func (ce *ConceptExtractor) Extract(text string) textsim.SparseVector {
 	return v
 }
 
-// TopConcepts returns the k highest-weighted concept labels of text, in
-// decreasing weight order (ties broken lexicographically). This is the
-// unweighted concept set used by the overlap-based function F4.
-func (ce *ConceptExtractor) TopConcepts(text string, k int) []string {
-	v := ce.Extract(text)
+// TopConcepts returns the k highest-weighted concept labels of a concept
+// vector, in decreasing weight order (ties broken lexicographically). This
+// is the unweighted concept set used by the overlap-based function F4.
+func TopConcepts(v textsim.SparseVector, k int) []string {
 	type cw struct {
 		c string
 		w float64

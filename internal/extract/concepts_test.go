@@ -67,7 +67,7 @@ func TestConceptEmptyText(t *testing.T) {
 func TestTopConcepts(t *testing.T) {
 	ce := testConceptExtractor()
 	text := "database query record linkage and some learning"
-	top := ce.TopConcepts(text, 2)
+	top := TopConcepts(ce.Extract(text), 2)
 	if len(top) != 2 {
 		t.Fatalf("top = %v", top)
 	}
@@ -76,11 +76,11 @@ func TestTopConcepts(t *testing.T) {
 		t.Errorf("top concept = %q, want a db concept", top[0])
 	}
 	// k larger than the activation set truncates gracefully.
-	all := ce.TopConcepts(text, 100)
+	all := TopConcepts(ce.Extract(text), 100)
 	if len(all) < 2 {
 		t.Errorf("all concepts = %v", all)
 	}
-	if got := ce.TopConcepts("", 5); len(got) != 0 {
+	if got := TopConcepts(ce.Extract(""), 5); len(got) != 0 {
 		t.Errorf("TopConcepts of empty text = %v", got)
 	}
 }
@@ -105,8 +105,8 @@ func TestDefaultConceptExtractorCoverage(t *testing.T) {
 func TestConceptDeterminism(t *testing.T) {
 	ce := DefaultConceptExtractor()
 	text := "clustering learning database query recipe kitchen"
-	a := ce.TopConcepts(text, 5)
-	b := ce.TopConcepts(text, 5)
+	a := TopConcepts(ce.Extract(text), 5)
+	b := TopConcepts(ce.Extract(text), 5)
 	if len(a) != len(b) {
 		t.Fatal("non-deterministic sizes")
 	}

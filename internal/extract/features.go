@@ -1,8 +1,9 @@
 package extract
 
 import (
-	"context"
+	"sync"
 
+	"repro/internal/analysis"
 	"repro/internal/textsim"
 )
 
@@ -30,7 +31,11 @@ type DocumentFeatures struct {
 }
 
 // FeatureExtractor bundles the NER and concept extractors and applies them
-// to documents. A nil field in Config selects the built-in default.
+// to documents. It is read-only after NewFeatureExtractor, so one extractor
+// serves any number of goroutines.
+//
+// erlint:immutable — DefaultFeatureExtractor is shared by every concurrent
+// block preparation.
 type FeatureExtractor struct {
 	ner      *NER
 	concepts *ConceptExtractor
@@ -50,74 +55,54 @@ func NewFeatureExtractor(ner *NER, concepts *ConceptExtractor) *FeatureExtractor
 	return &FeatureExtractor{ner: ner, concepts: concepts, topK: 10}
 }
 
-// Extract computes the full feature bundle for a page given its text, URL
-// and the ambiguous query name the collection was retrieved for.
+var defaultFeatureExtractor = sync.OnceValue(func() *FeatureExtractor {
+	return NewFeatureExtractor(nil, nil)
+})
+
+// DefaultFeatureExtractor returns the process-wide extractor over the
+// built-in wordlists, built on first use: every caller without components of
+// its own shares the one set of gazetteers and concept triggers.
+func DefaultFeatureExtractor() *FeatureExtractor { return defaultFeatureExtractor() }
+
+// Extract analyzes a page's text and computes its full feature bundle; see
+// ExtractTokens.
 func (fe *FeatureExtractor) Extract(text, url, queryName string) DocumentFeatures {
+	lower, terms := analysis.Standard.Analyze(text)
+	return fe.ExtractTokens(lower, terms, url, queryName)
+}
+
+// ExtractTokens computes the full feature bundle for a page from one
+// analysis pass over its text (analysis.Standard.Analyze), its URL and the
+// ambiguous query name the collection was retrieved for. Callers that also
+// index the page hand the same terms to index.AddTerms.
+func (fe *FeatureExtractor) ExtractTokens(lower, terms []string, url, queryName string) DocumentFeatures {
 	var f DocumentFeatures
-	f.ConceptVector = fe.concepts.Extract(text)
-	f.Concepts = fe.concepts.TopConcepts(text, fe.topK)
-	f.Organizations = fe.ner.Organizations(text)
-	f.Locations = fe.ner.Locations(text)
+	f.ConceptVector = fe.concepts.ExtractTokens(lower, terms)
+	f.Concepts = TopConcepts(f.ConceptVector, fe.topK)
+	entities := fe.ner.ExtractTokens(lower)
+	f.Organizations = filterType(entities, OrganizationEntity)
+	f.Locations = filterType(entities, LocationEntity)
 	f.URL = ParseURL(url)
 
-	persons := fe.ner.Persons(text) // most frequent first
+	persons := filterType(entities, PersonEntity) // most frequent first
 	if len(persons) > 0 {
 		f.MostFrequentName = persons[0]
 	}
-	f.ClosestName = closestName(persons, queryName)
-	f.OtherPersons = excludeQueryName(persons, queryName)
-	return f
-}
-
-// Page is the raw input of a batch extraction: one web page's text and URL.
-type Page struct {
-	Text, URL string
-}
-
-// ExtractAll computes the feature bundle for every page of one blocking
-// unit, checking the context between documents so a canceled or timed-out
-// context aborts a long extraction promptly with ctx.Err(). It is the
-// context-aware entry point the resolution pipeline uses; per-page results
-// are identical to calling Extract on each page.
-func (fe *FeatureExtractor) ExtractAll(ctx context.Context, pages []Page, queryName string) ([]DocumentFeatures, error) {
-	out := make([]DocumentFeatures, len(pages))
-	for i, p := range pages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = fe.Extract(p.Text, p.URL, queryName)
-	}
-	return out, nil
-}
-
-// closestName returns the person mention with the highest name similarity
-// to the query keyword, the feature F7 compares across pages.
-func closestName(persons []string, queryName string) string {
-	best := ""
+	// ClosestName (F7) is the mention most similar to the query keyword;
+	// OtherPersons (F6) drops the mentions that are the query name itself
+	// (near-exact or one-token-containment matches).
+	query := textsim.PrepareName(queryName)
 	bestScore := -1.0
 	for _, p := range persons {
-		if s := textsim.NameSimilarity(p, queryName); s > bestScore {
-			best, bestScore = p, s
+		s := textsim.PreparedNameSimilarity(textsim.PrepareName(p), query)
+		if s > bestScore {
+			f.ClosestName, bestScore = p, s
+		}
+		if s < 0.95 && !containsToken(p, queryName) {
+			f.OtherPersons = append(f.OtherPersons, p)
 		}
 	}
-	return best
-}
-
-// excludeQueryName filters out mentions that are the query name itself
-// (exact or one-token-containment matches), keeping genuine co-occurring
-// persons for F6.
-func excludeQueryName(persons []string, queryName string) []string {
-	var out []string
-	for _, p := range persons {
-		if textsim.NameSimilarity(p, queryName) >= 0.95 {
-			continue
-		}
-		if containsToken(p, queryName) {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
+	return f
 }
 
 // containsToken reports whether any token of a equals any token of b, the

@@ -7,41 +7,40 @@
 // "(dictionary-based) named entity recognition techniques".
 package extract
 
-import (
-	"strings"
-
-	"repro/internal/analysis"
-)
+import "strings"
 
 // Gazetteer is a dictionary of multi-word entries matched greedily (longest
-// match first) against token sequences. Matching is case-insensitive.
+// match first) against lower-cased token sequences. Entries are lower-cased
+// when the gazetteer is built, so matching is case-insensitive. A Gazetteer
+// is read-only after NewGazetteer.
 type Gazetteer struct {
-	// entries maps the first token of each entry to the candidate token
-	// sequences starting with it, longest first.
-	entries map[string][][]string
+	// entries maps the first token of each entry to the candidate entries
+	// starting with it, longest first.
+	entries map[string][]entry
 	size    int
-	maxLen  int
+}
+
+type entry struct {
+	tokens []string
+	// canonical is tokens joined by single spaces.
+	canonical string
 }
 
 // NewGazetteer builds a gazetteer from dictionary entries. Each entry is a
 // (possibly multi-word) name; empty entries are ignored.
 func NewGazetteer(names []string) *Gazetteer {
-	g := &Gazetteer{entries: make(map[string][][]string)}
+	g := &Gazetteer{entries: make(map[string][]entry)}
 	for _, name := range names {
 		tokens := strings.Fields(strings.ToLower(name))
 		if len(tokens) == 0 {
 			continue
 		}
-		g.entries[tokens[0]] = append(g.entries[tokens[0]], tokens)
+		g.entries[tokens[0]] = append(g.entries[tokens[0]], entry{tokens, strings.Join(tokens, " ")})
 		g.size++
-		if len(tokens) > g.maxLen {
-			g.maxLen = len(tokens)
-		}
 	}
 	// Order candidates longest-first for greedy longest-match semantics.
-	for first, cands := range g.entries {
+	for _, cands := range g.entries {
 		sortByLenDesc(cands)
-		g.entries[first] = cands
 	}
 	return g
 }
@@ -58,63 +57,32 @@ type Match struct {
 	Start, End int
 }
 
-// FindAll scans the token sequence and returns all non-overlapping matches,
-// greedily preferring longer matches at each position.
-func (g *Gazetteer) FindAll(tokens []string) []Match {
+// FindAll scans a lower-cased token sequence (analysis.Analyzer.Analyze
+// returns one) and returns all non-overlapping matches, greedily preferring
+// longer matches at each position.
+func (g *Gazetteer) FindAll(lower []string) []Match {
 	var matches []Match
-	lower := make([]string, len(tokens))
-	for i, t := range tokens {
-		lower[i] = strings.ToLower(t)
-	}
 	i := 0
 	for i < len(lower) {
-		cands, ok := g.entries[lower[i]]
-		if !ok {
-			i++
-			continue
-		}
-		matched := false
-		for _, cand := range cands {
-			if i+len(cand) > len(lower) {
-				continue
-			}
-			if equalSeq(lower[i:i+len(cand)], cand) {
-				matches = append(matches, Match{
-					Canonical: strings.Join(cand, " "),
-					Start:     i,
-					End:       i + len(cand),
-				})
-				i += len(cand)
-				matched = true
+		next := i + 1
+		for _, cand := range g.entries[lower[i]] {
+			if end := i + len(cand.tokens); end <= len(lower) && equalSeq(lower[i:end], cand.tokens) {
+				matches = append(matches, Match{Canonical: cand.canonical, Start: i, End: end})
+				next = end
 				break
 			}
 		}
-		if !matched {
-			i++
-		}
+		i = next
 	}
 	return matches
 }
 
-// FindAllInText tokenizes text (without stemming or stopword removal, since
-// entity names may contain stopwords) and returns all matches.
-func (g *Gazetteer) FindAllInText(text string) []Match {
-	return g.FindAll(analysis.Tokenize(text))
-}
-
-// Contains reports whether the exact (case-insensitive) name is in the
-// dictionary.
-func (g *Gazetteer) Contains(name string) bool {
-	tokens := strings.Fields(strings.ToLower(name))
-	if len(tokens) == 0 {
-		return false
-	}
-	for _, cand := range g.entries[tokens[0]] {
-		if equalSeq(cand, tokens) {
-			return true
-		}
-	}
-	return false
+// hasToken reports whether the single lower-cased token is an entry of its
+// own (not merely the first word of a longer one).
+func (g *Gazetteer) hasToken(tok string) bool {
+	cands := g.entries[tok]
+	// Longest first, so a one-token entry sorts last.
+	return len(cands) > 0 && len(cands[len(cands)-1].tokens) == 1
 }
 
 func equalSeq(a, b []string) bool {
@@ -129,10 +97,10 @@ func equalSeq(a, b []string) bool {
 	return true
 }
 
-func sortByLenDesc(cands [][]string) {
+func sortByLenDesc(cands []entry) {
 	// Insertion sort: candidate lists per first-token are tiny.
 	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && len(cands[j]) > len(cands[j-1]); j-- {
+		for j := i; j > 0 && len(cands[j].tokens) > len(cands[j-1].tokens); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}

@@ -11,7 +11,7 @@ func TestGazetteerBasicMatch(t *testing.T) {
 	if g.Size() != 3 {
 		t.Fatalf("Size = %d, want 3", g.Size())
 	}
-	matches := g.FindAll([]string{"He", "joined", "Google", "after", "MIT"})
+	matches := g.FindAll([]string{"he", "joined", "google", "after", "mit"})
 	if len(matches) != 2 {
 		t.Fatalf("matches = %v, want 2", matches)
 	}
@@ -50,22 +50,24 @@ func TestGazetteerNonOverlapping(t *testing.T) {
 
 func TestGazetteerCaseInsensitive(t *testing.T) {
 	g := NewGazetteer([]string{"EPFL"})
-	matches := g.FindAll([]string{"at", "epfl", "in", "Lausanne"})
+	matches := g.FindAll([]string{"at", "epfl", "in", "lausanne"})
 	if len(matches) != 1 || matches[0].Canonical != "epfl" {
 		t.Errorf("matches = %v", matches)
 	}
 }
 
-func TestGazetteerContains(t *testing.T) {
-	g := NewGazetteer([]string{"stanford university", "google"})
-	if !g.Contains("Stanford University") {
-		t.Error("Contains should be case-insensitive")
-	}
-	if g.Contains("stanford") {
-		t.Error("prefix of an entry is not an entry")
-	}
-	if g.Contains("") {
-		t.Error("empty string is not an entry")
+func TestGazetteerHasToken(t *testing.T) {
+	g := NewGazetteer([]string{"stanford university", "Google", "new york", "new"})
+	for tok, want := range map[string]bool{
+		"google":   true,
+		"new":      true,  // an entry of its own besides starting "new york"
+		"stanford": false, // first word of an entry is not an entry
+		"york":     false,
+		"":         false,
+	} {
+		if got := g.hasToken(tok); got != want {
+			t.Errorf("hasToken(%q) = %v, want %v", tok, got, want)
+		}
 	}
 }
 
@@ -73,14 +75,6 @@ func TestGazetteerEmptyEntries(t *testing.T) {
 	g := NewGazetteer([]string{"", "   ", "real entry"})
 	if g.Size() != 1 {
 		t.Errorf("Size = %d, want 1 (blank entries dropped)", g.Size())
-	}
-}
-
-func TestGazetteerFindAllInText(t *testing.T) {
-	g := NewGazetteer([]string{"ibm research"})
-	matches := g.FindAllInText("She works at IBM Research, in the NLP group.")
-	if len(matches) != 1 || matches[0].Canonical != "ibm research" {
-		t.Errorf("matches = %v", matches)
 	}
 }
 

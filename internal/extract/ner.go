@@ -70,51 +70,50 @@ func DefaultNER() *NER {
 		wordlists.Organizations, wordlists.Locations)
 }
 
-// Extract recognizes all entities in text and returns them aggregated by
-// canonical name with occurrence counts, in decreasing count order (ties
-// broken lexicographically for determinism).
+// Extract analyzes text and recognizes its entities; see ExtractTokens.
 func (n *NER) Extract(text string) []Entity {
-	tokens := analysis.Tokenize(text)
-	counts := make(map[EntityType]map[string]int)
-	for _, t := range []EntityType{PersonEntity, OrganizationEntity, LocationEntity} {
-		counts[t] = make(map[string]int)
-	}
+	lower, _ := analysis.Standard.Analyze(text)
+	return n.ExtractTokens(lower)
+}
 
-	// Organizations and locations: straight gazetteer hits.
-	for _, m := range n.orgs.FindAll(tokens) {
-		counts[OrganizationEntity][m.Canonical]++
+// ExtractTokens recognizes all entities in a page given as its lower-cased
+// token sequence and returns them aggregated by canonical name with
+// occurrence counts, in decreasing count order (ties broken by type, then
+// lexicographically, for determinism).
+func (n *NER) ExtractTokens(lower []string) []Entity {
+	persons, orgs, locs := make(map[string]int), make(map[string]int), make(map[string]int)
+
+	// Organizations and locations: straight gazetteer hits. Their tokens
+	// are off limits to the person pass below.
+	occupied := make([]bool, len(lower))
+	count := func(g *Gazetteer, counts map[string]int) {
+		for _, m := range g.FindAll(lower) {
+			counts[m.Canonical]++
+			for i := m.Start; i < m.End; i++ {
+				occupied[i] = true
+			}
+		}
 	}
-	for _, m := range n.locations.FindAll(tokens) {
-		counts[LocationEntity][m.Canonical]++
-	}
+	count(n.orgs, orgs)
+	count(n.locations, locs)
 
 	// Persons: a first-name token followed by a surname token forms a full
 	// name; a surname alone also counts (person pages frequently use bare
 	// surnames), but only when the token is not part of an organization or
 	// location mention.
-	occupied := make([]bool, len(tokens))
-	for _, m := range append(n.orgs.FindAll(tokens), n.locations.FindAll(tokens)...) {
-		for i := m.Start; i < m.End; i++ {
-			occupied[i] = true
-		}
-	}
-	lower := make([]string, len(tokens))
-	for i, t := range tokens {
-		lower[i] = strings.ToLower(t)
-	}
 	i := 0
 	for i < len(lower) {
 		if occupied[i] {
 			i++
 			continue
 		}
-		if n.firstNames.Contains(lower[i]) && i+1 < len(lower) && !occupied[i+1] && n.surnames.Contains(lower[i+1]) {
-			counts[PersonEntity][lower[i]+" "+lower[i+1]]++
+		if n.firstNames.hasToken(lower[i]) && i+1 < len(lower) && !occupied[i+1] && n.surnames.hasToken(lower[i+1]) {
+			persons[lower[i]+" "+lower[i+1]]++
 			i += 2
 			continue
 		}
-		if n.surnames.Contains(lower[i]) {
-			counts[PersonEntity][lower[i]]++
+		if n.surnames.hasToken(lower[i]) {
+			persons[lower[i]]++
 		}
 		i++
 	}
@@ -123,7 +122,6 @@ func (n *NER) Extract(text string) []Entity {
 	// name with that surname appearing on the same page ("Cohen" after
 	// "James Cohen"). Attribute bare counts to the most frequent matching
 	// full name, so MostFrequentName reflects the specific person.
-	persons := counts[PersonEntity]
 	for name, c := range persons {
 		if strings.Contains(name, " ") {
 			continue
@@ -141,10 +139,10 @@ func (n *NER) Extract(text string) []Entity {
 		}
 	}
 
-	var out []Entity
-	for etype, byName := range counts {
+	out := make([]Entity, 0, len(persons)+len(orgs)+len(locs))
+	for etype, byName := range []map[string]int{PersonEntity: persons, OrganizationEntity: orgs, LocationEntity: locs} {
 		for name, c := range byName {
-			out = append(out, Entity{Type: etype, Name: name, Count: c})
+			out = append(out, Entity{Type: EntityType(etype), Name: name, Count: c})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {
@@ -157,21 +155,6 @@ func (n *NER) Extract(text string) []Entity {
 		return out[a].Name < out[b].Name
 	})
 	return out
-}
-
-// Persons returns the canonical person names in text, most frequent first.
-func (n *NER) Persons(text string) []string {
-	return filterType(n.Extract(text), PersonEntity)
-}
-
-// Organizations returns the canonical organization names in text.
-func (n *NER) Organizations(text string) []string {
-	return filterType(n.Extract(text), OrganizationEntity)
-}
-
-// Locations returns the canonical location names in text.
-func (n *NER) Locations(text string) []string {
-	return filterType(n.Extract(text), LocationEntity)
 }
 
 func filterType(entities []Entity, t EntityType) []string {

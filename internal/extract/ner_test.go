@@ -16,7 +16,7 @@ func testNER() *NER {
 func TestNERFullNames(t *testing.T) {
 	n := testNER()
 	text := "John Smith met Mary Cohen in Boston. John Smith works at Google."
-	persons := n.Persons(text)
+	persons := filterType(n.Extract(text), PersonEntity)
 	if len(persons) < 2 {
 		t.Fatalf("persons = %v", persons)
 	}
@@ -37,7 +37,7 @@ func TestNERFullNames(t *testing.T) {
 
 func TestNERBareSurname(t *testing.T) {
 	n := testNER()
-	persons := n.Persons("Professor Cohen presented the results.")
+	persons := filterType(n.Extract("Professor Cohen presented the results."), PersonEntity)
 	if len(persons) != 1 || persons[0] != "cohen" {
 		t.Errorf("persons = %v, want [cohen]", persons)
 	}
@@ -46,11 +46,11 @@ func TestNERBareSurname(t *testing.T) {
 func TestNEROrganizationsAndLocations(t *testing.T) {
 	n := testNER()
 	text := "She moved from IBM Research to Stanford University in New York."
-	orgs := n.Organizations(text)
+	orgs := filterType(n.Extract(text), OrganizationEntity)
 	if len(orgs) != 2 {
 		t.Fatalf("orgs = %v", orgs)
 	}
-	locs := n.Locations(text)
+	locs := filterType(n.Extract(text), LocationEntity)
 	if len(locs) != 1 || locs[0] != "new york" {
 		t.Errorf("locs = %v", locs)
 	}
@@ -76,7 +76,7 @@ func TestNEROrgTokensNotPersons(t *testing.T) {
 		[]string{"smith barney"},
 		nil,
 	)
-	persons := n.Persons("He invested with Smith Barney last year.")
+	persons := filterType(n.Extract("He invested with Smith Barney last year."), PersonEntity)
 	if len(persons) != 0 {
 		t.Errorf("org token leaked as person: %v", persons)
 	}
@@ -91,15 +91,15 @@ func TestNEREmptyText(t *testing.T) {
 
 func TestDefaultNERUsesSharedWordlists(t *testing.T) {
 	n := DefaultNER()
-	persons := n.Persons("Andrew McCallum wrote the paper.")
+	persons := filterType(n.Extract("Andrew McCallum wrote the paper."), PersonEntity)
 	if len(persons) == 0 || persons[0] != "andrew mccallum" {
 		t.Errorf("persons = %v, want [andrew mccallum]", persons)
 	}
-	orgs := n.Organizations("EPFL is in Lausanne.")
+	orgs := filterType(n.Extract("EPFL is in Lausanne."), OrganizationEntity)
 	if len(orgs) != 1 || orgs[0] != "epfl" {
 		t.Errorf("orgs = %v, want [epfl]", orgs)
 	}
-	locs := n.Locations("EPFL is in Lausanne.")
+	locs := filterType(n.Extract("EPFL is in Lausanne."), LocationEntity)
 	if len(locs) != 1 || locs[0] != "lausanne" {
 		t.Errorf("locs = %v, want [lausanne]", locs)
 	}

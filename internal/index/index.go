@@ -45,14 +45,26 @@ func New(analyzer *analysis.Analyzer) *Index {
 // Add analyzes text and adds it as a new document, returning its ID. The
 // name is an external identifier kept for presentation only.
 func (ix *Index) Add(name, text string) int {
+	return ix.AddTerms(name, ix.analyzer.Terms(text))
+}
+
+// AddTerms adds a document from its already-analyzed terms (duplicates
+// carry term frequency), for callers that share one analysis pass between
+// the index and other consumers. The terms must come from the index's
+// analyzer.
+func (ix *Index) AddTerms(name string, terms []string) int {
 	id := len(ix.docLens)
-	freqs := ix.analyzer.TermFreqs(text)
-	total := 0
-	for term, f := range freqs {
-		ix.postings[term] = append(ix.postings[term], Posting{DocID: id, Freq: f})
-		total += f
+	for _, term := range terms {
+		// Documents arrive in ID order, so this document's posting, if
+		// the term already has one, is the list's last.
+		plist := ix.postings[term]
+		if n := len(plist); n > 0 && plist[n-1].DocID == id {
+			plist[n-1].Freq++
+			continue
+		}
+		ix.postings[term] = append(plist, Posting{DocID: id, Freq: 1})
 	}
-	ix.docLens = append(ix.docLens, total)
+	ix.docLens = append(ix.docLens, len(terms))
 	ix.docNames = append(ix.docNames, name)
 	return id
 }

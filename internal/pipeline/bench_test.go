@@ -34,6 +34,7 @@ func BenchmarkPipelineResolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pl.Run(ctx, cols); err != nil {

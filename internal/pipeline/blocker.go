@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
@@ -39,13 +38,6 @@ func collectionNameKey(col *corpus.Collection, doc corpus.Document) []string {
 	return blockindex.CollectionNameKey(col, doc)
 }
 
-// namesExtractor is the shared feature extractor behind NamesKey, built
-// once: the extractor is stateless after construction and safe for
-// concurrent use.
-var namesExtractor = sync.OnceValue(func() *extract.FeatureExtractor {
-	return extract.NewFeatureExtractor(nil, nil)
-})
-
 // NamesKey keys a document by its extracted person-name mentions: the most
 // frequent person name on the page (feature F3) and the mention closest to
 // the query name (F7). Unlike the collection-name default, it lets pages
@@ -54,7 +46,7 @@ var namesExtractor = sync.OnceValue(func() *extract.FeatureExtractor {
 // raw crawls need. A page mentioning no person keeps its collection name
 // as a fallback key so it still blocks with its siblings.
 func NamesKey(col *corpus.Collection, doc corpus.Document) []string {
-	f := namesExtractor().Extract(doc.Text, doc.URL, col.Name)
+	f := extract.DefaultFeatureExtractor().Extract(doc.Text, doc.URL, col.Name)
 	var keys []string
 	if f.MostFrequentName != "" {
 		keys = append(keys, f.MostFrequentName)

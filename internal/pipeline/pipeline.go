@@ -14,7 +14,7 @@
 // early blocks overlaps preparation of late ones.
 //
 // Every stage takes a context.Context threaded down through core.Resolver,
-// simfn.ComputeAllCtx and extract.ExtractAll, so cancellation or a timeout
+// simfn.PrepareBlockCtx and simfn.ComputeAllCtx, so cancellation or a timeout
 // aborts an in-flight run mid-extraction or mid-matrix and Run returns
 // ctx.Err().
 //

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
 	"repro/internal/extract"
 	"repro/internal/index"
@@ -89,7 +90,7 @@ type Block struct {
 }
 
 // PrepareBlock extracts features and builds TF-IDF vectors for every page
-// of a collection. A nil extractor selects the default built on the shared
+// of a collection. A nil extractor selects the shared default built on the
 // wordlists. IDF statistics are block-local, mirroring a per-name Lucene
 // index.
 //
@@ -100,29 +101,15 @@ func PrepareBlock(col *corpus.Collection, fe *extract.FeatureExtractor) *Block {
 }
 
 // PrepareBlockCtx is PrepareBlock with cancellation: the context is checked
-// between documents during indexing and feature extraction, so a canceled
-// or timed-out context aborts block preparation promptly with ctx.Err().
-// The returned block is identical to PrepareBlock's when the context never
-// fires.
+// between documents, so a canceled or timed-out context aborts block
+// preparation promptly with ctx.Err(). The returned block is identical to
+// PrepareBlock's when the context never fires. Each page is analyzed once;
+// the TF index and the feature extractor share that pass.
 func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.FeatureExtractor) (*Block, error) {
 	if fe == nil {
-		fe = extract.NewFeatureExtractor(nil, nil)
+		fe = extract.DefaultFeatureExtractor()
 	}
 	ix := index.New(nil)
-	pages := make([]extract.Page, len(col.Docs))
-	for i, d := range col.Docs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ix.Add(fmt.Sprintf("%s/%d", col.Name, d.ID), d.Text)
-		pages[i] = extract.Page{Text: d.Text, URL: d.URL}
-	}
-	features, err := fe.ExtractAll(ctx, pages, col.Name)
-	if err != nil {
-		return nil, err
-	}
-	vectors := ix.AllVectors()
-
 	b := &Block{
 		Name:        col.Name,
 		Docs:        make([]Doc, len(col.Docs)),
@@ -130,11 +117,16 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 		NumPersonas: col.NumPersonas,
 		Vocab:       textsim.NewVocab(),
 	}
-	for i := range col.Docs {
-		b.Docs[i] = Doc{
-			Features:   features[i],
-			TermVector: vectors[i],
+	for i, d := range col.Docs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		lower, terms := analysis.Standard.Analyze(d.Text)
+		ix.AddTerms(fmt.Sprintf("%s/%d", col.Name, d.ID), terms)
+		b.Docs[i].Features = fe.ExtractTokens(lower, terms, d.URL, col.Name)
+	}
+	for i, v := range ix.AllVectors() {
+		b.Docs[i].TermVector = v
 		b.Docs[i].Pack(b.Vocab)
 	}
 	return b, nil

@@ -1,10 +1,26 @@
 package textsim
 
+// jaroStack is the name length, in runes, up to which Jaro and JaroWinkler
+// work entirely in stack buffers; longer inputs spill to the heap.
+const jaroStack = 64
+
+// appendRunes decodes s into buf, which callers back with a stack array.
+func appendRunes(buf []rune, s string) []rune {
+	for _, r := range s {
+		buf = append(buf, r)
+	}
+	return buf
+}
+
 // Jaro returns the Jaro similarity of a and b in [0, 1]. Characters match
 // when equal and within half the longer length (minus one) of each other;
 // the score combines the match counts and the number of transpositions.
 func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
+	var abuf, bbuf [jaroStack]rune
+	return jaro(appendRunes(abuf[:0], a), appendRunes(bbuf[:0], b))
+}
+
+func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {
 		return 1
@@ -20,8 +36,14 @@ func Jaro(a, b string) float64 {
 	if matchDist < 0 {
 		matchDist = 0
 	}
-	aMatched := make([]bool, la)
-	bMatched := make([]bool, lb)
+	var aflags, bflags [jaroStack]bool
+	aMatched, bMatched := aflags[:], bflags[:]
+	if la > jaroStack {
+		aMatched = make([]bool, la)
+	}
+	if lb > jaroStack {
+		bMatched = make([]bool, lb)
+	}
 	matches := 0
 	for i := 0; i < la; i++ {
 		lo := i - matchDist
@@ -82,8 +104,9 @@ func JaroWinklerParams(a, b string, p float64, maxPrefix int) float64 {
 	if p > 0.25 {
 		p = 0.25
 	}
-	j := Jaro(a, b)
-	ra, rb := []rune(a), []rune(b)
+	var abuf, bbuf [jaroStack]rune
+	ra, rb := appendRunes(abuf[:0], a), appendRunes(bbuf[:0], b)
+	j := jaro(ra, rb)
 	prefix := 0
 	for prefix < len(ra) && prefix < len(rb) && prefix < maxPrefix && ra[prefix] == rb[prefix] {
 		prefix++

@@ -2,6 +2,7 @@ package textsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -107,5 +108,97 @@ func TestJaroWinklerParamsClamping(t *testing.T) {
 func TestJaroNoMatches(t *testing.T) {
 	if got := Jaro("ab", "cd"); got != 0 {
 		t.Errorf("no matches should be 0, got %v", got)
+	}
+}
+
+// referenceJaro is the allocating Jaro that Jaro replaced: four []rune
+// conversions and two []bool per JaroWinkler call. It is kept as the
+// specification the stack-buffer version must match bit for bit.
+func referenceJaro(a, b string) float64 {
+	ra, rb := []rune(a), []rune(b)
+	la, lb := len(ra), len(rb)
+	if la == 0 && lb == 0 {
+		return 1
+	}
+	if la == 0 || lb == 0 {
+		return 0
+	}
+	matchDist := max(la, lb)/2 - 1
+	if matchDist < 0 {
+		matchDist = 0
+	}
+	aMatched := make([]bool, la)
+	bMatched := make([]bool, lb)
+	matches := 0
+	for i := 0; i < la; i++ {
+		for j := max(0, i-matchDist); j < min(lb, i+matchDist+1); j++ {
+			if bMatched[j] || ra[i] != rb[j] {
+				continue
+			}
+			aMatched[i], bMatched[j] = true, true
+			matches++
+			break
+		}
+	}
+	if matches == 0 {
+		return 0
+	}
+	transpositions := 0
+	j := 0
+	for i := 0; i < la; i++ {
+		if !aMatched[i] {
+			continue
+		}
+		for !bMatched[j] {
+			j++
+		}
+		if ra[i] != rb[j] {
+			transpositions++
+		}
+		j++
+	}
+	m := float64(matches)
+	t := float64(transpositions) / 2
+	return (m/float64(la) + m/float64(lb) + (m-t)/m) / 3
+}
+
+func referenceJaroWinkler(a, b string) float64 {
+	j := referenceJaro(a, b)
+	ra, rb := []rune(a), []rune(b)
+	prefix := 0
+	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
+		prefix++
+	}
+	return j + float64(prefix)*0.1*(1-j)
+}
+
+func TestJaroMatchesReference(t *testing.T) {
+	long := strings.Repeat("maria de la concepción ", 4) // 92 runes: past the stack buffers
+	names := []string{
+		"", "a", "john smith", "jon smyth", "smith john", "andrew mccallum", "a. mccallum",
+		"martha", "marhta", "dixon", "dicksonx",
+		"josé garcía", "jose garcia", "søren kierkegård", "soren kierkegaard", "王小明", "王晓明",
+		"\xffbad\xfeutf8", "bad utf8",
+		long, long[3:] + "x", strings.Repeat("a", 64), strings.Repeat("a", 65), strings.Repeat("ab", 40),
+	}
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := Jaro(a, b), referenceJaro(a, b); got != want {
+				t.Errorf("Jaro(%q,%q) = %v, reference %v", a, b, got, want)
+			}
+			if got, want := JaroWinkler(a, b), referenceJaroWinkler(a, b); got != want {
+				t.Errorf("JaroWinkler(%q,%q) = %v, reference %v", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestJaroWinklerDoesNotAllocate pins the pair-loop claim: names up to 64
+// runes (every name the extractor produces) compare without touching the
+// heap.
+func TestJaroWinklerDoesNotAllocate(t *testing.T) {
+	a, b := "søren kierkegård", strings.Repeat("é", 64)
+	if allocs := testing.AllocsPerRun(100, func() { JaroWinkler(a, b); JaroWinkler(b, a) }); allocs != 0 {
+		t.Errorf("JaroWinkler allocates %v times per run, want 0", allocs)
 	}
 }
