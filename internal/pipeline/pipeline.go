@@ -5,13 +5,15 @@
 //
 // Ingest hands raw collections to a pluggable Blocker (any candidate-pair
 // scheme from internal/blocking), which re-partitions the documents into
-// resolution blocks. Blocks then flow through bounded channels: a worker
-// pool prepares each block (feature extraction, TF-IDF, all pairwise
-// similarity matrices) and streams the prepared blocks straight into the
-// analysis stage (training draw, decision graphs), where a Strategy runs
-// the combine and cluster steps and the report stage scores the result —
-// no all-then-all barrier between preparation and analysis, so analysis of
-// early blocks overlaps preparation of late ones.
+// resolution blocks. A bounded pool of workers then claims blocks one at a
+// time, and the worker that claimed a block takes it through every later
+// stage: prepare (feature extraction, TF-IDF, all pairwise similarity
+// matrices), analyze (training draw, decision graphs), the Strategy's
+// combine and cluster steps, and the report stage's scoring. The stages
+// are all CPU-bound, so handing a block between pools would buy no overlap
+// and only keep more prepared blocks alive; this way at most Workers
+// blocks' matrices exist at once, and there is no all-then-all barrier
+// between the blocks.
 //
 // Every stage takes a context.Context threaded down through core.Resolver,
 // simfn.PrepareBlockCtx and simfn.ComputeAllCtx, so cancellation or a timeout
@@ -69,11 +71,9 @@ type Config struct {
 	// nil selects stats.SplitSeedN(Options.Seed, index), giving every
 	// block an independent deterministic draw.
 	SeedFn func(blockIndex int) int64
-	// Workers bounds each stage's worker pool; values < 1 select
-	// GOMAXPROCS.
+	// Workers bounds the number of blocks resolved at once; values < 1
+	// select GOMAXPROCS.
 	Workers int
-	// Buffer bounds the inter-stage channels; values < 1 select Workers.
-	Buffer int
 	// Score evaluates every resolution against the block's embedded
 	// ground truth and fills Result.Score.
 	Score bool
@@ -94,7 +94,6 @@ type Pipeline struct {
 	strategy Strategy
 	seedFn   func(int) int64
 	workers  int
-	buffer   int
 	score    bool
 	observeF func(stage, block string, d time.Duration)
 }
@@ -138,7 +137,6 @@ func New(cfg Config) (*Pipeline, error) {
 		strategy: cfg.Strategy,
 		seedFn:   cfg.SeedFn,
 		workers:  cfg.Workers,
-		buffer:   cfg.Buffer,
 		score:    cfg.Score,
 		observeF: cfg.Observe,
 	}
@@ -164,9 +162,6 @@ func New(cfg Config) (*Pipeline, error) {
 	if p.workers < 1 {
 		p.workers = runtime.GOMAXPROCS(0)
 	}
-	if p.buffer < 1 {
-		p.buffer = p.workers
-	}
 	return p, nil
 }
 
@@ -184,12 +179,6 @@ type Result struct {
 	// Score is the evaluation against the block's ground truth; nil
 	// unless Config.Score is set.
 	Score *eval.Result
-}
-
-// prepped carries one prepared block from the prepare stage to analysis.
-type prepped struct {
-	idx  int
-	prep *core.Prepared
 }
 
 // Run ingests the collections, blocks them, and streams every block
@@ -216,12 +205,13 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 }
 
 // stream is the shared prepare → analyze → combine → cluster → report core
-// of Run and RunIncremental: it pushes the blocks named by todo through the
-// bounded-channel worker stages and writes each block's Result into
-// results[idx]. seedOf derives a block's training seed from its index.
-// A block's Prepared lives only from its prepare to the end of its
-// analysis. When prepares is non-nil it counts the PrepareCtx calls made
-// (the prepare-count probe the incremental tests assert against).
+// of Run and RunIncremental: workers claim the blocks named by todo one at
+// a time, take each from prepare to score, and write its Result into
+// results[idx]. seedOf derives a block's training seed from its index. A
+// block's Prepared lives only inside runBlock, so at most one per worker
+// is alive. When prepares is non-nil it counts the PrepareCtx calls
+// made (the prepare-count probe the incremental tests assert against). The
+// first block to fail cancels the others and its error is returned.
 func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo []int,
 	seedOf func(blockIndex int) int64, results []Result, prepares *atomic.Int64) error {
 
@@ -229,102 +219,31 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 	defer cancel()
 	var failOnce sync.Once
 	var firstErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	workers := p.workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	blockCh := make(chan int, p.buffer)
-	prepCh := make(chan prepped, p.buffer)
-
-	// Ingest: feed block indices; backpressure comes from the bounded
-	// channel, cancellation from the run context.
-	go func() {
-		defer close(blockCh)
-		for _, i := range todo {
-			select {
-			case blockCh <- i:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
-	// Prepare: extract features and compute all pairwise matrices, then
-	// stream the prepared block into analysis. Blocks too small to train
-	// on resolve trivially and skip the downstream stages.
-	var prepWG sync.WaitGroup
-	prepWG.Add(workers)
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(p.workers, len(todo)); w > 0; w-- {
+		wg.Add(1)
 		go func() {
-			defer prepWG.Done()
-			for i := range blockCh {
-				if runCtx.Err() != nil {
+			defer wg.Done()
+			for runCtx.Err() == nil {
+				t := int(next.Add(1)) - 1
+				if t >= len(todo) {
 					return
 				}
-				col := blocks[i]
-				if len(col.Docs) < 2 {
-					res, err := p.trivial(i, col)
-					if err != nil {
-						fail(fmt.Errorf("pipeline: block %q: %w", col.Name, err))
-						return
-					}
-					results[i] = res
-					continue
-				}
-				if prepares != nil {
-					prepares.Add(1)
-				}
-				prepStart := p.now()
-				prep, err := p.resolver.PrepareCtx(runCtx, col)
+				i := todo[t]
+				res, err := p.runBlock(runCtx, i, blocks[i], seedOf(i), prepares)
 				if err != nil {
-					fail(fmt.Errorf("pipeline: preparing block %q: %w", col.Name, err))
+					failOnce.Do(func() {
+						firstErr = err
+						cancel()
+					})
 					return
 				}
-				p.observe(StagePrepare, col.Name, prepStart)
-				select {
-				case prepCh <- prepped{idx: i, prep: prep}:
-				case <-runCtx.Done():
-					return
-				}
+				results[i] = res
 			}
 		}()
 	}
-	go func() {
-		prepWG.Wait()
-		close(prepCh)
-	}()
-
-	// Analyze → Combine → Cluster → Report: draw the block's training
-	// sample, build decision graphs, apply the strategy and score.
-	var anWG sync.WaitGroup
-	anWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer anWG.Done()
-			for item := range prepCh {
-				if runCtx.Err() != nil {
-					return
-				}
-				res, err := p.resolveBlock(item.idx, blocks[item.idx], item.prep, seedOf(item.idx))
-				if err != nil {
-					fail(fmt.Errorf("pipeline: resolving block %q: %w", blocks[item.idx].Name, err))
-					return
-				}
-				results[item.idx] = res
-			}
-		}()
-	}
-	anWG.Wait()
+	wg.Wait()
 
 	if err := ctx.Err(); err != nil {
 		return err
@@ -332,8 +251,37 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 	return firstErr
 }
 
-// resolveBlock runs analysis, combination, clustering and scoring for one
-// prepared block.
+// runBlock takes one block from prepare (feature extraction, TF-IDF, all
+// pairwise similarity matrices) to its scored Result. Blocks too small to
+// train on resolve trivially and skip every stage.
+func (p *Pipeline) runBlock(ctx context.Context, idx int, col *corpus.Collection, seed int64,
+	prepares *atomic.Int64) (Result, error) {
+
+	if len(col.Docs) < 2 {
+		res, err := p.trivial(idx, col)
+		if err != nil {
+			return Result{}, fmt.Errorf("pipeline: block %q: %w", col.Name, err)
+		}
+		return res, nil
+	}
+	if prepares != nil {
+		prepares.Add(1)
+	}
+	prepStart := p.now()
+	prep, err := p.resolver.PrepareCtx(ctx, col)
+	if err != nil {
+		return Result{}, fmt.Errorf("pipeline: preparing block %q: %w", col.Name, err)
+	}
+	p.observe(StagePrepare, col.Name, prepStart)
+	res, err := p.resolveBlock(idx, col, prep, seed)
+	if err != nil {
+		return Result{}, fmt.Errorf("pipeline: resolving block %q: %w", col.Name, err)
+	}
+	return res, nil
+}
+
+// resolveBlock runs analysis (training draw, decision graphs), combination,
+// clustering and scoring for one prepared block.
 func (p *Pipeline) resolveBlock(idx int, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
 	analyzeStart := p.now()
 	a, err := prep.Run(seed)

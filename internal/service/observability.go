@@ -79,6 +79,7 @@ func (s *Server) initObservability() {
 	s.latency.publishServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "publish.serving")
 	s.latency.persistIndex = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.index")
 	s.latency.persistSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.snapshot")
+	s.latency.encode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "encode")
 
 	r.Gauge("ersolve_queue_depth", "Ingest jobs enqueued but not yet finished.",
 		func() float64 { return float64(s.jobs.Depth()) })

@@ -216,9 +216,9 @@ func (s slowLoadStore) Load(key string, pl *pipeline.Pipeline) (*pipeline.Snapsh
 
 // TestRestartDeltaResolveIsObserved pins that nothing the client waits
 // for hides: the first resolve after a restart, over a corpus that grew
-// meanwhile, reports the snapshot load in elapsed_ms and carries the load
-// and the three commit steps as child spans inside the root span, with
-// the same stages in the latency histogram family.
+// meanwhile, reports the snapshot load in elapsed_ms and carries the load,
+// the three commit steps and the reply encoding as child spans inside the
+// root span, with the same stages in the latency histogram family.
 func TestRestartDeltaResolveIsObserved(t *testing.T) {
 	shared := store.NewMemStore()
 	snaps := newMemSnapStore()
@@ -253,7 +253,7 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 		seen[s.Name] = s
 	}
 	text := scrapeMetrics(t, ts)
-	for _, stage := range []string{"snapshot.load", "publish.serving", "persist.index", "persist.snapshot"} {
+	for _, stage := range []string{"snapshot.load", "publish.serving", "persist.index", "persist.snapshot", "encode"} {
 		s, ok := seen[stage]
 		if !ok {
 			t.Errorf("trace has no %q child span", stage)

@@ -29,13 +29,13 @@ type ServingStore interface {
 
 // stageHistograms are the per-stage latency histograms: the four pipeline
 // stages plus the read-path lookup, which /v1/stats reports, and the
-// incremental resolve's commit tail. All registry-backed
+// resolve handlers' commit tail and reply encoding. All registry-backed
 // (initObservability), so the same instruments feed the Prometheus
 // exposition as the ersolve_stage_latency_seconds family.
 type stageHistograms struct {
 	block, prepare, analyze, cluster, lookup *metrics.Histogram
 
-	snapshotLoad, publishServing, persistIndex, persistSnapshot *metrics.Histogram
+	snapshotLoad, publishServing, persistIndex, persistSnapshot, encode *metrics.Histogram
 }
 
 // publishServing materializes the committed run's serving index, swaps it

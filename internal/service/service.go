@@ -889,8 +889,10 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := ResolveResponse{Label: req.Label, ElapsedMillis: time.Since(start).Milliseconds()}
-	resp.Blocks, resp.Average = blockResults(results, score)
-	writeJSON(w, http.StatusOK, resp)
+	timed(tr, "encode", s.latency.encode, func() {
+		resp.Blocks, resp.Average = blockResults(results, score)
+		writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
@@ -1123,8 +1125,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		},
 		Blocking: blockingStats,
 	}
-	resp.Blocks, resp.Average = blockResults(inc.Results, score)
-	writeJSON(w, http.StatusOK, resp)
+	timed(tr, "encode", s.latency.encode, func() {
+		resp.Blocks, resp.Average = blockResults(inc.Results, score)
+		writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // knobsKey builds the effective-knobs string identifying one resolution
@@ -1857,7 +1861,5 @@ func clustersOf(labels []int, numEntities int) [][]int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -2,6 +2,7 @@ package simfn
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/corpus"
@@ -73,5 +74,64 @@ func TestPrepareBlockAllocationCeiling(t *testing.T) {
 	})
 	if allocs > 60000 {
 		t.Errorf("PrepareBlockCtx on 100 docs = %.0f allocs, want <= 60000", allocs)
+	}
+}
+
+// BenchmarkComputeAllByFunc prices each Table I function per document pair
+// on the two corpus shapes the repo benchmark runs (the paper's WWW'05
+// profile and the "6k" delta corpus) at the block sizes its probe uses.
+// Functions are labelled pair-pure (the value depends on the two pages
+// alone, so it could be carried over when a block grows: F2-F7) or
+// block-relative (it depends on block-wide state — the TF-IDF weights of
+// F8-F10 and the concept weights of F1 change with every page added).
+// "keys" is the number of distinct Key values in the block (0 = not
+// keyed). Rows price one function alone; F8-F10 share their merge join
+// only in the "all" row, which is what a resolve pays per pair.
+func BenchmarkComputeAllByFunc(b *testing.B) {
+	shapes := []struct {
+		name string
+		cfg  corpus.CollectionConfig
+	}{
+		{"www05", corpus.CollectionConfig{NumPersonas: 13, Noise: 0.5, MissingInfo: 0.25, Spurious: 0.3, Template: 0.25}},
+		{"6k", corpus.CollectionConfig{NumPersonas: 4, Noise: 0.3, MissingInfo: 0.2, Spurious: 0.2}},
+	}
+	class := map[string]string{
+		"F1": "block-relative", "F2": "pair-pure", "F3": "pair-pure", "F4": "pair-pure", "F5": "pair-pure",
+		"F6": "pair-pure", "F7": "pair-pure", "F8": "block-relative", "F9": "block-relative", "F10": "block-relative",
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{42, 100, 150} {
+			cfg := shape.cfg
+			cfg.Name, cfg.NumDocs, cfg.Seed = "mitchell", n, 1
+			col, err := corpus.GenerateCollection(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := PrepareBlock(col, nil)
+			pairs := float64(n * (n - 1) / 2)
+			for _, f := range Registry() {
+				keys := 0
+				if f.Key != nil {
+					distinct := map[string]bool{}
+					for d := range blk.Docs {
+						distinct[f.Key(&blk.Docs[d])] = true
+					}
+					keys = len(distinct)
+				}
+				b.Run(fmt.Sprintf("%s/n=%d/%s/%s", shape.name, n, f.ID, class[f.ID]), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						ComputeMatrix(blk, f)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+					b.ReportMetric(float64(keys), "keys")
+				})
+			}
+			b.Run(fmt.Sprintf("%s/n=%d/all", shape.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ComputeAll(blk, Registry())
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+			})
+		}
 	}
 }

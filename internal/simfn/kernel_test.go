@@ -1,0 +1,247 @@
+package simfn
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/extract"
+	"repro/internal/textsim"
+)
+
+// asymmetricKeyed is a keyed function that is deliberately NOT symmetric
+// in its keys — the property the ordered memo exists for — and that reads
+// beyond the key when two keys are equal, as the contract allows.
+func asymmetricKeyed() Func {
+	key := func(d *Doc) string { return d.Features.MostFrequentName }
+	return Func{
+		ID: "asym", Key: key,
+		Compare: func(a, b *Doc) float64 {
+			ka, kb := key(a), key(b)
+			if ka == kb {
+				return float64(len(a.Features.URL.Raw)) / float64(1+len(b.Features.URL.Raw))
+			}
+			h := fnv.New64a()
+			fmt.Fprintf(h, "%s\x00%s", ka, kb)
+			return float64(h.Sum64()>>11) / (1 << 53)
+		},
+	}
+}
+
+// handBuiltBlock builds n documents by hand from pools of the given sizes,
+// so keys repeat (small pools) or are all distinct (pool ≥ n). The pools
+// hold the awkward values: empty and blank names, names that normalize
+// equal but differ as keys, empty hosts, hosts sharing a domain. Each
+// document is then fully packed, left unpacked (nil packed fields), or
+// packed with its prepared names wiped — the partially packed Doc the
+// name functions gate on.
+func handBuiltBlock(rng *rand.Rand, n, namePool, hostPool int) *Block {
+	names := []string{"", " ", "John R. Smith", "Smith, John R", "john r smith"}
+	for len(names) < namePool {
+		names = append(names, fmt.Sprintf("%c%c Person%d", 'A'+rng.Intn(26), 'a'+rng.Intn(26), rng.Intn(40)))
+	}
+	hosts := []string{"", "www.example.edu", "cs.example.edu", "EXAMPLE.edu."}
+	for len(hosts) < hostPool {
+		hosts = append(hosts, fmt.Sprintf("h%d.site%d.org", rng.Intn(50), rng.Intn(8)))
+	}
+	names, hosts = names[:min(namePool, len(names))], hosts[:min(hostPool, len(hosts))]
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
+	pick := func() []string {
+		out := make([]string, rng.Intn(4))
+		for i := range out {
+			out[i] = words[rng.Intn(len(words))]
+		}
+		return out
+	}
+	// At most two terms: the map measures an unpacked document falls back
+	// to sum in map iteration order, which is only then the same sum on
+	// every evaluation (the generated blocks carry the long vectors).
+	vector := func() textsim.SparseVector {
+		v := textsim.NewSparseVector()
+		for k := rng.Intn(3); k > 0; k-- {
+			v.Add(words[rng.Intn(len(words))], rng.Float64())
+		}
+		return v
+	}
+
+	b := &Block{Name: "hand", Docs: make([]Doc, n), Vocab: textsim.NewVocab()}
+	for i := range b.Docs {
+		d := &b.Docs[i]
+		url := ""
+		if h := hosts[rng.Intn(len(hosts))]; h != "" {
+			url = fmt.Sprintf("http://%s/%s/%s.html", h, words[rng.Intn(3)], words[rng.Intn(len(words))])
+		}
+		d.Features = extract.DocumentFeatures{
+			URL:              extract.ParseURL(url),
+			MostFrequentName: names[rng.Intn(len(names))],
+			ClosestName:      names[rng.Intn(len(names))],
+			Concepts:         pick(),
+			Organizations:    pick(),
+			OtherPersons:     pick(),
+			ConceptVector:    vector(),
+		}
+		d.TermVector = vector()
+		switch rng.Intn(4) {
+		case 0: // unpacked
+		case 1:
+			d.Pack(b.Vocab)
+			d.FrequentName, d.ClosestName = textsim.Name{}, textsim.Name{}
+		default:
+			d.Pack(b.Vocab)
+		}
+	}
+	return b
+}
+
+// generatedBlock prepares a block of n generated pages.
+func generatedBlock(t testing.TB, n int, seed int64) *Block {
+	t.Helper()
+	col, err := corpus.GenerateCollection(corpus.CollectionConfig{
+		Name: "kernel", NumDocs: n, NumPersonas: 1 + n/8,
+		Noise: 0.5, MissingInfo: 0.25, Spurious: 0.3, Template: 0.25, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return PrepareBlock(col, nil)
+}
+
+func requireBitIdentical(t *testing.T, label string, got, want map[string]*Matrix) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d matrices, want %d", label, len(got), len(want))
+	}
+	for id, wm := range want {
+		gm := got[id]
+		if gm == nil || gm.Len() != wm.Len() {
+			t.Fatalf("%s %s: missing or wrong dimension", label, id)
+		}
+		for k, v := range wm.Values() {
+			if g := gm.Values()[k]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("%s %s: cell %d = %v (%x), reference %v (%x)", label, id, k,
+					g, math.Float64bits(g), v, math.Float64bits(v))
+			}
+		}
+	}
+}
+
+// TestKernelMatchesReference is the property the keyed and joined paths
+// rest on: on random blocks — generated pages and hand-built documents with
+// nil packed fields, empty names and hosts, heavily repeated keys and
+// all-distinct keys — ComputeAll equals the one-Compare-per-pair reference
+// bit for bit, for the ten registry functions and an asymmetric keyed one,
+// on the worker pool (run under -race) and on the calling goroutine alone.
+func TestKernelMatchesReference(t *testing.T) {
+	funcs := append(Registry(), asymmetricKeyed())
+	rng := rand.New(rand.NewSource(16))
+	var blocks []*Block
+	for _, n := range []int{2, 3, 9, 33, 70} {
+		blocks = append(blocks, generatedBlock(t, n, rng.Int63()))
+	}
+	for trial := 0; trial < 12; trial++ {
+		n := 2 + rng.Intn(70)
+		pool := [][2]int{{3, 3}, {1, 1}, {n / 2, n / 3}, {n + 5, n + 5}, {5, n + 5}}[trial%5]
+		blocks = append(blocks, handBuiltBlock(rng, n, max(pool[0], 1), max(pool[1], 1)))
+	}
+	for _, procs := range []int{4, 1} {
+		old := runtime.GOMAXPROCS(procs)
+		for bi, b := range blocks {
+			want := ComputeAllSerial(b, funcs)
+			label := fmt.Sprintf("GOMAXPROCS=%d block %d (n=%d)", procs, bi, len(b.Docs))
+			requireBitIdentical(t, label, ComputeAll(b, funcs), want)
+			got, err := ComputeAllCtx(context.Background(), b, funcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, label+" ctx", got, want)
+			for _, f := range funcs {
+				requireBitIdentical(t, label+" single", map[string]*Matrix{f.ID: ComputeMatrix(b, f)},
+					map[string]*Matrix{f.ID: want[f.ID]})
+			}
+		}
+		runtime.GOMAXPROCS(old)
+	}
+}
+
+// TestKernelCanceledMidMatrix cancels a keyed, joined computation from
+// inside a Compare: the call reports the cancellation, and because the
+// tables die with the call a following run is still the reference.
+func TestKernelCanceledMidMatrix(t *testing.T) {
+	forceParallel(t)
+	b := handBuiltBlock(rand.New(rand.NewSource(3)), 70, 6, 6)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	trip := asymmetricKeyed()
+	inner := trip.Compare
+	trip.Compare = func(a, d *Doc) float64 {
+		if calls.Add(1) == 40 {
+			cancel()
+		}
+		return inner(a, d)
+	}
+	funcs := append(Registry(), trip)
+	if ms, err := ComputeAllCtx(ctx, b, funcs); !errors.Is(err, context.Canceled) || ms != nil {
+		t.Fatalf("canceled mid-matrix: matrices %v, err %v; want nil, context.Canceled", ms != nil, err)
+	}
+	funcs[len(funcs)-1] = asymmetricKeyed()
+	requireBitIdentical(t, "after cancellation", ComputeAll(b, funcs), ComputeAllSerial(b, funcs))
+}
+
+// TestKeyedCompareCount proves what the memo buys: on the serial path a
+// keyed function is evaluated exactly once per ordered pair of distinct
+// keys that occurs plus once per same-key pair — and once per document pair
+// when the keys are distinct enough that the table is skipped.
+func TestKeyedCompareCount(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	for _, tc := range []struct {
+		name       string
+		n, pool    int
+		wantMemoed bool
+	}{
+		{"few keys", 60, 5, true},
+		{"one key", 20, 1, true},
+		{"all distinct", 40, 400, false},
+	} {
+		rng := rand.New(rand.NewSource(9))
+		b := &Block{Name: tc.name, Docs: make([]Doc, tc.n)}
+		for i := range b.Docs {
+			b.Docs[i].Features.MostFrequentName = fmt.Sprintf("name-%d", rng.Intn(tc.pool))
+			b.Docs[i].Features.URL.Raw = fmt.Sprintf("u%d", i)
+		}
+		f := asymmetricKeyed()
+		orderedPairs := map[[2]string]bool{}
+		want := 0
+		for i := range b.Docs {
+			for j := i + 1; j < len(b.Docs); j++ {
+				ki, kj := f.Key(&b.Docs[i]), f.Key(&b.Docs[j])
+				if ki == kj || !tc.wantMemoed {
+					want++
+				} else if !orderedPairs[[2]string{ki, kj}] {
+					orderedPairs[[2]string{ki, kj}] = true
+					want++
+				}
+			}
+		}
+		calls := 0
+		counted := f
+		counted.Compare = func(a, d *Doc) float64 {
+			calls++
+			return f.Compare(a, d)
+		}
+		got := ComputeMatrix(b, counted)
+		if calls != want {
+			t.Errorf("%s: %d Compare calls for %d pairs, want %d", tc.name, calls, got.Pairs(), want)
+		}
+		requireBitIdentical(t, tc.name, map[string]*Matrix{"asym": got},
+			map[string]*Matrix{"asym": ComputeMatrixSerial(b, f)})
+	}
+}

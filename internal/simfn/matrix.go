@@ -3,10 +3,13 @@ package simfn
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/textsim"
 )
 
 // Matrix is a symmetric pairwise similarity matrix over a block, stored as
@@ -70,10 +73,10 @@ func (m *Matrix) Values() []float64 { return m.vals }
 const parallelMinPairs = 2048
 
 // ComputeMatrix evaluates the similarity function on every pair of
-// documents in the block, using all available cores for large blocks. The
-// result is bit-identical to ComputeMatrixSerial: every cell is a pure
-// function of its document pair and is written exactly once, by exactly
-// one worker, so scheduling order cannot affect the values.
+// documents in the block, using all available cores for large blocks. Cell
+// (i, j), i < j, holds exactly f.Compare(d_i, d_j) whatever the scheduling:
+// every cell is a pure function of its document pair and is written exactly
+// once, by exactly one worker.
 func ComputeMatrix(b *Block, f Func) *Matrix {
 	return computeMatrices(b, []Func{f}, nil)[0]
 }
@@ -90,53 +93,31 @@ func ComputeMatrixCtx(ctx context.Context, b *Block, f Func) (*Matrix, error) {
 	return ms[0], nil
 }
 
-// ComputeMatrixSerial is the single-goroutine reference implementation of
-// ComputeMatrix, kept for determinism tests and benchmark baselines.
-func ComputeMatrixSerial(b *Block, f Func) *Matrix {
-	m := NewMatrix(len(b.Docs))
-	for i := 0; i < m.n-1; i++ {
-		fillRow(b, f, m, i)
-	}
-	return m
-}
-
 // ComputeAll evaluates every function on the block and returns the
-// matrices keyed by function ID. All (function, row) units are computed by
-// one bounded worker pool, so a single call saturates the machine even
-// when individual matrices are small. Output is bit-identical to
-// ComputeAllSerial.
+// matrices keyed by function ID. All rows are computed by one bounded
+// worker pool, each row across every function, so a single call saturates
+// the machine even when individual matrices are small. Every cell is
+// bit-identical to calling the function's Compare on that document pair.
 func ComputeAll(b *Block, funcs []Func) map[string]*Matrix {
-	ms := computeMatrices(b, funcs, nil)
-	out := make(map[string]*Matrix, len(funcs))
-	for i, f := range funcs {
-		out[f.ID] = ms[i]
-	}
-	return out
+	return byFuncID(funcs, computeMatrices(b, funcs, nil))
 }
 
 // ComputeAllCtx is ComputeAll with cancellation: every worker checks the
-// context between (function, row) work units, so a canceled or timed-out
-// context aborts the in-flight matrix computation promptly and returns
-// ctx.Err(). When the context never fires the result is bit-identical to
-// ComputeAll.
+// context between rows, so a canceled or timed-out context aborts the
+// in-flight matrix computation promptly and returns ctx.Err(). When the
+// context never fires the result is bit-identical to ComputeAll.
 func ComputeAllCtx(ctx context.Context, b *Block, funcs []Func) (map[string]*Matrix, error) {
 	ms := computeMatrices(b, funcs, ctx.Done())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	return byFuncID(funcs, ms), nil
+}
+
+func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
 	out := make(map[string]*Matrix, len(funcs))
 	for i, f := range funcs {
 		out[f.ID] = ms[i]
-	}
-	return out, nil
-}
-
-// ComputeAllSerial is the single-goroutine reference implementation of
-// ComputeAll.
-func ComputeAllSerial(b *Block, funcs []Func) map[string]*Matrix {
-	out := make(map[string]*Matrix, len(funcs))
-	for _, f := range funcs {
-		out[f.ID] = ComputeMatrixSerial(b, f)
 	}
 	return out
 }
@@ -158,12 +139,13 @@ var extraWorkerSlots = sync.OnceValue(func() chan struct{} {
 })
 
 // computeMatrices fills one matrix per function over a shared worker pool.
-// The unit of work is one matrix row: workers claim rows from an atomic
-// counter (dynamic load balancing — early rows of the condensed triangle
-// are longest) and write into disjoint sub-slices of the matrices' backing
-// arrays, so no synchronization of the values themselves is needed. A
-// non-nil done channel makes workers stop claiming rows once it closes;
-// the caller is then responsible for discarding the partial matrices.
+// The unit of work is one matrix row across all functions: workers claim
+// rows from an atomic counter (dynamic load balancing — early rows of the
+// condensed triangle are longest) and write into disjoint sub-slices of the
+// matrices' backing arrays, so no synchronization of the values themselves
+// is needed. A non-nil done channel makes workers stop claiming rows once
+// it closes; the caller is then responsible for discarding the partial
+// matrices.
 //
 // erlint:ignore cancellation arrives through the done channel, plumbed from ctx.Done() by the Ctx entry points
 func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
@@ -176,11 +158,9 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 		return ms
 	}
 
-	// Tasks are (function, row) pairs flattened as fi*(n-1)+row; rows
-	// beyond n-2 have no upper-triangle entries and are excluded by the
-	// bound.
-	rowsPerFunc := n - 1
-	totalTasks := int64(len(funcs) * rowsPerFunc)
+	// Row n-1 has no upper-triangle entries.
+	k := newKernel(b.Docs, funcs, ms)
+	rows := int64(n - 1)
 	var next atomic.Int64
 	run := func() {
 		for {
@@ -191,12 +171,11 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 				default:
 				}
 			}
-			t := next.Add(1) - 1
-			if t >= totalTasks {
+			row := next.Add(1) - 1
+			if row >= rows {
 				return
 			}
-			fi, row := int(t)/rowsPerFunc, int(t)%rowsPerFunc
-			fillRow(b, funcs[fi], ms[fi], row)
+			k.fillRow(int(row))
 		}
 	}
 
@@ -206,7 +185,7 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 		slots := extraWorkerSlots()
 		var wg sync.WaitGroup
 	spawn:
-		for w := 0; w < workers-1 && int64(w) < totalTasks-1; w++ {
+		for w := 0; w < workers-1 && int64(w) < rows-1; w++ {
 			select {
 			case slots <- struct{}{}:
 				wg.Add(1)
@@ -229,14 +208,137 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 	return ms
 }
 
-// fillRow computes row i of the condensed upper triangle of m: the cells
-// (i, i+1) … (i, n−1), a contiguous slice of the backing array.
-func fillRow(b *Block, f Func, m *Matrix, i int) {
-	base := m.idx(i, i+1)
-	row := m.vals[base : base+m.n-1-i]
-	di := &b.Docs[i]
-	for j := i + 1; j < m.n; j++ {
-		row[j-i-1] = f.Compare(di, &b.Docs[j])
+// kernel is the per-call state of one computeMatrices: what fillRow needs
+// to evaluate a row of every function while computing each distinct value
+// once. Nothing in it outlives the call.
+type kernel struct {
+	docs  []Doc
+	funcs []Func
+	ms    []*Matrix
+	// memos is parallel to funcs: non-nil for a keyed function whose keys
+	// repeat enough in this block for a table to save evaluations.
+	memos []*pairMemo
+	// joined lists the functions that are a measure of two packed vectors'
+	// merge join, with vecs[q][d] the vector joined[q] reads from document
+	// d; they are evaluated pair by pair so that functions reading the same
+	// vectors (F8-F10) share one join.
+	joined []int
+	vecs   [][]*textsim.PackedVector
+}
+
+func newKernel(docs []Doc, funcs []Func, ms []*Matrix) *kernel {
+	k := &kernel{docs: docs, funcs: funcs, ms: ms, memos: make([]*pairMemo, len(funcs))}
+	for fi, f := range funcs {
+		switch {
+		case f.join != nil:
+			vecs := make([]*textsim.PackedVector, len(docs))
+			for d := range docs {
+				vecs[d] = f.join.vec(&docs[d])
+			}
+			k.joined = append(k.joined, fi)
+			k.vecs = append(k.vecs, vecs)
+		case f.Key != nil:
+			k.memos[fi] = newPairMemo(docs, f.Key)
+		}
+	}
+	return k
+}
+
+// pairMemo memoises a keyed function per ordered pair of distinct keys
+// within one call. class[d] is the per-call ID of document d's key, and
+// cell class[i]*k+class[j] holds the complemented IEEE bits of
+// Compare(d_i, d_j), so the zero value means "not computed yet" (a Compare
+// returning the all-ones NaN is simply recomputed every time). Workers
+// racing on one cell compute identical bits, so plain atomic loads and
+// stores suffice.
+type pairMemo struct {
+	class []int32
+	k     int
+	cells []atomic.Uint64
+}
+
+// newPairMemo interns the documents' keys and returns nil when the k keys
+// span at least as many ordered pairs as the block has document pairs: the
+// table then has nothing to save, so blocks of mostly distinct keys take
+// the plain path. This also bounds the table to the size of one matrix.
+func newPairMemo(docs []Doc, key func(*Doc) string) *pairMemo {
+	ids := make(map[string]int32)
+	class := make([]int32, len(docs))
+	for d := range docs {
+		s := key(&docs[d])
+		id, ok := ids[s]
+		if !ok {
+			id = int32(len(ids))
+			ids[s] = id
+		}
+		class[d] = id
+	}
+	k, n := len(ids), len(docs)
+	if k*(k-1) >= n*(n-1)/2 {
+		return nil
+	}
+	return &pairMemo{class: class, k: k, cells: make([]atomic.Uint64, k*k)}
+}
+
+// fillRow computes row i of the condensed upper triangle of every matrix:
+// the cells (i, i+1) … (i, n−1), a contiguous slice of each backing array.
+// This is the only place that knows a function may be keyed or joined;
+// whichever way a cell is reached it holds the bits of Compare(d_i, d_j).
+func (k *kernel) fillRow(i int) {
+	n := len(k.docs)
+	di := &k.docs[i]
+	base := k.ms[0].idx(i, i+1)
+	for fi := range k.funcs {
+		f := &k.funcs[fi]
+		if f.join != nil {
+			continue
+		}
+		row := k.ms[fi].vals[base : base+n-1-i]
+		memo := k.memos[fi]
+		if memo == nil {
+			for j := i + 1; j < n; j++ {
+				row[j-i-1] = f.Compare(di, &k.docs[j])
+			}
+			continue
+		}
+		ci := memo.class[i]
+		cells := memo.cells[int(ci)*memo.k : (int(ci)+1)*memo.k]
+		for j := i + 1; j < n; j++ {
+			cj := memo.class[j]
+			if cj == ci {
+				// Same key: Compare may read the whole documents.
+				row[j-i-1] = f.Compare(di, &k.docs[j])
+				continue
+			}
+			bits := ^cells[cj].Load()
+			if bits == ^uint64(0) {
+				bits = math.Float64bits(f.Compare(di, &k.docs[j]))
+				cells[cj].Store(^bits)
+			}
+			row[j-i-1] = math.Float64frombits(bits)
+		}
+	}
+	if len(k.joined) == 0 {
+		return
+	}
+	for j := i + 1; j < n; j++ {
+		var la, lb *textsim.PackedVector
+		var dot float64
+		var inter int
+		for q, fi := range k.joined {
+			f := &k.funcs[fi]
+			cell := &k.ms[fi].vals[base+j-i-1]
+			va, vb := k.vecs[q][i], k.vecs[q][j]
+			if va == nil || vb == nil {
+				*cell = f.Compare(di, &k.docs[j])
+				continue
+			}
+			if va != la || vb != lb {
+				dot, inter = va.DotIntersect(vb)
+				la, lb = va, vb
+			}
+			*cell = f.join.value(va, vb, dot, inter)
+		}
 	}
 }
 

@@ -16,6 +16,37 @@
 // The functions operate on prepared Docs (extracted features plus TF-IDF
 // term vectors); PrepareBlock builds them for a whole blocking unit (all
 // pages sharing one ambiguous name, the paper's natural blocking scheme).
+//
+// # Matrices, keys and the ordered memo
+//
+// ComputeAll fills one condensed upper-triangle Matrix per function, and a
+// function's Compare is its definition: cell (i, j), i < j, holds the bits
+// of Compare(d_i, d_j), however the kernel got there. Two things let the
+// kernel get there with less work than one Compare per document pair, and
+// both live and die inside one call — nothing is cached across calls,
+// persisted, or configurable.
+//
+// A Func may declare Key, a string per document, under this contract:
+// whenever Key(a) != Key(b), Compare(a, b) reads nothing of a and b but
+// what the two keys determine. (When the keys are equal Compare may read
+// anything; F2's same-host branch compares URL paths.) The pages of a block
+// share few distinct values of such a feature — a hundred WWW'05 pages
+// carry 3–43 distinct names and 26–46 hosts — so the kernel interns the
+// keys per call and evaluates Compare once per ordered pair of distinct
+// keys, calling it directly for same-key pairs and for blocks whose keys
+// are too distinct for a table to save anything. F2 (URL host), F3 (most
+// frequent name) and F7 (closest name) are keyed.
+//
+// The memo is keyed by the ordered pair (Key(d_i), Key(d_j)), not the
+// unordered one, because nothing obliges Compare to be symmetric:
+// Jaro's greedy character matching, under F2, F3 and F7, is not guaranteed
+// to give Jaro(x, y) == Jaro(y, x) bit for bit. The matrix always holds
+// Compare(d_i, d_j) with i < j, so a value computed for (x, y) may stand in
+// for another pair with keys (x, y) but never for one with keys (y, x).
+//
+// F8, F9 and F10 are three measures of the same two packed TF-IDF vectors,
+// so the kernel joins the vectors once per pair and hands the dot product
+// and intersection size to all three (textsim's OfDot forms).
 package simfn
 
 import (
@@ -133,6 +164,9 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 }
 
 // Func is one pairwise similarity function with its Table I metadata.
+// The functions returned by Registry also carry unexported evaluation hints
+// derived from their Compare, so build a custom function from a fresh
+// literal rather than by replacing a registry function's Compare.
 type Func struct {
 	// ID is the paper's function label ("F1" … "F10").
 	ID string
@@ -142,6 +176,81 @@ type Func struct {
 	Measure string
 	// Compare returns the similarity of two prepared documents in [0, 1].
 	Compare func(a, b *Doc) float64
+	// Key, when non-nil, promises that whenever Key(a) != Key(b),
+	// Compare(a, b) reads nothing of the two documents but what their keys
+	// determine. The matrix kernel then evaluates Compare once per ordered
+	// pair of distinct keys in a block instead of once per document pair;
+	// documents with equal keys are always compared directly. See the
+	// package documentation for why the pair is ordered.
+	Key func(d *Doc) string
+
+	// join marks a function that is a measure of two packed vectors' merge
+	// join, so functions over the same vectors can share one join per pair.
+	join *vectorJoin
+}
+
+// vectorJoin is the packed half of a vector-space function (F1, F8-F10):
+// which packed vector it reads and the measure applied to the pair's merge
+// join.
+type vectorJoin struct {
+	vec   func(*Doc) *textsim.PackedVector
+	ofDot func(a, b *textsim.PackedVector, dot float64, inter int) float64
+}
+
+// value is the function's similarity of two packed vectors given
+// a.DotIntersect(b): an empty vector carries no evidence and scores 0.
+func (vj *vectorJoin) value(a, b *textsim.PackedVector, dot float64, inter int) float64 {
+	if a.Len() == 0 || b.Len() == 0 {
+		return 0
+	}
+	return clamp01(vj.ofDot(a, b, dot, inter))
+}
+
+// vectorFunc builds a vector-space function: the packed measure over the
+// documents' packed vectors when both are packed, the map measure over
+// their sparse vectors otherwise.
+func vectorFunc(id, feature, measure string, vj *vectorJoin,
+	sparse func(*Doc) textsim.SparseVector, sim func(a, b textsim.SparseVector) float64) Func {
+
+	return Func{
+		ID: id, Feature: feature, Measure: measure, join: vj,
+		Compare: func(a, b *Doc) float64 {
+			if pa, pb := vj.vec(a), vj.vec(b); pa != nil && pb != nil {
+				dot, inter := pa.DotIntersect(pb)
+				return vj.value(pa, pb, dot, inter)
+			}
+			sa, sb := sparse(a), sparse(b)
+			if len(sa) == 0 || len(sb) == 0 {
+				return 0
+			}
+			return clamp01(sim(sa, sb))
+		},
+	}
+}
+
+// nameFunc builds a name-string function (F3, F7) over one raw name
+// feature and its prepared form. The raw name is the key: the prepared
+// form is a function of it, and two different names are compared through
+// nothing else.
+func nameFunc(id, feature string, raw func(*Doc) string, prepared func(*Doc) *textsim.Name) Func {
+	return Func{
+		ID: id, Feature: feature, Measure: "String Similarity",
+		Key: raw,
+		Compare: func(a, b *Doc) float64 {
+			ra, rb := raw(a), raw(b)
+			if ra == "" || rb == "" {
+				return 0
+			}
+			// Gate on the prepared names themselves: a partially packed
+			// Doc (Packed set by hand, names never prepared) must fall
+			// back to the string path, not compare two zero-value Names
+			// as equal.
+			if pa, pb := prepared(a), prepared(b); pa.Norm != "" && pb.Norm != "" {
+				return clamp01(textsim.PreparedNameSimilarity(*pa, *pb))
+			}
+			return clamp01(textsim.NameSimilarity(ra, rb))
+		},
+	}
 }
 
 // overlapHalf is the saturation constant for the overlap-count functions
@@ -153,44 +262,25 @@ const overlapHalf = 2
 // I4/I7/I10 experiments use {F4,F5,F7,F9}, {F3,F4,F5,F7,F8,F9,F10} and all
 // ten, respectively).
 func Registry() []Func {
+	concepts := func(d *Doc) *textsim.PackedVector { return d.ConceptPacked }
+	conceptVector := func(d *Doc) textsim.SparseVector { return d.Features.ConceptVector }
+	words := func(d *Doc) *textsim.PackedVector { return d.Packed }
+	termVector := func(d *Doc) textsim.SparseVector { return d.TermVector }
 	return []Func{
-		{
-			ID: "F1", Feature: "Weighted Concept Vector", Measure: "Cosine Similarity",
-			Compare: func(a, b *Doc) float64 {
-				if a.ConceptPacked != nil && b.ConceptPacked != nil {
-					if a.ConceptPacked.Len() == 0 || b.ConceptPacked.Len() == 0 {
-						return 0
-					}
-					return clamp01(textsim.PackedCosine(a.ConceptPacked, b.ConceptPacked))
-				}
-				if len(a.Features.ConceptVector) == 0 || len(b.Features.ConceptVector) == 0 {
-					return 0
-				}
-				return clamp01(textsim.Cosine(a.Features.ConceptVector, b.Features.ConceptVector))
-			},
-		},
+		vectorFunc("F1", "Weighted Concept Vector", "Cosine Similarity",
+			&vectorJoin{vec: concepts, ofDot: textsim.PackedCosineOfDot}, conceptVector, textsim.Cosine),
 		{
 			ID: "F2", Feature: "URL of the page", Measure: "String Similarity",
+			// ParseURL derives the domain from the host, and two different
+			// hosts are compared through nothing else.
+			Key: func(d *Doc) string { return d.Features.URL.Host },
 			Compare: func(a, b *Doc) float64 {
 				return clamp01(extract.URLSimilarity(a.Features.URL, b.Features.URL))
 			},
 		},
-		{
-			ID: "F3", Feature: "Most frequent name on the page", Measure: "String Similarity",
-			Compare: func(a, b *Doc) float64 {
-				if a.Features.MostFrequentName == "" || b.Features.MostFrequentName == "" {
-					return 0
-				}
-				// Gate on the prepared names themselves: a partially
-				// packed Doc (Packed set by hand, names never prepared)
-				// must fall back to the string path, not compare two
-				// zero-value Names as equal.
-				if a.FrequentName.Norm != "" && b.FrequentName.Norm != "" {
-					return clamp01(textsim.PreparedNameSimilarity(a.FrequentName, b.FrequentName))
-				}
-				return clamp01(textsim.NameSimilarity(a.Features.MostFrequentName, b.Features.MostFrequentName))
-			},
-		},
+		nameFunc("F3", "Most frequent name on the page",
+			func(d *Doc) string { return d.Features.MostFrequentName },
+			func(d *Doc) *textsim.Name { return &d.FrequentName }),
 		{
 			ID: "F4", Feature: "Concepts Vector", Measure: "Number of overlapping concepts",
 			Compare: func(a, b *Doc) float64 {
@@ -227,63 +317,15 @@ func Registry() []Func {
 				return textsim.NormalizedOverlap(n, overlapHalf)
 			},
 		},
-		{
-			ID: "F7", Feature: "The name closest to the search keyword", Measure: "String Similarity",
-			Compare: func(a, b *Doc) float64 {
-				if a.Features.ClosestName == "" || b.Features.ClosestName == "" {
-					return 0
-				}
-				if a.ClosestName.Norm != "" && b.ClosestName.Norm != "" {
-					return clamp01(textsim.PreparedNameSimilarity(a.ClosestName, b.ClosestName))
-				}
-				return clamp01(textsim.NameSimilarity(a.Features.ClosestName, b.Features.ClosestName))
-			},
-		},
-		{
-			ID: "F8", Feature: "TF-IDF words vector", Measure: "Cosine Similarity",
-			Compare: func(a, b *Doc) float64 {
-				if a.Packed != nil && b.Packed != nil {
-					if a.Packed.Len() == 0 || b.Packed.Len() == 0 {
-						return 0
-					}
-					return clamp01(textsim.PackedCosine(a.Packed, b.Packed))
-				}
-				if len(a.TermVector) == 0 || len(b.TermVector) == 0 {
-					return 0
-				}
-				return clamp01(textsim.Cosine(a.TermVector, b.TermVector))
-			},
-		},
-		{
-			ID: "F9", Feature: "TF-IDF words vector", Measure: "Pearson Correlation similarity",
-			Compare: func(a, b *Doc) float64 {
-				if a.Packed != nil && b.Packed != nil {
-					if a.Packed.Len() == 0 || b.Packed.Len() == 0 {
-						return 0
-					}
-					return clamp01(textsim.PackedPearsonSim(a.Packed, b.Packed))
-				}
-				if len(a.TermVector) == 0 || len(b.TermVector) == 0 {
-					return 0
-				}
-				return clamp01(textsim.PearsonSim(a.TermVector, b.TermVector))
-			},
-		},
-		{
-			ID: "F10", Feature: "TF-IDF words vector", Measure: "Extended Jaccard similarity",
-			Compare: func(a, b *Doc) float64 {
-				if a.Packed != nil && b.Packed != nil {
-					if a.Packed.Len() == 0 || b.Packed.Len() == 0 {
-						return 0
-					}
-					return clamp01(textsim.PackedExtendedJaccard(a.Packed, b.Packed))
-				}
-				if len(a.TermVector) == 0 || len(b.TermVector) == 0 {
-					return 0
-				}
-				return clamp01(textsim.ExtendedJaccard(a.TermVector, b.TermVector))
-			},
-		},
+		nameFunc("F7", "The name closest to the search keyword",
+			func(d *Doc) string { return d.Features.ClosestName },
+			func(d *Doc) *textsim.Name { return &d.ClosestName }),
+		vectorFunc("F8", "TF-IDF words vector", "Cosine Similarity",
+			&vectorJoin{vec: words, ofDot: textsim.PackedCosineOfDot}, termVector, textsim.Cosine),
+		vectorFunc("F9", "TF-IDF words vector", "Pearson Correlation similarity",
+			&vectorJoin{vec: words, ofDot: textsim.PackedPearsonSimOfDot}, termVector, textsim.PearsonSim),
+		vectorFunc("F10", "TF-IDF words vector", "Extended Jaccard similarity",
+			&vectorJoin{vec: words, ofDot: textsim.PackedExtendedJaccardOfDot}, termVector, textsim.ExtendedJaccard),
 	}
 }
 

@@ -149,13 +149,15 @@ func (p *PackedVector) SumSquares() float64 { return p.sumSq }
 // Dot returns the inner product of p and o via a merge join over the two
 // sorted ID slices. It performs no allocation and no hashing.
 func (p *PackedVector) Dot(o *PackedVector) float64 {
-	dot, _ := p.dotIntersect(o)
+	dot, _ := p.DotIntersect(o)
 	return dot
 }
 
-// dotIntersect returns the inner product and the intersection size in one
-// merge-join pass.
-func (p *PackedVector) dotIntersect(o *PackedVector) (float64, int) {
+// DotIntersect returns the inner product and the intersection size in one
+// merge-join pass — everything the three similarity measures below need
+// beyond the pack-time statistics, so a caller evaluating several measures
+// on one pair of vectors joins once and feeds the result to the OfDot forms.
+func (p *PackedVector) DotIntersect(o *PackedVector) (float64, int) {
 	var dot float64
 	inter := 0
 	i, j := 0, 0
@@ -180,21 +182,35 @@ func (p *PackedVector) dotIntersect(o *PackedVector) (float64, int) {
 // same edge-case conventions (two empty vectors are identical; a zero-norm
 // vector against anything else scores 0).
 func PackedCosine(a, b *PackedVector) float64 {
+	dot, inter := a.DotIntersect(b)
+	return PackedCosineOfDot(a, b, dot, inter)
+}
+
+// PackedCosineOfDot is PackedCosine given a.DotIntersect(b). The three
+// OfDot forms share one signature so a caller can hold them as values;
+// cosine ignores the intersection size.
+func PackedCosineOfDot(a, b *PackedVector, dot float64, _ int) float64 {
 	if a.Len() == 0 && b.Len() == 0 {
 		return 1
 	}
 	if a.norm == 0 || b.norm == 0 {
 		return 0
 	}
-	return a.Dot(b) / (a.norm * b.norm)
+	return dot / (a.norm * b.norm)
 }
 
 // PackedExtendedJaccard is ExtendedJaccard on packed vectors.
 func PackedExtendedJaccard(a, b *PackedVector) float64 {
+	dot, inter := a.DotIntersect(b)
+	return PackedExtendedJaccardOfDot(a, b, dot, inter)
+}
+
+// PackedExtendedJaccardOfDot is PackedExtendedJaccard given
+// a.DotIntersect(b); it ignores the intersection size.
+func PackedExtendedJaccardOfDot(a, b *PackedVector, dot float64, _ int) float64 {
 	if a.Len() == 0 && b.Len() == 0 {
 		return 1
 	}
-	dot := a.Dot(b)
 	den := a.sumSq + b.sumSq - dot
 	if den <= 0 {
 		return 0
@@ -207,10 +223,15 @@ func PackedExtendedJaccard(a, b *PackedVector) float64 {
 // recomputed per pair, turning the map version's O(|a|+|b|) tail work into
 // O(1) on top of the shared merge join.
 func PackedPearsonSim(a, b *PackedVector) float64 {
+	dot, inter := a.DotIntersect(b)
+	return PackedPearsonSimOfDot(a, b, dot, inter)
+}
+
+// PackedPearsonSimOfDot is PackedPearsonSim given a.DotIntersect(b).
+func PackedPearsonSimOfDot(a, b *PackedVector, dot float64, inter int) float64 {
 	if a.Len() == 0 && b.Len() == 0 {
 		return 1
 	}
-	dot, inter := a.dotIntersect(b)
 	n := float64(a.Len() + b.Len() - inter)
 	if n == 0 {
 		return 1

@@ -182,3 +182,97 @@ func BenchmarkDot_Packed(b *testing.B) {
 		dotSink += ap.Dot(bp)
 	}
 }
+
+// The pre-OfDot bodies of the three packed measures, kept as references:
+// each early-returned before joining and joined on its own.
+func refPackedCosine(a, b *PackedVector) float64 {
+	if a.Len() == 0 && b.Len() == 0 {
+		return 1
+	}
+	if a.norm == 0 || b.norm == 0 {
+		return 0
+	}
+	return a.Dot(b) / (a.norm * b.norm)
+}
+
+func refPackedExtendedJaccard(a, b *PackedVector) float64 {
+	if a.Len() == 0 && b.Len() == 0 {
+		return 1
+	}
+	dot := a.Dot(b)
+	den := a.sumSq + b.sumSq - dot
+	if den <= 0 {
+		return 0
+	}
+	return dot / den
+}
+
+func refPackedPearsonSim(a, b *PackedVector) float64 {
+	if a.Len() == 0 && b.Len() == 0 {
+		return 1
+	}
+	dot, inter := a.DotIntersect(b)
+	n := float64(a.Len() + b.Len() - inter)
+	if n == 0 {
+		return 1
+	}
+	sxy := dot - a.sum*b.sum/n
+	sxx := a.sumSq - a.sum*a.sum/n
+	syy := b.sumSq - b.sum*b.sum/n
+	if sxx <= 1e-15 || syy <= 1e-15 {
+		return 0.5
+	}
+	r := sxy / math.Sqrt(sxx*syy)
+	if r > 1 {
+		r = 1
+	}
+	if r < -1 {
+		r = -1
+	}
+	return (r + 1) / 2
+}
+
+// TestPackedOfDotForms pins the one-join-per-pair refactor: each Packed
+// measure, and its OfDot form fed one shared DotIntersect, equals the
+// measure's former self-joining body bit for bit — on the random fixtures
+// of TestPackedEquivalence and on the edge cases (both empty, one empty,
+// zero norm, disjoint supports, identical vectors).
+func TestPackedOfDotForms(t *testing.T) {
+	type pair struct{ a, b *PackedVector }
+	vocab := NewVocab()
+	empty := NewSparseVector().Pack(vocab)
+	one := SparseVector{"x": 2}.Pack(vocab)
+	zero := SparseVector{"x": 0, "y": 0}.Pack(vocab)
+	other := SparseVector{"z": 3, "w": 1}.Pack(vocab)
+	pairs := []pair{
+		{empty, empty}, {empty, one}, {one, empty}, {one, one},
+		{zero, zero}, {zero, one}, {one, zero}, {one, other}, {other, other},
+	}
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 200; trial++ {
+		a := randomVector(rng, 1+rng.Intn(80), 150)
+		b := randomVector(rng, 1+rng.Intn(80), 150)
+		pairs = append(pairs, pair{a.Pack(vocab), b.Pack(vocab)})
+	}
+	measures := []struct {
+		name       string
+		ref, whole func(a, b *PackedVector) float64
+		ofDot      func(a, b *PackedVector, dot float64, inter int) float64
+	}{
+		{"Cosine", refPackedCosine, PackedCosine, PackedCosineOfDot},
+		{"ExtendedJaccard", refPackedExtendedJaccard, PackedExtendedJaccard, PackedExtendedJaccardOfDot},
+		{"Pearson", refPackedPearsonSim, PackedPearsonSim, PackedPearsonSimOfDot},
+	}
+	for i, p := range pairs {
+		dot, inter := p.a.DotIntersect(p.b)
+		for _, m := range measures {
+			want := math.Float64bits(m.ref(p.a, p.b))
+			if got := math.Float64bits(m.whole(p.a, p.b)); got != want {
+				t.Errorf("pair %d: Packed%s = %x, reference %x", i, m.name, got, want)
+			}
+			if got := math.Float64bits(m.ofDot(p.a, p.b, dot, inter)); got != want {
+				t.Errorf("pair %d: Packed%sOfDot = %x, reference %x", i, m.name, got, want)
+			}
+		}
+	}
+}
