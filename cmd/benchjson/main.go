@@ -309,7 +309,7 @@ func annBench(rep *BenchReport, nCols, nDocs, iters, efSearch int) error {
 	}
 	encoded := buf.Bytes()
 
-	var ab *pipeline.ANNBlocker
+	var ab *pipeline.IndexBlocker
 	var timed time.Duration
 	for i := 0; i < iters; i++ {
 		idx, err := ann.Decode(bytes.NewReader(encoded), cfg)

@@ -35,18 +35,14 @@ package ann
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
-	"repro/internal/ergraph"
 	"repro/internal/textsim"
 )
 
@@ -72,8 +68,13 @@ const (
 const maxGraphLevel = 30
 
 // ErrOutOfSync reports a corpus that is not an append-only extension of
-// what the index has already seen — same semantics as the key index.
-var ErrOutOfSync = errors.New("ann: index is out of sync with the offered corpus")
+// what the index has already seen — the key index's error, raised by the
+// component tracker both indexes share.
+var ErrOutOfSync = blockindex.ErrOutOfSync
+
+// UpdateStats reports what one Update changed; Edges, M and EfSearch are
+// the fields this index fills beyond the tracker's.
+type UpdateStats = blockindex.UpdateStats
 
 // Config assembles a CandidateIndex.
 type Config struct {
@@ -107,49 +108,7 @@ func (c Config) withDefaults() Config {
 	if c.EfSearch == 0 {
 		c.EfSearch = DefaultEfSearch
 	}
-	if c.Workers < 1 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
-}
-
-// UpdateStats reports what one Update changed.
-type UpdateStats struct {
-	// DeltaDocs is the number of newly inserted documents.
-	DeltaDocs int
-	// IndexedDocs is the total document count after the update.
-	IndexedDocs int
-	// DirtyBlocks is the number of blocks whose membership changed:
-	// components that gained a document or merged.
-	DirtyBlocks int
-	// Blocks is the total number of blocks after the update.
-	Blocks int
-	// Edges is the total number of component-merging candidate edges.
-	Edges int
-	// M and EfSearch echo the graph knobs for stats reporting.
-	M        int
-	EfSearch int
-}
-
-// colState tracks how much of one collection is indexed.
-type colState struct {
-	name    string
-	indexed int
-}
-
-// docState is one inserted document: its stable position and content
-// hash (blocking.DocHash), computed once at insertion time.
-type docState struct {
-	ref  DocRef
-	hash uint64
-}
-
-// blockEntry caches one component's derived state — member refs sorted
-// by (Col, Doc) and the membership fingerprint over the members' content
-// hashes in that order — invalidated when the component changes.
-type blockEntry struct {
-	refs []DocRef
-	fp   uint64
 }
 
 // CandidateIndex is the incremental HNSW candidate index. All methods
@@ -163,12 +122,9 @@ type CandidateIndex struct {
 	m       int
 	efCons  int
 	efSrch  int
-	workers int
 	levelML float64 // 1/ln(M), the level-draw scale
 
 	vocab *textsim.Vocab
-	cols  []colState
-	docs  []docState
 	vecs  []*textsim.PackedVector
 	// primary maps each distinct key vector (by vecKey) to the first node
 	// that carries it — the only node with that vector that lives in the
@@ -187,13 +143,12 @@ type CandidateIndex struct {
 
 	// edges is the append-only log of component-merging candidate edges —
 	// a spanning forest of the block graph, replayed on decode to rebuild
-	// the union-find.
-	edges   [][2]int32
-	uf      *ergraph.UnionFind
-	members [][]int32 // element → member ids while a root, nil otherwise
-	blocks  map[int32]*blockEntry
-
-	version uint64
+	// the components.
+	edges [][2]int32
+	// comps tracks which documents are inserted and which component each
+	// is in — the tracker the sharded key index uses, fed neighbor-query
+	// edges instead of posting edges.
+	comps *blockindex.Components
 }
 
 // New assembles an empty index.
@@ -220,13 +175,11 @@ func New(cfg Config) (*CandidateIndex, error) {
 		m:       cfg.M,
 		efCons:  cfg.EfConstruction,
 		efSrch:  cfg.EfSearch,
-		workers: cfg.Workers,
 		levelML: 1 / math.Log(float64(cfg.M)),
 		vocab:   textsim.NewVocab(),
 		primary: make(map[string]int32),
 		entry:   -1,
-		uf:      ergraph.NewUnionFind(0),
-		blocks:  make(map[int32]*blockEntry),
+		comps:   blockindex.NewComponents(cfg.Workers),
 	}, nil
 }
 
@@ -235,11 +188,11 @@ func New(cfg Config) (*CandidateIndex, error) {
 func (x *CandidateIndex) Version() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.version
+	return x.comps.Version()
 }
 
 // Workers returns the worker-pool bound, fixed at construction.
-func (x *CandidateIndex) Workers() int { return x.workers }
+func (x *CandidateIndex) Workers() int { return x.comps.Workers() }
 
 // Update inserts every document of cols not yet indexed and returns what
 // changed. cols must be the same append-only corpus the index has seen
@@ -251,117 +204,49 @@ func (x *CandidateIndex) Update(cols []*corpus.Collection) (UpdateStats, error) 
 }
 
 func (x *CandidateIndex) update(cols []*corpus.Collection) (UpdateStats, error) {
-	if len(cols) < len(x.cols) {
-		return UpdateStats{}, fmt.Errorf("%w: %d collections indexed, %d offered",
-			ErrOutOfSync, len(x.cols), len(cols))
-	}
-	for i := range cols {
-		if cols[i] == nil {
-			return UpdateStats{}, fmt.Errorf("ann: nil collection at %d", i)
-		}
-		if i < len(x.cols) {
-			if cols[i].Name != x.cols[i].name {
-				return UpdateStats{}, fmt.Errorf("%w: collection %d is %q, index has %q",
-					ErrOutOfSync, i, cols[i].Name, x.cols[i].name)
-			}
-			if len(cols[i].Docs) < x.cols[i].indexed {
-				return UpdateStats{}, fmt.Errorf("%w: collection %q shrank from %d to %d documents",
-					ErrOutOfSync, cols[i].Name, x.cols[i].indexed, len(cols[i].Docs))
-			}
-		}
+	delta, err := x.comps.Begin(cols, func(col *corpus.Collection, doc corpus.Document) []string {
+		return strings.Fields(blocking.NormalizeKey(strings.Join(x.keys(col, doc), " ")))
+	})
+	if err != nil {
+		return UpdateStats{}, err
 	}
 
-	// Gather the delta in ingest order.
-	type newDoc struct {
-		ref    DocRef
-		tokens []string
-		hash   uint64
-	}
-	var delta []newDoc
-	for ci, col := range cols {
-		start := 0
-		if ci < len(x.cols) {
-			start = x.cols[ci].indexed
+	// Graph insertion is sequential: determinism requires a fixed
+	// insertion order, and the vocabulary interns as it goes.
+	for _, d := range delta {
+		// Binary token-set vector: the support canopy's exact Jaccard
+		// compares, packed through the index vocabulary.
+		sv := make(textsim.SparseVector, len(d.Keys))
+		for _, tok := range d.Keys {
+			sv[tok] = 1
 		}
-		for di := start; di < len(col.Docs); di++ {
-			delta = append(delta, newDoc{ref: DocRef{Col: ci, Doc: di}})
+		vec := sv.Pack(x.vocab)
+		x.vecs = append(x.vecs, vec)
+		key := vecKey(vec)
+		if prim, dup := x.primary[key]; dup {
+			// Exact-duplicate key vector: the graph already holds this
+			// point. The copy stays out of the graph — one candidate edge
+			// to the primary carries it into the component, and searches
+			// keep finding the primary.
+			x.levels = append(x.levels, 0)
+			x.neighbors = append(x.neighbors, make([][]int32, 1))
+			x.applyPolicy(d.ID, []distNode{{dist: x.distTo(vec, prim), id: prim}})
+			continue
 		}
-	}
+		x.primary[key] = d.ID
+		level := levelFor(d.Hash, x.levelML)
+		x.levels = append(x.levels, level)
+		x.neighbors = append(x.neighbors, make([][]int32, level+1))
 
-	stats := UpdateStats{M: x.m, EfSearch: x.efSrch}
-	if len(delta) > 0 {
-		// Key, tokenize and hash the delta in parallel — with rich key
-		// functions (extracted person names) this is the expensive part.
-		// Graph insertion below is sequential: determinism requires a
-		// fixed insertion order, and the vocabulary interns as it goes.
-		blockindex.Parallel(x.workers, len(delta), func(i int) {
-			d := &delta[i]
-			col := cols[d.ref.Col]
-			doc := col.Docs[d.ref.Doc]
-			d.tokens = strings.Fields(blocking.NormalizeKey(strings.Join(x.keys(col, doc), " ")))
-			d.hash = blocking.DocHash(col.Name, d.ref.Doc, doc.URL, doc.Text, doc.PersonaID)
-		})
-
-		firstID := len(x.docs)
-		for i := range delta {
-			d := &delta[i]
-			// Binary token-set vector: the support canopy's exact Jaccard
-			// compares, packed through the index vocabulary.
-			sv := make(textsim.SparseVector, len(d.tokens))
-			for _, tok := range d.tokens {
-				sv[tok] = 1
-			}
-			id := int32(x.uf.Add())
-			x.docs = append(x.docs, docState{ref: d.ref, hash: d.hash})
-			vec := sv.Pack(x.vocab)
-			x.vecs = append(x.vecs, vec)
-			key := vecKey(vec)
-			if prim, dup := x.primary[key]; dup {
-				// Exact-duplicate key vector: the graph already holds
-				// this point. The copy stays out of the graph — one
-				// candidate edge to the primary carries it into the
-				// component, and searches keep finding the primary.
-				x.levels = append(x.levels, 0)
-				x.neighbors = append(x.neighbors, make([][]int32, 1))
-				x.members = append(x.members, []int32{id})
-				x.applyPolicy(id, []distNode{{dist: x.distTo(vec, prim), id: prim}})
-				continue
-			}
-			x.primary[key] = id
-			level := levelFor(d.hash, x.levelML)
-			x.levels = append(x.levels, level)
-			x.neighbors = append(x.neighbors, make([][]int32, level+1))
-			x.members = append(x.members, []int32{id})
-
-			// Insert into the graph; the layer-0 beam doubles as the
-			// neighbor query the candidate edges come from.
-			x.applyPolicy(id, x.insert(id))
-		}
-		// Every candidate edge links a new document to an existing one, so
-		// the dirty set is exactly the delta's components.
-		dirty := make(map[int]bool)
-		for id := firstID; id < len(x.docs); id++ {
-			root := x.uf.Find(id)
-			dirty[root] = true
-			delete(x.blocks, int32(root))
-		}
-		stats.DirtyBlocks = len(dirty)
+		// Insert into the graph; the layer-0 beam doubles as the neighbor
+		// query the candidate edges come from.
+		x.applyPolicy(d.ID, x.insert(d.ID))
 	}
 
-	// Record the new high-water marks.
-	for ci, col := range cols {
-		if ci < len(x.cols) {
-			x.cols[ci].indexed = len(col.Docs)
-		} else {
-			x.cols = append(x.cols, colState{name: col.Name, indexed: len(col.Docs)})
-		}
-	}
-	x.version += uint64(len(delta))
-
-	stats.DeltaDocs = len(delta)
-	stats.IndexedDocs = len(x.docs)
-	stats.Blocks = x.uf.Sets()
+	stats := x.comps.Commit(cols, delta)
 	stats.Edges = len(x.edges)
+	stats.M = x.m
+	stats.EfSearch = x.efSrch
 	return stats, nil
 }
 
@@ -395,27 +280,19 @@ func (x *CandidateIndex) applyPolicy(id int32, cand []distNode) {
 			// 1-cosine, so every later neighbor fails the threshold too.
 			break
 		}
-		root, absorbed, merged := x.uf.Merge(int(id), int(n.id))
-		if merged {
-			x.members[root] = append(x.members[root], x.members[absorbed]...)
-			x.members[absorbed] = nil
-			delete(x.blocks, int32(root))
-			delete(x.blocks, int32(absorbed))
+		if x.comps.Merge(id, n.id) {
 			x.edges = append(x.edges, [2]int32{id, n.id})
 		}
 	}
 }
 
 // Membership returns every block's member refs and membership
-// fingerprint, in block order: blocks ordered by their smallest member's
-// (Col, Doc) position, members ascending the same way. Only components
-// the last Update dirtied are re-sorted and re-hashed; the rest come
-// from the cache. The returned slices are shared with the cache and must
-// not be mutated.
+// fingerprint in block order (see blockindex.Components.Membership). The
+// returned slices are shared with the cache and must not be mutated.
 func (x *CandidateIndex) Membership() ([][]DocRef, []uint64) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.membership()
+	return x.comps.Membership()
 }
 
 // UpdateMembership inserts cols' delta and returns the resulting block
@@ -429,20 +306,8 @@ func (x *CandidateIndex) UpdateMembership(cols []*corpus.Collection) (UpdateStat
 	if err != nil {
 		return stats, nil, nil, err
 	}
-	refs, fps := x.membership()
+	refs, fps := x.comps.Membership()
 	return stats, refs, fps, nil
-}
-
-// membership materializes the block order; callers hold x.mu.
-func (x *CandidateIndex) membership() ([][]DocRef, []uint64) {
-	entries := x.entries()
-	refs := make([][]DocRef, len(entries))
-	fps := make([]uint64, len(entries))
-	for i, e := range entries {
-		refs[i] = e.refs
-		fps[i] = e.fp
-	}
-	return refs, fps
 }
 
 // MembershipOf computes the membership of an arbitrary corpus under this
@@ -450,11 +315,8 @@ func (x *CandidateIndex) membership() ([][]DocRef, []uint64) {
 // through a throwaway index, the fallback for corpora the incremental
 // state cannot serve (a snapshot older than what the index has seen).
 func (x *CandidateIndex) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	x.mu.Lock()
-	cfg := Config{Scheme: x.scheme, Keys: x.keys, M: x.m,
-		EfConstruction: x.efCons, EfSearch: x.efSrch, Workers: x.workers}
-	x.mu.Unlock()
-	tmp, err := New(cfg)
+	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, M: x.m,
+		EfConstruction: x.efCons, EfSearch: x.efSrch, Workers: x.comps.Workers()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -463,67 +325,6 @@ func (x *CandidateIndex) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []
 	}
 	refs, fps := tmp.Membership()
 	return refs, fps, nil
-}
-
-// entries materializes the block cache for every live component and
-// returns the entries in block order. Callers hold x.mu.
-func (x *CandidateIndex) entries() []*blockEntry {
-	var missing []int32
-	roots := make([]int32, 0, x.uf.Sets())
-	for id := range x.members {
-		if x.members[id] == nil {
-			continue
-		}
-		root := int32(id)
-		roots = append(roots, root)
-		if _, ok := x.blocks[root]; !ok {
-			missing = append(missing, root)
-		}
-	}
-
-	built := make([]*blockEntry, len(missing))
-	blockindex.Parallel(x.workers, len(missing), func(i int) {
-		built[i] = x.buildEntry(missing[i])
-	})
-	for i, root := range missing {
-		x.blocks[root] = built[i]
-	}
-
-	entries := make([]*blockEntry, len(roots))
-	for i, root := range roots {
-		entries[i] = x.blocks[root]
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return refLess(entries[i].refs[0], entries[j].refs[0])
-	})
-	return entries
-}
-
-// buildEntry sorts one component's members by position and folds their
-// content hashes into the membership fingerprint. Reads only immutable
-// per-doc state, so it is safe to run in parallel for disjoint roots.
-func (x *CandidateIndex) buildEntry(root int32) *blockEntry {
-	ids := x.members[root]
-	refs := make([]DocRef, len(ids))
-	order := make([]int32, len(ids))
-	copy(order, ids)
-	sort.Slice(order, func(i, j int) bool {
-		return refLess(x.docs[order[i]].ref, x.docs[order[j]].ref)
-	})
-	hashes := make([]uint64, len(order))
-	for i, id := range order {
-		refs[i] = x.docs[id].ref
-		hashes[i] = x.docs[id].hash
-	}
-	return &blockEntry{refs: refs, fp: blocking.CombineIDs(hashes)}
-}
-
-// refLess orders refs by (Col, Doc) — flattened ingest order.
-func refLess(a, b DocRef) bool {
-	if a.Col != b.Col {
-		return a.Col < b.Col
-	}
-	return a.Doc < b.Doc
 }
 
 // Stats describes the index's current shape.
@@ -557,15 +358,15 @@ func (x *CandidateIndex) Stats() Stats {
 		maxLevel = int(x.maxLevel)
 	}
 	return Stats{
-		Docs:           len(x.docs),
-		Collections:    len(x.cols),
-		Blocks:         x.uf.Sets(),
+		Docs:           x.comps.Docs(),
+		Collections:    x.comps.Collections(),
+		Blocks:         x.comps.Blocks(),
 		Edges:          len(x.edges),
 		Terms:          x.vocab.Len(),
 		MaxLevel:       maxLevel,
 		M:              x.m,
 		EfConstruction: x.efCons,
 		EfSearch:       x.efSrch,
-		Version:        x.version,
+		Version:        x.comps.Version(),
 	}
 }

@@ -67,9 +67,9 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 		M:              x.m,
 		EfConstruction: x.efCons,
 		EfSearch:       x.efSrch,
-		Cols:           make([]encodedCol, len(x.cols)),
-		Refs:           make([]DocRef, len(x.docs)),
-		Hashes:         make([]uint64, len(x.docs)),
+		Cols:           make([]encodedCol, x.comps.Collections()),
+		Refs:           x.comps.Refs(),
+		Hashes:         x.comps.Hashes(),
 		Levels:         x.levels,
 		Terms:          make([]string, x.vocab.Len()),
 		VecIDs:         make([][]int32, len(x.vecs)),
@@ -79,12 +79,8 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 		MaxLevel:       x.maxLevel,
 		Edges:          x.edges,
 	}
-	for i, cs := range x.cols {
-		enc.Cols[i] = encodedCol{Name: cs.name, Indexed: cs.indexed}
-	}
-	for i, d := range x.docs {
-		enc.Refs[i] = d.ref
-		enc.Hashes[i] = d.hash
+	for i := range enc.Cols {
+		enc.Cols[i].Name, enc.Cols[i].Indexed = x.comps.Collection(i)
 	}
 	for i := 0; i < x.vocab.Len(); i++ {
 		enc.Terms[i] = x.vocab.Term(int32(i))
@@ -106,7 +102,7 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 	if _, err := w.Write(sum[:]); err != nil {
 		return 0, fmt.Errorf("ann: writing checksum: %w", err)
 	}
-	return x.version, nil
+	return x.comps.Version(), nil
 }
 
 // Decode reads an index written by EncodeTo and rebuilds it under cfg,
@@ -162,7 +158,7 @@ func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
 	}
 
 	for _, c := range enc.Cols {
-		x.cols = append(x.cols, colState{name: c.Name, indexed: c.Indexed})
+		x.comps.AddCollection(c.Name, c.Indexed)
 	}
 	// Rebuild the vocabulary in intern order so term IDs keep their
 	// meaning for both the stored vectors and every future insertion.
@@ -197,10 +193,8 @@ func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
 				}
 			}
 		}
-		id := int32(x.uf.Add())
-		x.docs = append(x.docs, docState{ref: enc.Refs[i], hash: enc.Hashes[i]})
+		id := x.comps.AddDoc(enc.Refs[i], enc.Hashes[i])
 		x.vecs = append(x.vecs, vec)
-		x.members = append(x.members, []int32{id})
 		// First occurrence wins, as at insertion time: the primary is the
 		// node in the graph, later copies are duplicate satellites.
 		key := vecKey(vec)
@@ -220,13 +214,8 @@ func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
 		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
 			return nil, fmt.Errorf("%w: candidate edge (%d, %d) of %d documents", ErrCodecCorrupt, e[0], e[1], n)
 		}
-		root, absorbed, merged := x.uf.Merge(int(e[0]), int(e[1]))
-		if merged {
-			x.members[root] = append(x.members[root], x.members[absorbed]...)
-			x.members[absorbed] = nil
-		}
+		x.comps.Merge(e[0], e[1])
 	}
 	x.edges = enc.Edges
-	x.version = uint64(n)
 	return x, nil
 }

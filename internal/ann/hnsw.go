@@ -72,7 +72,7 @@ func (x *CandidateIndex) distTo(q *textsim.PackedVector, id int32) float64 {
 // ef nearest found so far. Returns the results nearest-first. Callers
 // hold x.mu.
 func (x *CandidateIndex) searchLayer(q *textsim.PackedVector, eps []distNode, ef int, layer int32) []distNode {
-	visited := make([]bool, len(x.docs))
+	visited := make([]bool, len(x.vecs))
 	cand := make(minQueue, len(eps))
 	res := make(maxQueue, 0, ef+1)
 	for i, e := range eps {

@@ -52,17 +52,13 @@ func (x *Index) EncodeTo(w io.Writer) (uint64, error) {
 
 	enc := encodedIndex{
 		Shards:   len(x.shards),
-		Cols:     make([]encodedCol, len(x.cols)),
-		Refs:     make([]DocRef, len(x.docs)),
-		Hashes:   make([]uint64, len(x.docs)),
+		Cols:     make([]encodedCol, x.comps.Collections()),
+		Refs:     x.comps.Refs(),
+		Hashes:   x.comps.Hashes(),
 		Postings: make([]map[string][]int32, len(x.shards)),
 	}
-	for i, cs := range x.cols {
-		enc.Cols[i] = encodedCol{Name: cs.name, Indexed: cs.indexed}
-	}
-	for i, d := range x.docs {
-		enc.Refs[i] = d.ref
-		enc.Hashes[i] = d.hash
+	for i := range enc.Cols {
+		enc.Cols[i].Name, enc.Cols[i].Indexed = x.comps.Collection(i)
 	}
 	for i := range x.shards {
 		enc.Postings[i] = x.shards[i].postings
@@ -80,7 +76,7 @@ func (x *Index) EncodeTo(w io.Writer) (uint64, error) {
 	if _, err := w.Write(sum[:]); err != nil {
 		return 0, fmt.Errorf("blockindex: writing checksum: %w", err)
 	}
-	return x.version, nil
+	return x.comps.Version(), nil
 }
 
 // Decode reads an index written by EncodeTo and rebuilds it under cfg,
@@ -135,14 +131,12 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		return nil, err
 	}
 	for _, c := range enc.Cols {
-		x.cols = append(x.cols, colState{name: c.Name, indexed: c.Indexed})
+		x.comps.AddCollection(c.Name, c.Indexed)
 	}
 	for i := range enc.Refs {
-		id := int32(x.uf.Add())
-		x.docs = append(x.docs, docState{ref: enc.Refs[i], hash: enc.Hashes[i]})
-		x.members = append(x.members, []int32{id})
+		x.comps.AddDoc(enc.Refs[i], enc.Hashes[i])
 	}
-	n := int32(len(x.docs))
+	n := int32(len(enc.Refs))
 	for s := range enc.Postings {
 		postings := enc.Postings[s]
 		if postings == nil {
@@ -157,16 +151,11 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 			// Re-link the posting's component: every member unions with
 			// the first, reproducing the star the live path built.
 			for _, id := range ids[1:] {
-				root, absorbed, merged := x.uf.Merge(int(ids[0]), int(id))
-				if merged {
-					x.members[root] = append(x.members[root], x.members[absorbed]...)
-					x.members[absorbed] = nil
-				}
+				x.comps.Merge(ids[0], id)
 			}
 			x.keyCount++
 		}
 		x.shards[s].postings = postings
 	}
-	x.version = uint64(len(x.docs))
 	return x, nil
 }

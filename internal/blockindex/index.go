@@ -15,22 +15,27 @@
 // sorted member lists and fingerprints — is served from the per-component
 // cache.
 //
+// The package also owns Components, the component tracker that turns
+// candidate edges into fingerprinted blocks. It is written once and held
+// by both candidate indexes — Index here feeds it posting edges,
+// internal/ann's CandidateIndex neighbor-query edges — because everything
+// downstream of "these two documents are candidates" (append-only sync
+// check, delta enumeration, union-find, member lists, fingerprint cache,
+// version) is the same for both, and ann already imports this package for
+// DocRef and KeyFunc.
+//
 // The index is safe for concurrent use; the pipeline's IndexBlocker wraps
 // it behind the Blocker interfaces, and internal/persist journals its
 // encoded form so a restarted server does not re-block the corpus.
 package blockindex
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/blocking"
 	"repro/internal/corpus"
-	"repro/internal/ergraph"
 )
 
 // DocRef locates one ingested document by its position in the ingest: the
@@ -49,12 +54,6 @@ type KeyFunc func(col *corpus.Collection, doc corpus.Document) []string
 
 // DefaultShards is the shard count when Config.Shards is not positive.
 const DefaultShards = 16
-
-// ErrOutOfSync reports that the collections handed to Update contradict
-// what the index has already indexed: a collection renamed, removed or
-// shrunk. The index leans on the store's append-only contract; a corpus
-// that mutated under it cannot be incrementally maintained.
-var ErrOutOfSync = errors.New("blockindex: corpus is out of sync with the index (append-only contract violated)")
 
 // Config assembles an Index.
 type Config struct {
@@ -76,70 +75,23 @@ func CollectionNameKey(col *corpus.Collection, _ corpus.Document) []string {
 	return []string{col.Name}
 }
 
-// UpdateStats reports what one Update did.
-type UpdateStats struct {
-	// DeltaDocs is the number of newly indexed documents.
-	DeltaDocs int
-	// IndexedDocs is the total number of documents in the index after the
-	// update.
-	IndexedDocs int
-	// DirtyBlocks is the number of blocks whose membership changed in this
-	// update: components that gained a document or merged.
-	DirtyBlocks int
-	// Blocks is the total number of blocks after the update.
-	Blocks int
-	// Keys is the total number of distinct index keys across all shards.
-	Keys int
-	// Shards is the shard count.
-	Shards int
-}
-
 // shard is one hash partition of the key space. Each shard is touched by
 // exactly one worker per Update, so postings need no locking.
 type shard struct {
 	postings map[string][]int32
 }
 
-// colState tracks how much of one collection is indexed.
-type colState struct {
-	name    string
-	indexed int
-}
-
-// docState is one indexed document: its stable position and its content
-// hash (blocking.DocHash), computed once at indexing time.
-type docState struct {
-	ref  DocRef
-	hash uint64
-}
-
-// blockEntry caches one component's derived state: member refs sorted by
-// (Col, Doc) — the order the pipeline assembles blocks in — and the
-// membership fingerprint over the members' content hashes in that order.
-// Entries are invalidated when their component changes and rebuilt lazily.
-type blockEntry struct {
-	refs []DocRef
-	fp   uint64
-}
-
 // Index is the sharded incremental blocking index. All methods are safe
 // for concurrent use.
 type Index struct {
-	mu      sync.Mutex
-	scheme  blocking.KeyedScheme
-	keys    KeyFunc
-	workers int
+	mu     sync.Mutex
+	scheme blocking.KeyedScheme
+	keys   KeyFunc
 
 	shards   []shard
 	keyCount int
 
-	cols    []colState
-	docs    []docState
-	uf      *ergraph.UnionFind
-	members [][]int32 // element → member ids while a root, nil otherwise
-	blocks  map[int32]*blockEntry
-
-	version uint64
+	comps *Components
 }
 
 // New assembles an empty index.
@@ -158,16 +110,11 @@ func New(cfg Config) (*Index, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	x := &Index{
-		scheme:  cfg.Scheme,
-		keys:    cfg.Keys,
-		workers: cfg.Workers,
-		shards:  make([]shard, cfg.Shards),
-		uf:      ergraph.NewUnionFind(0),
-		blocks:  make(map[int32]*blockEntry),
+		scheme: cfg.Scheme,
+		keys:   cfg.Keys,
+		shards: make([]shard, cfg.Shards),
+		comps:  NewComponents(cfg.Workers),
 	}
 	for i := range x.shards {
 		x.shards[i].postings = make(map[string][]int32)
@@ -185,7 +132,7 @@ func (x *Index) shardOf(key string) int {
 func (x *Index) Version() uint64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.version
+	return x.comps.Version()
 }
 
 // Update indexes every document of cols not yet indexed and returns what
@@ -199,65 +146,14 @@ func (x *Index) Update(cols []*corpus.Collection) (UpdateStats, error) {
 }
 
 func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
-	if len(cols) < len(x.cols) {
-		return UpdateStats{}, fmt.Errorf("%w: %d collections indexed, %d offered",
-			ErrOutOfSync, len(x.cols), len(cols))
-	}
-	for i := range cols {
-		if cols[i] == nil {
-			return UpdateStats{}, fmt.Errorf("blockindex: nil collection at %d", i)
-		}
-		if i < len(x.cols) {
-			if cols[i].Name != x.cols[i].name {
-				return UpdateStats{}, fmt.Errorf("%w: collection %d is %q, index has %q",
-					ErrOutOfSync, i, cols[i].Name, x.cols[i].name)
-			}
-			if len(cols[i].Docs) < x.cols[i].indexed {
-				return UpdateStats{}, fmt.Errorf("%w: collection %q shrank from %d to %d documents",
-					ErrOutOfSync, cols[i].Name, x.cols[i].indexed, len(cols[i].Docs))
-			}
-		}
+	delta, err := x.comps.Begin(cols, func(col *corpus.Collection, doc corpus.Document) []string {
+		return x.scheme.IndexKeys(x.keys(col, doc))
+	})
+	if err != nil {
+		return UpdateStats{}, err
 	}
 
-	// Gather the delta in ingest order.
-	type newDoc struct {
-		id   int32
-		ref  DocRef
-		keys []string
-		hash uint64
-	}
-	var delta []newDoc
-	for ci, col := range cols {
-		start := 0
-		if ci < len(x.cols) {
-			start = x.cols[ci].indexed
-		}
-		for di := start; di < len(col.Docs); di++ {
-			delta = append(delta, newDoc{ref: DocRef{Col: ci, Doc: di}})
-		}
-	}
-
-	stats := UpdateStats{Shards: len(x.shards)}
 	if len(delta) > 0 {
-		// Key and hash the new documents in parallel — with rich key
-		// functions (extracted person names) this is the expensive part,
-		// and it is paid once per document here, never again per run.
-		x.parallel(len(delta), func(i int) {
-			d := &delta[i]
-			col := cols[d.ref.Col]
-			doc := col.Docs[d.ref.Doc]
-			d.keys = x.scheme.IndexKeys(x.keys(col, doc))
-			d.hash = blocking.DocHash(col.Name, d.ref.Doc, doc.URL, doc.Text, doc.PersonaID)
-		})
-
-		// Grow the union-find and assign stable internal IDs.
-		for i := range delta {
-			id := int32(x.uf.Add())
-			delta[i].id = id
-			x.docs = append(x.docs, docState{ref: delta[i].ref, hash: delta[i].hash})
-			x.members = append(x.members, []int32{id})
-		}
-
 		// Partition the delta's (key, doc) pairs by shard, then let one
 		// worker per touched shard append postings and emit union edges —
 		// shard-disjoint maps make this safe without locks.
@@ -270,14 +166,14 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 		}
 		buckets := make([][]kv, len(x.shards))
 		for _, d := range delta {
-			for _, k := range d.keys {
+			for _, k := range d.Keys {
 				s := x.shardOf(k)
-				buckets[s] = append(buckets[s], kv{key: k, id: d.id})
+				buckets[s] = append(buckets[s], kv{key: k, id: d.ID})
 			}
 		}
 		edgesPer := make([][]edge, len(x.shards))
 		newKeys := make([]int, len(x.shards))
-		x.parallel(len(x.shards), func(s int) {
+		Parallel(x.comps.Workers(), len(x.shards), func(s int) {
 			postings := x.shards[s].postings
 			for _, item := range buckets[s] {
 				p := postings[item.key]
@@ -289,57 +185,22 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 				postings[item.key] = append(p, item.id)
 			}
 		})
-
-		// Apply the union edges. Every edge links a new document to an
-		// existing posting member, so every dirty component contains at
-		// least one new document — the dirty set is exactly the components
-		// of the delta.
 		for s := range edgesPer {
 			for _, e := range edgesPer[s] {
-				root, absorbed, merged := x.uf.Merge(int(e.a), int(e.b))
-				if merged {
-					x.members[root] = append(x.members[root], x.members[absorbed]...)
-					x.members[absorbed] = nil
-					delete(x.blocks, int32(root))
-					delete(x.blocks, int32(absorbed))
-				}
+				x.comps.Merge(e.a, e.b)
 			}
-		}
-		dirty := make(map[int]bool)
-		for _, d := range delta {
-			root := x.uf.Find(int(d.id))
-			dirty[root] = true
-			delete(x.blocks, int32(root))
-		}
-		for _, n := range newKeys {
-			x.keyCount += n
-		}
-		stats.DirtyBlocks = len(dirty)
-	}
-
-	// Record the new high-water marks.
-	for ci, col := range cols {
-		if ci < len(x.cols) {
-			x.cols[ci].indexed = len(col.Docs)
-		} else {
-			x.cols = append(x.cols, colState{name: col.Name, indexed: len(col.Docs)})
+			x.keyCount += newKeys[s]
 		}
 	}
-	x.version += uint64(len(delta))
 
-	stats.DeltaDocs = len(delta)
-	stats.IndexedDocs = len(x.docs)
-	stats.Blocks = x.uf.Sets()
+	stats := x.comps.Commit(cols, delta)
 	stats.Keys = x.keyCount
+	stats.Shards = len(x.shards)
 	return stats, nil
 }
 
-// Membership returns every block's member refs and membership fingerprint,
-// in block order: blocks ordered by their smallest member's (Col, Doc)
-// position, members ascending the same way — exactly the order a full
-// SchemeBlocker pass produces. Only components the last Update dirtied are
-// re-sorted and re-hashed (in parallel); the rest come from the cache. The
-// returned slices are shared with the cache and must not be mutated.
+// Membership returns every block's member refs and membership fingerprint
+// in block order (see Components.Membership).
 //
 // Callers that need the membership OF a particular corpus must use
 // UpdateMembership instead: between a separate Update and Membership a
@@ -348,7 +209,7 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 func (x *Index) Membership() ([][]DocRef, []uint64) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.membership()
+	return x.comps.Membership()
 }
 
 // UpdateMembership indexes cols' delta and returns the resulting block
@@ -364,20 +225,8 @@ func (x *Index) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]Do
 	if err != nil {
 		return stats, nil, nil, err
 	}
-	refs, fps := x.membership()
+	refs, fps := x.comps.Membership()
 	return stats, refs, fps, nil
-}
-
-// membership materializes the block order; callers hold x.mu.
-func (x *Index) membership() ([][]DocRef, []uint64) {
-	entries := x.entries()
-	refs := make([][]DocRef, len(entries))
-	fps := make([]uint64, len(entries))
-	for i, e := range entries {
-		refs[i] = e.refs
-		fps[i] = e.fp
-	}
-	return refs, fps
 }
 
 // MembershipOf computes the membership and fingerprints of an arbitrary
@@ -387,10 +236,7 @@ func (x *Index) membership() ([][]DocRef, []uint64) {
 // older than what the index has already seen (two configurations sharing
 // one index can observe the store in different orders).
 func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	x.mu.Lock()
-	cfg := Config{Scheme: x.scheme, Keys: x.keys, Shards: len(x.shards), Workers: x.workers}
-	x.mu.Unlock()
-	tmp, err := New(cfg)
+	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, Shards: len(x.shards), Workers: x.comps.Workers()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -401,74 +247,8 @@ func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, e
 	return refs, fps, nil
 }
 
-// entries materializes the block cache for every live component and
-// returns the entries in block order. Callers hold x.mu.
-func (x *Index) entries() []*blockEntry {
-	var missing []int32
-	roots := make([]int32, 0, x.uf.Sets())
-	for id := range x.members {
-		if x.members[id] == nil {
-			continue
-		}
-		root := int32(id)
-		roots = append(roots, root)
-		if _, ok := x.blocks[root]; !ok {
-			missing = append(missing, root)
-		}
-	}
-
-	built := make([]*blockEntry, len(missing))
-	x.parallel(len(missing), func(i int) {
-		built[i] = x.buildEntry(missing[i])
-	})
-	for i, root := range missing {
-		x.blocks[root] = built[i]
-	}
-
-	entries := make([]*blockEntry, len(roots))
-	for i, root := range roots {
-		entries[i] = x.blocks[root]
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		return refLess(entries[i].refs[0], entries[j].refs[0])
-	})
-	return entries
-}
-
-// buildEntry sorts one component's members by position and folds their
-// content hashes into the membership fingerprint. Reads only immutable
-// per-doc state, so it is safe to run in parallel for disjoint roots.
-func (x *Index) buildEntry(root int32) *blockEntry {
-	ids := x.members[root]
-	refs := make([]DocRef, len(ids))
-	order := make([]int32, len(ids))
-	copy(order, ids)
-	sort.Slice(order, func(i, j int) bool {
-		return refLess(x.docs[order[i]].ref, x.docs[order[j]].ref)
-	})
-	hashes := make([]uint64, len(order))
-	for i, id := range order {
-		refs[i] = x.docs[id].ref
-		hashes[i] = x.docs[id].hash
-	}
-	return &blockEntry{refs: refs, fp: blocking.CombineIDs(hashes)}
-}
-
-// refLess orders refs by (Col, Doc) — flattened ingest order.
-func refLess(a, b DocRef) bool {
-	if a.Col != b.Col {
-		return a.Col < b.Col
-	}
-	return a.Doc < b.Doc
-}
-
-// parallel runs fn(0..n-1) over the index's worker pool.
-func (x *Index) parallel(n int, fn func(i int)) {
-	Parallel(x.workers, n, fn)
-}
-
 // Workers returns the index's worker-pool bound, fixed at construction.
-func (x *Index) Workers() int { return x.workers }
+func (x *Index) Workers() int { return x.comps.Workers() }
 
 // Parallel runs fn(0..n-1) over a pool of at most workers goroutines;
 // small inputs run inline. It is the shared fan-out primitive of the
@@ -526,12 +306,12 @@ func (x *Index) Stats() Stats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	st := Stats{
-		Docs:        len(x.docs),
-		Collections: len(x.cols),
+		Docs:        x.comps.Docs(),
+		Collections: x.comps.Collections(),
 		Keys:        x.keyCount,
-		Blocks:      x.uf.Sets(),
+		Blocks:      x.comps.Blocks(),
 		ShardKeys:   make([]int, len(x.shards)),
-		Version:     x.version,
+		Version:     x.comps.Version(),
 	}
 	for i := range x.shards {
 		st.ShardKeys[i] = len(x.shards[i].postings)

@@ -6,11 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/faultfs"
@@ -23,8 +25,38 @@ import (
 // expected recoveries and their logs would bury real failures.
 func quietLog(string, ...any) {}
 
+// noSync is the real filesystem minus fsync. The crash harness kills the
+// process in-process, never the machine, so a durability barrier that
+// reaches the disk only costs wall time — over half of the harness's,
+// which replays the lifecycle once per boundary; the injector above it
+// still counts, and crashes at, every Sync and SyncDir.
+type noSync struct{ faultfs.OS }
+
+type noSyncFile struct{ faultfs.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (noSync) SyncDir(string) error { return nil }
+
+func (n noSync) OpenFile(name string, flag int, perm fs.FileMode) (faultfs.File, error) {
+	f, err := n.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+func (n noSync) CreateTemp(dir, pattern string) (faultfs.File, error) {
+	f, err := n.OS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
 // TestCrashEveryIOBoundary is the crash harness: one ingest lifecycle —
-// open, append batches, save a snapshot and an index, close — is first
+// open, append batches, save one artifact of each kind (snapshot, key
+// index, ANN index, serving index), close — is first
 // probed to count its mutating filesystem operations, then re-run once
 // per operation with a crash injected exactly there (clean crash and
 // torn-write crash both), the directory reopened with a healthy
@@ -33,8 +65,8 @@ func quietLog(string, ...any) {}
 //   - every acknowledged batch is present (the fsync-before-ack
 //     contract); at most the one in-flight unacknowledged batch may
 //     additionally survive (it was fully journaled before the fault),
-//   - the snapshot and index files load cleanly or are absent — never
-//     garbage, never quarantined (saves are atomic temp+rename),
+//   - every artifact file loads cleanly or is absent — never garbage,
+//     never quarantined (saves are atomic temp+rename),
 //   - no *.tmp orphan outlives the reopen sweep.
 func TestCrashEveryIOBoundary(t *testing.T) {
 	if testing.Short() {
@@ -54,7 +86,7 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 		memJSON[k+1], _ = storeJSON(t, mem)
 	}
 
-	// One snapshot and one index, prepared once: the harness exercises
+	// One artifact of each kind, prepared once: the harness exercises
 	// their I/O, not their construction.
 	pl := testPipeline(t)
 	run, err := pl.RunIncremental(context.Background(), batches[0], nil)
@@ -71,6 +103,15 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 	if _, err := idx.Update(indexCols()); err != nil {
 		t.Fatal(err)
 	}
+	const annKey = "ann|canopy|collection|12|64"
+	annIdx, err := ann.New(annCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := annIdx.Update(indexCols()); err != nil {
+		t.Fatal(err)
+	}
+	srvIdx := servingFixture(t, 1, 3, snapKey)
 
 	// scenario is the lifecycle under test. It returns how many batches
 	// were acknowledged; a crashed run simply stops acknowledging.
@@ -87,12 +128,14 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 		}
 		_ = data.Snapshots.Save(snapKey, run.Snapshot)
 		_, _ = data.Indexes.SaveIndex(idxKey, idx)
+		_, _ = data.ANN.SaveANNIndex(annKey, annIdx)
+		_ = data.Serving.SaveServing(snapKey, srvIdx)
 		return acked
 	}
 
 	// Probe: an unarmed injector counts the boundaries and proves the
 	// scenario is clean end to end.
-	probe := faultfs.NewInjector(nil)
+	probe := faultfs.NewInjector(noSync{})
 	if got := scenario(probe, t.TempDir()); got != len(batches) {
 		t.Fatalf("probe run acked %d/%d batches", got, len(batches))
 	}
@@ -111,7 +154,7 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			for n := 1; n <= total; n++ {
 				dir := t.TempDir()
-				in := faultfs.NewInjector(nil)
+				in := faultfs.NewInjector(noSync{})
 				mode.arm(in, n)
 				acked := scenario(in, dir)
 				if !in.Faulted() {
@@ -119,7 +162,7 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 				}
 
 				// Restart with a healthy filesystem.
-				data, err := OpenWithOptions(dir, Options{Log: quietLog})
+				data, err := OpenWithOptions(dir, Options{FS: noSync{}, Log: quietLog})
 				if err != nil {
 					t.Fatalf("op %d: reopen after crash failed: %v", n, err)
 				}
@@ -135,19 +178,26 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 					t.Fatalf("op %d: reopened store lost acknowledged data (%d batches acked)", n, acked)
 				}
 
-				// Snapshot and index either load cleanly or are absent;
-				// atomic publication means a crash can never leave a
-				// half-written file under the real name.
+				// Every artifact either loads cleanly or is absent; atomic
+				// publication means a crash can never leave a half-written
+				// file under the real name.
 				if _, err := data.Snapshots.Load(snapKey, pl); err != nil {
 					t.Fatalf("op %d: snapshot load after crash: %v", n, err)
 				}
 				if _, err := data.Indexes.LoadIndex(idxKey, idxCfg); err != nil {
 					t.Fatalf("op %d: index load after crash: %v", n, err)
 				}
-				if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined(); q != 0 {
+				if _, err := data.ANN.LoadANNIndex(annKey, annCfg()); err != nil {
+					t.Fatalf("op %d: ann index load after crash: %v", n, err)
+				}
+				if _, err := data.Serving.LoadServing(snapKey); err != nil {
+					t.Fatalf("op %d: serving index load after crash: %v", n, err)
+				}
+				if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined() +
+					data.ANN.Quarantined() + data.Serving.Quarantined(); q != 0 {
 					t.Fatalf("op %d: atomic saves still produced %d quarantined files", n, q)
 				}
-				for _, sub := range []string{"snapshots", "indexes"} {
+				for _, sub := range []string{"snapshots", "indexes", "serving"} {
 					orphans, err := filepath.Glob(filepath.Join(dir, sub, "*.tmp"))
 					if err != nil {
 						t.Fatal(err)

@@ -1,0 +1,230 @@
+package persist
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"repro/internal/ann"
+	"repro/internal/blockindex"
+	"repro/internal/blocking"
+	"repro/internal/corpus"
+)
+
+// fixtureCorpus is the two-collection corpus testdata/parent.* were built
+// from (by the tree at commit 1f5d2a3, the parent of the change that moved
+// the four artifact kinds onto one artifactDir).
+func fixtureCorpus(t *testing.T) []*corpus.Collection {
+	t.Helper()
+	var cols []*corpus.Collection
+	for _, cfg := range []corpus.CollectionConfig{
+		{Name: "ana rivera", NumDocs: 12, NumPersonas: 3, Noise: 0.4, MissingInfo: 0.2, Spurious: 0.2, Seed: 21},
+		{Name: "ana cohen", NumDocs: 9, NumPersonas: 2, Noise: 0.3, MissingInfo: 0.3, Spurious: 0.1, Seed: 33},
+	} {
+		col, err := corpus.GenerateCollection(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, col)
+	}
+	return cols
+}
+
+// The configuration keys the parent saved the fixtures under.
+const (
+	fixSnapKey = "best|closure|exact|collection|0.1|10|42"
+	fixIdxKey  = "token|collection|4"
+	fixAnnKey  = "ann|canopy|collection|12|64"
+)
+
+// fixMembership is what the parent recorded of an index it saved.
+type fixMembership struct {
+	Version uint64                `json:"version"`
+	Stats   json.RawMessage       `json:"stats"`
+	Refs    [][]blockindex.DocRef `json:"refs"`
+	Fps     []uint64              `json:"fps"`
+}
+
+// check compares a loaded index's decoded state against the record.
+func (want fixMembership) check(t *testing.T, kind string, version uint64, stats any, refs [][]blockindex.DocRef, fps []uint64) {
+	t.Helper()
+	gotStats, err := json.Marshal(stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != want.Version || !bytes.Equal(gotStats, want.Stats) {
+		t.Errorf("%s: loaded version %d, stats %s; parent saved version %d, stats %s",
+			kind, version, gotStats, want.Version, want.Stats)
+	}
+	if !reflect.DeepEqual(refs, want.Refs) || !reflect.DeepEqual(fps, want.Fps) {
+		t.Errorf("%s: loaded membership differs from what the parent saved:\n got %v %v\nwant %v %v",
+			kind, refs, fps, want.Refs, want.Fps)
+	}
+}
+
+// TestParentWrittenArtifactsLoad is what "no format change" means: the
+// four files under testdata were written by the parent commit's
+// SnapshotDir, IndexDir, ANNDir and ServingDir, and parent.json holds the
+// state that tree recorded of them. Each must sit under the file name
+// this tree derives for its key, load to that state — compared decoded,
+// because the gob payloads carry maps whose encoding order is not
+// deterministic — and a fresh save must start with the identical
+// magic | key length | key envelope.
+func TestParentWrittenArtifactsLoad(t *testing.T) {
+	var golden struct {
+		Files map[string]string `json:"files"`
+		Idx   fixMembership     `json:"idx"`
+		Ann   fixMembership     `json:"ann"`
+		Srv   struct {
+			Epoch        uint64            `json:"epoch"`
+			StoreVersion uint64            `json:"store_version"`
+			Knobs        string            `json:"knobs"`
+			DocEntities  []json.RawMessage `json:"doc_entities"`
+		} `json:"srv"`
+		SnapBlocks int `json:"snap_blocks"`
+	}
+	raw, err := os.ReadFile(filepath.Join("testdata", "parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	cols := fixtureCorpus(t)
+	data, err := OpenWithOptions(t.TempDir(), Options{Log: quietLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+
+	// place copies the parent's file to where this tree looks for key.
+	place := func(t *testing.T, kind, path string) []byte {
+		t.Helper()
+		if got, want := filepath.Base(path), golden.Files[kind]; got != want {
+			t.Fatalf("%s: this tree names the file %s, the parent wrote %s", kind, got, want)
+		}
+		buf, err := os.ReadFile(filepath.Join("testdata", "parent."+kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	// sameEnvelope checks, after a save under this tree replaced the
+	// parent's file, that the envelope prefix did not move.
+	sameEnvelope := func(t *testing.T, kind, path, magic, key string, parent []byte) {
+		t.Helper()
+		fresh, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(magic) + 4 + len(key)
+		if len(fresh) < n || !bytes.Equal(fresh[:n], parent[:n]) || string(fresh[:len(magic)]) != magic {
+			t.Errorf("%s: a fresh save starts %q, the parent's file %q", kind, fresh[:min(n, len(fresh))], parent[:n])
+		}
+	}
+
+	t.Run("snap", func(t *testing.T) {
+		path := data.Snapshots.path(fixSnapKey)
+		parent := place(t, "snap", path)
+		pl := testPipeline(t)
+		snap, err := data.Snapshots.Load(fixSnapKey, pl)
+		if err != nil || snap == nil {
+			t.Fatalf("Load = (%v, %v)", snap, err)
+		}
+		inc, err := pl.RunIncremental(context.Background(), cols, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Blocks() != golden.SnapBlocks || inc.Stats.Reused != inc.Stats.Blocks || inc.Stats.Blocks != golden.SnapBlocks {
+			t.Errorf("loaded snapshot holds %d blocks and the run reused %d of %d; the parent saved %d",
+				snap.Blocks(), inc.Stats.Reused, inc.Stats.Blocks, golden.SnapBlocks)
+		}
+		if err := data.Snapshots.Save(fixSnapKey, inc.Snapshot); err != nil {
+			t.Fatal(err)
+		}
+		sameEnvelope(t, "snap", path, snapFileMagic, fixSnapKey, parent)
+	})
+
+	t.Run("idx", func(t *testing.T) {
+		path := data.Indexes.path(fixIdxKey)
+		parent := place(t, "idx", path)
+		idx, err := data.Indexes.LoadIndex(fixIdxKey, blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4})
+		if err != nil || idx == nil {
+			t.Fatalf("LoadIndex = (%v, %v)", idx, err)
+		}
+		refs, fps := idx.Membership()
+		golden.Idx.check(t, "idx", idx.Version(), idx.Stats(), refs, fps)
+		if st, err := idx.Update(cols); err != nil || st.DeltaDocs != 0 {
+			t.Errorf("the loaded index re-indexed %d documents of its own corpus (err %v)", st.DeltaDocs, err)
+		}
+		if _, err := data.Indexes.SaveIndex(fixIdxKey, idx); err != nil {
+			t.Fatal(err)
+		}
+		sameEnvelope(t, "idx", path, idxFileMagic, fixIdxKey, parent)
+	})
+
+	t.Run("ann", func(t *testing.T) {
+		path := data.ANN.path(fixAnnKey)
+		parent := place(t, "ann", path)
+		idx, err := data.ANN.LoadANNIndex(fixAnnKey, ann.Config{Scheme: blocking.Canopy{Loose: 0.4, Tight: 0.8}})
+		if err != nil || idx == nil {
+			t.Fatalf("LoadANNIndex = (%v, %v)", idx, err)
+		}
+		refs, fps := idx.Membership()
+		golden.Ann.check(t, "ann", idx.Version(), idx.Stats(), refs, fps)
+		if st, err := idx.Update(cols); err != nil || st.DeltaDocs != 0 {
+			t.Errorf("the loaded index re-inserted %d documents of its own corpus (err %v)", st.DeltaDocs, err)
+		}
+		if _, err := data.ANN.SaveANNIndex(fixAnnKey, idx); err != nil {
+			t.Fatal(err)
+		}
+		sameEnvelope(t, "ann", path, annFileMagic, fixAnnKey, parent)
+	})
+
+	t.Run("srv", func(t *testing.T) {
+		path := data.Serving.path(fixSnapKey)
+		parent := place(t, "srv", path)
+		x, err := data.Serving.LoadServing(fixSnapKey)
+		if err != nil || x == nil {
+			t.Fatalf("LoadServing = (%v, %v)", x, err)
+		}
+		if err := x.Validate(); err != nil {
+			t.Error(err)
+		}
+		if x.Epoch() != golden.Srv.Epoch || x.StoreVersion() != golden.Srv.StoreVersion || x.Knobs() != golden.Srv.Knobs {
+			t.Errorf("loaded epoch %d, store version %d, knobs %q; the parent saved %d, %d, %q",
+				x.Epoch(), x.StoreVersion(), x.Knobs(), golden.Srv.Epoch, golden.Srv.StoreVersion, golden.Srv.Knobs)
+		}
+		i := 0
+		for _, col := range cols {
+			for pos := range col.Docs {
+				got, err := json.Marshal(x.DocEntity(col.Name, pos))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i >= len(golden.Srv.DocEntities) || !bytes.Equal(got, golden.Srv.DocEntities[i]) {
+					t.Errorf("%s:%d resolves to %s, not the entity the parent saved", col.Name, pos, got)
+				}
+				i++
+			}
+		}
+		if latest, err := data.Serving.LoadLatestServing(); err != nil || latest == nil || latest.Epoch() != x.Epoch() {
+			t.Errorf("LoadLatestServing = (%v, %v), want the parent's index", latest, err)
+		}
+		if err := data.Serving.SaveServing(fixSnapKey, x); err != nil {
+			t.Fatal(err)
+		}
+		sameEnvelope(t, "srv", path, srvFileMagic, fixSnapKey, parent)
+	})
+
+	if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined() + data.ANN.Quarantined() + data.Serving.Quarantined(); q != 0 {
+		t.Errorf("%d parent-written files were quarantined", q)
+	}
+}

@@ -1,19 +1,26 @@
 // Package persist implements the disk backends behind `ersolve serve
 // -data`: a durable store.DocumentStore that journals every ingest batch
-// to an append-only segment log and replays it on open, and snapshot and
-// index directories holding one versioned file per configuration.
-// Together they let a restarted server resume with both the corpus and
-// every configuration's incremental state intact — the first incremental
-// resolution after a restart reuses every block.
+// to an append-only segment log and replays it on open, and four artifact
+// directories — snapshots, key indexes, ANN indexes, serving indexes —
+// holding one versioned file per configuration. Together they let a
+// restarted server resume with both the corpus and every configuration's
+// incremental state intact — the first incremental resolution after a
+// restart reuses every block.
+//
+// The four directories are one implementation, artifactDir (artifacts.go):
+// file naming, the envelope, the atomic save sequence, envelope
+// verification, quarantine, pruning and the orphan sweep are written once,
+// and SnapshotDir, IndexDir, ANNDir and ServingDir add only which codec
+// encodes and decodes the payload.
 //
 // Durability model: a batch is journaled (written and fsynced) before
 // Append returns, so an acknowledged ingest survives a crash. Replay
 // re-runs the journaled batches through the same in-memory merge the live
 // path uses, and that merge is deterministic, so the reopened store is
 // byte-identical to the pre-crash one — preserving the append-only
-// document positions incremental resolution fingerprints. Snapshot and
-// index files are written to a temporary file and atomically renamed into
-// place, so a crash mid-save leaves the previous file intact.
+// document positions incremental resolution fingerprints. Artifact files
+// are written to a temporary file and atomically renamed into place, so a
+// crash mid-save leaves the previous file intact.
 //
 // Recovery model: damage is classified before it is punished. A torn tail
 // — the final record of the newest segment cut short or checksum-broken,
@@ -24,8 +31,8 @@
 // records after it, a foreign header, an unreadable interior segment —
 // still fails Open with a clear error: acknowledged data is at stake and
 // silently shortening the log would violate the append-only contract.
-// Damaged snapshot or index files are quarantined (renamed *.corrupt) on
-// load so the caller rebuilds from the journaled corpus instead of
+// Damaged artifact files are quarantined (renamed *.corrupt) on load so
+// the caller rebuilds from the journaled corpus instead of
 // tripping over the same file forever. All file I/O goes through
 // internal/faultfs, so the crash harness can interrupt any boundary.
 package persist

@@ -301,8 +301,10 @@ func TestNewModeBlockerDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.(*ANNBlocker); !ok {
-		t.Errorf("ann mode, canopy: got %T, want *ANNBlocker", b)
+	if ab, ok := b.(*IndexBlocker); !ok {
+		t.Errorf("ann mode, canopy: got %T, want *IndexBlocker", b)
+	} else if out, err := ab.BlockFingerprints(context.Background(), nil); err != nil || out.Stats.Indexer != "ann" {
+		t.Errorf("ann mode, canopy: stats say indexer %q (err %v), want \"ann\"", out.Stats.Indexer, err)
 	}
 	if _, err := NewModeBlocker("ann", blocking.ExactKey{}, nil, 0, ANNOptions{}); err == nil {
 		t.Error("ann mode accepted a key-based scheme")

@@ -3,7 +3,10 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 
+	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
@@ -62,18 +65,40 @@ type FingerprintBlocker interface {
 	BlockFingerprints(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error)
 }
 
-// IndexBlocker is the Block stage over the sharded incremental index: it
+// CandidateIndex is what IndexBlocker needs from an incremental candidate
+// index bound to one append-only corpus: insert the delta, report every
+// component's members and membership fingerprint, say how far it has
+// advanced, and write itself out. blockindex.Index (exact, key-based) and
+// ann.CandidateIndex (approximate, graph-based) are the two
+// implementations; both raise blockindex.ErrOutOfSync for a corpus that
+// is not an extension of what they have seen.
+type CandidateIndex interface {
+	Update(cols []*corpus.Collection) (blockindex.UpdateStats, error)
+	UpdateMembership(cols []*corpus.Collection) (blockindex.UpdateStats, [][]DocRef, []uint64, error)
+	MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error)
+	Version() uint64
+	Workers() int
+	EncodeTo(w io.Writer) (uint64, error)
+}
+
+// IndexBlocker is the Block stage over an incremental candidate index: it
 // keys and hashes only the documents that arrived since the previous call,
-// merges them into the key-connected components, and assembles the block
-// collections in parallel. It serves the key-based schemes (exact, token);
-// the global schemes keep SchemeBlocker.
+// merges them into the candidate-connected components, and assembles the
+// block collections in parallel. Over the sharded key index it serves the
+// key-based schemes (exact, token) exactly; over the ANN index it serves
+// the global schemes (canopy, sorted neighborhood) approximately,
+// replacing their O(N²) per-run pass; without an index the global schemes
+// keep SchemeBlocker.
 //
 // An IndexBlocker is bound to one append-only corpus (a document store):
 // every call must present a superset of the previous call's collections,
 // or the index reports blockindex.ErrOutOfSync. It is safe for concurrent
 // use; calls serialize on the index.
 type IndexBlocker struct {
-	idx *blockindex.Index
+	idx CandidateIndex
+	// indexer is the BlockingStats.Indexer this blocker reports: "index"
+	// over the sharded key index, "ann" over the ANN index.
+	indexer string
 }
 
 // NewIndexBlocker builds an IndexBlocker for a key-based scheme. A nil
@@ -88,18 +113,54 @@ func NewIndexBlocker(scheme blocking.KeyedScheme, keys KeyFunc, shards int) (*In
 	if err != nil {
 		return nil, err
 	}
-	return &IndexBlocker{idx: idx}, nil
+	return NewIndexBlockerWith(idx), nil
 }
 
 // NewIndexBlockerWith wraps an existing index — typically one decoded from
 // its persisted form, so a restarted process resumes with the corpus
 // already blocked.
 func NewIndexBlockerWith(idx *blockindex.Index) *IndexBlocker {
-	return &IndexBlocker{idx: idx}
+	return &IndexBlocker{idx: idx, indexer: "index"}
+}
+
+// ANNOptions carries the graph knobs of the approximate candidate index;
+// zero values select the ann package defaults.
+type ANNOptions struct {
+	// M is the per-node degree bound of the proximity graph.
+	M int
+	// EfConstruction sizes the link-selection beam at insertion time.
+	EfConstruction int
+	// EfSearch sizes the neighbor query candidate edges come from; the
+	// recall knob.
+	EfSearch int
+}
+
+// NewANNBlocker builds an IndexBlocker over a fresh ANN candidate index
+// for an approximable global scheme. A nil keys selects the
+// collection-name KeyFunc; zero knobs select the ann defaults.
+func NewANNBlocker(scheme blocking.ApproxScheme, keys KeyFunc, opts ANNOptions) (*IndexBlocker, error) {
+	idx, err := ann.New(ann.Config{
+		Scheme:         scheme,
+		Keys:           ann.KeyFunc(keys),
+		M:              opts.M,
+		EfConstruction: opts.EfConstruction,
+		EfSearch:       opts.EfSearch,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return NewANNBlockerWith(idx), nil
+}
+
+// NewANNBlockerWith wraps an existing ANN candidate index — typically one
+// decoded from its persisted form, so a restarted process resumes with
+// the corpus already inserted into the graph.
+func NewANNBlockerWith(idx *ann.CandidateIndex) *IndexBlocker {
+	return &IndexBlocker{idx: idx, indexer: "ann"}
 }
 
 // Index exposes the underlying index for persistence and stats.
-func (ib *IndexBlocker) Index() *blockindex.Index { return ib.idx }
+func (ib *IndexBlocker) Index() CandidateIndex { return ib.idx }
 
 // Warm indexes any documents of cols the index has not seen, without
 // assembling blocks — the ingest-notification hook that moves delta
@@ -138,7 +199,7 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 	// warmer), a separate Membership call could observe a state advanced
 	// past cols and hand back refs pointing beyond the caller's snapshot.
 	stats, members, fps, err := ib.idx.UpdateMembership(cols)
-	var blockingStats BlockingStats
+	blockingStats := BlockingStats{Indexer: ib.indexer}
 	switch {
 	case errors.Is(err, blockindex.ErrOutOfSync):
 		// The corpus is older than the index state (a concurrent user
@@ -148,17 +209,19 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		if err != nil {
 			return IndexedBlocks{}, err
 		}
-		blockingStats = BlockingStats{Indexer: "index", Fallback: true}
+		blockingStats.Fallback = true
 	case err != nil:
 		return IndexedBlocks{}, err
 	default:
 		blockingStats = BlockingStats{
-			Indexer:     "index",
+			Indexer:     ib.indexer,
 			Shards:      stats.Shards,
 			IndexedDocs: stats.IndexedDocs,
 			DeltaDocs:   stats.DeltaDocs,
 			DirtyBlocks: stats.DirtyBlocks,
 			Keys:        stats.Keys,
+			AnnM:        stats.M,
+			AnnEf:       stats.EfSearch,
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -176,4 +239,30 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		Fingerprints: fps,
 		Stats:        blockingStats,
 	}, nil
+}
+
+// BlockingModes are the accepted blocking-mode spellings, in display
+// order for CLI/API usage messages.
+var BlockingModes = []string{"exact", "ann"}
+
+// NewModeBlocker picks a Blocker for a scheme under an explicit blocking
+// mode. Mode "" or "exact" is today's behavior — NewBlocker's dispatch,
+// bit-identical results. Mode "ann" serves a global scheme from the
+// incremental approximate candidate index; it requires a scheme with an
+// approximation policy (canopy, sorted neighborhood) and rejects
+// anything else, because the key-based schemes already have an exact
+// O(delta) index and approximating them would only lose recall.
+func NewModeBlocker(mode string, scheme blocking.Scheme, keys KeyFunc, shards int, opts ANNOptions) (Blocker, error) {
+	switch mode {
+	case "", "exact":
+		return NewBlocker(scheme, keys, shards)
+	case "ann":
+		approx, ok := scheme.(blocking.ApproxScheme)
+		if !ok {
+			return nil, fmt.Errorf("pipeline: blocking mode %q needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %T", mode, scheme)
+		}
+		return NewANNBlocker(approx, keys, opts)
+	default:
+		return nil, fmt.Errorf("pipeline: unknown blocking mode %q (valid: exact, ann)", mode)
+	}
 }

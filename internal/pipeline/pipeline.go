@@ -15,6 +15,14 @@
 // blocks' matrices exist at once, and there is no all-then-all barrier
 // between the blocks.
 //
+// There are two Blockers: SchemeBlocker, the stateless full pass over any
+// scheme and the reference the others are tested against, and
+// IndexBlocker, which serves a growing corpus in O(delta) from an
+// incremental CandidateIndex — the sharded key index
+// (internal/blockindex) for the key-based schemes, the HNSW candidate
+// index (internal/ann) for the global schemes in "ann" mode. The blocker
+// is the same code over both; only the index differs.
+//
 // Every stage takes a context.Context threaded down through core.Resolver,
 // simfn.PrepareBlockCtx and simfn.ComputeAllCtx, so cancellation or a timeout
 // aborts an in-flight run mid-extraction or mid-matrix and Run returns

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -82,6 +83,7 @@ func TestANNModeValidation(t *testing.T) {
 		{"negative degree", resolveKnobs{BlockingMode: "ann", Blocking: "canopy", AnnM: -4}},
 		{"negative beam", resolveKnobs{BlockingMode: "ann", Blocking: "canopy", AnnEf: -1}},
 		{"ann knobs without ann mode", resolveKnobs{Blocking: "canopy", AnnEf: 32}},
+		{"ann knobs and nothing else", resolveKnobs{AnnM: 16, AnnEf: 32}},
 	}
 	for _, c := range cases {
 		// The incremental endpoint validates before touching the store, so
@@ -92,13 +94,19 @@ func TestANNModeValidation(t *testing.T) {
 		if code != http.StatusBadRequest || errOut.Error == "" {
 			t.Errorf("%s: incremental = %d %q, want 400 with a message", c.name, code, errOut.Error)
 		}
-		// The one-shot endpoint shares the validation.
+		// The one-shot endpoint shares the validation: same status, same
+		// message, whichever knobs are set.
 		resp := postResolve(t, ts, ResolveRequest{
 			Collections:  []*corpus.Collection{testCollection(t, 4)},
 			resolveKnobs: c.knobs,
 		})
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: one-shot = %d, want 400", c.name, resp.StatusCode)
+		var oneShot errorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&oneShot); err != nil {
+			t.Fatalf("%s: one-shot body: %v", c.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || oneShot.Error != errOut.Error {
+			t.Errorf("%s: one-shot = %d %q, want 400 %q like the incremental endpoint",
+				c.name, resp.StatusCode, oneShot.Error, errOut.Error)
 		}
 	}
 

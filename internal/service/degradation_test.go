@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/corpus"
+	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
@@ -136,7 +138,8 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 }
 
-// failingIndexStore fails every save until healed, loading nothing.
+// failingIndexStore is an IndexStore and an ANNStore that loads nothing
+// and fails every save while fail is set.
 type failingIndexStore struct {
 	saves int
 	fail  bool
@@ -146,74 +149,124 @@ func (f *failingIndexStore) LoadIndex(string, blockindex.Config) (*blockindex.In
 	return nil, nil
 }
 
-func (f *failingIndexStore) SaveIndex(string, *blockindex.Index) (uint64, error) {
+func (f *failingIndexStore) LoadANNIndex(string, ann.Config) (*ann.CandidateIndex, error) {
+	return nil, nil
+}
+
+func (f *failingIndexStore) SaveIndex(_ string, idx pipeline.CandidateIndex) (uint64, error) {
 	f.saves++
 	if f.fail {
 		return 0, errors.New("disk on fire")
 	}
-	return 1, nil
+	return idx.Version(), nil
 }
 
-// TestIndexSaveBackoff pins the capped-backoff retry: while a save is
-// failing and the backoff window is open, persistIndex does not re-hit
-// the store; once the window passes it retries; Close forces a final
-// attempt regardless.
+func (f *failingIndexStore) SaveANNIndex(key string, idx pipeline.CandidateIndex) (uint64, error) {
+	return f.SaveIndex(key, idx)
+}
+
+// TestIndexSaveBackoff pins the save policy of a registry entry, for both
+// index kinds: the warmer's persistIndexIfGrown saves only once the
+// unsaved delta reaches warmSaveDeltaDocs; while a save is failing and the
+// backoff window is open, persistIndex does not re-hit the store; once the
+// window passes it retries; Close forces a final attempt regardless.
 func TestIndexSaveBackoff(t *testing.T) {
 	oldBase, oldCap := indexSaveBackoffBase, indexSaveBackoffCap
 	indexSaveBackoffBase, indexSaveBackoffCap = 50*time.Millisecond, 200*time.Millisecond
 	defer func() { indexSaveBackoffBase, indexSaveBackoffCap = oldBase, oldCap }()
 
-	idxStore := &failingIndexStore{fail: true}
-	srv := New(Config{Indexes: idxStore, Store: store.NewMemStore()})
-	closed := false
-	t.Cleanup(func() {
-		if !closed {
-			srv.Close(context.Background())
-		}
-	})
-	if _, err := srv.store.Append([]*corpus.Collection{testCollection(t, 6)}); err != nil {
-		t.Fatal(err)
-	}
-	// Materialize a real index entry through the public path.
-	_, entry, _, err := srv.blockerFor(resolveKnobs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ib := entry.blocker.Load()
-	cols, _ := srv.store.Snapshot()
-	if _, err := ib.Warm(cols); err != nil {
-		t.Fatal(err)
-	}
+	for _, kind := range []struct {
+		name     string
+		knobs    resolveKnobs
+		config   func(*failingIndexStore) Config
+		failures func(*Server) int64
+	}{
+		{"index", resolveKnobs{},
+			func(st *failingIndexStore) Config { return Config{Indexes: st} },
+			func(srv *Server) int64 { return srv.counters.indexSaveFailures.Load() }},
+		{"ann", resolveKnobs{Blocking: "canopy", BlockingMode: "ann"},
+			func(st *failingIndexStore) Config { return Config{ANNIndexes: st} },
+			func(srv *Server) int64 { return srv.counters.annSaveFailures.Load() }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			idxStore := &failingIndexStore{}
+			cfg := kind.config(idxStore)
+			cfg.Store = store.NewMemStore()
+			srv := New(cfg)
+			closed := false
+			t.Cleanup(func() {
+				if !closed {
+					srv.Close(context.Background())
+				}
+			})
+			// Materialize a real index entry through the public path.
+			_, entry, err := srv.blockerFor(kind.knobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ib := entry.blocker.Load()
+			// grow appends n tiny documents and indexes them the way the
+			// warmer would.
+			grow := func(n int) {
+				t.Helper()
+				col := &corpus.Collection{Name: "rivera", NumPersonas: 1}
+				for i := 0; i < n; i++ {
+					col.Docs = append(col.Docs, corpus.Document{ID: i, URL: "http://a/x", Text: "x"})
+				}
+				if _, err := srv.store.Append([]*corpus.Collection{col}); err != nil {
+					t.Fatal(err)
+				}
+				cols, _ := srv.store.Snapshot()
+				if _, err := ib.Warm(cols); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	srv.persistIndex(entry, false) // fails, opens the backoff window
-	srv.persistIndex(entry, false) // suppressed: window still open
-	if idxStore.saves != 1 {
-		t.Fatalf("saves during backoff window = %d, want 1", idxStore.saves)
-	}
-	if got := srv.counters.indexSaveFailures.Load(); got != 1 {
-		t.Errorf("index_save_failures = %d, want 1", got)
-	}
-	time.Sleep(60 * time.Millisecond) // past the first 50ms window
-	srv.persistIndex(entry, false)    // retried: window expired
-	if idxStore.saves != 2 {
-		t.Fatalf("saves after window expiry = %d, want 2", idxStore.saves)
-	}
+			grow(6)
+			srv.persistIndexIfGrown(entry) // 6 unsaved documents: below the batch size
+			if idxStore.saves != 0 {
+				t.Fatalf("saves below the warm batch size = %d, want 0", idxStore.saves)
+			}
+			grow(warmSaveDeltaDocs)
+			srv.persistIndexIfGrown(entry) // a whole batch unsaved: saved
+			srv.persistIndexIfGrown(entry) // nothing new since: skipped
+			if idxStore.saves != 1 {
+				t.Fatalf("saves after one warm batch = %d, want 1", idxStore.saves)
+			}
 
-	// Heal the store; Close must force a save straight through the (now
-	// doubled) backoff window and succeed.
-	idxStore.fail = false
-	closed = true
-	if err := srv.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if idxStore.saves != 3 {
-		t.Fatalf("saves after forced Close = %d, want 3", idxStore.saves)
-	}
-	entry.mu.Lock()
-	saved := entry.savedVersion
-	entry.mu.Unlock()
-	if saved == 0 {
-		t.Error("successful forced save did not record the saved version")
+			idxStore.fail = true
+			grow(1)
+			srv.persistIndex(entry, false) // fails, opens the backoff window
+			srv.persistIndex(entry, false) // suppressed: window still open
+			if idxStore.saves != 2 {
+				t.Fatalf("saves during backoff window = %d, want 2", idxStore.saves)
+			}
+			if got := kind.failures(srv); got != 1 {
+				t.Errorf("save failures counted = %d, want 1", got)
+			}
+			time.Sleep(60 * time.Millisecond) // past the first 50ms window
+			srv.persistIndex(entry, false)    // retried: window expired
+			if idxStore.saves != 3 {
+				t.Fatalf("saves after window expiry = %d, want 3", idxStore.saves)
+			}
+
+			// Heal the store; Close must force a save straight through the
+			// (now doubled) backoff window and succeed.
+			idxStore.fail = false
+			closed = true
+			if err := srv.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if idxStore.saves != 4 {
+				t.Fatalf("saves after forced Close = %d, want 4", idxStore.saves)
+			}
+			entry.mu.Lock()
+			saved := entry.savedVersion
+			entry.mu.Unlock()
+			if want := ib.Index().Version(); saved != want {
+				t.Errorf("forced save recorded version %d, index is at %d", saved, want)
+			}
+		})
 	}
 }
 

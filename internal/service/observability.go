@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ann"
+	"repro/internal/blockindex"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/tracing"
@@ -141,50 +142,24 @@ func (s *Server) initObservability() {
 
 	r.GaugeFunc("ersolve_blocking_index_keys", "Distinct keys per blocking index shard.", func() []metrics.Sample {
 		var out []metrics.Sample
-		for _, e := range s.indexEntries() {
-			ib := e.blocker.Load()
-			if ib == nil {
-				continue
-			}
-			st := ib.Index().Stats()
-			for shard, keys := range st.ShardKeys {
+		for _, li := range liveIndexes[*blockindex.Index](s) {
+			for shard, keys := range li.idx.Stats().ShardKeys {
 				out = append(out, metrics.Sample{
-					Labels: []string{"index", e.key, "shard", strconv.Itoa(shard)},
+					Labels: []string{"index", li.key, "shard", strconv.Itoa(shard)},
 					Value:  float64(keys),
 				})
 			}
 		}
 		return out
 	})
-	r.GaugeFunc("ersolve_blocking_index_docs", "Documents indexed per blocking index.", func() []metrics.Sample {
-		var out []metrics.Sample
-		for _, e := range s.indexEntries() {
-			if ib := e.blocker.Load(); ib != nil {
-				out = append(out, metrics.Sample{
-					Labels: []string{"index", e.key},
-					Value:  float64(ib.Index().Stats().Docs),
-				})
-			}
-		}
-		return out
-	})
+	r.GaugeFunc("ersolve_blocking_index_docs", "Documents indexed per blocking index.",
+		indexSamples(s, func(x *blockindex.Index) float64 { return float64(x.Stats().Docs) }))
 
 	// ersolve_ann_* describe every live ANN candidate index (the "ann"
 	// blocking mode): graph size, spanning-forest edges, and the component
 	// count the next resolve will assemble blocks from.
 	annSamples := func(value func(st ann.Stats) float64) func() []metrics.Sample {
-		return func() []metrics.Sample {
-			var out []metrics.Sample
-			for _, e := range s.annEntries() {
-				if ab := e.blocker.Load(); ab != nil {
-					out = append(out, metrics.Sample{
-						Labels: []string{"index", e.key},
-						Value:  value(ab.Index().Stats()),
-					})
-				}
-			}
-			return out
-		}
+		return indexSamples(s, func(x *ann.CandidateIndex) float64 { return value(x.Stats()) })
 	}
 	r.GaugeFunc("ersolve_ann_index_docs", "Documents inserted into each ANN candidate index.",
 		annSamples(func(st ann.Stats) float64 { return float64(st.Docs) }))
@@ -199,6 +174,18 @@ func (s *Server) initObservability() {
 		func() float64 { return time.Since(s.started).Seconds() })
 	r.Gauge("ersolve_build_info", "Build information; the value is always 1.",
 		func() float64 { return 1 }, "go_version", runtime.Version())
+}
+
+// indexSamples builds a gauge callback emitting one sample, labelled with
+// the registry key, per live index of kind T.
+func indexSamples[T pipeline.CandidateIndex](s *Server, value func(T) float64) func() []metrics.Sample {
+	return func() []metrics.Sample {
+		var out []metrics.Sample
+		for _, li := range liveIndexes[T](s) {
+			out = append(out, metrics.Sample{Labels: []string{"index", li.key}, Value: value(li.idx)})
+		}
+		return out
+	}
 }
 
 // storeDegradationSamples reads the degradation totals owned by the

@@ -135,7 +135,7 @@ type SnapshotStore interface {
 // service can skip saves while the index is unchanged.
 type IndexStore interface {
 	LoadIndex(key string, cfg blockindex.Config) (*blockindex.Index, error)
-	SaveIndex(key string, idx *blockindex.Index) (uint64, error)
+	SaveIndex(key string, idx pipeline.CandidateIndex) (uint64, error)
 }
 
 // ANNStore persists per-configuration ANN candidate indexes.
@@ -144,7 +144,7 @@ type IndexStore interface {
 // the service can skip saves while the graph is unchanged.
 type ANNStore interface {
 	LoadANNIndex(key string, cfg ann.Config) (*ann.CandidateIndex, error)
-	SaveANNIndex(key string, idx *ann.CandidateIndex) (uint64, error)
+	SaveANNIndex(key string, idx pipeline.CandidateIndex) (uint64, error)
 }
 
 // Server resolves posted collections through the streaming pipeline.
@@ -159,19 +159,14 @@ type Server struct {
 	statesMu sync.Mutex
 	states   map[string]*incrementalState
 
-	// indexes holds one sharded blocking index per blocking configuration
-	// (scheme, key function, shard count) — shared by every resolution
-	// configuration that blocks the same way, so ten seeds over one scheme
-	// maintain one index. The index itself serializes access.
+	// indexes holds one candidate index per blocking configuration — a
+	// sharded key index per (scheme, key function, shard count), an ANN
+	// graph per (scheme, key function, graph knobs); the two kinds' keys
+	// cannot collide (see indexEntryFor). An index is shared by every
+	// resolution configuration that blocks the same way, so ten seeds over
+	// one scheme maintain one index. The index itself serializes access.
 	indexesMu sync.Mutex
 	indexes   map[string]*indexEntry
-
-	// annIndexes holds one ANN candidate index per ANN blocking
-	// configuration (scheme, key function, graph knobs) — shared by every
-	// resolution configuration that blocks the same way, exactly like the
-	// sharded indexes above. The index itself serializes access.
-	annMu      sync.Mutex
-	annIndexes map[string]*annEntry
 
 	// counters are the /v1/stats per-stage counters.
 	counters counters
@@ -231,14 +226,24 @@ type counters struct {
 	servingLoadFailures, servingSaveFailures   *metrics.Counter
 }
 
-// indexEntry is one shared blocking index plus its persistence
-// bookkeeping. The blocker initializes lazily outside the registry lock
-// (loading a persisted index reads and re-links the whole posting set, and
-// stalling every other configuration's resolve on that would defeat the
-// shared registry); readers that race initialization simply see nil and
-// skip the entry.
+// indexEntry is one shared candidate index — sharded key index or ANN
+// graph — plus its persistence bookkeeping. The blocker initializes lazily
+// outside the registry lock (loading a persisted index reads and re-links
+// the whole posting set or graph, and stalling every other configuration's
+// resolve on that would defeat the shared registry); readers that race
+// initialization simply see nil and skip the entry.
 type indexEntry struct {
-	key     string
+	key string
+	// What differs between the two kinds, fixed by indexEntryFor: noun is
+	// what log lines call the index; load resumes from the kind's store
+	// ((nil, nil) when nothing usable is saved; nil without a store), fresh
+	// builds an empty index, save writes it (nil without a store), and
+	// loadFailed/saveFailed are the kind's degraded counters.
+	noun                   string
+	load, fresh            func() (*pipeline.IndexBlocker, error)
+	save                   func(key string, idx pipeline.CandidateIndex) (uint64, error)
+	loadFailed, saveFailed *metrics.Counter
+
 	init    sync.Once
 	blocker atomic.Pointer[pipeline.IndexBlocker]
 	// mu serializes saves; savedVersion is the index version the persisted
@@ -246,24 +251,6 @@ type indexEntry struct {
 	// implement capped exponential backoff on failing saves, so a broken
 	// index store is retried occasionally instead of hammered by every
 	// warm round. All guarded by mu.
-	mu           sync.Mutex
-	savedVersion uint64
-	saveFailures int
-	nextSave     time.Time
-}
-
-// annEntry is one shared ANN candidate index plus its persistence
-// bookkeeping — the same shape as indexEntry, over the proximity graph
-// the "ann" blocking mode serves candidates from. Initialization runs
-// outside the registry lock for the same reason: decoding a persisted
-// graph re-links every node, and only the configuration that needs it
-// should wait.
-type annEntry struct {
-	key     string
-	init    sync.Once
-	blocker atomic.Pointer[pipeline.ANNBlocker]
-	// mu serializes saves; savedVersion/saveFailures/nextSave implement
-	// the same capped exponential backoff as indexEntry.
 	mu           sync.Mutex
 	savedVersion uint64
 	saveFailures int
@@ -324,14 +311,13 @@ func New(cfg Config) *Server {
 		cfg.ErrorLog = log.Printf
 	}
 	s := &Server{
-		cfg:        cfg,
-		store:      cfg.Store,
-		jobs:       store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
-		states:     make(map[string]*incrementalState),
-		indexes:    make(map[string]*indexEntry),
-		annIndexes: make(map[string]*annEntry),
-		warmCh:     make(chan struct{}, 1),
-		closeCh:    make(chan struct{}),
+		cfg:     cfg,
+		store:   cfg.Store,
+		jobs:    store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
+		states:  make(map[string]*incrementalState),
+		indexes: make(map[string]*indexEntry),
+		warmCh:  make(chan struct{}, 1),
+		closeCh: make(chan struct{}),
 	}
 	if s.store == nil {
 		s.store = store.NewMemStore()
@@ -409,7 +395,7 @@ func (s *Server) warmLoop() {
 					continue // still initializing; its first resolve will index
 				}
 				if _, err := ib.Warm(cols); err != nil {
-					s.cfg.ErrorLog("service: warming blocking index %q: %v", e.key, err)
+					s.cfg.ErrorLog("service: warming %s %q: %v", e.noun, e.key, err)
 					continue
 				}
 				// Persist what the warmer built — batched: an ingest-heavy,
@@ -419,17 +405,6 @@ func (s *Server) warmLoop() {
 				// tail.
 				s.persistIndexIfGrown(e)
 			}
-			for _, e := range s.annEntries() {
-				ab := e.blocker.Load()
-				if ab == nil {
-					continue // still initializing; its first resolve will index
-				}
-				if _, err := ab.Warm(cols); err != nil {
-					s.cfg.ErrorLog("service: warming ann index %q: %v", e.key, err)
-					continue
-				}
-				s.persistANNIndexIfGrown(e)
-			}
 		}
 	}
 }
@@ -437,7 +412,7 @@ func (s *Server) warmLoop() {
 // persistIndexIfGrown saves the entry's index only once the unsaved delta
 // is large enough to amortize the whole-index encode.
 func (s *Server) persistIndexIfGrown(e *indexEntry) {
-	if s.cfg.Indexes == nil {
+	if e.save == nil {
 		return
 	}
 	ib := e.blocker.Load()
@@ -452,23 +427,30 @@ func (s *Server) persistIndexIfGrown(e *indexEntry) {
 	}
 }
 
-// persistANNIndexIfGrown saves the entry's graph only once the unsaved
-// delta is large enough to amortize the whole-graph encode — the same
-// batching contract as persistIndexIfGrown.
-func (s *Server) persistANNIndexIfGrown(e *annEntry) {
-	if s.cfg.ANNIndexes == nil {
-		return
+// liveIndex is one initialized registry index of kind T with its key.
+type liveIndex[T pipeline.CandidateIndex] struct {
+	key string
+	idx T
+}
+
+// liveIndexes lists the registry's initialized indexes of kind T —
+// *blockindex.Index or *ann.CandidateIndex — ordered by key: the one place
+// /v1/stats and /metrics tell the kinds apart. The entries are copied
+// under the registry lock and queried without it: an index's Stats()
+// waits on its own mutex, which an in-flight update can hold for a while,
+// and stalling blockerFor (and with it every incremental resolve) on a
+// stats scrape is not worth it.
+func liveIndexes[T pipeline.CandidateIndex](s *Server) []liveIndex[T] {
+	var out []liveIndex[T]
+	for _, e := range s.indexEntries() {
+		if ib := e.blocker.Load(); ib != nil {
+			if idx, ok := ib.Index().(T); ok {
+				out = append(out, liveIndex[T]{key: e.key, idx: idx})
+			}
+		}
 	}
-	ab := e.blocker.Load()
-	if ab == nil {
-		return
-	}
-	e.mu.Lock()
-	grown := ab.Index().Version() >= e.savedVersion+warmSaveDeltaDocs
-	e.mu.Unlock()
-	if grown {
-		s.persistANNIndex(e, false)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
 }
 
 // indexEntries snapshots the index registry under its lock.
@@ -482,21 +464,10 @@ func (s *Server) indexEntries() []*indexEntry {
 	return entries
 }
 
-// annEntries snapshots the ANN index registry under its lock.
-func (s *Server) annEntries() []*annEntry {
-	s.annMu.Lock()
-	defer s.annMu.Unlock()
-	entries := make([]*annEntry, 0, len(s.annIndexes))
-	for _, e := range s.annIndexes {
-		entries = append(entries, e)
-	}
-	return entries
-}
-
 // Close shuts the ingest worker down (draining queued jobs until ctx
 // expires; after that the remaining jobs are canceled and ctx's error is
 // returned), then stops AND JOINS the index warmer before flushing every
-// advanced index to the IndexStore. After Close returns, no goroutine of
+// advanced index to its store. After Close returns, no goroutine of
 // this server writes the data directory — which is what lets the caller
 // close it and release its single-writer lock.
 func (s *Server) Close(ctx context.Context) error {
@@ -507,9 +478,6 @@ func (s *Server) Close(ctx context.Context) error {
 	}
 	for _, e := range s.indexEntries() {
 		s.persistIndex(e, true)
-	}
-	for _, e := range s.annEntries() {
-		s.persistANNIndex(e, true)
 	}
 	return err
 }
@@ -973,10 +941,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	// The block stage is shared per blocking configuration: key-based
-	// schemes resolve through the sharded incremental index bound to the
+	// The block stage is shared per blocking configuration: indexed
+	// schemes resolve through the incremental candidate index bound to the
 	// server's store, so repeated resolves pay only for the ingest delta.
-	blocker, indexEntry, annIndex, err := s.blockerFor(req.resolveKnobs)
+	blocker, indexEntry, err := s.blockerFor(req.resolveKnobs)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
@@ -1066,7 +1034,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	})
 	timed(tr, "persist.index", s.latency.persistIndex, func() {
 		s.persistIndex(indexEntry, false)
-		s.persistANNIndex(annIndex, false)
 	})
 	tr.SetAttr("blocks", strconv.Itoa(inc.Stats.Blocks))
 	tr.SetAttr("reused", strconv.Itoa(inc.Stats.Reused))
@@ -1186,227 +1153,182 @@ func annKnobs(k resolveKnobs) (m, ef int) {
 	return m, ef
 }
 
-// indexKey builds the blocking-configuration key one sharded index (and
-// its persisted form) is filed under: only the knobs that shape the index
-// — scheme, key function, shard count — so every resolution configuration
-// blocking the same way shares one index.
-func (s *Server) indexKey(schemeName, keysName string) string {
-	shards := s.cfg.BlockShards
-	if shards < 1 {
-		shards = blockindex.DefaultShards
-	}
-	if schemeName == "" {
-		schemeName = "exact"
-	}
-	if keysName == "" {
-		keysName = "collection"
-	}
-	return fmt.Sprintf("%s|%s|%d", schemeName, keysName, shards)
+// blockingSpec is a request's block stage, parsed and validated once for
+// both resolve endpoints: the scheme and key function (names defaulted)
+// and, in "ann" mode, the effective graph knobs.
+type blockingSpec struct {
+	schemeName, keysName string
+	scheme               blocking.Scheme
+	keyFn                pipeline.KeyFunc
+	ann                  bool
+	annM, annEf          int
 }
 
-// annIndexKey builds the ANN blocking-configuration key one candidate
-// index (and its persisted form) is filed under: only the knobs that
-// shape the graph — scheme, key function, degree bound, search beam — so
-// every resolution configuration blocking the same way shares one graph.
-func annIndexKey(schemeName, keysName string, k resolveKnobs) string {
-	if schemeName == "" {
-		schemeName = "exact"
+// parseBlocking rejects malformed blocking knobs up front, before any
+// registry entry is created for them — a bad request must never poison a
+// shared index entry's one-shot initializer.
+func parseBlocking(k resolveKnobs) (blockingSpec, error) {
+	spec := blockingSpec{schemeName: k.Blocking, keysName: k.Keys, ann: k.BlockingMode == "ann"}
+	if spec.schemeName == "" {
+		spec.schemeName = "exact"
 	}
-	if keysName == "" {
-		keysName = "collection"
+	if spec.keysName == "" {
+		spec.keysName = "collection"
 	}
-	m, ef := annKnobs(k)
-	return fmt.Sprintf("ann|%s|%s|%d|%d", schemeName, keysName, m, ef)
-}
-
-// validateBlockingMode rejects malformed blocking-mode knobs up front,
-// before any registry entry is created for them — a bad request must
-// never poison a shared index entry's one-shot initializer.
-func validateBlockingMode(k resolveKnobs) error {
 	switch k.BlockingMode {
 	case "", "exact":
 		if k.AnnM != 0 || k.AnnEf != 0 {
-			return fmt.Errorf("service: ann_m/ann_ef apply only when blocking_mode is \"ann\" (mode is %q)", k.BlockingMode)
+			return spec, fmt.Errorf("service: ann_m/ann_ef apply only when blocking_mode is \"ann\" (mode is %q)", k.BlockingMode)
 		}
-		return nil
 	case "ann":
 		if k.AnnM < 0 || k.AnnM == 1 {
-			return fmt.Errorf("service: ann_m %d is not a usable graph degree (0 selects the default %d; otherwise at least 2)", k.AnnM, ann.DefaultM)
+			return spec, fmt.Errorf("service: ann_m %d is not a usable graph degree (0 selects the default %d; otherwise at least 2)", k.AnnM, ann.DefaultM)
 		}
 		if k.AnnEf < 0 {
-			return fmt.Errorf("service: ann_ef %d is negative (0 selects the default %d)", k.AnnEf, ann.DefaultEfSearch)
+			return spec, fmt.Errorf("service: ann_ef %d is negative (0 selects the default %d)", k.AnnEf, ann.DefaultEfSearch)
 		}
-		return nil
+		spec.annM, spec.annEf = annKnobs(k)
 	default:
-		return fmt.Errorf("service: unknown blocking_mode %q (valid: %s)", k.BlockingMode, strings.Join(pipeline.BlockingModes, ", "))
+		return spec, fmt.Errorf("service: unknown blocking_mode %q (valid: %s)", k.BlockingMode, strings.Join(pipeline.BlockingModes, ", "))
 	}
+	var err error
+	if spec.scheme, err = blocking.ParseScheme(spec.schemeName); err != nil {
+		return spec, err
+	}
+	if spec.keyFn, err = pipeline.ParseKeys(k.Keys); err != nil {
+		return spec, err
+	}
+	if _, ok := spec.scheme.(blocking.ApproxScheme); spec.ann && !ok {
+		return spec, fmt.Errorf("service: blocking_mode \"ann\" needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %q — the key-based schemes already have an exact O(delta) index", spec.schemeName)
+	}
+	return spec, nil
 }
 
-// blockerFor resolves the knobs' block stage. Key-based schemes get the
-// per-blocking-configuration shared index (created on first use, loaded
-// from the IndexStore if a restart left one behind); global schemes get a
-// stateless SchemeBlocker in exact mode and the shared incremental ANN
-// candidate index in "ann" mode. At most one of the returned entries is
-// non-nil; both are nil for stateless blockers.
-func (s *Server) blockerFor(k resolveKnobs) (pipeline.Blocker, *indexEntry, *annEntry, error) {
-	if err := validateBlockingMode(k); err != nil {
-		return nil, nil, nil, err
-	}
-	schemeName := k.Blocking
-	if schemeName == "" {
-		schemeName = "exact"
-	}
-	scheme, err := blocking.ParseScheme(schemeName)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keyFn, err := pipeline.ParseKeys(k.Keys)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if k.BlockingMode == "ann" {
-		blocker, e, err := s.annBlockerFor(schemeName, scheme, keyFn, k)
-		return blocker, nil, e, err
-	}
-	keyed, ok := scheme.(blocking.KeyedScheme)
-	if !ok {
-		return pipeline.SchemeBlocker{Scheme: scheme, Keys: keyFn}, nil, nil, nil
-	}
+// newANNBlocker builds an empty ANN candidate index for an "ann"-mode
+// spec, whose scheme parseBlocking has checked to be approximable.
+func (b blockingSpec) newANNBlocker() (*pipeline.IndexBlocker, error) {
+	return pipeline.NewANNBlocker(b.scheme.(blocking.ApproxScheme), b.keyFn,
+		pipeline.ANNOptions{M: b.annM, EfSearch: b.annEf})
+}
 
-	key := s.indexKey(schemeName, k.Keys)
-	s.indexesMu.Lock()
-	e, ok := s.indexes[key]
-	if !ok {
-		e = &indexEntry{key: key}
-		s.indexes[key] = e
+// indexEntryFor returns the registry entry of the spec's blocking
+// configuration, creating it on first use; nil when the configuration
+// has no index (a global scheme in exact mode). This is the one place
+// that knows the two index kinds apart. A sharded key index is filed under
+// "scheme|keys|shards", an ANN graph under "ann|scheme|keys|m|ef" — only
+// the knobs that shape the index, so every resolution configuration
+// blocking the same way shares one — and since no scheme is named "ann",
+// one registry (and one persisted-file namespace per store) holds both.
+func (s *Server) indexEntryFor(spec blockingSpec) *indexEntry {
+	keyed, isKeyed := spec.scheme.(blocking.KeyedScheme)
+	var key string
+	switch {
+	case spec.ann:
+		key = fmt.Sprintf("ann|%s|%s|%d|%d", spec.schemeName, spec.keysName, spec.annM, spec.annEf)
+	case isKeyed:
+		shards := s.cfg.BlockShards
+		if shards < 1 {
+			shards = blockindex.DefaultShards
+		}
+		key = fmt.Sprintf("%s|%s|%d", spec.schemeName, spec.keysName, shards)
+	default:
+		return nil
 	}
-	s.indexesMu.Unlock()
+	s.indexesMu.Lock()
+	defer s.indexesMu.Unlock()
+	if e, ok := s.indexes[key]; ok {
+		return e
+	}
+	e := &indexEntry{key: key}
+	if spec.ann {
+		e.noun = "ann index"
+		e.loadFailed, e.saveFailed = s.counters.annLoadFailures, s.counters.annSaveFailures
+		e.fresh = spec.newANNBlocker
+		if st := s.cfg.ANNIndexes; st != nil {
+			e.save = st.SaveANNIndex
+			e.load = func() (*pipeline.IndexBlocker, error) {
+				idx, err := st.LoadANNIndex(key, ann.Config{Scheme: spec.scheme.(blocking.ApproxScheme),
+					Keys: ann.KeyFunc(spec.keyFn), M: spec.annM, EfSearch: spec.annEf})
+				if idx == nil {
+					return nil, err
+				}
+				return pipeline.NewANNBlockerWith(idx), nil
+			}
+		}
+	} else {
+		e.noun = "blocking index"
+		e.loadFailed, e.saveFailed = s.counters.indexLoadFailures, s.counters.indexSaveFailures
+		e.fresh = func() (*pipeline.IndexBlocker, error) {
+			return pipeline.NewIndexBlocker(keyed, spec.keyFn, s.cfg.BlockShards)
+		}
+		if st := s.cfg.Indexes; st != nil {
+			e.save = st.SaveIndex
+			e.load = func() (*pipeline.IndexBlocker, error) {
+				idx, err := st.LoadIndex(key, blockindex.Config{Scheme: keyed,
+					Keys: blockindex.KeyFunc(spec.keyFn), Shards: s.cfg.BlockShards})
+				if idx == nil {
+					return nil, err
+				}
+				return pipeline.NewIndexBlockerWith(idx), nil
+			}
+		}
+	}
+	s.indexes[key] = e
+	return e
+}
+
+// blockerFor resolves the knobs' block stage for the incremental endpoint:
+// the per-blocking-configuration shared candidate index (created on first
+// use, loaded from its store if a restart left one behind) — the sharded
+// key index for key-based schemes, the ANN graph for global schemes in
+// "ann" mode — or, for global schemes in exact mode, a stateless
+// SchemeBlocker and a nil entry.
+func (s *Server) blockerFor(k resolveKnobs) (pipeline.Blocker, *indexEntry, error) {
+	spec, err := parseBlocking(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := s.indexEntryFor(spec)
+	if e == nil {
+		return pipeline.SchemeBlocker{Scheme: spec.scheme, Keys: spec.keyFn}, nil, nil
+	}
 
 	// Initialize outside the registry lock: loading a persisted index
-	// reads and re-links the whole posting set, and only this blocking
-	// configuration should wait for it. The Once publishes savedVersion
-	// before the atomic blocker store, so every later reader is synced.
+	// reads and re-links the whole posting set or graph, and only this
+	// blocking configuration should wait for it. The Once publishes
+	// savedVersion before the atomic blocker store, so every later reader
+	// is synced.
 	e.init.Do(func() {
-		if s.cfg.Indexes != nil {
+		if e.load != nil {
 			// First use of this blocking configuration since the server
 			// started: resume from the persisted index if one survives. A
 			// missing index is normal; a damaged or mismatched one
 			// degrades to a rebuild from the store and is logged, never
 			// trusted.
-			cfg := blockindex.Config{Scheme: keyed, Keys: blockindex.KeyFunc(keyFn), Shards: s.cfg.BlockShards}
-			idx, err := s.cfg.Indexes.LoadIndex(key, cfg)
+			ib, err := e.load()
 			if err != nil {
-				s.counters.indexLoadFailures.Add(1)
-				s.cfg.ErrorLog("service: loading blocking index for %q: %v", key, err)
-			} else if idx != nil {
-				e.savedVersion = idx.Version()
-				e.blocker.Store(pipeline.NewIndexBlockerWith(idx))
+				e.loadFailed.Add(1)
+				s.cfg.ErrorLog("service: loading %s for %q: %v", e.noun, e.key, err)
+			} else if ib != nil {
+				e.savedVersion = ib.Index().Version()
+				e.blocker.Store(ib)
 				return
 			}
 		}
-		ib, err := pipeline.NewIndexBlocker(keyed, keyFn, s.cfg.BlockShards)
+		ib, err := e.fresh()
 		if err != nil {
-			// Unreachable with a parsed scheme; surface it to the caller
-			// below rather than caching a half-made entry.
-			s.cfg.ErrorLog("service: building blocking index for %q: %v", key, err)
+			// Unreachable with validated knobs and a parsed scheme; surface
+			// it to the caller below rather than caching a half-made entry.
+			s.cfg.ErrorLog("service: building %s for %q: %v", e.noun, e.key, err)
 			return
 		}
 		e.blocker.Store(ib)
 	})
 	ib := e.blocker.Load()
 	if ib == nil {
-		return nil, nil, nil, fmt.Errorf("service: blocking index %q failed to initialize", key)
+		return nil, nil, fmt.Errorf("service: %s %q failed to initialize", e.noun, e.key)
 	}
-	return ib, e, nil, nil
-}
-
-// annBlockerFor resolves the "ann" blocking mode: the per-configuration
-// shared ANN candidate index, created on first use and loaded from the
-// ANNStore if a restart left one behind — the graph half of blockerFor.
-func (s *Server) annBlockerFor(schemeName string, scheme blocking.Scheme, keyFn pipeline.KeyFunc, k resolveKnobs) (pipeline.Blocker, *annEntry, error) {
-	approx, ok := scheme.(blocking.ApproxScheme)
-	if !ok {
-		return nil, nil, fmt.Errorf("service: blocking_mode \"ann\" needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %q — the key-based schemes already have an exact O(delta) index", schemeName)
-	}
-	m, ef := annKnobs(k)
-	key := annIndexKey(schemeName, k.Keys, k)
-	s.annMu.Lock()
-	e, found := s.annIndexes[key]
-	if !found {
-		e = &annEntry{key: key}
-		s.annIndexes[key] = e
-	}
-	s.annMu.Unlock()
-
-	// Initialize outside the registry lock, like the sharded indexes:
-	// decoding a persisted graph re-links every node, and only this
-	// blocking configuration should wait for it.
-	e.init.Do(func() {
-		if s.cfg.ANNIndexes != nil {
-			// First use of this ANN configuration since the server started:
-			// resume from the persisted graph if one survives. A missing
-			// file is normal; a damaged or knob-mismatched one degrades to a
-			// rebuild from the store and is logged, never trusted.
-			cfg := ann.Config{Scheme: approx, Keys: ann.KeyFunc(keyFn), M: m, EfSearch: ef}
-			idx, err := s.cfg.ANNIndexes.LoadANNIndex(key, cfg)
-			if err != nil {
-				s.counters.annLoadFailures.Add(1)
-				s.cfg.ErrorLog("service: loading ann index for %q: %v", key, err)
-			} else if idx != nil {
-				e.savedVersion = idx.Version()
-				e.blocker.Store(pipeline.NewANNBlockerWith(idx))
-				return
-			}
-		}
-		ab, err := pipeline.NewANNBlocker(approx, keyFn, pipeline.ANNOptions{M: m, EfSearch: ef})
-		if err != nil {
-			// Unreachable with validated knobs and a parsed scheme; surface
-			// it to the caller below rather than caching a half-made entry.
-			s.cfg.ErrorLog("service: building ann index for %q: %v", key, err)
-			return
-		}
-		e.blocker.Store(ab)
-	})
-	ab := e.blocker.Load()
-	if ab == nil {
-		return nil, nil, fmt.Errorf("service: ann index %q failed to initialize", key)
-	}
-	return ab, e, nil
-}
-
-// persistANNIndex saves the entry's graph if it advanced past the
-// persisted version — persistIndex's contract, applied to the ANN store.
-func (s *Server) persistANNIndex(e *annEntry, force bool) {
-	if e == nil || s.cfg.ANNIndexes == nil {
-		return
-	}
-	ab := e.blocker.Load()
-	if ab == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ab.Index().Version() == e.savedVersion {
-		return
-	}
-	if !force && e.saveFailures > 0 && time.Now().Before(e.nextSave) {
-		return
-	}
-	version, err := s.cfg.ANNIndexes.SaveANNIndex(e.key, ab.Index())
-	if err != nil {
-		s.counters.annSaveFailures.Add(1)
-		e.saveFailures++
-		delay := indexSaveBackoffBase << (e.saveFailures - 1)
-		if delay > indexSaveBackoffCap || delay <= 0 {
-			delay = indexSaveBackoffCap
-		}
-		e.nextSave = time.Now().Add(delay)
-		s.cfg.ErrorLog("service: saving ann index for %q (failure %d, next retry in %v): %v",
-			e.key, e.saveFailures, delay, err)
-		return
-	}
-	e.saveFailures = 0
-	e.savedVersion = version
+	return ib, e, nil
 }
 
 // persistIndex saves the entry's index if it advanced past the persisted
@@ -1416,7 +1338,7 @@ func (s *Server) persistANNIndex(e *annEntry, force bool) {
 // hammered by every warm round; force — used by Close, the last chance
 // before the process exits — attempts the save regardless of backoff.
 func (s *Server) persistIndex(e *indexEntry, force bool) {
-	if e == nil || s.cfg.Indexes == nil {
+	if e == nil || e.save == nil {
 		return
 	}
 	ib := e.blocker.Load()
@@ -1431,17 +1353,17 @@ func (s *Server) persistIndex(e *indexEntry, force bool) {
 	if !force && e.saveFailures > 0 && time.Now().Before(e.nextSave) {
 		return
 	}
-	version, err := s.cfg.Indexes.SaveIndex(e.key, ib.Index())
+	version, err := e.save(e.key, ib.Index())
 	if err != nil {
-		s.counters.indexSaveFailures.Add(1)
+		e.saveFailed.Add(1)
 		e.saveFailures++
 		delay := indexSaveBackoffBase << (e.saveFailures - 1)
 		if delay > indexSaveBackoffCap || delay <= 0 {
 			delay = indexSaveBackoffCap
 		}
 		e.nextSave = time.Now().Add(delay)
-		s.cfg.ErrorLog("service: saving blocking index for %q (failure %d, next retry in %v): %v",
-			e.key, e.saveFailures, delay, err)
+		s.cfg.ErrorLog("service: saving %s for %q (failure %d, next retry in %v): %v",
+			e.noun, e.key, e.saveFailures, delay, err)
 		return
 	}
 	e.saveFailures = 0
@@ -1671,26 +1593,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
-	// Copy the entries under the registry lock, then query each index
-	// without it: Stats() waits on the index's own mutex, which an
-	// in-flight update can hold for a while, and stalling blockerFor (and
-	// with it every incremental resolve) on a stats scrape is not worth it.
-	entries := s.indexEntries()
-	reports := make([]IndexReport, 0, len(entries))
-	for _, e := range entries {
-		if ib := e.blocker.Load(); ib != nil {
-			reports = append(reports, IndexReport{Key: e.key, Stats: ib.Index().Stats()})
-		}
+	reports := make([]IndexReport, 0)
+	for _, li := range liveIndexes[*blockindex.Index](s) {
+		reports = append(reports, IndexReport{Key: li.key, Stats: li.idx.Stats()})
 	}
-	sort.Slice(reports, func(i, j int) bool { return reports[i].Key < reports[j].Key })
-	annEntriesNow := s.annEntries()
-	annReports := make([]ANNIndexReport, 0, len(annEntriesNow))
-	for _, e := range annEntriesNow {
-		if ab := e.blocker.Load(); ab != nil {
-			annReports = append(annReports, ANNIndexReport{Key: e.key, Stats: ab.Index().Stats()})
-		}
+	annReports := make([]ANNIndexReport, 0)
+	for _, li := range liveIndexes[*ann.CandidateIndex](s) {
+		annReports = append(annReports, ANNIndexReport{Key: li.key, Stats: li.idx.Stats()})
 	}
-	sort.Slice(annReports, func(i, j int) bool { return annReports[i].Key < annReports[j].Key })
 	s.statesMu.Lock()
 	states := len(s.states)
 	s.statesMu.Unlock()
@@ -1772,39 +1682,20 @@ func buildPipeline(req resolveKnobs, blocker pipeline.Blocker,
 		cfg.Strategy = strat
 	}
 	cfg.Blocker = blocker
-	if cfg.Blocker == nil && (req.Blocking != "" || req.Keys != "" || req.BlockingMode != "") {
-		if err := validateBlockingMode(req); err != nil {
-			return nil, false, err
-		}
-		var scheme blocking.Scheme = blocking.ExactKey{}
-		if req.Blocking != "" {
-			var err error
-			scheme, err = blocking.ParseScheme(req.Blocking)
-			if err != nil {
-				return nil, false, err
-			}
-		}
-		keyFn, err := pipeline.ParseKeys(req.Keys)
+	if cfg.Blocker == nil {
+		// One-shot bodies are arbitrary posted corpora and must never feed
+		// a store-bound index: exact mode gets a stateless SchemeBlocker
+		// (with no knob set, the pipeline's own default), ann mode a fresh
+		// per-request graph.
+		spec, err := parseBlocking(req)
 		if err != nil {
 			return nil, false, err
 		}
-		if req.BlockingMode == "ann" {
-			// A fresh per-request graph: one-shot bodies are arbitrary
-			// posted corpora and must never feed a store-bound index. Exact
-			// mode keeps the stateless SchemeBlocker below, bit-identical
-			// to previous releases.
-			approx, ok := scheme.(blocking.ApproxScheme)
-			if !ok {
-				return nil, false, fmt.Errorf("service: blocking_mode \"ann\" needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %q", req.Blocking)
-			}
-			m, ef := annKnobs(req)
-			ab, err := pipeline.NewANNBlocker(approx, keyFn, pipeline.ANNOptions{M: m, EfSearch: ef})
-			if err != nil {
+		cfg.Blocker = pipeline.SchemeBlocker{Scheme: spec.scheme, Keys: spec.keyFn}
+		if spec.ann {
+			if cfg.Blocker, err = spec.newANNBlocker(); err != nil {
 				return nil, false, err
 			}
-			cfg.Blocker = ab
-		} else {
-			cfg.Blocker = pipeline.SchemeBlocker{Scheme: scheme, Keys: keyFn}
 		}
 	}
 
