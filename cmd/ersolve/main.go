@@ -54,6 +54,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
+	"repro/internal/faultfs"
 	"repro/internal/persist"
 	"repro/internal/pipeline"
 	"repro/internal/service"
@@ -308,7 +309,9 @@ func runServe(ctx context.Context, args []string) error {
 	openFail := make(chan error, 1)
 	go func() {
 		if *dataDir != "" {
-			d, err := persist.Open(*dataDir)
+			// The counting filesystem is what /metrics' ersolve_persist_*
+			// families read: bytes, fsyncs and renames per artifact kind.
+			d, err := persist.OpenWithOptions(*dataDir, persist.Options{FS: faultfs.NewCounting(nil)})
 			if err != nil {
 				openFail <- err
 				httpSrv.Close()

@@ -115,3 +115,40 @@ func TestInjectorFailOnce(t *testing.T) {
 		t.Fatalf("run after a one-shot fault: %v", err)
 	}
 }
+
+// TestCountingAttributesByDirectory pins the accounting scheme: bytes,
+// fsyncs (file and directory) and renames land under the basename of the
+// directory they touched — a temp file under the directory it was created
+// in, a rename under its destination — and an injector above the counter
+// sees the same operations, so a run can be crashed and counted at once.
+func TestCountingAttributesByDirectory(t *testing.T) {
+	dir := t.TempDir()
+	c := NewCounting(nil)
+	if err := scenario(NewInjector(c), dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MkdirAll(filepath.Join(dir, "e"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tmp, err := c.CreateTemp(filepath.Join(dir, "e"), "*.tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tmp.Write([]byte("temp")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tmp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rename(tmp.Name(), filepath.Join(dir, "d", "c")); err != nil {
+		t.Fatal(err)
+	}
+	got := c.Counts()
+	want := map[string]IOCounts{
+		"d": {BytesWritten: int64(len("hello world")), Fsyncs: 2, Renames: 2},
+		"e": {BytesWritten: int64(len("temp"))},
+	}
+	if len(got) != len(want) || got["d"] != want["d"] || got["e"] != want["e"] {
+		t.Fatalf("Counts() = %+v, want %+v", got, want)
+	}
+}

@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -371,11 +374,43 @@ func (d *ANNDir) LoadANNIndex(key string, cfg ann.Config) (idx *ann.CandidateInd
 	return idx, err
 }
 
-// ServingDir stores one encoded serving.Index per resolution configuration
+// ServingDir stores one serving.Index per resolution configuration
 // (DIR/serving/*.srv) — one per knobs key, like snapshots, capped at 32. A
-// damaged file costs only the restart head-start: the caller rebuilds on
-// the next committed resolve.
-type ServingDir struct{ *artifactDir }
+// file is the envelope, a base — a whole encoded index — and the commit
+// records appended since: SaveServing writes a key's file in full (the
+// artifactDir save sequence) only to create or replace it, and otherwise
+// appends the one record that takes what the file holds to the index being
+// committed, with one write and one fsync. A damaged base costs only the
+// restart head-start — the file is quarantined and the caller rebuilds on
+// the next committed resolve; a damaged record costs the commits from it
+// on, and the resolution committed before it is served.
+type ServingDir struct {
+	*artifactDir
+	// mu serializes saves: appends to one file must not interleave, and
+	// files is what each key's file holds.
+	mu    sync.Mutex
+	files map[string]*servingFile
+	// tornTails counts the loads that stopped at a damaged commit record.
+	tornTails atomic.Int64
+}
+
+// servingFile is what this process knows the file of one key to hold,
+// because it wrote all of it: never the index, only what the next commit
+// is diffed against and the sizes compaction goes by. A key is absent
+// until the process's first full save of it — whatever an earlier process
+// left, a torn tail included, is replaced rather than appended to — and
+// after a save that failed, when the file's tail is unknown.
+type servingFile struct {
+	held                *serving.Manifest
+	baseBytes, logBytes int64
+}
+
+// servingLogPerBase is how many bytes of commit records a file may carry
+// per byte of base before the next save rewrites it. At 1 a rewrite of B
+// bytes comes after at least B bytes of appends, so compaction at most
+// doubles what the commits themselves write, a load never replays more
+// log than base, and a file is never more than twice its index.
+const servingLogPerBase = 1
 
 // NewServingDir returns a serving-index directory rooted at dir.
 func NewServingDir(dir string) (*ServingDir, error) {
@@ -384,18 +419,86 @@ func NewServingDir(dir string) (*ServingDir, error) {
 
 func newServingDir(dir string, opts Options) (*ServingDir, error) {
 	d, err := newArtifactDir(dir, opts, "srv", srvFileMagic, "serving index", 32)
-	return &ServingDir{d}, err
+	return &ServingDir{artifactDir: d, files: make(map[string]*servingFile)}, err
 }
 
-// SaveServing atomically writes the serving index for one
-// resolution-configuration key.
+// TornTails reports how many loads since the directory was opened stopped
+// at a damaged commit record and served the resolution committed before it.
+func (d *ServingDir) TornTails() int64 { return d.tornTails.Load() }
+
+// SaveServing commits the serving index for one resolution-configuration
+// key: durable when it returns nil, by an appended record when this
+// process wrote the key's file and x extends it, by a full save otherwise.
 func (d *ServingDir) SaveServing(key string, x *serving.Index) error {
-	return d.save(key, x.EncodeTo)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if f := d.files[key]; f != nil {
+		// Forgotten until a save succeeds: after a failed one the file may
+		// end in a torn record, and the next save must replace it.
+		delete(d.files, key)
+		rec, ok := x.EncodeCommit(f.held)
+		if ok && f.logBytes+int64(len(rec)) <= servingLogPerBase*f.baseBytes {
+			err := d.appendRecord(d.path(key), rec)
+			if err == nil {
+				f.held, f.logBytes = x.Manifest(), f.logBytes+int64(len(rec))
+				d.files[key] = f
+				return nil
+			}
+			if !errors.Is(err, fs.ErrNotExist) {
+				return err
+			}
+			// Pruned or quarantined since the last save: write it anew.
+		}
+	}
+	var base countingWriter
+	err := d.save(key, func(w io.Writer) error {
+		base.w = w
+		return x.EncodeTo(&base)
+	})
+	if err != nil {
+		return err
+	}
+	d.files[key] = &servingFile{held: x.Manifest(), baseBytes: base.n}
+	return nil
+}
+
+// appendRecord appends one framed record to an existing file and makes it
+// durable. The record goes down in a single write, so a crash leaves the
+// file ending in at most one partial record, which the next load drops.
+func (d *ServingDir) appendRecord(path string, rec []byte) error {
+	f, err := d.fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return fmt.Errorf("persist: opening %s %s for append: %w", d.noun, path, err)
+	}
+	if _, err := f.Write(rec); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: appending to %s %s: %w", d.noun, path, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("persist: syncing %s %s: %w", d.noun, path, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("persist: closing %s %s: %w", d.noun, path, err)
+	}
+	return nil
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // LoadServing reads the serving index saved for key. (nil, nil) when
-// nothing is saved; damage surfaces as serving.ErrCodecVersion or
-// serving.ErrCodecCorrupt.
+// nothing is saved; damage to the base surfaces as serving.ErrCodecVersion
+// or serving.ErrCodecCorrupt.
 func (d *ServingDir) LoadServing(key string) (*serving.Index, error) {
 	return d.loadFile(d.path(key), &key)
 }
@@ -427,7 +530,13 @@ func (d *ServingDir) LoadLatestServing() (*serving.Index, error) {
 
 func (d *ServingDir) loadFile(path string, wantKey *string) (x *serving.Index, err error) {
 	err = d.load(path, wantKey, func(r io.Reader) (err error) {
-		x, err = serving.Decode(r)
+		var tail error
+		x, tail, err = serving.DecodeLog(r)
+		if tail != nil {
+			d.tornTails.Add(1)
+			d.logf("persist: %s %s: %v; serving the resolution committed before it (epoch %d, store version %d), the next commit rewrites the file",
+				d.noun, path, tail, x.Epoch(), x.StoreVersion())
+		}
 		return err
 	})
 	return x, err

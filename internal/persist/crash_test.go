@@ -55,8 +55,9 @@ func (n noSync) CreateTemp(dir, pattern string) (faultfs.File, error) {
 }
 
 // TestCrashEveryIOBoundary is the crash harness: one ingest lifecycle —
-// open, append batches, save one artifact of each kind (snapshot, key
-// index, ANN index, serving index), close — is first
+// open, append batches, save one artifact of each whole-file kind
+// (snapshot, key index, ANN index), commit a chain of serving indexes (a
+// full save, appended records, one compaction), close — is first
 // probed to count its mutating filesystem operations, then re-run once
 // per operation with a crash injected exactly there (clean crash and
 // torn-write crash both), the directory reopened with a healthy
@@ -66,7 +67,11 @@ func (n noSync) CreateTemp(dir, pattern string) (faultfs.File, error) {
 //     contract); at most the one in-flight unacknowledged batch may
 //     additionally survive (it was fully journaled before the fault),
 //   - every artifact file loads cleanly or is absent — never garbage,
-//     never quarantined (saves are atomic temp+rename),
+//     never quarantined (whole-file saves are atomic temp+rename, and a
+//     record torn off the end of a serving file is dropped, not served),
+//   - the serving index that loads is one that had been committed or was
+//     being committed at the crash, and the next commit — a full save,
+//     the new process having written none of the file — succeeds,
 //   - no *.tmp orphan outlives the reopen sweep.
 func TestCrashEveryIOBoundary(t *testing.T) {
 	if testing.Short() {
@@ -111,14 +116,20 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 	if _, err := annIdx.Update(indexCols()); err != nil {
 		t.Fatal(err)
 	}
-	srvIdx := servingFixture(t, 1, 3, snapKey)
+	// Enough one-dirty-block commits to append several records behind the
+	// first full save and then outgrow it; the probe below checks the
+	// shape. The last one is kept back for the restarted process.
+	srvCommits := servingCommits(t, snapKey, 9)
+	srvNext := srvCommits[len(srvCommits)-1]
+	srvCommits = srvCommits[:len(srvCommits)-1]
 
 	// scenario is the lifecycle under test. It returns how many batches
-	// were acknowledged; a crashed run simply stops acknowledging.
-	scenario := func(fsys faultfs.FS, dir string) (acked int) {
+	// and how many serving commits were acknowledged; a crashed run simply
+	// stops acknowledging.
+	scenario := func(fsys faultfs.FS, dir string) (acked, committed int) {
 		data, err := OpenWithOptions(dir, Options{FS: fsys, Log: quietLog})
 		if err != nil {
-			return 0
+			return 0, 0
 		}
 		defer data.Close() // after a crash this fails too; a dead process cannot flush
 		for _, batch := range batches {
@@ -129,19 +140,32 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 		_ = data.Snapshots.Save(snapKey, run.Snapshot)
 		_, _ = data.Indexes.SaveIndex(idxKey, idx)
 		_, _ = data.ANN.SaveANNIndex(annKey, annIdx)
-		_ = data.Serving.SaveServing(snapKey, srvIdx)
-		return acked
+		for _, x := range srvCommits {
+			if err := data.Serving.SaveServing(snapKey, x); err == nil {
+				committed++
+			}
+		}
+		return acked, committed
 	}
 
 	// Probe: an unarmed injector counts the boundaries and proves the
-	// scenario is clean end to end.
-	probe := faultfs.NewInjector(noSync{})
-	if got := scenario(probe, t.TempDir()); got != len(batches) {
-		t.Fatalf("probe run acked %d/%d batches", got, len(batches))
+	// scenario is clean end to end — and, through a counting filesystem
+	// under it, that the serving leg is a full save, at least three
+	// appended commits and exactly one compaction.
+	counts := faultfs.NewCounting(noSync{})
+	probe := faultfs.NewInjector(counts)
+	if got, committed := scenario(probe, t.TempDir()); got != len(batches) || committed != len(srvCommits) {
+		t.Fatalf("probe run acked %d/%d batches, %d/%d serving commits", got, len(batches), committed, len(srvCommits))
 	}
 	total := probe.Ops()
-	if total < 15 {
+	if total < 30 {
 		t.Fatalf("probe counted %d mutating ops; the scenario lost its I/O coverage", total)
+	}
+	// A full save is two fsyncs (file, directory) and one rename; an
+	// appended commit one fsync.
+	if srv := counts.Counts()["serving"]; srv.Renames != 2 || srv.Fsyncs-2*srv.Renames < 3 {
+		t.Fatalf("serving leg cost %+v over %d commits; want 2 full saves (the first, one compaction) and >= 3 appends",
+			srv, len(srvCommits))
 	}
 
 	for _, mode := range []struct {
@@ -156,13 +180,14 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 				dir := t.TempDir()
 				in := faultfs.NewInjector(noSync{})
 				mode.arm(in, n)
-				acked := scenario(in, dir)
+				acked, committed := scenario(in, dir)
 				if !in.Faulted() {
 					t.Fatalf("op %d: planned fault never fired (scenario shrank to %d ops?)", n, in.Ops())
 				}
 
 				// Restart with a healthy filesystem.
-				data, err := OpenWithOptions(dir, Options{FS: noSync{}, Log: quietLog})
+				reopened := faultfs.NewCounting(noSync{})
+				data, err := OpenWithOptions(dir, Options{FS: reopened, Log: quietLog})
 				if err != nil {
 					t.Fatalf("op %d: reopen after crash failed: %v", n, err)
 				}
@@ -190,12 +215,39 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 				if _, err := data.ANN.LoadANNIndex(annKey, annCfg()); err != nil {
 					t.Fatalf("op %d: ann index load after crash: %v", n, err)
 				}
-				if _, err := data.Serving.LoadServing(snapKey); err != nil {
+				// The serving index is the last acknowledged commit, or the
+				// one in flight when its record (or renamed file) had landed
+				// whole before the fault; commits[i] has epoch i+1.
+				x, err := data.Serving.LoadLatestServing()
+				if err != nil {
 					t.Fatalf("op %d: serving index load after crash: %v", n, err)
+				}
+				epoch := uint64(0)
+				if x != nil {
+					epoch = x.Epoch()
+					if err := x.Validate(); err != nil {
+						t.Fatalf("op %d: serving index after crash: %v", n, err)
+					}
+				}
+				if epoch != uint64(committed) && epoch != uint64(committed)+1 {
+					t.Fatalf("op %d: serving index at epoch %d after %d acknowledged commits", n, epoch, committed)
 				}
 				if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined() +
 					data.ANN.Quarantined() + data.Serving.Quarantined(); q != 0 {
 					t.Fatalf("op %d: atomic saves still produced %d quarantined files", n, q)
+				}
+				// The restarted process commits: a full save, which is also
+				// what discards a torn tail.
+				before := reopened.Counts()["serving"].Renames
+				if err := data.Serving.SaveServing(snapKey, srvNext); err != nil {
+					t.Fatalf("op %d: first commit after the crash: %v", n, err)
+				}
+				if got := reopened.Counts()["serving"].Renames - before; got != 1 {
+					t.Fatalf("op %d: first commit after the crash renamed %d files into place, want a full save", n, got)
+				}
+				tails := data.Serving.TornTails()
+				if x, err := data.Serving.LoadServing(snapKey); err != nil || x == nil || x.Epoch() != srvNext.Epoch() || data.Serving.TornTails() != tails {
+					t.Fatalf("op %d: after that commit LoadServing = (%v, %v), torn tails %d -> %d", n, x, err, tails, data.Serving.TornTails())
 				}
 				for _, sub := range []string{"snapshots", "indexes", "serving"} {
 					orphans, err := filepath.Glob(filepath.Join(dir, sub, "*.tmp"))

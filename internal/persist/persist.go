@@ -11,7 +11,13 @@
 // file naming, the envelope, the atomic save sequence, envelope
 // verification, quarantine, pruning and the orphan sweep are written once,
 // and SnapshotDir, IndexDir, ANNDir and ServingDir add only which codec
-// encodes and decodes the payload.
+// encodes and decodes the payload. ServingDir adds one thing more: between
+// two whole-file saves it commits by appending — a serving file is a base
+// plus the commit records written since, so the commit behind every
+// resolve writes the blocks that changed, with one write and one fsync,
+// and the whole-file save runs only to create, replace or compact a file.
+// The journal and the serving files share one record framing and one
+// classification of damaged records (internal/framing).
 //
 // Durability model: a batch is journaled (written and fsynced) before
 // Append returns, so an acknowledged ingest survives a crash. Replay
@@ -20,7 +26,10 @@
 // byte-identical to the pre-crash one — preserving the append-only
 // document positions incremental resolution fingerprints. Artifact files
 // are written to a temporary file and atomically renamed into place, so a
-// crash mid-save leaves the previous file intact.
+// crash mid-save leaves the previous file intact; a record appended to a
+// serving file is fsynced before the commit is acknowledged, and one a
+// crash tears off is dropped by the next load and replaced, file and all,
+// by the next process's first commit.
 //
 // Recovery model: damage is classified before it is punished. A torn tail
 // — the final record of the newest segment cut short or checksum-broken,
@@ -33,15 +42,18 @@
 // silently shortening the log would violate the append-only contract.
 // Damaged artifact files are quarantined (renamed *.corrupt) on load so
 // the caller rebuilds from the journaled corpus instead of
-// tripping over the same file forever. All file I/O goes through
-// internal/faultfs, so the crash harness can interrupt any boundary.
+// tripping over the same file forever; a serving file damaged behind its
+// base is kept and served up to the damage, since what precedes a record
+// is an earlier acknowledged resolution. All file I/O goes through
+// internal/faultfs, so the crash harness can interrupt any boundary — and
+// a counting filesystem there (Store.IOCounts) is how the server reports
+// what each artifact kind costs in bytes, fsyncs and renames.
 package persist
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log"
 	"os"
@@ -52,6 +64,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/framing"
 	"repro/internal/store"
 )
 
@@ -67,9 +80,6 @@ var maxSegmentBytes int64 = 8 << 20
 // maxRecordBytes bounds a single journaled batch; a corrupt length field
 // fails fast instead of attempting a multi-gigabyte allocation.
 const maxRecordBytes = 1 << 30
-
-// segmentCRC is the Castagnoli table used for record checksums.
-var segmentCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Options customizes Open beyond its defaults; the zero value selects the
 // real filesystem and the standard logger.
@@ -254,6 +264,18 @@ func (s *Store) TornTailRecoveries() int {
 	return s.tornTails
 }
 
+// IOCounts reports what the data directory has cost in device work since
+// it was opened — bytes written, fsyncs and renames per artifact directory
+// (segments, snapshots, indexes, serving) — when it was opened over a
+// faultfs.Counting filesystem, as `ersolve serve -data` does; nil
+// otherwise. The service exports it on /metrics.
+func (s *Store) IOCounts() map[string]faultfs.IOCounts {
+	if c, ok := s.fsys.(*faultfs.Counting); ok {
+		return c.Counts()
+	}
+	return nil
+}
+
 // segmentPath names segment seq inside dir.
 func segmentPath(dir string, seq int) string {
 	return filepath.Join(dir, fmt.Sprintf("%08d.seg", seq))
@@ -424,53 +446,23 @@ func (s *Store) replaySegment(path string, newest bool) (tornAt int64, err error
 			path, header)
 	}
 
-	offset := int64(len(segmentMagic))
-	var frame [8]byte
+	recs := framing.NewReader(f, int64(len(segmentMagic)), size, maxRecordBytes)
 	for {
-		if _, err := io.ReadFull(f, frame[:]); err != nil {
-			if err == io.EOF {
-				return -1, nil // clean record boundary
-			}
-			// A partial frame necessarily runs to EOF: torn tail on the
-			// newest segment, corruption anywhere else.
-			if newest {
+		offset := recs.Offset()
+		payload, err := recs.Next()
+		if err == io.EOF {
+			return -1, nil // clean record boundary
+		}
+		if err != nil {
+			// A torn record runs to the end of the file, so no acknowledged
+			// record can follow it: recoverable on the newest segment. One
+			// with records after it is interior corruption — those later
+			// records were acknowledged, so truncating here would lose
+			// acked data.
+			if newest && errors.Is(err, framing.ErrTorn) {
 				return offset, nil
 			}
-			return -1, fmt.Errorf("persist: segment %s: truncated record frame at offset %d: %w", path, offset, err)
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		sum := binary.LittleEndian.Uint32(frame[4:8])
-		end := offset + 8 + int64(length)
-		if end > size {
-			// The declared payload runs past EOF — either a torn write
-			// (payload cut short) or a corrupt length field; in both
-			// cases nothing can follow it, so on the newest segment it is
-			// recoverable. Checked before allocating so a corrupt length
-			// cannot drive a huge allocation either way.
-			if newest {
-				return offset, nil
-			}
-			return -1, fmt.Errorf("persist: segment %s: record at offset %d runs past end of file (declares %d bytes)",
-				path, offset, length)
-		}
-		if length > maxRecordBytes {
-			return -1, fmt.Errorf("persist: segment %s: record at offset %d declares %d bytes (corrupt length)",
-				path, offset, length)
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return -1, fmt.Errorf("persist: segment %s: truncated record payload at offset %d: %w", path, offset, err)
-		}
-		if got := crc32.Checksum(payload, segmentCRC); got != sum {
-			// A checksum-broken FINAL record is a torn write whose middle
-			// never hit the platter; one with records after it is interior
-			// corruption — those later records were acknowledged, so
-			// truncating here would lose acked data.
-			if newest && end == size {
-				return offset, nil
-			}
-			return -1, fmt.Errorf("persist: segment %s: record at offset %d: checksum %08x, frame declares %08x",
-				path, offset, got, sum)
+			return -1, fmt.Errorf("persist: segment %s: %w", path, err)
 		}
 		var batch []*corpus.Collection
 		if err := json.Unmarshal(payload, &batch); err != nil {
@@ -481,7 +473,6 @@ func (s *Store) replaySegment(path string, newest bool) (tornAt int64, err error
 		if _, err := s.mem.Append(batch); err != nil {
 			return -1, fmt.Errorf("persist: segment %s: replaying record at offset %d: %w", path, offset, err)
 		}
-		offset = end
 	}
 }
 
@@ -520,10 +511,8 @@ func (s *Store) Append(cols []*corpus.Collection) (int, error) {
 			return 0, err
 		}
 	}
-	record := make([]byte, 0, 8+len(payload))
-	record = binary.LittleEndian.AppendUint32(record, uint32(len(payload)))
-	record = binary.LittleEndian.AppendUint32(record, crc32.Checksum(payload, segmentCRC))
-	record = append(record, payload...)
+	record := append(make([]byte, framing.HeaderBytes, framing.HeaderBytes+len(payload)), payload...)
+	framing.Seal(record)
 	if _, err := s.seg.Write(record); err != nil {
 		// The journal may now hold a torn record. The batch was NOT
 		// merged, so the live store still matches the replayable prefix

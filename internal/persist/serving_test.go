@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/blockindex"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/faultfs"
 	"repro/internal/serving"
 )
 
@@ -37,6 +39,164 @@ func servingFixture(t *testing.T, epoch, version uint64, knobs string) *serving.
 		t.Fatal(err)
 	}
 	return x
+}
+
+// servingCommits builds a chain of committed serving indexes under one
+// configuration: eight collections of ten documents, then one document
+// appended to one collection per commit — exactly one dirty block each, the
+// shape of a delta resolve — with every third commit repeated as a
+// no-change publish. commits[i] has epoch i+1.
+func servingCommits(t *testing.T, knobs string, n int) []*serving.Index {
+	t.Helper()
+	const ncols = 8
+	docs := make([]int, ncols)
+	for i := range docs {
+		docs[i] = 10
+	}
+	var out []*serving.Index
+	var prev *serving.Index
+	for len(out) < n {
+		if i := len(out); i > 0 && i%3 != 0 {
+			docs[i%ncols]++
+		}
+		cols := make([]*corpus.Collection, ncols)
+		blocks := make([]serving.BlockResolution, ncols)
+		total := 0
+		for ci := range cols {
+			name := fmt.Sprintf("person %d", ci)
+			col := &corpus.Collection{Name: name}
+			br := serving.BlockResolution{Fingerprint: uint64(ci+1)<<32 | uint64(docs[ci]), Name: name,
+				Resolution: &core.Resolution{Source: "test"}}
+			for pos := 0; pos < docs[ci]; pos++ {
+				col.Docs = append(col.Docs, corpus.Document{ID: pos, URL: fmt.Sprintf("http://example.org/%d/%d", ci, pos)})
+				br.Members = append(br.Members, blockindex.DocRef{Col: ci, Doc: pos})
+				br.Resolution.Labels = append(br.Resolution.Labels, pos%2)
+			}
+			cols[ci], blocks[ci] = col, br
+			total += docs[ci]
+		}
+		x := serving.Build(prev, uint64(len(out)+1), uint64(total), knobs, cols, blocks)
+		if err := x.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, x)
+		prev = x
+	}
+	return out
+}
+
+// TestServingDirAppendsCommits pins what one commit writes. The first save
+// of a key creates its file in full; every later commit that extends it
+// appends one record — one write, one fsync, no temp file, no rename, no
+// directory sync — sized by the blocks that changed, a no-change publish
+// by its header alone; once the appended bytes would outgrow the base the
+// file is rewritten; and whatever another process (or a failed save) left
+// is replaced, never appended to. After every save the file loads to the
+// index committed.
+func TestServingDirAppendsCommits(t *testing.T) {
+	tmp := t.TempDir()
+	counts := faultfs.NewCounting(nil)
+	open := func() *ServingDir {
+		t.Helper()
+		dir, err := newServingDir(tmp, Options{FS: counts, Log: quietLog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	dir := open()
+	base := filepath.Base(tmp)
+	// save commits x and returns what the commit cost.
+	save := func(x *serving.Index) faultfs.IOCounts {
+		t.Helper()
+		before := counts.Counts()[base]
+		if err := dir.SaveServing("k", x); err != nil {
+			t.Fatal(err)
+		}
+		after := counts.Counts()[base]
+		got, err := dir.LoadServing("k")
+		if err != nil || got == nil || got.Epoch() != x.Epoch() || got.StoreVersion() != x.StoreVersion() ||
+			got.Docs() != x.Docs() || got.Clusters() != x.Clusters() || got.Validate() != nil {
+			t.Fatalf("after committing epoch %d the file loads to (%v, %v)", x.Epoch(), got, err)
+		}
+		return faultfs.IOCounts{BytesWritten: after.BytesWritten - before.BytesWritten,
+			Fsyncs: after.Fsyncs - before.Fsyncs, Renames: after.Renames - before.Renames}
+	}
+	isFull := func(c faultfs.IOCounts) bool { return c.Renames == 1 && c.Fsyncs == 2 }
+	isAppend := func(c faultfs.IOCounts) bool { return c.Renames == 0 && c.Fsyncs == 1 }
+
+	commits := servingCommits(t, "k", 40)
+	first := save(commits[0])
+	if !isFull(first) {
+		t.Fatalf("first save of a key cost %+v, want a full save (file fsync, rename, directory fsync)", first)
+	}
+	appended, compactions := int64(0), 0
+	for i, x := range commits[1:] {
+		c := save(x)
+		switch {
+		case isAppend(c):
+			appended += c.BytesWritten
+			if appended > first.BytesWritten {
+				t.Fatalf("commit %d: %d bytes appended behind a base of %d", i+1, appended, first.BytesWritten)
+			}
+			if noChange := (i+1)%3 == 0; noChange && c.BytesWritten > 64 {
+				t.Errorf("commit %d: a no-change publish appended %d bytes, want a header", i+1, c.BytesWritten)
+			} else if !noChange && c.BytesWritten > first.BytesWritten/3 {
+				t.Errorf("commit %d: one dirty block of eight appended %d bytes, the whole index is %d", i+1, c.BytesWritten, first.BytesWritten)
+			}
+		case isFull(c):
+			if appended < first.BytesWritten/2 {
+				t.Errorf("commit %d: the file was rewritten after only %d appended bytes (base %d)", i+1, appended, first.BytesWritten)
+			}
+			appended, first = 0, c
+			compactions++
+		default:
+			t.Fatalf("commit %d cost %+v: neither an append nor a full save", i+1, c)
+		}
+	}
+	if compactions == 0 {
+		t.Fatal("40 commits never compacted the file")
+	}
+	if orphans, _ := filepath.Glob(filepath.Join(tmp, "*.tmp")); len(orphans) != 0 {
+		t.Errorf("temp files left behind: %v", orphans)
+	}
+	if dir.TornTails() != 0 || dir.Quarantined() != 0 {
+		t.Errorf("clean commits reported %d torn tails, %d quarantined files", dir.TornTails(), dir.Quarantined())
+	}
+
+	more := servingCommits(t, "k", 46)[40:]
+	// A new process has no memory of the key: its first save is a full one.
+	if c := save(more[0]); !isAppend(c) {
+		t.Fatalf("commit behind a fresh full save cost %+v, want an append", c)
+	}
+	dir = open()
+	if c := save(more[1]); !isFull(c) {
+		t.Errorf("first save by a new ServingDir cost %+v, want a full save", c)
+	}
+	// A file that vanished (pruned, quarantined) is written anew.
+	if err := os.Remove(dir.path("k")); err != nil {
+		t.Fatal(err)
+	}
+	if c := save(more[2]); !isFull(c) {
+		t.Errorf("save after the file vanished cost %+v, want a full save", c)
+	}
+	// Another configuration cannot be expressed as a record.
+	if c := save(servingCommits(t, "other knobs", 1)[0]); !isFull(c) {
+		t.Errorf("save of an index under other knobs cost %+v, want a full save", c)
+	}
+	// A failed append leaves the tail unknown: the save after it is full.
+	if c := save(more[3]); !isFull(c) { // back under "k"
+		t.Fatalf("save back under the first knobs cost %+v, want a full save", c)
+	}
+	in := faultfs.NewInjector(counts)
+	dir.fsys = in
+	in.FailAt(1) // the record's write
+	if err := dir.SaveServing("k", more[4]); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("SaveServing with a failing write = %v", err)
+	}
+	if c := save(more[5]); !isFull(c) {
+		t.Errorf("save after a failed append cost %+v, want a full save", c)
+	}
 }
 
 func TestServingDirRoundTrip(t *testing.T) {
@@ -182,6 +342,65 @@ func TestServingDirRejectsDamage(t *testing.T) {
 			// clean miss and the next save starts fresh.
 			if x, err := dir.LoadServing("k"); err != nil || x != nil {
 				t.Fatalf("post-quarantine load = (%v, %v), want (nil, nil)", x, err)
+			}
+		})
+	}
+
+	// Damage behind the base is not the file's end: the records before it
+	// load, the file stays in place, and the event is logged and counted.
+	commits := servingCommits(t, "k", 3)
+	for _, tc := range []struct {
+		name   string
+		mangle func(body []byte) []byte
+	}{
+		{"bit flip in the last record", func(b []byte) []byte { b[len(b)-6] ^= 0x01; return b }},
+		{"last record cut short", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"garbage behind the last record", func(b []byte) []byte { return append(b, "not a record"...) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logged []string
+			dir, err := newServingDir(t.TempDir(), Options{FS: faultfs.OS{},
+				Log: func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range commits {
+				if err := dir.SaveServing("k", x); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := dir.path("k")
+			body, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.mangle(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// What survives is the commit before the damaged record — or,
+			// for garbage appended behind three good records, all three.
+			wantEpoch := uint64(2)
+			if strings.HasPrefix(tc.name, "garbage") {
+				wantEpoch = 3
+			}
+			got, err := dir.LoadLatestServing()
+			if err != nil || got == nil || got.Epoch() != wantEpoch || got.Validate() != nil {
+				t.Fatalf("LoadLatestServing = (%v, %v), want the index committed at epoch %d", got, err, wantEpoch)
+			}
+			if dir.TornTails() != 1 || dir.Quarantined() != 0 || len(logged) != 1 || !strings.Contains(logged[0], "commit record at offset") {
+				t.Errorf("torn tails %d, quarantined %d, logged %q; want the event counted once, logged once, the file kept",
+					dir.TornTails(), dir.Quarantined(), logged)
+			}
+			// The next process's first commit replaces the file, tail and all.
+			next, err := NewServingDir(filepath.Dir(path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := next.SaveServing("k", commits[2]); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := next.LoadServing("k"); err != nil || got.Epoch() != 3 || next.TornTails() != 0 {
+				t.Fatalf("after the rewrite LoadServing = (%v, %v), %d torn tails", got, err, next.TornTails())
 			}
 		})
 	}

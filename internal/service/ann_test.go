@@ -120,11 +120,13 @@ func TestANNModeValidation(t *testing.T) {
 	}
 }
 
-// TestANNIndexRestartZeroReinsertion is the kill-9 test: the resolve
-// path persists the ANN graph before answering, so a server that dies
-// without Close still leaves a loadable index behind, and its successor
-// serves the same corpus with zero re-insertion (delta_docs 0, no
-// fallback).
+// TestANNIndexRestartZeroReinsertion is the kill-9 test: the first
+// resolve of a blocking configuration persists the ANN graph before
+// answering, so a server that dies without Close still leaves a loadable
+// index behind, and its successor serves the same corpus with zero
+// re-insertion (delta_docs 0, no fallback). Later resolves save only in
+// indexSaveDeltaDocs batches; TestKillWithoutCloseRestartsFromLastCommit
+// covers the documents ingested in between.
 func TestANNIndexRestartZeroReinsertion(t *testing.T) {
 	tmp := t.TempDir()
 	annDir, err := persist.NewANNDir(tmp)
@@ -144,7 +146,7 @@ func TestANNIndexRestartZeroReinsertion(t *testing.T) {
 	if first.Blocking.Indexer != "ann" || first.Blocking.IndexedDocs != 40 {
 		t.Fatalf("first run blocking = %+v", first.Blocking)
 	}
-	// The resolve already persisted the graph; srv1 is now abandoned
+	// The first resolve already persisted the graph; srv1 is now abandoned
 	// without Close — the kill-9.
 	files, err := filepath.Glob(filepath.Join(tmp, "*.ann"))
 	if err != nil || len(files) != 1 {

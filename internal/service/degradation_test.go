@@ -167,7 +167,7 @@ func (f *failingIndexStore) SaveANNIndex(key string, idx pipeline.CandidateIndex
 
 // TestIndexSaveBackoff pins the save policy of a registry entry, for both
 // index kinds: the warmer's persistIndexIfGrown saves only once the
-// unsaved delta reaches warmSaveDeltaDocs; while a save is failing and the
+// unsaved delta reaches indexSaveDeltaDocs; while a save is failing and the
 // backoff window is open, persistIndex does not re-hit the store; once the
 // window passes it retries; Close forces a final attempt regardless.
 func TestIndexSaveBackoff(t *testing.T) {
@@ -227,7 +227,7 @@ func TestIndexSaveBackoff(t *testing.T) {
 			if idxStore.saves != 0 {
 				t.Fatalf("saves below the warm batch size = %d, want 0", idxStore.saves)
 			}
-			grow(warmSaveDeltaDocs)
+			grow(indexSaveDeltaDocs)
 			srv.persistIndexIfGrown(entry) // a whole batch unsaved: saved
 			srv.persistIndexIfGrown(entry) // nothing new since: skipped
 			if idxStore.saves != 1 {

@@ -3,11 +3,13 @@ package service
 import (
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"time"
 
 	"repro/internal/ann"
 	"repro/internal/blockindex"
+	"repro/internal/faultfs"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/tracing"
@@ -70,6 +72,29 @@ func (s *Server) initObservability() {
 	// them into the same family at scrape time.
 	r.CounterFunc("ersolve_degraded_total", degradedHelp, s.storeDegradationSamples)
 
+	// A store that counts its device work (persist.Store over a counting
+	// filesystem) feeds the I/O accounting families, one series per
+	// artifact directory.
+	if rep, ok := s.store.(ioReporter); ok {
+		ioSamples := func(value func(faultfs.IOCounts) int64) func() []metrics.Sample {
+			return func() []metrics.Sample {
+				counts := rep.IOCounts()
+				out := make([]metrics.Sample, 0, len(counts))
+				for artifact, c := range counts {
+					out = append(out, metrics.Sample{Labels: []string{"artifact", artifact}, Value: float64(value(c))})
+				}
+				sort.Slice(out, func(i, j int) bool { return out[i].Labels[1] < out[j].Labels[1] })
+				return out
+			}
+		}
+		r.CounterFunc("ersolve_persist_bytes_written_total", "Bytes written under the data directory, by artifact directory.",
+			ioSamples(func(c faultfs.IOCounts) int64 { return c.BytesWritten }))
+		r.CounterFunc("ersolve_persist_fsyncs_total", "File and directory fsyncs under the data directory, by artifact directory.",
+			ioSamples(func(c faultfs.IOCounts) int64 { return c.Fsyncs }))
+		r.CounterFunc("ersolve_persist_renames_total", "Files renamed into place under the data directory, by artifact directory.",
+			ioSamples(func(c faultfs.IOCounts) int64 { return c.Renames }))
+	}
+
 	const latencyHelp = "Stage wall-clock latency in seconds, by stage."
 	s.latency.block = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "block")
 	s.latency.prepare = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "prepare")
@@ -78,6 +103,7 @@ func (s *Server) initObservability() {
 	s.latency.lookup = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "lookup")
 	s.latency.snapshotLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "snapshot.load")
 	s.latency.publishServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "publish.serving")
+	s.latency.persistServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.serving")
 	s.latency.persistIndex = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.index")
 	s.latency.persistSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.snapshot")
 	s.latency.encode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "encode")
@@ -189,8 +215,9 @@ func indexSamples[T pipeline.CandidateIndex](s *Server, value func(T) float64) f
 }
 
 // storeDegradationSamples reads the degradation totals owned by the
-// backing stores — torn-tail journal recoveries and quarantined persisted
-// files — for the callback-backed half of the degraded family.
+// backing stores — torn-tail journal recoveries, quarantined persisted
+// files and serving logs loaded short of a damaged record — for the
+// callback-backed half of the degraded family.
 func (s *Server) storeDegradationSamples() []metrics.Sample {
 	var out []metrics.Sample
 	if rep, ok := s.store.(tornTailReporter); ok {
@@ -214,6 +241,12 @@ func (s *Server) storeDegradationSamples() []metrics.Sample {
 				Value:  float64(rep.Quarantined()),
 			})
 		}
+	}
+	if rep, ok := s.cfg.Serving.(servingTailReporter); ok {
+		out = append(out, metrics.Sample{
+			Labels: []string{"kind", "serving_torn_tails"},
+			Value:  float64(rep.TornTails()),
+		})
 	}
 	return out
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/serving"
 	"repro/internal/store"
 	"repro/internal/tracing"
 )
@@ -214,11 +215,18 @@ func (s slowLoadStore) Load(key string, pl *pipeline.Pipeline) (*pipeline.Snapsh
 	return s.memSnapStore.Load(key, pl)
 }
 
+// memServingStore is an in-memory ServingStore.
+type memServingStore struct{ latest *serving.Index }
+
+func (m *memServingStore) SaveServing(_ string, x *serving.Index) error { m.latest = x; return nil }
+func (m *memServingStore) LoadLatestServing() (*serving.Index, error)   { return m.latest, nil }
+
 // TestRestartDeltaResolveIsObserved pins that nothing the client waits
 // for hides: the first resolve after a restart, over a corpus that grew
 // meanwhile, reports the snapshot load in elapsed_ms and carries the load,
-// the three commit steps and the reply encoding as child spans inside the
-// root span, with the same stages in the latency histogram family.
+// the four commit steps — the serving build and swap apart from its save —
+// and the reply encoding as child spans inside the root span, with the
+// same stages in the latency histogram family.
 func TestRestartDeltaResolveIsObserved(t *testing.T) {
 	shared := store.NewMemStore()
 	snaps := newMemSnapStore()
@@ -234,7 +242,7 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	const delay = 50 * time.Millisecond
-	_, ts := serverPair(t, Config{Store: shared, Snapshots: slowLoadStore{snaps, delay}})
+	_, ts := serverPair(t, Config{Store: shared, Snapshots: slowLoadStore{snaps, delay}, Serving: &memServingStore{}})
 	got := resolveOK(t, ts, IncrementalResolveRequest{})
 	if got.ElapsedMillis < delay.Milliseconds() {
 		t.Errorf("elapsed_ms = %d, want >= %d: the snapshot load the client waited for is missing",
@@ -253,7 +261,7 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 		seen[s.Name] = s
 	}
 	text := scrapeMetrics(t, ts)
-	for _, stage := range []string{"snapshot.load", "publish.serving", "persist.index", "persist.snapshot", "encode"} {
+	for _, stage := range []string{"snapshot.load", "publish.serving", "persist.serving", "persist.index", "persist.snapshot", "encode"} {
 		s, ok := seen[stage]
 		if !ok {
 			t.Errorf("trace has no %q child span", stage)

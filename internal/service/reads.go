@@ -15,11 +15,13 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/serving"
+	"repro/internal/tracing"
 )
 
 // ServingStore persists the hot serving index (internal/persist.ServingDir
-// is the disk implementation). SaveServing files the committed index under
-// its resolution-configuration key; LoadLatestServing returns the most
+// is the disk implementation). SaveServing commits the index under its
+// resolution-configuration key, durably, however little of it the store
+// has to write to do so; LoadLatestServing returns the most
 // recently saved index of any configuration — what a restarted server
 // publishes before any resolve has run — or (nil, nil) when none is stored.
 type ServingStore interface {
@@ -35,57 +37,66 @@ type ServingStore interface {
 type stageHistograms struct {
 	block, prepare, analyze, cluster, lookup *metrics.Histogram
 
-	snapshotLoad, publishServing, persistIndex, persistSnapshot, encode *metrics.Histogram
+	snapshotLoad, publishServing, persistServing, persistIndex, persistSnapshot, encode *metrics.Histogram
 }
 
 // publishServing materializes the committed run's serving index, swaps it
-// in as the hot read-path index, and persists it. Called from the
-// incremental endpoint after a successful run, before the response is
-// written — so a client that saw the resolve acknowledged can immediately
-// read the clusters it produced. The swap is skipped when the hot index
-// already reflects a NEWER store version (a slow run for an older snapshot
-// must not roll the read path back); the last committed resolution wins
-// ties, so re-resolving one store version under new knobs re-points reads.
-func (s *Server) publishServing(key string, cols []*corpus.Collection, version uint64, inc *pipeline.IncrementalResult) {
+// in as the hot read-path index (the publish.serving span) and commits it
+// to the serving store (persist.serving: an appended record, or a full
+// save when the store has to create or replace the key's file). Called
+// from the incremental endpoint after a successful run, before the
+// response is written — so a client that saw the resolve acknowledged can
+// immediately read the clusters it produced, and reads them again after a
+// kill -9. The swap is skipped when the hot index already reflects a NEWER
+// store version (a slow run for an older snapshot must not roll the read
+// path back); the last committed resolution wins ties, so re-resolving one
+// store version under new knobs re-points reads.
+func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.Collection, version uint64, inc *pipeline.IncrementalResult) {
 	if len(inc.Members) != len(inc.Results) || len(inc.Fingerprints) != len(inc.Results) {
 		// A blocker that reports no membership cannot feed the serving
 		// index; the incremental path always uses membership blockers, so
 		// this is belt and braces.
 		return
 	}
-	blocks := make([]serving.BlockResolution, len(inc.Results))
-	for i, res := range inc.Results {
-		blocks[i] = serving.BlockResolution{
-			Fingerprint: inc.Fingerprints[i],
-			Name:        res.Block.Name,
-			Members:     inc.Members[i],
-			Resolution:  res.Resolution,
-			Score:       res.Score,
-		}
-	}
-
+	// One lock across the swap and the save keeps the store's newest file
+	// the hot index: publishes under different keys commit in swap order.
 	s.servingMu.Lock()
 	defer s.servingMu.Unlock()
-	prev := s.serving.Load()
-	if prev != nil && prev.StoreVersion() > version {
+	var x *serving.Index
+	timed(tr, "publish.serving", s.latency.publishServing, func() {
+		blocks := make([]serving.BlockResolution, len(inc.Results))
+		for i, res := range inc.Results {
+			blocks[i] = serving.BlockResolution{
+				Fingerprint: inc.Fingerprints[i],
+				Name:        res.Block.Name,
+				Members:     inc.Members[i],
+				Resolution:  res.Resolution,
+				Score:       res.Score,
+			}
+		}
+		prev := s.serving.Load()
+		if prev != nil && prev.StoreVersion() > version {
+			return
+		}
+		epoch := s.servingEpoch + 1
+		x = serving.Build(prev, epoch, version, key, cols, blocks)
+		s.servingEpoch = epoch
+		s.serving.Store(x)
+		s.readCache.clear()
+	})
+	if x == nil || s.cfg.Serving == nil {
 		return
 	}
-	epoch := s.servingEpoch + 1
-	x := serving.Build(prev, epoch, version, key, cols, blocks)
-	s.servingEpoch = epoch
-	s.serving.Store(x)
-	s.readCache.clear()
-
-	if s.cfg.Serving != nil {
-		// Persist before the resolve is acknowledged, mirroring snapshot
-		// saves: a crash after the answer still restarts with this
-		// resolution servable. A failure costs the restart head-start, not
-		// correctness, and is counted as degradation.
+	// Persist before the resolve is acknowledged, mirroring snapshot saves:
+	// a crash after the answer still restarts with this resolution servable.
+	// A failure costs the restart head-start, not correctness, and is
+	// counted as degradation.
+	timed(tr, "persist.serving", s.latency.persistServing, func() {
 		if err := s.cfg.Serving.SaveServing(key, x); err != nil {
 			s.counters.servingSaveFailures.Add(1)
 			s.cfg.ErrorLog("service: saving serving index for %q: %v", key, err)
 		}
-	}
+	})
 }
 
 // readCache is the read path's LRU response cache: rendered JSON bodies

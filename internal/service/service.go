@@ -32,6 +32,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
+	"repro/internal/faultfs"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/serving"
@@ -69,19 +70,21 @@ type Config struct {
 	BlockShards int
 	// Indexes optionally persists each blocking configuration's sharded
 	// index (internal/persist.IndexDir is the disk implementation). When
-	// set, the index is saved after incremental runs that advanced it and
-	// reloaded on the configuration's first use after a restart, so a
-	// restarted server does not re-key and re-block the corpus. A damaged
+	// set, the index is saved by the configuration's first resolve, then
+	// whenever it has advanced indexSaveDeltaDocs documents past the saved
+	// form and on Close, and reloaded on the configuration's first use
+	// after a restart, so a restarted server re-keys at most the documents
+	// ingested since the last save instead of the corpus. A damaged
 	// or mismatched saved index degrades to a rebuild from the store
 	// (results stay correct) and is reported through ErrorLog.
 	Indexes IndexStore
 	// ANNIndexes optionally persists each ANN blocking configuration's
 	// candidate index (internal/persist.ANNDir is the disk
 	// implementation, sharing DIR/indexes with the sharded key indexes).
-	// When set, the graph is saved after incremental runs that advanced
-	// it and reloaded on the configuration's first use after a restart,
-	// so a restarted server does not re-insert the corpus into the
-	// proximity graph. A damaged or knob-mismatched saved index degrades
+	// When set, the graph is saved on the same schedule as the sharded
+	// indexes and reloaded on the configuration's first use after a
+	// restart, so a restarted server does not re-insert the corpus into
+	// the proximity graph. A damaged or knob-mismatched saved index degrades
 	// to a rebuild from the store (results stay correct) and is reported
 	// through ErrorLog.
 	ANNIndexes ANNStore
@@ -96,7 +99,8 @@ type Config struct {
 	Snapshots SnapshotStore
 	// Serving optionally persists the hot serving index
 	// (internal/persist.ServingDir is the disk implementation). When set,
-	// every committed incremental run saves its serving index, and the
+	// every committed incremental run commits its serving index to it
+	// before the reply (the blocks that changed, not the index), and the
 	// server publishes the most recently saved one at construction — so a
 	// restarted server answers entity lookups immediately, with zero
 	// recompute. A damaged saved index degrades to an empty read path
@@ -367,13 +371,15 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// warmSaveDeltaDocs is how far an index may advance past its persisted
-// version before the warmer saves it. Saving encodes the whole posting
-// set, so persisting after every small batch would spend O(corpus) disk
-// I/O per ingest — the very cost this index removes from the resolve
-// path. The remainder is flushed unconditionally on Close (and by the
-// resolve path, which saves on any advance).
-const warmSaveDeltaDocs = 4096
+// indexSaveDeltaDocs is how far an index may advance past its persisted
+// version before the warmer or a resolve saves it. Saving encodes the
+// whole posting set or graph, so persisting after every small batch would
+// spend O(corpus) disk I/O per ingest or per delta resolve — the very cost
+// this index removes from the resolve path. The remainder is flushed
+// unconditionally on Close; after a kill -9 the index trails the journal
+// by fewer than this many documents, which the first resolve re-keys from
+// the replayed store through the same delta update every resolve runs.
+const indexSaveDeltaDocs = 4096
 
 // warmLoop drains coalesced ingest notifications and pre-indexes the new
 // documents into every live blocking index. Warming is best effort: a
@@ -420,7 +426,7 @@ func (s *Server) persistIndexIfGrown(e *indexEntry) {
 		return
 	}
 	e.mu.Lock()
-	grown := ib.Index().Version() >= e.savedVersion+warmSaveDeltaDocs
+	grown := ib.Index().Version() >= e.savedVersion+indexSaveDeltaDocs
 	e.mu.Unlock()
 	if grown {
 		s.persistIndex(e, false)
@@ -1029,11 +1035,9 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// clean blocks' materializations), swap it in for lock-free reads, and
 	// persist it — all before the resolve is acknowledged, so a client that
 	// saw the response can immediately GET the clusters it describes.
-	timed(tr, "publish.serving", s.latency.publishServing, func() {
-		s.publishServing(state.key, cols, version, inc)
-	})
+	s.publishServing(tr, state.key, cols, version, inc)
 	timed(tr, "persist.index", s.latency.persistIndex, func() {
-		s.persistIndex(indexEntry, false)
+		s.persistIndexOnResolve(indexEntry)
 	})
 	tr.SetAttr("blocks", strconv.Itoa(inc.Stats.Blocks))
 	tr.SetAttr("reused", strconv.Itoa(inc.Stats.Reused))
@@ -1331,8 +1335,29 @@ func (s *Server) blockerFor(k resolveKnobs) (pipeline.Blocker, *indexEntry, erro
 	return ib, e, nil
 }
 
+// persistIndexOnResolve is the resolve path's save policy. The first
+// resolve of a blocking configuration with nothing saved yet saves the
+// index, so even a server killed right after it leaves a loadable file;
+// from then on a resolve saves in the warmer's batches — never the whole
+// index for a two-document delta. e is nil for a configuration without an
+// index.
+func (s *Server) persistIndexOnResolve(e *indexEntry) {
+	if e == nil {
+		return
+	}
+	e.mu.Lock()
+	unsaved := e.savedVersion == 0
+	e.mu.Unlock()
+	if unsaved {
+		s.persistIndex(e, false)
+		return
+	}
+	s.persistIndexIfGrown(e)
+}
+
 // persistIndex saves the entry's index if it advanced past the persisted
-// version. Serialized per entry; a failure costs only the restart
+// version — unconditionally: the callers decide how far is far enough.
+// Serialized per entry; a failure costs only the restart
 // head-start and is logged. Consecutive failures back off exponentially
 // (capped), so a broken index store is probed occasionally rather than
 // hammered by every warm round; force — used by Close, the last chance
@@ -1482,9 +1507,12 @@ type DegradedStats struct {
 	ANNLoadFailures int64 `json:"ann_load_failures"`
 	ANNSaveFailures int64 `json:"ann_save_failures"`
 	// QuarantinedServing counts damaged persisted serving indexes renamed
-	// aside; ServingLoadFailures/ServingSaveFailures degrade only the
-	// restart head-start of the read path.
+	// aside; ServingTornTails counts the ones loaded short of a damaged
+	// commit record, serving the resolution committed before it;
+	// ServingLoadFailures/ServingSaveFailures degrade only the restart
+	// head-start of the read path.
 	QuarantinedServing  int64 `json:"quarantined_serving"`
+	ServingTornTails    int64 `json:"serving_torn_tails"`
 	ServingLoadFailures int64 `json:"serving_load_failures"`
 	ServingSaveFailures int64 `json:"serving_save_failures"`
 	// Panics is how many handler panics the recovery middleware answered
@@ -1497,10 +1525,17 @@ type DegradedStats struct {
 
 // tornTailReporter is implemented by stores that recover torn journal
 // tails (persist.Store); quarantineReporter by snapshot/index stores that
-// rename damaged files aside (persist.SnapshotDir, persist.IndexDir).
-// Both are optional: in-memory backends report zero.
+// rename damaged files aside (persist.SnapshotDir, persist.IndexDir);
+// servingTailReporter by serving stores that load a file short of a
+// damaged commit record (persist.ServingDir); ioReporter by stores that
+// count their device work (persist.Store over a counting filesystem, nil
+// counts otherwise). All are optional: in-memory backends report zero.
 type tornTailReporter interface{ TornTailRecoveries() int }
 type quarantineReporter interface{ Quarantined() int64 }
+type servingTailReporter interface{ TornTails() int64 }
+type ioReporter interface {
+	IOCounts() map[string]faultfs.IOCounts
+}
 
 // degradedStats assembles the degradation report from the server's own
 // counters plus whatever the backing stores expose.
@@ -1531,6 +1566,9 @@ func (s *Server) degradedStats() DegradedStats {
 	}
 	if r, ok := s.cfg.Serving.(quarantineReporter); ok {
 		d.QuarantinedServing = r.Quarantined()
+	}
+	if r, ok := s.cfg.Serving.(servingTailReporter); ok {
+		d.ServingTornTails = r.TornTails()
 	}
 	return d
 }

@@ -6,30 +6,44 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"sort"
+
+	"repro/internal/framing"
 )
 
 // servingMagic heads every encoded serving index; the digit is the format
-// version.
-const servingMagic = "ERSVI001"
+// version. Version 2 is a log: the magic, one framed base record holding a
+// whole index, then any number of framed commit records, each the change
+// one later commit made to the index before it (internal/framing is the
+// record format, shared with the ingest journal).
+const servingMagic = "ERSVI002"
+
+// maxRecordBytes bounds one record of the log, the base included, as the
+// journal bounds its batches: a corrupt length fails fast instead of
+// driving a huge allocation.
+const maxRecordBytes = 1 << 30
+
+// commitHeaderBytes is the fixed head of a commit record's payload: the
+// committed index's epoch and store version, 8 bytes each. A commit that
+// changed nothing else is this header alone.
+const commitHeaderBytes = 16
 
 // ErrCodecVersion reports an encoded serving index from an unsupported
-// format version; ErrCodecCorrupt reports structural damage. Callers treat
-// both as "no usable snapshot": correctness never depends on the encoded
-// form — the index rebuilds on the next committed resolve — only the
-// restart head-start does.
+// format version; ErrCodecCorrupt reports structural damage to its base.
+// Callers treat both as "no usable snapshot": correctness never depends on
+// the encoded form — the index rebuilds on the next committed resolve —
+// only the restart head-start does. Damage to a commit record is not an
+// error: DecodeLog serves the commits before it.
 var (
 	ErrCodecVersion = errors.New("serving: unsupported serving index format version")
 	ErrCodecCorrupt = errors.New("serving: encoded serving index is corrupt")
 )
 
-// crcTable is the Castagnoli table, matching the persist layer's journal.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// encodedIndex is the gob payload: the per-block primary state plus the
-// snapshot geometry its refs point into. The top-level inverted maps (doc
-// table, token postings, ID map) are derived state, reassembled on decode.
+// encodedIndex is the base record's gob payload: the per-block primary
+// state plus the snapshot geometry its refs point into. The top-level
+// inverted maps (doc table, token postings, ID map) are derived state,
+// reassembled on decode.
 type encodedIndex struct {
 	Epoch        uint64
 	StoreVersion uint64
@@ -54,7 +68,91 @@ type encodedCluster struct {
 	URLs   []string
 }
 
-// EncodeTo writes the index in its versioned, checksummed wire form.
+// encodedChange is the gob part of a commit record's payload, behind the
+// fixed header and present only when the commit changed more than the
+// epoch: what became of the collections and blocks since the record
+// before it.
+type encodedChange struct {
+	// Cols are the collections that are new (Index is the next unused one)
+	// or whose document count grew.
+	Cols []encodedCol
+	// Removed are the fingerprints of the blocks the commit dropped, Added
+	// the blocks it materialized, in the base's block encoding.
+	Removed []uint64
+	Added   []encodedBlock
+}
+
+type encodedCol struct {
+	Index int
+	Name  string
+	Docs  int
+}
+
+func encodeBlock(st *blockState) encodedBlock {
+	eb := encodedBlock{FP: st.fp, Name: st.name, Tokens: st.tokens,
+		Clusters: make([]encodedCluster, len(st.clusters))}
+	for j, c := range st.clusters {
+		ec := encodedCluster{Label: c.Label, Source: c.Source, Score: c.Score,
+			Refs: make([]DocRef, len(c.Members)), URLs: make([]string, len(c.Members))}
+		for k, m := range c.Members {
+			ec.Refs[k] = m.ref
+			ec.URLs[k] = m.URL
+		}
+		eb.Clusters[j] = ec
+	}
+	return eb
+}
+
+// decodeBlock rebuilds one block's serving state, checking every member
+// ref against the collections the block was committed over.
+func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState, error) {
+	st := &blockState{fp: eb.FP, name: eb.Name, tokens: eb.Tokens}
+	for _, ec := range eb.Clusters {
+		if len(ec.Refs) != len(ec.URLs) {
+			return nil, fmt.Errorf("cluster %s has %d refs but %d urls",
+				ClusterID(eb.FP, ec.Label), len(ec.Refs), len(ec.URLs))
+		}
+		members := make([]Member, len(ec.Refs))
+		for k, ref := range ec.Refs {
+			if ref.Col < 0 || ref.Col >= len(colNames) {
+				return nil, fmt.Errorf("member references collection %d of %d", ref.Col, len(colNames))
+			}
+			if ref.Doc < 0 || ref.Doc >= colDocs[ref.Col] {
+				return nil, fmt.Errorf("member references doc %d beyond collection %q's %d docs",
+					ref.Doc, colNames[ref.Col], colDocs[ref.Col])
+			}
+			members[k] = Member{Collection: colNames[ref.Col], Pos: ref.Doc, URL: ec.URLs[k], ref: ref}
+		}
+		st.clusters = append(st.clusters, &Cluster{
+			ID:      ClusterID(eb.FP, ec.Label),
+			Block:   eb.Name,
+			Label:   ec.Label,
+			Source:  ec.Source,
+			Members: members,
+			Score:   ec.Score,
+			fp:      eb.FP,
+		})
+	}
+	return st, nil
+}
+
+// gobRecord frames prefix followed by the gob encoding of v as one record.
+func gobRecord(prefix []byte, v any) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, framing.HeaderBytes))
+	buf.Write(prefix)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	if buf.Len()-framing.HeaderBytes > maxRecordBytes {
+		return nil, fmt.Errorf("record is %d bytes, the cap is %d", buf.Len()-framing.HeaderBytes, maxRecordBytes)
+	}
+	framing.Seal(buf.Bytes())
+	return buf.Bytes(), nil
+}
+
+// EncodeTo writes the whole index in its versioned, checksummed wire form:
+// a log of one base record.
 func (x *Index) EncodeTo(w io.Writer) error {
 	enc := encodedIndex{
 		Epoch:        x.epoch,
@@ -65,98 +163,243 @@ func (x *Index) EncodeTo(w io.Writer) error {
 		Blocks:       make([]encodedBlock, len(x.order)),
 	}
 	for i, st := range x.order {
-		eb := encodedBlock{FP: st.fp, Name: st.name, Tokens: st.tokens,
-			Clusters: make([]encodedCluster, len(st.clusters))}
-		for j, c := range st.clusters {
-			ec := encodedCluster{Label: c.Label, Source: c.Source, Score: c.Score,
-				Refs: make([]DocRef, len(c.Members)), URLs: make([]string, len(c.Members))}
-			for k, m := range c.Members {
-				ec.Refs[k] = m.ref
-				ec.URLs[k] = m.URL
-			}
-			eb.Clusters[j] = ec
-		}
-		enc.Blocks[i] = eb
+		enc.Blocks[i] = encodeBlock(st)
 	}
-
+	base, err := gobRecord(nil, enc)
+	if err != nil {
+		return fmt.Errorf("serving: encoding index: %w", err)
+	}
 	if _, err := io.WriteString(w, servingMagic); err != nil {
 		return fmt.Errorf("serving: writing header: %w", err)
 	}
-	crc := crc32.New(crcTable)
-	if err := gob.NewEncoder(io.MultiWriter(w, crc)).Encode(enc); err != nil {
-		return fmt.Errorf("serving: encoding index: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("serving: writing checksum: %w", err)
+	if _, err := w.Write(base); err != nil {
+		return fmt.Errorf("serving: writing index: %w", err)
 	}
 	return nil
 }
 
-// Decode reads an index written by EncodeTo and reassembles its derived
-// lookup state. The decoded index is immutable and lookup-ready, exactly as
-// if freshly built.
+// Manifest is what an encoded log — a base and the commit records behind
+// it — holds of the index it decodes to, without holding the index: the
+// configuration, the snapshot geometry and the block fingerprints, which
+// is what the next commit is diffed against.
+type Manifest struct {
+	knobs    string
+	colNames []string
+	colDocs  []int
+	blocks   map[uint64]struct{}
+}
+
+// Manifest describes a log that decodes to x.
+func (x *Index) Manifest() *Manifest {
+	m := &Manifest{knobs: x.knobs, colNames: x.colNames, colDocs: x.colDocs,
+		blocks: make(map[uint64]struct{}, len(x.order))}
+	for _, st := range x.order {
+		m.blocks[st.fp] = struct{}{}
+	}
+	return m
+}
+
+// EncodeCommit returns the framed record that, appended to a log holding
+// held, makes the log decode to x: x's epoch and store version, the
+// collections that grew or are new, the fingerprints of the blocks gone
+// and the blocks that are new — a block whose fingerprint held already has
+// is, under one configuration, the same block. ok is false when x does not
+// extend held — another configuration, or collections that are not held's
+// with documents appended and collections added — and then only a new base
+// (EncodeTo) can hold x.
+func (x *Index) EncodeCommit(held *Manifest) (rec []byte, ok bool) {
+	if x.knobs != held.knobs || len(x.colNames) < len(held.colNames) {
+		return nil, false
+	}
+	var ch encodedChange
+	for i, name := range x.colNames {
+		if i < len(held.colNames) {
+			if name != held.colNames[i] || x.colDocs[i] < held.colDocs[i] {
+				return nil, false
+			}
+			if x.colDocs[i] == held.colDocs[i] {
+				continue
+			}
+		}
+		ch.Cols = append(ch.Cols, encodedCol{Index: i, Name: name, Docs: x.colDocs[i]})
+	}
+	for fp := range held.blocks {
+		if _, kept := x.blocks[fp]; !kept {
+			ch.Removed = append(ch.Removed, fp)
+		}
+	}
+	sort.Slice(ch.Removed, func(i, j int) bool { return ch.Removed[i] < ch.Removed[j] })
+	for _, st := range x.order {
+		if _, had := held.blocks[st.fp]; !had {
+			ch.Added = append(ch.Added, encodeBlock(st))
+		}
+	}
+
+	header := make([]byte, commitHeaderBytes)
+	binary.LittleEndian.PutUint64(header[0:8], x.epoch)
+	binary.LittleEndian.PutUint64(header[8:16], x.storeVersion)
+	if len(ch.Cols)+len(ch.Removed)+len(ch.Added) == 0 {
+		rec = append(make([]byte, framing.HeaderBytes), header...)
+		framing.Seal(rec)
+		return rec, true
+	}
+	rec, err := gobRecord(header, ch)
+	return rec, err == nil
+}
+
+// Decode reads an index written by EncodeTo, with any commit records
+// appended since, and reassembles its derived lookup state. The decoded
+// index is immutable and lookup-ready, exactly as if freshly built.
 func Decode(r io.Reader) (*Index, error) {
+	x, _, err := DecodeLog(r)
+	return x, err
+}
+
+// DecodeLog is Decode that also reports how the log ended. A damaged or
+// unsupported base is an error. A commit record that is cut short, too
+// long, fails its checksum or does not apply to the state before it ends
+// the replay instead: the index returned is the one the records before it
+// committed — an earlier acknowledged resolution, never a partly applied
+// record — and tail says why the rest of the log was ignored. tail is nil
+// when every record applied.
+func DecodeLog(r io.Reader) (x *Index, tail error, err error) {
 	header := make([]byte, len(servingMagic))
 	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCodecCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: truncated header: %v", ErrCodecCorrupt, err)
 	}
 	if string(header) != servingMagic {
 		if string(header[:5]) == servingMagic[:5] {
-			return nil, fmt.Errorf("%w: %q", ErrCodecVersion, header)
+			return nil, nil, fmt.Errorf("%w: %q", ErrCodecVersion, header)
 		}
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCodecCorrupt, header)
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrCodecCorrupt, header)
 	}
 	body, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCodecCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: reading payload: %v", ErrCodecCorrupt, err)
 	}
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: payload shorter than its checksum", ErrCodecCorrupt)
-	}
-	payload, sum := body[:len(body)-4], binary.LittleEndian.Uint32(body[len(body)-4:])
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return nil, fmt.Errorf("%w: checksum %08x, trailer declares %08x", ErrCodecCorrupt, got, sum)
+	recs := framing.NewReader(bytes.NewReader(body), 0, int64(len(body)), maxRecordBytes)
+
+	payload, err := recs.Next()
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: base: %v", ErrCodecCorrupt, err)
 	}
 	var enc encodedIndex
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&enc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
+	}
+	if len(enc.ColNames) != len(enc.ColDocs) {
+		return nil, nil, fmt.Errorf("%w: %d collection names but %d doc counts", ErrCodecCorrupt, len(enc.ColNames), len(enc.ColDocs))
+	}
+	log := replay{epoch: enc.Epoch, storeVersion: enc.StoreVersion,
+		colNames: enc.ColNames, colDocs: enc.ColDocs,
+		live: make(map[uint64]*blockState, len(enc.Blocks))}
+	for _, eb := range enc.Blocks {
+		st, err := decodeBlock(eb, enc.ColNames, enc.ColDocs)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
+		}
+		if _, dup := log.live[st.fp]; dup {
+			return nil, nil, fmt.Errorf("%w: block %016x appears twice", ErrCodecCorrupt, st.fp)
+		}
+		log.states = append(log.states, st)
+		log.live[st.fp] = st
 	}
 
-	if len(enc.ColNames) != len(enc.ColDocs) {
-		return nil, fmt.Errorf("%w: %d collection names but %d doc counts", ErrCodecCorrupt, len(enc.ColNames), len(enc.ColDocs))
-	}
-	states := make([]*blockState, len(enc.Blocks))
-	for i, eb := range enc.Blocks {
-		st := &blockState{fp: eb.FP, name: eb.Name, tokens: eb.Tokens}
-		for _, ec := range eb.Clusters {
-			if len(ec.Refs) != len(ec.URLs) {
-				return nil, fmt.Errorf("%w: cluster %s has %d refs but %d urls",
-					ErrCodecCorrupt, ClusterID(eb.FP, ec.Label), len(ec.Refs), len(ec.URLs))
-			}
-			members := make([]Member, len(ec.Refs))
-			for k, ref := range ec.Refs {
-				if ref.Col < 0 || ref.Col >= len(enc.ColNames) {
-					return nil, fmt.Errorf("%w: member references collection %d of %d", ErrCodecCorrupt, ref.Col, len(enc.ColNames))
-				}
-				if ref.Doc < 0 || ref.Doc >= enc.ColDocs[ref.Col] {
-					return nil, fmt.Errorf("%w: member references doc %d beyond collection %q's %d docs",
-						ErrCodecCorrupt, ref.Doc, enc.ColNames[ref.Col], enc.ColDocs[ref.Col])
-				}
-				members[k] = Member{Collection: enc.ColNames[ref.Col], Pos: ref.Doc, URL: ec.URLs[k], ref: ref}
-			}
-			st.clusters = append(st.clusters, &Cluster{
-				ID:      ClusterID(eb.FP, ec.Label),
-				Block:   eb.Name,
-				Label:   ec.Label,
-				Source:  ec.Source,
-				Members: members,
-				Score:   ec.Score,
-				fp:      eb.FP,
-			})
+	for tail == nil {
+		offset := recs.Offset()
+		payload, err := recs.Next()
+		if err == io.EOF {
+			break
 		}
-		states[i] = st
+		if err == nil {
+			err = log.apply(payload)
+		}
+		if err != nil {
+			tail = fmt.Errorf("commit record at offset %d of %d: %w", offset, len(body), err)
+		}
 	}
-	return assemble(enc.Epoch, enc.StoreVersion, enc.Knobs, enc.ColNames, enc.ColDocs, states), nil
+	// Blocks keep the order they were committed in, minus the ones a later
+	// record removed (or removed and committed again).
+	states := log.states[:0]
+	for _, st := range log.states {
+		if log.live[st.fp] == st {
+			states = append(states, st)
+		}
+	}
+	return assemble(log.epoch, log.storeVersion, enc.Knobs, log.colNames, log.colDocs, states), tail, nil
+}
+
+// replay is the state a log's records are applied to, in order.
+type replay struct {
+	epoch, storeVersion uint64
+	colNames            []string
+	colDocs             []int
+	states              []*blockState          // every block committed, in order
+	live                map[uint64]*blockState // the ones not removed since
+}
+
+// apply applies one commit record's payload, or — when the record does not
+// describe a change to this state — returns an error having changed
+// nothing.
+func (l *replay) apply(payload []byte) error {
+	if len(payload) < commitHeaderBytes {
+		return fmt.Errorf("payload of %d bytes is shorter than its header", len(payload))
+	}
+	var ch encodedChange
+	if len(payload) > commitHeaderBytes {
+		if err := gob.NewDecoder(bytes.NewReader(payload[commitHeaderBytes:])).Decode(&ch); err != nil {
+			return err
+		}
+	}
+	// The collection tables are shared with nothing yet, but a record that
+	// fails below must leave them as they were: grow copies.
+	colNames, colDocs := l.colNames, l.colDocs
+	if len(ch.Cols) > 0 {
+		colNames = append([]string(nil), colNames...)
+		colDocs = append([]int(nil), colDocs...)
+	}
+	for _, c := range ch.Cols {
+		switch {
+		case c.Index == len(colNames) && c.Docs >= 0:
+			colNames = append(colNames, c.Name)
+			colDocs = append(colDocs, c.Docs)
+		case c.Index >= 0 && c.Index < len(colNames) && c.Name == colNames[c.Index] && c.Docs >= colDocs[c.Index]:
+			colDocs[c.Index] = c.Docs
+		default:
+			return fmt.Errorf("collection %d %q with %d docs does not extend the %d collections before it",
+				c.Index, c.Name, c.Docs, len(colNames))
+		}
+	}
+	gone := make(map[uint64]bool, len(ch.Removed))
+	for _, fp := range ch.Removed {
+		if _, ok := l.live[fp]; !ok || gone[fp] {
+			return fmt.Errorf("removes block %016x, which is not in the index", fp)
+		}
+		gone[fp] = true
+	}
+	added := make([]*blockState, len(ch.Added))
+	adding := make(map[uint64]bool, len(ch.Added))
+	for i, eb := range ch.Added {
+		if _, ok := l.live[eb.FP]; adding[eb.FP] || (ok && !gone[eb.FP]) {
+			return fmt.Errorf("adds block %016x, which is already in the index", eb.FP)
+		}
+		adding[eb.FP] = true
+		st, err := decodeBlock(eb, colNames, colDocs)
+		if err != nil {
+			return err
+		}
+		added[i] = st
+	}
+
+	l.epoch = binary.LittleEndian.Uint64(payload[0:8])
+	l.storeVersion = binary.LittleEndian.Uint64(payload[8:16])
+	l.colNames, l.colDocs = colNames, colDocs
+	for _, fp := range ch.Removed {
+		delete(l.live, fp)
+	}
+	for _, st := range added {
+		l.states = append(l.states, st)
+		l.live[st.fp] = st
+	}
+	return nil
 }

@@ -19,6 +19,14 @@
 // cluster's label ("%016x-%d"), so an entity keeps its ID across commits
 // for as long as its block's membership is unchanged — the same stability
 // contract incremental resolution gives prepared state.
+//
+// The encoded form (codec.go) follows the same unit. EncodeTo writes a
+// whole index — a base; EncodeCommit writes what one commit changed since
+// the index a Manifest describes — the blocks that came and went, the
+// collections that grew — as a record to append behind it; Decode reads a
+// base and whatever records follow, applies them in order and inverts
+// once. A commit therefore costs the bytes of its dirty blocks, and a log
+// cut anywhere decodes to exactly the index some earlier commit published.
 package serving
 
 import (

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
+	"repro/internal/framing"
 )
 
 // fixture builds two collections and one resolved block per collection:
@@ -230,6 +232,95 @@ func TestCodecRejectsDamage(t *testing.T) {
 
 	if _, err := Decode(bytes.NewReader([]byte("garbage!"))); !errors.Is(err, ErrCodecCorrupt) {
 		t.Fatal("bad magic accepted")
+	}
+
+	// Damage behind the base is not an error: whatever is wrong with a
+	// commit record — cut short, checksum-broken, or well-formed but not a
+	// change to the state before it — the replay ends there and the index
+	// the records before it committed is served, whole.
+	grown := append([]BlockResolution(nil), blocks...)
+	grown[1].Fingerprint = 0xCCCC
+	y := Build(x, 2, 11, "knobs", cols, grown)
+	good, ok := y.EncodeCommit(x.Manifest())
+	if !ok {
+		t.Fatal("EncodeCommit refused an extension")
+	}
+	header := make([]byte, commitHeaderBytes)
+	header[0] = 9 // epoch 9: a record that applied would show
+	record := func(ch encodedChange) []byte {
+		rec, err := gobRecord(header, ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	jones := encodeBlock(y.blocks[0xCCCC])
+	flippedRec := append([]byte(nil), good...)
+	flippedRec[len(flippedRec)-2] ^= 0x01
+	short := append(make([]byte, framing.HeaderBytes), 1, 2, 3)
+	framing.Seal(short)
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+		why  string // what the reported tail must say
+	}{
+		{"bit flip in a record", flippedRec, "checksum"},
+		// With a record behind them these two read as one record whose
+		// checksum fails; cut short at the end of the log they are torn
+		// (TestLogDecodesToLiveIndex cuts there).
+		{"record cut short", good[:len(good)-1], "checksum"},
+		{"record frame cut short", good[:5], "checksum"},
+		{"payload shorter than its header", short, "shorter than its header"},
+		{"gob garbage behind the header", func() []byte {
+			rec := append(make([]byte, framing.HeaderBytes+commitHeaderBytes), 0xFF, 0xFE, 0xFD)
+			framing.Seal(rec)
+			return rec
+		}(), "EOF"},
+		{"removes a block the index does not have", record(encodedChange{Removed: []uint64{0xDEAD}}), "removes block"},
+		{"removes a block twice", record(encodedChange{Removed: []uint64{0xAAAA, 0xAAAA}}), "removes block"},
+		{"adds a block the index already has", record(encodedChange{Added: []encodedBlock{encodeBlock(x.blocks[0xAAAA])}}), "adds block"},
+		{"adds a block twice", func() []byte {
+			eb := jones
+			eb.FP = 0xDDDD
+			return record(encodedChange{Removed: []uint64{0xCCCC}, Added: []encodedBlock{eb, eb}})
+		}(), "adds block 000000000000dddd"},
+		{"shrinks a collection", record(encodedChange{Cols: []encodedCol{{Index: 0, Name: "smith", Docs: 2}}}), "does not extend"},
+		{"renames a collection", record(encodedChange{Cols: []encodedCol{{Index: 0, Name: "smyth", Docs: 9}}}), "does not extend"},
+		{"skips a collection index", record(encodedChange{Cols: []encodedCol{{Index: 5, Name: "new", Docs: 1}}}), "does not extend"},
+		{"adds a member beyond its collection", func() []byte {
+			eb := jones
+			eb.Clusters = append([]encodedCluster(nil), eb.Clusters...)
+			eb.Clusters[0].Refs = append([]DocRef(nil), eb.Clusters[0].Refs...)
+			eb.Clusters[0].Refs[0].Doc = 99
+			return record(encodedChange{Removed: []uint64{0xCCCC}, Added: []encodedBlock{eb}})
+		}(), "beyond collection"},
+	} {
+		// The damaged record sits behind a good one, and a good one behind
+		// it must not resurrect the replay.
+		log := append(append(append(append([]byte(nil), raw...), good...), tc.rec...), good...)
+		got, tail, err := DecodeLog(bytes.NewReader(log))
+		if err != nil || tail == nil || !strings.Contains(tail.Error(), tc.why) {
+			t.Errorf("%s: DecodeLog = (tail %v, err %v), want the replay ended over %q, not failed", tc.name, tail, err, tc.why)
+			continue
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if got.Epoch() != 2 || got.StoreVersion() != 11 || got.blocks[0xCCCC] == nil || got.blocks[0xBBBB] != nil || got.Blocks() != 2 {
+			t.Errorf("%s: decoded epoch %d, store version %d, %d blocks; want exactly the state the first record committed",
+				tc.name, got.Epoch(), got.StoreVersion(), got.Blocks())
+		}
+	}
+
+	// A base that holds one block twice is damage too.
+	dup := encodedIndex{ColNames: []string{"smith", "jones"}, ColDocs: []int{6, 4},
+		Blocks: []encodedBlock{jones, jones}}
+	rec, err := gobRecord(nil, dup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(append([]byte(servingMagic), rec...))); !errors.Is(err, ErrCodecCorrupt) {
+		t.Fatalf("duplicate block in the base: %v", err)
 	}
 }
 
