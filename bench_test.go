@@ -12,6 +12,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
@@ -176,7 +177,11 @@ func benchBlock(b *testing.B) *simfn.Block {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return simfn.PrepareBlock(col, nil)
+	blk, err := simfn.PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return blk
 }
 
 // BenchmarkPrepareBlock measures the per-collection preprocessing cost
@@ -192,7 +197,9 @@ func BenchmarkPrepareBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simfn.PrepareBlock(col, nil)
+		if _, err := simfn.PrepareBlockCtx(context.Background(), col, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -229,7 +236,7 @@ func BenchmarkResolveCollection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Resolve(col); err != nil {
+		if _, err := r.ResolveCtx(context.Background(), col); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -249,7 +256,7 @@ func BenchmarkAnalysisRun(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prep, err := r.Prepare(col)
+	prep, err := r.PrepareCtx(context.Background(), col)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,13 +293,6 @@ func BenchmarkStringSimilarities(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
 			textsim.JaroWinkler(p[0], p[1])
-		}
-	})
-	b.Run("Levenshtein", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p := pairs[i%len(pairs)]
-			textsim.Levenshtein(p[0], p[1])
 		}
 	})
 	b.Run("NameSimilarity", func(b *testing.B) {

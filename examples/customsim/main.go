@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync/atomic"
@@ -83,7 +84,10 @@ func main() {
 	}
 
 	// Lower-level pipeline, step by step.
-	block := simfn.PrepareBlock(col, nil)
+	block, err := simfn.PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	matrix := simfn.ComputeMatrix(block, locationSim)
 
 	rng := stats.NewRNG(1)

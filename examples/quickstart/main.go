@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 
 	// 3. Resolve: partition the pages so that two pages share a partition
 	//    iff they are about the same real person.
-	res, err := resolver.Resolve(col)
+	res, err := resolver.ResolveCtx(context.Background(), col)
 	if err != nil {
 		log.Fatal(err)
 	}

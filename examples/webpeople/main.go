@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,7 +36,7 @@ func main() {
 	var combined []eval.Result
 
 	for i, col := range dataset.Collections {
-		prep, err := resolver.Prepare(col)
+		prep, err := resolver.PrepareCtx(context.Background(), col)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 			{"transitive-closure", closure, &fpClosure},
 			{"correlation-cluster", correlation, &fpCorrelation},
 		} {
-			prep, err := m.resolver.Prepare(col)
+			prep, err := m.resolver.PrepareCtx(context.Background(), col)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/blocking"
@@ -29,7 +30,7 @@ func TestEndToEndWWW05Collection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Resolve(col)
+	res, err := r.ResolveCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestFrameworkBeatsEveryFunctionOnAverage(t *testing.T) {
 	perFunc := make(map[string][]eval.Result)
 	var combined []eval.Result
 	for i, col := range d.Collections[:3] {
-		prep, err := r.Prepare(col)
+		prep, err := r.PrepareCtx(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,11 +123,11 @@ func TestDatasetJSONRoundTripThroughResolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := r.Resolve(d.Collections[0])
+	orig, err := r.ResolveCtx(context.Background(), d.Collections[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := r.Resolve(back.Collections[0])
+	loaded, err := r.ResolveCtx(context.Background(), back.Collections[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestCorrelationClusteringAgreesOnCleanBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Resolve(col)
+		res, err := r.ResolveCtx(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,10 @@ func TestSwooshMatchesClosureWithPairwiseOnlyMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := simfn.PrepareBlock(col, nil)
+	block, err := simfn.PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	records := swoosh.FromBlock(block)
 	// The domination property requires a match function monotone under
 	// union merges: entity overlap only (cosine thresholds above 1 disable

@@ -5,46 +5,19 @@ import (
 	"unicode/utf8"
 )
 
-// Analyzer is a configurable text-analysis chain producing index terms from
-// raw text: tokenize → lower-case → (optional) stopword removal →
-// (optional) Porter stemming. The zero value is not usable; construct one
-// with NewAnalyzer or use the package-level Standard analyzer.
+// Analyzer is the text-analysis chain producing index terms from raw text:
+// tokenize → lower-case → stopword removal → Porter stemming → minimum term
+// length. Standard is the one chain the framework runs; the stages are
+// fields so that the reference harness in the tests can switch each off.
 type Analyzer struct {
 	removeStopwords bool
 	stem            bool
 	minTokenLen     int
 }
 
-// Option configures an Analyzer.
-type Option func(*Analyzer)
-
-// WithoutStopwords disables stopword removal.
-func WithoutStopwords() Option {
-	return func(a *Analyzer) { a.removeStopwords = false }
-}
-
-// WithoutStemming disables Porter stemming.
-func WithoutStemming() Option {
-	return func(a *Analyzer) { a.stem = false }
-}
-
-// WithMinTokenLength drops tokens shorter than n runes after normalization.
-func WithMinTokenLength(n int) Option {
-	return func(a *Analyzer) { a.minTokenLen = n }
-}
-
-// NewAnalyzer returns an analyzer with the standard chain (stopword removal
-// and stemming on, minimum token length 2) modified by the given options.
-func NewAnalyzer(opts ...Option) *Analyzer {
-	a := &Analyzer{removeStopwords: true, stem: true, minTokenLen: 2}
-	for _, opt := range opts {
-		opt(a)
-	}
-	return a
-}
-
-// Standard is the shared default analyzer used across the framework.
-var Standard = NewAnalyzer()
+// Standard is the analyzer used across the framework: stopword removal and
+// stemming on, minimum term length 2.
+var Standard = &Analyzer{removeStopwords: true, stem: true, minTokenLen: 2}
 
 // Analyze runs the chain once over text and returns both views of it the
 // framework consumes: every token lower-cased, in document order (what the
@@ -77,13 +50,4 @@ func (a *Analyzer) Analyze(text string) (lower, terms []string) {
 func (a *Analyzer) Terms(text string) []string {
 	_, terms := a.Analyze(text)
 	return terms
-}
-
-// TermFreqs runs the chain and returns a term → frequency map.
-func (a *Analyzer) TermFreqs(text string) map[string]int {
-	freqs := make(map[string]int)
-	for _, t := range a.Terms(text) {
-		freqs[t]++
-	}
-	return freqs
 }

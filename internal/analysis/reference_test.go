@@ -133,3 +133,34 @@ func TestLowerPreservesTokenRunes(t *testing.T) {
 		}
 	}
 }
+
+// Non-standard chains. No caller outside the tests builds one;
+// checkAgainstReference runs one so that every branch of Analyze is compared
+// with referenceTerms.
+
+// Option configures an Analyzer.
+type Option func(*Analyzer)
+
+// NewAnalyzer returns Standard's chain modified by the given options.
+func NewAnalyzer(opts ...Option) *Analyzer {
+	a := &Analyzer{removeStopwords: true, stem: true, minTokenLen: 2}
+	for _, opt := range opts {
+		opt(a)
+	}
+	return a
+}
+
+// WithoutStopwords disables stopword removal.
+func WithoutStopwords() Option {
+	return func(a *Analyzer) { a.removeStopwords = false }
+}
+
+// WithoutStemming disables Porter stemming.
+func WithoutStemming() Option {
+	return func(a *Analyzer) { a.stem = false }
+}
+
+// WithMinTokenLength drops tokens shorter than n runes after normalization.
+func WithMinTokenLength(n int) Option {
+	return func(a *Analyzer) { a.minTokenLen = n }
+}

@@ -34,7 +34,3 @@ func IsStopword(token string) bool {
 	_, ok := englishStopwords[token]
 	return ok
 }
-
-// StopwordCount returns the size of the built-in stopword list, exposed for
-// tests and documentation.
-func StopwordCount() int { return len(englishStopwords) }

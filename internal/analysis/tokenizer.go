@@ -5,7 +5,6 @@
 package analysis
 
 import (
-	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -66,25 +65,4 @@ func isJoiner(r rune, rest string) bool {
 	}
 	next, _ := utf8.DecodeRuneInString(rest)
 	return isTokenRune(next)
-}
-
-// Sentences splits text into rough sentences on terminal punctuation. The
-// corpus generator and extractors use it to scope entity co-occurrence.
-func Sentences(text string) []string {
-	var out []string
-	var b strings.Builder
-	for _, r := range text {
-		b.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' {
-			s := strings.TrimSpace(b.String())
-			if s != "" {
-				out = append(out, s)
-			}
-			b.Reset()
-		}
-	}
-	if s := strings.TrimSpace(b.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
 }

@@ -75,8 +75,8 @@ func TestIsStopword(t *testing.T) {
 			t.Errorf("%q should not be a stopword", w)
 		}
 	}
-	if StopwordCount() < 100 {
-		t.Errorf("stopword list suspiciously small: %d", StopwordCount())
+	if len(englishStopwords) < 100 {
+		t.Errorf("stopword list suspiciously small: %d", len(englishStopwords))
 	}
 }
 

@@ -67,11 +67,6 @@ const (
 // any plausible corpus size.
 const maxGraphLevel = 30
 
-// ErrOutOfSync reports a corpus that is not an append-only extension of
-// what the index has already seen — the key index's error, raised by the
-// component tracker both indexes share.
-var ErrOutOfSync = blockindex.ErrOutOfSync
-
 // UpdateStats reports what one Update changed; Edges, M and EfSearch are
 // the fields this index fills beyond the tracker's.
 type UpdateStats = blockindex.UpdateStats

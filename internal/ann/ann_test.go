@@ -279,7 +279,7 @@ func TestOutOfSync(t *testing.T) {
 		},
 	}
 	for name, cols := range cases {
-		if _, err := x.Update(cols); !errors.Is(err, ErrOutOfSync) {
+		if _, err := x.Update(cols); !errors.Is(err, blockindex.ErrOutOfSync) {
 			t.Errorf("%s: error %v, want ErrOutOfSync", name, err)
 		}
 	}

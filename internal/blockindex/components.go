@@ -15,7 +15,6 @@ import (
 // what the index has already indexed: a collection renamed, removed or
 // shrunk. Both candidate indexes lean on the store's append-only contract;
 // a corpus that mutated under them cannot be incrementally maintained.
-// (ann.ErrOutOfSync is this value.)
 var ErrOutOfSync = errors.New("blockindex: corpus is out of sync with the index (append-only contract violated)")
 
 // UpdateStats reports what one update of a candidate index did. The first

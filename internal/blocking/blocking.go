@@ -175,15 +175,8 @@ type SortedNeighborhood struct {
 	Window int
 }
 
-// NewSortedNeighborhood validates the window size at construction: a
-// window below 2 can never pair anything and is a configuration mistake,
-// not a degenerate run.
-func NewSortedNeighborhood(window int) (SortedNeighborhood, error) {
-	s := SortedNeighborhood{Window: window}
-	return s, s.Validate()
-}
-
-// Validate implements Validator.
+// Validate implements Validator: a window below 2 can never pair anything
+// and is a configuration mistake, not a degenerate run.
 func (s SortedNeighborhood) Validate() error {
 	if s.Window < 2 {
 		return fmt.Errorf("blocking: sorted neighborhood window %d cannot pair records (want >= 2)", s.Window)
@@ -246,16 +239,10 @@ type Canopy struct {
 	Loose, Tight float64
 }
 
-// NewCanopy validates the thresholds at construction. Similarities live in
-// [0, 1], and the tight threshold must not undercut the loose one:
-// Tight < Loose removes records from seeding that never even joined a
-// canopy, silently shrinking the candidate set.
-func NewCanopy(loose, tight float64) (Canopy, error) {
-	c := Canopy{Loose: loose, Tight: tight}
-	return c, c.Validate()
-}
-
-// Validate implements Validator.
+// Validate implements Validator. Similarities live in [0, 1], and the tight
+// threshold must not undercut the loose one: Tight < Loose removes records
+// from seeding that never even joined a canopy, silently shrinking the
+// candidate set.
 func (c Canopy) Validate() error {
 	if c.Loose < 0 || c.Loose > 1 || c.Tight < 0 || c.Tight > 1 {
 		return fmt.Errorf("blocking: canopy thresholds loose=%g tight=%g outside [0,1] (similarities live there)",
@@ -446,11 +433,6 @@ func CombineIDs(memberHashes []uint64) uint64 {
 		h *= fnvPrime64
 	}
 	return h
-}
-
-// BlockID fingerprints a block's membership from string member keys.
-func BlockID(memberKeys []string) uint64 {
-	return HashKey(memberKeys...)
 }
 
 // DocHash fingerprints one ingested document from its identifying parts:

@@ -202,10 +202,12 @@ func TestSchemesDeterministic(t *testing.T) {
 	}
 }
 
+// TestBlockID pins what block fingerprints rely on: HashKey over member keys
+// is stable and separates every distinct key list.
 func TestBlockID(t *testing.T) {
-	base := BlockID([]string{"a", "b", "c"})
-	if got := BlockID([]string{"a", "b", "c"}); got != base {
-		t.Errorf("BlockID is not stable: %x vs %x", got, base)
+	base := HashKey("a", "b", "c")
+	if got := HashKey("a", "b", "c"); got != base {
+		t.Errorf("HashKey is not stable: %x vs %x", got, base)
 	}
 	distinct := [][]string{
 		{},
@@ -220,24 +222,21 @@ func TestBlockID(t *testing.T) {
 	}
 	seen := map[uint64][]string{}
 	for _, keys := range distinct {
-		id := BlockID(keys)
+		id := HashKey(keys...)
 		if prev, dup := seen[id]; dup {
-			t.Errorf("BlockID collision between %q and %q", prev, keys)
+			t.Errorf("HashKey collision between %q and %q", prev, keys)
 		}
 		seen[id] = keys
 	}
 	if _, dup := seen[base]; !dup {
 		// {"a","b","c"} is in the distinct set; base must match it.
-		t.Errorf("BlockID(%x) missing from distinct set", base)
+		t.Errorf("HashKey(%x) missing from distinct set", base)
 	}
 }
 
 func TestHashKeyAndCombineIDs(t *testing.T) {
 	if HashKey("a", "bc") == HashKey("ab", "c") {
 		t.Error("HashKey does not separate parts")
-	}
-	if HashKey("a", "b", "c") != BlockID([]string{"a", "b", "c"}) {
-		t.Error("BlockID and HashKey disagree on the same parts")
 	}
 	a, b := HashKey("x"), HashKey("y")
 	if CombineIDs([]uint64{a, b}) == CombineIDs([]uint64{b, a}) {

@@ -7,11 +7,11 @@ import (
 )
 
 func TestNewSortedNeighborhoodValidates(t *testing.T) {
-	if _, err := NewSortedNeighborhood(7); err != nil {
+	if err := (SortedNeighborhood{Window: 7}).Validate(); err != nil {
 		t.Fatalf("window 7: %v", err)
 	}
 	for _, window := range []int{1, 0, -3} {
-		if _, err := NewSortedNeighborhood(window); err == nil {
+		if err := (SortedNeighborhood{Window: window}).Validate(); err == nil {
 			t.Errorf("window %d: accepted, want an error", window)
 		} else if !strings.Contains(err.Error(), "window") {
 			t.Errorf("window %d: error %q does not name the window", window, err)
@@ -20,7 +20,7 @@ func TestNewSortedNeighborhoodValidates(t *testing.T) {
 }
 
 func TestNewCanopyValidates(t *testing.T) {
-	if _, err := NewCanopy(0.3, 0.8); err != nil {
+	if err := (Canopy{Loose: 0.3, Tight: 0.8}).Validate(); err != nil {
 		t.Fatalf("loose 0.3 tight 0.8: %v", err)
 	}
 	cases := []struct {
@@ -34,7 +34,7 @@ func TestNewCanopyValidates(t *testing.T) {
 		{0.5, 0.49999, "tight"}, // barely inverted
 	}
 	for _, c := range cases {
-		if _, err := NewCanopy(c.loose, c.tight); err == nil {
+		if err := (Canopy{Loose: c.loose, Tight: c.tight}).Validate(); err == nil {
 			t.Errorf("loose=%g tight=%g: accepted, want an error", c.loose, c.tight)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("loose=%g tight=%g: error %q does not mention %q", c.loose, c.tight, err, c.want)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestPrepareAllMatchesSerialPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := r.PrepareAll(cols)
+	all, err := r.PrepareAllCtx(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestPrepareAllMatchesSerialPrepare(t *testing.T) {
 		t.Fatalf("PrepareAll returned %d blocks, want %d", len(all), len(cols))
 	}
 	for i, col := range cols {
-		want, err := r.Prepare(col)
+		want, err := r.PrepareCtx(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestPrepareAllPropagatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &corpus.Collection{Name: "tiny"} // < 2 documents
-	if _, err := r.PrepareAll([]*corpus.Collection{d.Collections[0], bad}); err == nil {
+	if _, err := r.PrepareAllCtx(context.Background(), []*corpus.Collection{d.Collections[0], bad}); err == nil {
 		t.Fatal("PrepareAll accepted a 0-document collection")
 	}
 }

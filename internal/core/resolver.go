@@ -15,7 +15,7 @@ import (
 )
 
 // Resolver runs Algorithm 1 over collections. It is safe to reuse across
-// collections; each Resolve/Prepare call is independent.
+// collections; each ResolveCtx/PrepareCtx call is independent.
 type Resolver struct {
 	opts  Options
 	funcs []simfn.Func
@@ -49,19 +49,11 @@ type Prepared struct {
 	resolver *Resolver
 }
 
-// Prepare extracts features and computes all similarity matrices for one
-// collection (the per-block G_w^fi computation of Algorithm 1).
-//
-// erlint:ignore non-cancelable compatibility shim; new callers use PrepareCtx
-func (r *Resolver) Prepare(col *corpus.Collection) (*Prepared, error) {
-	return r.PrepareCtx(context.Background(), col)
-}
-
-// PrepareCtx is Prepare with cancellation: the context is threaded into
-// feature extraction and the pairwise matrix computation, so a canceled or
-// timed-out context aborts mid-extraction or mid-matrix and returns
-// ctx.Err(). The result is identical to Prepare's when the context never
-// fires.
+// PrepareCtx extracts features and computes all similarity matrices for one
+// collection (the per-block G_w^fi computation of Algorithm 1). The context
+// is threaded into feature extraction and the pairwise matrix computation,
+// so a canceled or timed-out context aborts mid-extraction or mid-matrix and
+// returns ctx.Err().
 func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Prepared, error) {
 	if len(col.Docs) < 2 {
 		return nil, fmt.Errorf("core: collection %q has %d documents", col.Name, len(col.Docs))
@@ -81,23 +73,16 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 	}, nil
 }
 
-// PrepareAll prepares independent collections concurrently on a bounded
+// PrepareAllCtx prepares independent collections concurrently on a bounded
 // worker pool (GOMAXPROCS) and returns the results in input order. Blocks
 // are independent by construction — the paper's blocking scheme computes
 // similarities only within a block — so per-name preparation (feature
 // extraction, TF-IDF, all similarity matrices) parallelizes without
 // coordination. The result slice is deterministic: out[i] always
 // corresponds to cols[i], and each Prepared is identical to what a serial
-// r.Prepare(cols[i]) would build.
-//
-// erlint:ignore non-cancelable compatibility shim; new callers use PrepareAllCtx
-func (r *Resolver) PrepareAll(cols []*corpus.Collection) ([]*Prepared, error) {
-	return r.PrepareAllCtx(context.Background(), cols)
-}
-
-// PrepareAllCtx is PrepareAll with cancellation: a canceled or timed-out
-// context stops workers from claiming further collections, aborts the
-// in-flight per-collection preparations, and returns ctx.Err().
+// r.PrepareCtx(ctx, cols[i]) would build. A canceled or timed-out context
+// stops workers from claiming further collections, aborts the in-flight
+// per-collection preparations, and returns ctx.Err().
 func (r *Resolver) PrepareAllCtx(ctx context.Context, cols []*corpus.Collection) ([]*Prepared, error) {
 	out := make([]*Prepared, len(cols))
 	errs := make([]error, len(cols))
@@ -175,8 +160,8 @@ func (p *Prepared) Run(runSeed int64) (*Analysis, error) {
 
 // RunWith is Run with per-run option overrides (training fraction, region
 // count, clustering method), letting ablation experiments share one
-// expensive Prepare across many configurations. The function set is fixed
-// by the Prepare call; opts.FunctionIDs is ignored here.
+// expensive PrepareCtx across many configurations. The function set is fixed
+// by the PrepareCtx call; opts.FunctionIDs is ignored here.
 func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
 	if opts.TrainFraction <= 0 || opts.TrainFraction >= 1 {
 		return nil, fmt.Errorf("core: train fraction %v out of (0,1)", opts.TrainFraction)
@@ -342,18 +327,11 @@ func (a *Analysis) WeightedAverageOver(funcIDs []string) (*Resolution, error) {
 	}, nil
 }
 
-// Resolve runs the full pipeline on a collection with the resolver's seed
-// and the paper's best-performing combination (best graph over all
-// criteria, then clustering).
-//
-// erlint:ignore non-cancelable compatibility shim; new callers use ResolveCtx
-func (r *Resolver) Resolve(col *corpus.Collection) (*Resolution, error) {
-	return r.ResolveCtx(context.Background(), col)
-}
-
-// ResolveCtx is Resolve with cancellation: a canceled or timed-out context
-// aborts the preparation stage (feature extraction and pairwise matrices)
-// and returns ctx.Err().
+// ResolveCtx runs the full pipeline on a collection with the resolver's
+// seed and the paper's best-performing combination (best graph over all
+// criteria, then clustering). A canceled or timed-out context aborts the
+// preparation stage (feature extraction and pairwise matrices) and returns
+// ctx.Err().
 func (r *Resolver) ResolveCtx(ctx context.Context, col *corpus.Collection) (*Resolution, error) {
 	prep, err := r.PrepareCtx(ctx, col)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -60,7 +61,7 @@ func TestPrepareAndRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := testCollection(t, 1, 40, 4)
-	prep, err := r.Prepare(col)
+	prep, err := r.PrepareCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPrepareRejectsTinyCollection(t *testing.T) {
 	r, _ := New(DefaultOptions())
 	col := &corpus.Collection{Name: "one", NumPersonas: 1,
 		Docs: []corpus.Document{{ID: 0, Text: "x", URL: "http://a.com"}}}
-	if _, err := r.Prepare(col); err == nil {
+	if _, err := r.PrepareCtx(context.Background(), col); err == nil {
 		t.Error("single-doc collection accepted")
 	}
 }
@@ -103,7 +104,7 @@ func TestAllStrategiesProduceValidClusterings(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := testCollection(t, 5, 50, 6)
-	prep, err := r.Prepare(col)
+	prep, err := r.PrepareCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestAllStrategiesProduceValidClusterings(t *testing.T) {
 func TestSingleFunctionAndGraphLookup(t *testing.T) {
 	r, _ := New(DefaultOptions())
 	col := testCollection(t, 9, 30, 3)
-	prep, err := r.Prepare(col)
+	prep, err := r.PrepareCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestResolveEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := testCollection(t, 11, 60, 5)
-	res, err := r.Resolve(col)
+	res, err := r.ResolveCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +200,11 @@ func TestResolveEndToEnd(t *testing.T) {
 func TestResolveDeterministic(t *testing.T) {
 	r, _ := New(DefaultOptions())
 	col := testCollection(t, 13, 40, 4)
-	a, err := r.Resolve(col)
+	a, err := r.ResolveCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Resolve(col)
+	b, err := r.ResolveCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestCorrelationClusteringOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := testCollection(t, 17, 30, 3)
-	res, err := r.Resolve(col)
+	res, err := r.ResolveCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/corpus"
@@ -20,7 +21,7 @@ func resolveWithOptions(t *testing.T, col *corpus.Collection, opts Options) *Res
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Resolve(col)
+	res, err := r.ResolveCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestRunWithValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := r.Prepare(col)
+	prep, err := r.PrepareCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,10 @@ func TestConstantSimilarityFunctionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := simfn.PrepareBlock(col, nil)
+	block, err := simfn.PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	constant := simfn.Func{
 		ID: "FX", Feature: "constant", Measure: "constant",
 		Compare: func(a, b *simfn.Doc) float64 { return 0.5 },

@@ -70,17 +70,6 @@ func (t *Training) Values(m *simfn.Matrix) []float64 {
 	return out
 }
 
-// Positives returns the number of positive (link) training pairs.
-func (t *Training) Positives() int {
-	c := 0
-	for _, l := range t.Links {
-		if l {
-			c++
-		}
-	}
-	return c
-}
-
 // LearnThreshold picks the threshold maximizing the number of correct
 // decisions on the training sample ("we have chosen a threshold, which –
 // based on the training set – maximizes the number of correct decisions").

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,7 +20,11 @@ func testBlock(t *testing.T, seed int64, docs, personas int) *simfn.Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return simfn.PrepareBlock(col, nil)
+	blk, err := simfn.PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blk
 }
 
 func TestNewTraining(t *testing.T) {
@@ -82,9 +87,6 @@ func TestTrainingValuesAndPositives(t *testing.T) {
 		if values[i] != m.At(p[0], p[1]) {
 			t.Fatal("value mismatch")
 		}
-	}
-	if train.Positives() < 0 || train.Positives() > len(train.Links) {
-		t.Error("positives out of range")
 	}
 }
 

@@ -11,24 +11,6 @@ import (
 // "−" pairs placed together. The paper lists it as the alternative to
 // transitive closure in Algorithm 1's final clustering step.
 
-// Disagreements counts the correlation-clustering cost of labels against
-// the decision graph g: edges between clusters plus non-edges within
-// clusters.
-func Disagreements(g *Graph, labels []int) int {
-	n := g.Len()
-	cost := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			same := labels[i] == labels[j]
-			edge := g.HasEdge(i, j)
-			if edge != same {
-				cost++
-			}
-		}
-	}
-	return cost
-}
-
 // PivotCluster runs the CC-Pivot 3-approximation (Ailon, Charikar, Newman):
 // pick a random unclustered pivot, form a cluster from the pivot and its
 // unclustered neighbors, repeat. Labels are dense in pivot order.

@@ -68,59 +68,12 @@ func (g *Graph) AddEdge(i, j int) error {
 	return nil
 }
 
-// RemoveEdge deletes the undirected edge (i, j) if present.
-func (g *Graph) RemoveEdge(i, j int) {
-	if i < 0 || j < 0 || i >= g.n || j >= g.n {
-		return
-	}
-	g.row(i)[j/64] &^= 1 << (j % 64)
-	g.row(j)[i/64] &^= 1 << (i % 64)
-}
-
 // HasEdge reports whether (i, j) is an edge.
 func (g *Graph) HasEdge(i, j int) bool {
 	if i < 0 || j < 0 || i >= g.n || j >= g.n {
 		return false
 	}
 	return g.row(i)[j/64]&(1<<(j%64)) != 0
-}
-
-// Degree returns the degree of vertex i.
-func (g *Graph) Degree(i int) int {
-	if i < 0 || i >= g.n {
-		return 0
-	}
-	return popcount(g.row(i))
-}
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return popcount(g.adj) / 2 }
-
-func popcount(words []uint64) int {
-	total := 0
-	for _, w := range words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// Neighbors returns the neighbors of i in ascending order.
-func (g *Graph) Neighbors(i int) []int {
-	if i < 0 || i >= g.n {
-		return nil
-	}
-	out := make([]int, 0, g.Degree(i))
-	for j := range g.neighbors(i) {
-		out = append(out, j)
-	}
-	return out
-}
-
-// Clone returns an independent copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := *g
-	c.adj = append([]uint64(nil), g.adj...)
-	return &c
 }
 
 // ConnectedComponents labels each vertex with its component index; labels

@@ -139,10 +139,10 @@ func TestUnionFind(t *testing.T) {
 		t.Error("repeat union should not merge")
 	}
 	uf.Union(1, 2)
-	if !uf.Connected(0, 2) {
+	if uf.Find(0) != uf.Find(2) {
 		t.Error("transitivity broken")
 	}
-	if uf.Connected(0, 3) {
+	if uf.Find(0) == uf.Find(3) {
 		t.Error("phantom connection")
 	}
 	if uf.Sets() != 4 {

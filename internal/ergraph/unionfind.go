@@ -69,28 +69,5 @@ func (uf *UnionFind) Merge(x, y int) (root, absorbed int, merged bool) {
 	return rx, ry, true
 }
 
-// Len returns the number of elements.
-func (uf *UnionFind) Len() int { return len(uf.parent) }
-
-// Connected reports whether x and y are in the same set.
-func (uf *UnionFind) Connected(x, y int) bool { return uf.Find(x) == uf.Find(y) }
-
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
-
-// Labels returns dense cluster labels, assigned in order of each set's
-// smallest member.
-func (uf *UnionFind) Labels() []int {
-	labels := make([]int, len(uf.parent))
-	repr := make(map[int]int)
-	next := 0
-	for i := range uf.parent {
-		r := uf.Find(i)
-		if _, ok := repr[r]; !ok {
-			repr[r] = next
-			next++
-		}
-		labels[i] = repr[r]
-	}
-	return labels
-}

@@ -20,7 +20,7 @@ func TestUnionFindAdd(t *testing.T) {
 	if id != 5 || uf.Find(id) != id {
 		t.Fatalf("Add after Union: id %d, root %d", id, uf.Find(id))
 	}
-	if !uf.Connected(0, 4) || uf.Connected(0, 5) {
+	if uf.Find(0) != uf.Find(4) || uf.Find(0) == uf.Find(5) {
 		t.Fatal("Add disturbed existing sets")
 	}
 }

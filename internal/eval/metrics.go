@@ -1,9 +1,9 @@
 // Package eval implements the clustering-quality measures of the paper's
 // evaluation (Section V-A.3): pairwise precision/recall/F-measure, the
 // Fp-measure (harmonic mean of purity and inverse purity), and the Rand
-// index; plus adjusted Rand and B-Cubed (the official WePS-2 measure) as
-// extensions. All metrics compare a predicted clustering against a
-// reference clustering given as parallel label slices.
+// index; plus B-Cubed (the official WePS-2 measure) as an extension. All
+// metrics compare a predicted clustering against a reference clustering
+// given as parallel label slices.
 package eval
 
 import (
@@ -84,28 +84,11 @@ func PairwiseScores(pred, truth []int) (PairScores, error) {
 	return PairScores{Precision: p, Recall: r, F: stats.Harmonic(p, r)}, nil
 }
 
-// Purity is the weighted fraction of each predicted cluster belonging to
-// its majority truth class; it is 1 when every predicted cluster is pure
-// (over-splitting is not punished).
-func Purity(pred, truth []int) (float64, error) {
-	if err := checkLabels(pred, truth); err != nil {
-		return 0, err
-	}
-	return directedPurity(pred, truth), nil
-}
-
-// InversePurity is Purity with the roles swapped: how well each true
-// cluster is concentrated in one predicted cluster (over-merging is not
-// punished).
-func InversePurity(pred, truth []int) (float64, error) {
-	if err := checkLabels(pred, truth); err != nil {
-		return 0, err
-	}
-	return directedPurity(truth, pred), nil
-}
-
 // FpMeasure is the harmonic mean of purity and inverse purity, the
-// "Fp-measure" of the paper (after Hu et al.).
+// "Fp-measure" of the paper (after Hu et al.). Purity is the weighted
+// fraction of each predicted cluster belonging to its majority truth class
+// (over-splitting is not punished); inverse purity swaps the roles
+// (over-merging is not punished).
 func FpMeasure(pred, truth []int) (float64, error) {
 	if err := checkLabels(pred, truth); err != nil {
 		return 0, err
@@ -156,46 +139,6 @@ func RandIndex(pred, truth []int) (float64, error) {
 		}
 	}
 	return agree / total, nil
-}
-
-// AdjustedRandIndex is the Rand index corrected for chance (Hubert &
-// Arabie), an extension metric; 1 means identical partitions, ~0 means
-// chance-level agreement.
-func AdjustedRandIndex(pred, truth []int) (float64, error) {
-	if err := checkLabels(pred, truth); err != nil {
-		return 0, err
-	}
-	n := len(pred)
-	// Contingency table.
-	table := make(map[[2]int]int)
-	rowSums := make(map[int]int)
-	colSums := make(map[int]int)
-	for i := 0; i < n; i++ {
-		table[[2]int{truth[i], pred[i]}]++
-		rowSums[truth[i]]++
-		colSums[pred[i]]++
-	}
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	var sumTable, sumRows, sumCols float64
-	for _, c := range table {
-		sumTable += choose2(c)
-	}
-	for _, c := range rowSums {
-		sumRows += choose2(c)
-	}
-	for _, c := range colSums {
-		sumCols += choose2(c)
-	}
-	totalPairs := choose2(n)
-	if totalPairs == 0 {
-		return 1, nil
-	}
-	expected := sumRows * sumCols / totalPairs
-	maxIndex := (sumRows + sumCols) / 2
-	if maxIndex == expected {
-		return 1, nil // both partitions trivial (all-singletons vs all-singletons etc.)
-	}
-	return (sumTable - expected) / (maxIndex - expected), nil
 }
 
 // BCubed computes B-Cubed precision, recall and F (Bagga & Baldwin), the

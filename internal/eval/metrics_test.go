@@ -65,17 +65,11 @@ func TestPurityKnown(t *testing.T) {
 	// pred {0,1,2}: majority class 0 (2 of 3); pred {3}: pure.
 	truth := []int{0, 0, 1, 1}
 	pred := []int{0, 0, 0, 1}
-	p, err := Purity(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := directedPurity(pred, truth)
 	if !almostEqual(p, 0.75) { // (2 + 1) / 4
 		t.Errorf("purity = %v, want 0.75", p)
 	}
-	ip, err := InversePurity(pred, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ip := directedPurity(truth, pred)
 	// truth cluster {0,1} fully inside pred 0 (2); truth {2,3} split 1/1 → 1.
 	if !almostEqual(ip, 0.75) {
 		t.Errorf("inverse purity = %v, want 0.75", ip)
@@ -90,8 +84,8 @@ func TestPurityExtremes(t *testing.T) {
 	truth := []int{0, 0, 1, 1}
 	// All singletons: purity 1, inverse purity 0.5.
 	singles := []int{0, 1, 2, 3}
-	p, _ := Purity(singles, truth)
-	ip, _ := InversePurity(singles, truth)
+	p := directedPurity(singles, truth)
+	ip := directedPurity(truth, singles)
 	if !almostEqual(p, 1) {
 		t.Errorf("singleton purity = %v, want 1", p)
 	}
@@ -100,8 +94,8 @@ func TestPurityExtremes(t *testing.T) {
 	}
 	// One big cluster: purity 0.5, inverse purity 1.
 	big := []int{0, 0, 0, 0}
-	p, _ = Purity(big, truth)
-	ip, _ = InversePurity(big, truth)
+	p = directedPurity(big, truth)
+	ip = directedPurity(truth, big)
 	if !almostEqual(p, 0.5) {
 		t.Errorf("one-cluster purity = %v, want 0.5", p)
 	}
@@ -182,17 +176,14 @@ func TestErrorCases(t *testing.T) {
 	if _, err := RandIndex([]int{1}, []int{1, 2}); err == nil {
 		t.Error("RandIndex mismatch accepted")
 	}
-	if _, err := Purity(nil, nil); err == nil {
-		t.Error("Purity empty accepted")
+	if _, err := FpMeasure(nil, nil); err == nil {
+		t.Error("Fp empty accepted")
 	}
 	if _, err := AdjustedRandIndex([]int{0}, []int{0, 1}); err == nil {
 		t.Error("ARI mismatch accepted")
 	}
 	if _, err := FpMeasure([]int{0}, []int{0, 1}); err == nil {
 		t.Error("Fp mismatch accepted")
-	}
-	if _, err := InversePurity([]int{0}, []int{0, 1}); err == nil {
-		t.Error("InversePurity mismatch accepted")
 	}
 }
 

@@ -21,24 +21,21 @@ func allVectorsFixture() *Index {
 }
 
 // TestAllVectorsMatchesDocVector pins the bulk path to the per-document
-// reference: same supports, same weights, for every weighting scheme.
+// reference: same supports, same weights.
 func TestAllVectorsMatchesDocVector(t *testing.T) {
-	for _, scheme := range []WeightingScheme{LogTFIDF, RawTFIDF, Binary} {
-		ix := allVectorsFixture()
-		ix.SetWeighting(scheme)
-		all := ix.AllVectors()
-		if len(all) != ix.Len() {
-			t.Fatalf("scheme %v: AllVectors len %d, want %d", scheme, len(all), ix.Len())
+	ix := allVectorsFixture()
+	all := ix.AllVectors()
+	if len(all) != ix.Len() {
+		t.Fatalf("AllVectors len %d, want %d", len(all), ix.Len())
+	}
+	for id := 0; id < ix.Len(); id++ {
+		ref := ix.DocVector(id)
+		if len(all[id]) != len(ref) {
+			t.Errorf("doc %d: support %d, want %d", id, len(all[id]), len(ref))
 		}
-		for id := 0; id < ix.Len(); id++ {
-			ref := ix.DocVector(id)
-			if len(all[id]) != len(ref) {
-				t.Errorf("scheme %v doc %d: support %d, want %d", scheme, id, len(all[id]), len(ref))
-			}
-			for term, w := range ref {
-				if all[id][term] != w {
-					t.Errorf("scheme %v doc %d term %q: %v, want %v", scheme, id, term, all[id][term], w)
-				}
+		for term, w := range ref {
+			if all[id][term] != w {
+				t.Errorf("doc %d term %q: %v, want %v", id, term, all[id][term], w)
 			}
 		}
 	}

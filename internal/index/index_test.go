@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -29,32 +30,13 @@ func TestIndexAddAndStats(t *testing.T) {
 	if ix.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", ix.Len())
 	}
-	if ix.Terms() == 0 {
+	if len(ix.postings) == 0 {
 		t.Fatal("no terms indexed")
 	}
-	// "entity" stems to "entiti" and appears in d0, d1.
-	if got := ix.DocFreq("entiti"); got != 2 {
-		t.Errorf("DocFreq(entiti) = %d, want 2", got)
-	}
-	if got := ix.TermFreq("entiti", 0); got != 1 {
-		t.Errorf("TermFreq(entiti, d0) = %d, want 1", got)
-	}
-	if got := ix.TermFreq("entiti", 2); got != 0 {
-		t.Errorf("TermFreq(entiti, d2) = %d, want 0", got)
-	}
-}
-
-func TestIndexName(t *testing.T) {
-	ix := buildTestIndex(t)
-	name, err := ix.Name(1)
-	if err != nil || name != "d1" {
-		t.Errorf("Name(1) = %q, %v", name, err)
-	}
-	if _, err := ix.Name(99); err == nil {
-		t.Error("Name(99): want error")
-	}
-	if _, err := ix.Name(-1); err == nil {
-		t.Error("Name(-1): want error")
+	// "entity" stems to "entiti" and appears once in d0 and in d1, nowhere else.
+	want := []Posting{{DocID: 0, Freq: 1}, {DocID: 1, Freq: 1}}
+	if got := ix.postings["entiti"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("postings(entiti) = %v, want %v", got, want)
 	}
 }
 
@@ -101,35 +83,16 @@ func TestIDFOrdering(t *testing.T) {
 	}
 }
 
-func TestWeightingSchemes(t *testing.T) {
-	ix := New(nil)
-	ix.Add("a", "apple apple apple banana")
-	ix.Add("b", "banana cherry")
-
-	ix.SetWeighting(RawTFIDF)
-	raw := ix.weight("appl", 3)
-	ix.SetWeighting(LogTFIDF)
-	logw := ix.weight("appl", 3)
-	if raw <= logw {
-		t.Errorf("raw tf (%v) should exceed log tf (%v) for tf=3", raw, logw)
-	}
-	ix.SetWeighting(Binary)
-	if got := ix.weight("appl", 3); got != 1 {
-		t.Errorf("binary weight = %v, want 1", got)
-	}
-}
-
 func TestCosineSimilarityOfVectors(t *testing.T) {
 	ix := buildTestIndex(t)
-	cache := NewVectorCache(ix)
-	cache.Warm()
+	vecs := ix.AllVectors()
 	// d0 and d1 share "entity resolution"; d0 and d2 share nothing topical.
-	sim01 := textsim.Cosine(cache.Vector(0), cache.Vector(1))
-	sim02 := textsim.Cosine(cache.Vector(0), cache.Vector(2))
+	sim01 := textsim.Cosine(vecs[0], vecs[1])
+	sim02 := textsim.Cosine(vecs[0], vecs[2])
 	if sim01 <= sim02 {
 		t.Errorf("related docs (%v) should beat unrelated (%v)", sim01, sim02)
 	}
-	if s := textsim.Cosine(cache.Vector(0), cache.Vector(0)); math.Abs(s-1) > 1e-9 {
+	if s := textsim.Cosine(vecs[0], vecs[0]); math.Abs(s-1) > 1e-9 {
 		t.Errorf("self-similarity = %v, want 1", s)
 	}
 }
@@ -207,12 +170,13 @@ func TestSearchScoresBoundedProperty(t *testing.T) {
 }
 
 func TestCustomAnalyzer(t *testing.T) {
-	ix := New(analysis.NewAnalyzer(analysis.WithoutStemming()))
+	// The zero Analyzer neither stems nor drops stopwords.
+	ix := New(&analysis.Analyzer{})
 	ix.Add("d", "databases running")
-	if ix.DocFreq("databases") != 1 {
+	if len(ix.postings["databases"]) != 1 {
 		t.Error("custom analyzer not honoured: unstemmed term missing")
 	}
-	if ix.DocFreq("databas") != 0 {
+	if len(ix.postings["databas"]) != 0 {
 		t.Error("custom analyzer not honoured: stem present")
 	}
 }

@@ -26,9 +26,6 @@ type Counter struct{ v atomic.Int64 }
 // pass n >= 0.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Load returns the counter's current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
 

@@ -59,7 +59,7 @@ func TestRegistrySharedFamily(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("test_outcomes_total", "Outcomes.", "outcome", "reused")
 	b := r.Counter("test_outcomes_total", "Outcomes.", "outcome", "prepared")
-	a.Inc()
+	a.Add(1)
 	b.Add(2)
 	out := render(t, r)
 	// One HELP/TYPE pair, two series.

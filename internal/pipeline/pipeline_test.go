@@ -54,7 +54,7 @@ func TestRunMatchesLegacyResolverPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, col := range cols {
-		prep, err := r.Prepare(col)
+		prep, err := r.PrepareCtx(context.Background(), col)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestRunMatchesResolverResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r.Resolve(cols[0])
+	want, err := r.ResolveCtx(context.Background(), cols[0])
 	if err != nil {
 		t.Fatal(err)
 	}

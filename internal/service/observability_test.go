@@ -153,6 +153,14 @@ func TestResolveTraceSpans(t *testing.T) {
 	ingestCollection(t, ts, testCollection(t, 24))
 	resolveOK(t, ts, IncrementalResolveRequest{})
 
+	// Reads are timed by the lookup histogram, not traced: more of them
+	// than the trace ring holds must not push the resolve out of it.
+	for i := 0; i < 300; i++ {
+		if code := getJSON(t, ts, "/v1/docs/rivera:"+strconv.Itoa(i%24)+"/entity", nil); code != http.StatusOK {
+			t.Fatalf("doc lookup %d = %d", i, code)
+		}
+	}
+
 	var out TracesResponse
 	if code := getJSON(t, ts, "/v1/traces", &out); code != http.StatusOK {
 		t.Fatalf("GET /v1/traces = %d", code)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -263,15 +264,10 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tr := s.traces.Start("read.entity")
-	defer tr.End()
-	tr.SetAttr("id", id)
 	s.counters.readEntities.Add(1)
 	start := time.Now()
 	c := x.Entity(id)
-	d := time.Since(start)
-	s.latency.lookup.Observe(d)
-	tr.Span("lookup", start, d)
+	s.latency.lookup.Observe(time.Since(start))
 	if c == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown entity %q", id)})
 		return
@@ -360,9 +356,6 @@ func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tr := s.traces.Start("read.lookup")
-	defer tr.End()
-	tr.SetAttr("items", strconv.Itoa(total))
 	s.counters.readLookup.Add(1)
 	start := time.Now()
 	resp := LookupResponse{
@@ -384,9 +377,7 @@ func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, LookupResult{Ref: req.Refs[i], Entity: c})
 	}
-	d := time.Since(start)
-	s.latency.lookup.Observe(d)
-	tr.Span("lookup", start, d)
+	s.latency.lookup.Observe(time.Since(start))
 	// The batch shares the read cache (and its epoch/ingest invalidation)
 	// with the single-item endpoints: a repeated page render is served
 	// from the rendered bytes. The key re-marshals the request so two
@@ -436,15 +427,10 @@ func (s *Server) handleDocEntity(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tr := s.traces.Start("read.doc")
-	defer tr.End()
-	tr.SetAttr("ref", ref)
 	s.counters.readDocs.Add(1)
 	start := time.Now()
 	c := x.DocEntity(collection, pos)
-	d := time.Since(start)
-	s.latency.lookup.Observe(d)
-	tr.Span("lookup", start, d)
+	s.latency.lookup.Observe(time.Since(start))
 	if c == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{
 			Error: fmt.Sprintf("document (%s, %d) is not in the served resolution (unknown, or ingested after store version %d)",
@@ -485,15 +471,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tr := s.traces.Start("read.search")
-	defer tr.End()
-	tr.SetAttr("name", name)
 	s.counters.readSearch.Add(1)
 	start := time.Now()
 	hits := x.Search(name, limit)
-	d := time.Since(start)
-	s.latency.lookup.Observe(d)
-	tr.Span("lookup", start, d)
+	s.latency.lookup.Observe(time.Since(start))
 	resp := SearchResponse{
 		Query:        name,
 		Hits:         make([]SearchHit, 0, len(hits)),
@@ -528,14 +509,15 @@ func parseCanonicalPos(s string) (int, bool) {
 	return n, true
 }
 
-// renderJSON produces exactly the bytes writeJSON would stream, so cached
-// and uncached responses are byte-identical.
+// renderJSON returns the bytes writeJSON would stream — both go through
+// encodeJSON — so a reply is byte-identical whether it comes from the
+// response cache, is rendered into it, or bypasses it.
 func renderJSON(v any) ([]byte, error) {
-	body, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, v); err != nil {
 		return nil, err
 	}
-	return append(body, '\n'), nil
+	return buf.Bytes(), nil
 }
 
 // writeRawJSON writes a pre-rendered JSON body.

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -208,6 +210,62 @@ func TestReadCacheHitsAndInvalidation(t *testing.T) {
 	}
 	if third.Epoch <= first.Epoch {
 		t.Fatalf("epoch did not advance: %d -> %d", first.Epoch, third.Epoch)
+	}
+}
+
+// TestReadRepliesAreCompactJSON pins the read path to the encoder every
+// other reply uses: each read endpoint answers json.Marshal(reply) plus a
+// newline, rendered into the cache (first request) and served from it
+// (second request).
+func TestReadRepliesAreCompactJSON(t *testing.T) {
+	ts := testServer(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 20))
+	resolveOK(t, ts, IncrementalResolveRequest{})
+	var byDoc EntityResponse
+	if code := getJSON(t, ts, "/v1/docs/rivera:1/entity", &byDoc); code != http.StatusOK {
+		t.Fatalf("doc lookup = %d", code)
+	}
+	lookup, err := json.Marshal(LookupRequest{IDs: []string{byDoc.Entity.ID}, Refs: []string{"rivera:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path  string
+		post  []byte
+		reply any
+	}{
+		{"/v1/docs/rivera:0/entity", nil, new(EntityResponse)},
+		{"/v1/entities/" + byDoc.Entity.ID, nil, new(EntityResponse)},
+		{"/v1/search?name=rivera", nil, new(SearchResponse)},
+		{"/v1/entities/lookup", lookup, new(LookupResponse)},
+	} {
+		for _, pass := range []string{"cache miss", "cache hit"} {
+			var resp *http.Response
+			var err error
+			if c.post != nil {
+				resp, err = http.Post(ts.URL+c.path, "application/json", bytes.NewReader(c.post))
+			} else {
+				resp, err = http.Get(ts.URL + c.path)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s (%s): status %d, read error %v", c.path, pass, resp.StatusCode, err)
+			}
+			if err := json.Unmarshal(body, c.reply); err != nil {
+				t.Fatalf("%s (%s): %v", c.path, pass, err)
+			}
+			want, err := json.Marshal(c.reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want = append(want, '\n'); !bytes.Equal(body, want) {
+				t.Errorf("%s (%s): body is not compact JSON + newline:\n got %q\nwant %q", c.path, pass, body, want)
+			}
+		}
 	}
 }
 

@@ -1790,5 +1790,11 @@ func clustersOf(labels []int, numEntities int) [][]int {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_ = encodeJSON(w, v) // the status is sent; a failed write means the client is gone
+}
+
+// encodeJSON is the one encoder of every reply body: compact JSON and a
+// trailing newline.
+func encodeJSON(w io.Writer, v any) error {
+	return json.NewEncoder(w).Encode(v)
 }

@@ -32,7 +32,7 @@ func BenchmarkComputeAll_Serial(b *testing.B) {
 // BenchmarkComputeAll_Parallel is the worker-pool path used by the
 // pipeline; compare pairs/s against BenchmarkComputeAll_Serial.
 func BenchmarkComputeAll_Parallel(b *testing.B) {
-	benchComputeAll(b, ComputeAll)
+	benchComputeAll(b, func(blk *Block, funcs []Func) map[string]*Matrix { return computeAll(b, blk, funcs) })
 }
 
 // prepareBenchCollection is the 100-doc collection BenchmarkPrepareBlock
@@ -56,7 +56,9 @@ func BenchmarkPrepareBlock(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PrepareBlock(col, nil)
+		if _, err := PrepareBlockCtx(context.Background(), col, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -107,7 +109,10 @@ func BenchmarkComputeAllByFunc(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			blk := PrepareBlock(col, nil)
+			blk, err := PrepareBlockCtx(context.Background(), col, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
 			pairs := float64(n * (n - 1) / 2)
 			for _, f := range Registry() {
 				keys := 0
@@ -128,7 +133,7 @@ func BenchmarkComputeAllByFunc(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/n=%d/all", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					ComputeAll(blk, Registry())
+					computeAll(b, blk, Registry())
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 			})

@@ -60,7 +60,7 @@ func TestComputeMatrixCtxTimeout(t *testing.T) {
 	b, funcs := slowBlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, err := ComputeMatrixCtx(ctx, b, funcs[0]); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := ComputeAllCtx(ctx, b, funcs[:1]); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -81,31 +81,13 @@ func ComputeMatrix(b *Block, f Func) *Matrix {
 	return computeMatrices(b, []Func{f}, nil)[0]
 }
 
-// ComputeMatrixCtx is ComputeMatrix with cancellation: workers check the
-// context between matrix rows, so a canceled or timed-out context aborts an
-// in-flight computation mid-matrix and returns ctx.Err(). When the context
-// never fires the result is bit-identical to ComputeMatrix.
-func ComputeMatrixCtx(ctx context.Context, b *Block, f Func) (*Matrix, error) {
-	ms := computeMatrices(b, []Func{f}, ctx.Done())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return ms[0], nil
-}
-
-// ComputeAll evaluates every function on the block and returns the
+// ComputeAllCtx evaluates every function on the block and returns the
 // matrices keyed by function ID. All rows are computed by one bounded
 // worker pool, each row across every function, so a single call saturates
 // the machine even when individual matrices are small. Every cell is
 // bit-identical to calling the function's Compare on that document pair.
-func ComputeAll(b *Block, funcs []Func) map[string]*Matrix {
-	return byFuncID(funcs, computeMatrices(b, funcs, nil))
-}
-
-// ComputeAllCtx is ComputeAll with cancellation: every worker checks the
-// context between rows, so a canceled or timed-out context aborts the
-// in-flight matrix computation promptly and returns ctx.Err(). When the
-// context never fires the result is bit-identical to ComputeAll.
+// Every worker checks the context between rows, so a canceled or timed-out
+// context aborts the in-flight computation promptly and returns ctx.Err().
 func ComputeAllCtx(ctx context.Context, b *Block, funcs []Func) (map[string]*Matrix, error) {
 	ms := computeMatrices(b, funcs, ctx.Done())
 	if err := ctx.Err(); err != nil {
@@ -124,7 +106,7 @@ func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
 
 // extraWorkerSlots bounds the total number of *extra* worker goroutines
 // across all concurrent matrix computations in the process, so nested
-// parallelism (PrepareAll over blocks × ComputeAll within a block) adds up
+// parallelism (PrepareAllCtx over blocks × ComputeAllCtx within a block) adds up
 // linearly instead of multiplying into GOMAXPROCS² runnable CPU-bound
 // goroutines. The calling goroutine always computes, so every call makes
 // progress at least at serial speed even when no slot is free. The floor
@@ -340,19 +322,6 @@ func (k *kernel) fillRow(i int) {
 			*cell = f.join.value(va, vb, dot, inter)
 		}
 	}
-}
-
-// PairIndex enumerates the pairs (i, j), i < j, of an n-document block in
-// the same order as the condensed matrix storage; it is the canonical pair
-// ordering used by training-sample selection.
-func PairIndex(n int) [][2]int {
-	pairs := make([][2]int, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, [2]int{i, j})
-		}
-	}
-	return pairs
 }
 
 // String renders small matrices for debugging.

@@ -1,6 +1,7 @@
 package simfn
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -29,11 +30,15 @@ func parallelTestBlock(t testing.TB, numDocs int) *Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return PrepareBlock(col, nil)
+	blk, err := PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blk
 }
 
 // TestComputeAllParallelMatchesSerial is the determinism guarantee: the
-// worker-pool ComputeAll must produce bit-identical matrices to the serial
+// worker-pool ComputeAllCtx must produce bit-identical matrices to the serial
 // reference loop, for every function, on every run. Run with -race to also
 // exercise the disjoint-writes claim.
 func TestComputeAllParallelMatchesSerial(t *testing.T) {
@@ -42,7 +47,7 @@ func TestComputeAllParallelMatchesSerial(t *testing.T) {
 	funcs := Registry()
 	want := ComputeAllSerial(b, funcs)
 	for round := 0; round < 3; round++ {
-		got := ComputeAll(b, funcs)
+		got := computeAll(t, b, funcs)
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d matrices, want %d", round, len(got), len(want))
 		}
@@ -110,7 +115,7 @@ func TestPackedRegistryMatchesFallback(t *testing.T) {
 // degenerate sizes.
 func TestComputeAllSmallBlock(t *testing.T) {
 	b := parallelTestBlock(t, 6)
-	got := ComputeAll(b, Registry())
+	got := computeAll(t, b, Registry())
 	want := ComputeAllSerial(b, Registry())
 	for id, wm := range want {
 		for k, v := range wm.Values() {
@@ -120,11 +125,11 @@ func TestComputeAllSmallBlock(t *testing.T) {
 		}
 	}
 	empty := &Block{Name: "empty"}
-	if ms := ComputeAll(empty, Registry()); len(ms) != 10 {
+	if ms := computeAll(t, empty, Registry()); len(ms) != 10 {
 		t.Fatalf("empty block: %d matrices", len(ms))
 	}
 	one := &Block{Name: "one", Docs: make([]Doc, 1)}
-	for _, m := range ComputeAll(one, Registry()) {
+	for _, m := range computeAll(t, one, Registry()) {
 		if m.Len() != 1 || m.Pairs() != 0 {
 			t.Fatalf("one-doc block: dim %d pairs %d", m.Len(), m.Pairs())
 		}

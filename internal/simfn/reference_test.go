@@ -15,7 +15,7 @@ func ComputeMatrixSerial(b *Block, f Func) *Matrix {
 }
 
 // ComputeAllSerial is the single-goroutine reference implementation of
-// ComputeAll.
+// ComputeAllCtx.
 func ComputeAllSerial(b *Block, funcs []Func) map[string]*Matrix {
 	out := make(map[string]*Matrix, len(funcs))
 	for _, f := range funcs {

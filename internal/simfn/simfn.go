@@ -14,12 +14,12 @@
 //	F10 TF-IDF word vector           extended Jaccard similarity
 //
 // The functions operate on prepared Docs (extracted features plus TF-IDF
-// term vectors); PrepareBlock builds them for a whole blocking unit (all
+// term vectors); PrepareBlockCtx builds them for a whole blocking unit (all
 // pages sharing one ambiguous name, the paper's natural blocking scheme).
 //
 // # Matrices, keys and the ordered memo
 //
-// ComputeAll fills one condensed upper-triangle Matrix per function, and a
+// ComputeAllCtx fills one condensed upper-triangle Matrix per function, and a
 // function's Compare is its definition: cell (i, j), i < j, holds the bits
 // of Compare(d_i, d_j), however the kernel got there. Two things let the
 // kernel get there with less work than one Compare per document pair, and
@@ -64,7 +64,7 @@ import (
 //
 // The packed fields (Packed, ConceptPacked and the three ID sets) are the
 // allocation-lean forms the pairwise hot loop reads; they are built once by
-// Pack (PrepareBlock does this for every document) and are nil on manually
+// Pack (PrepareBlockCtx does this for every document) and are nil on manually
 // constructed Docs, in which case every similarity function falls back to
 // the map/string representations. A packed Doc is immutable and safe for
 // concurrent reads.
@@ -120,22 +120,12 @@ type Block struct {
 	Vocab *textsim.Vocab
 }
 
-// PrepareBlock extracts features and builds TF-IDF vectors for every page
+// PrepareBlockCtx extracts features and builds TF-IDF vectors for every page
 // of a collection. A nil extractor selects the shared default built on the
 // wordlists. IDF statistics are block-local, mirroring a per-name Lucene
-// index.
-//
-// erlint:ignore non-cancelable compatibility shim; new callers use PrepareBlockCtx
-func PrepareBlock(col *corpus.Collection, fe *extract.FeatureExtractor) *Block {
-	b, _ := PrepareBlockCtx(context.Background(), col, fe) // background ctx never cancels
-	return b
-}
-
-// PrepareBlockCtx is PrepareBlock with cancellation: the context is checked
-// between documents, so a canceled or timed-out context aborts block
-// preparation promptly with ctx.Err(). The returned block is identical to
-// PrepareBlock's when the context never fires. Each page is analyzed once;
-// the TF index and the feature extractor share that pass.
+// index. Each page is analyzed once; the TF index and the feature extractor
+// share that pass. The context is checked between documents, so a canceled
+// or timed-out context aborts block preparation promptly with ctx.Err().
 func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.FeatureExtractor) (*Block, error) {
 	if fe == nil {
 		fe = extract.DefaultFeatureExtractor()
@@ -153,7 +143,7 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 			return nil, err
 		}
 		lower, terms := analysis.Standard.Analyze(d.Text)
-		ix.AddTerms(fmt.Sprintf("%s/%d", col.Name, d.ID), terms)
+		ix.AddTerms(terms)
 		b.Docs[i].Features = fe.ExtractTokens(lower, terms, d.URL, col.Name)
 	}
 	for i, v := range ix.AllVectors() {

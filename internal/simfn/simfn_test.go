@@ -1,6 +1,7 @@
 package simfn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,7 +18,21 @@ func testBlock(t *testing.T, seed int64) *Block {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return PrepareBlock(col, nil)
+	blk, err := PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blk
+}
+
+// computeAll is ComputeAllCtx under a context that never fires.
+func computeAll(tb testing.TB, b *Block, funcs []Func) map[string]*Matrix {
+	tb.Helper()
+	ms, err := ComputeAllCtx(context.Background(), b, funcs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ms
 }
 
 func TestRegistryMetadata(t *testing.T) {
@@ -209,33 +224,14 @@ func TestComputeMatrixMatchesDirect(t *testing.T) {
 func TestComputeAll(t *testing.T) {
 	b := testBlock(t, 9)
 	funcs, _ := Subset(SubsetI4)
-	ms := ComputeAll(b, funcs)
+	ms := computeAll(t, b, funcs)
 	if len(ms) != 4 {
-		t.Fatalf("ComputeAll returned %d matrices", len(ms))
+		t.Fatalf("ComputeAllCtx returned %d matrices", len(ms))
 	}
 	for _, id := range SubsetI4 {
 		if ms[id] == nil {
 			t.Errorf("missing matrix for %s", id)
 		}
-	}
-}
-
-func TestPairIndex(t *testing.T) {
-	pairs := PairIndex(4)
-	if len(pairs) != 6 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	want := [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
-	for i, p := range want {
-		if pairs[i] != p {
-			t.Errorf("pair %d = %v, want %v", i, pairs[i], p)
-		}
-	}
-	if got := PairIndex(0); len(got) != 0 {
-		t.Errorf("PairIndex(0) = %v", got)
-	}
-	if got := PairIndex(1); len(got) != 0 {
-		t.Errorf("PairIndex(1) = %v", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // NewRNG returns a deterministic pseudo-random generator for the given seed.
 // Every stochastic component of the reproduction (corpus generation,
@@ -98,23 +95,4 @@ func WeightedChoice(rng *rand.Rand, weights []float64) int {
 		}
 	}
 	return -1
-}
-
-// Zipf draws an integer in [0, n) following a Zipf-like distribution with
-// exponent s (s > 0 skews towards small indices). Used by the corpus
-// generator to produce the skewed cluster-size distributions observed in web
-// people-search data.
-func Zipf(rng *rand.Rand, n int, s float64) int {
-	if n <= 0 {
-		return 0
-	}
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1.0 / math.Pow(float64(i+1), s)
-	}
-	c := WeightedChoice(rng, weights)
-	if c < 0 {
-		return 0
-	}
-	return c
 }

@@ -1,9 +1,6 @@
 // Package stats provides small numeric helpers shared across the entity
-// resolution framework: summary statistics, correlation, histograms and
+// resolution framework: quantiles, the harmonic mean, clamping and
 // deterministic pseudo-random number utilities.
-//
-// All functions are pure and allocation-conscious; they operate on float64
-// slices without retaining references to their inputs.
 package stats
 
 import (
@@ -14,129 +11,6 @@ import (
 
 // ErrEmpty is returned by functions that require at least one observation.
 var ErrEmpty = errors.New("stats: empty input")
-
-// Mean returns the arithmetic mean of xs. It returns 0 for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (division by n, not n-1).
-// It returns 0 for inputs with fewer than one element.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the smallest value in xs. It returns ErrEmpty for empty input.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the largest value in xs. It returns ErrEmpty for empty input.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// ArgMax returns the index of the largest element of xs, breaking ties in
-// favour of the smallest index. It returns -1 for empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x > xs[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element of xs, breaking ties in
-// favour of the smallest index. It returns -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x < xs[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// Pearson returns the Pearson product-moment correlation coefficient of the
-// paired samples xs and ys. It returns 0 when either series has zero
-// variance, and an error when the lengths differ or the input is empty.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between closest ranks. The input does not need to be sorted.
@@ -163,11 +37,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
-}
-
 // Harmonic returns the harmonic mean of a and b, the combinator used by both
 // the F-measure and the Fp-measure. It returns 0 when a+b == 0.
 func Harmonic(a, b float64) float64 {
@@ -186,26 +55,4 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Histogram counts how many values of xs fall into each of n equal-width
-// buckets spanning [lo, hi]. Values outside the range are clamped into the
-// first or last bucket. It returns nil when n <= 0 or hi <= lo.
-func Histogram(xs []float64, n int, lo, hi float64) []int {
-	if n <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, n)
-	width := (hi - lo) / float64(n)
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		counts[idx]++
-	}
-	return counts
 }

@@ -226,7 +226,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 // floorOf wraps the stats error across a call boundary the way the
 // service layers do before surfacing it.
 func floorOf(xs []float64) (float64, error) {
-	m, err := Min(xs)
+	m, err := Quantile(xs, 0)
 	if err != nil {
 		return 0, fmt.Errorf("computing floor: %w", err)
 	}

@@ -1,6 +1,7 @@
 package swoosh
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -196,7 +197,10 @@ func TestFromBlockAndEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block := simfn.PrepareBlock(col, nil)
+	block, err := simfn.PrepareBlockCtx(context.Background(), col, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	records := FromBlock(block)
 	if len(records) != 40 {
 		t.Fatalf("records = %d", len(records))

@@ -1,20 +1,20 @@
-// Package textsim is a self-contained string and vector similarity library.
+// Package textsim holds the string, set and vector similarity measures the
+// entity-resolution framework's similarity functions (Table I of the paper)
+// are built on, and nothing else:
 //
-// It provides the similarity measures the entity-resolution framework's
-// similarity functions (Table I of the paper) are built on:
-//
-//   - Edit-distance family: Levenshtein, Damerau-Levenshtein, and their
-//     normalized similarity forms (used by the "String Similarity" measures
-//     of F2, F3 and F7).
-//   - Jaro and Jaro-Winkler, the classic record-linkage name comparators.
-//   - Character n-gram (q-gram) profiles with Jaccard, Dice, overlap and
-//     cosine coefficients.
-//   - Token-set and token-multiset measures, including Monge-Elkan, which
-//     composes a secondary character-level measure over token alignments.
+//   - Jaro-Winkler, the classic record-linkage name comparator, and
+//     Monge-Elkan, which composes it over token alignments. NameSimilarity
+//     combines the two; it is the "String Similarity" of F3 and F7. (F2's
+//     string similarity over URLs is extract.URLSimilarity: Jaro-Winkler
+//     over hosts, SetJaccard over path tokens.)
+//   - Set overlap over string slices (SetOverlapCount, NormalizedOverlap)
+//     and over interned ID sets (InternSet, IntersectSortedCount): the
+//     "number of overlapping X" measures of F4, F5 and F6.
 //   - Sparse real-valued vectors with cosine similarity, Pearson correlation
-//     similarity and extended Jaccard (Tanimoto) similarity (used by the
-//     TF-IDF based functions F8, F9 and F10, and the concept-vector
-//     function F1).
+//     similarity and extended Jaccard (Tanimoto) similarity, as maps
+//     (SparseVector) and in the packed form the pairwise loop runs on
+//     (PackedVector, built against a block Vocab): the TF-IDF based
+//     functions F8, F9 and F10, and the concept-vector function F1.
 //
 // All similarity functions return values in [0, 1] where 1 means identical
 // (Pearson is rescaled from [-1, 1] to [0, 1] to fit the framework's value

@@ -11,11 +11,6 @@ func ExampleJaroWinkler() {
 	// Output: 0.9611
 }
 
-func ExampleLevenshtein() {
-	fmt.Println(textsim.Levenshtein("kitten", "sitting"))
-	// Output: 3
-}
-
 func ExampleNameSimilarity() {
 	// Robust to token order and punctuation.
 	fmt.Printf("%.2f\n", textsim.NameSimilarity("Smith, John", "john smith"))

@@ -1,7 +1,7 @@
 package textsim
 
-// jaroStack is the name length, in runes, up to which Jaro and JaroWinkler
-// work entirely in stack buffers; longer inputs spill to the heap.
+// jaroStack is the name length, in runes, up to which JaroWinkler works
+// entirely in stack buffers; longer inputs spill to the heap.
 const jaroStack = 64
 
 // appendRunes decodes s into buf, which callers back with a stack array.
@@ -12,14 +12,10 @@ func appendRunes(buf []rune, s string) []rune {
 	return buf
 }
 
-// Jaro returns the Jaro similarity of a and b in [0, 1]. Characters match
-// when equal and within half the longer length (minus one) of each other;
-// the score combines the match counts and the number of transpositions.
-func Jaro(a, b string) float64 {
-	var abuf, bbuf [jaroStack]rune
-	return jaro(appendRunes(abuf[:0], a), appendRunes(bbuf[:0], b))
-}
-
+// jaro returns the Jaro similarity of two rune strings in [0, 1]. Characters
+// match when equal and within half the longer length (minus one) of each
+// other; the score combines the match counts and the number of
+// transpositions.
 func jaro(ra, rb []rune) float64 {
 	la, lb := len(ra), len(rb)
 	if la == 0 && lb == 0 {

@@ -1,9 +1,18 @@
 package textsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// ExampleLevenshtein is in-package, unlike example_test.go: Levenshtein is
+// declared in retired_test.go, which the external test package cannot see
+// under every loader (erlint's reports it undefined).
+func ExampleLevenshtein() {
+	fmt.Println(Levenshtein("kitten", "sitting"))
+	// Output: 3
+}
 
 func TestLevenshtein(t *testing.T) {
 	cases := []struct {

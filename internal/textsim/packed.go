@@ -33,12 +33,6 @@ func (v *Vocab) ID(term string) int32 {
 	return id
 }
 
-// Lookup returns the ID of term without interning.
-func (v *Vocab) Lookup(term string) (int32, bool) {
-	id, ok := v.ids[term]
-	return id, ok
-}
-
 // Term returns the string interned as id.
 func (v *Vocab) Term(id int32) string { return v.terms[id] }
 
@@ -137,22 +131,6 @@ func (s byID) Swap(i, j int) {
 // Len returns the support size (number of non-zero entries).
 func (p *PackedVector) Len() int { return len(p.IDs) }
 
-// Norm returns the precomputed Euclidean norm.
-func (p *PackedVector) Norm() float64 { return p.norm }
-
-// Sum returns the precomputed Σw over the support.
-func (p *PackedVector) Sum() float64 { return p.sum }
-
-// SumSquares returns the precomputed Σw² over the support.
-func (p *PackedVector) SumSquares() float64 { return p.sumSq }
-
-// Dot returns the inner product of p and o via a merge join over the two
-// sorted ID slices. It performs no allocation and no hashing.
-func (p *PackedVector) Dot(o *PackedVector) float64 {
-	dot, _ := p.DotIntersect(o)
-	return dot
-}
-
 // DotIntersect returns the inner product and the intersection size in one
 // merge-join pass — everything the three similarity measures below need
 // beyond the pack-time statistics, so a caller evaluating several measures
@@ -199,13 +177,7 @@ func PackedCosineOfDot(a, b *PackedVector, dot float64, _ int) float64 {
 	return dot / (a.norm * b.norm)
 }
 
-// PackedExtendedJaccard is ExtendedJaccard on packed vectors.
-func PackedExtendedJaccard(a, b *PackedVector) float64 {
-	dot, inter := a.DotIntersect(b)
-	return PackedExtendedJaccardOfDot(a, b, dot, inter)
-}
-
-// PackedExtendedJaccardOfDot is PackedExtendedJaccard given
+// PackedExtendedJaccardOfDot is ExtendedJaccard on packed vectors, given
 // a.DotIntersect(b); it ignores the intersection size.
 func PackedExtendedJaccardOfDot(a, b *PackedVector, dot float64, _ int) float64 {
 	if a.Len() == 0 && b.Len() == 0 {
@@ -218,16 +190,10 @@ func PackedExtendedJaccardOfDot(a, b *PackedVector, dot float64, _ int) float64 
 	return dot / den
 }
 
-// PackedPearsonSim is PearsonSim on packed vectors. The per-vector sums and
-// squared sums are read from the pack-time statistics instead of being
-// recomputed per pair, turning the map version's O(|a|+|b|) tail work into
-// O(1) on top of the shared merge join.
-func PackedPearsonSim(a, b *PackedVector) float64 {
-	dot, inter := a.DotIntersect(b)
-	return PackedPearsonSimOfDot(a, b, dot, inter)
-}
-
-// PackedPearsonSimOfDot is PackedPearsonSim given a.DotIntersect(b).
+// PackedPearsonSimOfDot is PearsonSim on packed vectors, given
+// a.DotIntersect(b). The per-vector sums and squared sums are read from the
+// pack-time statistics instead of being recomputed per pair, turning the map
+// version's O(|a|+|b|) tail work into O(1) on top of the shared merge join.
 func PackedPearsonSimOfDot(a, b *PackedVector, dot float64, inter int) float64 {
 	if a.Len() == 0 && b.Len() == 0 {
 		return 1

@@ -39,8 +39,8 @@ func TestPackRoundTrip(t *testing.T) {
 			t.Errorf("weight of %q: packed %v, map %v", term, p.Weights[i], v[term])
 		}
 	}
-	if math.Abs(p.Norm()-v.Norm()) > 1e-12 {
-		t.Errorf("norm: packed %v, map %v", p.Norm(), v.Norm())
+	if math.Abs(p.norm-v.Norm()) > 1e-12 {
+		t.Errorf("norm: packed %v, map %v", p.norm, v.Norm())
 	}
 }
 

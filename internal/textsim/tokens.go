@@ -38,33 +38,6 @@ func mongeElkanDirected(a, b []string, sim StringSim) float64 {
 	return total / float64(len(a))
 }
 
-// TokenJaccard returns the Jaccard coefficient over whitespace-delimited
-// lower-cased tokens of a and b.
-func TokenJaccard(a, b string) float64 {
-	return SetJaccard(simpleTokens(a), simpleTokens(b))
-}
-
-// TokenDice returns the Dice coefficient over whitespace-delimited
-// lower-cased token sets of a and b.
-func TokenDice(a, b string) float64 {
-	ta, tb := simpleTokens(a), simpleTokens(b)
-	sa := toSet(ta)
-	sb := toSet(tb)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	if len(sa)+len(sb) == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(len(sa)+len(sb))
-}
-
 // NameSimilarity is the composite person-name comparator used by the
 // framework's string-based similarity functions (F2's URL host comparison
 // uses raw strings; F3 and F7 compare names). It symmetrically combines
@@ -113,16 +86,4 @@ func normalizeName(s string) string {
 	s = strings.ReplaceAll(s, ",", " ")
 	s = strings.ReplaceAll(s, ".", " ")
 	return strings.Join(strings.Fields(s), " ")
-}
-
-func simpleTokens(s string) []string {
-	return strings.Fields(strings.ToLower(s))
-}
-
-func toSet(tokens []string) map[string]struct{} {
-	set := make(map[string]struct{}, len(tokens))
-	for _, t := range tokens {
-		set[t] = struct{}{}
-	}
-	return set
 }

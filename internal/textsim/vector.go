@@ -153,27 +153,3 @@ func PearsonSim(a, b SparseVector) float64 {
 	}
 	return (r + 1) / 2
 }
-
-// WeightedJaccard returns the Ruzicka similarity Σ min(aᵢ,bᵢ) / Σ max(aᵢ,bᵢ)
-// for non-negative vectors, another weighted set-overlap measure exposed for
-// custom similarity functions.
-func WeightedJaccard(a, b SparseVector) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	var num, den float64
-	for t, wa := range a {
-		wb := b[t]
-		num += math.Min(wa, wb)
-		den += math.Max(wa, wb)
-	}
-	for t, wb := range b {
-		if _, ok := a[t]; !ok {
-			den += wb
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}

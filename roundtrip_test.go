@@ -73,7 +73,7 @@ func TestErgenErsolveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := r.Prepare(col)
+	prep, err := r.PrepareCtx(context.Background(), col)
 	if err != nil {
 		t.Fatal(err)
 	}
