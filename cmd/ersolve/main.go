@@ -23,15 +23,16 @@
 // jobs, tracked via GET /v1/jobs/{id}) and resolved via POST
 // /v1/resolve/incremental, which re-prepares only blocks whose membership
 // changed since the previous run. With -data DIR the store and every
-// configuration's incremental snapshot are durable: ingested batches are
-// journaled (and fsynced) before they are acknowledged, snapshots (each
-// block's cluster labels and score, nothing else) are saved after every
-// incremental run, and a restarted server replays the journal and reloads
-// the snapshots — its first incremental resolution reuses every block
-// instead of re-preparing the corpus. GET /metrics exposes every counter
-// and latency histogram in the Prometheus text format, and GET /v1/traces
-// dumps the last -trace-buffer request traces with per-stage pipeline
-// spans plus the incremental resolve's snapshot load and commit steps. On
+// configuration's committed resolution are durable: ingested batches are
+// journaled (and fsynced) before they are acknowledged, every incremental
+// run appends the blocks it changed to its configuration's serving file
+// before it answers, and a restarted server replays the journal and reloads
+// the serving files — it answers lookups at once and its first incremental
+// resolution reuses every block instead of re-preparing the corpus. GET
+// /metrics exposes every counter and latency histogram in the Prometheus
+// text format, and GET /v1/traces dumps the last -trace-buffer request
+// traces with per-stage pipeline spans plus the incremental resolve's lock
+// wait, store snapshot, serving-index load and commit steps. On
 // SIGINT/SIGTERM the server drains in-flight requests and queued ingest
 // jobs for up to -drain before canceling what remains, then flushes and
 // closes the data directory.
@@ -321,7 +322,6 @@ func runServe(ctx context.Context, args []string) error {
 			fmt.Fprintf(os.Stderr, "ersolve: data directory %s: %d collections, %d documents (version %d)\n",
 				*dataDir, st.Collections, st.Docs, st.Version)
 			cfg.Store = d.Store
-			cfg.Snapshots = d.Snapshots
 			cfg.Indexes = d.Indexes
 			cfg.ANNIndexes = d.ANN
 			cfg.Serving = d.Serving

@@ -65,6 +65,13 @@ func (c *Counting) Counts() map[string]IOCounts {
 	return out
 }
 
+// MkdirAll lists the directory from its creation on, so a kind nothing is
+// ever written to reads zero rather than being absent.
+func (c *Counting) MkdirAll(path string, perm fs.FileMode) error {
+	c.of(path)
+	return c.FS.MkdirAll(path, perm)
+}
+
 func (c *Counting) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	f, err := c.FS.OpenFile(name, flag, perm)
 	if err != nil {

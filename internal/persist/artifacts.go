@@ -375,7 +375,8 @@ func (d *ANNDir) LoadANNIndex(key string, cfg ann.Config) (idx *ann.CandidateInd
 }
 
 // ServingDir stores one serving.Index per resolution configuration
-// (DIR/serving/*.srv) — one per knobs key, like snapshots, capped at 32. A
+// (DIR/serving/*.srv) — one per knobs key, capped at 32, which is how many
+// configurations restart warm. A
 // file is the envelope, a base — a whole encoded index — and the commit
 // records appended since: SaveServing writes a key's file in full (the
 // artifactDir save sequence) only to create or replace it, and otherwise

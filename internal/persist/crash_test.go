@@ -16,8 +16,8 @@ import (
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/faultfs"
-	"repro/internal/pipeline"
 	"repro/internal/service"
+	"repro/internal/serving"
 	"repro/internal/store"
 )
 
@@ -267,8 +267,8 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 }
 
 // TestQuarantineAndRebuild is the degradation acceptance test at the
-// service level: a restart finds its persisted snapshot AND blocking
-// index corrupted on disk. The resolve must not fail — the damaged files
+// service level: a restart finds its persisted serving index — the
+// committed resolution — AND blocking index corrupted on disk. The resolve must not fail — the damaged files
 // are quarantined (*.corrupt) and both artifacts are rebuilt from the
 // journaled corpus, with cluster output identical to the pre-damage run,
 // and the degradation visible in /v1/stats.
@@ -280,13 +280,13 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := service.New(service.Config{Store: data1.Store, Snapshots: data1.Snapshots, Indexes: data1.Indexes})
+	srv1 := service.New(service.Config{Store: data1.Store, Serving: data1.Serving, Indexes: data1.Indexes})
 	ts1 := httptest.NewServer(srv1.Handler())
 	ingestAll(t, ts1, restartCorpus(t))
 	before := postIncremental(t, ts1, knobs)
 	ts1.Close()
 	// Graceful close so the blocking index is persisted alongside the
-	// snapshot; the damage below must find both artifacts on disk.
+	// serving index; the damage below must find both artifacts on disk.
 	if err := srv1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func TestQuarantineAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt every persisted snapshot and index file in place: flip a
+	// Corrupt every persisted serving and index file in place: flip a
 	// byte deep inside each — past the envelope, inside the codec's
 	// checksummed payload.
 	damaged := 0
-	for _, pattern := range []string{"snapshots/*.snap", "indexes/*.idx"} {
+	for _, pattern := range []string{"serving/*.srv", "indexes/*.idx"} {
 		files, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 		}
 	}
 	if damaged < 2 {
-		t.Fatalf("damaged only %d persisted files; expected at least a snapshot and an index", damaged)
+		t.Fatalf("damaged only %d persisted files; expected at least a serving index and an index", damaged)
 	}
 
 	// Restart onto the damaged directory.
@@ -326,7 +326,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	}
 	defer data2.Close()
 	srv2 := service.New(service.Config{
-		Store: data2.Store, Snapshots: data2.Snapshots, Indexes: data2.Indexes,
+		Store: data2.Store, Serving: data2.Serving, Indexes: data2.Indexes,
 		ErrorLog: quietLog,
 	})
 	defer srv2.Close(context.Background())
@@ -350,7 +350,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	}
 
 	// The damage is quarantined, not deleted or still in place.
-	for _, pattern := range []string{"snapshots/*.corrupt", "indexes/*.corrupt"} {
+	for _, pattern := range []string{"serving/*.corrupt", "indexes/*.corrupt"} {
 		files, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			t.Fatal(err)
@@ -359,8 +359,8 @@ func TestQuarantineAndRebuild(t *testing.T) {
 			t.Errorf("no quarantined files match %s", pattern)
 		}
 	}
-	if got := data2.Snapshots.Quarantined(); got != 1 {
-		t.Errorf("snapshot quarantine count = %d, want 1", got)
+	if got := data2.Serving.Quarantined(); got != 1 {
+		t.Errorf("serving quarantine count = %d, want 1", got)
 	}
 	if got := data2.Indexes.Quarantined(); got != 1 {
 		t.Errorf("index quarantine count = %d, want 1", got)
@@ -369,18 +369,18 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	// /v1/stats surfaces the degradation.
 	var stats struct {
 		Degraded struct {
-			QuarantinedSnapshots int64 `json:"quarantined_snapshots"`
-			QuarantinedIndexes   int64 `json:"quarantined_indexes"`
-			SnapshotLoadFailures int64 `json:"snapshot_load_failures"`
-			IndexLoadFailures    int64 `json:"index_load_failures"`
+			QuarantinedServing  int64 `json:"quarantined_serving"`
+			QuarantinedIndexes  int64 `json:"quarantined_indexes"`
+			ServingLoadFailures int64 `json:"serving_load_failures"`
+			IndexLoadFailures   int64 `json:"index_load_failures"`
 		} `json:"degraded"`
 	}
 	getJSON(t, ts2, "/v1/stats", &stats)
 	d := stats.Degraded
-	if d.QuarantinedSnapshots != 1 || d.QuarantinedIndexes != 1 {
-		t.Errorf("degraded stats = %+v, want one snapshot and one index quarantine", d)
+	if d.QuarantinedServing != 1 || d.QuarantinedIndexes != 1 {
+		t.Errorf("degraded stats = %+v, want one serving and one index quarantine", d)
 	}
-	if d.SnapshotLoadFailures < 1 || d.IndexLoadFailures < 1 {
+	if d.ServingLoadFailures < 1 || d.IndexLoadFailures < 1 {
 		t.Errorf("degraded stats = %+v, want the load failures counted", d)
 	}
 
@@ -398,7 +398,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data3.Close()
-	srv3 := service.New(service.Config{Store: data3.Store, Snapshots: data3.Snapshots, Indexes: data3.Indexes})
+	srv3 := service.New(service.Config{Store: data3.Store, Serving: data3.Serving, Indexes: data3.Indexes})
 	defer srv3.Close(context.Background())
 	ts3 := httptest.NewServer(srv3.Handler())
 	defer ts3.Close()
@@ -408,13 +408,13 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionSkewRebuilds is the upgrade path across a snapshot
-// format bump, at the service level: a restart finds a .snap file written
-// by format version 1 (the reader decides on the header's version field
-// alone, so a current file with that field rewritten stands in for one).
-// It is refused with ErrSnapshotVersion and quarantined, that resolve is a
-// full one with identical clusters and re-saves, and the restart after it
-// reuses every block.
+// TestSnapshotVersionSkewRebuilds is the upgrade path across a format bump
+// of the committed resolution, at the service level: a restart finds a
+// .srv file written by format version 1 (the reader decides on the magic's
+// version digit alone, so a current file with that digit rewritten stands
+// in for one). It is refused with serving.ErrCodecVersion and quarantined,
+// that resolve is a full one with identical clusters and re-saves, and the
+// restart after it reuses every block.
 func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	const knobs = `{"seed": 42}`
@@ -427,7 +427,7 @@ func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := service.New(service.Config{
-			Store: data.Store, Snapshots: data.Snapshots,
+			Store: data.Store, Serving: data.Serving,
 			ErrorLog: func(_ string, args ...any) { logged = append(logged, args...) },
 		})
 		ts := httptest.NewServer(srv.Handler())
@@ -446,18 +446,18 @@ func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	if err := data.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "snapshots", "*.snap"))
+	files, err := filepath.Glob(filepath.Join(dir, "serving", "*.srv"))
 	if err != nil || len(files) != 1 {
-		t.Fatalf("snapshot files = %v (%v), want exactly one", files, err)
+		t.Fatalf("serving files = %v (%v), want exactly one", files, err)
 	}
 	buf, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The codec version field sits right after the envelope (magic + key
-	// length + key) and the codec magic.
-	klen := int(binary.LittleEndian.Uint32(buf[len(snapFileMagic):]))
-	binary.LittleEndian.PutUint32(buf[len(snapFileMagic)+4+klen+8:], 1)
+	// The codec magic sits right after the envelope (magic + key length +
+	// key); its last byte is the format version digit.
+	klen := int(binary.LittleEndian.Uint32(buf[len(srvFileMagic):]))
+	buf[len(srvFileMagic)+4+klen+7] = '1'
 	if err := os.WriteFile(files[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -465,21 +465,21 @@ func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	after, data, logged := serve()
 	refused := false
 	for _, arg := range logged {
-		if err, ok := arg.(error); ok && errors.Is(err, pipeline.ErrSnapshotVersion) {
+		if err, ok := arg.(error); ok && errors.Is(err, serving.ErrCodecVersion) {
 			refused = true
 		}
 	}
 	if !refused {
-		t.Errorf("service logged %v, want an ErrSnapshotVersion load failure", logged)
+		t.Errorf("service logged %v, want a serving.ErrCodecVersion load failure", logged)
 	}
-	if got := data.Snapshots.Quarantined(); got != 1 {
-		t.Errorf("snapshot quarantine count = %d, want 1", got)
+	if got := data.Serving.Quarantined(); got != 1 {
+		t.Errorf("serving quarantine count = %d, want 1", got)
 	}
 	if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
 		t.Errorf("the version-1 file was not quarantined: %v", err)
 	}
 	if after.Incremental.ReusedBlocks != 0 {
-		t.Errorf("run against a version-1 snapshot reused %d blocks; it must resolve in full", after.Incremental.ReusedBlocks)
+		t.Errorf("run against a version-1 serving file reused %d blocks; it must resolve in full", after.Incremental.ReusedBlocks)
 	}
 	for i := range before.Blocks {
 		a, b := before.Blocks[i], after.Blocks[i]

@@ -5,15 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
+	"repro/internal/service"
 	"repro/internal/serving"
 )
 
@@ -221,4 +225,71 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 	if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined() + data.ANN.Quarantined(); q != 0 {
 		t.Errorf("%d parent-written snapshot and index files were quarantined", q)
 	}
+
+	// A whole data directory, written by the server of the last tree that
+	// committed every resolve twice — a .snap rewritten behind the .srv
+	// record (commit 2b500d0: ingest, resolve, ingest two documents,
+	// resolve, kill; testdata/parent19, reply.json is that last reply).
+	// This tree's server never opens the .snap: it answers lookups from the
+	// .srv at once and its first resolve reuses every block from it, with
+	// the reply the parent gave.
+	t.Run("datadir", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent19"))); err != nil {
+			t.Fatal(err)
+		}
+		snapPath := filepath.Join(dir, "snapshots", golden.Files["snap"])
+		snapBefore, err := os.ReadFile(snapPath)
+		if err != nil {
+			t.Fatalf("the parent's directory holds no snapshot for the fixture key: %v", err)
+		}
+		var parent service.IncrementalResolveResponse
+		raw, err := os.ReadFile(filepath.Join(dir, "reply.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &parent); err != nil {
+			t.Fatal(err)
+		}
+
+		data, err := OpenWithOptions(dir, Options{Log: quietLog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer data.Close()
+		srv := service.New(service.Config{Store: data.Store, Indexes: data.Indexes, ANNIndexes: data.ANN,
+			Serving: data.Serving, ErrorLog: t.Errorf})
+		defer srv.Close(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		var entity service.EntityResponse
+		getJSON(t, ts, "/v1/docs/ana%20rivera:11/entity", &entity)
+		if entity.Entity == nil || entity.StoreVersion != parent.StoreVersion {
+			t.Errorf("lookup before any resolve = %+v, want the entity the parent committed at store version %d", entity, parent.StoreVersion)
+		}
+		var got service.IncrementalResolveResponse
+		resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(`{"seed": 42}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("first resolve = %d (%v)", resp.StatusCode, err)
+		}
+		if got.Incremental.ReusedBlocks != got.Incremental.Blocks || got.Incremental.Blocks != len(parent.Blocks) {
+			t.Errorf("first resolve on the parent's directory = %+v, want all %d blocks reused", got.Incremental, len(parent.Blocks))
+		}
+		if !reflect.DeepEqual(got.Blocks, parent.Blocks) {
+			t.Errorf("first resolve on the parent's directory replied\n%+v\nthe parent replied\n%+v", got.Blocks, parent.Blocks)
+		}
+		var stats service.StatsResponse
+		getJSON(t, ts, "/v1/stats", &stats)
+		if stats.Degraded != (service.DegradedStats{}) {
+			t.Errorf("restart on the parent's directory degraded: %+v", stats.Degraded)
+		}
+		if snapAfter, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(snapAfter, snapBefore) {
+			t.Errorf("the parent's .snap was touched (%v)", err)
+		}
+	})
 }

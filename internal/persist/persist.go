@@ -107,7 +107,9 @@ func (o Options) withDefaults() Options {
 type Data struct {
 	// Store is the durable document store.
 	Store *Store
-	// Snapshots is the per-configuration snapshot directory.
+	// Snapshots is the per-configuration snapshot directory. The server
+	// neither writes nor reads it — a resolve's durable form is its serving
+	// record — and only the benchmark's replay probe still does.
 	Snapshots *SnapshotDir
 	// Indexes is the per-blocking-configuration sharded index directory: a
 	// restarted server reloads its blocking indexes instead of re-keying
@@ -117,9 +119,10 @@ type Data struct {
 	// (same DIR/indexes tree, .ann files): a restarted server reloads its
 	// proximity graphs instead of re-inserting the corpus.
 	ANN *ANNDir
-	// Serving is the per-resolution-configuration serving-index directory:
-	// a restarted server answers cluster lookups from the last committed
-	// resolution with zero recompute.
+	// Serving is the per-resolution-configuration serving-index directory,
+	// the committed resolutions: a restarted server answers cluster lookups
+	// from the last one with zero recompute, and each configuration's first
+	// resolve reuses every block of its own.
 	Serving *ServingDir
 
 	lock *os.File

@@ -154,7 +154,7 @@ func TestKillAndRestartEqualsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := service.New(service.Config{Store: data1.Store, Snapshots: data1.Snapshots})
+	srv1 := service.New(service.Config{Store: data1.Store, Serving: data1.Serving})
 	ts1 := httptest.NewServer(srv1.Handler())
 
 	ingestAll(t, ts1, restartCorpus(t))
@@ -186,7 +186,7 @@ func TestKillAndRestartEqualsFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data2.Close()
-	srv2 := service.New(service.Config{Store: data2.Store, Snapshots: data2.Snapshots})
+	srv2 := service.New(service.Config{Store: data2.Store, Serving: data2.Serving})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 

@@ -37,6 +37,19 @@ func (s *Snapshot) Blocks() int {
 	return len(s.entries)
 }
 
+// NewSnapshot returns the snapshot a run leaves whose block i had
+// membership fingerprint fps[i] and produced results[i], of which only the
+// Resolution and Score are kept. RunIncremental builds its own; this is for
+// a caller that holds a committed run in another form (the service rebuilds
+// a configuration's snapshot from its persisted serving index on restart).
+func NewSnapshot(fps []uint64, results []Result) *Snapshot {
+	s := &Snapshot{entries: make(map[uint64]*cachedBlock, len(fps))}
+	for i, fp := range fps {
+		s.entries[fp] = &cachedBlock{Res: results[i].Resolution, Score: results[i].Score}
+	}
+	return s
+}
+
 // cachedBlock is one block's reusable output, and its own wire form in
 // EncodeSnapshot: the final clustering and, for scored runs, its score.
 // Blocks resolve independently, so nothing else of a clean block is ever

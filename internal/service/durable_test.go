@@ -5,18 +5,22 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
 	"repro/internal/persist"
+	"repro/internal/store"
 )
 
 // durableConfig is the service over every backend of one data directory,
 // as `ersolve serve -data` wires it.
 func durableConfig(data *persist.Data) Config {
-	return Config{Store: data.Store, Snapshots: data.Snapshots, Indexes: data.Indexes,
+	return Config{Store: data.Store, Indexes: data.Indexes,
 		ANNIndexes: data.ANN, Serving: data.Serving, ErrorLog: func(string, ...any) {}}
 }
 
@@ -64,15 +68,18 @@ func ioDelta(before, after map[string]faultfs.IOCounts) map[string]faultfs.IOCou
 // TestDeltaCommitWritesTheDelta measures, inside the server and through
 // the counting filesystem `ersolve serve -data` runs on, what one
 // two-document ingest + delta-resolve cycle writes at two corpus sizes.
-// The commit must be proportional to the delta, not the corpus: the
-// serving and index bytes barely move when the corpus doubles, they are a
-// few percent of the first (whole-artifact) commit, no blocking index is
-// rewritten, and the cycle costs exactly four fsyncs — journal record,
-// serving record, snapshot file and snapshot directory. /metrics must
-// report the same totals.
+// The commit must be proportional to the delta, not the corpus: the bytes
+// under every artifact directory together barely move when the corpus
+// doubles, stay under 6 KB, are a few percent of the first
+// (whole-artifact) commit, no blocking index is rewritten, and the cycle
+// costs exactly two fsyncs — journal record and serving record. Nothing is
+// ever written under snapshots. /metrics must report the same totals.
 func TestDeltaCommitWritesTheDelta(t *testing.T) {
-	commitBytes := func(c map[string]faultfs.IOCounts) int64 {
-		return c["serving"].BytesWritten + c["indexes"].BytesWritten
+	commitBytes := func(c map[string]faultfs.IOCounts) (n int64) {
+		for _, artifact := range c {
+			n += artifact.BytesWritten
+		}
+		return n
 	}
 	cycle := func(ncols int) (first, delta map[string]faultfs.IOCounts) {
 		counts := faultfs.NewCounting(nil)
@@ -98,6 +105,9 @@ func TestDeltaCommitWritesTheDelta(t *testing.T) {
 		}
 
 		text := scrapeMetrics(t, ts)
+		if got := counts.Counts(); len(got) != 4 || got["snapshots"] != (faultfs.IOCounts{}) {
+			t.Errorf("%d collections: the filesystem counted %+v, want the four artifact directories and nothing under snapshots", ncols, got)
+		}
 		for artifact, c := range counts.Counts() {
 			label := `{artifact="` + artifact + `"}`
 			if b, f, r := sampleValue(t, text, "ersolve_persist_bytes_written_total"+label),
@@ -118,7 +128,7 @@ func TestDeltaCommitWritesTheDelta(t *testing.T) {
 		if got := d.delta["indexes"]; got != (faultfs.IOCounts{}) {
 			t.Errorf("%d docs: the delta cycle cost %+v under indexes, want nothing", d.docs, got)
 		}
-		want := map[string]int64{"segments": 1, "serving": 1, "snapshots": 2, "indexes": 0}
+		want := map[string]int64{"segments": 1, "serving": 1, "snapshots": 0, "indexes": 0}
 		for artifact, n := range want {
 			if got := d.delta[artifact].Fsyncs; got != n {
 				t.Errorf("%d docs: %d fsyncs under %s in one delta cycle, want %d (all: %+v)", d.docs, got, artifact, n, d.delta)
@@ -129,9 +139,12 @@ func TestDeltaCommitWritesTheDelta(t *testing.T) {
 		}
 	}
 	small, big, whole := commitBytes(delta40), commitBytes(delta80), commitBytes(first40)
-	t.Logf("serving+indexes bytes: first commit at 1,600 docs %d; delta commit %d at 1,600 docs, %d at 3,200", whole, small, big)
+	t.Logf("data-directory bytes: first commit at 1,600 docs %d; delta cycle %d at 1,600 docs, %d at 3,200", whole, small, big)
 	if small == 0 || float64(big) > 1.2*float64(small) {
-		t.Errorf("delta commit wrote %d bytes at 1,600 docs and %d at 3,200: ratio %.2f, want <= 1.2", small, big, float64(big)/float64(small))
+		t.Errorf("delta cycle wrote %d bytes at 1,600 docs and %d at 3,200: ratio %.2f, want <= 1.2", small, big, float64(big)/float64(small))
+	}
+	if small > 6<<10 || big > 6<<10 {
+		t.Errorf("delta cycle wrote %d bytes at 1,600 docs and %d at 3,200, want <= %d at both", small, big, 6<<10)
 	}
 	if float64(small) >= 0.05*float64(whole) {
 		t.Errorf("delta commit wrote %d bytes, the first commit %d: %.1f%%, want < 5%%", small, whole, 100*float64(small)/float64(whole))
@@ -215,5 +228,160 @@ func TestKillWithoutCloseRestartsFromLastCommit(t *testing.T) {
 	}
 	if first.Blocking.Indexer != "index" || first.Blocking.Fallback || first.Blocking.DeltaDocs != 2 {
 		t.Errorf("first resolve after the restart blocked with %+v; want the saved index, 2 documents re-keyed from the journal", first.Blocking)
+	}
+}
+
+// cancelOnSnapshot is a document store whose next Snapshot — the resolve
+// handler's, taken under the configuration's lock just before the run —
+// first calls the armed function: the client hangs up while its resolve is
+// in flight. It hides the store's append subscription, so no warmer takes
+// snapshots of its own.
+type cancelOnSnapshot struct {
+	store.DocumentStore
+	armed func()
+}
+
+func (c *cancelOnSnapshot) Snapshot() ([]*corpus.Collection, uint64) {
+	if c.armed != nil {
+		c.armed()
+		c.armed = nil
+	}
+	return c.DocumentStore.Snapshot()
+}
+
+// TestFaultsAtTheCommitPoint injects, at the service level, every way the
+// one durable commit of a resolve — the record appended to the
+// configuration's serving file — can fail to happen: its write fails, its
+// write is torn by a crash, its fsync fails and the unsynced bytes are
+// lost, or the client is gone before the run gets there. Each time the
+// server answers what it can (200 and a counted save failure, or nothing
+// to nobody), is abandoned without Close, and its successor on the same
+// directory serves the last committed resolution on lookup, prepares
+// exactly the one block the lost commit held on its first resolve — not
+// none, not the corpus — and equals a fresh resolve.
+func TestFaultsAtTheCommitPoint(t *testing.T) {
+	heads, tails := splitCollections(t, 3, 20)
+	quiet := func(string, ...any) {}
+	for _, tc := range []struct {
+		name string
+		// arm plans the fault for the delta resolve: on the filesystem, or
+		// by returning the context the request is sent under.
+		arm func(in *faultfs.Injector, st *cancelOnSnapshot) context.Context
+		// saveFailed: the server answered 200 and counted the failure.
+		// dropUnsynced: the bytes of a write whose fsync failed do not
+		// survive the kill. tornTail: the successor loads a torn record.
+		saveFailed, dropUnsynced, tornTail bool
+	}{
+		{name: "write fails", saveFailed: true,
+			arm: func(in *faultfs.Injector, _ *cancelOnSnapshot) context.Context {
+				in.FailAt(1)
+				return context.Background()
+			}},
+		{name: "write torn by a crash", saveFailed: true, tornTail: true,
+			arm: func(in *faultfs.Injector, _ *cancelOnSnapshot) context.Context {
+				in.TornCrashAt(1)
+				return context.Background()
+			}},
+		{name: "fsync fails", saveFailed: true, dropUnsynced: true,
+			arm: func(in *faultfs.Injector, _ *cancelOnSnapshot) context.Context {
+				in.FailAt(2)
+				return context.Background()
+			}},
+		{name: "client gone before the commit",
+			arm: func(_ *faultfs.Injector, st *cancelOnSnapshot) context.Context {
+				ctx, cancel := context.WithCancel(context.Background())
+				st.armed = cancel
+				return ctx
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			in := faultfs.NewInjector(nil)
+			data1, err := persist.OpenWithOptions(dir, persist.Options{FS: in, Log: quiet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &cancelOnSnapshot{DocumentStore: data1.Store}
+			cfg := durableConfig(data1)
+			cfg.Store = st
+			srv1 := New(cfg)
+			ts1 := httptest.NewServer(srv1.Handler())
+			ingestBatch(t, ts1, heads)
+			committed := resolveOK(t, ts1, IncrementalResolveRequest{})
+			var before EntityResponse
+			if code := getJSON(t, ts1, "/v1/docs/person001:19/entity", &before); code != http.StatusOK || before.Entity == nil {
+				t.Fatalf("lookup after the first commit = %d, %+v", code, before)
+			}
+			ingestBatch(t, ts1, tails[1:2])
+			files, err := filepath.Glob(filepath.Join(dir, "serving", "*.srv"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("serving files = %v (%v), want exactly one", files, err)
+			}
+			info, err := os.Stat(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The delta resolve, sent straight to the handler so the request
+			// context is the test's to cancel.
+			req := httptest.NewRequest(http.MethodPost, "/v1/resolve/incremental", strings.NewReader(`{}`))
+			req.Header.Set("Content-Type", "application/json")
+			rec := httptest.NewRecorder()
+			srv1.Handler().ServeHTTP(rec, req.WithContext(tc.arm(in, st)))
+			var stats StatsResponse
+			getJSON(t, ts1, "/v1/stats", &stats)
+			if tc.saveFailed {
+				if !in.Faulted() || rec.Code != http.StatusOK || stats.Degraded.ServingSaveFailures != 1 {
+					t.Fatalf("fault fired %v, status %d, degraded %+v; want the resolve answered 200 with one serving save failure",
+						in.Faulted(), rec.Code, stats.Degraded)
+				}
+			} else if rec.Body.Len() != 0 || stats.Resolve.Runs != 1 || stats.Degraded.ServingSaveFailures != 0 {
+				t.Fatalf("canceled resolve wrote %q, %d runs completed, degraded %+v; want no answer, no second run, no failure",
+					rec.Body.String(), stats.Resolve.Runs, stats.Degraded)
+			}
+
+			// The kill: srv1 is abandoned. Only its descriptors close (a
+			// crashed filesystem fails the close's sync, as it should).
+			ts1.Close()
+			if err := data1.Close(); err != nil && !in.Down() {
+				t.Fatal(err)
+			}
+			if tc.dropUnsynced {
+				if err := os.Truncate(files[0], info.Size()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			data2, err := persist.OpenWithOptions(dir, persist.Options{Log: quiet})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer data2.Close()
+			_, ts2 := serverPair(t, durableConfig(data2))
+			var after EntityResponse
+			if code := getJSON(t, ts2, "/v1/docs/person001:19/entity", &after); code != http.StatusOK || after.Entity == nil {
+				t.Fatalf("post-restart lookup = %d, %+v", code, after)
+			}
+			if after.Epoch != before.Epoch || after.StoreVersion != committed.StoreVersion || !jsonEqual(t, after.Entity, before.Entity) {
+				t.Errorf("the successor serves epoch %d store version %d entity %+v, the last commit was epoch %d store version %d entity %+v",
+					after.Epoch, after.StoreVersion, after.Entity, before.Epoch, committed.StoreVersion, before.Entity)
+			}
+			if code := getJSON(t, ts2, "/v1/docs/person001:21/entity", nil); code != http.StatusNotFound {
+				t.Errorf("lookup of a document only the lost commit resolved = %d, want 404", code)
+			}
+			getJSON(t, ts2, "/v1/stats", &stats)
+			if d := stats.Degraded; d.ServingLoadFailures != 0 || d.QuarantinedServing != 0 || (d.ServingTornTails == 1) != tc.tornTail {
+				t.Errorf("the successor's load degraded %+v; torn tail expected: %v", d, tc.tornTail)
+			}
+
+			first := resolveOK(t, ts2, IncrementalResolveRequest{})
+			if first.Incremental.PreparedBlocks != 1 || first.Incremental.ReusedBlocks != first.Incremental.Blocks-1 || first.Incremental.Blocks != 3 {
+				t.Errorf("first resolve after the restart = %+v, want exactly the uncommitted block prepared", first.Incremental)
+			}
+			fresh := resolveOK(t, ts2, IncrementalResolveRequest{Fresh: true})
+			if !jsonEqual(t, first.Blocks, fresh.Blocks) {
+				t.Errorf("first resolve after the restart differs from a fresh one:\n got %+v\nwant %+v", first.Blocks, fresh.Blocks)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
-	"repro/internal/pipeline"
+	"repro/internal/serving"
 	"repro/internal/store"
 )
 
@@ -170,7 +170,7 @@ func TestJobRecordEvictedIs410(t *testing.T) {
 // survive, and a concurrent same-config acquire must get the same state
 // object — the serialize-per-config invariant.
 func TestStatePinnedDuringSlowRun(t *testing.T) {
-	srv := New(Config{MaxSnapshots: 1})
+	srv := New(Config{MaxStates: 1})
 	t.Cleanup(func() { srv.Close(context.Background()) })
 	knobs := func(seed int64) resolveKnobs { return resolveKnobs{Seed: &seed} }
 
@@ -219,61 +219,63 @@ func TestStatePinnedDuringSlowRun(t *testing.T) {
 	}
 }
 
-// memSnapStore is an in-memory SnapshotStore for testing the service's
-// save/load wiring without a disk.
-type memSnapStore struct {
-	mu    sync.Mutex
-	files map[string][]byte
-	saves int
-	loads int
+// memServingStore is an in-memory ServingStore for testing the service's
+// commit and restart wiring without a disk: every save is encoded and
+// every load decoded, like a file, and the calls are counted.
+type memServingStore struct {
+	mu                           sync.Mutex
+	files                        map[string][]byte
+	latest                       string
+	saves, latestLoads, keyLoads int
 }
 
-func newMemSnapStore() *memSnapStore {
-	return &memSnapStore{files: make(map[string][]byte)}
-}
-
-func (m *memSnapStore) Save(key string, snap *pipeline.Snapshot) error {
+func (m *memServingStore) SaveServing(key string, x *serving.Index) error {
 	var buf bytes.Buffer
-	if err := pipeline.EncodeSnapshot(&buf, snap); err != nil {
+	if err := x.EncodeTo(&buf); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.files[key] = buf.Bytes()
+	if m.files == nil {
+		m.files = make(map[string][]byte)
+	}
+	m.files[key], m.latest = buf.Bytes(), key
 	m.saves++
 	return nil
 }
 
-func (m *memSnapStore) Touch(key string) error {
+func (m *memServingStore) LoadLatestServing() (*serving.Index, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[key]; !ok {
-		return fmt.Errorf("no snapshot stored for %q", key)
-	}
-	return nil
-}
-
-func (m *memSnapStore) Load(key string, pl *pipeline.Pipeline) (*pipeline.Snapshot, error) {
-	m.mu.Lock()
-	buf, ok := m.files[key]
-	if ok {
-		m.loads++
-	}
+	buf, ok := m.files[m.latest]
+	m.latestLoads++
 	m.mu.Unlock()
 	if !ok {
 		return nil, nil
 	}
-	return pl.DecodeSnapshot(bytes.NewReader(buf))
+	return serving.Decode(bytes.NewReader(buf))
+}
+
+func (m *memServingStore) LoadServing(key string) (*serving.Index, error) {
+	m.mu.Lock()
+	buf, ok := m.files[key]
+	m.keyLoads++
+	m.mu.Unlock()
+	if !ok {
+		return nil, nil
+	}
+	return serving.Decode(bytes.NewReader(buf))
 }
 
 // TestSnapshotReloadAcrossServers exercises the restart wiring end to
 // end at the service layer: a second Server sharing the first one's
-// store and snapshot store (a restart, minus the process boundary) must
+// store and serving store (a restart, minus the process boundary) must
 // answer its first incremental request with every block reused and
-// clusters identical to the pre-restart run.
+// clusters identical to the pre-restart run — from the index it published
+// at startup when that was committed under the requesting configuration,
+// with no second load, and from the configuration's own file otherwise.
 func TestSnapshotReloadAcrossServers(t *testing.T) {
 	shared := store.NewMemStore()
-	snaps := newMemSnapStore()
+	saved := &memServingStore{}
 	col := testCollection(t, 20)
 	if _, err := shared.Append([]*corpus.Collection{col}); err != nil {
 		t.Fatal(err)
@@ -295,64 +297,80 @@ func TestSnapshotReloadAcrossServers(t *testing.T) {
 		}
 		return out
 	}
+	sameBlocks := func(what string, want, got IncrementalResolveResponse) {
+		t.Helper()
+		if len(got.Blocks) != len(want.Blocks) {
+			t.Fatalf("%s: block count changed: %d vs %d", what, len(got.Blocks), len(want.Blocks))
+		}
+		for i := range want.Blocks {
+			if !jsonEqual(t, want.Blocks[i], got.Blocks[i]) {
+				t.Errorf("%s: block %q changed: %+v vs %+v", what, want.Blocks[i].Name, want.Blocks[i], got.Blocks[i])
+			}
+		}
+	}
 
-	ts1 := testServer(t, Config{Store: shared, Snapshots: snaps})
+	ts1 := testServer(t, Config{Store: shared, Serving: saved})
+	other := incremental(ts1, `{"seed": 8}`)
 	before := incremental(ts1, `{"seed": 9}`)
 	if before.Incremental.ReusedBlocks != 0 {
 		t.Fatalf("first-ever run reused %d blocks", before.Incremental.ReusedBlocks)
 	}
-	if snaps.saves == 0 {
-		t.Fatal("no snapshot was saved after a successful incremental run")
+	if saved.saves != 2 {
+		t.Fatalf("%d serving commits after two successful incremental runs, want 2", saved.saves)
 	}
 
-	savesAfterFirstRun := snaps.saves
-	ts2 := testServer(t, Config{Store: shared, Snapshots: snaps})
+	// The restarted server publishes the newest commit, seed 9's, and that
+	// configuration's first run resumes from it: nothing is loaded twice.
+	saved.keyLoads = 0 // each configuration's first-ever run looked for a file
+	ts2 := testServer(t, Config{Store: shared, Serving: saved})
 	after := incremental(ts2, `{"seed": 9}`)
 	if after.Incremental.ReusedBlocks != after.Incremental.Blocks || after.Incremental.Blocks == 0 {
 		t.Fatalf("post-restart stats = %+v, want every block reused", after.Incremental)
 	}
-	if snaps.loads == 0 {
-		t.Fatal("restarted server never loaded the persisted snapshot")
+	if saved.latestLoads != 2 || saved.keyLoads != 0 {
+		t.Fatalf("restart made %d latest and %d keyed loads, want the startup load (one per server) and no second decode",
+			saved.latestLoads, saved.keyLoads)
 	}
-	if snaps.saves != savesAfterFirstRun {
-		t.Errorf("an all-reused run re-saved the unchanged snapshot (%d saves, want %d)",
-			snaps.saves, savesAfterFirstRun)
+	sameBlocks("seed 9 across the restart", before, after)
+
+	// Another configuration's previous run is not the hot index: it comes
+	// from that configuration's own file, once.
+	afterOther := incremental(ts2, `{"seed": 8}`)
+	if afterOther.Incremental.ReusedBlocks != afterOther.Incremental.Blocks || saved.keyLoads != 1 {
+		t.Fatalf("post-restart stats of the older configuration = %+v after %d keyed loads, want every block reused from one load",
+			afterOther.Incremental, saved.keyLoads)
 	}
-	if len(after.Blocks) != len(before.Blocks) {
-		t.Fatalf("block count changed across restart: %d vs %d", len(after.Blocks), len(before.Blocks))
-	}
-	for i := range before.Blocks {
-		a, b := before.Blocks[i], after.Blocks[i]
-		if a.Name != b.Name || !jsonEqual(t, a.Labels, b.Labels) {
-			t.Errorf("block %q: clusters changed across restart", a.Name)
-		}
+	sameBlocks("seed 8 across the restart", other, afterOther)
+	incremental(ts2, `{"seed": 8}`)
+	if saved.keyLoads != 1 {
+		t.Errorf("a configuration's second run loaded its file again (%d keyed loads)", saved.keyLoads)
 	}
 
-	// "fresh": true ignores the persisted snapshot but still saves a new
-	// one, and its clusters agree with the reused ones (the equivalence
-	// guarantee).
-	ts3 := testServer(t, Config{Store: shared, Snapshots: snaps})
+	// "fresh": true ignores the persisted resolution but still commits a
+	// new one, and its clusters agree with the reused ones (the
+	// equivalence guarantee).
+	ts3 := testServer(t, Config{Store: shared, Serving: saved})
+	saves := saved.saves
 	fresh := incremental(ts3, `{"seed": 9, "fresh": true}`)
 	if fresh.Incremental.ReusedBlocks != 0 {
 		t.Fatalf("fresh run reused %d blocks", fresh.Incremental.ReusedBlocks)
 	}
-	for i := range before.Blocks {
-		if !jsonEqual(t, before.Blocks[i].Labels, fresh.Blocks[i].Labels) {
-			t.Errorf("block %q: fresh clusters diverge from persisted-incremental ones", before.Blocks[i].Name)
-		}
+	if saved.saves != saves+1 {
+		t.Errorf("a fresh run made %d serving commits, want 1", saved.saves-saves)
 	}
+	sameBlocks("fresh against persisted-incremental", before, fresh)
 }
 
 // TestFreshRunDoesNotForfeitPersistedSnapshot pins the load-once logic:
-// a "fresh" request skips the persisted-snapshot load but must not
+// a "fresh" request skips the persisted-resolution load but must not
 // consume the single load attempt. The regression scenario: the first
 // post-restart request for a configuration is fresh and FAILS (times
 // out), leaving no in-memory snapshot — the next non-fresh request must
-// still load the persisted snapshot and reuse every block, not
-// re-prepare the corpus for the rest of the process lifetime.
+// still load the configuration's persisted serving index and reuse every
+// block, not re-prepare the corpus for the rest of the process lifetime.
 func TestFreshRunDoesNotForfeitPersistedSnapshot(t *testing.T) {
 	shared := store.NewMemStore()
-	snaps := newMemSnapStore()
+	saved := &memServingStore{}
 	if _, err := shared.Append([]*corpus.Collection{testCollection(t, 60)}); err != nil {
 		t.Fatal(err)
 	}
@@ -369,26 +387,34 @@ func TestFreshRunDoesNotForfeitPersistedSnapshot(t *testing.T) {
 		return resp.StatusCode, out
 	}
 
-	// Seed the persisted snapshot, then "restart".
-	ts1 := testServer(t, Config{Store: shared, Snapshots: snaps})
-	if code, _ := post(ts1, `{"seed": 3}`); code != http.StatusOK {
-		t.Fatalf("seeding run status = %d", code)
+	// Seed the persisted resolution, commit another configuration after it
+	// so the restarted server's hot index is not seed 3's, then "restart".
+	ts1 := testServer(t, Config{Store: shared, Serving: saved})
+	for _, body := range []string{`{"seed": 3}`, `{"seed": 4}`} {
+		if code, _ := post(ts1, body); code != http.StatusOK {
+			t.Fatalf("seeding run %s status = %d", body, code)
+		}
 	}
 
-	ts2 := testServer(t, Config{Store: shared, Snapshots: snaps})
+	saved.keyLoads = 0 // each configuration's first-ever run looked for a file
+	ts2 := testServer(t, Config{Store: shared, Serving: saved})
 	// First post-restart request: fresh with a 1ms budget — preparing a
 	// 60-document block (1770 pairs × 10 functions) cannot finish, so
 	// the run dies with 504 and no snapshot in memory.
 	if code, _ := post(ts2, `{"seed": 3, "fresh": true, "timeout_ms": 1}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("sabotaged fresh run status = %d, want 504", code)
 	}
-	// The persisted snapshot must still be loadable now.
+	if saved.keyLoads != 0 {
+		t.Fatalf("the fresh request loaded the persisted serving index (%d keyed loads)", saved.keyLoads)
+	}
+	// The persisted resolution must still be loadable now.
 	code, got := post(ts2, `{"seed": 3}`)
 	if code != http.StatusOK {
 		t.Fatalf("post-fresh run status = %d", code)
 	}
-	if got.Incremental.ReusedBlocks != got.Incremental.Blocks || got.Incremental.Blocks == 0 {
-		t.Fatalf("post-fresh stats = %+v, want full reuse from the persisted snapshot", got.Incremental)
+	if got.Incremental.ReusedBlocks != got.Incremental.Blocks || got.Incremental.Blocks == 0 || saved.keyLoads != 1 {
+		t.Fatalf("post-fresh stats = %+v after %d keyed loads, want full reuse from the persisted serving index",
+			got.Incremental, saved.keyLoads)
 	}
 }
 

@@ -60,8 +60,6 @@ func (s *Server) initObservability() {
 
 	c.panics = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "panics")
 	c.ingestThrottled = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ingest_throttled")
-	c.snapshotLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "snapshot_load_failures")
-	c.snapshotSaveFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "snapshot_save_failures")
 	c.indexLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "index_load_failures")
 	c.indexSaveFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "index_save_failures")
 	c.annLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ann_load_failures")
@@ -101,11 +99,12 @@ func (s *Server) initObservability() {
 	s.latency.analyze = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "analyze")
 	s.latency.cluster = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "cluster")
 	s.latency.lookup = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "lookup")
-	s.latency.snapshotLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "snapshot.load")
+	s.latency.stateWait = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "state.wait")
+	s.latency.storeSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "store.snapshot")
+	s.latency.servingLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "serving.load")
 	s.latency.publishServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "publish.serving")
 	s.latency.persistServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.serving")
 	s.latency.persistIndex = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.index")
-	s.latency.persistSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.snapshot")
 	s.latency.encode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "encode")
 
 	r.Gauge("ersolve_queue_depth", "Ingest jobs enqueued but not yet finished.",
@@ -230,7 +229,6 @@ func (s *Server) storeDegradationSamples() []metrics.Sample {
 		kind string
 		src  any
 	}{
-		{"quarantined_snapshots", s.cfg.Snapshots},
 		{"quarantined_indexes", s.cfg.Indexes},
 		{"quarantined_ann", s.cfg.ANNIndexes},
 		{"quarantined_serving", s.cfg.Serving},

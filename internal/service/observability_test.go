@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/metrics"
-	"repro/internal/pipeline"
 	"repro/internal/serving"
 	"repro/internal/store"
 	"repro/internal/tracing"
@@ -211,49 +210,48 @@ func TestResolveTraceSpans(t *testing.T) {
 	}
 }
 
-// slowLoadStore is a SnapshotStore whose Load takes at least delay, like a
-// large snapshot file on a cold disk.
+// slowLoadStore is a ServingStore whose LoadServing takes at least delay,
+// like a large serving file on a cold disk.
 type slowLoadStore struct {
-	*memSnapStore
+	ServingStore
 	delay time.Duration
 }
 
-func (s slowLoadStore) Load(key string, pl *pipeline.Pipeline) (*pipeline.Snapshot, error) {
+func (s slowLoadStore) LoadServing(key string) (*serving.Index, error) {
 	time.Sleep(s.delay)
-	return s.memSnapStore.Load(key, pl)
+	return s.ServingStore.LoadServing(key)
 }
-
-// memServingStore is an in-memory ServingStore.
-type memServingStore struct{ latest *serving.Index }
-
-func (m *memServingStore) SaveServing(_ string, x *serving.Index) error { m.latest = x; return nil }
-func (m *memServingStore) LoadLatestServing() (*serving.Index, error)   { return m.latest, nil }
 
 // TestRestartDeltaResolveIsObserved pins that nothing the client waits
 // for hides: the first resolve after a restart, over a corpus that grew
-// meanwhile, reports the snapshot load in elapsed_ms and carries the load,
-// the four commit steps — the serving build and swap apart from its save —
-// and the reply encoding as child spans inside the root span, with the
-// same stages in the latency histogram family.
+// meanwhile, reports the serving-index load in elapsed_ms and carries the
+// lock wait, the store snapshot, the load, the three commit steps — the
+// serving build and swap apart from its save — and the reply encoding as
+// child spans inside the root span, with the same stages in the latency
+// histogram family. Another configuration committed last, so the resolve
+// has to load its own file rather than resume from the hot index.
 func TestRestartDeltaResolveIsObserved(t *testing.T) {
 	shared := store.NewMemStore()
-	snaps := newMemSnapStore()
+	saved := &memServingStore{}
 	col := testCollection(t, 24)
 	head := &corpus.Collection{Name: col.Name, Docs: col.Docs[:22], NumPersonas: col.NumPersonas}
 	if _, err := shared.Append([]*corpus.Collection{head}); err != nil {
 		t.Fatal(err)
 	}
-	resolveOK(t, testServer(t, Config{Store: shared, Snapshots: snaps}), IncrementalResolveRequest{})
+	ts1 := testServer(t, Config{Store: shared, Serving: saved})
+	resolveOK(t, ts1, IncrementalResolveRequest{})
+	seed := int64(2)
+	resolveOK(t, ts1, IncrementalResolveRequest{resolveKnobs: resolveKnobs{Seed: &seed}})
 
 	tail := &corpus.Collection{Name: col.Name, Docs: col.Docs[22:], NumPersonas: col.NumPersonas}
 	if _, err := shared.Append([]*corpus.Collection{tail}); err != nil {
 		t.Fatal(err)
 	}
 	const delay = 50 * time.Millisecond
-	_, ts := serverPair(t, Config{Store: shared, Snapshots: slowLoadStore{snaps, delay}, Serving: &memServingStore{}})
+	_, ts := serverPair(t, Config{Store: shared, Serving: slowLoadStore{saved, delay}})
 	got := resolveOK(t, ts, IncrementalResolveRequest{})
 	if got.ElapsedMillis < delay.Milliseconds() {
-		t.Errorf("elapsed_ms = %d, want >= %d: the snapshot load the client waited for is missing",
+		t.Errorf("elapsed_ms = %d, want >= %d: the serving-index load the client waited for is missing",
 			got.ElapsedMillis, delay.Milliseconds())
 	}
 
@@ -269,7 +267,7 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 		seen[s.Name] = s
 	}
 	text := scrapeMetrics(t, ts)
-	for _, stage := range []string{"snapshot.load", "publish.serving", "persist.serving", "persist.index", "persist.snapshot", "encode"} {
+	for _, stage := range []string{"state.wait", "store.snapshot", "serving.load", "publish.serving", "persist.serving", "persist.index", "encode"} {
 		s, ok := seen[stage]
 		if !ok {
 			t.Errorf("trace has no %q child span", stage)
@@ -284,8 +282,13 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 			t.Errorf("%s histogram count = %g, want 1", stage, n)
 		}
 	}
-	if d := seen["snapshot.load"].DurationMicros; d < delay.Microseconds() {
-		t.Errorf("snapshot.load span = %dus, want >= %dus", d, delay.Microseconds())
+	if d := seen["serving.load"].DurationMicros; d < delay.Microseconds() {
+		t.Errorf("serving.load span = %dus, want >= %dus", d, delay.Microseconds())
+	}
+	for _, gone := range []string{"snapshot.load", "persist.snapshot"} {
+		if _, ok := seen[gone]; ok || strings.Contains(text, `stage="`+gone+`"`) {
+			t.Errorf("the %q stage is still traced or registered", gone)
+		}
 	}
 }
 

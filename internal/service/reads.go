@@ -24,10 +24,43 @@ import (
 // resolution-configuration key, durably, however little of it the store
 // has to write to do so; LoadLatestServing returns the most
 // recently saved index of any configuration — what a restarted server
-// publishes before any resolve has run — or (nil, nil) when none is stored.
+// publishes before any resolve has run — and LoadServing the one saved
+// under key, what that configuration's first resolve after a restart
+// resumes from; both return (nil, nil) when none is stored.
 type ServingStore interface {
 	SaveServing(key string, x *serving.Index) error
 	LoadLatestServing() (*serving.Index, error)
+	LoadServing(key string) (*serving.Index, error)
+}
+
+// committedBlocks lists a run's blocks as the serving index takes them —
+// what snapshotOf reads back.
+func committedBlocks(inc *pipeline.IncrementalResult) []serving.BlockResolution {
+	blocks := make([]serving.BlockResolution, len(inc.Results))
+	for i, res := range inc.Results {
+		blocks[i] = serving.BlockResolution{
+			Fingerprint: inc.Fingerprints[i],
+			Name:        res.Block.Name,
+			Members:     inc.Members[i],
+			Resolution:  res.Resolution,
+			Score:       res.Score,
+		}
+	}
+	return blocks
+}
+
+// snapshotOf rebuilds the incremental snapshot of the run a serving index
+// was committed from: per block its fingerprint, labels, source and score,
+// everything the next run's dirty-block diff reads.
+func snapshotOf(x *serving.Index) *pipeline.Snapshot {
+	blocks := x.Resolutions()
+	fps := make([]uint64, len(blocks))
+	results := make([]pipeline.Result, len(blocks))
+	for i, b := range blocks {
+		fps[i] = b.Fingerprint
+		results[i] = pipeline.Result{Resolution: b.Resolution, Score: b.Score}
+	}
+	return pipeline.NewSnapshot(fps, results)
 }
 
 // stageHistograms are the per-stage latency histograms: the four pipeline
@@ -38,7 +71,7 @@ type ServingStore interface {
 type stageHistograms struct {
 	block, prepare, analyze, cluster, lookup *metrics.Histogram
 
-	snapshotLoad, publishServing, persistServing, persistIndex, persistSnapshot, encode *metrics.Histogram
+	stateWait, storeSnapshot, servingLoad, publishServing, persistServing, persistIndex, encode *metrics.Histogram
 }
 
 // publishServing materializes the committed run's serving index, swaps it
@@ -65,22 +98,12 @@ func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.C
 	defer s.servingMu.Unlock()
 	var x *serving.Index
 	timed(tr, "publish.serving", s.latency.publishServing, func() {
-		blocks := make([]serving.BlockResolution, len(inc.Results))
-		for i, res := range inc.Results {
-			blocks[i] = serving.BlockResolution{
-				Fingerprint: inc.Fingerprints[i],
-				Name:        res.Block.Name,
-				Members:     inc.Members[i],
-				Resolution:  res.Resolution,
-				Score:       res.Score,
-			}
-		}
 		prev := s.serving.Load()
 		if prev != nil && prev.StoreVersion() > version {
 			return
 		}
 		epoch := s.servingEpoch + 1
-		x = serving.Build(prev, epoch, version, key, cols, blocks)
+		x = serving.Build(prev, epoch, version, key, cols, committedBlocks(inc))
 		s.servingEpoch = epoch
 		s.serving.Store(x)
 		s.readCache.clear()
@@ -88,8 +111,8 @@ func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.C
 	if x == nil || s.cfg.Serving == nil {
 		return
 	}
-	// Persist before the resolve is acknowledged, mirroring snapshot saves:
-	// a crash after the answer still restarts with this resolution servable.
+	// Persist before the resolve is acknowledged: a crash after the answer
+	// still restarts with this resolution servable and its blocks reusable.
 	// A failure costs the restart head-start, not correctness, and is
 	// counted as degradation.
 	timed(tr, "persist.serving", s.latency.persistServing, func() {

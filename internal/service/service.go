@@ -52,11 +52,11 @@ type Config struct {
 	MaxBodyBytes int64
 	// QueueBuffer bounds the ingest job backlog; zero selects 64.
 	QueueBuffer int
-	// MaxSnapshots caps how many knob configurations keep an incremental
+	// MaxStates caps how many knob configurations keep an incremental
 	// snapshot (each retains every block's labels and score); the
 	// least-recently-used is evicted beyond the cap, except states pinned
 	// by an in-flight run. Zero selects 16.
-	MaxSnapshots int
+	MaxStates int
 	// JobHistory bounds how many finished ingest-job records stay
 	// queryable via GET /v1/jobs/{id}; older records answer 410 Gone.
 	// Zero selects 1024.
@@ -88,24 +88,19 @@ type Config struct {
 	// to a rebuild from the store (results stay correct) and is reported
 	// through ErrorLog.
 	ANNIndexes ANNStore
-	// Snapshots optionally persists each configuration's incremental
-	// snapshot (internal/persist.SnapshotDir is the disk implementation).
-	// When set, every successful incremental run saves its snapshot
-	// through it, and a configuration's first run after a restart loads
-	// the saved snapshot back — so the first POST /v1/resolve/incremental
-	// after a restart reuses every unchanged block. A damaged or
-	// version-skewed saved snapshot degrades that run to a full
-	// resolution (results stay correct) and is reported through ErrorLog.
-	Snapshots SnapshotStore
-	// Serving optionally persists the hot serving index
-	// (internal/persist.ServingDir is the disk implementation). When set,
-	// every committed incremental run commits its serving index to it
-	// before the reply (the blocks that changed, not the index), and the
-	// server publishes the most recently saved one at construction — so a
+	// Serving optionally persists each configuration's committed
+	// resolution as its serving index (internal/persist.ServingDir is the
+	// disk implementation). When set, every committed incremental run
+	// commits its serving index to it before the reply (the blocks that
+	// changed, not the index) — the one durable commit of a resolve. The
+	// server publishes the most recently saved one at construction, so a
 	// restarted server answers entity lookups immediately, with zero
-	// recompute. A damaged saved index degrades to an empty read path
-	// until the next commit (lookups answer 409, never wrong data) and is
-	// reported through ErrorLog.
+	// recompute, and a configuration's first run after a restart takes its
+	// previous run from its saved index, so it reuses every unchanged
+	// block. A damaged or version-skewed saved index degrades to an empty
+	// read path until the next commit (lookups answer 409, never wrong
+	// data) and that run to a full resolution, and is reported through
+	// ErrorLog.
 	Serving ServingStore
 	// ReadCache bounds the read path's LRU response cache in entries; zero
 	// selects 1024, negative disables the cache.
@@ -114,23 +109,9 @@ type Config struct {
 	// GET /v1/traces serves; zero selects 256, negative disables tracing
 	// (the endpoint then always answers an empty list).
 	TraceBuffer int
-	// ErrorLog receives background persistence failures (snapshot
-	// save/load); nil selects log.Printf.
+	// ErrorLog receives background persistence failures (index and
+	// serving save/load); nil selects log.Printf.
 	ErrorLog func(format string, args ...any)
-}
-
-// SnapshotStore persists per-configuration incremental snapshots. Load
-// returns (nil, nil) when no snapshot is saved under the key; it decodes
-// against the pipeline that will consume the snapshot, which must be
-// configured identically to the one that saved it — the service keys
-// snapshots by the effective-knobs string to guarantee exactly that.
-// Touch marks the key's stored snapshot as recently used without
-// rewriting it (backends may garbage-collect by recency); it fails when
-// nothing is stored under the key, telling the service to Save in full.
-type SnapshotStore interface {
-	Load(key string, pl *pipeline.Pipeline) (*pipeline.Snapshot, error)
-	Save(key string, snap *pipeline.Snapshot) error
-	Touch(key string) error
 }
 
 // IndexStore persists per-blocking-configuration sharded indexes.
@@ -223,11 +204,10 @@ type counters struct {
 	// throttled, persisted state failed to load (rebuilt from the corpus)
 	// or save (retried later). Surfaced by /v1/stats so operators see
 	// silent degradation before it becomes an outage.
-	panics, ingestThrottled                    *metrics.Counter
-	snapshotLoadFailures, snapshotSaveFailures *metrics.Counter
-	indexLoadFailures, indexSaveFailures       *metrics.Counter
-	annLoadFailures, annSaveFailures           *metrics.Counter
-	servingLoadFailures, servingSaveFailures   *metrics.Counter
+	panics, ingestThrottled                  *metrics.Counter
+	indexLoadFailures, indexSaveFailures     *metrics.Counter
+	annLoadFailures, annSaveFailures         *metrics.Counter
+	servingLoadFailures, servingSaveFailures *metrics.Counter
 }
 
 // indexEntry is one shared candidate index — sharded key index or ANN
@@ -272,17 +252,12 @@ var (
 type incrementalState struct {
 	mu   sync.Mutex
 	snap *pipeline.Snapshot
-	// loadTried marks that the persisted snapshot (if any) was already
-	// loaded or found unusable, so it is read at most once per state;
-	// guarded by mu.
+	// loadTried marks that the persisted serving index (if any) was
+	// already turned into snap or found unusable, so it is read at most
+	// once per state; guarded by mu.
 	loadTried bool
-	// stored marks that the snapshot store holds this state's current
-	// snapshot (last Save succeeded, or it was just loaded from there);
-	// unchanged-run save skipping is only valid while this is true.
-	// Guarded by mu.
-	stored bool
 	// key is the effective-knobs string this state (and its persisted
-	// snapshot) is filed under.
+	// serving index) is filed under.
 	key string
 	// lastUsed orders LRU eviction; guarded by Server.statesMu.
 	lastUsed time.Time
@@ -308,8 +283,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
 	}
-	if cfg.MaxSnapshots <= 0 {
-		cfg.MaxSnapshots = 16
+	if cfg.MaxStates <= 0 {
+		cfg.MaxStates = 16
 	}
 	if cfg.ErrorLog == nil {
 		cfg.ErrorLog = log.Printf
@@ -525,7 +500,7 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "store": s.store.Stats()})
 	})
 	// A Server is constructed only after its store is open — journal
-	// replayed, snapshot/index directories swept — so readiness is the
+	// replayed, artifact directories swept — so readiness is the
 	// handler's existence. The serve command keeps a bootstrap handler
 	// answering 503 on this path until construction finishes.
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -738,7 +713,7 @@ type IncrementalResolveResponse struct {
 	// implementation ran ("index" or "scheme").
 	Blocking pipeline.BlockingStats `json:"blocking"`
 	// ElapsedMillis is the server-side resolution time: the persisted
-	// snapshot load on the first resolve after a restart, the run, and
+	// serving-index load on the first resolve after a restart, the run, and
 	// the commit (publish and persist).
 	ElapsedMillis int64 `json:"elapsed_ms"`
 }
@@ -972,10 +947,12 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// results for an older store version than its predecessor saw.
 	state := s.acquireState(req.resolveKnobs)
 	defer s.releaseState(state)
-	state.mu.Lock()
+	timed(tr, "state.wait", s.latency.stateWait, state.mu.Lock)
 	defer state.mu.Unlock()
 
-	cols, version := s.store.Snapshot()
+	var cols []*corpus.Collection
+	var version uint64
+	timed(tr, "store.snapshot", s.latency.storeSnapshot, func() { cols, version = s.store.Snapshot() })
 	tr.SetAttr("knobs", state.key)
 	tr.SetAttr("store_version", strconv.FormatUint(version, 10))
 	docs := 0
@@ -988,36 +965,36 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		return
 	}
 	// elapsed_ms covers everything the client waits for from here on: the
-	// one-time snapshot load, the run, and the commit tail.
+	// one-time serving-index load, the run, and the commit tail.
 	start := time.Now()
-	prev := state.snap
-	if prev == nil && !state.loadTried && s.cfg.Snapshots != nil && !req.Fresh {
+	if state.snap == nil && !state.loadTried && s.cfg.Serving != nil && !req.Fresh {
 		// First non-fresh use of this configuration since the server
-		// started: pick up where the previous process left off. A
-		// missing snapshot is normal; a damaged or version-skewed one
-		// degrades this run to a full resolution and is logged, never
-		// served. A fresh request does not consume the one load attempt:
-		// if it fails mid-run, the persisted snapshot still serves the
-		// next non-fresh request.
+		// started: pick up from the resolution it last committed. That is
+		// the hot index when it was committed under this key (usually the
+		// one published at startup — no second decode of the same file),
+		// else the key's own file. A missing file is normal; a damaged or
+		// version-skewed one degrades this run to a full resolution and is
+		// logged, never served. A fresh request does not consume the one
+		// load attempt: if it fails mid-run, the persisted index still
+		// serves the next non-fresh request. The snapshot is cached at
+		// once, so a run that dies (timeout, cancellation) before producing
+		// its own does not forfeit the restart head-start either.
 		state.loadTried = true
-		var loaded *pipeline.Snapshot
-		var err error
-		timed(tr, "snapshot.load", s.latency.snapshotLoad, func() {
-			loaded, err = s.cfg.Snapshots.Load(state.key, pl)
+		timed(tr, "serving.load", s.latency.servingLoad, func() {
+			x := s.serving.Load()
+			if x == nil || x.Knobs() != state.key {
+				var err error
+				if x, err = s.cfg.Serving.LoadServing(state.key); err != nil {
+					s.counters.servingLoadFailures.Add(1)
+					s.cfg.ErrorLog("service: loading serving index for %q: %v", state.key, err)
+				}
+			}
+			if x != nil {
+				state.snap = snapshotOf(x)
+			}
 		})
-		if err != nil {
-			s.counters.snapshotLoadFailures.Add(1)
-			s.cfg.ErrorLog("service: loading snapshot for %q: %v", state.key, err)
-		} else {
-			prev = loaded
-			// Cache the loaded snapshot immediately: if this run dies
-			// (timeout, cancellation) before producing its own, the next
-			// request still starts from the persisted state instead of
-			// forfeiting the restart head-start.
-			state.snap = loaded
-			state.stored = loaded != nil
-		}
 	}
+	prev := state.snap
 	if req.Fresh {
 		prev = nil
 	}
@@ -1034,7 +1011,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// Commit hook: invert this run into the hot serving index (reusing the
 	// clean blocks' materializations), swap it in for lock-free reads, and
 	// persist it — all before the resolve is acknowledged, so a client that
-	// saw the response can immediately GET the clusters it describes.
+	// saw the response can immediately GET the clusters it describes. The
+	// appended serving record is the run's one durable commit: a restart
+	// rebuilds state.snap from it, and a run whose record did not land is
+	// one whose dirty blocks are prepared again.
 	s.publishServing(tr, state.key, cols, version, inc)
 	timed(tr, "persist.index", s.latency.persistIndex, func() {
 		s.persistIndexOnResolve(indexEntry)
@@ -1049,34 +1029,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	if inc.Stats.Blocking != nil {
 		s.counters.deltaDocs.Add(int64(inc.Stats.Blocking.DeltaDocs))
 		s.counters.dirtyBlocks.Add(int64(inc.Stats.Blocking.DirtyBlocks))
-	}
-	if s.cfg.Snapshots != nil {
-		// Persist before answering, so an acknowledged run's snapshot
-		// survives a crash. A save failure loses only the restart
-		// head-start, not correctness. When the run changed nothing —
-		// every block reused and the block set identical to prev's — the
-		// stored snapshot is already semantically equal; Touch it (so
-		// recency-based backend GC keeps the busiest configurations)
-		// instead of rewriting and fsyncing it per steady-state poll. The
-		// skip requires the previous store write to have succeeded
-		// (state.stored) and the Touch to find the entry; either failing
-		// falls back to a full Save, so a transient store error or a
-		// GC'd entry never disables durability for the rest of the
-		// process lifetime.
-		timed(tr, "persist.snapshot", s.latency.persistSnapshot, func() {
-			unchanged := prev != nil && state.stored &&
-				inc.Stats.Reused == inc.Stats.Blocks &&
-				inc.Snapshot.Blocks() == prev.Blocks() &&
-				s.cfg.Snapshots.Touch(state.key) == nil
-			if !unchanged {
-				err := s.cfg.Snapshots.Save(state.key, inc.Snapshot)
-				state.stored = err == nil
-				if err != nil {
-					s.counters.snapshotSaveFailures.Add(1)
-					s.cfg.ErrorLog("service: saving snapshot for %q: %v", state.key, err)
-				}
-			}
-		})
 	}
 
 	blockingStats := pipeline.BlockingStats{Indexer: "scheme"}
@@ -1103,10 +1055,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 }
 
 // knobsKey builds the effective-knobs string identifying one resolution
-// configuration — the key incremental states and persisted snapshots are
-// filed under. It is built from the EFFECTIVE values (defaults resolved),
-// so `{}` and `{"seed":1}` share one state and an explicit "seed":-1 can
-// never alias the defaults.
+// configuration — the key incremental states and persisted serving
+// indexes are filed under. It is built from the EFFECTIVE values (defaults
+// resolved), so `{}` and `{"seed":1}` share one state and an explicit
+// "seed":-1 can never alias the defaults.
 func knobsKey(k resolveKnobs) string {
 	def := core.DefaultOptions()
 	strategy, clustering, scheme, keys := k.Strategy, k.Clustering, k.Blocking, k.Keys
@@ -1134,8 +1086,8 @@ func knobsKey(k resolveKnobs) string {
 	}
 	base := fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, scheme, keys, train, regions, seed)
 	// The ann section joins the key ONLY in ann mode: exact-mode keys are
-	// byte-identical to previous releases, so existing persisted snapshots
-	// keep resolving under the same key after an upgrade.
+	// byte-identical to previous releases, so existing persisted serving
+	// indexes keep resolving under the same key after an upgrade.
 	if k.BlockingMode == "ann" {
 		m, ef := annKnobs(k)
 		base += fmt.Sprintf("|ann|%d|%d", m, ef)
@@ -1408,7 +1360,7 @@ func (s *Server) acquireState(k resolveKnobs) *incrementalState {
 	defer s.statesMu.Unlock()
 	state, ok := s.states[key]
 	if !ok {
-		for len(s.states) >= s.cfg.MaxSnapshots {
+		for len(s.states) >= s.cfg.MaxStates {
 			oldestKey := ""
 			var oldest time.Time
 			for sk, st := range s.states {
@@ -1475,30 +1427,27 @@ type StatsResponse struct {
 	SnapshotStates int `json:"snapshot_states"`
 	// Degraded aggregates every event where the server kept serving by
 	// giving something up — recovered torn journal tails, quarantined
-	// snapshot/index files, failed loads and saves, recovered panics,
+	// index and serving files, failed loads and saves, recovered panics,
 	// throttled ingest. All-zero is the healthy steady state.
 	Degraded DegradedStats `json:"degraded"`
 }
 
 // DegradedStats counts degradation events across the server's lifetime,
-// except TornTailRecoveries and the Quarantined pair, which report the
+// except TornTailRecoveries and the Quarantined fields, which report the
 // backing store's own counters (recovery happens at open; quarantine at
 // load).
 type DegradedStats struct {
 	// TornTailRecoveries is how many journal segments were healed by
 	// truncating a torn final record when the store was opened.
 	TornTailRecoveries int `json:"torn_tail_recoveries"`
-	// QuarantinedSnapshots / QuarantinedIndexes count damaged persisted
-	// files renamed aside (*.corrupt) and rebuilt from the corpus.
-	QuarantinedSnapshots int64 `json:"quarantined_snapshots"`
-	QuarantinedIndexes   int64 `json:"quarantined_indexes"`
+	// QuarantinedIndexes counts damaged persisted blocking indexes
+	// renamed aside (*.corrupt) and rebuilt from the corpus.
+	QuarantinedIndexes int64 `json:"quarantined_indexes"`
 	// Load failures degrade a run to a full rebuild; save failures cost
 	// the restart head-start and are retried (index saves with capped
 	// exponential backoff).
-	SnapshotLoadFailures int64 `json:"snapshot_load_failures"`
-	SnapshotSaveFailures int64 `json:"snapshot_save_failures"`
-	IndexLoadFailures    int64 `json:"index_load_failures"`
-	IndexSaveFailures    int64 `json:"index_save_failures"`
+	IndexLoadFailures int64 `json:"index_load_failures"`
+	IndexSaveFailures int64 `json:"index_save_failures"`
 	// QuarantinedANN counts damaged persisted ANN graphs renamed aside;
 	// ANNLoadFailures/ANNSaveFailures degrade only the restart
 	// head-start of the "ann" blocking mode — the graph rebuilds from
@@ -1510,7 +1459,8 @@ type DegradedStats struct {
 	// aside; ServingTornTails counts the ones loaded short of a damaged
 	// commit record, serving the resolution committed before it;
 	// ServingLoadFailures/ServingSaveFailures degrade only the restart
-	// head-start of the read path.
+	// head-start: of the read path, and of the configuration's first
+	// resolve, which prepares again what the lost commit held.
 	QuarantinedServing  int64 `json:"quarantined_serving"`
 	ServingTornTails    int64 `json:"serving_torn_tails"`
 	ServingLoadFailures int64 `json:"serving_load_failures"`
@@ -1524,8 +1474,8 @@ type DegradedStats struct {
 }
 
 // tornTailReporter is implemented by stores that recover torn journal
-// tails (persist.Store); quarantineReporter by snapshot/index stores that
-// rename damaged files aside (persist.SnapshotDir, persist.IndexDir);
+// tails (persist.Store); quarantineReporter by artifact stores that
+// rename damaged files aside (persist.IndexDir, persist.ServingDir);
 // servingTailReporter by serving stores that load a file short of a
 // damaged commit record (persist.ServingDir); ioReporter by stores that
 // count their device work (persist.Store over a counting filesystem, nil
@@ -1541,22 +1491,17 @@ type ioReporter interface {
 // counters plus whatever the backing stores expose.
 func (s *Server) degradedStats() DegradedStats {
 	d := DegradedStats{
-		SnapshotLoadFailures: s.counters.snapshotLoadFailures.Load(),
-		SnapshotSaveFailures: s.counters.snapshotSaveFailures.Load(),
-		IndexLoadFailures:    s.counters.indexLoadFailures.Load(),
-		IndexSaveFailures:    s.counters.indexSaveFailures.Load(),
-		ANNLoadFailures:      s.counters.annLoadFailures.Load(),
-		ANNSaveFailures:      s.counters.annSaveFailures.Load(),
-		ServingLoadFailures:  s.counters.servingLoadFailures.Load(),
-		ServingSaveFailures:  s.counters.servingSaveFailures.Load(),
-		Panics:               s.counters.panics.Load(),
-		IngestThrottled:      s.counters.ingestThrottled.Load(),
+		IndexLoadFailures:   s.counters.indexLoadFailures.Load(),
+		IndexSaveFailures:   s.counters.indexSaveFailures.Load(),
+		ANNLoadFailures:     s.counters.annLoadFailures.Load(),
+		ANNSaveFailures:     s.counters.annSaveFailures.Load(),
+		ServingLoadFailures: s.counters.servingLoadFailures.Load(),
+		ServingSaveFailures: s.counters.servingSaveFailures.Load(),
+		Panics:              s.counters.panics.Load(),
+		IngestThrottled:     s.counters.ingestThrottled.Load(),
 	}
 	if r, ok := s.store.(tornTailReporter); ok {
 		d.TornTailRecoveries = r.TornTailRecoveries()
-	}
-	if r, ok := s.cfg.Snapshots.(quarantineReporter); ok {
-		d.QuarantinedSnapshots = r.Quarantined()
 	}
 	if r, ok := s.cfg.Indexes.(quarantineReporter); ok {
 		d.QuarantinedIndexes = r.Quarantined()

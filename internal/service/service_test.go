@@ -421,10 +421,10 @@ func TestIncrementalStateKeying(t *testing.T) {
 }
 
 // TestIncrementalSnapshotEviction pins the LRU cap on per-configuration
-// snapshots: beyond MaxSnapshots, the least-recently-used state is
+// snapshots: beyond MaxStates, the least-recently-used state is
 // dropped and its configuration resolves from scratch next time.
 func TestIncrementalSnapshotEviction(t *testing.T) {
-	ts := testServer(t, Config{MaxSnapshots: 1})
+	ts := testServer(t, Config{MaxStates: 1})
 	ingestCollection(t, ts, testCollection(t, 12))
 
 	var out IncrementalResolveResponse

@@ -175,7 +175,7 @@ func TestWarmerPersistsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Store: data.Store, Snapshots: data.Snapshots, Indexes: data.Indexes})
+	srv := New(Config{Store: data.Store, Serving: data.Serving, Indexes: data.Indexes})
 	ts := httptest.NewServer(srv.Handler())
 
 	// One resolve creates the index entry; the second ingest is only ever
@@ -208,7 +208,7 @@ func TestWarmerPersistsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data2.Close()
-	srv2 := New(Config{Store: data2.Store, Snapshots: data2.Snapshots, Indexes: data2.Indexes})
+	srv2 := New(Config{Store: data2.Store, Serving: data2.Serving, Indexes: data2.Indexes})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer srv2.Close(context.Background())
@@ -235,7 +235,7 @@ func TestIndexSurvivesRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Config{Store: data.Store, Snapshots: data.Snapshots, Indexes: data.Indexes})
+		srv := New(Config{Store: data.Store, Serving: data.Serving, Indexes: data.Indexes})
 		return srv, httptest.NewServer(srv.Handler()), data
 	}
 	shut := func(srv *Server, ts *httptest.Server, data *persist.Data) {

@@ -310,6 +310,41 @@ func (x *Index) Docs() int {
 // Blocks is the number of resolution blocks behind the index.
 func (x *Index) Blocks() int { return len(x.order) }
 
+// Resolutions returns the committed run the index holds, block by block in
+// commit order — what Build was given, less the documents' text: each
+// block's fingerprint, name, member refs and, in the same order, their
+// labels, with the source and score its clusters share. A run's blocks list
+// their documents ascending by (Col, Doc), so sorting the clusters' members
+// back into that order recovers Members and Resolution.Labels exactly.
+func (x *Index) Resolutions() []BlockResolution {
+	type docLabel struct {
+		ref   DocRef
+		label int
+	}
+	out := make([]BlockResolution, len(x.order))
+	for i, st := range x.order {
+		br := BlockResolution{Fingerprint: st.fp, Name: st.name, Resolution: &core.Resolution{}}
+		var docs []docLabel
+		for _, c := range st.clusters {
+			br.Resolution.Source, br.Score = c.Source, (*eval.Result)(c.Score)
+			for _, m := range c.Members {
+				docs = append(docs, docLabel{m.ref, c.Label})
+			}
+		}
+		sort.Slice(docs, func(a, b int) bool {
+			ra, rb := docs[a].ref, docs[b].ref
+			return ra.Col < rb.Col || ra.Col == rb.Col && ra.Doc < rb.Doc
+		})
+		br.Members = make([]DocRef, len(docs))
+		br.Resolution.Labels = make([]int, len(docs))
+		for j, d := range docs {
+			br.Members[j], br.Resolution.Labels[j] = d.ref, d.label
+		}
+		out[i] = br
+	}
+	return out
+}
+
 // Entity returns the cluster with the given ID, or nil.
 func (x *Index) Entity(id string) *Cluster { return x.byID[id] }
 
