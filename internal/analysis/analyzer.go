@@ -1,10 +1,5 @@
 package analysis
 
-import (
-	"strings"
-	"unicode/utf8"
-)
-
 // Analyzer is the text-analysis chain producing index terms from raw text:
 // tokenize → lower-case → stopword removal → Porter stemming → minimum term
 // length. Standard is the one chain the framework runs; the stages are
@@ -22,25 +17,19 @@ var Standard = &Analyzer{removeStopwords: true, stem: true, minTokenLen: 2}
 // Analyze runs the chain once over text and returns both views of it the
 // framework consumes: every token lower-cased, in document order (what the
 // dictionary matchers read), and the index terms the chain derives from
-// them (duplicates preserved — term frequency matters). The strings are
-// substrings of one lower-cased copy of text wherever stemming allows.
+// them (duplicates preserved — term frequency matters). It is the string
+// view of a one-page Lexicon, so it cannot drift from what a block's
+// lexicon derives.
 func (a *Analyzer) Analyze(text string) (lower, terms []string) {
-	// Lower-casing maps runes one to one and never turns a letter or digit
-	// into a separator or back (TestLowerPreservesTokenRunes), so the tokens
-	// of the lowered text are the lowered tokens of the text.
-	lower = appendTokens(make([]string, 0, len(text)/6+1), strings.ToLower(text))
-	terms = make([]string, 0, len(lower))
-	for _, t := range lower {
-		if a.removeStopwords && IsStopword(t) {
-			continue
+	lx := a.NewLexicon()
+	ids := lx.AppendIDs(make([]int32, 0, len(text)/6+1), text)
+	lower = make([]string, len(ids))
+	terms = make([]string, 0, len(ids))
+	for i, id := range ids {
+		lower[i] = lx.Tokens[id]
+		if t := lx.TermOf[id]; t >= 0 {
+			terms = append(terms, lx.Terms[t])
 		}
-		if a.stem {
-			t = PorterStem(t)
-		}
-		if utf8.RuneCountInString(t) < a.minTokenLen {
-			continue
-		}
-		terms = append(terms, t)
 	}
 	return lower, terms
 }

@@ -117,6 +117,63 @@ func FuzzTokenize(f *testing.F) {
 	})
 }
 
+// checkLexiconAgainstReference feeds texts, in order, to one lexicon per
+// chain and checks that every text's token and term IDs map back to exactly
+// the reference chain's lower-cased tokens and terms, whatever the lexicon
+// had already seen, and that equal strings share one ID.
+func checkLexiconAgainstReference(t *testing.T, texts ...string) {
+	t.Helper()
+	for _, a := range []*Analyzer{Standard, NewAnalyzer(WithoutStopwords(), WithoutStemming(), WithMinTokenLength(3))} {
+		lx := a.NewLexicon()
+		var ids []int32
+		for _, text := range texts {
+			ids = lx.AppendIDs(ids[:0], text)
+			var lower, terms []string
+			for _, id := range ids {
+				lower = append(lower, lx.Tokens[id])
+				if term := lx.TermOf[id]; term >= 0 {
+					terms = append(terms, lx.Terms[term])
+				}
+			}
+			var want []string
+			for _, tok := range referenceTokenize(text) {
+				want = append(want, strings.ToLower(tok))
+			}
+			if !reflect.DeepEqual(lower, want) {
+				t.Errorf("lexicon tokens of %q = %q, reference %q", text, lower, want)
+			}
+			if wantTerms := referenceTerms(a, text); !reflect.DeepEqual(terms, wantTerms) {
+				t.Errorf("lexicon terms of %q = %q, reference %q", text, terms, wantTerms)
+			}
+		}
+		if len(lx.TermOf) != len(lx.Tokens) {
+			t.Fatalf("TermOf has %d entries for %d tokens", len(lx.TermOf), len(lx.Tokens))
+		}
+		for name, table := range map[string][]string{"Tokens": lx.Tokens, "Terms": lx.Terms} {
+			seen := map[string]bool{}
+			for _, s := range table {
+				if seen[s] {
+					t.Errorf("%s holds %q twice", name, s)
+				}
+				seen[s] = true
+			}
+		}
+	}
+}
+
+func TestLexiconMatchesReference(t *testing.T) {
+	checkLexiconAgainstReference(t, tokenizerSeeds...)
+}
+
+func FuzzLexiconAnalyze(f *testing.F) {
+	for i, text := range tokenizerSeeds {
+		f.Add(text, tokenizerSeeds[(i+1)%len(tokenizerSeeds)])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkLexiconAgainstReference(t, a, b, a)
+	})
+}
+
 // TestLowerPreservesTokenRunes pins the property Analyze relies on to
 // lower-case a text once instead of once per token: over every rune,
 // lower-casing keeps letters and digits letters and digits, keeps

@@ -2,6 +2,11 @@
 // turn raw web-page text into index terms: tokenization, lower-casing,
 // stopword removal and Porter stemming. It is the stand-in for the Lucene
 // analysis pipeline the paper used to build document vectors.
+//
+// The chain runs through a Lexicon: the table of the distinct tokens of one
+// block's pages (or of one page, for Analyze), which hands out dense token
+// and term IDs so that the chain runs once per distinct token and
+// everything downstream of the tokenizer reads integers.
 package analysis
 
 import (

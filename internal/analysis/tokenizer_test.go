@@ -47,23 +47,6 @@ func TestTokenizeNoEmptyTokensProperty(t *testing.T) {
 	}
 }
 
-func TestSentences(t *testing.T) {
-	in := "First sentence. Second one! A third? Trailing fragment"
-	got := Sentences(in)
-	if len(got) != 4 {
-		t.Fatalf("got %d sentences: %v", len(got), got)
-	}
-	if got[0] != "First sentence." {
-		t.Errorf("first = %q", got[0])
-	}
-	if got[3] != "Trailing fragment" {
-		t.Errorf("fragment = %q", got[3])
-	}
-	if Sentences("") != nil {
-		t.Error("empty input should yield nil")
-	}
-}
-
 func TestIsStopword(t *testing.T) {
 	for _, w := range []string{"the", "and", "of", "http", "www"} {
 		if !IsStopword(w) {
@@ -109,16 +92,6 @@ func TestAnalyzerOptions(t *testing.T) {
 	want = []string{"enormous", "words"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("min-length Terms = %v, want %v", got, want)
-	}
-}
-
-func TestTermFreqs(t *testing.T) {
-	freqs := Standard.TermFreqs("database database network")
-	if freqs["databas"] != 2 {
-		t.Errorf("databas freq = %d, want 2", freqs["databas"])
-	}
-	if freqs["network"] != 1 {
-		t.Errorf("network freq = %d, want 1", freqs["network"])
 	}
 }
 

@@ -1,11 +1,12 @@
 package extract
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/textsim"
 	"repro/internal/wordlists"
 )
 
@@ -17,41 +18,45 @@ import (
 // topical vocabulary of the concept's topic) and by literal mentions of the
 // concept label itself; the concept weight is the normalized activation.
 type ConceptExtractor struct {
-	// triggers maps stemmed trigger term → list of (concept, weight).
-	triggers map[string][]conceptTrigger
+	// names are the concept labels in lexicographic order; a concept's ID
+	// is its index, so walking IDs upwards walks the labels in the order
+	// the packed vectors are summed in.
+	names []string
+	// triggers maps a stemmed trigger term to the IDs of the concepts it
+	// activates with weight 1, one entry per (topic word, concept) pair.
+	triggers map[string][]int32
 	labels   *Gazetteer
 	// labelConcept maps the canonical gazetteer form back to the concept.
-	labelConcept map[string]string
-}
-
-type conceptTrigger struct {
-	concept string
-	weight  float64
+	labelConcept map[string]int32
 }
 
 // NewConceptExtractor builds an extractor from a topic → concepts map and a
 // topic → vocabulary map: every concept of a topic is triggered by every
-// vocabulary word of that topic (weight 1), and strongly (weight 3) by its
-// own label tokens.
+// vocabulary word of that topic (weight 1), and strongly (weight 3) by a
+// literal mention of its own label.
 func NewConceptExtractor(concepts map[string][]string, topicWords map[string][]string) *ConceptExtractor {
 	ce := &ConceptExtractor{
-		triggers:     make(map[string][]conceptTrigger),
-		labelConcept: make(map[string]string),
+		triggers:     make(map[string][]int32),
+		labelConcept: make(map[string]int32),
 	}
-	var allLabels []string
+	for _, clist := range concepts {
+		ce.names = append(ce.names, clist...)
+	}
+	slices.Sort(ce.names)
+	ce.names = slices.Compact(ce.names)
 	for topic, clist := range concepts {
-		words := topicWords[topic]
 		for _, concept := range clist {
-			for _, w := range words {
+			id, _ := slices.BinarySearch(ce.names, concept)
+			for _, w := range topicWords[topic] {
 				stem := analysis.PorterStem(strings.ToLower(w))
-				ce.triggers[stem] = append(ce.triggers[stem], conceptTrigger{concept: concept, weight: 1})
+				ce.triggers[stem] = append(ce.triggers[stem], int32(id))
 			}
-			allLabels = append(allLabels, concept)
-			canonical := strings.ToLower(concept)
-			ce.labelConcept[canonical] = concept
 		}
 	}
-	ce.labels = NewGazetteer(allLabels)
+	for id, name := range ce.names {
+		ce.labelConcept[strings.ToLower(name)] = int32(id)
+	}
+	ce.labels = NewGazetteer(ce.names)
 	return ce
 }
 
@@ -61,60 +66,68 @@ func DefaultConceptExtractor() *ConceptExtractor {
 	return NewConceptExtractor(wordlists.Concepts, wordlists.TopicWords)
 }
 
-// Extract analyzes text and returns its concept vector; see ExtractTokens.
-func (ce *ConceptExtractor) Extract(text string) textsim.SparseVector {
-	return ce.ExtractTokens(analysis.Standard.Analyze(text))
+// WeightedConcept is one entry of a page's concept vector.
+type WeightedConcept struct {
+	Name   string
+	Weight float64
 }
 
-// ExtractTokens returns the weighted concept vector of a page given as its
-// lower-cased tokens and standard-chain terms, L2-normalized so that cosine
+// conceptVector leaves in p.Concepts the weighted concept vector of the page
+// in p.Tokens, in lexicographic label order, L2-normalized so that cosine
 // comparisons (F1) are well scaled. The vector is empty when no concept is
-// activated.
-func (ce *ConceptExtractor) ExtractTokens(lower, terms []string) textsim.SparseVector {
-	v := textsim.NewSparseVector()
+// activated. Activations accumulate in a dense per-concept slice.
+func (p *Pages) conceptVector() {
+	ce, act := p.fe.concepts, p.activation
+	p.active = p.active[:0]
+	activate := func(c int32, w float64) {
+		if act[c] == 0 {
+			p.active = append(p.active, c)
+		}
+		act[c] += w
+	}
 	// Trigger-word activation over the analyzed (stemmed) terms.
-	for _, term := range terms {
-		for _, tr := range ce.triggers[term] {
-			v.Add(tr.concept, tr.weight)
+	for _, tok := range p.Tokens {
+		if t := p.Lexicon.TermOf[tok]; t >= 0 {
+			for _, c := range p.triggers[t] {
+				activate(c, 1)
+			}
 		}
 	}
 	// Literal label mentions are strong evidence. Labels are matched on
 	// the unstemmed tokens, since entity names may contain stopwords.
-	for _, m := range ce.labels.FindAll(lower) {
-		if concept, ok := ce.labelConcept[m.Canonical]; ok {
-			v.Add(concept, 3)
+	p.matches = p.labels.appendMatches(p.matches[:0], p.Tokens, p.Lexicon.Tokens)
+	for _, m := range p.matches {
+		if c, ok := ce.labelConcept[m.canonical]; ok {
+			activate(c, 3)
 		}
 	}
-	if n := v.Norm(); n > 0 {
-		v.Scale(1 / n)
+	// Activations are small integers, so their squares sum exactly in any
+	// order: the weights are the same bits whatever order the concepts
+	// were activated in.
+	var sumSq float64
+	for _, c := range p.active {
+		sumSq += act[c] * act[c]
 	}
-	return v
+	scale := 1 / math.Sqrt(sumSq)
+	slices.Sort(p.active)
+	p.Concepts = p.Concepts[:0]
+	for _, c := range p.active {
+		p.Concepts = append(p.Concepts, WeightedConcept{ce.names[c], act[c] * scale})
+		act[c] = 0
+	}
 }
 
-// TopConcepts returns the k highest-weighted concept labels of a concept
-// vector, in decreasing weight order (ties broken lexicographically). This
-// is the unweighted concept set used by the overlap-based function F4.
-func TopConcepts(v textsim.SparseVector, k int) []string {
-	type cw struct {
-		c string
-		w float64
-	}
-	all := make([]cw, 0, len(v))
-	for c, w := range v {
-		all = append(all, cw{c, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
-		}
-		return all[i].c < all[j].c
-	})
-	if k > len(all) {
-		k = len(all)
-	}
+// topConcepts returns the k highest-weighted labels of p.Concepts, in
+// decreasing weight order (ties broken lexicographically). This is the
+// unweighted concept set used by the overlap-based function F4.
+func (p *Pages) topConcepts(k int) []string {
+	p.byWeight = append(p.byWeight[:0], p.Concepts...)
+	// Stable over the lexicographic order of Concepts.
+	slices.SortStableFunc(p.byWeight, func(a, b WeightedConcept) int { return cmp.Compare(b.Weight, a.Weight) })
+	k = min(k, len(p.byWeight))
 	out := make([]string, 0, k)
-	for _, x := range all[:k] {
-		out = append(out, x.c)
+	for _, x := range p.byWeight[:k] {
+		out = append(out, x.Name)
 	}
 	return out
 }

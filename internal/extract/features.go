@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/analysis"
@@ -64,76 +66,142 @@ var defaultFeatureExtractor = sync.OnceValue(func() *FeatureExtractor {
 // its own shares the one set of gazetteers and concept triggers.
 func DefaultFeatureExtractor() *FeatureExtractor { return defaultFeatureExtractor() }
 
-// Extract analyzes a page's text and computes its full feature bundle; see
-// ExtractTokens.
+// Extract computes the full feature bundle of one page: the one-page form of
+// NewPages(queryName).Extract(text, url).
 func (fe *FeatureExtractor) Extract(text, url, queryName string) DocumentFeatures {
-	lower, terms := analysis.Standard.Analyze(text)
-	return fe.ExtractTokens(lower, terms, url, queryName)
+	return fe.NewPages(queryName).Extract(text, url)
 }
 
-// ExtractTokens computes the full feature bundle for a page from one
-// analysis pass over its text (analysis.Standard.Analyze), its URL and the
-// ambiguous query name the collection was retrieved for. Callers that also
-// index the page hand the same terms to index.AddTerms.
-func (fe *FeatureExtractor) ExtractTokens(lower, terms []string, url, queryName string) DocumentFeatures {
-	var f DocumentFeatures
-	f.ConceptVector = fe.concepts.ExtractTokens(lower, terms)
-	f.Concepts = TopConcepts(f.ConceptVector, fe.topK)
-	entities := fe.ner.ExtractTokens(lower)
-	f.Organizations = filterType(entities, OrganizationEntity)
-	f.Locations = filterType(entities, LocationEntity)
-	f.URL = ParseURL(url)
+// Pages extracts the feature bundles of the pages of one block — every page
+// retrieved for one ambiguous query name — through a block-local lexicon:
+// a token occurrence costs one lookup, the dictionaries and concept
+// triggers are consulted once per distinct token, and the F6/F7 verdict on
+// a person mention is reached once per distinct mention. A Pages value
+// belongs to the call that created it and is not safe for concurrent use
+// (the FeatureExtractor behind it is).
+type Pages struct {
+	// Lexicon is the block's token and term table.
+	Lexicon *analysis.Lexicon
+	// Tokens are the token IDs of the page last extracted and Concepts its
+	// concept vector in lexicographic label order, the order the packed
+	// form is summed in. Both are overwritten by the next Extract.
+	Tokens   []int32
+	Concepts []WeightedConcept
 
-	persons := filterType(entities, PersonEntity) // most frequent first
-	if len(persons) > 0 {
-		f.MostFrequentName = persons[0]
+	fe *FeatureExtractor
+	// What the extractor's dictionaries say, per token and term ID.
+	firstNames, surnames, orgs, locs, labels gazetteerView
+	triggers                                 [][]int32
+	// Memoised per block.
+	fullNames  map[[2]int32]string // (first name, surname) token IDs → "first surname"
+	verdicts   map[string]verdict
+	query      textsim.Name
+	queryLower string
+	// Scratch, overwritten by every page.
+	activation                     []float64 // by concept ID, zero between pages
+	active                         []int32
+	byWeight                       []WeightedConcept
+	occupied                       []bool
+	matches                        []match
+	persons, organizations, places []Entity
+}
+
+// verdict is what F6 and F7 ask about one person mention, given the query.
+type verdict struct {
+	similarity float64 // to the query name
+	isQuery    bool    // the mention is the query name itself
+}
+
+// NewPages starts a block: queryName is the ambiguous name its pages were
+// retrieved for, compared case-insensitively.
+func (fe *FeatureExtractor) NewPages(queryName string) *Pages {
+	ner, ce := fe.ner, fe.concepts
+	return &Pages{
+		Lexicon: analysis.Standard.NewLexicon(), fe: fe,
+		firstNames: gazetteerView{g: ner.firstNames}, surnames: gazetteerView{g: ner.surnames},
+		orgs: gazetteerView{g: ner.orgs}, locs: gazetteerView{g: ner.locations}, labels: gazetteerView{g: ce.labels},
+		fullNames: make(map[[2]int32]string), verdicts: make(map[string]verdict),
+		query: textsim.PrepareName(queryName), queryLower: strings.ToLower(queryName),
+		activation: make([]float64, len(ce.names)),
+	}
+}
+
+// Extract computes the full feature bundle for a page from one analysis
+// pass over its text and from its URL.
+func (p *Pages) Extract(text, url string) DocumentFeatures {
+	p.analyze(text)
+	p.conceptVector()
+	p.entities()
+
+	f := DocumentFeatures{
+		ConceptVector: make(textsim.SparseVector, len(p.Concepts)),
+		Concepts:      p.topConcepts(p.fe.topK),
+		Organizations: names(p.organizations),
+		Locations:     names(p.places),
+		URL:           ParseURL(url),
+	}
+	for _, c := range p.Concepts {
+		f.ConceptVector[c.Name] = c.Weight
+	}
+	if len(p.persons) > 0 {
+		f.MostFrequentName = p.persons[0].Name // most frequent first
 	}
 	// ClosestName (F7) is the mention most similar to the query keyword;
 	// OtherPersons (F6) drops the mentions that are the query name itself
 	// (near-exact or one-token-containment matches).
-	query := textsim.PrepareName(queryName)
 	bestScore := -1.0
-	for _, p := range persons {
-		s := textsim.PreparedNameSimilarity(textsim.PrepareName(p), query)
-		if s > bestScore {
-			f.ClosestName, bestScore = p, s
+	for _, e := range p.persons {
+		v, ok := p.verdicts[e.Name]
+		if !ok {
+			v.similarity = textsim.PreparedNameSimilarity(textsim.PrepareName(e.Name), p.query)
+			v.isQuery = v.similarity >= 0.95 || containsToken(e.Name, p.queryLower)
+			p.verdicts[e.Name] = v
 		}
-		if s < 0.95 && !containsToken(p, queryName) {
-			f.OtherPersons = append(f.OtherPersons, p)
+		if v.similarity > bestScore {
+			f.ClosestName, bestScore = e.Name, v.similarity
+		}
+		if !v.isQuery {
+			f.OtherPersons = append(f.OtherPersons, e.Name)
 		}
 	}
 	return f
 }
 
-// containsToken reports whether any token of a equals any token of b, the
-// heuristic that drops "john smith" and bare "smith" mentions for query
-// "smith".
+// analyze reads the page into Tokens and extends the per-token and per-term
+// tables to what the lexicon has now seen.
+func (p *Pages) analyze(text string) {
+	lx := p.Lexicon
+	p.Tokens = lx.AppendIDs(p.Tokens[:0], text)
+	for _, v := range []*gazetteerView{&p.firstNames, &p.surnames, &p.orgs, &p.locs, &p.labels} {
+		for id := len(v.cands); id < len(lx.Tokens); id++ {
+			v.cands = append(v.cands, v.g.entries[lx.Tokens[id]])
+		}
+	}
+	for t := len(p.triggers); t < len(lx.Terms); t++ {
+		p.triggers = append(p.triggers, p.fe.concepts.triggers[lx.Terms[t]])
+	}
+}
+
+// names returns the entities' names, nil when there are none.
+func names(entities []Entity) []string {
+	if len(entities) == 0 {
+		return nil
+	}
+	out := make([]string, len(entities))
+	for i, e := range entities {
+		out[i] = e.Name
+	}
+	return out
+}
+
+// containsToken reports whether any space-separated token of a equals any
+// token of b, the heuristic that drops "john smith" and bare "smith"
+// mentions for query "smith".
 func containsToken(a, b string) bool {
-	ta := tokenSet(a)
-	for _, t := range tokenSet(b) {
-		for _, s := range ta {
-			if s == t {
-				return true
-			}
+	for _, t := range strings.Split(b, " ") {
+		if t != "" && slices.Contains(strings.Split(a, " "), t) {
+			return true
 		}
 	}
 	return false
-}
-
-func tokenSet(s string) []string {
-	var out []string
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && s[i] != ' ' {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			out = append(out, s[start:i])
-			start = -1
-		}
-	}
-	return out
 }

@@ -5,9 +5,17 @@
 // role of the AlchemyAPI / GATE / OpenCalais / SemanticHacker services the
 // paper invoked; the paper itself characterizes the preprocessing as
 // "(dictionary-based) named entity recognition techniques".
+//
+// The extractors are read-only dictionaries; the work happens in a Pages
+// value, which walks the pages of one block as token IDs of a block-local
+// analysis.Lexicon and asks the dictionaries once per distinct token.
+// FeatureExtractor.Extract is the same code over a one-page block.
 package extract
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
 
 // Gazetteer is a dictionary of multi-word entries matched greedily (longest
 // match first) against lower-cased token sequences. Entries are lower-cased
@@ -17,7 +25,6 @@ type Gazetteer struct {
 	// entries maps the first token of each entry to the candidate entries
 	// starting with it, longest first.
 	entries map[string][]entry
-	size    int
 }
 
 type entry struct {
@@ -36,72 +43,60 @@ func NewGazetteer(names []string) *Gazetteer {
 			continue
 		}
 		g.entries[tokens[0]] = append(g.entries[tokens[0]], entry{tokens, strings.Join(tokens, " ")})
-		g.size++
 	}
 	// Order candidates longest-first for greedy longest-match semantics.
 	for _, cands := range g.entries {
-		sortByLenDesc(cands)
+		slices.SortStableFunc(cands, func(a, b entry) int { return len(b.tokens) - len(a.tokens) })
 	}
 	return g
 }
 
-// Size returns the number of dictionary entries.
-func (g *Gazetteer) Size() int { return g.size }
-
-// Match is one gazetteer hit in a token sequence.
-type Match struct {
-	// Canonical is the matched dictionary entry joined by single spaces,
-	// lower-cased.
-	Canonical string
-	// Start and End delimit the matched token span [Start, End).
-	Start, End int
+// gazetteerView is a Gazetteer seen through a block's lexicon: per token
+// ID, the entries that start with that token, looked up once per distinct
+// token (Pages.analyze). Matching then walks token IDs and compares strings
+// only inside a multi-word candidate.
+type gazetteerView struct {
+	g     *Gazetteer
+	cands [][]entry
 }
 
-// FindAll scans a lower-cased token sequence (analysis.Analyzer.Analyze
-// returns one) and returns all non-overlapping matches, greedily preferring
-// longer matches at each position.
-func (g *Gazetteer) FindAll(lower []string) []Match {
-	var matches []Match
-	i := 0
-	for i < len(lower) {
+// match is one gazetteer hit: the entry's canonical form (its tokens
+// joined by single spaces) and the matched token span [start, end).
+type match struct {
+	canonical  string
+	start, end int
+}
+
+// appendMatches scans a page given as token IDs and appends all
+// non-overlapping matches to dst, greedily preferring longer matches at
+// each position.
+func (v *gazetteerView) appendMatches(dst []match, toks []int32, tokens []string) []match {
+	for i := 0; i < len(toks); {
 		next := i + 1
-		for _, cand := range g.entries[lower[i]] {
-			if end := i + len(cand.tokens); end <= len(lower) && equalSeq(lower[i:end], cand.tokens) {
-				matches = append(matches, Match{Canonical: cand.canonical, Start: i, End: end})
-				next = end
-				break
+	candidates:
+		for _, cand := range v.cands[toks[i]] {
+			end := i + len(cand.tokens)
+			if end > len(toks) {
+				continue
 			}
+			for k := i + 1; k < end; k++ {
+				if tokens[toks[k]] != cand.tokens[k-i] {
+					continue candidates
+				}
+			}
+			dst = append(dst, match{cand.canonical, i, end})
+			next = end
+			break
 		}
 		i = next
 	}
-	return matches
+	return dst
 }
 
-// hasToken reports whether the single lower-cased token is an entry of its
-// own (not merely the first word of a longer one).
-func (g *Gazetteer) hasToken(tok string) bool {
-	cands := g.entries[tok]
+// hasToken reports whether token id is an entry of its own (not merely the
+// first word of a longer one).
+func (v *gazetteerView) hasToken(id int32) bool {
+	cands := v.cands[id]
 	// Longest first, so a one-token entry sorts last.
 	return len(cands) > 0 && len(cands[len(cands)-1].tokens) == 1
-}
-
-func equalSeq(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortByLenDesc(cands []entry) {
-	// Insertion sort: candidate lists per first-token are tiny.
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && len(cands[j].tokens) > len(cands[j-1].tokens); j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
-		}
-	}
 }

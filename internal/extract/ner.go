@@ -1,10 +1,10 @@
 package extract
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/wordlists"
 )
 
@@ -19,20 +19,6 @@ const (
 	// LocationEntity is a city or region.
 	LocationEntity
 )
-
-// String returns the entity type label.
-func (t EntityType) String() string {
-	switch t {
-	case PersonEntity:
-		return "person"
-	case OrganizationEntity:
-		return "organization"
-	case LocationEntity:
-		return "location"
-	default:
-		return "unknown"
-	}
-}
 
 // Entity is one recognized named entity occurrence.
 type Entity struct {
@@ -70,99 +56,92 @@ func DefaultNER() *NER {
 		wordlists.Organizations, wordlists.Locations)
 }
 
-// Extract analyzes text and recognizes its entities; see ExtractTokens.
-func (n *NER) Extract(text string) []Entity {
-	lower, _ := analysis.Standard.Analyze(text)
-	return n.ExtractTokens(lower)
-}
-
-// ExtractTokens recognizes all entities in a page given as its lower-cased
-// token sequence and returns them aggregated by canonical name with
-// occurrence counts, in decreasing count order (ties broken by type, then
+// entities recognizes all entities in the page in p.Tokens and leaves them
+// in p.persons, p.organizations and p.places: aggregated by canonical name
+// with occurrence counts, each list in decreasing count order (ties broken
 // lexicographically, for determinism).
-func (n *NER) ExtractTokens(lower []string) []Entity {
-	persons, orgs, locs := make(map[string]int), make(map[string]int), make(map[string]int)
-
+func (p *Pages) entities() {
+	toks, tokens := p.Tokens, p.Lexicon.Tokens
 	// Organizations and locations: straight gazetteer hits. Their tokens
 	// are off limits to the person pass below.
-	occupied := make([]bool, len(lower))
-	count := func(g *Gazetteer, counts map[string]int) {
-		for _, m := range g.FindAll(lower) {
-			counts[m.Canonical]++
-			for i := m.Start; i < m.End; i++ {
-				occupied[i] = true
-			}
-		}
-	}
-	count(n.orgs, orgs)
-	count(n.locations, locs)
+	p.occupied = append(p.occupied[:0], make([]bool, len(toks))...)
+	p.organizations = p.hits(&p.orgs, OrganizationEntity, p.organizations[:0])
+	p.places = p.hits(&p.locs, LocationEntity, p.places[:0])
 
 	// Persons: a first-name token followed by a surname token forms a full
 	// name; a surname alone also counts (person pages frequently use bare
 	// surnames), but only when the token is not part of an organization or
 	// location mention.
-	i := 0
-	for i < len(lower) {
-		if occupied[i] {
+	ps := p.persons[:0]
+	for i := 0; i < len(toks); i++ {
+		switch {
+		case p.occupied[i]:
+		case p.firstNames.hasToken(toks[i]) && i+1 < len(toks) && !p.occupied[i+1] && p.surnames.hasToken(toks[i+1]):
+			key := [2]int32{toks[i], toks[i+1]}
+			name, ok := p.fullNames[key]
+			if !ok {
+				name = tokens[key[0]] + " " + tokens[key[1]]
+				p.fullNames[key] = name
+			}
+			ps = count(ps, PersonEntity, name)
 			i++
-			continue
+		case p.surnames.hasToken(toks[i]):
+			ps = count(ps, PersonEntity, tokens[toks[i]])
 		}
-		if n.firstNames.hasToken(lower[i]) && i+1 < len(lower) && !occupied[i+1] && n.surnames.hasToken(lower[i+1]) {
-			persons[lower[i]+" "+lower[i+1]]++
-			i += 2
-			continue
-		}
-		if n.surnames.hasToken(lower[i]) {
-			persons[lower[i]]++
-		}
-		i++
 	}
 
 	// Page-local coreference: a bare surname mention refers to the full
 	// name with that surname appearing on the same page ("Cohen" after
 	// "James Cohen"). Attribute bare counts to the most frequent matching
 	// full name, so MostFrequentName reflects the specific person.
-	for name, c := range persons {
-		if strings.Contains(name, " ") {
+	for b, bare := range ps {
+		if strings.Contains(bare.Name, " ") {
 			continue
 		}
-		best, bestCount := "", 0
-		for other, oc := range persons {
-			if other != name && strings.HasSuffix(other, " "+name) &&
-				(oc > bestCount || (oc == bestCount && other < best)) {
-				best, bestCount = other, oc
+		best := -1
+		for f, full := range ps {
+			if n := len(full.Name) - len(bare.Name); n > 0 && full.Name[n-1] == ' ' && full.Name[n:] == bare.Name &&
+				(best < 0 || full.Count > ps[best].Count || (full.Count == ps[best].Count && full.Name < ps[best].Name)) {
+				best = f
 			}
 		}
-		if best != "" {
-			persons[best] += c
-			delete(persons, name)
+		if best >= 0 {
+			ps[best].Count += bare.Count
+			ps[b].Count = 0
 		}
 	}
-
-	out := make([]Entity, 0, len(persons)+len(orgs)+len(locs))
-	for etype, byName := range []map[string]int{PersonEntity: persons, OrganizationEntity: orgs, LocationEntity: locs} {
-		for name, c := range byName {
-			out = append(out, Entity{Type: EntityType(etype), Name: name, Count: c})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Count != out[b].Count {
-			return out[a].Count > out[b].Count
-		}
-		if out[a].Type != out[b].Type {
-			return out[a].Type < out[b].Type
-		}
-		return out[a].Name < out[b].Name
-	})
-	return out
+	p.persons = sortEntities(slices.DeleteFunc(ps, func(e Entity) bool { return e.Count == 0 }))
 }
 
-func filterType(entities []Entity, t EntityType) []string {
-	var out []string
-	for _, e := range entities {
-		if e.Type == t {
-			out = append(out, e.Name)
+// hits appends to out the page's matches of one dictionary, aggregated by
+// canonical name and sorted, and marks their tokens occupied.
+func (p *Pages) hits(v *gazetteerView, t EntityType, out []Entity) []Entity {
+	p.matches = v.appendMatches(p.matches[:0], p.Tokens, p.Lexicon.Tokens)
+	for _, m := range p.matches {
+		for i := m.start; i < m.end; i++ {
+			p.occupied[i] = true
+		}
+		out = count(out, t, m.canonical)
+	}
+	return sortEntities(out)
+}
+
+// count counts one occurrence of the named entity in es.
+func count(es []Entity, t EntityType, name string) []Entity {
+	for i := range es {
+		if es[i].Name == name {
+			es[i].Count++
+			return es
 		}
 	}
-	return out
+	return append(es, Entity{Type: t, Name: name, Count: 1})
+}
+
+// sortEntities orders entities by decreasing count, ties by type, then
+// lexicographically, in place.
+func sortEntities(es []Entity) []Entity {
+	slices.SortFunc(es, func(a, b Entity) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Type, b.Type), strings.Compare(a.Name, b.Name))
+	})
+	return es
 }

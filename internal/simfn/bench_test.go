@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"repro/internal/corpus"
 )
 
 // benchComputeAll measures full ten-function matrix computation on a
@@ -35,47 +33,41 @@ func BenchmarkComputeAll_Parallel(b *testing.B) {
 	benchComputeAll(b, func(blk *Block, funcs []Func) map[string]*Matrix { return computeAll(b, blk, funcs) })
 }
 
-// prepareBenchCollection is the 100-doc collection BenchmarkPrepareBlock
-// and the allocation ceiling below share.
-func prepareBenchCollection(tb testing.TB) *corpus.Collection {
-	tb.Helper()
-	col, err := corpus.GenerateCollection(corpus.CollectionConfig{
-		Name: "parallel", NumDocs: 100, NumPersonas: 5,
-		Noise: 0.5, MissingInfo: 0.25, Spurious: 0.3, Template: 0.25, Seed: 77,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return col
-}
-
 // BenchmarkPrepareBlock measures block preparation (feature extraction,
-// TF-IDF materialization, packing) on the same 100-doc collection.
+// TF-IDF weighting, packing) on the two corpus shapes the repo benchmark
+// runs, at the block sizes its probe uses.
 func BenchmarkPrepareBlock(b *testing.B) {
-	col := prepareBenchCollection(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PrepareBlockCtx(context.Background(), col, nil); err != nil {
-			b.Fatal(err)
+	for _, shape := range benchShapes {
+		for _, n := range []int{42, 100, 150} {
+			col := shapedCollection(b, shape.cfg, n, 1)
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := PrepareBlockCtx(context.Background(), col, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/doc")
+			})
 		}
 	}
 }
 
-// TestPrepareBlockAllocationCeiling keeps the single analysis pass from
-// leaking away one convenience call at a time: preparing the 100-doc bench
-// collection took 279,601 allocations when every consumer re-tokenized the
-// page, and about 17,500 once they shared one pass.
+// TestPrepareBlockAllocationCeiling keeps the block-local lexicon from
+// leaking away one convenience call at a time: preparing 100 WWW'05-shaped
+// pages took about 280,000 allocations when every consumer re-tokenized the
+// page, about 17,000 when they shared one pass over strings, and takes
+// about 4,700 now that the pass carries token IDs.
 func TestPrepareBlockAllocationCeiling(t *testing.T) {
-	col := prepareBenchCollection(t)
+	col := shapedCollection(t, benchShapes[0].cfg, 100, 1)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := PrepareBlockCtx(ctx, col, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 60000 {
-		t.Errorf("PrepareBlockCtx on 100 docs = %.0f allocs, want <= 60000", allocs)
+	if allocs > 9000 {
+		t.Errorf("PrepareBlockCtx on 100 docs = %.0f allocs, want <= 9000", allocs)
 	}
 }
 
@@ -90,25 +82,13 @@ func TestPrepareBlockAllocationCeiling(t *testing.T) {
 // keyed). Rows price one function alone; F8-F10 share their merge join
 // only in the "all" row, which is what a resolve pays per pair.
 func BenchmarkComputeAllByFunc(b *testing.B) {
-	shapes := []struct {
-		name string
-		cfg  corpus.CollectionConfig
-	}{
-		{"www05", corpus.CollectionConfig{NumPersonas: 13, Noise: 0.5, MissingInfo: 0.25, Spurious: 0.3, Template: 0.25}},
-		{"6k", corpus.CollectionConfig{NumPersonas: 4, Noise: 0.3, MissingInfo: 0.2, Spurious: 0.2}},
-	}
 	class := map[string]string{
 		"F1": "block-relative", "F2": "pair-pure", "F3": "pair-pure", "F4": "pair-pure", "F5": "pair-pure",
 		"F6": "pair-pure", "F7": "pair-pure", "F8": "block-relative", "F9": "block-relative", "F10": "block-relative",
 	}
-	for _, shape := range shapes {
+	for _, shape := range benchShapes {
 		for _, n := range []int{42, 100, 150} {
-			cfg := shape.cfg
-			cfg.Name, cfg.NumDocs, cfg.Seed = "mitchell", n, 1
-			col, err := corpus.GenerateCollection(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
+			col := shapedCollection(b, shape.cfg, n, 1)
 			blk, err := PrepareBlockCtx(context.Background(), col, nil)
 			if err != nil {
 				b.Fatal(err)

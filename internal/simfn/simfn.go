@@ -17,6 +17,26 @@
 // term vectors); PrepareBlockCtx builds them for a whole blocking unit (all
 // pages sharing one ambiguous name, the paper's natural blocking scheme).
 //
+// # Preparing a block: the lexicon and the ID-order contract
+//
+// PrepareBlockCtx reads every page through one block-local lexicon
+// (analysis.Lexicon, created and dropped inside the call): a token
+// occurrence is looked up once, everything asked about a distinct token —
+// stopword, stem, dictionary entries, concept triggers — is computed once
+// per block, and term frequencies, document frequencies and weights live in
+// slices indexed by term ID. Strings reappear only at the edges: in
+// Features, in the TermVector map and in Vocab.
+//
+// The result is bit-identical to preparing each page from strings because
+// two orders are pinned. Vocab IDs are assigned page by page: the page's
+// terms in lexicographic order, then its concepts, concept set,
+// organizations and other persons. And Σw and Σw² of a packed vector are
+// accumulated in lexicographic order of its terms (or concept labels),
+// not in ID order. Vocab order fixes the order every later merge join
+// multiplies and adds in, and the sums fix the norms, so both decide the
+// last bits of F1 and F8–F10. A page's terms are therefore ordered by
+// their lexicographic rank within the block before they are weighed.
+//
 // # Matrices, keys and the ordered memo
 //
 // ComputeAllCtx fills one condensed upper-triangle Matrix per function, and a
@@ -52,21 +72,22 @@ package simfn
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 
-	"repro/internal/analysis"
 	"repro/internal/corpus"
 	"repro/internal/extract"
-	"repro/internal/index"
 	"repro/internal/textsim"
 )
 
 // Doc bundles everything the similarity functions consume for one page.
 //
 // The packed fields (Packed, ConceptPacked and the three ID sets) are the
-// allocation-lean forms the pairwise hot loop reads; they are built once by
-// Pack (PrepareBlockCtx does this for every document) and are nil on manually
-// constructed Docs, in which case every similarity function falls back to
-// the map/string representations. A packed Doc is immutable and safe for
+// allocation-lean forms the pairwise hot loop reads; PrepareBlockCtx builds
+// them for every document and they are nil on manually constructed Docs, in
+// which case every similarity function falls back to the map/string
+// representations. A packed Doc is immutable and safe for
 // concurrent reads.
 type Doc struct {
 	// Features is the information-extraction output for the page.
@@ -84,20 +105,6 @@ type Doc struct {
 	// FrequentName and ClosestName are the prepared (pre-normalized,
 	// pre-tokenized) forms of the F3 and F7 name features.
 	FrequentName, ClosestName textsim.Name
-}
-
-// Pack interns the document's term vectors and entity sets through the
-// block vocabulary, precomputing everything the packed similarity paths
-// read per pair. Documents of one block must be packed against the same
-// Vocab, in a fixed order for run-to-run determinism.
-func (d *Doc) Pack(vocab *textsim.Vocab) {
-	d.Packed = d.TermVector.Pack(vocab)
-	d.ConceptPacked = d.Features.ConceptVector.Pack(vocab)
-	d.ConceptSet = textsim.InternSet(vocab, d.Features.Concepts)
-	d.OrgSet = textsim.InternSet(vocab, d.Features.Organizations)
-	d.PersonSet = textsim.InternSet(vocab, d.Features.OtherPersons)
-	d.FrequentName = textsim.PrepareName(d.Features.MostFrequentName)
-	d.ClosestName = textsim.PrepareName(d.Features.ClosestName)
 }
 
 // Block is a prepared blocking unit: the documents of one collection with
@@ -123,34 +130,136 @@ type Block struct {
 // PrepareBlockCtx extracts features and builds TF-IDF vectors for every page
 // of a collection. A nil extractor selects the shared default built on the
 // wordlists. IDF statistics are block-local, mirroring a per-name Lucene
-// index. Each page is analyzed once; the TF index and the feature extractor
-// share that pass. The context is checked between documents, so a canceled
-// or timed-out context aborts block preparation promptly with ctx.Err().
+// index. The context is checked between documents, so a canceled or
+// timed-out context aborts block preparation promptly with ctx.Err().
+//
+// The first pass extracts every page's features and counts its terms by
+// ID; the second weighs and packs page by page, once the block's document
+// frequencies and the terms' lexicographic ranks are known.
 func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.FeatureExtractor) (*Block, error) {
 	if fe == nil {
 		fe = extract.DefaultFeatureExtractor()
 	}
-	ix := index.New(nil)
+	n := len(col.Docs)
 	b := &Block{
 		Name:        col.Name,
-		Docs:        make([]Doc, len(col.Docs)),
+		Docs:        make([]Doc, n),
 		Truth:       col.GroundTruth(),
 		NumPersonas: col.NumPersonas,
 		Vocab:       textsim.NewVocab(),
 	}
+	pages := fe.NewPages(col.Name)
+	lx := pages.Lexicon
+	var (
+		postings []uint64                  // term ID<<32 | tf of every page's distinct terms, page after page
+		concepts []extract.WeightedConcept // every page's concept vector, page after page
+		ends     = make([][2]int, n)       // where page i's postings and concepts end
+		tf, df   []uint32                  // by term ID; tf is zero between pages
+	)
 	for i, d := range col.Docs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		lower, terms := analysis.Standard.Analyze(d.Text)
-		ix.AddTerms(terms)
-		b.Docs[i].Features = fe.ExtractTokens(lower, terms, d.URL, col.Name)
+		b.Docs[i].Features = pages.Extract(d.Text, d.URL)
+		for len(tf) < len(lx.Terms) {
+			tf, df = append(tf, 0), append(df, 0)
+		}
+		first := len(postings)
+		for _, tok := range pages.Tokens {
+			if t := lx.TermOf[tok]; t >= 0 {
+				if tf[t] == 0 {
+					postings = append(postings, uint64(t)<<32)
+				}
+				tf[t]++
+			}
+		}
+		for j, p := range postings[first:] {
+			postings[first+j] = p | uint64(tf[p>>32])
+			tf[p>>32] = 0
+			df[p>>32]++
+		}
+		concepts = append(concepts, pages.Concepts...)
+		ends[i] = [2]int{len(postings), len(concepts)}
 	}
-	for i, v := range ix.AllVectors() {
-		b.Docs[i].TermVector = v
-		b.Docs[i].Pack(b.Vocab)
+
+	// byRank lists the block's terms lexicographically and rank inverts it.
+	// A page's terms are weighed, summed and interned in rank order: the
+	// ID-order contract of the package documentation.
+	byRank := make([]int32, len(lx.Terms))
+	for t := range byRank {
+		byRank[t] = int32(t)
+	}
+	slices.SortFunc(byRank, func(a, b int32) int { return strings.Compare(lx.Terms[a], lx.Terms[b]) })
+	rank := make([]uint64, len(byRank))
+	idf := make([]float64, len(byRank))
+	vocabID := make([]int32, len(byRank)) // of a term, -1 until interned
+	for r, t := range byRank {
+		rank[t] = uint64(r)
+		idf[t] = math.Log(1 + float64(n)/float64(df[t]))
+		vocabID[t] = -1
+	}
+
+	// Every packed vector's IDs and weights are carved from two arrays.
+	pk := packer{ids: make([]int32, len(postings)+len(concepts)), weights: make([]float64, len(postings)+len(concepts))}
+	var start [2]int
+	for i := range b.Docs {
+		d := &b.Docs[i]
+		page, pageConcepts := postings[start[0]:ends[i][0]], concepts[start[1]:ends[i][1]]
+		start = ends[i]
+		for j, p := range page {
+			page[j] = rank[p>>32]<<32 | p&math.MaxUint32
+		}
+		slices.Sort(page)
+		d.TermVector = make(textsim.SparseVector, len(page))
+		d.Packed = pk.pack(len(page), func(j int) (int32, float64) {
+			t := byRank[page[j]>>32]
+			// (1 + ln tf) · ln(1 + N/df), Lucene's classic practical
+			// scoring combination.
+			w := (1 + math.Log(float64(uint32(page[j])))) * idf[t]
+			if vocabID[t] < 0 {
+				vocabID[t] = b.Vocab.ID(lx.Terms[t])
+			}
+			d.TermVector[lx.Terms[t]] = w
+			return vocabID[t], w
+		})
+		d.ConceptPacked = pk.pack(len(pageConcepts), func(j int) (int32, float64) {
+			return b.Vocab.ID(pageConcepts[j].Name), pageConcepts[j].Weight
+		})
+		d.ConceptSet = textsim.InternSet(b.Vocab, d.Features.Concepts)
+		d.OrgSet = textsim.InternSet(b.Vocab, d.Features.Organizations)
+		d.PersonSet = textsim.InternSet(b.Vocab, d.Features.OtherPersons)
+		d.FrequentName = textsim.PrepareName(d.Features.MostFrequentName)
+		d.ClosestName = textsim.PrepareName(d.Features.ClosestName)
 	}
 	return b, nil
+}
+
+// packer carves packed vectors from the front of two per-block arrays.
+type packer struct {
+	ids     []int32
+	weights []float64
+	keys    []uint64 // scratch: Vocab ID<<32 | position in summation order
+	ws      []float64
+}
+
+// pack builds the vector of the n entries entry yields in summation order,
+// the order Σw and Σw² are accumulated in, and stores it in ID order.
+func (pk *packer) pack(n int, entry func(j int) (id int32, w float64)) *textsim.PackedVector {
+	pk.keys, pk.ws = pk.keys[:0], pk.ws[:0]
+	var sum, sumSq float64
+	for j := 0; j < n; j++ {
+		id, w := entry(j)
+		sum += w
+		sumSq += w * w
+		pk.keys, pk.ws = append(pk.keys, uint64(id)<<32|uint64(j)), append(pk.ws, w)
+	}
+	slices.Sort(pk.keys)
+	ids, weights := pk.ids[:n:n], pk.weights[:n:n]
+	pk.ids, pk.weights = pk.ids[n:], pk.weights[n:]
+	for j, key := range pk.keys {
+		ids[j], weights[j] = int32(key>>32), pk.ws[uint32(key)]
+	}
+	return textsim.PackedWithSums(ids, weights, sum, sumSq)
 }
 
 // Func is one pairwise similarity function with its Table I metadata.

@@ -3,6 +3,7 @@ package textsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -114,6 +115,15 @@ func PackedFromParts(ids []int32, weights []float64) (*PackedVector, error) {
 	}
 	p.norm = math.Sqrt(p.sumSq)
 	return p, nil
+}
+
+// PackedWithSums assembles a PackedVector from interned term IDs (ascending,
+// deduplicated) with parallel weights, and from Σw and Σw² as the caller
+// accumulated them. Float addition is not associative, so the caller owns
+// the order: a block preparation sums in lexicographic term order, the
+// order Pack sums in, while its IDs ascend in another.
+func PackedWithSums(ids []int32, weights []float64, sum, sumSq float64) *PackedVector {
+	return &PackedVector{IDs: ids, Weights: weights, norm: math.Sqrt(sumSq), sum: sum, sumSq: sumSq}
 }
 
 // byID sorts a PackedVector's parallel slices by term ID.
@@ -228,16 +238,9 @@ func InternSet(vocab *Vocab, items []string) []int32 {
 	for _, s := range items {
 		out = append(out, vocab.ID(s))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	// Dedupe in place; SetOverlapCount semantics treat the slices as sets.
-	n := 0
-	for i, id := range out {
-		if i == 0 || id != out[n-1] {
-			out[n] = id
-			n++
-		}
-	}
-	return out[:n]
+	return slices.Compact(out)
 }
 
 // IntersectSortedCount returns |A∩B| of two ascending, deduplicated ID
