@@ -299,29 +299,36 @@ func BenchmarkStringSimilarities(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			p := pairs[i%len(pairs)]
-			textsim.NameSimilarity(p[0], p[1])
+			textsim.PreparedNameSimilarity(textsim.PrepareName(p[0]), textsim.PrepareName(p[1]))
 		}
 	})
 }
 
 // BenchmarkVectorSimilarities measures the TF-IDF pair measures on realistic
-// document vectors.
+// document vectors: the three packed measures with the merge join each would
+// pay alone, and the map cosine the R-Swoosh baseline compares records by.
 func BenchmarkVectorSimilarities(b *testing.B) {
 	block := benchBlock(b)
-	va, vb := block.Docs[0].TermVector, block.Docs[1].TermVector
-	b.Run("Cosine", func(b *testing.B) {
+	pa, pb := block.Docs[0].Packed, block.Docs[1].Packed
+	for _, m := range []struct {
+		name  string
+		ofDot func(a, b *textsim.PackedVector, dot float64, inter int) float64
+	}{
+		{"Cosine", textsim.PackedCosineOfDot},
+		{"Pearson", textsim.PackedPearsonSimOfDot},
+		{"ExtendedJaccard", textsim.PackedExtendedJaccardOfDot},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dot, inter := pa.DotIntersect(pb)
+				m.ofDot(pa, pb, dot, inter)
+			}
+		})
+	}
+	va, vb := pa.Unpack(block.Vocab), pb.Unpack(block.Vocab)
+	b.Run("Cosine_Map", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			textsim.Cosine(va, vb)
-		}
-	})
-	b.Run("Pearson", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			textsim.PearsonSim(va, vb)
-		}
-	})
-	b.Run("ExtendedJaccard", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			textsim.ExtendedJaccard(va, vb)
 		}
 	})
 }

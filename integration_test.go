@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/blocking"
@@ -184,6 +185,20 @@ func TestSwooshBaselineAgainstFramework(t *testing.T) {
 	// The paper's framework must beat the generic baseline.
 	if res[0].Score.Fp <= res[1].Score.Fp {
 		t.Errorf("framework Fp %v <= baseline Fp %v", res[0].Score.Fp, res[1].Score.Fp)
+	}
+	// Both rows as recorded for this config before R-Swoosh read its
+	// vectors through Unpack. The baseline degrades quietly: fed empty
+	// vectors it still clusters and still loses, so only the values tell.
+	// The tolerance covers the order its map measures add floats in.
+	for i, want := range []eval.Result{
+		{Fp: 0.83299, F: 0.66624, Rand: 0.92256},
+		{Fp: 0.58746, F: 0.32149, Rand: 0.42204},
+	} {
+		got := res[i].Score
+		if math.Abs(got.Fp-want.Fp) > 5e-4 || math.Abs(got.F-want.F) > 5e-4 || math.Abs(got.Rand-want.Rand) > 5e-4 {
+			t.Errorf("%s Fp / F / Rand = %.5f / %.5f / %.5f, want %.5f / %.5f / %.5f",
+				res[i].Name, got.Fp, got.F, got.Rand, want.Fp, want.F, want.Rand)
+		}
 	}
 }
 

@@ -189,7 +189,7 @@ func TestNameSimilarityUsedInPipelineIsBounded(t *testing.T) {
 	for _, pair := range [][2]string{
 		{"", ""}, {"", "x"}, {"🦄", "🦄🦄"}, {string(make([]byte, 32)), "a"},
 	} {
-		s := textsim.NameSimilarity(pair[0], pair[1])
+		s := textsim.PreparedNameSimilarity(textsim.PrepareName(pair[0]), textsim.PrepareName(pair[1]))
 		if s < 0 || s > 1 {
 			t.Errorf("NameSimilarity(%q,%q) = %v", pair[0], pair[1], s)
 		}

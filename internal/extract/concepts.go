@@ -72,9 +72,9 @@ type WeightedConcept struct {
 	Weight float64
 }
 
-// conceptVector leaves in p.Concepts the weighted concept vector of the page
-// in p.Tokens, in lexicographic label order, L2-normalized so that cosine
-// comparisons (F1) are well scaled. The vector is empty when no concept is
+// conceptVector leaves in p.concepts the weighted concept vector of the page
+// in p.Tokens, in lexicographic label order (the order its packed form is
+// summed in), L2-normalized so that cosine comparisons (F1) are well scaled. The vector is empty when no concept is
 // activated. Activations accumulate in a dense per-concept slice.
 func (p *Pages) conceptVector() {
 	ce, act := p.fe.concepts, p.activation
@@ -110,19 +110,19 @@ func (p *Pages) conceptVector() {
 	}
 	scale := 1 / math.Sqrt(sumSq)
 	slices.Sort(p.active)
-	p.Concepts = p.Concepts[:0]
+	p.concepts = p.concepts[:0]
 	for _, c := range p.active {
-		p.Concepts = append(p.Concepts, WeightedConcept{ce.names[c], act[c] * scale})
+		p.concepts = append(p.concepts, WeightedConcept{ce.names[c], act[c] * scale})
 		act[c] = 0
 	}
 }
 
-// topConcepts returns the k highest-weighted labels of p.Concepts, in
+// topConcepts returns the k highest-weighted labels of p.concepts, in
 // decreasing weight order (ties broken lexicographically). This is the
 // unweighted concept set used by the overlap-based function F4.
 func (p *Pages) topConcepts(k int) []string {
-	p.byWeight = append(p.byWeight[:0], p.Concepts...)
-	// Stable over the lexicographic order of Concepts.
+	p.byWeight = append(p.byWeight[:0], p.concepts...)
+	// Stable over the lexicographic order of concepts.
 	slices.SortStableFunc(p.byWeight, func(a, b WeightedConcept) int { return cmp.Compare(b.Weight, a.Weight) })
 	k = min(k, len(p.byWeight))
 	out := make([]string, 0, k)

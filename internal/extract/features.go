@@ -13,8 +13,9 @@ import (
 // (Table I) consume for one web page. It is produced once per document by a
 // FeatureExtractor as the preprocessing step of the pipeline.
 type DocumentFeatures struct {
-	// ConceptVector is the L2-normalized weighted concept vector (F1).
-	ConceptVector textsim.SparseVector
+	// ConceptVector is the L2-normalized weighted concept vector (F1), in
+	// lexicographic label order; nil when the page activates no concept.
+	ConceptVector []WeightedConcept
 	// Concepts is the unweighted top-concept set (F4).
 	Concepts []string
 	// Organizations are the canonical organization mentions (F5).
@@ -82,11 +83,9 @@ func (fe *FeatureExtractor) Extract(text, url, queryName string) DocumentFeature
 type Pages struct {
 	// Lexicon is the block's token and term table.
 	Lexicon *analysis.Lexicon
-	// Tokens are the token IDs of the page last extracted and Concepts its
-	// concept vector in lexicographic label order, the order the packed
-	// form is summed in. Both are overwritten by the next Extract.
-	Tokens   []int32
-	Concepts []WeightedConcept
+	// Tokens are the token IDs of the page last extracted, overwritten by
+	// the next Extract.
+	Tokens []int32
 
 	fe *FeatureExtractor
 	// What the extractor's dictionaries say, per token and term ID.
@@ -100,7 +99,7 @@ type Pages struct {
 	// Scratch, overwritten by every page.
 	activation                     []float64 // by concept ID, zero between pages
 	active                         []int32
-	byWeight                       []WeightedConcept
+	concepts, byWeight             []WeightedConcept
 	occupied                       []bool
 	matches                        []match
 	persons, organizations, places []Entity
@@ -134,14 +133,11 @@ func (p *Pages) Extract(text, url string) DocumentFeatures {
 	p.entities()
 
 	f := DocumentFeatures{
-		ConceptVector: make(textsim.SparseVector, len(p.Concepts)),
+		ConceptVector: append([]WeightedConcept(nil), p.concepts...),
 		Concepts:      p.topConcepts(p.fe.topK),
 		Organizations: names(p.organizations),
 		Locations:     names(p.places),
 		URL:           ParseURL(url),
-	}
-	for _, c := range p.Concepts {
-		f.ConceptVector[c.Name] = c.Weight
 	}
 	if len(p.persons) > 0 {
 		f.MostFrequentName = p.persons[0].Name // most frequent first

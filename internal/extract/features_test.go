@@ -17,6 +17,14 @@ func TestFeatureExtractorFullBundle(t *testing.T) {
 	if len(f.ConceptVector) == 0 {
 		t.Error("ConceptVector empty for topical text")
 	}
+	for i, c := range f.ConceptVector {
+		if i > 0 && f.ConceptVector[i-1].Name >= c.Name {
+			t.Errorf("ConceptVector not in label order at %d: %q after %q", i, c.Name, f.ConceptVector[i-1].Name)
+		}
+		if c.Weight <= 0 {
+			t.Errorf("ConceptVector[%q] = %v, want a positive weight", c.Name, c.Weight)
+		}
+	}
 	if len(f.Concepts) == 0 {
 		t.Error("Concepts empty")
 	}
@@ -62,7 +70,7 @@ func TestFeatureExtractorEmptyText(t *testing.T) {
 	if len(f.OtherPersons) != 0 || len(f.Organizations) != 0 {
 		t.Error("entities from empty text")
 	}
-	if len(f.ConceptVector) != 0 {
+	if f.ConceptVector != nil {
 		t.Error("concepts from empty text")
 	}
 }

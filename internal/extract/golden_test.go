@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/corpus"
@@ -34,18 +33,14 @@ func writeStrings(h hash.Hash, ss []string) {
 	writeString(h, "]")
 }
 
-// writeFeatures feeds one DocumentFeatures to h in a canonical form: map
-// keys sorted, floats as their IEEE-754 bits, strings length-prefixed.
+// writeFeatures feeds one DocumentFeatures to h in a canonical form: the
+// concept vector in label order (the order it is held in), floats as their
+// IEEE-754 bits, strings length-prefixed.
 func writeFeatures(h hash.Hash, f DocumentFeatures) {
-	keys := make([]string, 0, len(f.ConceptVector))
-	for k := range f.ConceptVector {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		writeString(h, k)
+	for _, c := range f.ConceptVector {
+		writeString(h, c.Name)
 		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f.ConceptVector[k]))
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Weight))
 		h.Write(b[:])
 	}
 	writeStrings(h, f.Concepts)

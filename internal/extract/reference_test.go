@@ -187,8 +187,12 @@ func TopConcepts(v textsim.SparseVector, k int) []string {
 // ExtractTokens is the string form of Pages.Extract.
 func (fe *FeatureExtractor) ExtractTokens(lower, terms []string, url, queryName string) DocumentFeatures {
 	var f DocumentFeatures
-	f.ConceptVector = fe.concepts.ExtractTokens(lower, terms)
-	f.Concepts = TopConcepts(f.ConceptVector, fe.topK)
+	concepts := fe.concepts.ExtractTokens(lower, terms)
+	for name, w := range concepts {
+		f.ConceptVector = append(f.ConceptVector, WeightedConcept{name, w})
+	}
+	slices.SortFunc(f.ConceptVector, func(a, b WeightedConcept) int { return strings.Compare(a.Name, b.Name) })
+	f.Concepts = TopConcepts(concepts, fe.topK)
 	entities := fe.ner.ExtractTokens(lower)
 	f.Organizations = filterType(entities, OrganizationEntity)
 	f.Locations = filterType(entities, LocationEntity)
@@ -230,7 +234,7 @@ func (ce *ConceptExtractor) Extract(text string) textsim.SparseVector {
 	p.analyze(text)
 	p.conceptVector()
 	v := textsim.NewSparseVector()
-	for _, c := range p.Concepts {
+	for _, c := range p.concepts {
 		v[c.Name] = c.Weight
 	}
 	return v

@@ -39,29 +39,30 @@ func ParseURL(raw string) URLFeatures {
 	if i := strings.Index(s, "://"); i >= 0 {
 		s = s[i+3:]
 	}
-	// Trim userinfo.
-	if i := strings.IndexByte(s, '@'); i >= 0 && (strings.IndexByte(s, '/') == -1 || i < strings.IndexByte(s, '/')) {
-		s = s[i+1:]
+	// The authority ends at the first of '/', '?' and '#'; user info and the
+	// port are looked for inside it only.
+	host, rest := s, ""
+	if i := strings.IndexAny(s, "/?#"); i >= 0 {
+		host, rest = s[:i], s[i:]
 	}
-	hostPath := strings.SplitN(s, "/", 2)
-	host := hostPath[0]
-	// Strip port and query fragments on the host part.
+	if i := strings.IndexByte(host, '@'); i >= 0 {
+		host = host[i+1:]
+	}
 	if i := strings.IndexByte(host, ':'); i >= 0 {
 		host = host[:i]
 	}
 	host = strings.ToLower(strings.TrimSuffix(host, "."))
 	f.Host = host
 	f.Domain = registrableDomain(host)
-	if len(hostPath) == 2 {
-		path := hostPath[1]
-		if i := strings.IndexAny(path, "?#"); i >= 0 {
-			path = path[:i]
-		}
-		for _, seg := range strings.FieldsFunc(path, func(r rune) bool {
-			return r == '/' || r == '.' || r == '-' || r == '_' || r == '~'
-		}) {
-			f.PathTokens = append(f.PathTokens, strings.ToLower(seg))
-		}
+	// The path is what follows, up to the query or fragment.
+	path := rest
+	if i := strings.IndexAny(path, "?#"); i >= 0 {
+		path = path[:i]
+	}
+	for _, seg := range strings.FieldsFunc(path, func(r rune) bool {
+		return r == '/' || r == '.' || r == '-' || r == '_' || r == '~'
+	}) {
+		f.PathTokens = append(f.PathTokens, strings.ToLower(seg))
 	}
 	return f
 }

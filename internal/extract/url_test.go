@@ -19,6 +19,12 @@ func TestParseURL(t *testing.T) {
 		{"http://host.com:8080/a?q=1", "host.com", "host.com", 1},
 		{"http://user@host.com/a#frag", "host.com", "host.com", 1},
 		{"", "", "", 0},
+		// The authority ends at the first of '/', '?' and '#'.
+		{"http://example.com?x=1", "example.com", "example.com", 0},
+		{"http://cs.example.edu#top", "cs.example.edu", "example.edu", 0},
+		{"http://host.com?mail=a@b.com", "host.com", "host.com", 0},
+		{"http://host.com:8080?q=a/b", "host.com", "host.com", 0},
+		{"http://user@host.com#a@b/c", "host.com", "host.com", 0},
 	}
 	for _, tc := range cases {
 		f := ParseURL(tc.raw)

@@ -38,10 +38,8 @@ func asymmetricKeyed() Func {
 // handBuiltBlock builds n documents by hand from pools of the given sizes,
 // so keys repeat (small pools) or are all distinct (pool ≥ n). The pools
 // hold the awkward values: empty and blank names, names that normalize
-// equal but differ as keys, empty hosts, hosts sharing a domain. Each
-// document is then fully packed, left unpacked (nil packed fields), or
-// packed with its prepared names wiped — the partially packed Doc the
-// name functions gate on.
+// equal but differ as keys, empty hosts, hosts sharing a domain, empty
+// vectors and sets.
 func handBuiltBlock(rng *rand.Rand, n, namePool, hostPool int) *Block {
 	names := []string{"", " ", "John R. Smith", "Smith, John R", "john r smith"}
 	for len(names) < namePool {
@@ -60,12 +58,9 @@ func handBuiltBlock(rng *rand.Rand, n, namePool, hostPool int) *Block {
 		}
 		return out
 	}
-	// At most two terms: the map measures an unpacked document falls back
-	// to sum in map iteration order, which is only then the same sum on
-	// every evaluation (the generated blocks carry the long vectors).
 	vector := func() textsim.SparseVector {
 		v := textsim.NewSparseVector()
-		for k := rng.Intn(3); k > 0; k-- {
+		for k := rng.Intn(6); k > 0; k-- {
 			v.Add(words[rng.Intn(len(words))], rng.Float64())
 		}
 		return v
@@ -85,17 +80,8 @@ func handBuiltBlock(rng *rand.Rand, n, namePool, hostPool int) *Block {
 			Concepts:         pick(),
 			Organizations:    pick(),
 			OtherPersons:     pick(),
-			ConceptVector:    vector(),
 		}
-		d.TermVector = vector()
-		switch rng.Intn(4) {
-		case 0: // unpacked
-		case 1:
-			d.Pack(b.Vocab)
-			d.FrequentName, d.ClosestName = textsim.Name{}, textsim.Name{}
-		default:
-			d.Pack(b.Vocab)
-		}
+		d.Pack(b.Vocab, vector(), vector())
 	}
 	return b
 }
@@ -138,8 +124,8 @@ func requireBitIdentical(t *testing.T, label string, got, want map[string]*Matri
 
 // TestKernelMatchesReference is the property the keyed and joined paths
 // rest on: on random blocks — generated pages and hand-built documents with
-// nil packed fields, empty names and hosts, heavily repeated keys and
-// all-distinct keys — ComputeAllCtx equals the one-Compare-per-pair reference
+// empty vectors, names and hosts, heavily repeated keys and all-distinct
+// keys — ComputeAllCtx equals the one-Compare-per-pair reference
 // bit for bit, for the ten registry functions and an asymmetric keyed one,
 // on the worker pool (run under -race) and on the calling goroutine alone.
 func TestKernelMatchesReference(t *testing.T) {

@@ -308,18 +308,12 @@ func (k *kernel) fillRow(i int) {
 		var dot float64
 		var inter int
 		for q, fi := range k.joined {
-			f := &k.funcs[fi]
-			cell := &k.ms[fi].vals[base+j-i-1]
 			va, vb := k.vecs[q][i], k.vecs[q][j]
-			if va == nil || vb == nil {
-				*cell = f.Compare(di, &k.docs[j])
-				continue
-			}
 			if va != la || vb != lb {
 				dot, inter = va.DotIntersect(vb)
 				la, lb = va, vb
 			}
-			*cell = f.join.value(va, vb, dot, inter)
+			k.ms[fi].vals[base+j-i-1] = k.funcs[fi].join.value(va, vb, dot, inter)
 		}
 	}
 }

@@ -84,28 +84,21 @@ func TestComputeMatrixParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPackedRegistryMatchesFallback compares every function's packed fast
-// path against the map/string fallback on the same block: stripping the
-// packed fields from the docs must change no similarity by more than float
-// summation-order noise.
+// TestPackedRegistryMatchesFallback compares every function over the packed
+// forms against its definition over maps and strings (fallbackCompare) on
+// the same block: reading a page through its unpacked vectors and feature
+// strings must change no similarity by more than float summation-order
+// noise.
 func TestPackedRegistryMatchesFallback(t *testing.T) {
 	b := parallelTestBlock(t, 30)
-	unpacked := &Block{
-		Name:        b.Name,
-		Docs:        make([]Doc, len(b.Docs)),
-		Truth:       b.Truth,
-		NumPersonas: b.NumPersonas,
-	}
-	for i, d := range b.Docs {
-		unpacked.Docs[i] = Doc{Features: d.Features, TermVector: d.TermVector}
-	}
+	fallback := fallbackCompare(b)
 	for _, f := range Registry() {
 		packed := ComputeMatrixSerial(b, f)
-		fallback := ComputeMatrixSerial(unpacked, f)
-		for k, v := range fallback.Values() {
-			diff := packed.Values()[k] - v
-			if diff > 1e-12 || diff < -1e-12 {
-				t.Fatalf("%s: cell %d packed %v, fallback %v", f.ID, k, packed.Values()[k], v)
+		for i := range b.Docs {
+			for j := i + 1; j < len(b.Docs); j++ {
+				if diff := packed.At(i, j) - fallback[f.ID](i, j); diff > 1e-12 || diff < -1e-12 {
+					t.Fatalf("%s: pair (%d, %d) packed %v, fallback %v", f.ID, i, j, packed.At(i, j), fallback[f.ID](i, j))
+				}
 			}
 		}
 	}

@@ -90,9 +90,10 @@ func requireSameBlock(t *testing.T, label string, got, want *Block) {
 				t.Fatalf("%s doc %d concept weight %d: %x, reference %x", label, i, k, g.ConceptPacked.Weights[k], x)
 			}
 		}
-		for term, x := range w.TermVector {
-			if math.Float64bits(g.TermVector[term]) != math.Float64bits(x) {
-				t.Fatalf("%s doc %d TermVector[%q]: %x, reference %x", label, i, term, g.TermVector[term], x)
+		terms := g.Packed.Unpack(got.Vocab)
+		for term, x := range w.Packed.Unpack(want.Vocab) {
+			if y, ok := terms[term]; !ok || math.Float64bits(y) != math.Float64bits(x) {
+				t.Fatalf("%s doc %d term %q: %x (present %v), reference %x", label, i, term, y, ok, x)
 			}
 		}
 	}

@@ -13,9 +13,10 @@
 //	F9  TF-IDF word vector           Pearson correlation similarity
 //	F10 TF-IDF word vector           extended Jaccard similarity
 //
-// The functions operate on prepared Docs (extracted features plus TF-IDF
-// term vectors); PrepareBlockCtx builds them for a whole blocking unit (all
-// pages sharing one ambiguous name, the paper's natural blocking scheme).
+// The functions operate on prepared Docs (extracted features plus packed
+// TF-IDF term and concept vectors); PrepareBlockCtx builds them for a whole
+// blocking unit (all pages sharing one ambiguous name, the paper's natural
+// blocking scheme).
 //
 // # Preparing a block: the lexicon and the ID-order contract
 //
@@ -25,7 +26,7 @@
 // stopword, stem, dictionary entries, concept triggers — is computed once
 // per block, and term frequencies, document frequencies and weights live in
 // slices indexed by term ID. Strings reappear only at the edges: in
-// Features, in the TermVector map and in Vocab.
+// Features and in Vocab.
 //
 // The result is bit-identical to preparing each page from strings because
 // two orders are pinned. Vocab IDs are assigned page by page: the page's
@@ -81,21 +82,20 @@ import (
 	"repro/internal/textsim"
 )
 
-// Doc bundles everything the similarity functions consume for one page.
-//
-// The packed fields (Packed, ConceptPacked and the three ID sets) are the
-// allocation-lean forms the pairwise hot loop reads; PrepareBlockCtx builds
-// them for every document and they are nil on manually constructed Docs, in
-// which case every similarity function falls back to the map/string
-// representations. A packed Doc is immutable and safe for
+// Doc bundles everything the similarity functions consume for one page:
+// the extracted features and, built from them by PrepareBlockCtx against
+// the block's Vocab, the packed forms the pairwise hot loop reads. The
+// packed forms are the only vector forms a Doc has; Unpack gives the map
+// form of one. On a Doc that did not come from PrepareBlockCtx a nil vector
+// or ID set reads as empty, and an empty feature carries no evidence: the
+// function over it scores 0. A prepared Doc is immutable and safe for
 // concurrent reads.
 type Doc struct {
 	// Features is the information-extraction output for the page.
 	Features extract.DocumentFeatures
-	// TermVector is the TF-IDF weighted word vector over the block corpus.
-	TermVector textsim.SparseVector
-	// Packed is the interned, sorted form of TermVector with precomputed
-	// norm and Pearson statistics (F8-F10).
+	// Packed is the TF-IDF weighted word vector over the block corpus:
+	// interned, sorted, with precomputed norm and Pearson statistics
+	// (F8-F10).
 	Packed *textsim.PackedVector
 	// ConceptPacked is the packed form of Features.ConceptVector (F1).
 	ConceptPacked *textsim.PackedVector
@@ -151,10 +151,10 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 	pages := fe.NewPages(col.Name)
 	lx := pages.Lexicon
 	var (
-		postings []uint64                  // term ID<<32 | tf of every page's distinct terms, page after page
-		concepts []extract.WeightedConcept // every page's concept vector, page after page
-		ends     = make([][2]int, n)       // where page i's postings and concepts end
-		tf, df   []uint32                  // by term ID; tf is zero between pages
+		postings []uint64         // term ID<<32 | tf of every page's distinct terms, page after page
+		ends     = make([]int, n) // where page i's postings end
+		tf, df   []uint32         // by term ID; tf is zero between pages
+		entries  int              // of all the block's packed vectors
 	)
 	for i, d := range col.Docs {
 		if err := ctx.Err(); err != nil {
@@ -178,9 +178,10 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 			tf[p>>32] = 0
 			df[p>>32]++
 		}
-		concepts = append(concepts, pages.Concepts...)
-		ends[i] = [2]int{len(postings), len(concepts)}
+		ends[i] = len(postings)
+		entries += len(b.Docs[i].Features.ConceptVector)
 	}
+	entries += len(postings)
 
 	// byRank lists the block's terms lexicographically and rank inverts it.
 	// A page's terms are weighed, summed and interned in rank order: the
@@ -200,17 +201,16 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 	}
 
 	// Every packed vector's IDs and weights are carved from two arrays.
-	pk := packer{ids: make([]int32, len(postings)+len(concepts)), weights: make([]float64, len(postings)+len(concepts))}
-	var start [2]int
+	pk := packer{ids: make([]int32, entries), weights: make([]float64, entries)}
+	start := 0
 	for i := range b.Docs {
 		d := &b.Docs[i]
-		page, pageConcepts := postings[start[0]:ends[i][0]], concepts[start[1]:ends[i][1]]
+		page, concepts := postings[start:ends[i]], d.Features.ConceptVector
 		start = ends[i]
 		for j, p := range page {
 			page[j] = rank[p>>32]<<32 | p&math.MaxUint32
 		}
 		slices.Sort(page)
-		d.TermVector = make(textsim.SparseVector, len(page))
 		d.Packed = pk.pack(len(page), func(j int) (int32, float64) {
 			t := byRank[page[j]>>32]
 			// (1 + ln tf) · ln(1 + N/df), Lucene's classic practical
@@ -219,11 +219,10 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 			if vocabID[t] < 0 {
 				vocabID[t] = b.Vocab.ID(lx.Terms[t])
 			}
-			d.TermVector[lx.Terms[t]] = w
 			return vocabID[t], w
 		})
-		d.ConceptPacked = pk.pack(len(pageConcepts), func(j int) (int32, float64) {
-			return b.Vocab.ID(pageConcepts[j].Name), pageConcepts[j].Weight
+		d.ConceptPacked = pk.pack(len(concepts), func(j int) (int32, float64) {
+			return b.Vocab.ID(concepts[j].Name), concepts[j].Weight
 		})
 		d.ConceptSet = textsim.InternSet(b.Vocab, d.Features.Concepts)
 		d.OrgSet = textsim.InternSet(b.Vocab, d.Features.Organizations)
@@ -288,9 +287,8 @@ type Func struct {
 	join *vectorJoin
 }
 
-// vectorJoin is the packed half of a vector-space function (F1, F8-F10):
-// which packed vector it reads and the measure applied to the pair's merge
-// join.
+// vectorJoin is a vector-space function (F1, F8-F10): which packed vector
+// it reads and the measure applied to the pair's merge join.
 type vectorJoin struct {
 	vec   func(*Doc) *textsim.PackedVector
 	ofDot func(a, b *textsim.PackedVector, dot float64, inter int) float64
@@ -305,24 +303,14 @@ func (vj *vectorJoin) value(a, b *textsim.PackedVector, dot float64, inter int) 
 	return clamp01(vj.ofDot(a, b, dot, inter))
 }
 
-// vectorFunc builds a vector-space function: the packed measure over the
-// documents' packed vectors when both are packed, the map measure over
-// their sparse vectors otherwise.
-func vectorFunc(id, feature, measure string, vj *vectorJoin,
-	sparse func(*Doc) textsim.SparseVector, sim func(a, b textsim.SparseVector) float64) Func {
-
+// vectorFunc builds a vector-space function from its join.
+func vectorFunc(id, feature, measure string, vj *vectorJoin) Func {
 	return Func{
 		ID: id, Feature: feature, Measure: measure, join: vj,
 		Compare: func(a, b *Doc) float64 {
-			if pa, pb := vj.vec(a), vj.vec(b); pa != nil && pb != nil {
-				dot, inter := pa.DotIntersect(pb)
-				return vj.value(pa, pb, dot, inter)
-			}
-			sa, sb := sparse(a), sparse(b)
-			if len(sa) == 0 || len(sb) == 0 {
-				return 0
-			}
-			return clamp01(sim(sa, sb))
+			pa, pb := vj.vec(a), vj.vec(b)
+			dot, inter := pa.DotIntersect(pb)
+			return vj.value(pa, pb, dot, inter)
 		},
 	}
 }
@@ -336,18 +324,10 @@ func nameFunc(id, feature string, raw func(*Doc) string, prepared func(*Doc) *te
 		ID: id, Feature: feature, Measure: "String Similarity",
 		Key: raw,
 		Compare: func(a, b *Doc) float64 {
-			ra, rb := raw(a), raw(b)
-			if ra == "" || rb == "" {
+			if raw(a) == "" || raw(b) == "" {
 				return 0
 			}
-			// Gate on the prepared names themselves: a partially packed
-			// Doc (Packed set by hand, names never prepared) must fall
-			// back to the string path, not compare two zero-value Names
-			// as equal.
-			if pa, pb := prepared(a), prepared(b); pa.Norm != "" && pb.Norm != "" {
-				return clamp01(textsim.PreparedNameSimilarity(*pa, *pb))
-			}
-			return clamp01(textsim.NameSimilarity(ra, rb))
+			return clamp01(textsim.PreparedNameSimilarity(*prepared(a), *prepared(b)))
 		},
 	}
 }
@@ -362,12 +342,10 @@ const overlapHalf = 2
 // ten, respectively).
 func Registry() []Func {
 	concepts := func(d *Doc) *textsim.PackedVector { return d.ConceptPacked }
-	conceptVector := func(d *Doc) textsim.SparseVector { return d.Features.ConceptVector }
 	words := func(d *Doc) *textsim.PackedVector { return d.Packed }
-	termVector := func(d *Doc) textsim.SparseVector { return d.TermVector }
 	return []Func{
 		vectorFunc("F1", "Weighted Concept Vector", "Cosine Similarity",
-			&vectorJoin{vec: concepts, ofDot: textsim.PackedCosineOfDot}, conceptVector, textsim.Cosine),
+			&vectorJoin{vec: concepts, ofDot: textsim.PackedCosineOfDot}),
 		{
 			ID: "F2", Feature: "URL of the page", Measure: "String Similarity",
 			// ParseURL derives the domain from the host, and two different
@@ -383,48 +361,30 @@ func Registry() []Func {
 		{
 			ID: "F4", Feature: "Concepts Vector", Measure: "Number of overlapping concepts",
 			Compare: func(a, b *Doc) float64 {
-				var n int
-				if a.ConceptSet != nil && b.ConceptSet != nil {
-					n = textsim.IntersectSortedCount(a.ConceptSet, b.ConceptSet)
-				} else {
-					n = textsim.SetOverlapCount(a.Features.Concepts, b.Features.Concepts)
-				}
-				return textsim.NormalizedOverlap(n, overlapHalf)
+				return textsim.NormalizedOverlap(textsim.IntersectSortedCount(a.ConceptSet, b.ConceptSet), overlapHalf)
 			},
 		},
 		{
 			ID: "F5", Feature: "Organizations Entities on the page", Measure: "Number of overlapping organizations",
 			Compare: func(a, b *Doc) float64 {
-				var n int
-				if a.OrgSet != nil && b.OrgSet != nil {
-					n = textsim.IntersectSortedCount(a.OrgSet, b.OrgSet)
-				} else {
-					n = textsim.SetOverlapCount(a.Features.Organizations, b.Features.Organizations)
-				}
-				return textsim.NormalizedOverlap(n, overlapHalf)
+				return textsim.NormalizedOverlap(textsim.IntersectSortedCount(a.OrgSet, b.OrgSet), overlapHalf)
 			},
 		},
 		{
 			ID: "F6", Feature: "Other Person-Names on the page", Measure: "Number of overlapping persons",
 			Compare: func(a, b *Doc) float64 {
-				var n int
-				if a.PersonSet != nil && b.PersonSet != nil {
-					n = textsim.IntersectSortedCount(a.PersonSet, b.PersonSet)
-				} else {
-					n = textsim.SetOverlapCount(a.Features.OtherPersons, b.Features.OtherPersons)
-				}
-				return textsim.NormalizedOverlap(n, overlapHalf)
+				return textsim.NormalizedOverlap(textsim.IntersectSortedCount(a.PersonSet, b.PersonSet), overlapHalf)
 			},
 		},
 		nameFunc("F7", "The name closest to the search keyword",
 			func(d *Doc) string { return d.Features.ClosestName },
 			func(d *Doc) *textsim.Name { return &d.ClosestName }),
 		vectorFunc("F8", "TF-IDF words vector", "Cosine Similarity",
-			&vectorJoin{vec: words, ofDot: textsim.PackedCosineOfDot}, termVector, textsim.Cosine),
+			&vectorJoin{vec: words, ofDot: textsim.PackedCosineOfDot}),
 		vectorFunc("F9", "TF-IDF words vector", "Pearson Correlation similarity",
-			&vectorJoin{vec: words, ofDot: textsim.PackedPearsonSimOfDot}, termVector, textsim.PearsonSim),
+			&vectorJoin{vec: words, ofDot: textsim.PackedPearsonSimOfDot}),
 		vectorFunc("F10", "TF-IDF words vector", "Extended Jaccard similarity",
-			&vectorJoin{vec: words, ofDot: textsim.PackedExtendedJaccardOfDot}, termVector, textsim.ExtendedJaccard),
+			&vectorJoin{vec: words, ofDot: textsim.PackedExtendedJaccardOfDot}),
 	}
 }
 

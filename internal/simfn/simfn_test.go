@@ -149,8 +149,14 @@ func TestPrepareBlockShape(t *testing.T) {
 		t.Errorf("metadata: %q, %d", b.Name, b.NumPersonas)
 	}
 	nonEmptyVectors := 0
-	for _, d := range b.Docs {
-		if len(d.TermVector) > 0 {
+	for i, d := range b.Docs {
+		if d.Packed == nil || d.ConceptPacked == nil || d.ConceptSet == nil || d.OrgSet == nil || d.PersonSet == nil {
+			t.Fatalf("doc %d has a nil packed form: %+v", i, d)
+		}
+		if d.ConceptPacked.Len() != len(d.Features.ConceptVector) {
+			t.Errorf("doc %d: %d packed concepts, %d in Features", i, d.ConceptPacked.Len(), len(d.Features.ConceptVector))
+		}
+		if d.Packed.Len() > 0 {
 			nonEmptyVectors++
 		}
 	}

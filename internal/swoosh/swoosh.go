@@ -40,8 +40,8 @@ func FromBlock(b *simfn.Block) []*Record {
 			Persons:       append([]string(nil), d.Features.OtherPersons...),
 			Organizations: append([]string(nil), d.Features.Organizations...),
 			Locations:     append([]string(nil), d.Features.Locations...),
-			Concepts:      d.Features.ConceptVector.Clone(),
-			Terms:         d.TermVector.Clone(),
+			Concepts:      d.ConceptPacked.Unpack(b.Vocab),
+			Terms:         d.Packed.Unpack(b.Vocab),
 		}
 		if d.Features.MostFrequentName != "" {
 			r.Names = append(r.Names, d.Features.MostFrequentName)

@@ -2,6 +2,7 @@ package swoosh
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -205,10 +206,27 @@ func TestFromBlockAndEndToEnd(t *testing.T) {
 	if len(records) != 40 {
 		t.Fatalf("records = %d", len(records))
 	}
+	// A record's vectors are the map form of the document's packed ones,
+	// weight for weight: R-Swoosh fed empty vectors still clusters, only
+	// worse, so nothing downstream would notice.
+	sameVector := func(label string, got textsim.SparseVector, p *textsim.PackedVector) {
+		t.Helper()
+		if len(got) == 0 || len(got) != p.Len() {
+			t.Fatalf("%s: %d entries, packed vector has %d", label, len(got), p.Len())
+		}
+		for k, id := range p.IDs {
+			term := block.Vocab.Term(id)
+			if w, ok := got[term]; !ok || math.Float64bits(w) != math.Float64bits(p.Weights[k]) {
+				t.Fatalf("%s[%q] = %v (present %v), packed weight %v", label, term, w, ok, p.Weights[k])
+			}
+		}
+	}
 	for i, r := range records {
 		if len(r.IDs) != 1 || r.IDs[0] != i {
 			t.Fatalf("record %d IDs = %v", i, r.IDs)
 		}
+		sameVector(fmt.Sprintf("record %d Terms", i), r.Terms, block.Docs[i].Packed)
+		sameVector(fmt.Sprintf("record %d Concepts", i), r.Concepts, block.Docs[i].ConceptPacked)
 	}
 	resolved, err := RSwoosh(records, ThresholdMatch(0.55, 0.9, 2))
 	if err != nil {

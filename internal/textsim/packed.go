@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Vocab interns strings (terms, entity names) into dense int32 IDs for one
@@ -46,7 +45,8 @@ func (v *Vocab) Len() int { return len(v.terms) }
 // (Σw, Σw²) are computed once at pack time, so the pairwise similarity
 // loop touches only the two ID/weight arrays with a branch-predictable
 // merge join — no hashing, no allocation. A PackedVector is immutable
-// after Pack and safe for concurrent reads.
+// after Pack and safe for concurrent reads. A nil *PackedVector reads as the
+// empty vector: Len, DotIntersect and Unpack accept one.
 //
 // erlint:immutable — packed vectors are shared across scorer goroutines;
 // mutating one corrupts every similarity computed from it.
@@ -72,22 +72,37 @@ func (v SparseVector) Pack(vocab *Vocab) *PackedVector {
 	for t := range v {
 		terms = append(terms, t)
 	}
-	sort.Strings(terms)
+	slices.Sort(terms)
 
 	p := &PackedVector{
 		IDs:     make([]int32, len(terms)),
 		Weights: make([]float64, len(terms)),
 	}
+	// Vocab ID<<32 | lexicographic position: sorted, the keys list the
+	// terms in ID order.
+	keys, ws := make([]uint64, len(terms)), make([]float64, len(terms))
 	for i, t := range terms {
 		w := v[t]
-		p.IDs[i] = vocab.ID(t)
-		p.Weights[i] = w
+		keys[i], ws[i] = uint64(vocab.ID(t))<<32|uint64(i), w
 		p.sum += w
 		p.sumSq += w * w
 	}
-	sort.Sort(byID{p})
+	slices.Sort(keys)
+	for i, key := range keys {
+		p.IDs[i], p.Weights[i] = int32(key>>32), ws[uint32(key)]
+	}
 	p.norm = math.Sqrt(p.sumSq)
 	return p
+}
+
+// Unpack is the inverse of Pack: the map form of p, its terms read back
+// from the vocab p was packed against.
+func (p *PackedVector) Unpack(vocab *Vocab) SparseVector {
+	v := make(SparseVector, p.Len())
+	for i := 0; i < p.Len(); i++ {
+		v[vocab.Term(p.IDs[i])] = p.Weights[i]
+	}
+	return v
 }
 
 // PackedFromParts assembles a PackedVector from already-interned term IDs
@@ -126,26 +141,22 @@ func PackedWithSums(ids []int32, weights []float64, sum, sumSq float64) *PackedV
 	return &PackedVector{IDs: ids, Weights: weights, norm: math.Sqrt(sumSq), sum: sum, sumSq: sumSq}
 }
 
-// byID sorts a PackedVector's parallel slices by term ID.
-type byID struct{ p *PackedVector }
-
-func (s byID) Len() int           { return len(s.p.IDs) }
-func (s byID) Less(i, j int) bool { return s.p.IDs[i] < s.p.IDs[j] }
-func (s byID) Swap(i, j int) {
-	// erlint:ignore Pack sorts its still-private vector through byID before returning it
-	s.p.IDs[i], s.p.IDs[j] = s.p.IDs[j], s.p.IDs[i]
-	// erlint:ignore Pack sorts its still-private vector through byID before returning it
-	s.p.Weights[i], s.p.Weights[j] = s.p.Weights[j], s.p.Weights[i]
-}
-
 // Len returns the support size (number of non-zero entries).
-func (p *PackedVector) Len() int { return len(p.IDs) }
+func (p *PackedVector) Len() int {
+	if p == nil {
+		return 0
+	}
+	return len(p.IDs)
+}
 
 // DotIntersect returns the inner product and the intersection size in one
 // merge-join pass — everything the three similarity measures below need
 // beyond the pack-time statistics, so a caller evaluating several measures
 // on one pair of vectors joins once and feeds the result to the OfDot forms.
 func (p *PackedVector) DotIntersect(o *PackedVector) (float64, int) {
+	if p == nil || o == nil {
+		return 0, 0
+	}
 	var dot float64
 	inter := 0
 	i, j := 0, 0
@@ -231,8 +242,7 @@ func PackedPearsonSimOfDot(a, b *PackedVector, dot float64, inter int) float64 {
 
 // InternSet interns a string slice as a deduplicated, ascending-sorted ID
 // set — the packed form of the entity sets the overlap-count functions
-// (F4-F6) compare. The result is never nil, so a nil set can signal "not
-// packed" to callers with a construction-time fallback.
+// (F4-F6) compare.
 func InternSet(vocab *Vocab, items []string) []int32 {
 	out := make([]int32, 0, len(items))
 	for _, s := range items {
@@ -244,7 +254,8 @@ func InternSet(vocab *Vocab, items []string) []int32 {
 }
 
 // IntersectSortedCount returns |A∩B| of two ascending, deduplicated ID
-// sets via a merge join — the packed counterpart of SetOverlapCount.
+// sets via a merge join — the packed counterpart of SetOverlapCount. A nil
+// set is the empty set.
 func IntersectSortedCount(a, b []int32) int {
 	n := 0
 	i, j := 0, 0

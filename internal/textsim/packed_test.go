@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -41,6 +42,19 @@ func TestPackRoundTrip(t *testing.T) {
 	}
 	if math.Abs(p.norm-v.Norm()) > 1e-12 {
 		t.Errorf("norm: packed %v, map %v", p.norm, v.Norm())
+	}
+	// Unpack inverts Pack, weight bits included, and Pack inverts Unpack.
+	back := p.Unpack(vocab)
+	if len(back) != len(v) {
+		t.Fatalf("unpacked support %d, map support %d", len(back), len(v))
+	}
+	for term, w := range v {
+		if got, ok := back[term]; !ok || math.Float64bits(got) != math.Float64bits(w) {
+			t.Errorf("unpacked weight of %q: %v, map %v", term, got, w)
+		}
+	}
+	if again := back.Pack(vocab); !reflect.DeepEqual(again, p) {
+		t.Errorf("Pack(Unpack(p)) = %+v, want %+v", again, p)
 	}
 }
 
@@ -95,6 +109,17 @@ func TestPackedEdgeCases(t *testing.T) {
 	}
 	if got := PackedExtendedJaccard(one, one); got != 1 {
 		t.Errorf("extjaccard(x,x) = %v, want 1", got)
+	}
+	// A nil vector reads as the empty one.
+	var none *PackedVector
+	if dot, inter := none.DotIntersect(one); none.Len() != 0 || dot != 0 || inter != 0 {
+		t.Errorf("nil vector: Len %d, DotIntersect %v, %d; want zeros", none.Len(), dot, inter)
+	}
+	if dot, inter := one.DotIntersect(none); dot != 0 || inter != 0 {
+		t.Errorf("DotIntersect(nil) = %v, %d; want zeros", dot, inter)
+	}
+	if v := none.Unpack(vocab); len(v) != 0 {
+		t.Errorf("nil vector unpacks to %v", v)
 	}
 }
 

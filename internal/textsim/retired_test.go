@@ -1,17 +1,13 @@
 package textsim
 
-import (
-	"math"
-	"strings"
-)
+import "math"
 
 // Retired library surface. Nothing outside this package's tests has called
 // these since the similarity stack was cut down to what Table I needs (PR
 // 19); they are out of the production package and live here only so that
 // the tests written against them (alignment_test.go, levenshtein_test.go,
-// the n-gram half of ngram_test.go, TestTokenJaccard, TestTokenDice,
-// TestWeightedJaccard, ExampleLevenshtein) keep running. Delete a
-// declaration together with its tests; never call one from non-test code.
+// the n-gram half of ngram_test.go, ExampleLevenshtein) keep running. Delete
+// a declaration together with its tests; never call one from non-test code.
 
 // Sequence-alignment similarities: Needleman-Wunsch (global alignment),
 // Smith-Waterman (local alignment) and SoftTFIDF (Cohen, Ravikumar,
@@ -441,67 +437,4 @@ func setIntersectionSize(a, b NGramProfile) int {
 		}
 	}
 	return inter
-}
-
-// TokenJaccard returns the Jaccard coefficient over whitespace-delimited
-// lower-cased tokens of a and b.
-func TokenJaccard(a, b string) float64 {
-	return SetJaccard(simpleTokens(a), simpleTokens(b))
-}
-
-// TokenDice returns the Dice coefficient over whitespace-delimited
-// lower-cased token sets of a and b.
-func TokenDice(a, b string) float64 {
-	ta, tb := simpleTokens(a), simpleTokens(b)
-	sa := toSet(ta)
-	sb := toSet(tb)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for t := range sa {
-		if _, ok := sb[t]; ok {
-			inter++
-		}
-	}
-	if len(sa)+len(sb) == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(len(sa)+len(sb))
-}
-
-func simpleTokens(s string) []string {
-	return strings.Fields(strings.ToLower(s))
-}
-
-func toSet(tokens []string) map[string]struct{} {
-	set := make(map[string]struct{}, len(tokens))
-	for _, t := range tokens {
-		set[t] = struct{}{}
-	}
-	return set
-}
-
-// WeightedJaccard returns the Ruzicka similarity Σ min(aᵢ,bᵢ) / Σ max(aᵢ,bᵢ)
-// for non-negative vectors, another weighted set-overlap measure exposed for
-// custom similarity functions.
-func WeightedJaccard(a, b SparseVector) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	var num, den float64
-	for t, wa := range a {
-		wb := b[t]
-		num += math.Min(wa, wb)
-		den += math.Max(wa, wb)
-	}
-	for t, wb := range b {
-		if _, ok := a[t]; !ok {
-			den += wb
-		}
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

@@ -38,21 +38,9 @@ func mongeElkanDirected(a, b []string, sim StringSim) float64 {
 	return total / float64(len(a))
 }
 
-// NameSimilarity is the composite person-name comparator used by the
-// framework's string-based similarity functions (F2's URL host comparison
-// uses raw strings; F3 and F7 compare names). It symmetrically combines
-// Jaro-Winkler on the whole string with Monge-Elkan over tokens using
-// Jaro-Winkler as the secondary measure, making it robust both to
-// character-level typos and to token reordering ("John R. Smith" vs
-// "Smith, John").
-func NameSimilarity(a, b string) float64 {
-	return PreparedNameSimilarity(PrepareName(a), PrepareName(b))
-}
-
 // Name is a person name prepared for repeated comparison: the normalized
-// form and its token list are computed once, so the pairwise loop skips the
-// string rewriting NameSimilarity performs per call. A Name is immutable
-// and safe for concurrent reads.
+// form and its token list are computed once, outside the pairwise loop. A
+// Name is immutable and safe for concurrent reads.
 type Name struct {
 	// Norm is the normalized (lower-cased, punctuation-folded) name.
 	Norm string
@@ -66,9 +54,12 @@ func PrepareName(s string) Name {
 	return Name{Norm: norm, Tokens: strings.Fields(norm)}
 }
 
-// PreparedNameSimilarity is NameSimilarity over prepared names; by
-// construction NameSimilarity(a, b) == PreparedNameSimilarity(PrepareName(a),
-// PrepareName(b)).
+// PreparedNameSimilarity is the composite person-name comparator of the
+// framework's name functions F3 and F7. It symmetrically combines
+// Jaro-Winkler on the whole string with Monge-Elkan over tokens using
+// Jaro-Winkler as the secondary measure, making it robust both to
+// character-level typos and to token reordering ("John R. Smith" vs
+// "Smith, John").
 func PreparedNameSimilarity(a, b Name) float64 {
 	if a.Norm == b.Norm {
 		return 1

@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -36,26 +37,10 @@ func TestMongeElkanSymmetric(t *testing.T) {
 	}
 }
 
-func TestTokenJaccard(t *testing.T) {
-	if got := TokenJaccard("", ""); got != 1 {
-		t.Errorf("empty = %v, want 1", got)
-	}
-	if got := TokenJaccard("the cat", "the dog"); math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Errorf("= %v, want 1/3", got)
-	}
-	// Case-insensitive.
-	if got := TokenJaccard("Machine Learning", "machine learning"); got != 1 {
-		t.Errorf("case fold = %v, want 1", got)
-	}
-}
-
-func TestTokenDice(t *testing.T) {
-	if got := TokenDice("", ""); got != 1 {
-		t.Errorf("empty = %v, want 1", got)
-	}
-	if got := TokenDice("a b", "b c"); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("= %v, want 0.5", got)
-	}
+func ExampleNameSimilarity() {
+	// Robust to token order and punctuation.
+	fmt.Printf("%.2f\n", NameSimilarity("Smith, John", "john smith"))
+	// Output: 1.00
 }
 
 func TestNameSimilarity(t *testing.T) {

@@ -81,75 +81,3 @@ func Cosine(a, b SparseVector) float64 {
 	}
 	return a.Dot(b) / (na * nb)
 }
-
-// ExtendedJaccard returns the extended Jaccard (Tanimoto) similarity
-// a·b / (|a|² + |b|² − a·b), the continuous generalization of the Jaccard
-// coefficient used by similarity function F10. Two empty vectors have
-// similarity 1.
-func ExtendedJaccard(a, b SparseVector) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	dot := a.Dot(b)
-	na, nb := a.Norm(), b.Norm()
-	den := na*na + nb*nb - dot
-	if den <= 0 {
-		return 0
-	}
-	return dot / den
-}
-
-// PearsonSim returns the Pearson correlation of a and b over the union of
-// their supports, linearly rescaled from [-1, 1] to [0, 1] so that it fits
-// the framework's similarity value space (used by F9). Vectors with zero
-// variance over the union support yield 0.5 (no evidence either way),
-// except two identical empty vectors which yield 1.
-//
-// The correlation is computed from sufficient statistics (sums, squared
-// sums, dot product and intersection size) rather than materializing the
-// union support, since this runs on every document pair of a block.
-func PearsonSim(a, b SparseVector) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	small, big := a, b
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	var dot float64
-	inter := 0
-	for t, ws := range small {
-		if wb, ok := big[t]; ok {
-			dot += ws * wb
-			inter++
-		}
-	}
-	var sa, sqa, sb, sqb float64
-	for _, w := range a {
-		sa += w
-		sqa += w * w
-	}
-	for _, w := range b {
-		sb += w
-		sqb += w * w
-	}
-	n := float64(len(a) + len(b) - inter)
-	if n == 0 {
-		return 1
-	}
-	// Over the union support U: Σ(x−mx)(y−my) = x·y − SxSy/|U|, etc.
-	sxy := dot - sa*sb/n
-	sxx := sqa - sa*sa/n
-	syy := sqb - sb*sb/n
-	if sxx <= 1e-15 || syy <= 1e-15 {
-		return 0.5
-	}
-	r := sxy / math.Sqrt(sxx*syy)
-	if r > 1 {
-		r = 1
-	}
-	if r < -1 {
-		r = -1
-	}
-	return (r + 1) / 2
-}

@@ -1,6 +1,7 @@
 package textsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -87,6 +88,14 @@ func TestCosine(t *testing.T) {
 	}
 }
 
+func ExampleExtendedJaccard() {
+	a := SparseVector{"x": 1.0, "y": 1.0, "z": 1.0}
+	b := SparseVector{"y": 1.0, "z": 1.0, "w": 1.0}
+	// For binary vectors, extended Jaccard equals the set Jaccard.
+	fmt.Printf("%.2f\n", ExtendedJaccard(a, b))
+	// Output: 0.50
+}
+
 func TestExtendedJaccard(t *testing.T) {
 	if got := ExtendedJaccard(NewSparseVector(), NewSparseVector()); got != 1 {
 		t.Errorf("empty = %v, want 1", got)
@@ -130,21 +139,6 @@ func TestPearsonSim(t *testing.T) {
 	}
 }
 
-func TestWeightedJaccard(t *testing.T) {
-	if got := WeightedJaccard(NewSparseVector(), NewSparseVector()); got != 1 {
-		t.Errorf("empty = %v, want 1", got)
-	}
-	a := vec("a", 2.0, "b", 1.0)
-	if got := WeightedJaccard(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("identical = %v, want 1", got)
-	}
-	b := vec("a", 1.0, "c", 1.0)
-	// min: a→1; max: a→2, b→1, c→1 → 1/4.
-	if got := WeightedJaccard(a, b); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("= %v, want 0.25", got)
-	}
-}
-
 func randomVec(keys []string, weights []float64) SparseVector {
 	v := NewSparseVector()
 	for i, k := range keys {
@@ -160,10 +154,9 @@ func randomVec(keys []string, weights []float64) SparseVector {
 
 func TestVectorSimsBoundsAndSymmetryProperty(t *testing.T) {
 	sims := map[string]func(a, b SparseVector) float64{
-		"cosine":   Cosine,
-		"extjacc":  ExtendedJaccard,
-		"pearson":  PearsonSim,
-		"weighted": WeightedJaccard,
+		"cosine":  Cosine,
+		"extjacc": ExtendedJaccard,
+		"pearson": PearsonSim,
 	}
 	keyset := []string{"a", "b", "c", "d", "e"}
 	for name, sim := range sims {
@@ -190,8 +183,7 @@ func TestIdenticalVectorsScoreOneProperty(t *testing.T) {
 			return true
 		}
 		return math.Abs(Cosine(v, v)-1) < 1e-9 &&
-			math.Abs(ExtendedJaccard(v, v)-1) < 1e-9 &&
-			math.Abs(WeightedJaccard(v, v)-1) < 1e-9
+			math.Abs(ExtendedJaccard(v, v)-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
