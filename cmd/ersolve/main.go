@@ -13,7 +13,7 @@
 //	        [-train 0.10] [-regions 10] [-seed N] [-score] [-members]
 //	ersolve serve [-addr :8476] [-timeout 30s] [-max-body 33554432]
 //	        [-queue 64] [-drain 10s] [-data DIR] [-job-history 1024]
-//	        [-block-shards 16] [-read-cache 1024] [-trace-buffer 256]
+//	        [-block-shards 16] [-trace-buffer 256]
 //
 // The serve mode accepts POST /v1/resolve with an ergen dataset JSON body
 // (plus optional "strategy", "clustering", "blocking", "timeout_ms", …
@@ -249,7 +249,6 @@ func runServe(ctx context.Context, args []string) error {
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain window for in-flight work")
 		dataDir = fs.String("data", "", "durable data directory (default in-memory only)")
 		shards  = fs.Int("block-shards", 0, "sharded blocking index partitions (0 = default)")
-		rcache  = fs.Int("read-cache", 0, "read-path response cache entries (0 = default 1024, negative disables)")
 		tbuf    = fs.Int("trace-buffer", 0, "recent request traces kept for GET /v1/traces (0 = default 256, negative disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -274,12 +273,10 @@ func runServe(ctx context.Context, args []string) error {
 
 	cfg := service.Config{
 		DefaultTimeout: *timeout,
-		MaxTimeout:     *timeout,
 		MaxBodyBytes:   *maxBody,
 		QueueBuffer:    *queue,
 		JobHistory:     *history,
 		BlockShards:    *shards,
-		ReadCache:      *rcache,
 		TraceBuffer:    *tbuf,
 	}
 

@@ -53,10 +53,12 @@ type DocRef = blockindex.DocRef
 // KeyFunc derives a document's blocking keys, shared with the key index.
 type KeyFunc = blockindex.KeyFunc
 
-// Graph parameter defaults. M is the per-node degree bound (layer 0
-// keeps 2M); EfConstruction sizes the candidate beam while linking a new
-// node; EfSearch sizes the neighbor query the candidate edges come from.
-// Larger ef raises recall and cost roughly linearly.
+// Graph parameters. M is the per-node degree bound (layer 0 keeps 2M);
+// DefaultEfConstruction sizes the candidate beam while linking a new node
+// (no caller asks for another value; .ann files record it, and one built
+// with a different value is refused); EfSearch sizes the neighbor query
+// the candidate edges come from. Larger ef raises recall and cost roughly
+// linearly.
 const (
 	DefaultM              = 12
 	DefaultEfConstruction = 100
@@ -79,14 +81,10 @@ type Config struct {
 	// Keys derives each document's blocking keys; nil selects the
 	// collection-name KeyFunc.
 	Keys KeyFunc
-	// M, EfConstruction and EfSearch are the graph knobs; zero selects
-	// the package defaults. M must be at least 2.
-	M              int
-	EfConstruction int
-	EfSearch       int
-	// Workers bounds the delta-keying worker pool; zero selects
-	// GOMAXPROCS.
-	Workers int
+	// M and EfSearch are the graph knobs; zero selects the package
+	// defaults. M must be at least 2.
+	M        int
+	EfSearch int
 }
 
 // withDefaults resolves the zero knobs.
@@ -96,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.M == 0 {
 		c.M = DefaultM
-	}
-	if c.EfConstruction == 0 {
-		c.EfConstruction = DefaultEfConstruction
 	}
 	if c.EfSearch == 0 {
 		c.EfSearch = DefaultEfSearch
@@ -115,7 +110,6 @@ type CandidateIndex struct {
 	policy  blocking.ApproxPolicy
 	keys    KeyFunc
 	m       int
-	efCons  int
 	efSrch  int
 	levelML float64 // 1/ln(M), the level-draw scale
 
@@ -159,8 +153,8 @@ func New(cfg Config) (*CandidateIndex, error) {
 	if cfg.M < 0 || cfg.M == 1 {
 		return nil, fmt.Errorf("ann: graph degree M=%d cannot hold a proximity graph (want >= 2, or 0 for the default)", cfg.M)
 	}
-	if cfg.EfConstruction < 0 || cfg.EfSearch < 0 {
-		return nil, fmt.Errorf("ann: negative ef (construction %d, search %d)", cfg.EfConstruction, cfg.EfSearch)
+	if cfg.EfSearch < 0 {
+		return nil, fmt.Errorf("ann: negative search ef %d", cfg.EfSearch)
 	}
 	cfg = cfg.withDefaults()
 	return &CandidateIndex{
@@ -168,13 +162,12 @@ func New(cfg Config) (*CandidateIndex, error) {
 		policy:  cfg.Scheme.ApproxPolicy(),
 		keys:    cfg.Keys,
 		m:       cfg.M,
-		efCons:  cfg.EfConstruction,
 		efSrch:  cfg.EfSearch,
 		levelML: 1 / math.Log(float64(cfg.M)),
 		vocab:   textsim.NewVocab(),
 		primary: make(map[string]int32),
 		entry:   -1,
-		comps:   blockindex.NewComponents(cfg.Workers),
+		comps:   blockindex.NewComponents(),
 	}, nil
 }
 
@@ -185,9 +178,6 @@ func (x *CandidateIndex) Version() uint64 {
 	defer x.mu.Unlock()
 	return x.comps.Version()
 }
-
-// Workers returns the worker-pool bound, fixed at construction.
-func (x *CandidateIndex) Workers() int { return x.comps.Workers() }
 
 // Update inserts every document of cols not yet indexed and returns what
 // changed. cols must be the same append-only corpus the index has seen
@@ -310,8 +300,7 @@ func (x *CandidateIndex) UpdateMembership(cols []*corpus.Collection) (UpdateStat
 // through a throwaway index, the fallback for corpora the incremental
 // state cannot serve (a snapshot older than what the index has seen).
 func (x *CandidateIndex) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, M: x.m,
-		EfConstruction: x.efCons, EfSearch: x.efSrch, Workers: x.comps.Workers()})
+	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, M: x.m, EfSearch: x.efSrch})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -360,7 +349,7 @@ func (x *CandidateIndex) Stats() Stats {
 		Terms:          x.vocab.Len(),
 		MaxLevel:       maxLevel,
 		M:              x.m,
-		EfConstruction: x.efCons,
+		EfConstruction: DefaultEfConstruction,
 		EfSearch:       x.efSrch,
 		Version:        x.comps.Version(),
 	}

@@ -346,7 +346,7 @@ func TestLevelFor(t *testing.T) {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
-	cfg := Config{Scheme: testCanopy(), M: 8, EfConstruction: 40, EfSearch: 24}
+	cfg := Config{Scheme: testCanopy(), M: 8, EfSearch: 24}
 	x, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

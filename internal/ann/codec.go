@@ -65,7 +65,7 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 
 	enc := encodedIndex{
 		M:              x.m,
-		EfConstruction: x.efCons,
+		EfConstruction: DefaultEfConstruction,
 		EfSearch:       x.efSrch,
 		Cols:           make([]encodedCol, x.comps.Collections()),
 		Refs:           x.comps.Refs(),
@@ -142,9 +142,9 @@ func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if enc.M != x.m || enc.EfConstruction != x.efCons || enc.EfSearch != x.efSrch {
+	if enc.M != x.m || enc.EfConstruction != DefaultEfConstruction || enc.EfSearch != x.efSrch {
 		return nil, fmt.Errorf("ann: encoded index was built with M=%d efc=%d efs=%d, configuration wants M=%d efc=%d efs=%d; rebuild from the corpus",
-			enc.M, enc.EfConstruction, enc.EfSearch, x.m, x.efCons, x.efSrch)
+			enc.M, enc.EfConstruction, enc.EfSearch, x.m, DefaultEfConstruction, x.efSrch)
 	}
 
 	n := len(enc.Refs)

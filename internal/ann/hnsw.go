@@ -135,12 +135,10 @@ func (x *CandidateIndex) insert(id int32) []distNode {
 		eps = x.searchLayer(q, eps, 1, l)
 	}
 
-	// Link downward. The beam is sized for both jobs it feeds: efCons for
-	// link selection, efSrch for the candidate query at layer 0.
-	ef := x.efCons
-	if x.efSrch > ef {
-		ef = x.efSrch
-	}
+	// Link downward. The beam is sized for both jobs it feeds:
+	// DefaultEfConstruction for link selection, efSrch for the candidate
+	// query at layer 0.
+	ef := max(DefaultEfConstruction, x.efSrch)
 	var beam []distNode
 	top := level
 	if x.maxLevel < top {

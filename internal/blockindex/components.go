@@ -3,7 +3,6 @@ package blockindex
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/blocking"
@@ -77,7 +76,6 @@ type blockEntry struct {
 // Components is not safe for concurrent use: the owning index serializes
 // every call under its own mutex, which also covers its postings or graph.
 type Components struct {
-	workers int
 	cols    []colState
 	refs    []DocRef
 	hashes  []uint64
@@ -86,22 +84,13 @@ type Components struct {
 	blocks  map[int32]*blockEntry
 }
 
-// NewComponents returns an empty tracker whose keying and fingerprint
-// fan-outs run on at most workers goroutines; workers < 1 selects
-// GOMAXPROCS.
-func NewComponents(workers int) *Components {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// NewComponents returns an empty tracker.
+func NewComponents() *Components {
 	return &Components{
-		workers: workers,
-		uf:      ergraph.NewUnionFind(0),
-		blocks:  make(map[int32]*blockEntry),
+		uf:     ergraph.NewUnionFind(0),
+		blocks: make(map[int32]*blockEntry),
 	}
 }
-
-// Workers returns the worker-pool bound, fixed at construction.
-func (c *Components) Workers() int { return c.workers }
 
 // Version counts indexed documents; it increases exactly when the index
 // changes, so equal versions mean equal indexes (for one configuration).
@@ -176,7 +165,7 @@ func (c *Components) Begin(cols []*corpus.Collection, keys func(col *corpus.Coll
 			delta = append(delta, NewDoc{Ref: DocRef{Col: ci, Doc: di}})
 		}
 	}
-	Parallel(c.workers, len(delta), func(i int) {
+	Parallel(len(delta), func(i int) {
 		d := &delta[i]
 		col := cols[d.Ref.Col]
 		doc := col.Docs[d.Ref.Doc]
@@ -251,7 +240,7 @@ func (c *Components) Membership() ([][]DocRef, []uint64) {
 	}
 
 	built := make([]*blockEntry, len(missing))
-	Parallel(c.workers, len(missing), func(i int) {
+	Parallel(len(missing), func(i int) {
 		built[i] = c.buildEntry(missing[i])
 	})
 	for i, root := range missing {

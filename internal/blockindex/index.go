@@ -31,6 +31,7 @@ package blockindex
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -65,9 +66,6 @@ type Config struct {
 	// Shards is the number of hash partitions of the key space; values < 1
 	// select DefaultShards.
 	Shards int
-	// Workers bounds the delta-keying and fingerprint worker pools; values
-	// < 1 select GOMAXPROCS.
-	Workers int
 }
 
 // CollectionNameKey is the default KeyFunc: one key, the collection name.
@@ -114,7 +112,7 @@ func New(cfg Config) (*Index, error) {
 		scheme: cfg.Scheme,
 		keys:   cfg.Keys,
 		shards: make([]shard, cfg.Shards),
-		comps:  NewComponents(cfg.Workers),
+		comps:  NewComponents(),
 	}
 	for i := range x.shards {
 		x.shards[i].postings = make(map[string][]int32)
@@ -173,7 +171,7 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 		}
 		edgesPer := make([][]edge, len(x.shards))
 		newKeys := make([]int, len(x.shards))
-		Parallel(x.comps.Workers(), len(x.shards), func(s int) {
+		Parallel(len(x.shards), func(s int) {
 			postings := x.shards[s].postings
 			for _, item := range buckets[s] {
 				p := postings[item.key]
@@ -236,7 +234,7 @@ func (x *Index) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]Do
 // older than what the index has already seen (two configurations sharing
 // one index can observe the store in different orders).
 func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, Shards: len(x.shards), Workers: x.comps.Workers()})
+	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, Shards: len(x.shards)})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -247,19 +245,14 @@ func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, e
 	return refs, fps, nil
 }
 
-// Workers returns the index's worker-pool bound, fixed at construction.
-func (x *Index) Workers() int { return x.comps.Workers() }
-
-// Parallel runs fn(0..n-1) over a pool of at most workers goroutines;
+// Parallel runs fn(0..n-1) over a pool of at most GOMAXPROCS goroutines;
 // small inputs run inline. It is the shared fan-out primitive of the
 // index's delta keying, fingerprinting, and the pipeline's block
 // assembly.
 //
 // erlint:ignore CPU-bound fan-out that always joins before returning; callers bound it by cancelling the work fed to fn
-func Parallel(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
+func Parallel(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if n < 2 || workers < 2 {
 		for i := 0; i < n; i++ {
 			fn(i)

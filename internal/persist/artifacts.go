@@ -63,13 +63,11 @@ type artifactDir struct {
 	logf func(format string, args ...any)
 	// ext is the kind's file extension without the dot, magic its envelope
 	// header (the digit is the envelope format version), noun what
-	// messages call it, defaultCap the file cap when MaxFiles is unset.
+	// messages call it.
 	ext, magic, noun string
-	defaultCap       int
-	// MaxFiles bounds the number of files of this kind kept; after each
-	// save the oldest beyond the cap are pruned (best effort). Values < 1
-	// select the kind's default.
-	MaxFiles int
+	// maxFiles bounds the number of files of this kind kept; after each
+	// save the oldest beyond the cap are pruned (best effort).
+	maxFiles int
 	// quarantined counts the damaged files load renamed aside.
 	quarantined atomic.Int64
 }
@@ -78,7 +76,7 @@ type artifactDir struct {
 // sweeping the temp files a crash mid-save leaves behind (no concurrent
 // save can race construction). Best effort — an orphan is wasted bytes,
 // never a correctness risk.
-func newArtifactDir(dir string, opts Options, ext, magic, noun string, defaultCap int) (*artifactDir, error) {
+func newArtifactDir(dir string, opts Options, ext, magic, noun string, maxFiles int) (*artifactDir, error) {
 	if err := opts.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: creating %s: %w", dir, err)
 	}
@@ -88,7 +86,7 @@ func newArtifactDir(dir string, opts Options, ext, magic, noun string, defaultCa
 		}
 	}
 	return &artifactDir{dir: dir, fsys: opts.FS, logf: opts.Log,
-		ext: ext, magic: magic, noun: noun, defaultCap: defaultCap}, nil
+		ext: ext, magic: magic, noun: noun, maxFiles: maxFiles}, nil
 }
 
 // path names the file of one configuration key.
@@ -145,13 +143,9 @@ func (d *artifactDir) save(key string, encode func(io.Writer) error) error {
 	}
 	// Prune the oldest files beyond the cap; a pruning failure never
 	// fails the save that triggered it.
-	limit := d.MaxFiles
-	if limit < 1 {
-		limit = d.defaultCap
-	}
-	if names, _ := d.list(); len(names) > limit {
+	if names, _ := d.list(); len(names) > d.maxFiles {
 		files := d.byAge(names)
-		for i := 0; i+limit < len(files); i++ {
+		for i := 0; i+d.maxFiles < len(files); i++ {
 			_ = d.fsys.Remove(files[i])
 		}
 	}

@@ -507,7 +507,7 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDirPrunesOldestBeyondCap pins the disk bound: the snapshot
-// directory keeps at most MaxFiles files, dropping the oldest, so
+// directory keeps at most maxFiles files, dropping the oldest, so
 // client-chosen knob values (seeds) cannot grow the data directory
 // without bound.
 func TestSnapshotDirPrunesOldestBeyondCap(t *testing.T) {
@@ -517,7 +517,7 @@ func TestSnapshotDirPrunesOldestBeyondCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data.Close()
-	data.Snapshots.MaxFiles = 2
+	data.Snapshots.maxFiles = 2
 
 	pl := testPipeline(t)
 	run, err := pl.RunIncremental(context.Background(), testBatches(t)[0], nil)

@@ -147,7 +147,7 @@ func TestANNBlockerRestartEqualsFresh(t *testing.T) {
 	first := flatPrefix(cols, 1, 3)
 	union := flatPrefix(cols, 2, 3)
 
-	cfg := ANNOptions{M: 8, EfConstruction: 60, EfSearch: 32}
+	cfg := ANNOptions{M: 8, EfSearch: 32}
 	ab, err := NewANNBlocker(annScheme(t, "canopy"), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestANNBlockerRestartEqualsFresh(t *testing.T) {
 	}
 	decoded, err := ann.Decode(&buf, ann.Config{
 		Scheme: annScheme(t, "canopy"),
-		M:      cfg.M, EfConstruction: cfg.EfConstruction, EfSearch: cfg.EfSearch,
+		M:      cfg.M, EfSearch: cfg.EfSearch,
 	})
 	if err != nil {
 		t.Fatal(err)

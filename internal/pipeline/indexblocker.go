@@ -77,7 +77,6 @@ type CandidateIndex interface {
 	UpdateMembership(cols []*corpus.Collection) (blockindex.UpdateStats, [][]DocRef, []uint64, error)
 	MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error)
 	Version() uint64
-	Workers() int
 	EncodeTo(w io.Writer) (uint64, error)
 }
 
@@ -128,8 +127,6 @@ func NewIndexBlockerWith(idx *blockindex.Index) *IndexBlocker {
 type ANNOptions struct {
 	// M is the per-node degree bound of the proximity graph.
 	M int
-	// EfConstruction sizes the link-selection beam at insertion time.
-	EfConstruction int
 	// EfSearch sizes the neighbor query candidate edges come from; the
 	// recall knob.
 	EfSearch int
@@ -140,11 +137,10 @@ type ANNOptions struct {
 // collection-name KeyFunc; zero knobs select the ann defaults.
 func NewANNBlocker(scheme blocking.ApproxScheme, keys KeyFunc, opts ANNOptions) (*IndexBlocker, error) {
 	idx, err := ann.New(ann.Config{
-		Scheme:         scheme,
-		Keys:           ann.KeyFunc(keys),
-		M:              opts.M,
-		EfConstruction: opts.EfConstruction,
-		EfSearch:       opts.EfSearch,
+		Scheme:   scheme,
+		Keys:     ann.KeyFunc(keys),
+		M:        opts.M,
+		EfSearch: opts.EfSearch,
 	})
 	if err != nil {
 		return nil, err
@@ -229,7 +225,7 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 	}
 
 	blocks := make([]*corpus.Collection, len(members))
-	blockindex.Parallel(ib.idx.Workers(), len(members), func(i int) {
+	blockindex.Parallel(len(members), func(i int) {
 		blocks[i] = assembleRefs(cols, members[i])
 	})
 

@@ -54,9 +54,6 @@ func (s *Server) initObservability() {
 	c.readDocs = r.Counter("ersolve_reads_total", readsHelp, "endpoint", "docs")
 	c.readSearch = r.Counter("ersolve_reads_total", readsHelp, "endpoint", "search")
 	c.readLookup = r.Counter("ersolve_reads_total", readsHelp, "endpoint", "lookup")
-	const cacheHelp = "Read-path response cache lookups, by result."
-	c.cacheHits = r.Counter("ersolve_read_cache_total", cacheHelp, "result", "hit")
-	c.cacheMisses = r.Counter("ersolve_read_cache_total", cacheHelp, "result", "miss")
 
 	c.panics = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "panics")
 	c.ingestThrottled = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ingest_throttled")
@@ -133,8 +130,6 @@ func (s *Server) initObservability() {
 			defer s.statesMu.Unlock()
 			return float64(len(s.states))
 		})
-	r.Gauge("ersolve_read_cache_entries", "Entries in the read-path response cache.",
-		func() float64 { return float64(s.readCache.size()) })
 
 	r.Gauge("ersolve_serving_available", "Whether a serving index has been published (1) or reads answer 409 (0).",
 		func() float64 {

@@ -101,7 +101,6 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"# TYPE ersolve_blocking_delta_docs_total counter",
 		"# TYPE ersolve_ingest_batches_total counter",
 		"# TYPE ersolve_reads_total counter",
-		"# TYPE ersolve_read_cache_total counter",
 		"# TYPE ersolve_degraded_total counter",
 		"# TYPE ersolve_stage_latency_seconds histogram",
 		"# TYPE ersolve_queue_depth gauge",

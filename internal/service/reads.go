@@ -1,14 +1,10 @@
 package service
 
 import (
-	"bytes"
-	"container/list"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/blocking"
@@ -106,7 +102,6 @@ func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.C
 		x = serving.Build(prev, epoch, version, key, cols, committedBlocks(inc))
 		s.servingEpoch = epoch
 		s.serving.Store(x)
-		s.readCache.clear()
 	})
 	if x == nil || s.cfg.Serving == nil {
 		return
@@ -121,94 +116,6 @@ func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.C
 			s.cfg.ErrorLog("service: saving serving index for %q: %v", key, err)
 		}
 	})
-}
-
-// readCache is the read path's LRU response cache: rendered JSON bodies
-// keyed by (endpoint, argument), tagged with the serving epoch they were
-// rendered from. Entries from an older epoch are dead on arrival (the
-// epoch advances with every publish), and the whole cache is cleared when
-// an ingest batch commits — the append-subscription-driven invalidation —
-// and on publish. A nil cache (disabled by configuration) answers every
-// lookup with a miss.
-type readCache struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List // front = most recent; values are *cacheEntry
-	byKey map[string]*list.Element
-}
-
-type cacheEntry struct {
-	key    string
-	epoch  uint64
-	status int
-	body   []byte
-}
-
-func newReadCache(max int) *readCache {
-	if max <= 0 {
-		return nil
-	}
-	return &readCache{max: max, order: list.New(), byKey: make(map[string]*list.Element)}
-}
-
-func (c *readCache) get(key string, epoch uint64) (*cacheEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != epoch {
-		// Stale render from a previous serving index; drop it now rather
-		// than waiting for eviction.
-		c.order.Remove(el)
-		delete(c.byKey, key)
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return e, true
-}
-
-func (c *readCache) put(e *cacheEntry) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[e.key]; ok {
-		el.Value = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[e.key] = c.order.PushFront(e)
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-func (c *readCache) clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.byKey)
-}
-
-func (c *readCache) size() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }
 
 // EntityResponse is the GET /v1/entities/{id} and GET /v1/docs/{ref}/entity
@@ -251,27 +158,6 @@ func (s *Server) hotIndex(w http.ResponseWriter) (*serving.Index, bool) {
 	return x, true
 }
 
-// serveCached answers from the response cache when it can; on a miss it
-// renders v, caches the body under the current epoch, and writes it. The
-// rendered bytes are identical either way, so clients cannot observe
-// whether they hit the cache (except through /v1/stats).
-func (s *Server) serveCached(w http.ResponseWriter, key string, epoch uint64, status int, v any) {
-	if e, ok := s.readCache.get(key, epoch); ok {
-		s.counters.cacheHits.Add(1)
-		writeRawJSON(w, e.status, e.body)
-		return
-	}
-	s.counters.cacheMisses.Add(1)
-	body, err := renderJSON(v)
-	if err != nil {
-		// Unreachable for the response types; answer uncached.
-		writeJSON(w, status, v)
-		return
-	}
-	s.readCache.put(&cacheEntry{key: key, epoch: epoch, status: status, body: body})
-	writeRawJSON(w, status, body)
-}
-
 // handleEntity answers GET /v1/entities/{id}: the cluster with that stable
 // entity ID, or 404.
 func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
@@ -295,14 +181,13 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown entity %q", id)})
 		return
 	}
-	s.serveCached(w, "entity\x00"+id, x.Epoch(), http.StatusOK,
-		EntityResponse{Entity: c, Epoch: x.Epoch(), StoreVersion: x.StoreVersion()})
+	writeJSON(w, http.StatusOK, EntityResponse{Entity: c, Epoch: x.Epoch(), StoreVersion: x.StoreVersion()})
 }
 
 // maxLookupItems bounds how many entity IDs plus doc refs one batch
 // lookup request may carry: enough for a UI page of rows, small enough
-// that a single request cannot monopolize the read path or mint an
-// unbounded response-cache entry.
+// that a single request cannot monopolize the read path or ask for an
+// unbounded reply.
 const maxLookupItems = 256
 
 // LookupRequest is the POST /v1/entities/lookup body: entity IDs and/or
@@ -333,7 +218,7 @@ type LookupResponse struct {
 
 // handleEntityLookup answers POST /v1/entities/lookup: the batch form of
 // GET /v1/entities/{id} and GET /v1/docs/{ref}/entity — many lookups,
-// one serving-index pass, one cacheable response. Misses answer a null
+// one serving-index pass, one response. Misses answer a null
 // entity in place rather than failing the batch, so a client rendering a
 // page of rows gets every resolvable row in one round trip.
 func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
@@ -401,18 +286,7 @@ func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
 		resp.Results = append(resp.Results, LookupResult{Ref: req.Refs[i], Entity: c})
 	}
 	s.latency.lookup.Observe(time.Since(start))
-	// The batch shares the read cache (and its epoch/ingest invalidation)
-	// with the single-item endpoints: a repeated page render is served
-	// from the rendered bytes. The key re-marshals the request so two
-	// distinct batches can never alias one entry (items may contain any
-	// separator a plain join would use).
-	keyBytes, err := json.Marshal(req)
-	if err != nil {
-		// Unreachable for decoded string slices; answer uncached.
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.serveCached(w, "lookup\x00"+string(keyBytes), x.Epoch(), http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleDocEntity answers GET /v1/docs/{ref}/entity where ref is
@@ -460,8 +334,7 @@ func (s *Server) handleDocEntity(w http.ResponseWriter, r *http.Request) {
 				collection, pos, x.StoreVersion())})
 		return
 	}
-	s.serveCached(w, "doc\x00"+ref, x.Epoch(), http.StatusOK,
-		EntityResponse{Entity: c, Epoch: x.Epoch(), StoreVersion: x.StoreVersion()})
+	writeJSON(w, http.StatusOK, EntityResponse{Entity: c, Epoch: x.Epoch(), StoreVersion: x.StoreVersion()})
 }
 
 // handleSearch answers GET /v1/search?name=…[&limit=N]: candidate clusters
@@ -475,7 +348,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// nothing but sub-minimum tokens) are rejected up front with one
 	// consistent 400: the serving index tokenizes exactly this way, so
 	// such a query could only ever run a zero-token search that matches
-	// nothing while still consuming a cache slot keyed by the raw string.
+	// nothing.
 	if name == "" || len(blocking.KeyTokens(name, 2)) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "search needs a ?name= query with at least one name token"})
 		return
@@ -507,15 +380,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for _, h := range hits {
 		resp.Hits = append(resp.Hits, SearchHit{Matched: h.Matched, Entity: h.Cluster})
 	}
-	s.serveCached(w, "search\x00"+name+"\x00"+strconv.Itoa(limit), x.Epoch(), http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // parseCanonicalPos parses a document position in canonical decimal form:
 // ASCII digits only, no sign, no leading zeros (except "0" itself).
-// strconv.Atoi would also accept "+3" and "03" — spellings that name the
-// same document but produce distinct response-cache keys, aliasing one
-// document across several cache entries and letting a client mint
-// unbounded keys for one resource.
+// strconv.Atoi would also accept "+3" and "03"; rejecting them keeps one
+// URL per document, so a ref a client echoes back, logs or compares is
+// the ref the server would print.
 func parseCanonicalPos(s string) (int, bool) {
 	if s == "" || (len(s) > 1 && s[0] == '0') {
 		return 0, false
@@ -530,24 +402,6 @@ func parseCanonicalPos(s string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// renderJSON returns the bytes writeJSON would stream — both go through
-// encodeJSON — so a reply is byte-identical whether it comes from the
-// response cache, is rendered into it, or bypasses it.
-func renderJSON(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := encodeJSON(&buf, v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// writeRawJSON writes a pre-rendered JSON body.
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }
 
 // ServingReport is the /v1/stats view of the hot serving index: which
@@ -578,16 +432,12 @@ type ServingReport struct {
 	Stale bool `json:"stale"`
 }
 
-// ReadStats aggregates the read path's per-endpoint counters and the
-// response cache's traffic.
+// ReadStats aggregates the read path's per-endpoint counters.
 type ReadStats struct {
-	Entities    int64 `json:"entities"`
-	Docs        int64 `json:"docs"`
-	Search      int64 `json:"search"`
-	Lookup      int64 `json:"lookup"`
-	CacheHits   int64 `json:"cache_hits"`
-	CacheMisses int64 `json:"cache_misses"`
-	CacheSize   int   `json:"cache_size"`
+	Entities int64 `json:"entities"`
+	Docs     int64 `json:"docs"`
+	Search   int64 `json:"search"`
+	Lookup   int64 `json:"lookup"`
 }
 
 // LatencyReport exposes the per-stage latency histograms: the four
@@ -622,13 +472,10 @@ func (s *Server) servingReport(liveVersion uint64) ServingReport {
 // readStats assembles the /v1/stats reads section.
 func (s *Server) readStats() ReadStats {
 	return ReadStats{
-		Entities:    s.counters.readEntities.Load(),
-		Docs:        s.counters.readDocs.Load(),
-		Search:      s.counters.readSearch.Load(),
-		Lookup:      s.counters.readLookup.Load(),
-		CacheHits:   s.counters.cacheHits.Load(),
-		CacheMisses: s.counters.cacheMisses.Load(),
-		CacheSize:   s.readCache.size(),
+		Entities: s.counters.readEntities.Load(),
+		Docs:     s.counters.readDocs.Load(),
+		Search:   s.counters.readSearch.Load(),
+		Lookup:   s.counters.readLookup.Load(),
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -157,66 +158,10 @@ func TestReadEndpointsServeCommittedResolution(t *testing.T) {
 	}
 }
 
-func TestReadCacheHitsAndInvalidation(t *testing.T) {
-	ts := testServer(t, Config{})
-	col := testCollection(t, 20)
-	ingestCollection(t, ts, col)
-	resolveOK(t, ts, IncrementalResolveRequest{})
-
-	readStats := func() ReadStats {
-		t.Helper()
-		var stats StatsResponse
-		if code := getJSON(t, ts, "/v1/stats", &stats); code != http.StatusOK {
-			t.Fatalf("stats = %d", code)
-		}
-		return stats.Reads
-	}
-
-	var first, second EntityResponse
-	if code := getJSON(t, ts, "/v1/docs/rivera:3/entity", &first); code != http.StatusOK {
-		t.Fatalf("doc lookup = %d", code)
-	}
-	before := readStats()
-	if before.CacheMisses < 1 || before.CacheSize < 1 {
-		t.Fatalf("first lookup did not populate the cache: %+v", before)
-	}
-	if code := getJSON(t, ts, "/v1/docs/rivera:3/entity", &second); code != http.StatusOK {
-		t.Fatalf("repeat doc lookup = %d", code)
-	}
-	after := readStats()
-	if after.CacheHits != before.CacheHits+1 {
-		t.Fatalf("repeat lookup was not a cache hit: %+v -> %+v", before, after)
-	}
-	if first.Epoch != second.Epoch || first.Entity.ID != second.Entity.ID {
-		t.Fatalf("cached answer diverges: %+v vs %+v", first, second)
-	}
-
-	// A committed ingest batch clears the cache through the append
-	// subscription, even before any re-resolve.
-	ingestCollection(t, ts, &corpus.Collection{
-		Name: "rivera", NumPersonas: col.NumPersonas,
-		Docs: []corpus.Document{{ID: 0, URL: "http://example.com/late", Text: "late doc", PersonaID: 0}},
-	})
-	if n := readStats().CacheSize; n != 0 {
-		t.Fatalf("cache size after ingest commit = %d, want 0", n)
-	}
-
-	// Re-resolving publishes a new epoch; the same lookup re-renders
-	// against it rather than serving the old epoch's body.
-	resolveOK(t, ts, IncrementalResolveRequest{})
-	var third EntityResponse
-	if code := getJSON(t, ts, "/v1/docs/rivera:3/entity", &third); code != http.StatusOK {
-		t.Fatalf("post-resolve lookup = %d", code)
-	}
-	if third.Epoch <= first.Epoch {
-		t.Fatalf("epoch did not advance: %d -> %d", first.Epoch, third.Epoch)
-	}
-}
-
 // TestReadRepliesAreCompactJSON pins the read path to the encoder every
 // other reply uses: each read endpoint answers json.Marshal(reply) plus a
-// newline, rendered into the cache (first request) and served from it
-// (second request).
+// newline, and a repeat of the request within one serving epoch answers
+// the same bytes.
 func TestReadRepliesAreCompactJSON(t *testing.T) {
 	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 20))
@@ -239,7 +184,8 @@ func TestReadRepliesAreCompactJSON(t *testing.T) {
 		{"/v1/search?name=rivera", nil, new(SearchResponse)},
 		{"/v1/entities/lookup", lookup, new(LookupResponse)},
 	} {
-		for _, pass := range []string{"cache miss", "cache hit"} {
+		var first []byte
+		for _, pass := range []string{"first", "repeat"} {
 			var resp *http.Response
 			var err error
 			if c.post != nil {
@@ -264,6 +210,11 @@ func TestReadRepliesAreCompactJSON(t *testing.T) {
 			}
 			if want = append(want, '\n'); !bytes.Equal(body, want) {
 				t.Errorf("%s (%s): body is not compact JSON + newline:\n got %q\nwant %q", c.path, pass, body, want)
+			}
+			if first == nil {
+				first = body
+			} else if !bytes.Equal(body, first) {
+				t.Errorf("%s: repeat differs from the first reply:\n got %q\nwant %q", c.path, body, first)
 			}
 		}
 	}
@@ -364,6 +315,10 @@ func TestReadAfterCommitConsistency(t *testing.T) {
 		Name: col.Name, Docs: col.Docs[:per], NumPersonas: col.NumPersonas,
 	})
 	resolveOK(t, ts, IncrementalResolveRequest{})
+	var first EntityResponse
+	if code := getJSON(t, ts, "/v1/docs/rivera:0/entity", &first); code != http.StatusOK {
+		t.Fatalf("first doc lookup = %d", code)
+	}
 
 	checkEntity := func(e *serving.Cluster, version uint64) error {
 		docsMu.Lock()
@@ -460,6 +415,16 @@ func TestReadAfterCommitConsistency(t *testing.T) {
 	if err := checkEntity(out.Entity, out.StoreVersion); err != nil {
 		t.Fatal(err)
 	}
+	// A lookup made before the writes is answered from the resolution
+	// committed after them.
+	var again EntityResponse
+	if code := getJSON(t, ts, "/v1/docs/rivera:0/entity", &again); code != http.StatusOK {
+		t.Fatalf("repeat doc lookup = %d", code)
+	}
+	if again.Epoch <= first.Epoch || again.StoreVersion <= first.StoreVersion {
+		t.Fatalf("epoch/store version did not advance: %d/%d -> %d/%d",
+			first.Epoch, first.StoreVersion, again.Epoch, again.StoreVersion)
+	}
 }
 
 // TestSearchRejectsTokenFreeQueries pins the whitespace-query fix: a
@@ -484,7 +449,7 @@ func TestSearchRejectsTokenFreeQueries(t *testing.T) {
 			t.Errorf("search ?%s = %d, want 400", q, code)
 		}
 	}
-	// Token-free queries never reach the serving index or the cache.
+	// Token-free queries never reach the serving index.
 	if got := srv.counters.readSearch.Load(); got != 0 {
 		t.Errorf("readSearch = %d after rejected queries, want 0", got)
 	}
@@ -495,13 +460,11 @@ func TestSearchRejectsTokenFreeQueries(t *testing.T) {
 	}
 }
 
-// TestDocEntityRequiresCanonicalPosition pins the cache-aliasing fix:
-// strconv.Atoi accepted "+3" and "03" for /v1/docs/{ref}/entity, so one
-// document could occupy many response-cache entries (and a client could
-// mint unbounded keys for one resource). Only the canonical digit-only
-// spelling may answer 200.
+// TestDocEntityRequiresCanonicalPosition pins one URL per document:
+// strconv.Atoi accepted "+3" and "03" for /v1/docs/{ref}/entity. Only the
+// canonical digit-only spelling may answer 200.
 func TestDocEntityRequiresCanonicalPosition(t *testing.T) {
-	srv, ts := serverPair(t, Config{})
+	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 12))
 	resolveOK(t, ts, IncrementalResolveRequest{})
 
@@ -509,7 +472,6 @@ func TestDocEntityRequiresCanonicalPosition(t *testing.T) {
 	if code := getJSON(t, ts, "/v1/docs/rivera:3/entity", &canonical); code != http.StatusOK {
 		t.Fatalf("canonical lookup = %d", code)
 	}
-	cached := srv.readCache.size()
 
 	for _, ref := range []string{
 		"rivera:+3", "rivera:03", "rivera:003", "rivera:%203", "rivera:3%20", "rivera:-0",
@@ -519,10 +481,6 @@ func TestDocEntityRequiresCanonicalPosition(t *testing.T) {
 			t.Errorf("lookup %q = %d, want 400", ref, code)
 		}
 	}
-	// None of the aliases minted a cache entry for the same document.
-	if got := srv.readCache.size(); got != cached {
-		t.Errorf("cache grew from %d to %d entries on aliased refs", cached, got)
-	}
 	// "0" itself stays canonical.
 	if code := getJSON(t, ts, "/v1/docs/rivera:0/entity", &struct{}{}); code != http.StatusOK {
 		t.Errorf("pos 0 lookup rejected")
@@ -531,7 +489,7 @@ func TestDocEntityRequiresCanonicalPosition(t *testing.T) {
 
 // TestEntityLookupBatch pins POST /v1/entities/lookup: many IDs and doc
 // refs answered in one serving-index pass, per-item misses as null
-// entities, the shared read cache serving repeats, and the request
+// entities, an identical repeat answering identically, and the request
 // bounds (emptiness, item cap, ref syntax) as 400s.
 func TestEntityLookupBatch(t *testing.T) {
 	ts := testServer(t, Config{})
@@ -571,23 +529,17 @@ func TestEntityLookupBatch(t *testing.T) {
 		t.Errorf("lookup response carries no serving epoch")
 	}
 
-	// The batch shares the read cache: an identical repeat is a hit.
-	var before, after StatsResponse
-	getJSON(t, ts, "/v1/stats", &before)
 	var repeat LookupResponse
 	if code := postJSON(t, ts, "/v1/entities/lookup", req, &repeat); code != http.StatusOK {
 		t.Fatalf("repeat lookup = %d", code)
 	}
-	if repeat.Found != out.Found || len(repeat.Results) != len(out.Results) {
-		t.Fatalf("cached repeat diverges: %+v", repeat)
+	if !reflect.DeepEqual(repeat, out) {
+		t.Fatalf("repeat diverges: %+v, first %+v", repeat, out)
 	}
+	var after StatsResponse
 	getJSON(t, ts, "/v1/stats", &after)
 	if after.Reads.Lookup != 2 {
 		t.Errorf("reads.lookup = %d, want 2", after.Reads.Lookup)
-	}
-	if after.Reads.CacheHits <= before.Reads.CacheHits {
-		t.Errorf("repeat batch missed the read cache (hits %d -> %d)",
-			before.Reads.CacheHits, after.Reads.CacheHits)
 	}
 
 	// Bounds and syntax.

@@ -42,12 +42,10 @@ import (
 
 // Config bounds the server's per-request resources.
 type Config struct {
-	// DefaultTimeout caps requests that specify no timeout; zero selects
-	// 30 seconds.
+	// DefaultTimeout is the timeout of a request that names none and the
+	// ceiling a request's "timeout_ms" is clamped to; zero selects 30
+	// seconds.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps the timeout a request may ask for; zero selects
-	// DefaultTimeout.
-	MaxTimeout time.Duration
 	// MaxBodyBytes bounds the request body; zero selects 32 MiB.
 	MaxBodyBytes int64
 	// QueueBuffer bounds the ingest job backlog; zero selects 64.
@@ -102,9 +100,6 @@ type Config struct {
 	// data) and that run to a full resolution, and is reported through
 	// ErrorLog.
 	Serving ServingStore
-	// ReadCache bounds the read path's LRU response cache in entries; zero
-	// selects 1024, negative disables the cache.
-	ReadCache int
 	// TraceBuffer bounds the ring of recently finished request traces
 	// GET /v1/traces serves; zero selects 256, negative disables tracing
 	// (the endpoint then always answers an empty list).
@@ -164,9 +159,6 @@ type Server struct {
 	servingMu    sync.Mutex
 	servingEpoch uint64
 
-	// readCache is the read path's LRU response cache; nil when disabled.
-	readCache *readCache
-
 	// latency holds the per-stage latency histograms /v1/stats reports.
 	latency stageHistograms
 
@@ -195,10 +187,8 @@ type counters struct {
 	runs, blocks, reused, prepared, trivial *metrics.Counter
 	deltaDocs, dirtyBlocks                  *metrics.Counter
 	ingestBatches                           *metrics.Counter
-	// Read-path counters: per-endpoint request counts and response-cache
-	// traffic.
+	// Read-path counters: per-endpoint request counts.
 	readEntities, readDocs, readSearch, readLookup *metrics.Counter
-	cacheHits, cacheMisses                         *metrics.Counter
 	// Degradation counters: every event where the server kept serving by
 	// giving something up — a panicking handler answered 500, ingest was
 	// throttled, persisted state failed to load (rebuilt from the corpus)
@@ -277,9 +267,6 @@ func New(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = cfg.DefaultTimeout
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
 	}
@@ -304,13 +291,6 @@ func New(cfg Config) *Server {
 	// Instruments must exist before anything can tick one: the serving
 	// load and ingest subscription below both touch counters.
 	s.initObservability()
-	if cfg.ReadCache >= 0 {
-		size := cfg.ReadCache
-		if size == 0 {
-			size = 1024
-		}
-		s.readCache = newReadCache(size)
-	}
 	// Publish the most recently persisted serving index before taking any
 	// traffic: a restarted -data server answers entity lookups for the
 	// last committed resolution immediately, with zero recompute. A
@@ -328,13 +308,10 @@ func New(cfg Config) *Server {
 	// Ingest notifies the index maintainers: each committed batch kicks
 	// the background warmer, which feeds the delta to every live blocking
 	// index off the resolve path — so the next incremental resolve finds
-	// the corpus already keyed and blocked. The same event invalidates the
-	// read path's response cache: cached renders never outlive the store
-	// state they were correct for.
+	// the corpus already keyed and blocked.
 	if obs, ok := s.store.(store.AppendObserver); ok {
 		obs.SubscribeAppend(func(store.AppendEvent) {
 			s.counters.ingestBatches.Add(1)
-			s.readCache.clear()
 			select {
 			case s.warmCh <- struct{}{}:
 			default: // a warm round is already pending; it will see this batch too
@@ -788,16 +765,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool 
 	return true
 }
 
-// timeoutFor clamps the request's timeout wish to the server's bounds.
+// timeoutFor clamps the request's timeout wish to DefaultTimeout. The
+// comparison is in milliseconds: converting first would wrap a huge wish
+// into a negative duration.
 func (s *Server) timeoutFor(millis int64) time.Duration {
-	timeout := s.cfg.DefaultTimeout
-	if millis > 0 {
-		timeout = time.Duration(millis) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
+	ceiling := s.cfg.DefaultTimeout
+	if millis <= 0 || millis > ceiling.Milliseconds() {
+		return ceiling
 	}
-	return timeout
+	return time.Duration(millis) * time.Millisecond
 }
 
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
@@ -1416,8 +1392,7 @@ type StatsResponse struct {
 	// resolution reads are served from, and how stale it is relative to
 	// the live store.
 	Serving ServingReport `json:"serving"`
-	// Reads aggregates the read path's per-endpoint counters and its
-	// response-cache traffic.
+	// Reads aggregates the read path's per-endpoint counters.
 	Reads ReadStats `json:"reads"`
 	// Latency holds the per-stage latency histograms: the four pipeline
 	// stages plus the read-path lookup.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,7 +92,7 @@ func TestResolveEndpoint(t *testing.T) {
 }
 
 func TestResolveRequestTimeout(t *testing.T) {
-	ts := testServer(t, Config{DefaultTimeout: time.Minute, MaxTimeout: time.Minute})
+	ts := testServer(t, Config{DefaultTimeout: time.Minute})
 	col := testCollection(t, 120)
 
 	resp := postResolve(t, ts, ResolveRequest{
@@ -108,6 +109,22 @@ func TestResolveRequestTimeout(t *testing.T) {
 	}
 	if !strings.Contains(out.Error, "timeout") {
 		t.Errorf("error = %q, want a timeout message", out.Error)
+	}
+}
+
+// TestTimeoutMillisIsClampedNotWrapped pins the clamp's order: a
+// "timeout_ms" beyond what a time.Duration holds is the server's ceiling,
+// not a negative (already expired) deadline.
+func TestTimeoutMillisIsClampedNotWrapped(t *testing.T) {
+	ts := testServer(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 12))
+	for _, millis := range []int64{math.MaxInt64, 4000000000000000, 60000} {
+		var out json.RawMessage
+		code := postJSON(t, ts, "/v1/resolve/incremental",
+			IncrementalResolveRequest{resolveKnobs: resolveKnobs{TimeoutMillis: millis}}, &out)
+		if code != http.StatusOK {
+			t.Errorf("timeout_ms %d = %d, want 200: %s", millis, code, out)
+		}
 	}
 }
 

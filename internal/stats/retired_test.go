@@ -1,19 +1,14 @@
 package stats
 
-import (
-	"errors"
-	"math"
-	"math/rand"
-)
+import "math"
 
-// Retired library surface: summary statistics, correlation, histograms and
-// the Zipf sampler. Nothing outside this package's tests has called these;
-// PR 19 took them out of the production package. They live here only so
-// that their tests (TestMean, TestVarianceAndStdDev, TestMinMax,
-// TestArgMaxArgMin, TestPearson, the Median half of TestQuantileMedian,
-// TestHistogram*, TestMeanBoundsProperty, TestVarianceNonNegativeProperty,
-// TestZipfSkew) keep running. Delete a declaration together with its tests;
-// never call one from non-test code.
+// Retired library surface: summary statistics and histograms. Nothing
+// outside this package's tests has called these; PR 19 took them out of the
+// production package. They live here only so that their tests (TestMean,
+// TestVarianceAndStdDev, TestMinMax, TestArgMaxArgMin, the Median half of
+// TestQuantileMedian, TestHistogram*, TestMeanBoundsProperty,
+// TestVarianceNonNegativeProperty) keep running. Delete a declaration
+// together with its tests; never call one from non-test code.
 
 // Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -114,30 +109,6 @@ func ArgMin(xs []float64) int {
 	return best
 }
 
-// Pearson returns the Pearson product-moment correlation coefficient of the
-// paired samples xs and ys. It returns 0 when either series has zero
-// variance, and an error when the lengths differ or the input is empty.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, nil
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
 // Median returns the median of xs.
 func Median(xs []float64) (float64, error) {
 	return Quantile(xs, 0.5)
@@ -163,23 +134,4 @@ func Histogram(xs []float64, n int, lo, hi float64) []int {
 		counts[idx]++
 	}
 	return counts
-}
-
-// Zipf draws an integer in [0, n) following a Zipf-like distribution with
-// exponent s (s > 0 skews towards small indices). Used by the corpus
-// generator to produce the skewed cluster-size distributions observed in web
-// people-search data.
-func Zipf(rng *rand.Rand, n int, s float64) int {
-	if n <= 0 {
-		return 0
-	}
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1.0 / math.Pow(float64(i+1), s)
-	}
-	c := WeightedChoice(rng, weights)
-	if c < 0 {
-		return 0
-	}
-	return c
 }

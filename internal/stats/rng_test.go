@@ -107,27 +107,6 @@ func TestWeightedChoiceProportions(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	rng := NewRNG(4)
-	counts := make([]int, 10)
-	for i := 0; i < 10000; i++ {
-		idx := Zipf(rng, 10, 1.5)
-		if idx < 0 || idx >= 10 {
-			t.Fatalf("Zipf out of range: %d", idx)
-		}
-		counts[idx]++
-	}
-	if counts[0] <= counts[9] {
-		t.Errorf("Zipf should skew to low indices: head=%d tail=%d", counts[0], counts[9])
-	}
-	if counts[0] <= counts[4] {
-		t.Errorf("Zipf monotone decrease expected: %v", counts)
-	}
-	if got := Zipf(rng, 0, 1); got != 0 {
-		t.Errorf("Zipf(n=0) = %d, want 0", got)
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	rng := NewRNG(5)
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}

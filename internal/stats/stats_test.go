@@ -80,33 +80,6 @@ func TestArgMaxArgMin(t *testing.T) {
 	}
 }
 
-func TestPearson(t *testing.T) {
-	// Perfect positive correlation.
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	r, err := Pearson(xs, ys)
-	if err != nil || !almostEqual(r, 1, 1e-12) {
-		t.Errorf("Pearson perfect = %v, %v; want 1, nil", r, err)
-	}
-	// Perfect negative correlation.
-	ys2 := []float64{8, 6, 4, 2}
-	r, _ = Pearson(xs, ys2)
-	if !almostEqual(r, -1, 1e-12) {
-		t.Errorf("Pearson negative = %v; want -1", r)
-	}
-	// Zero variance: defined as 0.
-	r, err = Pearson(xs, []float64{5, 5, 5, 5})
-	if err != nil || r != 0 {
-		t.Errorf("Pearson constant = %v, %v; want 0, nil", r, err)
-	}
-	if _, err := Pearson(xs, ys[:2]); err == nil {
-		t.Error("Pearson length mismatch: want error")
-	}
-	if _, err := Pearson(nil, nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Pearson empty err = %v, want ErrEmpty", err)
-	}
-}
-
 func TestQuantileMedian(t *testing.T) {
 	xs := []float64{3, 1, 2, 4}
 	med, err := Median(xs)
