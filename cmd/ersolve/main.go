@@ -9,7 +9,7 @@
 //	        [-clustering closure|correlation]
 //	        [-blocking exact|token|sortedneighborhood|canopy]
 //	        [-blocking-mode exact|ann] [-ann-m 12] [-ann-ef 64]
-//	        [-keys collection|names|urlhost|phonetic] [-block-shards 16]
+//	        [-keys collection|names|urlhost|phonetic]
 //	        [-train 0.10] [-regions 10] [-seed N] [-score] [-members]
 //	ersolve serve [-addr :8476] [-timeout 30s] [-max-body 33554432]
 //	        [-queue 64] [-drain 10s] [-data DIR] [-job-history 1024]
@@ -51,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -86,7 +85,6 @@ func main() {
 		annM       = flag.Int("ann-m", 0, "ANN graph degree bound (0 = default 12; with -blocking-mode ann)")
 		annEf      = flag.Int("ann-ef", 0, "ANN neighbor-query beam width, the recall knob (0 = default 64; with -blocking-mode ann)")
 		keysF      = flag.String("keys", "collection", "blocking keys: collection | names | urlhost | phonetic")
-		shards     = flag.Int("block-shards", 0, "sharded blocking index partitions (0 = default)")
 		train      = flag.Float64("train", 0.10, "training fraction")
 		regionK    = flag.Int("regions", 10, "accuracy-estimation regions")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -106,10 +104,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ersolve: -regions: %d is out of range; need an integer >= 1\n", *regionK)
 		os.Exit(2)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "ersolve: -block-shards: %d is out of range; need 0 (default) or a positive shard count\n", *shards)
-		os.Exit(2)
-	}
 
 	// Validate every enum flag up front so a typo fails fast with the
 	// list of valid values, before any data is loaded.
@@ -123,36 +117,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ersolve: -clustering:", err)
 		os.Exit(2)
 	}
-	scheme, err := blocking.ParseScheme(*blockingF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ersolve: -blocking:", err)
-		os.Exit(2)
-	}
-	keyFn, err := pipeline.ParseKeys(*keysF)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ersolve: -keys:", err)
-		os.Exit(2)
-	}
-	if *modeF != "ann" && (*annM != 0 || *annEf != 0) {
-		fmt.Fprintln(os.Stderr, "ersolve: -ann-m/-ann-ef apply only with -blocking-mode ann")
-		os.Exit(2)
-	}
-	if *annM < 0 || *annM == 1 {
-		fmt.Fprintf(os.Stderr, "ersolve: -ann-m: %d is not a usable graph degree; need 0 (default) or at least 2\n", *annM)
-		os.Exit(2)
-	}
-	if *annEf < 0 {
-		fmt.Fprintf(os.Stderr, "ersolve: -ann-ef: %d is out of range; need 0 (default) or a positive beam width\n", *annEf)
-		os.Exit(2)
-	}
 	// Key-based schemes block through the sharded index (the incremental
 	// Block stage); global schemes keep the per-run pass in exact mode
 	// and the approximate candidate graph with -blocking-mode ann.
-	blocker, err := pipeline.NewModeBlocker(*modeF, scheme, keyFn, *shards,
-		pipeline.ANNOptions{M: *annM, EfSearch: *annEf})
+	blockingCfg, err := pipeline.ParseBlocking(*blockingF, *keysF, *modeF, *annM, *annEf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ersolve: -blocking-mode:", err)
+		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(2)
+	}
+	blocker, err := blockingCfg.FreshBlocker()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ersolve:", err)
+		os.Exit(1)
 	}
 
 	if err := run(ctx, *in, strategyFn, clusteringM, blocker, *train, *regionK, *seed, *score, *members); err != nil {

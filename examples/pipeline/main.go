@@ -40,7 +40,11 @@ func main() {
 	}
 
 	for _, scheme := range []string{"exact", "token"} {
-		blocker, err := pipeline.ParseBlocker(scheme)
+		blocking, err := pipeline.ParseBlocking(scheme, "", "", 0, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		blocker, err := blocking.FreshBlocker()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -85,8 +85,10 @@ func DefaultOptions() Options {
 	}
 }
 
-// validate normalizes and checks options.
-func (o *Options) validate() error {
+// Validate reports the first reason New would reject the options, so a
+// caller holding state of its own can refuse a bad configuration before
+// touching it.
+func (o *Options) Validate() error {
 	if len(o.FunctionIDs) == 0 {
 		return fmt.Errorf("core: no similarity functions selected")
 	}

@@ -23,7 +23,7 @@ type Resolver struct {
 
 // New validates the options and returns a resolver.
 func New(opts Options) (*Resolver, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	funcs, err := simfn.Subset(opts.FunctionIDs)

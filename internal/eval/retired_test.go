@@ -2,13 +2,12 @@ package eval
 
 import "math"
 
-// Retired library surface: the entropy-based measures and the adjusted Rand
-// index. The paper scores with Fp, pairwise F and Rand (Evaluate) and
-// nothing outside this package's tests has called these; PR 19 took them
-// out of the production package. They live here only so that
-// entropy_test.go, TestAdjustedRandIndexChanceLevel and the ARI assertions
-// of TestPerfectClustering and TestErrorCases keep running. Delete a
-// declaration together with its tests; never call one from non-test code.
+// Retired library surface: the entropy-based measures. The paper scores
+// with Fp, pairwise F and Rand (Evaluate) and nothing outside this
+// package's tests has called these; PR 19 took them out of the production
+// package. They live here only so that entropy_test.go keeps running.
+// Delete a declaration together with its tests; never call one from
+// non-test code.
 
 // Entropy-based clustering measures. The paper's future work proposes
 // "considering entropy based metrics" for judging resolution under
@@ -124,44 +123,4 @@ func samePartition(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// AdjustedRandIndex is the Rand index corrected for chance (Hubert &
-// Arabie), an extension metric; 1 means identical partitions, ~0 means
-// chance-level agreement.
-func AdjustedRandIndex(pred, truth []int) (float64, error) {
-	if err := checkLabels(pred, truth); err != nil {
-		return 0, err
-	}
-	n := len(pred)
-	// Contingency table.
-	table := make(map[[2]int]int)
-	rowSums := make(map[int]int)
-	colSums := make(map[int]int)
-	for i := 0; i < n; i++ {
-		table[[2]int{truth[i], pred[i]}]++
-		rowSums[truth[i]]++
-		colSums[pred[i]]++
-	}
-	choose2 := func(x int) float64 { return float64(x) * float64(x-1) / 2 }
-	var sumTable, sumRows, sumCols float64
-	for _, c := range table {
-		sumTable += choose2(c)
-	}
-	for _, c := range rowSums {
-		sumRows += choose2(c)
-	}
-	for _, c := range colSums {
-		sumCols += choose2(c)
-	}
-	totalPairs := choose2(n)
-	if totalPairs == 0 {
-		return 1, nil
-	}
-	expected := sumRows * sumCols / totalPairs
-	maxIndex := (sumRows + sumCols) / 2
-	if maxIndex == expected {
-		return 1, nil // both partitions trivial (all-singletons vs all-singletons etc.)
-	}
-	return (sumTable - expected) / (maxIndex - expected), nil
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ann"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -68,7 +69,6 @@ func ANNRecallSweep(ctx context.Context, cfg Config, efs []int) (*ANNRecallRepor
 	// nothing): at loose 0.55 the corpus separates into many canopies,
 	// so recall has pairs to lose and the sweep has something to show.
 	scheme := blocking.Canopy{Loose: 0.55, Tight: 0.9}
-	var approx blocking.ApproxScheme = scheme
 
 	// Global ground truth over the flattened corpus: personas are
 	// per-collection, so each collection's labels get their own range.
@@ -107,7 +107,7 @@ func ANNRecallSweep(ctx context.Context, cfg Config, efs []int) (*ANNRecallRepor
 	// endToEnd resolves the corpus through the given blocker and scores
 	// the resulting global clustering: per-block labels become globally
 	// distinct cluster ids through the block's membership.
-	endToEnd := func(blocker pipeline.MembershipBlocker, members [][]pipeline.DocRef) (float64, error) {
+	endToEnd := func(blocker pipeline.Blocker, members [][]pipeline.DocRef) (float64, error) {
 		opts := cfg.options()
 		opts.Seed = cfg.Seed
 		pl, err := pipeline.New(pipeline.Config{Blocker: blocker, Options: opts})
@@ -146,10 +146,11 @@ func ANNRecallSweep(ctx context.Context, cfg Config, efs []int) (*ANNRecallRepor
 
 	exact := pipeline.SchemeBlocker{Scheme: scheme, Keys: keys}
 	start := time.Now()
-	_, exactMembers, err := exact.BlockMembership(ctx, cols)
+	exactBlocks, err := exact.BlockFingerprints(ctx, cols)
 	if err != nil {
 		return nil, err
 	}
+	exactMembers := exactBlocks.Members
 	rep.ExactMillis = float64(time.Since(start).Microseconds()) / 1000
 	rep.ExactBlocks = len(exactMembers)
 	if rep.ExactFp, err = endToEnd(exact, exactMembers); err != nil {
@@ -158,15 +159,17 @@ func ANNRecallSweep(ctx context.Context, cfg Config, efs []int) (*ANNRecallRepor
 	ref := flatten(exactMembers)
 
 	for _, ef := range efs {
-		ab, err := pipeline.NewANNBlocker(approx, keys, pipeline.ANNOptions{EfSearch: ef})
+		idx, err := ann.New(ann.Config{Scheme: scheme, Keys: ann.KeyFunc(keys), EfSearch: ef})
 		if err != nil {
 			return nil, err
 		}
+		ab := pipeline.NewANNBlockerWith(idx)
 		start := time.Now()
-		_, annMembers, err := ab.BlockMembership(ctx, cols)
+		annBlocks, err := ab.BlockFingerprints(ctx, cols)
 		if err != nil {
 			return nil, err
 		}
+		annMembers := annBlocks.Members
 		point := ANNRecallPoint{
 			EfSearch:    ef,
 			BlockMillis: float64(time.Since(start).Microseconds()) / 1000,

@@ -62,6 +62,13 @@ func annScheme(t testing.TB, name string) blocking.ApproxScheme {
 	return approx
 }
 
+// annBlocker builds a fresh "ann"-mode blocker for scheme through
+// ParseBlocking, as an entry point would.
+func annBlocker(t testing.TB, scheme string, annM, annEf int) *IndexBlocker {
+	t.Helper()
+	return freshBlocker(t, scheme, "", "ann", annM, annEf).(*IndexBlocker)
+}
+
 // TestANNIncrementalEqualsFull extends the equivalence harness to the
 // ANN path: for canopy and sorted neighborhood × all strategies × both
 // clusterings, K-batch ingest resolved incrementally through the ANN
@@ -86,11 +93,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%s", scheme, strategy, clustering)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					ab, err := NewANNBlocker(annScheme(t, scheme), nil, ANNOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					incremental := incrementalPipelineWith(t, ab, strategy, clustering)
+					incremental := incrementalPipelineWith(t, annBlocker(t, scheme, 0, 0), strategy, clustering)
 
 					var snap *Snapshot
 					var last *IncrementalResult
@@ -109,11 +112,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 						t.Fatal("last batch indexed no documents")
 					}
 
-					fresh, err := NewANNBlocker(annScheme(t, scheme), nil, ANNOptions{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					full := incrementalPipelineWith(t, fresh, strategy, clustering)
+					full := incrementalPipelineWith(t, annBlocker(t, scheme, 0, 0), strategy, clustering)
 					want, err := full.RunIncremental(ctx, flatPrefix(cols, batches-1, batches), nil)
 					if err != nil {
 						t.Fatalf("full: %v", err)
@@ -147,11 +146,8 @@ func TestANNBlockerRestartEqualsFresh(t *testing.T) {
 	first := flatPrefix(cols, 1, 3)
 	union := flatPrefix(cols, 2, 3)
 
-	cfg := ANNOptions{M: 8, EfSearch: 32}
-	ab, err := NewANNBlocker(annScheme(t, "canopy"), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := ann.Config{Scheme: annScheme(t, "canopy"), M: 8, EfSearch: 32}
+	ab := annBlocker(t, "canopy", cfg.M, cfg.EfSearch)
 	if _, err := ab.BlockFingerprints(ctx, first); err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +156,7 @@ func TestANNBlockerRestartEqualsFresh(t *testing.T) {
 	if _, err := ab.Index().EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := ann.Decode(&buf, ann.Config{
-		Scheme: annScheme(t, "canopy"),
-		M:      cfg.M, EfSearch: cfg.EfSearch,
-	})
+	decoded, err := ann.Decode(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +252,7 @@ func TestANNCanopyRecall(t *testing.T) {
 
 	for _, ef := range []int{24, 64, 128} {
 		t.Run(fmt.Sprintf("ef%d", ef), func(t *testing.T) {
-			ab, err := NewANNBlocker(scheme, nil, ANNOptions{EfSearch: ef})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ab.BlockFingerprints(ctx, cols)
+			got, err := annBlocker(t, "canopy", 0, ef).BlockFingerprints(ctx, cols)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -281,39 +270,37 @@ func TestANNCanopyRecall(t *testing.T) {
 
 // TestNewModeBlockerDispatch pins the mode switch: exact mode keeps
 // today's dispatch bit for bit, ann mode serves global schemes from the
-// candidate index and rejects key-based schemes and junk modes.
+// candidate index and rejects key-based schemes, unusable or misplaced
+// graph knobs and junk modes.
 func TestNewModeBlockerDispatch(t *testing.T) {
-	b, err := NewModeBlocker("", blocking.ExactKey{}, nil, 0, ANNOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*IndexBlocker); !ok {
+	if b, ok := freshBlocker(t, "", "", "", 0, 0).(*IndexBlocker); !ok {
 		t.Errorf("default mode: got %T, want *IndexBlocker", b)
 	}
-	b, err = NewModeBlocker("exact", blocking.Canopy{Loose: 0.3, Tight: 0.8}, nil, 0, ANNOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(SchemeBlocker); !ok {
+	if b, ok := freshBlocker(t, "canopy", "", "exact", 0, 0).(SchemeBlocker); !ok {
 		t.Errorf("exact mode, canopy: got %T, want SchemeBlocker", b)
 	}
-	b, err = NewModeBlocker("ann", blocking.Canopy{Loose: 0.3, Tight: 0.8}, nil, 0, ANNOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ab, ok := b.(*IndexBlocker); !ok {
+	b := freshBlocker(t, "canopy", "", "ann", 0, 0)
+	if _, ok := b.(*IndexBlocker); !ok {
 		t.Errorf("ann mode, canopy: got %T, want *IndexBlocker", b)
-	} else if out, err := ab.BlockFingerprints(context.Background(), nil); err != nil || out.Stats.Indexer != "ann" {
+	} else if out, err := b.BlockFingerprints(context.Background(), nil); err != nil || out.Stats.Indexer != "ann" {
 		t.Errorf("ann mode, canopy: stats say indexer %q (err %v), want \"ann\"", out.Stats.Indexer, err)
 	}
-	if _, err := NewModeBlocker("ann", blocking.ExactKey{}, nil, 0, ANNOptions{}); err == nil {
-		t.Error("ann mode accepted a key-based scheme")
-	}
-	if _, err := NewModeBlocker("ann", blocking.Canopy{Loose: 0.3, Tight: 0.8}, nil, 0, ANNOptions{M: 1}); err == nil {
-		t.Error("ann mode accepted a degenerate graph degree")
-	}
-	if _, err := NewModeBlocker("fuzzy", blocking.ExactKey{}, nil, 0, ANNOptions{}); err == nil {
-		t.Error("unknown mode was accepted")
+	for _, bad := range []struct {
+		why          string
+		scheme, mode string
+		annM, annEf  int
+	}{
+		{"ann mode accepted a key-based scheme", "exact", "ann", 0, 0},
+		{"ann mode accepted a degenerate graph degree", "canopy", "ann", 1, 0},
+		{"ann mode accepted a negative graph degree", "canopy", "ann", -4, 0},
+		{"ann mode accepted a negative beam width", "canopy", "ann", 0, -1},
+		{"exact mode accepted graph knobs", "canopy", "exact", 0, 32},
+		{"the default mode accepted graph knobs", "", "", 16, 0},
+		{"unknown mode was accepted", "exact", "fuzzy", 0, 0},
+	} {
+		if _, err := ParseBlocking(bad.scheme, "", bad.mode, bad.annM, bad.annEf); err == nil {
+			t.Error(bad.why)
+		}
 	}
 }
 
@@ -331,18 +318,11 @@ func TestPhoneticKeyMergesSpellings(t *testing.T) {
 			{ID: 0, URL: "http://c.example/1", Text: "Mary Jones founded the lab", PersonaID: 0},
 		}},
 	}
-	keys, err := ParseKeys("phonetic")
+	out, err := freshBlocker(t, "exact", "phonetic", "", 0, 0).BlockFingerprints(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewBlocker(blocking.ExactKey{}, keys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err := b.Block(context.Background(), cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocks := out.Blocks
 	if len(blocks) != 2 {
 		t.Fatalf("phonetic keys produced %d blocks, want 2 (smyth/smith merged, jones apart)", len(blocks))
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
@@ -17,11 +18,64 @@ import (
 // paper blocks by exact person name; a Blocker generalizes that to any
 // candidate-pair scheme.
 type Blocker interface {
-	// Block returns the resolution blocks in deterministic order. Every
-	// returned collection must validate (dense doc IDs, in-range persona
-	// labels).
-	Block(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, error)
+	// BlockFingerprints returns the resolution blocks in deterministic
+	// order, each with the refs of its member documents and its membership
+	// fingerprint. Every returned collection must validate (dense doc IDs,
+	// in-range persona labels), and Fingerprints[i] must equal
+	// blocking.CombineIDs over the members' blocking.DocHash values in
+	// member order, so a snapshot keys the same blocks the same way
+	// whichever implementation blocked them.
+	BlockFingerprints(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error)
 }
+
+// IndexedBlocks is the block stage's output: the assembled blocks, for each
+// block the refs of its member documents in block order (the order the
+// block's Docs were assembled in), the membership fingerprints the
+// incremental diff keys on, and what the stage did.
+type IndexedBlocks struct {
+	Blocks       []*corpus.Collection
+	Members      [][]DocRef
+	Fingerprints []uint64
+	Stats        BlockingStats
+}
+
+// BlockingStats reports what the block stage did for one run — how much of
+// the work the sharded index reused.
+type BlockingStats struct {
+	// Indexer names the block stage implementation: "index" for the
+	// sharded incremental index, "ann" for the approximate candidate
+	// index, "scheme" for the per-run SchemeBlocker.
+	Indexer string `json:"indexer"`
+	// Shards is the index's hash-partition count.
+	Shards int `json:"shards,omitempty"`
+	// IndexedDocs is the total number of documents in the index after the
+	// run.
+	IndexedDocs int `json:"indexed_docs,omitempty"`
+	// DeltaDocs is the number of documents this run newly indexed — 0 when
+	// the corpus was unchanged since the index last saw it.
+	DeltaDocs int `json:"delta_docs"`
+	// DirtyBlocks is the number of blocks whose membership the delta
+	// changed; everything else was served from the index's cache.
+	DirtyBlocks int `json:"dirty_blocks"`
+	// Keys is the number of distinct index keys.
+	Keys int `json:"keys,omitempty"`
+	// AnnM and AnnEf echo the approximate index's graph knobs when the
+	// indexer is "ann".
+	AnnM  int `json:"ann_m,omitempty"`
+	AnnEf int `json:"ann_ef,omitempty"`
+	// Fallback marks a call the incremental state could not serve — a
+	// corpus older than what the index has already seen (two
+	// configurations sharing one index can observe the store in different
+	// orders) — answered by a one-off full pass instead. Results are
+	// identical; only the O(delta) saving is lost for that call.
+	Fallback bool `json:"fallback,omitempty"`
+}
+
+// DocRef locates one ingested document by its position in the ingest: the
+// collection's index and the document's index within it. It is an alias of
+// the block index's ref type so membership flows between the layers
+// without conversion.
+type DocRef = blockindex.DocRef
 
 // KeyFunc derives the blocking keys of one document. The default keys a
 // document by the name its collection was retrieved for — the paper's "all
@@ -121,6 +175,112 @@ func ParseKeys(name string) (KeyFunc, error) {
 	}
 }
 
+// BlockingConfig is one parsed and validated block-stage configuration:
+// what the CLI's blocking flags and the service's blocking knobs both reduce
+// to, and what every entry point builds its blocker from. ParseBlocking is
+// its constructor.
+type BlockingConfig struct {
+	// SchemeName and KeysName are the scheme's and the key function's names
+	// with the defaults ("exact", "collection") resolved — the spellings
+	// index and state keys are built from.
+	SchemeName, KeysName string
+	Scheme               blocking.Scheme
+	Keys                 KeyFunc
+	// ANN selects the approximate candidate graph (blocking mode "ann"); M
+	// and EfSearch are then its effective knobs (defaults resolved), so the
+	// default and its explicit spelling share one graph, and zero otherwise.
+	ANN         bool
+	M, EfSearch int
+	// Shards is the sharded key index's partition count. ParseBlocking sets
+	// the index default; a server configured otherwise overrides it.
+	Shards int
+}
+
+// ParseBlocking maps the CLI/API blocking names and knobs to their
+// configuration, rejecting every bad combination up front: an unknown
+// scheme, key function or mode, graph knobs outside "ann" mode, unusable
+// graph knobs, and "ann" mode over a scheme without an approximation policy
+// (the key-based schemes already have an exact O(delta) index, so
+// approximating them would only lose recall). Empty names select the
+// paper's setup: exact-key blocking over collection names, exact mode.
+func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, error) {
+	c := BlockingConfig{SchemeName: scheme, KeysName: keys, Shards: blockindex.DefaultShards}
+	if c.SchemeName == "" {
+		c.SchemeName = "exact"
+	}
+	if c.KeysName == "" {
+		c.KeysName = "collection"
+	}
+	switch mode {
+	case "", "exact":
+		if annM != 0 || annEf != 0 {
+			return BlockingConfig{}, fmt.Errorf("pipeline: the ann graph knobs (m %d, ef %d) apply only in blocking mode \"ann\" (mode is %q)", annM, annEf, mode)
+		}
+	case "ann":
+		if annM < 0 || annM == 1 {
+			return BlockingConfig{}, fmt.Errorf("pipeline: ann m %d is not a usable graph degree (0 selects the default %d; otherwise at least 2)", annM, ann.DefaultM)
+		}
+		if annEf < 0 {
+			return BlockingConfig{}, fmt.Errorf("pipeline: ann ef %d is negative (0 selects the default %d)", annEf, ann.DefaultEfSearch)
+		}
+		c.ANN, c.M, c.EfSearch = true, annM, annEf
+		if c.M == 0 {
+			c.M = ann.DefaultM
+		}
+		if c.EfSearch == 0 {
+			c.EfSearch = ann.DefaultEfSearch
+		}
+	default:
+		return BlockingConfig{}, fmt.Errorf("pipeline: unknown blocking mode %q (valid: exact, ann)", mode)
+	}
+	var err error
+	if c.Scheme, err = blocking.ParseScheme(c.SchemeName); err != nil {
+		return BlockingConfig{}, err
+	}
+	if c.Keys, err = ParseKeys(c.KeysName); err != nil {
+		return BlockingConfig{}, err
+	}
+	if _, ok := c.Scheme.(blocking.ApproxScheme); c.ANN && !ok {
+		return BlockingConfig{}, fmt.Errorf("pipeline: blocking mode \"ann\" needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %q — the key-based schemes already have an exact O(delta) index", c.SchemeName)
+	}
+	return c, nil
+}
+
+// FreshBlocker builds the configuration's blocker over a new, empty index:
+// an IndexBlocker over the approximate candidate graph in "ann" mode, over
+// the sharded key index for a scheme whose candidate pairs come purely from
+// shared keys (blocking.KeyedScheme — exact, token), and the stateless
+// per-run SchemeBlocker for a global scheme in exact mode.
+func (c BlockingConfig) FreshBlocker() (Blocker, error) {
+	if c.ANN {
+		approx, _ := c.Scheme.(blocking.ApproxScheme) // nil is ann.New's to reject
+		idx, err := ann.New(ann.Config{Scheme: approx, Keys: ann.KeyFunc(c.Keys), M: c.M, EfSearch: c.EfSearch})
+		if err != nil {
+			return nil, err
+		}
+		return NewANNBlockerWith(idx), nil
+	}
+	if keyed, ok := c.Scheme.(blocking.KeyedScheme); ok {
+		return NewIndexBlocker(keyed, c.Keys, c.Shards)
+	}
+	return SchemeBlocker{Scheme: c.Scheme, Keys: c.Keys}, nil
+}
+
+// IndexKey names the candidate index a long-lived owner of this
+// configuration shares between runs — "ann|scheme|keys|m|ef" for a graph,
+// "scheme|keys|shards" for a sharded key index: only the knobs that shape
+// the index, and no scheme is named "ann", so the two kinds cannot collide.
+// It is "" for a configuration that blocks without an index.
+func (c BlockingConfig) IndexKey() string {
+	if c.ANN {
+		return fmt.Sprintf("ann|%s|%s|%d|%d", c.SchemeName, c.KeysName, c.M, c.EfSearch)
+	}
+	if _, ok := c.Scheme.(blocking.KeyedScheme); ok {
+		return fmt.Sprintf("%s|%s|%d", c.SchemeName, c.KeysName, c.Shards)
+	}
+	return ""
+}
+
 // SchemeBlocker adapts any blocking.Scheme into the pipeline's block
 // stage: all ingested documents become records, the scheme generates
 // candidate pairs, and the connected components of the candidate graph
@@ -153,67 +313,9 @@ func (sb SchemeBlocker) Validate() error {
 	return nil
 }
 
-// DefaultBlocker is the paper's scheme: exact-key blocking over collection
-// names.
-func DefaultBlocker() Blocker { return NewSchemeBlocker(blocking.ExactKey{}) }
-
-// ParseBlocker maps a CLI/API scheme name ("exact", "token", …) to a
-// blocker over the default document keys. Key-based schemes get the
-// sharded incremental index; global schemes fall back to the per-run
-// SchemeBlocker.
-func ParseBlocker(name string) (Blocker, error) {
-	scheme, err := blocking.ParseScheme(name)
-	if err != nil {
-		return nil, err
-	}
-	return NewBlocker(scheme, nil, 0)
-}
-
-// NewBlocker picks the right Blocker for a scheme: schemes whose candidate
-// pairs come purely from shared keys (blocking.KeyedScheme — exact, token)
-// get an IndexBlocker over the sharded incremental index, so repeated
-// blocking of a growing corpus costs O(delta); global schemes
-// (sortedneighborhood, canopy) keep the full per-run SchemeBlocker. A nil
-// keys selects the collection-name KeyFunc, and shards < 1 the index
-// default.
-func NewBlocker(scheme blocking.Scheme, keys KeyFunc, shards int) (Blocker, error) {
-	if keyed, ok := scheme.(blocking.KeyedScheme); ok {
-		return NewIndexBlocker(keyed, keys, shards)
-	}
-	if v, ok := scheme.(blocking.Validator); ok {
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return SchemeBlocker{Scheme: scheme, Keys: keys}, nil
-}
-
-// DocRef locates one ingested document by its position in the ingest: the
-// collection's index and the document's index within it. It is an alias of
-// the block index's ref type so membership flows between the layers
-// without conversion.
-type DocRef = blockindex.DocRef
-
-// MembershipBlocker is an optional Blocker extension that additionally
-// reports which ingested documents each block contains. Incremental
-// resolution requires it: block membership is what gets diffed against the
-// previous run to decide which blocks are dirty.
-type MembershipBlocker interface {
-	Blocker
-	// BlockMembership returns the blocks plus, for each block, the refs of
-	// its member documents in block order (the order the block's Docs were
-	// assembled in).
-	BlockMembership(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, [][]DocRef, error)
-}
-
-// Block implements Blocker.
-func (sb SchemeBlocker) Block(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, error) {
-	blocks, _, err := sb.BlockMembership(ctx, cols)
-	return blocks, err
-}
-
-// BlockMembership implements MembershipBlocker.
-func (sb SchemeBlocker) BlockMembership(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, [][]DocRef, error) {
+// BlockFingerprints implements Blocker with one full pass: every document
+// is keyed, paired and hashed on every call.
+func (sb SchemeBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error) {
 	scheme := sb.Scheme
 	if scheme == nil {
 		scheme = blocking.ExactKey{}
@@ -227,7 +329,7 @@ func (sb SchemeBlocker) BlockMembership(ctx context.Context, cols []*corpus.Coll
 	var records []blocking.Record
 	for ci, col := range cols {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return IndexedBlocks{}, err
 		}
 		for di := range col.Docs {
 			records = append(records, blocking.Record{ID: len(refs), Keys: keys(col, col.Docs[di])})
@@ -237,7 +339,7 @@ func (sb SchemeBlocker) BlockMembership(ctx context.Context, cols []*corpus.Coll
 
 	pairs := scheme.Candidates(records)
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return IndexedBlocks{}, err
 	}
 	uf := ergraph.NewUnionFind(len(refs))
 	for _, p := range pairs {
@@ -259,17 +361,51 @@ func (sb SchemeBlocker) BlockMembership(ctx context.Context, cols []*corpus.Coll
 		members[slot] = append(members[slot], i)
 	}
 
-	blocks := make([]*corpus.Collection, 0, len(members))
-	memberRefs := make([][]DocRef, 0, len(members))
+	out := IndexedBlocks{
+		Blocks:       make([]*corpus.Collection, 0, len(members)),
+		Members:      make([][]DocRef, 0, len(members)),
+		Fingerprints: make([]uint64, 0, len(members)),
+		Stats:        BlockingStats{Indexer: "scheme"},
+	}
+	docHashes := docKeys(cols)
+	hashes := make([]uint64, 0, 64)
 	for _, m := range members {
 		mr := make([]DocRef, len(m))
+		hashes = hashes[:0]
 		for j, idx := range m {
 			mr[j] = refs[idx]
+			hashes = append(hashes, docHashes[mr[j].Col][mr[j].Doc])
 		}
-		blocks = append(blocks, assembleRefs(cols, mr))
-		memberRefs = append(memberRefs, mr)
+		out.Blocks = append(out.Blocks, assembleRefs(cols, mr))
+		out.Members = append(out.Members, mr)
+		out.Fingerprints = append(out.Fingerprints, blocking.CombineIDs(hashes))
 	}
-	return blocks, memberRefs, nil
+	return out, nil
+}
+
+// BlockMembership is BlockFingerprints without the fingerprints.
+func (sb SchemeBlocker) BlockMembership(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, [][]DocRef, error) {
+	out, err := sb.BlockFingerprints(ctx, cols)
+	return out.Blocks, out.Members, err
+}
+
+// docKeys fingerprints every ingested document with blocking.DocHash — the
+// shared identity formula of the incremental diff and the sharded index. A
+// document's key covers its collection name, position, URL, text and
+// persona label, so a block's membership fingerprint changes exactly when
+// any member document's content or position changes — the dirty condition
+// of the incremental diff. Positions are stable under append-only
+// ingestion, which is what the store guarantees.
+func docKeys(cols []*corpus.Collection) [][]uint64 {
+	keys := make([][]uint64, len(cols))
+	for ci, col := range cols {
+		keys[ci] = make([]uint64, len(col.Docs))
+		for di := range col.Docs {
+			doc := &col.Docs[di]
+			keys[ci][di] = blocking.DocHash(col.Name, di, doc.URL, doc.Text, doc.PersonaID)
+		}
+	}
+	return keys
 }
 
 // assembleRefs builds one block collection from its member refs, the

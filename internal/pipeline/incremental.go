@@ -2,11 +2,9 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"sync/atomic"
 
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -74,9 +72,8 @@ type IncrementalStats struct {
 	// Trivial is the number of dirty blocks below the training size,
 	// resolved trivially without preparation.
 	Trivial int
-	// Blocking reports the block stage's own reuse when the blocker
-	// maintains an incremental index (FingerprintBlocker); nil when the
-	// blocks were computed by a full per-run pass.
+	// Blocking reports what the block stage did, and reused, for this run;
+	// RunIncremental always sets it.
 	Blocking *BlockingStats
 }
 
@@ -110,51 +107,18 @@ type IncrementalResult struct {
 // documents keep their collection and position) and resolving after each
 // batch yields, after the last batch, exactly the clusters of a single
 // RunIncremental over the union with prev == nil.
-//
-// The pipeline's Blocker must implement MembershipBlocker (every
-// SchemeBlocker does).
 func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection, prev *Snapshot) (*IncrementalResult, error) {
-	var blocks []*corpus.Collection
-	var members [][]DocRef
-	var fps []uint64
-	var blockingStats *BlockingStats
 	blockStart := p.now()
-	switch b := p.blocker.(type) {
-	case FingerprintBlocker:
-		// The block stage maintains membership fingerprints itself (the
-		// sharded index): only the ingest delta was hashed, the rest comes
-		// from the index's per-component cache.
-		indexed, err := b.BlockFingerprints(ctx, cols)
-		if err != nil {
-			return nil, err
-		}
-		blocks, members, fps = indexed.Blocks, indexed.Members, indexed.Fingerprints
-		stats := indexed.Stats
-		blockingStats = &stats
-	case MembershipBlocker:
-		var err error
-		blocks, members, err = b.BlockMembership(ctx, cols)
-		if err != nil {
-			return nil, err
-		}
-		keys := docKeys(cols)
-		fps = make([]uint64, len(blocks))
-		hashes := make([]uint64, 0, 64)
-		for i, mem := range members {
-			hashes = hashes[:0]
-			for _, ref := range mem {
-				hashes = append(hashes, keys[ref.Col][ref.Doc])
-			}
-			fps[i] = blocking.CombineIDs(hashes)
-		}
-	default:
-		return nil, fmt.Errorf("pipeline: incremental resolution requires a membership-reporting blocker, %T does not report membership", p.blocker)
+	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
+	if err != nil {
+		return nil, err
 	}
+	blocks, fps := indexed.Blocks, indexed.Fingerprints
 	p.observe(StageBlock, "", blockStart)
 
 	results := make([]Result, len(blocks))
 	next := &Snapshot{entries: make(map[uint64]*cachedBlock, len(blocks))}
-	st := IncrementalStats{Blocks: len(blocks), Blocking: blockingStats}
+	st := IncrementalStats{Blocks: len(blocks), Blocking: &indexed.Stats}
 
 	// Diff: a block whose fingerprint is in the previous snapshot is
 	// clean — reuse its cached output; everything else is dirty.
@@ -190,7 +154,7 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 		Results:      results,
 		Snapshot:     next,
 		Stats:        st,
-		Members:      members,
+		Members:      indexed.Members,
 		Fingerprints: fps,
 	}, nil
 }
@@ -211,23 +175,4 @@ func (p *Pipeline) rescored(cb *cachedBlock, block *corpus.Collection) *cachedBl
 	out := *cb
 	out.Score = &s
 	return &out
-}
-
-// docKeys fingerprints every ingested document with blocking.DocHash — the
-// shared identity formula of the incremental diff and the sharded index. A
-// document's key covers its collection name, position, URL, text and
-// persona label, so a block's membership fingerprint changes exactly when
-// any member document's content or position changes — the dirty condition
-// of the incremental diff. Positions are stable under append-only
-// ingestion, which is what the store guarantees.
-func docKeys(cols []*corpus.Collection) [][]uint64 {
-	keys := make([][]uint64, len(cols))
-	for ci, col := range cols {
-		keys[ci] = make([]uint64, len(col.Docs))
-		for di := range col.Docs {
-			doc := &col.Docs[di]
-			keys[ci][di] = blocking.DocHash(col.Name, di, doc.URL, doc.Text, doc.PersonaID)
-		}
-	}
-	return keys
 }

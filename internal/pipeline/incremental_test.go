@@ -53,6 +53,21 @@ func batchPrefix(cols []*corpus.Collection, k, total int) []*corpus.Collection {
 	return out
 }
 
+// freshBlocker parses a blocking configuration and builds its blocker over
+// a new index, the way every entry point does.
+func freshBlocker(t testing.TB, scheme, keys, mode string, annM, annEf int) Blocker {
+	t.Helper()
+	cfg, err := ParseBlocking(scheme, keys, mode, annM, annEf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cfg.FreshBlocker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pipeline {
 	t.Helper()
 	opts := core.DefaultOptions()
@@ -66,11 +81,7 @@ func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pip
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocker, err := ParseBlocker(scheme)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := New(Config{Options: opts, Strategy: strat, Blocker: blocker, Score: true})
+	pl, err := New(Config{Options: opts, Strategy: strat, Blocker: freshBlocker(t, scheme, "", "", 0, 0), Score: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,23 +217,6 @@ func TestIncrementalSkipsCleanBlocks(t *testing.T) {
 	}
 	if r1, r2 := byName(run1.Results, "smith"), byName(run2.Results, "smith"); r1.Resolution == r2.Resolution {
 		t.Error("dirty block \"smith\" reused a stale resolution")
-	}
-}
-
-// noMembership is a Blocker without membership reporting.
-type noMembership struct{}
-
-func (noMembership) Block(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, error) {
-	return cols, nil
-}
-
-func TestRunIncrementalRequiresMembership(t *testing.T) {
-	pl, err := New(Config{Blocker: noMembership{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pl.RunIncremental(context.Background(), nil, nil); err == nil {
-		t.Fatal("RunIncremental accepted a blocker without membership reporting")
 	}
 }
 

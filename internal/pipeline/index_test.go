@@ -322,31 +322,20 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 	ctx := context.Background()
 
 	// Collection-name keys keep the spellings apart…
-	byCollection, err := NewBlocker(blocking.ExactKey{}, nil, 0)
+	out, err := freshBlocker(t, "exact", "collection", "", 0, 0).BlockFingerprints(ctx, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := byCollection.Block(ctx, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 {
+	if blocks := out.Blocks; len(blocks) != 3 {
 		t.Fatalf("collection keys produced %d blocks, want 3", len(blocks))
 	}
 
 	// …person-name keys merge them.
-	keys, err := ParseKeys("names")
+	out, err = freshBlocker(t, "exact", "names", "", 0, 0).BlockFingerprints(ctx, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byNames, err := NewBlocker(blocking.ExactKey{}, keys, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, err = byNames.Block(ctx, cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocks := out.Blocks
 	if len(blocks) != 2 {
 		t.Fatalf("name keys produced %d blocks, want 2 (smith variants merged, jones apart)", len(blocks))
 	}
@@ -358,28 +347,20 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 
 // TestNewBlockerPicksIndexForKeyedSchemes pins the dispatch: key-based
 // schemes get the incremental index, global schemes the per-run blocker,
-// and invalid parameters fail at construction.
+// and invalid parameters fail when the pipeline is assembled.
 func TestNewBlockerPicksIndexForKeyedSchemes(t *testing.T) {
-	for _, scheme := range []blocking.Scheme{blocking.ExactKey{}, blocking.TokenBlocking{}} {
-		b, err := NewBlocker(scheme, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := b.(*IndexBlocker); !ok {
-			t.Errorf("%T: got %T, want *IndexBlocker", scheme, b)
+	for _, scheme := range []string{"exact", "token"} {
+		if b, ok := freshBlocker(t, scheme, "", "", 0, 0).(*IndexBlocker); !ok {
+			t.Errorf("%s: got %T, want *IndexBlocker", scheme, b)
 		}
 	}
-	for _, scheme := range []blocking.Scheme{blocking.SortedNeighborhood{Window: 7}, blocking.Canopy{Loose: 0.3, Tight: 0.8}} {
-		b, err := NewBlocker(scheme, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := b.(SchemeBlocker); !ok {
-			t.Errorf("%T: got %T, want SchemeBlocker", scheme, b)
+	for _, scheme := range []string{"sortedneighborhood", "canopy"} {
+		if b, ok := freshBlocker(t, scheme, "", "", 0, 0).(SchemeBlocker); !ok {
+			t.Errorf("%s: got %T, want SchemeBlocker", scheme, b)
 		}
 	}
-	if _, err := NewBlocker(blocking.SortedNeighborhood{Window: 1}, nil, 0); err == nil {
-		t.Error("NewBlocker accepted a degenerate sorted-neighborhood window")
+	if _, err := New(Config{Blocker: NewSchemeBlocker(blocking.SortedNeighborhood{Window: 1})}); err == nil {
+		t.Error("pipeline.New accepted a degenerate sorted-neighborhood window")
 	}
 	if _, err := New(Config{Blocker: SchemeBlocker{Scheme: blocking.Canopy{Loose: 0.9, Tight: 0.2}}}); err == nil {
 		t.Error("pipeline.New accepted inverted canopy thresholds")
@@ -412,14 +393,11 @@ func TestURLHostKeyBlocksByHost(t *testing.T) {
 		t.Fatalf("fallback keys = %v, want the collection name", got)
 	}
 
-	b, err := NewBlocker(blocking.ExactKey{}, keys, 0)
+	out, err := freshBlocker(t, "exact", "urlhost", "", 0, 0).BlockFingerprints(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := b.Block(context.Background(), cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blocks := out.Blocks
 	// lab.example merges smith/0 with jones/0; other.example keeps smith/1
 	// apart: two blocks.
 	if len(blocks) != 2 {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/ann"
@@ -11,59 +10,6 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/corpus"
 )
-
-// BlockingStats reports what the block stage did for one run — how much of
-// the work the sharded index reused.
-type BlockingStats struct {
-	// Indexer names the block stage implementation: "index" for the
-	// sharded incremental index, "ann" for the approximate candidate
-	// index, "scheme" for the per-run SchemeBlocker.
-	Indexer string `json:"indexer"`
-	// Shards is the index's hash-partition count.
-	Shards int `json:"shards,omitempty"`
-	// IndexedDocs is the total number of documents in the index after the
-	// run.
-	IndexedDocs int `json:"indexed_docs,omitempty"`
-	// DeltaDocs is the number of documents this run newly indexed — 0 when
-	// the corpus was unchanged since the index last saw it.
-	DeltaDocs int `json:"delta_docs"`
-	// DirtyBlocks is the number of blocks whose membership the delta
-	// changed; everything else was served from the index's cache.
-	DirtyBlocks int `json:"dirty_blocks"`
-	// Keys is the number of distinct index keys.
-	Keys int `json:"keys,omitempty"`
-	// AnnM and AnnEf echo the approximate index's graph knobs when the
-	// indexer is "ann".
-	AnnM  int `json:"ann_m,omitempty"`
-	AnnEf int `json:"ann_ef,omitempty"`
-	// Fallback marks a call the incremental state could not serve — a
-	// corpus older than what the index has already seen (two
-	// configurations sharing one index can observe the store in different
-	// orders) — answered by a one-off full pass instead. Results are
-	// identical; only the O(delta) saving is lost for that call.
-	Fallback bool `json:"fallback,omitempty"`
-}
-
-// IndexedBlocks is a FingerprintBlocker's output: the assembled blocks,
-// their member refs, the membership fingerprints the incremental diff keys
-// on, and the reuse stats.
-type IndexedBlocks struct {
-	Blocks       []*corpus.Collection
-	Members      [][]DocRef
-	Fingerprints []uint64
-	Stats        BlockingStats
-}
-
-// FingerprintBlocker is an optional Blocker extension for block stages
-// that maintain membership fingerprints themselves. RunIncremental uses it
-// to skip re-hashing the whole corpus per run: the fingerprints must equal
-// blocking.CombineIDs over the members' blocking.DocHash values in member
-// order — the exact formula the fallback diff computes — so a snapshot
-// written through either path keys the same blocks the same way.
-type FingerprintBlocker interface {
-	MembershipBlocker
-	BlockFingerprints(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error)
-}
 
 // CandidateIndex is what IndexBlocker needs from an incremental candidate
 // index bound to one append-only corpus: insert the delta, report every
@@ -122,32 +68,6 @@ func NewIndexBlockerWith(idx *blockindex.Index) *IndexBlocker {
 	return &IndexBlocker{idx: idx, indexer: "index"}
 }
 
-// ANNOptions carries the graph knobs of the approximate candidate index;
-// zero values select the ann package defaults.
-type ANNOptions struct {
-	// M is the per-node degree bound of the proximity graph.
-	M int
-	// EfSearch sizes the neighbor query candidate edges come from; the
-	// recall knob.
-	EfSearch int
-}
-
-// NewANNBlocker builds an IndexBlocker over a fresh ANN candidate index
-// for an approximable global scheme. A nil keys selects the
-// collection-name KeyFunc; zero knobs select the ann defaults.
-func NewANNBlocker(scheme blocking.ApproxScheme, keys KeyFunc, opts ANNOptions) (*IndexBlocker, error) {
-	idx, err := ann.New(ann.Config{
-		Scheme:   scheme,
-		Keys:     ann.KeyFunc(keys),
-		M:        opts.M,
-		EfSearch: opts.EfSearch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewANNBlockerWith(idx), nil
-}
-
 // NewANNBlockerWith wraps an existing ANN candidate index — typically one
 // decoded from its persisted form, so a restarted process resumes with
 // the corpus already inserted into the graph.
@@ -171,19 +91,13 @@ func (ib *IndexBlocker) Warm(cols []*corpus.Collection) (blockindex.UpdateStats,
 	return stats, err
 }
 
-// Block implements Blocker.
-func (ib *IndexBlocker) Block(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, error) {
-	out, err := ib.BlockFingerprints(ctx, cols)
-	return out.Blocks, err
-}
-
-// BlockMembership implements MembershipBlocker.
+// BlockMembership is BlockFingerprints without the fingerprints.
 func (ib *IndexBlocker) BlockMembership(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, [][]DocRef, error) {
 	out, err := ib.BlockFingerprints(ctx, cols)
 	return out.Blocks, out.Members, err
 }
 
-// BlockFingerprints implements FingerprintBlocker: update the index with
+// BlockFingerprints implements Blocker: update the index with
 // the delta, pull every block's cached membership and fingerprint, and
 // assemble the block collections in parallel.
 func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error) {
@@ -235,30 +149,4 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		Fingerprints: fps,
 		Stats:        blockingStats,
 	}, nil
-}
-
-// BlockingModes are the accepted blocking-mode spellings, in display
-// order for CLI/API usage messages.
-var BlockingModes = []string{"exact", "ann"}
-
-// NewModeBlocker picks a Blocker for a scheme under an explicit blocking
-// mode. Mode "" or "exact" is today's behavior — NewBlocker's dispatch,
-// bit-identical results. Mode "ann" serves a global scheme from the
-// incremental approximate candidate index; it requires a scheme with an
-// approximation policy (canopy, sorted neighborhood) and rejects
-// anything else, because the key-based schemes already have an exact
-// O(delta) index and approximating them would only lose recall.
-func NewModeBlocker(mode string, scheme blocking.Scheme, keys KeyFunc, shards int, opts ANNOptions) (Blocker, error) {
-	switch mode {
-	case "", "exact":
-		return NewBlocker(scheme, keys, shards)
-	case "ann":
-		approx, ok := scheme.(blocking.ApproxScheme)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: blocking mode %q needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %T", mode, scheme)
-		}
-		return NewANNBlocker(approx, keys, opts)
-	default:
-		return nil, fmt.Errorf("pipeline: unknown blocking mode %q (valid: exact, ann)", mode)
-	}
 }

@@ -5,23 +5,28 @@
 //
 // Ingest hands raw collections to a pluggable Blocker (any candidate-pair
 // scheme from internal/blocking), which re-partitions the documents into
-// resolution blocks. A bounded pool of workers then claims blocks one at a
-// time, and the worker that claimed a block takes it through every later
+// resolution blocks. A pool of GOMAXPROCS workers then claims blocks one at
+// a time, and the worker that claimed a block takes it through every later
 // stage: prepare (feature extraction, TF-IDF, all pairwise similarity
 // matrices), analyze (training draw, decision graphs), the Strategy's
 // combine and cluster steps, and the report stage's scoring. The stages
 // are all CPU-bound, so handing a block between pools would buy no overlap
-// and only keep more prepared blocks alive; this way at most Workers
+// and only keep more prepared blocks alive; this way at most GOMAXPROCS
 // blocks' matrices exist at once, and there is no all-then-all barrier
 // between the blocks.
 //
-// There are two Blockers: SchemeBlocker, the stateless full pass over any
-// scheme and the reference the others are tested against, and
-// IndexBlocker, which serves a growing corpus in O(delta) from an
-// incremental CandidateIndex — the sharded key index
-// (internal/blockindex) for the key-based schemes, the HNSW candidate
-// index (internal/ann) for the global schemes in "ann" mode. The blocker
-// is the same code over both; only the index differs.
+// Blocker is the one block-stage interface and BlockFingerprints its one
+// method: blocks, member refs, membership fingerprints and stats. It has
+// two implementations: SchemeBlocker, the stateless full pass over any
+// scheme and the reference the other is tested against, and IndexBlocker,
+// which serves a growing corpus in O(delta) from an incremental
+// CandidateIndex — the sharded key index (internal/blockindex) for the
+// key-based schemes, the HNSW candidate index (internal/ann) for the global
+// schemes in "ann" mode. The blocker is the same code over both; only the
+// index differs. Which one a scheme name, key-function name, mode and graph
+// knobs select is decided in one place: ParseBlocking validates them into a
+// BlockingConfig, whose FreshBlocker every entry point (the CLI, both
+// resolve endpoints, the examples) builds its block stage from.
 //
 // Every stage takes a context.Context threaded down through core.Resolver,
 // simfn.PrepareBlockCtx and simfn.ComputeAllCtx, so cancellation or a timeout
@@ -75,13 +80,6 @@ type Config struct {
 	// Strategy runs the combine and cluster stages on each analysis; nil
 	// selects BestAnyCriterion, the paper's best-performing combination.
 	Strategy Strategy
-	// SeedFn derives the per-block training seed from the block index;
-	// nil selects stats.SplitSeedN(Options.Seed, index), giving every
-	// block an independent deterministic draw.
-	SeedFn func(blockIndex int) int64
-	// Workers bounds the number of blocks resolved at once; values < 1
-	// select GOMAXPROCS.
-	Workers int
 	// Score evaluates every resolution against the block's embedded
 	// ground truth and fills Result.Score.
 	Score bool
@@ -100,8 +98,6 @@ type Pipeline struct {
 	resolver *core.Resolver
 	blocker  Blocker
 	strategy Strategy
-	seedFn   func(int) int64
-	workers  int
 	score    bool
 	observeF func(stage, block string, d time.Duration)
 }
@@ -143,13 +139,11 @@ func New(cfg Config) (*Pipeline, error) {
 		resolver: resolver,
 		blocker:  cfg.Blocker,
 		strategy: cfg.Strategy,
-		seedFn:   cfg.SeedFn,
-		workers:  cfg.Workers,
 		score:    cfg.Score,
 		observeF: cfg.Observe,
 	}
 	if p.blocker == nil {
-		p.blocker = DefaultBlocker()
+		p.blocker = NewSchemeBlocker(blocking.ExactKey{})
 	}
 	// Blockers with tunable parameters validate at assembly, so a
 	// degenerate configuration (a window that can pair nothing, inverted
@@ -162,13 +156,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	if p.strategy == nil {
 		p.strategy = BestAnyCriterion()
-	}
-	if p.seedFn == nil {
-		seed := cfg.Options.Seed
-		p.seedFn = func(i int) int64 { return stats.SplitSeedN(seed, i) }
-	}
-	if p.workers < 1 {
-		p.workers = runtime.GOMAXPROCS(0)
 	}
 	return p, nil
 }
@@ -196,17 +183,20 @@ type Result struct {
 // aborts the in-flight stages promptly and Run returns ctx.Err().
 func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result, error) {
 	blockStart := p.now()
-	blocks, err := p.blocker.Block(ctx, cols)
+	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
 	if err != nil {
 		return nil, err
 	}
+	blocks := indexed.Blocks
 	p.observe(StageBlock, "", blockStart)
 	results := make([]Result, len(blocks))
 	todo := make([]int, len(blocks))
 	for i := range todo {
 		todo[i] = i
 	}
-	if err := p.stream(ctx, blocks, todo, p.seedFn, results, nil); err != nil {
+	seed := p.resolver.Options().Seed
+	seedOf := func(i int) int64 { return stats.SplitSeedN(seed, i) }
+	if err := p.stream(ctx, blocks, todo, seedOf, results, nil); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -229,7 +219,7 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 	var firstErr error
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(p.workers, len(todo)); w > 0; w-- {
+	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -334,15 +324,15 @@ func (p *Pipeline) trivial(idx int, col *corpus.Collection) (Result, error) {
 // training samples over one expensive preparation (the experiment drivers)
 // use this entry point and then AverageRuns.
 func (p *Pipeline) Prepare(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, []*core.Prepared, error) {
-	blocks, err := p.blocker.Block(ctx, cols)
+	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
 	if err != nil {
 		return nil, nil, err
 	}
-	prepared, err := p.resolver.PrepareAllCtx(ctx, blocks)
+	prepared, err := p.resolver.PrepareAllCtx(ctx, indexed.Blocks)
 	if err != nil {
 		return nil, nil, err
 	}
-	return blocks, prepared, nil
+	return indexed.Blocks, prepared, nil
 }
 
 // AverageRuns runs a strategy over every prepared block for several

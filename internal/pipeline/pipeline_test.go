@@ -89,14 +89,14 @@ func TestRunMatchesLegacyResolverPath(t *testing.T) {
 }
 
 // TestRunMatchesResolverResolve checks the single-block identity against
-// core.Resolver.Resolve itself, using a SeedFn that reproduces Resolve's
-// direct use of the resolver seed.
+// core.Resolver.Resolve itself, which uses its seed directly: handed the
+// seed the pipeline derives for block 0, it must draw the same sample.
 func TestRunMatchesResolverResolve(t *testing.T) {
 	cols := www05Subset(t, 1)
 	opts := core.DefaultOptions()
 	opts.Seed = 42
 
-	pl, err := New(Config{Options: opts, SeedFn: func(int) int64 { return opts.Seed }})
+	pl, err := New(Config{Options: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +105,7 @@ func TestRunMatchesResolverResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	opts.Seed = stats.SplitSeedN(opts.Seed, 0)
 	r, err := core.New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +175,7 @@ func TestSchemeBlockerMergesAcrossCollections(t *testing.T) {
 		},
 	}
 	blocker := NewSchemeBlocker(blocking.TokenBlocking{})
-	blocks, err := blocker.Block(context.Background(), []*corpus.Collection{colA, colB})
+	blocks, _, err := blocker.BlockMembership(context.Background(), []*corpus.Collection{colA, colB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +248,14 @@ func TestParseStrategyAndBlockerErrors(t *testing.T) {
 	if _, err := ParseStrategy("bogus"); err == nil || !strings.Contains(err.Error(), "best, threshold, weighted, majority") {
 		t.Errorf("ParseStrategy error %v does not list valid options", err)
 	}
-	if _, err := ParseBlocker("bogus"); err == nil || !strings.Contains(err.Error(), "exact, token, sortedneighborhood, canopy") {
-		t.Errorf("ParseBlocker error %v does not list valid options", err)
+	if _, err := ParseBlocking("bogus", "", "", 0, 0); err == nil || !strings.Contains(err.Error(), "exact, token, sortedneighborhood, canopy") {
+		t.Errorf("ParseBlocking scheme error %v does not list valid options", err)
+	}
+	if _, err := ParseBlocking("", "bogus", "", 0, 0); err == nil || !strings.Contains(err.Error(), "collection, names, urlhost, phonetic") {
+		t.Errorf("ParseBlocking keys error %v does not list valid options", err)
+	}
+	if _, err := ParseBlocking("", "", "bogus", 0, 0); err == nil || !strings.Contains(err.Error(), "exact, ann") {
+		t.Errorf("ParseBlocking mode error %v does not list valid options", err)
 	}
 	if _, err := core.ParseClusteringMethod("bogus"); err == nil || !strings.Contains(err.Error(), "closure, correlation") {
 		t.Errorf("ParseClusteringMethod error %v does not list valid options", err)
@@ -259,8 +266,8 @@ func TestParseStrategyAndBlockerErrors(t *testing.T) {
 		}
 	}
 	for _, name := range blocking.SchemeNames {
-		if _, err := ParseBlocker(name); err != nil {
-			t.Errorf("ParseBlocker(%q): %v", name, err)
+		if _, err := ParseBlocking(name, "", "", 0, 0); err != nil {
+			t.Errorf("ParseBlocking(%q): %v", name, err)
 		}
 	}
 }

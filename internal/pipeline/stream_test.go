@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -38,8 +39,8 @@ func smallBlocks(t *testing.T, n int) []*corpus.Collection {
 func TestPreparedBlocksBoundedByWorkers(t *testing.T) {
 	var alive, peak atomic.Int64
 	best := BestAnyCriterion()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	pl, err := New(Config{
-		Workers: 2,
 		Observe: func(stage, _ string, _ time.Duration) {
 			if stage != StagePrepare {
 				return
@@ -72,7 +73,7 @@ func TestPreparedBlocksBoundedByWorkers(t *testing.T) {
 		}
 	}
 	if p := peak.Load(); p < 1 || p > 2 {
-		t.Errorf("peak prepared-but-unfinished blocks = %d with Workers: 2, want 1..2", p)
+		t.Errorf("peak prepared-but-unfinished blocks = %d with GOMAXPROCS 2, want 1..2", p)
 	}
 }
 
@@ -82,8 +83,8 @@ func TestPreparedBlocksBoundedByWorkers(t *testing.T) {
 func TestFailingBlockCancelsRun(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	pl, err := New(Config{
-		Workers: 2,
 		Strategy: func(a *core.Analysis) (*core.Resolution, error) {
 			if calls.Add(1) == 2 {
 				return nil, boom

@@ -172,7 +172,7 @@ func TestJobRecordEvictedIs410(t *testing.T) {
 func TestStatePinnedDuringSlowRun(t *testing.T) {
 	srv := New(Config{MaxStates: 1})
 	t.Cleanup(func() { srv.Close(context.Background()) })
-	knobs := func(seed int64) resolveKnobs { return resolveKnobs{Seed: &seed} }
+	knobs := func(seed int64) string { return fmt.Sprintf("seed %d", seed) }
 
 	// The slow run: acquired and mid-flight (lock held).
 	slow := srv.acquireState(knobs(1))

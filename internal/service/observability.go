@@ -113,7 +113,6 @@ func (s *Server) initObservability() {
 			{Labels: []string{"event", "done"}, Value: float64(qc.Done)},
 			{Labels: []string{"event", "failed"}, Value: float64(qc.Failed)},
 			{Labels: []string{"event", "canceled"}, Value: float64(qc.Canceled)},
-			{Labels: []string{"event", "retried"}, Value: float64(qc.Retried)},
 		}
 	})
 

@@ -82,12 +82,6 @@ type stageHistograms struct {
 // path back); the last committed resolution wins ties, so re-resolving one
 // store version under new knobs re-points reads.
 func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.Collection, version uint64, inc *pipeline.IncrementalResult) {
-	if len(inc.Members) != len(inc.Results) || len(inc.Fingerprints) != len(inc.Results) {
-		// A blocker that reports no membership cannot feed the serving
-		// index; the incremental path always uses membership blockers, so
-		// this is belt and braces.
-		return
-	}
 	// One lock across the swap and the save keeps the store's newest file
 	// the hot index: publishes under different keys commit in swap order.
 	s.servingMu.Lock()

@@ -54,11 +54,14 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 				mem := store.NewMemStore()
 				srv := New(Config{Store: mem})
 				defer srv.Close(context.Background())
-				blocker, _, err := srv.blockerFor(knobs)
+				cfg, bc, err := srv.parseKnobs(knobs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				key := knobsKey(knobs)
+				if cfg.Blocker, _, err = srv.blockerFor(bc); err != nil {
+					t.Fatal(err)
+				}
+				key := knobsKey(knobs, bc)
 
 				var (
 					snap *pipeline.Snapshot // what the process holds in memory
@@ -93,9 +96,8 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 					cols, version := mem.Snapshot()
 
 					scored := rng.Intn(2) == 0
-					k := knobs
-					k.Score = &scored
-					pl, score, err := buildPipeline(k, blocker, nil)
+					cfg.Score = scored
+					pl, err := pipeline.New(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -140,8 +142,8 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 					// The next run — scored or not, whatever this one was —
 					// must not be able to tell the two snapshots apart.
 					for _, rescored := range []bool{true, false} {
-						k.Score = &rescored
-						pl, score, err = buildPipeline(k, blocker, nil)
+						cfg.Score = rescored
+						pl, err = pipeline.New(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -157,8 +159,8 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 							t.Fatalf("step %d (scored %v, then %v): recovered snapshot reused %d of %d blocks, in-memory %d of %d",
 								step, scored, rescored, got.Stats.Reused, got.Stats.Blocks, want.Stats.Reused, want.Stats.Blocks)
 						}
-						wantBlocks, wantAvg := blockResults(want.Results, score)
-						gotBlocks, gotAvg := blockResults(got.Results, score)
+						wantBlocks, wantAvg := blockResults(want.Results, rescored)
+						gotBlocks, gotAvg := blockResults(got.Results, rescored)
 						if !reflect.DeepEqual(gotBlocks, wantBlocks) || !reflect.DeepEqual(gotAvg, wantAvg) {
 							t.Fatalf("step %d (scored %v, then %v): reply from the recovered snapshot differs:\n got %+v\nwant %+v",
 								step, scored, rescored, gotBlocks, wantBlocks)

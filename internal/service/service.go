@@ -210,11 +210,11 @@ type indexEntry struct {
 	key string
 	// What differs between the two kinds, fixed by indexEntryFor: noun is
 	// what log lines call the index; load resumes from the kind's store
-	// ((nil, nil) when nothing usable is saved; nil without a store), fresh
-	// builds an empty index, save writes it (nil without a store), and
-	// loadFailed/saveFailed are the kind's degraded counters.
+	// ((nil, nil) when nothing usable is saved; nil without a store), save
+	// writes it (nil without a store), and loadFailed/saveFailed are the
+	// kind's degraded counters.
 	noun                   string
-	load, fresh            func() (*pipeline.IndexBlocker, error)
+	load                   func() (*pipeline.IndexBlocker, error)
 	save                   func(key string, idx pipeline.CandidateIndex) (uint64, error)
 	loadFailed, saveFailed *metrics.Counter
 
@@ -797,9 +797,21 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	tr := s.traces.Start("resolve")
 	defer tr.End()
 	tr.SetAttr("collections", strconv.Itoa(len(req.Collections)))
-	pl, score, err := buildPipeline(req.resolveKnobs, nil, s.stageObserver(tr))
+	cfg, bc, err := s.parseKnobs(req.resolveKnobs)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
+	// A one-shot body is an arbitrary posted corpus and must never feed a
+	// store-bound index: it blocks through one that lives for the request.
+	blocker, err := bc.FreshBlocker()
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
+	pl, err := s.assemble(cfg, blocker, tr)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 
@@ -815,7 +827,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 
 	resp := ResolveResponse{Label: req.Label, ElapsedMillis: time.Since(start).Milliseconds()}
 	timed(tr, "encode", s.latency.encode, func() {
-		resp.Blocks, resp.Average = blockResults(results, score)
+		resp.Blocks, resp.Average = blockResults(results, cfg.Score)
 		writeJSON(w, http.StatusOK, resp)
 	})
 }
@@ -843,11 +855,10 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 	job, err := s.jobs.Enqueue("ingest", func(context.Context) (any, error) {
 		added, err := s.store.Append(req.Collections)
 		if err != nil {
-			// Append failures are deterministic — the batch was validated
-			// up front, so what remains is a store gone read-only after a
-			// journal fault. Retrying the same append cannot help; mark it
-			// permanent so the job fails once with the real error.
-			return nil, store.Permanent(err)
+			// The batch was validated up front, so what remains is a store
+			// gone read-only after a journal fault: the job fails with the
+			// store's error.
+			return nil, err
 		}
 		return IngestResult{DocsAdded: added, Store: s.store.Stats()}, nil
 	})
@@ -898,19 +909,26 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	// The block stage is shared per blocking configuration: indexed
-	// schemes resolve through the incremental candidate index bound to the
-	// server's store, so repeated resolves pay only for the ingest delta.
-	blocker, indexEntry, err := s.blockerFor(req.resolveKnobs)
+	// The whole request is validated before it reaches any server state: a
+	// rejected request must not leave an index (or a state) behind.
+	cfg, bc, err := s.parseKnobs(req.resolveKnobs)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
+	// The block stage is shared per blocking configuration: indexed
+	// schemes resolve through the incremental candidate index bound to the
+	// server's store, so repeated resolves pay only for the ingest delta.
+	blocker, indexEntry, err := s.blockerFor(bc)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
 	tr := s.traces.Start("resolve.incremental")
 	defer tr.End()
-	pl, score, err := buildPipeline(req.resolveKnobs, blocker, s.stageObserver(tr))
+	pl, err := s.assemble(cfg, blocker, tr)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
 
@@ -921,7 +939,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// while the run holds its lock. The store snapshot is taken under
 	// the state lock, so a run can never overwrite the state with
 	// results for an older store version than its predecessor saw.
-	state := s.acquireState(req.resolveKnobs)
+	state := s.acquireState(knobsKey(req.resolveKnobs, bc))
 	defer s.releaseState(state)
 	timed(tr, "state.wait", s.latency.stateWait, state.mu.Lock)
 	defer state.mu.Unlock()
@@ -1002,15 +1020,9 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	s.counters.reused.Add(int64(inc.Stats.Reused))
 	s.counters.prepared.Add(int64(inc.Stats.Prepared))
 	s.counters.trivial.Add(int64(inc.Stats.Trivial))
-	if inc.Stats.Blocking != nil {
-		s.counters.deltaDocs.Add(int64(inc.Stats.Blocking.DeltaDocs))
-		s.counters.dirtyBlocks.Add(int64(inc.Stats.Blocking.DirtyBlocks))
-	}
+	s.counters.deltaDocs.Add(int64(inc.Stats.Blocking.DeltaDocs))
+	s.counters.dirtyBlocks.Add(int64(inc.Stats.Blocking.DirtyBlocks))
 
-	blockingStats := pipeline.BlockingStats{Indexer: "scheme"}
-	if inc.Stats.Blocking != nil {
-		blockingStats = *inc.Stats.Blocking
-	}
 	resp := IncrementalResolveResponse{
 		Label:         req.Label,
 		StoreVersion:  version,
@@ -1022,10 +1034,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 			PreparedBlocks: inc.Stats.Prepared,
 			TrivialBlocks:  inc.Stats.Trivial,
 		},
-		Blocking: blockingStats,
+		Blocking: *inc.Stats.Blocking,
 	}
 	timed(tr, "encode", s.latency.encode, func() {
-		resp.Blocks, resp.Average = blockResults(inc.Results, score)
+		resp.Blocks, resp.Average = blockResults(inc.Results, cfg.Score)
 		writeJSON(w, http.StatusOK, resp)
 	})
 }
@@ -1035,20 +1047,14 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 // indexes are filed under. It is built from the EFFECTIVE values (defaults
 // resolved), so `{}` and `{"seed":1}` share one state and an explicit
 // "seed":-1 can never alias the defaults.
-func knobsKey(k resolveKnobs) string {
+func knobsKey(k resolveKnobs, bc pipeline.BlockingConfig) string {
 	def := core.DefaultOptions()
-	strategy, clustering, scheme, keys := k.Strategy, k.Clustering, k.Blocking, k.Keys
+	strategy, clustering := k.Strategy, k.Clustering
 	if strategy == "" {
 		strategy = "best"
 	}
 	if clustering == "" {
 		clustering = "closure"
-	}
-	if scheme == "" {
-		scheme = "exact"
-	}
-	if keys == "" {
-		keys = "collection"
 	}
 	train, regions, seed := k.TrainFraction, k.Regions, def.Seed
 	if train == 0 {
@@ -1060,110 +1066,26 @@ func knobsKey(k resolveKnobs) string {
 	if k.Seed != nil {
 		seed = *k.Seed
 	}
-	base := fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, scheme, keys, train, regions, seed)
+	base := fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, bc.SchemeName, bc.KeysName, train, regions, seed)
 	// The ann section joins the key ONLY in ann mode: exact-mode keys are
 	// byte-identical to previous releases, so existing persisted serving
 	// indexes keep resolving under the same key after an upgrade.
-	if k.BlockingMode == "ann" {
-		m, ef := annKnobs(k)
-		base += fmt.Sprintf("|ann|%d|%d", m, ef)
+	if bc.ANN {
+		base += fmt.Sprintf("|ann|%d|%d", bc.M, bc.EfSearch)
 	}
 	return base
 }
 
-// annKnobs resolves the effective ANN graph knobs (defaults applied), so
-// `{"blocking_mode":"ann"}` and `{"blocking_mode":"ann","ann_m":12}` share
-// one state, one graph, and one persisted file.
-func annKnobs(k resolveKnobs) (m, ef int) {
-	m, ef = k.AnnM, k.AnnEf
-	if m == 0 {
-		m = ann.DefaultM
-	}
-	if ef == 0 {
-		ef = ann.DefaultEfSearch
-	}
-	return m, ef
-}
-
-// blockingSpec is a request's block stage, parsed and validated once for
-// both resolve endpoints: the scheme and key function (names defaulted)
-// and, in "ann" mode, the effective graph knobs.
-type blockingSpec struct {
-	schemeName, keysName string
-	scheme               blocking.Scheme
-	keyFn                pipeline.KeyFunc
-	ann                  bool
-	annM, annEf          int
-}
-
-// parseBlocking rejects malformed blocking knobs up front, before any
-// registry entry is created for them — a bad request must never poison a
-// shared index entry's one-shot initializer.
-func parseBlocking(k resolveKnobs) (blockingSpec, error) {
-	spec := blockingSpec{schemeName: k.Blocking, keysName: k.Keys, ann: k.BlockingMode == "ann"}
-	if spec.schemeName == "" {
-		spec.schemeName = "exact"
-	}
-	if spec.keysName == "" {
-		spec.keysName = "collection"
-	}
-	switch k.BlockingMode {
-	case "", "exact":
-		if k.AnnM != 0 || k.AnnEf != 0 {
-			return spec, fmt.Errorf("service: ann_m/ann_ef apply only when blocking_mode is \"ann\" (mode is %q)", k.BlockingMode)
-		}
-	case "ann":
-		if k.AnnM < 0 || k.AnnM == 1 {
-			return spec, fmt.Errorf("service: ann_m %d is not a usable graph degree (0 selects the default %d; otherwise at least 2)", k.AnnM, ann.DefaultM)
-		}
-		if k.AnnEf < 0 {
-			return spec, fmt.Errorf("service: ann_ef %d is negative (0 selects the default %d)", k.AnnEf, ann.DefaultEfSearch)
-		}
-		spec.annM, spec.annEf = annKnobs(k)
-	default:
-		return spec, fmt.Errorf("service: unknown blocking_mode %q (valid: %s)", k.BlockingMode, strings.Join(pipeline.BlockingModes, ", "))
-	}
-	var err error
-	if spec.scheme, err = blocking.ParseScheme(spec.schemeName); err != nil {
-		return spec, err
-	}
-	if spec.keyFn, err = pipeline.ParseKeys(k.Keys); err != nil {
-		return spec, err
-	}
-	if _, ok := spec.scheme.(blocking.ApproxScheme); spec.ann && !ok {
-		return spec, fmt.Errorf("service: blocking_mode \"ann\" needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %q — the key-based schemes already have an exact O(delta) index", spec.schemeName)
-	}
-	return spec, nil
-}
-
-// newANNBlocker builds an empty ANN candidate index for an "ann"-mode
-// spec, whose scheme parseBlocking has checked to be approximable.
-func (b blockingSpec) newANNBlocker() (*pipeline.IndexBlocker, error) {
-	return pipeline.NewANNBlocker(b.scheme.(blocking.ApproxScheme), b.keyFn,
-		pipeline.ANNOptions{M: b.annM, EfSearch: b.annEf})
-}
-
-// indexEntryFor returns the registry entry of the spec's blocking
-// configuration, creating it on first use; nil when the configuration
-// has no index (a global scheme in exact mode). This is the one place
-// that knows the two index kinds apart. A sharded key index is filed under
-// "scheme|keys|shards", an ANN graph under "ann|scheme|keys|m|ef" — only
-// the knobs that shape the index, so every resolution configuration
-// blocking the same way shares one — and since no scheme is named "ann",
-// one registry (and one persisted-file namespace per store) holds both.
-func (s *Server) indexEntryFor(spec blockingSpec) *indexEntry {
-	keyed, isKeyed := spec.scheme.(blocking.KeyedScheme)
-	var key string
-	switch {
-	case spec.ann:
-		key = fmt.Sprintf("ann|%s|%s|%d|%d", spec.schemeName, spec.keysName, spec.annM, spec.annEf)
-	case isKeyed:
-		shards := s.cfg.BlockShards
-		if shards < 1 {
-			shards = blockindex.DefaultShards
-		}
-		key = fmt.Sprintf("%s|%s|%d", spec.schemeName, spec.keysName, shards)
-	default:
+// indexEntryFor returns the registry entry of the configuration's shared
+// candidate index, creating it on first use; nil when the configuration
+// has no index (a global scheme in exact mode). The entry is filed under
+// the configuration's IndexKey, so every resolution configuration blocking
+// the same way shares one, and one registry (and one persisted-file
+// namespace per store) holds both kinds. This is the one place that knows
+// the two kinds' stores apart.
+func (s *Server) indexEntryFor(bc pipeline.BlockingConfig) *indexEntry {
+	key := bc.IndexKey()
+	if key == "" {
 		return nil
 	}
 	s.indexesMu.Lock()
@@ -1172,15 +1094,15 @@ func (s *Server) indexEntryFor(spec blockingSpec) *indexEntry {
 		return e
 	}
 	e := &indexEntry{key: key}
-	if spec.ann {
+	if bc.ANN {
 		e.noun = "ann index"
 		e.loadFailed, e.saveFailed = s.counters.annLoadFailures, s.counters.annSaveFailures
-		e.fresh = spec.newANNBlocker
 		if st := s.cfg.ANNIndexes; st != nil {
 			e.save = st.SaveANNIndex
+			approx, _ := bc.Scheme.(blocking.ApproxScheme)
+			cfg := ann.Config{Scheme: approx, Keys: ann.KeyFunc(bc.Keys), M: bc.M, EfSearch: bc.EfSearch}
 			e.load = func() (*pipeline.IndexBlocker, error) {
-				idx, err := st.LoadANNIndex(key, ann.Config{Scheme: spec.scheme.(blocking.ApproxScheme),
-					Keys: ann.KeyFunc(spec.keyFn), M: spec.annM, EfSearch: spec.annEf})
+				idx, err := st.LoadANNIndex(key, cfg)
 				if idx == nil {
 					return nil, err
 				}
@@ -1190,14 +1112,12 @@ func (s *Server) indexEntryFor(spec blockingSpec) *indexEntry {
 	} else {
 		e.noun = "blocking index"
 		e.loadFailed, e.saveFailed = s.counters.indexLoadFailures, s.counters.indexSaveFailures
-		e.fresh = func() (*pipeline.IndexBlocker, error) {
-			return pipeline.NewIndexBlocker(keyed, spec.keyFn, s.cfg.BlockShards)
-		}
 		if st := s.cfg.Indexes; st != nil {
 			e.save = st.SaveIndex
+			keyed, _ := bc.Scheme.(blocking.KeyedScheme)
+			cfg := blockindex.Config{Scheme: keyed, Keys: blockindex.KeyFunc(bc.Keys), Shards: bc.Shards}
 			e.load = func() (*pipeline.IndexBlocker, error) {
-				idx, err := st.LoadIndex(key, blockindex.Config{Scheme: keyed,
-					Keys: blockindex.KeyFunc(spec.keyFn), Shards: s.cfg.BlockShards})
+				idx, err := st.LoadIndex(key, cfg)
 				if idx == nil {
 					return nil, err
 				}
@@ -1209,20 +1129,16 @@ func (s *Server) indexEntryFor(spec blockingSpec) *indexEntry {
 	return e
 }
 
-// blockerFor resolves the knobs' block stage for the incremental endpoint:
-// the per-blocking-configuration shared candidate index (created on first
-// use, loaded from its store if a restart left one behind) — the sharded
-// key index for key-based schemes, the ANN graph for global schemes in
-// "ann" mode — or, for global schemes in exact mode, a stateless
-// SchemeBlocker and a nil entry.
-func (s *Server) blockerFor(k resolveKnobs) (pipeline.Blocker, *indexEntry, error) {
-	spec, err := parseBlocking(k)
-	if err != nil {
-		return nil, nil, err
-	}
-	e := s.indexEntryFor(spec)
+// blockerFor resolves a validated blocking configuration's block stage for
+// the incremental endpoint: the per-blocking-configuration shared candidate
+// index (created on first use, loaded from its store if a restart left one
+// behind), or, for a configuration without one, its stateless blocker and a
+// nil entry.
+func (s *Server) blockerFor(bc pipeline.BlockingConfig) (pipeline.Blocker, *indexEntry, error) {
+	e := s.indexEntryFor(bc)
 	if e == nil {
-		return pipeline.SchemeBlocker{Scheme: spec.scheme, Keys: spec.keyFn}, nil, nil
+		blocker, err := bc.FreshBlocker()
+		return blocker, nil, err
 	}
 
 	// Initialize outside the registry lock: loading a persisted index
@@ -1247,14 +1163,17 @@ func (s *Server) blockerFor(k resolveKnobs) (pipeline.Blocker, *indexEntry, erro
 				return
 			}
 		}
-		ib, err := e.fresh()
+		fresh, err := bc.FreshBlocker()
 		if err != nil {
-			// Unreachable with validated knobs and a parsed scheme; surface
-			// it to the caller below rather than caching a half-made entry.
+			// Unreachable with a validated configuration; surface it to the
+			// caller below rather than caching a half-made entry.
 			s.cfg.ErrorLog("service: building %s for %q: %v", e.noun, e.key, err)
 			return
 		}
-		e.blocker.Store(ib)
+		// A configuration that names an index blocks through one.
+		if ib, ok := fresh.(*pipeline.IndexBlocker); ok {
+			e.blocker.Store(ib)
+		}
 	})
 	ib := e.blocker.Load()
 	if ib == nil {
@@ -1329,9 +1248,7 @@ func (s *Server) persistIndex(e *indexEntry, force bool) {
 // whose run is in flight never had lastUsed refreshed, so without the pin
 // a long run was the LRU's favorite victim); when every state is pinned
 // the map temporarily exceeds the cap rather than dropping live state.
-func (s *Server) acquireState(k resolveKnobs) *incrementalState {
-	key := knobsKey(k)
-
+func (s *Server) acquireState(key string) *incrementalState {
 	s.statesMu.Lock()
 	defer s.statesMu.Unlock()
 	state, ok := s.states[key]
@@ -1606,13 +1523,14 @@ func writeRunError(w http.ResponseWriter, err error, timeout time.Duration) bool
 	return false
 }
 
-// buildPipeline validates the knobs and assembles their pipeline. A
-// non-nil blocker overrides the knob-derived block stage — the incremental
-// endpoint passes its store-bound shared index; the one-shot endpoint
-// passes nil and gets a stateless per-request blocker, since arbitrary
-// posted corpora must never feed a store-bound index.
-func buildPipeline(req resolveKnobs, blocker pipeline.Blocker,
-	observe func(stage, block string, d time.Duration)) (*pipeline.Pipeline, bool, error) {
+// parseKnobs validates a request's resolution knobs — clustering, training
+// fraction, region count, strategy and the blocking configuration — and
+// returns the pipeline configuration they select, complete but for its
+// Blocker (which depends on the endpoint) and Observe, beside the blocking
+// configuration. Both resolve endpoints call it before they touch any
+// server state, so they accept and reject the same requests with the same
+// message, and a rejected one leaves nothing behind.
+func (s *Server) parseKnobs(req resolveKnobs) (cfg pipeline.Config, bc pipeline.BlockingConfig, err error) {
 	opts := core.DefaultOptions()
 	if req.TrainFraction != 0 {
 		opts.TrainFraction = req.TrainFraction
@@ -1624,46 +1542,33 @@ func buildPipeline(req resolveKnobs, blocker pipeline.Blocker,
 		opts.Seed = *req.Seed
 	}
 	if req.Clustering != "" {
-		m, err := core.ParseClusteringMethod(req.Clustering)
-		if err != nil {
-			return nil, false, err
+		if opts.Clustering, err = core.ParseClusteringMethod(req.Clustering); err != nil {
+			return cfg, bc, err
 		}
-		opts.Clustering = m
 	}
-
-	cfg := pipeline.Config{Options: opts, Observe: observe}
+	if err = opts.Validate(); err != nil {
+		return cfg, bc, err
+	}
+	cfg = pipeline.Config{Options: opts, Score: req.Score == nil || *req.Score}
 	if req.Strategy != "" {
-		strat, err := pipeline.ParseStrategy(req.Strategy)
-		if err != nil {
-			return nil, false, err
-		}
-		cfg.Strategy = strat
-	}
-	cfg.Blocker = blocker
-	if cfg.Blocker == nil {
-		// One-shot bodies are arbitrary posted corpora and must never feed
-		// a store-bound index: exact mode gets a stateless SchemeBlocker
-		// (with no knob set, the pipeline's own default), ann mode a fresh
-		// per-request graph.
-		spec, err := parseBlocking(req)
-		if err != nil {
-			return nil, false, err
-		}
-		cfg.Blocker = pipeline.SchemeBlocker{Scheme: spec.scheme, Keys: spec.keyFn}
-		if spec.ann {
-			if cfg.Blocker, err = spec.newANNBlocker(); err != nil {
-				return nil, false, err
-			}
+		if cfg.Strategy, err = pipeline.ParseStrategy(req.Strategy); err != nil {
+			return cfg, bc, err
 		}
 	}
+	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys, req.BlockingMode, req.AnnM, req.AnnEf); err != nil {
+		return cfg, bc, err
+	}
+	if s.cfg.BlockShards > 0 {
+		bc.Shards = s.cfg.BlockShards
+	}
+	return cfg, bc, nil
+}
 
-	score := req.Score == nil || *req.Score
-	cfg.Score = score
-	pl, err := pipeline.New(cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	return pl, score, nil
+// assemble builds a validated configuration's pipeline around the
+// endpoint's blocker, its stages observed into the request's trace.
+func (s *Server) assemble(cfg pipeline.Config, blocker pipeline.Blocker, tr *tracing.Active) (*pipeline.Pipeline, error) {
+	cfg.Blocker, cfg.Observe = blocker, s.stageObserver(tr)
+	return pipeline.New(cfg)
 }
 
 // blockResults converts pipeline results to their response form, macro-

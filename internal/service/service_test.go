@@ -437,6 +437,100 @@ func TestIncrementalStateKeying(t *testing.T) {
 	}
 }
 
+// TestPersistedKeysAreStable pins, as literals, the two strings that name
+// files in a data directory (by hash): the index registry key under
+// DIR/indexes and the effective-knobs key under DIR/serving. A change to
+// either orphans every deployed server's persisted indexes or serving
+// files, so the expectations are spelled out rather than computed.
+func TestPersistedKeysAreStable(t *testing.T) {
+	for _, c := range []struct {
+		body     string
+		shards   int
+		indexKey string
+		knobsKey string
+	}{
+		{`{}`, 0, "exact|collection|16", "best|closure|exact|collection|0.1|10|1"},
+		{`{"seed":1}`, 0, "exact|collection|16", "best|closure|exact|collection|0.1|10|1"},
+		{`{"blocking":"token","keys":"names"}`, 0, "token|names|16", "best|closure|token|names|0.1|10|1"},
+		{`{"blocking":"token","keys":"names"}`, 4, "token|names|4", "best|closure|token|names|0.1|10|1"},
+		{`{"blocking":"canopy"}`, 0, "", "best|closure|canopy|collection|0.1|10|1"},
+		{`{"blocking":"canopy","blocking_mode":"ann"}`, 0, "ann|canopy|collection|12|64", "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
+		{`{"blocking":"canopy","blocking_mode":"ann","ann_m":12,"ann_ef":64}`, 4, "ann|canopy|collection|12|64", "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
+		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, 0, "ann|sortedneighborhood|collection|5|64", "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
+		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`, 0,
+			"token|urlhost|16", "weighted|correlation|token|urlhost|0.2|5|-1"},
+	} {
+		var k resolveKnobs
+		if err := json.Unmarshal([]byte(c.body), &k); err != nil {
+			t.Fatal(err)
+		}
+		srv := New(Config{BlockShards: c.shards})
+		_, bc, err := srv.parseKnobs(k)
+		if err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		if got := bc.IndexKey(); got != c.indexKey {
+			t.Errorf("%s with %d shards: index key %q, want %q", c.body, c.shards, got, c.indexKey)
+		}
+		if e := srv.indexEntryFor(bc); (e == nil) != (c.indexKey == "") || e != nil && e.key != c.indexKey {
+			t.Errorf("%s with %d shards: registry entry %+v, want key %q", c.body, c.shards, e, c.indexKey)
+		}
+		if got := knobsKey(k, bc); got != c.knobsKey {
+			t.Errorf("%s: knobs key %q, want %q", c.body, got, c.knobsKey)
+		}
+		if err := srv.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRejectedResolveLeavesNoIndex is the regression test for a request
+// that is answered 400 and still creates (and, with a data directory, loads
+// and later saves) a shared index: each body below is valid in its blocking
+// knobs and invalid elsewhere, and ann_m / ann_ef are client-chosen, so
+// rejected requests could mint graphs without bound.
+func TestRejectedResolveLeavesNoIndex(t *testing.T) {
+	ts := testServer(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 12))
+
+	untouched := func(when string) {
+		t.Helper()
+		stats := getStats(t, ts)
+		if n := len(stats.Blocking.Indexes); n != 0 {
+			t.Errorf("%s: /v1/stats lists %d blocking indexes, want none: %+v", when, n, stats.Blocking.Indexes)
+		}
+		if n := len(stats.ANN.Indexes); n != 0 {
+			t.Errorf("%s: /v1/stats lists %d ann indexes, want none: %+v", when, n, stats.ANN.Indexes)
+		}
+		if stats.SnapshotStates != 0 || stats.Resolve.Runs != 0 {
+			t.Errorf("%s: %d snapshot states after %d runs, want 0 and 0", when, stats.SnapshotStates, stats.Resolve.Runs)
+		}
+	}
+	for _, body := range []string{
+		`{"strategy":"bogus","blocking":"token"}`,
+		`{"clustering":"nope","blocking":"canopy","blocking_mode":"ann","ann_ef":33}`,
+		`{"train_fraction":7,"blocking":"token"}`,
+		`{"regions":1,"blocking":"token","keys":"urlhost"}`,
+		`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5,"strategy":"x"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	untouched("after the rejected requests")
+	// Had an entry been left behind, this ingest would have the warmer
+	// fill it with the whole store.
+	more := testCollection(t, 14)
+	more.Docs = more.Docs[12:]
+	ingestCollection(t, ts, more)
+	untouched("after a following ingest")
+}
+
 // TestIncrementalSnapshotEviction pins the LRU cap on per-configuration
 // snapshots: beyond MaxStates, the least-recently-used state is
 // dropped and its configuration resolves from scratch next time.

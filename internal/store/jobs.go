@@ -25,29 +25,19 @@ const (
 )
 
 // Job is one queued unit of work, as reported to clients. Timestamps use
-// the server clock; Result is set when the job succeeds. A finished
-// failure carries both the flat Error string (kept for compatibility) and
-// the structured Failure, plus how many attempts the worker made.
+// the server clock; Result is set when the job succeeds, Error when it
+// fails (the job's own error) or is canceled. A job runs once: the one
+// production job, a store append, fails deterministically, so running it
+// again could not help.
 type Job struct {
-	ID         string      `json:"id"`
-	Kind       string      `json:"kind"`
-	Status     JobStatus   `json:"status"`
-	Error      string      `json:"error,omitempty"`
-	Failure    *JobFailure `json:"failure,omitempty"`
-	Attempts   int         `json:"attempts,omitempty"`
-	Result     any         `json:"result,omitempty"`
-	EnqueuedAt time.Time   `json:"enqueued_at"`
-	StartedAt  *time.Time  `json:"started_at,omitempty"`
-	FinishedAt *time.Time  `json:"finished_at,omitempty"`
-}
-
-// JobFailure is the structured form of a job's terminal error: Kind says
-// why the worker stopped trying ("canceled" — shutdown discarded it,
-// "permanent" — the job said retrying cannot help, "transient" — retries
-// were exhausted), Message is the final attempt's error text.
-type JobFailure struct {
-	Kind    string `json:"kind"`
-	Message string `json:"message"`
+	ID         string     `json:"id"`
+	Kind       string     `json:"kind"`
+	Status     JobStatus  `json:"status"`
+	Error      string     `json:"error,omitempty"`
+	Result     any        `json:"result,omitempty"`
+	EnqueuedAt time.Time  `json:"enqueued_at"`
+	StartedAt  *time.Time `json:"started_at,omitempty"`
+	FinishedAt *time.Time `json:"finished_at,omitempty"`
 }
 
 // ErrQueueClosed and ErrQueueFull classify Enqueue rejections: the first
@@ -57,39 +47,6 @@ type JobFailure struct {
 var (
 	ErrQueueClosed = errors.New("store: queue is shut down")
 	ErrQueueFull   = errors.New("store: job backlog full")
-)
-
-// permanentError marks an error that retrying cannot fix.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err to tell the queue worker that retrying the job is
-// pointless — the failure is deterministic (bad input, a store gone
-// read-only after a journal fault), not environmental. A nil err stays
-// nil.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err: err}
-}
-
-// IsPermanent reports whether err (or anything it wraps) was marked
-// Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
-// maxJobAttempts bounds how many times the worker runs one job before
-// declaring its failure terminal; jobRetryBackoff is the delay before the
-// first retry, doubled each attempt. Both are variables so tests can
-// shrink them.
-var (
-	maxJobAttempts  = 3
-	jobRetryBackoff = 50 * time.Millisecond
 )
 
 // queued pairs a job ID with the work to run.
@@ -170,43 +127,13 @@ func (q *Queue) worker() {
 	defer close(q.done)
 	for item := range q.ch {
 		if q.ctx.Err() != nil {
-			q.finish(item.id, nil, 0, q.ctx.Err())
+			q.finish(item.id, nil, q.ctx.Err())
 			continue
 		}
 		q.setRunning(item.id)
-		var result any
-		var err error
-		attempts := 0
-		for {
-			attempts++
-			result, err = item.run(q.ctx)
-			if err == nil || attempts >= maxJobAttempts || IsPermanent(err) || q.ctx.Err() != nil {
-				break
-			}
-			q.setAttempts(item.id, attempts)
-			// Transient failure with attempts left: back off briefly
-			// (doubling), cut short by shutdown. The worker is single
-			// threaded, so the backoff also paces the whole queue — which
-			// is the point: a failing dependency should slow intake, not
-			// spin it.
-			select {
-			case <-q.ctx.Done():
-			case <-time.After(jobRetryBackoff << (attempts - 1)):
-			}
-		}
-		q.finish(item.id, result, attempts, err)
+		result, err := item.run(q.ctx)
+		q.finish(item.id, result, err)
 	}
-}
-
-// setAttempts records a retry in flight so a Get between attempts shows
-// how often the job has run.
-func (q *Queue) setAttempts(id string, attempts int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if job, ok := q.jobs[id]; ok {
-		job.Attempts = attempts
-	}
-	q.counters.Retried++
 }
 
 // Enqueue registers a job and hands it to the worker. It fails when the
@@ -255,13 +182,10 @@ func (q *Queue) Depth() int {
 type QueueCounters struct {
 	// Enqueued counts jobs accepted by Enqueue.
 	Enqueued int64 `json:"enqueued"`
-	// Done, Failed and Canceled count terminal outcomes; Failed includes
-	// both permanent and exhausted-retry transient failures.
+	// Done, Failed and Canceled count terminal outcomes.
 	Done     int64 `json:"done"`
 	Failed   int64 `json:"failed"`
 	Canceled int64 `json:"canceled"`
-	// Retried counts individual retry attempts beyond each job's first.
-	Retried int64 `json:"retried"`
 }
 
 // Counters returns a copy of the queue's lifetime totals.
@@ -315,7 +239,7 @@ func (q *Queue) setRunning(id string) {
 	}
 }
 
-func (q *Queue) finish(id string, result any, attempts int, err error) {
+func (q *Queue) finish(id string, result any, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	job, ok := q.jobs[id]
@@ -325,7 +249,6 @@ func (q *Queue) finish(id string, result any, attempts int, err error) {
 	q.depth--
 	now := time.Now().UTC()
 	job.FinishedAt = &now
-	job.Attempts = attempts
 	switch {
 	case err == nil:
 		job.Status = JobDone
@@ -334,17 +257,10 @@ func (q *Queue) finish(id string, result any, attempts int, err error) {
 	case q.ctx.Err() != nil && errors.Is(err, context.Canceled):
 		job.Status = JobCanceled
 		job.Error = "canceled by shutdown"
-		job.Failure = &JobFailure{Kind: "canceled", Message: "canceled by shutdown"}
 		q.counters.Canceled++
-	case IsPermanent(err):
-		job.Status = JobFailed
-		job.Error = err.Error()
-		job.Failure = &JobFailure{Kind: "permanent", Message: err.Error()}
-		q.counters.Failed++
 	default:
 		job.Status = JobFailed
 		job.Error = err.Error()
-		job.Failure = &JobFailure{Kind: "transient", Message: err.Error()}
 		q.counters.Failed++
 	}
 	q.finished = append(q.finished, id)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -73,70 +74,34 @@ func TestQueueFailedJob(t *testing.T) {
 	if done.Status != JobFailed || done.Error != "boom" {
 		t.Fatalf("job = %+v", done)
 	}
-	if done.Attempts != maxJobAttempts {
-		t.Errorf("transient failure ran %d attempts, want %d", done.Attempts, maxJobAttempts)
-	}
-	if done.Failure == nil || done.Failure.Kind != "transient" || done.Failure.Message != "boom" {
-		t.Errorf("failure = %+v, want transient/boom", done.Failure)
-	}
 }
 
-// TestQueueRetriesTransientFailure pins the retry loop: a job that fails
-// once and then succeeds finishes done, with the attempt count showing
-// both runs.
-func TestQueueRetriesTransientFailure(t *testing.T) {
-	oldBackoff := jobRetryBackoff
-	jobRetryBackoff = time.Millisecond
-	defer func() { jobRetryBackoff = oldBackoff }()
-
-	q := NewQueue(4, 0)
-	defer q.Shutdown(context.Background())
-	runs := 0
-	job, err := q.Enqueue("ingest", func(context.Context) (any, error) {
-		runs++ // safe: single worker serializes runs
-		if runs == 1 {
-			return nil, fmt.Errorf("flaky")
-		}
-		return "ok", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitStatus(t, q, job.ID)
-	if done.Status != JobDone || done.Result != "ok" {
-		t.Fatalf("job = %+v, want done after retry", done)
-	}
-	if done.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2", done.Attempts)
-	}
-	if done.Failure != nil || done.Error != "" {
-		t.Errorf("successful retry kept failure state: %+v / %q", done.Failure, done.Error)
-	}
-}
-
-// TestQueuePermanentFailureDoesNotRetry pins the Permanent marker: the
-// worker runs the job once, reports kind "permanent", and the error text
-// is the wrapped cause.
+// TestQueuePermanentFailureDoesNotRetry pins that a job runs once: the
+// worker does not run a failed job again, and the job fails with its own
+// error text. A job enqueued behind it has finished by the time the check
+// runs, so a second run of the first could not still be pending.
 func TestQueuePermanentFailureDoesNotRetry(t *testing.T) {
 	q := NewQueue(4, 0)
 	defer q.Shutdown(context.Background())
-	runs := 0
+	var runs atomic.Int64
 	job, err := q.Enqueue("ingest", func(context.Context) (any, error) {
-		runs++
-		return nil, Permanent(fmt.Errorf("store is read-only"))
+		runs.Add(1)
+		return nil, fmt.Errorf("store is read-only")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := waitStatus(t, q, job.ID)
-	if done.Status != JobFailed {
-		t.Fatalf("job = %+v", done)
+	next, err := q.Enqueue("ingest", func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
 	}
-	if runs != 1 || done.Attempts != 1 {
-		t.Errorf("permanent failure ran %d times (attempts %d), want exactly 1", runs, done.Attempts)
+	waitStatus(t, q, next.ID)
+	done, _ := q.Get(job.ID)
+	if done.Status != JobFailed || done.Error != "store is read-only" {
+		t.Fatalf("job = %+v, want failed with the job's error", done)
 	}
-	if done.Failure == nil || done.Failure.Kind != "permanent" || done.Failure.Message != "store is read-only" {
-		t.Errorf("failure = %+v, want permanent/store is read-only", done.Failure)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("the failing job ran %d times, want exactly 1", n)
 	}
 }
 
@@ -364,13 +329,9 @@ func TestQueueDepth(t *testing.T) {
 }
 
 // TestQueueCounters pins the lifetime totals the metrics endpoint
-// scrapes: enqueued, done, failed (with its retries) all accumulate, and
-// they never reset as the finished ring evicts records.
+// scrapes: enqueued, done and failed all accumulate, and they never reset
+// as the finished ring evicts records.
 func TestQueueCounters(t *testing.T) {
-	old := jobRetryBackoff
-	jobRetryBackoff = time.Millisecond
-	defer func() { jobRetryBackoff = old }()
-
 	q := NewQueue(16, 1)
 	defer q.Shutdown(context.Background())
 
@@ -404,9 +365,6 @@ func TestQueueCounters(t *testing.T) {
 	}
 	if c.Failed != 1 {
 		t.Errorf("Failed = %d, want 1", c.Failed)
-	}
-	if c.Retried == 0 {
-		t.Error("Retried = 0, want > 0 (transient failure retries before failing)")
 	}
 	if c.Canceled != 0 {
 		t.Errorf("Canceled = %d, want 0", c.Canceled)
