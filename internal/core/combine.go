@@ -109,7 +109,7 @@ func WeightedAverageGraph(graphs []*DecisionGraph, matrices map[string]*simfn.Ma
 	candidates := thresholdCandidates(train, scores)
 	bestThreshold, bestCorrect := 1.0, -1
 	for _, cand := range candidates {
-		g := graphFromScores(scores, cand)
+		g := thresholdGraph(scores, cand)
 		closure := g.ConnectedComponents()
 		correct := 0
 		for k, p := range train.Pairs {
@@ -123,7 +123,7 @@ func WeightedAverageGraph(graphs []*DecisionGraph, matrices map[string]*simfn.Ma
 		}
 	}
 
-	return graphFromScores(scores, bestThreshold), bestThreshold, nil
+	return thresholdGraph(scores, bestThreshold), bestThreshold, nil
 }
 
 // thresholdCandidates returns the candidate thresholds for the combined
@@ -149,21 +149,6 @@ func thresholdCandidates(train *Training, scores *simfn.Matrix) []float64 {
 		cands = append(cands, top)
 	}
 	return cands
-}
-
-// graphFromScores links every pair whose combined score reaches threshold.
-func graphFromScores(scores *simfn.Matrix, threshold float64) *ergraph.Graph {
-	n := scores.Len()
-	g := ergraph.NewGraph(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if scores.At(i, j) >= threshold {
-				// AddEdge cannot fail for in-range distinct vertices.
-				_ = g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
 }
 
 // MajorityVoteGraph links a pair when strictly more than half of the given

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"repro/internal/ergraph"
@@ -72,66 +73,53 @@ func (d *DecisionGraph) Label() string {
 	return d.FuncID + "/" + d.Criterion.String()
 }
 
-// fitCriterion learns one decision criterion from labeled similarity
-// values, returning the decision function plus the fitted artifacts.
-func fitCriterion(crit CriterionKind, values []float64, links []bool,
-	regionK int, rng *rand.Rand) (decide func(float64) bool, est *regions.AccuracyEstimate, threshold float64, err error) {
-
-	switch crit {
-	case ThresholdCriterion:
-		threshold = LearnThreshold(values, links)
-		th := threshold
-		return func(v float64) bool { return v >= th }, nil, threshold, nil
-	case EqualBinsCriterion:
-		est, err = regions.EstimateAccuracy(regions.NewEqualWidthBins(regionK), values, links)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return est.Decide, est, 0, nil
-	case KMeansCriterion:
-		km, kerr := regions.FitKMeans1D(values, regionK, rng)
-		if kerr != nil {
-			return nil, nil, 0, kerr
-		}
-		est, err = regions.EstimateAccuracy(km, values, links)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return est.Decide, est, 0, nil
-	default:
-		return nil, nil, 0, fmt.Errorf("core: unknown criterion %d", crit)
-	}
+// sample is one function's training values, read from its matrix once and
+// sorted once for the three criteria fitted on them.
+type sample struct {
+	// values are the training pairs' similarities, parallel to
+	// Training.Pairs.
+	values []float64
+	// order is regions.Ascending(values).
+	order []int32
 }
 
-// buildDecisionGraph applies one criterion to one similarity matrix. The
-// graph is fitted on the full training sample; TrainAccuracy — the
+func newSample(train *Training, m *simfn.Matrix) sample {
+	values := train.Values(m)
+	return sample{values: values, order: regions.Ascending(values)}
+}
+
+// buildDecisionGraph fits one criterion to a function's training sample and
+// applies it to the function's similarity matrix. TrainAccuracy — the
 // acc(G_{i,Dj}) estimate driving best-graph selection — scores the graph's
 // transitive closure on the training sample (see the comment below).
 func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
-	train *Training, regionK int, rng *rand.Rand) (*DecisionGraph, error) {
+	train *Training, s sample, regionK int, rng *rand.Rand) (*DecisionGraph, error) {
 
-	values := train.Values(m)
 	dg := &DecisionGraph{FuncID: funcID, Criterion: crit}
-
-	decide, est, threshold, err := fitCriterion(crit, values, train.Links, regionK, rng)
+	var err error
+	switch crit {
+	case ThresholdCriterion:
+		dg.Threshold = learnThreshold(s.values, train.Links, s.order)
+		dg.Graph = thresholdGraph(m, dg.Threshold)
+	case EqualBinsCriterion:
+		bins := regions.NewEqualWidthBins(regionK)
+		if dg.Estimate, err = regions.EstimateAccuracy(bins, s.values, train.Links); err == nil {
+			dg.Graph = binsGraph(m, bins, dg.Estimate.Linked)
+		}
+	case KMeansCriterion:
+		var km *regions.KMeans1D
+		if km, err = regions.FitKMeans1DOrdered(s.values, s.order, regionK, rng); err == nil {
+			if dg.Estimate, err = regions.EstimateAccuracy(km, s.values, train.Links); err == nil {
+				linked := dg.Estimate.Linked
+				dg.Graph = spansGraph(m, km.Spans(linked), linked[len(linked)-1])
+			}
+		}
+	default:
+		err = fmt.Errorf("core: unknown criterion %d", crit)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: %s/%s: %w", funcID, crit, err)
 	}
-	dg.Estimate = est
-	dg.Threshold = threshold
-
-	n := m.Len()
-	g := ergraph.NewGraph(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if decide(m.At(i, j)) {
-				if err := g.AddEdge(i, j); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	dg.Graph = g
 
 	// acc(G_{i,Dj}) is estimated on the training sample, as in the paper
 	// ("we also use accuracy estimations acc(G_{i,Dj}), based on the
@@ -150,7 +138,7 @@ func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	// (2-fold cross-validation of the raw decisions was evaluated as an
 	// alternative; its fold noise on ~45-pair samples made selection
 	// strictly worse.)
-	closure := g.ConnectedComponents()
+	closure := dg.Graph.ConnectedComponents()
 	correct, positives := 0, 0
 	for i, p := range train.Pairs {
 		if (closure[p[0]] == closure[p[1]]) == train.Links[i] {
@@ -191,7 +179,9 @@ func closureLinkRate(labels []int) float64 {
 	if n < 2 {
 		return 0
 	}
-	sizes := make(map[int]int)
+	// Labels are dense, and the sum runs over exact integers, so its order
+	// does not matter.
+	sizes := make([]int, n)
 	for _, l := range labels {
 		sizes[l]++
 	}
@@ -201,6 +191,74 @@ func closureLinkRate(labels []int) float64 {
 	}
 	total := float64(n) * float64(n-1) / 2
 	return together / total
+}
+
+// matrixRows iterates over m one row slice of m.Values() at a time: row i
+// holds the cells (i, i+1) … (i, n−1), so its cell q is the pair
+// (i, i+1+q). The graph builders below test each cell inline.
+func matrixRows(m *simfn.Matrix) iter.Seq2[int, []float64] {
+	return func(yield func(int, []float64) bool) {
+		vals := m.Values()
+		for i := 0; i+1 < m.Len(); i++ {
+			w := m.Len() - 1 - i
+			if !yield(i, vals[:w]) {
+				return
+			}
+			vals = vals[w:]
+		}
+	}
+}
+
+// thresholdGraph links every pair whose similarity reaches threshold.
+func thresholdGraph(m *simfn.Matrix, threshold float64) *ergraph.Graph {
+	g := ergraph.NewGraph(m.Len())
+	for i, row := range matrixRows(m) {
+		for q, v := range row {
+			if v >= threshold {
+				g.Link(i, i+1+q)
+			}
+		}
+	}
+	return g
+}
+
+// binsGraph links every pair whose similarity falls in an equal-width
+// region the estimate links.
+func binsGraph(m *simfn.Matrix, bins *regions.EqualWidthBins, linked []bool) *ergraph.Graph {
+	g := ergraph.NewGraph(m.Len())
+	for i, row := range matrixRows(m) {
+		for q, v := range row {
+			if linked[bins.Region(v)] {
+				g.Link(i, i+1+q)
+			}
+		}
+	}
+	return g
+}
+
+// spansGraph links every pair whose similarity lies in one of the spans of
+// linked k-means regions; a NaN similarity, which falls in the last region
+// and in no span, is linked when that region is.
+func spansGraph(m *simfn.Matrix, spans []regions.Span, nanLinked bool) *ergraph.Graph {
+	g := ergraph.NewGraph(m.Len())
+	for i, row := range matrixRows(m) {
+		for q, v := range row {
+			link := nanLinked
+			if v == v {
+				link = false
+				for _, s := range spans {
+					if !(s.Lo >= v) && s.Hi >= v {
+						link = true
+						break
+					}
+				}
+			}
+			if link {
+				g.Link(i, i+1+q)
+			}
+		}
+	}
+	return g
 }
 
 func absDiff(a, b float64) float64 {

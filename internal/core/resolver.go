@@ -176,9 +176,10 @@ func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
 	}
 	a := &Analysis{Prepared: p, Train: train, opts: opts, rng: rng}
 	for _, f := range p.resolver.funcs {
+		m := p.Matrices[f.ID]
+		s := newSample(train, m)
 		for _, crit := range AllCriteria {
-			dg, err := buildDecisionGraph(f.ID, crit, p.Matrices[f.ID], train,
-				opts.RegionK, rng)
+			dg, err := buildDecisionGraph(f.ID, crit, m, train, s, opts.RegionK, rng)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/regions"
 	"repro/internal/simfn"
 	"repro/internal/stats"
 )
@@ -77,59 +78,58 @@ func (t *Training) Values(m *simfn.Matrix) []float64 {
 // extremes 0 and 1+ε; ties prefer the higher threshold (fewer links, safer
 // precision). With no data it returns 0.5.
 func LearnThreshold(values []float64, links []bool) float64 {
+	return learnThreshold(values, links, regions.Ascending(values))
+}
+
+// learnThreshold is LearnThreshold given order = regions.Ascending(values).
+// The sweep takes equal values as one group, so how a sort orders them
+// among themselves cannot matter.
+func learnThreshold(values []float64, links []bool, order []int32) float64 {
 	if len(values) == 0 || len(values) != len(links) {
 		return 0.5
 	}
-	type vl struct {
-		v    float64
-		link bool
-	}
-	pairs := make([]vl, len(values))
-	for i := range values {
-		pairs[i] = vl{values[i], links[i]}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+	v := func(p int) float64 { return values[order[p]] }
 
 	totalPos := 0
-	for _, p := range pairs {
-		if p.link {
+	for _, link := range links {
+		if link {
 			totalPos++
 		}
 	}
 	// Threshold t classifies v >= t as link. Sweep thresholds from above
 	// the max (everything non-link) down; correct(t) = negBelow + posAtOrAbove.
 	// Start: t = max+ε → correct = totalNeg.
-	bestCorrect := len(pairs) - totalPos
-	bestThreshold := pairs[len(pairs)-1].v + 1e-9
+	bestCorrect := len(values) - totalPos
+	bestThreshold := v(len(order)-1) + 1e-9
 	if bestThreshold > 1 {
 		bestThreshold = 1
 	}
 
-	// Walk cut positions: threshold just below pairs[i].v for descending i
+	// Walk cut positions: threshold just below v(i) for descending i
 	// groups of equal value.
 	posAbove, negAbove := 0, 0
-	i := len(pairs) - 1
+	i := len(order) - 1
 	for i >= 0 {
 		j := i
-		for j >= 0 && pairs[j].v == pairs[i].v {
-			if pairs[j].link {
+		for j >= 0 && v(j) == v(i) {
+			if links[order[j]] {
 				posAbove++
 			} else {
 				negAbove++
 			}
 			j--
 		}
-		// Threshold between pairs[j].v and pairs[i].v (or at 0).
+		// Threshold between v(j) and v(i) (or at 0).
 		var t float64
 		if j >= 0 {
-			t = (pairs[j].v + pairs[i].v) / 2
+			t = (v(j) + v(i)) / 2
 		} else {
-			t = pairs[i].v - 1e-9
+			t = v(i) - 1e-9
 			if t < 0 {
 				t = 0
 			}
 		}
-		correct := (len(pairs) - totalPos - negAbove) + posAbove
+		correct := (len(values) - totalPos - negAbove) + posAbove
 		if correct > bestCorrect {
 			bestCorrect = correct
 			bestThreshold = t

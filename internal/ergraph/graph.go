@@ -63,9 +63,15 @@ func (g *Graph) AddEdge(i, j int) error {
 	if i < 0 || j < 0 || i >= g.n || j >= g.n {
 		return fmt.Errorf("ergraph: edge (%d,%d) out of range [0,%d)", i, j, g.n)
 	}
+	g.Link(i, j)
+	return nil
+}
+
+// Link inserts the undirected edge (i, j) without AddEdge's checks, for a
+// caller that already knows i and j are distinct vertices in range.
+func (g *Graph) Link(i, j int) {
 	g.row(i)[j/64] |= 1 << (j % 64)
 	g.row(j)[i/64] |= 1 << (i % 64)
-	return nil
 }
 
 // HasEdge reports whether (i, j) is an edge.

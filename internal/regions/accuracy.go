@@ -18,6 +18,10 @@ type AccuracyEstimate struct {
 	// BaseRate is the overall fraction of positive training pairs, the
 	// fallback for unsupported regions.
 	BaseRate float64
+	// Linked[r] is the criterion's decision for region r, fixed when the
+	// estimate is fitted: Accuracy[r] >= 0.5, the region's majority class is
+	// "link".
+	Linked []bool
 }
 
 // smoothingWeight is the pseudo-count pulling low-support regions towards
@@ -52,15 +56,16 @@ func EstimateAccuracy(p Partitioner, values []float64, links []bool) (*AccuracyE
 	}
 	base := float64(totalPos) / float64(len(values))
 	acc := make([]float64, k)
+	linked := make([]bool, k)
 	for r := 0; r < k; r++ {
-		if support[r] == 0 {
-			acc[r] = base
-			continue
+		acc[r] = base
+		if support[r] > 0 {
+			acc[r] = (float64(pos[r]) + smoothingWeight*base) /
+				(float64(support[r]) + smoothingWeight)
 		}
-		acc[r] = (float64(pos[r]) + smoothingWeight*base) /
-			(float64(support[r]) + smoothingWeight)
+		linked[r] = acc[r] >= 0.5
 	}
-	return &AccuracyEstimate{Part: p, Accuracy: acc, Support: support, BaseRate: base}, nil
+	return &AccuracyEstimate{Part: p, Accuracy: acc, Support: support, BaseRate: base, Linked: linked}, nil
 }
 
 // LinkProbability returns the estimated probability that a pair with
@@ -73,7 +78,7 @@ func (e *AccuracyEstimate) LinkProbability(v float64) float64 {
 // the region-accuracy criterion: link iff the region's estimated link
 // probability is at least 0.5 (the region's majority class is "link").
 func (e *AccuracyEstimate) Decide(v float64) bool {
-	return e.LinkProbability(v) >= 0.5
+	return e.Linked[e.Part.Region(v)]
 }
 
 // Variation returns max − min of the per-region accuracies over supported

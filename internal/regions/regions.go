@@ -8,8 +8,11 @@
 package regions
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -79,13 +82,32 @@ type KMeans1D struct {
 // fewer than k distinct values. It returns an error for empty input or
 // k < 1.
 func FitKMeans1D(values []float64, k int, rng *rand.Rand) (*KMeans1D, error) {
+	return FitKMeans1DOrdered(values, Ascending(values), k, rng)
+}
+
+// Ascending returns the positions of values in ascending order of value,
+// NaNs first as sort.Float64s places them; equal values come in no
+// particular order. It is the one sort a training sample needs: a caller
+// fitting several criteria to one sample sorts it once and hands the order
+// to each.
+func Ascending(values []float64) []int32 {
+	order := make([]int32, len(values))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(values[a], values[b]) })
+	return order
+}
+
+// FitKMeans1DOrdered is FitKMeans1D given order = Ascending(values).
+func FitKMeans1DOrdered(values []float64, order []int32, k int, rng *rand.Rand) (*KMeans1D, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("regions: no values to cluster")
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("regions: k = %d", k)
 	}
-	distinct := distinctSorted(values)
+	distinct := distinctSorted(values, order)
 	if k > len(distinct) {
 		k = len(distinct)
 	}
@@ -94,23 +116,17 @@ func FitKMeans1D(values []float64, k int, rng *rand.Rand) (*KMeans1D, error) {
 	sort.Float64s(centers)
 
 	assign := make([]int, len(values))
+	sums := make([]float64, len(centers))
+	counts := make([]int, len(centers))
 	const maxIter = 100
 	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		// Assignment step: nearest center (centers stay sorted).
-		for i, v := range values {
-			c := nearestCenter(centers, v)
-			if assign[i] != c {
-				assign[i] = c
-				changed = true
-			}
-		}
-		if !changed && iter > 0 {
+		if !assignNearest(centers, values, order, assign) && iter > 0 {
 			break
 		}
-		// Update step.
-		sums := make([]float64, len(centers))
-		counts := make([]int, len(centers))
+		// Update step. The sums run in the values' own order, which is
+		// what fixes the centers' bits.
+		clear(sums)
+		clear(counts)
 		for i, v := range values {
 			sums[assign[i]] += v
 			counts[assign[i]]++
@@ -133,6 +149,33 @@ func FitKMeans1D(values []float64, k int, rng *rand.Rand) (*KMeans1D, error) {
 	return km, nil
 }
 
+// assignNearest is Lloyd's assignment step on sorted centers: it sets
+// assign[p] to the center nearest values[p] and reports whether any
+// assignment changed. It walks the values in ascending order with a search
+// index that only grows: c stays the first center >= v — what
+// sort.SearchFloat64s(centers, v) finds — because v never decreases, so
+// every value gets nearestCenter's answer. NaN values come first in that
+// order and take the last center, as the search gives them.
+func assignNearest(centers, values []float64, order []int32, assign []int) bool {
+	changed := false
+	c := 0
+	for _, p := range order {
+		v := values[p]
+		a := len(centers) - 1
+		if v == v {
+			for c < len(centers) && !(centers[c] >= v) {
+				c++
+			}
+			a = nearestAt(centers, v, c)
+		}
+		if assign[p] != a {
+			assign[p] = a
+			changed = true
+		}
+	}
+	return changed
+}
+
 // Region implements Partitioner.
 func (km *KMeans1D) Region(v float64) int {
 	return sort.SearchFloat64s(km.bounds, v)
@@ -148,13 +191,43 @@ func (km *KMeans1D) Boundaries() []float64 {
 	return append(out, 1)
 }
 
-func distinctSorted(values []float64) []float64 {
-	s := make([]float64, len(values))
-	copy(s, values)
-	sort.Float64s(s)
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != out[len(out)-1] {
+// Span is a run of adjacent regions of a KMeans1D as a test on a value v:
+// v lies in one of them iff !(Lo >= v) && Hi >= v. That is Region's search
+// rule, values exactly on a bound included. Lo is NaN for a run that starts
+// at the first region and Hi is +Inf for one that ends at the last, so
+// there the test holds for every value but NaN, which Region puts in the
+// last region and no Span contains.
+type Span struct{ Lo, Hi float64 }
+
+// Spans returns the maximal runs of adjacent regions r with flag[r] set, in
+// increasing order; flag has one entry per region.
+func (km *KMeans1D) Spans(flag []bool) []Span {
+	var out []Span
+	for r := 0; r < len(flag); r++ {
+		if !flag[r] {
+			continue
+		}
+		s := Span{Lo: math.NaN(), Hi: math.Inf(1)}
+		if r > 0 {
+			s.Lo = km.bounds[r-1]
+		}
+		for r+1 < len(flag) && flag[r+1] {
+			r++
+		}
+		if r < len(km.bounds) {
+			s.Hi = km.bounds[r]
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// distinctSorted returns the distinct values in ascending order, given
+// order = Ascending(values).
+func distinctSorted(values []float64, order []int32) []float64 {
+	out := make([]float64, 0, len(values))
+	for _, p := range order {
+		if v := values[p]; len(out) == 0 || v != out[len(out)-1] {
 			out = append(out, v)
 		}
 	}
@@ -192,10 +265,19 @@ func seedPlusPlus(distinct, values []float64, k int, rng *rand.Rand) []float64 {
 	return centers
 }
 
-// nearestCenter returns the index of the center closest to v; centers must
-// be sorted.
+// nearestCenter returns the center a binary search finds nearest to v:
+// the first center >= v or the one before it, whichever is closer. On
+// sorted centers that is the nearest center. seedPlusPlus calls it on
+// centers still in draw order, where the search may settle on another one;
+// that choice steers the k-means++ weights, and the goldens
+// (TestGoldenRunDigest, TestSwooshBaselineAgainstFramework) pin it as it is.
 func nearestCenter(centers []float64, v float64) int {
-	i := sort.SearchFloat64s(centers, v)
+	return nearestAt(centers, v, sort.SearchFloat64s(centers, v))
+}
+
+// nearestAt is nearestCenter given i, the index of the first center >= v
+// (len(centers) when there is none).
+func nearestAt(centers []float64, v float64, i int) int {
 	if i == 0 {
 		return 0
 	}

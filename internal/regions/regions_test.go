@@ -2,6 +2,8 @@ package regions
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -126,6 +128,48 @@ func TestKMeans1DDeterministicWithSeed(t *testing.T) {
 	for i := range a.Centers {
 		if a.Centers[i] != b.Centers[i] {
 			t.Fatal("non-deterministic centers")
+		}
+	}
+}
+
+// TestKMeansMatchesReference pins the sorted-walk Lloyd assignment to the
+// per-value binary search it replaced (referenceFitKMeans1D): on random
+// samples with heavy repeats (values on a coarse grid, 0 and 1), a few
+// values outside [0, 1], NaN in some, and k from 1 to 12, the fitted centers
+// and bounds are the reference's bit for bit, and so is the rng they leave.
+func TestKMeansMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	specials := []float64{0, 1, -0.25, 1.5, math.Inf(1), math.Inf(-1), math.NaN()}
+	same := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for trial := 0; trial < 2000; trial++ {
+		values := make([]float64, 1+rng.Intn(600))
+		grid := float64(1 + rng.Intn(40))
+		withSpecials := trial%10 == 0
+		for i := range values {
+			switch r := rng.Intn(20); {
+			case r < 8:
+				values[i] = math.Round(rng.Float64()*grid) / grid
+			case r == 8 && withSpecials:
+				values[i] = specials[rng.Intn(len(specials))]
+			default:
+				values[i] = rng.Float64()
+			}
+		}
+		k, seed := 1+rng.Intn(12), rng.Int63()
+		gotRNG, wantRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+		got, err := FitKMeans1D(values, k, gotRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceFitKMeans1D(values, k, wantRNG)
+		if !same(got.Centers, want.Centers) || !same(got.bounds, want.bounds) {
+			t.Fatalf("trial %d (%d values, k=%d): centers %v bounds %v, reference %v %v",
+				trial, len(values), k, got.Centers, got.bounds, want.Centers, want.bounds)
+		}
+		if gotRNG.Int63() != wantRNG.Int63() {
+			t.Fatalf("trial %d: the fit drew a different number of values from rng", trial)
 		}
 	}
 }

@@ -111,8 +111,9 @@ func TestPrepareBlockAllocationCeiling(t *testing.T) {
 // block-relative (it depends on block-wide state — the TF-IDF weights of
 // F8-F10 and the concept weights of F1 change with every page added).
 // "keys" is the number of distinct Key values in the block (0 = not
-// keyed). Rows price one function alone; F8-F10 share their merge join
-// only in the "all" row, which is what a resolve pays per pair.
+// keyed). Rows price one function alone; F8-F10 share their join and F3
+// and F7 their token table only in the "all" row, which is what a resolve
+// pays per pair.
 func BenchmarkComputeAllByFunc(b *testing.B) {
 	class := map[string]string{
 		"F1": "block-relative", "F2": "pair-pure", "F3": "pair-pure", "F4": "pair-pure", "F5": "pair-pure",

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -36,16 +37,25 @@ func asymmetricKeyed() Func {
 }
 
 // handBuiltBlock builds n documents by hand from pools of the given sizes,
-// so keys repeat (small pools) or are all distinct (pool ≥ n). The pools
+// so keys repeat (small pools) or are mostly distinct (pool ≥ n). The pools
 // hold the awkward values: empty and blank names, names that normalize
-// equal but differ as keys, empty hosts, hosts sharing a domain, empty
-// vectors and sets.
+// equal but differ as keys, multi-token names sharing tokens, non-ASCII
+// names and hosts, names and hosts past 64 runes (the bit-parallel Jaro's
+// edge), empty hosts, hosts sharing a domain, empty vectors and sets. The
+// generated names combine few tokens, so a block can have more distinct
+// names than the key memo takes and still few enough tokens for the token
+// table.
 func handBuiltBlock(rng *rand.Rand, n, namePool, hostPool int) *Block {
-	names := []string{"", " ", "John R. Smith", "Smith, John R", "john r smith"}
+	names := []string{"", " ", "John R. Smith", "Smith Johnson", "J Smith", "Smith, John R", "john r smith",
+		"José García-Müller", strings.Repeat("Maria de la Concepción ", 3) + "Smith"}
+	given := []string{"John", "Jon", "J.", "Ana", "Zoë", "Smith"}
+	middle := []string{" ", " R. ", " de la ", " Q ", " van "}
+	family := []string{"Smith", "Smyth", "Johnson", "García", "Müller"}
 	for len(names) < namePool {
-		names = append(names, fmt.Sprintf("%c%c Person%d", 'A'+rng.Intn(26), 'a'+rng.Intn(26), rng.Intn(40)))
+		names = append(names, given[rng.Intn(len(given))]+middle[rng.Intn(len(middle))]+family[rng.Intn(len(family))])
 	}
-	hosts := []string{"", "www.example.edu", "cs.example.edu", "EXAMPLE.edu."}
+	hosts := []string{"", "www.example.edu", "cs.example.edu", "EXAMPLE.edu.", "www.müller-garcía.de",
+		"a-subdomain-long-enough-to-pass-the-sixty-four-rune-edge.of.example.org"}
 	for len(hosts) < hostPool {
 		hosts = append(hosts, fmt.Sprintf("h%d.site%d.org", rng.Intn(50), rng.Intn(8)))
 	}
@@ -73,9 +83,15 @@ func handBuiltBlock(rng *rand.Rand, n, namePool, hostPool int) *Block {
 		if h := hosts[rng.Intn(len(hosts))]; h != "" {
 			url = fmt.Sprintf("http://%s/%s/%s.html", h, words[rng.Intn(3)], words[rng.Intn(len(words))])
 		}
+		frequent := names[rng.Intn(len(names))]
+		if len(names) >= n {
+			// One pool entry per page: as many distinct names as the pool
+			// has, too many for the key memo.
+			frequent = names[i]
+		}
 		d.Features = extract.DocumentFeatures{
 			URL:              extract.ParseURL(url),
-			MostFrequentName: names[rng.Intn(len(names))],
+			MostFrequentName: frequent,
 			ClosestName:      names[rng.Intn(len(names))],
 			Concepts:         pick(),
 			Organizations:    pick(),

@@ -42,10 +42,10 @@
 //
 // ComputeAllCtx fills one condensed upper-triangle Matrix per function, and a
 // function's Compare is its definition: cell (i, j), i < j, holds the bits
-// of Compare(d_i, d_j), however the kernel got there. Two things let the
+// of Compare(d_i, d_j), however the kernel got there. Three things let the
 // kernel get there with less work than one Compare per document pair, and
-// both live and die inside one call — nothing is cached across calls,
-// persisted, or configurable.
+// all of them live and die inside one call — nothing is cached across
+// calls, persisted, or configurable.
 //
 // A Func may declare Key, a string per document, under this contract:
 // whenever Key(a) != Key(b), Compare(a, b) reads nothing of a and b but
@@ -65,9 +65,23 @@
 // Compare(d_i, d_j) with i < j, so a value computed for (x, y) may stand in
 // for another pair with keys (x, y) but never for one with keys (y, x).
 //
-// F8, F9 and F10 are three measures of the same two packed TF-IDF vectors,
-// so the kernel joins the vectors once per pair and hands the dot product
-// and intersection size to all three (textsim's OfDot forms).
+// F3 and F7 score two different names as the larger of Jaro-Winkler on the
+// whole names and Monge-Elkan over their tokens, and a block's names share
+// few distinct tokens. The kernel therefore interns the tokens of both
+// functions' names per call and keeps Jaro-Winkler per ordered pair of
+// distinct tokens in one table of the same complemented atomic bits, which
+// textsim.NameSimilarityOf reads through the very Monge-Elkan loop
+// PreparedNameSimilarity runs; the whole-name value still goes through the
+// key memo. As for keys, the table is left out when the T tokens span at
+// least as many ordered pairs (T²) as the block has document pairs.
+//
+// F1 and F8-F10 are measures of two packed vectors' join, and F8, F9 and
+// F10 of the same two TF-IDF vectors. For row i the kernel scatters d_i's
+// vector once into a per-worker array indexed by Vocab ID, then walks every
+// later document's IDs in ascending order against it: the matched products
+// are the merge join's, added in the same order, so the dot product and the
+// intersection size have DotIntersect's bits, and F8-F10 share one of them
+// per pair (textsim's OfDot forms).
 package simfn
 
 import (
@@ -282,13 +296,18 @@ type Func struct {
 	// package documentation for why the pair is ordered.
 	Key func(d *Doc) string
 
-	// join marks a function that is a measure of two packed vectors' merge
-	// join, so functions over the same vectors can share one join per pair.
+	// join marks a function that is a measure of two packed vectors' join,
+	// so functions over the same vectors can share one join per pair.
 	join *vectorJoin
+	// name marks a name function (F3, F7): whenever both keys are non-empty
+	// and differ, Compare is clamp01 of PreparedNameSimilarity of the two
+	// prepared names name returns, so the kernel may look its token
+	// Jaro-Winkler values up in a per-call table.
+	name func(*Doc) *textsim.Name
 }
 
 // vectorJoin is a vector-space function (F1, F8-F10): which packed vector
-// it reads and the measure applied to the pair's merge join.
+// it reads and the measure applied to the pair's join.
 type vectorJoin struct {
 	vec   func(*Doc) *textsim.PackedVector
 	ofDot func(a, b *textsim.PackedVector, dot float64, inter int) float64
@@ -318,11 +337,11 @@ func vectorFunc(id, feature, measure string, vj *vectorJoin) Func {
 // nameFunc builds a name-string function (F3, F7) over one raw name
 // feature and its prepared form. The raw name is the key: the prepared
 // form is a function of it, and two different names are compared through
-// nothing else.
+// nothing else. The prepared form is also the function's name hint.
 func nameFunc(id, feature string, raw func(*Doc) string, prepared func(*Doc) *textsim.Name) Func {
 	return Func{
 		ID: id, Feature: feature, Measure: "String Similarity",
-		Key: raw,
+		Key: raw, name: prepared,
 		Compare: func(a, b *Doc) float64 {
 			if raw(a) == "" || raw(b) == "" {
 				return 0

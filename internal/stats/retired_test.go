@@ -2,13 +2,13 @@ package stats
 
 import "math"
 
-// Retired library surface: summary statistics and histograms. Nothing
-// outside this package's tests has called these; PR 19 took them out of the
-// production package. They live here only so that their tests (TestMean,
-// TestVarianceAndStdDev, TestMinMax, TestArgMaxArgMin, the Median half of
-// TestQuantileMedian, TestHistogram*, TestMeanBoundsProperty,
-// TestVarianceNonNegativeProperty) keep running. Delete a declaration
-// together with its tests; never call one from non-test code.
+// Retired library surface: summary statistics. Nothing outside this
+// package's tests has called these; PR 19 took them out of the production
+// package. They live here only so that their tests (TestMean,
+// TestVarianceAndStdDev, TestMinMax, the Median half of TestQuantileMedian,
+// TestMeanBoundsProperty, TestVarianceNonNegativeProperty) keep running.
+// Delete a declaration together with its tests; never call one from
+// non-test code.
 
 // Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -79,59 +79,7 @@ func Sum(xs []float64) float64 {
 	return s
 }
 
-// ArgMax returns the index of the largest element of xs, breaking ties in
-// favour of the smallest index. It returns -1 for empty input.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x > xs[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element of xs, breaking ties in
-// favour of the smallest index. It returns -1 for empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs[1:] {
-		if x < xs[best] {
-			best = i + 1
-		}
-	}
-	return best
-}
-
 // Median returns the median of xs.
 func Median(xs []float64) (float64, error) {
 	return Quantile(xs, 0.5)
-}
-
-// Histogram counts how many values of xs fall into each of n equal-width
-// buckets spanning [lo, hi]. Values outside the range are clamped into the
-// first or last bucket. It returns nil when n <= 0 or hi <= lo.
-func Histogram(xs []float64, n int, lo, hi float64) []int {
-	if n <= 0 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, n)
-	width := (hi - lo) / float64(n)
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		counts[idx]++
-	}
-	return counts
 }

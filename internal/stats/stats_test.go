@@ -64,22 +64,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestArgMaxArgMin(t *testing.T) {
-	xs := []float64{1, 5, 5, 2}
-	if got := ArgMax(xs); got != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first of ties)", got)
-	}
-	if got := ArgMin([]float64{3, 0, 0, 4}); got != 1 {
-		t.Errorf("ArgMin = %d, want 1", got)
-	}
-	if got := ArgMax(nil); got != -1 {
-		t.Errorf("ArgMax(nil) = %d, want -1", got)
-	}
-	if got := ArgMin(nil); got != -1 {
-		t.Errorf("ArgMin(nil) = %d, want -1", got)
-	}
-}
-
 func TestQuantileMedian(t *testing.T) {
 	xs := []float64{3, 1, 2, 4}
 	med, err := Median(xs)
@@ -124,40 +108,6 @@ func TestClamp(t *testing.T) {
 	}
 	if got := Clamp(0.4, 0, 1); got != 0.4 {
 		t.Errorf("Clamp(0.4) = %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.05, 0.15, 0.95, 1.0, -0.2, 1.3}
-	h := Histogram(xs, 10, 0, 1)
-	if h[0] != 2 { // 0.05 and clamped -0.2
-		t.Errorf("bucket 0 = %d, want 2", h[0])
-	}
-	if h[1] != 1 {
-		t.Errorf("bucket 1 = %d, want 1", h[1])
-	}
-	if h[9] != 3 { // 0.95, 1.0 (clamped into last), 1.3 (clamped)
-		t.Errorf("bucket 9 = %d, want 3", h[9])
-	}
-	if Histogram(xs, 0, 0, 1) != nil {
-		t.Error("Histogram with n=0 should be nil")
-	}
-	if Histogram(xs, 5, 1, 0) != nil {
-		t.Error("Histogram with hi<=lo should be nil")
-	}
-}
-
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		h := Histogram(raw, 7, 0, 1)
-		total := 0
-		for _, c := range h {
-			total += c
-		}
-		return total == len(raw)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

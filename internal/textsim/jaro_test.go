@@ -2,6 +2,8 @@ package textsim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,6 +192,49 @@ func TestJaroMatchesReference(t *testing.T) {
 				t.Errorf("JaroWinkler(%q,%q) = %v, reference %v", a, b, got, want)
 			}
 		}
+	}
+}
+
+// TestJaroBitsMatchesLoop is the differential test of jaro's bit-parallel
+// form against the loop it replaces for short ASCII input: on 200,000
+// random pairs over 2- to 8-letter alphabets (so runes repeat inside every
+// window), lengths 0 to 70 across the 64-rune edge and a non-ASCII rune
+// mixed into either side, jaro equals jaroLoop bit for bit.
+func TestJaroBitsMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	word := func(alphabet []rune) []rune {
+		n := rng.Intn(jaroStack + 1)
+		if rng.Intn(4) == 0 {
+			n = rng.Intn(71)
+		}
+		out := make([]rune, n)
+		for i := range out {
+			out[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return out
+	}
+	bitPath := 0
+	const pairs = 200_000
+	for trial := 0; trial < pairs; trial++ {
+		alphabet := []rune("abcdefgh")[:2+rng.Intn(7)]
+		aAlpha, bAlpha := alphabet, alphabet
+		switch rng.Intn(4) {
+		case 0:
+			aAlpha = append(slices.Clone(alphabet), 'é')
+		case 1:
+			bAlpha = append(slices.Clone(alphabet), '王')
+		}
+		ra, rb := word(aAlpha), word(bAlpha)
+		got, want := jaro(ra, rb), jaroLoop(ra, rb)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("jaro(%q, %q) = %v, loop %v", string(ra), string(rb), got, want)
+		}
+		if _, ok := jaroBits(ra, rb); ok && len(ra) > 0 && len(rb) > 0 && len(ra) <= jaroStack && len(rb) <= jaroStack {
+			bitPath++
+		}
+	}
+	if bitPath < pairs/2 {
+		t.Errorf("only %d of %d pairs took the bit-parallel form", bitPath, pairs)
 	}
 }
 

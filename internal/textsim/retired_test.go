@@ -115,7 +115,7 @@ func SmithWatermanSimilarity(a, b string) float64 {
 // tokens "match" when their secondary character-level similarity reaches
 // theta (Cohen, Ravikumar, Fienberg 2003). weights maps tokens to their
 // corpus weight; unknown tokens weigh 1. The result is in [0, 1].
-func SoftTFIDF(a, b []string, weights map[string]float64, sim StringSim, theta float64) float64 {
+func SoftTFIDF(a, b []string, weights map[string]float64, sim func(x, y string) float64, theta float64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}

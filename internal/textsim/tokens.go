@@ -2,16 +2,15 @@ package textsim
 
 import "strings"
 
-// StringSim is the signature of a pairwise string similarity returning a
-// value in [0, 1]. All comparators in this package satisfy it.
-type StringSim func(a, b string) float64
-
 // MongeElkan returns the Monge-Elkan similarity of two token sequences: for
 // each token of a it finds the best-matching token of b under the secondary
 // measure sim, and averages those maxima. The raw Monge-Elkan measure is
 // asymmetric; this function returns the symmetrized mean of both directions,
-// which is the form used in record-linkage practice.
-func MongeElkan(a, b []string, sim StringSim) float64 {
+// which is the form used in record-linkage practice. Tokens may be strings
+// or any stand-in for them, such as per-call token IDs: the loop, its early
+// exit and its summation order are the same for every T, so a sim that
+// returns the same bits gives the same result.
+func MongeElkan[T any](a, b []T, sim func(x, y T) float64) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
@@ -21,7 +20,7 @@ func MongeElkan(a, b []string, sim StringSim) float64 {
 	return (mongeElkanDirected(a, b, sim) + mongeElkanDirected(b, a, sim)) / 2
 }
 
-func mongeElkanDirected(a, b []string, sim StringSim) float64 {
+func mongeElkanDirected[T any](a, b []T, sim func(x, y T) float64) float64 {
 	var total float64
 	for _, ta := range a {
 		best := 0.0
@@ -61,11 +60,20 @@ func PrepareName(s string) Name {
 // character-level typos and to token reordering ("John R. Smith" vs
 // "Smith, John").
 func PreparedNameSimilarity(a, b Name) float64 {
+	return NameSimilarityOf(a, b, a.Tokens, b.Tokens, JaroWinkler)
+}
+
+// NameSimilarityOf is PreparedNameSimilarity with the tokens of a and b
+// given as ta and tb in whatever form tokenSim compares them: the matrix
+// kernel passes per-call token IDs and a table of Jaro-Winkler values. It
+// equals PreparedNameSimilarity(a, b) bit for bit whenever
+// tokenSim(ta[x], tb[y]) == JaroWinkler(a.Tokens[x], b.Tokens[y]).
+func NameSimilarityOf[T any](a, b Name, ta, tb []T, tokenSim func(x, y T) float64) float64 {
 	if a.Norm == b.Norm {
 		return 1
 	}
 	whole := JaroWinkler(a.Norm, b.Norm)
-	tokens := MongeElkan(a.Tokens, b.Tokens, JaroWinkler)
+	tokens := MongeElkan(ta, tb, tokenSim)
 	if tokens > whole {
 		return tokens
 	}
