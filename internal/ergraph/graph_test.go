@@ -114,19 +114,6 @@ func TestConnectedComponentsTransitivity(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := NewGraph(4)
-	mustEdge(t, g, 0, 1)
-	c := g.Clone()
-	mustEdge(t, c, 2, 3)
-	if g.HasEdge(2, 3) {
-		t.Error("clone not independent")
-	}
-	if !c.HasEdge(0, 1) {
-		t.Error("clone lost edge")
-	}
-}
-
 func TestUnionFind(t *testing.T) {
 	uf := NewUnionFind(6)
 	if uf.Sets() != 6 {

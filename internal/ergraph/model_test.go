@@ -193,7 +193,7 @@ func TestGraphMatchesMapModel(t *testing.T) {
 			}
 		}
 		check(g, "built")
-		clone := g.Clone()
+		built := g.NumEdges()
 		for k := 0; k < 3*n; k++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			g.RemoveEdge(i, j)
@@ -202,8 +202,8 @@ func TestGraphMatchesMapModel(t *testing.T) {
 			}
 		}
 		check(g, "after removals")
-		if n > 1 && clone.NumEdges() <= g.NumEdges() {
-			t.Fatalf("n=%d: removals on the original reached its clone", n)
+		if n > 1 && built <= g.NumEdges() {
+			t.Fatalf("n=%d: %d random removals removed no edge", n, 3*n)
 		}
 	}
 }

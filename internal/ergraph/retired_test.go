@@ -3,7 +3,7 @@ package ergraph
 import "math/bits"
 
 // Retired library surface: no non-test code removes an edge, counts edges,
-// lists a vertex's neighbors as a slice or counts them, clones a graph, or asks a
+// lists a vertex's neighbors as a slice or counts them, or asks a
 // union-find for its size or dense labels (PR 19; the pipeline reads
 // ConnectedComponents and the blockindex tracker keeps its own labels).
 // The methods live here only so that the graph, model and union-find tests
@@ -32,13 +32,6 @@ func (g *Graph) Neighbors(i int) []int {
 		out = append(out, j)
 	}
 	return out
-}
-
-// Clone returns an independent copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := *g
-	c.adj = append([]uint64(nil), g.adj...)
-	return &c
 }
 
 // Len returns the number of elements.

@@ -1,10 +1,10 @@
 // Package metrics holds the service's in-process observability
 // primitives: a fixed-bucket log-scale latency histogram cheap enough to
-// sit on the hot read path (one atomic add per observation) and a small
-// self-registering instrument Registry that renders every counter, gauge
-// and histogram in the Prometheus text exposition format — all
-// dependency-free. Histograms stay JSON-shaped for GET /v1/stats through
-// Snapshot.
+// sit on the hot read path (two atomic adds per observation) and a small
+// self-registering instrument Registry whose one walk over its families
+// renders every counter, gauge and histogram twice: in the Prometheus text
+// exposition format (GET /metrics) and as JSON (GET /v1/stats) — all
+// dependency-free.
 package metrics
 
 import (
@@ -36,7 +36,6 @@ var bucketBounds = func() [histogramBuckets]time.Duration {
 type Histogram struct {
 	counts   [histogramBuckets]atomic.Int64
 	overflow atomic.Int64
-	count    atomic.Int64
 	sumNanos atomic.Int64
 }
 
@@ -45,7 +44,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
 	// Bucket i is the smallest with d <= 1µs·2^i. With u the duration in
 	// microseconds rounded up, that is the bit length of u-1 — O(1) where
@@ -64,67 +62,27 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[i].Add(1)
 }
 
-// Bucket is one histogram bar in the JSON report: the cumulative count of
-// observations at or below the bound, Prometheus-style, so downstream
-// tooling can compute quantiles without knowing the bucket layout.
-type Bucket struct {
-	// LeMicros is the bucket's inclusive upper bound in microseconds; the
-	// final bucket reports 0, meaning +Inf.
-	LeMicros int64 `json:"le_us"`
-	// Count is the cumulative number of observations <= the bound.
-	Count int64 `json:"count"`
+// histogramRead is one histogram read once for rendering: the cumulative
+// count at each finite bound and then at +Inf, which is the observation
+// count, and the observed time in seconds.
+type histogramRead struct {
+	cumulative [histogramBuckets + 1]int64
+	sum        float64
 }
 
-// Snapshot is a point-in-time copy of a histogram, JSON-shaped for
-// /v1/stats.
-type Snapshot struct {
-	// Count is the total number of observations.
-	Count int64 `json:"count"`
-	// SumMillis is the total observed time in milliseconds (fractional).
-	SumMillis float64 `json:"sum_ms"`
-	// Buckets are the cumulative log-scale buckets; empty buckets with no
-	// observations at or below them are elided from the front, trailing
-	// saturated buckets collapse into the last entry.
-	Buckets []Bucket `json:"buckets"`
-}
+// count is the number of observations.
+func (r *histogramRead) count() int64 { return r.cumulative[histogramBuckets] }
 
-// Snapshot copies the current counts. Concurrent Observe calls may land
-// between bucket reads — the snapshot is advisory monitoring output, not a
-// consistent cut.
-func (h *Histogram) Snapshot() Snapshot {
-	s := Snapshot{Count: h.count.Load(), SumMillis: float64(h.sumNanos.Load()) / 1e6}
+// read copies the buckets once. Observations landing between the bucket
+// loads are either counted or not, but the count is the cumulative total
+// of the loads, so the copy never disagrees with itself.
+func (h *Histogram) read() *histogramRead {
+	r := &histogramRead{sum: float64(h.sumNanos.Load()) / 1e9}
 	cum := int64(0)
-	first, last := -1, -1
-	var raw [histogramBuckets + 1]int64
 	for i := range h.counts {
-		raw[i] = h.counts[i].Load()
-		if raw[i] > 0 {
-			if first < 0 {
-				first = i
-			}
-			last = i
-		}
+		cum += h.counts[i].Load()
+		r.cumulative[i] = cum
 	}
-	raw[histogramBuckets] = h.overflow.Load()
-	if raw[histogramBuckets] > 0 {
-		if first < 0 {
-			first = histogramBuckets
-		}
-		last = histogramBuckets
-	}
-	if first < 0 {
-		return s
-	}
-	for i := 0; i <= last; i++ {
-		cum += raw[i]
-		if i < first {
-			continue
-		}
-		le := int64(0) // +Inf for the overflow bucket
-		if i < histogramBuckets {
-			le = int64(bucketBounds[i] / time.Microsecond)
-		}
-		s.Buckets = append(s.Buckets, Bucket{LeMicros: le, Count: cum})
-	}
-	return s
+	r.cumulative[histogramBuckets] = cum + h.overflow.Load()
+	return r
 }

@@ -6,35 +6,48 @@ import (
 	"time"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
-	h.Observe(500 * time.Nanosecond) // <= 1µs bucket
-	h.Observe(time.Microsecond)      // still the 1µs bucket (inclusive bound)
-	h.Observe(3 * time.Microsecond)  // 4µs bucket
-	h.Observe(time.Hour)             // beyond the last bound: overflow
+// walked registers a histogram, lets fill observe into it, and reads it
+// back through the registry walk both renderers format.
+func walked(t *testing.T, fill func(h *Histogram)) *histogramRead {
+	t.Helper()
+	r := NewRegistry()
+	fill(r.Histogram("test_seconds", "T."))
+	var read []point
+	r.walk(func(_ family, points []point) { read = append(read, points...) })
+	if len(read) != 1 || read[0].hist == nil {
+		t.Fatalf("walk = %+v, want one histogram point", read)
+	}
+	return read[0].hist
+}
 
-	s := h.Snapshot()
-	if s.Count != 4 {
-		t.Fatalf("count = %d, want 4", s.Count)
+func TestHistogramBuckets(t *testing.T) {
+	s := walked(t, func(h *Histogram) {
+		h.Observe(500 * time.Nanosecond) // <= 1µs bucket
+		h.Observe(time.Microsecond)      // still the 1µs bucket (inclusive bound)
+		h.Observe(3 * time.Microsecond)  // 4µs bucket
+		h.Observe(time.Hour)             // beyond the last bound: overflow
+	})
+	if s.count() != 4 {
+		t.Fatalf("count = %d, want 4", s.count())
 	}
-	if len(s.Buckets) == 0 {
-		t.Fatal("no buckets reported")
+	if bucketLe(0) != "1e-06" || s.cumulative[0] != 2 {
+		t.Fatalf("first bucket = le %s count %d, want le 1e-06 count 2", bucketLe(0), s.cumulative[0])
 	}
-	if s.Buckets[0].LeMicros != 1 || s.Buckets[0].Count != 2 {
-		t.Fatalf("first bucket = %+v, want le_us=1 count=2", s.Buckets[0])
+	if s.cumulative[2] != 3 || s.cumulative[histogramBuckets-1] != 3 {
+		t.Fatalf("4µs and last finite buckets = %d, %d, want 3, 3", s.cumulative[2], s.cumulative[histogramBuckets-1])
 	}
-	last := s.Buckets[len(s.Buckets)-1]
-	if last.LeMicros != 0 || last.Count != 4 {
-		t.Fatalf("overflow bucket = %+v, want le_us=0 (inf) cumulative count=4", last)
+	if bucketLe(histogramBuckets) != "+Inf" || s.cumulative[histogramBuckets] != 4 {
+		t.Fatalf("overflow bucket = le %s count %d, want le +Inf cumulative count 4",
+			bucketLe(histogramBuckets), s.cumulative[histogramBuckets])
 	}
 	// Cumulative counts never decrease.
-	for i := 1; i < len(s.Buckets); i++ {
-		if s.Buckets[i].Count < s.Buckets[i-1].Count {
-			t.Fatalf("bucket %d count %d < previous %d", i, s.Buckets[i].Count, s.Buckets[i-1].Count)
+	for i := 1; i < len(s.cumulative); i++ {
+		if s.cumulative[i] < s.cumulative[i-1] {
+			t.Fatalf("bucket %d count %d < previous %d", i, s.cumulative[i], s.cumulative[i-1])
 		}
 	}
-	if s.SumMillis <= 0 {
-		t.Fatalf("sum_ms = %g, want > 0", s.SumMillis)
+	if s.sum < 3600 {
+		t.Fatalf("sum = %g s, want >= 3600", s.sum)
 	}
 }
 
@@ -99,28 +112,28 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	s := h.Snapshot()
-	if s.Count != 0 || len(s.Buckets) != 0 {
-		t.Fatalf("empty histogram snapshot = %+v, want zero", s)
+	s := walked(t, func(*Histogram) {})
+	if *s != (histogramRead{}) {
+		t.Fatalf("empty histogram read = %+v, want zero", s)
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	var h Histogram
-	var wg sync.WaitGroup
 	const goroutines, per = 8, 1000
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				h.Observe(time.Duration(g*i) * time.Microsecond)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := h.Snapshot().Count; got != goroutines*per {
+	s := walked(t, func(h *Histogram) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					h.Observe(time.Duration(g*i) * time.Microsecond)
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+	if got := s.count(); got != goroutines*per {
 		t.Fatalf("count = %d, want %d", got, goroutines*per)
 	}
 }

@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,12 +58,12 @@ type family struct {
 }
 
 // Registry is a set of self-registering instruments renderable in the
-// Prometheus text exposition format. Instruments registered under the same
-// name with identical help and type but different labels join one family
-// (the stage-latency histograms, the per-kind degradation counters);
-// re-registering a name with a different type or help is a programming
-// error and panics. A Registry is safe for concurrent registration,
-// observation and rendering.
+// Prometheus text exposition format and as JSON. Instruments registered
+// under the same name with identical help and type but different labels
+// join one family (the stage-latency histograms, the per-kind degradation
+// counters); re-registering a name with a different type or help is a
+// programming error and panics. A Registry is safe for concurrent
+// registration, observation and rendering.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -109,14 +111,14 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 }
 
 func (r *Registry) register(name, help, typ string, s *series) {
-	if !validName(name) {
+	if !validName(name, true) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
 	}
 	if len(s.labels)%2 != 0 {
 		panic(fmt.Sprintf("metrics: %s: labels must be name/value pairs, got %d strings", name, len(s.labels)))
 	}
 	for i := 0; i < len(s.labels); i += 2 {
-		if !validLabel(s.labels[i]) {
+		if !validName(s.labels[i], false) {
 			panic(fmt.Sprintf("metrics: %s: invalid label name %q", name, s.labels[i]))
 		}
 	}
@@ -132,40 +134,64 @@ func (r *Registry) register(name, help, typ string, s *series) {
 	f.series = append(f.series, s)
 }
 
-// validName reports whether name is a legal Prometheus metric name:
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validName(name string) bool {
-	if name == "" {
-		return false
-	}
+// validName reports whether name is a legal Prometheus metric name,
+// [a-zA-Z_:][a-zA-Z0-9_:]*, or, without colons, a legal label name,
+// [a-zA-Z_][a-zA-Z0-9_]*.
+func validName(name string, colons bool) bool {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
-		ok := c == '_' || c == ':' ||
+		ok := c == '_' || (colons && c == ':') ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
 			return false
 		}
 	}
-	return true
+	return name != ""
 }
 
-// validLabel reports whether name is a legal label name:
-// [a-zA-Z_][a-zA-Z0-9_]*.
-func validLabel(name string) bool {
-	if name == "" {
-		return false
+// point is one sample of a family as the walk reads it: labels plus a
+// value, or, for a histogram series, its buckets, sum and count.
+type point struct {
+	labels []string
+	value  float64
+	hist   *histogramRead
+}
+
+// walk reads every registered family once, in name order, and hands visit
+// the family with its samples: each counter, gauge and callback sample as
+// labels plus a value, each histogram as its cumulative buckets, sum and
+// count. It is the one place that tells the series kinds apart;
+// WritePrometheus and WriteJSON only format what it hands them.
+func (r *Registry) walk(visit func(f family, points []point)) {
+	r.mu.Lock()
+	fams := make([]family, 0, len(r.families))
+	for _, f := range r.families {
+		// A copy of the slice header: a later registration appends past its
+		// length or reallocates, never rewriting the elements read below.
+		fams = append(fams, *f)
 	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		ok := c == '_' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
+	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+
+	for _, f := range fams {
+		var points []point
+		for _, s := range f.series {
+			switch {
+			case s.counter != nil:
+				points = append(points, point{labels: s.labels, value: float64(s.counter.Load())})
+			case s.gauge != nil:
+				points = append(points, point{labels: s.labels, value: s.gauge()})
+			case s.samples != nil:
+				for _, smp := range s.samples() {
+					points = append(points, point{labels: smp.Labels, value: smp.Value})
+				}
+			case s.hist != nil:
+				points = append(points, point{labels: s.labels, hist: s.hist.read()})
+			}
 		}
+		visit(f, points)
 	}
-	return true
 }
 
 // WritePrometheus renders every registered family in the text exposition
@@ -173,54 +199,95 @@ func validLabel(name string) bool {
 // and # TYPE line followed by its samples; histograms expand into
 // cumulative _bucket series (le in seconds), _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
 	var b strings.Builder
-	for _, f := range fams {
+	r.walk(func(f family, points []point) {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.series {
-			switch {
-			case s.counter != nil:
-				writeLine(&b, f.name, s.labels, strconv.FormatInt(s.counter.Load(), 10))
-			case s.gauge != nil:
-				writeLine(&b, f.name, s.labels, formatFloat(s.gauge()))
-			case s.samples != nil:
-				for _, smp := range s.samples() {
-					writeLine(&b, f.name, smp.Labels, formatFloat(smp.Value))
-				}
-			case s.hist != nil:
-				writeHistogram(&b, f.name, s.labels, s.hist)
+		for _, p := range points {
+			if p.hist == nil {
+				writeLine(&b, f.name, p.labels, formatValue(p.value))
+				continue
 			}
+			for i, c := range p.hist.cumulative {
+				labels := append(append([]string{}, p.labels...), "le", bucketLe(i))
+				writeLine(&b, f.name+"_bucket", labels, strconv.FormatInt(c, 10))
+			}
+			writeLine(&b, f.name+"_sum", p.labels, formatValue(p.hist.sum))
+			writeLine(&b, f.name+"_count", p.labels, strconv.FormatInt(p.hist.count(), 10))
 		}
-	}
+	})
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeHistogram expands one histogram series into its cumulative buckets,
-// sum and count. The +Inf bucket and _count are both the cumulative total
-// read from the buckets, so the two can never disagree mid-scrape even
-// while observations land concurrently.
-func writeHistogram(b *strings.Builder, name string, labels []string, h *Histogram) {
-	cum := int64(0)
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		le := formatFloat(bucketBounds[i].Seconds())
-		writeLine(b, name+"_bucket", append(append([]string{}, labels...), "le", le),
-			strconv.FormatInt(cum, 10))
+// WriteJSON renders every registered family as one JSON object keyed by
+// family name. Each value lists the family's samples: {"labels":{…},
+// "value":N}, or for a histogram {"labels":{…},"count":N,"sum":seconds,
+// "buckets":[{"le":"1e-06","count":N},…,{"le":"+Inf","count":N}]} with
+// cumulative counts and le spelled as on /metrics. labels is omitted when
+// empty; a family whose callback yields nothing is []. A NaN or ±Inf value
+// renders as null, since JSON has no spelling for it.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	out := make(map[string][]any)
+	r.walk(func(f family, points []point) {
+		samples := make([]any, 0, len(points))
+		for _, p := range points {
+			var labels map[string]string
+			if len(p.labels) > 0 {
+				labels = make(map[string]string, len(p.labels)/2)
+				for i := 0; i+1 < len(p.labels); i += 2 {
+					labels[p.labels[i]] = p.labels[i+1]
+				}
+			}
+			if p.hist == nil {
+				samples = append(samples, jsonSample{Labels: labels, Value: finite(p.value)})
+				continue
+			}
+			h := jsonHistogram{Labels: labels, Count: p.hist.count(), Sum: p.hist.sum,
+				Buckets: make([]jsonBucket, len(p.hist.cumulative))}
+			for i, c := range p.hist.cumulative {
+				h.Buckets[i] = jsonBucket{Le: bucketLe(i), Count: c}
+			}
+			samples = append(samples, h)
+		}
+		out[f.name] = samples
+	})
+	return json.NewEncoder(w).Encode(out)
+}
+
+type jsonSample struct {
+	Labels map[string]string `json:"labels,omitempty"`
+	Value  *float64          `json:"value"`
+}
+
+type jsonHistogram struct {
+	Labels  map[string]string `json:"labels,omitempty"`
+	Count   int64             `json:"count"`
+	Sum     float64           `json:"sum"`
+	Buckets []jsonBucket      `json:"buckets"`
+}
+
+type jsonBucket struct {
+	Le    string `json:"le"`
+	Count int64  `json:"count"`
+}
+
+// finite is v, or nil — JSON null — for NaN and ±Inf, which JSON cannot
+// spell and encoding/json refuses to encode.
+func finite(v float64) *float64 {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil
 	}
-	cum += h.overflow.Load()
-	writeLine(b, name+"_bucket", append(append([]string{}, labels...), "le", "+Inf"),
-		strconv.FormatInt(cum, 10))
-	writeLine(b, name+"_sum", labels, formatFloat(float64(h.sumNanos.Load())/1e9))
-	writeLine(b, name+"_count", labels, strconv.FormatInt(cum, 10))
+	return &v
+}
+
+// bucketLe is bucket i's le label: its inclusive upper bound in seconds,
+// or +Inf for the overflow bucket.
+func bucketLe(i int) string {
+	if i == histogramBuckets {
+		return "+Inf"
+	}
+	return formatValue(bucketBounds[i].Seconds())
 }
 
 // writeLine emits one sample: name{labels} value.
@@ -244,7 +311,13 @@ func writeLine(b *strings.Builder, name string, labels []string, value string) {
 	b.WriteByte('\n')
 }
 
-func formatFloat(v float64) string {
+// formatValue renders a sample value: an integer in plain decimal, so a
+// counter reads 1000000 and not 1e+06, anything else in the shortest 'g'
+// form, which spells NaN and ±Inf the way the exposition format does.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -52,6 +54,67 @@ func TestRegistryRendersCounterGaugeHistogram(t *testing.T) {
 	// Families are sorted by name.
 	if strings.Index(out, "test_depth") > strings.Index(out, "test_latency_seconds") {
 		t.Error("families are not sorted by name")
+	}
+}
+
+// TestRegistryRendersJSON pins the JSON shape of the walk: an object keyed
+// by family name, labels omitted when empty, histograms as count, sum and
+// every cumulative bucket, and a family whose callback yields nothing as [].
+func TestRegistryRendersJSON(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("test_requests_total", "Requests served.", "endpoint", "reads").Add(3)
+	r.Gauge("test_depth", "Queue depth.", func() float64 { return 7 })
+	r.GaugeFunc("test_none", "Nothing yet.", func() []Sample { return nil })
+	r.Histogram("test_latency_seconds", "Latency.", "stage", "block").Observe(3 * time.Microsecond)
+
+	var b strings.Builder
+	if err := r.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		`"test_requests_total":[{"labels":{"endpoint":"reads"},"value":3}]`,
+		`"test_depth":[{"value":7}]`,
+		`"test_none":[]`,
+		`"test_latency_seconds":[{"labels":{"stage":"block"},"count":1,"sum":0.000003,"buckets":[{"le":"1e-06","count":0},{"le":"2e-06","count":0},{"le":"4e-06","count":1},`,
+		`{"le":"+Inf","count":1}]}]`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("JSON missing %s in:\n%s", want, out)
+		}
+	}
+	if strings.Count(out, "\n") != 1 || !strings.HasSuffix(out, "\n") {
+		t.Errorf("JSON is not one line: %q", out)
+	}
+}
+
+// TestJSONNonFiniteIsNull pins that a NaN or ±Inf sample renders as null
+// instead of failing the encode, and that the reply still parses.
+func TestJSONNonFiniteIsNull(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("test_nan", "NaN.", func() float64 { return math.NaN() })
+	r.GaugeFunc("test_inf", "Inf.", func() []Sample {
+		return []Sample{{Labels: []string{"sign", "+"}, Value: math.Inf(1)}, {Labels: []string{"sign", "-"}, Value: math.Inf(-1)}}
+	})
+	r.Gauge("test_finite", "Finite.", func() float64 { return 1.5 })
+	var b strings.Builder
+	if err := r.WriteJSON(&b); err != nil {
+		t.Fatalf("WriteJSON with non-finite samples: %v", err)
+	}
+	var got map[string][]struct {
+		Value *float64 `json:"value"`
+	}
+	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
+		t.Fatalf("reply does not parse: %v\n%s", err, b.String())
+	}
+	if len(got["test_nan"]) != 1 || got["test_nan"][0].Value != nil {
+		t.Errorf("NaN gauge = %s, want null", b.String())
+	}
+	if len(got["test_inf"]) != 2 || got["test_inf"][0].Value != nil || got["test_inf"][1].Value != nil {
+		t.Errorf("±Inf samples = %s, want null", b.String())
+	}
+	if v := got["test_finite"]; len(v) != 1 || v[0].Value == nil || *v[0].Value != 1.5 {
+		t.Errorf("finite gauge = %s, want 1.5", b.String())
 	}
 }
 

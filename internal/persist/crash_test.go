@@ -367,21 +367,12 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	}
 
 	// /v1/stats surfaces the degradation.
-	var stats struct {
-		Degraded struct {
-			QuarantinedServing  int64 `json:"quarantined_serving"`
-			QuarantinedIndexes  int64 `json:"quarantined_indexes"`
-			ServingLoadFailures int64 `json:"serving_load_failures"`
-			IndexLoadFailures   int64 `json:"index_load_failures"`
-		} `json:"degraded"`
+	d := degraded(t, ts2)
+	if d["quarantined_serving"] != 1 || d["quarantined_indexes"] != 1 {
+		t.Errorf("degraded stats = %v, want one serving and one index quarantine", d)
 	}
-	getJSON(t, ts2, "/v1/stats", &stats)
-	d := stats.Degraded
-	if d.QuarantinedServing != 1 || d.QuarantinedIndexes != 1 {
-		t.Errorf("degraded stats = %+v, want one serving and one index quarantine", d)
-	}
-	if d.ServingLoadFailures < 1 || d.IndexLoadFailures < 1 {
-		t.Errorf("degraded stats = %+v, want the load failures counted", d)
+	if d["serving_load_failures"] < 1 || d["index_load_failures"] < 1 {
+		t.Errorf("degraded stats = %v, want the load failures counted", d)
 	}
 
 	// The rebuild re-persisted clean state: the next restart loads it and
@@ -499,6 +490,22 @@ func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	if len(logged) != 0 {
 		t.Errorf("restart after the re-save logged %v, want a clean load", logged)
 	}
+}
+
+// degraded reads the ersolve_degraded_total samples of GET /v1/stats,
+// by kind.
+func degraded(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	var stats map[string][]struct {
+		Labels map[string]string `json:"labels"`
+		Value  float64           `json:"value"`
+	}
+	getJSON(t, ts, "/v1/stats", &stats)
+	out := map[string]float64{}
+	for _, smp := range stats["ersolve_degraded_total"] {
+		out[smp.Labels["kind"]] = smp.Value
+	}
+	return out
 }
 
 // getJSON fetches path from the test server and decodes the JSON reply.

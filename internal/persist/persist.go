@@ -259,8 +259,9 @@ func (s *Store) SubscribeAppend(fn func(store.AppendEvent)) {
 }
 
 // TornTailRecoveries reports how many torn journal tails this open
-// truncated away — the service surfaces it in /v1/stats so operators see
-// that a crash recovery happened (and that it cost no acknowledged data).
+// truncated away — the service counts it under ersolve_degraded_total so
+// operators see that a crash recovery happened (and that it cost no
+// acknowledged data).
 func (s *Store) TornTailRecoveries() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,7 +19,7 @@ import (
 // "ann": the incremental endpoint serves canopy from the shared ANN
 // candidate index, reports indexer "ann" with the effective graph knobs,
 // pays only the ingest delta on repeat runs, and surfaces the graph in
-// the /v1/stats "ann" section.
+// /v1/stats as the ersolve_ann_index_* families.
 func TestANNModeIncrementalResolve(t *testing.T) {
 	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 30))
@@ -49,19 +50,18 @@ func TestANNModeIncrementalResolve(t *testing.T) {
 		t.Fatalf("repeat run found %d blocks, first found %d", len(again.Blocks), len(first.Blocks))
 	}
 
-	var stats StatsResponse
-	if code := getJSON(t, ts, "/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
+	stats := getStats(t, ts)
+	graphs := stats["ersolve_ann_index_docs"]
+	if len(graphs) != 1 {
+		t.Fatalf("stats lists %d ann indexes, want 1", len(graphs))
 	}
-	if len(stats.ANN.Indexes) != 1 {
-		t.Fatalf("stats lists %d ann indexes, want 1", len(stats.ANN.Indexes))
+	// The index key carries the graph knobs, M and ef: the defaults here.
+	key := graphs[0].Labels["index"]
+	if key != "ann|canopy|collection|12|64" || key != fmt.Sprintf("ann|canopy|collection|%d|%d", ann.DefaultM, ann.DefaultEfSearch) {
+		t.Errorf("ann index key = %q", key)
 	}
-	rep := stats.ANN.Indexes[0]
-	if rep.Key != "ann|canopy|collection|12|64" {
-		t.Errorf("ann index key = %q", rep.Key)
-	}
-	if rep.Docs != 30 || rep.Blocks < 1 || rep.M != ann.DefaultM {
-		t.Errorf("ann index stats = %+v", rep)
+	if graphs[0].Value != 30 || stats.value(t, "ersolve_ann_index_blocks", "index", key) < 1 {
+		t.Errorf("ann index stats = %+v", stats)
 	}
 }
 

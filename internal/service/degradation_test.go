@@ -78,8 +78,10 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if len(logged) != 1 || !strings.Contains(logged[0], "kaboom") {
 		t.Errorf("panic log = %q, want the panic value", logged)
 	}
-	if d := srv.degradedStats(); d.Panics != 1 {
-		t.Errorf("degraded stats panics = %d, want 1", d.Panics)
+	full := httptest.NewServer(srv.Handler())
+	defer full.Close()
+	if n := getStats(t, full).value(t, "ersolve_degraded_total", "kind", "panics"); n != 1 {
+		t.Errorf("degraded stats panics = %g, want 1", n)
 	}
 }
 
@@ -134,8 +136,8 @@ func TestIngestBackpressure429(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
 		t.Fatalf("429 body is not the JSON error envelope: %v", err)
 	}
-	if d := srv.degradedStats(); d.IngestThrottled != 1 {
-		t.Errorf("ingest_throttled = %d, want 1", d.IngestThrottled)
+	if n := getStats(t, ts).value(t, "ersolve_degraded_total", "kind", "ingest_throttled"); n != 1 {
+		t.Errorf("ingest_throttled = %g, want 1", n)
 	}
 }
 

@@ -214,12 +214,14 @@ func TestKillWithoutCloseRestartsFromLastCommit(t *testing.T) {
 		t.Fatalf("restart changed the answer: epoch %d store version %d entity %+v, acknowledged epoch %d store version %d entity %+v",
 			after.Epoch, after.StoreVersion, after.Entity, before.Epoch, before.StoreVersion, before.Entity)
 	}
-	var stats StatsResponse
-	if code := getJSON(t, ts2, "/v1/stats", &stats); code != http.StatusOK || stats.Resolve.Runs != 0 {
-		t.Fatalf("stats = %d, %d resolve runs before the first resolve", code, stats.Resolve.Runs)
+	stats := getStats(t, ts2)
+	if runs := stats.value(t, "ersolve_resolve_runs_total"); runs != 0 {
+		t.Fatalf("stats: %g resolve runs before the first resolve", runs)
 	}
-	if d := stats.Degraded; d.ServingTornTails != 0 || d.QuarantinedServing != 0 || d.ServingLoadFailures != 0 {
-		t.Errorf("a quiesced kill degraded the serving load: %+v", d)
+	for _, kind := range []string{"serving_torn_tails", "quarantined_serving", "serving_load_failures"} {
+		if n := stats.value(t, "ersolve_degraded_total", "kind", kind); n != 0 {
+			t.Errorf("a quiesced kill degraded the serving load: %s = %g", kind, n)
+		}
 	}
 
 	first := resolveOK(t, ts2, IncrementalResolveRequest{})
@@ -328,16 +330,16 @@ func TestFaultsAtTheCommitPoint(t *testing.T) {
 			req.Header.Set("Content-Type", "application/json")
 			rec := httptest.NewRecorder()
 			srv1.Handler().ServeHTTP(rec, req.WithContext(tc.arm(in, st)))
-			var stats StatsResponse
-			getJSON(t, ts1, "/v1/stats", &stats)
+			stats := getStats(t, ts1)
+			saveFailures := stats.value(t, "ersolve_degraded_total", "kind", "serving_save_failures")
 			if tc.saveFailed {
-				if !in.Faulted() || rec.Code != http.StatusOK || stats.Degraded.ServingSaveFailures != 1 {
-					t.Fatalf("fault fired %v, status %d, degraded %+v; want the resolve answered 200 with one serving save failure",
-						in.Faulted(), rec.Code, stats.Degraded)
+				if !in.Faulted() || rec.Code != http.StatusOK || saveFailures != 1 {
+					t.Fatalf("fault fired %v, status %d, %g serving save failures; want the resolve answered 200 with one serving save failure",
+						in.Faulted(), rec.Code, saveFailures)
 				}
-			} else if rec.Body.Len() != 0 || stats.Resolve.Runs != 1 || stats.Degraded.ServingSaveFailures != 0 {
-				t.Fatalf("canceled resolve wrote %q, %d runs completed, degraded %+v; want no answer, no second run, no failure",
-					rec.Body.String(), stats.Resolve.Runs, stats.Degraded)
+			} else if runs := stats.value(t, "ersolve_resolve_runs_total"); rec.Body.Len() != 0 || runs != 1 || saveFailures != 0 {
+				t.Fatalf("canceled resolve wrote %q, %g runs completed, %g serving save failures; want no answer, no second run, no failure",
+					rec.Body.String(), runs, saveFailures)
 			}
 
 			// The kill: srv1 is abandoned. Only its descriptors close (a
@@ -369,9 +371,13 @@ func TestFaultsAtTheCommitPoint(t *testing.T) {
 			if code := getJSON(t, ts2, "/v1/docs/person001:21/entity", nil); code != http.StatusNotFound {
 				t.Errorf("lookup of a document only the lost commit resolved = %d, want 404", code)
 			}
-			getJSON(t, ts2, "/v1/stats", &stats)
-			if d := stats.Degraded; d.ServingLoadFailures != 0 || d.QuarantinedServing != 0 || (d.ServingTornTails == 1) != tc.tornTail {
-				t.Errorf("the successor's load degraded %+v; torn tail expected: %v", d, tc.tornTail)
+			stats = getStats(t, ts2)
+			loadFailures := stats.value(t, "ersolve_degraded_total", "kind", "serving_load_failures")
+			quarantined := stats.value(t, "ersolve_degraded_total", "kind", "quarantined_serving")
+			tornTails := stats.value(t, "ersolve_degraded_total", "kind", "serving_torn_tails")
+			if loadFailures != 0 || quarantined != 0 || (tornTails == 1) != tc.tornTail {
+				t.Errorf("the successor's load degraded: %g load failures, %g quarantined, %g torn tails; torn tail expected: %v",
+					loadFailures, quarantined, tornTails, tc.tornTail)
 			}
 
 			first := resolveOK(t, ts2, IncrementalResolveRequest{})

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -78,5 +79,30 @@ func FuzzCollectionsDecode(f *testing.F) {
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzServe(t, h, "/v1/collections", data, http.StatusAccepted)
+	})
+}
+
+// FuzzParseDocRef pins the one doc-ref parser both lookup endpoints share:
+// it never panics, every ref it accepts round-trips exactly — one ref per
+// document — and the non-canonical spellings are refused. testdata/fuzz/
+// holds committed seeds beyond the ones added here.
+func FuzzParseDocRef(f *testing.F) {
+	for _, ref := range []string{"rivera:0", "smith, j+jones:12", "a:b:7", ":3"} {
+		f.Add(ref)
+	}
+	for _, bad := range []string{"rivera:+3", "rivera:03", "rivera:-1", "rivera:99999999999999999999", "rivera", "rivera:", "rivera:3 "} {
+		if _, _, err := parseDocRef(bad); err == nil {
+			f.Errorf("parseDocRef(%q) accepted a non-canonical ref", bad)
+		}
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, ref string) {
+		collection, pos, err := parseDocRef(ref)
+		if err != nil {
+			return
+		}
+		if pos < 0 || collection+":"+strconv.Itoa(pos) != ref {
+			t.Fatalf("parseDocRef(%q) = (%q, %d), which does not spell the ref back", ref, collection, pos)
+		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/serving"
 	"repro/internal/tracing"
 )
 
@@ -21,8 +22,8 @@ import (
 const degradedHelp = "Events where the server kept serving by giving something up, by kind."
 
 // initObservability wires the metrics registry and the trace ring buffer.
-// Every lifetime counter the server owns is registered here, so /metrics
-// and /v1/stats read the same instruments; values owned elsewhere (the
+// Every lifetime counter the server owns is registered here, and both
+// /metrics and /v1/stats render the registry; values owned elsewhere (the
 // job queue, the backing stores, the live indexes) are read at scrape
 // time through callback-backed families. Called once from New, before any
 // code path that can increment a counter.
@@ -130,34 +131,33 @@ func (s *Server) initObservability() {
 			return float64(len(s.states))
 		})
 
+	// ersolve_serving_* describe the hot serving index; all read 0 before
+	// the first publish.
+	servingGauge := func(value func(x *serving.Index) float64) func() float64 {
+		return func() float64 {
+			if x := s.serving.Load(); x != nil {
+				return value(x)
+			}
+			return 0
+		}
+	}
 	r.Gauge("ersolve_serving_available", "Whether a serving index has been published (1) or reads answer 409 (0).",
-		func() float64 {
-			if s.serving.Load() != nil {
+		servingGauge(func(*serving.Index) float64 { return 1 }))
+	r.Gauge("ersolve_serving_epoch", "Publish counter of the hot serving index.",
+		servingGauge(func(x *serving.Index) float64 { return float64(x.Epoch()) }))
+	r.Gauge("ersolve_serving_store_version", "Store version the hot serving index was built from.",
+		servingGauge(func(x *serving.Index) float64 { return float64(x.StoreVersion()) }))
+	r.Gauge("ersolve_serving_clusters", "Clusters in the hot serving index.",
+		servingGauge(func(x *serving.Index) float64 { return float64(x.Clusters()) }))
+	r.Gauge("ersolve_serving_docs", "Store documents the hot serving index covers.",
+		servingGauge(func(x *serving.Index) float64 { return float64(x.Docs()) }))
+	r.Gauge("ersolve_serving_stale", "Whether the store has committed documents past the hot serving index (1); reads answer from it until the next resolve publishes.",
+		servingGauge(func(x *serving.Index) float64 {
+			if s.store.Stats().Version > x.StoreVersion() {
 				return 1
 			}
 			return 0
-		})
-	r.Gauge("ersolve_serving_epoch", "Publish counter of the hot serving index.",
-		func() float64 {
-			if x := s.serving.Load(); x != nil {
-				return float64(x.Epoch())
-			}
-			return 0
-		})
-	r.Gauge("ersolve_serving_store_version", "Store version the hot serving index was built from.",
-		func() float64 {
-			if x := s.serving.Load(); x != nil {
-				return float64(x.StoreVersion())
-			}
-			return 0
-		})
-	r.Gauge("ersolve_serving_clusters", "Clusters in the hot serving index.",
-		func() float64 {
-			if x := s.serving.Load(); x != nil {
-				return float64(x.Clusters())
-			}
-			return 0
-		})
+		}))
 
 	r.GaugeFunc("ersolve_blocking_index_keys", "Distinct keys per blocking index shard.", func() []metrics.Sample {
 		var out []metrics.Sample
@@ -205,6 +205,20 @@ func indexSamples[T pipeline.CandidateIndex](s *Server, value func(T) float64) f
 		}
 		return out
 	}
+}
+
+// tornTailReporter is implemented by stores that recover torn journal
+// tails (persist.Store); quarantineReporter by artifact stores that
+// rename damaged files aside (persist.IndexDir, persist.ServingDir);
+// servingTailReporter by serving stores that load a file short of a
+// damaged commit record (persist.ServingDir); ioReporter by stores that
+// count their device work (persist.Store over a counting filesystem, nil
+// counts otherwise). All are optional: in-memory backends report nothing.
+type tornTailReporter interface{ TornTailRecoveries() int }
+type quarantineReporter interface{ Quarantined() int64 }
+type servingTailReporter interface{ TornTails() int64 }
+type ioReporter interface {
+	IOCounts() map[string]faultfs.IOCounts
 }
 
 // storeDegradationSamples reads the degradation totals owned by the
@@ -278,6 +292,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.registry.WritePrometheus(w)
+}
+
+// handleStats answers GET /v1/stats with every registered instrument as
+// JSON: the registry walk GET /metrics renders, in another format.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	if !allowOnly(w, r, http.MethodGet) {
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = s.registry.WriteJSON(w) // a failed write means the client is gone
 }
 
 // TracesResponse is the GET /v1/traces reply: recent request traces,

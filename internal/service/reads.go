@@ -60,10 +60,9 @@ func snapshotOf(x *serving.Index) *pipeline.Snapshot {
 }
 
 // stageHistograms are the per-stage latency histograms: the four pipeline
-// stages plus the read-path lookup, which /v1/stats reports, and the
-// resolve handlers' commit tail and reply encoding. All registry-backed
-// (initObservability), so the same instruments feed the Prometheus
-// exposition as the ersolve_stage_latency_seconds family.
+// stages, the read-path lookup, and the resolve handlers' commit tail and
+// reply encoding. All registry-backed (initObservability), rendered as the
+// ersolve_stage_latency_seconds family.
 type stageHistograms struct {
 	block, prepare, analyze, cluster, lookup *metrics.Histogram
 
@@ -240,19 +239,12 @@ func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	refs := make([]docRef, len(req.Refs))
 	for i, ref := range req.Refs {
-		cut := strings.LastIndexByte(ref, ':')
-		if cut < 0 {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: fmt.Sprintf("ref %q needs the form {collection}:{pos}", ref)})
+		collection, pos, err := parseDocRef(ref)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
-		pos, okPos := parseCanonicalPos(ref[cut+1:])
-		if !okPos {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: fmt.Sprintf("ref %q: position %q is not a canonical non-negative integer (digits only, no leading zeros)", ref, ref[cut+1:])})
-			return
-		}
-		refs[i] = docRef{collection: ref[:cut], pos: pos}
+		refs[i] = docRef{collection: collection, pos: pos}
 	}
 	x, ok := s.hotIndex(w)
 	if !ok {
@@ -298,20 +290,9 @@ func (s *Server) handleDocEntity(w http.ResponseWriter, r *http.Request) {
 			errorResponse{Error: "doc lookups look like /v1/docs/{collection}:{pos}/entity"})
 		return
 	}
-	// The collection name may itself contain colons (merged blocks use
-	// "+", but nothing forbids a colon in an ingested name), so the
-	// position is everything after the LAST colon.
-	cut := strings.LastIndexByte(ref, ':')
-	if cut < 0 {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("doc ref %q needs the form {collection}:{pos}", ref)})
-		return
-	}
-	collection, posStr := ref[:cut], ref[cut+1:]
-	pos, okPos := parseCanonicalPos(posStr)
-	if !okPos {
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: fmt.Sprintf("doc position %q is not a canonical non-negative integer (digits only, no leading zeros)", posStr)})
+	collection, pos, err := parseDocRef(ref)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	x, ok := s.hotIndex(w)
@@ -377,6 +358,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// parseDocRef splits a document ref "{collection}:{pos}" — the form of the
+// doc lookup path and of the batch lookup's "refs" — at its LAST colon,
+// since a collection name may itself contain one (merged blocks use "+",
+// but nothing forbids a colon in an ingested name). The error is the 400
+// message both endpoints answer.
+func parseDocRef(ref string) (collection string, pos int, err error) {
+	cut := strings.LastIndexByte(ref, ':')
+	if cut < 0 {
+		return "", 0, fmt.Errorf("ref %q needs the form {collection}:{pos}", ref)
+	}
+	pos, ok := parseCanonicalPos(ref[cut+1:])
+	if !ok {
+		return "", 0, fmt.Errorf("ref %q: position %q is not a canonical non-negative integer (digits only, no leading zeros)", ref, ref[cut+1:])
+	}
+	return ref[:cut], pos, nil
+}
+
 // parseCanonicalPos parses a document position in canonical decimal form:
 // ASCII digits only, no sign, no leading zeros (except "0" itself).
 // strconv.Atoi would also accept "+3" and "03"; rejecting them keeps one
@@ -396,90 +394,4 @@ func parseCanonicalPos(s string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// ServingReport is the /v1/stats view of the hot serving index: which
-// committed resolution reads are answered from and whether the store has
-// moved past it (the staleness contract: reads always serve the last
-// committed resolution, never a half-applied one).
-type ServingReport struct {
-	// Available reports whether a serving index has been published; when
-	// false the read endpoints answer 409 and every other field is zero.
-	Available bool `json:"available"`
-	// Epoch increments on every published serving index (restart loads
-	// resume from the persisted epoch).
-	Epoch uint64 `json:"epoch"`
-	// StoreVersion is the store snapshot the index was built from;
-	// comparing it with the live store version (Stale below) quantifies
-	// read-path staleness.
-	StoreVersion uint64 `json:"store_version"`
-	// Knobs is the resolution-configuration key the index was built under.
-	Knobs string `json:"knobs"`
-	// Clusters, Docs and Blocks describe the index's shape.
-	Clusters int `json:"clusters"`
-	Docs     int `json:"docs"`
-	Blocks   int `json:"blocks"`
-	// Stale is true when the live store has committed documents past the
-	// snapshot the serving index was built from — reads still answer, from
-	// the last committed resolution, until the next incremental resolve
-	// publishes a fresher index.
-	Stale bool `json:"stale"`
-}
-
-// ReadStats aggregates the read path's per-endpoint counters.
-type ReadStats struct {
-	Entities int64 `json:"entities"`
-	Docs     int64 `json:"docs"`
-	Search   int64 `json:"search"`
-	Lookup   int64 `json:"lookup"`
-}
-
-// LatencyReport exposes the per-stage latency histograms: the four
-// pipeline stages plus the read-path lookup.
-type LatencyReport struct {
-	Block   metrics.Snapshot `json:"block"`
-	Prepare metrics.Snapshot `json:"prepare"`
-	Analyze metrics.Snapshot `json:"analyze"`
-	Cluster metrics.Snapshot `json:"cluster"`
-	Lookup  metrics.Snapshot `json:"lookup"`
-}
-
-// servingReport assembles the /v1/stats serving section from the hot
-// index and the live store version.
-func (s *Server) servingReport(liveVersion uint64) ServingReport {
-	x := s.serving.Load()
-	if x == nil {
-		return ServingReport{}
-	}
-	return ServingReport{
-		Available:    true,
-		Epoch:        x.Epoch(),
-		StoreVersion: x.StoreVersion(),
-		Knobs:        x.Knobs(),
-		Clusters:     x.Clusters(),
-		Docs:         x.Docs(),
-		Blocks:       x.Blocks(),
-		Stale:        liveVersion > x.StoreVersion(),
-	}
-}
-
-// readStats assembles the /v1/stats reads section.
-func (s *Server) readStats() ReadStats {
-	return ReadStats{
-		Entities: s.counters.readEntities.Load(),
-		Docs:     s.counters.readDocs.Load(),
-		Search:   s.counters.readSearch.Load(),
-		Lookup:   s.counters.readLookup.Load(),
-	}
-}
-
-// latencyReport snapshots the per-stage histograms.
-func (s *Server) latencyReport() LatencyReport {
-	return LatencyReport{
-		Block:   s.latency.block.Snapshot(),
-		Prepare: s.latency.prepare.Snapshot(),
-		Analyze: s.latency.analyze.Snapshot(),
-		Cluster: s.latency.cluster.Snapshot(),
-		Lookup:  s.latency.lookup.Snapshot(),
-	}
 }

@@ -137,24 +137,22 @@ func TestReadEndpointsServeCommittedResolution(t *testing.T) {
 
 	// /v1/stats reports the serving index, read counters and lookup
 	// latency observations.
-	var stats StatsResponse
-	if code := getJSON(t, ts, "/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
+	stats := getStats(t, ts)
+	if stats.value(t, "ersolve_serving_available") != 1 || stats.value(t, "ersolve_serving_epoch") == 0 {
+		t.Errorf("serving gauges = %+v, want an available index", stats)
 	}
-	if !stats.Serving.Available || stats.Serving.Epoch == 0 {
-		t.Errorf("serving report = %+v, want an available index", stats.Serving)
+	if stats.value(t, "ersolve_serving_docs") != 24 || stats.value(t, "ersolve_serving_stale") != 0 {
+		t.Errorf("serving gauges = %+v, want 24 docs, not stale", stats)
 	}
-	if stats.Serving.Docs != 24 || stats.Serving.Stale {
-		t.Errorf("serving report = %+v, want 24 docs, not stale", stats.Serving)
+	reads := func(endpoint string) float64 { return stats.value(t, "ersolve_reads_total", "endpoint", endpoint) }
+	if reads("entities") < 1 || reads("docs") < 2 || reads("search") < 1 {
+		t.Errorf("read counters = %+v", stats["ersolve_reads_total"])
 	}
-	if stats.Reads.Entities < 1 || stats.Reads.Docs < 2 || stats.Reads.Search < 1 {
-		t.Errorf("read counters = %+v", stats.Reads)
+	if n := stats.stageCount(t, "lookup"); n < 3 {
+		t.Errorf("lookup latency count = %d, want >= 3", n)
 	}
-	if stats.Latency.Lookup.Count < 3 {
-		t.Errorf("lookup latency count = %d, want >= 3", stats.Latency.Lookup.Count)
-	}
-	if stats.Latency.Cluster.Count == 0 || stats.Latency.Block.Count == 0 {
-		t.Errorf("pipeline stage histograms empty: %+v", stats.Latency)
+	if stats.stageCount(t, "cluster") == 0 || stats.stageCount(t, "block") == 0 {
+		t.Errorf("pipeline stage histograms empty: %+v", stats["ersolve_stage_latency_seconds"])
 	}
 }
 
@@ -266,15 +264,12 @@ func TestServingRestartServesWithZeroRecompute(t *testing.T) {
 		}
 	}()
 
-	var stats StatsResponse
-	if code := getJSON(t, ts2, "/v1/stats", &stats); code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	if !stats.Serving.Available {
+	stats := getStats(t, ts2)
+	if stats.value(t, "ersolve_serving_available") != 1 {
 		t.Fatal("restarted server has no serving index before any resolve")
 	}
-	if stats.Resolve.Runs != 0 || stats.Latency.Cluster.Count != 0 {
-		t.Fatalf("restarted server recomputed: %+v", stats.Resolve)
+	if runs, clusters := stats.value(t, "ersolve_resolve_runs_total"), stats.stageCount(t, "cluster"); runs != 0 || clusters != 0 {
+		t.Fatalf("restarted server recomputed: %g resolve runs, %d cluster stages", runs, clusters)
 	}
 	var after EntityResponse
 	if code := getJSON(t, ts2, "/v1/docs/rivera:5/entity", &after); code != http.StatusOK {
@@ -536,10 +531,8 @@ func TestEntityLookupBatch(t *testing.T) {
 	if !reflect.DeepEqual(repeat, out) {
 		t.Fatalf("repeat diverges: %+v, first %+v", repeat, out)
 	}
-	var after StatsResponse
-	getJSON(t, ts, "/v1/stats", &after)
-	if after.Reads.Lookup != 2 {
-		t.Errorf("reads.lookup = %d, want 2", after.Reads.Lookup)
+	if n := getStats(t, ts).value(t, "ersolve_reads_total", "endpoint", "lookup"); n != 2 {
+		t.Errorf("lookup reads = %g, want 2", n)
 	}
 
 	// Bounds and syntax.
@@ -555,8 +548,13 @@ func TestEntityLookupBatch(t *testing.T) {
 		t.Errorf("oversized lookup = %d, want 400", code)
 	}
 	for _, ref := range []string{"rivera", "rivera:+3", "rivera:03", "rivera:x"} {
-		if code := postJSON(t, ts, "/v1/entities/lookup", LookupRequest{Refs: []string{ref}}, &errOut); code != http.StatusBadRequest {
+		var batchErr, docErr errorResponse
+		if code := postJSON(t, ts, "/v1/entities/lookup", LookupRequest{Refs: []string{ref}}, &batchErr); code != http.StatusBadRequest {
 			t.Errorf("ref %q = %d, want 400", ref, code)
+		}
+		// Both lookup endpoints parse a ref one way and reject it alike.
+		if code := getJSON(t, ts, "/v1/docs/"+ref+"/entity", &docErr); code != http.StatusBadRequest || docErr != batchErr {
+			t.Errorf("GET /v1/docs/%s/entity = %d %q, the batch lookup answered 400 %q", ref, code, docErr.Error, batchErr.Error)
 		}
 	}
 

@@ -167,7 +167,7 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 						}
 					}
 				}
-				if hot.Blocks() == 0 {
+				if len(hot.Resolutions()) == 0 {
 					t.Fatal("the sequence committed no blocks")
 				}
 			})

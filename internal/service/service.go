@@ -32,7 +32,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
-	"repro/internal/faultfs"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/serving"
@@ -148,7 +147,7 @@ type Server struct {
 	indexesMu sync.Mutex
 	indexes   map[string]*indexEntry
 
-	// counters are the /v1/stats per-stage counters.
+	// counters are the server's lifetime counters.
 	counters counters
 
 	// serving is the hot read-path index: the last committed resolution,
@@ -159,12 +158,13 @@ type Server struct {
 	servingMu    sync.Mutex
 	servingEpoch uint64
 
-	// latency holds the per-stage latency histograms /v1/stats reports.
+	// latency holds the per-stage latency histograms.
 	latency stageHistograms
 
-	// registry renders every instrument above on GET /metrics; traces is
-	// the ring of recently finished request traces GET /v1/traces dumps
-	// (nil when tracing is disabled); started anchors the uptime gauge.
+	// registry renders every instrument above on GET /metrics and GET
+	// /v1/stats; traces is the ring of recently finished request traces
+	// GET /v1/traces dumps (nil when tracing is disabled); started anchors
+	// the uptime gauge.
 	registry *metrics.Registry
 	traces   *tracing.Buffer
 	started  time.Time
@@ -180,9 +180,7 @@ type Server struct {
 }
 
 // counters aggregates per-stage activity across the server's lifetime.
-// Every field is a registry-backed counter (initObservability wires them),
-// so the same instruments feed /v1/stats and the Prometheus /metrics
-// exposition.
+// Every field is a registry-backed counter (initObservability wires them).
 type counters struct {
 	runs, blocks, reused, prepared, trivial *metrics.Counter
 	deltaDocs, dirtyBlocks                  *metrics.Counter
@@ -192,8 +190,8 @@ type counters struct {
 	// Degradation counters: every event where the server kept serving by
 	// giving something up — a panicking handler answered 500, ingest was
 	// throttled, persisted state failed to load (rebuilt from the corpus)
-	// or save (retried later). Surfaced by /v1/stats so operators see
-	// silent degradation before it becomes an outage.
+	// or save (retried later). Surfaced as ersolve_degraded_total so
+	// operators see silent degradation before it becomes an outage.
 	panics, ingestThrottled                  *metrics.Counter
 	indexLoadFailures, indexSaveFailures     *metrics.Counter
 	annLoadFailures, annSaveFailures         *metrics.Counter
@@ -393,7 +391,7 @@ type liveIndex[T pipeline.CandidateIndex] struct {
 
 // liveIndexes lists the registry's initialized indexes of kind T —
 // *blockindex.Index or *ann.CandidateIndex — ordered by key: the one place
-// /v1/stats and /metrics tell the kinds apart. The entries are copied
+// the metrics tell the kinds apart. The entries are copied
 // under the registry lock and queried without it: an index's Stats()
 // waits on its own mutex, which an in-flight update can hold for a while,
 // and stalling blockerFor (and with it every incremental resolve) on a
@@ -450,16 +448,16 @@ func (s *Server) Close(ctx context.Context) error {
 //	POST /v1/entities/lookup      batch entity/doc lookup, one index pass
 //	GET  /v1/docs/{ref}/entity    which cluster a store document is in
 //	GET  /v1/search?name=         name tokens → candidate clusters
-//	GET  /v1/stats                per-stage counters and index shapes
+//	GET  /v1/stats                every /metrics family as JSON
 //	GET  /v1/traces               recent request traces, newest first
 //	GET  /metrics                 Prometheus text exposition
 //	GET  /healthz                 liveness plus store stats
 //	GET  /readyz                  readiness (the server exists ⇒ replay done)
 //
 // Every route runs behind the panic-recovery middleware: a panicking
-// handler answers a JSON 500 and increments the degraded.panics counter
-// instead of killing the connection (and, under http.Serve semantics,
-// losing the response entirely).
+// handler answers a JSON 500 and increments the panics kind of
+// ersolve_degraded_total instead of killing the connection (and, under
+// http.Serve semantics, losing the response entirely).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/resolve", s.handleResolve)
@@ -1285,225 +1283,6 @@ func (s *Server) releaseState(state *incrementalState) {
 	defer s.statesMu.Unlock()
 	state.refs--
 	state.lastUsed = time.Now()
-}
-
-// StatsResponse is the /v1/stats reply: expvar-style per-stage counters
-// plus the live shape of the store, queue and blocking indexes.
-type StatsResponse struct {
-	// Store is the document store's current size and version.
-	Store store.Stats `json:"store"`
-	// Queue reports the ingest backlog.
-	Queue QueueStats `json:"queue"`
-	// Ingest counts committed ingest batches observed by the server.
-	Ingest IngestStats `json:"ingest"`
-	// Resolve aggregates the incremental endpoint's per-stage counters
-	// across the server's lifetime.
-	Resolve ResolveStats `json:"resolve"`
-	// Blocking aggregates block-stage reuse and lists every live sharded
-	// index with its shard balance.
-	Blocking BlockingStatsReport `json:"blocking"`
-	// ANN lists every live approximate-nearest-neighbor candidate index
-	// (the "ann" blocking mode) with its graph shape.
-	ANN ANNStatsReport `json:"ann"`
-	// Serving describes the hot read-path index: which committed
-	// resolution reads are served from, and how stale it is relative to
-	// the live store.
-	Serving ServingReport `json:"serving"`
-	// Reads aggregates the read path's per-endpoint counters.
-	Reads ReadStats `json:"reads"`
-	// Latency holds the per-stage latency histograms: the four pipeline
-	// stages plus the read-path lookup.
-	Latency LatencyReport `json:"latency"`
-	// SnapshotStates is the number of resolution configurations holding an
-	// incremental snapshot.
-	SnapshotStates int `json:"snapshot_states"`
-	// Degraded aggregates every event where the server kept serving by
-	// giving something up — recovered torn journal tails, quarantined
-	// index and serving files, failed loads and saves, recovered panics,
-	// throttled ingest. All-zero is the healthy steady state.
-	Degraded DegradedStats `json:"degraded"`
-}
-
-// DegradedStats counts degradation events across the server's lifetime,
-// except TornTailRecoveries and the Quarantined fields, which report the
-// backing store's own counters (recovery happens at open; quarantine at
-// load).
-type DegradedStats struct {
-	// TornTailRecoveries is how many journal segments were healed by
-	// truncating a torn final record when the store was opened.
-	TornTailRecoveries int `json:"torn_tail_recoveries"`
-	// QuarantinedIndexes counts damaged persisted blocking indexes
-	// renamed aside (*.corrupt) and rebuilt from the corpus.
-	QuarantinedIndexes int64 `json:"quarantined_indexes"`
-	// Load failures degrade a run to a full rebuild; save failures cost
-	// the restart head-start and are retried (index saves with capped
-	// exponential backoff).
-	IndexLoadFailures int64 `json:"index_load_failures"`
-	IndexSaveFailures int64 `json:"index_save_failures"`
-	// QuarantinedANN counts damaged persisted ANN graphs renamed aside;
-	// ANNLoadFailures/ANNSaveFailures degrade only the restart
-	// head-start of the "ann" blocking mode — the graph rebuilds from
-	// the corpus.
-	QuarantinedANN  int64 `json:"quarantined_ann"`
-	ANNLoadFailures int64 `json:"ann_load_failures"`
-	ANNSaveFailures int64 `json:"ann_save_failures"`
-	// QuarantinedServing counts damaged persisted serving indexes renamed
-	// aside; ServingTornTails counts the ones loaded short of a damaged
-	// commit record, serving the resolution committed before it;
-	// ServingLoadFailures/ServingSaveFailures degrade only the restart
-	// head-start: of the read path, and of the configuration's first
-	// resolve, which prepares again what the lost commit held.
-	QuarantinedServing  int64 `json:"quarantined_serving"`
-	ServingTornTails    int64 `json:"serving_torn_tails"`
-	ServingLoadFailures int64 `json:"serving_load_failures"`
-	ServingSaveFailures int64 `json:"serving_save_failures"`
-	// Panics is how many handler panics the recovery middleware answered
-	// as JSON 500s.
-	Panics int64 `json:"panics"`
-	// IngestThrottled is how many POST /v1/collections requests were
-	// answered 429 because the job backlog was full.
-	IngestThrottled int64 `json:"ingest_throttled"`
-}
-
-// tornTailReporter is implemented by stores that recover torn journal
-// tails (persist.Store); quarantineReporter by artifact stores that
-// rename damaged files aside (persist.IndexDir, persist.ServingDir);
-// servingTailReporter by serving stores that load a file short of a
-// damaged commit record (persist.ServingDir); ioReporter by stores that
-// count their device work (persist.Store over a counting filesystem, nil
-// counts otherwise). All are optional: in-memory backends report zero.
-type tornTailReporter interface{ TornTailRecoveries() int }
-type quarantineReporter interface{ Quarantined() int64 }
-type servingTailReporter interface{ TornTails() int64 }
-type ioReporter interface {
-	IOCounts() map[string]faultfs.IOCounts
-}
-
-// degradedStats assembles the degradation report from the server's own
-// counters plus whatever the backing stores expose.
-func (s *Server) degradedStats() DegradedStats {
-	d := DegradedStats{
-		IndexLoadFailures:   s.counters.indexLoadFailures.Load(),
-		IndexSaveFailures:   s.counters.indexSaveFailures.Load(),
-		ANNLoadFailures:     s.counters.annLoadFailures.Load(),
-		ANNSaveFailures:     s.counters.annSaveFailures.Load(),
-		ServingLoadFailures: s.counters.servingLoadFailures.Load(),
-		ServingSaveFailures: s.counters.servingSaveFailures.Load(),
-		Panics:              s.counters.panics.Load(),
-		IngestThrottled:     s.counters.ingestThrottled.Load(),
-	}
-	if r, ok := s.store.(tornTailReporter); ok {
-		d.TornTailRecoveries = r.TornTailRecoveries()
-	}
-	if r, ok := s.cfg.Indexes.(quarantineReporter); ok {
-		d.QuarantinedIndexes = r.Quarantined()
-	}
-	if r, ok := s.cfg.ANNIndexes.(quarantineReporter); ok {
-		d.QuarantinedANN = r.Quarantined()
-	}
-	if r, ok := s.cfg.Serving.(quarantineReporter); ok {
-		d.QuarantinedServing = r.Quarantined()
-	}
-	if r, ok := s.cfg.Serving.(servingTailReporter); ok {
-		d.ServingTornTails = r.TornTails()
-	}
-	return d
-}
-
-// QueueStats reports the ingest queue's backpressure signal and its
-// lifetime job totals.
-type QueueStats struct {
-	// Depth is the number of enqueued-but-unfinished jobs.
-	Depth int `json:"depth"`
-	// Jobs are the queue's lifetime totals since the server started.
-	Jobs store.QueueCounters `json:"jobs"`
-}
-
-// IngestStats counts observed ingest activity.
-type IngestStats struct {
-	// Batches is the number of committed ingest batches.
-	Batches int64 `json:"batches"`
-}
-
-// ResolveStats aggregates the incremental diff across all runs.
-type ResolveStats struct {
-	Runs           int64 `json:"runs"`
-	Blocks         int64 `json:"blocks"`
-	ReusedBlocks   int64 `json:"reused_blocks"`
-	PreparedBlocks int64 `json:"prepared_blocks"`
-	TrivialBlocks  int64 `json:"trivial_blocks"`
-}
-
-// BlockingStatsReport aggregates block-stage reuse across all runs and
-// describes each live index.
-type BlockingStatsReport struct {
-	// DeltaDocs is the total number of documents the indexes keyed
-	// incrementally; DirtyBlocks the total blocks those deltas touched.
-	DeltaDocs   int64 `json:"delta_docs"`
-	DirtyBlocks int64 `json:"dirty_blocks"`
-	// Indexes lists every live sharded index.
-	Indexes []IndexReport `json:"indexes"`
-}
-
-// IndexReport is one live sharded index: its blocking-configuration key
-// and the index's shape, including per-shard key counts.
-type IndexReport struct {
-	Key string `json:"key"`
-	blockindex.Stats
-}
-
-// ANNStatsReport lists every live ANN candidate index.
-type ANNStatsReport struct {
-	Indexes []ANNIndexReport `json:"indexes"`
-}
-
-// ANNIndexReport is one live ANN candidate index: its blocking-
-// configuration key and the graph's shape.
-type ANNIndexReport struct {
-	Key string `json:"key"`
-	ann.Stats
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if !allowOnly(w, r, http.MethodGet) {
-		return
-	}
-	reports := make([]IndexReport, 0)
-	for _, li := range liveIndexes[*blockindex.Index](s) {
-		reports = append(reports, IndexReport{Key: li.key, Stats: li.idx.Stats()})
-	}
-	annReports := make([]ANNIndexReport, 0)
-	for _, li := range liveIndexes[*ann.CandidateIndex](s) {
-		annReports = append(annReports, ANNIndexReport{Key: li.key, Stats: li.idx.Stats()})
-	}
-	s.statesMu.Lock()
-	states := len(s.states)
-	s.statesMu.Unlock()
-
-	storeStats := s.store.Stats()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Store:  storeStats,
-		Queue:  QueueStats{Depth: s.jobs.Depth(), Jobs: s.jobs.Counters()},
-		Ingest: IngestStats{Batches: s.counters.ingestBatches.Load()},
-		Resolve: ResolveStats{
-			Runs:           s.counters.runs.Load(),
-			Blocks:         s.counters.blocks.Load(),
-			ReusedBlocks:   s.counters.reused.Load(),
-			PreparedBlocks: s.counters.prepared.Load(),
-			TrivialBlocks:  s.counters.trivial.Load(),
-		},
-		Blocking: BlockingStatsReport{
-			DeltaDocs:   s.counters.deltaDocs.Load(),
-			DirtyBlocks: s.counters.dirtyBlocks.Load(),
-			Indexes:     reports,
-		},
-		ANN:            ANNStatsReport{Indexes: annReports},
-		Serving:        s.servingReport(storeStats.Version),
-		Reads:          s.readStats(),
-		Latency:        s.latencyReport(),
-		SnapshotStates: states,
-		Degraded:       s.degradedStats(),
-	})
 }
 
 // writeRunError maps a pipeline error to its HTTP reply; it answers true

@@ -496,14 +496,15 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 	untouched := func(when string) {
 		t.Helper()
 		stats := getStats(t, ts)
-		if n := len(stats.Blocking.Indexes); n != 0 {
-			t.Errorf("%s: /v1/stats lists %d blocking indexes, want none: %+v", when, n, stats.Blocking.Indexes)
+		if indexes := stats["ersolve_blocking_index_docs"]; len(indexes) != 0 {
+			t.Errorf("%s: /v1/stats lists %d blocking indexes, want none: %+v", when, len(indexes), indexes)
 		}
-		if n := len(stats.ANN.Indexes); n != 0 {
-			t.Errorf("%s: /v1/stats lists %d ann indexes, want none: %+v", when, n, stats.ANN.Indexes)
+		if graphs := stats["ersolve_ann_index_docs"]; len(graphs) != 0 {
+			t.Errorf("%s: /v1/stats lists %d ann indexes, want none: %+v", when, len(graphs), graphs)
 		}
-		if stats.SnapshotStates != 0 || stats.Resolve.Runs != 0 {
-			t.Errorf("%s: %d snapshot states after %d runs, want 0 and 0", when, stats.SnapshotStates, stats.Resolve.Runs)
+		states, runs := stats.value(t, "ersolve_snapshot_states"), stats.value(t, "ersolve_resolve_runs_total")
+		if states != 0 || runs != 0 {
+			t.Errorf("%s: %g snapshot states after %g runs, want 0 and 0", when, states, runs)
 		}
 	}
 	for _, body := range []string{

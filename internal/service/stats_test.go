@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +14,24 @@ import (
 	"repro/internal/persist"
 )
 
-func getStats(t *testing.T, ts *httptest.Server) StatsResponse {
+// statsReply is a decoded GET /v1/stats reply: every registered metric
+// family by name.
+type statsReply map[string][]statsSample
+
+// statsSample is one sample of a /v1/stats family: a value, or a
+// histogram's count, sum and cumulative buckets.
+type statsSample struct {
+	Labels  map[string]string `json:"labels"`
+	Value   float64           `json:"value"`
+	Count   int64             `json:"count"`
+	Sum     float64           `json:"sum"`
+	Buckets []struct {
+		Le    string `json:"le"`
+		Count int64  `json:"count"`
+	} `json:"buckets"`
+}
+
+func getStats(t *testing.T, ts *httptest.Server) statsReply {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -23,11 +41,40 @@ func getStats(t *testing.T, ts *httptest.Server) StatsResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/stats = %d", resp.StatusCode)
 	}
-	var out StatsResponse
+	var out statsReply
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// value is the value of family's sample whose labels are exactly the given
+// name/value pairs; it fails the test when there is no such sample.
+func (r statsReply) value(t *testing.T, family string, labels ...string) float64 {
+	t.Helper()
+	for _, smp := range r[family] {
+		match := len(smp.Labels)*2 == len(labels)
+		for i := 0; match && i < len(labels); i += 2 {
+			match = smp.Labels[labels[i]] == labels[i+1]
+		}
+		if match {
+			return smp.Value
+		}
+	}
+	t.Fatalf("/v1/stats has no %s sample labeled %q", family, labels)
+	return 0
+}
+
+// stageCount is the observation count of one stage's latency histogram.
+func (r statsReply) stageCount(t *testing.T, stage string) int64 {
+	t.Helper()
+	for _, smp := range r["ersolve_stage_latency_seconds"] {
+		if smp.Labels["stage"] == stage {
+			return smp.Count
+		}
+	}
+	t.Fatalf("/v1/stats has no %q latency histogram", stage)
+	return 0
 }
 
 // TestStatsEndpoint pins the observability surface: per-stage counters,
@@ -38,7 +85,8 @@ func TestStatsEndpoint(t *testing.T) {
 	col := testCollection(t, 24)
 
 	empty := getStats(t, ts)
-	if empty.Store.Docs != 0 || empty.Resolve.Runs != 0 || len(empty.Blocking.Indexes) != 0 {
+	indexes, listed := empty["ersolve_blocking_index_docs"]
+	if empty.value(t, "ersolve_store_docs") != 0 || empty.value(t, "ersolve_resolve_runs_total") != 0 || !listed || len(indexes) != 0 {
 		t.Fatalf("fresh-server stats = %+v", empty)
 	}
 
@@ -72,31 +120,36 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 
 	st := getStats(t, ts)
-	if st.Store.Docs != 24 || st.Ingest.Batches != 1 {
-		t.Fatalf("stats store/ingest = %+v / %+v", st.Store, st.Ingest)
+	if docs, batches := st.value(t, "ersolve_store_docs"), st.value(t, "ersolve_ingest_batches_total"); docs != 24 || batches != 1 {
+		t.Fatalf("stats store docs / ingest batches = %g / %g", docs, batches)
 	}
-	if st.Queue.Depth != 0 {
-		t.Fatalf("queue depth = %d after drain", st.Queue.Depth)
+	if depth := st.value(t, "ersolve_queue_depth"); depth != 0 {
+		t.Fatalf("queue depth = %g after drain", depth)
 	}
-	if st.Resolve.Runs != 2 || st.Resolve.Blocks != st.Resolve.ReusedBlocks+st.Resolve.PreparedBlocks+st.Resolve.TrivialBlocks {
-		t.Fatalf("resolve counters = %+v", st.Resolve)
+	runs, blocks := st.value(t, "ersolve_resolve_runs_total"), st.value(t, "ersolve_resolve_blocks_total")
+	outcomes := 0.0
+	for _, outcome := range []string{"reused", "prepared", "trivial"} {
+		outcomes += st.value(t, "ersolve_resolve_block_outcomes_total", "outcome", outcome)
 	}
-	if len(st.Blocking.Indexes) != 1 {
-		t.Fatalf("indexes = %+v, want exactly one", st.Blocking.Indexes)
+	if runs != 2 || blocks != outcomes {
+		t.Fatalf("resolve counters: %g runs, %g blocks, %g block outcomes", runs, blocks, outcomes)
 	}
-	idx := st.Blocking.Indexes[0]
-	if idx.Key != "exact|collection|4" || idx.Docs != 24 || len(idx.ShardKeys) != 4 {
-		t.Fatalf("index report = %+v", idx)
+	if n := len(st["ersolve_blocking_index_docs"]); n != 1 {
+		t.Fatalf("indexes = %+v, want exactly one", st["ersolve_blocking_index_docs"])
 	}
-	total := 0
-	for _, n := range idx.ShardKeys {
-		total += n
+	const key = "exact|collection|4"
+	if docs := st.value(t, "ersolve_blocking_index_docs", "index", key); docs != 24 {
+		t.Fatalf("index %s holds %g docs, want 24", key, docs)
 	}
-	if total != idx.Keys {
-		t.Fatalf("shard keys sum to %d, index reports %d keys", total, idx.Keys)
+	keys := 0.0
+	for shard := 0; shard < 4; shard++ {
+		keys += st.value(t, "ersolve_blocking_index_keys", "index", key, "shard", strconv.Itoa(shard))
 	}
-	if st.SnapshotStates != 1 {
-		t.Fatalf("snapshot states = %d", st.SnapshotStates)
+	if n := len(st["ersolve_blocking_index_keys"]); n != 4 || keys == 0 {
+		t.Fatalf("shard keys = %+v, want 4 shards holding the index's keys", st["ersolve_blocking_index_keys"])
+	}
+	if states := st.value(t, "ersolve_snapshot_states"); states != 1 {
+		t.Fatalf("snapshot states = %g", states)
 	}
 
 	// The stats endpoint is GET-only.
@@ -121,8 +174,8 @@ func TestIncrementalSchemeFallbackReported(t *testing.T) {
 		t.Fatalf("blocking stats = %+v, want the scheme path", run.Blocking)
 	}
 	st := getStats(t, ts)
-	if len(st.Blocking.Indexes) != 0 {
-		t.Fatalf("a global scheme grew an index: %+v", st.Blocking.Indexes)
+	if indexes := st["ersolve_blocking_index_docs"]; len(indexes) != 0 {
+		t.Fatalf("a global scheme grew an index: %+v", indexes)
 	}
 }
 
@@ -189,7 +242,7 @@ func TestWarmerPersistsIndex(t *testing.T) {
 	grown.Name = "cohen"
 	ingestCollection(t, ts, grown)
 	deadline := time.Now().Add(10 * time.Second)
-	for getStats(t, ts).Blocking.Indexes[0].Docs < 30 && time.Now().Before(deadline) {
+	for getStats(t, ts)["ersolve_blocking_index_docs"][0].Value < 30 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond) // wait for the warmer to index the batch
 	}
 

@@ -117,7 +117,7 @@ func answers(t testing.TB, x *Index, cols []*corpus.Collection) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "epoch=%d version=%d knobs=%q blocks=%d clusters=%d docs=%d\n",
-		x.Epoch(), x.StoreVersion(), x.Knobs(), x.Blocks(), x.Clusters(), x.Docs())
+		x.Epoch(), x.StoreVersion(), x.Knobs(), len(x.order), x.Clusters(), x.Docs())
 	render := func(v any) string {
 		buf, err := json.Marshal(v)
 		if err != nil {

@@ -307,9 +307,6 @@ func (x *Index) Docs() int {
 	return n
 }
 
-// Blocks is the number of resolution blocks behind the index.
-func (x *Index) Blocks() int { return len(x.order) }
-
 // Resolutions returns the committed run the index holds, block by block in
 // commit order — what Build was given, less the documents' text: each
 // block's fingerprint, name, member refs and, in the same order, their

@@ -1,14 +1,11 @@
 package stats
 
-import "math"
-
 // Retired library surface: summary statistics. Nothing outside this
 // package's tests has called these; PR 19 took them out of the production
-// package. They live here only so that their tests (TestMean,
-// TestVarianceAndStdDev, TestMinMax, the Median half of TestQuantileMedian,
-// TestMeanBoundsProperty, TestVarianceNonNegativeProperty) keep running.
-// Delete a declaration together with its tests; never call one from
-// non-test code.
+// package. They live here only so that their tests (TestMean, TestMinMax,
+// the Median half of TestQuantileMedian, TestMeanBoundsProperty) keep
+// running. Delete a declaration together with its tests; never call one
+// from non-test code.
 
 // Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -20,26 +17,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs (division by n, not n-1).
-// It returns 0 for inputs with fewer than one element.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
 }
 
 // Min returns the smallest value in xs. It returns ErrEmpty for empty input.

@@ -32,22 +32,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if got := Variance(nil); got != 0 {
-		t.Errorf("Variance(nil) = %v, want 0", got)
-	}
-	if got := Variance([]float64{5}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -2, 7, 0}
 	if got, err := Min(xs); err != nil || got != -2 {
@@ -126,20 +110,6 @@ func TestMeanBoundsProperty(t *testing.T) {
 		lo, _ := Min(raw)
 		hi, _ := Max(raw)
 		return m >= lo-1e-9*math.Abs(lo)-1e-9 && m <= hi+1e-9*math.Abs(hi)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVarianceNonNegativeProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				return true
-			}
-		}
-		return Variance(raw) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -169,7 +169,7 @@ func (q *Queue) Enqueue(kind string, run func(context.Context) (any, error)) (Jo
 
 // Depth reports the number of jobs enqueued but not yet finished (pending
 // plus running) — the queue's backpressure signal, exposed by the service
-// stats endpoint.
+// as the ersolve_queue_depth gauge.
 func (q *Queue) Depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -178,14 +178,15 @@ func (q *Queue) Depth() int {
 
 // QueueCounters are the queue's lifetime job totals, accumulated since
 // the queue was constructed — the counter-shaped complement of Depth's
-// instantaneous backpressure gauge, exposed by /v1/stats and /metrics.
+// instantaneous backpressure gauge, exposed by the service as the
+// ersolve_queue_jobs_total family.
 type QueueCounters struct {
 	// Enqueued counts jobs accepted by Enqueue.
-	Enqueued int64 `json:"enqueued"`
+	Enqueued int64
 	// Done, Failed and Canceled count terminal outcomes.
-	Done     int64 `json:"done"`
-	Failed   int64 `json:"failed"`
-	Canceled int64 `json:"canceled"`
+	Done     int64
+	Failed   int64
+	Canceled int64
 }
 
 // Counters returns a copy of the queue's lifetime totals.
