@@ -18,15 +18,10 @@ import (
 // ergraph or blocking belongs here: what only their tests need lives in
 // their _test.go files.
 var testSeams = map[string]string{
-	"faultfs.Injector.":              "fault-injecting FS: the crash and degradation harnesses of persist and service arm it and read its state",
-	"faultfs.NewInjector":            "constructor of faultfs.Injector",
-	"metrics.LintExposition":         "Prometheus text-format linter the service tests run over /metrics",
-	"persist.Open":                   "OpenWithOptions with default Options, what the persist and service tests open a data directory through (production passes its FS and logger); outside the nine packages PR 19 swept",
-	"persist.NewSnapshotDir":         "default-Options constructor the artifact tests build a bare directory with; see persist.Open",
-	"persist.NewIndexDir":            "see persist.NewSnapshotDir",
-	"persist.NewANNDir":              "see persist.NewSnapshotDir",
-	"persist.NewServingDir":          "see persist.NewSnapshotDir",
-	"persist.ServingDir.LoadServing": "by-key load the serving-log tests read a commit back with (production loads the latest); see persist.Open",
+	"faultfs.Injector.":      "fault-injecting FS: the crash and degradation harnesses of persist and service arm it and read its state",
+	"faultfs.NewInjector":    "constructor of faultfs.Injector",
+	"metrics.LintExposition": "Prometheus text-format linter the service tests run over /metrics",
+	"persist.Open":           "OpenWithOptions with default Options, what the persist and service tests open a data directory through (production passes its FS and logger)",
 }
 
 // declUnit is one package-level declaration (or, outside internal/, one

@@ -282,8 +282,8 @@ func (x *CandidateIndex) Membership() ([][]DocRef, []uint64) {
 
 // UpdateMembership inserts cols' delta and returns the resulting block
 // membership as one atomic operation, so the returned refs lie within
-// cols even when concurrent updaters (the background warmer) are
-// advancing the index.
+// cols even when concurrent updaters (another resolve sharing the index)
+// are advancing the index.
 func (x *CandidateIndex) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]DocRef, []uint64, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()

@@ -212,8 +212,8 @@ func (x *Index) Membership() ([][]DocRef, []uint64) {
 
 // UpdateMembership indexes cols' delta and returns the resulting block
 // membership as one atomic operation, so the returned refs are guaranteed
-// to lie within cols even when concurrent updaters (a background warmer,
-// another configuration sharing the index) are advancing the index. A
+// to lie within cols even when concurrent updaters (another resolve
+// sharing the index) are advancing the index. A
 // corpus the incremental state cannot serve — already overtaken by a newer
 // snapshot — returns ErrOutOfSync exactly like Update.
 func (x *Index) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]DocRef, []uint64, error) {

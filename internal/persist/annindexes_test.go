@@ -17,10 +17,7 @@ func annCfg() ann.Config {
 }
 
 func TestANNDirRoundTrip(t *testing.T) {
-	dir, err := NewANNDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newANNDir, t.TempDir())
 
 	// No index saved yet: (nil, nil).
 	idx, err := dir.LoadANNIndex("ann|canopy|collection|12|100|64", annCfg())
@@ -61,10 +58,7 @@ func TestANNDirRoundTrip(t *testing.T) {
 
 func TestANNDirRejectsDamage(t *testing.T) {
 	tmp := t.TempDir()
-	dir, err := NewANNDir(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newANNDir, tmp)
 	built, err := ann.New(annCfg())
 	if err != nil {
 		t.Fatal(err)
@@ -100,10 +94,7 @@ func TestANNDirRejectsDamage(t *testing.T) {
 
 	// The sharded .idx files and the .ann files share DIR/indexes without
 	// aliasing: an IndexDir over the same tree sees no index for the key.
-	idxDir, err := NewIndexDir(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	idxDir := bareDir(t, newIndexDir, tmp)
 	if idx, err := idxDir.LoadIndex("k", blockindex.Config{Scheme: blocking.ExactKey{}, Shards: 2}); err != nil || idx != nil {
 		t.Fatalf("IndexDir over shared tree = (%v, %v), want (nil, nil)", idx, err)
 	}

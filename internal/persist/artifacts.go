@@ -265,13 +265,6 @@ func (d *artifactDir) checkEnvelope(r io.Reader, wantKey *string) error {
 // would grow the directory without bound.
 type SnapshotDir struct{ *artifactDir }
 
-// NewSnapshotDir returns a snapshot directory rooted at dir. Open wires
-// one up automatically; this constructor exists for callers embedding the
-// snapshot store without the segment log.
-func NewSnapshotDir(dir string) (*SnapshotDir, error) {
-	return newSnapshotDir(dir, Options{}.withDefaults())
-}
-
 func newSnapshotDir(dir string, opts Options) (*SnapshotDir, error) {
 	d, err := newArtifactDir(dir, opts, "snap", snapFileMagic, "snapshot", 64)
 	return &SnapshotDir{d}, err
@@ -305,11 +298,6 @@ func (d *SnapshotDir) Load(key string, pl *pipeline.Pipeline) (snap *pipeline.Sn
 // count) only — far fewer knobs than snapshots — so a cap of 16 suffices.
 type IndexDir struct{ *artifactDir }
 
-// NewIndexDir returns an index directory rooted at dir.
-func NewIndexDir(dir string) (*IndexDir, error) {
-	return newIndexDir(dir, Options{}.withDefaults())
-}
-
 func newIndexDir(dir string, opts Options) (*IndexDir, error) {
 	d, err := newArtifactDir(dir, opts, "idx", idxFileMagic, "index", 16)
 	return &IndexDir{d}, err
@@ -339,11 +327,6 @@ func (d *IndexDir) LoadIndex(key string, cfg blockindex.Config) (idx *blockindex
 // knobs) — as few knobs as the sharded indexes — so the same cap of 16
 // suffices.
 type ANNDir struct{ *artifactDir }
-
-// NewANNDir returns an ANN index directory rooted at dir.
-func NewANNDir(dir string) (*ANNDir, error) {
-	return newANNDir(dir, Options{}.withDefaults())
-}
 
 func newANNDir(dir string, opts Options) (*ANNDir, error) {
 	d, err := newArtifactDir(dir, opts, "ann", annFileMagic, "ann index", 16)
@@ -406,11 +389,6 @@ type servingFile struct {
 // doubles what the commits themselves write, a load never replays more
 // log than base, and a file is never more than twice its index.
 const servingLogPerBase = 1
-
-// NewServingDir returns a serving-index directory rooted at dir.
-func NewServingDir(dir string) (*ServingDir, error) {
-	return newServingDir(dir, Options{}.withDefaults())
-}
 
 func newServingDir(dir string, opts Options) (*ServingDir, error) {
 	d, err := newArtifactDir(dir, opts, "srv", srvFileMagic, "serving index", 32)

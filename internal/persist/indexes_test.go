@@ -25,10 +25,7 @@ func indexCols() []*corpus.Collection {
 }
 
 func TestIndexDirRoundTrip(t *testing.T) {
-	dir, err := NewIndexDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newIndexDir, t.TempDir())
 	cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4}
 
 	// No index saved yet: (nil, nil).
@@ -70,10 +67,7 @@ func TestIndexDirRoundTrip(t *testing.T) {
 
 func TestIndexDirRejectsDamage(t *testing.T) {
 	tmp := t.TempDir()
-	dir, err := NewIndexDir(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newIndexDir, tmp)
 	cfg := blockindex.Config{Scheme: blocking.ExactKey{}, Shards: 2}
 	built, err := blockindex.New(cfg)
 	if err != nil {

@@ -20,7 +20,9 @@
 // classification of damaged records (internal/framing).
 //
 // Durability model: a batch is journaled (written and fsynced) before
-// Append returns, so an acknowledged ingest survives a crash. Replay
+// Append returns, so an acknowledged ingest survives a crash. An Append is
+// journal + merge and nothing else: a key or ANN index file trails the
+// journal until a resolve advances that index and saves it. Replay
 // re-runs the journaled batches through the same in-memory merge the live
 // path uses, and that merge is deterministic, so the reopened store is
 // byte-identical to the pre-crash one — preserving the append-only
@@ -248,15 +250,6 @@ type Store struct {
 }
 
 var _ store.DocumentStore = (*Store)(nil)
-var _ store.AppendObserver = (*Store)(nil)
-
-// SubscribeAppend implements store.AppendObserver by forwarding to the
-// in-memory merge target: subscribers see every batch the journal
-// committed. Replay happens before any subscriber can register (open
-// finishes first), so a restart does not replay notifications.
-func (s *Store) SubscribeAppend(fn func(store.AppendEvent)) {
-	s.mem.SubscribeAppend(fn)
-}
 
 // TornTailRecoveries reports how many torn journal tails this open
 // truncated away — the service counts it under ersolve_degraded_total so

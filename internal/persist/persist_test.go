@@ -51,6 +51,18 @@ func testBatches(t *testing.T) [][]*corpus.Collection {
 	return batches
 }
 
+// bareDir opens one artifact directory at dir with default options —
+// without Open's segment log and lock — for the tests of a single kind:
+// bareDir(t, newIndexDir, dir).
+func bareDir[D any](t *testing.T, newDir func(string, Options) (D, error), dir string) D {
+	t.Helper()
+	d, err := newDir(dir, Options{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // storeJSON is the canonical byte form of a store's contents used for
 // byte-identical comparisons.
 func storeJSON(t *testing.T, s store.DocumentStore) ([]byte, uint64) {

@@ -200,10 +200,7 @@ func TestServingDirAppendsCommits(t *testing.T) {
 }
 
 func TestServingDirRoundTrip(t *testing.T) {
-	dir, err := NewServingDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newServingDir, t.TempDir())
 
 	// Nothing saved: both load paths answer (nil, nil).
 	if x, err := dir.LoadServing("knobs-a"); err != nil || x != nil {
@@ -244,10 +241,7 @@ func TestServingDirRoundTrip(t *testing.T) {
 
 func TestServingDirLatestWinsAndSkipsDamage(t *testing.T) {
 	tmp := t.TempDir()
-	dir, err := NewServingDir(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newServingDir, tmp)
 	if err := dir.SaveServing("old", servingFixture(t, 1, 1, "old")); err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +318,7 @@ func TestServingDirRejectsDamage(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir, err := NewServingDir(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			dir := bareDir(t, newServingDir, t.TempDir())
 			if err := dir.SaveServing("k", servingFixture(t, 1, 1, "k")); err != nil {
 				t.Fatal(err)
 			}
@@ -392,10 +383,7 @@ func TestServingDirRejectsDamage(t *testing.T) {
 					dir.TornTails(), dir.Quarantined(), logged)
 			}
 			// The next process's first commit replaces the file, tail and all.
-			next, err := NewServingDir(filepath.Dir(path))
-			if err != nil {
-				t.Fatal(err)
-			}
+			next := bareDir(t, newServingDir, filepath.Dir(path))
 			if err := next.SaveServing("k", commits[2]); err != nil {
 				t.Fatal(err)
 			}
@@ -406,18 +394,14 @@ func TestServingDirRejectsDamage(t *testing.T) {
 	}
 
 	// A key mismatch (hash collision or renamed file) is damage too.
-	dir, err := NewServingDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := bareDir(t, newServingDir, t.TempDir())
 	if err := dir.SaveServing("real", servingFixture(t, 1, 1, "real")); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(dir.path("real"), dir.path("imposter")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = dir.LoadServing("imposter")
-	if err == nil || !strings.Contains(err.Error(), "was saved for configuration") {
+	if _, err := dir.LoadServing("imposter"); err == nil || !strings.Contains(err.Error(), "was saved for configuration") {
 		t.Fatalf("key-mismatch load = %v, want a key mismatch error", err)
 	}
 }

@@ -79,9 +79,10 @@ func NewANNBlockerWith(idx *ann.CandidateIndex) *IndexBlocker {
 func (ib *IndexBlocker) Index() CandidateIndex { return ib.idx }
 
 // Warm indexes any documents of cols the index has not seen, without
-// assembling blocks — the ingest-notification hook that moves delta
-// indexing off the resolve path. A snapshot the index has already been
-// advanced past (a resolve got there first) is a no-op, not an error:
+// assembling blocks: the delta update of BlockFingerprints alone. The
+// service never calls it (its indexes advance only inside a resolve); the
+// benchmark's replay probe does, to time that update by itself. A snapshot
+// the index has already been advanced past is a no-op, not an error:
 // warming has nothing left to add.
 func (ib *IndexBlocker) Warm(cols []*corpus.Collection) (blockindex.UpdateStats, error) {
 	stats, err := ib.idx.Update(cols)
@@ -105,9 +106,9 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		return IndexedBlocks{}, err
 	}
 	// Update and membership must be one atomic index operation: with the
-	// index shared (other configurations, the service's background
-	// warmer), a separate Membership call could observe a state advanced
-	// past cols and hand back refs pointing beyond the caller's snapshot.
+	// index shared (every resolution configuration that blocks the same
+	// way), a separate Membership call could observe a state advanced past
+	// cols and hand back refs pointing beyond the caller's snapshot.
 	stats, members, fps, err := ib.idx.UpdateMembership(cols)
 	blockingStats := BlockingStats{Indexer: ib.indexer}
 	switch {

@@ -129,10 +129,12 @@ func TestANNModeValidation(t *testing.T) {
 // covers the documents ingested in between.
 func TestANNIndexRestartZeroReinsertion(t *testing.T) {
 	tmp := t.TempDir()
-	annDir, err := persist.NewANNDir(tmp)
+	data, err := persist.Open(tmp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { data.Close() })
+	annDir := data.ANN
 	col := testCollection(t, 40)
 	req := IncrementalResolveRequest{
 		resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann"},
@@ -148,7 +150,7 @@ func TestANNIndexRestartZeroReinsertion(t *testing.T) {
 	}
 	// The first resolve already persisted the graph; srv1 is now abandoned
 	// without Close — the kill-9.
-	files, err := filepath.Glob(filepath.Join(tmp, "*.ann"))
+	files, err := filepath.Glob(filepath.Join(tmp, "indexes", "*.ann"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("persisted ann files after resolve: %v, %v (want exactly 1)", files, err)
 	}

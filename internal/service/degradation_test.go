@@ -169,7 +169,7 @@ func (f *failingIndexStore) SaveANNIndex(key string, idx pipeline.CandidateIndex
 }
 
 // TestIndexSaveBackoff pins the save policy of a registry entry, for both
-// index kinds: the warmer's persistIndexIfGrown saves only once the
+// index kinds: the resolve path's persistIndexIfGrown saves only once the
 // unsaved delta reaches indexSaveDeltaDocs; while a save is failing and the
 // backoff window is open, persistIndex does not re-hit the store; once the
 // window passes it retries; Close forces a final attempt regardless.
@@ -212,8 +212,8 @@ func TestIndexSaveBackoff(t *testing.T) {
 				t.Fatal(err)
 			}
 			ib := entry.blocker.Load()
-			// grow appends n tiny documents and indexes them the way the
-			// warmer would.
+			// grow appends n tiny documents and indexes them with the
+			// delta update a resolve runs, without assembling blocks.
 			grow := func(n int) {
 				t.Helper()
 				col := &corpus.Collection{Name: "rivera", NumPersonas: 1}

@@ -236,8 +236,8 @@ func TestKillWithoutCloseRestartsFromLastCommit(t *testing.T) {
 // cancelOnSnapshot is a document store whose next Snapshot — the resolve
 // handler's, taken under the configuration's lock just before the run —
 // first calls the armed function: the client hangs up while its resolve is
-// in flight. It hides the store's append subscription, so no warmer takes
-// snapshots of its own.
+// in flight. Only a resolve takes snapshots, so the armed call is that
+// resolve's.
 type cancelOnSnapshot struct {
 	store.DocumentStore
 	armed func()

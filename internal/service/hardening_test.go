@@ -170,19 +170,24 @@ func TestJobRecordEvictedIs410(t *testing.T) {
 // survive, and a concurrent same-config acquire must get the same state
 // object — the serialize-per-config invariant.
 func TestStatePinnedDuringSlowRun(t *testing.T) {
-	srv := New(Config{MaxStates: 1})
+	srv := New(Config{})
 	t.Cleanup(func() { srv.Close(context.Background()) })
 	knobs := func(seed int64) string { return fmt.Sprintf("seed %d", seed) }
+	// churn acquires and releases n configurations never used before.
+	next := int64(2)
+	churn := func(n int) {
+		for ; n > 0; n-- {
+			srv.releaseState(srv.acquireState(knobs(next)))
+			next++
+		}
+	}
 
 	// The slow run: acquired and mid-flight (lock held).
 	slow := srv.acquireState(knobs(1))
 	slow.mu.Lock()
 
-	// Meanwhile other configurations hammer the 1-entry LRU.
-	for i := int64(2); i <= 6; i++ {
-		st := srv.acquireState(knobs(i))
-		srv.releaseState(st)
-	}
+	// Meanwhile other configurations hammer the LRU well past its cap.
+	churn(2 * maxStates)
 
 	// A same-config request during the slow run must serialize on the
 	// SAME state object, not conjure a second one.
@@ -209,9 +214,9 @@ func TestStatePinnedDuringSlowRun(t *testing.T) {
 	}
 	srv.releaseState(st)
 
-	// Once unpinned, the LRU may evict it again: churn, then re-acquire.
-	churn := srv.acquireState(knobs(7))
-	srv.releaseState(churn)
+	// Once unpinned, the LRU may evict it again: churn a full cap of new
+	// configurations past it, then re-acquire.
+	churn(maxStates)
 	if again := srv.acquireState(knobs(1)); again == slow {
 		t.Error("unpinned state survived LRU eviction past the cap")
 	} else {

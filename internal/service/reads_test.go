@@ -291,22 +291,26 @@ func TestServingRestartServesWithZeroRecompute(t *testing.T) {
 // member position it may mention.
 func TestReadAfterCommitConsistency(t *testing.T) {
 	shared := store.NewMemStore()
-	// docsAt maps store version -> total docs committed at that version;
-	// the subscription fires after each commit, in order.
-	var docsMu sync.Mutex
-	docsAt := map[uint64]int{0: 0}
-	shared.SubscribeAppend(func(ev store.AppendEvent) {
-		docsMu.Lock()
-		docsAt[ev.Stats.Version] = ev.Stats.Docs
-		docsMu.Unlock()
-	})
-
 	ts := testServer(t, Config{Store: shared})
 	col := testCollection(t, 40)
 
+	// docsAt maps store version -> total docs committed at that version.
+	// The writer records each version right after its ingest, before the
+	// resolve that can publish it.
+	var docsMu sync.Mutex
+	docsAt := map[uint64]int{0: 0}
+	ingest := func(batch *corpus.Collection) {
+		t.Helper()
+		ingestCollection(t, ts, batch)
+		st := shared.Stats()
+		docsMu.Lock()
+		docsAt[st.Version] = st.Docs
+		docsMu.Unlock()
+	}
+
 	const batches = 8
 	per := len(col.Docs) / batches
-	ingestCollection(t, ts, &corpus.Collection{
+	ingest(&corpus.Collection{
 		Name: col.Name, Docs: col.Docs[:per], NumPersonas: col.NumPersonas,
 	})
 	resolveOK(t, ts, IncrementalResolveRequest{})
@@ -389,7 +393,7 @@ func TestReadAfterCommitConsistency(t *testing.T) {
 		if b == batches-1 {
 			hi = len(col.Docs)
 		}
-		ingestCollection(t, ts, &corpus.Collection{
+		ingest(&corpus.Collection{
 			Name: col.Name, Docs: col.Docs[lo:hi], NumPersonas: col.NumPersonas,
 		})
 		resolveOK(t, ts, IncrementalResolveRequest{})

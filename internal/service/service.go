@@ -49,11 +49,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// QueueBuffer bounds the ingest job backlog; zero selects 64.
 	QueueBuffer int
-	// MaxStates caps how many knob configurations keep an incremental
-	// snapshot (each retains every block's labels and score); the
-	// least-recently-used is evicted beyond the cap, except states pinned
-	// by an in-flight run. Zero selects 16.
-	MaxStates int
 	// JobHistory bounds how many finished ingest-job records stay
 	// queryable via GET /v1/jobs/{id}; older records answer 410 Gone.
 	// Zero selects 1024.
@@ -168,15 +163,6 @@ type Server struct {
 	registry *metrics.Registry
 	traces   *tracing.Buffer
 	started  time.Time
-
-	// warmCh coalesces ingest notifications for the background index
-	// warmer; closeCh stops it, warmDone (nil when no warmer runs) is
-	// closed when it has fully exited — Close joins on it so no index
-	// write can race the data directory's close.
-	warmCh    chan struct{}
-	closeCh   chan struct{}
-	warmDone  chan struct{}
-	closeOnce sync.Once
 }
 
 // counters aggregates per-stage activity across the server's lifetime.
@@ -222,7 +208,7 @@ type indexEntry struct {
 	// form reflects (0 when never saved). saveFailures and nextSave
 	// implement capped exponential backoff on failing saves, so a broken
 	// index store is retried occasionally instead of hammered by every
-	// warm round. All guarded by mu.
+	// resolve. All guarded by mu.
 	mu           sync.Mutex
 	savedVersion uint64
 	saveFailures int
@@ -259,17 +245,12 @@ type incrementalState struct {
 
 // New applies the config defaults and returns a server. The server owns a
 // background ingest worker; call Close when done with it.
-//
-// erlint:ignore the warm loop's lifetime is bound to the Server, ended by Close via closeCh, not by a request context
 func New(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
-	}
-	if cfg.MaxStates <= 0 {
-		cfg.MaxStates = 16
 	}
 	if cfg.ErrorLog == nil {
 		cfg.ErrorLog = log.Printf
@@ -280,14 +261,12 @@ func New(cfg Config) *Server {
 		jobs:    store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
 		states:  make(map[string]*incrementalState),
 		indexes: make(map[string]*indexEntry),
-		warmCh:  make(chan struct{}, 1),
-		closeCh: make(chan struct{}),
 	}
 	if s.store == nil {
 		s.store = store.NewMemStore()
 	}
 	// Instruments must exist before anything can tick one: the serving
-	// load and ingest subscription below both touch counters.
+	// load below touches counters.
 	s.initObservability()
 	// Publish the most recently persisted serving index before taking any
 	// traffic: a restarted -data server answers entity lookups for the
@@ -303,67 +282,24 @@ func New(cfg Config) *Server {
 			s.serving.Store(x)
 		}
 	}
-	// Ingest notifies the index maintainers: each committed batch kicks
-	// the background warmer, which feeds the delta to every live blocking
-	// index off the resolve path — so the next incremental resolve finds
-	// the corpus already keyed and blocked.
-	if obs, ok := s.store.(store.AppendObserver); ok {
-		obs.SubscribeAppend(func(store.AppendEvent) {
-			s.counters.ingestBatches.Add(1)
-			select {
-			case s.warmCh <- struct{}{}:
-			default: // a warm round is already pending; it will see this batch too
-			}
-		})
-		s.warmDone = make(chan struct{})
-		go s.warmLoop()
-	}
 	return s
 }
 
-// indexSaveDeltaDocs is how far an index may advance past its persisted
-// version before the warmer or a resolve saves it. Saving encodes the
-// whole posting set or graph, so persisting after every small batch would
-// spend O(corpus) disk I/O per ingest or per delta resolve — the very cost
-// this index removes from the resolve path. The remainder is flushed
-// unconditionally on Close; after a kill -9 the index trails the journal
-// by fewer than this many documents, which the first resolve re-keys from
-// the replayed store through the same delta update every resolve runs.
-const indexSaveDeltaDocs = 4096
+// maxStates caps how many knob configurations keep an incremental snapshot
+// (each retains every block's labels and score); the least-recently-used
+// is evicted beyond the cap, except states pinned by an in-flight run.
+const maxStates = 16
 
-// warmLoop drains coalesced ingest notifications and pre-indexes the new
-// documents into every live blocking index. Warming is best effort: a
-// failure (or a race with a concurrent resolve) costs nothing but the
-// head-start, since BlockFingerprints re-runs the same delta update.
-//
-// erlint:ignore server-lifetime loop; its select exits on closeCh when Close runs, the cancellation seam for this goroutine
-func (s *Server) warmLoop() {
-	defer close(s.warmDone)
-	for {
-		select {
-		case <-s.closeCh:
-			return
-		case <-s.warmCh:
-			cols, _ := s.store.Snapshot()
-			for _, e := range s.indexEntries() {
-				ib := e.blocker.Load()
-				if ib == nil {
-					continue // still initializing; its first resolve will index
-				}
-				if _, err := ib.Warm(cols); err != nil {
-					s.cfg.ErrorLog("service: warming %s %q: %v", e.noun, e.key, err)
-					continue
-				}
-				// Persist what the warmer built — batched: an ingest-heavy,
-				// resolve-light server must not lose its keying work on
-				// shutdown, but saving the whole index per small batch
-				// would cost O(corpus) I/O per ingest. Close flushes the
-				// tail.
-				s.persistIndexIfGrown(e)
-			}
-		}
-	}
-}
+// indexSaveDeltaDocs is how far an index may advance past its persisted
+// version before a resolve saves it. Saving encodes the whole posting set
+// or graph, so persisting after every small delta would spend O(corpus)
+// disk I/O per delta resolve — the very cost this index removes from the
+// resolve path. The remainder is flushed unconditionally on Close; after a
+// kill -9 the index trails the journal by fewer than this many documents
+// plus whatever was ingested after the last resolve, which the first
+// resolve re-keys from the replayed store through the same delta update
+// every resolve runs.
+const indexSaveDeltaDocs = 4096
 
 // persistIndexIfGrown saves the entry's index only once the unsaved delta
 // is large enough to amortize the whole-index encode.
@@ -422,16 +358,14 @@ func (s *Server) indexEntries() []*indexEntry {
 
 // Close shuts the ingest worker down (draining queued jobs until ctx
 // expires; after that the remaining jobs are canceled and ctx's error is
-// returned), then stops AND JOINS the index warmer before flushing every
-// advanced index to its store. After Close returns, no goroutine of
+// returned), then flushes every index a resolve advanced past its saved
+// form to its store. Ingest does no index work, so documents ingested
+// after a configuration's last resolve are keyed by its next resolve, in
+// this process or after a restart. After Close returns, no goroutine of
 // this server writes the data directory — which is what lets the caller
 // close it and release its single-writer lock.
 func (s *Server) Close(ctx context.Context) error {
 	err := s.jobs.Shutdown(ctx)
-	s.closeOnce.Do(func() { close(s.closeCh) })
-	if s.warmDone != nil {
-		<-s.warmDone
-	}
 	for _, e := range s.indexEntries() {
 		s.persistIndex(e, true)
 	}
@@ -850,7 +784,10 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// An ingest is journal + merge only: the indexes catch up inside the
+	// next resolve that reads them.
 	job, err := s.jobs.Enqueue("ingest", func(context.Context) (any, error) {
+		before := s.store.Stats().Version
 		added, err := s.store.Append(req.Collections)
 		if err != nil {
 			// The batch was validated up front, so what remains is a store
@@ -858,7 +795,13 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 			// store's error.
 			return nil, err
 		}
-		return IngestResult{DocsAdded: added, Store: s.store.Stats()}, nil
+		st := s.store.Stats()
+		// The queue runs one job at a time, so a version move across this
+		// Append is this batch's commit.
+		if st.Version != before {
+			s.counters.ingestBatches.Add(1)
+		}
+		return IngestResult{DocsAdded: added, Store: st}, nil
 	})
 	switch {
 	case errors.Is(err, store.ErrQueueFull):
@@ -1183,9 +1126,9 @@ func (s *Server) blockerFor(bc pipeline.BlockingConfig) (pipeline.Blocker, *inde
 // persistIndexOnResolve is the resolve path's save policy. The first
 // resolve of a blocking configuration with nothing saved yet saves the
 // index, so even a server killed right after it leaves a loadable file;
-// from then on a resolve saves in the warmer's batches — never the whole
-// index for a two-document delta. e is nil for a configuration without an
-// index.
+// from then on a resolve saves once indexSaveDeltaDocs documents are
+// unsaved — never the whole index for a two-document delta. e is nil for a
+// configuration without an index.
 func (s *Server) persistIndexOnResolve(e *indexEntry) {
 	if e == nil {
 		return
@@ -1205,7 +1148,7 @@ func (s *Server) persistIndexOnResolve(e *indexEntry) {
 // Serialized per entry; a failure costs only the restart
 // head-start and is logged. Consecutive failures back off exponentially
 // (capped), so a broken index store is probed occasionally rather than
-// hammered by every warm round; force — used by Close, the last chance
+// hammered by every resolve; force — used by Close, the last chance
 // before the process exits — attempts the save regardless of backoff.
 func (s *Server) persistIndex(e *indexEntry, force bool) {
 	if e == nil || e.save == nil {
@@ -1251,7 +1194,7 @@ func (s *Server) acquireState(key string) *incrementalState {
 	defer s.statesMu.Unlock()
 	state, ok := s.states[key]
 	if !ok {
-		for len(s.states) >= s.cfg.MaxStates {
+		for len(s.states) >= maxStates {
 			oldestKey := ""
 			var oldest time.Time
 			for sk, st := range s.states {

@@ -524,8 +524,7 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 		}
 	}
 	untouched("after the rejected requests")
-	// Had an entry been left behind, this ingest would have the warmer
-	// fill it with the whole store.
+	// An ingest does no index work, so it creates no entry either.
 	more := testCollection(t, 14)
 	more.Docs = more.Docs[12:]
 	ingestCollection(t, ts, more)
@@ -533,10 +532,10 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 }
 
 // TestIncrementalSnapshotEviction pins the LRU cap on per-configuration
-// snapshots: beyond MaxStates, the least-recently-used state is
+// snapshots: beyond maxStates, the least-recently-used state is
 // dropped and its configuration resolves from scratch next time.
 func TestIncrementalSnapshotEviction(t *testing.T) {
-	ts := testServer(t, Config{MaxStates: 1})
+	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 12))
 
 	var out IncrementalResolveResponse
@@ -544,9 +543,12 @@ func TestIncrementalSnapshotEviction(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &out); code != http.StatusOK || out.Incremental.ReusedBlocks == 0 {
 		t.Fatalf("warm default state should reuse: %d %+v", code, out.Incremental)
 	}
-	// A second configuration evicts the only slot.
-	s7 := int64(7)
-	postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{resolveKnobs: resolveKnobs{Seed: &s7}}, &out)
+	// A full cap of other configurations evicts the default one, the least
+	// recently used.
+	for i := int64(0); i < maxStates; i++ {
+		seed := 7 + i
+		postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{resolveKnobs: resolveKnobs{Seed: &seed}}, &out)
+	}
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &out); code != http.StatusOK {
 		t.Fatalf("post-eviction run: %d", code)
 	}

@@ -99,10 +99,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if run.Blocking.Indexer != "index" {
 		t.Fatalf("blocking stats = %+v, want the index path", run.Blocking)
 	}
-	if run.Blocking.DeltaDocs != 24 && run.Blocking.DeltaDocs != 0 {
-		// The background warmer may have indexed the batch already; either
-		// way the docs are indexed exactly once.
-		t.Fatalf("first resolve delta_docs = %d, want 24 (cold) or 0 (warmed)", run.Blocking.DeltaDocs)
+	if run.Blocking.DeltaDocs != 24 {
+		t.Fatalf("first resolve delta_docs = %d, want 24: the resolve keys the whole ingest", run.Blocking.DeltaDocs)
 	}
 	if run.Blocking.IndexedDocs != 24 || run.Blocking.Shards != 4 {
 		t.Fatalf("blocking stats = %+v, want 24 docs over 4 shards", run.Blocking)
@@ -219,59 +217,41 @@ func TestNamesKeysKnob(t *testing.T) {
 	}
 }
 
-// TestWarmerPersistsIndex pins that index state built by the background
-// warmer — not just by resolves — survives a restart: an ingest-heavy,
-// resolve-light server must not lose its keying work on shutdown.
-func TestWarmerPersistsIndex(t *testing.T) {
-	dir := t.TempDir()
-	data, err := persist.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Store: data.Store, Serving: data.Serving, Indexes: data.Indexes})
-	ts := httptest.NewServer(srv.Handler())
-
-	// One resolve creates the index entry; the second ingest is only ever
-	// seen by the warmer.
+// TestIngestLeavesIndexesToResolve pins that an ingest is journal + merge
+// only: a live blocking index does not move until the next resolve, which
+// keys the whole ingested batch as its delta without falling back to a
+// full membership pass.
+func TestIngestLeavesIndexesToResolve(t *testing.T) {
+	ts := testServer(t, Config{BlockShards: 4})
 	ingestCollection(t, ts, testCollection(t, 10))
 	var run IncrementalResolveResponse
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &run); code != http.StatusOK {
 		t.Fatalf("resolve = %d", code)
 	}
-	grown := testCollection(t, 20)
+	indexed := func() float64 {
+		t.Helper()
+		return getStats(t, ts).value(t, "ersolve_blocking_index_docs", "index", "exact|collection|4")
+	}
+	before := indexed()
+	if before != 10 {
+		t.Fatalf("index holds %g docs after the first resolve, want 10", before)
+	}
+
+	grown := testCollection(t, 12)
 	grown.Name = "cohen"
 	ingestCollection(t, ts, grown)
-	deadline := time.Now().Add(10 * time.Second)
-	for getStats(t, ts)["ersolve_blocking_index_docs"][0].Value < 30 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond) // wait for the warmer to index the batch
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+		if docs := indexed(); docs != before {
+			t.Fatalf("ingest advanced the index to %g docs before any resolve, want %g", docs, before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
-	ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Close(ctx); err != nil {
-		t.Fatal(err)
+	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &run); code != http.StatusOK {
+		t.Fatalf("second resolve = %d", code)
 	}
-	if err := data.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	data2, err := persist.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer data2.Close()
-	srv2 := New(Config{Store: data2.Store, Serving: data2.Serving, Indexes: data2.Indexes})
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	defer srv2.Close(context.Background())
-
-	var after IncrementalResolveResponse
-	if code := postJSON(t, ts2, "/v1/resolve/incremental", IncrementalResolveRequest{}, &after); code != http.StatusOK {
-		t.Fatalf("post-restart resolve = %d", code)
-	}
-	if after.Blocking.DeltaDocs != 0 || after.Blocking.IndexedDocs != 30 {
-		t.Fatalf("post-restart blocking stats = %+v, want the warmer-built 30-doc index with no delta", after.Blocking)
+	if run.Blocking.DeltaDocs != 12 || run.Blocking.Fallback {
+		t.Fatalf("second resolve blocking stats = %+v, want the 12 ingested docs as its delta, no fallback", run.Blocking)
 	}
 }
 

@@ -1,11 +1,10 @@
 package stats
 
 // Retired library surface: summary statistics. Nothing outside this
-// package's tests has called these; PR 19 took them out of the production
+// package's tests has called these, so they are not in the production
 // package. They live here only so that their tests (TestMean, TestMinMax,
-// the Median half of TestQuantileMedian, TestMeanBoundsProperty) keep
-// running. Delete a declaration together with its tests; never call one
-// from non-test code.
+// TestMeanBoundsProperty) keep running. Delete a declaration together with
+// its tests; never call one from non-test code.
 
 // Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -45,18 +44,4 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Median returns the median of xs.
-func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
 }

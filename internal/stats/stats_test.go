@@ -50,9 +50,9 @@ func TestMinMax(t *testing.T) {
 
 func TestQuantileMedian(t *testing.T) {
 	xs := []float64{3, 1, 2, 4}
-	med, err := Median(xs)
+	med, err := Quantile(xs, 0.5)
 	if err != nil || !almostEqual(med, 2.5, 1e-12) {
-		t.Errorf("Median = %v, %v; want 2.5", med, err)
+		t.Errorf("Quantile(xs, 0.5) = %v, %v; want 2.5", med, err)
 	}
 	q0, _ := Quantile(xs, 0)
 	q1, _ := Quantile(xs, 1)

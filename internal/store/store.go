@@ -3,9 +3,11 @@
 // small POSTs, and a Queue running ingest jobs asynchronously so clients
 // get a job handle back instead of blocking on the write path.
 //
-// Both are interface-first and in-memory for now; a persistent backend
-// (ROADMAP: multi-backend persistence) slots in behind DocumentStore
-// without touching the service layer.
+// An Append only merges the batch: no index, cache or other observer hears
+// of it. Whatever is derived from the corpus (blocking indexes, resolved
+// snapshots) catches up when a resolve next reads a Snapshot.
+// internal/persist's write-ahead Store implements DocumentStore over this
+// package's MemStore.
 package store
 
 import (
@@ -50,30 +52,6 @@ type DocumentStore interface {
 	Stats() Stats
 }
 
-// AppendEvent describes one committed Append batch to subscribers: the
-// post-commit stats plus what the batch touched, so observers (serving
-// caches, index warmers) can invalidate precisely instead of guessing.
-type AppendEvent struct {
-	// Stats is the store's state right after the commit.
-	Stats Stats
-	// Touched names the collections the batch created or appended to, in
-	// batch order.
-	Touched []string
-	// Added is the number of documents the batch committed.
-	Added int
-}
-
-// AppendObserver is implemented by stores that can notify interested
-// parties — index maintainers, metrics — after a batch commits. The
-// callback runs outside the store's locks, after the commit it reports,
-// and receives the commit's event; callbacks must be fast or hand off
-// to their own goroutine. Under concurrent appends, notification order is
-// not guaranteed to match commit order — observers needing exact state
-// should re-read the store, not trust the carried event to be newest.
-type AppendObserver interface {
-	SubscribeAppend(fn func(AppendEvent))
-}
-
 // memCollection is one named collection's mutable state.
 type memCollection struct {
 	name     string
@@ -88,14 +66,6 @@ type MemStore struct {
 	byName  map[string]*memCollection
 	version uint64
 	docs    int
-	subs    []func(AppendEvent)
-}
-
-// SubscribeAppend implements AppendObserver.
-func (m *MemStore) SubscribeAppend(fn func(AppendEvent)) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.subs = append(m.subs, fn)
 }
 
 // NewMemStore returns an empty in-memory store.
@@ -133,9 +103,9 @@ func (m *MemStore) Append(cols []*corpus.Collection) (int, error) {
 	}
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	added := 0
 	mutated := false
-	touched := make([]string, 0, len(cols))
 	for _, col := range cols {
 		entry, ok := m.byName[col.Name]
 		if !ok {
@@ -144,7 +114,6 @@ func (m *MemStore) Append(cols []*corpus.Collection) (int, error) {
 			m.order = append(m.order, entry)
 			mutated = true
 		}
-		touched = append(touched, col.Name)
 		for _, d := range col.Docs {
 			label, seen := entry.personas[d.PersonaID]
 			if !seen {
@@ -161,21 +130,6 @@ func (m *MemStore) Append(cols []*corpus.Collection) (int, error) {
 		m.version++
 	}
 	m.docs += added
-	event := AppendEvent{
-		Stats:   Stats{Collections: len(m.order), Docs: m.docs, Version: m.version},
-		Touched: touched,
-		Added:   added,
-	}
-	subs := m.subs
-	m.mu.Unlock()
-
-	// Notify after the commit, outside the lock, so observers may read the
-	// store (or trigger index maintenance that does) without deadlocking.
-	if added > 0 || mutated {
-		for _, fn := range subs {
-			fn(event)
-		}
-	}
 	return added, nil
 }
 

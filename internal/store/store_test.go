@@ -127,47 +127,3 @@ func TestMemStoreConcurrentAppend(t *testing.T) {
 		}
 	}
 }
-
-// TestSubscribeAppendNotifiesAfterCommit pins the observer contract:
-// callbacks run after the batch is visible, outside the store's locks (the
-// callback reads the store back), and only for batches that changed it.
-func TestSubscribeAppendNotifiesAfterCommit(t *testing.T) {
-	m := NewMemStore()
-	var got []AppendEvent
-	m.SubscribeAppend(func(ev AppendEvent) {
-		// Reading the store inside the callback must not deadlock, and
-		// must already see the commit the callback reports.
-		if live := m.Stats(); live.Docs < ev.Stats.Docs {
-			t.Errorf("callback carried %d docs but the store reports %d", ev.Stats.Docs, live.Docs)
-		}
-		got = append(got, ev)
-	})
-
-	if _, err := m.Append([]*corpus.Collection{col("smith", 0, 0)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Append([]*corpus.Collection{col("smith", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	// A no-op batch (nothing added, nothing created) does not notify.
-	if _, err := m.Append(nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Stats.Docs != 2 || got[1].Stats.Docs != 3 {
-		t.Fatalf("notifications = %+v, want docs 2 then 3", got)
-	}
-	if got[0].Added != 2 || got[1].Added != 1 {
-		t.Fatalf("added = %d then %d, want 2 then 1", got[0].Added, got[1].Added)
-	}
-	if len(got[0].Touched) != 1 || got[0].Touched[0] != "smith" {
-		t.Fatalf("touched = %v, want [smith]", got[0].Touched)
-	}
-
-	// A failed append notifies nobody.
-	if _, err := m.Append([]*corpus.Collection{{Name: ""}}); err == nil {
-		t.Fatal("invalid batch accepted")
-	}
-	if len(got) != 2 {
-		t.Fatalf("failed append notified: %+v", got)
-	}
-}
