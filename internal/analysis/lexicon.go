@@ -1,14 +1,16 @@
 package analysis
 
 import (
-	"strings"
+	"unicode"
 	"unicode/utf8"
 )
 
 // Lexicon is the table of the distinct tokens of the texts fed to it — the
-// pages of one block, or one page. A token occurrence costs one map lookup;
-// what the chain derives from a token (stopword?, stem, minimum length →
-// index term) is computed once, when the token is first seen. Consumers
+// pages of one block, or one page. A text is scanned once as it is, and
+// each token is lower-cased on its own into a reused buffer, so a token
+// occurrence costs one map lookup and allocates nothing once the token has
+// been seen; what the chain derives from a token (stopword?, stem, minimum
+// length → index term) is computed once, when it is first seen. Consumers
 // read integers: a page is a []int32 of token IDs, and per-token or
 // per-term facts of their own live in slices that grow with Tokens and
 // Terms, whose IDs are dense and assigned in first-seen order.
@@ -29,7 +31,7 @@ type Lexicon struct {
 	// Terms maps a term ID to the index term.
 	Terms []string
 
-	page []string // scratch: the tokens of the text being added
+	lower []byte // scratch: the token being looked up, lower-cased
 }
 
 // NewLexicon returns an empty lexicon over a's chain.
@@ -38,23 +40,47 @@ func (a *Analyzer) NewLexicon() *Lexicon {
 }
 
 // AppendIDs tokenizes text and appends the IDs of its lower-cased tokens,
-// in document order, to dst.
+// in document order, to dst. The text is scanned once, as it is: each token
+// is lower-cased into a reused buffer, and only a token the lexicon has not
+// seen is copied into a string of its own.
 func (lx *Lexicon) AppendIDs(dst []int32, text string) []int32 {
 	// Lower-casing maps runes one to one and never turns a letter or digit
-	// into a separator or back (TestLowerPreservesTokenRunes), so the tokens
-	// of the lowered text are the lowered tokens of the text.
-	lx.page = appendTokens(lx.page[:0], strings.ToLower(text))
-	for _, tok := range lx.page {
-		id, ok := lx.ids[tok]
+	// into a separator or back (TestLowerPreservesTokenRunes), so the
+	// lowered tokens of the text are the tokens of the lowered text.
+	for sc := (scanner{text: text}); sc.next(); {
+		lx.lower = appendLower(lx.lower[:0], text[sc.start:sc.end])
+		id, ok := lx.ids[string(lx.lower)]
 		if !ok {
-			// The table must not pin the page's lower-cased copy.
-			tok = strings.Clone(tok)
+			tok := string(lx.lower)
 			id = int32(len(lx.Tokens))
 			lx.ids[tok] = id
 			lx.Tokens = append(lx.Tokens, tok)
 			lx.TermOf = append(lx.TermOf, lx.termOf(tok))
 		}
 		dst = append(dst, id)
+	}
+	return dst
+}
+
+// appendLower appends tok lower-cased rune by rune, as strings.ToLower
+// maps it, to dst. A token holds only letters, digits and joiners, all
+// valid runes. The token is copied whole and lowered in place up to its
+// first multi-byte rune; from there each rune is decoded and re-encoded.
+func appendLower(dst []byte, tok string) []byte {
+	start := len(dst)
+	dst = append(dst, tok...)
+	for i := start; i < len(dst); i++ {
+		c := dst[i]
+		if c >= utf8.RuneSelf {
+			dst = dst[:i]
+			for _, r := range tok[i-start:] {
+				dst = utf8.AppendRune(dst, unicode.ToLower(r))
+			}
+			break
+		}
+		if 'A' <= c && c <= 'Z' {
+			dst[i] = c + 'a' - 'A'
+		}
 	}
 	return dst
 }

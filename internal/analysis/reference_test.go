@@ -174,10 +174,11 @@ func FuzzLexiconAnalyze(f *testing.F) {
 	})
 }
 
-// TestLowerPreservesTokenRunes pins the property Analyze relies on to
-// lower-case a text once instead of once per token: over every rune,
-// lower-casing keeps letters and digits letters and digits, keeps
-// separators separators, and produces a joiner only from that joiner.
+// TestLowerPreservesTokenRunes pins the property the Lexicon relies on to
+// lower-case each token of the text as given, so that its tokens are those
+// of the lower-cased text: over every rune, lower-casing keeps letters and
+// digits letters and digits, keeps separators separators, and produces a
+// joiner only from that joiner.
 func TestLowerPreservesTokenRunes(t *testing.T) {
 	joiner := func(r rune) bool { return r == '\'' || r == '-' || r == '’' }
 	for r := rune(0); r <= unicode.MaxRune; r++ {

@@ -6,7 +6,9 @@
 // The chain runs through a Lexicon: the table of the distinct tokens of one
 // block's pages (or of one page, for Analyze), which hands out dense token
 // and term IDs so that the chain runs once per distinct token and
-// everything downstream of the tokenizer reads integers.
+// everything downstream of the tokenizer reads integers. Tokenize and the
+// Lexicon share one scanner over the text as given; the Lexicon lower-cases
+// each token as it looks it up, never the whole text.
 package analysis
 
 import (
@@ -19,15 +21,27 @@ import (
 // other characters separate tokens. Tokens are returned in document order,
 // preserving case (use the Analyzer for the full normalizing chain).
 func Tokenize(text string) []string {
-	return appendTokens(nil, text)
+	var tokens []string
+	for sc := (scanner{text: text}); sc.next(); {
+		tokens = append(tokens, text[sc.start:sc.end])
+	}
+	return tokens
 }
 
-// appendTokens appends the tokens of text to dst as substrings of text: it
-// decodes one rune at a time and never copies the text or a token.
-func appendTokens(dst []string, text string) []string {
+// scanner finds the tokens of text one at a time, as byte ranges of text:
+// it decodes one rune at a time and never copies the text or a token.
+type scanner struct {
+	text       string
+	pos        int // byte offset of the next rune to decode
+	start, end int // the token next found: text[start:end]
+}
+
+// next advances to the next token and reports whether there is one.
+func (s *scanner) next() bool {
+	text := s.text
 	start := -1      // byte offset of the open token, -1 between tokens
 	prevTok := false // the previous rune was a letter or digit
-	for i := 0; i < len(text); {
+	for i := s.pos; i < len(text); {
 		r, size := rune(text[i]), 1
 		if r >= utf8.RuneSelf {
 			r, size = utf8.DecodeRuneInString(text[i:])
@@ -42,17 +56,19 @@ func appendTokens(dst []string, text string) []string {
 			prevTok = false
 		default:
 			if start >= 0 {
-				dst = append(dst, text[start:i])
-				start = -1
+				s.start, s.end, s.pos = start, i, i+size
+				return true
 			}
 			prevTok = false
 		}
 		i += size
 	}
+	s.pos = len(text)
 	if start >= 0 {
-		dst = append(dst, text[start:])
+		s.start, s.end = start, len(text)
+		return true
 	}
-	return dst
+	return false
 }
 
 // isTokenRune reports whether r can appear inside a token on its own.

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ergraph"
-	"repro/internal/eval"
 	"repro/internal/regions"
 	"repro/internal/simfn"
+	"repro/internal/stats"
 )
 
 // CriterionKind identifies a decision criterion Dj: how a weighted
@@ -165,11 +166,55 @@ func trainingFp(closure []int, train *Training) float64 {
 	for i, d := range train.Docs {
 		pred[i] = closure[d]
 	}
-	fp, err := eval.FpMeasure(pred, train.DocTruth)
-	if err != nil {
+	return countedFp(pred, train.DocTruth)
+}
+
+// countedFp is eval.FpMeasure(pred, truth), and 0 where that errs, counted
+// in slices instead of maps: the labels become dense cluster and class IDs,
+// their overlaps a cluster × class table, and each purity the sum of its
+// rows' or columns' maxima — the integer totals FpMeasure reaches, divided
+// by the same n, so the result has its bits.
+func countedFp(pred, truth []int) float64 {
+	n := len(pred)
+	if n == 0 || n != len(truth) {
 		return 0
 	}
-	return fp
+	ids := make([]int, 2*n)
+	cluster, class := ids[:n], ids[n:]
+	clusters, classes := denseIDs(cluster, pred), denseIDs(class, truth)
+	overlap := make([]int, clusters*classes)
+	for i := range cluster {
+		overlap[cluster[i]*classes+class[i]]++
+	}
+	purity, inverse := 0, 0
+	for c := 0; c < clusters; c++ {
+		purity += slices.Max(overlap[c*classes : (c+1)*classes])
+	}
+	for k := 0; k < classes; k++ {
+		best := 0
+		for c := 0; c < clusters; c++ {
+			best = max(best, overlap[c*classes+k])
+		}
+		inverse += best
+	}
+	return stats.Harmonic(float64(purity)/float64(n), float64(inverse)/float64(n))
+}
+
+// denseIDs writes to ids, parallel to labels, each label's ID — the number
+// of distinct labels before its first occurrence — and returns how many
+// distinct labels there are. It scans the labels before each one, which
+// suits the few dozen training documents of a block.
+func denseIDs(ids, labels []int) int {
+	distinct := 0
+	for i, l := range labels {
+		if j := slices.Index(labels[:i], l); j >= 0 {
+			ids[i] = ids[j]
+		} else {
+			ids[i] = distinct
+			distinct++
+		}
+	}
+	return distinct
 }
 
 // closureLinkRate returns the fraction of all pairs the clustering places

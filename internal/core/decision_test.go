@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/eval"
 	"repro/internal/simfn"
 	"repro/internal/stats"
 )
@@ -77,6 +78,40 @@ func TestDecisionStageMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameDecisionGraph(t, label+" NaN/Inf", dg, ref)
+		}
+	}
+}
+
+// TestCountedFpMatchesFpMeasure pins the training Fp the decision stage
+// counts to its definition: on random label slices — arbitrary and negative
+// labels, one cluster, all singletons, mismatched and empty slices —
+// countedFp has the bits of eval.FpMeasure, and is 0 where that errs.
+func TestCountedFpMatchesFpMeasure(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	labels := func(n, distinct int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = rng.Intn(distinct)*7 - 20
+		}
+		return out
+	}
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(50)
+		pred, truth := labels(n, 1+rng.Intn(n+1)), labels(n, 1+rng.Intn(1+n/3))
+		switch trial % 10 {
+		case 0:
+			truth = truth[:rng.Intn(n+1)]
+		case 1:
+			for i := range pred {
+				pred[i] = i
+			}
+		}
+		want, err := eval.FpMeasure(pred, truth)
+		if err != nil {
+			want = 0
+		}
+		if got := countedFp(pred, truth); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("countedFp(%v, %v) = %v, FpMeasure %v (err %v)", pred, truth, got, want, err)
 		}
 	}
 }

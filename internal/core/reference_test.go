@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/ergraph"
+	"repro/internal/eval"
 	"repro/internal/regions"
 	"repro/internal/simfn"
 	"repro/internal/stats"
@@ -38,7 +39,8 @@ func referenceRunWith(p *Prepared, runSeed int64, opts Options) ([]*DecisionGrap
 // scan: the training values read per criterion, the threshold learned by
 // referenceLearnThreshold, and every pair decided by a closure over
 // m.At(i, j) — v >= threshold, or the region's LinkProbability >= 0.5 —
-// and added through AddEdge; the closure's link rate counted in a map.
+// and added through AddEdge; the closure's link rate counted in a map and
+// its training Fp by eval.FpMeasure.
 func referenceDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	train *Training, regionK int, rng *rand.Rand) (*DecisionGraph, error) {
 
@@ -93,7 +95,15 @@ func referenceDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	}
 	if len(train.Pairs) > 0 {
 		pairAcc := float64(correct) / float64(len(train.Pairs))
-		dg.TrainAccuracy = (pairAcc + trainingFp(closure, train)) / 2
+		pred := make([]int, len(train.Docs))
+		for i, d := range train.Docs {
+			pred[i] = closure[d]
+		}
+		fp, err := eval.FpMeasure(pred, train.DocTruth)
+		if err != nil {
+			fp = 0
+		}
+		dg.TrainAccuracy = (pairAcc + fp) / 2
 		sizes := make(map[int]int)
 		for _, l := range closure {
 			sizes[l]++

@@ -120,14 +120,31 @@ func (p *Pages) conceptVector() {
 // topConcepts returns the k highest-weighted labels of p.concepts, in
 // decreasing weight order (ties broken lexicographically). This is the
 // unweighted concept set used by the overlap-based function F4.
+//
+// p.concepts is in lexicographic order, so a stable sort by decreasing
+// weight gives that order; p.top keeps the positions of only its first k
+// entries, each concept inserted after every kept one of at least its
+// weight.
 func (p *Pages) topConcepts(k int) []string {
-	p.byWeight = append(p.byWeight[:0], p.concepts...)
-	// Stable over the lexicographic order of concepts.
-	slices.SortStableFunc(p.byWeight, func(a, b WeightedConcept) int { return cmp.Compare(b.Weight, a.Weight) })
-	k = min(k, len(p.byWeight))
-	out := make([]string, 0, k)
-	for _, x := range p.byWeight[:k] {
-		out = append(out, x.Name)
+	top := p.top[:0]
+	for i, c := range p.concepts {
+		at := len(top)
+		for at > 0 && cmp.Less(p.concepts[top[at-1]].Weight, c.Weight) {
+			at--
+		}
+		if at == k {
+			continue
+		}
+		if len(top) < k {
+			top = append(top, 0)
+		}
+		copy(top[at+1:], top[at:])
+		top[at] = int32(i)
+	}
+	p.top = top
+	out := make([]string, len(top))
+	for i, c := range top {
+		out[i] = p.concepts[c].Name
 	}
 	return out
 }

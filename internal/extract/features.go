@@ -98,8 +98,8 @@ type Pages struct {
 	queryLower string
 	// Scratch, overwritten by every page.
 	activation                     []float64 // by concept ID, zero between pages
-	active                         []int32
-	concepts, byWeight             []WeightedConcept
+	active, top                    []int32
+	concepts                       []WeightedConcept
 	occupied                       []bool
 	matches                        []match
 	persons, organizations, places []Entity

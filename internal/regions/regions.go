@@ -8,7 +8,6 @@
 package regions
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -86,17 +85,45 @@ func FitKMeans1D(values []float64, k int, rng *rand.Rand) (*KMeans1D, error) {
 }
 
 // Ascending returns the positions of values in ascending order of value,
-// NaNs first as sort.Float64s places them; equal values come in no
-// particular order. It is the one sort a training sample needs: a caller
-// fitting several criteria to one sample sorts it once and hands the order
-// to each.
+// NaNs first as sort.Float64s places them; equal values — −0 and +0 count
+// as equal, and so do all NaNs — come in position order, though no caller
+// may rely on their order. It is the one sort a training sample needs: a
+// caller fitting several criteria to one sample sorts it once and hands the
+// order to each.
+//
+// It sorts the values' order keys, a plain integer sort with no comparison
+// function, and then puts each position into its key's run, found by
+// binary search.
 func Ascending(values []float64) []int32 {
-	order := make([]int32, len(values))
-	for i := range order {
-		order[i] = int32(i)
+	sorted := make([]uint64, len(values))
+	for i, v := range values {
+		sorted[i] = orderKey(v)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(values[a], values[b]) })
+	slices.Sort(sorted)
+	order := make([]int32, len(values))
+	placed := make([]int32, len(values)) // at the start of each run: how many of it are placed
+	for i, v := range values {
+		run, _ := slices.BinarySearch(sorted, orderKey(v))
+		order[run+int(placed[run])] = int32(i)
+		placed[run]++
+	}
 	return order
+}
+
+// orderKey maps v to an integer in Ascending's order: every NaN below −Inf,
+// −0 equal to +0, and otherwise the order of the floats.
+func orderKey(v float64) uint64 {
+	if v != v {
+		return 0
+	}
+	b := math.Float64bits(v)
+	if v == 0 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // FitKMeans1DOrdered is FitKMeans1D given order = Ascending(values).
@@ -240,8 +267,8 @@ func distinctSorted(values []float64, order []int32) []float64 {
 func seedPlusPlus(distinct, values []float64, k int, rng *rand.Rand) []float64 {
 	centers := make([]float64, 0, k)
 	centers = append(centers, values[rng.Intn(len(values))])
+	weights := make([]float64, len(distinct))
 	for len(centers) < k {
-		weights := make([]float64, len(distinct))
 		total := 0.0
 		for i, v := range distinct {
 			d := v - centers[nearestCenter(centers, v)]

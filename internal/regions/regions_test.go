@@ -1,6 +1,7 @@
 package regions
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -170,6 +171,36 @@ func TestKMeansMatchesReference(t *testing.T) {
 		}
 		if gotRNG.Int63() != wantRNG.Int63() {
 			t.Fatalf("trial %d: the fit drew a different number of values from rng", trial)
+		}
+	}
+}
+
+// TestAscendingMatchesStableSort pins Ascending to a stable sort of the
+// positions by cmp.Compare of their values — ascending, NaNs first, −0 and
+// +0 equal, ties in position order — on random values with many ties and
+// every special value.
+func TestAscendingMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	specials := []float64{0, math.Copysign(0, -1), 1, -0.5, math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001)}
+	for trial := 0; trial < 500; trial++ {
+		values := make([]float64, rng.Intn(600))
+		for i := range values {
+			switch r := rng.Intn(10); {
+			case r < 4:
+				values[i] = math.Round(rng.Float64()*8) / 8
+			case r == 4:
+				values[i] = specials[rng.Intn(len(specials))]
+			default:
+				values[i] = rng.Float64()
+			}
+		}
+		want := make([]int32, len(values))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(values[a], values[b]) })
+		if got := Ascending(values); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Ascending(%v) = %v, stable sort %v", trial, values, got, want)
 		}
 	}
 }

@@ -200,6 +200,73 @@ func TestKernelCanceledMidMatrix(t *testing.T) {
 	requireBitIdentical(t, "after cancellation", computeAll(t, b, funcs), ComputeAllSerial(b, funcs))
 }
 
+// TestTokenTableBoundedByTheCall pins the token table's bound: on a 40-doc
+// block whose names share 40 distinct tokens, T² = 1,600 exceeds the
+// block's 780 document pairs — one matrix, the bound that left the table
+// out — but not the 7,800 cells of the ten matrices, so the table is built,
+// and Jaro-Winkler runs once per distinct ordered token pair the name
+// functions ask for, however many name pairs ask for it.
+func TestTokenTableBoundedByTheCall(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	tokens := make([]string, 40)
+	for i := range tokens {
+		b := make([]byte, 3+rng.Intn(6))
+		for c := range b {
+			b[c] = byte('a' + rng.Intn(26))
+		}
+		tokens[i] = string(b)
+	}
+	name := func() string {
+		parts := make([]string, 1+rng.Intn(3))
+		for p := range parts {
+			parts[p] = tokens[rng.Intn(len(tokens))]
+		}
+		return strings.Join(parts, " ")
+	}
+	const n = 40
+	b := &Block{Name: "tokens", Docs: make([]Doc, n), Vocab: textsim.NewVocab()}
+	for i := range b.Docs {
+		d := &b.Docs[i]
+		d.Features.MostFrequentName, d.Features.ClosestName = name(), name()
+		d.Pack(b.Vocab, nil, nil)
+	}
+
+	funcs := Registry()
+	ms := make([]*Matrix, len(funcs))
+	for i := range ms {
+		ms[i] = NewMatrix(n)
+	}
+	k := newKernel(b.Docs, funcs, ms)
+	if k.tokens == nil {
+		t.Fatal("no token table for 40 tokens over 10 matrices of 40 docs")
+	}
+	if tn := len(k.tokens.tokens); tn*tn < n*(n-1)/2 {
+		t.Fatalf("%d distinct tokens: T² below one matrix, the case does not pin the bound", tn)
+	}
+	asked := map[[2]int32]bool{}
+	lookups := 0
+	sim := k.tokens.sim
+	k.tokens.sim = func(x, y int32) float64 {
+		lookups++
+		asked[[2]int32{x, y}] = true
+		return sim(x, y)
+	}
+	acc, cnt := make([]float64, n), make([]int32, n)
+	for i := 0; i < n-1; i++ {
+		k.fillRow(i, acc, cnt)
+	}
+	runs := 0
+	for c := range k.tokens.cells {
+		if k.tokens.cells[c].Load() != 0 {
+			runs++
+		}
+	}
+	if runs != len(asked) || lookups <= runs {
+		t.Errorf("Jaro-Winkler ran %d times for %d distinct token pairs over %d lookups", runs, len(asked), lookups)
+	}
+	requireBitIdentical(t, "token table", byFuncID(funcs, ms), ComputeAllSerial(b, funcs))
+}
+
 // TestKeyedCompareCount proves what the memo buys: on the serial path a
 // keyed function is evaluated exactly once per ordered pair of distinct
 // keys that occurs plus once per same-key pair — and once per document pair

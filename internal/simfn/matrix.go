@@ -147,9 +147,8 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 	rows := int64(n - 1)
 	var next atomic.Int64
 	run := func() {
-		// The worker's scatter array, all zero between rows, and its
-		// match list.
-		slot, hits := make([]int32, k.slots), make([]int32, k.longest)
+		// The worker's per-cell join accumulators, all zero between rows.
+		acc, cnt := make([]float64, n), make([]int32, n)
 		for {
 			if done != nil {
 				select {
@@ -162,7 +161,7 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 			if row >= rows {
 				return
 			}
-			k.fillRow(int(row), slot, hits)
+			k.fillRow(int(row), acc, cnt)
 		}
 	}
 
@@ -204,14 +203,14 @@ type kernel struct {
 	ms    []*Matrix
 	// keys is parallel to funcs: non-nil for a keyed function.
 	keys []*pairMemo
-	// sets are the packed-vector sets the joined functions read, each with
-	// the functions that read it: F1 reads the concept vectors, and F8-F10
-	// share the term vectors and so one join per pair.
-	sets []vectorSet
-	// slots is the length of a worker's scatter array, one past the largest
-	// ID of any vector in sets, and longest the length of its match list,
-	// that of the longest vector.
-	slots, longest int
+	// joins are the ID lists the joined and overlap functions read, each
+	// with the functions that read it: F1 reads the concept vectors, F8-F10
+	// share the term vectors and so one join per pair, and F4, F5 and F6
+	// each read one entity ID set.
+	joins []joinSet
+	// runs is newPostings' scratch while the kernel is built, all zero
+	// between its calls.
+	runs []int32
 	// tokens is the token-pair table of the name functions, nil when there
 	// is none; toks[fi][d] lists the tokens of name function fi's name of
 	// document d as IDs into it.
@@ -219,10 +218,12 @@ type kernel struct {
 	toks   [][][]int32
 }
 
-// vectorSet is one packed vector per document and the joined functions
-// that read those vectors.
-type vectorSet struct {
+// joinSet is one ascending ID list per document, inverted into postings,
+// and the functions that read the joins of its pairs. vecs holds the packed
+// vectors the lists are the IDs of, nil for ID sets.
+type joinSet struct {
 	vecs  []*textsim.PackedVector
+	post  postings
 	funcs []int
 }
 
@@ -232,6 +233,12 @@ func newKernel(docs []Doc, funcs []Func, ms []*Matrix) *kernel {
 		switch {
 		case f.join != nil:
 			k.addJoined(fi)
+		case f.set != nil:
+			ids := make([][]int32, len(docs))
+			for d := range docs {
+				ids[d] = f.set(&docs[d])
+			}
+			k.joins = append(k.joins, joinSet{post: k.newPostings(ids, nil), funcs: []int{fi}})
 		case f.Key != nil:
 			k.keys[fi] = newPairMemo(docs, f.Key)
 		}
@@ -240,25 +247,120 @@ func newKernel(docs []Doc, funcs []Func, ms []*Matrix) *kernel {
 	return k
 }
 
-// addJoined files joined function fi under the vector set it reads, a new
-// one unless an earlier function reads the very same vectors.
+// addJoined files joined function fi under the vectors it reads, a new
+// join set unless an earlier function reads the very same vectors.
 func (k *kernel) addJoined(fi int) {
 	vecs := make([]*textsim.PackedVector, len(k.docs))
 	for d := range k.docs {
-		v := k.funcs[fi].join.vec(&k.docs[d])
-		if l := v.Len(); l > 0 {
-			k.slots = max(k.slots, int(v.IDs[l-1])+1)
-			k.longest = max(k.longest, l)
-		}
-		vecs[d] = v
+		vecs[d] = k.funcs[fi].join.vec(&k.docs[d])
 	}
-	for s := range k.sets {
-		if slices.Equal(k.sets[s].vecs, vecs) {
-			k.sets[s].funcs = append(k.sets[s].funcs, fi)
+	for s := range k.joins {
+		if k.joins[s].vecs != nil && slices.Equal(k.joins[s].vecs, vecs) {
+			k.joins[s].funcs = append(k.joins[s].funcs, fi)
 			return
 		}
 	}
-	k.sets = append(k.sets, vectorSet{vecs: vecs, funcs: []int{fi}})
+	ids, weights := make([][]int32, len(vecs)), make([][]float64, len(vecs))
+	for d, v := range vecs {
+		if v != nil {
+			ids[d], weights[d] = v.IDs, v.Weights
+		}
+	}
+	k.joins = append(k.joins, joinSet{vecs: vecs, post: k.newPostings(ids, weights), funcs: []int{fi}})
+}
+
+// postings is the inverted form of one ascending ID list per document: for
+// every ID, the documents whose list holds it, in ascending order, are a run
+// of docs, with their weights at the same positions of weights (nil for
+// unweighted lists). spans[d] lists, for each entry of document d's list in
+// ascending ID order, where d's own posting sits in its ID's run and where
+// the run ends, so a row walks the postings after its document without
+// reading an ID or searching a run.
+type postings struct {
+	docs    []int32
+	weights []float64
+	spans   [][]span
+}
+
+// span is one entry's [self, end) range of docs: self is the entry's own
+// posting, self+1 … end−1 the later documents that share its ID.
+type span struct{ self, end int32 }
+
+// newPostings inverts ids, one ascending ID list per document, and the
+// parallel weights when weights is non-nil. It counts the runs in k.runs,
+// one entry per ID, which every join set of the call shares and which is
+// all zero between calls.
+func (k *kernel) newPostings(ids [][]int32, weights [][]float64) postings {
+	size, total := 0, 0
+	for _, l := range ids {
+		for _, id := range l {
+			size = max(size, int(id)+1)
+		}
+		total += len(l)
+	}
+	if len(k.runs) < size+1 {
+		k.runs = make([]int32, size+1)
+	}
+	// next[x] is first where ID x's run begins, then its first free slot,
+	// and once every posting is placed where the run ends.
+	next := k.runs[:size+1]
+	defer clear(next)
+	for _, l := range ids {
+		for _, id := range l {
+			next[id+1]++
+		}
+	}
+	for x := 1; x <= size; x++ {
+		next[x] += next[x-1]
+	}
+	p := postings{docs: make([]int32, total), spans: make([][]span, len(ids))}
+	if weights != nil {
+		p.weights = make([]float64, total)
+	}
+	all := make([]span, total)
+	for d, l := range ids {
+		spans := all[:len(l):len(l)]
+		all = all[len(l):]
+		for q, id := range l {
+			at := next[id]
+			next[id]++
+			p.docs[at] = int32(d)
+			if weights != nil {
+				p.weights[at] = weights[d][q]
+			}
+			spans[q].self = at
+		}
+		p.spans[d] = spans
+	}
+	for d, l := range ids {
+		for q, id := range l {
+			p.spans[d][q].end = next[id]
+		}
+	}
+	return p
+}
+
+// addRow adds, for every document j > i whose list shares IDs with
+// document i's, the number of shared IDs to cnt[j] and, for weighted lists,
+// the products of their weights to acc[j], in ascending ID order: the
+// products a merge join of the two lists multiplies, added in the order it
+// adds them.
+func (p *postings) addRow(i int, acc []float64, cnt []int32) {
+	if p.weights == nil {
+		for _, s := range p.spans[i] {
+			for _, j := range p.docs[s.self+1 : s.end] {
+				cnt[j]++
+			}
+		}
+		return
+	}
+	for _, s := range p.spans[i] {
+		wi, ws := p.weights[s.self], p.weights[s.self+1:s.end]
+		for q, j := range p.docs[s.self+1 : s.end] {
+			acc[j] += wi * ws[q]
+			cnt[j]++
+		}
+	}
 }
 
 // pairMemo interns a keyed function's keys for one call: class[d] is the
@@ -316,8 +418,9 @@ type tokenTable struct {
 
 // newTokenTable interns the tokens of every name function's names. It
 // returns nil when there are no tokens, or when the T distinct tokens span
-// at least as many ordered pairs (T²) as the block has document pairs, as
-// newPairMemo decides for keys.
+// more ordered pairs (T²) than the call's matrices have cells. The table
+// fills lazily, so its size costs memory, not evaluations, and this bound
+// keeps that memory below what the call already allocates.
 func newTokenTable(docs []Doc, funcs []Func) (*tokenTable, [][][]int32) {
 	t := &tokenTable{}
 	ids := make(map[string]int32)
@@ -345,7 +448,7 @@ func newTokenTable(docs []Doc, funcs []Func) (*tokenTable, [][][]int32) {
 		}
 	}
 	n, tn := len(docs), len(t.tokens)
-	if tn == 0 || tn*tn >= n*(n-1)/2 {
+	if tn == 0 || tn*tn > len(funcs)*n*(n-1)/2 {
 		return nil, nil
 	}
 	t.cells = make([]atomic.Uint64, tn*tn)
@@ -365,17 +468,17 @@ func (t *tokenTable) jaroWinkler(x, y int32) float64 {
 
 // fillRow computes row i of the condensed upper triangle of every matrix:
 // the cells (i, i+1) … (i, n−1), a contiguous slice of each backing array.
-// This is the only place that knows a function may be keyed, named or
-// joined; whichever way a cell is reached it holds the bits of
-// Compare(d_i, d_j). slot and hits are the calling worker's scratch for
-// joinRow.
-func (k *kernel) fillRow(i int, slot, hits []int32) {
+// This is the only place that knows a function may be keyed, named, joined
+// or an overlap; whichever way a cell is reached it holds the bits of
+// Compare(d_i, d_j). acc and cnt are the calling worker's join
+// accumulators, one cell per document, zero on entry and on return.
+func (k *kernel) fillRow(i int, acc []float64, cnt []int32) {
 	n := len(k.docs)
 	di := &k.docs[i]
 	base := k.ms[0].idx(i, i+1)
 	for fi := range k.funcs {
 		f := &k.funcs[fi]
-		if f.join != nil {
+		if f.join != nil || f.set != nil {
 			continue
 		}
 		row := k.ms[fi].vals[base : base+n-1-i]
@@ -409,8 +512,21 @@ func (k *kernel) fillRow(i int, slot, hits []int32) {
 			}
 		}
 	}
-	for s := range k.sets {
-		k.joinRow(i, base, &k.sets[s], slot, hits)
+	for s := range k.joins {
+		js := &k.joins[s]
+		js.post.addRow(i, acc, cnt)
+		for j := i + 1; j < n; j++ {
+			for _, fi := range js.funcs {
+				var v float64
+				if f := &k.funcs[fi]; f.join != nil {
+					v = f.join.value(js.vecs[i], js.vecs[j], acc[j], int(cnt[j]))
+				} else {
+					v = overlap(int(cnt[j]))
+				}
+				k.ms[fi].vals[base+j-i-1] = v
+			}
+			acc[j], cnt[j] = 0, 0
+		}
 	}
 }
 
@@ -424,61 +540,6 @@ func (k *kernel) distinctKeys(fi, i, j int) float64 {
 		return f.Compare(di, dj)
 	}
 	return clamp01(textsim.NameSimilarityOf(*f.name(di), *f.name(dj), k.toks[fi][i], k.toks[fi][j], k.tokens.sim))
-}
-
-// joinRow fills row i of every function that reads vector set s. d_i's
-// vector is scattered once into slot — each entry's position plus one, at
-// its ID — and every later document's vector is walked in ascending ID
-// order against it. The matched products are the merge join's, added in
-// the same ascending-ID order, so dot and inter have the bits
-// DotIntersect gives them. The walk first only lists the positions that
-// match (matches), and the products are summed in a second loop. The row's
-// IDs are cleared from slot at the end.
-func (k *kernel) joinRow(i, base int, s *vectorSet, slot, hits []int32) {
-	vi := s.vecs[i]
-	scatter := vi.Len() > 0
-	if scatter {
-		for p, id := range vi.IDs {
-			slot[id] = int32(p + 1)
-		}
-	}
-	for j := i + 1; j < len(k.docs); j++ {
-		vj := s.vecs[j]
-		var dot float64
-		inter := 0
-		if scatter && vj != nil {
-			inter = matches(vj.IDs, slot, hits)
-			for _, q := range hits[:inter] {
-				dot += vi.Weights[slot[vj.IDs[q]]-1] * vj.Weights[q]
-			}
-		}
-		for _, fi := range s.funcs {
-			k.ms[fi].vals[base+j-i-1] = k.funcs[fi].join.value(vi, vj, dot, inter)
-		}
-	}
-	if scatter {
-		for _, id := range vi.IDs {
-			slot[id] = 0
-		}
-	}
-}
-
-// matches lists in hits the positions of the IDs whose slot is set, in
-// order, and returns how many there are. The list is written without a
-// branch on the match, whose outcome a join cannot predict. It is kept out
-// of line because inlined into joinRow its counter is spilled to the stack
-// on every step (F8 alone measured ≈ 20 % slower).
-//
-//go:noinline
-func matches(ids, slot, hits []int32) int {
-	n := 0
-	for q, id := range ids {
-		hits[n] = int32(q)
-		if slot[id] != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders small matrices for debugging.

@@ -36,9 +36,12 @@
 // not in ID order. Vocab order fixes the order every later merge join
 // multiplies and adds in, and the sums fix the norms, so both decide the
 // last bits of F1 and F8–F10. A page's terms are therefore ordered by
-// their lexicographic rank within the block before they are weighed.
+// their lexicographic rank within the block before they are weighed. Both
+// orders come without a sort per page: the block's postings, grouped by
+// term, are dealt back to their pages rank by rank for weighing, and term
+// by term in ID order to lay the vectors out.
 //
-// # Matrices, keys and the ordered memo
+// # Matrices: the ordered memo, the token table and postings
 //
 // ComputeAllCtx fills one condensed upper-triangle Matrix per function, and a
 // function's Compare is its definition: cell (i, j), i < j, holds the bits
@@ -72,16 +75,26 @@
 // distinct tokens in one table of the same complemented atomic bits, which
 // textsim.NameSimilarityOf reads through the very Monge-Elkan loop
 // PreparedNameSimilarity runs; the whole-name value still goes through the
-// key memo. As for keys, the table is left out when the T tokens span at
-// least as many ordered pairs (T²) as the block has document pairs.
+// key memo. The table fills lazily — a cell is computed the first time a
+// pair of names asks for it — so its T² cells cost memory, not
+// evaluations. It is therefore bounded by the call, not by one matrix: it
+// is left out only when T² exceeds the cells of all the call's matrices
+// (the number of functions times the block's document pairs), so it never
+// holds more than the call already allocates.
 //
-// F1 and F8-F10 are measures of two packed vectors' join, and F8, F9 and
-// F10 of the same two TF-IDF vectors. For row i the kernel scatters d_i's
-// vector once into a per-worker array indexed by Vocab ID, then walks every
-// later document's IDs in ascending order against it: the matched products
-// are the merge join's, added in the same order, so the dot product and the
-// intersection size have DotIntersect's bits, and F8-F10 share one of them
-// per pair (textsim's OfDot forms).
+// F1 and F8-F10 are measures of two packed vectors' join — F8, F9 and F10
+// of the same two TF-IDF vectors — and F4-F6 count the join of two ID sets.
+// The kernel inverts each vector or set family once per call into postings:
+// for every Vocab ID, the documents that hold it in ascending order, with
+// their weights. Row i walks d_i's IDs in ascending order and, for each,
+// only the postings of the later documents that share it, adding the
+// product of the two weights to that pair's accumulator and 1 to its
+// count. A pair therefore costs its intersection, not its two vectors.
+// Each cell receives exactly the products the merge join multiplies, added
+// in the same ascending-ID order starting from zero, so the dot product and
+// the intersection size have DotIntersect's (and IntersectSortedCount's)
+// bits whatever the scheduling; F8-F10 share one accumulator per pair
+// (textsim's OfDot forms), and F4-F6 read only the count.
 package simfn
 
 import (
@@ -148,8 +161,11 @@ type Block struct {
 // timed-out context aborts block preparation promptly with ctx.Err().
 //
 // The first pass extracts every page's features and counts its terms by
-// ID; the second weighs and packs page by page, once the block's document
-// frequencies and the terms' lexicographic ranks are known.
+// ID. Once the block's document frequencies and the terms' lexicographic
+// ranks are known, the second weighs, sums and interns page by page, each
+// page's terms in rank order, and the term vectors are then laid out in ID
+// order. Both orders come from walking the block's postings grouped by
+// term, not from a sort per page.
 func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.FeatureExtractor) (*Block, error) {
 	if fe == nil {
 		fe = extract.DefaultFeatureExtractor()
@@ -205,36 +221,78 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 		byRank[t] = int32(t)
 	}
 	slices.SortFunc(byRank, func(a, b int32) int { return strings.Compare(lx.Terms[a], lx.Terms[b]) })
-	rank := make([]uint64, len(byRank))
+	rank := make([]uint32, len(byRank))
 	idf := make([]float64, len(byRank))
 	vocabID := make([]int32, len(byRank)) // of a term, -1 until interned
 	for r, t := range byRank {
-		rank[t] = uint64(r)
+		rank[t] = uint32(r)
 		idf[t] = math.Log(1 + float64(n)/float64(df[t]))
 		vocabID[t] = -1
 	}
 
-	// Every packed vector's IDs and weights are carved from two arrays.
+	// Regroup the postings by term in rank order — term byRank[r]'s are
+	// grouped[from[r]:from[r+1]], page<<32 | tf, pages ascending — and deal
+	// them back to their pages rank by rank: every page's postings then come
+	// in rank order without a sort per page, and each grouped entry keeps
+	// where its posting went in place of its tf.
+	from := make([]int32, len(byRank)+1)
+	for t, r := range rank {
+		from[r+1] = int32(df[t])
+	}
+	for r := range byRank {
+		from[r+1] += from[r]
+	}
+	grouped := make([]uint64, len(postings))
+	next := slices.Clone(from)
+	for i, at := 0, 0; at < len(postings); at++ {
+		for at == ends[i] {
+			i++
+		}
+		r := rank[postings[at]>>32]
+		grouped[next[r]] = uint64(i)<<32 | postings[at]&math.MaxUint32
+		next[r]++
+	}
+	free := make([]int, n) // where page i's next posting goes
+	for i := 1; i < n; i++ {
+		free[i] = ends[i-1]
+	}
+	for r := range byRank {
+		for k := from[r]; k < from[r+1]; k++ {
+			i := grouped[k] >> 32
+			postings[free[i]] = uint64(r)<<32 | grouped[k]&math.MaxUint32
+			grouped[k] = i<<32 | uint64(free[i])
+			free[i]++
+		}
+	}
+
+	// Every packed vector's IDs and weights are carved from two arrays. A
+	// page's terms are weighed, summed and interned in rank order here, and
+	// laid out in ID order below.
 	pk := packer{ids: make([]int32, entries), weights: make([]float64, entries)}
+	terms := make([]struct {
+		ids        []int32
+		weights    []float64
+		sum, sumSq float64
+	}, n)
 	start := 0
 	for i := range b.Docs {
-		d := &b.Docs[i]
-		page, concepts := postings[start:ends[i]], d.Features.ConceptVector
-		start = ends[i]
-		for j, p := range page {
-			page[j] = rank[p>>32]<<32 | p&math.MaxUint32
-		}
-		slices.Sort(page)
-		d.Packed = pk.pack(len(page), func(j int) (int32, float64) {
-			t := byRank[page[j]>>32]
+		d, v := &b.Docs[i], &terms[i]
+		for at := start; at < ends[i]; at++ {
+			t := byRank[postings[at]>>32]
 			// (1 + ln tf) · ln(1 + N/df), Lucene's classic practical
 			// scoring combination.
-			w := (1 + math.Log(float64(uint32(page[j])))) * idf[t]
+			w := (1 + math.Log(float64(uint32(postings[at])))) * idf[t]
+			v.sum += w
+			v.sumSq += w * w
 			if vocabID[t] < 0 {
 				vocabID[t] = b.Vocab.ID(lx.Terms[t])
 			}
-			return vocabID[t], w
-		})
+			postings[at] = math.Float64bits(w) // read once; the weight from here on
+		}
+		ids, weights := pk.carve(ends[i] - start)
+		v.ids, v.weights = ids[:0], weights[:0] // filled to capacity below
+		start = ends[i]
+		concepts := d.Features.ConceptVector
 		d.ConceptPacked = pk.pack(len(concepts), func(j int) (int32, float64) {
 			return b.Vocab.ID(concepts[j].Name), concepts[j].Weight
 		})
@@ -243,6 +301,24 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 		d.PersonSet = textsim.InternSet(b.Vocab, d.Features.OtherPersons)
 		d.FrequentName = textsim.PrepareName(d.Features.MostFrequentName)
 		d.ClosestName = textsim.PrepareName(d.Features.ClosestName)
+	}
+	// The terms in ID order, each dealt to its pages, fill every term
+	// vector in ID order without a sort per page.
+	byID := make([]uint64, len(byRank))
+	for t, id := range vocabID {
+		byID[t] = uint64(id)<<32 | uint64(rank[t])
+	}
+	slices.Sort(byID)
+	for _, key := range byID {
+		r := uint32(key)
+		for _, g := range grouped[from[r]:from[r+1]] {
+			v := &terms[g>>32]
+			v.ids = append(v.ids, int32(key>>32))
+			v.weights = append(v.weights, math.Float64frombits(postings[g&math.MaxUint32]))
+		}
+	}
+	for i, v := range terms {
+		b.Docs[i].Packed = textsim.PackedWithSums(v.ids, v.weights, v.sum, v.sumSq)
 	}
 	return b, nil
 }
@@ -253,6 +329,13 @@ type packer struct {
 	weights []float64
 	keys    []uint64 // scratch: Vocab ID<<32 | position in summation order
 	ws      []float64
+}
+
+// carve takes the next n entries of the two arrays.
+func (pk *packer) carve(n int) ([]int32, []float64) {
+	ids, weights := pk.ids[:n:n], pk.weights[:n:n]
+	pk.ids, pk.weights = pk.ids[n:], pk.weights[n:]
+	return ids, weights
 }
 
 // pack builds the vector of the n entries entry yields in summation order,
@@ -267,8 +350,7 @@ func (pk *packer) pack(n int, entry func(j int) (id int32, w float64)) *textsim.
 		pk.keys, pk.ws = append(pk.keys, uint64(id)<<32|uint64(j)), append(pk.ws, w)
 	}
 	slices.Sort(pk.keys)
-	ids, weights := pk.ids[:n:n], pk.weights[:n:n]
-	pk.ids, pk.weights = pk.ids[n:], pk.weights[n:]
+	ids, weights := pk.carve(n)
 	for j, key := range pk.keys {
 		ids[j], weights[j] = int32(key>>32), pk.ws[uint32(key)]
 	}
@@ -304,6 +386,11 @@ type Func struct {
 	// prepared names name returns, so the kernel may look its token
 	// Jaro-Winkler values up in a per-call table.
 	name func(*Doc) *textsim.Name
+	// set marks an overlap function (F4-F6): Compare is overlap of the
+	// intersection size of the two ascending, deduplicated ID sets set
+	// returns, so the kernel may count a row's intersections through
+	// postings.
+	set func(*Doc) []int32
 }
 
 // vectorJoin is a vector-space function (F1, F8-F10): which packed vector
@@ -355,6 +442,23 @@ func nameFunc(id, feature string, raw func(*Doc) string, prepared func(*Doc) *te
 // F4-F6: an overlap of two shared entities maps to 0.5.
 const overlapHalf = 2
 
+// overlap is the similarity of the overlap-count functions F4-F6 given the
+// number of shared entities.
+func overlap(count int) float64 {
+	return textsim.NormalizedOverlap(count, overlapHalf)
+}
+
+// overlapFunc builds an overlap-count function (F4-F6) over one interned
+// entity set, which is also its set hint.
+func overlapFunc(id, feature, measure string, set func(*Doc) []int32) Func {
+	return Func{
+		ID: id, Feature: feature, Measure: measure, set: set,
+		Compare: func(a, b *Doc) float64 {
+			return overlap(textsim.IntersectSortedCount(set(a), set(b)))
+		},
+	}
+}
+
 // Registry returns the ten similarity functions in order F1..F10. The
 // returned slice is freshly allocated; callers may subset it (the paper's
 // I4/I7/I10 experiments use {F4,F5,F7,F9}, {F3,F4,F5,F7,F8,F9,F10} and all
@@ -377,24 +481,12 @@ func Registry() []Func {
 		nameFunc("F3", "Most frequent name on the page",
 			func(d *Doc) string { return d.Features.MostFrequentName },
 			func(d *Doc) *textsim.Name { return &d.FrequentName }),
-		{
-			ID: "F4", Feature: "Concepts Vector", Measure: "Number of overlapping concepts",
-			Compare: func(a, b *Doc) float64 {
-				return textsim.NormalizedOverlap(textsim.IntersectSortedCount(a.ConceptSet, b.ConceptSet), overlapHalf)
-			},
-		},
-		{
-			ID: "F5", Feature: "Organizations Entities on the page", Measure: "Number of overlapping organizations",
-			Compare: func(a, b *Doc) float64 {
-				return textsim.NormalizedOverlap(textsim.IntersectSortedCount(a.OrgSet, b.OrgSet), overlapHalf)
-			},
-		},
-		{
-			ID: "F6", Feature: "Other Person-Names on the page", Measure: "Number of overlapping persons",
-			Compare: func(a, b *Doc) float64 {
-				return textsim.NormalizedOverlap(textsim.IntersectSortedCount(a.PersonSet, b.PersonSet), overlapHalf)
-			},
-		},
+		overlapFunc("F4", "Concepts Vector", "Number of overlapping concepts",
+			func(d *Doc) []int32 { return d.ConceptSet }),
+		overlapFunc("F5", "Organizations Entities on the page", "Number of overlapping organizations",
+			func(d *Doc) []int32 { return d.OrgSet }),
+		overlapFunc("F6", "Other Person-Names on the page", "Number of overlapping persons",
+			func(d *Doc) []int32 { return d.PersonSet }),
 		nameFunc("F7", "The name closest to the search keyword",
 			func(d *Doc) string { return d.Features.ClosestName },
 			func(d *Doc) *textsim.Name { return &d.ClosestName }),

@@ -2,6 +2,7 @@ package textsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,27 @@ func TestSetJaccard(t *testing.T) {
 	got = SetJaccard([]string{"a", "a", "b"}, []string{"a", "b", "b"})
 	if got != 1 {
 		t.Errorf("duplicate handling = %v, want 1", got)
+	}
+}
+
+// TestSetJaccardMatchesMaps pins SetJaccard bit for bit to the map count on
+// random slices over a small alphabet, so duplicates and shared strings are
+// common.
+func TestSetJaccardMatchesMaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := []string{"", "a", "b", "people", "~smith", "index.html", "B"}
+	slice := func() []string {
+		out := make([]string, rng.Intn(7))
+		for i := range out {
+			out[i] = words[rng.Intn(len(words))]
+		}
+		return out
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := slice(), slice()
+		if got, want := SetJaccard(a, b), setJaccardByMaps(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SetJaccard(%q, %q) = %v, map count %v", a, b, got, want)
+		}
 	}
 }
 

@@ -115,3 +115,27 @@ func PearsonSim(a, b SparseVector) float64 {
 	}
 	return (r + 1) / 2
 }
+
+// setJaccardByMaps is SetJaccard as it counted before the slice scan: one
+// map per side, the intersection counted over the first map. The counts,
+// and so the bits, are what TestSetJaccardMatchesMaps holds SetJaccard to.
+func setJaccardByMaps(a, b []string) float64 {
+	sa := make(map[string]struct{}, len(a))
+	for _, x := range a {
+		sa[x] = struct{}{}
+	}
+	sb := make(map[string]struct{}, len(b))
+	for _, x := range b {
+		sb[x] = struct{}{}
+	}
+	if len(sa) == 0 && len(sb) == 0 {
+		return 1
+	}
+	inter := 0
+	for x := range sa {
+		if _, ok := sb[x]; ok {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(sa)+len(sb)-inter)
+}

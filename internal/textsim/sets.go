@@ -1,27 +1,32 @@
 package textsim
 
+import "slices"
+
 // SetJaccard returns the Jaccard coefficient over two string slices treated
-// as sets. Two empty sets have similarity 1.
+// as sets. Two empty sets have similarity 1. It counts the distinct and the
+// shared strings by scanning the slices themselves, in time quadratic in
+// their lengths and without allocating: the slices it is meant for are the
+// few path tokens of two URLs (F2).
 func SetJaccard(a, b []string) float64 {
-	sa := make(map[string]struct{}, len(a))
-	for _, x := range a {
-		sa[x] = struct{}{}
-	}
-	sb := make(map[string]struct{}, len(b))
-	for _, x := range b {
-		sb[x] = struct{}{}
-	}
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	inter := 0
-	for x := range sa {
-		if _, ok := sb[x]; ok {
+	na, nb, inter := 0, 0, 0
+	for i, x := range a {
+		if slices.Contains(a[:i], x) {
+			continue
+		}
+		na++
+		if slices.Contains(b, x) {
 			inter++
 		}
 	}
-	union := len(sa) + len(sb) - inter
-	return float64(inter) / float64(union)
+	for j, y := range b {
+		if !slices.Contains(b[:j], y) {
+			nb++
+		}
+	}
+	if na == 0 && nb == 0 {
+		return 1
+	}
+	return float64(inter) / float64(na+nb-inter)
 }
 
 // SetOverlapCount returns |A∩B| over two string slices treated as sets. This
