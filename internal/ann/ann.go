@@ -31,6 +31,10 @@
 // build exactly; other append-only splits stay correct and
 // recall-governed but may link through different neighbors than a fresh
 // rebuild would.
+//
+// Persistence: EncodeTo writes the graph's primary state as one
+// internal/framing record, which internal/persist files behind its magic
+// and key record (*.ann) so a restarted server re-inserts nothing.
 package ann
 
 import (
@@ -55,10 +59,9 @@ type KeyFunc = blockindex.KeyFunc
 
 // Graph parameters. M is the per-node degree bound (layer 0 keeps 2M);
 // DefaultEfConstruction sizes the candidate beam while linking a new node
-// (no caller asks for another value; .ann files record it, and one built
-// with a different value is refused); EfSearch sizes the neighbor query
-// the candidate edges come from. Larger ef raises recall and cost roughly
-// linearly.
+// (a constant: no caller asks for another value, so neither .ann files nor
+// Stats record it); EfSearch sizes the neighbor query the candidate edges
+// come from. Larger ef raises recall and cost roughly linearly.
 const (
 	DefaultM              = 12
 	DefaultEfConstruction = 100
@@ -325,10 +328,9 @@ type Stats struct {
 	Terms int `json:"terms"`
 	// MaxLevel is the top graph layer in use.
 	MaxLevel int `json:"max_level"`
-	// M, EfConstruction and EfSearch are the graph knobs.
-	M              int `json:"m"`
-	EfConstruction int `json:"ef_construction"`
-	EfSearch       int `json:"ef_search"`
+	// M and EfSearch are the graph knobs.
+	M        int `json:"m"`
+	EfSearch int `json:"ef_search"`
 	// Version counts inserted documents.
 	Version uint64 `json:"version"`
 }
@@ -342,15 +344,14 @@ func (x *CandidateIndex) Stats() Stats {
 		maxLevel = int(x.maxLevel)
 	}
 	return Stats{
-		Docs:           x.comps.Docs(),
-		Collections:    x.comps.Collections(),
-		Blocks:         x.comps.Blocks(),
-		Edges:          len(x.edges),
-		Terms:          x.vocab.Len(),
-		MaxLevel:       maxLevel,
-		M:              x.m,
-		EfConstruction: DefaultEfConstruction,
-		EfSearch:       x.efSrch,
-		Version:        x.comps.Version(),
+		Docs:        x.comps.Docs(),
+		Collections: x.comps.Collections(),
+		Blocks:      x.comps.Blocks(),
+		Edges:       len(x.edges),
+		Terms:       x.vocab.Len(),
+		MaxLevel:    maxLevel,
+		M:           x.m,
+		EfSearch:    x.efSrch,
+		Version:     x.comps.Version(),
 	}
 }

@@ -2,8 +2,10 @@ package ann
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
+	"repro/internal/framing"
 )
 
 // doc builds a test document at position id with the given text.
@@ -424,13 +427,61 @@ func TestCodecRejectsDamage(t *testing.T) {
 		t.Errorf("truncation: error %v, want ErrCodecCorrupt", err)
 	}
 
-	skewed := append([]byte(nil), good...)
-	copy(skewed, "ERANN999")
-	if _, err := Decode(bytes.NewReader(skewed), cfg); !errors.Is(err, ErrCodecVersion) {
-		t.Errorf("version skew: error %v, want ErrCodecVersion", err)
+	if _, err := Decode(bytes.NewReader(append(append([]byte(nil), good...), 0)), cfg); !errors.Is(err, ErrCodecCorrupt) {
+		t.Errorf("a byte behind the record: error %v, want ErrCodecCorrupt", err)
 	}
 
 	if _, err := Decode(bytes.NewReader(good), Config{Scheme: testCanopy(), M: 24}); err == nil {
 		t.Error("graph-knob mismatch was accepted")
 	}
+}
+
+// FuzzDecodeANN feeds arbitrary payloads to Decode, each sealed into a
+// valid record so that the checks behind the checksum are what is
+// exercised: Decode must not panic, and an index it accepts must re-encode
+// and decode to the same membership.
+func FuzzDecodeANN(f *testing.F) {
+	cfg := Config{Scheme: testCanopy()}
+	x, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := x.Update(nameCorpus()); err != nil {
+		f.Fatal(err)
+	}
+	var real bytes.Buffer
+	if _, err := x.EncodeTo(&real); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.Bytes()[framing.HeaderBytes:])
+	// A graph with an entry point but no documents to hold it.
+	var empty bytes.Buffer
+	if err := gob.NewEncoder(&empty).Encode(encodedIndex{M: DefaultM, EfSearch: DefaultEfSearch, Entry: 3}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := framing.Record(func(w io.Writer) error { _, err := w.Write(payload); return err })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(bytes.NewReader(rec), cfg)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := got.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(&buf, cfg)
+		if err != nil {
+			t.Fatalf("an accepted index re-encodes to one Decode refuses: %v", err)
+		}
+		wantRefs, wantFps := got.Membership()
+		gotRefs, gotFps := again.Membership()
+		if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
+			t.Fatalf("membership changed across a re-encode:\n%v %v\n%v %v", wantRefs, wantFps, gotRefs, gotFps)
+		}
+	})
 }

@@ -2,30 +2,22 @@ package ann
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"repro/internal/framing"
 	"repro/internal/textsim"
 )
 
-// annMagic heads every encoded index; the digit is the format version.
-const annMagic = "ERANN001"
-
-// ErrCodecVersion reports an encoded index from an unsupported format
-// version; ErrCodecCorrupt reports structural damage. Callers treat both
-// as "no usable index": correctness never depends on the encoded form —
-// the index rebuilds from the corpus — only the restart head-start does.
-var (
-	ErrCodecVersion = errors.New("ann: unsupported index format version")
-	ErrCodecCorrupt = errors.New("ann: encoded index is corrupt")
-)
-
-// crcTable is the Castagnoli table, matching the persist layer's journal.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// ErrCodecCorrupt reports an encoded index that fails a structural check:
+// a damaged record, an unreadable payload, a graph that does not hold
+// together. Callers treat it as "no usable index": correctness never
+// depends on the encoded form — the index rebuilds from the corpus — only
+// the restart head-start does. The file around the record, and its format
+// version, are internal/persist's.
+var ErrCodecCorrupt = errors.New("ann: encoded index is corrupt")
 
 // encodedIndex is the gob payload: the primary state only — the graph
 // adjacency, the packed vectors in wire form (vocabulary terms in intern
@@ -35,20 +27,19 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // replaying the edges, which is cheap next to re-running the neighbor
 // searches that found them.
 type encodedIndex struct {
-	M              int
-	EfConstruction int
-	EfSearch       int
-	Cols           []encodedCol
-	Refs           []DocRef
-	Hashes         []uint64
-	Levels         []int32
-	Terms          []string
-	VecIDs         [][]int32
-	VecWeights     [][]float64
-	Neighbors      [][][]int32
-	Entry          int32
-	MaxLevel       int32
-	Edges          [][2]int32
+	M          int
+	EfSearch   int
+	Cols       []encodedCol
+	Refs       []DocRef
+	Hashes     []uint64
+	Levels     []int32
+	Terms      []string
+	VecIDs     [][]int32
+	VecWeights [][]float64
+	Neighbors  [][][]int32
+	Entry      int32
+	MaxLevel   int32
+	Edges      [][2]int32
 }
 
 type encodedCol struct {
@@ -56,7 +47,7 @@ type encodedCol struct {
 	Indexed int
 }
 
-// EncodeTo writes the index in its versioned, checksummed wire form and
+// EncodeTo writes the index as one framing record holding its gob and
 // returns the version (document count) the encoding reflects — what
 // callers compare against Version() to skip redundant saves.
 func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
@@ -64,20 +55,19 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 	defer x.mu.Unlock()
 
 	enc := encodedIndex{
-		M:              x.m,
-		EfConstruction: DefaultEfConstruction,
-		EfSearch:       x.efSrch,
-		Cols:           make([]encodedCol, x.comps.Collections()),
-		Refs:           x.comps.Refs(),
-		Hashes:         x.comps.Hashes(),
-		Levels:         x.levels,
-		Terms:          make([]string, x.vocab.Len()),
-		VecIDs:         make([][]int32, len(x.vecs)),
-		VecWeights:     make([][]float64, len(x.vecs)),
-		Neighbors:      x.neighbors,
-		Entry:          x.entry,
-		MaxLevel:       x.maxLevel,
-		Edges:          x.edges,
+		M:          x.m,
+		EfSearch:   x.efSrch,
+		Cols:       make([]encodedCol, x.comps.Collections()),
+		Refs:       x.comps.Refs(),
+		Hashes:     x.comps.Hashes(),
+		Levels:     x.levels,
+		Terms:      make([]string, x.vocab.Len()),
+		VecIDs:     make([][]int32, len(x.vecs)),
+		VecWeights: make([][]float64, len(x.vecs)),
+		Neighbors:  x.neighbors,
+		Entry:      x.entry,
+		MaxLevel:   x.maxLevel,
+		Edges:      x.edges,
 	}
 	for i := range enc.Cols {
 		enc.Cols[i].Name, enc.Cols[i].Indexed = x.comps.Collection(i)
@@ -90,48 +80,26 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 		enc.VecWeights[i] = v.Weights
 	}
 
-	if _, err := io.WriteString(w, annMagic); err != nil {
-		return 0, fmt.Errorf("ann: writing header: %w", err)
-	}
-	crc := crc32.New(crcTable)
-	if err := gob.NewEncoder(io.MultiWriter(w, crc)).Encode(enc); err != nil {
+	rec, err := framing.Record(func(w io.Writer) error { return gob.NewEncoder(w).Encode(enc) })
+	if err != nil {
 		return 0, fmt.Errorf("ann: encoding index: %w", err)
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return 0, fmt.Errorf("ann: writing checksum: %w", err)
+	if _, err := w.Write(rec); err != nil {
+		return 0, fmt.Errorf("ann: writing index: %w", err)
 	}
 	return x.comps.Version(), nil
 }
 
-// Decode reads an index written by EncodeTo and rebuilds it under cfg,
-// which must describe the same configuration (scheme, key function,
+// Decode reads an index written by EncodeTo — exactly one record, nothing
+// behind it — and rebuilds it under cfg, which must describe the same configuration (scheme, key function,
 // graph knobs) that produced it — the index records only the knobs, so
 // the caller's storage key must carry the rest. A knob mismatch is an
 // error, not corruption: the persisted graph was built under different
 // parameters and the caller should rebuild from the corpus instead.
 func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
-	header := make([]byte, len(annMagic))
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCodecCorrupt, err)
-	}
-	if string(header) != annMagic {
-		if string(header[:5]) == annMagic[:5] {
-			return nil, fmt.Errorf("%w: %q", ErrCodecVersion, header)
-		}
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCodecCorrupt, header)
-	}
-	body, err := io.ReadAll(r)
+	payload, err := framing.ReadOne(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCodecCorrupt, err)
-	}
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: payload shorter than its checksum", ErrCodecCorrupt)
-	}
-	payload, sum := body[:len(body)-4], binary.LittleEndian.Uint32(body[len(body)-4:])
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return nil, fmt.Errorf("%w: checksum %08x, trailer declares %08x", ErrCodecCorrupt, got, sum)
+		return nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
 	}
 	var enc encodedIndex
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&enc); err != nil {
@@ -142,9 +110,9 @@ func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if enc.M != x.m || enc.EfConstruction != DefaultEfConstruction || enc.EfSearch != x.efSrch {
-		return nil, fmt.Errorf("ann: encoded index was built with M=%d efc=%d efs=%d, configuration wants M=%d efc=%d efs=%d; rebuild from the corpus",
-			enc.M, enc.EfConstruction, enc.EfSearch, x.m, DefaultEfConstruction, x.efSrch)
+	if enc.M != x.m || enc.EfSearch != x.efSrch {
+		return nil, fmt.Errorf("ann: encoded index was built with M=%d efs=%d, configuration wants M=%d efs=%d; rebuild from the corpus",
+			enc.M, enc.EfSearch, x.m, x.efSrch)
 	}
 
 	n := len(enc.Refs)

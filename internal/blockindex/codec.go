@@ -2,28 +2,21 @@ package blockindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/framing"
 )
 
-// indexMagic heads every encoded index; the digit is the format version.
-const indexMagic = "ERIDX001"
-
-// ErrCodecVersion reports an encoded index from an unsupported format
-// version; ErrCodecCorrupt reports structural damage. Callers treat both
-// as "no usable index": correctness never depends on the encoded form —
-// the index rebuilds from the corpus — only the restart head-start does.
-var (
-	ErrCodecVersion = errors.New("blockindex: unsupported index format version")
-	ErrCodecCorrupt = errors.New("blockindex: encoded index is corrupt")
-)
-
-// crcTable is the Castagnoli table, matching the persist layer's journal.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// ErrCodecCorrupt reports an encoded index that fails a structural check:
+// a damaged record, an unreadable payload, state that does not hold
+// together. Callers treat it as "no usable index": correctness never
+// depends on the encoded form — the index rebuilds from the corpus — only
+// the restart head-start does. The file around the record, and its format
+// version, are internal/persist's.
+var ErrCodecCorrupt = errors.New("blockindex: encoded index is corrupt")
 
 // encodedIndex is the gob payload: the primary state only — postings,
 // document refs and hashes, collection high-water marks. Derived state
@@ -43,7 +36,7 @@ type encodedCol struct {
 	Indexed int
 }
 
-// EncodeTo writes the index in its versioned, checksummed wire form and
+// EncodeTo writes the index as one framing record holding its gob and
 // returns the version (document count) the encoding reflects — what
 // callers compare against Version() to skip redundant saves.
 func (x *Index) EncodeTo(w io.Writer) (uint64, error) {
@@ -64,48 +57,27 @@ func (x *Index) EncodeTo(w io.Writer) (uint64, error) {
 		enc.Postings[i] = x.shards[i].postings
 	}
 
-	if _, err := io.WriteString(w, indexMagic); err != nil {
-		return 0, fmt.Errorf("blockindex: writing header: %w", err)
-	}
-	crc := crc32.New(crcTable)
-	if err := gob.NewEncoder(io.MultiWriter(w, crc)).Encode(enc); err != nil {
+	rec, err := framing.Record(func(w io.Writer) error { return gob.NewEncoder(w).Encode(enc) })
+	if err != nil {
 		return 0, fmt.Errorf("blockindex: encoding index: %w", err)
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return 0, fmt.Errorf("blockindex: writing checksum: %w", err)
+	if _, err := w.Write(rec); err != nil {
+		return 0, fmt.Errorf("blockindex: writing index: %w", err)
 	}
 	return x.comps.Version(), nil
 }
 
-// Decode reads an index written by EncodeTo and rebuilds it under cfg,
-// which must describe the same configuration (scheme, key function, shard
-// count) that produced it — the index records only the shard count, so the
-// caller's storage key must carry the rest. A shard-count mismatch is an
-// error: the persisted partitioning no longer matches the requested one,
-// and the caller should rebuild from the corpus instead.
+// Decode reads an index written by EncodeTo — exactly one record, nothing
+// behind it — and rebuilds it under cfg, which must describe the same
+// configuration (scheme, key function, shard count) that produced it — the
+// index records only the shard count, so the caller's storage key must
+// carry the rest. A shard-count mismatch is an error: the persisted
+// partitioning no longer matches the requested one, and the caller should
+// rebuild from the corpus instead.
 func Decode(r io.Reader, cfg Config) (*Index, error) {
-	header := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrCodecCorrupt, err)
-	}
-	if string(header) != indexMagic {
-		if string(header[:5]) == indexMagic[:5] {
-			return nil, fmt.Errorf("%w: %q", ErrCodecVersion, header)
-		}
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCodecCorrupt, header)
-	}
-	body, err := io.ReadAll(r)
+	payload, err := framing.ReadOne(r)
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrCodecCorrupt, err)
-	}
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: payload shorter than its checksum", ErrCodecCorrupt)
-	}
-	payload, sum := body[:len(body)-4], binary.LittleEndian.Uint32(body[len(body)-4:])
-	if got := crc32.Checksum(payload, crcTable); got != sum {
-		return nil, fmt.Errorf("%w: checksum %08x, trailer declares %08x", ErrCodecCorrupt, got, sum)
+		return nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
 	}
 	var enc encodedIndex
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&enc); err != nil {
@@ -143,6 +115,9 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 			postings = make(map[string][]int32)
 		}
 		for key, ids := range postings {
+			if len(ids) == 0 {
+				return nil, fmt.Errorf("%w: posting %q holds no documents", ErrCodecCorrupt, key)
+			}
 			for _, id := range ids {
 				if id < 0 || id >= n {
 					return nil, fmt.Errorf("%w: posting %q references document %d of %d", ErrCodecCorrupt, key, id, n)

@@ -25,8 +25,10 @@
 // DocRef and KeyFunc.
 //
 // The index is safe for concurrent use; the pipeline's IndexBlocker wraps
-// it behind the Blocker interfaces, and internal/persist journals its
-// encoded form so a restarted server does not re-block the corpus.
+// it behind the Blocker interfaces. EncodeTo writes its primary state as
+// one internal/framing record, which internal/persist files behind its
+// magic and key record (*.idx) so a restarted server does not re-block the
+// corpus.
 package blockindex
 
 import (

@@ -2,14 +2,17 @@ package blockindex
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/blocking"
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
+	"repro/internal/framing"
 )
 
 // doc builds a test document at position id with the given text.
@@ -264,13 +267,72 @@ func TestIndexCodecRejectsDamage(t *testing.T) {
 		t.Errorf("truncation: error %v, want ErrCodecCorrupt", err)
 	}
 
-	skewed := append([]byte(nil), good...)
-	copy(skewed, "ERIDX999")
-	if _, err := Decode(bytes.NewReader(skewed), cfg); !errors.Is(err, ErrCodecVersion) {
-		t.Errorf("version skew: error %v, want ErrCodecVersion", err)
+	if _, err := Decode(bytes.NewReader(append(append([]byte(nil), good...), 0)), cfg); !errors.Is(err, ErrCodecCorrupt) {
+		t.Errorf("a byte behind the record: error %v, want ErrCodecCorrupt", err)
+	}
+
+	// A checksum-valid record whose postings hold a key with no documents.
+	empty := sealedPayload(t, encodedIndex{Shards: 2, Postings: []map[string][]int32{{"k": {}}, nil}})
+	if _, err := Decode(bytes.NewReader(empty), cfg); !errors.Is(err, ErrCodecCorrupt) {
+		t.Errorf("empty posting list: error %v, want ErrCodecCorrupt", err)
 	}
 
 	if _, err := Decode(bytes.NewReader(good), Config{Scheme: blocking.ExactKey{}, Shards: 8}); err == nil {
 		t.Error("shard-count mismatch was accepted")
 	}
+}
+
+// sealedPayload frames the gob of enc as the one record EncodeTo writes.
+func sealedPayload(tb testing.TB, enc encodedIndex) []byte {
+	tb.Helper()
+	rec, err := framing.Record(func(w io.Writer) error { return gob.NewEncoder(w).Encode(enc) })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rec
+}
+
+// FuzzDecodeIndex feeds arbitrary payloads to Decode, each sealed into a
+// valid record so that the checks behind the checksum are what is
+// exercised: Decode must not panic, and an index it accepts must re-encode
+// and decode to the same membership.
+func FuzzDecodeIndex(f *testing.F) {
+	cfg := Config{Scheme: blocking.TokenBlocking{}, Shards: 2}
+	x, err := New(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := x.Update(namedCols("john smith", "jane smith", "jones")); err != nil {
+		f.Fatal(err)
+	}
+	var real bytes.Buffer
+	if _, err := x.EncodeTo(&real); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.Bytes()[framing.HeaderBytes:])
+	f.Add(sealedPayload(f, encodedIndex{Shards: 2, Postings: []map[string][]int32{{"k": {}}, nil}})[framing.HeaderBytes:])
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := framing.Record(func(w io.Writer) error { _, err := w.Write(payload); return err })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(bytes.NewReader(rec), cfg)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := got.EncodeTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Decode(&buf, cfg)
+		if err != nil {
+			t.Fatalf("an accepted index re-encodes to one Decode refuses: %v", err)
+		}
+		wantRefs, wantFps := got.Membership()
+		gotRefs, gotFps := again.Membership()
+		if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
+			t.Fatalf("membership changed across a re-encode:\n%v %v\n%v %v", wantRefs, wantFps, gotRefs, gotFps)
+		}
+	})
 }

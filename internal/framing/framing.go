@@ -1,6 +1,8 @@
-// Package framing is the record format of the project's append-only files
-// — the ingest journal's segments and the serving index's commit log —
-// and the one place their damage is classified. A record is
+// Package framing is the record format of every file the server writes —
+// the ingest journal's segments and the artifact files (key index, ANN
+// index, serving index, snapshot) alike — and the one place their damage is
+// classified. A file is an 8-byte magic naming its kind and format version,
+// then records; a record is
 //
 //	u32 payload length | u32 CRC-32C of the payload | payload
 //
@@ -13,10 +15,12 @@
 // length beyond the caller's bound) is corruption. What to do about either
 // is the caller's decision: the journal truncates a torn tail on its newest
 // segment and refuses everything else, the serving log stops replaying at
-// the first damaged record of either kind.
+// the first damaged record of either kind, and a file that must hold
+// exactly one record (ReadOne) treats every damage as corruption.
 package framing
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,6 +30,10 @@ import (
 
 // HeaderBytes is the size of a record's length-and-checksum header.
 const HeaderBytes = 8
+
+// MaxPayloadBytes bounds one record of every file, so a corrupt length
+// fails fast instead of driving a multi-gigabyte allocation.
+const MaxPayloadBytes = 1 << 30
 
 // castagnoli is the CRC-32C table every record checksum uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -37,6 +45,41 @@ func Seal(rec []byte) {
 	payload := rec[HeaderBytes:]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+}
+
+// Record returns one sealed record whose payload fill writes.
+func Record(fill func(w io.Writer) error) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, HeaderBytes))
+	if err := fill(&buf); err != nil {
+		return nil, err
+	}
+	if n := buf.Len() - HeaderBytes; n > MaxPayloadBytes {
+		return nil, fmt.Errorf("framing: record is %d bytes, the cap is %d", n, MaxPayloadBytes)
+	}
+	Seal(buf.Bytes())
+	return buf.Bytes(), nil
+}
+
+// ReadOne reads the rest of r, which must be exactly one record, and
+// returns its payload. No record, a damaged one and bytes behind it are
+// all errors.
+func ReadOne(r io.Reader) ([]byte, error) {
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("framing: reading: %w", err)
+	}
+	recs := NewReader(bytes.NewReader(buf), 0, int64(len(buf)), MaxPayloadBytes)
+	payload, err := recs.Next()
+	switch {
+	case err == io.EOF:
+		return nil, errors.New("framing: no record")
+	case err != nil:
+		return nil, err
+	case recs.Offset() != int64(len(buf)):
+		return nil, fmt.Errorf("framing: %d bytes behind the record", int64(len(buf))-recs.Offset())
+	}
+	return payload, nil
 }
 
 // ErrTorn matches (errors.Is) the Reader errors that describe a torn

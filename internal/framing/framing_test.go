@@ -85,3 +85,26 @@ func TestReaderClassifiesDamage(t *testing.T) {
 		}
 	}
 }
+
+// TestReadOne pins the single-record reader the index codecs decode with:
+// one whole record and nothing else, every other shape an error.
+func TestReadOne(t *testing.T) {
+	rec, err := Record(func(w io.Writer) error { _, err := io.WriteString(w, "payload"); return err })
+	if err != nil || !bytes.Equal(rec, record("payload")) {
+		t.Fatalf("Record = (%q, %v), want the sealed record", rec, err)
+	}
+	if p, err := ReadOne(bytes.NewReader(rec)); err != nil || string(p) != "payload" {
+		t.Fatalf("ReadOne = (%q, %v)", p, err)
+	}
+	for name, in := range map[string][]byte{
+		"no record":          nil,
+		"cut short":          rec[:len(rec)-1],
+		"checksum broken":    append(append([]byte(nil), rec[:len(rec)-1]...), 'X'),
+		"a record behind it": append(append([]byte(nil), rec...), record("")...),
+		"a byte behind it":   append(append([]byte(nil), rec...), 0),
+	} {
+		if p, err := ReadOne(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s: ReadOne = %q, want an error", name, p)
+		}
+	}
+}

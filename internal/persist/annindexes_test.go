@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,6 +91,15 @@ func TestANNDirRejectsDamage(t *testing.T) {
 	}
 	if _, err := dir.LoadANNIndex("k", annCfg()); err != nil {
 		t.Fatalf("load after quarantine = %v, want (nil, nil)", err)
+	}
+
+	// Another file format version is refused as such, and quarantined too.
+	if _, err := dir.SaveANNIndex("k", built); err != nil {
+		t.Fatal(err)
+	}
+	skewVersion(t, files[0])
+	if _, err := dir.LoadANNIndex("k", annCfg()); !errors.Is(err, ErrArtifactVersion) || dir.Quarantined() != 2 {
+		t.Fatalf("version-skew load error = %v, %d quarantined; want ErrArtifactVersion, 2", err, dir.Quarantined())
 	}
 
 	// The sharded .idx files and the .ann files share DIR/indexes without

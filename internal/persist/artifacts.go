@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -19,51 +17,59 @@ import (
 	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/faultfs"
+	"repro/internal/framing"
 	"repro/internal/pipeline"
 	"repro/internal/serving"
 )
 
-// The envelope magic heading each artifact kind's files; the digit is the
-// envelope format version.
+// The magic heading each artifact kind's files; the last digit is the file
+// format version.
 const (
-	snapFileMagic = "ERSNF001"
-	idxFileMagic  = "ERIXF001"
-	annFileMagic  = "ERANF001"
-	srvFileMagic  = "ERSVF001"
+	snapFileMagic = "ERSNF002"
+	idxFileMagic  = "ERIXF002"
+	annFileMagic  = "ERANF002"
+	srvFileMagic  = "ERSVF002"
 )
 
-// maxEnvelopeKeyBytes bounds the envelope's key field of every artifact so
-// a corrupt length cannot drive a huge allocation.
-const maxEnvelopeKeyBytes = 1 << 16
+// ErrArtifactVersion reports an artifact file of the right kind written in
+// another format version. No reader of another version is kept: the file
+// is quarantined like any damaged one, and the caller rebuilds.
+var ErrArtifactVersion = errors.New("persist: unsupported artifact file format version")
 
 // artifactDir is the one implementation of "a directory holding one
 // versioned file per configuration key" behind SnapshotDir, IndexDir,
 // ANNDir and ServingDir. A file is named by a hash of its key plus the
-// kind's extension and starts with an envelope — magic | key length | key
-// — followed by the kind's own codec stream, which carries its own format
-// version and checksum. The directory owns everything that is not the
-// codec:
+// kind's extension and has the journal segment's shape — an 8-byte magic,
+// then internal/framing records:
 //
-//   - save: temp file → envelope → codec → fsync → close → rename →
-//     directory fsync → prune. A crash mid-save leaves the previous file
-//     intact, and a save whose durability is not established does not
-//     report success. Concurrent saves need no lock: each writes a unique
-//     temp file and publishes it with an atomic rename.
-//   - load: a missing file is not an error; the envelope's magic and key
+//	magic | record(key) | the codec's records
+//
+// where the codec writes exactly one record for an index, a base and the
+// commits appended since for a serving index, and its own header-carrying
+// stream for a snapshot (pipeline.EncodeSnapshot, the one nested header
+// left). The format version lives in the magic alone and the checksum in
+// the records alone. The directory owns everything that is not the codec:
+//
+//   - save: temp file → magic and key record → codec → fsync → close →
+//     rename → directory fsync → prune. A crash mid-save leaves the
+//     previous file intact, and a save whose durability is not established
+//     does not report success. Concurrent saves need no lock: each writes a
+//     unique temp file and publishes it with an atomic rename.
+//   - load: a missing file is not an error; the magic and the key record
 //     are verified (a hash collision or misplaced file is detected instead
-//     of decoded as foreign state); a file that fails any check, the
-//     codec's included, is quarantined — renamed *.corrupt — so the
-//     caller's rebuild from the journaled corpus replaces it rather than
-//     re-hitting the same damage on every restart.
+//     of decoded as foreign state); a file that fails any check — another
+//     format version (ErrArtifactVersion) or the codec's included — is
+//     quarantined, renamed *.corrupt, so the caller's rebuild from the
+//     journaled corpus replaces it rather than re-hitting the same damage
+//     on every restart.
 //   - housekeeping: temp files orphaned by a crash are swept at open, and
 //     the oldest files beyond the cap are pruned after each save.
 type artifactDir struct {
 	dir  string
 	fsys faultfs.FS
 	logf func(format string, args ...any)
-	// ext is the kind's file extension without the dot, magic its envelope
-	// header (the digit is the envelope format version), noun what
-	// messages call it.
+	// ext is the kind's file extension without the dot, magic its file
+	// header, noun what messages call it.
 	ext, magic, noun string
 	// maxFiles bounds the number of files of this kind kept; after each
 	// save the oldest beyond the cap are pruned (best effort).
@@ -99,29 +105,21 @@ func (d *artifactDir) path(key string) string {
 // has renamed aside since it was opened.
 func (d *artifactDir) Quarantined() int64 { return d.quarantined.Load() }
 
-// save atomically writes key's file: the envelope, then whatever encode
-// streams into the temp file (the codec's internal payload buffer is the
-// only in-memory copy). The previous file, if any, is replaced only after
-// the new one is fully written and synced.
+// save atomically writes key's file: the magic and the key record, then
+// whatever encode streams into the temp file. The previous file, if any, is
+// replaced only after the new one is fully written and synced.
 func (d *artifactDir) save(key string, encode func(io.Writer) error) error {
-	if len(key) > maxEnvelopeKeyBytes {
-		return fmt.Errorf("persist: %s key is %d bytes, cap is %d", d.noun, len(key), maxEnvelopeKeyBytes)
-	}
 	tmp, err := d.fsys.CreateTemp(d.dir, "."+d.ext+"-*.tmp")
 	if err != nil {
 		return fmt.Errorf("persist: creating %s temp file: %w", d.noun, err)
 	}
 	defer d.fsys.Remove(tmp.Name()) // no-op after a successful rename
 
-	var envelope bytes.Buffer
-	envelope.WriteString(d.magic)
-	var klen [4]byte
-	binary.LittleEndian.PutUint32(klen[:], uint32(len(key)))
-	envelope.Write(klen[:])
-	envelope.WriteString(key)
-	if _, err := tmp.Write(envelope.Bytes()); err != nil {
+	head := append(append([]byte(d.magic), make([]byte, framing.HeaderBytes)...), key...)
+	framing.Seal(head[len(d.magic):])
+	if _, err := tmp.Write(head); err != nil {
 		tmp.Close()
-		return fmt.Errorf("persist: writing %s envelope: %w", d.noun, err)
+		return fmt.Errorf("persist: writing %s header: %w", d.noun, err)
 	}
 	if err := encode(tmp); err != nil {
 		tmp.Close()
@@ -197,13 +195,14 @@ func (d *artifactDir) touch(key string) error {
 	return nil
 }
 
-// load reads one file: it verifies the envelope — against wantKey unless
-// that is nil (any configuration's file is acceptable) — and hands the
-// rest of the stream to decode. A missing file returns nil without calling
-// decode: nothing saved is not an error. A present-but-damaged file is
-// quarantined and returns the failing check's error, the codec's typed
-// errors included, so the caller can tell version skew from corruption —
-// and rebuild either way, knowing the next save starts clean.
+// load reads one file: it verifies the magic and the key record — against
+// wantKey unless that is nil (any configuration's file is acceptable) —
+// and hands the rest of the stream to decode. A missing file returns nil
+// without calling decode: nothing saved is not an error. A
+// present-but-damaged file is quarantined and returns the failing check's
+// error, ErrArtifactVersion and the codec's typed errors included, so the
+// caller can tell version skew from corruption — and rebuild either way,
+// knowing the next save starts clean.
 func (d *artifactDir) load(path string, wantKey *string, decode func(io.Reader) error) error {
 	f, err := d.fsys.OpenFile(path, os.O_RDONLY, 0)
 	if os.IsNotExist(err) {
@@ -214,7 +213,7 @@ func (d *artifactDir) load(path string, wantKey *string, decode func(io.Reader) 
 	}
 	defer f.Close()
 
-	if err = d.checkEnvelope(f, wantKey); err == nil {
+	if err = d.checkHead(f, wantKey); err == nil {
 		err = decode(f)
 	}
 	if err == nil {
@@ -234,26 +233,34 @@ func (d *artifactDir) load(path string, wantKey *string, decode func(io.Reader) 
 	return err
 }
 
-// checkEnvelope reads the envelope off the head of a file and verifies its
-// magic and, unless wantKey is nil, its key.
-func (d *artifactDir) checkEnvelope(r io.Reader, wantKey *string) error {
-	header := make([]byte, len(d.magic)+4)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return fmt.Errorf("truncated envelope: %w", err)
+// checkHead reads the magic and the key record off the head of a file and
+// verifies the magic and, unless wantKey is nil, the key. This kind's magic
+// with another version digit is ErrArtifactVersion; any other damage is
+// corruption.
+func (d *artifactDir) checkHead(f faultfs.File, wantKey *string) error {
+	magic := make([]byte, len(d.magic))
+	if _, err := io.ReadFull(f, magic); err != nil {
+		return fmt.Errorf("truncated magic: %w", err)
 	}
-	if magic := header[:len(d.magic)]; string(magic) != d.magic {
-		return fmt.Errorf("bad magic %q (foreign file or unsupported envelope version)", magic)
+	if v := len(magic) - 1; string(magic) != d.magic {
+		if string(magic[:v]) == d.magic[:v] && '0' <= magic[v] && magic[v] <= '9' {
+			return fmt.Errorf("%w: file is %q, this build reads %q", ErrArtifactVersion, magic, d.magic)
+		}
+		return fmt.Errorf("bad magic %q (foreign file)", magic)
 	}
-	klen := binary.LittleEndian.Uint32(header[len(d.magic):])
-	if klen > maxEnvelopeKeyBytes {
-		return fmt.Errorf("key length %d is corrupt", klen)
+	info, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("sizing: %w", err)
 	}
-	gotKey := make([]byte, klen)
-	if _, err := io.ReadFull(r, gotKey); err != nil {
-		return fmt.Errorf("truncated key: %w", err)
+	key, err := framing.NewReader(f, int64(len(magic)), info.Size(), framing.MaxPayloadBytes).Next()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	if wantKey != nil && string(gotKey) != *wantKey {
-		return fmt.Errorf("was saved for configuration %q, not %q", gotKey, *wantKey)
+	if err != nil {
+		return fmt.Errorf("key record: %w", err)
+	}
+	if wantKey != nil && string(key) != *wantKey {
+		return fmt.Errorf("was saved for configuration %q, not %q", key, *wantKey)
 	}
 	return nil
 }
@@ -283,8 +290,8 @@ func (d *SnapshotDir) Touch(key string) error { return d.touch(key) }
 // Load reads the snapshot saved for key and decodes it against pl (which
 // must be configured identically to the pipeline that produced it — the
 // key is the caller's encoding of that configuration). (nil, nil) when
-// nothing is saved; damage surfaces as pipeline.ErrSnapshotVersion or
-// the codec's corruption error.
+// nothing is saved; damage surfaces as ErrArtifactVersion,
+// pipeline.ErrSnapshotVersion or the codec's corruption error.
 func (d *SnapshotDir) Load(key string, pl *pipeline.Pipeline) (snap *pipeline.Snapshot, err error) {
 	err = d.load(d.path(key), &key, func(r io.Reader) (err error) {
 		snap, err = pl.DecodeSnapshot(r)
@@ -312,7 +319,7 @@ func (d *IndexDir) SaveIndex(key string, idx pipeline.CandidateIndex) (uint64, e
 // LoadIndex reads the index saved for key and rebuilds it under cfg, which
 // must describe the same blocking configuration (the key is the caller's
 // encoding of it). (nil, nil) when nothing is saved; damage surfaces as
-// blockindex.ErrCodecVersion or blockindex.ErrCodecCorrupt.
+// ErrArtifactVersion or blockindex.ErrCodecCorrupt.
 func (d *IndexDir) LoadIndex(key string, cfg blockindex.Config) (idx *blockindex.Index, err error) {
 	err = d.load(d.path(key), &key, func(r io.Reader) (err error) {
 		idx, err = blockindex.Decode(r, cfg)
@@ -341,7 +348,7 @@ func (d *ANNDir) SaveANNIndex(key string, idx pipeline.CandidateIndex) (uint64, 
 
 // LoadANNIndex reads the index saved for key and rebuilds it under cfg,
 // which must describe the same ANN blocking configuration. (nil, nil)
-// when nothing is saved; damage surfaces as ann.ErrCodecVersion or
+// when nothing is saved; damage surfaces as ErrArtifactVersion or
 // ann.ErrCodecCorrupt.
 func (d *ANNDir) LoadANNIndex(key string, cfg ann.Config) (idx *ann.CandidateIndex, err error) {
 	err = d.load(d.path(key), &key, func(r io.Reader) (err error) {
@@ -353,9 +360,9 @@ func (d *ANNDir) LoadANNIndex(key string, cfg ann.Config) (idx *ann.CandidateInd
 
 // ServingDir stores one serving.Index per resolution configuration
 // (DIR/serving/*.srv) — one per knobs key, capped at 32, which is how many
-// configurations restart warm. A
-// file is the envelope, a base — a whole encoded index — and the commit
-// records appended since: SaveServing writes a key's file in full (the
+// configurations restart warm. A file is the magic and the key record, a
+// base record — a whole encoded index — and the commit records appended
+// since: SaveServing writes a key's file in full (the
 // artifactDir save sequence) only to create or replace it, and otherwise
 // appends the one record that takes what the file holds to the index being
 // committed, with one write and one fsync. A damaged base costs only the
@@ -470,8 +477,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // LoadServing reads the serving index saved for key. (nil, nil) when
-// nothing is saved; damage to the base surfaces as serving.ErrCodecVersion
-// or serving.ErrCodecCorrupt.
+// nothing is saved; damage surfaces as ErrArtifactVersion or, in the
+// base, serving.ErrCodecCorrupt.
 func (d *ServingDir) LoadServing(key string) (*serving.Index, error) {
 	return d.loadFile(d.path(key), &key)
 }

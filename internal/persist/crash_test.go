@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io/fs"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/faultfs"
 	"repro/internal/service"
-	"repro/internal/serving"
 	"repro/internal/store"
 )
 
@@ -401,11 +399,11 @@ func TestQuarantineAndRebuild(t *testing.T) {
 
 // TestSnapshotVersionSkewRebuilds is the upgrade path across a format bump
 // of the committed resolution, at the service level: a restart finds a
-// .srv file written by format version 1 (the reader decides on the magic's
-// version digit alone, so a current file with that digit rewritten stands
-// in for one). It is refused with serving.ErrCodecVersion and quarantined,
-// that resolve is a full one with identical clusters and re-saves, and the
-// restart after it reuses every block.
+// .srv file written by format version 1 (the reader decides on the file
+// magic's version digit alone, so a current file with that digit rewritten
+// stands in for one). It is refused with ErrArtifactVersion and
+// quarantined, that resolve is a full one with identical clusters and
+// re-saves, and the restart after it reuses every block.
 func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	const knobs = `{"seed": 42}`
@@ -445,10 +443,8 @@ func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The codec magic sits right after the envelope (magic + key length +
-	// key); its last byte is the format version digit.
-	klen := int(binary.LittleEndian.Uint32(buf[len(srvFileMagic):]))
-	buf[len(srvFileMagic)+4+klen+7] = '1'
+	// The file magic's last byte is the format version digit.
+	buf[len(srvFileMagic)-1] = '1'
 	if err := os.WriteFile(files[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -456,12 +452,12 @@ func TestSnapshotVersionSkewRebuilds(t *testing.T) {
 	after, data, logged := serve()
 	refused := false
 	for _, arg := range logged {
-		if err, ok := arg.(error); ok && errors.Is(err, serving.ErrCodecVersion) {
+		if err, ok := arg.(error); ok && errors.Is(err, ErrArtifactVersion) {
 			refused = true
 		}
 	}
 	if !refused {
-		t.Errorf("service logged %v, want a serving.ErrCodecVersion load failure", logged)
+		t.Errorf("service logged %v, want an ErrArtifactVersion load failure", logged)
 	}
 	if got := data.Serving.Quarantined(); got != 1 {
 		t.Errorf("serving quarantine count = %d, want 1", got)

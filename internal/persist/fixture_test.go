@@ -11,19 +11,23 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
+	"repro/internal/framing"
 	"repro/internal/service"
-	"repro/internal/serving"
 )
 
 // fixtureCorpus is the two-collection corpus testdata/parent.* were built
-// from (by the tree at commit 1f5d2a3, the parent of the change that moved
-// the four artifact kinds onto one artifactDir).
+// from: first by the tree at commit 1f5d2a3 (the parent of the change that
+// moved the four artifact kinds onto one artifactDir), then again when the
+// files took format version 2 — a magic and framing records. The state
+// parent.json records of them was the same both times, less the ANN
+// index's ef_construction, which version 2 no longer stores.
 func fixtureCorpus(t *testing.T) []*corpus.Collection {
 	t.Helper()
 	var cols []*corpus.Collection
@@ -73,23 +77,26 @@ func (want fixMembership) check(t *testing.T, kind string, version uint64, stats
 }
 
 // TestParentWrittenArtifactsLoad is what "no format change" means: the
-// four files under testdata were written by an earlier commit's
-// SnapshotDir, IndexDir, ANNDir and ServingDir, and parent.json holds the
-// state that tree recorded of them. Each must sit under the file name
-// this tree derives for its key, load to that state — compared decoded,
-// because the gob payloads carry maps whose encoding order is not
-// deterministic — and a fresh save must start with the identical
-// magic | key length | key envelope. The serving index's leg pins the one
-// deliberate format change since instead (see the subtest).
+// four files under testdata were written by an earlier tree's SnapshotDir,
+// IndexDir, ANNDir and ServingDir, and parent.json holds the state that
+// tree recorded of them. Each must sit under the file name this tree
+// derives for its key, load to that state — compared decoded, because the
+// gob payloads carry maps whose encoding order is not deterministic — and
+// a fresh save must start with the identical magic and key record. Each
+// leg then rewrites its file's version digit to 1, as the files before
+// format version 2 carry it, and the load is refused with
+// ErrArtifactVersion and quarantines the file: there is no reader of
+// another version.
 func TestParentWrittenArtifactsLoad(t *testing.T) {
 	var golden struct {
 		Files map[string]string `json:"files"`
 		Idx   fixMembership     `json:"idx"`
 		Ann   fixMembership     `json:"ann"`
 		Srv   struct {
-			Epoch        uint64 `json:"epoch"`
-			StoreVersion uint64 `json:"store_version"`
-			Knobs        string `json:"knobs"`
+			Epoch        uint64            `json:"epoch"`
+			StoreVersion uint64            `json:"store_version"`
+			Knobs        string            `json:"knobs"`
+			DocEntities  []json.RawMessage `json:"doc_entities"`
 		} `json:"srv"`
 		SnapBlocks int `json:"snap_blocks"`
 	}
@@ -122,17 +129,29 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		}
 		return buf
 	}
-	// sameEnvelope checks, after a save under this tree replaced the
-	// parent's file, that the envelope prefix did not move.
-	sameEnvelope := func(t *testing.T, kind, path, magic, key string, parent []byte) {
+	// sameHead checks, after a save under this tree replaced the parent's
+	// file, that the magic and key record did not move; then it puts the
+	// parent's file back at format version 1 and checks that load refuses
+	// and quarantines it.
+	sameHead := func(t *testing.T, kind, path, magic, key string, parent []byte, load func() error, quarantined func() int64) {
 		t.Helper()
 		fresh, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := len(magic) + 4 + len(key)
+		n := len(magic) + framing.HeaderBytes + len(key)
 		if len(fresh) < n || !bytes.Equal(fresh[:n], parent[:n]) || string(fresh[:len(magic)]) != magic {
 			t.Errorf("%s: a fresh save starts %q, the parent's file %q", kind, fresh[:min(n, len(fresh))], parent[:n])
+		}
+		if err := os.WriteFile(path, parent, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		skewVersion(t, path)
+		if err := load(); !errors.Is(err, ErrArtifactVersion) {
+			t.Errorf("%s: loading the file at format version 1 = %v, want ErrArtifactVersion", kind, err)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil || quarantined() != 1 {
+			t.Errorf("%s: the file at format version 1 was not quarantined: %v, count %d", kind, err, quarantined())
 		}
 	}
 
@@ -155,13 +174,15 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		if err := data.Snapshots.Save(fixSnapKey, inc.Snapshot); err != nil {
 			t.Fatal(err)
 		}
-		sameEnvelope(t, "snap", path, snapFileMagic, fixSnapKey, parent)
+		sameHead(t, "snap", path, snapFileMagic, fixSnapKey, parent,
+			func() error { _, err := data.Snapshots.Load(fixSnapKey, pl); return err }, data.Snapshots.Quarantined)
 	})
 
 	t.Run("idx", func(t *testing.T) {
 		path := data.Indexes.path(fixIdxKey)
 		parent := place(t, "idx", path)
-		idx, err := data.Indexes.LoadIndex(fixIdxKey, blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4})
+		cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4}
+		idx, err := data.Indexes.LoadIndex(fixIdxKey, cfg)
 		if err != nil || idx == nil {
 			t.Fatalf("LoadIndex = (%v, %v)", idx, err)
 		}
@@ -173,13 +194,15 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		if _, err := data.Indexes.SaveIndex(fixIdxKey, idx); err != nil {
 			t.Fatal(err)
 		}
-		sameEnvelope(t, "idx", path, idxFileMagic, fixIdxKey, parent)
+		sameHead(t, "idx", path, idxFileMagic, fixIdxKey, parent,
+			func() error { _, err := data.Indexes.LoadIndex(fixIdxKey, cfg); return err }, data.Indexes.Quarantined)
 	})
 
 	t.Run("ann", func(t *testing.T) {
 		path := data.ANN.path(fixAnnKey)
 		parent := place(t, "ann", path)
-		idx, err := data.ANN.LoadANNIndex(fixAnnKey, ann.Config{Scheme: blocking.Canopy{Loose: 0.4, Tight: 0.8}})
+		cfg := ann.Config{Scheme: blocking.Canopy{Loose: 0.4, Tight: 0.8}}
+		idx, err := data.ANN.LoadANNIndex(fixAnnKey, cfg)
 		if err != nil || idx == nil {
 			t.Fatalf("LoadANNIndex = (%v, %v)", idx, err)
 		}
@@ -191,48 +214,46 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		if _, err := data.ANN.SaveANNIndex(fixAnnKey, idx); err != nil {
 			t.Fatal(err)
 		}
-		sameEnvelope(t, "ann", path, annFileMagic, fixAnnKey, parent)
+		sameHead(t, "ann", path, annFileMagic, fixAnnKey, parent,
+			func() error { _, err := data.ANN.LoadANNIndex(fixAnnKey, cfg); return err }, data.ANN.Quarantined)
 	})
 
-	// The serving index is the one kind whose body format moved on (ERSVI001
-	// → ERSVI002, a base plus appended commit records) with no reader kept
-	// for the old one: the parent's file is refused as a version skew and
-	// quarantined — the restart head-start is lost once — and the next
-	// commit writes a file this tree loads, behind the same envelope.
 	t.Run("srv", func(t *testing.T) {
 		path := data.Serving.path(fixSnapKey)
 		parent := place(t, "srv", path)
-		if x, err := data.Serving.LoadLatestServing(); x != nil || !errors.Is(err, serving.ErrCodecVersion) {
-			t.Fatalf("LoadLatestServing of the parent's file = (%v, %v), want serving.ErrCodecVersion", x, err)
+		x, err := data.Serving.LoadLatestServing()
+		if err != nil || x == nil || x.Validate() != nil || x.Epoch() != golden.Srv.Epoch ||
+			x.StoreVersion() != golden.Srv.StoreVersion || x.Knobs() != golden.Srv.Knobs {
+			t.Fatalf("LoadLatestServing = (%v, %v), want epoch %d, store version %d, knobs %q",
+				x, err, golden.Srv.Epoch, golden.Srv.StoreVersion, golden.Srv.Knobs)
 		}
-		if _, err := os.Stat(path + ".corrupt"); err != nil || data.Serving.Quarantined() != 1 {
-			t.Errorf("the parent's file was not quarantined: %v, count %d", err, data.Serving.Quarantined())
+		var entities []json.RawMessage
+		for _, c := range cols {
+			for pos := range c.Docs {
+				got, err := json.Marshal(x.DocEntity(c.Name, pos))
+				if err != nil {
+					t.Fatal(err)
+				}
+				entities = append(entities, got)
+			}
 		}
-		if x, err := data.Serving.LoadServing(fixSnapKey); x != nil || err != nil {
-			t.Errorf("after the quarantine LoadServing = (%v, %v), want a clean miss", x, err)
+		if !reflect.DeepEqual(entities, golden.Srv.DocEntities) {
+			t.Errorf("loaded entities differ from what the parent saved:\n got %s\nwant %s", entities, golden.Srv.DocEntities)
 		}
-		x := servingFixture(t, golden.Srv.Epoch, golden.Srv.StoreVersion, golden.Srv.Knobs)
 		if err := data.Serving.SaveServing(fixSnapKey, x); err != nil {
 			t.Fatal(err)
 		}
-		got, err := data.Serving.LoadLatestServing()
-		if err != nil || got == nil || got.Epoch() != x.Epoch() || got.Knobs() != x.Knobs() || got.Validate() != nil {
-			t.Errorf("after the next commit LoadLatestServing = (%v, %v), want the committed index", got, err)
-		}
-		sameEnvelope(t, "srv", path, srvFileMagic, fixSnapKey, parent)
+		sameHead(t, "srv", path, srvFileMagic, fixSnapKey, parent,
+			func() error { _, err := data.Serving.LoadServing(fixSnapKey); return err }, data.Serving.Quarantined)
 	})
-
-	if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined() + data.ANN.Quarantined(); q != 0 {
-		t.Errorf("%d parent-written snapshot and index files were quarantined", q)
-	}
 
 	// A whole data directory, written by the server of the last tree that
 	// committed every resolve twice — a .snap rewritten behind the .srv
 	// record (commit 2b500d0: ingest, resolve, ingest two documents,
-	// resolve, kill; testdata/parent19, reply.json is that last reply).
-	// This tree's server never opens the .snap: it answers lookups from the
-	// .srv at once and its first resolve reuses every block from it, with
-	// the reply the parent gave.
+	// resolve, kill; testdata/parent19, reply.json is that last reply) —
+	// at format version 1. This tree refuses and quarantines its .srv and
+	// .idx, so lookups answer 409 until the first resolve, which prepares
+	// every block and replies what the parent did; it never opens the .snap.
 	t.Run("datadir", func(t *testing.T) {
 		dir := t.TempDir()
 		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent19"))); err != nil {
@@ -257,19 +278,32 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer data.Close()
+		var mu sync.Mutex
+		var logged []error
 		srv := service.New(service.Config{Store: data.Store, Indexes: data.Indexes, ANNIndexes: data.ANN,
-			Serving: data.Serving, ErrorLog: t.Errorf})
+			Serving: data.Serving, ErrorLog: func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, arg := range args {
+					if err, ok := arg.(error); ok {
+						logged = append(logged, err)
+					}
+				}
+			}})
 		defer srv.Close(context.Background())
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 
-		var entity service.EntityResponse
-		getJSON(t, ts, "/v1/docs/ana%20rivera:11/entity", &entity)
-		if entity.Entity == nil || entity.StoreVersion != parent.StoreVersion {
-			t.Errorf("lookup before any resolve = %+v, want the entity the parent committed at store version %d", entity, parent.StoreVersion)
+		resp, err := ts.Client().Get(ts.URL + "/v1/docs/ana%20rivera:11/entity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Errorf("lookup before any resolve = %d, want 409: the parent's serving file is refused", resp.StatusCode)
 		}
 		var got service.IncrementalResolveResponse
-		resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(`{"seed": 42}`))
+		resp, err = http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(`{"seed": 42}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,19 +311,42 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("first resolve = %d (%v)", resp.StatusCode, err)
 		}
-		if got.Incremental.ReusedBlocks != got.Incremental.Blocks || got.Incremental.Blocks != len(parent.Blocks) {
-			t.Errorf("first resolve on the parent's directory = %+v, want all %d blocks reused", got.Incremental, len(parent.Blocks))
+		if got.Incremental.ReusedBlocks != 0 || got.Incremental.Blocks != len(parent.Blocks) {
+			t.Errorf("first resolve on the parent's directory = %+v, want all %d blocks prepared", got.Incremental, len(parent.Blocks))
 		}
 		if !reflect.DeepEqual(got.Blocks, parent.Blocks) {
 			t.Errorf("first resolve on the parent's directory replied\n%+v\nthe parent replied\n%+v", got.Blocks, parent.Blocks)
 		}
-		if d := degraded(t, ts); len(d) == 0 {
+		mu.Lock()
+		for _, err := range logged {
+			if !errors.Is(err, ErrArtifactVersion) {
+				t.Errorf("the service logged %v, want only version skews", err)
+			}
+		}
+		mu.Unlock()
+
+		// The degradation is exactly the quarantined files: each one counted
+		// once as a load failure and once as a quarantine.
+		corrupt := func(pattern string) float64 {
+			names, err := filepath.Glob(filepath.Join(dir, pattern))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return float64(len(names))
+		}
+		srvFiles, idxFiles := corrupt("serving/*.srv.corrupt"), corrupt("indexes/*.idx.corrupt")
+		if srvFiles != 1 || idxFiles != 1 {
+			t.Errorf("%g .srv and %g .idx files quarantined, want the parent's one of each", srvFiles, idxFiles)
+		}
+		want := map[string]float64{"serving_load_failures": srvFiles, "quarantined_serving": srvFiles,
+			"index_load_failures": idxFiles, "quarantined_indexes": idxFiles}
+		d := degraded(t, ts)
+		if len(d) == 0 {
 			t.Error("/v1/stats carries no degradation counters")
-		} else {
-			for kind, n := range d {
-				if n != 0 {
-					t.Errorf("restart on the parent's directory degraded: %s = %g", kind, n)
-				}
+		}
+		for kind, n := range d {
+			if n != want[kind] {
+				t.Errorf("restart on the parent's directory degraded: %s = %g, want %g", kind, n, want[kind])
 			}
 		}
 		if snapAfter, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(snapAfter, snapBefore) {

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -94,5 +95,14 @@ func TestIndexDirRejectsDamage(t *testing.T) {
 	}
 	if _, err := dir.LoadIndex("k", cfg); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("damaged index load error = %v, want corruption", err)
+	}
+
+	// Another file format version is refused as such, and quarantined too.
+	if _, err := dir.SaveIndex("k", built); err != nil {
+		t.Fatal(err)
+	}
+	skewVersion(t, files[0])
+	if _, err := dir.LoadIndex("k", cfg); !errors.Is(err, ErrArtifactVersion) || dir.Quarantined() != 2 {
+		t.Fatalf("version-skew load error = %v, %d quarantined; want ErrArtifactVersion, 2", err, dir.Quarantined())
 	}
 }

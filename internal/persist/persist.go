@@ -7,17 +7,22 @@
 // incremental state intact — the first incremental resolution after a
 // restart reuses every block.
 //
-// The four directories are one implementation, artifactDir (artifacts.go):
-// file naming, the envelope, the atomic save sequence, envelope
+// Every file the package writes has one shape: an 8-byte magic naming its
+// kind and format version, then internal/framing records — the journaled
+// batches of a segment; the configuration key and then the codec's records
+// of an artifact file. The format version lives in the magic alone (a
+// known kind at another version is ErrArtifactVersion), the checksums in
+// the records alone, and the codecs write records but no header of their
+// own (the snapshot codec's stream is the one nested header left). The
+// four directories are one implementation, artifactDir (artifacts.go):
+// file naming, the magic and key record, the atomic save sequence, their
 // verification, quarantine, pruning and the orphan sweep are written once,
 // and SnapshotDir, IndexDir, ANNDir and ServingDir add only which codec
 // encodes and decodes the payload. ServingDir adds one thing more: between
 // two whole-file saves it commits by appending — a serving file is a base
-// plus the commit records written since, so the commit behind every
+// record plus the commit records written since, so the commit behind every
 // resolve writes the blocks that changed, with one write and one fsync,
 // and the whole-file save runs only to create, replace or compact a file.
-// The journal and the serving files share one record framing and one
-// classification of damaged records (internal/framing).
 //
 // Durability model: a batch is journaled (written and fsynced) before
 // Append returns, so an acknowledged ingest survives a crash. An Append is
@@ -78,10 +83,6 @@ const segmentMagic = "ERSEG001"
 // size, bounding the cost of a damaged file and keeping replay I/O in
 // file-sized chunks. A var so tests can force rotation cheaply.
 var maxSegmentBytes int64 = 8 << 20
-
-// maxRecordBytes bounds a single journaled batch; a corrupt length field
-// fails fast instead of attempting a multi-gigabyte allocation.
-const maxRecordBytes = 1 << 30
 
 // Options customizes Open beyond its defaults; the zero value selects the
 // real filesystem and the standard logger.
@@ -443,7 +444,7 @@ func (s *Store) replaySegment(path string, newest bool) (tornAt int64, err error
 			path, header)
 	}
 
-	recs := framing.NewReader(f, int64(len(segmentMagic)), size, maxRecordBytes)
+	recs := framing.NewReader(f, int64(len(segmentMagic)), size, framing.MaxPayloadBytes)
 	for {
 		offset := recs.Offset()
 		payload, err := recs.Next()
@@ -488,8 +489,8 @@ func (s *Store) Append(cols []*corpus.Collection) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("persist: encoding batch: %w", err)
 	}
-	if len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("persist: batch is %d bytes, the journal caps records at %d", len(payload), maxRecordBytes)
+	if len(payload) > framing.MaxPayloadBytes {
+		return 0, fmt.Errorf("persist: batch is %d bytes, the journal caps records at %d", len(payload), framing.MaxPayloadBytes)
 	}
 
 	s.mu.Lock()

@@ -63,6 +63,20 @@ func bareDir[D any](t *testing.T, newDir func(string, Options) (D, error), dir s
 	return d
 }
 
+// skewVersion rewrites the file magic of the artifact file at path to
+// format version 1, as a file an older tree wrote would carry it.
+func skewVersion(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(idxFileMagic)-1] = '1'
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // storeJSON is the canonical byte form of a store's contents used for
 // byte-identical comparisons.
 func storeJSON(t *testing.T, s store.DocumentStore) ([]byte, uint64) {
@@ -562,7 +576,8 @@ func TestSnapshotDirPrunesOldestBeyondCap(t *testing.T) {
 }
 
 // TestSnapshotDirRejectsDamage pins snapshot-file crash paths: truncation
-// and version skew surface the codec's typed errors through Load.
+// surfaces the codec's typed error through Load, and another file format
+// version ErrArtifactVersion.
 func TestSnapshotDirRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
 	data, err := Open(dir)
@@ -594,17 +609,13 @@ func TestSnapshotDirRejectsDamage(t *testing.T) {
 		t.Fatalf("truncated Load err = %v, want ErrSnapshotCorrupt", err)
 	}
 
-	// A future codec version: typed version error for fallback logic.
-	bad := append([]byte(nil), good...)
-	// The codec version field sits right after the envelope (magic + key
-	// length + key) and the codec magic.
-	off := len(snapFileMagic) + 4 + len(key) + 8
-	bad[off] = 0xFF
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
+	// Another file format version: typed version error for fallback logic.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := data.Snapshots.Load(key, pl); !errors.Is(err, pipeline.ErrSnapshotVersion) {
-		t.Fatalf("version-skew Load err = %v, want ErrSnapshotVersion", err)
+	skewVersion(t, path)
+	if _, err := data.Snapshots.Load(key, pl); !errors.Is(err, ErrArtifactVersion) {
+		t.Fatalf("version-skew Load err = %v, want ErrArtifactVersion", err)
 	}
 
 	// A crash mid-save must never clobber the published file: temp files

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/framing"
 	"repro/internal/serving"
 )
 
@@ -315,6 +316,7 @@ func TestServingDirRejectsDamage(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, serving.ErrCodecCorrupt},
+		{"version skew", skewVersion, ErrArtifactVersion},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -393,8 +395,26 @@ func TestServingDirRejectsDamage(t *testing.T) {
 		})
 	}
 
-	// A key mismatch (hash collision or renamed file) is damage too.
+	// The key record is checksummed: a flipped key byte is damage even to a
+	// load that accepts any configuration's file.
 	dir := bareDir(t, newServingDir, t.TempDir())
+	if err := dir.SaveServing("key", servingFixture(t, 1, 1, "key")); err != nil {
+		t.Fatal(err)
+	}
+	body, err := os.ReadFile(dir.path("key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[len(srvFileMagic)+framing.HeaderBytes] ^= 0x01
+	if err := os.WriteFile(dir.path("key"), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if x, err := dir.LoadLatestServing(); x != nil || err == nil || !strings.Contains(err.Error(), "key record") || dir.Quarantined() != 1 {
+		t.Fatalf("LoadLatestServing of a flipped key = (%v, %v), %d quarantined; want a key record error, 1", x, err, dir.Quarantined())
+	}
+
+	// A key mismatch (hash collision or renamed file) is damage too.
+	dir = bareDir(t, newServingDir, t.TempDir())
 	if err := dir.SaveServing("real", servingFixture(t, 1, 1, "real")); err != nil {
 		t.Fatal(err)
 	}

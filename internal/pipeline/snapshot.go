@@ -39,6 +39,9 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 //	magic[8] | version u32 | payload length u64 | payload crc32c u32 | payload
 //
 // The payload is a gob stream. A nil snapshot encodes as an empty one.
+// This header is the one an artifact codec still carries inside persist's
+// file magic and key record: the benchmark encodes and decodes snapshots
+// without persist, and the codec goes whole once nothing does.
 // Snapshots are only meaningful to a pipeline with the same configuration
 // (options, blocker, strategy) that produced them; persistence layers
 // should key stored snapshots by configuration.

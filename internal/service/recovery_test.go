@@ -67,7 +67,7 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 					snap *pipeline.Snapshot // what the process holds in memory
 					hot  *serving.Index     // what it published last
 					held *serving.Manifest  // what the log below decodes to
-					log  bytes.Buffer       // the key's serving file, less the envelope
+					log  bytes.Buffer       // the key's serving file, less its magic and key record
 				)
 				next := make([]int, len(pool))
 				left := 0

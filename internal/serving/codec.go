@@ -12,33 +12,17 @@ import (
 	"repro/internal/framing"
 )
 
-// servingMagic heads every encoded serving index; the digit is the format
-// version. Version 2 is a log: the magic, one framed base record holding a
-// whole index, then any number of framed commit records, each the change
-// one later commit made to the index before it (internal/framing is the
-// record format, shared with the ingest journal).
-const servingMagic = "ERSVI002"
-
-// maxRecordBytes bounds one record of the log, the base included, as the
-// journal bounds its batches: a corrupt length fails fast instead of
-// driving a huge allocation.
-const maxRecordBytes = 1 << 30
-
 // commitHeaderBytes is the fixed head of a commit record's payload: the
 // committed index's epoch and store version, 8 bytes each. A commit that
 // changed nothing else is this header alone.
 const commitHeaderBytes = 16
 
-// ErrCodecVersion reports an encoded serving index from an unsupported
-// format version; ErrCodecCorrupt reports structural damage to its base.
-// Callers treat both as "no usable snapshot": correctness never depends on
-// the encoded form — the index rebuilds on the next committed resolve —
-// only the restart head-start does. Damage to a commit record is not an
-// error: DecodeLog serves the commits before it.
-var (
-	ErrCodecVersion = errors.New("serving: unsupported serving index format version")
-	ErrCodecCorrupt = errors.New("serving: encoded serving index is corrupt")
-)
+// ErrCodecCorrupt reports structural damage to a log's base. Callers treat
+// it as "no usable snapshot": correctness never depends on the encoded form
+// — the index rebuilds on the next committed resolve — only the restart
+// head-start does. Damage to a commit record is not an error: DecodeLog
+// serves the commits before it.
+var ErrCodecCorrupt = errors.New("serving: encoded serving index is corrupt")
 
 // encodedIndex is the base record's gob payload: the per-block primary
 // state plus the snapshot geometry its refs point into. The top-level
@@ -138,21 +122,15 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 
 // gobRecord frames prefix followed by the gob encoding of v as one record.
 func gobRecord(prefix []byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Write(make([]byte, framing.HeaderBytes))
-	buf.Write(prefix)
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	if buf.Len()-framing.HeaderBytes > maxRecordBytes {
-		return nil, fmt.Errorf("record is %d bytes, the cap is %d", buf.Len()-framing.HeaderBytes, maxRecordBytes)
-	}
-	framing.Seal(buf.Bytes())
-	return buf.Bytes(), nil
+	return framing.Record(func(w io.Writer) error {
+		if _, err := w.Write(prefix); err != nil {
+			return err
+		}
+		return gob.NewEncoder(w).Encode(v)
+	})
 }
 
-// EncodeTo writes the whole index in its versioned, checksummed wire form:
-// a log of one base record.
+// EncodeTo writes the whole index as a log of one base record.
 func (x *Index) EncodeTo(w io.Writer) error {
 	enc := encodedIndex{
 		Epoch:        x.epoch,
@@ -168,9 +146,6 @@ func (x *Index) EncodeTo(w io.Writer) error {
 	base, err := gobRecord(nil, enc)
 	if err != nil {
 		return fmt.Errorf("serving: encoding index: %w", err)
-	}
-	if _, err := io.WriteString(w, servingMagic); err != nil {
-		return fmt.Errorf("serving: writing header: %w", err)
 	}
 	if _, err := w.Write(base); err != nil {
 		return fmt.Errorf("serving: writing index: %w", err)
@@ -255,31 +230,24 @@ func Decode(r io.Reader) (*Index, error) {
 	return x, err
 }
 
-// DecodeLog is Decode that also reports how the log ended. A damaged or
-// unsupported base is an error. A commit record that is cut short, too
+// DecodeLog is Decode that also reports how the log ended. A missing or
+// damaged base is an error. A commit record that is cut short, too
 // long, fails its checksum or does not apply to the state before it ends
 // the replay instead: the index returned is the one the records before it
 // committed — an earlier acknowledged resolution, never a partly applied
 // record — and tail says why the rest of the log was ignored. tail is nil
 // when every record applied.
 func DecodeLog(r io.Reader) (x *Index, tail error, err error) {
-	header := make([]byte, len(servingMagic))
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, nil, fmt.Errorf("%w: truncated header: %v", ErrCodecCorrupt, err)
-	}
-	if string(header) != servingMagic {
-		if string(header[:5]) == servingMagic[:5] {
-			return nil, nil, fmt.Errorf("%w: %q", ErrCodecVersion, header)
-		}
-		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrCodecCorrupt, header)
-	}
 	body, err := io.ReadAll(r)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: reading payload: %v", ErrCodecCorrupt, err)
 	}
-	recs := framing.NewReader(bytes.NewReader(body), 0, int64(len(body)), maxRecordBytes)
+	recs := framing.NewReader(bytes.NewReader(body), 0, int64(len(body)), framing.MaxPayloadBytes)
 
 	payload, err := recs.Next()
+	if err == io.EOF {
+		err = errors.New("no record")
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: base: %v", ErrCodecCorrupt, err)
 	}

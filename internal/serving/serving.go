@@ -27,6 +27,10 @@
 // base and whatever records follow, applies them in order and inverts
 // once. A commit therefore costs the bytes of its dirty blocks, and a log
 // cut anywhere decodes to exactly the index some earlier commit published.
+// The log is internal/framing records from its first byte — the base, then
+// the commits — with no header of its own: internal/persist files it
+// behind its magic and key record (*.srv), and the file's format version
+// is persist's.
 package serving
 
 import (

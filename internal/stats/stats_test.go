@@ -11,26 +11,6 @@ func almostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-func TestMean(t *testing.T) {
-	cases := []struct {
-		name string
-		in   []float64
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []float64{3}, 3},
-		{"simple", []float64{1, 2, 3, 4}, 2.5},
-		{"negative", []float64{-1, 1}, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := Mean(tc.in); !almostEqual(got, tc.want, 1e-12) {
-				t.Errorf("Mean(%v) = %v, want %v", tc.in, got, tc.want)
-			}
-		})
-	}
-}
-
 func TestQuantileMedian(t *testing.T) {
 	xs := []float64{3, 1, 2, 4}
 	med, err := Quantile(xs, 0.5)

@@ -1,7 +1,7 @@
 // Package errwrap enforces the repo's typed-error discipline (PR 4/6):
 // errors carrying a cause must wrap it with %w so callers can match
 // through the chain, and comparisons against the packages' exported
-// sentinels (ErrSnapshotCorrupt, ErrCodecVersion, ErrQueueFull, …) must go
+// sentinels (ErrSnapshotCorrupt, ErrArtifactVersion, ErrQueueFull, …) must go
 // through errors.Is — a == that used to work breaks silently the moment a
 // call boundary starts wrapping.
 package errwrap
