@@ -10,6 +10,14 @@
 // dictionary extraction, skewed cluster sizes, and per-name variation in
 // which feature channel is discriminative (the reason different similarity
 // functions win on different names, Table III).
+//
+// The package also owns the collections' wire decoder (decode.go).
+// DecodeCollections and DecodeCollectionsObject read the JSON shape every
+// page crosses the service in — a journal record's `[collection, …]` and a
+// request's `{"collections": […]}` — without reflection, as a strict fast
+// path: on the canonical subset of JSON they accept, the result equals
+// encoding/json's, and everything else is declined for the caller to
+// decode with encoding/json. FuzzDecodeCollections holds the two equal.
 package corpus
 
 import (

@@ -135,12 +135,15 @@ func TestUnionFind(t *testing.T) {
 	if uf.Sets() != 4 {
 		t.Errorf("Sets = %d, want 4", uf.Sets())
 	}
-	labels := uf.Labels()
-	if labels[0] != labels[1] || labels[1] != labels[2] {
-		t.Errorf("labels = %v", labels)
-	}
-	if labels[3] == labels[0] {
-		t.Errorf("labels = %v", labels)
+	// The partition {0,1,2} {3} {4} {5}, each set named by its smallest
+	// member.
+	set := []int{0, 0, 0, 3, 4, 5}
+	for i := range set {
+		for j := range set {
+			if (uf.Find(i) == uf.Find(j)) != (set[i] == set[j]) {
+				t.Errorf("Find(%d) == Find(%d) is %v, want %v", i, j, uf.Find(i) == uf.Find(j), set[i] == set[j])
+			}
+		}
 	}
 }
 
@@ -160,11 +163,10 @@ func TestUnionFindMatchesComponentsProperty(t *testing.T) {
 			uf.Union(i, j)
 		}
 		cc := g.ConnectedComponents()
-		labels := uf.Labels()
-		// Same partition (possibly different label numbering).
+		// Same partition: same component exactly when same root.
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if (cc[i] == cc[j]) != (labels[i] == labels[j]) {
+				if (cc[i] == cc[j]) != (uf.Find(i) == uf.Find(j)) {
 					return false
 				}
 			}

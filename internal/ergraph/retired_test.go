@@ -4,8 +4,8 @@ import "math/bits"
 
 // Retired library surface: no non-test code removes an edge, counts edges,
 // lists a vertex's neighbors as a slice or counts them, or asks a
-// union-find for its size or dense labels (PR 19; the pipeline reads
-// ConnectedComponents and the blockindex tracker keeps its own labels).
+// union-find for its size (the pipeline reads ConnectedComponents and the
+// blockindex tracker keeps its own labels).
 // The methods live here only so that the graph, model and union-find tests
 // that observe state through them keep running. Delete one together with
 // its tests; never call one from non-test code.
@@ -36,23 +36,6 @@ func (g *Graph) Neighbors(i int) []int {
 
 // Len returns the number of elements.
 func (uf *UnionFind) Len() int { return len(uf.parent) }
-
-// Labels returns dense cluster labels, assigned in order of each set's
-// smallest member.
-func (uf *UnionFind) Labels() []int {
-	labels := make([]int, len(uf.parent))
-	repr := make(map[int]int)
-	next := 0
-	for i := range uf.parent {
-		r := uf.Find(i)
-		if _, ok := repr[r]; !ok {
-			repr[r] = next
-			next++
-		}
-		labels[i] = repr[r]
-	}
-	return labels
-}
 
 // Degree returns the degree of vertex i.
 func (g *Graph) Degree(i int) int {

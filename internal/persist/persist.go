@@ -462,11 +462,15 @@ func (s *Store) replaySegment(path string, newest bool) (tornAt int64, err error
 			}
 			return -1, fmt.Errorf("persist: segment %s: %w", path, err)
 		}
-		var batch []*corpus.Collection
-		if err := json.Unmarshal(payload, &batch); err != nil {
-			// The checksum matched, so these are the bytes the writer
-			// wrote — not a torn write. Never recoverable.
-			return -1, fmt.Errorf("persist: segment %s: record at offset %d: %w", path, offset, err)
+		// The writer's json.Marshal output is the fast path's canonical
+		// form; any other record decodes exactly as before.
+		batch, ok := corpus.DecodeCollections(payload)
+		if !ok {
+			if err := json.Unmarshal(payload, &batch); err != nil {
+				// The checksum matched, so these are the bytes the writer
+				// wrote — not a torn write. Never recoverable.
+				return -1, fmt.Errorf("persist: segment %s: record at offset %d: %w", path, offset, err)
+			}
 		}
 		if _, err := s.mem.Append(batch); err != nil {
 			return -1, fmt.Errorf("persist: segment %s: replaying record at offset %d: %w", path, offset, err)

@@ -97,6 +97,7 @@ func (s *Server) initObservability() {
 	s.latency.analyze = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "analyze")
 	s.latency.cluster = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "cluster")
 	s.latency.lookup = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "lookup")
+	s.latency.decode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "decode")
 	s.latency.stateWait = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "state.wait")
 	s.latency.storeSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "store.snapshot")
 	s.latency.servingLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "serving.load")

@@ -60,11 +60,12 @@ func snapshotOf(x *serving.Index) *pipeline.Snapshot {
 }
 
 // stageHistograms are the per-stage latency histograms: the four pipeline
-// stages, the read-path lookup, and the resolve handlers' commit tail and
-// reply encoding. All registry-backed (initObservability), rendered as the
+// stages, the read-path lookup, the JSON-body handlers' request decoding,
+// and the resolve handlers' commit tail and reply encoding. All
+// registry-backed (initObservability), rendered as the
 // ersolve_stage_latency_seconds family.
 type stageHistograms struct {
-	block, prepare, analyze, cluster, lookup *metrics.Histogram
+	block, prepare, analyze, cluster, lookup, decode *metrics.Histogram
 
 	stateWait, storeSnapshot, servingLoad, publishServing, persistServing, persistIndex, encode *metrics.Histogram
 }
@@ -219,7 +220,7 @@ func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LookupRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, nil, &req, nil) {
 		return
 	}
 	total := len(req.IDs) + len(req.Refs)

@@ -11,6 +11,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -163,6 +164,10 @@ type Server struct {
 	registry *metrics.Registry
 	traces   *tracing.Buffer
 	started  time.Time
+
+	// exactDecode decodes every request body with encoding/json alone,
+	// skipping the corpus fast path: the reference tests hold it to.
+	exactDecode bool
 }
 
 // counters aggregates per-stage activity across the server's lifetime.
@@ -666,35 +671,63 @@ func jsonBody(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// decodeJSON decodes the bounded request body: 413 when the body exceeds
-// the server's size cap, 400 on malformed input or trailing data after
-// the JSON value (a request like `{...}garbage` is rejected, not silently
-// half-read), false in every error case.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	tooLarge := func(err error) bool {
-		var maxErr *http.MaxBytesError
-		if !errors.As(err, &maxErr) {
-			return false
+// decodeJSON reads the bounded request body whole and decodes it into v,
+// timed as the decode stage: 413 when the body exceeds the server's size
+// cap, 400 on malformed input or trailing data after the JSON value (a
+// request like `{...}garbage` is rejected, not silently half-read), false
+// in every error case. fast, when not nil, is tried first: it fills v from
+// the body and answers true, or declines, and then encoding/json decodes
+// the same bytes — so every error and its text are encoding/json's.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, tr *tracing.Active, v any, fast func(body []byte) bool) (ok bool) {
+	timed(tr, "decode", s.latency.decode, func() {
+		body, err := readBody(w, r, s.cfg.MaxBodyBytes)
+		if err != nil {
+			var maxErr *http.MaxBytesError
+			if errors.As(err, &maxErr) {
+				writeJSON(w, http.StatusRequestEntityTooLarge,
+					errorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", maxErr.Limit)})
+			} else {
+				writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+			}
+			return
 		}
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", maxErr.Limit)})
-		return true
-	}
-	if err := dec.Decode(v); err != nil {
-		if !tooLarge(err) {
+		if fast != nil && !s.exactDecode && fast(body) {
+			ok = true
+			return
+		}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		if err := dec.Decode(v); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+			return
 		}
-		return false
-	}
-	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		if !tooLarge(err) {
+		if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 			writeJSON(w, http.StatusBadRequest,
 				errorResponse{Error: "request body has trailing data after the JSON value"})
+			return
 		}
-		return false
+		ok = true
+	})
+	return ok
+}
+
+// readBody reads the whole request body into one buffer presized from its
+// Content-Length, failing with *http.MaxBytesError past limit bytes.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	// bytes.MinRead of room past the body lets ReadFrom meet its end
+	// without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// collectionsOnly is the fast path of a body whose only key is
+// "collections": it decodes them into *cols, or declines.
+func collectionsOnly(cols *[]*corpus.Collection) func(body []byte) bool {
+	return func(body []byte) bool {
+		decoded, ok := corpus.DecodeCollectionsObject(body)
+		*cols = decoded
+		return ok
 	}
-	return true
 }
 
 // timeoutFor clamps the request's timeout wish to DefaultTimeout. The
@@ -712,8 +745,10 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !allowOnly(w, r, http.MethodPost) || !jsonBody(w, r) {
 		return
 	}
+	tr := s.traces.Start("resolve")
+	defer tr.End()
 	var req ResolveRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, tr, &req, collectionsOnly(&req.Collections)) {
 		return
 	}
 	if len(req.Collections) == 0 {
@@ -726,8 +761,6 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tr := s.traces.Start("resolve")
-	defer tr.End()
 	tr.SetAttr("collections", strconv.Itoa(len(req.Collections)))
 	cfg, bc, err := s.parseKnobs(req.resolveKnobs)
 	if err != nil {
@@ -769,7 +802,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CollectionsRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, nil, &req, collectionsOnly(&req.Collections)) {
 		return
 	}
 	if len(req.Collections) == 0 {
@@ -846,8 +879,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	if !allowOnly(w, r, http.MethodPost) || !jsonBody(w, r) {
 		return
 	}
+	tr := s.traces.Start("resolve.incremental")
+	defer tr.End()
 	var req IncrementalResolveRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, tr, &req, nil) {
 		return
 	}
 	// The whole request is validated before it reaches any server state: a
@@ -865,8 +900,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	tr := s.traces.Start("resolve.incremental")
-	defer tr.End()
 	pl, err := s.assemble(cfg, blocker, tr)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
