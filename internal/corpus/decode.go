@@ -194,13 +194,13 @@ func (d *decoder) collection(c *Collection) bool {
 	}
 }
 
-// documents reads an array of document objects into a slice sized by a
-// scan ahead, so a collection's documents cost one allocation.
+// documents reads an array of document objects. An empty array is an
+// empty slice, never nil.
 func (d *decoder) documents() ([]Document, bool) {
 	if !d.consume('[') {
 		return nil, false
 	}
-	docs := make([]Document, 0, d.countElements())
+	docs := []Document{}
 	for first := true; ; first = false {
 		more, ok := d.element(first)
 		if !ok {
@@ -214,51 +214,6 @@ func (d *decoder) documents() ([]Document, bool) {
 			return nil, false
 		}
 	}
-}
-
-// countElements counts the elements of the array whose '[' was just
-// consumed, validating nothing: it is only a capacity hint.
-func (d *decoder) countElements() int {
-	s := d.s
-	n, depth := 0, 0
-	for i := d.pos; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '"':
-			// Jump to the closing quote: the next one not preceded by an
-			// odd run of backslashes.
-			for {
-				j := strings.IndexByte(s[i+1:], '"')
-				if j < 0 {
-					return n
-				}
-				i += 1 + j
-				k := i - 1
-				for s[k] == '\\' {
-					k--
-				}
-				if (i-1-k)%2 == 0 {
-					break
-				}
-			}
-		case '[', '{':
-			depth++
-		case ']', '}':
-			if depth == 0 {
-				return n
-			}
-			depth--
-		case ',':
-			if depth == 0 {
-				n++
-			}
-		}
-		if n == 0 {
-			n = 1 // the first element has begun
-		}
-	}
-	return n
 }
 
 // document reads one document object.

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -175,6 +177,59 @@ func TestIngestDecodeEdgeCases(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("malformed oversized body to %s = %d, want 413", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestReadBodyTrustsContentLengthOnlySoFar: a client that declares a body
+// at the size cap and sends two bytes pins a buffer of maxPresize, not of
+// the cap; a body larger than maxPresize still arrives whole, and one over
+// the cap is a *http.MaxBytesError.
+func TestReadBodyTrustsContentLengthOnlySoFar(t *testing.T) {
+	const limit = 16 * maxPresize
+	read := func(body string, declared int64) ([]byte, error) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/collections", strings.NewReader(body))
+		r.ContentLength = declared
+		return readBody(httptest.NewRecorder(), r, limit)
+	}
+	got, err := read("{}", limit)
+	if err != nil || string(got) != "{}" {
+		t.Fatalf("short body = %q, %v", got, err)
+	}
+	if cap(got) > maxPresize+bytes.MinRead {
+		t.Errorf("a 2-byte body declared at %d bytes holds a %d-byte buffer, want at most %d", int64(limit), cap(got), maxPresize+bytes.MinRead)
+	}
+	large := strings.Repeat("x", 3*maxPresize)
+	if got, err := read(large, int64(len(large))); err != nil || string(got) != large {
+		t.Errorf("a %d-byte body read back as %d bytes, %v", len(large), len(got), err)
+	}
+	var maxErr *http.MaxBytesError
+	if _, err := read(strings.Repeat("x", limit+1), limit+1); !errors.As(err, &maxErr) {
+		t.Errorf("a body over the cap = %v, want *http.MaxBytesError", err)
+	}
+}
+
+// TestRejectedResolvesLeaveNoTrace: a resolve rejected for its body (400,
+// 413) or its knobs is not published to the trace ring, so a burst of bad
+// requests cannot push an accepted resolve out.
+func TestRejectedResolvesLeaveNoTrace(t *testing.T) {
+	srv := New(Config{Store: store.NewMemStore(), MaxBodyBytes: 256})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	for _, path := range []string{"/v1/resolve", "/v1/resolve/incremental"} {
+		for _, body := range []string{`{`, `{"strategy":"bogus"}`, `{"seed":1}x`, strings.Repeat(" ", 512) + `{}`,
+			`{"strategy":"bogus","collections":[{"name":"n","num_personas":1,"docs":[{"id":0,"url":"u","text":"t","persona_id":0}]}]}`} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode/100 != 4 {
+				t.Fatalf("%s %q = %d, want a 4xx", path, body, resp.StatusCode)
+			}
+		}
+	}
+	if traces := srv.traces.Traces(0); len(traces) != 0 {
+		t.Errorf("rejected resolves left %d traces, first %q", len(traces), traces[0].Name)
 	}
 }
 

@@ -710,12 +710,19 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, tr *tracing.
 	return ok
 }
 
+// maxPresize bounds how much of a body's declared Content-Length readBody
+// allocates before any of it arrives: a client that declares the size cap
+// and then stalls pins this much, not the cap. A larger body grows the
+// buffer as its bytes come in.
+const maxPresize = 64 << 10
+
 // readBody reads the whole request body into one buffer presized from its
-// Content-Length, failing with *http.MaxBytesError past limit bytes.
+// Content-Length (at most maxPresize), failing with *http.MaxBytesError past
+// limit bytes.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	// bytes.MinRead of room past the body lets ReadFrom meet its end
 	// without growing the buffer.
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit)+bytes.MinRead))
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(r.ContentLength, 0), limit, maxPresize)+bytes.MinRead))
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf.Bytes(), err
 }
@@ -745,8 +752,10 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if !allowOnly(w, r, http.MethodPost) || !jsonBody(w, r) {
 		return
 	}
+	// The trace starts before the body is read, so its decode span is
+	// covered, but is published only once the request is valid: a burst of
+	// bad requests cannot push a resolve out of the ring.
 	tr := s.traces.Start("resolve")
-	defer tr.End()
 	var req ResolveRequest
 	if !s.decodeJSON(w, r, tr, &req, collectionsOnly(&req.Collections)) {
 		return
@@ -761,12 +770,13 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	tr.SetAttr("collections", strconv.Itoa(len(req.Collections)))
 	cfg, bc, err := s.parseKnobs(req.resolveKnobs)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
+	defer tr.End()
+	tr.SetAttr("collections", strconv.Itoa(len(req.Collections)))
 	// A one-shot body is an arbitrary posted corpus and must never feed a
 	// store-bound index: it blocks through one that lives for the request.
 	blocker, err := bc.FreshBlocker()
@@ -879,8 +889,9 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	if !allowOnly(w, r, http.MethodPost) || !jsonBody(w, r) {
 		return
 	}
+	// Started before the body is read and published only once the request
+	// is valid, as in handleResolve.
 	tr := s.traces.Start("resolve.incremental")
-	defer tr.End()
 	var req IncrementalResolveRequest
 	if !s.decodeJSON(w, r, tr, &req, nil) {
 		return
@@ -900,6 +911,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
+	defer tr.End()
 	pl, err := s.assemble(cfg, blocker, tr)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})

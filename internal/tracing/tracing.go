@@ -136,7 +136,9 @@ func (a *Active) Span(name string, start time.Time, d time.Duration, attrs ...st
 
 // End finishes the trace and publishes it to the buffer. Child spans are
 // sorted by start time (then ID) under the root. End is idempotent-free:
-// call it exactly once, typically deferred at request entry.
+// call it exactly once, typically deferred at request entry. A trace that
+// is never ended is never published: a handler drops a rejected request's
+// trace by returning before it defers End.
 func (a *Active) End() {
 	if a == nil {
 		return
