@@ -17,12 +17,12 @@
 //
 // The serve mode accepts POST /v1/resolve with an ergen dataset JSON body
 // (plus optional "strategy", "clustering", "blocking", "timeout_ms", …
-// fields) and answers with clusters and scores; requests are canceled
-// mid-resolution when their timeout fires. It additionally owns a
-// document store fed asynchronously through POST /v1/collections (ingest
-// jobs, tracked via GET /v1/jobs/{id}) and resolved via POST
-// /v1/resolve/incremental, which re-prepares only blocks whose membership
-// changed since the previous run. With -data DIR the store and every
+// fields) and answers with each block's labels (document i's entity) and
+// scores; requests are canceled mid-resolution when their timeout fires.
+// It additionally owns a document store fed asynchronously through POST
+// /v1/collections (ingest jobs, tracked via GET /v1/jobs/{id}) and resolved
+// via POST /v1/resolve/incremental, which re-prepares only blocks whose
+// membership changed since the previous run. With -data DIR the store and every
 // configuration's committed resolution are durable: ingested batches are
 // journaled (and fsynced) before they are acknowledged, every incremental
 // run appends the blocks it changed to its configuration's serving file

@@ -43,7 +43,7 @@ func splitCollections(t *testing.T, n, docs int) (heads, tails []*corpus.Collect
 	return heads, tails
 }
 
-func ingestBatch(t *testing.T, ts *httptest.Server, cols []*corpus.Collection) {
+func ingestBatch(t testing.TB, ts *httptest.Server, cols []*corpus.Collection) {
 	t.Helper()
 	var ack CollectionsResponse
 	if code := postJSON(t, ts, "/v1/collections", CollectionsRequest{Collections: cols}, &ack); code != http.StatusAccepted {

@@ -577,10 +577,15 @@ type BlockResult struct {
 	NumEntities int `json:"num_entities"`
 	// Source describes which combination produced the clustering.
 	Source string `json:"source"`
-	// Labels assigns each document its cluster index.
+	// Labels is the block's partition, the one wire form of it: document i
+	// belongs to entity Labels[i]. Labels are dense and numbered in order of
+	// first appearance, so entity k's members are the positions holding k
+	// and NumEntities is 1 + max(Labels).
 	Labels []int `json:"labels"`
-	// Clusters lists the document indices of each entity.
-	Clusters [][]int `json:"clusters"`
+	// Clusters is never set by the server and never encoded. It survives
+	// only because the benchmark's offline reply probe (bench/probe.go)
+	// still fills it; it goes with that loop.
+	Clusters [][]int `json:"-"`
 	// Score is present when scoring was requested.
 	Score *BlockScore `json:"score,omitempty"`
 }
@@ -592,7 +597,8 @@ type ResolveResponse struct {
 	// Average macro-averages the per-block scores when more than one
 	// block was scored.
 	Average *BlockScore `json:"average,omitempty"`
-	// ElapsedMillis is the server-side resolution time.
+	// ElapsedMillis is the server-side resolution time: the run and
+	// building the reply, all but the JSON encode and the write.
 	ElapsedMillis int64 `json:"elapsed_ms"`
 }
 
@@ -627,8 +633,9 @@ type IncrementalResolveResponse struct {
 	// implementation ran ("index" or "scheme").
 	Blocking pipeline.BlockingStats `json:"blocking"`
 	// ElapsedMillis is the server-side resolution time: the persisted
-	// serving-index load on the first resolve after a restart, the run, and
-	// the commit (publish and persist).
+	// serving-index load on the first resolve after a restart, the run, the
+	// commit (publish and persist) and building the reply, all but the JSON
+	// encode and the write.
 	ElapsedMillis int64 `json:"elapsed_ms"`
 }
 
@@ -800,11 +807,9 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := ResolveResponse{Label: req.Label, ElapsedMillis: time.Since(start).Milliseconds()}
-	timed(tr, "encode", s.latency.encode, func() {
-		resp.Blocks, resp.Average = blockResults(results, cfg.Score)
-		writeJSON(w, http.StatusOK, resp)
-	})
+	blocks, avg := blockResults(results, cfg.Score)
+	resp := ResolveResponse{Label: req.Label, Blocks: blocks, Average: avg, ElapsedMillis: time.Since(start).Milliseconds()}
+	timed(tr, "encode", s.latency.encode, func() { writeJSON(w, http.StatusOK, resp) })
 }
 
 func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
@@ -1009,10 +1014,13 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	s.counters.deltaDocs.Add(int64(inc.Stats.Blocking.DeltaDocs))
 	s.counters.dirtyBlocks.Add(int64(inc.Stats.Blocking.DirtyBlocks))
 
+	blocks, avg := blockResults(inc.Results, cfg.Score)
 	resp := IncrementalResolveResponse{
 		Label:         req.Label,
 		StoreVersion:  version,
 		Docs:          docs,
+		Blocks:        blocks,
+		Average:       avg,
 		ElapsedMillis: time.Since(start).Milliseconds(),
 		Incremental: IncrementalStats{
 			Blocks:         inc.Stats.Blocks,
@@ -1022,10 +1030,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		},
 		Blocking: *inc.Stats.Blocking,
 	}
-	timed(tr, "encode", s.latency.encode, func() {
-		resp.Blocks, resp.Average = blockResults(inc.Results, cfg.Score)
-		writeJSON(w, http.StatusOK, resp)
-	})
+	timed(tr, "encode", s.latency.encode, func() { writeJSON(w, http.StatusOK, resp) })
 }
 
 // knobsKey builds the effective-knobs string identifying one resolution
@@ -1352,7 +1357,6 @@ func blockResults(results []pipeline.Result, score bool) ([]BlockResult, *BlockS
 			NumEntities: res.Resolution.NumEntities(),
 			Source:      res.Resolution.Source,
 			Labels:      res.Resolution.Labels,
-			Clusters:    clustersOf(res.Resolution.Labels, res.Resolution.NumEntities()),
 		}
 		if score && res.Score != nil {
 			br.Score = &BlockScore{Fp: res.Score.Fp, F: res.Score.F, Rand: res.Score.Rand}
@@ -1366,17 +1370,6 @@ func blockResults(results []pipeline.Result, score bool) ([]BlockResult, *BlockS
 		avg = &BlockScore{Fp: a.Fp, F: a.F, Rand: a.Rand}
 	}
 	return blocks, avg
-}
-
-// clustersOf inverts a label slice into per-entity member lists.
-func clustersOf(labels []int, numEntities int) [][]int {
-	clusters := make([][]int, numEntities)
-	for doc, label := range labels {
-		if label >= 0 && label < numEntities {
-			clusters[label] = append(clusters[label], doc)
-		}
-	}
-	return clusters
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -76,19 +79,119 @@ func TestResolveEndpoint(t *testing.T) {
 	if b.Name != "rivera" || b.Docs != 30 || len(b.Labels) != 30 {
 		t.Fatalf("block = %+v", b)
 	}
-	if b.NumEntities < 1 || b.NumEntities > 30 || len(b.Clusters) != b.NumEntities {
-		t.Errorf("entities = %d with %d clusters", b.NumEntities, len(b.Clusters))
+	// Every document names an entity in [0, num_entities), and every
+	// entity has a member.
+	members := make([]int, b.NumEntities)
+	for _, label := range b.Labels {
+		if label < 0 || label >= b.NumEntities {
+			t.Fatalf("label %d outside [0, %d)", label, b.NumEntities)
+		}
+		members[label]++
 	}
-	members := 0
-	for _, c := range b.Clusters {
-		members += len(c)
-	}
-	if members != 30 {
-		t.Errorf("clusters cover %d docs, want 30", members)
+	if b.NumEntities < 1 || b.NumEntities > 30 || slices.Contains(members, 0) {
+		t.Errorf("entities = %d with member counts %v", b.NumEntities, members)
 	}
 	if b.Score == nil || b.Score.Fp <= 0 {
 		t.Errorf("score = %+v, want Fp > 0 by default", b.Score)
 	}
+}
+
+// TestResolveReplyContract pins the block shape of both resolve replies
+// under every strategy and clustering: exactly the documented keys, labels
+// dense in order of first appearance, docs == len(labels) and
+// num_entities == 1 + max(labels). The incremental endpoint is checked on a
+// full run and again after a delta, whose reply mixes prepared and reused
+// blocks; a one-document block takes the trivial path.
+func TestResolveReplyContract(t *testing.T) {
+	rivera := testCollection(t, 30)
+	okafor, err := corpus.GenerateCollection(corpus.CollectionConfig{
+		Name: "okafor", NumDocs: 26, NumPersonas: 4,
+		Noise: 0.3, MissingInfo: 0.2, Spurious: 0.2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := corpus.GenerateCollection(corpus.CollectionConfig{Name: "solo", NumDocs: 1, NumPersonas: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := testServer(t, Config{})
+	ingestCollection(t, ts, rivera)
+	ingestCollection(t, ts, solo)
+	ingestCollection(t, ts, &corpus.Collection{Name: okafor.Name, Docs: okafor.Docs[:24], NumPersonas: okafor.NumPersonas})
+
+	keys := []string{"docs", "labels", "name", "num_entities", "score", "source"}
+	// check posts body to path and asserts the contract on every block of
+	// the reply; it returns the reply's incremental stats.
+	check := func(t *testing.T, path string, body map[string]any, want []string) IncrementalStats {
+		t.Helper()
+		knobs := maps.Clone(body)
+		delete(knobs, "collections")
+		what := fmt.Sprintf("POST %s %v", path, knobs)
+		var out struct {
+			Blocks      []json.RawMessage `json:"blocks"`
+			Incremental IncrementalStats  `json:"incremental"`
+		}
+		if code := postJSON(t, ts, path, body, &out); code != http.StatusOK {
+			t.Fatalf("%s = %d", what, code)
+		}
+		if len(out.Blocks) != 3 {
+			t.Fatalf("%s: %d blocks, want 3", what, len(out.Blocks))
+		}
+		for _, raw := range out.Blocks {
+			var fields map[string]json.RawMessage
+			var b BlockResult
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(raw, &b); err != nil {
+				t.Fatal(err)
+			}
+			if got := slices.Sorted(maps.Keys(fields)); !slices.Equal(got, want) {
+				t.Errorf("%s: block %s keys %v, want %v", what, b.Name, got, want)
+			}
+			next := 0 // the one new label a dense first-appearance numbering may use
+			for i, label := range b.Labels {
+				if label < 0 || label > next {
+					t.Fatalf("%s: block %s has label %d at %d, want dense in first-appearance order: %v",
+						what, b.Name, label, i, b.Labels)
+				}
+				if label == next {
+					next++
+				}
+			}
+			if b.Docs != len(b.Labels) || b.NumEntities != next {
+				t.Errorf("%s: block %s has docs %d and num_entities %d for %d labels up to %d",
+					what, b.Name, b.Docs, b.NumEntities, len(b.Labels), next-1)
+			}
+		}
+		return out.Incremental
+	}
+	strategies := []string{"best", "threshold", "weighted", "majority"}
+	clusterings := []string{"closure", "correlation"}
+	oneshot := []*corpus.Collection{rivera, okafor, solo}
+	for _, strategy := range strategies {
+		for _, clustering := range clusterings {
+			t.Run(strategy+"/"+clustering, func(t *testing.T) {
+				check(t, "/v1/resolve", map[string]any{"strategy": strategy, "clustering": clustering, "collections": oneshot}, keys)
+				check(t, "/v1/resolve/incremental", map[string]any{"strategy": strategy, "clustering": clustering}, keys)
+			})
+		}
+	}
+	// The delta re-prepares okafor's block; the other two are reused.
+	ingestCollection(t, ts, &corpus.Collection{Name: okafor.Name, Docs: okafor.Docs[24:], NumPersonas: okafor.NumPersonas})
+	for _, strategy := range strategies {
+		for _, clustering := range clusterings {
+			st := check(t, "/v1/resolve/incremental", map[string]any{"strategy": strategy, "clustering": clustering}, keys)
+			if st.ReusedBlocks != 2 || st.PreparedBlocks != 1 {
+				t.Errorf("%s/%s after the delta: %+v, want 2 reused and 1 prepared", strategy, clustering, st)
+			}
+		}
+	}
+	// Without scoring a block has no score key.
+	unscored := slices.DeleteFunc(slices.Clone(keys), func(k string) bool { return k == "score" })
+	check(t, "/v1/resolve", map[string]any{"score": false, "collections": oneshot}, unscored)
+	check(t, "/v1/resolve/incremental", map[string]any{"score": false}, unscored)
 }
 
 func TestResolveRequestTimeout(t *testing.T) {
@@ -223,7 +326,7 @@ func TestUnsupportedContentType(t *testing.T) {
 }
 
 // postJSON posts v to path and decodes the response into out.
-func postJSON(t *testing.T, ts *httptest.Server, path string, v any, out any) int {
+func postJSON(t testing.TB, ts *httptest.Server, path string, v any, out any) int {
 	t.Helper()
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -243,7 +346,7 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, v any, out any) in
 }
 
 // waitJob polls the job endpoint until the job finishes.
-func waitJob(t *testing.T, ts *httptest.Server, id string) store.Job {
+func waitJob(t testing.TB, ts *httptest.Server, id string) store.Job {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
