@@ -28,7 +28,9 @@
 // run appends the blocks it changed to its configuration's serving file
 // before it answers, and a restarted server replays the journal and reloads
 // the serving files — it answers lookups at once and its first incremental
-// resolution reuses every block instead of re-preparing the corpus. GET
+// resolution reuses every block instead of re-preparing the corpus. The
+// candidate (blocking) indexes live in memory only: that first resolution
+// keys the replayed store into its configuration's index afresh. GET
 // /metrics exposes every counter and latency histogram in the Prometheus
 // text format, and GET /v1/traces dumps the last -trace-buffer request
 // traces with per-stage pipeline spans plus the incremental resolve's lock
@@ -295,8 +297,6 @@ func runServe(ctx context.Context, args []string) error {
 			fmt.Fprintf(os.Stderr, "ersolve: data directory %s: %d collections, %d documents (version %d)\n",
 				*dataDir, st.Collections, st.Docs, st.Version)
 			cfg.Store = d.Store
-			cfg.Indexes = d.Indexes
-			cfg.ANNIndexes = d.ANN
 			cfg.Serving = d.Serving
 			mu.Lock()
 			data = d

@@ -18,6 +18,7 @@ import (
 // ergraph or blocking belongs here: what only their tests need lives in
 // their _test.go files.
 var testSeams = map[string]string{
+	"ann.Decode":             "decoder of ann.CandidateIndex.EncodeTo, which no server path calls; pipeline's TestANNBlockerRestartEqualsFresh and BenchmarkANNBlock decode a graph through it, so it cannot move into ann's _test.go files (it keeps ann.ErrCodecCorrupt and textsim.PackedFromParts reached)",
 	"faultfs.Injector.":      "fault-injecting FS: the crash and degradation harnesses of persist and service arm it and read its state",
 	"faultfs.NewInjector":    "constructor of faultfs.Injector",
 	"metrics.LintExposition": "Prometheus text-format linter the service tests run over /metrics",

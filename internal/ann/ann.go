@@ -32,9 +32,10 @@
 // recall-governed but may link through different neighbors than a fresh
 // rebuild would.
 //
-// Persistence: EncodeTo writes the graph's primary state as one
-// internal/framing record, which internal/persist files behind its magic
-// and key record (*.ann) so a restarted server re-inserts nothing.
+// The server keeps the graph in memory only: after a restart the first
+// resolve re-inserts the replayed corpus. EncodeTo and Decode round-trip
+// the graph's primary state as one internal/framing record; no server path
+// calls them.
 package ann
 
 import (
@@ -59,7 +60,7 @@ type KeyFunc = blockindex.KeyFunc
 
 // Graph parameters. M is the per-node degree bound (layer 0 keeps 2M);
 // DefaultEfConstruction sizes the candidate beam while linking a new node
-// (a constant: no caller asks for another value, so neither .ann files nor
+// (a constant: no caller asks for another value, so neither the encoding nor
 // Stats record it); EfSearch sizes the neighbor query the candidate edges
 // come from. Larger ef raises recall and cost roughly linearly.
 const (

@@ -14,9 +14,7 @@ import (
 // ErrCodecCorrupt reports an encoded index that fails a structural check:
 // a damaged record, an unreadable payload, a graph that does not hold
 // together. Callers treat it as "no usable index": correctness never
-// depends on the encoded form — the index rebuilds from the corpus — only
-// the restart head-start does. The file around the record, and its format
-// version, are internal/persist's.
+// depends on the encoded form — the index rebuilds from the corpus.
 var ErrCodecCorrupt = errors.New("ann: encoded index is corrupt")
 
 // encodedIndex is the gob payload: the primary state only — the graph
@@ -94,8 +92,10 @@ func (x *CandidateIndex) EncodeTo(w io.Writer) (uint64, error) {
 // behind it — and rebuilds it under cfg, which must describe the same configuration (scheme, key function,
 // graph knobs) that produced it — the index records only the knobs, so
 // the caller's storage key must carry the rest. A knob mismatch is an
-// error, not corruption: the persisted graph was built under different
-// parameters and the caller should rebuild from the corpus instead.
+// error, not corruption: the encoded graph was built under different
+// parameters and the caller should rebuild from the corpus instead. No
+// server path decodes a graph; the pipeline's restart-equivalence test
+// (TestANNBlockerRestartEqualsFresh) does.
 func Decode(r io.Reader, cfg Config) (*CandidateIndex, error) {
 	payload, err := framing.ReadOne(r)
 	if err != nil {

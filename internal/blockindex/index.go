@@ -25,10 +25,11 @@
 // DocRef and KeyFunc.
 //
 // The index is safe for concurrent use; the pipeline's IndexBlocker wraps
-// it behind the Blocker interfaces. EncodeTo writes its primary state as
-// one internal/framing record, which internal/persist files behind its
-// magic and key record (*.idx) so a restarted server does not re-block the
-// corpus.
+// it behind the Blocker interfaces. The server keeps the index in memory
+// only: after a restart the first resolve re-keys the replayed corpus.
+// EncodeTo writes its primary state as one internal/framing record, which
+// internal/persist.IndexDir files behind its magic and key record (*.idx)
+// for the benchmark's replay probe.
 package blockindex
 
 import (

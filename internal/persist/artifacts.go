@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/faultfs"
 	"repro/internal/framing"
@@ -27,7 +26,6 @@ import (
 const (
 	snapFileMagic = "ERSNF002"
 	idxFileMagic  = "ERIXF002"
-	annFileMagic  = "ERANF002"
 	srvFileMagic  = "ERSVF002"
 )
 
@@ -37,8 +35,8 @@ const (
 var ErrArtifactVersion = errors.New("persist: unsupported artifact file format version")
 
 // artifactDir is the one implementation of "a directory holding one
-// versioned file per configuration key" behind SnapshotDir, IndexDir,
-// ANNDir and ServingDir. A file is named by a hash of its key plus the
+// versioned file per configuration key" behind SnapshotDir, IndexDir and
+// ServingDir. A file is named by a hash of its key plus the
 // kind's extension and has the journal segment's shape — an 8-byte magic,
 // then internal/framing records:
 //
@@ -148,20 +146,6 @@ func (d *artifactDir) save(key string, encode func(io.Writer) error) error {
 		}
 	}
 	return nil
-}
-
-// saveIndex is save for the two candidate-index kinds, whose codec reports
-// the index version the file reflects so the caller can skip future saves
-// while the index is unchanged.
-func (d *artifactDir) saveIndex(key string, idx pipeline.CandidateIndex) (version uint64, err error) {
-	err = d.save(key, func(w io.Writer) (err error) {
-		version, err = idx.EncodeTo(w)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return version, nil
 }
 
 // list names this kind's files.
@@ -303,6 +287,9 @@ func (d *SnapshotDir) Load(key string, pl *pipeline.Pipeline) (snap *pipeline.Sn
 // IndexDir stores one encoded blockindex.Index per blocking configuration
 // (DIR/indexes/*.idx). Indexes are keyed by (scheme, key function, shard
 // count) only — far fewer knobs than snapshots — so a cap of 16 suffices.
+// The server neither writes nor reads it: a candidate index is rebuilt
+// from the journaled corpus by the first resolve after a restart. Only the
+// benchmark's replay probe still does.
 type IndexDir struct{ *artifactDir }
 
 func newIndexDir(dir string, opts Options) (*IndexDir, error) {
@@ -312,8 +299,15 @@ func newIndexDir(dir string, opts Options) (*IndexDir, error) {
 
 // SaveIndex atomically writes the index for one blocking-configuration key
 // and returns the index version the file reflects.
-func (d *IndexDir) SaveIndex(key string, idx pipeline.CandidateIndex) (uint64, error) {
-	return d.saveIndex(key, idx)
+func (d *IndexDir) SaveIndex(key string, idx pipeline.CandidateIndex) (version uint64, err error) {
+	err = d.save(key, func(w io.Writer) (err error) {
+		version, err = idx.EncodeTo(w)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return version, nil
 }
 
 // LoadIndex reads the index saved for key and rebuilds it under cfg, which
@@ -323,36 +317,6 @@ func (d *IndexDir) SaveIndex(key string, idx pipeline.CandidateIndex) (uint64, e
 func (d *IndexDir) LoadIndex(key string, cfg blockindex.Config) (idx *blockindex.Index, err error) {
 	err = d.load(d.path(key), &key, func(r io.Reader) (err error) {
 		idx, err = blockindex.Decode(r, cfg)
-		return err
-	})
-	return idx, err
-}
-
-// ANNDir stores one encoded ann.CandidateIndex per ANN blocking
-// configuration, in the same DIR/indexes directory as the sharded key
-// indexes (*.ann). ANN indexes are keyed by (scheme, key function, graph
-// knobs) — as few knobs as the sharded indexes — so the same cap of 16
-// suffices.
-type ANNDir struct{ *artifactDir }
-
-func newANNDir(dir string, opts Options) (*ANNDir, error) {
-	d, err := newArtifactDir(dir, opts, "ann", annFileMagic, "ann index", 16)
-	return &ANNDir{d}, err
-}
-
-// SaveANNIndex atomically writes the index for one configuration key and
-// returns the index version the file reflects.
-func (d *ANNDir) SaveANNIndex(key string, idx pipeline.CandidateIndex) (uint64, error) {
-	return d.saveIndex(key, idx)
-}
-
-// LoadANNIndex reads the index saved for key and rebuilds it under cfg,
-// which must describe the same ANN blocking configuration. (nil, nil)
-// when nothing is saved; damage surfaces as ErrArtifactVersion or
-// ann.ErrCodecCorrupt.
-func (d *ANNDir) LoadANNIndex(key string, cfg ann.Config) (idx *ann.CandidateIndex, err error) {
-	err = d.load(d.path(key), &key, func(r io.Reader) (err error) {
-		idx, err = ann.Decode(r, cfg)
 		return err
 	})
 	return idx, err

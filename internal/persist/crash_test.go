@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/faultfs"
@@ -54,7 +53,7 @@ func (n noSync) CreateTemp(dir, pattern string) (faultfs.File, error) {
 
 // TestCrashEveryIOBoundary is the crash harness: one ingest lifecycle —
 // open, append batches, save one artifact of each whole-file kind
-// (snapshot, key index, ANN index), commit a chain of serving indexes (a
+// (snapshot, key index), commit a chain of serving indexes (a
 // full save, appended records, one compaction), close — is first
 // probed to count its mutating filesystem operations, then re-run once
 // per operation with a crash injected exactly there (clean crash and
@@ -106,14 +105,6 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 	if _, err := idx.Update(indexCols()); err != nil {
 		t.Fatal(err)
 	}
-	const annKey = "ann|canopy|collection|12|64"
-	annIdx, err := ann.New(annCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := annIdx.Update(indexCols()); err != nil {
-		t.Fatal(err)
-	}
 	// Enough one-dirty-block commits to append several records behind the
 	// first full save and then outgrow it; the probe below checks the
 	// shape. The last one is kept back for the restarted process.
@@ -137,7 +128,6 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 		}
 		_ = data.Snapshots.Save(snapKey, run.Snapshot)
 		_, _ = data.Indexes.SaveIndex(idxKey, idx)
-		_, _ = data.ANN.SaveANNIndex(annKey, annIdx)
 		for _, x := range srvCommits {
 			if err := data.Serving.SaveServing(snapKey, x); err == nil {
 				committed++
@@ -210,9 +200,6 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 				if _, err := data.Indexes.LoadIndex(idxKey, idxCfg); err != nil {
 					t.Fatalf("op %d: index load after crash: %v", n, err)
 				}
-				if _, err := data.ANN.LoadANNIndex(annKey, annCfg()); err != nil {
-					t.Fatalf("op %d: ann index load after crash: %v", n, err)
-				}
 				// The serving index is the last acknowledged commit, or the
 				// one in flight when its record (or renamed file) had landed
 				// whole before the fault; commits[i] has epoch i+1.
@@ -231,7 +218,7 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 					t.Fatalf("op %d: serving index at epoch %d after %d acknowledged commits", n, epoch, committed)
 				}
 				if q := data.Snapshots.Quarantined() + data.Indexes.Quarantined() +
-					data.ANN.Quarantined() + data.Serving.Quarantined(); q != 0 {
+					data.Serving.Quarantined(); q != 0 {
 					t.Fatalf("op %d: atomic saves still produced %d quarantined files", n, q)
 				}
 				// The restarted process commits: a full save, which is also
@@ -266,10 +253,11 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 
 // TestQuarantineAndRebuild is the degradation acceptance test at the
 // service level: a restart finds its persisted serving index — the
-// committed resolution — AND blocking index corrupted on disk. The resolve must not fail — the damaged files
-// are quarantined (*.corrupt) and both artifacts are rebuilt from the
-// journaled corpus, with cluster output identical to the pre-damage run,
-// and the degradation visible in /v1/stats.
+// committed resolution, the one artifact the server writes — corrupted on
+// disk. The resolve must not fail — the damaged file is quarantined
+// (*.corrupt) and the resolution rebuilt from the journaled corpus, with
+// cluster output identical to the pre-damage run, and the degradation
+// visible in /v1/stats.
 func TestQuarantineAndRebuild(t *testing.T) {
 	dir := t.TempDir()
 	const knobs = `{"seed": 42, "blocking": "token"}`
@@ -278,13 +266,11 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv1 := service.New(service.Config{Store: data1.Store, Serving: data1.Serving, Indexes: data1.Indexes})
+	srv1 := service.New(service.Config{Store: data1.Store, Serving: data1.Serving})
 	ts1 := httptest.NewServer(srv1.Handler())
 	ingestAll(t, ts1, restartCorpus(t))
 	before := postIncremental(t, ts1, knobs)
 	ts1.Close()
-	// Graceful close so the blocking index is persisted alongside the
-	// serving index; the damage below must find both artifacts on disk.
 	if err := srv1.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -292,29 +278,25 @@ func TestQuarantineAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt every persisted serving and index file in place: flip a
-	// byte deep inside each — past the envelope, inside the codec's
-	// checksummed payload.
-	damaged := 0
-	for _, pattern := range []string{"serving/*.srv", "indexes/*.idx"} {
-		files, err := filepath.Glob(filepath.Join(dir, pattern))
+	// Corrupt every persisted serving file in place: flip a byte deep
+	// inside each — past the envelope, inside the codec's checksummed
+	// payload.
+	files, err := filepath.Glob(filepath.Join(dir, "serving", "*.srv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no persisted serving file to damage")
+	}
+	for _, name := range files {
+		buf, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range files {
-			buf, err := os.ReadFile(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf[len(buf)-9] ^= 0x40
-			if err := os.WriteFile(name, buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			damaged++
+		buf[len(buf)-9] ^= 0x40
+		if err := os.WriteFile(name, buf, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if damaged < 2 {
-		t.Fatalf("damaged only %d persisted files; expected at least a serving index and an index", damaged)
 	}
 
 	// Restart onto the damaged directory.
@@ -323,10 +305,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data2.Close()
-	srv2 := service.New(service.Config{
-		Store: data2.Store, Serving: data2.Serving, Indexes: data2.Indexes,
-		ErrorLog: quietLog,
-	})
+	srv2 := service.New(service.Config{Store: data2.Store, Serving: data2.Serving, ErrorLog: quietLog})
 	defer srv2.Close(context.Background())
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
@@ -348,29 +327,17 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	}
 
 	// The damage is quarantined, not deleted or still in place.
-	for _, pattern := range []string{"serving/*.corrupt", "indexes/*.corrupt"} {
-		files, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(files) == 0 {
-			t.Errorf("no quarantined files match %s", pattern)
-		}
+	if files, err := filepath.Glob(filepath.Join(dir, "serving", "*.corrupt")); err != nil || len(files) == 0 {
+		t.Errorf("no quarantined serving files (%v)", err)
 	}
 	if got := data2.Serving.Quarantined(); got != 1 {
 		t.Errorf("serving quarantine count = %d, want 1", got)
 	}
-	if got := data2.Indexes.Quarantined(); got != 1 {
-		t.Errorf("index quarantine count = %d, want 1", got)
-	}
 
 	// /v1/stats surfaces the degradation.
 	d := degraded(t, ts2)
-	if d["quarantined_serving"] != 1 || d["quarantined_indexes"] != 1 {
-		t.Errorf("degraded stats = %v, want one serving and one index quarantine", d)
-	}
-	if d["serving_load_failures"] < 1 || d["index_load_failures"] < 1 {
-		t.Errorf("degraded stats = %v, want the load failures counted", d)
+	if d["quarantined_serving"] != 1 || d["serving_load_failures"] < 1 {
+		t.Errorf("degraded stats = %v, want one serving quarantine and the load failure counted", d)
 	}
 
 	// The rebuild re-persisted clean state: the next restart loads it and
@@ -387,7 +354,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer data3.Close()
-	srv3 := service.New(service.Config{Store: data3.Store, Serving: data3.Serving, Indexes: data3.Indexes})
+	srv3 := service.New(service.Config{Store: data3.Store, Serving: data3.Serving})
 	defer srv3.Close(context.Background())
 	ts3 := httptest.NewServer(srv3.Handler())
 	defer ts3.Close()

@@ -5,16 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
@@ -79,19 +80,20 @@ func (want fixMembership) check(t *testing.T, kind string, version uint64, stats
 // TestParentWrittenArtifactsLoad is what "no format change" means: the
 // four files under testdata were written by an earlier tree's SnapshotDir,
 // IndexDir, ANNDir and ServingDir, and parent.json holds the state that
-// tree recorded of them. Each must sit under the file name this tree
-// derives for its key, load to that state — compared decoded, because the
-// gob payloads carry maps whose encoding order is not deterministic — and
-// a fresh save must start with the identical magic and key record. Each
-// leg then rewrites its file's version digit to 1, as the files before
-// format version 2 carry it, and the load is refused with
-// ErrArtifactVersion and quarantines the file: there is no reader of
-// another version.
+// tree recorded of them. The .snap, .idx and .srv must sit under the file
+// name this tree derives for their key, load to that state — compared
+// decoded, because the gob payloads carry maps whose encoding order is not
+// deterministic — and a fresh save must start with the identical magic and
+// key record. Each of those legs then rewrites its file's version digit to
+// 1, as the files before format version 2 carry it, and the load is
+// refused with ErrArtifactVersion and quarantines the file: there is no
+// reader of another version. The server reads no candidate index file at
+// all: the ann leg and the datadir leg prove that an .ann or .idx an
+// earlier release left in DIR/indexes is never opened.
 func TestParentWrittenArtifactsLoad(t *testing.T) {
 	var golden struct {
 		Files map[string]string `json:"files"`
 		Idx   fixMembership     `json:"idx"`
-		Ann   fixMembership     `json:"ann"`
 		Srv   struct {
 			Epoch        uint64            `json:"epoch"`
 			StoreVersion uint64            `json:"store_version"`
@@ -198,24 +200,39 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 			func() error { _, err := data.Indexes.LoadIndex(fixIdxKey, cfg); return err }, data.Indexes.Quarantined)
 	})
 
+	// An ANN graph an earlier release saved, under the name it derived for
+	// the key the resolve below blocks under, is never read: the resolve
+	// keys the corpus into a fresh graph, nothing is quarantined, logged or
+	// counted as degraded, and the file is left byte for byte.
 	t.Run("ann", func(t *testing.T) {
-		path := data.ANN.path(fixAnnKey)
-		parent := place(t, "ann", path)
-		cfg := ann.Config{Scheme: blocking.Canopy{Loose: 0.4, Tight: 0.8}}
-		idx, err := data.ANN.LoadANNIndex(fixAnnKey, cfg)
-		if err != nil || idx == nil {
-			t.Fatalf("LoadANNIndex = (%v, %v)", idx, err)
-		}
-		refs, fps := idx.Membership()
-		golden.Ann.check(t, "ann", idx.Version(), idx.Stats(), refs, fps)
-		if st, err := idx.Update(cols); err != nil || st.DeltaDocs != 0 {
-			t.Errorf("the loaded index re-inserted %d documents of its own corpus (err %v)", st.DeltaDocs, err)
-		}
-		if _, err := data.ANN.SaveANNIndex(fixAnnKey, idx); err != nil {
+		dir := t.TempDir()
+		data, err := OpenWithOptions(dir, Options{Log: quietLog})
+		if err != nil {
 			t.Fatal(err)
 		}
-		sameHead(t, "ann", path, annFileMagic, fixAnnKey, parent,
-			func() error { _, err := data.ANN.LoadANNIndex(fixAnnKey, cfg); return err }, data.ANN.Quarantined)
+		t.Cleanup(func() { data.Close() }) // after serveLogged's cleanup stops the server
+		place(t, "ann", strings.TrimSuffix(data.Indexes.path(fixAnnKey), ".idx")+".ann")
+		before := indexFiles(t, dir)
+		if _, err := data.Store.Append(cols); err != nil {
+			t.Fatal(err)
+		}
+		ts, logged := serveLogged(t, data)
+
+		got := resolve(t, ts, `{"seed": 42, "blocking": "canopy", "blocking_mode": "ann"}`)
+		if b := got.Blocking; b.Indexer != "ann" || b.Fallback || b.DeltaDocs != got.Docs || got.Docs != 21 {
+			t.Errorf("resolve over the parent's .ann blocked with %+v over %d documents; want a fresh graph keyed from all 21", b, got.Docs)
+		}
+		if errs := logged(); len(errs) != 0 {
+			t.Errorf("the service logged %v, want nothing", errs)
+		}
+		for kind, n := range degraded(t, ts) {
+			if n != 0 {
+				t.Errorf("a parent's .ann degraded the server: %s = %g", kind, n)
+			}
+		}
+		if after := indexFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("DIR/indexes changed from %v to %v; the server must not touch it", slices.Sorted(maps.Keys(before)), slices.Sorted(maps.Keys(after)))
+		}
 	})
 
 	t.Run("srv", func(t *testing.T) {
@@ -251,9 +268,10 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 	// committed every resolve twice — a .snap rewritten behind the .srv
 	// record (commit 2b500d0: ingest, resolve, ingest two documents,
 	// resolve, kill; testdata/parent19, reply.json is that last reply) —
-	// at format version 1. This tree refuses and quarantines its .srv and
-	// .idx, so lookups answer 409 until the first resolve, which prepares
-	// every block and replies what the parent did; it never opens the .snap.
+	// at format version 1. This tree refuses and quarantines its .srv, so
+	// lookups answer 409 until the first resolve, which prepares every
+	// block and replies what the parent did; it never opens the .snap or
+	// the .idx, which stay byte for byte.
 	t.Run("datadir", func(t *testing.T) {
 		dir := t.TempDir()
 		if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "parent19"))); err != nil {
@@ -273,26 +291,16 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		idxBefore := indexFiles(t, dir)
+		if len(idxBefore) != 1 {
+			t.Fatalf("the parent's directory holds %v under indexes, want its one .idx", slices.Sorted(maps.Keys(idxBefore)))
+		}
 		data, err := OpenWithOptions(dir, Options{Log: quietLog})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer data.Close()
-		var mu sync.Mutex
-		var logged []error
-		srv := service.New(service.Config{Store: data.Store, Indexes: data.Indexes, ANNIndexes: data.ANN,
-			Serving: data.Serving, ErrorLog: func(format string, args ...any) {
-				mu.Lock()
-				defer mu.Unlock()
-				for _, arg := range args {
-					if err, ok := arg.(error); ok {
-						logged = append(logged, err)
-					}
-				}
-			}})
-		defer srv.Close(context.Background())
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
+		t.Cleanup(func() { data.Close() }) // after serveLogged's cleanup stops the server
+		ts, logged := serveLogged(t, data)
 
 		resp, err := ts.Client().Get(ts.URL + "/v1/docs/ana%20rivera:11/entity")
 		if err != nil {
@@ -302,44 +310,29 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		if resp.StatusCode != http.StatusConflict {
 			t.Errorf("lookup before any resolve = %d, want 409: the parent's serving file is refused", resp.StatusCode)
 		}
-		var got service.IncrementalResolveResponse
-		resp, err = http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(`{"seed": 42}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("first resolve = %d (%v)", resp.StatusCode, err)
-		}
+		got := resolve(t, ts, `{"seed": 42}`)
 		if got.Incremental.ReusedBlocks != 0 || got.Incremental.Blocks != len(parent.Blocks) {
 			t.Errorf("first resolve on the parent's directory = %+v, want all %d blocks prepared", got.Incremental, len(parent.Blocks))
 		}
 		if !reflect.DeepEqual(got.Blocks, parent.Blocks) {
 			t.Errorf("first resolve on the parent's directory replied\n%+v\nthe parent replied\n%+v", got.Blocks, parent.Blocks)
 		}
-		mu.Lock()
-		for _, err := range logged {
+		for _, err := range logged() {
 			if !errors.Is(err, ErrArtifactVersion) {
 				t.Errorf("the service logged %v, want only version skews", err)
 			}
 		}
-		mu.Unlock()
 
-		// The degradation is exactly the quarantined files: each one counted
+		// The degradation is exactly the quarantined serving file, counted
 		// once as a load failure and once as a quarantine.
-		corrupt := func(pattern string) float64 {
-			names, err := filepath.Glob(filepath.Join(dir, pattern))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return float64(len(names))
+		srvFiles, err := filepath.Glob(filepath.Join(dir, "serving", "*.srv.corrupt"))
+		if err != nil || len(srvFiles) != 1 {
+			t.Errorf("quarantined serving files %v (%v), want the parent's one", srvFiles, err)
 		}
-		srvFiles, idxFiles := corrupt("serving/*.srv.corrupt"), corrupt("indexes/*.idx.corrupt")
-		if srvFiles != 1 || idxFiles != 1 {
-			t.Errorf("%g .srv and %g .idx files quarantined, want the parent's one of each", srvFiles, idxFiles)
+		if after := indexFiles(t, dir); !reflect.DeepEqual(after, idxBefore) {
+			t.Errorf("DIR/indexes changed from %v to %v; the server must not touch it", slices.Sorted(maps.Keys(idxBefore)), slices.Sorted(maps.Keys(after)))
 		}
-		want := map[string]float64{"serving_load_failures": srvFiles, "quarantined_serving": srvFiles,
-			"index_load_failures": idxFiles, "quarantined_indexes": idxFiles}
+		want := map[string]float64{"serving_load_failures": 1, "quarantined_serving": 1}
 		d := degraded(t, ts)
 		if len(d) == 0 {
 			t.Error("/v1/stats carries no degradation counters")
@@ -353,4 +346,66 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 			t.Errorf("the parent's .snap was touched (%v)", err)
 		}
 	})
+}
+
+// serveLogged runs the service over every backend of data, as `ersolve
+// serve -data` wires it, and returns its test server and a reader of the
+// errors it logged.
+func serveLogged(t *testing.T, data *Data) (*httptest.Server, func() []error) {
+	t.Helper()
+	var mu sync.Mutex
+	var logged []error
+	srv := service.New(service.Config{Store: data.Store, Serving: data.Serving,
+		ErrorLog: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, arg := range args {
+				if err, ok := arg.(error); ok {
+					logged = append(logged, err)
+				}
+			}
+		}})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close(context.Background())
+	})
+	return ts, func() []error {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]error(nil), logged...)
+	}
+}
+
+// resolve posts one incremental resolve and decodes its 200 reply.
+func resolve(t *testing.T, ts *httptest.Server, body string) service.IncrementalResolveResponse {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out service.IncrementalResolveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("resolve %s = %d (%v)", body, resp.StatusCode, err)
+	}
+	return out
+}
+
+// indexFiles reads every file under DIR/indexes, by name.
+func indexFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(dir, "indexes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		buf, err := os.ReadFile(filepath.Join(dir, "indexes", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = buf
+	}
+	return out
 }

@@ -1,11 +1,14 @@
 // Package persist implements the disk backends behind `ersolve serve
 // -data`: a durable store.DocumentStore that journals every ingest batch
-// to an append-only segment log and replays it on open, and four artifact
-// directories — snapshots, key indexes, ANN indexes, serving indexes —
-// holding one versioned file per configuration. Together they let a
-// restarted server resume with both the corpus and every configuration's
-// incremental state intact — the first incremental resolution after a
-// restart reuses every block.
+// to an append-only segment log and replays it on open, and three artifact
+// directories — snapshots, key indexes, serving indexes — holding one
+// versioned file per configuration. The server touches the journal and the
+// serving indexes only: together they let a restarted server resume with
+// both the corpus and every configuration's committed resolution intact —
+// the first incremental resolution after a restart reuses every block, and
+// rebuilds its candidate index from the replayed corpus. SnapshotDir and
+// IndexDir are kept for the benchmark's replay probe; no server path
+// writes or reads them.
 //
 // Every file the package writes has one shape: an 8-byte magic naming its
 // kind and format version, then internal/framing records — the journaled
@@ -14,11 +17,11 @@
 // known kind at another version is ErrArtifactVersion), the checksums in
 // the records alone, and the codecs write records but no header of their
 // own (the snapshot codec's stream is the one nested header left). The
-// four directories are one implementation, artifactDir (artifacts.go):
+// three directories are one implementation, artifactDir (artifacts.go):
 // file naming, the magic and key record, the atomic save sequence, their
 // verification, quarantine, pruning and the orphan sweep are written once,
-// and SnapshotDir, IndexDir, ANNDir and ServingDir add only which codec
-// encodes and decodes the payload. ServingDir adds one thing more: between
+// and SnapshotDir, IndexDir and ServingDir add only which codec encodes and
+// decodes the payload. ServingDir adds one thing more: between
 // two whole-file saves it commits by appending — a serving file is a base
 // record plus the commit records written since, so the commit behind every
 // resolve writes the blocks that changed, with one write and one fsync,
@@ -26,8 +29,7 @@
 //
 // Durability model: a batch is journaled (written and fsynced) before
 // Append returns, so an acknowledged ingest survives a crash. An Append is
-// journal + merge and nothing else: a key or ANN index file trails the
-// journal until a resolve advances that index and saves it. Replay
+// journal + merge and nothing else. Replay
 // re-runs the journaled batches through the same in-memory merge the live
 // path uses, and that merge is deterministic, so the reopened store is
 // byte-identical to the pre-crash one — preserving the append-only
@@ -114,14 +116,13 @@ type Data struct {
 	// neither writes nor reads it — a resolve's durable form is its serving
 	// record — and only the benchmark's replay probe still does.
 	Snapshots *SnapshotDir
-	// Indexes is the per-blocking-configuration sharded index directory: a
-	// restarted server reloads its blocking indexes instead of re-keying
-	// and re-blocking the corpus.
+	// Indexes is the per-blocking-configuration sharded index directory.
+	// Like Snapshots, the server neither writes nor reads it — a restarted
+	// server's first resolve rebuilds its candidate index from the journal
+	// — and only the benchmark's replay probe still does. An index file an
+	// earlier release left there (.idx, or .ann for an ANN graph) is
+	// ignored.
 	Indexes *IndexDir
-	// ANN is the per-configuration approximate candidate index directory
-	// (same DIR/indexes tree, .ann files): a restarted server reloads its
-	// proximity graphs instead of re-inserting the corpus.
-	ANN *ANNDir
 	// Serving is the per-resolution-configuration serving-index directory,
 	// the committed resolutions: a restarted server answers cluster lookups
 	// from the last one with zero recompute, and each configuration's first
@@ -177,19 +178,13 @@ func OpenWithOptions(dir string, opts Options) (*Data, error) {
 		lock.Close()
 		return nil, err
 	}
-	annDir, err := newANNDir(idxDir, opts)
-	if err != nil {
-		st.Close()
-		lock.Close()
-		return nil, err
-	}
 	srv, err := newServingDir(srvDir, opts)
 	if err != nil {
 		st.Close()
 		lock.Close()
 		return nil, err
 	}
-	return &Data{Store: st, Snapshots: snaps, Indexes: indexes, ANN: annDir, Serving: srv, lock: lock}, nil
+	return &Data{Store: st, Snapshots: snaps, Indexes: indexes, Serving: srv, lock: lock}, nil
 }
 
 // lockDir takes a non-blocking exclusive flock on DIR/lock. The lock file

@@ -61,21 +61,20 @@ func NewIndexBlocker(scheme blocking.KeyedScheme, keys KeyFunc, shards int) (*In
 	return NewIndexBlockerWith(idx), nil
 }
 
-// NewIndexBlockerWith wraps an existing index — typically one decoded from
-// its persisted form, so a restarted process resumes with the corpus
-// already blocked.
+// NewIndexBlockerWith wraps an existing index, such as one decoded from its
+// encoded form, which resumes with the corpus it held already blocked.
 func NewIndexBlockerWith(idx *blockindex.Index) *IndexBlocker {
 	return &IndexBlocker{idx: idx, indexer: "index"}
 }
 
-// NewANNBlockerWith wraps an existing ANN candidate index — typically one
-// decoded from its persisted form, so a restarted process resumes with
-// the corpus already inserted into the graph.
+// NewANNBlockerWith wraps an existing ANN candidate index, such as one
+// built outside the pipeline, which resumes with the corpus it holds
+// already inserted into the graph.
 func NewANNBlockerWith(idx *ann.CandidateIndex) *IndexBlocker {
 	return &IndexBlocker{idx: idx, indexer: "ann"}
 }
 
-// Index exposes the underlying index for persistence and stats.
+// Index exposes the underlying index for encoding and stats.
 func (ib *IndexBlocker) Index() CandidateIndex { return ib.idx }
 
 // Warm indexes any documents of cols the index has not seen, without

@@ -1,18 +1,13 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/ann"
 	"repro/internal/corpus"
-	"repro/internal/persist"
 )
 
 // TestANNModeIncrementalResolve pins the happy path of blocking_mode
@@ -117,66 +112,5 @@ func TestANNModeValidation(t *testing.T) {
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid ann one-shot = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestANNIndexRestartZeroReinsertion is the kill-9 test: the first
-// resolve of a blocking configuration persists the ANN graph before
-// answering, so a server that dies without Close still leaves a loadable
-// index behind, and its successor serves the same corpus with zero
-// re-insertion (delta_docs 0, no fallback). Later resolves save only in
-// indexSaveDeltaDocs batches; TestKillWithoutCloseRestartsFromLastCommit
-// covers the documents ingested in between.
-func TestANNIndexRestartZeroReinsertion(t *testing.T) {
-	tmp := t.TempDir()
-	data, err := persist.Open(tmp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { data.Close() })
-	annDir := data.ANN
-	col := testCollection(t, 40)
-	req := IncrementalResolveRequest{
-		resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann"},
-	}
-
-	srv1 := New(Config{ANNIndexes: annDir})
-	ts1 := httptest.NewServer(srv1.Handler())
-	defer ts1.Close()
-	ingestCollection(t, ts1, col)
-	first := resolveOK(t, ts1, req)
-	if first.Blocking.Indexer != "ann" || first.Blocking.IndexedDocs != 40 {
-		t.Fatalf("first run blocking = %+v", first.Blocking)
-	}
-	// The first resolve already persisted the graph; srv1 is now abandoned
-	// without Close — the kill-9.
-	files, err := filepath.Glob(filepath.Join(tmp, "indexes", "*.ann"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("persisted ann files after resolve: %v, %v (want exactly 1)", files, err)
-	}
-
-	srv2 := New(Config{ANNIndexes: annDir})
-	ts2 := httptest.NewServer(srv2.Handler())
-	t.Cleanup(func() {
-		ts2.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv2.Close(ctx); err != nil {
-			t.Errorf("closing restarted server: %v", err)
-		}
-	})
-	ingestCollection(t, ts2, col) // the same corpus, replayed into a fresh store
-	second := resolveOK(t, ts2, req)
-	if second.Blocking.Indexer != "ann" || second.Blocking.Fallback {
-		t.Fatalf("restarted run blocking = %+v, want indexer \"ann\" without fallback", second.Blocking)
-	}
-	if second.Blocking.DeltaDocs != 0 {
-		t.Fatalf("restarted run re-inserted %d docs, want 0 (graph loaded from disk)", second.Blocking.DeltaDocs)
-	}
-	if second.Blocking.IndexedDocs != 40 {
-		t.Fatalf("restarted run serves %d indexed docs, want 40", second.Blocking.IndexedDocs)
-	}
-	if len(second.Blocks) != len(first.Blocks) {
-		t.Fatalf("restarted run found %d blocks, first found %d", len(second.Blocks), len(first.Blocks))
 	}
 }

@@ -12,10 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ann"
-	"repro/internal/blockindex"
 	"repro/internal/corpus"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
@@ -138,142 +135,6 @@ func TestIngestBackpressure429(t *testing.T) {
 	}
 	if n := getStats(t, ts).value(t, "ersolve_degraded_total", "kind", "ingest_throttled"); n != 1 {
 		t.Errorf("ingest_throttled = %g, want 1", n)
-	}
-}
-
-// failingIndexStore is an IndexStore and an ANNStore that loads nothing
-// and fails every save while fail is set.
-type failingIndexStore struct {
-	saves int
-	fail  bool
-}
-
-func (f *failingIndexStore) LoadIndex(string, blockindex.Config) (*blockindex.Index, error) {
-	return nil, nil
-}
-
-func (f *failingIndexStore) LoadANNIndex(string, ann.Config) (*ann.CandidateIndex, error) {
-	return nil, nil
-}
-
-func (f *failingIndexStore) SaveIndex(_ string, idx pipeline.CandidateIndex) (uint64, error) {
-	f.saves++
-	if f.fail {
-		return 0, errors.New("disk on fire")
-	}
-	return idx.Version(), nil
-}
-
-func (f *failingIndexStore) SaveANNIndex(key string, idx pipeline.CandidateIndex) (uint64, error) {
-	return f.SaveIndex(key, idx)
-}
-
-// TestIndexSaveBackoff pins the save policy of a registry entry, for both
-// index kinds: the resolve path's persistIndexIfGrown saves only once the
-// unsaved delta reaches indexSaveDeltaDocs; while a save is failing and the
-// backoff window is open, persistIndex does not re-hit the store; once the
-// window passes it retries; Close forces a final attempt regardless.
-func TestIndexSaveBackoff(t *testing.T) {
-	oldBase, oldCap := indexSaveBackoffBase, indexSaveBackoffCap
-	indexSaveBackoffBase, indexSaveBackoffCap = 50*time.Millisecond, 200*time.Millisecond
-	defer func() { indexSaveBackoffBase, indexSaveBackoffCap = oldBase, oldCap }()
-
-	for _, kind := range []struct {
-		name     string
-		knobs    resolveKnobs
-		config   func(*failingIndexStore) Config
-		failures func(*Server) int64
-	}{
-		{"index", resolveKnobs{},
-			func(st *failingIndexStore) Config { return Config{Indexes: st} },
-			func(srv *Server) int64 { return srv.counters.indexSaveFailures.Load() }},
-		{"ann", resolveKnobs{Blocking: "canopy", BlockingMode: "ann"},
-			func(st *failingIndexStore) Config { return Config{ANNIndexes: st} },
-			func(srv *Server) int64 { return srv.counters.annSaveFailures.Load() }},
-	} {
-		t.Run(kind.name, func(t *testing.T) {
-			idxStore := &failingIndexStore{}
-			cfg := kind.config(idxStore)
-			cfg.Store = store.NewMemStore()
-			srv := New(cfg)
-			closed := false
-			t.Cleanup(func() {
-				if !closed {
-					srv.Close(context.Background())
-				}
-			})
-			// Materialize a real index entry through the public path.
-			_, bc, err := srv.parseKnobs(kind.knobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, entry, err := srv.blockerFor(bc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ib := entry.blocker.Load()
-			// grow appends n tiny documents and indexes them with the
-			// delta update a resolve runs, without assembling blocks.
-			grow := func(n int) {
-				t.Helper()
-				col := &corpus.Collection{Name: "rivera", NumPersonas: 1}
-				for i := 0; i < n; i++ {
-					col.Docs = append(col.Docs, corpus.Document{ID: i, URL: "http://a/x", Text: "x"})
-				}
-				if _, err := srv.store.Append([]*corpus.Collection{col}); err != nil {
-					t.Fatal(err)
-				}
-				cols, _ := srv.store.Snapshot()
-				if _, err := ib.Warm(cols); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			grow(6)
-			srv.persistIndexIfGrown(entry) // 6 unsaved documents: below the batch size
-			if idxStore.saves != 0 {
-				t.Fatalf("saves below the warm batch size = %d, want 0", idxStore.saves)
-			}
-			grow(indexSaveDeltaDocs)
-			srv.persistIndexIfGrown(entry) // a whole batch unsaved: saved
-			srv.persistIndexIfGrown(entry) // nothing new since: skipped
-			if idxStore.saves != 1 {
-				t.Fatalf("saves after one warm batch = %d, want 1", idxStore.saves)
-			}
-
-			idxStore.fail = true
-			grow(1)
-			srv.persistIndex(entry, false) // fails, opens the backoff window
-			srv.persistIndex(entry, false) // suppressed: window still open
-			if idxStore.saves != 2 {
-				t.Fatalf("saves during backoff window = %d, want 2", idxStore.saves)
-			}
-			if got := kind.failures(srv); got != 1 {
-				t.Errorf("save failures counted = %d, want 1", got)
-			}
-			time.Sleep(60 * time.Millisecond) // past the first 50ms window
-			srv.persistIndex(entry, false)    // retried: window expired
-			if idxStore.saves != 3 {
-				t.Fatalf("saves after window expiry = %d, want 3", idxStore.saves)
-			}
-
-			// Heal the store; Close must force a save straight through the
-			// (now doubled) backoff window and succeed.
-			idxStore.fail = false
-			closed = true
-			if err := srv.Close(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if idxStore.saves != 4 {
-				t.Fatalf("saves after forced Close = %d, want 4", idxStore.saves)
-			}
-			entry.mu.Lock()
-			saved := entry.savedVersion
-			entry.mu.Unlock()
-			if want := ib.Index().Version(); saved != want {
-				t.Errorf("forced save recorded version %d, index is at %d", saved, want)
-			}
-		})
 	}
 }
 

@@ -20,8 +20,27 @@ import (
 // durableConfig is the service over every backend of one data directory,
 // as `ersolve serve -data` wires it.
 func durableConfig(data *persist.Data) Config {
-	return Config{Store: data.Store, Indexes: data.Indexes,
-		ANNIndexes: data.ANN, Serving: data.Serving, ErrorLog: func(string, ...any) {}}
+	return Config{Store: data.Store, Serving: data.Serving, ErrorLog: func(string, ...any) {}}
+}
+
+// checkRestartResolve is the restart contract for a server's first resolve
+// on a directory its predecessor left, gracefully or not: the candidate
+// index is never saved, so the resolve keys exactly the store's documents
+// into a fresh one — through the delta update, not a fallback — and still
+// reuses every block of the last commit, replying what the predecessor's
+// last resolve did.
+func checkRestartResolve(t *testing.T, first, before IncrementalResolveResponse) {
+	t.Helper()
+	if first.Blocking.Indexer != "index" || first.Blocking.Fallback || first.Blocking.DeltaDocs != first.Docs {
+		t.Errorf("first resolve after the restart blocked with %+v; want the index rebuilt from all %d stored documents",
+			first.Blocking, first.Docs)
+	}
+	if first.Incremental.ReusedBlocks != first.Incremental.Blocks || first.Incremental.Blocks == 0 {
+		t.Errorf("first resolve after the restart = %+v, want every block reused", first.Incremental)
+	}
+	if !jsonEqual(t, first.Blocks, before.Blocks) {
+		t.Errorf("first resolve after the restart replied\n%+v\nthe last resolve before it replied\n%+v", first.Blocks, before.Blocks)
+	}
 }
 
 // splitCollections generates n collections of docs+2 documents and splits
@@ -71,9 +90,9 @@ func ioDelta(before, after map[string]faultfs.IOCounts) map[string]faultfs.IOCou
 // The commit must be proportional to the delta, not the corpus: the bytes
 // under every artifact directory together barely move when the corpus
 // doubles, stay under 6 KB, are a few percent of the first
-// (whole-artifact) commit, no blocking index is rewritten, and the cycle
-// costs exactly two fsyncs — journal record and serving record. Nothing is
-// ever written under snapshots. /metrics must report the same totals.
+// (whole-artifact) commit, and the cycle costs exactly two fsyncs —
+// journal record and serving record. Nothing is ever written under
+// snapshots or indexes. /metrics must report the same totals.
 func TestDeltaCommitWritesTheDelta(t *testing.T) {
 	commitBytes := func(c map[string]faultfs.IOCounts) (n int64) {
 		for _, artifact := range c {
@@ -105,8 +124,8 @@ func TestDeltaCommitWritesTheDelta(t *testing.T) {
 		}
 
 		text := scrapeMetrics(t, ts)
-		if got := counts.Counts(); len(got) != 4 || got["snapshots"] != (faultfs.IOCounts{}) {
-			t.Errorf("%d collections: the filesystem counted %+v, want the four artifact directories and nothing under snapshots", ncols, got)
+		if got := counts.Counts(); len(got) != 4 || got["snapshots"] != (faultfs.IOCounts{}) || got["indexes"] != (faultfs.IOCounts{}) {
+			t.Errorf("%d collections: the filesystem counted %+v, want the four artifact directories and nothing under snapshots or indexes", ncols, got)
 		}
 		for artifact, c := range counts.Counts() {
 			label := `{artifact="` + artifact + `"}`
@@ -152,13 +171,12 @@ func TestDeltaCommitWritesTheDelta(t *testing.T) {
 }
 
 // TestKillWithoutCloseRestartsFromLastCommit is the restart contract after
-// the resolve path stopped saving the blocking index on every advance: a
-// server is abandoned — no Close, nothing flushed — after ingest → resolve
-// → ingest 2 → resolve. Its successor on the same directory answers a
-// lookup, before any resolve, with exactly the entity, epoch and store
-// version the last resolve acknowledged; and its first resolve reuses every
-// block, having re-keyed from the journal the two documents the saved
-// blocking index trails by — not none, not the corpus.
+// a kill: a server is abandoned — no Close, nothing flushed — after ingest
+// → resolve → ingest 2 → resolve. Its successor on the same directory
+// answers a lookup, before any resolve, with exactly the entity, epoch and
+// store version the last resolve acknowledged; and its first resolve keeps
+// the checkRestartResolve contract, as after a graceful restart
+// (TestIndexSurvivesRestart).
 func TestKillWithoutCloseRestartsFromLastCommit(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *persist.Data {
@@ -225,12 +243,10 @@ func TestKillWithoutCloseRestartsFromLastCommit(t *testing.T) {
 	}
 
 	first := resolveOK(t, ts2, IncrementalResolveRequest{})
-	if first.Incremental.ReusedBlocks != first.Incremental.Blocks || first.Incremental.Blocks != 3 {
-		t.Errorf("first resolve after the restart = %+v, want every block reused", first.Incremental)
+	if first.Docs != 62 || first.Incremental.Blocks != 3 {
+		t.Errorf("first resolve after the restart saw %d documents in %d blocks, want 62 in 3", first.Docs, first.Incremental.Blocks)
 	}
-	if first.Blocking.Indexer != "index" || first.Blocking.Fallback || first.Blocking.DeltaDocs != 2 {
-		t.Errorf("first resolve after the restart blocked with %+v; want the saved index, 2 documents re-keyed from the journal", first.Blocking)
-	}
+	checkRestartResolve(t, first, last)
 }
 
 // cancelOnSnapshot is a document store whose next Snapshot — the resolve

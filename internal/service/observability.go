@@ -58,10 +58,6 @@ func (s *Server) initObservability() {
 
 	c.panics = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "panics")
 	c.ingestThrottled = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ingest_throttled")
-	c.indexLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "index_load_failures")
-	c.indexSaveFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "index_save_failures")
-	c.annLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ann_load_failures")
-	c.annSaveFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ann_save_failures")
 	c.servingLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "serving_load_failures")
 	c.servingSaveFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "serving_save_failures")
 	// The backing stores count their own recoveries and quarantines; join
@@ -103,7 +99,6 @@ func (s *Server) initObservability() {
 	s.latency.servingLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "serving.load")
 	s.latency.publishServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "publish.serving")
 	s.latency.persistServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.serving")
-	s.latency.persistIndex = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.index")
 	s.latency.encode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "encode")
 
 	r.Gauge("ersolve_queue_depth", "Ingest jobs enqueued but not yet finished.",
@@ -209,8 +204,8 @@ func indexSamples[T pipeline.CandidateIndex](s *Server, value func(T) float64) f
 }
 
 // tornTailReporter is implemented by stores that recover torn journal
-// tails (persist.Store); quarantineReporter by artifact stores that
-// rename damaged files aside (persist.IndexDir, persist.ServingDir);
+// tails (persist.Store); quarantineReporter by serving stores that
+// rename damaged files aside (persist.ServingDir);
 // servingTailReporter by serving stores that load a file short of a
 // damaged commit record (persist.ServingDir); ioReporter by stores that
 // count their device work (persist.Store over a counting filesystem, nil
@@ -234,20 +229,11 @@ func (s *Server) storeDegradationSamples() []metrics.Sample {
 			Value:  float64(rep.TornTailRecoveries()),
 		})
 	}
-	for _, q := range []struct {
-		kind string
-		src  any
-	}{
-		{"quarantined_indexes", s.cfg.Indexes},
-		{"quarantined_ann", s.cfg.ANNIndexes},
-		{"quarantined_serving", s.cfg.Serving},
-	} {
-		if rep, ok := q.src.(quarantineReporter); ok {
-			out = append(out, metrics.Sample{
-				Labels: []string{"kind", q.kind},
-				Value:  float64(rep.Quarantined()),
-			})
-		}
+	if rep, ok := s.cfg.Serving.(quarantineReporter); ok {
+		out = append(out, metrics.Sample{
+			Labels: []string{"kind", "quarantined_serving"},
+			Value:  float64(rep.Quarantined()),
+		})
 	}
 	if rep, ok := s.cfg.Serving.(servingTailReporter); ok {
 		out = append(out, metrics.Sample{

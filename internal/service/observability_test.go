@@ -378,7 +378,7 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 		seen[s.Name] = s
 	}
 	text := scrapeMetrics(t, ts)
-	for _, stage := range []string{"state.wait", "store.snapshot", "serving.load", "publish.serving", "persist.serving", "persist.index", "encode"} {
+	for _, stage := range []string{"state.wait", "store.snapshot", "serving.load", "publish.serving", "persist.serving", "encode"} {
 		s, ok := seen[stage]
 		if !ok {
 			t.Errorf("trace has no %q child span", stage)
@@ -396,7 +396,7 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 	if d := seen["serving.load"].DurationMicros; d < delay.Microseconds() {
 		t.Errorf("serving.load span = %dus, want >= %dus", d, delay.Microseconds())
 	}
-	for _, gone := range []string{"snapshot.load", "persist.snapshot"} {
+	for _, gone := range []string{"snapshot.load", "persist.snapshot", "persist.index"} {
 		if _, ok := seen[gone]; ok || strings.Contains(text, `stage="`+gone+`"`) {
 			t.Errorf("the %q stage is still traced or registered", gone)
 		}

@@ -67,7 +67,7 @@ func snapshotOf(x *serving.Index) *pipeline.Snapshot {
 type stageHistograms struct {
 	block, prepare, analyze, cluster, lookup, decode *metrics.Histogram
 
-	stateWait, storeSnapshot, servingLoad, publishServing, persistServing, persistIndex, encode *metrics.Histogram
+	stateWait, storeSnapshot, servingLoad, publishServing, persistServing, encode *metrics.Histogram
 }
 
 // publishServing materializes the committed run's serving index, swaps it

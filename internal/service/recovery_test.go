@@ -58,7 +58,7 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cfg.Blocker, _, err = srv.blockerFor(bc); err != nil {
+				if cfg.Blocker, err = srv.blockerFor(bc); err != nil {
 					t.Fatal(err)
 				}
 				key := knobsKey(knobs, bc)

@@ -27,9 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ann"
-	"repro/internal/blockindex"
-	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -40,7 +37,10 @@ import (
 	"repro/internal/tracing"
 )
 
-// Config bounds the server's per-request resources.
+// Config bounds the server's per-request resources and names its backing
+// stores. There is no store for the candidate (blocking) indexes: they live
+// in memory only, and after a restart each blocking configuration's first
+// incremental run keys the whole replayed store into a fresh one.
 type Config struct {
 	// DefaultTimeout is the timeout of a request that names none and the
 	// ceiling a request's "timeout_ms" is clamped to; zero selects 30
@@ -61,26 +61,6 @@ type Config struct {
 	// indexes the incremental endpoint maintains for key-based schemes;
 	// zero selects the index default.
 	BlockShards int
-	// Indexes optionally persists each blocking configuration's sharded
-	// index (internal/persist.IndexDir is the disk implementation). When
-	// set, the index is saved by the configuration's first resolve, then
-	// whenever it has advanced indexSaveDeltaDocs documents past the saved
-	// form and on Close, and reloaded on the configuration's first use
-	// after a restart, so a restarted server re-keys at most the documents
-	// ingested since the last save instead of the corpus. A damaged
-	// or mismatched saved index degrades to a rebuild from the store
-	// (results stay correct) and is reported through ErrorLog.
-	Indexes IndexStore
-	// ANNIndexes optionally persists each ANN blocking configuration's
-	// candidate index (internal/persist.ANNDir is the disk
-	// implementation, sharing DIR/indexes with the sharded key indexes).
-	// When set, the graph is saved on the same schedule as the sharded
-	// indexes and reloaded on the configuration's first use after a
-	// restart, so a restarted server does not re-insert the corpus into
-	// the proximity graph. A damaged or knob-mismatched saved index degrades
-	// to a rebuild from the store (results stay correct) and is reported
-	// through ErrorLog.
-	ANNIndexes ANNStore
 	// Serving optionally persists each configuration's committed
 	// resolution as its serving index (internal/persist.ServingDir is the
 	// disk implementation). When set, every committed incremental run
@@ -99,27 +79,9 @@ type Config struct {
 	// GET /v1/traces serves; zero selects 256, negative disables tracing
 	// (the endpoint then always answers an empty list).
 	TraceBuffer int
-	// ErrorLog receives background persistence failures (index and
-	// serving save/load); nil selects log.Printf.
+	// ErrorLog receives the failures the server survives, such as a
+	// serving index that did not save or load; nil selects log.Printf.
 	ErrorLog func(format string, args ...any)
-}
-
-// IndexStore persists per-blocking-configuration sharded indexes.
-// LoadIndex returns (nil, nil) when nothing is saved under the key;
-// SaveIndex returns the index version the stored form reflects, so the
-// service can skip saves while the index is unchanged.
-type IndexStore interface {
-	LoadIndex(key string, cfg blockindex.Config) (*blockindex.Index, error)
-	SaveIndex(key string, idx pipeline.CandidateIndex) (uint64, error)
-}
-
-// ANNStore persists per-configuration ANN candidate indexes.
-// LoadANNIndex returns (nil, nil) when nothing is saved under the key;
-// SaveANNIndex returns the index version the stored form reflects, so
-// the service can skip saves while the graph is unchanged.
-type ANNStore interface {
-	LoadANNIndex(key string, cfg ann.Config) (*ann.CandidateIndex, error)
-	SaveANNIndex(key string, idx pipeline.CandidateIndex) (uint64, error)
 }
 
 // Server resolves posted collections through the streaming pipeline.
@@ -134,14 +96,17 @@ type Server struct {
 	statesMu sync.Mutex
 	states   map[string]*incrementalState
 
-	// indexes holds one candidate index per blocking configuration — a
-	// sharded key index per (scheme, key function, shard count), an ANN
-	// graph per (scheme, key function, graph knobs); the two kinds' keys
-	// cannot collide (see indexEntryFor). An index is shared by every
-	// resolution configuration that blocks the same way, so ten seeds over
-	// one scheme maintain one index. The index itself serializes access.
+	// indexes holds one candidate index per blocking configuration, by
+	// its IndexKey — a sharded key index per (scheme, key function, shard
+	// count), an ANN graph per (scheme, key function, graph knobs); the two
+	// kinds' keys cannot collide. An index is shared by every resolution
+	// configuration that blocks the same way, so ten seeds over one scheme
+	// maintain one index. The index itself serializes access. It lives only
+	// in memory: after a restart the configuration's first resolve keys the
+	// replayed store into a fresh one through the same delta update every
+	// resolve runs.
 	indexesMu sync.Mutex
-	indexes   map[string]*indexEntry
+	indexes   map[string]*pipeline.IndexBlocker
 
 	// counters are the server's lifetime counters.
 	counters counters
@@ -180,53 +145,13 @@ type counters struct {
 	readEntities, readDocs, readSearch, readLookup *metrics.Counter
 	// Degradation counters: every event where the server kept serving by
 	// giving something up — a panicking handler answered 500, ingest was
-	// throttled, persisted state failed to load (rebuilt from the corpus)
-	// or save (retried later). Surfaced as ersolve_degraded_total so
-	// operators see silent degradation before it becomes an outage.
+	// throttled, a committed resolution failed to load (rebuilt from the
+	// corpus) or save (committed by the next resolve). Surfaced as
+	// ersolve_degraded_total so operators see silent degradation before it
+	// becomes an outage.
 	panics, ingestThrottled                  *metrics.Counter
-	indexLoadFailures, indexSaveFailures     *metrics.Counter
-	annLoadFailures, annSaveFailures         *metrics.Counter
 	servingLoadFailures, servingSaveFailures *metrics.Counter
 }
-
-// indexEntry is one shared candidate index — sharded key index or ANN
-// graph — plus its persistence bookkeeping. The blocker initializes lazily
-// outside the registry lock (loading a persisted index reads and re-links
-// the whole posting set or graph, and stalling every other configuration's
-// resolve on that would defeat the shared registry); readers that race
-// initialization simply see nil and skip the entry.
-type indexEntry struct {
-	key string
-	// What differs between the two kinds, fixed by indexEntryFor: noun is
-	// what log lines call the index; load resumes from the kind's store
-	// ((nil, nil) when nothing usable is saved; nil without a store), save
-	// writes it (nil without a store), and loadFailed/saveFailed are the
-	// kind's degraded counters.
-	noun                   string
-	load                   func() (*pipeline.IndexBlocker, error)
-	save                   func(key string, idx pipeline.CandidateIndex) (uint64, error)
-	loadFailed, saveFailed *metrics.Counter
-
-	init    sync.Once
-	blocker atomic.Pointer[pipeline.IndexBlocker]
-	// mu serializes saves; savedVersion is the index version the persisted
-	// form reflects (0 when never saved). saveFailures and nextSave
-	// implement capped exponential backoff on failing saves, so a broken
-	// index store is retried occasionally instead of hammered by every
-	// resolve. All guarded by mu.
-	mu           sync.Mutex
-	savedVersion uint64
-	saveFailures int
-	nextSave     time.Time
-}
-
-// indexSaveBackoffBase is the delay before retrying a failed index save,
-// doubled per consecutive failure up to indexSaveBackoffCap. Variables so
-// tests can shrink them.
-var (
-	indexSaveBackoffBase = time.Second
-	indexSaveBackoffCap  = time.Minute
-)
 
 type incrementalState struct {
 	mu   sync.Mutex
@@ -265,7 +190,7 @@ func New(cfg Config) *Server {
 		store:   cfg.Store,
 		jobs:    store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
 		states:  make(map[string]*incrementalState),
-		indexes: make(map[string]*indexEntry),
+		indexes: make(map[string]*pipeline.IndexBlocker),
 	}
 	if s.store == nil {
 		s.store = store.NewMemStore()
@@ -295,86 +220,40 @@ func New(cfg Config) *Server {
 // is evicted beyond the cap, except states pinned by an in-flight run.
 const maxStates = 16
 
-// indexSaveDeltaDocs is how far an index may advance past its persisted
-// version before a resolve saves it. Saving encodes the whole posting set
-// or graph, so persisting after every small delta would spend O(corpus)
-// disk I/O per delta resolve — the very cost this index removes from the
-// resolve path. The remainder is flushed unconditionally on Close; after a
-// kill -9 the index trails the journal by fewer than this many documents
-// plus whatever was ingested after the last resolve, which the first
-// resolve re-keys from the replayed store through the same delta update
-// every resolve runs.
-const indexSaveDeltaDocs = 4096
-
-// persistIndexIfGrown saves the entry's index only once the unsaved delta
-// is large enough to amortize the whole-index encode.
-func (s *Server) persistIndexIfGrown(e *indexEntry) {
-	if e.save == nil {
-		return
-	}
-	ib := e.blocker.Load()
-	if ib == nil {
-		return
-	}
-	e.mu.Lock()
-	grown := ib.Index().Version() >= e.savedVersion+indexSaveDeltaDocs
-	e.mu.Unlock()
-	if grown {
-		s.persistIndex(e, false)
-	}
-}
-
-// liveIndex is one initialized registry index of kind T with its key.
+// liveIndex is one registry index of kind T with its key.
 type liveIndex[T pipeline.CandidateIndex] struct {
 	key string
 	idx T
 }
 
-// liveIndexes lists the registry's initialized indexes of kind T —
-// *blockindex.Index or *ann.CandidateIndex — ordered by key: the one place
-// the metrics tell the kinds apart. The entries are copied
-// under the registry lock and queried without it: an index's Stats()
-// waits on its own mutex, which an in-flight update can hold for a while,
-// and stalling blockerFor (and with it every incremental resolve) on a
-// stats scrape is not worth it.
+// liveIndexes lists the registry's indexes of kind T — *blockindex.Index
+// or *ann.CandidateIndex — ordered by key: the one place the metrics tell
+// the kinds apart. The registry is copied under its lock and the indexes
+// queried without it: an index's Stats() waits on its own mutex, which an
+// in-flight update can hold for a while, and stalling blockerFor (and with
+// it every incremental resolve) on a stats scrape is not worth it.
 func liveIndexes[T pipeline.CandidateIndex](s *Server) []liveIndex[T] {
 	var out []liveIndex[T]
-	for _, e := range s.indexEntries() {
-		if ib := e.blocker.Load(); ib != nil {
-			if idx, ok := ib.Index().(T); ok {
-				out = append(out, liveIndex[T]{key: e.key, idx: idx})
-			}
+	s.indexesMu.Lock()
+	for key, ib := range s.indexes {
+		if idx, ok := ib.Index().(T); ok {
+			out = append(out, liveIndex[T]{key: key, idx: idx})
 		}
 	}
+	s.indexesMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
 
-// indexEntries snapshots the index registry under its lock.
-func (s *Server) indexEntries() []*indexEntry {
-	s.indexesMu.Lock()
-	defer s.indexesMu.Unlock()
-	entries := make([]*indexEntry, 0, len(s.indexes))
-	for _, e := range s.indexes {
-		entries = append(entries, e)
-	}
-	return entries
-}
-
-// Close shuts the ingest worker down (draining queued jobs until ctx
+// Close shuts the ingest worker down, draining queued jobs until ctx
 // expires; after that the remaining jobs are canceled and ctx's error is
-// returned), then flushes every index a resolve advanced past its saved
-// form to its store. Ingest does no index work, so documents ingested
-// after a configuration's last resolve are keyed by its next resolve, in
-// this process or after a restart. After Close returns, no goroutine of
-// this server writes the data directory — which is what lets the caller
-// close it and release its single-writer lock.
+// returned. Nothing else needs flushing: an ingest is durable once its job
+// is done, a resolve once it answered, and the candidate indexes are
+// rebuilt from the journal after a restart. After Close returns, no
+// goroutine of this server writes the data directory — which is what lets
+// the caller close it and release its single-writer lock.
 func (s *Server) Close(ctx context.Context) error {
-	err := s.jobs.Shutdown(ctx)
-	for _, e := range s.indexEntries() {
-		s.persistIndex(e, true)
-	}
-	return err
+	return s.jobs.Shutdown(ctx)
 }
 
 // Handler returns the service mux:
@@ -911,7 +790,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// The block stage is shared per blocking configuration: indexed
 	// schemes resolve through the incremental candidate index bound to the
 	// server's store, so repeated resolves pay only for the ingest delta.
-	blocker, indexEntry, err := s.blockerFor(bc)
+	blocker, err := s.blockerFor(bc)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
@@ -1001,9 +880,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// rebuilds state.snap from it, and a run whose record did not land is
 	// one whose dirty blocks are prepared again.
 	s.publishServing(tr, state.key, cols, version, inc)
-	timed(tr, "persist.index", s.latency.persistIndex, func() {
-		s.persistIndexOnResolve(indexEntry)
-	})
 	tr.SetAttr("blocks", strconv.Itoa(inc.Stats.Blocks))
 	tr.SetAttr("reused", strconv.Itoa(inc.Stats.Reused))
 	s.counters.runs.Add(1)
@@ -1067,170 +943,31 @@ func knobsKey(k resolveKnobs, bc pipeline.BlockingConfig) string {
 	return base
 }
 
-// indexEntryFor returns the registry entry of the configuration's shared
-// candidate index, creating it on first use; nil when the configuration
-// has no index (a global scheme in exact mode). The entry is filed under
-// the configuration's IndexKey, so every resolution configuration blocking
-// the same way shares one, and one registry (and one persisted-file
-// namespace per store) holds both kinds. This is the one place that knows
-// the two kinds' stores apart.
-func (s *Server) indexEntryFor(bc pipeline.BlockingConfig) *indexEntry {
+// blockerFor resolves a validated blocking configuration's block stage for
+// the incremental endpoint: the configuration's shared candidate index,
+// created empty on first use — that resolve keys the whole store into it —
+// or, for a configuration without one (a global scheme in exact mode), its
+// stateless blocker.
+func (s *Server) blockerFor(bc pipeline.BlockingConfig) (pipeline.Blocker, error) {
 	key := bc.IndexKey()
 	if key == "" {
-		return nil
+		return bc.FreshBlocker()
 	}
 	s.indexesMu.Lock()
 	defer s.indexesMu.Unlock()
-	if e, ok := s.indexes[key]; ok {
-		return e
+	if ib, ok := s.indexes[key]; ok {
+		return ib, nil
 	}
-	e := &indexEntry{key: key}
-	if bc.ANN {
-		e.noun = "ann index"
-		e.loadFailed, e.saveFailed = s.counters.annLoadFailures, s.counters.annSaveFailures
-		if st := s.cfg.ANNIndexes; st != nil {
-			e.save = st.SaveANNIndex
-			approx, _ := bc.Scheme.(blocking.ApproxScheme)
-			cfg := ann.Config{Scheme: approx, Keys: ann.KeyFunc(bc.Keys), M: bc.M, EfSearch: bc.EfSearch}
-			e.load = func() (*pipeline.IndexBlocker, error) {
-				idx, err := st.LoadANNIndex(key, cfg)
-				if idx == nil {
-					return nil, err
-				}
-				return pipeline.NewANNBlockerWith(idx), nil
-			}
-		}
-	} else {
-		e.noun = "blocking index"
-		e.loadFailed, e.saveFailed = s.counters.indexLoadFailures, s.counters.indexSaveFailures
-		if st := s.cfg.Indexes; st != nil {
-			e.save = st.SaveIndex
-			keyed, _ := bc.Scheme.(blocking.KeyedScheme)
-			cfg := blockindex.Config{Scheme: keyed, Keys: blockindex.KeyFunc(bc.Keys), Shards: bc.Shards}
-			e.load = func() (*pipeline.IndexBlocker, error) {
-				idx, err := st.LoadIndex(key, cfg)
-				if idx == nil {
-					return nil, err
-				}
-				return pipeline.NewIndexBlockerWith(idx), nil
-			}
-		}
-	}
-	s.indexes[key] = e
-	return e
-}
-
-// blockerFor resolves a validated blocking configuration's block stage for
-// the incremental endpoint: the per-blocking-configuration shared candidate
-// index (created on first use, loaded from its store if a restart left one
-// behind), or, for a configuration without one, its stateless blocker and a
-// nil entry.
-func (s *Server) blockerFor(bc pipeline.BlockingConfig) (pipeline.Blocker, *indexEntry, error) {
-	e := s.indexEntryFor(bc)
-	if e == nil {
-		blocker, err := bc.FreshBlocker()
-		return blocker, nil, err
-	}
-
-	// Initialize outside the registry lock: loading a persisted index
-	// reads and re-links the whole posting set or graph, and only this
-	// blocking configuration should wait for it. The Once publishes
-	// savedVersion before the atomic blocker store, so every later reader
-	// is synced.
-	e.init.Do(func() {
-		if e.load != nil {
-			// First use of this blocking configuration since the server
-			// started: resume from the persisted index if one survives. A
-			// missing index is normal; a damaged or mismatched one
-			// degrades to a rebuild from the store and is logged, never
-			// trusted.
-			ib, err := e.load()
-			if err != nil {
-				e.loadFailed.Add(1)
-				s.cfg.ErrorLog("service: loading %s for %q: %v", e.noun, e.key, err)
-			} else if ib != nil {
-				e.savedVersion = ib.Index().Version()
-				e.blocker.Store(ib)
-				return
-			}
-		}
-		fresh, err := bc.FreshBlocker()
-		if err != nil {
-			// Unreachable with a validated configuration; surface it to the
-			// caller below rather than caching a half-made entry.
-			s.cfg.ErrorLog("service: building %s for %q: %v", e.noun, e.key, err)
-			return
-		}
-		// A configuration that names an index blocks through one.
-		if ib, ok := fresh.(*pipeline.IndexBlocker); ok {
-			e.blocker.Store(ib)
-		}
-	})
-	ib := e.blocker.Load()
-	if ib == nil {
-		return nil, nil, fmt.Errorf("service: %s %q failed to initialize", e.noun, e.key)
-	}
-	return ib, e, nil
-}
-
-// persistIndexOnResolve is the resolve path's save policy. The first
-// resolve of a blocking configuration with nothing saved yet saves the
-// index, so even a server killed right after it leaves a loadable file;
-// from then on a resolve saves once indexSaveDeltaDocs documents are
-// unsaved — never the whole index for a two-document delta. e is nil for a
-// configuration without an index.
-func (s *Server) persistIndexOnResolve(e *indexEntry) {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	unsaved := e.savedVersion == 0
-	e.mu.Unlock()
-	if unsaved {
-		s.persistIndex(e, false)
-		return
-	}
-	s.persistIndexIfGrown(e)
-}
-
-// persistIndex saves the entry's index if it advanced past the persisted
-// version — unconditionally: the callers decide how far is far enough.
-// Serialized per entry; a failure costs only the restart
-// head-start and is logged. Consecutive failures back off exponentially
-// (capped), so a broken index store is probed occasionally rather than
-// hammered by every resolve; force — used by Close, the last chance
-// before the process exits — attempts the save regardless of backoff.
-func (s *Server) persistIndex(e *indexEntry, force bool) {
-	if e == nil || e.save == nil {
-		return
-	}
-	ib := e.blocker.Load()
-	if ib == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ib.Index().Version() == e.savedVersion {
-		return
-	}
-	if !force && e.saveFailures > 0 && time.Now().Before(e.nextSave) {
-		return
-	}
-	version, err := e.save(e.key, ib.Index())
+	fresh, err := bc.FreshBlocker()
 	if err != nil {
-		e.saveFailed.Add(1)
-		e.saveFailures++
-		delay := indexSaveBackoffBase << (e.saveFailures - 1)
-		if delay > indexSaveBackoffCap || delay <= 0 {
-			delay = indexSaveBackoffCap
-		}
-		e.nextSave = time.Now().Add(delay)
-		s.cfg.ErrorLog("service: saving %s for %q (failure %d, next retry in %v): %v",
-			e.noun, e.key, e.saveFailures, delay, err)
-		return
+		return nil, err
 	}
-	e.saveFailures = 0
-	e.savedVersion = version
+	ib, ok := fresh.(*pipeline.IndexBlocker)
+	if !ok {
+		return nil, fmt.Errorf("service: blocking configuration %q names an index but blocks through %T", key, fresh)
+	}
+	s.indexes[key] = ib
+	return ib, nil
 }
 
 // acquireState returns the incremental state of one knob configuration,

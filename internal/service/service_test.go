@@ -575,8 +575,15 @@ func TestPersistedKeysAreStable(t *testing.T) {
 		if got := bc.IndexKey(); got != c.indexKey {
 			t.Errorf("%s with %d shards: index key %q, want %q", c.body, c.shards, got, c.indexKey)
 		}
-		if e := srv.indexEntryFor(bc); (e == nil) != (c.indexKey == "") || e != nil && e.key != c.indexKey {
-			t.Errorf("%s with %d shards: registry entry %+v, want key %q", c.body, c.shards, e, c.indexKey)
+		if _, err := srv.blockerFor(bc); err != nil {
+			t.Fatalf("%s: %v", c.body, err)
+		}
+		var want []string
+		if c.indexKey != "" {
+			want = []string{c.indexKey}
+		}
+		if got := slices.Sorted(maps.Keys(srv.indexes)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s with %d shards: registry keys %q, want %q", c.body, c.shards, got, want)
 		}
 		if got := knobsKey(k, bc); got != c.knobsKey {
 			t.Errorf("%s: knobs key %q, want %q", c.body, got, c.knobsKey)

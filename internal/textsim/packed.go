@@ -108,7 +108,7 @@ func (p *PackedVector) Unpack(vocab *Vocab) SparseVector {
 // PackedFromParts assembles a PackedVector from already-interned term IDs
 // (ascending, deduplicated) and parallel weights, recomputing the
 // pack-time statistics — the decoder-side counterpart of Pack for
-// persisted indexes that store vectors in wire form. Inputs that are not
+// encoded indexes that store vectors in wire form. Inputs that are not
 // a valid packed support (length mismatch, unsorted or duplicate IDs,
 // negative IDs) are rejected rather than repaired: the caller is decoding
 // untrusted bytes and must treat them as corruption.
