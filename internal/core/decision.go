@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 	"slices"
 
 	"repro/internal/ergraph"
@@ -94,7 +93,7 @@ func newSample(train *Training, m *simfn.Matrix) sample {
 // acc(G_{i,Dj}) estimate driving best-graph selection — scores the graph's
 // transitive closure on the training sample (see the comment below).
 func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
-	train *Training, s sample, regionK int, rng *rand.Rand) (*DecisionGraph, error) {
+	train *Training, s sample, regionK int) (*DecisionGraph, error) {
 
 	dg := &DecisionGraph{FuncID: funcID, Criterion: crit}
 	var err error
@@ -109,7 +108,7 @@ func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 		}
 	case KMeansCriterion:
 		var km *regions.KMeans1D
-		if km, err = regions.FitKMeans1DOrdered(s.values, s.order, regionK, rng); err == nil {
+		if km, err = regions.FitKMeans1DOrdered(s.values, s.order, regionK); err == nil {
 			if dg.Estimate, err = regions.EstimateAccuracy(km, s.values, train.Links); err == nil {
 				linked := dg.Estimate.Linked
 				dg.Graph = spansGraph(m, km.Spans(linked), linked[len(linked)-1])

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/eval"
 	"repro/internal/simfn"
-	"repro/internal/stats"
 )
 
 // TestDecisionStageMatchesReference pins the row-scan decision stage to the
@@ -69,11 +68,11 @@ func TestDecisionStageMatchesReference(t *testing.T) {
 		m := p.Matrices["FA"]
 		plantOutsideTraining(rng, m, got.Train, []float64{math.NaN(), math.Inf(1), math.Inf(-1)})
 		for _, crit := range []CriterionKind{ThresholdCriterion, KMeansCriterion} {
-			dg, err := buildDecisionGraph("FA", crit, m, got.Train, newSample(got.Train, m), opts.RegionK, stats.NewRNG(seed))
+			dg, err := buildDecisionGraph("FA", crit, m, got.Train, newSample(got.Train, m), opts.RegionK)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := referenceDecisionGraph("FA", crit, m, got.Train, opts.RegionK, stats.NewRNG(seed))
+			ref, err := referenceDecisionGraph("FA", crit, m, got.Train, opts.RegionK)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/ergraph"
@@ -14,8 +13,7 @@ import (
 
 // referenceRunWith is the decision stage of Prepared.RunWith as it ran
 // before the row scan: the same training draw, then every graph from
-// referenceDecisionGraph, function by function, criterion by criterion,
-// on one rng.
+// referenceDecisionGraph, function by function, criterion by criterion.
 func referenceRunWith(p *Prepared, runSeed int64, opts Options) ([]*DecisionGraph, error) {
 	rng := stats.NewRNG(runSeed)
 	train, err := NewTraining(p.Block, opts.TrainFraction, rng)
@@ -25,7 +23,7 @@ func referenceRunWith(p *Prepared, runSeed int64, opts Options) ([]*DecisionGrap
 	var out []*DecisionGraph
 	for _, f := range p.resolver.funcs {
 		for _, crit := range AllCriteria {
-			dg, err := referenceDecisionGraph(f.ID, crit, p.Matrices[f.ID], train, opts.RegionK, rng)
+			dg, err := referenceDecisionGraph(f.ID, crit, p.Matrices[f.ID], train, opts.RegionK)
 			if err != nil {
 				return nil, err
 			}
@@ -42,7 +40,7 @@ func referenceRunWith(p *Prepared, runSeed int64, opts Options) ([]*DecisionGrap
 // and added through AddEdge; the closure's link rate counted in a map and
 // its training Fp by eval.FpMeasure.
 func referenceDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
-	train *Training, regionK int, rng *rand.Rand) (*DecisionGraph, error) {
+	train *Training, regionK int) (*DecisionGraph, error) {
 
 	values := train.Values(m)
 	dg := &DecisionGraph{FuncID: funcID, Criterion: crit}
@@ -55,7 +53,7 @@ func referenceDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	case EqualBinsCriterion, KMeansCriterion:
 		var part regions.Partitioner = regions.NewEqualWidthBins(regionK)
 		if crit == KMeansCriterion {
-			km, err := regions.FitKMeans1D(values, regionK, rng)
+			km, err := regions.FitKMeans1D(values, regionK)
 			if err != nil {
 				return nil, err
 			}

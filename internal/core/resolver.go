@@ -162,6 +162,11 @@ func (p *Prepared) Run(runSeed int64) (*Analysis, error) {
 // count, clustering method), letting ablation experiments share one
 // expensive PrepareCtx across many configurations. The function set is fixed
 // by the PrepareCtx call; opts.FunctionIDs is ignored here.
+//
+// runSeed seeds the run's one RNG. It draws the training sample
+// (NewTraining) and, under CorrelationClustering, the pivot order of the
+// final ergraph.CorrelationCluster; fitting the decision graphs draws
+// nothing from it.
 func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
 	if opts.TrainFraction <= 0 || opts.TrainFraction >= 1 {
 		return nil, fmt.Errorf("core: train fraction %v out of (0,1)", opts.TrainFraction)
@@ -179,7 +184,7 @@ func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
 		m := p.Matrices[f.ID]
 		s := newSample(train, m)
 		for _, crit := range AllCriteria {
-			dg, err := buildDecisionGraph(f.ID, crit, m, train, s, opts.RegionK, rng)
+			dg, err := buildDecisionGraph(f.ID, crit, m, train, s, opts.RegionK)
 			if err != nil {
 				return nil, err
 			}

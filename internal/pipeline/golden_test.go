@@ -14,11 +14,11 @@ import (
 
 // goldenRunDigest is the SHA-256 of every block's labels, Resolution.Source
 // and score bits from one default-options Run on
-// corpus.WWW05Profile().Generate(1), computed on the commit before the
-// single-pass extractor (PR 15). It makes "a perf change cannot silently
-// move Fp" bit-exact: leave it unedited through any pure optimisation of
-// prepare, analyze or cluster.
-const goldenRunDigest = "a4910f9806054fad268b3b4ed6b3e8a0d359c9e0d43897ecb76adb5bce5e1af5"
+// corpus.WWW05Profile().Generate(1), last re-pinned when the exact 1-D
+// k-means fit replaced Lloyd's loop and its k-means++ seeding. It makes "a
+// perf change cannot silently move Fp" bit-exact: leave it unedited through
+// any pure optimisation of prepare, analyze or cluster.
+const goldenRunDigest = "fe01c3fffadafc720ee042b978e32350e2e067f0a7d43bc910ad1e0cfea57ebe"
 
 func TestGoldenRunDigest(t *testing.T) {
 	d, err := corpus.WWW05Profile().Generate(1)

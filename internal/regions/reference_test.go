@@ -1,58 +1,105 @@
 package regions
 
 import (
-	"math/rand"
+	"math"
 	"slices"
 	"sort"
 )
 
-// referenceFitKMeans1D is FitKMeans1D as it ran before the sorted walk: the
-// distinct values from a sort.Float64s of a copy, and a binary search per
-// value in every Lloyd assignment step. TestKMeansMatchesReference holds
-// FitKMeans1D to it bit for bit.
-func referenceFitKMeans1D(values []float64, k int, rng *rand.Rand) *KMeans1D {
+// finiteDistinct returns the distinct finite values in ascending order and
+// the values equal to each, from a sort.Float64s of a copy.
+func finiteDistinct(values []float64) (distinct []float64, runs [][]float64) {
 	s := slices.Clone(values)
 	sort.Float64s(s)
-	distinct := s[:0]
-	for i, v := range s {
-		if i == 0 || v != distinct[len(distinct)-1] {
+	for _, v := range s {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		if len(distinct) == 0 || v != distinct[len(distinct)-1] {
 			distinct = append(distinct, v)
+			runs = append(runs, nil)
+		}
+		runs[len(runs)-1] = append(runs[len(runs)-1], v)
+	}
+	return distinct, runs
+}
+
+// sse is the squared error of values about their mean, in two passes.
+func sse(values []float64) float64 {
+	mean := 0.0
+	for _, v := range values {
+		mean += v
+	}
+	mean /= float64(len(values))
+	e := 0.0
+	for _, v := range values {
+		e += (v - mean) * (v - mean)
+	}
+	return e
+}
+
+// bruteForceKMeans1D enumerates every split of the runs of equal values
+// into k contiguous, non-empty groups. It returns the least squared error
+// and every split within tol of it, each as the first run index of groups
+// 1 … k−1.
+func bruteForceKMeans1D(runs [][]float64, k int, tol float64) (least float64, optimal [][]int) {
+	type split struct {
+		starts []int
+		err    float64
+	}
+	var all []split
+	var walk func(starts []int)
+	walk = func(starts []int) {
+		from := 1
+		if len(starts) > 0 {
+			from = starts[len(starts)-1] + 1
+		}
+		if len(starts) == k-1 {
+			e, bounds := 0.0, append(append([]int{0}, starts...), len(runs))
+			for g := 0; g < k; g++ {
+				e += sse(slices.Concat(runs[bounds[g]:bounds[g+1]]...))
+			}
+			all = append(all, split{slices.Clone(starts), e})
+			return
+		}
+		for s := from; s < len(runs); s++ {
+			walk(append(starts, s))
 		}
 	}
-	k = min(k, len(distinct))
+	walk(nil)
+	least = math.Inf(1)
+	for _, s := range all {
+		least = min(least, s.err)
+	}
+	for _, s := range all {
+		if s.err <= least+tol {
+			optimal = append(optimal, s.starts)
+		}
+	}
+	return least, optimal
+}
 
-	centers := seedPlusPlus(distinct, values, k, rng)
-	sort.Float64s(centers)
-	assign := make([]int, len(values))
-	for iter := 0; iter < 100; iter++ {
-		changed := false
-		for i, v := range values {
-			if c := nearestCenter(centers, v); assign[i] != c {
-				assign[i] = c
-				changed = true
+// naiveKMeans1D is the least squared error of k contiguous groups of the
+// runs by the full O(k·d²) dynamic program, every start tried for every
+// prefix.
+func naiveKMeans1D(runs [][]float64, k int) float64 {
+	d := len(runs)
+	cost := make([][]float64, d+1) // cost[a][b]: runs[a:b] as one group
+	for a := range cost {
+		cost[a] = make([]float64, d+1)
+		for b := a + 1; b <= d; b++ {
+			cost[a][b] = sse(slices.Concat(runs[a:b]...))
+		}
+	}
+	layer := slices.Clone(cost[0])
+	for l := 1; l < k; l++ {
+		next := slices.Repeat([]float64{math.Inf(1)}, d+1)
+		for b := l + 1; b <= d; b++ {
+			for a := l; a < b; a++ {
+				next[b] = min(next[b], layer[a]+cost[a][b])
 			}
 		}
-		if !changed && iter > 0 {
-			break
-		}
-		sums := make([]float64, len(centers))
-		counts := make([]int, len(centers))
-		for i, v := range values {
-			sums[assign[i]] += v
-			counts[assign[i]]++
-		}
-		for c := range centers {
-			if counts[c] > 0 {
-				centers[c] = sums[c] / float64(counts[c])
-			}
-		}
-		sort.Float64s(centers)
+		layer = next
 	}
-
-	centers = dedupeCenters(centers)
-	km := &KMeans1D{Centers: centers, bounds: make([]float64, len(centers)-1)}
-	for i := range km.bounds {
-		km.bounds[i] = (centers[i] + centers[i+1]) / 2
-	}
-	return km
+	return layer[d]
 }

@@ -5,12 +5,15 @@
 // existence" is estimated as the fraction of training pairs falling in the
 // region that are true links. Decisions can then consult the region
 // accuracy instead of (or in addition to) a single global threshold.
+//
+// The k-means clusters are the exact optimum, not a local one: in one
+// dimension a dynamic program finds the least within-cluster squared error,
+// so a fit is deterministic and draws no random numbers.
 package regions
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 )
@@ -68,20 +71,22 @@ func (b *EqualWidthBins) Boundaries() []float64 {
 // observed training similarity values — the paper's second scheme, which
 // adapts region density to the (non-uniform) value distribution.
 type KMeans1D struct {
-	// Centers are the fitted cluster centers in increasing order.
+	// Centers are the fitted cluster centers in strictly increasing order.
 	Centers []float64
 	// bounds[i] is the midpoint between Centers[i] and Centers[i+1]; a
 	// value belongs to region i when it is below bounds[i].
 	bounds []float64
 }
 
-// FitKMeans1D clusters values into at most k regions with Lloyd's
-// algorithm, seeded by k-means++ draws from rng. Duplicate centers collapse,
-// so the fitted partitioner may have fewer than k regions when the data has
-// fewer than k distinct values. It returns an error for empty input or
-// k < 1.
-func FitKMeans1D(values []float64, k int, rng *rand.Rand) (*KMeans1D, error) {
-	return FitKMeans1DOrdered(values, Ascending(values), k, rng)
+// FitKMeans1D clusters the finite values into exactly min(k, d) regions,
+// d the number of distinct finite values, minimising the within-cluster sum
+// of squared deviations exactly (1-D k-means has an exact optimum, found by
+// dynamic programming). NaN and ±Inf are not fitted; Region still maps them,
+// NaN and +Inf to the last region and −Inf to the first. With no finite
+// value the fit is one region with a NaN center. It returns an error for
+// empty input or k < 1.
+func FitKMeans1D(values []float64, k int) (*KMeans1D, error) {
+	return FitKMeans1DOrdered(values, Ascending(values), k)
 }
 
 // Ascending returns the positions of values in ascending order of value,
@@ -127,80 +132,110 @@ func orderKey(v float64) uint64 {
 }
 
 // FitKMeans1DOrdered is FitKMeans1D given order = Ascending(values).
-func FitKMeans1DOrdered(values []float64, order []int32, k int, rng *rand.Rand) (*KMeans1D, error) {
+//
+// The optimal clusters are runs of the sorted distinct values, so the fit
+// is a dynamic program over prefix sums of their count, sum and sum of
+// squares (Wang & Song 2011, Ckmeans.1d.dp): layer l holds, for every
+// prefix of the distinct values, the least error of l+1 runs and where the
+// last one starts. Two facts bound that start. It never moves left as the
+// prefix grows, so a layer is filled by divide and conquer in O(d log d).
+// It never lies left of the layer before's start for the same prefix (as
+// in Ckmeans.1d.dp), which narrows each search. The fit is deterministic
+// and its error is the least up to rounding; which of two equally good
+// splits it returns is not specified.
+func FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("regions: no values to cluster")
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("regions: k = %d", k)
 	}
-	distinct := distinctSorted(values, order)
-	if k > len(distinct) {
-		k = len(distinct)
+	// distinct[i] is the i-th distinct finite value and pre[i] sums the
+	// values below it.
+	distinct := make([]float64, 0, len(values))
+	pre := make([]prefix, 1, len(values)+1)
+	for _, p := range order {
+		v := values[p]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			continue
+		}
+		if len(distinct) == 0 || v != distinct[len(distinct)-1] {
+			distinct = append(distinct, v)
+			pre = append(pre, pre[len(pre)-1])
+		}
+		last := &pre[len(pre)-1]
+		last.n, last.sum, last.sq = last.n+1, last.sum+v, last.sq+v*v
+	}
+	n := len(distinct)
+	if n == 0 {
+		return &KMeans1D{Centers: []float64{math.NaN()}}, nil
+	}
+	k = min(k, n)
+
+	// split[l*(n+1)+b] is where the last of l+1 runs of distinct[:b] starts.
+	split := make([]int32, k*(n+1))
+	dp := &layer{pre: pre, prev: make([]float64, n+1), cur: make([]float64, n+1)}
+	for b, pb := range pre[1:] { // one run: no split
+		dp.cur[b+1] = pb.sq - pb.sum*pb.sum/pb.n
+	}
+	for l := 1; l < k; l++ {
+		dp.prev, dp.cur = dp.cur, dp.prev
+		dp.below, dp.split = split[(l-1)*(n+1):l*(n+1)], split[l*(n+1):(l+1)*(n+1)]
+		// Each later run needs a value; the last layer needs only the whole.
+		lo, hi := l+1, n-(k-1-l)
+		if l == k-1 {
+			lo = n
+		}
+		dp.fill(lo, hi, l, n-1)
 	}
 
-	centers := seedPlusPlus(distinct, values, k, rng)
-	sort.Float64s(centers)
-
-	assign := make([]int, len(values))
-	sums := make([]float64, len(centers))
-	counts := make([]int, len(centers))
-	const maxIter = 100
-	for iter := 0; iter < maxIter; iter++ {
-		if !assignNearest(centers, values, order, assign) && iter > 0 {
-			break
-		}
-		// Update step. The sums run in the values' own order, which is
-		// what fixes the centers' bits.
-		clear(sums)
-		clear(counts)
-		for i, v := range values {
-			sums[assign[i]] += v
-			counts[assign[i]]++
-		}
-		for c := range centers {
-			if counts[c] > 0 {
-				centers[c] = sums[c] / float64(counts[c])
-			}
-		}
-		sort.Float64s(centers)
+	km := &KMeans1D{Centers: make([]float64, k), bounds: make([]float64, k-1)}
+	for l, b := k-1, n; l >= 0; l-- {
+		a := int(split[l*(n+1)+b])
+		mean := (pre[b].sum - pre[a].sum) / (pre[b].n - pre[a].n)
+		// Clamped into its run, a mean stays below the next run's.
+		km.Centers[l] = min(max(mean, distinct[a]), distinct[b-1])
+		b = a
 	}
-
-	// Collapse coincident centers.
-	centers = dedupeCenters(centers)
-	km := &KMeans1D{Centers: centers}
-	km.bounds = make([]float64, len(centers)-1)
-	for i := 0; i+1 < len(centers); i++ {
-		km.bounds[i] = (centers[i] + centers[i+1]) / 2
+	for i := range km.bounds {
+		km.bounds[i] = (km.Centers[i] + km.Centers[i+1]) / 2
 	}
 	return km, nil
 }
 
-// assignNearest is Lloyd's assignment step on sorted centers: it sets
-// assign[p] to the center nearest values[p] and reports whether any
-// assignment changed. It walks the values in ascending order with a search
-// index that only grows: c stays the first center >= v — what
-// sort.SearchFloat64s(centers, v) finds — because v never decreases, so
-// every value gets nearestCenter's answer. NaN values come first in that
-// order and take the last center, as the search gives them.
-func assignNearest(centers, values []float64, order []int32, assign []int) bool {
-	changed := false
-	c := 0
-	for _, p := range order {
-		v := values[p]
-		a := len(centers) - 1
-		if v == v {
-			for c < len(centers) && !(centers[c] >= v) {
-				c++
+// prefix is the count, sum and sum of squares of the fitted values below
+// one distinct value.
+type prefix struct{ n, sum, sq float64 }
+
+// layer is one layer of FitKMeans1DOrdered's dynamic program.
+type layer struct {
+	pre       []prefix
+	prev, cur []float64 // least errors of the layer before and of this one
+	split     []int32   // where this layer's last run starts
+	below     []int32   // where the layer before's last run starts
+}
+
+// fill sets cur[b] and split[b] for b in [lo, hi], given that the last run
+// starts in [from, to]: it tries every start for the middle b, and the best
+// one bounds the starts of the b on either side. A last run distinct[a:b]
+// errs by Σv² − (Σv)²/count over its values.
+func (l *layer) fill(lo, hi, from, to int) {
+	for lo <= hi {
+		b := (lo + hi) / 2
+		pb, best, at := l.pre[b], math.Inf(1), max(from, min(int(l.below[b]), to))
+		for a := at; a <= min(to, b-1); a++ {
+			pa := l.pre[a]
+			s := pb.sum - pa.sum
+			if e := l.prev[a] + (pb.sq - pa.sq) - s*s/(pb.n-pa.n); e < best {
+				best, at = e, a
 			}
-			a = nearestAt(centers, v, c)
 		}
-		if assign[p] != a {
-			assign[p] = a
-			changed = true
+		l.cur[b], l.split[b] = best, int32(at)
+		if lo < b {
+			l.fill(lo, b-1, from, at)
 		}
+		lo, from = b+1, at
 	}
-	return changed
 }
 
 // Region implements Partitioner.
@@ -245,84 +280,6 @@ func (km *KMeans1D) Spans(flag []bool) []Span {
 			s.Hi = km.bounds[r]
 		}
 		out = append(out, s)
-	}
-	return out
-}
-
-// distinctSorted returns the distinct values in ascending order, given
-// order = Ascending(values).
-func distinctSorted(values []float64, order []int32) []float64 {
-	out := make([]float64, 0, len(values))
-	for _, p := range order {
-		if v := values[p]; len(out) == 0 || v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// seedPlusPlus draws k initial centers with k-means++ weighting: the first
-// uniformly, subsequent ones proportional to squared distance from the
-// nearest chosen center.
-func seedPlusPlus(distinct, values []float64, k int, rng *rand.Rand) []float64 {
-	centers := make([]float64, 0, k)
-	centers = append(centers, values[rng.Intn(len(values))])
-	weights := make([]float64, len(distinct))
-	for len(centers) < k {
-		total := 0.0
-		for i, v := range distinct {
-			d := v - centers[nearestCenter(centers, v)]
-			weights[i] = d * d
-			total += weights[i]
-		}
-		if total == 0 {
-			break
-		}
-		r := rng.Float64() * total
-		chosen := len(distinct) - 1
-		for i, w := range weights {
-			r -= w
-			if r < 0 {
-				chosen = i
-				break
-			}
-		}
-		centers = append(centers, distinct[chosen])
-	}
-	return centers
-}
-
-// nearestCenter returns the center a binary search finds nearest to v:
-// the first center >= v or the one before it, whichever is closer. On
-// sorted centers that is the nearest center. seedPlusPlus calls it on
-// centers still in draw order, where the search may settle on another one;
-// that choice steers the k-means++ weights, and the goldens
-// (TestGoldenRunDigest, TestSwooshBaselineAgainstFramework) pin it as it is.
-func nearestCenter(centers []float64, v float64) int {
-	return nearestAt(centers, v, sort.SearchFloat64s(centers, v))
-}
-
-// nearestAt is nearestCenter given i, the index of the first center >= v
-// (len(centers) when there is none).
-func nearestAt(centers []float64, v float64, i int) int {
-	if i == 0 {
-		return 0
-	}
-	if i == len(centers) {
-		return len(centers) - 1
-	}
-	if v-centers[i-1] <= centers[i]-v {
-		return i - 1
-	}
-	return i
-}
-
-func dedupeCenters(centers []float64) []float64 {
-	out := centers[:0]
-	for i, c := range centers {
-		if i == 0 || c != out[len(out)-1] {
-			out = append(out, c)
-		}
 	}
 	return out
 }

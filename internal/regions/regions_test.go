@@ -48,7 +48,7 @@ func TestEqualWidthBinsDegenerate(t *testing.T) {
 func TestKMeans1DTwoClusters(t *testing.T) {
 	// Values concentrated near 0.1 and 0.9 must be split there.
 	values := []float64{0.05, 0.1, 0.12, 0.08, 0.88, 0.9, 0.95, 0.92}
-	km, err := FitKMeans1D(values, 2, stats.NewRNG(1))
+	km, err := FitKMeans1D(values, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestKMeans1DTwoClusters(t *testing.T) {
 
 func TestKMeans1DCollapsesDuplicates(t *testing.T) {
 	values := []float64{0.5, 0.5, 0.5, 0.5}
-	km, err := FitKMeans1D(values, 5, stats.NewRNG(2))
+	km, err := FitKMeans1D(values, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,17 +79,17 @@ func TestKMeans1DCollapsesDuplicates(t *testing.T) {
 }
 
 func TestKMeans1DErrors(t *testing.T) {
-	if _, err := FitKMeans1D(nil, 3, stats.NewRNG(1)); err == nil {
+	if _, err := FitKMeans1D(nil, 3); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := FitKMeans1D([]float64{0.5}, 0, stats.NewRNG(1)); err == nil {
+	if _, err := FitKMeans1D([]float64{0.5}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
 
 func TestKMeans1DRegionsAreIntervalsProperty(t *testing.T) {
 	// For any fitted partitioner, region assignment must be monotone in v.
-	f := func(raw []float64, seed int64) bool {
+	f := func(raw []float64) bool {
 		values := make([]float64, 0, len(raw))
 		for _, v := range raw {
 			values = append(values, math.Abs(v)-math.Floor(math.Abs(v))) // into [0,1)
@@ -97,7 +97,7 @@ func TestKMeans1DRegionsAreIntervalsProperty(t *testing.T) {
 		if len(values) < 2 {
 			return true
 		}
-		km, err := FitKMeans1D(values, 4, stats.NewRNG(seed))
+		km, err := FitKMeans1D(values, 4)
 		if err != nil {
 			return false
 		}
@@ -119,58 +119,114 @@ func TestKMeans1DRegionsAreIntervalsProperty(t *testing.T) {
 	}
 }
 
+// TestKMeans1DDeterministicWithSeed: with no RNG to seed, two fits of one
+// sample are bit-identical. It also pins how one exact tie resolves:
+// {0, 1, 2} in two regions is {0} and {1, 2}, though {0, 1} and {2} err as
+// little.
 func TestKMeans1DDeterministicWithSeed(t *testing.T) {
-	values := []float64{0.1, 0.2, 0.5, 0.6, 0.9, 0.3, 0.8, 0.05}
-	a, _ := FitKMeans1D(values, 3, stats.NewRNG(7))
-	b, _ := FitKMeans1D(values, 3, stats.NewRNG(7))
-	if len(a.Centers) != len(b.Centers) {
-		t.Fatal("non-deterministic cluster count")
+	if tie, _ := FitKMeans1D([]float64{2, 0, 1}, 2); !slices.Equal(tie.Centers, []float64{0, 1.5}) {
+		t.Errorf("tied splits of {0, 1, 2}: centers %v, want [0 1.5]", tie.Centers)
 	}
-	for i := range a.Centers {
-		if a.Centers[i] != b.Centers[i] {
-			t.Fatal("non-deterministic centers")
-		}
+	values := []float64{0.1, 0.2, 0.5, 0.6, 0.9, 0.3, 0.8, 0.05, 0.5, 0.2}
+	a, _ := FitKMeans1D(values, 3)
+	b, _ := FitKMeans1D(values, 3)
+	same := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	if !same(a.Centers, b.Centers) || !same(a.bounds, b.bounds) {
+		t.Fatalf("two fits differ: centers %v / %v, bounds %v / %v", a.Centers, b.Centers, a.bounds, b.bounds)
 	}
 }
 
-// TestKMeansMatchesReference pins the sorted-walk Lloyd assignment to the
-// per-value binary search it replaced (referenceFitKMeans1D): on random
-// samples with heavy repeats (values on a coarse grid, 0 and 1), a few
-// values outside [0, 1], NaN in some, and k from 1 to 12, the fitted centers
-// and bounds are the reference's bit for bit, and so is the rng they leave.
+// TestKMeansMatchesReference pins the fit to the exact 1-D k-means optimum.
+// On samples of at most 12 distinct finite values — random, on a coarse
+// grid with ties, or all equal, some with NaN and ±Inf mixed in — and k
+// from 1 to 14, every contiguous split is enumerated (bruteForceKMeans1D):
+// the fit has exactly min(k, distinct) regions with strictly increasing
+// centers, its squared error about those centers is the least within
+// 1e-12 per value, and Region puts every training value in a group of a
+// least-error split. Non-finite values go to the first (−Inf) or last
+// region. Larger samples hold the fit's error to the full dynamic program.
 func TestKMeansMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	specials := []float64{0, 1, -0.25, 1.5, math.Inf(1), math.Inf(-1), math.NaN()}
-	same := func(a, b []float64) bool {
-		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
-	for trial := 0; trial < 2000; trial++ {
-		values := make([]float64, 1+rng.Intn(600))
-		grid := float64(1 + rng.Intn(40))
-		withSpecials := trial%10 == 0
+	rng := rand.New(rand.NewSource(35))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for trial := 0; trial < 3000; trial++ {
+		large := trial%20 == 0
+		distinctMax, size := 12, 1+rng.Intn(30)
+		if large {
+			distinctMax, size = 120, 1+rng.Intn(200)
+		}
+		var pool []float64
+		switch trial % 3 {
+		case 0: // random
+			for range 1 + rng.Intn(distinctMax) {
+				pool = append(pool, 1.75*rng.Float64()-0.25)
+			}
+		case 1: // a coarse grid: heavy ties, equidistant values
+			grid := float64(1 + rng.Intn(distinctMax-1))
+			for range 1 + rng.Intn(distinctMax) {
+				pool = append(pool, math.Round(rng.Float64()*grid)/grid)
+			}
+		case 2: // all equal
+			pool = []float64{rng.Float64()}
+		}
+		values := make([]float64, size)
 		for i := range values {
-			switch r := rng.Intn(20); {
-			case r < 8:
-				values[i] = math.Round(rng.Float64()*grid) / grid
-			case r == 8 && withSpecials:
+			values[i] = pool[rng.Intn(len(pool))]
+			if trial%4 == 0 && rng.Intn(6) == 0 {
 				values[i] = specials[rng.Intn(len(specials))]
-			default:
-				values[i] = rng.Float64()
 			}
 		}
-		k, seed := 1+rng.Intn(12), rng.Int63()
-		gotRNG, wantRNG := stats.NewRNG(seed), stats.NewRNG(seed)
-		got, err := FitKMeans1D(values, k, gotRNG)
+		k := 1 + rng.Intn(14)
+		km, err := FitKMeans1D(values, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := referenceFitKMeans1D(values, k, wantRNG)
-		if !same(got.Centers, want.Centers) || !same(got.bounds, want.bounds) {
-			t.Fatalf("trial %d (%d values, k=%d): centers %v bounds %v, reference %v %v",
-				trial, len(values), k, got.Centers, got.bounds, want.Centers, want.bounds)
+		distinct, runs := finiteDistinct(values)
+		want := max(1, min(k, len(distinct)))
+		if km.NumRegions() != want || len(km.Centers) != want || len(km.bounds) != want-1 {
+			t.Fatalf("trial %d: %d regions (%d centers, %d bounds), want min(k=%d, distinct=%d)",
+				trial, km.NumRegions(), len(km.Centers), len(km.bounds), k, len(distinct))
 		}
-		if gotRNG.Int63() != wantRNG.Int63() {
-			t.Fatalf("trial %d: the fit drew a different number of values from rng", trial)
+		for i := 1; i < len(km.Centers); i++ {
+			if !(km.Centers[i-1] < km.Centers[i]) {
+				t.Fatalf("trial %d: centers %v not strictly increasing", trial, km.Centers)
+			}
+		}
+		if km.Region(math.NaN()) != want-1 || km.Region(math.Inf(1)) != want-1 || km.Region(math.Inf(-1)) != 0 {
+			t.Fatalf("trial %d: NaN, +Inf, −Inf in regions %d, %d, %d of %d", trial,
+				km.Region(math.NaN()), km.Region(math.Inf(1)), km.Region(math.Inf(-1)), want)
+		}
+		if len(distinct) == 0 {
+			continue
+		}
+
+		// The split Region makes of the training values, as the first run
+		// of each region after the first, and its error about the centers.
+		got, starts, m := 0.0, []int{}, 0
+		for r, run := range runs {
+			g := km.Region(run[0])
+			if r > 0 && g != km.Region(runs[r-1][0]) {
+				starts = append(starts, r)
+			}
+			for _, v := range run {
+				got += (v - km.Centers[g]) * (v - km.Centers[g])
+				m++
+			}
+		}
+		tol := 1e-12 * float64(m)
+		var least float64
+		var optimal [][]int
+		if large {
+			least = naiveKMeans1D(runs, want)
+		} else {
+			least, optimal = bruteForceKMeans1D(runs, want, tol)
+		}
+		if math.Abs(got-least) > tol {
+			t.Fatalf("trial %d (%d values, k=%d): squared error %v, least %v", trial, m, k, got, least)
+		}
+		if !large && !slices.ContainsFunc(optimal, func(s []int) bool { return slices.Equal(s, starts) }) {
+			t.Fatalf("trial %d: Region splits %v at %v, least-error splits %v", trial, distinct, starts, optimal)
 		}
 	}
 }
@@ -286,7 +342,7 @@ func TestAccuracyEstimateWithKMeansPartition(t *testing.T) {
 			links = append(links, rng.Float64() < 0.85)
 		}
 	}
-	km, err := FitKMeans1D(values, 5, rng)
+	km, err := FitKMeans1D(values, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +361,7 @@ func TestAccuracyEstimateWithKMeansPartition(t *testing.T) {
 }
 
 func TestBoundariesLastIsOne(t *testing.T) {
-	km, err := FitKMeans1D([]float64{0.2, 0.4, 0.8}, 3, stats.NewRNG(4))
+	km, err := FitKMeans1D([]float64{0.2, 0.4, 0.8}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
