@@ -98,16 +98,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ersolve: -in is required")
 		os.Exit(2)
 	}
-	if *train <= 0 || *train >= 1 {
-		fmt.Fprintf(os.Stderr, "ersolve: -train: %v is out of range; need a fraction in (0, 1)\n", *train)
-		os.Exit(2)
-	}
-	if *regionK < 1 {
-		fmt.Fprintf(os.Stderr, "ersolve: -regions: %d is out of range; need an integer >= 1\n", *regionK)
-		os.Exit(2)
-	}
 
-	// Validate every enum flag up front so a typo fails fast with the
+	// Validate every flag up front so a typo fails fast, enums with the
 	// list of valid values, before any data is loaded.
 	strategyFn, err := pipeline.ParseStrategy(*strategy)
 	if err != nil {
@@ -117,6 +109,15 @@ func main() {
 	clusteringM, err := core.ParseClusteringMethod(*clustering)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ersolve: -clustering:", err)
+		os.Exit(2)
+	}
+	opts := core.DefaultOptions()
+	opts.TrainFraction = *train
+	opts.RegionK = *regionK
+	opts.Seed = *seed
+	opts.Clustering = clusteringM
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(2)
 	}
 	// Key-based schemes block through the sharded index (the incremental
@@ -133,7 +134,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if err := run(ctx, *in, strategyFn, clusteringM, blocker, *train, *regionK, *seed, *score, *members); err != nil {
+	if err := run(ctx, *in, opts, strategyFn, blocker, *score, *members); err != nil {
 		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(1)
 	}
@@ -159,19 +160,14 @@ func loadDataset(path string) (*corpus.Dataset, error) {
 	return dataset, err
 }
 
-func run(ctx context.Context, in string, strategy pipeline.Strategy, clustering core.ClusteringMethod,
-	blocker pipeline.Blocker, train float64, regionK int, seed int64, score, members bool) error {
+func run(ctx context.Context, in string, opts core.Options, strategy pipeline.Strategy,
+	blocker pipeline.Blocker, score, members bool) error {
 
 	dataset, err := loadDataset(in)
 	if err != nil {
 		return err
 	}
 
-	opts := core.DefaultOptions()
-	opts.TrainFraction = train
-	opts.RegionK = regionK
-	opts.Seed = seed
-	opts.Clustering = clustering
 	pl, err := pipeline.New(pipeline.Config{
 		Options:  opts,
 		Strategy: strategy,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
+	"repro/internal/fanout"
 )
 
 // ErrOutOfSync reports that the collections handed to an update contradict
@@ -165,12 +166,13 @@ func (c *Components) Begin(cols []*corpus.Collection, keys func(col *corpus.Coll
 			delta = append(delta, NewDoc{Ref: DocRef{Col: ci, Doc: di}})
 		}
 	}
-	Parallel(len(delta), func(i int) {
+	fanout.Each(len(delta), func(i int) bool {
 		d := &delta[i]
 		col := cols[d.Ref.Col]
 		doc := col.Docs[d.Ref.Doc]
 		d.Keys = keys(col, doc)
 		d.Hash = blocking.DocHash(col.Name, d.Ref.Doc, doc.URL, doc.Text, doc.PersonaID)
+		return true
 	})
 	for i := range delta {
 		delta[i].ID = c.AddDoc(delta[i].Ref, delta[i].Hash)
@@ -240,8 +242,9 @@ func (c *Components) Membership() ([][]DocRef, []uint64) {
 	}
 
 	built := make([]*blockEntry, len(missing))
-	Parallel(len(missing), func(i int) {
+	fanout.Each(len(missing), func(i int) bool {
 		built[i] = c.buildEntry(missing[i])
+		return true
 	})
 	for i, root := range missing {
 		c.blocks[root] = built[i]

@@ -34,12 +34,11 @@ package blockindex
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/blocking"
 	"repro/internal/corpus"
+	"repro/internal/fanout"
 )
 
 // DocRef locates one ingested document by its position in the ingest: the
@@ -174,7 +173,7 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 		}
 		edgesPer := make([][]edge, len(x.shards))
 		newKeys := make([]int, len(x.shards))
-		Parallel(len(x.shards), func(s int) {
+		fanout.Each(len(x.shards), func(s int) bool {
 			postings := x.shards[s].postings
 			for _, item := range buckets[s] {
 				p := postings[item.key]
@@ -185,6 +184,7 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 				}
 				postings[item.key] = append(p, item.id)
 			}
+			return true
 		})
 		for s := range edgesPer {
 			for _, e := range edgesPer[s] {
@@ -246,38 +246,6 @@ func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, e
 	}
 	refs, fps := tmp.Membership()
 	return refs, fps, nil
-}
-
-// Parallel runs fn(0..n-1) over a pool of at most GOMAXPROCS goroutines;
-// small inputs run inline. It is the shared fan-out primitive of the
-// index's delta keying, fingerprinting, and the pipeline's block
-// assembly.
-//
-// erlint:ignore CPU-bound fan-out that always joins before returning; callers bound it by cancelling the work fed to fn
-func Parallel(n int, fn func(i int)) {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if n < 2 || workers < 2 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Stats describes the index's current shape.

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
+	"repro/internal/fanout"
 	"repro/internal/simfn"
 	"repro/internal/stats"
 )
@@ -73,8 +71,8 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 	}, nil
 }
 
-// PrepareAllCtx prepares independent collections concurrently on a bounded
-// worker pool (GOMAXPROCS) and returns the results in input order. Blocks
+// PrepareAllCtx prepares independent collections concurrently on one
+// fan-out (internal/fanout) and returns the results in input order. Blocks
 // are independent by construction — the paper's blocking scheme computes
 // similarities only within a block — so per-name preparation (feature
 // extraction, TF-IDF, all similarity matrices) parallelizes without
@@ -82,50 +80,15 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 // corresponds to cols[i], and each Prepared is identical to what a serial
 // r.PrepareCtx(ctx, cols[i]) would build. A canceled or timed-out context
 // stops workers from claiming further collections, aborts the in-flight
-// per-collection preparations, and returns ctx.Err().
+// per-collection preparations, and returns ctx.Err(); otherwise the first
+// failure stops the claiming and the lowest-index error is returned.
 func (r *Resolver) PrepareAllCtx(ctx context.Context, cols []*corpus.Collection) ([]*Prepared, error) {
 	out := make([]*Prepared, len(cols))
 	errs := make([]error, len(cols))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cols) {
-		workers = len(cols)
-	}
-	if workers <= 1 {
-		for i, col := range cols {
-			p, err := r.PrepareCtx(ctx, col)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-				return nil, fmt.Errorf("core: preparing %q: %w", col.Name, err)
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1) - 1)
-				if i >= len(cols) {
-					return
-				}
-				out[i], errs[i] = r.PrepareCtx(ctx, cols[i])
-				if errs[i] != nil {
-					// Stop claiming further collections; the error is
-					// reported to the caller, so finishing the rest of
-					// the dataset would be wasted work.
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(len(cols), func(i int) bool {
+		out[i], errs[i] = r.PrepareCtx(ctx, cols[i])
+		return errs[i] == nil
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -202,8 +165,15 @@ type Resolution struct {
 	Source string
 }
 
-// NumEntities returns the number of predicted entities.
-func (r *Resolution) NumEntities() int { return ergraph.NumClusters(r.Labels) }
+// NumEntities returns the number of predicted entities, 1 + max(Labels):
+// every clustering labels entities densely in order of first appearance.
+func (r *Resolution) NumEntities() int {
+	n := 0
+	for _, l := range r.Labels {
+		n = max(n, l+1)
+	}
+	return n
+}
 
 // cluster applies the configured final clustering step to a combined graph.
 func (a *Analysis) cluster(g *ergraph.Graph) []int {

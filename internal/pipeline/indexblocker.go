@@ -9,6 +9,7 @@ import (
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
+	"repro/internal/fanout"
 )
 
 // CandidateIndex is what IndexBlocker needs from an incremental candidate
@@ -139,8 +140,9 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 	}
 
 	blocks := make([]*corpus.Collection, len(members))
-	blockindex.Parallel(len(members), func(i int) {
+	fanout.Each(len(members), func(i int) bool {
 		blocks[i] = assembleRefs(cols, members[i])
+		return true
 	})
 
 	return IndexedBlocks{

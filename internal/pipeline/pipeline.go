@@ -5,15 +5,16 @@
 //
 // Ingest hands raw collections to a pluggable Blocker (any candidate-pair
 // scheme from internal/blocking), which re-partitions the documents into
-// resolution blocks. A pool of GOMAXPROCS workers then claims blocks one at
-// a time, and the worker that claimed a block takes it through every later
-// stage: prepare (feature extraction, TF-IDF, all pairwise similarity
-// matrices), analyze (training draw, decision graphs), the Strategy's
-// combine and cluster steps, and the report stage's scoring. The stages
-// are all CPU-bound, so handing a block between pools would buy no overlap
-// and only keep more prepared blocks alive; this way at most GOMAXPROCS
-// blocks' matrices exist at once, and there is no all-then-all barrier
-// between the blocks.
+// resolution blocks. One fan-out (internal/fanout) of up to GOMAXPROCS
+// workers then claims blocks one at a time, and the worker that claimed a
+// block takes it through every later stage: prepare (feature extraction,
+// TF-IDF, all pairwise similarity matrices, whose rows fan out again on the
+// same process-wide budget), analyze (training draw, decision graphs), the
+// Strategy's combine and cluster steps, and the report stage's scoring.
+// The stages are all CPU-bound, so handing a block between pools would buy
+// no overlap and only keep more prepared blocks alive; this way at most
+// GOMAXPROCS blocks' matrices exist at once, and there is no all-then-all
+// barrier between the blocks.
 //
 // Blocker is the one block-stage interface and BlockFingerprints its one
 // method: blocks, member refs, membership fingerprints and stats. It has
@@ -41,7 +42,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +50,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
+	"repro/internal/fanout"
 	"repro/internal/stats"
 )
 
@@ -217,31 +218,22 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 	defer cancel()
 	var failOnce sync.Once
 	var firstErr error
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(todo)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for runCtx.Err() == nil {
-				t := int(next.Add(1)) - 1
-				if t >= len(todo) {
-					return
-				}
-				i := todo[t]
-				res, err := p.runBlock(runCtx, i, blocks[i], seedOf(i), prepares)
-				if err != nil {
-					failOnce.Do(func() {
-						firstErr = err
-						cancel()
-					})
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
+	fanout.Each(len(todo), func(t int) bool {
+		if runCtx.Err() != nil {
+			return false
+		}
+		i := todo[t]
+		res, err := p.runBlock(runCtx, i, blocks[i], seedOf(i), prepares)
+		if err != nil {
+			failOnce.Do(func() {
+				firstErr = err
+				cancel()
+			})
+			return false
+		}
+		results[i] = res
+		return true
+	})
 
 	if err := ctx.Err(); err != nil {
 		return err

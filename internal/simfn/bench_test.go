@@ -30,8 +30,8 @@ func BenchmarkComputeAll_Serial(b *testing.B) {
 	benchComputeAll(b, ComputeAllSerial)
 }
 
-// BenchmarkComputeAll_Parallel is the worker-pool path used by the
-// pipeline; compare pairs/s against BenchmarkComputeAll_Serial.
+// BenchmarkComputeAll_Parallel is the fan-out path used by the pipeline;
+// compare pairs/s against BenchmarkComputeAll_Serial.
 func BenchmarkComputeAll_Parallel(b *testing.B) {
 	benchComputeAll(b, func(blk *Block, funcs []Func) map[string]*Matrix { return computeAll(b, blk, funcs) })
 }

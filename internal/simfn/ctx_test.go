@@ -9,7 +9,7 @@ import (
 
 // slowBlock returns a block and function whose full computation takes far
 // longer than the test's cancellation horizon: n=80 docs → 3160 pairs at
-// 1ms each (≈3s serial), comfortably above the parallel cutoff.
+// 1ms each (≈3s serial).
 func slowBlock() (*Block, []Func) {
 	b := &Block{Name: "slow", Docs: make([]Doc, 80)}
 	f := Func{ID: "slow", Compare: func(a, d *Doc) float64 {

@@ -4,12 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/fanout"
 	"repro/internal/textsim"
 )
 
@@ -68,28 +67,23 @@ func (m *Matrix) Set(i, j int, v float64) {
 // at a time. The slice is shared with the matrix and must not be modified.
 func (m *Matrix) Values() []float64 { return m.vals }
 
-// parallelMinPairs is the total pair count below which the worker pool is
-// not worth its startup cost and computation stays on the calling
-// goroutine. Parallel and serial paths produce bit-identical matrices, so
-// the cutoff is a pure performance knob.
-const parallelMinPairs = 2048
-
 // ComputeMatrix evaluates the similarity function on every pair of
-// documents in the block, using all available cores for large blocks. Cell
-// (i, j), i < j, holds exactly f.Compare(d_i, d_j) whatever the scheduling:
-// every cell is a pure function of its document pair and is written exactly
-// once, by exactly one worker.
+// documents in the block, using all available cores. Cell (i, j), i < j,
+// holds exactly f.Compare(d_i, d_j) whatever the scheduling: every cell is
+// a pure function of its document pair and is written exactly once, by
+// exactly one worker.
 func ComputeMatrix(b *Block, f Func) *Matrix {
 	return computeMatrices(b, []Func{f}, nil)[0]
 }
 
 // ComputeAllCtx evaluates every function on the block and returns the
-// matrices keyed by function ID. All rows are computed by one bounded
-// worker pool, each row across every function, so a single call saturates
-// the machine even when individual matrices are small. Every cell is
-// bit-identical to calling the function's Compare on that document pair.
-// Every worker checks the context between rows, so a canceled or timed-out
-// context aborts the in-flight computation promptly and returns ctx.Err().
+// matrices keyed by function ID. All rows are computed by one fan-out
+// (internal/fanout), each row across every function, so a single call
+// saturates the machine even when individual matrices are small. Every
+// cell is bit-identical to calling the function's Compare on that document
+// pair. Every worker checks the context between rows, so a canceled or
+// timed-out context aborts the in-flight computation promptly and returns
+// ctx.Err().
 func ComputeAllCtx(ctx context.Context, b *Block, funcs []Func) (map[string]*Matrix, error) {
 	ms := computeMatrices(b, funcs, ctx.Done())
 	if err := ctx.Err(); err != nil {
@@ -106,32 +100,13 @@ func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
 	return out
 }
 
-// extraWorkerSlots bounds the total number of *extra* worker goroutines
-// across all concurrent matrix computations in the process, so nested
-// parallelism (PrepareAllCtx over blocks × ComputeAllCtx within a block) adds up
-// linearly instead of multiplying into GOMAXPROCS² runnable CPU-bound
-// goroutines. The calling goroutine always computes, so every call makes
-// progress at least at serial speed even when no slot is free. The floor
-// of 3 extra slots keeps the concurrent paths exercised (and race-checked)
-// on single-core machines.
-var extraWorkerSlots = sync.OnceValue(func() chan struct{} {
-	n := runtime.GOMAXPROCS(0) - 1
-	if n < 3 {
-		n = 3
-	}
-	return make(chan struct{}, n)
-})
-
-// computeMatrices fills one matrix per function over a shared worker pool.
-// The unit of work is one matrix row across all functions: workers claim
-// rows from an atomic counter (dynamic load balancing — early rows of the
-// condensed triangle are longest) and write into disjoint sub-slices of the
-// matrices' backing arrays, so no synchronization of the values themselves
-// is needed. A non-nil done channel makes workers stop claiming rows once
-// it closes; the caller is then responsible for discarding the partial
-// matrices.
-//
-// erlint:ignore cancellation arrives through the done channel, plumbed from ctx.Done() by the Ctx entry points
+// computeMatrices fills one matrix per function on one fan-out. The unit of
+// work is one matrix row across all functions: workers claim rows in
+// ascending order (dynamic load balancing — early rows of the condensed
+// triangle are longest) and write into disjoint sub-slices of the matrices'
+// backing arrays, so no synchronization of the values themselves is needed.
+// A non-nil done channel makes workers stop claiming rows once it closes;
+// the caller is then responsible for discarding the partial matrices.
 func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 	n := len(b.Docs)
 	ms := make([]*Matrix, len(funcs))
@@ -141,56 +116,21 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 	if n < 2 || len(funcs) == 0 {
 		return ms
 	}
-
-	// Row n-1 has no upper-triangle entries.
 	k := newKernel(b.Docs, funcs, ms)
-	rows := int64(n - 1)
-	var next atomic.Int64
-	run := func() {
+	// Row n-1 has no upper-triangle entries.
+	fanout.Run(n-1, func() func(row int) bool {
 		// The worker's per-cell join accumulators, all zero between rows.
 		acc, cnt := make([]float64, n), make([]int32, n)
-		for {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-			row := next.Add(1) - 1
-			if row >= rows {
-				return
-			}
-			k.fillRow(int(row), acc, cnt)
-		}
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	totalPairs := len(funcs) * n * (n - 1) / 2
-	if workers > 1 && totalPairs >= parallelMinPairs {
-		slots := extraWorkerSlots()
-		var wg sync.WaitGroup
-	spawn:
-		for w := 0; w < workers-1 && int64(w) < rows-1; w++ {
+		return func(row int) bool {
 			select {
-			case slots <- struct{}{}:
-				wg.Add(1)
-				go func() {
-					defer func() {
-						<-slots
-						wg.Done()
-					}()
-					run()
-				}()
+			case <-done:
+				return false
 			default:
-				// Every slot is busy in another computation; this
-				// call proceeds on the calling goroutine alone.
-				break spawn
 			}
+			k.fillRow(row, acc, cnt)
+			return true
 		}
-		defer wg.Wait()
-	}
-	run()
+	})
 	return ms
 }
 

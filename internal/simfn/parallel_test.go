@@ -9,8 +9,8 @@ import (
 )
 
 // forceParallel pins GOMAXPROCS to at least 4 for the duration of a test so
-// the worker-pool paths are exercised (and race-checked) even on small CI
-// machines where GOMAXPROCS(0) == 1 would select the serial fallback.
+// the matrix rows are spread over several workers (and race-checked) even on
+// small CI machines, where GOMAXPROCS(0) == 1 would run them all on one.
 func forceParallel(t testing.TB) {
 	if runtime.GOMAXPROCS(0) >= 4 {
 		return
@@ -19,8 +19,8 @@ func forceParallel(t testing.TB) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// parallelTestBlock prepares a seeded ~60-doc block, large enough (with all
-// ten functions) to cross the parallel cutoff.
+// parallelTestBlock prepares a seeded block of numDocs documents, enough
+// rows (with all ten functions) to keep several workers busy.
 func parallelTestBlock(t testing.TB, numDocs int) *Block {
 	t.Helper()
 	col, err := corpus.GenerateCollection(corpus.CollectionConfig{
@@ -67,7 +67,7 @@ func TestComputeAllParallelMatchesSerial(t *testing.T) {
 }
 
 // TestComputeMatrixParallelMatchesSerial covers the single-function entry
-// point at a size above the cutoff.
+// point on a block of many rows.
 func TestComputeMatrixParallelMatchesSerial(t *testing.T) {
 	forceParallel(t)
 	b := parallelTestBlock(t, 80)
@@ -104,8 +104,8 @@ func TestPackedRegistryMatchesFallback(t *testing.T) {
 	}
 }
 
-// TestComputeAllSmallBlock exercises the below-cutoff serial path and the
-// degenerate sizes.
+// TestComputeAllSmallBlock exercises a small block and the degenerate
+// sizes.
 func TestComputeAllSmallBlock(t *testing.T) {
 	b := parallelTestBlock(t, 6)
 	got := computeAll(t, b, Registry())
