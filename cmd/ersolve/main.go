@@ -13,7 +13,7 @@
 //	        [-train 0.10] [-regions 10] [-seed N] [-score] [-members]
 //	ersolve serve [-addr :8476] [-timeout 30s] [-max-body 33554432]
 //	        [-queue 64] [-drain 10s] [-data DIR] [-job-history 1024]
-//	        [-block-shards 16] [-trace-buffer 256]
+//	        [-trace-buffer 256]
 //
 // The serve mode accepts POST /v1/resolve with an ergen dataset JSON body
 // (plus optional "strategy", "clustering", "blocking", "timeout_ms", …
@@ -120,7 +120,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(2)
 	}
-	// Key-based schemes block through the sharded index (the incremental
+	// Key-based schemes block through the key index (the incremental
 	// Block stage); global schemes keep the per-run pass in exact mode
 	// and the approximate candidate graph with -blocking-mode ann.
 	blockingCfg, err := pipeline.ParseBlocking(*blockingF, *keysF, *modeF, *annM, *annEf)
@@ -222,7 +222,6 @@ func runServe(ctx context.Context, args []string) error {
 		history = fs.Int("job-history", 1024, "finished ingest-job records kept queryable")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain window for in-flight work")
 		dataDir = fs.String("data", "", "durable data directory (default in-memory only)")
-		shards  = fs.Int("block-shards", 0, "sharded blocking index partitions (0 = default)")
 		tbuf    = fs.Int("trace-buffer", 0, "recent request traces kept for GET /v1/traces (0 = default 256, negative disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -241,8 +240,6 @@ func runServe(ctx context.Context, args []string) error {
 		return &usageError{fmt.Sprintf("-job-history: %d is out of range; need 0 or a positive record count", *history)}
 	case *drain <= 0:
 		return &usageError{fmt.Sprintf("-drain: %v is out of range; need a positive drain window", *drain)}
-	case *shards < 0:
-		return &usageError{fmt.Sprintf("-block-shards: %d is out of range; need 0 (default) or a positive shard count", *shards)}
 	}
 
 	cfg := service.Config{
@@ -250,7 +247,6 @@ func runServe(ctx context.Context, args []string) error {
 		MaxBodyBytes:   *maxBody,
 		QueueBuffer:    *queue,
 		JobHistory:     *history,
-		BlockShards:    *shards,
 		TraceBuffer:    *tbuf,
 	}
 

@@ -7,7 +7,7 @@
 // query. The scheme's blocking.ApproxPolicy turns the query results into
 // candidate edges, an incremental union-find folds the edges into
 // key-connected components, and the components feed RunIncremental as
-// membership-fingerprinted blocks exactly like the sharded key index —
+// membership-fingerprinted blocks exactly like the key index —
 // so the resolve path downstream of the Block stage cannot tell the two
 // apart.
 //
@@ -52,7 +52,7 @@ import (
 )
 
 // DocRef addresses one document by collection and position, shared with
-// the sharded key index so the pipeline assembles both the same way.
+// the key index so the pipeline assembles both the same way.
 type DocRef = blockindex.DocRef
 
 // KeyFunc derives a document's blocking keys, shared with the key index.
@@ -107,7 +107,7 @@ func (c Config) withDefaults() Config {
 
 // CandidateIndex is the incremental HNSW candidate index. All methods
 // are safe for concurrent use; calls serialize on one mutex, like the
-// sharded key index.
+// key index.
 type CandidateIndex struct {
 	mu      sync.Mutex
 	scheme  blocking.ApproxScheme
@@ -139,7 +139,7 @@ type CandidateIndex struct {
 	// the components.
 	edges [][2]int32
 	// comps tracks which documents are inserted and which component each
-	// is in — the tracker the sharded key index uses, fed neighbor-query
+	// is in — the tracker the key index uses, fed neighbor-query
 	// edges instead of posting edges.
 	comps *blockindex.Components
 }

@@ -22,9 +22,10 @@ var ErrCodecCorrupt = errors.New("blockindex: encoded index is corrupt")
 // document refs and hashes, collection high-water marks. Derived state
 // (union-find, member lists, fingerprints) is rebuilt on decode from the
 // postings, which is cheap next to re-running key extraction over the
-// corpus.
+// corpus. EncodeTo writes one posting map; files from before the index
+// was a single map hold one per hash partition (and a Shards count gob
+// skips), which Decode merges.
 type encodedIndex struct {
-	Shards   int
 	Cols     []encodedCol
 	Refs     []DocRef
 	Hashes   []uint64
@@ -44,17 +45,13 @@ func (x *Index) EncodeTo(w io.Writer) (uint64, error) {
 	defer x.mu.Unlock()
 
 	enc := encodedIndex{
-		Shards:   len(x.shards),
 		Cols:     make([]encodedCol, x.comps.Collections()),
 		Refs:     x.comps.Refs(),
 		Hashes:   x.comps.Hashes(),
-		Postings: make([]map[string][]int32, len(x.shards)),
+		Postings: []map[string][]int32{x.postings},
 	}
 	for i := range enc.Cols {
 		enc.Cols[i].Name, enc.Cols[i].Indexed = x.comps.Collection(i)
-	}
-	for i := range x.shards {
-		enc.Postings[i] = x.shards[i].postings
 	}
 
 	rec, err := framing.Record(func(w io.Writer) error { return gob.NewEncoder(w).Encode(enc) })
@@ -69,11 +66,8 @@ func (x *Index) EncodeTo(w io.Writer) (uint64, error) {
 
 // Decode reads an index written by EncodeTo — exactly one record, nothing
 // behind it — and rebuilds it under cfg, which must describe the same
-// configuration (scheme, key function, shard count) that produced it — the
-// index records only the shard count, so the caller's storage key must
-// carry the rest. A shard-count mismatch is an error: the persisted
-// partitioning no longer matches the requested one, and the caller should
-// rebuild from the corpus instead.
+// configuration (scheme, key function) that produced it: the encoding
+// records neither, so the caller's storage key must carry them.
 func Decode(r io.Reader, cfg Config) (*Index, error) {
 	payload, err := framing.ReadOne(r)
 	if err != nil {
@@ -83,19 +77,8 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&enc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
 	}
-
-	if cfg.Shards < 1 {
-		cfg.Shards = DefaultShards
-	}
-	if enc.Shards != cfg.Shards {
-		return nil, fmt.Errorf("blockindex: encoded index has %d shards, configuration wants %d; rebuild from the corpus",
-			enc.Shards, cfg.Shards)
-	}
 	if len(enc.Refs) != len(enc.Hashes) {
 		return nil, fmt.Errorf("%w: %d refs but %d hashes", ErrCodecCorrupt, len(enc.Refs), len(enc.Hashes))
-	}
-	if len(enc.Postings) != enc.Shards {
-		return nil, fmt.Errorf("%w: %d posting shards, header declares %d", ErrCodecCorrupt, len(enc.Postings), enc.Shards)
 	}
 
 	x, err := New(cfg)
@@ -109,14 +92,13 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		x.comps.AddDoc(enc.Refs[i], enc.Hashes[i])
 	}
 	n := int32(len(enc.Refs))
-	for s := range enc.Postings {
-		postings := enc.Postings[s]
-		if postings == nil {
-			postings = make(map[string][]int32)
-		}
+	for _, postings := range enc.Postings {
 		for key, ids := range postings {
 			if len(ids) == 0 {
 				return nil, fmt.Errorf("%w: posting %q holds no documents", ErrCodecCorrupt, key)
+			}
+			if _, dup := x.postings[key]; dup {
+				return nil, fmt.Errorf("%w: posting %q appears in two maps", ErrCodecCorrupt, key)
 			}
 			for _, id := range ids {
 				if id < 0 || id >= n {
@@ -128,9 +110,8 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 			for _, id := range ids[1:] {
 				x.comps.Merge(ids[0], id)
 			}
-			x.keyCount++
+			x.postings[key] = ids
 		}
-		x.shards[s].postings = postings
 	}
 	return x, nil
 }

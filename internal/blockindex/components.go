@@ -31,9 +31,8 @@ type UpdateStats struct {
 	DirtyBlocks int
 	// Blocks is the total number of blocks after the update.
 	Blocks int
-	// Keys is the total number of distinct index keys across all shards
-	// and Shards the shard count (sharded key index).
-	Keys, Shards int
+	// Keys is the total number of distinct index keys (key index).
+	Keys int
 	// Edges is the total number of component-merging candidate edges; M
 	// and EfSearch echo the graph knobs (ANN index).
 	Edges, M, EfSearch int
@@ -70,7 +69,7 @@ type blockEntry struct {
 // content hashes), which candidate-connected component each belongs to
 // (a growing union-find plus per-root member lists), and — lazily, per
 // component — the sorted member refs and membership fingerprint
-// RunIncremental diffs on. The sharded key index feeds it posting edges,
+// RunIncremental diffs on. The key index feeds it posting edges,
 // internal/ann neighbor-query edges; an update is Begin, any number of
 // Merge calls, Commit.
 //

@@ -1,7 +1,7 @@
 // Package blockindex maintains resolution-block membership incrementally:
-// a sharded (hash-partitioned by normalized key) key→posting index plus a
-// growing union-find over key-connected components, updated as ingest
-// batches arrive instead of rebuilt per run.
+// one normalized key→posting map plus a growing union-find over
+// key-connected components, updated as ingest batches arrive instead of
+// rebuilt per run.
 //
 // For the key-based blocking schemes (blocking.KeyedScheme: exact-key and
 // token blocking) a candidate pair exists exactly when two documents share
@@ -9,9 +9,9 @@
 // existing members of its keys' postings — components can only merge,
 // never split, under the store's append-only contract. That makes the
 // Block stage O(delta): Update keys and hashes only the new documents
-// (in parallel), appends postings per shard (in parallel), applies the
-// resulting union edges, and recomputes membership fingerprints only for
-// the components the delta touched. Everything else — the clean blocks'
+// (in parallel), appends them to their keys' postings, merging each with
+// its posting's first member, and recomputes membership fingerprints only
+// for the components the delta touched. Everything else — the clean blocks'
 // sorted member lists and fingerprints — is served from the per-component
 // cache.
 //
@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/corpus"
-	"repro/internal/fanout"
 )
 
 // DocRef locates one ingested document by its position in the ingest: the
@@ -55,9 +54,6 @@ type DocRef struct {
 // changes. (pipeline.KeyFunc converts to this type.)
 type KeyFunc func(col *corpus.Collection, doc corpus.Document) []string
 
-// DefaultShards is the shard count when Config.Shards is not positive.
-const DefaultShards = 16
-
 // Config assembles an Index.
 type Config struct {
 	// Scheme derives each document's index keys; required.
@@ -65,9 +61,6 @@ type Config struct {
 	// Keys derives each document's raw blocking keys; nil keys a document
 	// by its collection's name (the paper's scheme).
 	Keys KeyFunc
-	// Shards is the number of hash partitions of the key space; values < 1
-	// select DefaultShards.
-	Shards int
 }
 
 // CollectionNameKey is the default KeyFunc: one key, the collection name.
@@ -75,21 +68,14 @@ func CollectionNameKey(col *corpus.Collection, _ corpus.Document) []string {
 	return []string{col.Name}
 }
 
-// shard is one hash partition of the key space. Each shard is touched by
-// exactly one worker per Update, so postings need no locking.
-type shard struct {
-	postings map[string][]int32
-}
-
-// Index is the sharded incremental blocking index. All methods are safe
-// for concurrent use.
+// Index is the incremental blocking index. All methods are safe for
+// concurrent use.
 type Index struct {
 	mu     sync.Mutex
 	scheme blocking.KeyedScheme
 	keys   KeyFunc
 
-	shards   []shard
-	keyCount int
+	postings map[string][]int32 // index key → document ids, in indexing order
 
 	comps *Components
 }
@@ -107,24 +93,12 @@ func New(cfg Config) (*Index, error) {
 	if cfg.Keys == nil {
 		cfg.Keys = CollectionNameKey
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = DefaultShards
-	}
-	x := &Index{
-		scheme: cfg.Scheme,
-		keys:   cfg.Keys,
-		shards: make([]shard, cfg.Shards),
-		comps:  NewComponents(),
-	}
-	for i := range x.shards {
-		x.shards[i].postings = make(map[string][]int32)
-	}
-	return x, nil
-}
-
-// shardOf hash-partitions one index key.
-func (x *Index) shardOf(key string) int {
-	return int(blocking.HashKey(key) % uint64(len(x.shards)))
+	return &Index{
+		scheme:   cfg.Scheme,
+		keys:     cfg.Keys,
+		postings: make(map[string][]int32),
+		comps:    NewComponents(),
+	}, nil
 }
 
 // Version counts indexed documents; it increases exactly when the index
@@ -153,50 +127,18 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 		return UpdateStats{}, err
 	}
 
-	if len(delta) > 0 {
-		// Partition the delta's (key, doc) pairs by shard, then let one
-		// worker per touched shard append postings and emit union edges —
-		// shard-disjoint maps make this safe without locks.
-		type kv struct {
-			key string
-			id  int32
-		}
-		type edge struct {
-			a, b int32
-		}
-		buckets := make([][]kv, len(x.shards))
-		for _, d := range delta {
-			for _, k := range d.Keys {
-				s := x.shardOf(k)
-				buckets[s] = append(buckets[s], kv{key: k, id: d.ID})
+	for _, d := range delta {
+		for _, k := range d.Keys {
+			p := x.postings[k]
+			if len(p) > 0 {
+				x.comps.Merge(p[0], d.ID)
 			}
-		}
-		edgesPer := make([][]edge, len(x.shards))
-		newKeys := make([]int, len(x.shards))
-		fanout.Each(len(x.shards), func(s int) bool {
-			postings := x.shards[s].postings
-			for _, item := range buckets[s] {
-				p := postings[item.key]
-				if len(p) == 0 {
-					newKeys[s]++
-				} else {
-					edgesPer[s] = append(edgesPer[s], edge{a: p[0], b: item.id})
-				}
-				postings[item.key] = append(p, item.id)
-			}
-			return true
-		})
-		for s := range edgesPer {
-			for _, e := range edgesPer[s] {
-				x.comps.Merge(e.a, e.b)
-			}
-			x.keyCount += newKeys[s]
+			x.postings[k] = append(p, d.ID)
 		}
 	}
 
 	stats := x.comps.Commit(cols, delta)
-	stats.Keys = x.keyCount
-	stats.Shards = len(x.shards)
+	stats.Keys = len(x.postings)
 	return stats, nil
 }
 
@@ -237,7 +179,7 @@ func (x *Index) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]Do
 // older than what the index has already seen (two configurations sharing
 // one index can observe the store in different orders).
 func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, Shards: len(x.shards)})
+	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -258,9 +200,6 @@ type Stats struct {
 	Keys int `json:"keys"`
 	// Blocks is the number of key-connected components.
 	Blocks int `json:"blocks"`
-	// ShardKeys is the number of keys per shard — the balance of the hash
-	// partitioning.
-	ShardKeys []int `json:"shard_keys"`
 	// Version counts indexed documents.
 	Version uint64 `json:"version"`
 }
@@ -269,16 +208,11 @@ type Stats struct {
 func (x *Index) Stats() Stats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Docs:        x.comps.Docs(),
 		Collections: x.comps.Collections(),
-		Keys:        x.keyCount,
+		Keys:        len(x.postings),
 		Blocks:      x.comps.Blocks(),
-		ShardKeys:   make([]int, len(x.shards)),
 		Version:     x.comps.Version(),
 	}
-	for i := range x.shards {
-		st.ShardKeys[i] = len(x.shards[i].postings)
-	}
-	return st
 }

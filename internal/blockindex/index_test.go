@@ -93,7 +93,7 @@ func TestIndexMatchesSchemeAcrossBatches(t *testing.T) {
 
 	for _, scheme := range []blocking.KeyedScheme{blocking.ExactKey{}, blocking.TokenBlocking{}} {
 		t.Run(fmt.Sprintf("%T", scheme), func(t *testing.T) {
-			x, err := New(Config{Scheme: scheme, Shards: 4})
+			x, err := New(Config{Scheme: scheme})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestIndexMatchesSchemeAcrossBatches(t *testing.T) {
 }
 
 func TestIndexDirtyBlockAccounting(t *testing.T) {
-	x, err := New(Config{Scheme: blocking.ExactKey{}, Shards: 2})
+	x, err := New(Config{Scheme: blocking.ExactKey{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestIndexOutOfSync(t *testing.T) {
 }
 
 func TestIndexCodecRoundTrip(t *testing.T) {
-	cfg := Config{Scheme: blocking.TokenBlocking{}, Shards: 4}
+	cfg := Config{Scheme: blocking.TokenBlocking{}}
 	x, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 }
 
 func TestIndexCodecRejectsDamage(t *testing.T) {
-	cfg := Config{Scheme: blocking.ExactKey{}, Shards: 2}
+	cfg := Config{Scheme: blocking.ExactKey{}}
 	x, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,13 +272,17 @@ func TestIndexCodecRejectsDamage(t *testing.T) {
 	}
 
 	// A checksum-valid record whose postings hold a key with no documents.
-	empty := sealedPayload(t, encodedIndex{Shards: 2, Postings: []map[string][]int32{{"k": {}}, nil}})
+	empty := sealedPayload(t, encodedIndex{Postings: []map[string][]int32{{"k": {}}, nil}})
 	if _, err := Decode(bytes.NewReader(empty), cfg); !errors.Is(err, ErrCodecCorrupt) {
 		t.Errorf("empty posting list: error %v, want ErrCodecCorrupt", err)
 	}
 
-	if _, err := Decode(bytes.NewReader(good), Config{Scheme: blocking.ExactKey{}, Shards: 8}); err == nil {
-		t.Error("shard-count mismatch was accepted")
+	// A key in two posting maps: each map would re-link its own posting.
+	twice := sealedPayload(t, encodedIndex{
+		Refs: []DocRef{{Col: 0, Doc: 0}, {Col: 1, Doc: 0}}, Hashes: []uint64{1, 2},
+		Postings: []map[string][]int32{{"k": {0}}, {"k": {1}}}})
+	if _, err := Decode(bytes.NewReader(twice), cfg); !errors.Is(err, ErrCodecCorrupt) {
+		t.Errorf("key in two posting maps: error %v, want ErrCodecCorrupt", err)
 	}
 }
 
@@ -297,7 +301,7 @@ func sealedPayload(tb testing.TB, enc encodedIndex) []byte {
 // exercised: Decode must not panic, and an index it accepts must re-encode
 // and decode to the same membership.
 func FuzzDecodeIndex(f *testing.F) {
-	cfg := Config{Scheme: blocking.TokenBlocking{}, Shards: 2}
+	cfg := Config{Scheme: blocking.TokenBlocking{}}
 	x, err := New(cfg)
 	if err != nil {
 		f.Fatal(err)
@@ -310,7 +314,7 @@ func FuzzDecodeIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(real.Bytes()[framing.HeaderBytes:])
-	f.Add(sealedPayload(f, encodedIndex{Shards: 2, Postings: []map[string][]int32{{"k": {}}, nil}})[framing.HeaderBytes:])
+	f.Add(sealedPayload(f, encodedIndex{Postings: []map[string][]int32{{"k": {}}, nil}})[framing.HeaderBytes:])
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		rec, err := framing.Record(func(w io.Writer) error { _, err := w.Write(payload); return err })

@@ -438,7 +438,7 @@ func CombineIDs(memberHashes []uint64) uint64 {
 // DocHash fingerprints one ingested document from its identifying parts:
 // collection name, position within the collection, URL, text and persona
 // label. It is THE document identity of incremental resolution — the
-// pipeline's membership diff and the sharded blocking index must hash
+// pipeline's membership diff and the blocking index must hash
 // documents identically, or index-maintained block fingerprints would
 // never match diff-computed ones and every block would look dirty.
 // Positions are stable under append-only ingestion, which the store

@@ -37,7 +37,7 @@ func (uf *UnionFind) Union(x, y int) bool {
 }
 
 // Add appends one new singleton element and returns its index. It is the
-// growth primitive behind incremental structures (the sharded blocking
+// growth primitive behind incremental structures (the blocking
 // index) that extend a union-find as documents arrive instead of
 // rebuilding it per run.
 func (uf *UnionFind) Add() int {

@@ -1,6 +1,6 @@
 // Package fanout is the resolver's one way to spend cores on independent
-// work: blocks of a run, rows of a block's similarity matrices, shards and
-// components of the blocking index. Every CPU fan-out goes through Run, so
+// work: blocks of a run, rows of a block's similarity matrices, new
+// documents and components of the blocking index. Every CPU fan-out goes through Run, so
 // nested fan-outs share one process-wide budget of extra workers and add up
 // instead of multiplying.
 package fanout

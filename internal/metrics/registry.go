@@ -97,7 +97,7 @@ func (r *Registry) Gauge(name, help string, fn func() float64, labels ...string)
 
 // GaugeFunc registers a callback-backed gauge family: fn is invoked at
 // render time and every returned sample is emitted under name — the shape
-// for dynamic label sets like per-shard index balance.
+// for dynamic label sets like one sample per live index.
 func (r *Registry) GaugeFunc(name, help string, fn func() []Sample) {
 	r.register(name, help, typeGauge, &series{samples: fn})
 }

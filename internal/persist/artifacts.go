@@ -285,8 +285,8 @@ func (d *SnapshotDir) Load(key string, pl *pipeline.Pipeline) (snap *pipeline.Sn
 }
 
 // IndexDir stores one encoded blockindex.Index per blocking configuration
-// (DIR/indexes/*.idx). Indexes are keyed by (scheme, key function, shard
-// count) only — far fewer knobs than snapshots — so a cap of 16 suffices.
+// (DIR/indexes/*.idx). Indexes are keyed by (scheme, key function)
+// only — far fewer knobs than snapshots — so a cap of 16 suffices.
 // The server neither writes nor reads it: a candidate index is rebuilt
 // from the journaled corpus by the first resolve after a restart. Only the
 // benchmark's replay probe still does.

@@ -97,7 +97,7 @@ func TestCrashEveryIOBoundary(t *testing.T) {
 	}
 	const snapKey = "best|closure|exact|0.1|10|42"
 	const idxKey = "token|collection|4"
-	idxCfg := blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4}
+	idxCfg := blockindex.Config{Scheme: blocking.TokenBlocking{}}
 	idx, err := blockindex.New(idxCfg)
 	if err != nil {
 		t.Fatal(err)

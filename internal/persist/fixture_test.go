@@ -60,16 +60,18 @@ type fixMembership struct {
 	Fps     []uint64              `json:"fps"`
 }
 
-// check compares a loaded index's decoded state against the record.
-func (want fixMembership) check(t *testing.T, kind string, version uint64, stats any, refs [][]blockindex.DocRef, fps []uint64) {
+// check compares a loaded index's decoded state against the record: every
+// Stats field this tree still has (the record's shard_keys went with the
+// index's hash partitions).
+func (want fixMembership) check(t *testing.T, kind string, version uint64, stats blockindex.Stats, refs [][]blockindex.DocRef, fps []uint64) {
 	t.Helper()
-	gotStats, err := json.Marshal(stats)
-	if err != nil {
+	var wantStats blockindex.Stats
+	if err := json.Unmarshal(want.Stats, &wantStats); err != nil {
 		t.Fatal(err)
 	}
-	if version != want.Version || !bytes.Equal(gotStats, want.Stats) {
-		t.Errorf("%s: loaded version %d, stats %s; parent saved version %d, stats %s",
-			kind, version, gotStats, want.Version, want.Stats)
+	if version != want.Version || stats != wantStats {
+		t.Errorf("%s: loaded version %d, stats %+v; parent saved version %d, stats %s",
+			kind, version, stats, want.Version, want.Stats)
 	}
 	if !reflect.DeepEqual(refs, want.Refs) || !reflect.DeepEqual(fps, want.Fps) {
 		t.Errorf("%s: loaded membership differs from what the parent saved:\n got %v %v\nwant %v %v",
@@ -183,7 +185,7 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 	t.Run("idx", func(t *testing.T) {
 		path := data.Indexes.path(fixIdxKey)
 		parent := place(t, "idx", path)
-		cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4}
+		cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}}
 		idx, err := data.Indexes.LoadIndex(fixIdxKey, cfg)
 		if err != nil || idx == nil {
 			t.Fatalf("LoadIndex = (%v, %v)", idx, err)

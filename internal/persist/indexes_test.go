@@ -27,7 +27,7 @@ func indexCols() []*corpus.Collection {
 
 func TestIndexDirRoundTrip(t *testing.T) {
 	dir := bareDir(t, newIndexDir, t.TempDir())
-	cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4}
+	cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}}
 
 	// No index saved yet: (nil, nil).
 	idx, err := dir.LoadIndex("token|collection|4", cfg)
@@ -69,7 +69,7 @@ func TestIndexDirRoundTrip(t *testing.T) {
 func TestIndexDirRejectsDamage(t *testing.T) {
 	tmp := t.TempDir()
 	dir := bareDir(t, newIndexDir, tmp)
-	cfg := blockindex.Config{Scheme: blocking.ExactKey{}, Shards: 2}
+	cfg := blockindex.Config{Scheme: blocking.ExactKey{}}
 	built, err := blockindex.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -116,7 +116,7 @@ type Data struct {
 	// neither writes nor reads it — a resolve's durable form is its serving
 	// record — and only the benchmark's replay probe still does.
 	Snapshots *SnapshotDir
-	// Indexes is the per-blocking-configuration sharded index directory.
+	// Indexes is the per-blocking-configuration key index directory.
 	// Like Snapshots, the server neither writes nor reads it — a restarted
 	// server's first resolve rebuilds its candidate index from the journal
 	// — and only the benchmark's replay probe still does. An index file an

@@ -69,7 +69,7 @@ func benchBlockCorpus(b *testing.B) (base, full []*corpus.Collection, docs int) 
 
 // BenchmarkSchemeBlock is the full-rebuild baseline: every iteration pays
 // a complete candidate-generation and union-find pass over the corpus,
-// which is what the Block stage cost per run before the sharded index.
+// which is what the Block stage cost per run before the key index.
 func BenchmarkSchemeBlock(b *testing.B) {
 	_, full, docs := benchBlockCorpus(b)
 	sb := NewSchemeBlocker(blocking.TokenBlocking{})
@@ -83,7 +83,7 @@ func BenchmarkSchemeBlock(b *testing.B) {
 	b.ReportMetric(float64(docs)*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
 }
 
-// BenchmarkIndexBlock measures the same Block stage served by the sharded
+// BenchmarkIndexBlock measures the same Block stage served by the key
 // index in the delta-ingest case: the base corpus is already indexed (the
 // untimed decode restores that state each iteration), so the timed work is
 // keying the 40-document delta, merging it into the components, and

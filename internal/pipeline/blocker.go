@@ -40,14 +40,12 @@ type IndexedBlocks struct {
 }
 
 // BlockingStats reports what the block stage did for one run — how much of
-// the work the sharded index reused.
+// the work the incremental index reused.
 type BlockingStats struct {
 	// Indexer names the block stage implementation: "index" for the
-	// sharded incremental index, "ann" for the approximate candidate
+	// incremental key index, "ann" for the approximate candidate
 	// index, "scheme" for the per-run SchemeBlocker.
 	Indexer string `json:"indexer"`
-	// Shards is the index's hash-partition count.
-	Shards int `json:"shards,omitempty"`
 	// IndexedDocs is the total number of documents in the index after the
 	// run.
 	IndexedDocs int `json:"indexed_docs,omitempty"`
@@ -81,7 +79,7 @@ type DocRef = blockindex.DocRef
 // document by the name its collection was retrieved for — the paper's "all
 // pages retrieved for one name" scheme. Richer key functions (extracted
 // person names, URL hosts, …) trade reduction for recall. A KeyFunc must
-// be pure: the sharded index calls it once per document at indexing time
+// be pure: the key index calls it once per document at indexing time
 // and caches the derived keys forever.
 type KeyFunc func(col *corpus.Collection, doc corpus.Document) []string
 
@@ -191,9 +189,6 @@ type BlockingConfig struct {
 	// default and its explicit spelling share one graph, and zero otherwise.
 	ANN         bool
 	M, EfSearch int
-	// Shards is the sharded key index's partition count. ParseBlocking sets
-	// the index default; a server configured otherwise overrides it.
-	Shards int
 }
 
 // ParseBlocking maps the CLI/API blocking names and knobs to their
@@ -204,7 +199,7 @@ type BlockingConfig struct {
 // approximating them would only lose recall). Empty names select the
 // paper's setup: exact-key blocking over collection names, exact mode.
 func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, error) {
-	c := BlockingConfig{SchemeName: scheme, KeysName: keys, Shards: blockindex.DefaultShards}
+	c := BlockingConfig{SchemeName: scheme, KeysName: keys}
 	if c.SchemeName == "" {
 		c.SchemeName = "exact"
 	}
@@ -248,7 +243,7 @@ func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, 
 
 // FreshBlocker builds the configuration's blocker over a new, empty index:
 // an IndexBlocker over the approximate candidate graph in "ann" mode, over
-// the sharded key index for a scheme whose candidate pairs come purely from
+// the key index for a scheme whose candidate pairs come purely from
 // shared keys (blocking.KeyedScheme — exact, token), and the stateless
 // per-run SchemeBlocker for a global scheme in exact mode.
 func (c BlockingConfig) FreshBlocker() (Blocker, error) {
@@ -261,14 +256,14 @@ func (c BlockingConfig) FreshBlocker() (Blocker, error) {
 		return NewANNBlockerWith(idx), nil
 	}
 	if keyed, ok := c.Scheme.(blocking.KeyedScheme); ok {
-		return NewIndexBlocker(keyed, c.Keys, c.Shards)
+		return NewIndexBlocker(keyed, c.Keys, 0)
 	}
 	return SchemeBlocker{Scheme: c.Scheme, Keys: c.Keys}, nil
 }
 
 // IndexKey names the candidate index a long-lived owner of this
 // configuration shares between runs — "ann|scheme|keys|m|ef" for a graph,
-// "scheme|keys|shards" for a sharded key index: only the knobs that shape
+// "scheme|keys" for a key index: only the knobs that shape
 // the index, and no scheme is named "ann", so the two kinds cannot collide.
 // It is "" for a configuration that blocks without an index.
 func (c BlockingConfig) IndexKey() string {
@@ -276,7 +271,7 @@ func (c BlockingConfig) IndexKey() string {
 		return fmt.Sprintf("ann|%s|%s|%d|%d", c.SchemeName, c.KeysName, c.M, c.EfSearch)
 	}
 	if _, ok := c.Scheme.(blocking.KeyedScheme); ok {
-		return fmt.Sprintf("%s|%s|%d", c.SchemeName, c.KeysName, c.Shards)
+		return c.SchemeName + "|" + c.KeysName
 	}
 	return ""
 }
@@ -390,7 +385,7 @@ func (sb SchemeBlocker) BlockMembership(ctx context.Context, cols []*corpus.Coll
 }
 
 // docKeys fingerprints every ingested document with blocking.DocHash — the
-// shared identity formula of the incremental diff and the sharded index. A
+// shared identity formula of the incremental diff and the key index. A
 // document's key covers its collection name, position, URL, text and
 // persona label, so a block's membership fingerprint changes exactly when
 // any member document's content or position changes — the dirty condition

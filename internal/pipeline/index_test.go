@@ -56,7 +56,7 @@ func randomBatches(rng *rand.Rand, cols []*corpus.Collection, k int) [][]*corpus
 }
 
 // TestIndexBlockerMatchesSchemeBlocker is the property harness: for the
-// key-based schemes, the sharded index fed K randomized append-only
+// key-based schemes, the key index fed K randomized append-only
 // batches must report, after every batch, blocks, members and
 // fingerprints identical to a full SchemeBlocker pass (plus the
 // diff-side fingerprint formula) over that batch.
@@ -115,7 +115,7 @@ func TestIndexBlockerMatchesSchemeBlocker(t *testing.T) {
 
 // TestIndexIncrementalEqualsFull extends the headline guarantee to the
 // index path: for exact × token schemes × all strategies × both
-// clusterings, K-batch ingest resolved incrementally through the sharded
+// clusterings, K-batch ingest resolved incrementally through the key
 // index yields, after the last batch, clusters identical to one full
 // SchemeBlocker resolution of the union.
 func TestIndexIncrementalEqualsFull(t *testing.T) {
@@ -227,7 +227,7 @@ func TestIndexBlockerRestartEqualsFresh(t *testing.T) {
 	if _, err := ib.Index().EncodeTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := blockindex.Decode(&buf, blockindex.Config{Scheme: blocking.TokenBlocking{}, Shards: 4})
+	decoded, err := blockindex.Decode(&buf, blockindex.Config{Scheme: blocking.TokenBlocking{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type CandidateIndex interface {
 // IndexBlocker is the Block stage over an incremental candidate index: it
 // keys and hashes only the documents that arrived since the previous call,
 // merges them into the candidate-connected components, and assembles the
-// block collections in parallel. Over the sharded key index it serves the
+// block collections in parallel. Over the key index it serves the
 // key-based schemes (exact, token) exactly; over the ANN index it serves
 // the global schemes (canopy, sorted neighborhood) approximately,
 // replacing their O(N²) per-run pass; without an index the global schemes
@@ -43,18 +43,19 @@ type CandidateIndex interface {
 type IndexBlocker struct {
 	idx CandidateIndex
 	// indexer is the BlockingStats.Indexer this blocker reports: "index"
-	// over the sharded key index, "ann" over the ANN index.
+	// over the key index, "ann" over the ANN index.
 	indexer string
 }
 
 // NewIndexBlocker builds an IndexBlocker for a key-based scheme. A nil
-// keys selects the collection-name KeyFunc; shards < 1 selects the index
-// default.
-func NewIndexBlocker(scheme blocking.KeyedScheme, keys KeyFunc, shards int) (*IndexBlocker, error) {
+// keys selects the collection-name KeyFunc. The third argument is ignored:
+// it was the index's shard count, and survives only because the
+// benchmark's replay probe (bench/probe.go) still passes it; it goes with
+// that loop.
+func NewIndexBlocker(scheme blocking.KeyedScheme, keys KeyFunc, _ int) (*IndexBlocker, error) {
 	idx, err := blockindex.New(blockindex.Config{
 		Scheme: scheme,
 		Keys:   blockindex.KeyFunc(keys),
-		Shards: shards,
 	})
 	if err != nil {
 		return nil, err
@@ -126,7 +127,6 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 	default:
 		blockingStats = BlockingStats{
 			Indexer:     ib.indexer,
-			Shards:      stats.Shards,
 			IndexedDocs: stats.IndexedDocs,
 			DeltaDocs:   stats.DeltaDocs,
 			DirtyBlocks: stats.DirtyBlocks,

@@ -21,7 +21,7 @@
 // two implementations: SchemeBlocker, the stateless full pass over any
 // scheme and the reference the other is tested against, and IndexBlocker,
 // which serves a growing corpus in O(delta) from an incremental
-// CandidateIndex — the sharded key index (internal/blockindex) for the
+// CandidateIndex — the key index (internal/blockindex) for the
 // key-based schemes, the HNSW candidate index (internal/ann) for the global
 // schemes in "ann" mode. The blocker is the same code over both; only the
 // index differs. Which one a scheme name, key-function name, mode and graph

@@ -155,18 +155,8 @@ func (s *Server) initObservability() {
 			return 0
 		}))
 
-	r.GaugeFunc("ersolve_blocking_index_keys", "Distinct keys per blocking index shard.", func() []metrics.Sample {
-		var out []metrics.Sample
-		for _, li := range liveIndexes[*blockindex.Index](s) {
-			for shard, keys := range li.idx.Stats().ShardKeys {
-				out = append(out, metrics.Sample{
-					Labels: []string{"index", li.key, "shard", strconv.Itoa(shard)},
-					Value:  float64(keys),
-				})
-			}
-		}
-		return out
-	})
+	r.GaugeFunc("ersolve_blocking_index_keys", "Distinct keys per blocking index.",
+		indexSamples(s, func(x *blockindex.Index) float64 { return float64(x.Stats().Keys) }))
 	r.GaugeFunc("ersolve_blocking_index_docs", "Documents indexed per blocking index.",
 		indexSamples(s, func(x *blockindex.Index) float64 { return float64(x.Stats().Docs) }))
 

@@ -57,10 +57,6 @@ type Config struct {
 	// Store is the document store behind the ingest endpoints; nil
 	// selects a fresh in-memory store.
 	Store store.DocumentStore
-	// BlockShards is the hash-partition count of the sharded blocking
-	// indexes the incremental endpoint maintains for key-based schemes;
-	// zero selects the index default.
-	BlockShards int
 	// Serving optionally persists each configuration's committed
 	// resolution as its serving index (internal/persist.ServingDir is the
 	// disk implementation). When set, every committed incremental run
@@ -97,14 +93,13 @@ type Server struct {
 	states   map[string]*incrementalState
 
 	// indexes holds one candidate index per blocking configuration, by
-	// its IndexKey — a sharded key index per (scheme, key function, shard
-	// count), an ANN graph per (scheme, key function, graph knobs); the two
-	// kinds' keys cannot collide. An index is shared by every resolution
-	// configuration that blocks the same way, so ten seeds over one scheme
-	// maintain one index. The index itself serializes access. It lives only
-	// in memory: after a restart the configuration's first resolve keys the
-	// replayed store into a fresh one through the same delta update every
-	// resolve runs.
+	// its IndexKey — a key index per (scheme, key function), an ANN graph
+	// per (scheme, key function, graph knobs); the two kinds' keys cannot
+	// collide. An index is shared by every resolution configuration that
+	// blocks the same way, so ten seeds over one scheme maintain one index.
+	// The index itself serializes access. It lives only in memory: after a
+	// restart the configuration's first resolve keys the replayed store into
+	// a fresh one through the same delta update every resolve runs.
 	indexesMu sync.Mutex
 	indexes   map[string]*pipeline.IndexBlocker
 
@@ -507,7 +502,7 @@ type IncrementalResolveResponse struct {
 	// Incremental reports what the dirty-block diff skipped.
 	Incremental IncrementalStats `json:"incremental"`
 	// Blocking reports the block stage's own reuse: how many documents the
-	// sharded index newly keyed for this run ("delta_docs": 0 means the
+	// key index newly keyed for this run ("delta_docs": 0 means the
 	// whole blocking pass was served from the index) and which
 	// implementation ran ("index" or "scheme").
 	Blocking pipeline.BlockingStats `json:"blocking"`
@@ -1066,9 +1061,6 @@ func (s *Server) parseKnobs(req resolveKnobs) (cfg pipeline.Config, bc pipeline.
 	}
 	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys, req.BlockingMode, req.AnnM, req.AnnEf); err != nil {
 		return cfg, bc, err
-	}
-	if s.cfg.BlockShards > 0 {
-		bc.Shards = s.cfg.BlockShards
 	}
 	return cfg, bc, nil
 }

@@ -548,32 +548,29 @@ func TestIncrementalStateKeying(t *testing.T) {
 func TestPersistedKeysAreStable(t *testing.T) {
 	for _, c := range []struct {
 		body     string
-		shards   int
 		indexKey string
 		knobsKey string
 	}{
-		{`{}`, 0, "exact|collection|16", "best|closure|exact|collection|0.1|10|1"},
-		{`{"seed":1}`, 0, "exact|collection|16", "best|closure|exact|collection|0.1|10|1"},
-		{`{"blocking":"token","keys":"names"}`, 0, "token|names|16", "best|closure|token|names|0.1|10|1"},
-		{`{"blocking":"token","keys":"names"}`, 4, "token|names|4", "best|closure|token|names|0.1|10|1"},
-		{`{"blocking":"canopy"}`, 0, "", "best|closure|canopy|collection|0.1|10|1"},
-		{`{"blocking":"canopy","blocking_mode":"ann"}`, 0, "ann|canopy|collection|12|64", "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
-		{`{"blocking":"canopy","blocking_mode":"ann","ann_m":12,"ann_ef":64}`, 4, "ann|canopy|collection|12|64", "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
-		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, 0, "ann|sortedneighborhood|collection|5|64", "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
-		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`, 0,
-			"token|urlhost|16", "weighted|correlation|token|urlhost|0.2|5|-1"},
+		{`{}`, "exact|collection", "best|closure|exact|collection|0.1|10|1"},
+		{`{"seed":1}`, "exact|collection", "best|closure|exact|collection|0.1|10|1"},
+		{`{"blocking":"token","keys":"names"}`, "token|names", "best|closure|token|names|0.1|10|1"},
+		{`{"blocking":"canopy"}`, "", "best|closure|canopy|collection|0.1|10|1"},
+		{`{"blocking":"canopy","blocking_mode":"ann"}`, "ann|canopy|collection|12|64", "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
+		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "ann|sortedneighborhood|collection|5|64", "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
+		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`,
+			"token|urlhost", "weighted|correlation|token|urlhost|0.2|5|-1"},
 	} {
 		var k resolveKnobs
 		if err := json.Unmarshal([]byte(c.body), &k); err != nil {
 			t.Fatal(err)
 		}
-		srv := New(Config{BlockShards: c.shards})
+		srv := New(Config{})
 		_, bc, err := srv.parseKnobs(k)
 		if err != nil {
 			t.Fatalf("%s: %v", c.body, err)
 		}
 		if got := bc.IndexKey(); got != c.indexKey {
-			t.Errorf("%s with %d shards: index key %q, want %q", c.body, c.shards, got, c.indexKey)
+			t.Errorf("%s: index key %q, want %q", c.body, got, c.indexKey)
 		}
 		if _, err := srv.blockerFor(bc); err != nil {
 			t.Fatalf("%s: %v", c.body, err)
@@ -583,7 +580,7 @@ func TestPersistedKeysAreStable(t *testing.T) {
 			want = []string{c.indexKey}
 		}
 		if got := slices.Sorted(maps.Keys(srv.indexes)); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s with %d shards: registry keys %q, want %q", c.body, c.shards, got, want)
+			t.Errorf("%s: registry keys %q, want %q", c.body, got, want)
 		}
 		if got := knobsKey(k, bc); got != c.knobsKey {
 			t.Errorf("%s: knobs key %q, want %q", c.body, got, c.knobsKey)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,10 +77,10 @@ func (r statsReply) stageCount(t *testing.T, stage string) int64 {
 }
 
 // TestStatsEndpoint pins the observability surface: per-stage counters,
-// queue depth, and the sharded index's shape all show up after ingest and
+// queue depth, and the key index's shape all show up after ingest and
 // two incremental resolves.
 func TestStatsEndpoint(t *testing.T) {
-	ts := testServer(t, Config{BlockShards: 4})
+	ts := testServer(t, Config{})
 	col := testCollection(t, 24)
 
 	empty := getStats(t, ts)
@@ -102,8 +101,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if run.Blocking.DeltaDocs != 24 {
 		t.Fatalf("first resolve delta_docs = %d, want 24: the resolve keys the whole ingest", run.Blocking.DeltaDocs)
 	}
-	if run.Blocking.IndexedDocs != 24 || run.Blocking.Shards != 4 {
-		t.Fatalf("blocking stats = %+v, want 24 docs over 4 shards", run.Blocking)
+	if run.Blocking.IndexedDocs != 24 {
+		t.Fatalf("blocking stats = %+v, want 24 docs", run.Blocking)
 	}
 
 	var again IncrementalResolveResponse
@@ -135,16 +134,12 @@ func TestStatsEndpoint(t *testing.T) {
 	if n := len(st["ersolve_blocking_index_docs"]); n != 1 {
 		t.Fatalf("indexes = %+v, want exactly one", st["ersolve_blocking_index_docs"])
 	}
-	const key = "exact|collection|4"
+	const key = "exact|collection"
 	if docs := st.value(t, "ersolve_blocking_index_docs", "index", key); docs != 24 {
 		t.Fatalf("index %s holds %g docs, want 24", key, docs)
 	}
-	keys := 0.0
-	for shard := 0; shard < 4; shard++ {
-		keys += st.value(t, "ersolve_blocking_index_keys", "index", key, "shard", strconv.Itoa(shard))
-	}
-	if n := len(st["ersolve_blocking_index_keys"]); n != 4 || keys == 0 {
-		t.Fatalf("shard keys = %+v, want 4 shards holding the index's keys", st["ersolve_blocking_index_keys"])
+	if n, keys := len(st["ersolve_blocking_index_keys"]), st.value(t, "ersolve_blocking_index_keys", "index", key); n != 1 || keys == 0 {
+		t.Fatalf("index keys = %+v, want one sample holding the index's keys", st["ersolve_blocking_index_keys"])
 	}
 	if states := st.value(t, "ersolve_snapshot_states"); states != 1 {
 		t.Fatalf("snapshot states = %g", states)
@@ -222,7 +217,7 @@ func TestNamesKeysKnob(t *testing.T) {
 // keys the whole ingested batch as its delta without falling back to a
 // full membership pass.
 func TestIngestLeavesIndexesToResolve(t *testing.T) {
-	ts := testServer(t, Config{BlockShards: 4})
+	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 10))
 	var run IncrementalResolveResponse
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &run); code != http.StatusOK {
@@ -230,7 +225,7 @@ func TestIngestLeavesIndexesToResolve(t *testing.T) {
 	}
 	indexed := func() float64 {
 		t.Helper()
-		return getStats(t, ts).value(t, "ersolve_blocking_index_docs", "index", "exact|collection|4")
+		return getStats(t, ts).value(t, "ersolve_blocking_index_docs", "index", "exact|collection")
 	}
 	before := indexed()
 	if before != 10 {

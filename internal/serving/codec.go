@@ -25,9 +25,8 @@ const commitHeaderBytes = 16
 var ErrCodecCorrupt = errors.New("serving: encoded serving index is corrupt")
 
 // encodedIndex is the base record's gob payload: the per-block primary
-// state plus the snapshot geometry its refs point into. The top-level
-// inverted maps (doc table, token postings, ID map) are derived state,
-// reassembled on decode.
+// state plus the snapshot geometry its refs point into. The doc table and
+// the token postings are derived state, reassembled on decode.
 type encodedIndex struct {
 	Epoch        uint64
 	StoreVersion uint64
@@ -88,10 +87,14 @@ func encodeBlock(st *blockState) encodedBlock {
 }
 
 // decodeBlock rebuilds one block's serving state, checking every member
-// ref against the collections the block was committed over.
+// ref against the collections the block was committed over and that the
+// cluster labels ascend strictly, which Entity's search relies on.
 func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState, error) {
 	st := &blockState{fp: eb.FP, name: eb.Name, tokens: eb.Tokens}
-	for _, ec := range eb.Clusters {
+	for j, ec := range eb.Clusters {
+		if j > 0 && ec.Label <= eb.Clusters[j-1].Label {
+			return nil, fmt.Errorf("block %016x: cluster label %d follows %d", eb.FP, ec.Label, eb.Clusters[j-1].Label)
+		}
 		if len(ec.Refs) != len(ec.URLs) {
 			return nil, fmt.Errorf("cluster %s has %d refs but %d urls",
 				ClusterID(eb.FP, ec.Label), len(ec.Refs), len(ec.URLs))

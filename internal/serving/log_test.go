@@ -260,6 +260,100 @@ func TestLogDecodesToLiveIndex(t *testing.T) {
 	}
 }
 
+// TestEntityAnswersOnlyClusterIDs pins that Entity, which reads a cluster's
+// block and label out of its ID instead of keeping an ID map, answers
+// exactly what such a map over every cluster would: each cluster's own ID,
+// and nothing for any other spelling — upper-case hex, 15 or 17 hex
+// digits, a signed or zero-padded label, a trailing byte, "" and "-", a
+// live block's missing label, a removed block's ID. It runs on the
+// indexes Build publishes and DecodeLog reads back over the random commit
+// model of TestLogDecodesToLiveIndex.
+func TestEntityAnswersOnlyClusterIDs(t *testing.T) {
+	upper, removed := 0, 0
+	check := func(t *testing.T, x *Index, gone map[uint64]bool) {
+		t.Helper()
+		byID := map[string]*Cluster{}
+		var probes []string
+		for _, st := range x.order {
+			for _, c := range st.clusters {
+				byID[c.ID] = c
+				probes = append(probes, c.ID)
+			}
+			c := st.clusters[1] // every model block has labels 0 and 1
+			if c.Label != 1 {
+				t.Fatalf("block %016x: second cluster has label %d", st.fp, c.Label)
+			}
+			hex := c.ID[:16]
+			if up := strings.ToUpper(hex); up != hex {
+				upper++
+				probes = append(probes, up+"-1")
+			}
+			probes = append(probes, hex[1:]+"-1", "0"+hex+"-1", hex+"-+1", hex+"-01",
+				c.ID+"x", c.ID+" ", ClusterID(st.fp, len(st.clusters)), ClusterID(st.fp, -1))
+		}
+		for fp := range gone {
+			if x.blocks[fp] == nil {
+				removed++
+				probes = append(probes, ClusterID(fp, 0), ClusterID(fp, 1))
+			}
+		}
+		probes = append(probes, "", "-", "nope")
+		for _, id := range probes {
+			if got, want := x.Entity(id), byID[id]; got != want {
+				t.Fatalf("Entity(%q) = %v, an ID map answers %v", id, got, want)
+			}
+		}
+		if len(byID) != x.Clusters() {
+			t.Fatalf("%d distinct cluster IDs, index reports %d clusters", len(byID), x.Clusters())
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		m := newLogModel(seed)
+		var live *Index
+		var held *Manifest
+		var log []byte
+		gone := map[uint64]bool{} // blocks some commit dropped
+		for i := 0; i <= 10; i++ {
+			if i > 0 {
+				m.step()
+			}
+			m.epoch++
+			prev := live
+			live = Build(live, m.epoch, m.version, m.knobs, m.cols, m.run())
+			if prev != nil {
+				for fp := range prev.blocks {
+					if live.blocks[fp] == nil {
+						gone[fp] = true
+					}
+				}
+			}
+			rec, ok := []byte(nil), false
+			if held != nil {
+				rec, ok = live.EncodeCommit(held)
+			}
+			if ok {
+				log = append(log, rec...)
+			} else {
+				var buf bytes.Buffer
+				if err := live.EncodeTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				log = buf.Bytes()
+			}
+			held = live.Manifest()
+			decoded, tail, err := DecodeLog(bytes.NewReader(log))
+			if err != nil || tail != nil {
+				t.Fatalf("seed %d commit %d: DecodeLog = (tail %v, err %v)", seed, i, tail, err)
+			}
+			check(t, live, gone)
+			check(t, decoded, gone)
+		}
+	}
+	if upper == 0 || removed == 0 {
+		t.Fatalf("probed %d upper-case and %d removed-block IDs; the model must produce both", upper, removed)
+	}
+}
+
 // FuzzDecodeServingLog feeds arbitrary bytes to the log reader: it must not
 // panic, must not let a corrupt length size an allocation (the record
 // reader checks a declared length against the bytes present first), and

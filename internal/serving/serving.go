@@ -11,9 +11,12 @@
 // membership fingerprint is unchanged since the previous Index (built under
 // the same resolution configuration) reuses its materialized clusters —
 // including their stable IDs — and only dirty blocks pay the
-// materialization cost. The top-level maps (doc table, token postings) are
-// reassembled per commit; that is pointer work, linear in the corpus with a
-// tiny constant, not re-materialization.
+// materialization cost. What the index keeps beside its blocks is only
+// what a read cannot derive from them: the doc table (document → cluster)
+// and the token postings (token → blocks) are reassembled per commit, which
+// is pointer work, linear in the corpus with a tiny constant, not
+// re-materialization. An entity lookup needs neither: a cluster ID names
+// its block and its label.
 //
 // Cluster IDs are derived from the block's membership fingerprint plus the
 // cluster's label ("%016x-%d"), so an entity keeps its ID across commits
@@ -36,6 +39,7 @@ package serving
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
@@ -108,9 +112,10 @@ type BlockResolution struct {
 	Score *eval.Result
 }
 
-// blockState is one block's materialized serving state: its clusters and
-// its search tokens. Reused verbatim across commits while the block's
-// fingerprint (and the resolution configuration) is unchanged.
+// blockState is one block's materialized serving state: its clusters,
+// ascending by label, and its search tokens. Reused verbatim across commits
+// while the block's fingerprint (and the resolution configuration) is
+// unchanged.
 type blockState struct {
 	fp       uint64
 	name     string
@@ -135,10 +140,9 @@ type Index struct {
 
 	blocks   map[uint64]*blockState
 	order    []*blockState // block order, for deterministic encoding
-	clusters []*Cluster
-	byID     map[string]*Cluster
-	docs     [][]int32 // [col][pos] -> index into clusters, -1 when unresolved
-	tokens   map[string][]int32
+	clusters int           // clusters over all blocks
+	docs     [][]*Cluster  // [col][pos] -> the document's cluster, nil when unresolved
+	tokens   map[string][]*blockState
 }
 
 // Build materializes the serving index of one committed run. prev, when
@@ -173,9 +177,9 @@ func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 }
 
 // materialize builds one block's serving state from scratch: group the
-// block documents by cluster label, sort nothing (members arrive in block
-// order, which ascends by store position), and derive the block's search
-// tokens.
+// block documents by cluster label, sort nothing (clusters come out in
+// label order, and members arrive in block order, which ascends by store
+// position), and derive the block's search tokens.
 func materialize(cols []*corpus.Collection, br BlockResolution) *blockState {
 	st := &blockState{fp: br.Fingerprint, name: br.Name}
 	labels := br.Resolution.Labels
@@ -238,8 +242,8 @@ func blockTokens(name string) []string {
 	return blocking.KeyTokens(name, 2)
 }
 
-// assemble rebuilds the index's top-level inverted maps from per-block
-// states — the shared tail of Build and Decode.
+// assemble rebuilds the index's doc table and token postings from
+// per-block states — the shared tail of Build and Decode.
 func assemble(epoch, storeVersion uint64, knobs string,
 	colNames []string, colDocs []int, states []*blockState) *Index {
 
@@ -252,37 +256,27 @@ func assemble(epoch, storeVersion uint64, knobs string,
 		colIndex:     make(map[string]int, len(colNames)),
 		blocks:       make(map[uint64]*blockState, len(states)),
 		order:        states,
-		byID:         make(map[string]*Cluster),
-		docs:         make([][]int32, len(colNames)),
-		tokens:       make(map[string][]int32),
+		docs:         make([][]*Cluster, len(colNames)),
+		tokens:       make(map[string][]*blockState),
 	}
 	for i, name := range colNames {
 		x.colIndex[name] = i
-		table := make([]int32, colDocs[i])
-		for j := range table {
-			table[j] = -1
-		}
-		x.docs[i] = table
+		x.docs[i] = make([]*Cluster, colDocs[i])
 	}
 	for _, st := range states {
 		x.blocks[st.fp] = st
+		x.clusters += len(st.clusters)
 		for _, c := range st.clusters {
-			ci := int32(len(x.clusters))
-			x.clusters = append(x.clusters, c)
-			x.byID[c.ID] = c
 			for _, m := range c.Members {
 				if m.ref.Col < len(x.docs) && m.ref.Doc < len(x.docs[m.ref.Col]) {
-					x.docs[m.ref.Col][m.ref.Doc] = ci
+					x.docs[m.ref.Col][m.ref.Doc] = c
 				}
 			}
 		}
-		// Every cluster of the block answers for the block's tokens: a
-		// token names candidate clusters, the caller disambiguates.
+		// A token names its blocks; Search answers with every cluster of
+		// each: candidates, which the caller disambiguates.
 		for _, tok := range st.tokens {
-			for i := range st.clusters {
-				ci := int32(len(x.clusters) - len(st.clusters) + i)
-				x.tokens[tok] = append(x.tokens[tok], ci)
-			}
+			x.tokens[tok] = append(x.tokens[tok], st)
 		}
 	}
 	return x
@@ -300,7 +294,7 @@ func (x *Index) StoreVersion() uint64 { return x.storeVersion }
 func (x *Index) Knobs() string { return x.knobs }
 
 // Clusters is the number of resolved entities.
-func (x *Index) Clusters() int { return len(x.clusters) }
+func (x *Index) Clusters() int { return x.clusters }
 
 // Docs is the number of store documents the index covers.
 func (x *Index) Docs() int {
@@ -346,8 +340,31 @@ func (x *Index) Resolutions() []BlockResolution {
 	return out
 }
 
-// Entity returns the cluster with the given ID, or nil.
-func (x *Index) Entity(id string) *Cluster { return x.byID[id] }
+// Entity returns the cluster with the given ID, or nil. The ID is read in
+// ClusterID's layout — its block's fingerprint, then its label — and only
+// the spelling ClusterID gives answers.
+func (x *Index) Entity(id string) *Cluster {
+	if len(id) < 18 || id[16] != '-' {
+		return nil
+	}
+	fp, err := strconv.ParseUint(id[:16], 16, 64)
+	if err != nil {
+		return nil
+	}
+	label, err := strconv.Atoi(id[17:])
+	if err != nil {
+		return nil
+	}
+	st := x.blocks[fp]
+	if st == nil {
+		return nil
+	}
+	i := sort.Search(len(st.clusters), func(i int) bool { return st.clusters[i].Label >= label })
+	if i < len(st.clusters) && st.clusters[i].ID == id {
+		return st.clusters[i]
+	}
+	return nil
+}
 
 // DocEntity returns the cluster containing the document at (collection,
 // pos), or nil when the collection is unknown, the position is beyond the
@@ -357,11 +374,7 @@ func (x *Index) DocEntity(collection string, pos int) *Cluster {
 	if !ok || pos < 0 || pos >= len(x.docs[ci]) {
 		return nil
 	}
-	slot := x.docs[ci][pos]
-	if slot < 0 {
-		return nil
-	}
-	return x.clusters[slot]
+	return x.docs[ci][pos]
 }
 
 // Hit is one search result: a candidate cluster and how many query tokens
@@ -384,19 +397,25 @@ func (x *Index) Search(query string, limit int) []Hit {
 		return nil
 	}
 	seen := make(map[string]bool, len(toks))
-	matched := make(map[int32]int)
+	matched := make(map[*blockState]int)
 	for _, tok := range toks {
 		if seen[tok] {
 			continue
 		}
 		seen[tok] = true
-		for _, ci := range x.tokens[tok] {
-			matched[ci]++
+		for _, st := range x.tokens[tok] {
+			matched[st]++
 		}
 	}
-	hits := make([]Hit, 0, len(matched))
-	for ci, m := range matched {
-		hits = append(hits, Hit{Cluster: x.clusters[ci], Matched: m})
+	n := 0
+	for st := range matched {
+		n += len(st.clusters)
+	}
+	hits := make([]Hit, 0, n)
+	for st, m := range matched {
+		for _, c := range st.clusters {
+			hits = append(hits, Hit{Cluster: c, Matched: m})
+		}
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Matched != hits[j].Matched {
@@ -418,27 +437,26 @@ func (x *Index) Search(query string, limit int) []Hit {
 // cluster that contains it. It exists for tests and the read-after-commit
 // consistency harness; Build always produces a valid index.
 func (x *Index) Validate() error {
-	for _, c := range x.clusters {
-		for _, m := range c.Members {
-			if m.ref.Col < 0 || m.ref.Col >= len(x.colDocs) {
-				return fmt.Errorf("serving: cluster %s member references collection %d of %d", c.ID, m.ref.Col, len(x.colDocs))
-			}
-			if m.ref.Doc < 0 || m.ref.Doc >= x.colDocs[m.ref.Col] {
-				return fmt.Errorf("serving: cluster %s member references doc %d beyond collection %q's %d docs at store version %d",
-					c.ID, m.ref.Doc, x.colNames[m.ref.Col], x.colDocs[m.ref.Col], x.storeVersion)
+	for _, st := range x.order {
+		for _, c := range st.clusters {
+			for _, m := range c.Members {
+				if m.ref.Col < 0 || m.ref.Col >= len(x.colDocs) {
+					return fmt.Errorf("serving: cluster %s member references collection %d of %d", c.ID, m.ref.Col, len(x.colDocs))
+				}
+				if m.ref.Doc < 0 || m.ref.Doc >= x.colDocs[m.ref.Col] {
+					return fmt.Errorf("serving: cluster %s member references doc %d beyond collection %q's %d docs at store version %d",
+						c.ID, m.ref.Doc, x.colNames[m.ref.Col], x.colDocs[m.ref.Col], x.storeVersion)
+				}
 			}
 		}
 	}
 	for ci := range x.docs {
-		for pos, slot := range x.docs[ci] {
-			if slot < 0 {
+		for pos, c := range x.docs[ci] {
+			if c == nil {
 				continue
 			}
-			if int(slot) >= len(x.clusters) {
-				return fmt.Errorf("serving: doc table points at cluster %d of %d", slot, len(x.clusters))
-			}
 			found := false
-			for _, m := range x.clusters[slot].Members {
+			for _, m := range c.Members {
 				if m.ref.Col == ci && m.ref.Doc == pos {
 					found = true
 					break
@@ -446,7 +464,7 @@ func (x *Index) Validate() error {
 			}
 			if !found {
 				return fmt.Errorf("serving: doc (%s, %d) maps to cluster %s which does not contain it",
-					x.colNames[ci], pos, x.clusters[slot].ID)
+					x.colNames[ci], pos, c.ID)
 			}
 		}
 	}

@@ -332,6 +332,11 @@ func TestCodecRejectsDamage(t *testing.T) {
 		{"shrinks a collection", record(encodedChange{Cols: []encodedCol{{Index: 0, Name: "smith", Docs: 2}}}), "does not extend"},
 		{"renames a collection", record(encodedChange{Cols: []encodedCol{{Index: 0, Name: "smyth", Docs: 9}}}), "does not extend"},
 		{"skips a collection index", record(encodedChange{Cols: []encodedCol{{Index: 5, Name: "new", Docs: 1}}}), "does not extend"},
+		{"adds a block whose labels descend", func() []byte {
+			eb := jones
+			eb.Clusters = []encodedCluster{eb.Clusters[1], eb.Clusters[0]}
+			return record(encodedChange{Removed: []uint64{0xCCCC}, Added: []encodedBlock{eb}})
+		}(), "cluster label 0 follows 1"},
 		{"adds a member beyond its collection", func() []byte {
 			eb := jones
 			eb.Clusters = append([]encodedCluster(nil), eb.Clusters...)
@@ -366,6 +371,19 @@ func TestCodecRejectsDamage(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(rec)); !errors.Is(err, ErrCodecCorrupt) {
 		t.Fatalf("duplicate block in the base: %v", err)
+	}
+
+	// So is a block whose cluster labels do not ascend strictly: Entity
+	// finds a cluster by searching its block's labels.
+	twice := jones
+	twice.Clusters = []encodedCluster{jones.Clusters[0], jones.Clusters[0]}
+	rec, err = gobRecord(nil, encodedIndex{ColNames: []string{"smith", "jones"}, ColDocs: []int{6, 4},
+		Blocks: []encodedBlock{twice}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(bytes.NewReader(rec)); !errors.Is(err, ErrCodecCorrupt) {
+		t.Fatalf("duplicate cluster label in the base: %v", err)
 	}
 }
 
@@ -468,14 +486,11 @@ func BenchmarkServingRebuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dirty := blocks
-		d := dirty[i%50]
-		d.Fingerprint = uint64(0x9000 + i)
-		dirty[i%50] = d
+		dirty := append([]BlockResolution(nil), blocks...)
+		dirty[i%50].Fingerprint = uint64(0x9000 + i)
 		y := Build(x, uint64(i+2), x.StoreVersion(), "bench", cols, dirty)
 		if y.Clusters() != x.Clusters() {
 			b.Fatalf("clusters = %d, want %d", y.Clusters(), x.Clusters())
 		}
-		dirty[i%50] = blocks[i%50]
 	}
 }
