@@ -110,7 +110,6 @@ func (c Config) withDefaults() Config {
 // key index.
 type CandidateIndex struct {
 	mu      sync.Mutex
-	scheme  blocking.ApproxScheme
 	policy  blocking.ApproxPolicy
 	keys    KeyFunc
 	m       int
@@ -162,7 +161,6 @@ func New(cfg Config) (*CandidateIndex, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &CandidateIndex{
-		scheme:  cfg.Scheme,
 		policy:  cfg.Scheme.ApproxPolicy(),
 		keys:    cfg.Keys,
 		m:       cfg.M,
@@ -286,8 +284,9 @@ func (x *CandidateIndex) Membership() ([][]DocRef, []uint64) {
 
 // UpdateMembership inserts cols' delta and returns the resulting block
 // membership as one atomic operation, so the returned refs lie within
-// cols even when concurrent updaters (another resolve sharing the index)
-// are advancing the index.
+// cols even when a concurrent updater is advancing the index. A corpus
+// already overtaken by a newer snapshot returns ErrOutOfSync exactly like
+// Update, and leaves the index as it was.
 func (x *CandidateIndex) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]DocRef, []uint64, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -297,22 +296,6 @@ func (x *CandidateIndex) UpdateMembership(cols []*corpus.Collection) (UpdateStat
 	}
 	refs, fps := x.comps.Membership()
 	return stats, refs, fps, nil
-}
-
-// MembershipOf computes the membership of an arbitrary corpus under this
-// index's configuration without touching its state — a one-off full pass
-// through a throwaway index, the fallback for corpora the incremental
-// state cannot serve (a snapshot older than what the index has seen).
-func (x *CandidateIndex) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys, M: x.m, EfSearch: x.efSrch})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := tmp.Update(cols); err != nil {
-		return nil, nil, err
-	}
-	refs, fps := tmp.Membership()
-	return refs, fps, nil
 }
 
 // Stats describes the index's current shape.

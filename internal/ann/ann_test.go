@@ -288,6 +288,10 @@ func TestOutOfSync(t *testing.T) {
 	}
 }
 
+// TestMembershipOfLeavesIndexUntouched pins the contract IndexBlocker
+// surfaces to its caller: an UpdateMembership over a corpus older than the
+// index is ErrOutOfSync, and leaves the index's version and membership as
+// they were.
 func TestMembershipOfLeavesIndexUntouched(t *testing.T) {
 	x, err := New(Config{Scheme: testCanopy()})
 	if err != nil {
@@ -297,17 +301,18 @@ func TestMembershipOfLeavesIndexUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := x.Version()
+	// Printed, not held: the returned slices are shared with the cache.
+	membership := fmt.Sprint(x.Membership())
 
-	old := namedCols("smith")
-	refs, fps, err := x.MembershipOf(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(refs) != 1 || len(fps) != 1 {
-		t.Fatalf("one-off membership %v", refs)
+	old := nameCorpus()[:2]
+	if _, refs, fps, err := x.UpdateMembership(old); !errors.Is(err, blockindex.ErrOutOfSync) || refs != nil || fps != nil {
+		t.Fatalf("UpdateMembership of an older corpus = %v, %v, %v; want ErrOutOfSync and nothing else", refs, fps, err)
 	}
 	if x.Version() != before {
-		t.Fatalf("MembershipOf advanced the index from %d to %d", before, x.Version())
+		t.Fatalf("a rejected UpdateMembership moved the index from %d to %d", before, x.Version())
+	}
+	if after := fmt.Sprint(x.Membership()); after != membership {
+		t.Fatalf("a rejected UpdateMembership changed the membership from %s to %s", membership, after)
 	}
 }
 

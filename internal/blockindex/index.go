@@ -157,10 +157,9 @@ func (x *Index) Membership() ([][]DocRef, []uint64) {
 
 // UpdateMembership indexes cols' delta and returns the resulting block
 // membership as one atomic operation, so the returned refs are guaranteed
-// to lie within cols even when concurrent updaters (another resolve
-// sharing the index) are advancing the index. A
-// corpus the incremental state cannot serve — already overtaken by a newer
-// snapshot — returns ErrOutOfSync exactly like Update.
+// to lie within cols even when a concurrent updater is advancing the
+// index. A corpus already overtaken by a newer snapshot returns
+// ErrOutOfSync exactly like Update, and leaves the index as it was.
 func (x *Index) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]DocRef, []uint64, error) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -170,24 +169,6 @@ func (x *Index) UpdateMembership(cols []*corpus.Collection) (UpdateStats, [][]Do
 	}
 	refs, fps := x.comps.Membership()
 	return stats, refs, fps, nil
-}
-
-// MembershipOf computes the membership and fingerprints of an arbitrary
-// corpus under this index's configuration without touching the index's
-// state — a one-off full pass through a throwaway index. It is the
-// fallback for corpora the incremental state cannot serve: a snapshot
-// older than what the index has already seen (two configurations sharing
-// one index can observe the store in different orders).
-func (x *Index) MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error) {
-	tmp, err := New(Config{Scheme: x.scheme, Keys: x.keys})
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := tmp.Update(cols); err != nil {
-		return nil, nil, err
-	}
-	refs, fps := tmp.Membership()
-	return refs, fps, nil
 }
 
 // Stats describes the index's current shape.

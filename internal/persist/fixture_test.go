@@ -221,7 +221,7 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		ts, logged := serveLogged(t, data)
 
 		got := resolve(t, ts, `{"seed": 42, "blocking": "canopy", "blocking_mode": "ann"}`)
-		if b := got.Blocking; b.Indexer != "ann" || b.Fallback || b.DeltaDocs != got.Docs || got.Docs != 21 {
+		if b := got.Blocking; b.Indexer != "ann" || b.DeltaDocs != got.Docs || got.Docs != 21 {
 			t.Errorf("resolve over the parent's .ann blocked with %+v over %d documents; want a fresh graph keyed from all 21", b, got.Docs)
 		}
 		if errs := logged(); len(errs) != 0 {

@@ -61,12 +61,6 @@ type BlockingStats struct {
 	// indexer is "ann".
 	AnnM  int `json:"ann_m,omitempty"`
 	AnnEf int `json:"ann_ef,omitempty"`
-	// Fallback marks a call the incremental state could not serve — a
-	// corpus older than what the index has already seen (two
-	// configurations sharing one index can observe the store in different
-	// orders) — answered by a one-off full pass instead. Results are
-	// identical; only the O(delta) saving is lost for that call.
-	Fallback bool `json:"fallback,omitempty"`
 }
 
 // DocRef locates one ingested document by its position in the ingest: the
@@ -259,21 +253,6 @@ func (c BlockingConfig) FreshBlocker() (Blocker, error) {
 		return NewIndexBlocker(keyed, c.Keys, 0)
 	}
 	return SchemeBlocker{Scheme: c.Scheme, Keys: c.Keys}, nil
-}
-
-// IndexKey names the candidate index a long-lived owner of this
-// configuration shares between runs — "ann|scheme|keys|m|ef" for a graph,
-// "scheme|keys" for a key index: only the knobs that shape
-// the index, and no scheme is named "ann", so the two kinds cannot collide.
-// It is "" for a configuration that blocks without an index.
-func (c BlockingConfig) IndexKey() string {
-	if c.ANN {
-		return fmt.Sprintf("ann|%s|%s|%d|%d", c.SchemeName, c.KeysName, c.M, c.EfSearch)
-	}
-	if _, ok := c.Scheme.(blocking.KeyedScheme); ok {
-		return c.SchemeName + "|" + c.KeysName
-	}
-	return ""
 }
 
 // SchemeBlocker adapts any blocking.Scheme into the pipeline's block

@@ -18,11 +18,11 @@ import (
 // advanced, and write itself out. blockindex.Index (exact, key-based) and
 // ann.CandidateIndex (approximate, graph-based) are the two
 // implementations; both raise blockindex.ErrOutOfSync for a corpus that
-// is not an extension of what they have seen.
+// is not an extension of what they have seen, and leave their state as
+// it was.
 type CandidateIndex interface {
 	Update(cols []*corpus.Collection) (blockindex.UpdateStats, error)
 	UpdateMembership(cols []*corpus.Collection) (blockindex.UpdateStats, [][]DocRef, []uint64, error)
-	MembershipOf(cols []*corpus.Collection) ([][]DocRef, []uint64, error)
 	Version() uint64
 	EncodeTo(w io.Writer) (uint64, error)
 }
@@ -38,8 +38,11 @@ type CandidateIndex interface {
 //
 // An IndexBlocker is bound to one append-only corpus (a document store):
 // every call must present a superset of the previous call's collections,
-// or the index reports blockindex.ErrOutOfSync. It is safe for concurrent
-// use; calls serialize on the index.
+// or BlockFingerprints returns blockindex.ErrOutOfSync. The service gives
+// each resolution configuration its own IndexBlocker and serializes that
+// configuration's runs and store snapshots, so a call never presents an
+// older corpus there. It is safe for concurrent use; calls serialize on
+// the index.
 type IndexBlocker struct {
 	idx CandidateIndex
 	// indexer is the BlockingStats.Indexer this blocker reports: "index"
@@ -101,39 +104,27 @@ func (ib *IndexBlocker) BlockMembership(ctx context.Context, cols []*corpus.Coll
 
 // BlockFingerprints implements Blocker: update the index with
 // the delta, pull every block's cached membership and fingerprint, and
-// assemble the block collections in parallel.
+// assemble the block collections in parallel. A corpus older than what the
+// index has seen is blockindex.ErrOutOfSync.
 func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error) {
 	if err := ctx.Err(); err != nil {
 		return IndexedBlocks{}, err
 	}
-	// Update and membership must be one atomic index operation: with the
-	// index shared (every resolution configuration that blocks the same
-	// way), a separate Membership call could observe a state advanced past
-	// cols and hand back refs pointing beyond the caller's snapshot.
+	// Update and membership are one atomic index operation: a separate
+	// Membership call could observe a state a concurrent caller advanced
+	// past cols and hand back refs pointing beyond the caller's snapshot.
 	stats, members, fps, err := ib.idx.UpdateMembership(cols)
-	blockingStats := BlockingStats{Indexer: ib.indexer}
-	switch {
-	case errors.Is(err, blockindex.ErrOutOfSync):
-		// The corpus is older than the index state (a concurrent user
-		// advanced it). Serve this call with a one-off full pass; the
-		// index keeps its newer state for everyone else.
-		members, fps, err = ib.idx.MembershipOf(cols)
-		if err != nil {
-			return IndexedBlocks{}, err
-		}
-		blockingStats.Fallback = true
-	case err != nil:
+	if err != nil {
 		return IndexedBlocks{}, err
-	default:
-		blockingStats = BlockingStats{
-			Indexer:     ib.indexer,
-			IndexedDocs: stats.IndexedDocs,
-			DeltaDocs:   stats.DeltaDocs,
-			DirtyBlocks: stats.DirtyBlocks,
-			Keys:        stats.Keys,
-			AnnM:        stats.M,
-			AnnEf:       stats.EfSearch,
-		}
+	}
+	blockingStats := BlockingStats{
+		Indexer:     ib.indexer,
+		IndexedDocs: stats.IndexedDocs,
+		DeltaDocs:   stats.DeltaDocs,
+		DirtyBlocks: stats.DirtyBlocks,
+		Keys:        stats.Keys,
+		AnnM:        stats.M,
+		AnnEf:       stats.EfSearch,
 	}
 	if err := ctx.Err(); err != nil {
 		return IndexedBlocks{}, err

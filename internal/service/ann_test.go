@@ -50,9 +50,10 @@ func TestANNModeIncrementalResolve(t *testing.T) {
 	if len(graphs) != 1 {
 		t.Fatalf("stats lists %d ann indexes, want 1", len(graphs))
 	}
-	// The index key carries the graph knobs, M and ef: the defaults here.
+	// The index key is the owning configuration's knobs key, which carries
+	// the graph knobs, M and ef: the defaults here.
 	key := graphs[0].Labels["index"]
-	if key != "ann|canopy|collection|12|64" || key != fmt.Sprintf("ann|canopy|collection|%d|%d", ann.DefaultM, ann.DefaultEfSearch) {
+	if key != "best|closure|canopy|collection|0.1|10|1|ann|12|64" || key != fmt.Sprintf("best|closure|canopy|collection|0.1|10|1|ann|%d|%d", ann.DefaultM, ann.DefaultEfSearch) {
 		t.Errorf("ann index key = %q", key)
 	}
 	if graphs[0].Value != 30 || stats.value(t, "ersolve_ann_index_blocks", "index", key) < 1 {

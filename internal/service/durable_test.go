@@ -31,7 +31,7 @@ func durableConfig(data *persist.Data) Config {
 // last resolve did.
 func checkRestartResolve(t *testing.T, first, before IncrementalResolveResponse) {
 	t.Helper()
-	if first.Blocking.Indexer != "index" || first.Blocking.Fallback || first.Blocking.DeltaDocs != first.Docs {
+	if first.Blocking.Indexer != "index" || first.Blocking.DeltaDocs != first.Docs {
 		t.Errorf("first resolve after the restart blocked with %+v; want the index rebuilt from all %d stored documents",
 			first.Blocking, first.Docs)
 	}

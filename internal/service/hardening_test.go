@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/pipeline"
 	"repro/internal/serving"
 	"repro/internal/store"
 )
@@ -173,17 +174,26 @@ func TestStatePinnedDuringSlowRun(t *testing.T) {
 	srv := New(Config{})
 	t.Cleanup(func() { srv.Close(context.Background()) })
 	knobs := func(seed int64) string { return fmt.Sprintf("seed %d", seed) }
+	// acquire takes a configuration's state; the zero blocking
+	// configuration builds a stateless scheme blocker, which cannot fail.
+	acquire := func(seed int64) *incrementalState {
+		st, err := srv.acquireState(knobs(seed), pipeline.BlockingConfig{})
+		if err != nil {
+			t.Error(err)
+		}
+		return st
+	}
 	// churn acquires and releases n configurations never used before.
 	next := int64(2)
 	churn := func(n int) {
 		for ; n > 0; n-- {
-			srv.releaseState(srv.acquireState(knobs(next)))
+			srv.releaseState(acquire(next))
 			next++
 		}
 	}
 
 	// The slow run: acquired and mid-flight (lock held).
-	slow := srv.acquireState(knobs(1))
+	slow := acquire(1)
 	slow.mu.Lock()
 
 	// Meanwhile other configurations hammer the LRU well past its cap.
@@ -193,7 +203,7 @@ func TestStatePinnedDuringSlowRun(t *testing.T) {
 	// SAME state object, not conjure a second one.
 	sameCh := make(chan *incrementalState)
 	go func() {
-		st := srv.acquireState(knobs(1))
+		st := acquire(1)
 		st.mu.Lock() // blocks until the slow run finishes
 		st.mu.Unlock()
 		sameCh <- st
@@ -217,7 +227,7 @@ func TestStatePinnedDuringSlowRun(t *testing.T) {
 	// Once unpinned, the LRU may evict it again: churn a full cap of new
 	// configurations past it, then re-acquire.
 	churn(maxStates)
-	if again := srv.acquireState(knobs(1)); again == slow {
+	if again := acquire(1); again == slow {
 		t.Error("unpinned state survived LRU eviction past the cap")
 	} else {
 		srv.releaseState(again)

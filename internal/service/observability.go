@@ -182,7 +182,7 @@ func (s *Server) initObservability() {
 }
 
 // indexSamples builds a gauge callback emitting one sample, labelled with
-// the registry key, per live index of kind T.
+// the owning configuration's knobs key, per live index of kind T.
 func indexSamples[T pipeline.CandidateIndex](s *Server, value func(T) float64) func() []metrics.Sample {
 	return func() []metrics.Sample {
 		var out []metrics.Sample

@@ -67,14 +67,18 @@ func TestConcurrentIngestAndResolve(t *testing.T) {
 		}(w)
 	}
 	// Incremental resolves race the ingest; they may observe any prefix of
-	// the store (or, before the first commit, an empty one).
-	for r := 0; r < 2; r++ {
+	// the store (or, before the first commit, an empty one). The last
+	// resolver runs a second configuration, seed 2, so two configurations
+	// snapshot the store in either order.
+	two := int64(2)
+	seed2 := IncrementalResolveRequest{resolveKnobs: resolveKnobs{Seed: &two}}
+	for _, req := range []IncrementalResolveRequest{{}, {}, seed2} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
 				var out IncrementalResolveResponse
-				code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &out)
+				code := postJSON(t, ts, "/v1/resolve/incremental", req, &out)
 				if code != http.StatusOK && code != http.StatusConflict {
 					t.Errorf("concurrent incremental: status %d", code)
 					return
@@ -90,33 +94,37 @@ func TestConcurrentIngestAndResolve(t *testing.T) {
 		}
 	}
 
-	var final, fresh IncrementalResolveResponse
-	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &final); code != http.StatusOK {
-		t.Fatalf("final incremental: status %d", code)
-	}
-	want := workers * batches * batchDocs
-	if final.Docs != want {
-		t.Fatalf("store holds %d docs, want %d (lost documents)", final.Docs, want)
-	}
-	covered := 0
-	for _, b := range final.Blocks {
-		covered += b.Docs
-	}
-	if covered != want {
-		t.Fatalf("blocks cover %d docs, want %d", covered, want)
-	}
+	// Each configuration's final incremental resolve equals its fresh one.
+	for _, req := range []IncrementalResolveRequest{{}, seed2} {
+		var final, fresh IncrementalResolveResponse
+		if code := postJSON(t, ts, "/v1/resolve/incremental", req, &final); code != http.StatusOK {
+			t.Fatalf("final incremental: status %d", code)
+		}
+		want := workers * batches * batchDocs
+		if final.Docs != want {
+			t.Fatalf("store holds %d docs, want %d (lost documents)", final.Docs, want)
+		}
+		covered := 0
+		for _, b := range final.Blocks {
+			covered += b.Docs
+		}
+		if covered != want {
+			t.Fatalf("blocks cover %d docs, want %d", covered, want)
+		}
 
-	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{Fresh: true}, &fresh); code != http.StatusOK {
-		t.Fatalf("fresh resolve: status %d", code)
-	}
-	if len(final.Blocks) != len(fresh.Blocks) {
-		t.Fatalf("final has %d blocks, fresh %d", len(final.Blocks), len(fresh.Blocks))
-	}
-	for i := range final.Blocks {
-		if final.Blocks[i].Name != fresh.Blocks[i].Name || !equalInts(final.Blocks[i].Labels, fresh.Blocks[i].Labels) {
-			t.Errorf("block %d: incremental %q %v != fresh %q %v", i,
-				final.Blocks[i].Name, final.Blocks[i].Labels,
-				fresh.Blocks[i].Name, fresh.Blocks[i].Labels)
+		req.Fresh = true
+		if code := postJSON(t, ts, "/v1/resolve/incremental", req, &fresh); code != http.StatusOK {
+			t.Fatalf("fresh resolve: status %d", code)
+		}
+		if len(final.Blocks) != len(fresh.Blocks) {
+			t.Fatalf("final has %d blocks, fresh %d", len(final.Blocks), len(fresh.Blocks))
+		}
+		for i := range final.Blocks {
+			if final.Blocks[i].Name != fresh.Blocks[i].Name || !equalInts(final.Blocks[i].Labels, fresh.Blocks[i].Labels) {
+				t.Errorf("block %d: incremental %q %v != fresh %q %v", i,
+					final.Blocks[i].Name, final.Blocks[i].Labels,
+					fresh.Blocks[i].Name, fresh.Blocks[i].Labels)
+			}
 		}
 	}
 }

@@ -38,9 +38,11 @@ import (
 )
 
 // Config bounds the server's per-request resources and names its backing
-// stores. There is no store for the candidate (blocking) indexes: they live
-// in memory only, and after a restart each blocking configuration's first
-// incremental run keys the whole replayed store into a fresh one.
+// stores. There is no store for the candidate (blocking) indexes: each
+// belongs to one resolution configuration's incremental state and lives in
+// memory only, so after a restart (or the state's eviction) that
+// configuration's first incremental run keys the whole store into a fresh
+// one.
 type Config struct {
 	// DefaultTimeout is the timeout of a request that names none and the
 	// ceiling a request's "timeout_ms" is clamped to; zero selects 30
@@ -86,22 +88,13 @@ type Server struct {
 	store store.DocumentStore
 	jobs  *store.Queue
 
-	// states holds one incremental snapshot per resolution configuration;
-	// runs with the same configuration serialize on their state so each
-	// sees the previous run's snapshot.
+	// states holds one incremental snapshot per resolution configuration,
+	// with the candidate index its block stage keys the store into; runs
+	// with the same configuration serialize on their state so each sees the
+	// previous run's snapshot, and its index only ever sees a store at
+	// least as new as the one before.
 	statesMu sync.Mutex
 	states   map[string]*incrementalState
-
-	// indexes holds one candidate index per blocking configuration, by
-	// its IndexKey — a key index per (scheme, key function), an ANN graph
-	// per (scheme, key function, graph knobs); the two kinds' keys cannot
-	// collide. An index is shared by every resolution configuration that
-	// blocks the same way, so ten seeds over one scheme maintain one index.
-	// The index itself serializes access. It lives only in memory: after a
-	// restart the configuration's first resolve keys the replayed store into
-	// a fresh one through the same delta update every resolve runs.
-	indexesMu sync.Mutex
-	indexes   map[string]*pipeline.IndexBlocker
 
 	// counters are the server's lifetime counters.
 	counters counters
@@ -151,6 +144,10 @@ type counters struct {
 type incrementalState struct {
 	mu   sync.Mutex
 	snap *pipeline.Snapshot
+	// blocker is the configuration's block stage, built empty with the
+	// state and never replaced; over an indexed scheme it owns the state's
+	// candidate index.
+	blocker pipeline.Blocker
 	// loadTried marks that the persisted serving index (if any) was
 	// already turned into snap or found unusable, so it is read at most
 	// once per state; guarded by mu.
@@ -181,11 +178,10 @@ func New(cfg Config) *Server {
 		cfg.ErrorLog = log.Printf
 	}
 	s := &Server{
-		cfg:     cfg,
-		store:   cfg.Store,
-		jobs:    store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
-		states:  make(map[string]*incrementalState),
-		indexes: make(map[string]*pipeline.IndexBlocker),
+		cfg:    cfg,
+		store:  cfg.Store,
+		jobs:   store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
+		states: make(map[string]*incrementalState),
 	}
 	if s.store == nil {
 		s.store = store.NewMemStore()
@@ -215,27 +211,30 @@ func New(cfg Config) *Server {
 // is evicted beyond the cap, except states pinned by an in-flight run.
 const maxStates = 16
 
-// liveIndex is one registry index of kind T with its key.
+// liveIndex is one state's candidate index of kind T with the state's key.
 type liveIndex[T pipeline.CandidateIndex] struct {
 	key string
 	idx T
 }
 
-// liveIndexes lists the registry's indexes of kind T — *blockindex.Index
-// or *ann.CandidateIndex — ordered by key: the one place the metrics tell
-// the kinds apart. The registry is copied under its lock and the indexes
-// queried without it: an index's Stats() waits on its own mutex, which an
-// in-flight update can hold for a while, and stalling blockerFor (and with
-// it every incremental resolve) on a stats scrape is not worth it.
+// liveIndexes lists the states' indexes of kind T — *blockindex.Index or
+// *ann.CandidateIndex — ordered by key: the one place the metrics tell the
+// kinds apart. A state's blocker never changes, so the list is taken under
+// statesMu and the indexes queried without it: an index's Stats() waits on
+// its own mutex, which an in-flight update can hold for a while, and
+// stalling acquireState (and with it every incremental resolve) on a stats
+// scrape is not worth it.
 func liveIndexes[T pipeline.CandidateIndex](s *Server) []liveIndex[T] {
 	var out []liveIndex[T]
-	s.indexesMu.Lock()
-	for key, ib := range s.indexes {
-		if idx, ok := ib.Index().(T); ok {
-			out = append(out, liveIndex[T]{key: key, idx: idx})
+	s.statesMu.Lock()
+	for key, state := range s.states {
+		if ib, ok := state.blocker.(*pipeline.IndexBlocker); ok {
+			if idx, ok := ib.Index().(T); ok {
+				out = append(out, liveIndex[T]{key: key, idx: idx})
+			}
 		}
 	}
-	s.indexesMu.Unlock()
+	s.statesMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
 }
@@ -782,30 +781,35 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	// The block stage is shared per blocking configuration: indexed
-	// schemes resolve through the incremental candidate index bound to the
-	// server's store, so repeated resolves pay only for the ingest delta.
-	blocker, err := s.blockerFor(bc)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		return
-	}
 	defer tr.End()
-	pl, err := s.assemble(cfg, blocker, tr)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	// The store is append-only, so one that holds documents now holds them
+	// in the snapshot below as well; an empty one is answered before a
+	// state exists.
+	if s.store.Stats().Docs == 0 {
+		writeJSON(w, http.StatusConflict,
+			errorResponse{Error: "the store is empty; ingest documents via POST /v1/collections first"})
 		return
 	}
 
-	// One snapshot per knob configuration; same-config runs serialize so
-	// each sees its predecessor's snapshot. The state is pinned (refs)
-	// for the duration of the run, so the LRU can never evict it — and
-	// hand a concurrent same-config request a second state object —
-	// while the run holds its lock. The store snapshot is taken under
-	// the state lock, so a run can never overwrite the state with
-	// results for an older store version than its predecessor saw.
-	state := s.acquireState(knobsKey(req.resolveKnobs, bc))
+	// One state per knob configuration; same-config runs serialize so each
+	// sees its predecessor's snapshot. The state is pinned (refs) for the
+	// duration of the run, so the LRU can never evict it — and hand a
+	// concurrent same-config request a second state object — while the run
+	// holds its lock. The store snapshot is taken under the state lock, so
+	// a run can never overwrite the state with results for an older store
+	// version than its predecessor saw, and the state's candidate index
+	// pays only for the ingest delta since that predecessor.
+	state, err := s.acquireState(knobsKey(req.resolveKnobs, bc), bc)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
 	defer s.releaseState(state)
+	pl, err := s.assemble(cfg, state.blocker, tr)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
 	timed(tr, "state.wait", s.latency.stateWait, state.mu.Lock)
 	defer state.mu.Unlock()
 
@@ -817,11 +821,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	docs := 0
 	for _, col := range cols {
 		docs += len(col.Docs)
-	}
-	if docs == 0 {
-		writeJSON(w, http.StatusConflict,
-			errorResponse{Error: "the store is empty; ingest documents via POST /v1/collections first"})
-		return
 	}
 	// elapsed_ms covers everything the client waits for from here on: the
 	// one-time serving-index load, the run, and the commit tail.
@@ -938,44 +937,22 @@ func knobsKey(k resolveKnobs, bc pipeline.BlockingConfig) string {
 	return base
 }
 
-// blockerFor resolves a validated blocking configuration's block stage for
-// the incremental endpoint: the configuration's shared candidate index,
-// created empty on first use — that resolve keys the whole store into it —
-// or, for a configuration without one (a global scheme in exact mode), its
-// stateless blocker.
-func (s *Server) blockerFor(bc pipeline.BlockingConfig) (pipeline.Blocker, error) {
-	key := bc.IndexKey()
-	if key == "" {
-		return bc.FreshBlocker()
-	}
-	s.indexesMu.Lock()
-	defer s.indexesMu.Unlock()
-	if ib, ok := s.indexes[key]; ok {
-		return ib, nil
-	}
-	fresh, err := bc.FreshBlocker()
-	if err != nil {
-		return nil, err
-	}
-	ib, ok := fresh.(*pipeline.IndexBlocker)
-	if !ok {
-		return nil, fmt.Errorf("service: blocking configuration %q names an index but blocks through %T", key, fresh)
-	}
-	s.indexes[key] = ib
-	return ib, nil
-}
-
 // acquireState returns the incremental state of one knob configuration,
-// creating it on first use, and pins it against eviction until the
-// matching releaseState. Eviction removes only unpinned states (a state
-// whose run is in flight never had lastUsed refreshed, so without the pin
-// a long run was the LRU's favorite victim); when every state is pinned
-// the map temporarily exceeds the cap rather than dropping live state.
-func (s *Server) acquireState(key string) *incrementalState {
+// creating it on first use with a fresh blocker for bc, and pins it against
+// eviction until the matching releaseState. Eviction removes only unpinned
+// states, and their candidate indexes with them (a state whose run is in
+// flight never had lastUsed refreshed, so without the pin a long run was
+// the LRU's favorite victim); when every state is pinned the map
+// temporarily exceeds the cap rather than dropping live state.
+func (s *Server) acquireState(key string, bc pipeline.BlockingConfig) (*incrementalState, error) {
 	s.statesMu.Lock()
 	defer s.statesMu.Unlock()
 	state, ok := s.states[key]
 	if !ok {
+		blocker, err := bc.FreshBlocker()
+		if err != nil {
+			return nil, err
+		}
 		for len(s.states) >= maxStates {
 			oldestKey := ""
 			var oldest time.Time
@@ -992,12 +969,12 @@ func (s *Server) acquireState(key string) *incrementalState {
 			}
 			delete(s.states, oldestKey)
 		}
-		state = &incrementalState{key: key}
+		state = &incrementalState{key: key, blocker: blocker}
 		s.states[key] = state
 	}
 	state.refs++
 	state.lastUsed = time.Now()
-	return state
+	return state, nil
 }
 
 // releaseState unpins a state acquired by acquireState and refreshes its

@@ -373,10 +373,18 @@ func TestIngestJobsAndIncrementalResolve(t *testing.T) {
 	ts := testServer(t, Config{})
 	col := testCollection(t, 24)
 
-	// Incremental resolution of an empty store is a 409.
+	// Incremental resolution of an empty store is a 409, and leaves no
+	// state or index behind.
 	var errOut errorResponse
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &errOut); code != http.StatusConflict {
 		t.Fatalf("empty-store incremental = %d, want 409 (%+v)", code, errOut)
+	}
+	empty := getStats(t, ts)
+	if states := empty.value(t, "ersolve_snapshot_states"); states != 0 {
+		t.Errorf("empty-store 409 left %g snapshot states behind, want 0", states)
+	}
+	if indexes := empty["ersolve_blocking_index_docs"]; len(indexes) != 0 {
+		t.Errorf("empty-store 409 left %d blocking indexes behind, want none: %+v", len(indexes), indexes)
 	}
 
 	// Ingest the collection in two batches through the async job queue.
@@ -540,25 +548,23 @@ func TestIncrementalStateKeying(t *testing.T) {
 	}
 }
 
-// TestPersistedKeysAreStable pins, as literals, the two strings that name
-// files in a data directory (by hash): the index registry key under
-// DIR/indexes and the effective-knobs key under DIR/serving. A change to
-// either orphans every deployed server's persisted indexes or serving
+// TestPersistedKeysAreStable pins, as a literal, the string that names
+// files in a data directory (by hash): the effective-knobs key under
+// DIR/serving. A change to it orphans every deployed server's serving
 // files, so the expectations are spelled out rather than computed.
 func TestPersistedKeysAreStable(t *testing.T) {
 	for _, c := range []struct {
 		body     string
-		indexKey string
 		knobsKey string
 	}{
-		{`{}`, "exact|collection", "best|closure|exact|collection|0.1|10|1"},
-		{`{"seed":1}`, "exact|collection", "best|closure|exact|collection|0.1|10|1"},
-		{`{"blocking":"token","keys":"names"}`, "token|names", "best|closure|token|names|0.1|10|1"},
-		{`{"blocking":"canopy"}`, "", "best|closure|canopy|collection|0.1|10|1"},
-		{`{"blocking":"canopy","blocking_mode":"ann"}`, "ann|canopy|collection|12|64", "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
-		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "ann|sortedneighborhood|collection|5|64", "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
+		{`{}`, "best|closure|exact|collection|0.1|10|1"},
+		{`{"seed":1}`, "best|closure|exact|collection|0.1|10|1"},
+		{`{"blocking":"token","keys":"names"}`, "best|closure|token|names|0.1|10|1"},
+		{`{"blocking":"canopy"}`, "best|closure|canopy|collection|0.1|10|1"},
+		{`{"blocking":"canopy","blocking_mode":"ann"}`, "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
+		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
 		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`,
-			"token|urlhost", "weighted|correlation|token|urlhost|0.2|5|-1"},
+			"weighted|correlation|token|urlhost|0.2|5|-1"},
 	} {
 		var k resolveKnobs
 		if err := json.Unmarshal([]byte(c.body), &k); err != nil {
@@ -568,19 +574,6 @@ func TestPersistedKeysAreStable(t *testing.T) {
 		_, bc, err := srv.parseKnobs(k)
 		if err != nil {
 			t.Fatalf("%s: %v", c.body, err)
-		}
-		if got := bc.IndexKey(); got != c.indexKey {
-			t.Errorf("%s: index key %q, want %q", c.body, got, c.indexKey)
-		}
-		if _, err := srv.blockerFor(bc); err != nil {
-			t.Fatalf("%s: %v", c.body, err)
-		}
-		var want []string
-		if c.indexKey != "" {
-			want = []string{c.indexKey}
-		}
-		if got := slices.Sorted(maps.Keys(srv.indexes)); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: registry keys %q, want %q", c.body, got, want)
 		}
 		if got := knobsKey(k, bc); got != c.knobsKey {
 			t.Errorf("%s: knobs key %q, want %q", c.body, got, c.knobsKey)
@@ -636,6 +629,27 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 	more.Docs = more.Docs[12:]
 	ingestCollection(t, ts, more)
 	untouched("after a following ingest")
+}
+
+// TestIndexesBoundedByStates is the regression test for a candidate index
+// outliving its configuration: ann_m is client-chosen, so every valid
+// value used to mint an ANN graph over the whole store that lived until the
+// process exited. Each index now belongs to one incremental state, and the
+// LRU that caps the states drops their indexes with them.
+func TestIndexesBoundedByStates(t *testing.T) {
+	ts := testServer(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 12))
+	for m := 2; m < 2+2*maxStates; m++ {
+		resolveOK(t, ts, IncrementalResolveRequest{
+			resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann", AnnM: m},
+		})
+	}
+	stats := getStats(t, ts)
+	graphs, states := len(stats["ersolve_ann_index_docs"]), stats.value(t, "ersolve_snapshot_states")
+	if graphs > maxStates || float64(graphs) != states {
+		t.Fatalf("after %d ann configurations: %d ann indexes for %g states, want at most %d and one per state",
+			2*maxStates, graphs, states, maxStates)
+	}
 }
 
 // TestIncrementalSnapshotEviction pins the LRU cap on per-configuration

