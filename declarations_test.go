@@ -1,13 +1,16 @@
 package repro_test
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,92 +21,64 @@ import (
 // ergraph or blocking belongs here: what only their tests need lives in
 // their _test.go files.
 var testSeams = map[string]string{
-	"ann.Decode":             "decoder of ann.CandidateIndex.EncodeTo, which no server path calls; pipeline's TestANNBlockerRestartEqualsFresh and BenchmarkANNBlock decode a graph through it, so it cannot move into ann's _test.go files (it keeps ann.ErrCodecCorrupt and textsim.PackedFromParts reached)",
 	"faultfs.Injector.":      "fault-injecting FS: the crash and degradation harnesses of persist and service arm it and read its state",
 	"faultfs.NewInjector":    "constructor of faultfs.Injector",
 	"metrics.LintExposition": "Prometheus text-format linter the service tests run over /metrics",
 	"persist.Open":           "OpenWithOptions with default Options, what the persist and service tests open a data directory through (production passes its FS and logger)",
 }
 
-// declUnit is one package-level declaration (or, outside internal/, one
-// whole file) together with the names it mentions.
-type declUnit struct {
-	key      string // "pkg.Name" or "pkg.Type.Method"; "" for always-live units
-	pos      token.Position
-	method   string              // method name when the unit is a method
-	bare     map[string]struct{} // identifiers, resolved against the unit's own package
-	selector map[string]struct{} // "importpath.Name" for pkg.Name, ".Name" for any other x.Name
-	pkg      string              // import path of the declaring package
-}
+// stdlibCalls are the methods the standard library calls through its own
+// interfaces (fmt, errors, sort, container/heap, io, net/http): such a
+// method of a live type is live.
+var stdlibCalls = []string{"String", "Error", "Len", "Less", "Swap", "Push", "Pop", "ServeHTTP", "Read", "Write", "Close", "Unwrap", "Is", "WriteHeader", "Header", "Flush"}
 
 // TestEveryDeclarationHasANonTestCaller enforces the rule the similarity
 // stack was cut down to: a package-level func, method, type, var or const
-// under internal/ stays only while a non-test file (internal/, cmd/,
-// examples/ or bench/) mentions it outside its own declaration. The scan is
-// by name — go/parser and go/ast only, no type information — so it errs on
-// the side of "referenced": a method is live when any live code selects its
-// name or an interface declares it. Mentions from declarations that are
-// themselves unreferenced do not count (iterated to a fixed point).
+// under internal/ stays only while non-test code (internal/, cmd/,
+// examples/ or bench/) reaches it. Every package of the four trees is
+// type-checked from source, and a reference is what types.Info resolves an
+// identifier or selector to — never a bare name, so x.comps.Membership()
+// keeps Components.Membership alive and no other Membership. Code outside
+// internal/ is always live; under internal/ a declaration is live when live
+// code refers to it, and a method also when a live type implements an
+// interface whose method live code selects, or when the standard library
+// calls it (stdlibCalls). Liveness grows from those roots to a fixed point,
+// so what only dead code reaches is dead too.
 func TestEveryDeclarationHasANonTestCaller(t *testing.T) {
-	fset := token.NewFileSet()
-	var units []*declUnit
-	ifaceMethods := map[string]struct{}{}
-	// Methods the standard library calls through its own interfaces.
-	for _, m := range []string{"String", "Error", "Len", "Less", "Swap", "Push", "Pop", "ServeHTTP", "Read", "Write", "Close", "Unwrap", "Is", "WriteHeader", "Header", "Flush"} {
-		ifaceMethods[m] = struct{}{}
-	}
-
+	tree := &typedTree{fset: token.NewFileSet(), std: importer.Default(), pkgs: map[string]*typedPkg{}}
+	g := &liveness{decls: map[types.Object]*declNode{}, ifaceUsed: map[*types.Func]bool{}}
 	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		dirs := map[string]bool{}
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() {
-				if n := d.Name(); n == "testdata" || n == "out" {
-					return filepath.SkipDir
-				}
-				return nil
+			if n := d.Name(); d.IsDir() && (n == "testdata" || n == "out") {
+				return filepath.SkipDir
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
+			if !d.IsDir() && isSource(path) {
+				dirs[filepath.Dir(path)] = true
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			units = append(units, fileUnits(fset, f, path, root == "internal", ifaceMethods)...)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	live := make([]bool, len(units))
-	for i := range live {
-		live[i] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, d := range units {
-			if !live[i] || d.key == "" {
-				continue
+		for dir := range dirs {
+			p, err := tree.load("repro/" + filepath.ToSlash(dir))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if _, viaInterface := ifaceMethods[d.method]; seam(d.key) != "" || (d.method != "" && viaInterface) {
-				continue
-			}
-			if !referenced(units, live, i) {
-				live[i] = false
-				changed = true
-			}
+			g.add(tree.fset, p, root == "internal")
 		}
 	}
+	g.solve()
 
 	var dead []string
 	seen := map[string]bool{}
-	for i, d := range units {
+	for _, d := range g.decls {
 		seen[seam(d.key)] = true
-		if !live[i] {
+		if !d.live {
 			dead = append(dead, d.key+"  ("+d.pos.String()+")")
 		}
 	}
@@ -121,6 +96,10 @@ func TestEveryDeclarationHasANonTestCaller(t *testing.T) {
 	}
 }
 
+func isSource(path string) bool {
+	return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
+}
+
 // seam returns the testSeams key covering a declaration, "" if none does.
 func seam(key string) string {
 	if _, ok := testSeams[key]; ok {
@@ -134,155 +113,242 @@ func seam(key string) string {
 	return ""
 }
 
-// referenced reports whether a live unit other than units[i] mentions it.
-func referenced(units []*declUnit, live []bool, i int) bool {
-	d := units[i]
-	name := d.key[strings.LastIndexByte(d.key, '.')+1:]
-	for j, u := range units {
-		if j == i || !live[j] {
-			continue
-		}
-		if d.method != "" {
-			if _, ok := u.selector["."+name]; ok {
-				return true
-			}
-			continue
-		}
-		if u.pkg == d.pkg {
-			if _, ok := u.bare[name]; ok {
-				return true
-			}
-		}
-		if _, ok := u.selector[d.pkg+"."+name]; ok {
-			return true
-		}
-	}
-	return false
+// typedTree type-checks the module's packages from their non-test source on
+// demand; it is the importer of its own packages, and the standard library
+// comes from the compiler's export data.
+type typedTree struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*typedPkg // by import path; nil while being checked
 }
 
-// fileUnits splits one parsed file into units. Files outside internal/ are
-// a single always-live unit: nothing there has to justify itself, but what
-// it mentions keeps internal declarations alive.
-func fileUnits(fset *token.FileSet, f *ast.File, path string, internal bool, ifaceMethods map[string]struct{}) []*declUnit {
-	pkgPath := "repro/" + filepath.ToSlash(filepath.Dir(path))
-	imports := map[string]string{} // local name -> import path
-	for _, im := range f.Imports {
-		p, _ := strconv.Unquote(im.Path.Value)
-		local := p[strings.LastIndexByte(p, '/')+1:]
-		if im.Name != nil {
-			local = im.Name.Name
+type typedPkg struct {
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+func (tr *typedTree) Import(path string) (*types.Package, error) {
+	if !strings.HasPrefix(path, "repro/") {
+		return tr.std.Import(path)
+	}
+	p, err := tr.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+func (tr *typedTree) load(path string) (*typedPkg, error) {
+	if p, ok := tr.pkgs[path]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
 		}
-		imports[local] = p
+		return p, nil
 	}
-	short := f.Name.Name
-	newUnit := func(key string, pos token.Pos) *declUnit {
-		return &declUnit{key: key, pos: fset.Position(pos), pkg: pkgPath,
-			bare: map[string]struct{}{}, selector: map[string]struct{}{}}
+	tr.pkgs[path] = nil
+	dir := filepath.FromSlash(strings.TrimPrefix(path, "repro/"))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
-	collect := func(u *declUnit, n ast.Node, skip map[*ast.Ident]bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.InterfaceType:
-				for _, m := range x.Methods.List {
-					for _, id := range m.Names {
-						ifaceMethods[id.Name] = struct{}{}
-					}
-				}
-			case *ast.SelectorExpr:
-				skip[x.Sel] = true
-				if id, ok := x.X.(*ast.Ident); ok {
-					if p, ok := imports[id.Name]; ok {
-						skip[id] = true
-						u.selector[p+"."+x.Sel.Name] = struct{}{}
-						break
-					}
-				}
-				u.selector["."+x.Sel.Name] = struct{}{}
-			case *ast.Ident:
-				if !skip[x] {
-					u.bare[x.Name] = struct{}{}
-				}
+	p := &typedPkg{info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	for _, e := range entries {
+		if e.IsDir() || !isSource(e.Name()) {
+			continue
+		}
+		f, err := parser.ParseFile(tr.fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: tr}
+	if p.types, err = conf.Check(path, tr.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	tr.pkgs[path] = p
+	return p, nil
+}
+
+// declNode is one package-level declaration under internal/ with the
+// objects its source refers to.
+type declNode struct {
+	key  string // "pkg.Name" or "pkg.Type.Method"
+	pos  token.Position
+	refs []types.Object
+	live bool
+}
+
+type liveness struct {
+	decls     map[types.Object]*declNode
+	roots     []types.Object       // what always-live code refers to
+	named     []*types.TypeName    // every package-level non-generic defined type
+	ifaceUsed map[*types.Func]bool // the interface methods live code selects
+}
+
+// add records one package. Outside internal/ its references are roots;
+// under internal/ every declaration is a node, and the references of init
+// functions and blank vars, and the testSeams entries, are roots.
+func (g *liveness) add(fset *token.FileSet, p *typedPkg, internal bool) {
+	scope := p.types.Scope()
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				g.named = append(g.named, tn)
 			}
-			return true
-		})
+		}
 	}
-
-	if !internal {
-		u := newUnit("", f.Pos())
-		collect(u, f, map[*ast.Ident]bool{})
-		return []*declUnit{u}
-	}
-
-	var out []*declUnit
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			skip := map[*ast.Ident]bool{d.Name: true}
-			key := short + "." + d.Name.Name
-			method := ""
-			if d.Recv != nil && len(d.Recv.List) > 0 {
+	for _, f := range p.files {
+		if !internal {
+			g.roots = append(g.roots, references(p.info, f, nil)...)
+			continue
+		}
+		node := func(id *ast.Ident, key string, n, skip ast.Node) {
+			refs := references(p.info, n, skip)
+			if id.Name == "_" || id.Name == "init" {
+				g.roots = append(g.roots, refs...)
+				return
+			}
+			obj := p.info.Defs[id]
+			d := &declNode{key: p.types.Name() + "." + key, pos: fset.Position(id.Pos()), refs: refs}
+			g.decls[obj] = d
+			if seam(d.key) != "" {
+				g.roots = append(g.roots, obj)
+			}
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					node(d.Name, d.Name.Name, d, nil)
+					continue
+				}
 				// A receiver does not keep its type alive.
-				recv := receiverIdent(d.Recv.List[0].Type)
-				if recv != nil {
-					skip[recv] = true
-					key = short + "." + recv.Name + "." + d.Name.Name
+				recv := p.info.Defs[d.Name].Type().(*types.Signature).Recv().Type()
+				if ptr, ok := recv.(*types.Pointer); ok {
+					recv = ptr.Elem()
 				}
-				method = d.Name.Name
+				node(d.Name, recv.(*types.Named).Obj().Name()+"."+d.Name.Name, d, d.Recv)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						node(s.Name, s.Name.Name, s, nil)
+					case *ast.ValueSpec:
+						// One node per name; all share the spec's references.
+						for _, id := range s.Names {
+							node(id, id.Name, s, nil)
+						}
+					}
+				}
 			}
-			u := newUnit(key, d.Name.Pos())
-			u.method = method
-			if method == "" && (d.Name.Name == "init" || d.Name.Name == "main") {
-				u.key = ""
+		}
+	}
+}
+
+// references lists the objects the identifiers and selector expressions
+// under n (less the subtree skip) resolve to, instances of generic
+// declarations mapped to their origin.
+func references(info *types.Info, n, skip ast.Node) []types.Object {
+	var out []types.Object
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FieldList:
+			return n != skip
+		case *ast.SelectorExpr:
+			if sel, ok := info.Selections[x]; ok {
+				out = append(out, origin(sel.Obj()))
 			}
-			collect(u, d, skip)
-			out = append(out, u)
-		case *ast.GenDecl:
-			if d.Tok == token.IMPORT {
+		case *ast.Ident:
+			if obj, ok := info.Uses[x]; ok {
+				out = append(out, origin(obj))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// solve marks live everything the roots reach, then adds the methods that
+// live types expose to a used interface or to the standard library, and
+// repeats until nothing changes.
+func (g *liveness) solve() {
+	queue := g.roots
+	for {
+		for len(queue) > 0 {
+			obj := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if fn, ok := obj.(*types.Func); ok && isInterfaceMethod(fn) {
+				g.ifaceUsed[fn] = true
+			}
+			if d := g.decls[obj]; d != nil && !d.live {
+				d.live = true
+				queue = append(queue, d.refs...)
+			}
+		}
+		for _, tn := range g.named {
+			if d := g.decls[tn]; (d != nil && !d.live) || types.IsInterface(tn.Type()) {
 				continue
 			}
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					u := newUnit(short+"."+s.Name.Name, s.Name.Pos())
-					collect(u, s, map[*ast.Ident]bool{s.Name: true})
-					out = append(out, u)
-				case *ast.ValueSpec:
-					// One unit per name; all share the spec's mentions.
-					skip := map[*ast.Ident]bool{}
-					for _, id := range s.Names {
-						skip[id] = true
-					}
-					for _, id := range s.Names {
-						key := short + "." + id.Name
-						if id.Name == "_" {
-							key = "" // an assertion such as var _ FS = (*T)(nil): always live
-						}
-						u := newUnit(key, id.Pos())
-						collect(u, s, skip)
-						out = append(out, u)
-					}
+			for _, m := range g.implied(tn) {
+				if d := g.decls[m]; d != nil && !d.live {
+					queue = append(queue, m)
 				}
 			}
+		}
+		if len(queue) == 0 {
+			return
+		}
+	}
+}
+
+// implied lists the methods of *T, its own and promoted ones, that the
+// standard library may call (stdlibCalls), or that a used interface method
+// reaches because *T implements its interface.
+func (g *liveness) implied(tn *types.TypeName) []types.Object {
+	ptr := types.NewPointer(tn.Type())
+	method := func(pkg *types.Package, name string) types.Object {
+		obj, _, _ := types.LookupFieldOrMethod(ptr, false, pkg, name)
+		if fn, ok := obj.(*types.Func); ok {
+			return fn.Origin()
+		}
+		return nil
+	}
+	var out []types.Object
+	for _, name := range stdlibCalls {
+		if m := method(tn.Pkg(), name); m != nil {
+			out = append(out, m)
+		}
+	}
+	for fn := range g.ifaceUsed {
+		m := method(fn.Pkg(), fn.Name())
+		if d := g.decls[m]; d == nil || d.live {
+			continue
+		}
+		iface := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if types.Implements(ptr, iface) {
+			out = append(out, m)
 		}
 	}
 	return out
 }
 
-func receiverIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x
-		default:
-			return nil
-		}
-	}
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
 }

@@ -33,9 +33,10 @@
 // rebuild would.
 //
 // The server keeps the graph in memory only: after a restart the first
-// resolve re-inserts the replayed corpus. EncodeTo and Decode round-trip
-// the graph's primary state as one internal/framing record; no server path
-// calls them.
+// resolve re-inserts the replayed corpus. EncodeTo writes the graph's
+// primary state as one internal/framing record, for the
+// pipeline.CandidateIndex interface; no server path calls it, and nothing
+// decodes the bytes.
 package ann
 
 import (
@@ -271,15 +272,6 @@ func (x *CandidateIndex) applyPolicy(id int32, cand []distNode) {
 			x.edges = append(x.edges, [2]int32{id, n.id})
 		}
 	}
-}
-
-// Membership returns every block's member refs and membership
-// fingerprint in block order (see blockindex.Components.Membership). The
-// returned slices are shared with the cache and must not be mutated.
-func (x *CandidateIndex) Membership() ([][]DocRef, []uint64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.comps.Membership()
 }
 
 // UpdateMembership inserts cols' delta and returns the resulting block

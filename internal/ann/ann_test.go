@@ -2,10 +2,8 @@ package ann
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"reflect"
 	"testing"
 
@@ -29,6 +27,17 @@ func namedCols(names ...string) []*corpus.Collection {
 			Docs: []corpus.Document{doc(0, "page about "+name)}}
 	}
 	return out
+}
+
+// membership reads x's blocks the way production does: UpdateMembership
+// over cols, the corpus x already holds, so the update inserts nothing.
+func membership(t *testing.T, x *CandidateIndex, cols []*corpus.Collection) ([][]DocRef, []uint64) {
+	t.Helper()
+	stats, refs, fps, err := x.UpdateMembership(cols)
+	if err != nil || stats.DeltaDocs != 0 {
+		t.Fatalf("reading membership inserted %d documents (err %v)", stats.DeltaDocs, err)
+	}
+	return refs, fps
 }
 
 // testCanopy is the approximable canopy the tests index under.
@@ -95,8 +104,8 @@ func TestDeterministicRebuild(t *testing.T) {
 		return x
 	}
 	a, b := build(), build()
-	aRefs, aFps := a.Membership()
-	bRefs, bFps := b.Membership()
+	aRefs, aFps := membership(t, a, nameCorpus())
+	bRefs, bFps := membership(t, b, nameCorpus())
 	if !reflect.DeepEqual(aRefs, bRefs) || !reflect.DeepEqual(aFps, bFps) {
 		t.Fatal("two builds of the same corpus disagree on membership")
 	}
@@ -156,8 +165,8 @@ func TestPrefixBatchesMatchOneShot(t *testing.T) {
 		if _, err := oneShot.Update(batch); err != nil {
 			t.Fatalf("batch %d one-shot: %v", bi, err)
 		}
-		gotRefs, gotFps := incremental.Membership()
-		wantRefs, wantFps := oneShot.Membership()
+		gotRefs, gotFps := incremental.comps.Membership()
+		wantRefs, wantFps := oneShot.comps.Membership()
 		if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
 			t.Fatalf("batch %d: incremental membership %v, one-shot %v", bi, gotRefs, wantRefs)
 		}
@@ -180,7 +189,7 @@ func TestCanopyBlocksCoverExactBlocks(t *testing.T) {
 	if _, err := x.Update(cols); err != nil {
 		t.Fatal(err)
 	}
-	annRefs, _ := x.Membership()
+	annRefs, _ := membership(t, x, cols)
 	annBlock := make(map[DocRef]int)
 	for bi, block := range annRefs {
 		for _, ref := range block {
@@ -218,7 +227,7 @@ func TestSortedNeighborhoodPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs, _ := x.Membership()
+	refs, _ := membership(t, x, cols)
 	want := schemeMembership(scheme, blockindex.CollectionNameKey, cols)
 	if !reflect.DeepEqual(refs, want) {
 		t.Fatalf("membership %v, exact sorted neighborhood gives %v", refs, want)
@@ -302,7 +311,7 @@ func TestMembershipOfLeavesIndexUntouched(t *testing.T) {
 	}
 	before := x.Version()
 	// Printed, not held: the returned slices are shared with the cache.
-	membership := fmt.Sprint(x.Membership())
+	printed := fmt.Sprint(membership(t, x, nameCorpus()))
 
 	old := nameCorpus()[:2]
 	if _, refs, fps, err := x.UpdateMembership(old); !errors.Is(err, blockindex.ErrOutOfSync) || refs != nil || fps != nil {
@@ -311,8 +320,8 @@ func TestMembershipOfLeavesIndexUntouched(t *testing.T) {
 	if x.Version() != before {
 		t.Fatalf("a rejected UpdateMembership moved the index from %d to %d", before, x.Version())
 	}
-	if after := fmt.Sprint(x.Membership()); after != membership {
-		t.Fatalf("a rejected UpdateMembership changed the membership from %s to %s", membership, after)
+	if after := fmt.Sprint(membership(t, x, nameCorpus())); after != printed {
+		t.Fatalf("a rejected UpdateMembership changed the membership from %s to %s", printed, after)
 	}
 }
 
@@ -353,140 +362,43 @@ func TestLevelFor(t *testing.T) {
 	}
 }
 
+// TestCodecRoundTrip pins EncodeTo, whose bytes nothing decodes: two
+// indexes fed the same batches encode byte for byte the same, the bytes are
+// exactly one framing record, and the returned version is Version().
 func TestCodecRoundTrip(t *testing.T) {
 	cfg := Config{Scheme: testCanopy(), M: 8, EfSearch: 24}
-	x, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := nameCorpus()
-	if _, err := x.Update(cols); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	version, err := x.EncodeTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != x.Version() {
-		t.Fatalf("encode reported version %d, index is at %d", version, x.Version())
-	}
-	decoded, err := Decode(bytes.NewReader(buf.Bytes()), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantRefs, wantFps := x.Membership()
-	gotRefs, gotFps := decoded.Membership()
-	if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
-		t.Fatal("decoded index reports different membership than the original")
-	}
-	if !reflect.DeepEqual(decoded.Stats(), x.Stats()) {
-		t.Fatalf("decoded stats %+v, original %+v", decoded.Stats(), x.Stats())
-	}
-
-	// The decoded index keeps indexing incrementally, and lands exactly
-	// where the original does on the same delta.
-	cols[2].Docs = append(cols[2].Docs, doc(2, "k"))
-	stats, err := decoded.Update(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DeltaDocs != 1 {
-		t.Fatalf("post-decode delta stats %+v", stats)
-	}
-	if _, err := x.Update(cols); err != nil {
-		t.Fatal(err)
-	}
-	wantRefs, wantFps = x.Membership()
-	gotRefs, gotFps = decoded.Membership()
-	if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
-		t.Fatal("decoded index diverged from the original after the same delta")
-	}
-}
-
-func TestCodecRejectsDamage(t *testing.T) {
-	cfg := Config{Scheme: testCanopy()}
-	x, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x.Update(namedCols("smith", "jones")); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := x.EncodeTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 0x40
-	if _, err := Decode(bytes.NewReader(flipped), cfg); !errors.Is(err, ErrCodecCorrupt) {
-		t.Errorf("bit flip: error %v, want ErrCodecCorrupt", err)
-	}
-
-	truncated := good[:len(good)-3]
-	if _, err := Decode(bytes.NewReader(truncated), cfg); !errors.Is(err, ErrCodecCorrupt) {
-		t.Errorf("truncation: error %v, want ErrCodecCorrupt", err)
-	}
-
-	if _, err := Decode(bytes.NewReader(append(append([]byte(nil), good...), 0)), cfg); !errors.Is(err, ErrCodecCorrupt) {
-		t.Errorf("a byte behind the record: error %v, want ErrCodecCorrupt", err)
-	}
-
-	if _, err := Decode(bytes.NewReader(good), Config{Scheme: testCanopy(), M: 24}); err == nil {
-		t.Error("graph-knob mismatch was accepted")
-	}
-}
-
-// FuzzDecodeANN feeds arbitrary payloads to Decode, each sealed into a
-// valid record so that the checks behind the checksum are what is
-// exercised: Decode must not panic, and an index it accepts must re-encode
-// and decode to the same membership.
-func FuzzDecodeANN(f *testing.F) {
-	cfg := Config{Scheme: testCanopy()}
-	x, err := New(cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	if _, err := x.Update(nameCorpus()); err != nil {
-		f.Fatal(err)
-	}
-	var real bytes.Buffer
-	if _, err := x.EncodeTo(&real); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(real.Bytes()[framing.HeaderBytes:])
-	// A graph with an entry point but no documents to hold it.
-	var empty bytes.Buffer
-	if err := gob.NewEncoder(&empty).Encode(encodedIndex{M: DefaultM, EfSearch: DefaultEfSearch, Entry: 3}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
-
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		rec, err := framing.Record(func(w io.Writer) error { _, err := w.Write(payload); return err })
+	full := nameCorpus()
+	batches := [][]*corpus.Collection{full[:2], full}
+	encode := func() []byte {
+		x, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(bytes.NewReader(rec), cfg)
-		if err != nil {
-			return
+		for _, batch := range batches {
+			if _, err := x.Update(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var buf bytes.Buffer
-		if _, err := got.EncodeTo(&buf); err != nil {
+		version, err := x.EncodeTo(&buf)
+		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := Decode(&buf, cfg)
-		if err != nil {
-			t.Fatalf("an accepted index re-encodes to one Decode refuses: %v", err)
+		if version != x.Version() {
+			t.Fatalf("encode reported version %d, index is at %d", version, x.Version())
 		}
-		wantRefs, wantFps := got.Membership()
-		gotRefs, gotFps := again.Membership()
-		if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
-			t.Fatalf("membership changed across a re-encode:\n%v %v\n%v %v", wantRefs, wantFps, gotRefs, gotFps)
-		}
-	})
+		return buf.Bytes()
+	}
+
+	a, b := encode(), encode()
+	if !bytes.Equal(a, b) {
+		t.Fatal("two indexes fed the same batches encode differently")
+	}
+	payload, err := framing.ReadOne(bytes.NewReader(a))
+	if err != nil {
+		t.Fatalf("encoding is not one framing record: %v", err)
+	}
+	if len(payload)+framing.HeaderBytes != len(a) {
+		t.Fatalf("record carries %d payload bytes of %d", len(payload), len(a))
+	}
 }

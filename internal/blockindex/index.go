@@ -142,19 +142,6 @@ func (x *Index) update(cols []*corpus.Collection) (UpdateStats, error) {
 	return stats, nil
 }
 
-// Membership returns every block's member refs and membership fingerprint
-// in block order (see Components.Membership).
-//
-// Callers that need the membership OF a particular corpus must use
-// UpdateMembership instead: between a separate Update and Membership a
-// concurrent updater can advance the index past the caller's corpus,
-// yielding refs that point beyond it.
-func (x *Index) Membership() ([][]DocRef, []uint64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.comps.Membership()
-}
-
 // UpdateMembership indexes cols' delta and returns the resulting block
 // membership as one atomic operation, so the returned refs are guaranteed
 // to lie within cols even when a concurrent updater is advancing the

@@ -30,6 +30,17 @@ func namedCols(names ...string) []*corpus.Collection {
 	return out
 }
 
+// membership reads x's blocks the way production does: UpdateMembership
+// over cols, the corpus x already holds, so the update inserts nothing.
+func membership(t *testing.T, x *Index, cols []*corpus.Collection) ([][]DocRef, []uint64) {
+	t.Helper()
+	stats, refs, fps, err := x.UpdateMembership(cols)
+	if err != nil || stats.DeltaDocs != 0 {
+		t.Fatalf("reading membership indexed %d documents (err %v)", stats.DeltaDocs, err)
+	}
+	return refs, fps
+}
+
 // schemeMembership computes the reference block membership the way
 // SchemeBlocker does: full candidate generation plus a fresh union-find.
 func schemeMembership(scheme blocking.Scheme, keys KeyFunc, cols []*corpus.Collection) [][]DocRef {
@@ -112,7 +123,7 @@ func TestIndexMatchesSchemeAcrossBatches(t *testing.T) {
 				}
 				seen = docs
 
-				refs, fps := x.Membership()
+				refs, fps := membership(t, x, batch)
 				want := schemeMembership(scheme, CollectionNameKey, batch)
 				if !reflect.DeepEqual(refs, want) {
 					t.Fatalf("batch %d: membership %v, want %v", bi, refs, want)
@@ -221,8 +232,8 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wantRefs, wantFps := x.Membership()
-	gotRefs, gotFps := decoded.Membership()
+	wantRefs, wantFps := membership(t, x, cols)
+	gotRefs, gotFps := membership(t, decoded, cols)
 	if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
 		t.Fatal("decoded index reports different membership than the original")
 	}
@@ -333,8 +344,8 @@ func FuzzDecodeIndex(f *testing.F) {
 		if err != nil {
 			t.Fatalf("an accepted index re-encodes to one Decode refuses: %v", err)
 		}
-		wantRefs, wantFps := got.Membership()
-		gotRefs, gotFps := again.Membership()
+		wantRefs, wantFps := got.comps.Membership()
+		gotRefs, gotFps := again.comps.Membership()
 		if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
 			t.Fatalf("membership changed across a re-encode:\n%v %v\n%v %v", wantRefs, wantFps, gotRefs, gotFps)
 		}

@@ -190,7 +190,7 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		if err != nil || idx == nil {
 			t.Fatalf("LoadIndex = (%v, %v)", idx, err)
 		}
-		refs, fps := idx.Membership()
+		refs, fps := membership(t, idx, cols)
 		golden.Idx.check(t, "idx", idx.Version(), idx.Stats(), refs, fps)
 		if st, err := idx.Update(cols); err != nil || st.DeltaDocs != 0 {
 			t.Errorf("the loaded index re-indexed %d documents of its own corpus (err %v)", st.DeltaDocs, err)

@@ -25,6 +25,17 @@ func indexCols() []*corpus.Collection {
 	}
 }
 
+// membership reads idx's blocks the way production does: UpdateMembership
+// over cols, the corpus idx already holds, so the update indexes nothing.
+func membership(t *testing.T, idx *blockindex.Index, cols []*corpus.Collection) ([][]blockindex.DocRef, []uint64) {
+	t.Helper()
+	stats, refs, fps, err := idx.UpdateMembership(cols)
+	if err != nil || stats.DeltaDocs != 0 {
+		t.Fatalf("reading membership indexed %d documents (err %v)", stats.DeltaDocs, err)
+	}
+	return refs, fps
+}
+
 func TestIndexDirRoundTrip(t *testing.T) {
 	dir := bareDir(t, newIndexDir, t.TempDir())
 	cfg := blockindex.Config{Scheme: blocking.TokenBlocking{}}
@@ -54,8 +65,8 @@ func TestIndexDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRefs, wantFps := built.Membership()
-	gotRefs, gotFps := loaded.Membership()
+	wantRefs, wantFps := membership(t, built, indexCols())
+	gotRefs, gotFps := membership(t, loaded, indexCols())
 	if !reflect.DeepEqual(gotRefs, wantRefs) || !reflect.DeepEqual(gotFps, wantFps) {
 		t.Fatal("loaded index reports different membership than the saved one")
 	}

@@ -194,7 +194,7 @@ func TestIndexIncrementalEqualsFull(t *testing.T) {
 func incrementalPipelineWith(t *testing.T, blocker Blocker, strategy, clustering string) *Pipeline {
 	t.Helper()
 	ref := incrementalPipeline(t, "exact", strategy, clustering)
-	opts := ref.Options()
+	opts := ref.resolver.Options()
 	strat, err := ParseStrategy(strategy)
 	if err != nil {
 		t.Fatal(err)

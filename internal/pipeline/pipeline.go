@@ -161,9 +161,6 @@ func New(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// Options returns a copy of the resolver options the pipeline runs with.
-func (p *Pipeline) Options() core.Options { return p.resolver.Options() }
-
 // Result is the report-stage output for one block, in block order.
 type Result struct {
 	// Index is the block's position in the Blocker's output.

@@ -279,7 +279,7 @@ func TestNewDefaultsOptionsFieldWise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := pl.Options()
+	got := pl.resolver.Options()
 	if got.Seed != 42 {
 		t.Errorf("Seed = %d, want explicit 42", got.Seed)
 	}

@@ -209,14 +209,14 @@ func TestReadBodyTrustsContentLengthOnlySoFar(t *testing.T) {
 }
 
 // TestRejectedResolvesLeaveNoTrace: a resolve rejected for its body (400,
-// 413) or its knobs is not published to the trace ring, so a burst of bad
-// requests cannot push an accepted resolve out.
+// 413), its knobs or an empty store (409) is not published to the trace
+// ring, so a burst of bad requests cannot push an accepted resolve out.
 func TestRejectedResolvesLeaveNoTrace(t *testing.T) {
 	srv := New(Config{Store: store.NewMemStore(), MaxBodyBytes: 256})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	for _, path := range []string{"/v1/resolve", "/v1/resolve/incremental"} {
-		for _, body := range []string{`{`, `{"strategy":"bogus"}`, `{"seed":1}x`, strings.Repeat(" ", 512) + `{}`,
+		for _, body := range []string{`{`, `{}`, `{"strategy":"bogus"}`, `{"seed":1}x`, strings.Repeat(" ", 512) + `{}`,
 			`{"strategy":"bogus","collections":[{"name":"n","num_personas":1,"docs":[{"id":0,"url":"u","text":"t","persona_id":0}]}]}`} {
 			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 			if err != nil {

@@ -781,15 +781,15 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	defer tr.End()
 	// The store is append-only, so one that holds documents now holds them
 	// in the snapshot below as well; an empty one is answered before a
-	// state exists.
+	// state exists, and like any rejected request leaves no trace.
 	if s.store.Stats().Docs == 0 {
 		writeJSON(w, http.StatusConflict,
 			errorResponse{Error: "the store is empty; ingest documents via POST /v1/collections first"})
 		return
 	}
+	defer tr.End()
 
 	// One state per knob configuration; same-config runs serialize so each
 	// sees its predecessor's snapshot. The state is pinned (refs) for the

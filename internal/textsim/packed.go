@@ -1,7 +1,6 @@
 package textsim
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -103,33 +102,6 @@ func (p *PackedVector) Unpack(vocab *Vocab) SparseVector {
 		v[vocab.Term(p.IDs[i])] = p.Weights[i]
 	}
 	return v
-}
-
-// PackedFromParts assembles a PackedVector from already-interned term IDs
-// (ascending, deduplicated) and parallel weights, recomputing the
-// pack-time statistics — the decoder-side counterpart of Pack for
-// encoded indexes that store vectors in wire form. Inputs that are not
-// a valid packed support (length mismatch, unsorted or duplicate IDs,
-// negative IDs) are rejected rather than repaired: the caller is decoding
-// untrusted bytes and must treat them as corruption.
-func PackedFromParts(ids []int32, weights []float64) (*PackedVector, error) {
-	if len(ids) != len(weights) {
-		return nil, fmt.Errorf("textsim: packed vector has %d ids but %d weights", len(ids), len(weights))
-	}
-	p := &PackedVector{IDs: ids, Weights: weights}
-	for i, id := range ids {
-		if id < 0 {
-			return nil, fmt.Errorf("textsim: packed vector id %d is negative", id)
-		}
-		if i > 0 && id <= ids[i-1] {
-			return nil, fmt.Errorf("textsim: packed vector ids not strictly ascending at %d (%d after %d)", i, id, ids[i-1])
-		}
-		w := weights[i]
-		p.sum += w
-		p.sumSq += w * w
-	}
-	p.norm = math.Sqrt(p.sumSq)
-	return p, nil
 }
 
 // PackedWithSums assembles a PackedVector from interned term IDs (ascending,
