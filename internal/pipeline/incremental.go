@@ -11,6 +11,14 @@ import (
 	"repro/internal/stats"
 )
 
+// CommittedRun is what an incremental run reuses of a previous one: the
+// clustering and, if scored, the score of the block with membership
+// fingerprint fp; ok is false when that run had no such block. A nil
+// receiver answers false. *Snapshot and *serving.Index implement it.
+type CommittedRun interface {
+	Committed(fp uint64) (res *core.Resolution, score *eval.Result, ok bool)
+}
+
 // Snapshot is the carry-over state of one incremental resolution: every
 // block of that run keyed by its stable membership fingerprint, together
 // with the clustering (and optional score) it produced. A Snapshot is
@@ -35,17 +43,16 @@ func (s *Snapshot) Blocks() int {
 	return len(s.entries)
 }
 
-// NewSnapshot returns the snapshot a run leaves whose block i had
-// membership fingerprint fps[i] and produced results[i], of which only the
-// Resolution and Score are kept. RunIncremental builds its own; this is for
-// a caller that holds a committed run in another form (the service rebuilds
-// a configuration's snapshot from its persisted serving index on restart).
-func NewSnapshot(fps []uint64, results []Result) *Snapshot {
-	s := &Snapshot{entries: make(map[uint64]*cachedBlock, len(fps))}
-	for i, fp := range fps {
-		s.entries[fp] = &cachedBlock{Res: results[i].Resolution, Score: results[i].Score}
+// Committed implements CommittedRun. A nil snapshot holds no block.
+func (s *Snapshot) Committed(fp uint64) (*core.Resolution, *eval.Result, bool) {
+	if s == nil {
+		return nil, nil, false
 	}
-	return s
+	cb, ok := s.entries[fp]
+	if !ok {
+		return nil, nil, false
+	}
+	return cb.Res, cb.Score, true
 }
 
 // cachedBlock is one block's reusable output, and its own wire form in
@@ -93,8 +100,8 @@ type IncrementalResult struct {
 }
 
 // RunIncremental resolves the collections like Run, but diffs the block
-// membership against prev (the snapshot of the previous run over an
-// earlier version of the same growing corpus) and re-prepares and
+// membership against prev (what the previous run over an earlier version
+// of the same growing corpus committed) and re-prepares and
 // re-analyzes only the dirty blocks — blocks whose member documents
 // changed. Untouched blocks reuse the previous run's clustering and score
 // verbatim. A nil prev makes this a full resolution.
@@ -107,7 +114,7 @@ type IncrementalResult struct {
 // documents keep their collection and position) and resolving after each
 // batch yields, after the last batch, exactly the clusters of a single
 // RunIncremental over the union with prev == nil.
-func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection, prev *Snapshot) (*IncrementalResult, error) {
+func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection, prev CommittedRun) (*IncrementalResult, error) {
 	blockStart := p.now()
 	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
 	if err != nil {
@@ -120,15 +127,14 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 	next := &Snapshot{entries: make(map[uint64]*cachedBlock, len(blocks))}
 	st := IncrementalStats{Blocks: len(blocks), Blocking: &indexed.Stats}
 
-	// Diff: a block whose fingerprint is in the previous snapshot is
-	// clean — reuse its cached output; everything else is dirty.
+	// Diff: a block whose fingerprint the previous run committed is clean
+	// — reuse its output; everything else is dirty.
 	var todo []int
 	for i := range blocks {
 		if prev != nil {
-			if cb, hit := prev.entries[fps[i]]; hit {
-				cb = p.rescored(cb, blocks[i])
-				results[i] = Result{Index: i, Block: blocks[i], Resolution: cb.Res, Score: cb.Score}
-				next.entries[fps[i]] = cb
+			if res, score, hit := prev.Committed(fps[i]); hit {
+				score = p.rescored(res, score, blocks[i])
+				results[i] = Result{Index: i, Block: blocks[i], Resolution: res, Score: score}
 				st.Reused++
 				continue
 			}
@@ -145,8 +151,8 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 		return nil, err
 	}
 
-	for _, i := range todo {
-		next.entries[fps[i]] = &cachedBlock{Res: results[i].Resolution, Score: results[i].Score}
+	for i, res := range results {
+		next.entries[fps[i]] = &cachedBlock{Res: res.Resolution, Score: res.Score}
 	}
 	st.Prepared = int(prepares.Load())
 	st.Trivial = len(todo) - st.Prepared
@@ -159,20 +165,17 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 	}, nil
 }
 
-// rescored returns cb with a score if the pipeline wants one and the cache
-// has none (the previous run was unscored); the cached entry itself is
-// never mutated.
-func (p *Pipeline) rescored(cb *cachedBlock, block *corpus.Collection) *cachedBlock {
-	if !p.score || cb.Score != nil || len(block.Docs) == 0 {
-		return cb
+// rescored returns score, or a fresh one if the pipeline wants a score and
+// the previous run was unscored.
+func (p *Pipeline) rescored(res *core.Resolution, score *eval.Result, block *corpus.Collection) *eval.Result {
+	if !p.score || score != nil || len(block.Docs) == 0 {
+		return score
 	}
-	s, err := eval.Evaluate(cb.Res.Labels, block.GroundTruth())
+	s, err := eval.Evaluate(res.Labels, block.GroundTruth())
 	if err != nil {
 		// An unscoreable cached block keeps its nil score rather than
 		// failing the whole run; scoring is advisory output.
-		return cb
+		return nil
 	}
-	out := *cb
-	out.Score = &s
-	return &out
+	return &s
 }

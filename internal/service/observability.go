@@ -120,7 +120,7 @@ func (s *Server) initObservability() {
 	r.Gauge("ersolve_store_version", "Committed ingest batches (the store version).",
 		func() float64 { return float64(s.store.Stats().Version) })
 
-	r.Gauge("ersolve_snapshot_states", "Resolution configurations holding an incremental snapshot.",
+	r.Gauge("ersolve_snapshot_states", "Resolution configurations holding incremental state.",
 		func() float64 {
 			s.statesMu.Lock()
 			defer s.statesMu.Unlock()

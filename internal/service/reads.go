@@ -29,8 +29,7 @@ type ServingStore interface {
 	LoadServing(key string) (*serving.Index, error)
 }
 
-// committedBlocks lists a run's blocks as the serving index takes them —
-// what snapshotOf reads back.
+// committedBlocks lists a run's blocks as the serving index takes them.
 func committedBlocks(inc *pipeline.IncrementalResult) []serving.BlockResolution {
 	blocks := make([]serving.BlockResolution, len(inc.Results))
 	for i, res := range inc.Results {
@@ -45,20 +44,6 @@ func committedBlocks(inc *pipeline.IncrementalResult) []serving.BlockResolution 
 	return blocks
 }
 
-// snapshotOf rebuilds the incremental snapshot of the run a serving index
-// was committed from: per block its fingerprint, labels, source and score,
-// everything the next run's dirty-block diff reads.
-func snapshotOf(x *serving.Index) *pipeline.Snapshot {
-	blocks := x.Resolutions()
-	fps := make([]uint64, len(blocks))
-	results := make([]pipeline.Result, len(blocks))
-	for i, b := range blocks {
-		fps[i] = b.Fingerprint
-		results[i] = pipeline.Result{Resolution: b.Resolution, Score: b.Score}
-	}
-	return pipeline.NewSnapshot(fps, results)
-}
-
 // stageHistograms are the per-stage latency histograms: the four pipeline
 // stages, the read-path lookup, the JSON-body handlers' request decoding,
 // and the resolve handlers' commit tail and reply encoding. All
@@ -70,34 +55,32 @@ type stageHistograms struct {
 	stateWait, storeSnapshot, servingLoad, publishServing, persistServing, encode *metrics.Histogram
 }
 
-// publishServing materializes the committed run's serving index, swaps it
-// in as the hot read-path index (the publish.serving span) and commits it
-// to the serving store (persist.serving: an appended record, or a full
-// save when the store has to create or replace the key's file). Called
-// from the incremental endpoint after a successful run, before the
-// response is written — so a client that saw the resolve acknowledged can
-// immediately read the clusters it produced, and reads them again after a
-// kill -9. The swap is skipped when the hot index already reflects a NEWER
-// store version (a slow run for an older snapshot must not roll the read
-// path back); the last committed resolution wins ties, so re-resolving one
-// store version under new knobs re-points reads.
-func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.Collection, version uint64, inc *pipeline.IncrementalResult) {
+// publishServing materializes the committed run's serving index from the
+// state's previous one and makes it the state's, swaps it in as the hot
+// read-path index (the publish.serving span) and commits it to the serving
+// store (persist.serving: an appended record, or a full save when the store
+// has to create or replace the key's file). Called from the incremental
+// endpoint after a successful run, before the response is written — so a
+// client that saw the resolve acknowledged can immediately read the
+// clusters it produced, and reads them again after a kill -9. The swap and
+// the save are skipped when the hot index already reflects a NEWER store
+// version (a slow run for an older snapshot must not roll the read path
+// back); the last committed resolution wins ties, so re-resolving one store
+// version under new knobs re-points reads.
+func (s *Server) publishServing(tr *tracing.Active, state *incrementalState, cols []*corpus.Collection, version uint64, inc *pipeline.IncrementalResult) {
 	// One lock across the swap and the save keeps the store's newest file
 	// the hot index: publishes under different keys commit in swap order.
 	s.servingMu.Lock()
 	defer s.servingMu.Unlock()
-	var x *serving.Index
 	timed(tr, "publish.serving", s.latency.publishServing, func() {
-		prev := s.serving.Load()
-		if prev != nil && prev.StoreVersion() > version {
-			return
-		}
 		epoch := s.servingEpoch + 1
-		x = serving.Build(prev, epoch, version, key, cols, committedBlocks(inc))
-		s.servingEpoch = epoch
-		s.serving.Store(x)
+		state.index = serving.Build(state.index, epoch, version, state.key, cols, committedBlocks(inc))
+		if hot := s.serving.Load(); hot == nil || hot.StoreVersion() <= version {
+			s.servingEpoch = epoch
+			s.serving.Store(state.index)
+		}
 	})
-	if x == nil || s.cfg.Serving == nil {
+	if s.serving.Load() != state.index || s.cfg.Serving == nil {
 		return
 	}
 	// Persist before the resolve is acknowledged: a crash after the answer
@@ -105,9 +88,9 @@ func (s *Server) publishServing(tr *tracing.Active, key string, cols []*corpus.C
 	// A failure costs the restart head-start, not correctness, and is
 	// counted as degradation.
 	timed(tr, "persist.serving", s.latency.persistServing, func() {
-		if err := s.cfg.Serving.SaveServing(key, x); err != nil {
+		if err := s.cfg.Serving.SaveServing(state.key, state.index); err != nil {
 			s.counters.servingSaveFailures.Add(1)
-			s.cfg.ErrorLog("service: saving serving index for %q: %v", key, err)
+			s.cfg.ErrorLog("service: saving serving index for %q: %v", state.key, err)
 		}
 	})
 }

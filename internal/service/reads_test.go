@@ -577,3 +577,81 @@ func TestEntityLookupBeforeCommit(t *testing.T) {
 		t.Fatalf("lookup on empty server = %d, want 409", code)
 	}
 }
+
+// TestScoredCommitPublishesScores pins that the read path shows the scores
+// of the last committed resolve. An unscored commit leaves the block
+// without a score; the scored resolve after it, over the same membership,
+// scores the block and must publish that score, not reuse the unscored
+// materialization. The resolve after that finds the score committed and
+// reuses the materialization as is.
+func TestScoredCommitPublishesScores(t *testing.T) {
+	srv, ts := serverPair(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 24))
+	unscored := false
+	resolveOK(t, ts, IncrementalResolveRequest{resolveKnobs: resolveKnobs{Score: &unscored}})
+	var out EntityResponse
+	if code := getJSON(t, ts, "/v1/docs/rivera:0/entity", &out); code != http.StatusOK || out.Entity.Score != nil {
+		t.Fatalf("after the unscored commit: %d %+v, want 200 without a score", code, out.Entity)
+	}
+
+	reply := resolveOK(t, ts, IncrementalResolveRequest{})
+	if reply.Incremental.ReusedBlocks != reply.Incremental.Blocks || reply.Blocks[0].Score == nil {
+		t.Fatalf("scored resolve = %+v, want every block reused and scored", reply)
+	}
+	if code := getJSON(t, ts, "/v1/docs/rivera:0/entity", &out); code != http.StatusOK {
+		t.Fatalf("doc lookup = %d", code)
+	}
+	if got, want := out.Entity.Score, reply.Blocks[0].Score; got == nil || got.Fp != want.Fp || got.F != want.F || got.Rand != want.Rand {
+		t.Fatalf("after the scored commit the read path answers score %+v, the resolve replied %+v", got, want)
+	}
+
+	first := srv.serving.Load().DocEntity("rivera", 0)
+	resolveOK(t, ts, IncrementalResolveRequest{})
+	if again := srv.serving.Load().DocEntity("rivera", 0); again != first {
+		t.Fatal("a second scored resolve over the same membership materialized the block again")
+	}
+}
+
+// TestAlternatingConfigurationsReuseTheirOwnIndex pins that each
+// configuration reuses what it committed itself, whoever published in
+// between: two configurations alternate over an unchanged store, and every
+// publish must share the clusters of that configuration's previous index
+// rather than materialize them again.
+func TestAlternatingConfigurationsReuseTheirOwnIndex(t *testing.T) {
+	srv, ts := serverPair(t, Config{})
+	docs := 0
+	for i, name := range []string{"rivera", "cohen", "haddad"} {
+		col, err := corpus.GenerateCollection(corpus.CollectionConfig{
+			Name: name, NumDocs: 24, NumPersonas: 3,
+			Noise: 0.4, MissingInfo: 0.2, Spurious: 0.2, Seed: int64(30 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingestCollection(t, ts, col)
+		docs += len(col.Docs)
+	}
+	seed2 := int64(2)
+	configs := []IncrementalResolveRequest{{}, {resolveKnobs: resolveKnobs{Seed: &seed2}}}
+	last := make([]*serving.Index, len(configs))
+	for round := 0; round < 3; round++ {
+		for c, req := range configs {
+			resolveOK(t, ts, req)
+			x := srv.serving.Load()
+			if prev := last[c]; prev != nil {
+				reused := 0
+				for _, col := range []string{"rivera", "cohen", "haddad"} {
+					for pos := 0; pos < 24; pos++ {
+						if got := x.DocEntity(col, pos); got != nil && got == prev.DocEntity(col, pos) {
+							reused++
+						}
+					}
+				}
+				if reused != docs {
+					t.Fatalf("round %d, configuration %d: the publish reused the clusters of %d of %d docs", round, c, reused, docs)
+				}
+			}
+			last[c] = x
+		}
+	}
+}

@@ -18,12 +18,14 @@ import (
 // record be the only durable form of a resolve: over every blocker, random
 // append-only ingest sequences, scored and unscored runs mixed under one
 // configuration key (score is not part of it) and blocks below the
-// training size, the snapshot rebuilt from the decoded serving log — a
-// base plus one appended record per later commit, as persist.ServingDir
-// writes it — drives the next run exactly as the in-memory snapshot does:
-// every block reused and the reply blocks equal field for field. It also
-// pins the assumption the label reconstruction rests on: every blocker
-// lists a block's members ascending by (Col, Doc).
+// training size, the run's own pipeline.Snapshot, the serving index built
+// from the run (what the server keeps per configuration) and the index
+// decoded from the serving log — a base plus one appended record per later
+// commit, as persist.ServingDir writes it — drive identical next runs:
+// every block reused and the reply blocks equal field for field. The built
+// index shares the run's resolutions and scores rather than copying them.
+// It also pins the assumption the decoder's label reconstruction rests on:
+// every blocker lists a block's members ascending by (Col, Doc).
 func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 	// Names share tokens so the token, sorted-neighborhood and canopy
 	// schemes merge collections into one block; the one-document
@@ -64,8 +66,8 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 				key := knobsKey(knobs, bc)
 
 				var (
-					snap *pipeline.Snapshot // what the process holds in memory
-					hot  *serving.Index     // what it published last
+					snap *pipeline.Snapshot // the run's own carry-over
+					hot  *serving.Index     // what the process holds and published last
 					held *serving.Manifest  // what the log below decodes to
 					log  bytes.Buffer       // the key's serving file, less its magic and key record
 				)
@@ -101,7 +103,7 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					inc, err := pl.RunIncremental(context.Background(), cols, snap)
+					inc, err := pl.RunIncremental(context.Background(), cols, hot)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,18 +131,20 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 						log.Write(rec)
 					}
 					snap, hot, held = inc.Snapshot, x, x.Manifest()
+					for i, fp := range inc.Fingerprints {
+						res, score, ok := hot.Committed(fp)
+						if !ok || res != inc.Results[i].Resolution || score != inc.Results[i].Score {
+							t.Fatalf("step %d: block %q is committed as a copy of the run's resolution and score", step, inc.Results[i].Block.Name)
+						}
+					}
 
 					decoded, err := serving.Decode(bytes.NewReader(log.Bytes()))
 					if err != nil {
 						t.Fatal(err)
 					}
-					recovered := snapshotOf(decoded)
-					if recovered.Blocks() != snap.Blocks() {
-						t.Fatalf("step %d: recovered %d blocks, the run left %d", step, recovered.Blocks(), snap.Blocks())
-					}
 
 					// The next run — scored or not, whatever this one was —
-					// must not be able to tell the two snapshots apart.
+					// must not be able to tell the three apart.
 					for _, rescored := range []bool{true, false} {
 						cfg.Score = rescored
 						pl, err = pipeline.New(cfg)
@@ -151,23 +155,28 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := pl.RunIncremental(context.Background(), cols, recovered)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got.Stats.Reused != got.Stats.Blocks || want.Stats.Reused != want.Stats.Blocks {
-							t.Fatalf("step %d (scored %v, then %v): recovered snapshot reused %d of %d blocks, in-memory %d of %d",
-								step, scored, rescored, got.Stats.Reused, got.Stats.Blocks, want.Stats.Reused, want.Stats.Blocks)
-						}
 						wantBlocks, wantAvg := blockResults(want.Results, rescored)
-						gotBlocks, gotAvg := blockResults(got.Results, rescored)
-						if !reflect.DeepEqual(gotBlocks, wantBlocks) || !reflect.DeepEqual(gotAvg, wantAvg) {
-							t.Fatalf("step %d (scored %v, then %v): reply from the recovered snapshot differs:\n got %+v\nwant %+v",
-								step, scored, rescored, gotBlocks, wantBlocks)
+						for _, from := range []struct {
+							name string
+							prev pipeline.CommittedRun
+						}{{"snapshot", snap}, {"built index", hot}, {"decoded index", decoded}} {
+							got, err := pl.RunIncremental(context.Background(), cols, from.prev)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got.Stats.Reused != got.Stats.Blocks {
+								t.Fatalf("step %d (scored %v, then %v): the %s reused %d of %d blocks",
+									step, scored, rescored, from.name, got.Stats.Reused, got.Stats.Blocks)
+							}
+							gotBlocks, gotAvg := blockResults(got.Results, rescored)
+							if !reflect.DeepEqual(gotBlocks, wantBlocks) || !reflect.DeepEqual(gotAvg, wantAvg) {
+								t.Fatalf("step %d (scored %v, then %v): reply from the %s differs from the snapshot's:\n got %+v\nwant %+v",
+									step, scored, rescored, from.name, gotBlocks, wantBlocks)
+							}
 						}
 					}
 				}
-				if len(hot.Resolutions()) == 0 {
+				if hot.Clusters() == 0 {
 					t.Fatal("the sequence committed no blocks")
 				}
 			})

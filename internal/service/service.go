@@ -66,8 +66,8 @@ type Config struct {
 	// changed, not the index) — the one durable commit of a resolve. The
 	// server publishes the most recently saved one at construction, so a
 	// restarted server answers entity lookups immediately, with zero
-	// recompute, and a configuration's first run after a restart takes its
-	// previous run from its saved index, so it reuses every unchanged
+	// recompute, and a configuration's first run after a restart adopts its
+	// saved index as its committed state, so it reuses every unchanged
 	// block. A damaged or version-skewed saved index degrades to an empty
 	// read path until the next commit (lookups answer 409, never wrong
 	// data) and that run to a full resolution, and is reported through
@@ -88,11 +88,12 @@ type Server struct {
 	store store.DocumentStore
 	jobs  *store.Queue
 
-	// states holds one incremental snapshot per resolution configuration,
-	// with the candidate index its block stage keys the store into; runs
-	// with the same configuration serialize on their state so each sees the
-	// previous run's snapshot, and its index only ever sees a store at
-	// least as new as the one before.
+	// states holds one incremental state per resolution configuration: its
+	// last committed serving index and the candidate index its block stage
+	// keys the store into. Runs with the same configuration serialize on
+	// their state so each reuses what the previous run committed, and its
+	// candidate index only ever sees a store at least as new as the one
+	// before.
 	statesMu sync.Mutex
 	states   map[string]*incrementalState
 
@@ -142,14 +143,17 @@ type counters struct {
 }
 
 type incrementalState struct {
-	mu   sync.Mutex
-	snap *pipeline.Snapshot
+	mu sync.Mutex
+	// index is the configuration's last committed serving index (nil before
+	// its first run), which the next run's diff and the next serving build
+	// both reuse; guarded by mu.
+	index *serving.Index
 	// blocker is the configuration's block stage, built empty with the
 	// state and never replaced; over an indexed scheme it owns the state's
 	// candidate index.
 	blocker pipeline.Blocker
 	// loadTried marks that the persisted serving index (if any) was
-	// already turned into snap or found unusable, so it is read at most
+	// already adopted as index or found unusable, so it is read at most
 	// once per state; guarded by mu.
 	loadTried bool
 	// key is the effective-knobs string this state (and its persisted
@@ -158,8 +162,8 @@ type incrementalState struct {
 	// lastUsed orders LRU eviction; guarded by Server.statesMu.
 	lastUsed time.Time
 	// refs counts in-flight runs using this state; eviction skips pinned
-	// states so a long run can never have its snapshot dropped — or a
-	// concurrent same-config request handed a second state object,
+	// states so a long run can never have its committed index dropped — or
+	// a concurrent same-config request handed a second state object,
 	// breaking the serialize-per-config invariant. Guarded by
 	// Server.statesMu.
 	refs int
@@ -206,9 +210,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// maxStates caps how many knob configurations keep an incremental snapshot
-// (each retains every block's labels and score); the least-recently-used
-// is evicted beyond the cap, except states pinned by an in-flight run.
+// maxStates caps how many knob configurations keep incremental state (each
+// retains its last committed serving index — every block's labels, score
+// and clusters — while another configuration's index is the hot one); the
+// least-recently-used is evicted beyond the cap, except states pinned by an
+// in-flight run.
 const maxStates = 16
 
 // liveIndex is one state's candidate index of kind T with the state's key.
@@ -400,13 +406,14 @@ type ResolveRequest struct {
 // IncrementalResolveRequest is the /v1/resolve/incremental body: the same
 // knobs as /v1/resolve, but the documents come from the server's store
 // rather than the request. Each distinct knob configuration keeps its own
-// snapshot; a repeated request re-prepares only the blocks whose
-// membership changed since that configuration's previous run.
+// committed serving index; a repeated request re-prepares only the blocks
+// whose membership changed since that configuration's previous run.
 type IncrementalResolveRequest struct {
 	// Label optionally names the run; echoed in the response.
 	Label string `json:"label,omitempty"`
-	// Fresh discards the configuration's cached snapshot first, forcing a
-	// full re-resolution of the store (the equivalence baseline).
+	// Fresh resolves without reusing the configuration's committed index,
+	// forcing a full re-resolution of the store (the equivalence baseline);
+	// the run still commits as any other does.
 	Fresh bool `json:"fresh,omitempty"`
 	resolveKnobs
 }
@@ -792,8 +799,8 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	defer tr.End()
 
 	// One state per knob configuration; same-config runs serialize so each
-	// sees its predecessor's snapshot. The state is pinned (refs) for the
-	// duration of the run, so the LRU can never evict it — and hand a
+	// sees its predecessor's committed index. The state is pinned (refs) for
+	// the duration of the run, so the LRU can never evict it — and hand a
 	// concurrent same-config request a second state object — while the run
 	// holds its lock. The store snapshot is taken under the state lock, so
 	// a run can never overwrite the state with results for an older store
@@ -825,7 +832,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// elapsed_ms covers everything the client waits for from here on: the
 	// one-time serving-index load, the run, and the commit tail.
 	start := time.Now()
-	if state.snap == nil && !state.loadTried && s.cfg.Serving != nil && !req.Fresh {
+	if state.index == nil && !state.loadTried && s.cfg.Serving != nil && !req.Fresh {
 		// First non-fresh use of this configuration since the server
 		// started: pick up from the resolution it last committed. That is
 		// the hot index when it was committed under this key (usually the
@@ -834,9 +841,9 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		// version-skewed one degrades this run to a full resolution and is
 		// logged, never served. A fresh request does not consume the one
 		// load attempt: if it fails mid-run, the persisted index still
-		// serves the next non-fresh request. The snapshot is cached at
-		// once, so a run that dies (timeout, cancellation) before producing
-		// its own does not forfeit the restart head-start either.
+		// serves the next non-fresh request. The index is adopted at once,
+		// so a run that dies (timeout, cancellation) before committing its
+		// own does not forfeit the restart head-start either.
 		state.loadTried = true
 		timed(tr, "serving.load", s.latency.servingLoad, func() {
 			x := s.serving.Load()
@@ -847,12 +854,10 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 					s.cfg.ErrorLog("service: loading serving index for %q: %v", state.key, err)
 				}
 			}
-			if x != nil {
-				state.snap = snapshotOf(x)
-			}
+			state.index = x
 		})
 	}
-	prev := state.snap
+	var prev pipeline.CommittedRun = state.index
 	if req.Fresh {
 		prev = nil
 	}
@@ -865,15 +870,14 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	if !writeRunError(w, err, timeout) {
 		return
 	}
-	state.snap = inc.Snapshot
-	// Commit hook: invert this run into the hot serving index (reusing the
-	// clean blocks' materializations), swap it in for lock-free reads, and
-	// persist it — all before the resolve is acknowledged, so a client that
-	// saw the response can immediately GET the clusters it describes. The
-	// appended serving record is the run's one durable commit: a restart
-	// rebuilds state.snap from it, and a run whose record did not land is
-	// one whose dirty blocks are prepared again.
-	s.publishServing(tr, state.key, cols, version, inc)
+	// Commit hook: invert this run into the state's serving index (reusing
+	// the clean blocks' materializations), swap it in for lock-free reads,
+	// and persist it — all before the resolve is acknowledged, so a client
+	// that saw the response can immediately GET the clusters it describes.
+	// The appended serving record is the run's one durable commit: a
+	// restart adopts it as state.index, and a run whose record did not land
+	// is one whose dirty blocks are prepared again.
+	s.publishServing(tr, state, cols, version, inc)
 	tr.SetAttr("blocks", strconv.Itoa(inc.Stats.Blocks))
 	tr.SetAttr("reused", strconv.Itoa(inc.Stats.Reused))
 	s.counters.runs.Add(1)

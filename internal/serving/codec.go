@@ -2,13 +2,17 @@ package serving
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
+	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/framing"
 )
 
@@ -88,15 +92,24 @@ func encodeBlock(st *blockState) encodedBlock {
 
 // decodeBlock rebuilds one block's serving state, checking every member
 // ref against the collections the block was committed over and that the
-// cluster labels ascend strictly, which Entity's search relies on.
+// cluster labels ascend strictly, which Entity's search relies on. It also
+// recovers the block's resolution: a run lists a block's documents
+// ascending by (Col, Doc), so the members sorted back into that order give
+// the resolution's labels, which must then be dense and numbered in order
+// of first appearance, as every clustering numbers them.
 func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState, error) {
-	st := &blockState{fp: eb.FP, name: eb.Name, tokens: eb.Tokens}
+	st := &blockState{fp: eb.FP, name: eb.Name, tokens: eb.Tokens, res: &core.Resolution{}}
+	type docLabel struct {
+		ref   DocRef
+		label int
+	}
+	var docs []docLabel
 	for j, ec := range eb.Clusters {
 		if j > 0 && ec.Label <= eb.Clusters[j-1].Label {
 			return nil, fmt.Errorf("block %016x: cluster label %d follows %d", eb.FP, ec.Label, eb.Clusters[j-1].Label)
 		}
-		if len(ec.Refs) != len(ec.URLs) {
-			return nil, fmt.Errorf("cluster %s has %d refs but %d urls",
+		if len(ec.Refs) == 0 || len(ec.Refs) != len(ec.URLs) {
+			return nil, fmt.Errorf("cluster %s has %d refs and %d urls",
 				ClusterID(eb.FP, ec.Label), len(ec.Refs), len(ec.URLs))
 		}
 		members := make([]Member, len(ec.Refs))
@@ -109,6 +122,7 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 					ref.Doc, colNames[ref.Col], colDocs[ref.Col])
 			}
 			members[k] = Member{Collection: colNames[ref.Col], Pos: ref.Doc, URL: ec.URLs[k], ref: ref}
+			docs = append(docs, docLabel{ref, ec.Label})
 		}
 		st.clusters = append(st.clusters, &Cluster{
 			ID:      ClusterID(eb.FP, ec.Label),
@@ -119,6 +133,19 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 			Score:   ec.Score,
 			fp:      eb.FP,
 		})
+		st.res.Source, st.score = ec.Source, (*eval.Result)(ec.Score)
+	}
+	slices.SortFunc(docs, func(a, b docLabel) int {
+		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Doc, b.ref.Doc))
+	})
+	st.res.Labels = make([]int, len(docs))
+	next := 0 // the label a document of a new cluster must have
+	for i, d := range docs {
+		if d.label < 0 || d.label > next || i > 0 && d.ref == docs[i-1].ref {
+			return nil, fmt.Errorf("block %016x: document %v has label %d, next new label %d, or is listed twice", eb.FP, d.ref, d.label, next)
+		}
+		next = max(next, d.label+1)
+		st.res.Labels[i] = d.label
 	}
 	return st, nil
 }

@@ -357,7 +357,8 @@ func TestEntityAnswersOnlyClusterIDs(t *testing.T) {
 // FuzzDecodeServingLog feeds arbitrary bytes to the log reader: it must not
 // panic, must not let a corrupt length size an allocation (the record
 // reader checks a declared length against the bytes present first), and
-// whatever index it returns must be internally consistent.
+// whatever index it returns must be internally consistent, each block with
+// one recovered label per member.
 func FuzzDecodeServingLog(f *testing.F) {
 	cols, blocks := fixture()
 	x := Build(nil, 1, 10, "knobs", cols, blocks)
@@ -390,6 +391,15 @@ func FuzzDecodeServingLog(f *testing.F) {
 		}
 		if err := x.Validate(); err != nil {
 			t.Fatalf("decoded index is inconsistent: %v", err)
+		}
+		for _, st := range x.order {
+			members := 0
+			for _, c := range st.clusters {
+				members += len(c.Members)
+			}
+			if len(st.res.Labels) != members {
+				t.Fatalf("block %016x decoded %d labels for %d members", st.fp, len(st.res.Labels), members)
+			}
 		}
 	})
 }

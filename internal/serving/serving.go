@@ -9,9 +9,11 @@
 // publishes it behind an atomic pointer swap, so lookups are lock-free
 // reads of immutable state. Rebuilds are incremental: a block whose
 // membership fingerprint is unchanged since the previous Index (built under
-// the same resolution configuration) reuses its materialized clusters —
-// including their stable IDs — and only dirty blocks pay the
-// materialization cost. What the index keeps beside its blocks is only
+// the same resolution configuration, and scored in both or in neither)
+// reuses its materialized clusters — including their stable IDs — and only
+// dirty blocks pay the materialization cost. A block keeps the resolution
+// and score it was built from, so Committed answers the next incremental
+// run's diff as well. What the index keeps beside its blocks is only
 // what a read cannot derive from them: the doc table (document → cluster)
 // and the token postings (token → blocks) are reassembled per commit, which
 // is pointer work, linear in the corpus with a tiny constant, not
@@ -113,14 +115,16 @@ type BlockResolution struct {
 }
 
 // blockState is one block's materialized serving state: its clusters,
-// ascending by label, and its search tokens. Reused verbatim across commits
-// while the block's fingerprint (and the resolution configuration) is
-// unchanged.
+// ascending by label, its search tokens, and the resolution and score they
+// were built from. Reused verbatim across commits while the block's
+// fingerprint, the configuration and whether it is scored are unchanged.
 type blockState struct {
 	fp       uint64
 	name     string
 	tokens   []string
 	clusters []*Cluster
+	res      *core.Resolution
+	score    *eval.Result
 }
 
 // Index is one committed resolution, inverted for reads. All state is
@@ -147,11 +151,12 @@ type Index struct {
 
 // Build materializes the serving index of one committed run. prev, when
 // non-nil and built under the same knobs string, donates the materialized
-// clusters of every block whose fingerprint is unchanged; pass nil for a
-// from-scratch build. cols is the store snapshot the run resolved
-// (Members refs point into it), storeVersion its version, knobs the
-// committing configuration's effective-knobs key, and epoch the new
-// index's monotonic publish counter (callers increment it per swap).
+// clusters of every block whose fingerprint is unchanged and which is
+// scored in both or in neither; pass nil for a from-scratch build. cols is
+// the store snapshot the run resolved (Members refs point into it),
+// storeVersion its version, knobs the committing configuration's
+// effective-knobs key, and epoch the new index's monotonic publish counter
+// (callers increment it per swap).
 func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 	cols []*corpus.Collection, blocks []BlockResolution) *Index {
 
@@ -159,7 +164,7 @@ func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 	reusable := prev != nil && prev.knobs == knobs
 	for i, br := range blocks {
 		if reusable {
-			if st, ok := prev.blocks[br.Fingerprint]; ok {
+			if st, ok := prev.blocks[br.Fingerprint]; ok && (st.score == nil) == (br.Score == nil) {
 				states[i] = st
 				continue
 			}
@@ -181,7 +186,7 @@ func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 // label order, and members arrive in block order, which ascends by store
 // position), and derive the block's search tokens.
 func materialize(cols []*corpus.Collection, br BlockResolution) *blockState {
-	st := &blockState{fp: br.Fingerprint, name: br.Name}
+	st := &blockState{fp: br.Fingerprint, name: br.Name, res: br.Resolution, score: br.Score}
 	labels := br.Resolution.Labels
 	n := br.Resolution.NumEntities()
 	byLabel := make([][]Member, n)
@@ -204,14 +209,7 @@ func materialize(cols []*corpus.Collection, br BlockResolution) *blockState {
 			ref:        ref,
 		})
 	}
-	var score *Score
-	if br.Score != nil {
-		score = &Score{Fp: br.Score.Fp, F: br.Score.F, Rand: br.Score.Rand}
-	}
-	source := ""
-	if br.Resolution != nil {
-		source = br.Resolution.Source
-	}
+	score, source := (*Score)(br.Score), br.Resolution.Source
 	for label, members := range byLabel {
 		if len(members) == 0 {
 			continue
@@ -305,39 +303,17 @@ func (x *Index) Docs() int {
 	return n
 }
 
-// Resolutions returns the committed run the index holds, block by block in
-// commit order — what Build was given, less the documents' text: each
-// block's fingerprint, name, member refs and, in the same order, their
-// labels, with the source and score its clusters share. A run's blocks list
-// their documents ascending by (Col, Doc), so sorting the clusters' members
-// back into that order recovers Members and Resolution.Labels exactly.
-func (x *Index) Resolutions() []BlockResolution {
-	type docLabel struct {
-		ref   DocRef
-		label int
+// Committed implements pipeline.CommittedRun: the resolution and score
+// the block with membership fingerprint fp was built from.
+func (x *Index) Committed(fp uint64) (*core.Resolution, *eval.Result, bool) {
+	if x == nil {
+		return nil, nil, false
 	}
-	out := make([]BlockResolution, len(x.order))
-	for i, st := range x.order {
-		br := BlockResolution{Fingerprint: st.fp, Name: st.name, Resolution: &core.Resolution{}}
-		var docs []docLabel
-		for _, c := range st.clusters {
-			br.Resolution.Source, br.Score = c.Source, (*eval.Result)(c.Score)
-			for _, m := range c.Members {
-				docs = append(docs, docLabel{m.ref, c.Label})
-			}
-		}
-		sort.Slice(docs, func(a, b int) bool {
-			ra, rb := docs[a].ref, docs[b].ref
-			return ra.Col < rb.Col || ra.Col == rb.Col && ra.Doc < rb.Doc
-		})
-		br.Members = make([]DocRef, len(docs))
-		br.Resolution.Labels = make([]int, len(docs))
-		for j, d := range docs {
-			br.Members[j], br.Resolution.Labels[j] = d.ref, d.label
-		}
-		out[i] = br
+	st, ok := x.blocks[fp]
+	if !ok {
+		return nil, nil, false
 	}
-	return out
+	return st.res, st.score, true
 }
 
 // Entity returns the cluster with the given ID, or nil. The ID is read in

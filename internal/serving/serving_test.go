@@ -387,6 +387,76 @@ func TestCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestDecodeRecoversResolutions pins that a decoded block answers the
+// incremental diff with the resolution it was built from, and that a block
+// whose labels could not have come from a clustering is damage: read back in
+// (Col, Doc) order, the labels must be dense and numbered in order of first
+// appearance, with each document listed once.
+func TestDecodeRecoversResolutions(t *testing.T) {
+	cols, blocks := fixture()
+	x := Build(nil, 1, 10, "knobs", cols, blocks)
+	var buf bytes.Buffer
+	if err := x.EncodeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, br := range blocks {
+		res, score, ok := decoded.Committed(br.Fingerprint)
+		if !ok || fmt.Sprint(res.Labels) != fmt.Sprint(br.Resolution.Labels) || res.Source != br.Resolution.Source ||
+			(score == nil) != (br.Score == nil) || score != nil && *score != *br.Score {
+			t.Errorf("block %q decodes to %+v, score %+v; built from %+v, score %+v", br.Name, res, score, br.Resolution, br.Score)
+		}
+	}
+	if _, _, ok := decoded.Committed(0xDEAD); ok {
+		t.Error("Committed answers a block the index does not hold")
+	}
+	if _, _, ok := (*Index)(nil).Committed(0xAAAA); ok {
+		t.Error("a nil index answers Committed")
+	}
+
+	jones := encodeBlock(x.blocks[0xBBBB]) // label 0 holds docs 0 and 1, label 1 docs 2 and 3
+	for _, tc := range []struct {
+		name     string
+		clusters func(c0, c1 encodedCluster) []encodedCluster
+	}{
+		{"a negative first label", func(c0, c1 encodedCluster) []encodedCluster {
+			c0.Label, c1.Label = -1, 0
+			return []encodedCluster{c0, c1}
+		}},
+		{"labels that skip one", func(c0, c1 encodedCluster) []encodedCluster {
+			c1.Label = 2
+			return []encodedCluster{c0, c1}
+		}},
+		{"labels out of first-appearance order", func(c0, c1 encodedCluster) []encodedCluster {
+			c0.Refs, c1.Refs = c1.Refs, c0.Refs
+			return []encodedCluster{c0, c1}
+		}},
+		{"a document listed twice", func(c0, c1 encodedCluster) []encodedCluster {
+			c1.Refs = []DocRef{c0.Refs[1], c1.Refs[1]}
+			return []encodedCluster{c0, c1}
+		}},
+		{"an empty cluster", func(c0, c1 encodedCluster) []encodedCluster {
+			c0.Refs, c0.URLs = append(c0.Refs, c1.Refs...), append(c0.URLs, c1.URLs...)
+			c1.Refs, c1.URLs = nil, nil
+			return []encodedCluster{c0, c1}
+		}},
+	} {
+		eb := jones
+		eb.Clusters = tc.clusters(jones.Clusters[0], jones.Clusters[1])
+		rec, err := gobRecord(nil, encodedIndex{ColNames: []string{"smith", "jones"}, ColDocs: []int{6, 4},
+			Blocks: []encodedBlock{eb}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(bytes.NewReader(rec)); !errors.Is(err, ErrCodecCorrupt) {
+			t.Errorf("a block with %s: Decode = %v, want ErrCodecCorrupt", tc.name, err)
+		}
+	}
+}
+
 // benchIndex builds the benchmark corpus: 50 collections of 200 docs each,
 // every collection resolved into 20 clusters of 10.
 func benchIndex(b *testing.B) *Index {
