@@ -65,6 +65,10 @@ const (
 	StageCluster = "cluster"
 )
 
+// Stages lists every stage name Config.Observe can receive, in pipeline
+// order.
+var Stages = []string{StageBlock, StagePrepare, StageAnalyze, StageCluster}
+
 // Config assembles a Pipeline from its pluggable stages. Zero fields
 // select defaults that reproduce the paper's setup.
 type Config struct {

@@ -3,6 +3,7 @@ package service
 import (
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -20,6 +21,14 @@ import (
 // ersolve_degraded_total family — the registry requires identical help
 // text for every series joining one family.
 const degradedHelp = "Events where the server kept serving by giving something up, by kind."
+
+// stages name the per-stage latency histograms, in registration order, and
+// the spans their observations become: the pipeline's stages, the
+// read-path lookup, the JSON-body handlers' request decoding, and the
+// resolve handlers' commit tail and reply encoding. All are rendered as the
+// ersolve_stage_latency_seconds family.
+var stages = slices.Concat(pipeline.Stages,
+	[]string{"lookup", "decode", "state.wait", "store.snapshot", "serving.load", "publish.serving", "persist.serving", "encode"})
 
 // initObservability wires the metrics registry and the trace ring buffer.
 // Every lifetime counter the server owns is registered here, and both
@@ -88,18 +97,11 @@ func (s *Server) initObservability() {
 	}
 
 	const latencyHelp = "Stage wall-clock latency in seconds, by stage."
-	s.latency.block = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "block")
-	s.latency.prepare = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "prepare")
-	s.latency.analyze = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "analyze")
-	s.latency.cluster = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "cluster")
-	s.latency.lookup = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "lookup")
-	s.latency.decode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "decode")
-	s.latency.stateWait = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "state.wait")
-	s.latency.storeSnapshot = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "store.snapshot")
-	s.latency.servingLoad = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "serving.load")
-	s.latency.publishServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "publish.serving")
-	s.latency.persistServing = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "persist.serving")
-	s.latency.encode = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", "encode")
+	s.latency = make(map[string]*metrics.Histogram, len(stages))
+	for _, stage := range stages {
+		s.latency[stage] = r.Histogram("ersolve_stage_latency_seconds", latencyHelp, "stage", stage)
+	}
+	s.lookupLatency = s.latency["lookup"]
 
 	r.Gauge("ersolve_queue_depth", "Ingest jobs enqueued but not yet finished.",
 		func() float64 { return float64(s.jobs.Depth()) })
@@ -242,7 +244,7 @@ func (s *Server) storeDegradationSamples() []metrics.Sample {
 // the fact.
 func (s *Server) stageObserver(tr *tracing.Active) func(stage, block string, d time.Duration) {
 	return func(stage, block string, d time.Duration) {
-		s.observeStage(stage, block, d)
+		s.latency[stage].Observe(d)
 		if block != "" {
 			tr.Span(stage, time.Now().Add(-d), d, "block", block)
 		} else {
@@ -253,11 +255,11 @@ func (s *Server) stageObserver(tr *tracing.Active) func(stage, block string, d t
 
 // timed runs fn as one child span of tr named stage and one observation
 // of that stage's latency histogram.
-func timed(tr *tracing.Active, stage string, h *metrics.Histogram, fn func()) {
+func (s *Server) timed(tr *tracing.Active, stage string, fn func()) {
 	start := time.Now()
 	fn()
 	d := time.Since(start)
-	h.Observe(d)
+	s.latency[stage].Observe(d)
 	tr.Span(stage, start, d)
 }
 
@@ -308,20 +310,4 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		traces = []tracing.Trace{}
 	}
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: traces})
-}
-
-// observeStage routes one pipeline stage duration into its latency
-// histogram; the block name (empty for the block stage, which spans all
-// blocks) is consumed by the tracing wrapper, not the histograms.
-func (s *Server) observeStage(stage, _ string, d time.Duration) {
-	switch stage {
-	case pipeline.StageBlock:
-		s.latency.block.Observe(d)
-	case pipeline.StagePrepare:
-		s.latency.prepare.Observe(d)
-	case pipeline.StageAnalyze:
-		s.latency.analyze.Observe(d)
-	case pipeline.StageCluster:
-		s.latency.cluster.Observe(d)
-	}
 }

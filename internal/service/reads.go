@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/corpus"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/serving"
 	"repro/internal/tracing"
@@ -44,17 +43,6 @@ func committedBlocks(inc *pipeline.IncrementalResult) []serving.BlockResolution 
 	return blocks
 }
 
-// stageHistograms are the per-stage latency histograms: the four pipeline
-// stages, the read-path lookup, the JSON-body handlers' request decoding,
-// and the resolve handlers' commit tail and reply encoding. All
-// registry-backed (initObservability), rendered as the
-// ersolve_stage_latency_seconds family.
-type stageHistograms struct {
-	block, prepare, analyze, cluster, lookup, decode *metrics.Histogram
-
-	stateWait, storeSnapshot, servingLoad, publishServing, persistServing, encode *metrics.Histogram
-}
-
 // publishServing materializes the committed run's serving index from the
 // state's previous one and makes it the state's, swaps it in as the hot
 // read-path index (the publish.serving span) and commits it to the serving
@@ -72,7 +60,7 @@ func (s *Server) publishServing(tr *tracing.Active, state *incrementalState, col
 	// the hot index: publishes under different keys commit in swap order.
 	s.servingMu.Lock()
 	defer s.servingMu.Unlock()
-	timed(tr, "publish.serving", s.latency.publishServing, func() {
+	s.timed(tr, "publish.serving", func() {
 		epoch := s.servingEpoch + 1
 		state.index = serving.Build(state.index, epoch, version, state.key, cols, committedBlocks(inc))
 		if hot := s.serving.Load(); hot == nil || hot.StoreVersion() <= version {
@@ -87,7 +75,7 @@ func (s *Server) publishServing(tr *tracing.Active, state *incrementalState, col
 	// still restarts with this resolution servable and its blocks reusable.
 	// A failure costs the restart head-start, not correctness, and is
 	// counted as degradation.
-	timed(tr, "persist.serving", s.latency.persistServing, func() {
+	s.timed(tr, "persist.serving", func() {
 		if err := s.cfg.Serving.SaveServing(state.key, state.index); err != nil {
 			s.counters.servingSaveFailures.Add(1)
 			s.cfg.ErrorLog("service: saving serving index for %q: %v", state.key, err)
@@ -153,7 +141,7 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 	s.counters.readEntities.Add(1)
 	start := time.Now()
 	c := x.Entity(id)
-	s.latency.lookup.Observe(time.Since(start))
+	s.lookupLatency.Observe(time.Since(start))
 	if c == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown entity %q", id)})
 		return
@@ -255,7 +243,7 @@ func (s *Server) handleEntityLookup(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, LookupResult{Ref: req.Refs[i], Entity: c})
 	}
-	s.latency.lookup.Observe(time.Since(start))
+	s.lookupLatency.Observe(time.Since(start))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -286,7 +274,7 @@ func (s *Server) handleDocEntity(w http.ResponseWriter, r *http.Request) {
 	s.counters.readDocs.Add(1)
 	start := time.Now()
 	c := x.DocEntity(collection, pos)
-	s.latency.lookup.Observe(time.Since(start))
+	s.lookupLatency.Observe(time.Since(start))
 	if c == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{
 			Error: fmt.Sprintf("document (%s, %d) is not in the served resolution (unknown, or ingested after store version %d)",
@@ -329,7 +317,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.counters.readSearch.Add(1)
 	start := time.Now()
 	hits := x.Search(name, limit)
-	s.latency.lookup.Observe(time.Since(start))
+	s.lookupLatency.Observe(time.Since(start))
 	resp := SearchResponse{
 		Query:        name,
 		Hits:         make([]SearchHit, 0, len(hits)),

@@ -108,8 +108,10 @@ type Server struct {
 	servingMu    sync.Mutex
 	servingEpoch uint64
 
-	// latency holds the per-stage latency histograms.
-	latency stageHistograms
+	// latency holds the per-stage latency histograms, by stage name;
+	// lookupLatency is its "lookup" entry, which every read observes.
+	latency       map[string]*metrics.Histogram
+	lookupLatency *metrics.Histogram
 
 	// registry renders every instrument above on GET /metrics and GET
 	// /v1/stats; traces is the ring of recently finished request traces
@@ -566,7 +568,7 @@ func jsonBody(w http.ResponseWriter, r *http.Request) bool {
 // the body and answers true, or declines, and then encoding/json decodes
 // the same bytes — so every error and its text are encoding/json's.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, tr *tracing.Active, v any, fast func(body []byte) bool) (ok bool) {
-	timed(tr, "decode", s.latency.decode, func() {
+	s.timed(tr, "decode", func() {
 		body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 		if err != nil {
 			var maxErr *http.MaxBytesError
@@ -689,7 +691,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 
 	blocks, avg := blockResults(results, cfg.Score)
 	resp := ResolveResponse{Label: req.Label, Blocks: blocks, Average: avg, ElapsedMillis: time.Since(start).Milliseconds()}
-	timed(tr, "encode", s.latency.encode, func() { writeJSON(w, http.StatusOK, resp) })
+	s.timed(tr, "encode", func() { writeJSON(w, http.StatusOK, resp) })
 }
 
 func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
@@ -817,12 +819,12 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	timed(tr, "state.wait", s.latency.stateWait, state.mu.Lock)
+	s.timed(tr, "state.wait", state.mu.Lock)
 	defer state.mu.Unlock()
 
 	var cols []*corpus.Collection
 	var version uint64
-	timed(tr, "store.snapshot", s.latency.storeSnapshot, func() { cols, version = s.store.Snapshot() })
+	s.timed(tr, "store.snapshot", func() { cols, version = s.store.Snapshot() })
 	tr.SetAttr("knobs", state.key)
 	tr.SetAttr("store_version", strconv.FormatUint(version, 10))
 	docs := 0
@@ -845,7 +847,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		// so a run that dies (timeout, cancellation) before committing its
 		// own does not forfeit the restart head-start either.
 		state.loadTried = true
-		timed(tr, "serving.load", s.latency.servingLoad, func() {
+		s.timed(tr, "serving.load", func() {
 			x := s.serving.Load()
 			if x == nil || x.Knobs() != state.key {
 				var err error
@@ -904,7 +906,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 		},
 		Blocking: *inc.Stats.Blocking,
 	}
-	timed(tr, "encode", s.latency.encode, func() { writeJSON(w, http.StatusOK, resp) })
+	s.timed(tr, "encode", func() { writeJSON(w, http.StatusOK, resp) })
 }
 
 // knobsKey builds the effective-knobs string identifying one resolution

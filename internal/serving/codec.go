@@ -29,8 +29,9 @@ const commitHeaderBytes = 16
 var ErrCodecCorrupt = errors.New("serving: encoded serving index is corrupt")
 
 // encodedIndex is the base record's gob payload: the per-block primary
-// state plus the snapshot geometry its refs point into. The doc table and
-// the token postings are derived state, reassembled on decode.
+// state plus the snapshot geometry its refs point into. The collection →
+// blocks table, the document rows and the token postings are derived
+// state, reassembled on decode.
 type encodedIndex struct {
 	Epoch        uint64
 	StoreVersion uint64
@@ -75,35 +76,40 @@ type encodedCol struct {
 	Docs  int
 }
 
+// encodeBlock lists each cluster's refs and URLs in ref order: the block's
+// refs grouped by label.
 func encodeBlock(st *blockState) encodedBlock {
 	eb := encodedBlock{FP: st.fp, Name: st.name, Tokens: st.tokens,
 		Clusters: make([]encodedCluster, len(st.clusters))}
-	for j, c := range st.clusters {
-		ec := encodedCluster{Label: c.Label, Source: c.Source, Score: c.Score,
-			Refs: make([]DocRef, len(c.Members)), URLs: make([]string, len(c.Members))}
+	for label, c := range st.clusters {
+		eb.Clusters[label] = encodedCluster{Label: label, Source: c.Source, Score: c.Score,
+			Refs: make([]DocRef, 0, len(c.Members)), URLs: make([]string, len(c.Members))}
 		for k, m := range c.Members {
-			ec.Refs[k] = m.ref
-			ec.URLs[k] = m.URL
+			eb.Clusters[label].URLs[k] = m.URL
 		}
-		eb.Clusters[j] = ec
+	}
+	for i, ref := range st.refs {
+		ec := &eb.Clusters[st.res.Labels[i]]
+		ec.Refs = append(ec.Refs, ref)
 	}
 	return eb
 }
 
 // decodeBlock rebuilds one block's serving state, checking every member
 // ref against the collections the block was committed over and that the
-// cluster labels ascend strictly, which Entity's search relies on. It also
-// recovers the block's resolution: a run lists a block's documents
-// ascending by (Col, Doc), so the members sorted back into that order give
-// the resolution's labels, which must then be dense and numbered in order
-// of first appearance, as every clustering numbers them.
+// cluster labels ascend strictly. It also recovers the block's refs and
+// resolution: a run lists a block's documents ascending by (Col, Doc), so
+// the members sorted back into that order give the resolution's labels,
+// which must then be dense and numbered in order of first appearance, as
+// every clustering numbers them.
 func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState, error) {
 	st := &blockState{fp: eb.FP, name: eb.Name, tokens: eb.Tokens, res: &core.Resolution{}}
-	type docLabel struct {
+	type doc struct {
 		ref   DocRef
 		label int
+		url   string
 	}
-	var docs []docLabel
+	var docs []doc
 	for j, ec := range eb.Clusters {
 		if j > 0 && ec.Label <= eb.Clusters[j-1].Label {
 			return nil, fmt.Errorf("block %016x: cluster label %d follows %d", eb.FP, ec.Label, eb.Clusters[j-1].Label)
@@ -112,7 +118,6 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 			return nil, fmt.Errorf("cluster %s has %d refs and %d urls",
 				ClusterID(eb.FP, ec.Label), len(ec.Refs), len(ec.URLs))
 		}
-		members := make([]Member, len(ec.Refs))
 		for k, ref := range ec.Refs {
 			if ref.Col < 0 || ref.Col >= len(colNames) {
 				return nil, fmt.Errorf("member references collection %d of %d", ref.Col, len(colNames))
@@ -121,23 +126,12 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 				return nil, fmt.Errorf("member references doc %d beyond collection %q's %d docs",
 					ref.Doc, colNames[ref.Col], colDocs[ref.Col])
 			}
-			members[k] = Member{Collection: colNames[ref.Col], Pos: ref.Doc, URL: ec.URLs[k], ref: ref}
-			docs = append(docs, docLabel{ref, ec.Label})
+			docs = append(docs, doc{ref, ec.Label, ec.URLs[k]})
 		}
-		st.clusters = append(st.clusters, &Cluster{
-			ID:      ClusterID(eb.FP, ec.Label),
-			Block:   eb.Name,
-			Label:   ec.Label,
-			Source:  ec.Source,
-			Members: members,
-			Score:   ec.Score,
-			fp:      eb.FP,
-		})
 		st.res.Source, st.score = ec.Source, (*eval.Result)(ec.Score)
 	}
-	slices.SortFunc(docs, func(a, b docLabel) int {
-		return cmp.Or(cmp.Compare(a.ref.Col, b.ref.Col), cmp.Compare(a.ref.Doc, b.ref.Doc))
-	})
+	slices.SortFunc(docs, func(a, b doc) int { return cmp.Or(a.ref.Col-b.ref.Col, a.ref.Doc-b.ref.Doc) })
+	st.refs = make([]DocRef, len(docs))
 	st.res.Labels = make([]int, len(docs))
 	next := 0 // the label a document of a new cluster must have
 	for i, d := range docs {
@@ -145,8 +139,11 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 			return nil, fmt.Errorf("block %016x: document %v has label %d, next new label %d, or is listed twice", eb.FP, d.ref, d.label, next)
 		}
 		next = max(next, d.label+1)
-		st.res.Labels[i] = d.label
+		st.refs[i], st.res.Labels[i] = d.ref, d.label
 	}
+	st.fill(func(i int) Member {
+		return Member{Collection: colNames[docs[i].ref.Col], Pos: docs[i].ref.Doc, URL: docs[i].url}
+	})
 	return st, nil
 }
 
@@ -324,7 +321,7 @@ func DecodeLog(r io.Reader) (x *Index, tail error, err error) {
 			states = append(states, st)
 		}
 	}
-	return assemble(log.epoch, log.storeVersion, enc.Knobs, log.colNames, log.colDocs, states), tail, nil
+	return assemble(nil, log.epoch, log.storeVersion, enc.Knobs, log.colNames, log.colDocs, states), tail, nil
 }
 
 // replay is the state a log's records are applied to, in order.

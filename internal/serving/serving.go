@@ -13,12 +13,15 @@
 // reuses its materialized clusters — including their stable IDs — and only
 // dirty blocks pay the materialization cost. A block keeps the resolution
 // and score it was built from, so Committed answers the next incremental
-// run's diff as well. What the index keeps beside its blocks is only
-// what a read cannot derive from them: the doc table (document → cluster)
-// and the token postings (token → blocks) are reassembled per commit, which
-// is pointer work, linear in the corpus with a tiny constant, not
-// re-materialization. An entity lookup needs neither: a cluster ID names
-// its block and its label.
+// run's diff as well. Beside its blocks the index keeps which blocks hold
+// each collection's documents and the token postings (token → blocks),
+// reassembled per commit in time linear in the blocks, and one row per
+// collection mapping a document position to its cluster. A row is a
+// function of the collection's length and of the blocks holding it, so a
+// commit rebuilds only the rows of the collections its dirty blocks touch
+// and shares every other row with the previous Index. A document lookup is
+// one row read; an entity lookup needs no table: a cluster ID names its
+// block and its label.
 //
 // Cluster IDs are derived from the block's membership fingerprint plus the
 // cluster's label ("%016x-%d"), so an entity keeps its ID across commits
@@ -40,6 +43,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -64,8 +68,6 @@ type Member struct {
 	Pos int `json:"pos"`
 	// URL is the document's page address, echoed for client convenience.
 	URL string `json:"url,omitempty"`
-
-	ref DocRef
 }
 
 // Score is a cluster's block-level evaluation against ground truth.
@@ -93,8 +95,6 @@ type Cluster struct {
 	// Score is the block's evaluation, when the committing run scored;
 	// shared by every cluster of the block.
 	Score *Score `json:"score,omitempty"`
-
-	fp uint64
 }
 
 // BlockResolution is one block of a committed run — the serving index's
@@ -106,7 +106,10 @@ type BlockResolution struct {
 	// Name is the block's collection name.
 	Name string
 	// Members are the refs of the block's documents into the committed
-	// store snapshot, in block-document order (Members[i] is block doc i).
+	// store snapshot, in block-document order (Members[i] is block doc i),
+	// which ascends by (Col, Doc) under every blocker. The index keeps the
+	// slice as the block's refs and never writes to it: blockindex hands
+	// out cached member lists that must not be mutated.
 	Members []DocRef
 	// Resolution labels each block document with its cluster.
 	Resolution *core.Resolution
@@ -115,14 +118,18 @@ type BlockResolution struct {
 }
 
 // blockState is one block's materialized serving state: its clusters,
-// ascending by label, its search tokens, and the resolution and score they
-// were built from. Reused verbatim across commits while the block's
-// fingerprint, the configuration and whether it is scored are unchanged.
+// indexed by label, its search tokens, its refs ascending by (Col, Doc)
+// with refs[i] labelled res.Labels[i], the collections those refs lie in,
+// ascending, and the resolution and score it was built from. Reused
+// verbatim across commits while the block's fingerprint, the configuration
+// and whether it is scored are unchanged.
 type blockState struct {
 	fp       uint64
 	name     string
 	tokens   []string
 	clusters []*Cluster
+	refs     []DocRef
+	cols     []int
 	res      *core.Resolution
 	score    *eval.Result
 }
@@ -142,28 +149,32 @@ type Index struct {
 	colDocs  []int
 	colIndex map[string]int
 
-	blocks   map[uint64]*blockState
-	order    []*blockState // block order, for deterministic encoding
-	clusters int           // clusters over all blocks
-	docs     [][]*Cluster  // [col][pos] -> the document's cluster, nil when unresolved
-	tokens   map[string][]*blockState
+	blocks    map[uint64]*blockState
+	order     []*blockState   // block order, for deterministic encoding
+	clusters  int             // clusters over all blocks
+	colBlocks [][]*blockState // [col] -> the blocks holding its documents, in block order
+	docs      [][]*Cluster    // [col][pos] -> the document's cluster, nil when unresolved
+	tokens    map[string][]*blockState
 }
 
 // Build materializes the serving index of one committed run. prev, when
 // non-nil and built under the same knobs string, donates the materialized
 // clusters of every block whose fingerprint is unchanged and which is
-// scored in both or in neither; pass nil for a from-scratch build. cols is
-// the store snapshot the run resolved (Members refs point into it),
-// storeVersion its version, knobs the committing configuration's
+// scored in both or in neither, and the document row of every collection
+// whose length and blocks are unchanged; pass nil for a from-scratch
+// build. cols is the store snapshot the run resolved (Members refs point
+// into it), storeVersion its version, knobs the committing configuration's
 // effective-knobs key, and epoch the new index's monotonic publish counter
 // (callers increment it per swap).
 func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 	cols []*corpus.Collection, blocks []BlockResolution) *Index {
 
 	states := make([]*blockState, len(blocks))
-	reusable := prev != nil && prev.knobs == knobs
+	if prev != nil && prev.knobs != knobs {
+		prev = nil
+	}
 	for i, br := range blocks {
-		if reusable {
+		if prev != nil {
 			if st, ok := prev.blocks[br.Fingerprint]; ok && (st.score == nil) == (br.Score == nil) {
 				states[i] = st
 				continue
@@ -178,54 +189,38 @@ func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 		colNames[i] = col.Name
 		colDocs[i] = len(col.Docs)
 	}
-	return assemble(epoch, storeVersion, knobs, colNames, colDocs, states)
+	return assemble(prev, epoch, storeVersion, knobs, colNames, colDocs, states)
 }
 
-// materialize builds one block's serving state from scratch: group the
-// block documents by cluster label, sort nothing (clusters come out in
-// label order, and members arrive in block order, which ascends by store
-// position), and derive the block's search tokens.
+// materialize builds one block's serving state from scratch over the
+// run's own refs and labels.
 func materialize(cols []*corpus.Collection, br BlockResolution) *blockState {
-	st := &blockState{fp: br.Fingerprint, name: br.Name, res: br.Resolution, score: br.Score}
-	labels := br.Resolution.Labels
-	n := br.Resolution.NumEntities()
-	byLabel := make([][]Member, n)
-	for i, ref := range br.Members {
-		if i >= len(labels) {
-			break // malformed resolution; serve what is consistent
-		}
-		label := labels[i]
-		if label < 0 || label >= n {
-			continue
-		}
-		url := ""
-		if ref.Col < len(cols) && ref.Doc < len(cols[ref.Col].Docs) {
-			url = cols[ref.Col].Docs[ref.Doc].URL
-		}
-		byLabel[label] = append(byLabel[label], Member{
-			Collection: cols[ref.Col].Name,
-			Pos:        ref.Doc,
-			URL:        url,
-			ref:        ref,
-		})
-	}
-	score, source := (*Score)(br.Score), br.Resolution.Source
-	for label, members := range byLabel {
-		if len(members) == 0 {
-			continue
-		}
-		st.clusters = append(st.clusters, &Cluster{
-			ID:      ClusterID(br.Fingerprint, label),
-			Block:   br.Name,
-			Label:   label,
-			Source:  source,
-			Members: members,
-			Score:   score,
-			fp:      br.Fingerprint,
-		})
-	}
-	st.tokens = blockTokens(br.Name)
+	st := &blockState{fp: br.Fingerprint, name: br.Name, tokens: blockTokens(br.Name),
+		refs: br.Members, res: br.Resolution, score: br.Score}
+	st.fill(func(i int) Member {
+		ref := br.Members[i]
+		return Member{Collection: cols[ref.Col].Name, Pos: ref.Doc, URL: cols[ref.Col].Docs[ref.Doc].URL}
+	})
 	return st
+}
+
+// fill derives what a block's refs and labels determine: its clusters in
+// label order, each listing its members in ref order (member(i) renders
+// refs[i]), and the collections the refs lie in. Labels are dense, as every
+// clustering numbers them, so no cluster is empty.
+func (st *blockState) fill(member func(i int) Member) {
+	st.clusters = make([]*Cluster, st.res.NumEntities())
+	for label := range st.clusters {
+		st.clusters[label] = &Cluster{ID: ClusterID(st.fp, label), Block: st.name, Label: label,
+			Source: st.res.Source, Score: (*Score)(st.score)}
+	}
+	for i, ref := range st.refs {
+		c := st.clusters[st.res.Labels[i]]
+		c.Members = append(c.Members, member(i))
+		if n := len(st.cols); n == 0 || st.cols[n-1] != ref.Col {
+			st.cols = append(st.cols, ref.Col)
+		}
+	}
 }
 
 // ClusterID derives the stable entity ID of one cluster: the block's
@@ -240,9 +235,13 @@ func blockTokens(name string) []string {
 	return blocking.KeyTokens(name, 2)
 }
 
-// assemble rebuilds the index's doc table and token postings from
-// per-block states — the shared tail of Build and Decode.
-func assemble(epoch, storeVersion uint64, knobs string,
+// assemble rebuilds the index's tables from per-block states — the shared
+// tail of Build and Decode. The collection → blocks table and the token
+// postings take time linear in the blocks. A collection's document row is
+// a function of its length and of the blocks holding it, so it is shared
+// with donor (nil for none) when both are unchanged and rebuilt from those
+// blocks' refs otherwise.
+func assemble(donor *Index, epoch, storeVersion uint64, knobs string,
 	colNames []string, colDocs []int, states []*blockState) *Index {
 
 	x := &Index{
@@ -254,27 +253,37 @@ func assemble(epoch, storeVersion uint64, knobs string,
 		colIndex:     make(map[string]int, len(colNames)),
 		blocks:       make(map[uint64]*blockState, len(states)),
 		order:        states,
+		colBlocks:    make([][]*blockState, len(colNames)),
 		docs:         make([][]*Cluster, len(colNames)),
 		tokens:       make(map[string][]*blockState),
 	}
 	for i, name := range colNames {
 		x.colIndex[name] = i
-		x.docs[i] = make([]*Cluster, colDocs[i])
 	}
 	for _, st := range states {
 		x.blocks[st.fp] = st
 		x.clusters += len(st.clusters)
-		for _, c := range st.clusters {
-			for _, m := range c.Members {
-				if m.ref.Col < len(x.docs) && m.ref.Doc < len(x.docs[m.ref.Col]) {
-					x.docs[m.ref.Col][m.ref.Doc] = c
-				}
-			}
+		for _, ci := range st.cols {
+			x.colBlocks[ci] = append(x.colBlocks[ci], st)
 		}
 		// A token names its blocks; Search answers with every cluster of
 		// each: candidates, which the caller disambiguates.
 		for _, tok := range st.tokens {
 			x.tokens[tok] = append(x.tokens[tok], st)
+		}
+	}
+	for ci, held := range x.colBlocks {
+		if donor != nil && ci < len(donor.docs) && len(donor.docs[ci]) == colDocs[ci] && slices.Equal(donor.colBlocks[ci], held) {
+			x.docs[ci] = donor.docs[ci]
+			continue
+		}
+		x.docs[ci] = make([]*Cluster, colDocs[ci])
+		for _, st := range held {
+			// The block's refs ascend by (Col, Doc): collection ci's are one run.
+			i, _ := slices.BinarySearchFunc(st.refs, ci, func(ref DocRef, col int) int { return ref.Col - col })
+			for ; i < len(st.refs) && st.refs[i].Col == ci; i++ {
+				x.docs[ci][st.refs[i].Doc] = st.clusters[st.res.Labels[i]]
+			}
 		}
 	}
 	return x
@@ -332,14 +341,10 @@ func (x *Index) Entity(id string) *Cluster {
 		return nil
 	}
 	st := x.blocks[fp]
-	if st == nil {
+	if st == nil || label < 0 || label >= len(st.clusters) || st.clusters[label].ID != id {
 		return nil
 	}
-	i := sort.Search(len(st.clusters), func(i int) bool { return st.clusters[i].Label >= label })
-	if i < len(st.clusters) && st.clusters[i].ID == id {
-		return st.clusters[i]
-	}
-	return nil
+	return st.clusters[label]
 }
 
 // DocEntity returns the cluster containing the document at (collection,
@@ -408,39 +413,22 @@ func (x *Index) Search(query string, limit int) []Hit {
 	return hits
 }
 
-// Validate checks the index's internal consistency — every member ref
-// within the recorded snapshot bounds, every doc-table slot pointing at a
-// cluster that contains it. It exists for tests and the read-after-commit
+// Validate checks the index's internal consistency: every block ref
+// within the recorded snapshot bounds, and its document row naming the
+// cluster its label gives. It exists for tests and the read-after-commit
 // consistency harness; Build always produces a valid index.
 func (x *Index) Validate() error {
 	for _, st := range x.order {
-		for _, c := range st.clusters {
-			for _, m := range c.Members {
-				if m.ref.Col < 0 || m.ref.Col >= len(x.colDocs) {
-					return fmt.Errorf("serving: cluster %s member references collection %d of %d", c.ID, m.ref.Col, len(x.colDocs))
-				}
-				if m.ref.Doc < 0 || m.ref.Doc >= x.colDocs[m.ref.Col] {
-					return fmt.Errorf("serving: cluster %s member references doc %d beyond collection %q's %d docs at store version %d",
-						c.ID, m.ref.Doc, x.colNames[m.ref.Col], x.colDocs[m.ref.Col], x.storeVersion)
-				}
+		for i, ref := range st.refs {
+			if ref.Col < 0 || ref.Col >= len(x.colDocs) {
+				return fmt.Errorf("serving: block %016x references collection %d of %d", st.fp, ref.Col, len(x.colDocs))
 			}
-		}
-	}
-	for ci := range x.docs {
-		for pos, c := range x.docs[ci] {
-			if c == nil {
-				continue
+			if ref.Doc < 0 || ref.Doc >= x.colDocs[ref.Col] {
+				return fmt.Errorf("serving: block %016x references doc %d beyond collection %q's %d docs at store version %d",
+					st.fp, ref.Doc, x.colNames[ref.Col], x.colDocs[ref.Col], x.storeVersion)
 			}
-			found := false
-			for _, m := range c.Members {
-				if m.ref.Col == ci && m.ref.Doc == pos {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("serving: doc (%s, %d) maps to cluster %s which does not contain it",
-					x.colNames[ci], pos, c.ID)
+			if c := st.clusters[st.res.Labels[i]]; x.docs[ref.Col][ref.Doc] != c {
+				return fmt.Errorf("serving: doc (%s, %d) does not map to its cluster %s", x.colNames[ref.Col], ref.Doc, c.ID)
 			}
 		}
 	}

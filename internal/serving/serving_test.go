@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -461,11 +465,15 @@ func TestDecodeRecoversResolutions(t *testing.T) {
 // every collection resolved into 20 clusters of 10.
 func benchIndex(b *testing.B) *Index {
 	b.Helper()
-	const (
-		ncols    = 50
-		docs     = 200
-		perClust = 10
-	)
+	cols, blocks := clusteredCorpus(50, 200)
+	return Build(nil, 1, uint64(50*200), "bench", cols, blocks)
+}
+
+// clusteredCorpus is ncols collections of docs documents each, one block
+// per collection, every block resolved into clusters of 10 consecutive
+// documents.
+func clusteredCorpus(ncols, docs int) ([]*corpus.Collection, []BlockResolution) {
+	const perClust = 10
 	cols := make([]*corpus.Collection, ncols)
 	blocks := make([]BlockResolution, ncols)
 	for ci := range cols {
@@ -487,34 +495,167 @@ func benchIndex(b *testing.B) *Index {
 			Resolution:  &core.Resolution{Labels: labels, Source: "bench"},
 		}
 	}
-	return Build(nil, 1, uint64(ncols*docs), "bench", cols, blocks)
+	return cols, blocks
+}
+
+// splitBlocks resolves cols the way a keyed scheme can block them: a
+// collection's documents fall into blocks of size consecutive positions,
+// except the positions ≡ 2·size−1 (mod 2·size) of every collection, which
+// form one block spanning them all, listed last. A block's fingerprint
+// hashes its members, and its clusters are runs of up to 5 members.
+func splitBlocks(cols []*corpus.Collection, size int) []BlockResolution {
+	var blocks []BlockResolution
+	shared := BlockResolution{Name: "shared"}
+	for ci, col := range cols {
+		for start := 0; start < len(col.Docs); start += size {
+			br := BlockResolution{Name: col.Name}
+			for pos := start; pos < min(start+size, len(col.Docs)); pos++ {
+				if pos%(2*size) == 2*size-1 {
+					shared.Members = append(shared.Members, DocRef{Col: ci, Doc: pos})
+				} else {
+					br.Members = append(br.Members, DocRef{Col: ci, Doc: pos})
+				}
+			}
+			blocks = append(blocks, br)
+		}
+	}
+	blocks = append(blocks, shared)
+	for i := range blocks {
+		br := &blocks[i]
+		h := fnv.New64a()
+		fmt.Fprint(h, br.Members)
+		br.Fingerprint = h.Sum64()
+		br.Resolution = &core.Resolution{Source: "split"}
+		for k := range br.Members {
+			br.Resolution.Labels = append(br.Resolution.Labels, k/5)
+		}
+	}
+	return blocks
+}
+
+// TestRowsFollowTheirBlocks pins the document rows where a collection's
+// documents lie in several blocks and one block spans every collection:
+// over rounds in which random collections grow, the index rebuilt from the
+// previous one answers like one built from nothing, and it shares the
+// previous index's row of exactly the collections none of whose blocks
+// changed.
+func TestRowsFollowTheirBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cols := make([]*corpus.Collection, 6)
+	grow := func(ci, n int) {
+		col := cols[ci]
+		for i := 0; i < n; i++ {
+			col.Docs = append(col.Docs, corpus.Document{ID: len(col.Docs), URL: fmt.Sprintf("http://example.com/%s/%d", col.Name, len(col.Docs))})
+		}
+	}
+	for ci := range cols {
+		cols[ci] = &corpus.Collection{Name: fmt.Sprintf("person%d", ci)}
+		grow(ci, 4+rng.Intn(8))
+	}
+	var prev *Index
+	var prevShared uint64
+	kept, rebuilt := 0, 0
+	for round := 1; round <= 30; round++ {
+		grown := make([]bool, len(cols))
+		for ci := range cols {
+			if grown[ci] = rng.Intn(3) == 0; grown[ci] {
+				grow(ci, 1+rng.Intn(2))
+			}
+		}
+		blocks := splitBlocks(cols, 3)
+		reused := Build(prev, uint64(round), uint64(round), "knobs", cols, blocks)
+		fresh := Build(nil, uint64(round), uint64(round), "knobs", cols, blocks)
+		if got, want := answers(t, reused, cols), answers(t, fresh, cols); got != want {
+			t.Fatalf("round %d: the reused build answers\n%s\nthe fresh build\n%s", round, got, want)
+		}
+		sharedFP := blocks[len(blocks)-1].Fingerprint
+		for ci := range cols {
+			if prev == nil {
+				break
+			}
+			want := !grown[ci] && sharedFP == prevShared
+			if got := &reused.docs[ci][0] == &prev.docs[ci][0]; got != want {
+				t.Fatalf("round %d: collection %d (grown %v, shared block changed %v) shares the previous row: %v, want %v",
+					round, ci, grown[ci], sharedFP != prevShared, got, want)
+			} else if got {
+				kept++
+			} else {
+				rebuilt++
+			}
+		}
+		prev, prevShared = reused, sharedFP
+	}
+	if kept == 0 || rebuilt == 0 {
+		t.Fatalf("%d rows kept, %d rebuilt: the rounds never exercised both", kept, rebuilt)
+	}
+}
+
+// TestBuildAllocatesTheDelta is the publish stage's allocation ceiling: a
+// Build with one dirty block allocates for the blocks and the dirty block's
+// documents, not for the corpus. Over 150 blocks, doubling every block from
+// 40 to 80 documents may grow the fewest bytes such a Build allocates over
+// 20 runs, each with a different single dirty block, by at most a fifth.
+func TestBuildAllocatesTheDelta(t *testing.T) {
+	const bound = 1.2
+	alloc := func(docs int) uint64 {
+		cols, blocks := clusteredCorpus(150, docs)
+		prev := Build(nil, 1, 1, "knobs", cols, blocks)
+		least := uint64(math.MaxUint64)
+		var ms runtime.MemStats
+		for i := 0; i < 20; i++ {
+			dirty := append([]BlockResolution(nil), blocks...)
+			dirty[i].Fingerprint = uint64(0x9000 + i)
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			x := Build(prev, 2, 2, "knobs", cols, dirty)
+			runtime.ReadMemStats(&ms)
+			least = min(least, ms.TotalAlloc-before)
+			if x.Clusters() != prev.Clusters() {
+				t.Fatalf("clusters = %d, want %d", x.Clusters(), prev.Clusters())
+			}
+		}
+		return least
+	}
+	small, big := alloc(40), alloc(80)
+	ratio := float64(big) / float64(small)
+	t.Logf("one dirty block of 150: %d B at 40 docs per block, %d B at 80 (ratio %.2f, bound %.1f)", small, big, ratio, bound)
+	if ratio > bound {
+		t.Errorf("doubling the documents per block grows a one-dirty-block Build's allocations %.2f×, bound %.1f×", ratio, bound)
+	}
 }
 
 // BenchmarkServingLookup measures the hot read path — doc→cluster then
 // entity-by-ID, the GET /v1/docs + GET /v1/entities sequence — and reports
 // lookups/s on one core (the loop is single-goroutine, so ns/op is
-// per-core cost directly).
+// per-core cost directly). The corpus is 50 collections of 200 documents,
+// blocked one block per collection (per-collection), or the way a keyed
+// scheme can split them (split): 20 blocks per collection plus one block
+// spanning all 50.
 func BenchmarkServingLookup(b *testing.B) {
-	x := benchIndex(b)
-	names := make([]string, 50)
-	for i := range names {
-		names[i] = fmt.Sprintf("person%03d", i)
+	cols, perCollection := clusteredCorpus(50, 200)
+	for _, bc := range []struct {
+		name   string
+		blocks []BlockResolution
+	}{{"per-collection", perCollection}, {"split", splitBlocks(cols, 10)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			x := Build(nil, 1, uint64(50*200), "bench", cols, bc.blocks)
+			b.ResetTimer()
+			lookups := 0
+			for i := 0; i < b.N; i++ {
+				col := cols[i%len(cols)].Name
+				pos := (i * 7) % 200
+				c := x.DocEntity(col, pos)
+				if c == nil {
+					b.Fatalf("miss at (%s, %d)", col, pos)
+				}
+				if x.Entity(c.ID) != c {
+					b.Fatal("entity lookup mismatch")
+				}
+				lookups += 2
+			}
+			b.ReportMetric(float64(lookups)/b.Elapsed().Seconds(), "lookups/s")
+		})
 	}
-	b.ResetTimer()
-	lookups := 0
-	for i := 0; i < b.N; i++ {
-		col := names[i%len(names)]
-		pos := (i * 7) % 200
-		c := x.DocEntity(col, pos)
-		if c == nil {
-			b.Fatalf("miss at (%s, %d)", col, pos)
-		}
-		if x.Entity(c.ID) != c {
-			b.Fatal("entity lookup mismatch")
-		}
-		lookups += 2
-	}
-	b.ReportMetric(float64(lookups)/b.Elapsed().Seconds(), "lookups/s")
 }
 
 // BenchmarkServingSearch measures the token-search path.
@@ -533,27 +674,8 @@ func BenchmarkServingSearch(b *testing.B) {
 // of fifty is dirty — the per-commit cost the atomic swap hides from
 // readers.
 func BenchmarkServingRebuild(b *testing.B) {
-	x := benchIndex(b)
-	cols := make([]*corpus.Collection, 0, 50)
-	blocks := make([]BlockResolution, 0, 50)
-	for _, st := range x.order {
-		members := make([]DocRef, 0)
-		labels := make([]int, 0)
-		for _, c := range st.clusters {
-			for _, m := range c.Members {
-				members = append(members, m.ref)
-				labels = append(labels, c.Label)
-			}
-		}
-		blocks = append(blocks, BlockResolution{
-			Fingerprint: st.fp,
-			Name:        st.name,
-			Members:     members,
-			Resolution:  &core.Resolution{Labels: labels, Source: "bench"},
-		})
-		col := &corpus.Collection{Name: st.name, Docs: make([]corpus.Document, 200)}
-		cols = append(cols, col)
-	}
+	cols, blocks := clusteredCorpus(50, 200)
+	x := Build(nil, 1, uint64(50*200), "bench", cols, blocks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dirty := append([]BlockResolution(nil), blocks...)
