@@ -15,9 +15,9 @@ import (
 // per-term facts of their own live in slices that grow with Tokens and
 // Terms, whose IDs are dense and assigned in first-seen order.
 //
-// A Lexicon belongs to the call that created it: it is not safe for
-// concurrent use, and nothing keeps one beyond the block (or page) it was
-// built for.
+// A Lexicon belongs to one caller at a time: it is not safe for concurrent
+// use. Its IDs mean something only for the block (or page) it was fed;
+// Reset starts it over for the next one.
 type Lexicon struct {
 	chain *Analyzer
 	ids   map[string]int32 // lower-cased token → token ID
@@ -37,6 +37,15 @@ type Lexicon struct {
 // NewLexicon returns an empty lexicon over a's chain.
 func (a *Analyzer) NewLexicon() *Lexicon {
 	return &Lexicon{chain: a, ids: make(map[string]int32), terms: make(map[string]int32)}
+}
+
+// Reset empties the lexicon for the next block, keeping the memory of its
+// tables: token and term IDs start again from zero, and every ID handed out
+// before is void.
+func (lx *Lexicon) Reset() {
+	clear(lx.ids)
+	clear(lx.terms)
+	lx.Tokens, lx.TermOf, lx.Terms = lx.Tokens[:0], lx.TermOf[:0], lx.Terms[:0]
 }
 
 // AppendIDs tokenizes text and appends the IDs of its lower-cased tokens,

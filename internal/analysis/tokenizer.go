@@ -71,10 +71,24 @@ func (s *scanner) next() bool {
 	return false
 }
 
-// isTokenRune reports whether r can appear inside a token on its own.
+// isTokenRune reports whether r can appear inside a token on its own: a
+// letter or a digit. ASCII runes, nearly every rune of a page, are looked up
+// in asciiTokenRune.
 func isTokenRune(r rune) bool {
+	if uint32(r) < utf8.RuneSelf {
+		return asciiTokenRune[r]
+	}
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
+
+// asciiTokenRune is isTokenRune's predicate on the runes below
+// utf8.RuneSelf, filled once from unicode.
+var asciiTokenRune = func() (table [utf8.RuneSelf]bool) {
+	for r := range table {
+		table[r] = unicode.IsLetter(rune(r)) || unicode.IsDigit(rune(r))
+	}
+	return table
+}()
 
 // isJoiner reports whether r, which follows a letter or digit, joins it to
 // the letter or digit that starts rest (an apostrophe or hyphen flanked by

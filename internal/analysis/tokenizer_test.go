@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestTokenize(t *testing.T) {
@@ -113,5 +115,15 @@ func TestAnalyzerTermsNeverContainStopwordsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestASCIITokenRuneTable pins isTokenRune's ASCII fast path to the
+// predicate it stands for, on every rune below utf8.RuneSelf.
+func TestASCIITokenRuneTable(t *testing.T) {
+	for r := rune(0); r < utf8.RuneSelf; r++ {
+		if got, want := isTokenRune(r), unicode.IsLetter(r) || unicode.IsDigit(r); got != want {
+			t.Errorf("isTokenRune(%q) = %v, unicode says %v", r, got, want)
+		}
 	}
 }

@@ -109,7 +109,7 @@ func WeightedAverageGraph(graphs []*DecisionGraph, matrices map[string]*simfn.Ma
 	candidates := thresholdCandidates(train, scores)
 	bestThreshold, bestCorrect := 1.0, -1
 	for _, cand := range candidates {
-		g := thresholdGraph(scores, cand)
+		g := thresholdGraph(ergraph.NewGraph(n), scores, cand)
 		closure := g.ConnectedComponents()
 		correct := 0
 		for k, p := range train.Pairs {
@@ -123,7 +123,7 @@ func WeightedAverageGraph(graphs []*DecisionGraph, matrices map[string]*simfn.Ma
 		}
 	}
 
-	return thresholdGraph(scores, bestThreshold), bestThreshold, nil
+	return thresholdGraph(ergraph.NewGraph(n), scores, bestThreshold), bestThreshold, nil
 }
 
 // thresholdCandidates returns the candidate thresholds for the combined

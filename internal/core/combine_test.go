@@ -151,7 +151,7 @@ func TestGraphFromScores(t *testing.T) {
 	scores.Set(0, 1, 0.7)
 	scores.Set(0, 2, 0.3)
 	scores.Set(1, 2, 0.5)
-	g := thresholdGraph(scores, 0.5)
+	g := thresholdGraph(ergraph.NewGraph(3), scores, 0.5)
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
 		t.Error("edges at/above threshold missing")
 	}

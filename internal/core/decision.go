@@ -74,44 +74,55 @@ func (d *DecisionGraph) Label() string {
 }
 
 // sample is one function's training values, read from its matrix once and
-// sorted once for the three criteria fitted on them.
+// sorted once for the three criteria fitted on them, and the workspace they
+// are fitted in.
 type sample struct {
 	// values are the training pairs' similarities, parallel to
 	// Training.Pairs.
 	values []float64
 	// order is regions.Ascending(values).
 	order []int32
+	ws    *Workspace
 }
 
+// newSample reads the sample into the memory of the training's workspace,
+// or of a fresh one; it is valid until that workspace's next newSample.
 func newSample(train *Training, m *simfn.Matrix) sample {
-	values := train.Values(m)
-	return sample{values: values, order: regions.Ascending(values)}
+	ws := train.ws
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	ws.values = train.appendValues(ws.values[:0], m)
+	return sample{values: ws.values, order: ws.regions.Ascending(ws.values), ws: ws}
 }
 
 // buildDecisionGraph fits one criterion to a function's training sample and
-// applies it to the function's similarity matrix. TrainAccuracy — the
-// acc(G_{i,Dj}) estimate driving best-graph selection — scores the graph's
-// transitive closure on the training sample (see the comment below).
+// applies it to the function's similarity matrix, in the sample's
+// workspace: the graph's rows are carved from its arena. TrainAccuracy —
+// the acc(G_{i,Dj}) estimate driving best-graph selection — scores the
+// graph's transitive closure on the training sample (see the comment
+// below).
 func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	train *Training, s sample, regionK int) (*DecisionGraph, error) {
 
+	ws := s.ws
 	dg := &DecisionGraph{FuncID: funcID, Criterion: crit}
 	var err error
 	switch crit {
 	case ThresholdCriterion:
 		dg.Threshold = learnThreshold(s.values, train.Links, s.order)
-		dg.Graph = thresholdGraph(m, dg.Threshold)
+		dg.Graph = thresholdGraph(ws.graphs.NewGraph(m.Len()), m, dg.Threshold)
 	case EqualBinsCriterion:
 		bins := regions.NewEqualWidthBins(regionK)
 		if dg.Estimate, err = regions.EstimateAccuracy(bins, s.values, train.Links); err == nil {
-			dg.Graph = binsGraph(m, bins, dg.Estimate.Linked)
+			dg.Graph = binsGraph(ws.graphs.NewGraph(m.Len()), m, bins, dg.Estimate.Linked)
 		}
 	case KMeansCriterion:
 		var km *regions.KMeans1D
-		if km, err = regions.FitKMeans1DOrdered(s.values, s.order, regionK); err == nil {
+		if km, err = ws.regions.FitKMeans1DOrdered(s.values, s.order, regionK); err == nil {
 			if dg.Estimate, err = regions.EstimateAccuracy(km, s.values, train.Links); err == nil {
 				linked := dg.Estimate.Linked
-				dg.Graph = spansGraph(m, km.Spans(linked), linked[len(linked)-1])
+				dg.Graph = spansGraph(ws.graphs.NewGraph(m.Len()), m, km.Spans(linked), linked[len(linked)-1])
 			}
 		}
 	default:
@@ -138,7 +149,7 @@ func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	// (2-fold cross-validation of the raw decisions was evaluated as an
 	// alternative; its fold noise on ~45-pair samples made selection
 	// strictly worse.)
-	closure := dg.Graph.ConnectedComponents()
+	closure := ws.closure.Components(dg.Graph)
 	correct, positives := 0, 0
 	for i, p := range train.Pairs {
 		if (closure[p[0]] == closure[p[1]]) == train.Links[i] {
@@ -150,9 +161,9 @@ func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 	}
 	if len(train.Pairs) > 0 {
 		pairAcc := float64(correct) / float64(len(train.Pairs))
-		dg.TrainAccuracy = (pairAcc + trainingFp(closure, train)) / 2
+		dg.TrainAccuracy = (pairAcc + ws.trainingFp(closure, train)) / 2
 		baseRate := float64(positives) / float64(len(train.Pairs))
-		dg.Calibration = absDiff(closureLinkRate(closure), baseRate)
+		dg.Calibration = absDiff(ws.closureLinkRate(closure), baseRate)
 	}
 	return dg, nil
 }
@@ -160,28 +171,31 @@ func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 // trainingFp computes the Fp-measure (harmonic mean of purity and inverse
 // purity) of the clustering restricted to the training documents, against
 // their known labels.
-func trainingFp(closure []int, train *Training) float64 {
-	pred := make([]int, len(train.Docs))
-	for i, d := range train.Docs {
-		pred[i] = closure[d]
+func (ws *Workspace) trainingFp(closure []int, train *Training) float64 {
+	ws.pred = ws.pred[:0]
+	for _, d := range train.Docs {
+		ws.pred = append(ws.pred, closure[d])
 	}
-	return countedFp(pred, train.DocTruth)
+	return ws.countedFp(ws.pred, train.DocTruth)
 }
 
 // countedFp is eval.FpMeasure(pred, truth), and 0 where that errs, counted
 // in slices instead of maps: the labels become dense cluster and class IDs,
 // their overlaps a cluster × class table, and each purity the sum of its
 // rows' or columns' maxima — the integer totals FpMeasure reaches, divided
-// by the same n, so the result has its bits.
-func countedFp(pred, truth []int) float64 {
+// by the same n, so the result has its bits. The tables are the
+// workspace's, the overlap table cleared before it is counted.
+func (ws *Workspace) countedFp(pred, truth []int) float64 {
 	n := len(pred)
 	if n == 0 || n != len(truth) {
 		return 0
 	}
-	ids := make([]int, 2*n)
-	cluster, class := ids[:n], ids[n:]
+	ws.ids = slices.Grow(ws.ids[:0], 2*n)[:2*n]
+	cluster, class := ws.ids[:n], ws.ids[n:]
 	clusters, classes := denseIDs(cluster, pred), denseIDs(class, truth)
-	overlap := make([]int, clusters*classes)
+	ws.overlap = slices.Grow(ws.overlap[:0], clusters*classes)[:clusters*classes]
+	overlap := ws.overlap
+	clear(overlap)
 	for i := range cluster {
 		overlap[cluster[i]*classes+class[i]]++
 	}
@@ -218,14 +232,16 @@ func denseIDs(ids, labels []int) int {
 
 // closureLinkRate returns the fraction of all pairs the clustering places
 // together, computed from component sizes.
-func closureLinkRate(labels []int) float64 {
+func (ws *Workspace) closureLinkRate(labels []int) float64 {
 	n := len(labels)
 	if n < 2 {
 		return 0
 	}
 	// Labels are dense, and the sum runs over exact integers, so its order
 	// does not matter.
-	sizes := make([]int, n)
+	ws.sizes = slices.Grow(ws.sizes[:0], n)[:n]
+	sizes := ws.sizes
+	clear(sizes)
 	for _, l := range labels {
 		sizes[l]++
 	}
@@ -253,9 +269,9 @@ func matrixRows(m *simfn.Matrix) iter.Seq2[int, []float64] {
 	}
 }
 
-// thresholdGraph links every pair whose similarity reaches threshold.
-func thresholdGraph(m *simfn.Matrix, threshold float64) *ergraph.Graph {
-	g := ergraph.NewGraph(m.Len())
+// thresholdGraph links in g, edgeless on m's documents, every pair whose
+// similarity reaches threshold.
+func thresholdGraph(g *ergraph.Graph, m *simfn.Matrix, threshold float64) *ergraph.Graph {
 	for i, row := range matrixRows(m) {
 		for q, v := range row {
 			if v >= threshold {
@@ -266,10 +282,9 @@ func thresholdGraph(m *simfn.Matrix, threshold float64) *ergraph.Graph {
 	return g
 }
 
-// binsGraph links every pair whose similarity falls in an equal-width
-// region the estimate links.
-func binsGraph(m *simfn.Matrix, bins *regions.EqualWidthBins, linked []bool) *ergraph.Graph {
-	g := ergraph.NewGraph(m.Len())
+// binsGraph links in g, edgeless on m's documents, every pair whose
+// similarity falls in an equal-width region the estimate links.
+func binsGraph(g *ergraph.Graph, m *simfn.Matrix, bins *regions.EqualWidthBins, linked []bool) *ergraph.Graph {
 	for i, row := range matrixRows(m) {
 		for q, v := range row {
 			if linked[bins.Region(v)] {
@@ -280,11 +295,11 @@ func binsGraph(m *simfn.Matrix, bins *regions.EqualWidthBins, linked []bool) *er
 	return g
 }
 
-// spansGraph links every pair whose similarity lies in one of the spans of
-// linked k-means regions; a NaN similarity, which falls in the last region
-// and in no span, is linked when that region is.
-func spansGraph(m *simfn.Matrix, spans []regions.Span, nanLinked bool) *ergraph.Graph {
-	g := ergraph.NewGraph(m.Len())
+// spansGraph links in g, edgeless on m's documents, every pair whose
+// similarity lies in one of the spans of linked k-means regions; a NaN
+// similarity, which falls in the last region and in no span, is linked when
+// that region is.
+func spansGraph(g *ergraph.Graph, m *simfn.Matrix, spans []regions.Span, nanLinked bool) *ergraph.Graph {
 	for i, row := range matrixRows(m) {
 		for q, v := range row {
 			link := nanLinked

@@ -8,12 +8,16 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
 	"repro/internal/fanout"
+	"repro/internal/regions"
 	"repro/internal/simfn"
 	"repro/internal/stats"
 )
 
 // Resolver runs Algorithm 1 over collections. It is safe to reuse across
 // collections; each ResolveCtx/PrepareCtx call is independent.
+//
+// A Workspace carries one block worker's memory from block to block:
+// PrepareIn and RunIn are PrepareCtx and Run on it.
 type Resolver struct {
 	opts  Options
 	funcs []simfn.Func
@@ -37,7 +41,9 @@ func (r *Resolver) Options() Options { return r.opts }
 // Prepared caches the per-collection work that does not depend on the
 // training split: the prepared block (feature extraction, TF-IDF vectors)
 // and the pairwise similarity matrices of every selected function. Multiple
-// experiment runs with different training samples share one Prepared.
+// experiment runs with different training samples share one Prepared. One
+// built by PrepareIn lives in its workspace's memory and is valid until
+// that workspace's next PrepareIn.
 type Prepared struct {
 	// Block is the prepared blocking unit.
 	Block *simfn.Block
@@ -51,16 +57,53 @@ type Prepared struct {
 // collection (the per-block G_w^fi computation of Algorithm 1). The context
 // is threaded into feature extraction and the pairwise matrix computation,
 // so a canceled or timed-out context aborts mid-extraction or mid-matrix and
-// returns ctx.Err().
+// returns ctx.Err(). It is PrepareIn on a fresh workspace, so the Prepared
+// owns all of its memory.
 func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Prepared, error) {
+	return r.PrepareIn(ctx, new(Workspace), col)
+}
+
+// Workspace is the memory one block worker reuses across the blocks it
+// resolves one after another: simfn's extraction tables, documents and
+// matrices, and the decision stage's training values, argsort, k-means
+// tables, graph bitsets, closure labels and Fp tables. Each block reuses
+// what an earlier one grew, so a worker allocates for its largest block
+// rather than once per block. Only memory carries over, never a value:
+// everything a stage reads it has written or cleared for this block, so
+// results are bit-identical to fresh memory.
+//
+// A workspace lives as long as its owner keeps it — the pipeline keeps one
+// per worker for one run and drops it with the run; it is never pooled, so
+// nothing it holds stays reachable between runs. What is built in it is
+// valid until it builds the same thing again (see PrepareIn and RunIn);
+// what outlives a block — a Resolution's labels, a score — is always
+// freshly allocated. The zero value is ready to use; a Workspace belongs
+// to one goroutine at a time.
+type Workspace struct {
+	sim simfn.Workspace
+	// values are one function's training values, the sample its three
+	// criteria are fitted on.
+	values  []float64
+	regions regions.Scratch
+	graphs  ergraph.Arena
+	closure ergraph.Closure
+	// pred, ids and overlap are trainingFp's tables, sizes
+	// closureLinkRate's.
+	pred, ids, overlap, sizes []int
+}
+
+// PrepareIn is PrepareCtx on the workspace's memory: the Prepared it
+// returns — block, documents and matrices — is valid until the workspace's
+// next PrepareIn.
+func (r *Resolver) PrepareIn(ctx context.Context, ws *Workspace, col *corpus.Collection) (*Prepared, error) {
 	if len(col.Docs) < 2 {
 		return nil, fmt.Errorf("core: collection %q has %d documents", col.Name, len(col.Docs))
 	}
-	block, err := simfn.PrepareBlockCtx(ctx, col, nil)
+	block, err := ws.sim.PrepareBlock(ctx, col, nil)
 	if err != nil {
 		return nil, err
 	}
-	matrices, err := simfn.ComputeAllCtx(ctx, block, r.funcs)
+	matrices, err := ws.sim.ComputeAll(ctx, block, r.funcs)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +173,21 @@ func (p *Prepared) Run(runSeed int64) (*Analysis, error) {
 // (NewTraining) and, under CorrelationClustering, the pivot order of the
 // final ergraph.CorrelationCluster; fitting the decision graphs draws
 // nothing from it.
+//
+// It is the decision stage on a fresh workspace, so the Analysis owns all
+// of its memory.
 func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
+	return p.runIn(new(Workspace), runSeed, opts)
+}
+
+// RunIn is Run on the workspace's memory: the Analysis it returns — its
+// decision graphs, their adjacency rows — is valid until the workspace's
+// next RunIn. The Resolutions its combinations return own their labels.
+func (p *Prepared) RunIn(ws *Workspace, runSeed int64) (*Analysis, error) {
+	return p.runIn(ws, runSeed, p.resolver.opts)
+}
+
+func (p *Prepared) runIn(ws *Workspace, runSeed int64, opts Options) (*Analysis, error) {
 	if opts.TrainFraction <= 0 || opts.TrainFraction >= 1 {
 		return nil, fmt.Errorf("core: train fraction %v out of (0,1)", opts.TrainFraction)
 	}
@@ -142,6 +199,8 @@ func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	train.ws = ws
+	ws.graphs.Reset()
 	a := &Analysis{Prepared: p, Train: train, opts: opts, rng: rng}
 	for _, f := range p.resolver.funcs {
 		m := p.Matrices[f.ID]

@@ -25,6 +25,11 @@ type Training struct {
 	// DocTruth is the ground-truth persona label per revealed document,
 	// parallel to Docs.
 	DocTruth []int
+
+	// ws is the memory the run that drew the sample fits its criteria and
+	// builds its graphs in; nil for a Training from NewTraining alone,
+	// whose fits take fresh memory.
+	ws *Workspace
 }
 
 // NewTraining samples a training set from the block. The paper trains on
@@ -64,11 +69,15 @@ func NewTraining(b *simfn.Block, fraction float64, rng *rand.Rand) (*Training, e
 // Values extracts the similarity values of the training pairs from a
 // similarity matrix, parallel to Pairs.
 func (t *Training) Values(m *simfn.Matrix) []float64 {
-	out := make([]float64, len(t.Pairs))
-	for i, p := range t.Pairs {
-		out[i] = m.At(p[0], p[1])
+	return t.appendValues(make([]float64, 0, len(t.Pairs)), m)
+}
+
+// appendValues appends the training pairs' values to dst.
+func (t *Training) appendValues(dst []float64, m *simfn.Matrix) []float64 {
+	for _, p := range t.Pairs {
+		dst = append(dst, m.At(p[0], p[1]))
 	}
-	return out
+	return dst
 }
 
 // LearnThreshold picks the threshold maximizing the number of correct

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
+	"slices"
 )
 
 // Graph is an undirected simple graph over n vertices (documents of one
@@ -28,11 +29,38 @@ type Graph struct {
 
 // NewGraph returns an edgeless graph on n vertices.
 func NewGraph(n int) *Graph {
+	return new(Arena).NewGraph(n)
+}
+
+// Arena carves edgeless graphs out of one array of adjacency rows, which
+// its owner keeps from block to block: the decision stage builds thirty-odd
+// graphs per block, all on the block's n vertices. The zero value is ready
+// to use; an Arena is not safe for concurrent use.
+type Arena struct {
+	adj  []uint64
+	used int // words of adj carved since the last Reset
+}
+
+// Reset empties the arena for the next block. Every graph carved from it
+// so far becomes invalid.
+func (a *Arena) Reset() { a.used = 0 }
+
+// NewGraph is the package's NewGraph on the arena's memory, valid until the
+// arena's next Reset. It allocates only when the array is used up, and
+// then an array at least twice as large, which later blocks carve from.
+func (a *Arena) NewGraph(n int) *Graph {
 	if n < 0 {
 		n = 0
 	}
 	words := (n + 63) / 64
-	return &Graph{n: n, words: words, adj: make([]uint64, n*words)}
+	size := n * words
+	if a.used+size > len(a.adj) {
+		a.adj, a.used = make([]uint64, max(2*len(a.adj), size)), 0
+	}
+	adj := a.adj[a.used : a.used+size : a.used+size]
+	a.used += size
+	clear(adj)
+	return &Graph{n: n, words: words, adj: adj}
 }
 
 // Len returns the number of vertices.
@@ -86,12 +114,29 @@ func (g *Graph) HasEdge(i, j int) bool {
 // are dense, assigned in order of the smallest vertex of each component.
 // This is the transitive-closure clustering of Algorithm 1.
 func (g *Graph) ConnectedComponents() []int {
-	labels := make([]int, g.n)
+	return new(Closure).Components(g)
+}
+
+// Closure is the memory of ConnectedComponents — the labels and the search
+// stack — kept by a caller that labels many graphs one after another. The
+// zero value is ready to use; a Closure is not safe for concurrent use.
+type Closure struct {
+	labels, stack []int
+}
+
+// Components is ConnectedComponents on the closure's memory: the labels it
+// returns are valid until the closure's next Components.
+func (c *Closure) Components(g *Graph) []int {
+	labels := c.labels
+	if labels == nil || cap(labels) < g.n {
+		labels = make([]int, g.n) // never nil: an empty graph has empty labels
+	}
+	labels = labels[:g.n]
 	for i := range labels {
 		labels[i] = -1
 	}
 	next := 0
-	stack := make([]int, 0, g.n)
+	stack := slices.Grow(c.stack[:0], g.n)
 	for start := 0; start < g.n; start++ {
 		if labels[start] != -1 {
 			continue
@@ -110,5 +155,6 @@ func (g *Graph) ConnectedComponents() []int {
 		}
 		next++
 	}
+	c.labels, c.stack = labels, stack
 	return labels
 }

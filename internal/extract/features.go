@@ -78,8 +78,9 @@ func (fe *FeatureExtractor) Extract(text, url, queryName string) DocumentFeature
 // a token occurrence costs one lookup, the dictionaries and concept
 // triggers are consulted once per distinct token, and the F6/F7 verdict on
 // a person mention is reached once per distinct mention. A Pages value
-// belongs to the call that created it and is not safe for concurrent use
-// (the FeatureExtractor behind it is).
+// belongs to one caller at a time and is not safe for concurrent use
+// (the FeatureExtractor behind it is). Reset reuses it for the next
+// block.
 type Pages struct {
 	// Lexicon is the block's token and term table.
 	Lexicon *analysis.Lexicon
@@ -115,14 +116,36 @@ type verdict struct {
 // retrieved for, compared case-insensitively.
 func (fe *FeatureExtractor) NewPages(queryName string) *Pages {
 	ner, ce := fe.ner, fe.concepts
-	return &Pages{
+	p := &Pages{
 		Lexicon: analysis.Standard.NewLexicon(), fe: fe,
 		firstNames: gazetteerView{g: ner.firstNames}, surnames: gazetteerView{g: ner.surnames},
 		orgs: gazetteerView{g: ner.orgs}, locs: gazetteerView{g: ner.locations}, labels: gazetteerView{g: ce.labels},
 		fullNames: make(map[[2]int32]string), verdicts: make(map[string]verdict),
-		query: textsim.PrepareName(queryName), queryLower: strings.ToLower(queryName),
 		activation: make([]float64, len(ce.names)),
 	}
+	p.Reset(queryName)
+	return p
+}
+
+// Reset starts the next block on p, as NewPages(queryName) would, keeping
+// the memory of its lexicon and per-token tables: they are emptied, not
+// reallocated. The features of pages extracted earlier stay valid; their
+// Tokens and token IDs do not.
+func (p *Pages) Reset(queryName string) {
+	p.Lexicon.Reset()
+	p.Tokens = p.Tokens[:0]
+	for _, v := range p.views() {
+		v.cands = v.cands[:0]
+	}
+	p.triggers = p.triggers[:0]
+	clear(p.fullNames)
+	clear(p.verdicts)
+	p.query, p.queryLower = textsim.PrepareName(queryName), strings.ToLower(queryName)
+}
+
+// views lists the per-token dictionary tables.
+func (p *Pages) views() []*gazetteerView {
+	return []*gazetteerView{&p.firstNames, &p.surnames, &p.orgs, &p.locs, &p.labels}
 }
 
 // Extract computes the full feature bundle for a page from one analysis
@@ -168,7 +191,7 @@ func (p *Pages) Extract(text, url string) DocumentFeatures {
 func (p *Pages) analyze(text string) {
 	lx := p.Lexicon
 	p.Tokens = lx.AppendIDs(p.Tokens[:0], text)
-	for _, v := range []*gazetteerView{&p.firstNames, &p.surnames, &p.orgs, &p.locs, &p.labels} {
+	for _, v := range p.views() {
 		for id := len(v.cands); id < len(lx.Tokens); id++ {
 			v.cands = append(v.cands, v.g.entries[lx.Tokens[id]])
 		}

@@ -14,7 +14,12 @@
 // The stages are all CPU-bound, so handing a block between pools would buy
 // no overlap and only keep more prepared blocks alive; this way at most
 // GOMAXPROCS blocks' matrices exist at once, and there is no all-then-all
-// barrier between the blocks.
+// barrier between the blocks. Each worker owns one core.Workspace for the
+// run: every block it claims is prepared and analyzed in that memory, so a
+// run allocates its scratch once per worker, sized to the largest block
+// the worker saw, instead of once per block. The workspaces are dropped
+// with the run; what a block hands on — its Resolution and Score — is
+// freshly allocated.
 //
 // Blocker is the one block-stage interface and BlockFingerprints its one
 // method: blocks, member refs, membership fingerprints and stats. It has
@@ -207,11 +212,13 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 // stream is the shared prepare → analyze → combine → cluster → report core
 // of Run and RunIncremental: workers claim the blocks named by todo one at
 // a time, take each from prepare to score, and write its Result into
-// results[idx]. seedOf derives a block's training seed from its index. A
-// block's Prepared lives only inside runBlock, so at most one per worker
-// is alive. When prepares is non-nil it counts the PrepareCtx calls
-// made (the prepare-count probe the incremental tests assert against). The
-// first block to fail cancels the others and its error is returned.
+// results[idx]. seedOf derives a block's training seed from its index. Each
+// worker makes one workspace and resolves every block it claims in it, so
+// a block's Prepared and Analysis live only until the worker's next block;
+// nothing of them reaches results. When prepares is non-nil it counts the
+// preparations made (the prepare-count probe the incremental tests assert
+// against). The first block to fail cancels the others and its error is
+// returned.
 func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo []int,
 	seedOf func(blockIndex int) int64, results []Result, prepares *atomic.Int64) error {
 
@@ -219,21 +226,24 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 	defer cancel()
 	var failOnce sync.Once
 	var firstErr error
-	fanout.Each(len(todo), func(t int) bool {
-		if runCtx.Err() != nil {
-			return false
+	fanout.Run(len(todo), func() func(int) bool {
+		ws := new(core.Workspace)
+		return func(t int) bool {
+			if runCtx.Err() != nil {
+				return false
+			}
+			i := todo[t]
+			res, err := p.runBlock(runCtx, ws, i, blocks[i], seedOf(i), prepares)
+			if err != nil {
+				failOnce.Do(func() {
+					firstErr = err
+					cancel()
+				})
+				return false
+			}
+			results[i] = res
+			return true
 		}
-		i := todo[t]
-		res, err := p.runBlock(runCtx, i, blocks[i], seedOf(i), prepares)
-		if err != nil {
-			failOnce.Do(func() {
-				firstErr = err
-				cancel()
-			})
-			return false
-		}
-		results[i] = res
-		return true
 	})
 
 	if err := ctx.Err(); err != nil {
@@ -243,9 +253,10 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 }
 
 // runBlock takes one block from prepare (feature extraction, TF-IDF, all
-// pairwise similarity matrices) to its scored Result. Blocks too small to
-// train on resolve trivially and skip every stage.
-func (p *Pipeline) runBlock(ctx context.Context, idx int, col *corpus.Collection, seed int64,
+// pairwise similarity matrices) to its scored Result, in the worker's
+// workspace ws. Blocks too small to train on resolve trivially and skip
+// every stage.
+func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, idx int, col *corpus.Collection, seed int64,
 	prepares *atomic.Int64) (Result, error) {
 
 	if len(col.Docs) < 2 {
@@ -259,12 +270,12 @@ func (p *Pipeline) runBlock(ctx context.Context, idx int, col *corpus.Collection
 		prepares.Add(1)
 	}
 	prepStart := p.now()
-	prep, err := p.resolver.PrepareCtx(ctx, col)
+	prep, err := p.resolver.PrepareIn(ctx, ws, col)
 	if err != nil {
 		return Result{}, fmt.Errorf("pipeline: preparing block %q: %w", col.Name, err)
 	}
 	p.observe(StagePrepare, col.Name, prepStart)
-	res, err := p.resolveBlock(idx, col, prep, seed)
+	res, err := p.resolveBlock(ws, idx, col, prep, seed)
 	if err != nil {
 		return Result{}, fmt.Errorf("pipeline: resolving block %q: %w", col.Name, err)
 	}
@@ -272,10 +283,10 @@ func (p *Pipeline) runBlock(ctx context.Context, idx int, col *corpus.Collection
 }
 
 // resolveBlock runs analysis (training draw, decision graphs), combination,
-// clustering and scoring for one prepared block.
-func (p *Pipeline) resolveBlock(idx int, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
+// clustering and scoring for one prepared block, in the workspace ws.
+func (p *Pipeline) resolveBlock(ws *core.Workspace, idx int, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
 	analyzeStart := p.now()
-	a, err := prep.Run(seed)
+	a, err := prep.RunIn(ws, seed)
 	if err != nil {
 		return Result{}, err
 	}

@@ -3,8 +3,11 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,5 +107,67 @@ func TestFailingBlockCancelsRun(t *testing.T) {
 	}
 	if n := calls.Load(); n >= 10 {
 		t.Errorf("strategy ran on %d of 10 blocks after the failure; the run was not canceled", n)
+	}
+}
+
+// TestTwoConfigurationsResolveAtOnce runs two differently configured
+// pipelines over the same blocks at once — blocks of growing and shrinking
+// size, so every worker's workspace is reused by a smaller block after a
+// larger one — and requires each run to equal the same pipeline run alone.
+// Each run's workers own their workspaces, so nothing may cross between the
+// runs or between a worker's blocks (run under -race).
+func TestTwoConfigurationsResolveAtOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var cols []*corpus.Collection
+	for i, n := range []int{60, 12, 3, 45, 2, 30, 8, 50} {
+		col, err := corpus.GenerateCollection(corpus.CollectionConfig{
+			Name: fmt.Sprintf("blk%d", i), NumDocs: n, NumPersonas: min(n, 4),
+			Noise: 0.4, MissingInfo: 0.2, Spurious: 0.2, Seed: int64(200 + i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols = append(cols, col)
+	}
+	other := core.DefaultOptions()
+	other.RegionK, other.Seed = 5, 9
+	var pls []*Pipeline
+	for _, cfg := range []Config{{Score: true}, {Options: other, Strategy: WeightedAverage()}} {
+		pl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pls = append(pls, pl)
+	}
+	alone := make([][]Result, len(pls))
+	for i, pl := range pls {
+		var err error
+		if alone[i], err = pl.Run(context.Background(), cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		together := make([][]Result, len(pls))
+		var wg sync.WaitGroup
+		for i, pl := range pls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if together[i], err = pl.Run(context.Background(), cols); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range pls {
+			for b, want := range alone[i] {
+				got := together[i][b].Resolution
+				if got.Source != want.Resolution.Source || !slices.Equal(got.Labels, want.Resolution.Labels) {
+					t.Fatalf("configuration %d, block %d: resolved at once %s %v, alone %s %v",
+						i, b, got.Source, got.Labels, want.Resolution.Source, want.Resolution.Labels)
+				}
+			}
+		}
 	}
 }

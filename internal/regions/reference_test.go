@@ -2,8 +2,10 @@ package regions
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
+	"testing"
 )
 
 // finiteDistinct returns the distinct finite values in ascending order and
@@ -103,3 +105,86 @@ func naiveKMeans1D(runs [][]float64, k int) float64 {
 	}
 	return layer[d]
 }
+
+// ascendingByPlacement is the argsort Ascending replaced, kept as its
+// reference: sort the order keys alone, then put each position into its
+// key's run, found by binary search.
+func ascendingByPlacement(values []float64) []int32 {
+	sorted := make([]uint64, len(values))
+	for i, v := range values {
+		sorted[i] = orderKey(v)
+	}
+	slices.Sort(sorted)
+	order := make([]int32, len(values))
+	placed := make([]int32, len(values)) // at the start of each run: how many of it are placed
+	for i, v := range values {
+		run, _ := slices.BinarySearch(sorted, orderKey(v))
+		order[run+int(placed[run])] = int32(i)
+		placed[run]++
+	}
+	return order
+}
+
+// randomSample draws values with heavy duplicates, ±0, ±Inf and NaNs of
+// two payloads.
+func randomSample(rng *rand.Rand, size int) []float64 {
+	specials := []float64{0, math.Copysign(0, -1), 1, math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001)}
+	values := make([]float64, size)
+	for i := range values {
+		switch r := rng.Intn(10); {
+		case r < 4:
+			values[i] = math.Round(rng.Float64()*6) / 6
+		case r < 6:
+			values[i] = specials[rng.Intn(len(specials))]
+		default:
+			values[i] = rng.Float64()
+		}
+	}
+	return values
+}
+
+// TestAscendingMatchesPlacement pins the one-sort argsort to the two-pass
+// one it replaced, position for position, ties by position included — on
+// a fresh scratch and on one reused across samples of every size.
+func TestAscendingMatchesPlacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var reused Scratch
+	for trial := 0; trial < 2000; trial++ {
+		values := randomSample(rng, rng.Intn(300))
+		want := ascendingByPlacement(values)
+		if got := Ascending(values); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Ascending(%v) = %v, placement %v", trial, values, got, want)
+		}
+		if got := reused.Ascending(values); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: a reused scratch sorts %v as %v, placement %v", trial, values, got, want)
+		}
+	}
+}
+
+// TestScratchFitMatchesFresh fits samples of varying size — large, then
+// small, then larger — on one scratch, and requires every fit to equal a
+// fresh one bit for bit: nothing a larger fit left in the split table or
+// the layers may reach a later one.
+func TestScratchFitMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var reused Scratch
+	for trial, size := range []int{200, 5, 1, 78, 3, 300, 45, 2, 120} {
+		values := randomSample(rng, size)
+		for k := 1; k <= 12; k++ {
+			want, err := FitKMeans1D(values, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := reused.FitKMeans1DOrdered(values, reused.Ascending(values), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(got.Centers, want.Centers, sameBits) || !slices.EqualFunc(got.bounds, want.bounds, sameBits) {
+				t.Fatalf("trial %d (n=%d, k=%d): reused scratch fit %v / %v, fresh %v / %v",
+					trial, size, k, got.Centers, got.bounds, want.Centers, want.bounds)
+			}
+		}
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

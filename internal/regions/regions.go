@@ -12,6 +12,7 @@
 package regions
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -89,6 +90,28 @@ func FitKMeans1D(values []float64, k int) (*KMeans1D, error) {
 	return FitKMeans1DOrdered(values, Ascending(values), k)
 }
 
+// Scratch is the memory of Ascending and FitKMeans1DOrdered, kept by a
+// caller that sorts and fits many samples one after another — the
+// decision stage fits three criteria to each function's training sample,
+// block after block. Only memory carries over between calls, never a value:
+// every call clears what it reads before writing it. The zero value is
+// ready to use; a Scratch is not safe for concurrent use.
+type Scratch struct {
+	keyed    []keyedPosition
+	order    []int32
+	distinct []float64
+	pre      []prefix
+	split    []int32
+	prev     []float64
+	cur      []float64
+}
+
+// keyedPosition is one value's position with its order key.
+type keyedPosition struct {
+	key uint64
+	at  int32
+}
+
 // Ascending returns the positions of values in ascending order of value,
 // NaNs first as sort.Float64s places them; equal values — −0 and +0 count
 // as equal, and so do all NaNs — come in position order, though no caller
@@ -96,22 +119,30 @@ func FitKMeans1D(values []float64, k int) (*KMeans1D, error) {
 // caller fitting several criteria to one sample sorts it once and hands the
 // order to each.
 //
-// It sorts the values' order keys, a plain integer sort with no comparison
-// function, and then puts each position into its key's run, found by
-// binary search.
+// It sorts (order key, position) pairs once; no two pairs are equal, so the
+// order is fully determined.
 func Ascending(values []float64) []int32 {
-	sorted := make([]uint64, len(values))
+	return new(Scratch).Ascending(values)
+}
+
+// Ascending is the package's Ascending on the scratch's memory: the order it
+// returns is valid until the scratch's next Ascending.
+func (s *Scratch) Ascending(values []float64) []int32 {
+	keyed := slices.Grow(s.keyed[:0], len(values))[:len(values)]
 	for i, v := range values {
-		sorted[i] = orderKey(v)
+		keyed[i] = keyedPosition{orderKey(v), int32(i)}
 	}
-	slices.Sort(sorted)
-	order := make([]int32, len(values))
-	placed := make([]int32, len(values)) // at the start of each run: how many of it are placed
-	for i, v := range values {
-		run, _ := slices.BinarySearch(sorted, orderKey(v))
-		order[run+int(placed[run])] = int32(i)
-		placed[run]++
+	slices.SortFunc(keyed, func(a, b keyedPosition) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+	order := slices.Grow(s.order[:0], len(values))[:len(values)]
+	for i, kp := range keyed {
+		order[i] = kp.at
 	}
+	s.keyed, s.order = keyed, order
 	return order
 }
 
@@ -144,6 +175,12 @@ func orderKey(v float64) uint64 {
 // and its error is the least up to rounding; which of two equally good
 // splits it returns is not specified.
 func FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, error) {
+	return new(Scratch).FitKMeans1DOrdered(values, order, k)
+}
+
+// FitKMeans1DOrdered is the package's FitKMeans1DOrdered on the scratch's
+// memory. The fit it returns owns its memory.
+func (s *Scratch) FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("regions: no values to cluster")
 	}
@@ -152,8 +189,8 @@ func FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, erro
 	}
 	// distinct[i] is the i-th distinct finite value and pre[i] sums the
 	// values below it.
-	distinct := make([]float64, 0, len(values))
-	pre := make([]prefix, 1, len(values)+1)
+	distinct := s.distinct[:0]
+	pre := append(s.pre[:0], prefix{})
 	for _, p := range order {
 		v := values[p]
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -166,6 +203,7 @@ func FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, erro
 		last := &pre[len(pre)-1]
 		last.n, last.sum, last.sq = last.n+1, last.sum+v, last.sq+v*v
 	}
+	s.distinct, s.pre = distinct, pre
 	n := len(distinct)
 	if n == 0 {
 		return &KMeans1D{Centers: []float64{math.NaN()}}, nil
@@ -173,8 +211,17 @@ func FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, erro
 	k = min(k, n)
 
 	// split[l*(n+1)+b] is where the last of l+1 runs of distinct[:b] starts.
-	split := make([]int32, k*(n+1))
-	dp := &layer{pre: pre, prev: make([]float64, n+1), cur: make([]float64, n+1)}
+	// Layer 0 is read as zeros, and the search bounds of a layer read cells
+	// of the one before that it did not fill: the table and both layers
+	// start cleared.
+	s.split = slices.Grow(s.split[:0], k*(n+1))[:k*(n+1)]
+	s.prev = slices.Grow(s.prev[:0], n+1)[:n+1]
+	s.cur = slices.Grow(s.cur[:0], n+1)[:n+1]
+	split := s.split
+	clear(split)
+	clear(s.prev)
+	clear(s.cur)
+	dp := &layer{pre: pre, prev: s.prev, cur: s.cur}
 	for b, pb := range pre[1:] { // one run: no split
 		dp.cur[b+1] = pb.sq - pb.sum*pb.sum/pb.n
 	}

@@ -31,6 +31,25 @@ func BenchmarkColdResolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	benchColdResolve(b, cols)
+}
+
+// BenchmarkColdResolvePaper is BenchmarkColdResolve on the paper's shape:
+// the 12 × 100 pages of corpus.WWW05Profile(), the collections the
+// paper_www05 workload ingests, whose 100-page blocks make extraction,
+// matrices and the decision stage nearly all of the request.
+func BenchmarkColdResolvePaper(b *testing.B) {
+	d, err := corpus.WWW05Profile().Generate(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchColdResolve(b, d.Collections)
+}
+
+// benchColdResolve times one cold incremental resolve of cols per
+// iteration, each on a fresh server that ingested them one batch per
+// collection.
+func benchColdResolve(b *testing.B, cols []*corpus.Collection) {
 	b.ReportAllocs()
 	b.StopTimer()
 	replyBytes := 0

@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +171,124 @@ func TestDeltaCommitWritesTheDelta(t *testing.T) {
 		t.Errorf("delta commit wrote %d bytes, the first commit %d: %.1f%%, want < 5%%", small, whole, 100*float64(small)/float64(whole))
 	}
 }
+
+// discardWriter is a ResponseWriter that keeps only the status, so that
+// measuring a request's allocations does not count a reply buffer.
+type discardWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+
+// allocated returns the bytes the process allocated while f ran, from
+// runtime.MemStats.TotalAlloc.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestResolveAllocatesTheDelta is TestDeltaCommitWritesTheDelta for bytes
+// allocated instead of bytes written: what a resolve allocates, the handler
+// called in process with a discarding writer, at 150 and 300 collections
+// of 40 documents, the least of several calls each. A no-change resolve and a
+// two-document delta resolve (one dirty block) are each held to a bound on
+// their 300 / 150 ratio, which a request that is O(delta) keeps near 1;
+// the ratios are a ratchet, lowered as the tail after the pipeline stops
+// growing with the corpus. The store stage has its own ceiling:
+// store.Snapshot over 150 collections allocates the same at 40 and at 80
+// documents each, since it copies no document.
+func TestResolveAllocatesTheDelta(t *testing.T) {
+	const calls = 8
+	resolveBytes := func(ncols int) (nochange, delta uint64) {
+		srv, ts := serverPair(t, Config{ErrorLog: func(string, ...any) {}})
+		heads, tails := splitCollections(t, ncols, 40)
+		ingestBatch(t, ts, heads)
+		resolveOK(t, ts, IncrementalResolveRequest{})
+		ingestBatch(t, ts, tails[:1])
+		if got := resolveOK(t, ts, IncrementalResolveRequest{}); got.Incremental.PreparedBlocks != 1 {
+			t.Fatalf("%d collections: a 2-document delta prepared %d blocks, want 1", ncols, got.Incremental.PreparedBlocks)
+		}
+		h := srv.Handler()
+		resolve := func() uint64 {
+			req := httptest.NewRequest(http.MethodPost, "/v1/resolve/incremental", strings.NewReader(`{}`))
+			req.Header.Set("Content-Type", "application/json")
+			w := &discardWriter{header: http.Header{}, status: http.StatusOK}
+			n := allocated(func() { h.ServeHTTP(w, req) })
+			if w.status != http.StatusOK {
+				t.Fatalf("%d collections: resolve status %d", ncols, w.status)
+			}
+			return n
+		}
+		nochange, delta = math.MaxUint64, math.MaxUint64
+		for i := 0; i < calls; i++ {
+			nochange = min(nochange, resolve())
+		}
+		for i := 1; i <= calls; i++ {
+			ingestBatch(t, ts, tails[i*ncols/(calls+1):][:1])
+			delta = min(delta, resolve())
+		}
+		if got := resolveOK(t, ts, IncrementalResolveRequest{}); got.Incremental.ReusedBlocks != got.Incremental.Blocks {
+			t.Fatalf("%d collections: after the measured resolves %+v, want every block reused", ncols, got.Incremental)
+		}
+		return nochange, delta
+	}
+	snapshotBytes := func(docs int) uint64 {
+		m := store.NewMemStore()
+		cols := make([]*corpus.Collection, 150)
+		for c := range cols {
+			cols[c] = &corpus.Collection{Name: fmt.Sprintf("person%03d", c), Docs: make([]corpus.Document, docs)}
+		}
+		if _, err := m.Append(cols); err != nil {
+			t.Fatal(err)
+		}
+		least := uint64(math.MaxUint64)
+		for i := 0; i < 20; i++ {
+			least = min(least, allocated(func() { m.Snapshot() }))
+		}
+		return least
+	}
+
+	snap40, snap80 := snapshotBytes(40), snapshotBytes(80)
+	t.Logf("store.Snapshot over 150 collections: %d bytes at 40 docs each, %d at 80", snap40, snap80)
+	if float64(snap80) > 1.1*float64(snap40) {
+		t.Errorf("store.Snapshot allocates %d bytes over 150 collections of 40 docs and %d over 80: ratio %.2f, want <= 1.1 (a snapshot copies no document)",
+			snap40, snap80, float64(snap80)/float64(snap40))
+	}
+
+	nochange150, delta150 := resolveBytes(150)
+	nochange300, delta300 := resolveBytes(300)
+	t.Logf("no-change resolve: %d bytes at 150 collections, %d at 300 (ratio %.2f)",
+		nochange150, nochange300, float64(nochange300)/float64(nochange150))
+	t.Logf("2-document delta resolve: %d bytes at 150 collections, %d at 300 (ratio %.2f)",
+		delta150, delta300, float64(delta300)/float64(delta150))
+	for _, c := range []struct {
+		what       string
+		small, big uint64
+		bound      float64
+	}{
+		{"no-change resolve", nochange150, nochange300, noChangeAllocRatio},
+		{"2-document delta resolve", delta150, delta300, deltaAllocRatio},
+	} {
+		if ratio := float64(c.big) / float64(c.small); ratio > c.bound {
+			t.Errorf("a %s allocates %d bytes at 150 collections and %d at 300: ratio %.2f, want <= %.2f",
+				c.what, c.small, c.big, ratio, c.bound)
+		}
+	}
+}
+
+// The 300 / 150 allocation ratios TestResolveAllocatesTheDelta holds a
+// resolve to, each just above the spread of twenty runs (CHANGES.md). They
+// only go down.
+const (
+	noChangeAllocRatio = 1.9
+	deltaAllocRatio    = 1.25
+)
 
 // TestKillWithoutCloseRestartsFromLastCommit is the restart contract after
 // a kill: a server is abandoned — no Close, nothing flushed — after ingest

@@ -236,7 +236,8 @@ func TestTokenTableBoundedByTheCall(t *testing.T) {
 	for i := range ms {
 		ms[i] = NewMatrix(n)
 	}
-	k := newKernel(b.Docs, funcs, ms)
+	k := new(kernel)
+	k.reset(b.Docs, funcs, ms)
 	if k.tokens == nil {
 		t.Fatal("no token table for 40 tokens over 10 matrices of 40 docs")
 	}

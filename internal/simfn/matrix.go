@@ -73,7 +73,7 @@ func (m *Matrix) Values() []float64 { return m.vals }
 // a pure function of its document pair and is written exactly once, by
 // exactly one worker.
 func ComputeMatrix(b *Block, f Func) *Matrix {
-	return computeMatrices(b, []Func{f}, nil)[0]
+	return new(Workspace).computeMatrices(b, []Func{f}, nil)[0]
 }
 
 // ComputeAllCtx evaluates every function on the block and returns the
@@ -83,9 +83,16 @@ func ComputeMatrix(b *Block, f Func) *Matrix {
 // cell is bit-identical to calling the function's Compare on that document
 // pair. Every worker checks the context between rows, so a canceled or
 // timed-out context aborts the in-flight computation promptly and returns
-// ctx.Err().
+// ctx.Err(). It is Workspace.ComputeAll on a fresh workspace, so the
+// matrices it returns own their memory.
 func ComputeAllCtx(ctx context.Context, b *Block, funcs []Func) (map[string]*Matrix, error) {
-	ms := computeMatrices(b, funcs, ctx.Done())
+	return new(Workspace).ComputeAll(ctx, b, funcs)
+}
+
+// ComputeAll is ComputeAllCtx on the workspace's memory: the matrices it
+// returns are valid until the workspace's next ComputeAll.
+func (ws *Workspace) ComputeAll(ctx context.Context, b *Block, funcs []Func) (map[string]*Matrix, error) {
+	ms := ws.computeMatrices(b, funcs, ctx.Done())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -107,16 +114,25 @@ func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
 // backing arrays, so no synchronization of the values themselves is needed.
 // A non-nil done channel makes workers stop claiming rows once it closes;
 // the caller is then responsible for discarding the partial matrices.
-func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
+//
+// The matrices are carved from one array of the workspace, left as the last
+// block wrote it: fillRow writes every cell of every row, so nothing needs
+// clearing.
+func (ws *Workspace) computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 	n := len(b.Docs)
+	pairs := n * (n - 1) / 2
+	ws.cells = slices.Grow(ws.cells[:0], len(funcs)*pairs)[:len(funcs)*pairs]
+	ws.matrices = slices.Grow(ws.matrices[:0], len(funcs))[:len(funcs)]
 	ms := make([]*Matrix, len(funcs))
 	for i := range funcs {
-		ms[i] = NewMatrix(n)
+		ws.matrices[i] = Matrix{n: n, vals: ws.cells[i*pairs : (i+1)*pairs : (i+1)*pairs]}
+		ms[i] = &ws.matrices[i]
 	}
 	if n < 2 || len(funcs) == 0 {
 		return ms
 	}
-	k := newKernel(b.Docs, funcs, ms)
+	k := &ws.kernel
+	k.reset(b.Docs, funcs, ms)
 	// Row n-1 has no upper-triangle entries.
 	fanout.Run(n-1, func() func(row int) bool {
 		// The worker's per-cell join accumulators, all zero between rows.
@@ -136,77 +152,118 @@ func computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 
 // kernel is the per-call state of one computeMatrices: what fillRow needs
 // to evaluate a row of every function while computing each distinct value
-// once. Nothing in it outlives the call.
+// once. A workspace keeps one kernel and resets it for every call: nothing
+// of one call's values is read by the next, only its memory is reused.
 type kernel struct {
 	docs  []Doc
 	funcs []Func
 	ms    []*Matrix
-	// keys is parallel to funcs: non-nil for a keyed function.
-	keys []*pairMemo
+	// keys is parallel to funcs: non-nil for a keyed function, pointing
+	// into memos.
+	keys  []*pairMemo
+	memos []pairMemo
 	// joins are the ID lists the joined and overlap functions read, each
 	// with the functions that read it: F1 reads the concept vectors, F8-F10
 	// share the term vectors and so one join per pair, and F4, F5 and F6
-	// each read one entity ID set.
+	// each read one entity ID set. Their memory past len(joins) is kept
+	// for the next call.
 	joins []joinSet
 	// runs is newPostings' scratch while the kernel is built, all zero
-	// between its calls.
-	runs []int32
+	// between its calls; lists and weights are the per-document lists the
+	// postings are inverted from.
+	runs    []int32
+	lists   [][]int32
+	weights [][]float64
 	// tokens is the token-pair table of the name functions, nil when there
-	// is none; toks[fi][d] lists the tokens of name function fi's name of
-	// document d as IDs into it.
+	// is none, else table; toks[fi][d] lists the tokens of name function
+	// fi's name of document d as IDs into it, cut from flat.
 	tokens *tokenTable
+	table  tokenTable
 	toks   [][][]int32
+	flat   []int32
+	tokIDs map[string]int32
 }
 
 // joinSet is one ascending ID list per document, inverted into postings,
 // and the functions that read the joins of its pairs. vecs holds the packed
-// vectors the lists are the IDs of, nil for ID sets.
+// vectors the lists are the IDs of; it is unused for ID sets.
 type joinSet struct {
 	vecs  []*textsim.PackedVector
 	post  postings
 	funcs []int
 }
 
-func newKernel(docs []Doc, funcs []Func, ms []*Matrix) *kernel {
-	k := &kernel{docs: docs, funcs: funcs, ms: ms, keys: make([]*pairMemo, len(funcs))}
+// reset prepares the kernel for one computeMatrices call.
+func (k *kernel) reset(docs []Doc, funcs []Func, ms []*Matrix) {
+	k.docs, k.funcs, k.ms = docs, funcs, ms
+	k.keys = slices.Grow(k.keys[:0], len(funcs))[:len(funcs)]
+	clear(k.keys)
+	k.memos = slices.Grow(k.memos[:0], len(funcs))[:len(funcs)]
+	k.joins = k.joins[:0]
 	for fi, f := range funcs {
 		switch {
 		case f.join != nil:
 			k.addJoined(fi)
 		case f.set != nil:
-			ids := make([][]int32, len(docs))
+			ids := k.idLists(len(docs))
 			for d := range docs {
 				ids[d] = f.set(&docs[d])
 			}
-			k.joins = append(k.joins, joinSet{post: k.newPostings(ids, nil), funcs: []int{fi}})
+			js := k.nextJoin()
+			k.newPostings(&js.post, ids, nil)
+			js.funcs = append(js.funcs[:0], fi)
 		case f.Key != nil:
-			k.keys[fi] = newPairMemo(docs, f.Key)
+			k.memos[fi].reset(docs, f.Key)
+			k.keys[fi] = &k.memos[fi]
 		}
 	}
-	k.tokens, k.toks = newTokenTable(docs, funcs)
-	return k
+	k.tokens = k.newTokenTable()
+}
+
+// nextJoin appends a join set to joins, on the memory of the one an earlier
+// call left there.
+func (k *kernel) nextJoin() *joinSet {
+	if len(k.joins) < cap(k.joins) {
+		k.joins = k.joins[:len(k.joins)+1]
+	} else {
+		k.joins = append(k.joins, joinSet{})
+	}
+	return &k.joins[len(k.joins)-1]
+}
+
+// idLists returns the kernel's list of n per-document ID lists.
+func (k *kernel) idLists(n int) [][]int32 {
+	k.lists = slices.Grow(k.lists[:0], n)[:n]
+	return k.lists
 }
 
 // addJoined files joined function fi under the vectors it reads, a new
 // join set unless an earlier function reads the very same vectors.
 func (k *kernel) addJoined(fi int) {
-	vecs := make([]*textsim.PackedVector, len(k.docs))
+	js := k.nextJoin()
+	vecs := slices.Grow(js.vecs[:0], len(k.docs))[:len(k.docs)]
+	js.vecs = vecs
 	for d := range k.docs {
 		vecs[d] = k.funcs[fi].join.vec(&k.docs[d])
 	}
-	for s := range k.joins {
-		if k.joins[s].vecs != nil && slices.Equal(k.joins[s].vecs, vecs) {
-			k.joins[s].funcs = append(k.joins[s].funcs, fi)
+	for s := range k.joins[:len(k.joins)-1] {
+		if o := &k.joins[s]; k.funcs[o.funcs[0]].join != nil && slices.Equal(o.vecs, vecs) {
+			o.funcs = append(o.funcs, fi)
+			k.joins = k.joins[:len(k.joins)-1]
 			return
 		}
 	}
-	ids, weights := make([][]int32, len(vecs)), make([][]float64, len(vecs))
+	ids := k.idLists(len(vecs))
+	weights := slices.Grow(k.weights[:0], len(vecs))[:len(vecs)]
+	k.weights = weights
 	for d, v := range vecs {
+		ids[d], weights[d] = nil, nil
 		if v != nil {
 			ids[d], weights[d] = v.IDs, v.Weights
 		}
 	}
-	k.joins = append(k.joins, joinSet{vecs: vecs, post: k.newPostings(ids, weights), funcs: []int{fi}})
+	k.newPostings(&js.post, ids, weights)
+	js.funcs = append(js.funcs[:0], fi)
 }
 
 // postings is the inverted form of one ascending ID list per document: for
@@ -220,6 +277,8 @@ type postings struct {
 	docs    []int32
 	weights []float64
 	spans   [][]span
+	// all backs every document's spans.
+	all []span
 }
 
 // span is one entry's [self, end) range of docs: self is the entry's own
@@ -227,10 +286,10 @@ type postings struct {
 type span struct{ self, end int32 }
 
 // newPostings inverts ids, one ascending ID list per document, and the
-// parallel weights when weights is non-nil. It counts the runs in k.runs,
-// one entry per ID, which every join set of the call shares and which is
-// all zero between calls.
-func (k *kernel) newPostings(ids [][]int32, weights [][]float64) postings {
+// parallel weights when weights is non-nil, into p, reusing its memory. It
+// counts the runs in k.runs, one entry per ID, which every join set of the
+// call shares and which is all zero between calls.
+func (k *kernel) newPostings(p *postings, ids [][]int32, weights [][]float64) {
 	size, total := 0, 0
 	for _, l := range ids {
 		for _, id := range l {
@@ -253,11 +312,15 @@ func (k *kernel) newPostings(ids [][]int32, weights [][]float64) postings {
 	for x := 1; x <= size; x++ {
 		next[x] += next[x-1]
 	}
-	p := postings{docs: make([]int32, total), spans: make([][]span, len(ids))}
+	p.docs = slices.Grow(p.docs[:0], total)[:total]
+	p.spans = slices.Grow(p.spans[:0], len(ids))[:len(ids)]
 	if weights != nil {
-		p.weights = make([]float64, total)
+		p.weights = slices.Grow(p.weights[:0], total)[:total]
+	} else {
+		p.weights = nil
 	}
-	all := make([]span, total)
+	p.all = slices.Grow(p.all[:0], total)[:total]
+	all := p.all
 	for d, l := range ids {
 		spans := all[:len(l):len(l)]
 		all = all[len(l):]
@@ -277,7 +340,6 @@ func (k *kernel) newPostings(ids [][]int32, weights [][]float64) postings {
 			p.spans[d][q].end = next[id]
 		}
 	}
-	return p
 }
 
 // addRow adds, for every document j > i whose list shares IDs with
@@ -309,40 +371,47 @@ func (p *postings) addRow(i int, acc []float64, cnt []int32) {
 // evaluations, cell class[i]*k+class[j] holds the complemented IEEE bits of
 // the function's value on (d_i, d_j), so the zero value means "not computed
 // yet" (a value whose bits are all ones, a NaN, is simply recomputed every
-// time). Workers racing on one cell compute identical bits, so plain atomic
-// loads and stores suffice.
+// time); cells is empty otherwise. Workers racing on one cell compute
+// identical bits, so plain atomic loads and stores suffice.
 type pairMemo struct {
 	class []int32
 	empty int32
 	k     int
 	cells []atomic.Uint64
+	ids   map[string]int32 // key → class, while the memo is built
 }
 
-// newPairMemo interns the documents' keys. It leaves the table out when the
-// k keys span at least as many ordered pairs as the block has document
-// pairs: it would then have nothing to save, so blocks of mostly distinct
-// keys evaluate every pair. This also bounds the table to the size of one
-// matrix.
-func newPairMemo(docs []Doc, key func(*Doc) string) *pairMemo {
-	ids := make(map[string]int32)
-	m := &pairMemo{class: make([]int32, len(docs)), empty: -1}
+// reset interns the documents' keys. It leaves the table out when the k
+// keys span at least as many ordered pairs as the block has document pairs:
+// it would then have nothing to save, so blocks of mostly distinct keys
+// evaluate every pair. This also bounds the table to the size of one
+// matrix. The cells an earlier call left are cleared before they are
+// reused.
+func (m *pairMemo) reset(docs []Doc, key func(*Doc) string) {
+	if m.ids == nil {
+		m.ids = make(map[string]int32)
+	}
+	clear(m.ids)
+	m.class = slices.Grow(m.class[:0], len(docs))[:len(docs)]
 	for d := range docs {
 		s := key(&docs[d])
-		id, ok := ids[s]
+		id, ok := m.ids[s]
 		if !ok {
-			id = int32(len(ids))
-			ids[s] = id
+			id = int32(len(m.ids))
+			m.ids[s] = id
 		}
 		m.class[d] = id
 	}
-	if id, ok := ids[""]; ok {
+	m.empty = -1
+	if id, ok := m.ids[""]; ok {
 		m.empty = id
 	}
-	m.k = len(ids)
+	m.k = len(m.ids)
+	m.cells = m.cells[:0]
 	if n := len(docs); m.k*(m.k-1) < n*(n-1)/2 {
-		m.cells = make([]atomic.Uint64, m.k*m.k)
+		m.cells = slices.Grow(m.cells, m.k*m.k)[:m.k*m.k]
+		clear(m.cells)
 	}
-	return m
 }
 
 // tokenTable memoises textsim.JaroWinkler per ordered pair of the distinct
@@ -352,48 +421,58 @@ func newPairMemo(docs []Doc, key func(*Doc) string) *pairMemo {
 type tokenTable struct {
 	tokens []string
 	cells  []atomic.Uint64
-	// sim is jaroWinkler as a value, bound once per call.
+	// sim is jaroWinkler as a value, bound once per table.
 	sim func(x, y int32) float64
 }
 
-// newTokenTable interns the tokens of every name function's names. It
-// returns nil when there are no tokens, or when the T distinct tokens span
-// more ordered pairs (T²) than the call's matrices have cells. The table
-// fills lazily, so its size costs memory, not evaluations, and this bound
-// keeps that memory below what the call already allocates.
-func newTokenTable(docs []Doc, funcs []Func) (*tokenTable, [][][]int32) {
-	t := &tokenTable{}
-	ids := make(map[string]int32)
-	toks := make([][][]int32, len(funcs))
-	var flat []int32
+// newTokenTable interns the tokens of every name function's names into
+// k.table and k.toks. It returns nil when there are no tokens, or when the
+// T distinct tokens span more ordered pairs (T²) than the call's matrices
+// have cells, and k.table otherwise, its cells cleared. The table fills
+// lazily, so its size costs memory, not evaluations, and this bound keeps
+// that memory below what the call already allocates.
+func (k *kernel) newTokenTable() *tokenTable {
+	docs, funcs, t := k.docs, k.funcs, &k.table
+	if k.tokIDs == nil {
+		k.tokIDs = make(map[string]int32)
+	}
+	clear(k.tokIDs)
+	t.tokens = t.tokens[:0]
+	k.toks = slices.Grow(k.toks[:0], len(funcs))[:len(funcs)]
+	flat := k.flat[:0]
 	for fi, f := range funcs {
 		if f.name == nil {
 			continue
 		}
-		toks[fi] = make([][]int32, len(docs))
+		toks := slices.Grow(k.toks[fi][:0], len(docs))[:len(docs)]
+		k.toks[fi] = toks
 		for d := range docs {
 			start := len(flat)
 			for _, tok := range f.name(&docs[d]).Tokens {
-				id, ok := ids[tok]
+				id, ok := k.tokIDs[tok]
 				if !ok {
 					id = int32(len(t.tokens))
-					ids[tok] = id
+					k.tokIDs[tok] = id
 					t.tokens = append(t.tokens, tok)
 				}
 				flat = append(flat, id)
 			}
 			// Earlier documents keep the backing array they were cut from
 			// when append moves flat.
-			toks[fi][d] = flat[start:len(flat):len(flat)]
+			toks[d] = flat[start:len(flat):len(flat)]
 		}
 	}
+	k.flat = flat
 	n, tn := len(docs), len(t.tokens)
 	if tn == 0 || tn*tn > len(funcs)*n*(n-1)/2 {
-		return nil, nil
+		return nil
 	}
-	t.cells = make([]atomic.Uint64, tn*tn)
-	t.sim = t.jaroWinkler
-	return t, toks
+	t.cells = slices.Grow(t.cells[:0], tn*tn)[:tn*tn]
+	clear(t.cells)
+	if t.sim == nil {
+		t.sim = t.jaroWinkler
+	}
+	return t
 }
 
 func (t *tokenTable) jaroWinkler(x, y int32) float64 {
@@ -431,7 +510,7 @@ func (k *kernel) fillRow(i int, acc []float64, cnt []int32) {
 		}
 		ci := keys.class[i]
 		var cells []atomic.Uint64
-		if keys.cells != nil {
+		if len(keys.cells) > 0 {
 			cells = keys.cells[int(ci)*keys.k : (int(ci)+1)*keys.k]
 		}
 		for j := i + 1; j < n; j++ {

@@ -21,7 +21,7 @@
 // # Preparing a block: the lexicon and the ID-order contract
 //
 // PrepareBlockCtx reads every page through one block-local lexicon
-// (analysis.Lexicon, created and dropped inside the call): a token
+// (analysis.Lexicon, emptied for every block): a token
 // occurrence is looked up once, everything asked about a distinct token —
 // stopword, stem, dictionary entries, concept triggers — is computed once
 // per block, and term frequencies, document frequencies and weights live in
@@ -47,8 +47,11 @@
 // function's Compare is its definition: cell (i, j), i < j, holds the bits
 // of Compare(d_i, d_j), however the kernel got there. Three things let the
 // kernel get there with less work than one Compare per document pair, and
-// all of them live and die inside one call — nothing is cached across
-// calls, persisted, or configurable.
+// all of their values live and die inside one call — nothing is cached
+// across calls, persisted, or configurable. Their buffers are another
+// matter: a Workspace keeps them, and the matrices' cells, for the next
+// block of the same run, cleared where a value is read before it is
+// written (see Workspace).
 //
 // A Func may declare Key, a string per document, under this contract:
 // whenever Key(a) != Key(b), Compare(a, b) reads nothing of a and b but
@@ -166,25 +169,49 @@ type Block struct {
 // page's terms in rank order, and the term vectors are then laid out in ID
 // order. Both orders come from walking the block's postings grouped by
 // term, not from a sort per page.
+//
+// It is Workspace.PrepareBlock on a fresh workspace, so the block it
+// returns owns all of its memory.
 func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.FeatureExtractor) (*Block, error) {
+	return new(Workspace).PrepareBlock(ctx, col, fe)
+}
+
+// PrepareBlock is PrepareBlockCtx on the workspace's memory: the block it
+// returns — its documents, vocabulary and packed vectors — is valid until
+// the workspace's next PrepareBlock.
+func (ws *Workspace) PrepareBlock(ctx context.Context, col *corpus.Collection, fe *extract.FeatureExtractor) (*Block, error) {
 	if fe == nil {
 		fe = extract.DefaultFeatureExtractor()
 	}
 	n := len(col.Docs)
+	if ws.vocab == nil {
+		ws.vocab = textsim.NewVocab()
+	}
+	ws.vocab.Reset()
+	if ws.docs == nil || cap(ws.docs) < n {
+		ws.docs = make([]Doc, n) // never nil: an empty block has empty Docs
+	}
+	ws.docs = ws.docs[:n]
+	clear(ws.docs)
 	b := &Block{
 		Name:        col.Name,
-		Docs:        make([]Doc, n),
+		Docs:        ws.docs,
 		Truth:       col.GroundTruth(),
 		NumPersonas: col.NumPersonas,
-		Vocab:       textsim.NewVocab(),
+		Vocab:       ws.vocab,
 	}
-	pages := fe.NewPages(col.Name)
+	if ws.pages == nil || ws.fe != fe {
+		ws.pages, ws.fe = fe.NewPages(col.Name), fe
+	} else {
+		ws.pages.Reset(col.Name)
+	}
+	pages, sc := ws.pages, &ws.prep
 	lx := pages.Lexicon
 	var (
-		postings []uint64         // term ID<<32 | tf of every page's distinct terms, page after page
-		ends     = make([]int, n) // where page i's postings end
-		tf, df   []uint32         // by term ID; tf is zero between pages
-		entries  int              // of all the block's packed vectors
+		postings = sc.postings[:0]                 // term ID<<32 | tf of every page's distinct terms, page after page
+		ends     = slices.Grow(sc.ends[:0], n)[:n] // where page i's postings end
+		tf, df   = sc.tf[:0], sc.df[:0]            // by term ID; tf is zero between pages
+		entries  int                               // of all the block's packed vectors
 	)
 	for i, d := range col.Docs {
 		if err := ctx.Err(); err != nil {
@@ -212,38 +239,42 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 		entries += len(b.Docs[i].Features.ConceptVector)
 	}
 	entries += len(postings)
+	sc.postings, sc.ends, sc.tf, sc.df = postings, ends, tf, df
 
 	// byRank lists the block's terms lexicographically and rank inverts it.
 	// A page's terms are weighed, summed and interned in rank order: the
 	// ID-order contract of the package documentation.
-	byRank := make([]int32, len(lx.Terms))
+	terms := len(lx.Terms)
+	byRank := slices.Grow(sc.byRank[:0], terms)[:terms]
 	for t := range byRank {
 		byRank[t] = int32(t)
 	}
 	slices.SortFunc(byRank, func(a, b int32) int { return strings.Compare(lx.Terms[a], lx.Terms[b]) })
-	rank := make([]uint32, len(byRank))
-	idf := make([]float64, len(byRank))
-	vocabID := make([]int32, len(byRank)) // of a term, -1 until interned
+	rank := slices.Grow(sc.rank[:0], terms)[:terms]
+	idf := slices.Grow(sc.idf[:0], terms)[:terms]
+	vocabID := slices.Grow(sc.vocabID[:0], terms)[:terms] // of a term, -1 until interned
 	for r, t := range byRank {
 		rank[t] = uint32(r)
 		idf[t] = math.Log(1 + float64(n)/float64(df[t]))
 		vocabID[t] = -1
 	}
+	sc.byRank, sc.rank, sc.idf, sc.vocabID = byRank, rank, idf, vocabID
 
 	// Regroup the postings by term in rank order — term byRank[r]'s are
 	// grouped[from[r]:from[r+1]], page<<32 | tf, pages ascending — and deal
 	// them back to their pages rank by rank: every page's postings then come
 	// in rank order without a sort per page, and each grouped entry keeps
 	// where its posting went in place of its tf.
-	from := make([]int32, len(byRank)+1)
+	from := slices.Grow(sc.from[:0], terms+1)[:terms+1]
+	from[0] = 0
 	for t, r := range rank {
 		from[r+1] = int32(df[t])
 	}
 	for r := range byRank {
 		from[r+1] += from[r]
 	}
-	grouped := make([]uint64, len(postings))
-	next := slices.Clone(from)
+	grouped := slices.Grow(sc.grouped[:0], len(postings))[:len(postings)]
+	next := append(sc.next[:0], from...)
 	for i, at := 0, 0; at < len(postings); at++ {
 		for at == ends[i] {
 			i++
@@ -252,7 +283,10 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 		grouped[next[r]] = uint64(i)<<32 | postings[at]&math.MaxUint32
 		next[r]++
 	}
-	free := make([]int, n) // where page i's next posting goes
+	free := slices.Grow(sc.free[:0], n)[:n] // where page i's next posting goes
+	if n > 0 {
+		free[0] = 0
+	}
 	for i := 1; i < n; i++ {
 		free[i] = ends[i-1]
 	}
@@ -264,19 +298,19 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 			free[i]++
 		}
 	}
+	sc.from, sc.grouped, sc.next, sc.free = from, grouped, next, free
 
 	// Every packed vector's IDs and weights are carved from two arrays. A
 	// page's terms are weighed, summed and interned in rank order here, and
 	// laid out in ID order below.
-	pk := packer{ids: make([]int32, entries), weights: make([]float64, entries)}
-	terms := make([]struct {
-		ids        []int32
-		weights    []float64
-		sum, sumSq float64
-	}, n)
+	pk := &sc.pk
+	pk.reset(entries)
+	vecs := slices.Grow(sc.terms[:0], n)[:n]
+	clear(vecs)
+	sc.terms = vecs
 	start := 0
 	for i := range b.Docs {
-		d, v := &b.Docs[i], &terms[i]
+		d, v := &b.Docs[i], &vecs[i]
 		for at := start; at < ends[i]; at++ {
 			t := byRank[postings[at]>>32]
 			// (1 + ln tf) · ln(1 + N/df), Lucene's classic practical
@@ -304,23 +338,45 @@ func PrepareBlockCtx(ctx context.Context, col *corpus.Collection, fe *extract.Fe
 	}
 	// The terms in ID order, each dealt to its pages, fill every term
 	// vector in ID order without a sort per page.
-	byID := make([]uint64, len(byRank))
+	byID := slices.Grow(sc.byID[:0], terms)[:terms]
 	for t, id := range vocabID {
 		byID[t] = uint64(id)<<32 | uint64(rank[t])
 	}
 	slices.Sort(byID)
+	sc.byID = byID
 	for _, key := range byID {
 		r := uint32(key)
 		for _, g := range grouped[from[r]:from[r+1]] {
-			v := &terms[g>>32]
+			v := &vecs[g>>32]
 			v.ids = append(v.ids, int32(key>>32))
 			v.weights = append(v.weights, math.Float64frombits(postings[g&math.MaxUint32]))
 		}
 	}
-	for i, v := range terms {
+	for i, v := range vecs {
 		b.Docs[i].Packed = textsim.PackedWithSums(v.ids, v.weights, v.sum, v.sumSq)
 	}
 	return b, nil
+}
+
+// prepScratch is PrepareBlock's per-block memory, kept by a Workspace. Each
+// slice is named after the local it backs; pk's two arrays hold the packed
+// vectors of the last block prepared.
+type prepScratch struct {
+	postings, grouped, byID []uint64
+	ends, free              []int
+	tf, df, rank            []uint32
+	byRank, from, next      []int32
+	vocabID                 []int32
+	idf                     []float64
+	terms                   []termVector
+	pk                      packer
+}
+
+// termVector is one page's term vector while PrepareBlock lays it out.
+type termVector struct {
+	ids        []int32
+	weights    []float64
+	sum, sumSq float64
 }
 
 // packer carves packed vectors from the front of two per-block arrays.
@@ -329,6 +385,18 @@ type packer struct {
 	weights []float64
 	keys    []uint64 // scratch: Vocab ID<<32 | position in summation order
 	ws      []float64
+	// idsMem and weightsMem are the whole arrays ids and weights are the
+	// uncarved rest of, kept for the next block.
+	idsMem     []int32
+	weightsMem []float64
+}
+
+// reset makes the two arrays n entries long for a new block, reusing their
+// memory when it is large enough.
+func (pk *packer) reset(n int) {
+	pk.idsMem = slices.Grow(pk.idsMem[:0], n)[:n]
+	pk.weightsMem = slices.Grow(pk.weightsMem[:0], n)[:n]
+	pk.ids, pk.weights = pk.idsMem, pk.weightsMem
 }
 
 // carve takes the next n entries of the two arrays.

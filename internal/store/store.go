@@ -44,9 +44,12 @@ type DocumentStore interface {
 	// Append is atomic: on a validation error nothing is committed. It
 	// returns the number of documents added.
 	Append(cols []*corpus.Collection) (int, error)
-	// Snapshot returns a self-contained copy of the current collections in
-	// first-ingested order, plus the store version it reflects. Mutating
-	// the returned collections does not affect the store.
+	// Snapshot returns the current collections in first-ingested order,
+	// plus the store version it reflects. The collections are fresh but
+	// their Docs are read-only views of the store's documents, capped at
+	// their length: a later Append never changes what a snapshot holds,
+	// and a holder's own append reallocates instead of writing into the
+	// store. A holder must not write a document of a snapshot in place.
 	Snapshot() ([]*corpus.Collection, uint64)
 	// Stats reports the current size and version.
 	Stats() Stats
@@ -133,15 +136,19 @@ func (m *MemStore) Append(cols []*corpus.Collection) (int, error) {
 	return added, nil
 }
 
-// Snapshot implements DocumentStore.
+// Snapshot implements DocumentStore. It copies no document: Append only
+// ever appends to a collection's documents and never rewrites a stored one,
+// so each snapshot shares them, capped at their count, and the store's
+// later appends land beyond every snapshot's length.
 func (m *MemStore) Snapshot() ([]*corpus.Collection, uint64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	out := make([]*corpus.Collection, len(m.order))
 	for i, entry := range m.order {
+		n := len(entry.docs)
 		out[i] = &corpus.Collection{
 			Name:        entry.name,
-			Docs:        append([]corpus.Document(nil), entry.docs...),
+			Docs:        entry.docs[:n:n],
 			NumPersonas: len(entry.personas),
 		}
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -68,16 +69,51 @@ func TestMemStoreAppendAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestMemStoreSnapshotIsolated pins the snapshot contract: a snapshot is a
+// read-only view of the documents it was taken over, and no later Append
+// changes it — not one that lands in the collection's spare capacity, and
+// not one that grows the collection past it. A reader scans the snapshot
+// while the appends run (run under -race), and a holder's own append
+// reallocates instead of writing into the store.
 func TestMemStoreSnapshotIsolated(t *testing.T) {
 	m := NewMemStore()
-	if _, err := m.Append([]*corpus.Collection{col("smith", 0, 0)}); err != nil {
+	if _, err := m.Append([]*corpus.Collection{col("smith", 0, 0, 1)}); err != nil {
 		t.Fatal(err)
 	}
 	cols, _ := m.Snapshot()
-	cols[0].Docs[0].Text = "mutated"
-	cols2, _ := m.Snapshot()
-	if cols2[0].Docs[0].Text == "mutated" {
-		t.Fatal("snapshot shares memory with the store")
+	docs := cols[0].Docs
+	want := append([]corpus.Document(nil), docs...)
+	if cap(docs) != len(docs) {
+		t.Fatalf("snapshot of %d docs has capacity %d: a holder's append would write into the store", len(docs), cap(docs))
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 200 {
+			if !reflect.DeepEqual(docs, want) {
+				t.Error("the snapshot changed while the store appended")
+				return
+			}
+		}
+	}()
+	// One document per batch: the first lands in spare capacity, later
+	// ones grow the collection past it several times.
+	for i := 0; i < 40; i++ {
+		if _, err := m.Append([]*corpus.Collection{col("smith", i%3)}); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(cols[0].Docs, want) {
+		t.Fatalf("snapshot after 40 appends = %+v, want %+v", cols[0].Docs, want)
+	}
+
+	held := append(cols[0].Docs, corpus.Document{Text: "holder"})
+	latest, _ := m.Snapshot()
+	if len(latest[0].Docs) != 43 || latest[0].Docs[3].Text == held[3].Text {
+		t.Fatalf("store after a holder's append: %d docs, doc 3 %q", len(latest[0].Docs), latest[0].Docs[3].Text)
 	}
 }
 

@@ -21,6 +21,13 @@ func NewVocab() *Vocab {
 	return &Vocab{ids: make(map[string]int32)}
 }
 
+// Reset empties the vocabulary for the next block, keeping its memory: IDs
+// start again from zero, and every ID handed out before is void.
+func (v *Vocab) Reset() {
+	clear(v.ids)
+	v.terms = v.terms[:0]
+}
+
 // ID returns the ID of term, interning it if unseen.
 func (v *Vocab) ID(term string) int32 {
 	if id, ok := v.ids[term]; ok {
