@@ -24,7 +24,6 @@ var testSeams = map[string]string{
 	"faultfs.Injector.":      "fault-injecting FS: the crash and degradation harnesses of persist and service arm it and read its state",
 	"faultfs.NewInjector":    "constructor of faultfs.Injector",
 	"metrics.LintExposition": "Prometheus text-format linter the service tests run over /metrics",
-	"persist.Open":           "OpenWithOptions with default Options, what the persist and service tests open a data directory through (production passes its FS and logger)",
 	"serving.Index.Validate": "consistency check the serving, persist and service harnesses run over built and decoded indexes; without this entry it would stay live only because *serving.Index happens to satisfy blocking.Validator",
 }
 

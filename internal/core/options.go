@@ -69,7 +69,8 @@ type Options struct {
 	RegionK int
 	// Clustering is the final clustering step.
 	Clustering ClusteringMethod
-	// Seed drives training-sample selection and k-means seeding.
+	// Seed is the run seed ResolveCtx passes to Prepared.Run: it draws the
+	// training sample and, under CorrelationClustering, the pivot order.
 	Seed int64
 }
 

@@ -262,7 +262,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	dir := t.TempDir()
 	const knobs = `{"seed": 42, "blocking": "token"}`
 
-	data1, err := Open(dir)
+	data1, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestQuarantineAndRebuild(t *testing.T) {
 	if err := data2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data3, err := Open(dir)
+	data3, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

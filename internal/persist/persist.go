@@ -47,8 +47,9 @@
 // truncated to the last good record and appending continues (the event is
 // logged and counted). Interior corruption — damage with acknowledged
 // records after it, a foreign header, an unreadable interior segment —
-// still fails Open with a clear error: acknowledged data is at stake and
-// silently shortening the log would violate the append-only contract.
+// still fails OpenWithOptions with a clear error: acknowledged data is at
+// stake and silently shortening the log would violate the append-only
+// contract.
 // Damaged artifact files are quarantined (renamed *.corrupt) on load so
 // the caller rebuilds from the journaled corpus instead of
 // tripping over the same file forever; a serving file damaged behind its
@@ -86,7 +87,7 @@ const segmentMagic = "ERSEG001"
 // file-sized chunks. A var so tests can force rotation cheaply.
 var maxSegmentBytes int64 = 8 << 20
 
-// Options customizes Open beyond its defaults; the zero value selects the
+// Options customizes OpenWithOptions; the zero value selects the
 // real filesystem and the standard logger.
 type Options struct {
 	// FS is the filesystem the backends write through; nil selects the
@@ -132,20 +133,16 @@ type Data struct {
 	lock *os.File
 }
 
-// Open prepares the data directory (creating it if needed), takes an
-// exclusive lock on it, replays the segment log into a fresh in-memory
-// store, and returns the durable backends. A torn tail on the newest
-// segment is recovered by truncation (no acknowledged batch can live
-// there); every other sign of corruption fails with a descriptive error,
-// as does another live process already owning the directory (two writers
-// appending to one journal would interleave records and destroy it). The
-// lock is advisory (flock) and released by Close or process death, so a
-// crashed process never wedges a restart.
-func Open(dir string) (*Data, error) {
-	return OpenWithOptions(dir, Options{})
-}
-
-// OpenWithOptions is Open with an explicit filesystem and event logger.
+// OpenWithOptions prepares the data directory (creating it if needed),
+// takes an exclusive lock on it, replays the segment log into a fresh
+// in-memory store, and returns the durable backends; opts supplies the
+// filesystem and event logger (zero fields take the defaults). A torn tail
+// on the newest segment is recovered by truncation (no acknowledged batch
+// can live there); every other sign of corruption fails with a descriptive
+// error, as does another live process already owning the directory (two
+// writers appending to one journal would interleave records and destroy
+// it). The lock is advisory (flock) and released by Close or process
+// death, so a crashed process never wedges a restart.
 func OpenWithOptions(dir string, opts Options) (*Data, error) {
 	opts = opts.withDefaults()
 	segDir := filepath.Join(dir, "segments")

@@ -96,7 +96,7 @@ func storeJSON(t *testing.T, s store.DocumentStore) ([]byte, uint64) {
 // batches.
 func TestStoreReplayByteIdentical(t *testing.T) {
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestStoreReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := Open(dir)
+	reopened, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestStoreSegmentRotation(t *testing.T) {
 	defer func() { maxSegmentBytes = old }()
 
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestStoreSegmentRotation(t *testing.T) {
 		t.Fatalf("expected rotation to produce multiple segments, got %d", len(segs))
 	}
 
-	reopened, err := Open(dir)
+	reopened, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestOpenRejectsDamagedSegments(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			data, err := Open(dir)
+			data, err := OpenWithOptions(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestOpenRejectsDamagedSegments(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+			if _, err := OpenWithOptions(dir, Options{}); err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("Open err = %v, want mention of %q", err, tc.wantSub)
 			}
 		})
@@ -286,7 +286,7 @@ func TestOpenRecoversTornTail(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			data, err := Open(dir)
+			data, err := OpenWithOptions(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func TestOpenRecoversTornTail(t *testing.T) {
 			}
 			corruptNewestSegment(t, dir, tc.mutate)
 
-			reopened, err := Open(dir)
+			reopened, err := OpenWithOptions(dir, Options{})
 			if err != nil {
 				t.Fatalf("Open after tail damage = %v, want torn-tail recovery", err)
 			}
@@ -335,7 +335,7 @@ func TestOpenRecoversTornTail(t *testing.T) {
 
 			// A second open replays clean — the truncation was durable, no
 			// further recovery fires — and sees the full corpus.
-			again, err := Open(dir)
+			again, err := OpenWithOptions(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -358,7 +358,7 @@ func TestOpenRecoversTornTail(t *testing.T) {
 // is removed on open instead of wedging the directory forever.
 func TestOpenRecoversAbortedRotation(t *testing.T) {
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestOpenRecoversAbortedRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := Open(dir)
+	reopened, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open with an aborted final segment: %v", err)
 	}
@@ -404,17 +404,17 @@ func TestOpenRecoversAbortedRotation(t *testing.T) {
 // closes.
 func TestOpenRejectsSecondWriter(t *testing.T) {
 	dir := t.TempDir()
-	first, err := Open(dir)
+	first, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "in use by another process") {
+	if _, err := OpenWithOptions(dir, Options{}); err == nil || !strings.Contains(err.Error(), "in use by another process") {
 		t.Fatalf("second Open err = %v, want in-use refusal", err)
 	}
 	if err := first.Close(); err != nil {
 		t.Fatal(err)
 	}
-	again, err := Open(dir)
+	again, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open after Close: %v", err)
 	}
@@ -427,7 +427,7 @@ func TestOpenRejectsSecondWriter(t *testing.T) {
 // read-only rather than letting the two drift on later appends.
 func TestAppendJournalFailureRejectsBatch(t *testing.T) {
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestAppendJournalFailureRejectsBatch(t *testing.T) {
 	// release the directory lock; the close itself reports the poisoned
 	// segment, which is fine — the process is giving up anyway.
 	_ = data.Close()
-	reopened, err := Open(dir)
+	reopened, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func testPipeline(t *testing.T) *pipeline.Pipeline {
 // block count, full reuse on the next incremental run.
 func TestSnapshotDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +538,7 @@ func TestSnapshotDirRoundTrip(t *testing.T) {
 // without bound.
 func TestSnapshotDirPrunesOldestBeyondCap(t *testing.T) {
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestSnapshotDirPrunesOldestBeyondCap(t *testing.T) {
 // version ErrArtifactVersion.
 func TestSnapshotDirRejectsDamage(t *testing.T) {
 	dir := t.TempDir()
-	data, err := Open(dir)
+	data, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

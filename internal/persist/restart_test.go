@@ -150,7 +150,7 @@ func TestKillAndRestartEqualsFull(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	data1, err := Open(dir)
+	data1, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestKillAndRestartEqualsFull(t *testing.T) {
 	}
 
 	// Restart.
-	data2, err := Open(dir)
+	data2, err := OpenWithOptions(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

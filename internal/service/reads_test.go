@@ -224,7 +224,7 @@ func TestReadRepliesAreCompactJSON(t *testing.T) {
 // immediately — no resolve, no pipeline run, zero recompute.
 func TestServingRestartServesWithZeroRecompute(t *testing.T) {
 	dir := t.TempDir()
-	data1, err := persist.Open(dir)
+	data1, err := persist.OpenWithOptions(dir, persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestServingRestartServesWithZeroRecompute(t *testing.T) {
 	}
 
 	// Reopen the directory as a "restarted" process.
-	data2, err := persist.Open(dir)
+	data2, err := persist.OpenWithOptions(dir, persist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,6 +609,57 @@ func TestScoredCommitPublishesScores(t *testing.T) {
 	resolveOK(t, ts, IncrementalResolveRequest{})
 	if again := srv.serving.Load().DocEntity("rivera", 0); again != first {
 		t.Fatal("a second scored resolve over the same membership materialized the block again")
+	}
+}
+
+// TestScoredCommitSurvivesRestart is TestScoredCommitPublishesScores
+// across a restart: after an unscored commit and a scored one over the
+// same membership, a server restarted on the data directory answers a
+// document lookup, before any resolve, exactly as its predecessor did —
+// score included.
+func TestScoredCommitSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Server, *httptest.Server, *persist.Data) {
+		t.Helper()
+		data, err := persist.OpenWithOptions(dir, persist.Options{Log: func(string, ...any) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := New(durableConfig(data))
+		return srv, httptest.NewServer(srv.Handler()), data
+	}
+	shut := func(srv *Server, ts *httptest.Server, data *persist.Data) {
+		t.Helper()
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := data.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv1, ts1, data1 := open()
+	ingestCollection(t, ts1, testCollection(t, 24))
+	unscored := false
+	resolveOK(t, ts1, IncrementalResolveRequest{resolveKnobs: resolveKnobs{Score: &unscored}})
+	resolveOK(t, ts1, IncrementalResolveRequest{})
+	var before EntityResponse
+	if code := getJSON(t, ts1, "/v1/docs/rivera:0/entity", &before); code != http.StatusOK || before.Entity == nil || before.Entity.Score == nil {
+		t.Fatalf("after the scored commit: %d %+v, want 200 with a score", code, before.Entity)
+	}
+	shut(srv1, ts1, data1)
+
+	srv2, ts2, data2 := open()
+	defer shut(srv2, ts2, data2)
+	var after EntityResponse
+	if code := getJSON(t, ts2, "/v1/docs/rivera:0/entity", &after); code != http.StatusOK {
+		t.Fatalf("post-restart lookup = %d", code)
+	}
+	if !jsonEqual(t, after, before) {
+		t.Fatalf("restart changed the answer:\n%+v\nbefore it:\n%+v", after.Entity, before.Entity)
 	}
 }
 

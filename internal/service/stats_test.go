@@ -260,7 +260,7 @@ func TestIndexSurvivesRestart(t *testing.T) {
 	col := testCollection(t, 24)
 
 	open := func() (*Server, *httptest.Server, *persist.Data) {
-		data, err := persist.Open(dir)
+		data, err := persist.OpenWithOptions(dir, persist.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

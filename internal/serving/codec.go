@@ -182,21 +182,22 @@ func (x *Index) EncodeTo(w io.Writer) error {
 
 // Manifest is what an encoded log — a base and the commit records behind
 // it — holds of the index it decodes to, without holding the index: the
-// configuration, the snapshot geometry and the block fingerprints, which
-// is what the next commit is diffed against.
+// configuration, the snapshot geometry, the block fingerprints and which
+// of those blocks are scored, which is what the next commit is diffed
+// against.
 type Manifest struct {
 	knobs    string
 	colNames []string
 	colDocs  []int
-	blocks   map[uint64]struct{}
+	blocks   map[uint64]bool // fingerprint -> scored
 }
 
 // Manifest describes a log that decodes to x.
 func (x *Index) Manifest() *Manifest {
 	m := &Manifest{knobs: x.knobs, colNames: x.colNames, colDocs: x.colDocs,
-		blocks: make(map[uint64]struct{}, len(x.order))}
+		blocks: make(map[uint64]bool, len(x.order))}
 	for _, st := range x.order {
-		m.blocks[st.fp] = struct{}{}
+		m.blocks[st.fp] = st.score != nil
 	}
 	return m
 }
@@ -204,11 +205,12 @@ func (x *Index) Manifest() *Manifest {
 // EncodeCommit returns the framed record that, appended to a log holding
 // held, makes the log decode to x: x's epoch and store version, the
 // collections that grew or are new, the fingerprints of the blocks gone
-// and the blocks that are new — a block whose fingerprint held already has
-// is, under one configuration, the same block. ok is false when x does not
-// extend held — another configuration, or collections that are not held's
-// with documents appended and collections added — and then only a new base
-// (EncodeTo) can hold x.
+// and the blocks that are new. A block whose fingerprint held already has,
+// scored in both or in neither, is under one configuration the same block;
+// one whose score came or went is sent as gone and new again. ok is false
+// when x does not extend held — another configuration, or collections that
+// are not held's with documents appended and collections added — and then
+// only a new base (EncodeTo) can hold x.
 func (x *Index) EncodeCommit(held *Manifest) (rec []byte, ok bool) {
 	if x.knobs != held.knobs || len(x.colNames) < len(held.colNames) {
 		return nil, false
@@ -225,14 +227,14 @@ func (x *Index) EncodeCommit(held *Manifest) (rec []byte, ok bool) {
 		}
 		ch.Cols = append(ch.Cols, encodedCol{Index: i, Name: name, Docs: x.colDocs[i]})
 	}
-	for fp := range held.blocks {
-		if _, kept := x.blocks[fp]; !kept {
+	for fp, scored := range held.blocks {
+		if st, kept := x.blocks[fp]; !kept || (st.score != nil) != scored {
 			ch.Removed = append(ch.Removed, fp)
 		}
 	}
 	sort.Slice(ch.Removed, func(i, j int) bool { return ch.Removed[i] < ch.Removed[j] })
 	for _, st := range x.order {
-		if _, had := held.blocks[st.fp]; !had {
+		if scored, had := held.blocks[st.fp]; !had || (st.score != nil) != scored {
 			ch.Added = append(ch.Added, encodeBlock(st))
 		}
 	}

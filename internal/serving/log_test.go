@@ -260,6 +260,47 @@ func TestLogDecodesToLiveIndex(t *testing.T) {
 	}
 }
 
+// TestScoreChangeReachesTheLog pins that a commit which scores a block the
+// log holds unscored, over the same membership and configuration, writes
+// the block again — and likewise one that drops a block's score: the log
+// then decodes to the live index, scores included, not to the blocks it
+// held before.
+func TestScoreChangeReachesTheLog(t *testing.T) {
+	m := newLogModel(1)
+	scored := m.run()
+	unscored := make([]BlockResolution, len(scored))
+	for i, br := range scored {
+		br.Score = nil
+		unscored[i] = br
+	}
+	for _, c := range []struct {
+		name         string
+		base, commit []BlockResolution
+	}{
+		{"unscored base, scored commit", unscored, scored},
+		{"scored base, unscored commit", scored, unscored},
+	} {
+		base := Build(nil, 1, m.version, m.knobs, m.cols, c.base)
+		var log bytes.Buffer
+		if err := base.EncodeTo(&log); err != nil {
+			t.Fatal(err)
+		}
+		live := Build(base, 2, m.version, m.knobs, m.cols, c.commit)
+		rec, ok := live.EncodeCommit(base.Manifest())
+		if !ok {
+			t.Fatalf("%s: EncodeCommit refused a commit under the same configuration", c.name)
+		}
+		log.Write(rec)
+		got, tail, err := DecodeLog(bytes.NewReader(log.Bytes()))
+		if err != nil || tail != nil {
+			t.Fatalf("%s: DecodeLog = (tail %v, err %v)", c.name, tail, err)
+		}
+		if have, want := answers(t, got, m.cols), answers(t, live, m.cols); have != want {
+			t.Fatalf("%s: decode(base ‖ commit) differs from the live index:\n%s\nvs\n%s", c.name, have, want)
+		}
+	}
+}
+
 // TestEntityAnswersOnlyClusterIDs pins that Entity, which reads a cluster's
 // block and label out of its ID instead of keeping an ID map, answers
 // exactly what such a map over every cluster would: each cluster's own ID,

@@ -4,8 +4,8 @@ import "math/rand"
 
 // NewRNG returns a deterministic pseudo-random generator for the given seed.
 // Every stochastic component of the reproduction (corpus generation,
-// training-sample selection, k-means seeding) draws from an RNG created here
-// so experiments are exactly repeatable.
+// training-sample selection, the correlation-clustering pivot order) draws
+// from an RNG created here so experiments are exactly repeatable.
 func NewRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }

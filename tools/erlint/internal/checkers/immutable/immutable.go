@@ -100,9 +100,9 @@ func localAnnotated(pass *analysis.Pass) map[*types.TypeName]bool {
 }
 
 // annotated reports whether the named type carries the erlint:immutable
-// marker. Same-package types come from syntax; imported types are checked
-// by reading the declaration site recorded in their type information, so
-// the check works identically under the standalone driver and go vet.
+// marker. Same-package types come from syntax; a pass holds no syntax of
+// its imports, so imported types are checked by reading the declaration
+// site recorded in their type information.
 func (c *checker) annotated(tn *types.TypeName) bool {
 	if tn.Pkg() == c.pass.Pkg {
 		return c.local[tn]

@@ -1,6 +1,6 @@
 // Package immutclient mutates an annotated type imported from another
-// package, exercising the cross-package marker lookup the analyzer needs
-// under go vet, where imports arrive as export data.
+// package, exercising the cross-package marker lookup: a pass holds no
+// syntax of its imports, so the marker is read from the declaration site.
 package immutclient
 
 import "immut"

@@ -1,12 +1,10 @@
 // Package driver runs a set of analyzers over loaded packages, applies
 // the erlint:ignore directive, and produces sorted findings. It is shared
-// by the standalone binary, the go vet -vettool mode, and the integration
-// tests.
+// by the erlint binary and the integration tests.
 package driver
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 
@@ -32,28 +30,11 @@ func (f Finding) String() string {
 
 // Analyze runs every analyzer over the unit and returns the findings that
 // survive erlint:ignore filtering, plus one finding per reasonless ignore
-// directive, sorted by position.
+// directive, sorted by position. Analyzer failures surface as findings
+// rather than aborting the run, so one broken check cannot mask the
+// others.
 func Analyze(unit *load.Package, analyzers []*analysis.Analyzer) []Finding {
-	return AnalyzeFiles(unit.Fset, unit.Files, func(a *analysis.Analyzer, report func(analysis.Diagnostic)) error {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      unit.Fset,
-			Files:     unit.Files,
-			Pkg:       unit.Types,
-			TypesInfo: unit.Info,
-			Report:    report,
-		}
-		_, err := a.Run(pass)
-		return err
-	}, analyzers)
-}
-
-// AnalyzeFiles is the mode-independent core: run invokes one analyzer and
-// routes its diagnostics to report; the driver handles directive
-// collection, suppression and ordering. Analyzer failures surface as
-// findings rather than aborting the run, so one broken check cannot mask
-// the others.
-func AnalyzeFiles(fset *token.FileSet, files []*ast.File, run func(*analysis.Analyzer, func(analysis.Diagnostic)) error, analyzers []*analysis.Analyzer) []Finding {
+	fset := unit.Fset
 	type ignoreKey struct {
 		file string
 		line int
@@ -66,7 +47,7 @@ func AnalyzeFiles(fset *token.FileSet, files []*ast.File, run func(*analysis.Ana
 	}
 	ignores := make(map[ignoreKey]*ignoreRec)
 	var findings []Finding
-	for _, f := range files {
+	for _, f := range unit.Files {
 		name := fset.File(f.Pos()).Name()
 		for _, ig := range directive.Ignores(fset, f) {
 			if ig.Reason == "" {
@@ -82,13 +63,20 @@ func AnalyzeFiles(fset *token.FileSet, files []*ast.File, run func(*analysis.Ana
 	}
 	failed := false
 	for _, a := range analyzers {
-		err := run(a, func(d analysis.Diagnostic) {
-			pos := fset.Position(d.Pos)
-			if rec := ignores[ignoreKey{pos.Filename, pos.Line}]; rec != nil {
-				rec.used = true
-				return
-			}
-			findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+		_, err := a.Run(&analysis.Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     unit.Files,
+			Pkg:       unit.Types,
+			TypesInfo: unit.Info,
+			Report: func(d analysis.Diagnostic) {
+				pos := fset.Position(d.Pos)
+				if rec := ignores[ignoreKey{pos.Filename, pos.Line}]; rec != nil {
+					rec.used = true
+					return
+				}
+				findings = append(findings, Finding{Analyzer: a.Name, Pos: pos, Message: d.Message})
+			},
 		})
 		if err != nil {
 			failed = true

@@ -79,9 +79,6 @@ func New(roots ...Root) *Loader {
 	}
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // dirFor resolves an import path through the roots; ok is false when no
 // root matches or the directory does not exist.
 func (l *Loader) dirFor(path string) (string, bool) {

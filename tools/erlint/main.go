@@ -6,10 +6,11 @@
 // the faultfs seam (syncack), and Registry-owned ersolve_-namespaced
 // metrics (metricreg).
 //
-// It runs two ways:
+// It runs from anywhere inside a module, over ./...-style or import-path
+// patterns (default ./...), type-checking from source:
 //
-//	erlint ./...                         # standalone, from the module root
-//	go vet -vettool=$(which erlint) ./... # as a vet tool
+//	erlint ./...
+//	erlint -list # the analyzers and what each enforces
 //
 // Diagnostics are suppressed with a justified directive:
 //
@@ -19,33 +20,8 @@
 // finding. Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
 
-import (
-	"fmt"
-	"os"
-	"strings"
-)
-
-// version is the fingerprint go vet hashes into its build cache key; bump
-// it when analyzer behavior changes so cached clean results are
-// invalidated.
-const version = "v1.0.0"
+import "os"
 
 func main() {
-	args := os.Args[1:]
-	for _, a := range args {
-		switch {
-		case strings.HasPrefix(a, "-V"):
-			// go vet's tool-identity handshake.
-			fmt.Printf("erlint version %s\n", version)
-			return
-		case a == "-flags":
-			// go vet asks which flags the tool accepts; erlint needs none.
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(standalone(os.Args[1:]))
 }

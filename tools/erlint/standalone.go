@@ -130,7 +130,7 @@ func packageDirs(root string) ([]string, error) {
 // import-path patterns against the module's package directories, returning
 // sorted import paths.
 func selectPackages(module, root, cwd string, dirs []string, patterns []string) []string {
-	match := func(imp, dir string) bool {
+	match := func(imp string) bool {
 		for _, pat := range patterns {
 			target := pat
 			if strings.HasPrefix(pat, "./") || pat == "." {
@@ -169,7 +169,7 @@ func selectPackages(module, root, cwd string, dirs []string, patterns []string) 
 		if rel != "." {
 			imp = module + "/" + filepath.ToSlash(rel)
 		}
-		if match(imp, dir) {
+		if match(imp) {
 			out = append(out, imp)
 		}
 	}
