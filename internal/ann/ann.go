@@ -56,9 +56,6 @@ import (
 // the key index so the pipeline assembles both the same way.
 type DocRef = blockindex.DocRef
 
-// KeyFunc derives a document's blocking keys, shared with the key index.
-type KeyFunc = blockindex.KeyFunc
-
 // Graph parameters. M is the per-node degree bound (layer 0 keeps 2M);
 // DefaultEfConstruction sizes the candidate beam while linking a new node
 // (a constant: no caller asks for another value, so neither the encoding nor
@@ -85,7 +82,7 @@ type Config struct {
 	Scheme blocking.ApproxScheme
 	// Keys derives each document's blocking keys; nil selects the
 	// collection-name KeyFunc.
-	Keys KeyFunc
+	Keys blockindex.KeyFunc
 	// M and EfSearch are the graph knobs; zero selects the package
 	// defaults. M must be at least 2.
 	M        int
@@ -112,7 +109,7 @@ func (c Config) withDefaults() Config {
 type CandidateIndex struct {
 	mu      sync.Mutex
 	policy  blocking.ApproxPolicy
-	keys    KeyFunc
+	keys    blockindex.KeyFunc
 	m       int
 	efSrch  int
 	levelML float64 // 1/ln(M), the level-draw scale

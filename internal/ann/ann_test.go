@@ -64,7 +64,7 @@ func nameCorpus() []*corpus.Collection {
 
 // schemeMembership computes the reference block membership the way
 // SchemeBlocker does: full candidate generation plus a fresh union-find.
-func schemeMembership(scheme blocking.Scheme, keys KeyFunc, cols []*corpus.Collection) [][]DocRef {
+func schemeMembership(scheme blocking.Scheme, keys blockindex.KeyFunc, cols []*corpus.Collection) [][]DocRef {
 	var refs []DocRef
 	var records []blocking.Record
 	for ci, col := range cols {

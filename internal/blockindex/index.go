@@ -49,9 +49,13 @@ type DocRef struct {
 }
 
 // KeyFunc derives the blocking keys of one document, before the scheme's
-// IndexKeys normalization. It must be pure: the index calls it exactly
-// once per document, at indexing time, and assumes the answer never
-// changes. (pipeline.KeyFunc converts to this type.)
+// IndexKeys normalization — the one key-function type of every blocker.
+// The default, CollectionNameKey, keys a document by the name its
+// collection was retrieved for (the paper's "all pages retrieved for one
+// name" scheme); richer key functions (extracted person names, URL hosts,
+// …) trade reduction for recall. It must be pure: an index calls it
+// exactly once per document, at indexing time, and assumes the answer
+// never changes.
 type KeyFunc func(col *corpus.Collection, doc corpus.Document) []string
 
 // Config assembles an Index.

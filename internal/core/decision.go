@@ -85,13 +85,9 @@ type sample struct {
 	ws    *Workspace
 }
 
-// newSample reads the sample into the memory of the training's workspace,
-// or of a fresh one; it is valid until that workspace's next newSample.
-func newSample(train *Training, m *simfn.Matrix) sample {
-	ws := train.ws
-	if ws == nil {
-		ws = new(Workspace)
-	}
+// newSample reads the sample into the workspace's memory; it is valid
+// until the workspace's next newSample.
+func newSample(ws *Workspace, train *Training, m *simfn.Matrix) sample {
 	ws.values = train.appendValues(ws.values[:0], m)
 	return sample{values: ws.values, order: ws.regions.Ascending(ws.values), ws: ws}
 }

@@ -68,7 +68,7 @@ func TestDecisionStageMatchesReference(t *testing.T) {
 		m := p.Matrices["FA"]
 		plantOutsideTraining(rng, m, got.Train, []float64{math.NaN(), math.Inf(1), math.Inf(-1)})
 		for _, crit := range []CriterionKind{ThresholdCriterion, KMeansCriterion} {
-			dg, err := buildDecisionGraph("FA", crit, m, got.Train, newSample(got.Train, m), opts.RegionK)
+			dg, err := buildDecisionGraph("FA", crit, m, got.Train, newSample(new(Workspace), got.Train, m), opts.RegionK)
 			if err != nil {
 				t.Fatal(err)
 			}

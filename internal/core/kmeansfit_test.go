@@ -69,7 +69,7 @@ func kmeansBenchSamples(b *testing.B, docs int, config func(i int) corpus.Collec
 			b.Fatal(err)
 		}
 		for _, f := range r.funcs {
-			out = append(out, newSample(train, p.Matrices[f.ID]))
+			out = append(out, newSample(new(Workspace), train, p.Matrices[f.ID]))
 		}
 	}
 	return out

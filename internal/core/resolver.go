@@ -199,12 +199,11 @@ func (p *Prepared) runIn(ws *Workspace, runSeed int64, opts Options) (*Analysis,
 	if err != nil {
 		return nil, err
 	}
-	train.ws = ws
 	ws.graphs.Reset()
 	a := &Analysis{Prepared: p, Train: train, opts: opts, rng: rng}
 	for _, f := range p.resolver.funcs {
 		m := p.Matrices[f.ID]
-		s := newSample(train, m)
+		s := newSample(ws, train, m)
 		for _, crit := range AllCriteria {
 			dg, err := buildDecisionGraph(f.ID, crit, m, train, s, opts.RegionK)
 			if err != nil {

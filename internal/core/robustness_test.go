@@ -175,7 +175,7 @@ func TestConstantSimilarityFunctionDegrades(t *testing.T) {
 	if th < 0 || th > 1 {
 		t.Errorf("threshold = %v", th)
 	}
-	dg, err := buildDecisionGraph("FX", KMeansCriterion, m, train, newSample(train, m), 10)
+	dg, err := buildDecisionGraph("FX", KMeansCriterion, m, train, newSample(new(Workspace), train, m), 10)
 	if err != nil {
 		t.Fatal(err)
 	}

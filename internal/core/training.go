@@ -25,11 +25,6 @@ type Training struct {
 	// DocTruth is the ground-truth persona label per revealed document,
 	// parallel to Docs.
 	DocTruth []int
-
-	// ws is the memory the run that drew the sample fits its criteria and
-	// builds its graphs in; nil for a Training from NewTraining alone,
-	// whose fits take fresh memory.
-	ws *Workspace
 }
 
 // NewTraining samples a training set from the block. The paper trains on

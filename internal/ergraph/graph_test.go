@@ -1,6 +1,7 @@
 package ergraph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,8 +10,13 @@ import (
 
 func TestGraphBasics(t *testing.T) {
 	g := NewGraph(5)
-	if g.Len() != 5 || g.NumEdges() != 0 {
+	if g.Len() != 5 {
 		t.Fatal("fresh graph wrong shape")
+	}
+	for i := range 5 {
+		if nbrs := slices.Collect(g.neighbors(i)); nbrs != nil {
+			t.Fatalf("fresh graph: vertex %d has neighbors %v", i, nbrs)
+		}
 	}
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
@@ -18,21 +24,16 @@ func TestGraphBasics(t *testing.T) {
 	if err := g.AddEdge(1, 0); err != nil {
 		t.Fatal(err) // duplicate insert is fine
 	}
-	if g.NumEdges() != 1 {
-		t.Errorf("NumEdges = %d, want 1", g.NumEdges())
-	}
 	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
 		t.Error("undirected edge missing")
 	}
 	if g.HasEdge(0, 2) {
 		t.Error("phantom edge")
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 || g.Degree(2) != 0 {
-		t.Error("degrees wrong")
-	}
-	g.RemoveEdge(0, 1)
-	if g.HasEdge(0, 1) || g.NumEdges() != 0 {
-		t.Error("edge not removed")
+	for i, want := range [][]int{{1}, {0}, nil, nil, nil} {
+		if got := slices.Collect(g.neighbors(i)); !slices.Equal(got, want) {
+			t.Errorf("neighbors(%d) = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -48,10 +49,9 @@ func TestGraphErrors(t *testing.T) {
 		t.Error("negative vertex accepted")
 	}
 	// Out-of-range queries are safe.
-	if g.HasEdge(-1, 5) || g.Degree(9) != 0 || g.Neighbors(9) != nil {
+	if g.HasEdge(-1, 5) || g.HasEdge(0, 9) {
 		t.Error("out-of-range queries should be inert")
 	}
-	g.RemoveEdge(-1, 5) // must not panic
 	if NewGraph(-2).Len() != 0 {
 		t.Error("negative size should clamp")
 	}
@@ -64,16 +64,8 @@ func TestNeighborsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	nbrs := g.Neighbors(0)
-	want := []int{1, 2, 4, 5}
-	if len(nbrs) != 4 {
-		t.Fatalf("neighbors = %v", nbrs)
-	}
-	for i := range want {
-		if nbrs[i] != want[i] {
-			t.Errorf("neighbors = %v, want %v", nbrs, want)
-			break
-		}
+	if nbrs, want := slices.Collect(g.neighbors(0)), []int{1, 2, 4, 5}; !slices.Equal(nbrs, want) {
+		t.Errorf("neighbors = %v, want %v", nbrs, want)
 	}
 }
 

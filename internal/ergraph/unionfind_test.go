@@ -4,16 +4,16 @@ import "testing"
 
 func TestUnionFindAdd(t *testing.T) {
 	uf := NewUnionFind(0)
-	if uf.Len() != 0 || uf.Sets() != 0 {
-		t.Fatalf("empty union-find: len %d, sets %d", uf.Len(), uf.Sets())
+	if uf.Sets() != 0 {
+		t.Fatalf("empty union-find: sets %d", uf.Sets())
 	}
 	for i := 0; i < 5; i++ {
 		if id := uf.Add(); id != i {
 			t.Fatalf("Add #%d returned id %d", i, id)
 		}
 	}
-	if uf.Len() != 5 || uf.Sets() != 5 {
-		t.Fatalf("after 5 Adds: len %d, sets %d", uf.Len(), uf.Sets())
+	if uf.Sets() != 5 {
+		t.Fatalf("after 5 Adds: sets %d", uf.Sets())
 	}
 	uf.Union(0, 4)
 	id := uf.Add()

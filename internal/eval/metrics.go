@@ -15,11 +15,11 @@ import (
 // Result bundles the three headline metrics the paper reports.
 type Result struct {
 	// Fp is the harmonic mean of purity and inverse purity.
-	Fp float64
+	Fp float64 `json:"fp"`
 	// F is the pairwise F-measure.
-	F float64
+	F float64 `json:"f"`
 	// Rand is the Rand index.
-	Rand float64
+	Rand float64 `json:"rand"`
 }
 
 // Evaluate computes the paper's three metrics at once.

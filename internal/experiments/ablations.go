@@ -133,7 +133,7 @@ func AblationCombination(ctx context.Context, cfg Config) ([]AblationResult, err
 	}{
 		{"best-graph", bestAnyCriterion(simfn.SubsetI10)},
 		{"weighted-average", weightedAverage(simfn.SubsetI10)},
-		{"majority-vote", majorityVote()},
+		{"majority-vote", (*core.Analysis).MajorityVote},
 	}
 	var out []AblationResult
 	for _, m := range methods {

@@ -159,7 +159,7 @@ func ANNRecallSweep(ctx context.Context, cfg Config, efs []int) (*ANNRecallRepor
 	ref := flatten(exactMembers)
 
 	for _, ef := range efs {
-		idx, err := ann.New(ann.Config{Scheme: scheme, Keys: ann.KeyFunc(keys), EfSearch: ef})
+		idx, err := ann.New(ann.Config{Scheme: scheme, Keys: keys, EfSearch: ef})
 		if err != nil {
 			return nil, err
 		}

@@ -139,11 +139,5 @@ func singleFunction(id string) strategy {
 	}
 }
 
-func majorityVote() strategy {
-	return func(a *core.Analysis) (*core.Resolution, error) {
-		return a.MajorityVote()
-	}
-}
-
 // allFunctionIDs is the full Table I set.
 var allFunctionIDs = simfn.SubsetI10

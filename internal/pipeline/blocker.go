@@ -69,20 +69,9 @@ type BlockingStats struct {
 // without conversion.
 type DocRef = blockindex.DocRef
 
-// KeyFunc derives the blocking keys of one document. The default keys a
-// document by the name its collection was retrieved for — the paper's "all
-// pages retrieved for one name" scheme. Richer key functions (extracted
-// person names, URL hosts, …) trade reduction for recall. A KeyFunc must
-// be pure: the key index calls it once per document at indexing time
-// and caches the derived keys forever.
-type KeyFunc func(col *corpus.Collection, doc corpus.Document) []string
-
-// collectionNameKey is the default KeyFunc — one definition, shared with
-// the index layer, so the two defaults can never drift and silently break
-// the index-equals-scheme block equivalence.
-func collectionNameKey(col *corpus.Collection, doc corpus.Document) []string {
-	return blockindex.CollectionNameKey(col, doc)
-}
+// KeyFunc is the key index's key-function type, aliased because the
+// benchmark's replay probe (bench/probe.go) names it here.
+type KeyFunc = blockindex.KeyFunc
 
 // NamesKey keys a document by its extracted person-name mentions: the most
 // frequent person name on the page (feature F3) and the mention closest to
@@ -154,7 +143,7 @@ var KeyNames = []string{"collection", "names", "urlhost", "phonetic"}
 func ParseKeys(name string) (KeyFunc, error) {
 	switch name {
 	case "", "collection":
-		return collectionNameKey, nil
+		return blockindex.CollectionNameKey, nil
 	case "names":
 		return NamesKey, nil
 	case "urlhost":
@@ -243,7 +232,7 @@ func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, 
 func (c BlockingConfig) FreshBlocker() (Blocker, error) {
 	if c.ANN {
 		approx, _ := c.Scheme.(blocking.ApproxScheme) // nil is ann.New's to reject
-		idx, err := ann.New(ann.Config{Scheme: approx, Keys: ann.KeyFunc(c.Keys), M: c.M, EfSearch: c.EfSearch})
+		idx, err := ann.New(ann.Config{Scheme: approx, Keys: c.Keys, M: c.M, EfSearch: c.EfSearch})
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +285,7 @@ func (sb SchemeBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 	}
 	keys := sb.Keys
 	if keys == nil {
-		keys = collectionNameKey
+		keys = blockindex.CollectionNameKey
 	}
 
 	var refs []DocRef

@@ -134,7 +134,7 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 		if prev != nil {
 			if res, score, hit := prev.Committed(fps[i]); hit {
 				score = p.rescored(res, score, blocks[i])
-				results[i] = Result{Index: i, Block: blocks[i], Resolution: res, Score: score}
+				results[i] = Result{Block: blocks[i], Resolution: res, Score: score}
 				st.Reused++
 				continue
 			}

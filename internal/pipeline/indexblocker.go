@@ -58,7 +58,7 @@ type IndexBlocker struct {
 func NewIndexBlocker(scheme blocking.KeyedScheme, keys KeyFunc, _ int) (*IndexBlocker, error) {
 	idx, err := blockindex.New(blockindex.Config{
 		Scheme: scheme,
-		Keys:   blockindex.KeyFunc(keys),
+		Keys:   keys,
 	})
 	if err != nil {
 		return nil, err

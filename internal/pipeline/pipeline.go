@@ -88,7 +88,8 @@ type Config struct {
 	// scheme, which keeps each collection as one block.
 	Blocker Blocker
 	// Strategy runs the combine and cluster stages on each analysis; nil
-	// selects BestAnyCriterion, the paper's best-performing combination.
+	// selects (*core.Analysis).BestAnyCriterion, the paper's best-performing
+	// combination.
 	Strategy Strategy
 	// Score evaluates every resolution against the block's embedded
 	// ground truth and fills Result.Score.
@@ -165,15 +166,14 @@ func New(cfg Config) (*Pipeline, error) {
 		}
 	}
 	if p.strategy == nil {
-		p.strategy = BestAnyCriterion()
+		p.strategy = (*core.Analysis).BestAnyCriterion
 	}
 	return p, nil
 }
 
-// Result is the report-stage output for one block, in block order.
+// Result is the report-stage output for one block, in block order: a
+// run's i-th Result is the Blocker's i-th block.
 type Result struct {
-	// Index is the block's position in the Blocker's output.
-	Index int
 	// Block is the resolved block (documents re-grouped by the Blocker).
 	Block *corpus.Collection
 	// Resolution carries the cluster labels and their provenance.
@@ -211,8 +211,8 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 
 // stream is the shared prepare → analyze → combine → cluster → report core
 // of Run and RunIncremental: workers claim the blocks named by todo one at
-// a time, take each from prepare to score, and write its Result into
-// results[idx]. seedOf derives a block's training seed from its index. Each
+// a time, take block i from prepare to score, and write its Result into
+// results[i]. seedOf derives a block's training seed from its index. Each
 // worker makes one workspace and resolves every block it claims in it, so
 // a block's Prepared and Analysis live only until the worker's next block;
 // nothing of them reaches results. When prepares is non-nil it counts the
@@ -233,7 +233,7 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 				return false
 			}
 			i := todo[t]
-			res, err := p.runBlock(runCtx, ws, i, blocks[i], seedOf(i), prepares)
+			res, err := p.runBlock(runCtx, ws, blocks[i], seedOf(i), prepares)
 			if err != nil {
 				failOnce.Do(func() {
 					firstErr = err
@@ -256,11 +256,11 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 // pairwise similarity matrices) to its scored Result, in the worker's
 // workspace ws. Blocks too small to train on resolve trivially and skip
 // every stage.
-func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, idx int, col *corpus.Collection, seed int64,
+func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus.Collection, seed int64,
 	prepares *atomic.Int64) (Result, error) {
 
 	if len(col.Docs) < 2 {
-		res, err := p.trivial(idx, col)
+		res, err := p.trivial(col)
 		if err != nil {
 			return Result{}, fmt.Errorf("pipeline: block %q: %w", col.Name, err)
 		}
@@ -275,7 +275,7 @@ func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, idx int, co
 		return Result{}, fmt.Errorf("pipeline: preparing block %q: %w", col.Name, err)
 	}
 	p.observe(StagePrepare, col.Name, prepStart)
-	res, err := p.resolveBlock(ws, idx, col, prep, seed)
+	res, err := p.resolveBlock(ws, col, prep, seed)
 	if err != nil {
 		return Result{}, fmt.Errorf("pipeline: resolving block %q: %w", col.Name, err)
 	}
@@ -284,7 +284,7 @@ func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, idx int, co
 
 // resolveBlock runs analysis (training draw, decision graphs), combination,
 // clustering and scoring for one prepared block, in the workspace ws.
-func (p *Pipeline) resolveBlock(ws *core.Workspace, idx int, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
+func (p *Pipeline) resolveBlock(ws *core.Workspace, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
 	analyzeStart := p.now()
 	a, err := prep.RunIn(ws, seed)
 	if err != nil {
@@ -297,7 +297,7 @@ func (p *Pipeline) resolveBlock(ws *core.Workspace, idx int, col *corpus.Collect
 		return Result{}, err
 	}
 	p.observe(StageCluster, col.Name, clusterStart)
-	out := Result{Index: idx, Block: col, Resolution: res}
+	out := Result{Block: col, Resolution: res}
 	if p.score {
 		s, err := eval.Evaluate(res.Labels, col.GroundTruth())
 		if err != nil {
@@ -310,9 +310,9 @@ func (p *Pipeline) resolveBlock(ws *core.Workspace, idx int, col *corpus.Collect
 
 // trivial resolves a block too small for training: zero or one documents
 // form at most one entity.
-func (p *Pipeline) trivial(idx int, col *corpus.Collection) (Result, error) {
+func (p *Pipeline) trivial(col *corpus.Collection) (Result, error) {
 	res := &core.Resolution{Labels: make([]int, len(col.Docs)), Source: "trivial(<2 docs)"}
-	out := Result{Index: idx, Block: col, Resolution: res}
+	out := Result{Block: col, Resolution: res}
 	if p.score && len(col.Docs) > 0 {
 		s, err := eval.Evaluate(res.Labels, col.GroundTruth())
 		if err != nil {

@@ -308,7 +308,7 @@ func TestAverageRunsCanceled(t *testing.T) {
 	cancel()
 	_, err = AverageRuns(ctx, prepared, truths, 2,
 		func(run, block int) int64 { return stats.SplitSeedN(1, run*1000+block) },
-		core.DefaultOptions(), BestAnyCriterion())
+		core.DefaultOptions(), (*core.Analysis).BestAnyCriterion)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

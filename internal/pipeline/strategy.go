@@ -9,50 +9,29 @@ import (
 
 // Strategy is the pipeline's combine + cluster stage: it selects or fuses
 // the per-function decision graphs of one analysis and returns the final
-// clustering. Custom strategies compose core's combination primitives
-// (BestOver, WeightedAverageOver, …).
+// clustering. The named strategies are core.Analysis method values
+// ((*core.Analysis).BestAnyCriterion, …); custom strategies compose core's
+// combination primitives (BestOver, WeightedAverageOver, …).
 type Strategy func(a *core.Analysis) (*core.Resolution, error)
-
-// BestAnyCriterion selects the best decision graph over all criteria —
-// the paper's best-performing combination (the C columns).
-func BestAnyCriterion() Strategy {
-	return func(a *core.Analysis) (*core.Resolution, error) { return a.BestAnyCriterion() }
-}
-
-// BestThresholdOnly selects the best threshold-criterion graph (the
-// paper's I columns).
-func BestThresholdOnly() Strategy {
-	return func(a *core.Analysis) (*core.Resolution, error) { return a.BestThresholdOnly() }
-}
-
-// WeightedAverage fuses the per-function graphs by accuracy-weighted
-// averaging (the paper's W column).
-func WeightedAverage() Strategy {
-	return func(a *core.Analysis) (*core.Resolution, error) { return a.WeightedAverage() }
-}
-
-// MajorityVote fuses the per-function graphs by simple majority vote (the
-// ablation baseline).
-func MajorityVote() Strategy {
-	return func(a *core.Analysis) (*core.Resolution, error) { return a.MajorityVote() }
-}
 
 // StrategyNames are the accepted ParseStrategy spellings, in display order
 // for CLI/API usage messages.
 var StrategyNames = []string{"best", "threshold", "weighted", "majority"}
 
-// ParseStrategy maps a CLI/API name to a strategy. Unknown names return an
+// ParseStrategy maps a CLI/API name to its core.Analysis method: "best" to
+// BestAnyCriterion, "threshold" to BestThresholdOnly, "weighted" to
+// WeightedAverage and "majority" to MajorityVote. Unknown names return an
 // error listing every valid spelling.
 func ParseStrategy(name string) (Strategy, error) {
 	switch name {
 	case "best":
-		return BestAnyCriterion(), nil
+		return (*core.Analysis).BestAnyCriterion, nil
 	case "threshold":
-		return BestThresholdOnly(), nil
+		return (*core.Analysis).BestThresholdOnly, nil
 	case "weighted":
-		return WeightedAverage(), nil
+		return (*core.Analysis).WeightedAverage, nil
 	case "majority":
-		return MajorityVote(), nil
+		return (*core.Analysis).MajorityVote, nil
 	default:
 		return nil, fmt.Errorf("pipeline: unknown strategy %q (valid: %s)",
 			name, strings.Join(StrategyNames, ", "))

@@ -41,7 +41,6 @@ func smallBlocks(t *testing.T, n int) []*corpus.Collection {
 // a buffered channel let prepare run ahead to three times that.)
 func TestPreparedBlocksBoundedByWorkers(t *testing.T) {
 	var alive, peak atomic.Int64
-	best := BestAnyCriterion()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	pl, err := New(Config{
 		Observe: func(stage, _ string, _ time.Duration) {
@@ -59,7 +58,7 @@ func TestPreparedBlocksBoundedByWorkers(t *testing.T) {
 		Strategy: func(a *core.Analysis) (*core.Resolution, error) {
 			defer alive.Add(-1)
 			time.Sleep(20 * time.Millisecond)
-			return best(a)
+			return a.BestAnyCriterion()
 		},
 	})
 	if err != nil {
@@ -71,7 +70,7 @@ func TestPreparedBlocksBoundedByWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range results {
-		if r.Resolution == nil || r.Index != i || r.Block.Name != cols[i].Name {
+		if r.Resolution == nil || r.Block.Name != cols[i].Name {
 			t.Fatalf("result %d missing or out of block order: %+v", i, r)
 		}
 	}
@@ -132,7 +131,7 @@ func TestTwoConfigurationsResolveAtOnce(t *testing.T) {
 	other := core.DefaultOptions()
 	other.RegionK, other.Seed = 5, 9
 	var pls []*Pipeline
-	for _, cfg := range []Config{{Score: true}, {Options: other, Strategy: WeightedAverage()}} {
+	for _, cfg := range []Config{{Score: true}, {Options: other, Strategy: (*core.Analysis).WeightedAverage}} {
 		pl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

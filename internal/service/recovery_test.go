@@ -56,14 +56,13 @@ func TestRecoveredSnapshotEqualsInMemory(t *testing.T) {
 				mem := store.NewMemStore()
 				srv := New(Config{Store: mem})
 				defer srv.Close(context.Background())
-				cfg, bc, err := srv.parseKnobs(knobs)
+				cfg, bc, key, err := srv.parseKnobs(knobs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if cfg.Blocker, err = bc.FreshBlocker(); err != nil {
 					t.Fatal(err)
 				}
-				key := knobsKey(knobs, bc)
 
 				var (
 					snap *pipeline.Snapshot // the run's own carry-over

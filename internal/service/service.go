@@ -12,6 +12,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -442,12 +443,9 @@ type CollectionsResponse struct {
 	StatusURL string `json:"status_url"`
 }
 
-// BlockScore is one block's evaluation against its ground truth.
-type BlockScore struct {
-	Fp   float64 `json:"fp"`
-	F    float64 `json:"f"`
-	Rand float64 `json:"rand"`
-}
+// BlockScore is one block's evaluation against its ground truth. It is an
+// alias kept because the benchmark's reply probe (bench/probe.go) names it.
+type BlockScore = eval.Result
 
 // BlockResult is one resolved block.
 type BlockResult struct {
@@ -469,7 +467,7 @@ type BlockResult struct {
 	// still fills it; it goes with that loop.
 	Clusters [][]int `json:"-"`
 	// Score is present when scoring was requested.
-	Score *BlockScore `json:"score,omitempty"`
+	Score *eval.Result `json:"score,omitempty"`
 }
 
 // ResolveResponse is the /v1/resolve reply.
@@ -478,7 +476,7 @@ type ResolveResponse struct {
 	Blocks []BlockResult `json:"blocks"`
 	// Average macro-averages the per-block scores when more than one
 	// block was scored.
-	Average *BlockScore `json:"average,omitempty"`
+	Average *eval.Result `json:"average,omitempty"`
 	// ElapsedMillis is the server-side resolution time: the run and
 	// building the reply, all but the JSON encode and the write.
 	ElapsedMillis int64 `json:"elapsed_ms"`
@@ -506,7 +504,7 @@ type IncrementalResolveResponse struct {
 	Blocks []BlockResult `json:"blocks"`
 	// Average macro-averages the per-block scores when more than one
 	// block was scored.
-	Average *BlockScore `json:"average,omitempty"`
+	Average *eval.Result `json:"average,omitempty"`
 	// Incremental reports what the dirty-block diff skipped.
 	Incremental IncrementalStats `json:"incremental"`
 	// Blocking reports the block stage's own reuse: how many documents the
@@ -659,7 +657,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cfg, bc, err := s.parseKnobs(req.resolveKnobs)
+	cfg, bc, _, err := s.parseKnobs(req.resolveKnobs)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
@@ -785,7 +783,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	}
 	// The whole request is validated before it reaches any server state: a
 	// rejected request must not leave an index (or a state) behind.
-	cfg, bc, err := s.parseKnobs(req.resolveKnobs)
+	cfg, bc, key, err := s.parseKnobs(req.resolveKnobs)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
@@ -808,7 +806,7 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	// a run can never overwrite the state with results for an older store
 	// version than its predecessor saw, and the state's candidate index
 	// pays only for the ingest delta since that predecessor.
-	state, err := s.acquireState(knobsKey(req.resolveKnobs, bc), bc)
+	state, err := s.acquireState(key, bc)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
@@ -909,40 +907,6 @@ func (s *Server) handleResolveIncremental(w http.ResponseWriter, r *http.Request
 	s.timed(tr, "encode", func() { writeJSON(w, http.StatusOK, resp) })
 }
 
-// knobsKey builds the effective-knobs string identifying one resolution
-// configuration — the key incremental states and persisted serving
-// indexes are filed under. It is built from the EFFECTIVE values (defaults
-// resolved), so `{}` and `{"seed":1}` share one state and an explicit
-// "seed":-1 can never alias the defaults.
-func knobsKey(k resolveKnobs, bc pipeline.BlockingConfig) string {
-	def := core.DefaultOptions()
-	strategy, clustering := k.Strategy, k.Clustering
-	if strategy == "" {
-		strategy = "best"
-	}
-	if clustering == "" {
-		clustering = "closure"
-	}
-	train, regions, seed := k.TrainFraction, k.Regions, def.Seed
-	if train == 0 {
-		train = def.TrainFraction
-	}
-	if regions == 0 {
-		regions = def.RegionK
-	}
-	if k.Seed != nil {
-		seed = *k.Seed
-	}
-	base := fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, bc.SchemeName, bc.KeysName, train, regions, seed)
-	// The ann section joins the key ONLY in ann mode: exact-mode keys are
-	// byte-identical to previous releases, so existing persisted serving
-	// indexes keep resolving under the same key after an upgrade.
-	if bc.ANN {
-		base += fmt.Sprintf("|ann|%d|%d", bc.M, bc.EfSearch)
-	}
-	return base
-}
-
 // acquireState returns the incremental state of one knob configuration,
 // creating it on first use with a fresh blocker for bc, and pins it against
 // eviction until the matching releaseState. Eviction removes only unpinned
@@ -1014,38 +978,45 @@ func writeRunError(w http.ResponseWriter, err error, timeout time.Duration) bool
 // fraction, region count, strategy and the blocking configuration — and
 // returns the pipeline configuration they select, complete but for its
 // Blocker (which depends on the endpoint) and Observe, beside the blocking
-// configuration. Both resolve endpoints call it before they touch any
-// server state, so they accept and reject the same requests with the same
-// message, and a rejected one leaves nothing behind.
-func (s *Server) parseKnobs(req resolveKnobs) (cfg pipeline.Config, bc pipeline.BlockingConfig, err error) {
+// configuration and the state key. Both resolve endpoints call it before
+// they touch any server state, so they accept and reject the same requests
+// with the same message, and a rejected one leaves nothing behind.
+//
+// Each default is resolved once, here, and the key is formatted from the
+// resolved values: it names one resolution configuration — the key
+// incremental states and persisted serving indexes are filed under — so
+// `{}` and `{"seed":1}` share one state and an explicit "seed":-1 can
+// never alias the defaults.
+func (s *Server) parseKnobs(req resolveKnobs) (cfg pipeline.Config, bc pipeline.BlockingConfig, key string, err error) {
+	strategy, clustering := cmp.Or(req.Strategy, "best"), cmp.Or(req.Clustering, "closure")
 	opts := core.DefaultOptions()
-	if req.TrainFraction != 0 {
-		opts.TrainFraction = req.TrainFraction
-	}
-	if req.Regions != 0 {
-		opts.RegionK = req.Regions
-	}
+	opts.TrainFraction = cmp.Or(req.TrainFraction, opts.TrainFraction)
+	opts.RegionK = cmp.Or(req.Regions, opts.RegionK)
 	if req.Seed != nil {
 		opts.Seed = *req.Seed
 	}
-	if req.Clustering != "" {
-		if opts.Clustering, err = core.ParseClusteringMethod(req.Clustering); err != nil {
-			return cfg, bc, err
-		}
+	if opts.Clustering, err = core.ParseClusteringMethod(clustering); err != nil {
+		return cfg, bc, "", err
 	}
 	if err = opts.Validate(); err != nil {
-		return cfg, bc, err
+		return cfg, bc, "", err
 	}
 	cfg = pipeline.Config{Options: opts, Score: req.Score == nil || *req.Score}
-	if req.Strategy != "" {
-		if cfg.Strategy, err = pipeline.ParseStrategy(req.Strategy); err != nil {
-			return cfg, bc, err
-		}
+	if cfg.Strategy, err = pipeline.ParseStrategy(strategy); err != nil {
+		return cfg, bc, "", err
 	}
 	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys, req.BlockingMode, req.AnnM, req.AnnEf); err != nil {
-		return cfg, bc, err
+		return cfg, bc, "", err
 	}
-	return cfg, bc, nil
+	key = fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, bc.SchemeName, bc.KeysName,
+		opts.TrainFraction, opts.RegionK, opts.Seed)
+	// The ann section joins the key ONLY in ann mode: exact-mode keys are
+	// byte-identical to previous releases, so existing persisted serving
+	// indexes keep resolving under the same key after an upgrade.
+	if bc.ANN {
+		key += fmt.Sprintf("|ann|%d|%d", bc.M, bc.EfSearch)
+	}
+	return cfg, bc, key, nil
 }
 
 // assemble builds a validated configuration's pipeline around the
@@ -1056,12 +1027,16 @@ func (s *Server) assemble(cfg pipeline.Config, blocker pipeline.Blocker, tr *tra
 }
 
 // blockResults converts pipeline results to their response form, macro-
-// averaging the per-block scores when more than one block was scored.
-func blockResults(results []pipeline.Result, score bool) ([]BlockResult, *BlockScore) {
+// averaging the per-block scores when more than one block was scored. Each
+// reply block points at its run's score rather than copying it.
+func blockResults(results []pipeline.Result, score bool) ([]BlockResult, *eval.Result) {
 	// Always non-nil so the response marshals "blocks": [] rather than
 	// "blocks": null when nothing was resolved.
 	blocks := make([]BlockResult, 0, len(results))
 	var scores []eval.Result
+	if score {
+		scores = make([]eval.Result, 0, len(results))
+	}
 	for _, res := range results {
 		br := BlockResult{
 			Name:        res.Block.Name,
@@ -1071,17 +1046,16 @@ func blockResults(results []pipeline.Result, score bool) ([]BlockResult, *BlockS
 			Labels:      res.Resolution.Labels,
 		}
 		if score && res.Score != nil {
-			br.Score = &BlockScore{Fp: res.Score.Fp, F: res.Score.F, Rand: res.Score.Rand}
+			br.Score = res.Score
 			scores = append(scores, *res.Score)
 		}
 		blocks = append(blocks, br)
 	}
-	var avg *BlockScore
-	if len(scores) > 1 {
-		a := eval.Aggregate(scores)
-		avg = &BlockScore{Fp: a.Fp, F: a.F, Rand: a.Rand}
+	if len(scores) < 2 {
+		return blocks, nil
 	}
-	return blocks, avg
+	avg := eval.Aggregate(scores)
+	return blocks, &avg
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

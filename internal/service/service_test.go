@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/eval"
 	"repro/internal/store"
 )
 
@@ -192,6 +193,107 @@ func TestResolveReplyContract(t *testing.T) {
 	unscored := slices.DeleteFunc(slices.Clone(keys), func(k string) bool { return k == "score" })
 	check(t, "/v1/resolve", map[string]any{"score": false, "collections": oneshot}, unscored)
 	check(t, "/v1/resolve/incremental", map[string]any{"score": false}, unscored)
+}
+
+// TestScoreWireForm pins the wire form of a score, which rests only on the
+// field tags of eval.Result: on both resolve endpoints every block's
+// "score" and the reply's "average" carry exactly the keys fp, f and rand,
+// bit-equal to eval.Evaluate over the block's reply labels against its
+// ground truth and to eval.Aggregate of those, and GET /v1/entities/{id}
+// answers the committed block's score object as the entity's score.
+func TestScoreWireForm(t *testing.T) {
+	okafor, err := corpus.GenerateCollection(corpus.CollectionConfig{
+		Name: "okafor", NumDocs: 26, NumPersonas: 4,
+		Noise: 0.3, MissingInfo: 0.2, Spurious: 0.2, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := serverPair(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 30))
+	ingestCollection(t, ts, okafor)
+	cols, _ := srv.store.Snapshot()
+	truth := make(map[string][]int)
+	for _, col := range cols {
+		truth[col.Name] = col.GroundTruth()
+	}
+
+	// score decodes one score object, which must have exactly the three keys.
+	score := func(what string, raw json.RawMessage) eval.Result {
+		t.Helper()
+		var fields map[string]float64
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := slices.Sorted(maps.Keys(fields)); !slices.Equal(got, []string{"f", "fp", "rand"}) {
+			t.Fatalf("%s: keys %v, want [f fp rand]", what, got)
+		}
+		return eval.Result{Fp: fields["fp"], F: fields["f"], Rand: fields["rand"]}
+	}
+	bitEqual := func(a, b eval.Result) bool {
+		return math.Float64bits(a.Fp) == math.Float64bits(b.Fp) &&
+			math.Float64bits(a.F) == math.Float64bits(b.F) &&
+			math.Float64bits(a.Rand) == math.Float64bits(b.Rand)
+	}
+	type block struct {
+		Name   string          `json:"name"`
+		Labels []int           `json:"labels"`
+		Score  json.RawMessage `json:"score"`
+	}
+	var committed []block
+	for _, path := range []string{"/v1/resolve", "/v1/resolve/incremental"} {
+		var body any = IncrementalResolveRequest{}
+		if path == "/v1/resolve" {
+			body = ResolveRequest{Collections: cols}
+		}
+		var out struct {
+			Blocks  []block         `json:"blocks"`
+			Average json.RawMessage `json:"average"`
+		}
+		if code := postJSON(t, ts, path, body, &out); code != http.StatusOK {
+			t.Fatalf("POST %s = %d", path, code)
+		}
+		if len(out.Blocks) != len(cols) {
+			t.Fatalf("POST %s: %d blocks, want %d", path, len(out.Blocks), len(cols))
+		}
+		var scores []eval.Result
+		for _, b := range out.Blocks {
+			want, err := eval.Evaluate(b.Labels, truth[b.Name])
+			if err != nil {
+				t.Fatalf("POST %s: block %s: %v", path, b.Name, err)
+			}
+			what := fmt.Sprintf("POST %s: block %s score", path, b.Name)
+			if got := score(what, b.Score); !bitEqual(got, want) {
+				t.Errorf("%s = %+v, eval.Evaluate %+v", what, got, want)
+			}
+			scores = append(scores, want)
+		}
+		what := fmt.Sprintf("POST %s: average", path)
+		if got, want := score(what, out.Average), eval.Aggregate(scores); !bitEqual(got, want) {
+			t.Errorf("%s = %+v, eval.Aggregate %+v", what, got, want)
+		}
+		committed = out.Blocks
+	}
+
+	type entity struct {
+		Entity struct {
+			ID    string          `json:"id"`
+			Score json.RawMessage `json:"score"`
+		} `json:"entity"`
+	}
+	for _, b := range committed {
+		var byDoc, byID entity
+		if code := getJSON(t, ts, "/v1/docs/"+b.Name+":0/entity", &byDoc); code != http.StatusOK {
+			t.Fatalf("doc lookup %s:0 = %d", b.Name, code)
+		}
+		if code := getJSON(t, ts, "/v1/entities/"+byDoc.Entity.ID, &byID); code != http.StatusOK {
+			t.Fatalf("GET /v1/entities/%s = %d", byDoc.Entity.ID, code)
+		}
+		score("entity "+byID.Entity.ID+" score", byID.Entity.Score)
+		if !bytes.Equal(byID.Entity.Score, b.Score) {
+			t.Errorf("entity %s score %s, block %s reply score %s", byID.Entity.ID, byID.Entity.Score, b.Name, b.Score)
+		}
+	}
 }
 
 func TestResolveRequestTimeout(t *testing.T) {
@@ -554,8 +656,8 @@ func TestIncrementalStateKeying(t *testing.T) {
 // files, so the expectations are spelled out rather than computed.
 func TestPersistedKeysAreStable(t *testing.T) {
 	for _, c := range []struct {
-		body     string
-		knobsKey string
+		body string
+		key  string
 	}{
 		{`{}`, "best|closure|exact|collection|0.1|10|1"},
 		{`{"seed":1}`, "best|closure|exact|collection|0.1|10|1"},
@@ -565,18 +667,22 @@ func TestPersistedKeysAreStable(t *testing.T) {
 		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
 		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`,
 			"weighted|correlation|token|urlhost|0.2|5|-1"},
+		// The defaults spelled out file under the keys of their omission.
+		{`{"strategy":"best","clustering":"closure","train_fraction":0.1,"regions":10,"seed":1,"blocking":"exact","keys":"collection","blocking_mode":"exact"}`,
+			"best|closure|exact|collection|0.1|10|1"},
+		{`{"blocking":"canopy","blocking_mode":"ann","ann_m":12,"ann_ef":64}`, "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
 	} {
 		var k resolveKnobs
 		if err := json.Unmarshal([]byte(c.body), &k); err != nil {
 			t.Fatal(err)
 		}
 		srv := New(Config{})
-		_, bc, err := srv.parseKnobs(k)
+		_, _, got, err := srv.parseKnobs(k)
 		if err != nil {
 			t.Fatalf("%s: %v", c.body, err)
 		}
-		if got := knobsKey(k, bc); got != c.knobsKey {
-			t.Errorf("%s: knobs key %q, want %q", c.body, got, c.knobsKey)
+		if got != c.key {
+			t.Errorf("%s: knobs key %q, want %q", c.body, got, c.key)
 		}
 		if err := srv.Close(context.Background()); err != nil {
 			t.Fatal(err)

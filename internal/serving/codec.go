@@ -51,7 +51,7 @@ type encodedBlock struct {
 type encodedCluster struct {
 	Label  int
 	Source string
-	Score  *Score
+	Score  *eval.Result
 	Refs   []DocRef
 	URLs   []string
 }
@@ -128,7 +128,7 @@ func decodeBlock(eb encodedBlock, colNames []string, colDocs []int) (*blockState
 			}
 			docs = append(docs, doc{ref, ec.Label, ec.URLs[k]})
 		}
-		st.res.Source, st.score = ec.Source, (*eval.Result)(ec.Score)
+		st.res.Source, st.score = ec.Source, ec.Score
 	}
 	slices.SortFunc(docs, func(a, b doc) int { return cmp.Or(a.ref.Col-b.ref.Col, a.ref.Doc-b.ref.Doc) })
 	st.refs = make([]DocRef, len(docs))

@@ -70,13 +70,6 @@ type Member struct {
 	URL string `json:"url,omitempty"`
 }
 
-// Score is a cluster's block-level evaluation against ground truth.
-type Score struct {
-	Fp   float64 `json:"fp"`
-	F    float64 `json:"f"`
-	Rand float64 `json:"rand"`
-}
-
 // Cluster is one resolved entity: the documents the resolution grouped
 // together, with provenance. Clusters are immutable once built.
 type Cluster struct {
@@ -94,7 +87,7 @@ type Cluster struct {
 	Members []Member `json:"members"`
 	// Score is the block's evaluation, when the committing run scored;
 	// shared by every cluster of the block.
-	Score *Score `json:"score,omitempty"`
+	Score *eval.Result `json:"score,omitempty"`
 }
 
 // BlockResolution is one block of a committed run — the serving index's
@@ -212,7 +205,7 @@ func (st *blockState) fill(member func(i int) Member) {
 	st.clusters = make([]*Cluster, st.res.NumEntities())
 	for label := range st.clusters {
 		st.clusters[label] = &Cluster{ID: ClusterID(st.fp, label), Block: st.name, Label: label,
-			Source: st.res.Source, Score: (*Score)(st.score)}
+			Source: st.res.Source, Score: st.score}
 	}
 	for i, ref := range st.refs {
 		c := st.clusters[st.res.Labels[i]]
