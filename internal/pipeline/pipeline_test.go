@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -290,6 +291,33 @@ func TestNewDefaultsOptionsFieldWise(t *testing.T) {
 	if got.TrainFraction != def.TrainFraction || got.RegionK != def.RegionK ||
 		len(got.FunctionIDs) != len(def.FunctionIDs) {
 		t.Errorf("zero fields not defaulted: %+v", got)
+	}
+}
+
+// TestNewAllocatesNoTable pins what assembling a pipeline costs, which
+// every resolve request pays: Table I's ten functions are built once per
+// process, so New on the default options allocates the resolver's slice of
+// them and a few small structs — 4 objects and 1,048 bytes — where
+// rebuilding the table for each function ID took 144 and 12,248.
+func TestNewAllocatesNoTable(t *testing.T) {
+	cfg := Config{Options: core.DefaultOptions()}
+	assemble := func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	objects := testing.AllocsPerRun(100, assemble)
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		assemble()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("New on the default options: %v objects, %d bytes", objects, bytes)
+	if objects > 4 || bytes > 1100 {
+		t.Errorf("New on the default options allocates %v objects and %d bytes, want <= 4 and <= 1,100", objects, bytes)
 	}
 }
 

@@ -195,16 +195,21 @@ func allocated(f func()) uint64 {
 
 // TestResolveAllocatesTheDelta is TestDeltaCommitWritesTheDelta for bytes
 // allocated instead of bytes written: what a resolve allocates, the handler
-// called in process with a discarding writer, at 150 and 300 collections
-// of 40 documents, the least of several calls each. A no-change resolve and a
-// two-document delta resolve (one dirty block) are each held to a bound on
-// their 300 / 150 ratio, which a request that is O(delta) keeps near 1;
-// the ratios are a ratchet, lowered as the tail after the pipeline stops
-// growing with the corpus. The store stage has its own ceiling:
-// store.Snapshot over 150 collections allocates the same at 40 and at 80
-// documents each, since it copies no document.
+// called in process with a discarding writer, at 75, 150 and 300
+// collections of 40 documents, the least of several calls each. For a
+// no-change resolve and a two-document delta resolve (one dirty block) it
+// fits bytes = intercept + slope × collections through the 150 and 300
+// points and bounds each term: the slope is what a resolve pays for every
+// collection it does not touch, which an O(delta) request keeps small, and
+// the intercept is the per-request constant. The 75 point must lie near the
+// line, so a term that is not linear in the corpus cannot hide between two
+// sizes. A ratio of the two sizes would rise whenever the constant fell,
+// failing exactly the changes that remove per-request work. The store stage
+// has its own ceiling: store.Snapshot over 150 collections allocates the
+// same at 40 and at 80 documents each, since it copies no document.
 func TestResolveAllocatesTheDelta(t *testing.T) {
 	const calls = 8
+	sizes := []int{75, 150, 300}
 	resolveBytes := func(ncols int) (nochange, delta uint64) {
 		srv, ts := serverPair(t, Config{ErrorLog: func(string, ...any) {}})
 		heads, tails := splitCollections(t, ncols, 40)
@@ -214,6 +219,11 @@ func TestResolveAllocatesTheDelta(t *testing.T) {
 		if got := resolveOK(t, ts, IncrementalResolveRequest{}); got.Incremental.PreparedBlocks != 1 {
 			t.Fatalf("%d collections: a 2-document delta prepared %d blocks, want 1", ncols, got.Incremental.PreparedBlocks)
 		}
+		// One P for the measured calls: encoding/json's encoder pool then
+		// hands every reply the buffer the previous reply returned, instead
+		// of sometimes missing one parked in another P's private slot and
+		// growing a fresh buffer to the size of the reply.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		h := srv.Handler()
 		resolve := func() uint64 {
 			req := httptest.NewRequest(http.MethodPost, "/v1/resolve/incremental", strings.NewReader(`{}`))
@@ -229,8 +239,11 @@ func TestResolveAllocatesTheDelta(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			nochange = min(nochange, resolve())
 		}
+		// The same collections at every size, so that the sizes differ in
+		// the corpus a delta resolve does not touch, not in the block it
+		// prepares.
 		for i := 1; i <= calls; i++ {
-			ingestBatch(t, ts, tails[i*ncols/(calls+1):][:1])
+			ingestBatch(t, ts, tails[i*sizes[0]/(calls+1):][:1])
 			delta = min(delta, resolve())
 		}
 		if got := resolveOK(t, ts, IncrementalResolveRequest{}); got.Incremental.ReusedBlocks != got.Incremental.Blocks {
@@ -261,33 +274,58 @@ func TestResolveAllocatesTheDelta(t *testing.T) {
 			snap40, snap80, float64(snap80)/float64(snap40))
 	}
 
-	nochange150, delta150 := resolveBytes(150)
-	nochange300, delta300 := resolveBytes(300)
-	t.Logf("no-change resolve: %d bytes at 150 collections, %d at 300 (ratio %.2f)",
-		nochange150, nochange300, float64(nochange300)/float64(nochange150))
-	t.Logf("2-document delta resolve: %d bytes at 150 collections, %d at 300 (ratio %.2f)",
-		delta150, delta300, float64(delta300)/float64(delta150))
+	var nochange, delta [3]uint64
+	for i, ncols := range sizes {
+		nochange[i], delta[i] = resolveBytes(ncols)
+	}
 	for _, c := range []struct {
-		what       string
-		small, big uint64
-		bound      float64
+		what           string
+		bytes          [3]uint64
+		interceptBound float64
+		checked        bool
 	}{
-		{"no-change resolve", nochange150, nochange300, noChangeAllocRatio},
-		{"2-document delta resolve", delta150, delta300, deltaAllocRatio},
+		{"no-change resolve", nochange, noChangeInterceptBound, true},
+		// The race detector drops sync.Pool puts at random, and under it a
+		// delta resolve's readings scatter by hundreds of kilobytes from
+		// run to run: their least is luck, not a measurement.
+		{"2-document delta resolve", delta, deltaInterceptBound, !raceEnabled},
 	} {
-		if ratio := float64(c.big) / float64(c.small); ratio > c.bound {
-			t.Errorf("a %s allocates %d bytes at 150 collections and %d at 300: ratio %.2f, want <= %.2f",
-				c.what, c.small, c.big, ratio, c.bound)
+		small, big := float64(c.bytes[1]), float64(c.bytes[2])
+		slope := (big - small) / float64(sizes[2]-sizes[1])
+		intercept := small - slope*float64(sizes[1])
+		line := intercept + slope*float64(sizes[0])
+		residual := (float64(c.bytes[0]) - line) / line
+		t.Logf("%s: %d, %d, %d bytes at %v collections: slope %.0f bytes per collection, intercept %.0f bytes, %d-collection point %+.2f%% off the line",
+			c.what, c.bytes[0], c.bytes[1], c.bytes[2], sizes, slope, intercept, sizes[0], 100*residual)
+		if !c.checked {
+			t.Logf("%s: bounds not checked under the race detector", c.what)
+			continue
+		}
+		if slope > allocSlopeBound {
+			t.Errorf("a %s allocates %.0f bytes more per collection (%d at %d collections, %d at %d), want <= %d",
+				c.what, slope, c.bytes[1], sizes[1], c.bytes[2], sizes[2], allocSlopeBound)
+		}
+		if intercept > c.interceptBound {
+			t.Errorf("a %s allocates %.0f bytes whatever the corpus (the intercept through %d at %d collections and %d at %d), want <= %.0f",
+				c.what, intercept, c.bytes[1], sizes[1], c.bytes[2], sizes[2], c.interceptBound)
+		}
+		if math.Abs(residual) > allocResidualBound {
+			t.Errorf("a %s allocates %d bytes at %d collections, %+.2f%% off the line through the larger sizes (%.0f), want within %.0f%%",
+				c.what, c.bytes[0], sizes[0], 100*residual, line, 100*allocResidualBound)
 		}
 	}
 }
 
-// The 300 / 150 allocation ratios TestResolveAllocatesTheDelta holds a
-// resolve to, each just above the spread of twenty runs (CHANGES.md). They
-// only go down.
+// The bounds TestResolveAllocatesTheDelta holds a resolve to, each just
+// above the spread of twenty runs (CHANGES.md): the slope in bytes per
+// collection and the smallest size's distance from the line, as a share of
+// the line's value there, for both kinds, and each kind's intercept in
+// bytes. They only go down.
 const (
-	noChangeAllocRatio = 1.9
-	deltaAllocRatio    = 1.25
+	allocSlopeBound        = 750
+	allocResidualBound     = 0.02
+	noChangeInterceptBound = 7_200
+	deltaInterceptBound    = 607_000
 )
 
 // TestKillWithoutCloseRestartsFromLastCommit is the restart contract after

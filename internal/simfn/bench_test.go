@@ -14,7 +14,7 @@ import (
 // speedups are directly visible in bench output.
 func benchComputeAll(b *testing.B, compute func(*Block, []Func) map[string]*Matrix) {
 	blk := parallelTestBlock(b, 100)
-	funcs := Registry()
+	funcs := tableIFuncs(b)
 	n := len(blk.Docs)
 	pairsPerOp := float64(len(funcs) * n * (n - 1) / 2)
 	b.ReportAllocs()
@@ -127,7 +127,8 @@ func BenchmarkComputeAllByFunc(b *testing.B) {
 				b.Fatal(err)
 			}
 			pairs := float64(n * (n - 1) / 2)
-			for _, f := range Registry() {
+			funcs := tableIFuncs(b)
+			for _, f := range funcs {
 				keys := 0
 				if f.Key != nil {
 					distinct := map[string]bool{}
@@ -146,7 +147,7 @@ func BenchmarkComputeAllByFunc(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("%s/n=%d/all", shape.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					computeAll(b, blk, Registry())
+					computeAll(b, blk, funcs)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 			})

@@ -69,7 +69,7 @@ func TestComputeAllCtxMatchesComputeAll(t *testing.T) {
 	// With a context that never fires, the ctx path must be bit-identical
 	// to the plain path on real prepared docs.
 	b := testBlock(t, 11)
-	funcs := Registry()
+	funcs := tableIFuncs(t)
 	want := ComputeAllSerial(b, funcs)
 	got, err := ComputeAllCtx(context.Background(), b, funcs)
 	if err != nil {

@@ -142,10 +142,10 @@ func requireBitIdentical(t *testing.T, label string, got, want map[string]*Matri
 // rest on: on random blocks — generated pages and hand-built documents with
 // empty vectors, names and hosts, heavily repeated keys and all-distinct
 // keys — ComputeAllCtx equals the one-Compare-per-pair reference
-// bit for bit, for the ten registry functions and an asymmetric keyed one,
+// bit for bit, for the ten Table I functions and an asymmetric keyed one,
 // on the worker pool (run under -race) and on the calling goroutine alone.
 func TestKernelMatchesReference(t *testing.T) {
-	funcs := append(Registry(), asymmetricKeyed())
+	funcs := append(tableIFuncs(t), asymmetricKeyed())
 	rng := rand.New(rand.NewSource(16))
 	var blocks []*Block
 	for _, n := range []int{2, 3, 9, 33, 70} {
@@ -192,7 +192,7 @@ func TestKernelCanceledMidMatrix(t *testing.T) {
 		}
 		return inner(a, d)
 	}
-	funcs := append(Registry(), trip)
+	funcs := append(tableIFuncs(t), trip)
 	if ms, err := ComputeAllCtx(ctx, b, funcs); !errors.Is(err, context.Canceled) || ms != nil {
 		t.Fatalf("canceled mid-matrix: matrices %v, err %v; want nil, context.Canceled", ms != nil, err)
 	}
@@ -231,7 +231,7 @@ func TestTokenTableBoundedByTheCall(t *testing.T) {
 		d.Pack(b.Vocab, nil, nil)
 	}
 
-	funcs := Registry()
+	funcs := tableIFuncs(t)
 	ms := make([]*Matrix, len(funcs))
 	for i := range ms {
 		ms[i] = NewMatrix(n)

@@ -44,7 +44,7 @@ func parallelTestBlock(t testing.TB, numDocs int) *Block {
 func TestComputeAllParallelMatchesSerial(t *testing.T) {
 	forceParallel(t)
 	b := parallelTestBlock(t, 60)
-	funcs := Registry()
+	funcs := tableIFuncs(t)
 	want := ComputeAllSerial(b, funcs)
 	for round := 0; round < 3; round++ {
 		got := computeAll(t, b, funcs)
@@ -92,7 +92,7 @@ func TestComputeMatrixParallelMatchesSerial(t *testing.T) {
 func TestPackedRegistryMatchesFallback(t *testing.T) {
 	b := parallelTestBlock(t, 30)
 	fallback := fallbackCompare(b)
-	for _, f := range Registry() {
+	for _, f := range tableIFuncs(t) {
 		packed := ComputeMatrixSerial(b, f)
 		for i := range b.Docs {
 			for j := i + 1; j < len(b.Docs); j++ {
@@ -108,8 +108,9 @@ func TestPackedRegistryMatchesFallback(t *testing.T) {
 // sizes.
 func TestComputeAllSmallBlock(t *testing.T) {
 	b := parallelTestBlock(t, 6)
-	got := computeAll(t, b, Registry())
-	want := ComputeAllSerial(b, Registry())
+	funcs := tableIFuncs(t)
+	got := computeAll(t, b, funcs)
+	want := ComputeAllSerial(b, funcs)
 	for id, wm := range want {
 		for k, v := range wm.Values() {
 			if gv := got[id].Values()[k]; gv != v {
@@ -118,11 +119,11 @@ func TestComputeAllSmallBlock(t *testing.T) {
 		}
 	}
 	empty := &Block{Name: "empty"}
-	if ms := computeAll(t, empty, Registry()); len(ms) != 10 {
+	if ms := computeAll(t, empty, funcs); len(ms) != 10 {
 		t.Fatalf("empty block: %d matrices", len(ms))
 	}
 	one := &Block{Name: "one", Docs: make([]Doc, 1)}
-	for _, m := range computeAll(t, one, Registry()) {
+	for _, m := range computeAll(t, one, funcs) {
 		if m.Len() != 1 || m.Pairs() != 0 {
 			t.Fatalf("one-doc block: dim %d pairs %d", m.Len(), m.Pairs())
 		}

@@ -55,9 +55,9 @@ func prepareBlockReference(col *corpus.Collection, fe *extract.FeatureExtractor)
 
 // fallbackCompare is the ten functions over the map and string forms of a
 // prepared block's documents — unpacked vectors, Features strings, the map
-// measures — as Registry evaluated them on a Doc without packed fields
-// while it had that leg. It returns Compare by document positions, per
-// function ID.
+// measures — as the Table I functions evaluated them on a Doc without
+// packed fields while they had that leg. It returns Compare by document
+// positions, per function ID.
 func fallbackCompare(b *Block) map[string]func(i, j int) float64 {
 	terms := make([]textsim.SparseVector, len(b.Docs))
 	concepts := make([]textsim.SparseVector, len(b.Docs))

@@ -426,9 +426,9 @@ func (pk *packer) pack(n int, entry func(j int) (id int32, w float64)) *textsim.
 }
 
 // Func is one pairwise similarity function with its Table I metadata.
-// The functions returned by Registry also carry unexported evaluation hints
-// derived from their Compare, so build a custom function from a fresh
-// literal rather than by replacing a registry function's Compare.
+// The Table I functions ByID and Subset return also carry unexported
+// evaluation hints derived from their Compare, so build a custom function
+// from a fresh literal rather than by replacing a Table I function's Compare.
 type Func struct {
 	// ID is the paper's function label ("F1" … "F10").
 	ID string
@@ -527,11 +527,10 @@ func overlapFunc(id, feature, measure string, set func(*Doc) []int32) Func {
 	}
 }
 
-// Registry returns the ten similarity functions in order F1..F10. The
-// returned slice is freshly allocated; callers may subset it (the paper's
-// I4/I7/I10 experiments use {F4,F5,F7,F9}, {F3,F4,F5,F7,F8,F9,F10} and all
-// ten, respectively).
-func Registry() []Func {
+// tableI is the paper's Table I: the ten similarity functions in order
+// F1..F10, built once. ByID and Subset hand out copies of its entries and
+// nothing writes it.
+var tableI = func() []Func {
 	concepts := func(d *Doc) *textsim.PackedVector { return d.ConceptPacked }
 	words := func(d *Doc) *textsim.PackedVector { return d.Packed }
 	return []Func{
@@ -565,11 +564,11 @@ func Registry() []Func {
 		vectorFunc("F10", "TF-IDF words vector", "Extended Jaccard similarity",
 			&vectorJoin{vec: words, ofDot: textsim.PackedExtendedJaccardOfDot}),
 	}
-}
+}()
 
-// ByID returns the registered function with the given ID.
+// ByID returns the Table I function with the given ID.
 func ByID(id string) (Func, error) {
-	for _, f := range Registry() {
+	for _, f := range tableI {
 		if f.ID == id {
 			return f, nil
 		}
@@ -577,8 +576,9 @@ func ByID(id string) (Func, error) {
 	return Func{}, fmt.Errorf("simfn: unknown function %q", id)
 }
 
-// Subset returns the registered functions with the given IDs, in the given
-// order.
+// Subset returns the Table I functions with the given IDs, in the given
+// order, in a new slice: Subset(SubsetI10) is the whole table (the paper's
+// I4/I7/I10 experiments use SubsetI4, SubsetI7 and SubsetI10).
 func Subset(ids []string) ([]Func, error) {
 	out := make([]Func, 0, len(ids))
 	for _, id := range ids {

@@ -35,10 +35,20 @@ func computeAll(tb testing.TB, b *Block, funcs []Func) map[string]*Matrix {
 	return ms
 }
 
+// tableIFuncs is Subset(SubsetI10), the whole of Table I.
+func tableIFuncs(tb testing.TB) []Func {
+	tb.Helper()
+	funcs, err := Subset(SubsetI10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return funcs
+}
+
 func TestRegistryMetadata(t *testing.T) {
-	funcs := Registry()
+	funcs := tableIFuncs(t)
 	if len(funcs) != 10 {
-		t.Fatalf("registry size = %d, want 10", len(funcs))
+		t.Fatalf("Table I size = %d, want 10", len(funcs))
 	}
 	seen := make(map[string]bool)
 	for i, f := range funcs {
@@ -89,10 +99,29 @@ func TestByIDAndSubset(t *testing.T) {
 	}
 }
 
+// TestSubsetHandsOutCopies pins that Table I, built once and shared by
+// every resolver, is read-only to its callers: writing into a slice Subset
+// returned changes nothing a later Subset returns.
+func TestSubsetHandsOutCopies(t *testing.T) {
+	planted := func(a, b *Doc) float64 { return 2 }
+	first := tableIFuncs(t)
+	for i := range first {
+		first[i] = Func{ID: "X", Compare: planted}
+	}
+	for i, f := range tableIFuncs(t) {
+		if f.ID != SubsetI10[i] || f.Feature == "" || f.Compare == nil {
+			t.Fatalf("after writes into earlier results, Subset(SubsetI10)[%d] = %q %q", i, f.ID, f.Feature)
+		}
+		if s := f.Compare(&Doc{}, &Doc{}); s != 0 {
+			t.Fatalf("after writes into earlier results, %s scores two empty documents %v, want 0", f.ID, s)
+		}
+	}
+}
+
 func TestAllFunctionsBoundedAndSymmetric(t *testing.T) {
 	b := testBlock(t, 42)
 	rng := stats.NewRNG(1)
-	for _, f := range Registry() {
+	for _, f := range tableIFuncs(t) {
 		for trial := 0; trial < 200; trial++ {
 			i, j := rng.Intn(len(b.Docs)), rng.Intn(len(b.Docs))
 			s := f.Compare(&b.Docs[i], &b.Docs[j])
@@ -113,7 +142,7 @@ func TestFunctionsCarrySignal(t *testing.T) {
 	// that similarity functions carry identity signal at all.
 	b := testBlock(t, 7)
 	signal := 0
-	for _, f := range Registry() {
+	for _, f := range tableIFuncs(t) {
 		var sameSum, diffSum float64
 		var sameN, diffN int
 		for i := 0; i < len(b.Docs); i++ {
