@@ -3,9 +3,12 @@
 // The paper blocks pages by exact person name and notes that "in general,
 // one needs to consider the applicable blocking schemes more carefully."
 // This example builds a mixed record set where names appear in several
-// written variants ("John Smith", "Smith, John", "J. Smith") and measures
-// each scheme's pair completeness (recall of true pairs) against its
-// reduction ratio (how much of the quadratic comparison space it prunes).
+// written variants ("John Smith", "Smith, John", "J. Smith"), blocks it as
+// the resolution pipeline does — each connected component of a scheme's
+// candidate pairs is one block, compared pair by pair — and measures each
+// scheme's candidate recall (the share of true pairs that land in one
+// block, eval.CandidateRecall) against the pairs the blocks leave to
+// compare.
 //
 // Run with:
 //
@@ -16,6 +19,8 @@ import (
 	"fmt"
 
 	"repro/internal/blocking"
+	"repro/internal/ergraph"
+	"repro/internal/eval"
 )
 
 func main() {
@@ -35,7 +40,9 @@ func main() {
 		{ID: 10, Keys: []string{"F. Pereira", "Fernando C. Pereira"}},
 		{ID: 11, Keys: []string{"Pereira, Fernando"}},
 	}
-	labels := []int{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3}
+	// truth groups the records by real person: the blocking in which
+	// every true pair shares a block.
+	truth := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}}
 
 	schemes := []struct {
 		name   string
@@ -47,17 +54,44 @@ func main() {
 		{"canopy (0.3 / 0.8)", blocking.Canopy{Loose: 0.3, Tight: 0.8}},
 	}
 
-	fmt.Println("scheme                      pairs  completeness  reduction")
+	all := len(records) * (len(records) - 1) / 2
+	fmt.Println("scheme                      pairs  blocks  recall  compared")
 	for _, s := range schemes {
 		pairs := s.scheme.Candidates(records)
-		st := blocking.Evaluate(pairs, labels)
-		fmt.Printf("%-26s %6d        %.3f      %.3f\n",
-			s.name, st.Candidates, st.PairCompleteness, st.ReductionRatio)
+		blocks := components(len(records), pairs)
+		compared := 0
+		for _, b := range blocks {
+			compared += len(b) * (len(b) - 1) / 2
+		}
+		fmt.Printf("%-26s %6d  %6d   %.3f  %3d of %d\n",
+			s.name, len(pairs), len(blocks), eval.CandidateRecall(truth, blocks), compared, all)
 	}
 
 	fmt.Println("\nExact-key blocking misses every name-variant pair; token blocking")
-	fmt.Println("recovers pairs sharing a surname token; canopy clustering with a")
-	fmt.Println("cheap Jaccard similarity trades a little reduction for the variant")
-	fmt.Println("pairs that matter. The similarity stage then prunes false")
+	fmt.Println("and canopy clustering keep them all while leaving a fraction of")
+	fmt.Println("the pairs to compare; the sorted neighborhood chains its windows")
+	fmt.Println("into one block. Within a block the similarity stage prunes false")
 	fmt.Println("candidates, so blocking recall is what counts.")
+}
+
+// components blocks the records as the pipeline does: the connected
+// components of the candidate pairs, in order of their smallest member.
+func components(n int, pairs []blocking.Pair) [][]int {
+	uf := ergraph.NewUnionFind(n)
+	for _, p := range pairs {
+		uf.Union(p.A, p.B)
+	}
+	slot := map[int]int{}
+	var blocks [][]int
+	for i := 0; i < n; i++ {
+		root := uf.Find(i)
+		k, ok := slot[root]
+		if !ok {
+			k = len(blocks)
+			slot[root] = k
+			blocks = append(blocks, nil)
+		}
+		blocks[k] = append(blocks[k], i)
+	}
+	return blocks
 }

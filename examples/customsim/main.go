@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -128,7 +129,7 @@ func main() {
 	}
 	domainMatrix := simfn.ComputeMatrix(block, domainSim)
 	fmt.Printf("\nkeyed function %s (%s): %d pairs over %d distinct domains, %d Compare calls\n",
-		domainSim.ID, domainSim.Feature, domainMatrix.Pairs(), len(domains), domainCompares.Load())
+		domainSim.ID, domainSim.Feature, len(domainMatrix.Values()), len(domains), domainCompares.Load())
 
 	// Build both decision graphs and cluster by transitive closure.
 	truth := col.GroundTruth()
@@ -137,7 +138,7 @@ func main() {
 		decide func(v float64) bool
 	}{
 		{"threshold", func(v float64) bool { return v >= threshold }},
-		{"k-means regions", est.Decide},
+		{"k-means regions", func(v float64) bool { return est.Linked[km.Region(v)] }},
 	} {
 		g := ergraph.NewGraph(len(block.Docs))
 		for i := 0; i < len(block.Docs); i++ {
@@ -149,13 +150,15 @@ func main() {
 				}
 			}
 		}
+		// Components are labeled densely from 0, so the largest label
+		// counts the entities.
 		labels := g.ConnectedComponents()
 		score, err := eval.Evaluate(labels, truth)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\n%-16s: %d entities, Fp=%.4f F=%.4f Rand=%.4f",
-			crit.label, ergraph.NumClusters(labels), score.Fp, score.F, score.Rand)
+			crit.label, slices.Max(labels)+1, score.Fp, score.F, score.Rand)
 	}
 	fmt.Println()
 	fmt.Println("\nLocation overlap alone is a weak identity signal (many people share")

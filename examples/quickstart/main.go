@@ -1,10 +1,11 @@
 // Quickstart: resolve one ambiguous person name end to end.
 //
 // The example generates a small synthetic web collection for the name
-// "cohen" (40 pages, 4 real persons), runs the full entity-resolution
-// pipeline — similarity functions, trained decision criteria, best-graph
-// combination, transitive closure — and prints the discovered entities with
-// their quality against the ground truth.
+// "cohen" (40 pages, 4 real persons), runs it through the resolution
+// pipeline ersolve serves — blocking, similarity functions, trained
+// decision criteria, best-graph combination, transitive closure — and
+// prints the discovered entities with their quality against the ground
+// truth.
 //
 // Run with:
 //
@@ -16,9 +17,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/eval"
+	"repro/internal/pipeline"
 )
 
 func main() {
@@ -39,20 +39,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. A resolver with the paper's default setup: all ten similarity
-	//    functions, 10% training sample, 10 accuracy regions, transitive
-	//    closure.
-	resolver, err := core.New(core.DefaultOptions())
+	// 2. A pipeline with the paper's default setup: one block per name,
+	//    all ten similarity functions, 10% training sample, 10 accuracy
+	//    regions, the best decision graph, transitive closure. Score asks
+	//    it to grade each block against the ground truth the collection
+	//    carries (available here because the data is synthetic; on real
+	//    collections this needs manual labels).
+	pl, err := pipeline.New(pipeline.Config{Score: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 3. Resolve: partition the pages so that two pages share a partition
 	//    iff they are about the same real person.
-	res, err := resolver.ResolveCtx(context.Background(), col)
+	results, err := pl.Run(context.Background(), []*corpus.Collection{col})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := results[0].Resolution
 
 	fmt.Printf("collection %q: %d pages, %d true persons\n",
 		col.Name, len(col.Docs), col.NumPersonas)
@@ -72,11 +76,7 @@ func main() {
 		}
 	}
 
-	// 5. Score against ground truth (available here because the data is
-	//    synthetic; on real collections this needs manual labels).
-	score, err := eval.Evaluate(res.Labels, col.GroundTruth())
-	if err != nil {
-		log.Fatal(err)
-	}
+	// 5. The quality the pipeline scored.
+	score := results[0].Score
 	fmt.Printf("\nquality: Fp=%.4f  F=%.4f  Rand=%.4f\n", score.Fp, score.F, score.Rand)
 }

@@ -48,7 +48,7 @@ func main() {
 
 		// Each function alone, with its trained threshold.
 		for _, id := range simfn.SubsetI10 {
-			res, err := analysis.SingleFunction(id, core.ThresholdCriterion)
+			res, err := analysis.BestOver([]string{id}, core.ThresholdCriterion)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,7 +1,7 @@
 // Weps: the WePS-2-style clustering task — resolve the 10 ACL-style names
-// of the synthetic WePS dataset and report the official WePS measures
-// (B-Cubed precision/recall/F) alongside the paper's Fp-measure, comparing
-// transitive closure against correlation clustering as the final step.
+// of the synthetic WePS dataset and report the paper's measures (Fp,
+// pairwise F and Rand) per name, comparing transitive closure against
+// correlation clustering as the final step.
 //
 // Run with:
 //
@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("name         entities  method                  Fp      B3-P    B3-R    B3-F")
+	fmt.Println("name         entities  method                  Fp      F       Rand")
 	var fpClosure, fpCorrelation []eval.Result
 	for i, col := range acl.Collections {
 		truth := col.GroundTruth()
@@ -65,13 +65,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			b3, err := eval.BCubed(res.Labels, truth)
-			if err != nil {
-				log.Fatal(err)
-			}
 			*m.sink = append(*m.sink, score)
-			fmt.Printf("%-12s %5d     %-20s  %.4f  %.4f  %.4f  %.4f\n",
-				col.Name, res.NumEntities(), m.label, score.Fp, b3.Precision, b3.Recall, b3.F)
+			fmt.Printf("%-12s %5d     %-20s  %.4f  %.4f  %.4f\n",
+				col.Name, res.NumEntities(), m.label, score.Fp, score.F, score.Rand)
 		}
 	}
 

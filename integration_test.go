@@ -70,7 +70,7 @@ func TestFrameworkBeatsEveryFunctionOnAverage(t *testing.T) {
 		}
 		truth := col.GroundTruth()
 		for _, id := range simfn.SubsetI10 {
-			res, err := a.SingleFunction(id, core.ThresholdCriterion)
+			res, err := a.BestOver([]string{id}, core.ThresholdCriterion)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -446,46 +446,3 @@ func CombineIDs(memberHashes []uint64) uint64 {
 func DocHash(colName string, pos int, url, text string, persona int) uint64 {
 	return HashKey(colName, strconv.Itoa(pos), url, text, strconv.Itoa(persona))
 }
-
-// Stats summarizes a candidate set against ground truth: how many true
-// pairs were retained (pair completeness / recall) and how much of the
-// quadratic comparison space was pruned (reduction ratio).
-type Stats struct {
-	// Candidates is the number of generated pairs.
-	Candidates int
-	// PairCompleteness is the fraction of true matching pairs covered.
-	PairCompleteness float64
-	// ReductionRatio is 1 − candidates / allPairs.
-	ReductionRatio float64
-}
-
-// Evaluate computes blocking quality for records whose true partition is
-// given as labels indexed by record ID.
-func Evaluate(pairs []Pair, labels []int) Stats {
-	n := len(labels)
-	total := n * (n - 1) / 2
-	truePairs := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if labels[i] == labels[j] {
-				truePairs++
-			}
-		}
-	}
-	covered := 0
-	for _, p := range pairs {
-		if p.A >= 0 && p.B < n && labels[p.A] == labels[p.B] {
-			covered++
-		}
-	}
-	st := Stats{Candidates: len(pairs)}
-	if truePairs > 0 {
-		st.PairCompleteness = float64(covered) / float64(truePairs)
-	} else {
-		st.PairCompleteness = 1
-	}
-	if total > 0 {
-		st.ReductionRatio = 1 - float64(len(pairs))/float64(total)
-	}
-	return st
-}

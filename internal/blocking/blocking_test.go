@@ -125,28 +125,6 @@ func TestCanopyCustomSim(t *testing.T) {
 	}
 }
 
-func TestEvaluate(t *testing.T) {
-	// 4 records, truth {0,1} {2,3}: true pairs (0,1) and (2,3).
-	labels := []int{0, 0, 1, 1}
-	pairs := []Pair{{0, 1}, {1, 2}}
-	st := Evaluate(pairs, labels)
-	if st.Candidates != 2 {
-		t.Errorf("candidates = %d", st.Candidates)
-	}
-	if st.PairCompleteness != 0.5 {
-		t.Errorf("completeness = %v, want 0.5 (one of two true pairs)", st.PairCompleteness)
-	}
-	// 6 total pairs, 2 candidates → reduction 2/3.
-	if st.ReductionRatio < 0.66 || st.ReductionRatio > 0.67 {
-		t.Errorf("reduction = %v, want ~0.667", st.ReductionRatio)
-	}
-	// No true pairs → vacuous completeness 1.
-	st = Evaluate(nil, []int{0, 1, 2})
-	if st.PairCompleteness != 1 {
-		t.Errorf("vacuous completeness = %v", st.PairCompleteness)
-	}
-}
-
 func TestAllSchemesPairInvariantsProperty(t *testing.T) {
 	schemes := map[string]Scheme{
 		"exact":  ExactKey{},

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/ergraph"
 	"repro/internal/simfn"
 )
@@ -157,5 +161,68 @@ func TestGraphFromScores(t *testing.T) {
 	}
 	if g.HasEdge(0, 2) {
 		t.Error("edge below threshold present")
+	}
+}
+
+// TestNilPoolMatchesWholeAnalysis pins the nil pool: BestOver(nil, …)
+// resolves with the graph SelectBestGraph picks over every graph, for each
+// single criterion and for AllCriteria, and WeightedAverageOver(nil) fuses
+// bestPerFunction(a.Graphs) — the same labels and Source, on WWW'05 blocks
+// under both final clusterings. Each side clusters in its own analysis of
+// the same run seed, so correlation clustering draws the same pivots.
+func TestNilPoolMatchesWholeAnalysis(t *testing.T) {
+	d, err := corpus.WWW05Profile().Generate(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(label string, got *Resolution, err error, want *Resolution) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got.Source != want.Source || !slices.Equal(got.Labels, want.Labels) {
+			t.Errorf("%s: got %s %v, want %s %v", label, got.Source, got.Labels, want.Source, want.Labels)
+		}
+	}
+	pools := [][]CriterionKind{{ThresholdCriterion}, {EqualBinsCriterion}, {KMeansCriterion}, AllCriteria}
+	for _, clustering := range []ClusteringMethod{TransitiveClosure, CorrelationClustering} {
+		opts := DefaultOptions()
+		opts.Clustering = clustering
+		r, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, col := range d.Collections[:3] {
+			prep, err := r.PrepareCtx(context.Background(), col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func() *Analysis {
+				a, err := prep.Run(int64(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			block := fmt.Sprintf("%v %s", clustering, col.Name)
+			for _, crit := range pools {
+				ref := run()
+				best, err := SelectBestGraph(ref.Graphs, crit...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := &Resolution{Labels: ref.cluster(best.Graph), Source: best.Label()}
+				got, err := run().BestOver(nil, crit...)
+				same(fmt.Sprintf("%s BestOver(nil, %v)", block, crit), got, err, want)
+			}
+			ref := run()
+			combined, threshold, err := WeightedAverageGraph(bestPerFunction(ref.Graphs), ref.Prepared.Matrices, ref.Train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &Resolution{Labels: ref.cluster(combined), Source: fmt.Sprintf("weighted-average(th=%.3f)", threshold)}
+			got, err := run().WeightedAverageOver(nil)
+			same(block+" WeightedAverageOver(nil)", got, err, want)
+		}
 	}
 }

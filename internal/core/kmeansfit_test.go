@@ -32,7 +32,7 @@ func BenchmarkFitKMeans1D(b *testing.B) {
 		b.Run(fmt.Sprintf("block=%d", docs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, s := range samples {
-					if _, err := regions.FitKMeans1DOrdered(s.values, s.order, k); err != nil {
+					if _, err := new(regions.Scratch).FitKMeans1DOrdered(s.values, s.order, k); err != nil {
 						b.Fatal(err)
 					}
 				}

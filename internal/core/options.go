@@ -69,7 +69,10 @@ type Options struct {
 	RegionK int
 	// Clustering is the final clustering step.
 	Clustering ClusteringMethod
-	// Seed is the run seed ResolveCtx passes to Prepared.Run: it draws the
+	// Seed is the base run seed. The pipeline derives each block's run
+	// seed from it (stats.SplitSeedN by block position in Run,
+	// stats.SplitSeed by block fingerprint in RunIncremental), and
+	// ResolveCtx passes it to Prepared.Run as it is. A run seed draws the
 	// training sample and, under CorrelationClustering, the pivot order.
 	Seed int64
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/ergraph"
@@ -243,42 +244,17 @@ func (a *Analysis) cluster(g *ergraph.Graph) []int {
 	}
 }
 
-// BestThresholdOnly resolves with the best threshold-criterion graph (the
-// paper's I columns: "maximal performance considering just the threshold-
-// based technique").
-func (a *Analysis) BestThresholdOnly() (*Resolution, error) {
-	best, err := SelectBestGraph(a.Graphs, ThresholdCriterion)
-	if err != nil {
-		return nil, err
-	}
-	return &Resolution{Labels: a.cluster(best.Graph), Source: best.Label()}, nil
-}
-
 // BestAnyCriterion resolves with the best graph over all decision criteria
 // (the paper's C columns: "chose the best decision criteria, based on
 // accuracy estimation of the regions" — the combination that performed
-// best in the paper).
+// best in the paper). It is BestOver(nil, AllCriteria...) without building
+// the pool, the pipeline's default strategy.
 func (a *Analysis) BestAnyCriterion() (*Resolution, error) {
 	best, err := SelectBestGraph(a.Graphs, AllCriteria...)
 	if err != nil {
 		return nil, err
 	}
 	return &Resolution{Labels: a.cluster(best.Graph), Source: best.Label()}, nil
-}
-
-// WeightedAverage resolves with the accuracy-weighted average combination
-// (the paper's W column). Each function is represented by its best
-// criterion's graph.
-func (a *Analysis) WeightedAverage() (*Resolution, error) {
-	per := bestPerFunction(a.Graphs)
-	combined, threshold, err := WeightedAverageGraph(per, a.Prepared.Matrices, a.Train)
-	if err != nil {
-		return nil, err
-	}
-	return &Resolution{
-		Labels: a.cluster(combined),
-		Source: fmt.Sprintf("weighted-average(th=%.3f)", threshold),
-	}, nil
 }
 
 // MajorityVote resolves with the simple majority-vote fusion over each
@@ -292,53 +268,26 @@ func (a *Analysis) MajorityVote() (*Resolution, error) {
 	return &Resolution{Labels: a.cluster(combined), Source: "majority-vote"}, nil
 }
 
-// SingleFunction resolves with one function under one criterion — the
-// per-function bars of Figures 2 and 3 and the F1..F10 columns of Table III
-// use the threshold criterion.
-func (a *Analysis) SingleFunction(funcID string, crit CriterionKind) (*Resolution, error) {
-	for _, g := range a.Graphs {
-		if g.FuncID == funcID && g.Criterion == crit {
-			return &Resolution{Labels: a.cluster(g.Graph), Source: g.Label()}, nil
-		}
-	}
-	return nil, fmt.Errorf("core: no graph for %s/%s", funcID, crit)
-}
-
-// Graph returns the decision graph for (funcID, crit), for inspection
-// (Figure 1 reads the k-means estimate of F3 this way).
-func (a *Analysis) Graph(funcID string, crit CriterionKind) (*DecisionGraph, error) {
-	for _, g := range a.Graphs {
-		if g.FuncID == funcID && g.Criterion == crit {
-			return g, nil
-		}
-	}
-	return nil, fmt.Errorf("core: no graph for %s/%s", funcID, crit)
-}
-
-// GraphsFor returns the decision graphs restricted to the given function
-// IDs and criteria — the mechanism behind the paper's I4/I7/I10 and
-// C4/C7/C10 columns, which select the best graph from different candidate
-// pools.
+// GraphsFor returns the pool of decision graphs of the given functions
+// under the given criteria, in a.Graphs order; nil funcIDs stands for every
+// function the analysis built. The paper's I4/I7/I10 and C4/C7/C10 columns
+// select from such pools, and one function under one criterion is a pool
+// of one graph (the per-function bars of Figures 2 and 3 and the F1..F10
+// columns of Table III).
 func (a *Analysis) GraphsFor(funcIDs []string, criteria ...CriterionKind) []*DecisionGraph {
-	wantFunc := make(map[string]bool, len(funcIDs))
-	for _, id := range funcIDs {
-		wantFunc[id] = true
-	}
-	wantCrit := make(map[CriterionKind]bool, len(criteria))
-	for _, c := range criteria {
-		wantCrit[c] = true
-	}
 	var out []*DecisionGraph
 	for _, g := range a.Graphs {
-		if wantFunc[g.FuncID] && wantCrit[g.Criterion] {
+		if (funcIDs == nil || slices.Contains(funcIDs, g.FuncID)) && slices.Contains(criteria, g.Criterion) {
 			out = append(out, g)
 		}
 	}
 	return out
 }
 
-// BestOver resolves with the best graph among the given functions and
-// criteria, selected by training accuracy.
+// BestOver resolves with the best graph of the pool GraphsFor(funcIDs,
+// criteria...), selected by SelectBestGraph; ties break towards the earlier
+// graph. BestOver(nil, ThresholdCriterion) is the paper's I column over all
+// functions.
 func (a *Analysis) BestOver(funcIDs []string, criteria ...CriterionKind) (*Resolution, error) {
 	best, err := SelectBestGraph(a.GraphsFor(funcIDs, criteria...), criteria...)
 	if err != nil {
@@ -347,8 +296,9 @@ func (a *Analysis) BestOver(funcIDs []string, criteria ...CriterionKind) (*Resol
 	return &Resolution{Labels: a.cluster(best.Graph), Source: best.Label()}, nil
 }
 
-// WeightedAverageOver resolves with the weighted-average combination
-// restricted to the given functions.
+// WeightedAverageOver resolves with the accuracy-weighted average
+// combination (the paper's W column) of the given functions, nil for every
+// function; each function is represented by its best criterion's graph.
 func (a *Analysis) WeightedAverageOver(funcIDs []string) (*Resolution, error) {
 	per := bestPerFunction(a.GraphsFor(funcIDs, AllCriteria...))
 	combined, threshold, err := WeightedAverageGraph(per, a.Prepared.Matrices, a.Train)
@@ -365,7 +315,8 @@ func (a *Analysis) WeightedAverageOver(funcIDs []string) (*Resolution, error) {
 // seed and the paper's best-performing combination (best graph over all
 // criteria, then clustering). A canceled or timed-out context aborts the
 // preparation stage (feature extraction and pairwise matrices) and returns
-// ctx.Err().
+// ctx.Err(). No entry point calls it — they resolve through the pipeline
+// — it is the one-collection reference the pipeline is tested against.
 func (r *Resolver) ResolveCtx(ctx context.Context, col *corpus.Collection) (*Resolution, error) {
 	prep, err := r.PrepareCtx(ctx, col)
 	if err != nil {

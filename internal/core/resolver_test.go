@@ -113,9 +113,9 @@ func TestAllStrategiesProduceValidClusterings(t *testing.T) {
 		t.Fatal(err)
 	}
 	strategies := map[string]func() (*Resolution, error){
-		"I": a.BestThresholdOnly,
+		"I": func() (*Resolution, error) { return a.BestOver(nil, ThresholdCriterion) },
 		"C": a.BestAnyCriterion,
-		"W": a.WeightedAverage,
+		"W": func() (*Resolution, error) { return a.WeightedAverageOver(nil) },
 		"M": a.MajorityVote,
 	}
 	truth := col.GroundTruth()
@@ -156,24 +156,24 @@ func TestSingleFunctionAndGraphLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.SingleFunction("F8", ThresholdCriterion)
+	res, err := a.BestOver([]string{"F8"}, ThresholdCriterion)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Labels) != 30 {
-		t.Fatalf("labels = %d", len(res.Labels))
+	if len(res.Labels) != 30 || res.Source != "F8/threshold" {
+		t.Fatalf("labels = %d, source %q", len(res.Labels), res.Source)
 	}
-	if _, err := a.SingleFunction("F99", ThresholdCriterion); err == nil {
+	if _, err := a.BestOver([]string{"F99"}, ThresholdCriterion); err == nil {
 		t.Error("unknown function accepted")
 	}
-	g, err := a.Graph("F3", KMeansCriterion)
-	if err != nil {
-		t.Fatal(err)
+	pool := a.GraphsFor([]string{"F3"}, KMeansCriterion)
+	if len(pool) != 1 {
+		t.Fatalf("F3 k-means pool has %d graphs", len(pool))
 	}
-	if g.Estimate == nil {
+	if pool[0].Estimate == nil {
 		t.Error("k-means graph missing estimate")
 	}
-	if _, err := a.Graph("F3", CriterionKind(9)); err == nil {
+	if pool := a.GraphsFor([]string{"F3"}, CriterionKind(9)); len(pool) != 0 {
 		t.Error("unknown criterion accepted")
 	}
 }

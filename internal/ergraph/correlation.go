@@ -149,12 +149,3 @@ func canonicalize(labels []int) []int {
 	}
 	return out
 }
-
-// NumClusters returns the number of distinct labels.
-func NumClusters(labels []int) int {
-	seen := make(map[int]struct{})
-	for _, l := range labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
-}

@@ -21,11 +21,3 @@ func ExampleFpMeasure() {
 	fmt.Printf("%.2f\n", fp)
 	// Output: 1.00
 }
-
-func ExampleBCubed() {
-	truth := []int{0, 0, 1, 1}
-	pred := []int{0, 0, 0, 1}
-	b, _ := eval.BCubed(pred, truth)
-	fmt.Printf("P=%.2f R=%.2f\n", b.Precision, b.Recall)
-	// Output: P=0.67 R=0.75
-}

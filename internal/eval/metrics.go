@@ -1,9 +1,9 @@
 // Package eval implements the clustering-quality measures of the paper's
-// evaluation (Section V-A.3): pairwise precision/recall/F-measure, the
-// Fp-measure (harmonic mean of purity and inverse purity), and the Rand
-// index; plus B-Cubed (the official WePS-2 measure) as an extension. All
-// metrics compare a predicted clustering against a reference clustering
-// given as parallel label slices.
+// evaluation (Section V-A.3) — the Fp-measure (harmonic mean of purity and
+// inverse purity), the pairwise F-measure and the Rand index, each
+// comparing a predicted clustering against a reference clustering given as
+// parallel label slices — plus candidate recall, the pair-level recall of
+// a blocking.
 package eval
 
 import (
@@ -139,39 +139,6 @@ func RandIndex(pred, truth []int) (float64, error) {
 		}
 	}
 	return agree / total, nil
-}
-
-// BCubed computes B-Cubed precision, recall and F (Bagga & Baldwin), the
-// official WePS-2 measure: per-document precision is the fraction of the
-// document's predicted cluster sharing its true class, per-document recall
-// the fraction of its true class found in its predicted cluster.
-func BCubed(pred, truth []int) (PairScores, error) {
-	if err := checkLabels(pred, truth); err != nil {
-		return PairScores{}, err
-	}
-	n := len(pred)
-	var pSum, rSum float64
-	for i := 0; i < n; i++ {
-		var sameCluster, sameClass, both int
-		for j := 0; j < n; j++ {
-			sc := pred[j] == pred[i]
-			st := truth[j] == truth[i]
-			if sc {
-				sameCluster++
-			}
-			if st {
-				sameClass++
-			}
-			if sc && st {
-				both++
-			}
-		}
-		pSum += float64(both) / float64(sameCluster)
-		rSum += float64(both) / float64(sameClass)
-	}
-	p := pSum / float64(n)
-	r := rSum / float64(n)
-	return PairScores{Precision: p, Recall: r, F: stats.Harmonic(p, r)}, nil
 }
 
 func checkLabels(pred, truth []int) error {

@@ -113,7 +113,8 @@ func (pd *preparedDataset) averageStrategy(ctx context.Context, cfg Config, s st
 	return pipeline.AverageRuns(ctx, pd.prepared, pd.truths, cfg.Runs, cfg.runSeeds(), cfg.options(), s)
 }
 
-// Strategy constructors shared by Table II and the figures.
+// Strategy constructors shared by Table II and the figures; one function
+// alone is the pool of one, bestThreshold([]string{id}).
 
 func bestThreshold(ids []string) strategy {
 	return func(a *core.Analysis) (*core.Resolution, error) {
@@ -130,12 +131,6 @@ func bestAnyCriterion(ids []string) strategy {
 func weightedAverage(ids []string) strategy {
 	return func(a *core.Analysis) (*core.Resolution, error) {
 		return a.WeightedAverageOver(ids)
-	}
-}
-
-func singleFunction(id string) strategy {
-	return func(a *core.Analysis) (*core.Resolution, error) {
-		return a.SingleFunction(id, core.ThresholdCriterion)
 	}
 }
 

@@ -50,11 +50,11 @@ func Figure1(ctx context.Context, cfg Config) (*Figure1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dg, err := a.Graph(funcID, core.KMeansCriterion)
-	if err != nil {
-		return nil, err
+	pool := a.GraphsFor([]string{funcID}, core.KMeansCriterion)
+	if len(pool) != 1 {
+		return nil, fmt.Errorf("experiments: %d %s k-means graphs, want 1", len(pool), funcID)
 	}
-	est := dg.Estimate
+	est := pool[0].Estimate
 	res := &Figure1Result{
 		FuncID:     funcID,
 		Name:       name,

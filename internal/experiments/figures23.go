@@ -45,7 +45,7 @@ func Figure3(ctx context.Context, cfg Config) (*FunctionFigure, error) {
 func functionFigure(ctx context.Context, cfg Config, pd *preparedDataset, title string) (*FunctionFigure, error) {
 	table := eval.NewTable(title, figureColumns...)
 	for _, id := range allFunctionIDs {
-		r, err := pd.averageStrategy(ctx, cfg, singleFunction(id))
+		r, err := pd.averageStrategy(ctx, cfg, bestThreshold([]string{id}))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", id, err)
 		}

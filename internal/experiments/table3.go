@@ -39,7 +39,7 @@ func TableIII(ctx context.Context, cfg Config) (*eval.Table, error) {
 				return nil, err
 			}
 			for _, id := range simfn.SubsetI10 {
-				res, err := a.SingleFunction(id, core.ThresholdCriterion)
+				res, err := a.BestOver([]string{id}, core.ThresholdCriterion)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: %s/%s: %w", name, id, err)
 				}
@@ -59,7 +59,7 @@ func TableIII(ctx context.Context, cfg Config) (*eval.Table, error) {
 			}
 			cells["C10"] += fp
 
-			w, err := a.WeightedAverage()
+			w, err := a.WeightedAverageOver(nil)
 			if err != nil {
 				return nil, err
 			}

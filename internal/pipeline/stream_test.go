@@ -130,8 +130,12 @@ func TestTwoConfigurationsResolveAtOnce(t *testing.T) {
 	}
 	other := core.DefaultOptions()
 	other.RegionK, other.Seed = 5, 9
+	weighted, err := ParseStrategy("weighted")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pls []*Pipeline
-	for _, cfg := range []Config{{Score: true}, {Options: other, Strategy: (*core.Analysis).WeightedAverage}} {
+	for _, cfg := range []Config{{Score: true}, {Options: other, Strategy: weighted}} {
 		pl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

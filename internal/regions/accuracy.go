@@ -74,13 +74,6 @@ func (e *AccuracyEstimate) LinkProbability(v float64) float64 {
 	return e.Accuracy[e.Part.Region(v)]
 }
 
-// Decide reports whether a pair with similarity v should be linked under
-// the region-accuracy criterion: link iff the region's estimated link
-// probability is at least 0.5 (the region's majority class is "link").
-func (e *AccuracyEstimate) Decide(v float64) bool {
-	return e.Linked[e.Part.Region(v)]
-}
-
 // Variation returns max − min of the per-region accuracies over supported
 // regions, quantifying the paper's observation that "the accuracy values
 // varied significantly" across regions. It returns 0 when fewer than two

@@ -87,7 +87,8 @@ type KMeans1D struct {
 // value the fit is one region with a NaN center. It returns an error for
 // empty input or k < 1.
 func FitKMeans1D(values []float64, k int) (*KMeans1D, error) {
-	return FitKMeans1DOrdered(values, Ascending(values), k)
+	var s Scratch
+	return s.FitKMeans1DOrdered(values, s.Ascending(values), k)
 }
 
 // Scratch is the memory of Ascending and FitKMeans1DOrdered, kept by a
@@ -162,7 +163,8 @@ func orderKey(v float64) uint64 {
 	return b | 1<<63
 }
 
-// FitKMeans1DOrdered is FitKMeans1D given order = Ascending(values).
+// FitKMeans1DOrdered is FitKMeans1D on the scratch's memory, given order
+// = Ascending(values). The fit it returns owns its memory.
 //
 // The optimal clusters are runs of the sorted distinct values, so the fit
 // is a dynamic program over prefix sums of their count, sum and sum of
@@ -174,12 +176,6 @@ func orderKey(v float64) uint64 {
 // in Ckmeans.1d.dp), which narrows each search. The fit is deterministic
 // and its error is the least up to rounding; which of two equally good
 // splits it returns is not specified.
-func FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, error) {
-	return new(Scratch).FitKMeans1DOrdered(values, order, k)
-}
-
-// FitKMeans1DOrdered is the package's FitKMeans1DOrdered on the scratch's
-// memory. The fit it returns owns its memory.
 func (s *Scratch) FitKMeans1DOrdered(values []float64, order []int32, k int) (*KMeans1D, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("regions: no values to cluster")

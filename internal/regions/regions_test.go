@@ -286,10 +286,10 @@ func TestEstimateAccuracy(t *testing.T) {
 		t.Errorf("base rate = %v", e.BaseRate)
 	}
 	// Decisions follow region majority.
-	if e.Decide(0.2) {
+	if e.Linked[p.Region(0.2)] {
 		t.Error("low region should not link")
 	}
-	if !e.Decide(0.8) {
+	if !e.Linked[p.Region(0.8)] {
 		t.Error("high region should link")
 	}
 	if math.Abs(e.LinkProbability(0.9)-2.0/3.0) > 1e-12 {

@@ -390,40 +390,53 @@ func TestFreshRunDoesNotForfeitPersistedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	post := func(ts *httptest.Server, body string) (int, IncrementalResolveResponse) {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out IncrementalResolveResponse
-		_ = json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out
-	}
-
 	// Seed the persisted resolution, commit another configuration after it
 	// so the restarted server's hot index is not seed 3's, then "restart".
 	ts1 := testServer(t, Config{Store: shared, Serving: saved})
 	for _, body := range []string{`{"seed": 3}`, `{"seed": 4}`} {
-		if code, _ := post(ts1, body); code != http.StatusOK {
-			t.Fatalf("seeding run %s status = %d", body, code)
+		resp, err := http.Post(ts1.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeding run %s status = %d", body, resp.StatusCode)
 		}
 	}
 
 	saved.keyLoads = 0 // each configuration's first-ever run looked for a file
-	ts2 := testServer(t, Config{Store: shared, Serving: saved})
-	// First post-restart request: fresh with a 1ms budget — preparing a
-	// 60-document block (1770 pairs × 10 functions) cannot finish, so
-	// the run dies with 504 and no snapshot in memory.
-	if code, _ := post(ts2, `{"seed": 3, "fresh": true, "timeout_ms": 1}`); code != http.StatusGatewayTimeout {
+	// The restarted server is driven in-process, so that a request carries
+	// the context its client gave it.
+	srv := New(Config{Store: shared, Serving: saved})
+	t.Cleanup(func() {
+		if err := srv.Close(context.Background()); err != nil {
+			t.Errorf("closing server: %v", err)
+		}
+	})
+	serve := func(ctx context.Context, body string) (int, IncrementalResolveResponse) {
+		t.Helper()
+		req := httptest.NewRequestWithContext(ctx, http.MethodPost, "/v1/resolve/incremental", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		var out IncrementalResolveResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &out)
+		return rec.Code, out
+	}
+	// First post-restart request: fresh, from a client whose deadline has
+	// passed before the run starts, so the run dies with 504 and no
+	// snapshot in memory however fast the machine is. (A timeout_ms budget
+	// races the clock: a 60-document block can resolve inside 1 ms.)
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	if code, _ := serve(expired, `{"seed": 3, "fresh": true}`); code != http.StatusGatewayTimeout {
 		t.Fatalf("sabotaged fresh run status = %d, want 504", code)
 	}
 	if saved.keyLoads != 0 {
 		t.Fatalf("the fresh request loaded the persisted serving index (%d keyed loads)", saved.keyLoads)
 	}
 	// The persisted resolution must still be loadable now.
-	code, got := post(ts2, `{"seed": 3}`)
+	code, got := serve(context.Background(), `{"seed": 3}`)
 	if code != http.StatusOK {
 		t.Fatalf("post-fresh run status = %d", code)
 	}

@@ -31,9 +31,6 @@ func NewMatrix(n int) *Matrix {
 // Len returns the matrix dimension (number of documents).
 func (m *Matrix) Len() int { return m.n }
 
-// Pairs returns the number of stored pairs n·(n−1)/2.
-func (m *Matrix) Pairs() int { return len(m.vals) }
-
 // idx maps (i, j), i < j, to the condensed index.
 func (m *Matrix) idx(i, j int) int {
 	// Row i starts after sum_{r<i} (n-1-r) entries.

@@ -124,8 +124,8 @@ func TestComputeAllSmallBlock(t *testing.T) {
 	}
 	one := &Block{Name: "one", Docs: make([]Doc, 1)}
 	for _, m := range computeAll(t, one, funcs) {
-		if m.Len() != 1 || m.Pairs() != 0 {
-			t.Fatalf("one-doc block: dim %d pairs %d", m.Len(), m.Pairs())
+		if m.Len() != 1 || len(m.Values()) != 0 {
+			t.Fatalf("one-doc block: dim %d pairs %d", m.Len(), len(m.Values()))
 		}
 	}
 }

@@ -196,8 +196,8 @@ func TestPrepareBlockShape(t *testing.T) {
 
 func TestMatrix(t *testing.T) {
 	m := NewMatrix(4)
-	if m.Len() != 4 || m.Pairs() != 6 {
-		t.Fatalf("matrix shape: %d, %d", m.Len(), m.Pairs())
+	if m.Len() != 4 || len(m.Values()) != 6 {
+		t.Fatalf("matrix shape: %d, %d", m.Len(), len(m.Values()))
 	}
 	m.Set(1, 3, 0.7)
 	if m.At(1, 3) != 0.7 || m.At(3, 1) != 0.7 {
@@ -232,7 +232,7 @@ func TestMatrix(t *testing.T) {
 
 func TestNewMatrixNegative(t *testing.T) {
 	m := NewMatrix(-3)
-	if m.Len() != 0 || m.Pairs() != 0 {
+	if m.Len() != 0 || len(m.Values()) != 0 {
 		t.Error("negative size should clamp to empty")
 	}
 }
