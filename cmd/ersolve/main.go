@@ -12,15 +12,16 @@
 //	        [-keys collection|names|urlhost|phonetic]
 //	        [-train 0.10] [-regions 10] [-seed N] [-score] [-members]
 //	ersolve serve [-addr :8476] [-timeout 30s] [-max-body 33554432]
-//	        [-queue 64] [-drain 10s] [-data DIR] [-job-history 1024]
+//	        [-drain 10s] [-data DIR] [-job-history 1024]
 //	        [-trace-buffer 256]
 //
 // The serve mode accepts POST /v1/resolve with an ergen dataset JSON body
 // (plus optional "strategy", "clustering", "blocking", "timeout_ms", …
 // fields) and answers with each block's labels (document i's entity) and
 // scores; requests are canceled mid-resolution when their timeout fires.
-// It additionally owns a document store fed asynchronously through POST
-// /v1/collections (ingest jobs, tracked via GET /v1/jobs/{id}) and resolved
+// It additionally owns a document store fed through POST /v1/collections
+// (each ingest answers 202 once merged, naming its finished job, whose
+// record GET /v1/jobs/{id} serves) and resolved
 // via POST /v1/resolve/incremental, which re-prepares only blocks whose
 // membership changed since the previous run. With -data DIR the store and every
 // configuration's committed resolution are durable: ingested batches are
@@ -35,9 +36,9 @@
 // text format, and GET /v1/traces dumps the last -trace-buffer request
 // traces with per-stage pipeline spans plus the incremental resolve's lock
 // wait, store snapshot, serving-index load and commit steps. On
-// SIGINT/SIGTERM the server drains in-flight requests and queued ingest
-// jobs for up to -drain before canceling what remains, then flushes and
-// closes the data directory.
+// SIGINT/SIGTERM the server drains in-flight requests, ingests included,
+// for up to -drain before canceling what remains, then flushes and closes
+// the data directory.
 package main
 
 import (
@@ -210,15 +211,13 @@ func run(ctx context.Context, in string, opts core.Options, strategy pipeline.St
 
 // runServe starts the HTTP service layer and blocks until the listener
 // fails or an interrupt triggers a graceful shutdown: in-flight requests
-// and queued ingest jobs get the drain window to finish, then are
-// canceled.
+// get the drain window to finish, then are canceled.
 func runServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ersolve serve", flag.ExitOnError)
 	var (
 		addr    = fs.String("addr", ":8476", "listen address")
 		timeout = fs.Duration("timeout", 30*time.Second, "maximum per-request resolution time")
 		maxBody = fs.Int64("max-body", 32<<20, "maximum request body bytes")
-		queue   = fs.Int("queue", 64, "ingest job backlog size")
 		history = fs.Int("job-history", 1024, "finished ingest-job records kept queryable")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain window for in-flight work")
 		dataDir = fs.String("data", "", "durable data directory (default in-memory only)")
@@ -234,8 +233,6 @@ func runServe(ctx context.Context, args []string) error {
 		return &usageError{fmt.Sprintf("-timeout: %v is out of range; need a positive duration", *timeout)}
 	case *maxBody <= 0:
 		return &usageError{fmt.Sprintf("-max-body: %d is out of range; need a positive byte count", *maxBody)}
-	case *queue < 1:
-		return &usageError{fmt.Sprintf("-queue: %d is out of range; need a backlog of at least 1", *queue)}
 	case *history < 0:
 		return &usageError{fmt.Sprintf("-job-history: %d is out of range; need 0 or a positive record count", *history)}
 	case *drain <= 0:
@@ -245,7 +242,6 @@ func runServe(ctx context.Context, args []string) error {
 	cfg := service.Config{
 		DefaultTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		QueueBuffer:    *queue,
 		JobHistory:     *history,
 		TraceBuffer:    *tbuf,
 	}
@@ -308,17 +304,20 @@ func runServe(ctx context.Context, args []string) error {
 		fmt.Fprintf(os.Stderr, "ersolve: shutting down, draining for up to %v\n", *drain)
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
-		// First stop taking requests and let in-flight handlers finish,
-		// then drain the ingest backlog with whatever window remains, and
-		// finally flush and close the data directory so the last journal
-		// write and segment state land on disk.
+		// First stop taking requests and let in-flight handlers — ingests
+		// among them, each acknowledged only after its append — finish,
+		// then close the server and flush and close the data directory so
+		// the last journal write and segment state land on disk. An ingest
+		// still running past the drain window holds the store's mutex
+		// until its append returns, and one that starts after Data.Close
+		// fails its job: the store refuses appends once closed.
 		err := httpSrv.Shutdown(shutdownCtx)
 		mu.Lock()
 		s, d := srv, data
 		mu.Unlock()
 		if s != nil {
 			if cerr := s.Close(shutdownCtx); err == nil && cerr != nil {
-				err = fmt.Errorf("draining ingest jobs: %w", cerr)
+				err = fmt.Errorf("closing server: %w", cerr)
 			}
 		}
 		if d != nil {

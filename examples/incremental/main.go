@@ -1,9 +1,9 @@
-// Incremental: ingest a growing corpus with a store + job queue and
-// re-resolve only the blocks whose membership changed.
+// Incremental: ingest a growing corpus into a store and re-resolve only
+// the blocks whose membership changed.
 //
-// Documents arrive from a crawl in batches, appended to a store through
-// the async job queue — the same components behind `ersolve serve`'s POST
-// /v1/collections. After each batch, RunIncremental diffs the block
+// Documents arrive from a crawl in batches, appended to a store — the
+// same append `ersolve serve`'s POST /v1/collections makes before it
+// answers. After each batch, RunIncremental diffs the block
 // membership against the previous run's snapshot and re-prepares only the
 // dirty blocks; at the end the clusters are compared against one full
 // resolution of the union, the equivalence the test harness pins for every
@@ -41,8 +41,6 @@ func main() {
 	}
 
 	docs := store.NewMemStore()
-	jobs := store.NewQueue(8, 0)
-	defer jobs.Shutdown(context.Background())
 
 	// Batch 1: everything except rivera's last 10 pages. Batch 2: the rest.
 	batches := [][]*corpus.Collection{
@@ -60,22 +58,8 @@ func main() {
 	var snap *pipeline.Snapshot
 	var last *pipeline.IncrementalResult
 	for i, batch := range batches {
-		// Enqueue the ingest and wait for the job, as the HTTP layer would.
-		job, err := jobs.Enqueue("ingest", func(context.Context) (any, error) {
-			return docs.Append(batch)
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for {
-			j, _ := jobs.Get(job.ID)
-			if j.Status == store.JobDone {
-				break
-			}
-			if j.Status == store.JobFailed {
-				log.Fatalf("ingest failed: %s", j.Error)
-			}
-			time.Sleep(time.Millisecond)
+		if _, err := docs.Append(batch); err != nil {
+			log.Fatalf("ingest failed: %v", err)
 		}
 
 		cols, version := docs.Snapshot()

@@ -124,7 +124,7 @@ func TestIngestDecodeEdgeCases(t *testing.T) {
 			if wantCode != http.StatusAccepted {
 				continue
 			}
-			// Job IDs carry a per-queue prefix: wait for each server's own.
+			// Job IDs carry a per-server prefix: read each server's own.
 			accepted++
 			for _, ack := range []struct {
 				d    decodeServer

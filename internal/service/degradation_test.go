@@ -82,62 +82,6 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	}
 }
 
-// TestIngestBackpressure429 pins the backpressure contract: when the job
-// backlog is full, POST /v1/collections answers 429 with a Retry-After
-// hint (not 503 — the condition clears by itself), and the throttle is
-// counted in the degradation stats.
-func TestIngestBackpressure429(t *testing.T) {
-	srv := New(Config{QueueBuffer: 1})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Close(ctx)
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Wedge the single worker on a job we control, then fill the one
-	// buffered slot, so the next enqueue is rejected as backlog-full.
-	release := make(chan struct{})
-	defer close(release)
-	started := make(chan struct{})
-	if _, err := srv.jobs.Enqueue("block", func(context.Context) (any, error) {
-		close(started)
-		<-release
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if _, err := srv.jobs.Enqueue("fill", func(context.Context) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	col := testCollection(t, 4)
-	buf, err := json.Marshal(CollectionsRequest{Collections: []*corpus.Collection{col}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/collections", "application/json", strings.NewReader(string(buf)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 reply carries no Retry-After header")
-	}
-	var envelope errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatalf("429 body is not the JSON error envelope: %v", err)
-	}
-	if n := getStats(t, ts).value(t, "ersolve_degraded_total", "kind", "ingest_throttled"); n != 1 {
-		t.Errorf("ingest_throttled = %g, want 1", n)
-	}
-}
-
 // TestIngestJobFailureIsStructured pins the job-failure surface: an
 // ingest job that hits a read-only (journal-poisoned) store fails after
 // one append, with the store's error in GET /v1/jobs/{id}.

@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -10,11 +14,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/faultfs"
+	"repro/internal/framing"
 	"repro/internal/persist"
 	"repro/internal/store"
 )
@@ -72,6 +78,180 @@ func ingestBatch(t testing.TB, ts *httptest.Server, cols []*corpus.Collection) {
 	}
 	if job := waitJob(t, ts, ack.JobID); job.Status != "done" {
 		t.Fatalf("ingest job %s: %s (%s)", ack.JobID, job.Status, job.Error)
+	}
+}
+
+// gatedStore is a document store whose Append signals entered and then
+// waits for release before it appends.
+type gatedStore struct {
+	store.DocumentStore
+	entered, release chan struct{}
+}
+
+func (g gatedStore) Append(cols []*corpus.Collection) (int, error) {
+	close(g.entered)
+	<-g.release
+	return g.DocumentStore.Append(cols)
+}
+
+// TestIngestAckIsDurable pins what a 202 from POST /v1/collections means:
+// the batch is merged and journaled. The reply waits for the store's
+// Append to return, the first read of its status_url is the finished job,
+// and a copy of the data directory taken right after the 202 — the disk a
+// process killed at that moment leaves, with no Close — opens with the
+// batch in it.
+func TestIngestAckIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	quiet := persist.Options{Log: func(string, ...any) {}}
+	data, err := persist.OpenWithOptions(dir, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	gate := gatedStore{DocumentStore: data.Store, entered: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+	ts := httptest.NewServer(New(Config{Store: gate, ErrorLog: func(string, ...any) {}}).Handler())
+	defer ts.Close()
+
+	col := testCollection(t, 6)
+	body, err := json.Marshal(CollectionsRequest{Collections: []*corpus.Collection{col}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		code int
+		ack  CollectionsResponse
+		err  error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/collections", "application/json", bytes.NewReader(body))
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		r := reply{code: resp.StatusCode}
+		r.err = json.NewDecoder(resp.Body).Decode(&r.ack)
+		replied <- r
+	}()
+
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the ingest never reached the store's Append")
+	}
+	select {
+	case r := <-replied:
+		t.Fatalf("POST /v1/collections answered %d while the store's Append was still blocked", r.code)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	r := <-replied
+	if r.err != nil || r.code != http.StatusAccepted || r.ack.StatusURL == "" {
+		t.Fatalf("ingest = %d %+v (%v), want 202 with a status_url", r.code, r.ack, r.err)
+	}
+
+	// Copy the directory before anything else touches the server: this is
+	// the disk the 202 vouches for.
+	crashed := filepath.Join(t.TempDir(), "data")
+	if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + r.ack.StatusURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job struct {
+		Status string       `json:"status"`
+		Error  string       `json:"error"`
+		Result IngestResult `json:"result"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || job.Status != "done" || job.Result.DocsAdded != 6 {
+		t.Fatalf("first GET %s = %d %+v (%v), want 200 and a done job that added 6 documents", r.ack.StatusURL, resp.StatusCode, job, err)
+	}
+
+	reopened, err := persist.OpenWithOptions(crashed, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Store.Stats(); st.Docs != 6 || st.Collections != 1 {
+		t.Fatalf("the directory as of the 202 reopens with %+v, want the acknowledged 6 documents", st)
+	}
+}
+
+// TestCraftedServingBaseIsQuarantined pins that a -data server starts over
+// a newest serving file whose base record is well framed but impossible —
+// a collection with a negative document count, which once panicked the
+// decoder and so the server's start. The file is quarantined as damage,
+// and lookups answer 409 until the next resolve commits.
+func TestCraftedServingBaseIsQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *persist.Data {
+		t.Helper()
+		data, err := persist.OpenWithOptions(dir, persist.Options{Log: func(string, ...any) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	heads, _ := splitCollections(t, 2, 6)
+	data1 := open()
+	ts1 := httptest.NewServer(New(durableConfig(data1)).Handler())
+	ingestBatch(t, ts1, heads)
+	resolveOK(t, ts1, IncrementalResolveRequest{})
+	ts1.Close()
+	if err := data1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Keep the file's magic and key record; replace its base.
+	files, err := filepath.Glob(filepath.Join(dir, "serving", "*.srv"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("serving files = %v (%v), want one", files, err)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magicBytes = 8
+	head := framing.NewReader(bytes.NewReader(raw[magicBytes:]), magicBytes, int64(len(raw)), framing.MaxPayloadBytes)
+	if _, err := head.Next(); err != nil {
+		t.Fatalf("reading the key record: %v", err)
+	}
+	base, err := framing.Record(func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(struct {
+			ColNames []string
+			ColDocs  []int
+		}{[]string{"person000"}, []int{-1}})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[0], append(raw[:head.Offset():head.Offset()], base...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	data2 := open()
+	defer data2.Close()
+	ts2 := testServer(t, durableConfig(data2))
+	if code := getJSON(t, ts2, "/v1/docs/person000:0/entity", nil); code != http.StatusConflict {
+		t.Errorf("lookup over the quarantined serving file = %d, want 409", code)
+	}
+	stats := getStats(t, ts2)
+	for _, kind := range []string{"quarantined_serving", "serving_load_failures"} {
+		if n := stats.value(t, "ersolve_degraded_total", "kind", kind); n != 1 {
+			t.Errorf("degraded %s = %g, want 1", kind, n)
+		}
+	}
+	if _, err := os.Stat(files[0] + ".corrupt"); err != nil {
+		t.Errorf("the crafted file was not quarantined: %v", err)
 	}
 }
 

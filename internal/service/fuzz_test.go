@@ -75,7 +75,7 @@ func FuzzCollectionsDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
-	srv := New(Config{DefaultTimeout: 5 * time.Second, MaxBodyBytes: 16 << 10, QueueBuffer: 1 << 14})
+	srv := New(Config{DefaultTimeout: 5 * time.Second, MaxBodyBytes: 16 << 10})
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzServe(t, h, "/v1/collections", data, http.StatusAccepted)

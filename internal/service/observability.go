@@ -33,7 +33,7 @@ var stages = slices.Concat(pipeline.Stages,
 // initObservability wires the metrics registry and the trace ring buffer.
 // Every lifetime counter the server owns is registered here, and both
 // /metrics and /v1/stats render the registry; values owned elsewhere (the
-// job queue, the backing stores, the live indexes) are read at scrape
+// job records, the backing stores, the live indexes) are read at scrape
 // time through callback-backed families. Called once from New, before any
 // code path that can increment a counter.
 func (s *Server) initObservability() {
@@ -66,7 +66,6 @@ func (s *Server) initObservability() {
 	c.readLookup = r.Counter("ersolve_reads_total", readsHelp, "endpoint", "lookup")
 
 	c.panics = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "panics")
-	c.ingestThrottled = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "ingest_throttled")
 	c.servingLoadFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "serving_load_failures")
 	c.servingSaveFailures = r.Counter("ersolve_degraded_total", degradedHelp, "kind", "serving_save_failures")
 	// The backing stores count their own recoveries and quarantines; join
@@ -103,15 +102,11 @@ func (s *Server) initObservability() {
 	}
 	s.lookupLatency = s.latency["lookup"]
 
-	r.Gauge("ersolve_queue_depth", "Ingest jobs enqueued but not yet finished.",
-		func() float64 { return float64(s.jobs.Depth()) })
 	r.CounterFunc("ersolve_queue_jobs_total", "Lifetime ingest job totals, by event.", func() []metrics.Sample {
 		qc := s.jobs.Counters()
 		return []metrics.Sample{
-			{Labels: []string{"event", "enqueued"}, Value: float64(qc.Enqueued)},
 			{Labels: []string{"event", "done"}, Value: float64(qc.Done)},
 			{Labels: []string{"event", "failed"}, Value: float64(qc.Failed)},
-			{Labels: []string{"event", "canceled"}, Value: float64(qc.Canceled)},
 		}
 	})
 

@@ -106,7 +106,6 @@ func TestMetricsExpositionConformance(t *testing.T) {
 		"# TYPE ersolve_reads_total counter",
 		"# TYPE ersolve_degraded_total counter",
 		"# TYPE ersolve_stage_latency_seconds histogram",
-		"# TYPE ersolve_queue_depth gauge",
 		"# TYPE ersolve_queue_jobs_total counter",
 		"# TYPE ersolve_store_docs gauge",
 		"# TYPE ersolve_serving_available gauge",

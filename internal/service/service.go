@@ -2,12 +2,13 @@
 // collection in, clusters and quality scores out, with per-request
 // timeouts that cancel the in-flight pipeline (mid-extraction or
 // mid-matrix) through the request context. Beyond the one-shot POST
-// /v1/resolve, the server owns a document store and a job queue: POST
-// /v1/collections enqueues documents asynchronously, GET /v1/jobs/{id}
-// reports ingest progress, and POST /v1/resolve/incremental re-resolves
-// only the blocks whose membership changed since the previous incremental
-// run. `ersolve serve` mounts it; the handler is also usable inside any
-// other mux.
+// /v1/resolve, the server owns a document store and a book of ingest job
+// records: POST /v1/collections appends documents and answers 202 with a
+// job handle once they are merged (and, over a durable store, journaled),
+// GET /v1/jobs/{id} reports that job's outcome, and POST
+// /v1/resolve/incremental re-resolves only the blocks whose membership
+// changed since the previous incremental run. `ersolve serve` mounts it;
+// the handler is also usable inside any other mux.
 package service
 
 import (
@@ -51,8 +52,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxBodyBytes bounds the request body; zero selects 32 MiB.
 	MaxBodyBytes int64
-	// QueueBuffer bounds the ingest job backlog; zero selects 64.
-	QueueBuffer int
 	// JobHistory bounds how many finished ingest-job records stay
 	// queryable via GET /v1/jobs/{id}; older records answer 410 Gone.
 	// Zero selects 1024.
@@ -88,6 +87,10 @@ type Server struct {
 	cfg   Config
 	store store.DocumentStore
 	jobs  *store.Queue
+	// ingestMu serializes ingests: each holds it across its append, the
+	// stats read and the filing of its job record, so job IDs follow ingest
+	// order and a version move across an append is that batch's commit.
+	ingestMu sync.Mutex
 
 	// states holds one incremental state per resolution configuration: its
 	// last committed serving index and the candidate index its block stage
@@ -136,12 +139,11 @@ type counters struct {
 	// Read-path counters: per-endpoint request counts.
 	readEntities, readDocs, readSearch, readLookup *metrics.Counter
 	// Degradation counters: every event where the server kept serving by
-	// giving something up — a panicking handler answered 500, ingest was
-	// throttled, a committed resolution failed to load (rebuilt from the
-	// corpus) or save (committed by the next resolve). Surfaced as
-	// ersolve_degraded_total so operators see silent degradation before it
-	// becomes an outage.
-	panics, ingestThrottled                  *metrics.Counter
+	// giving something up — a panicking handler answered 500, a committed
+	// resolution failed to load (rebuilt from the corpus) or save
+	// (committed by the next resolve). Surfaced as ersolve_degraded_total
+	// so operators see silent degradation before it becomes an outage.
+	panics                                   *metrics.Counter
 	servingLoadFailures, servingSaveFailures *metrics.Counter
 }
 
@@ -172,8 +174,8 @@ type incrementalState struct {
 	refs int
 }
 
-// New applies the config defaults and returns a server. The server owns a
-// background ingest worker; call Close when done with it.
+// New applies the config defaults and returns a server. It starts no
+// goroutine; Close is kept for callers that shut a server down.
 func New(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 30 * time.Second
@@ -187,7 +189,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		store:  cfg.Store,
-		jobs:   store.NewQueue(cfg.QueueBuffer, cfg.JobHistory),
+		jobs:   store.NewQueue(cfg.JobHistory),
 		states: make(map[string]*incrementalState),
 	}
 	if s.store == nil {
@@ -248,22 +250,22 @@ func liveIndexes[T pipeline.CandidateIndex](s *Server) []liveIndex[T] {
 	return out
 }
 
-// Close shuts the ingest worker down, draining queued jobs until ctx
-// expires; after that the remaining jobs are canceled and ctx's error is
-// returned. Nothing else needs flushing: an ingest is durable once its job
-// is done, a resolve once it answered, and the candidate indexes are
-// rebuilt from the journal after a restart. After Close returns, no
-// goroutine of this server writes the data directory — which is what lets
-// the caller close it and release its single-writer lock.
-func (s *Server) Close(ctx context.Context) error {
-	return s.jobs.Shutdown(ctx)
+// Close returns nil: the server has nothing to drain or flush. An ingest
+// is durable once its 202 is sent, a resolve once it answered, and the
+// candidate indexes are rebuilt from the journal after a restart. A request
+// still in flight when the caller closes the data directory is safe too:
+// persist.Store's mutex lets an append that holds it finish before
+// Data.Close, and its closed flag refuses any append after it, so that
+// ingest's job fails instead of writing a closed journal.
+func (s *Server) Close(context.Context) error {
+	return nil
 }
 
 // Handler returns the service mux:
 //
 //	POST /v1/resolve              one-shot resolution of the posted body
-//	POST /v1/collections          enqueue documents into the store
-//	GET  /v1/jobs/{id}            ingest job status and result
+//	POST /v1/collections          append documents to the store
+//	GET  /v1/jobs/{id}            ingest job outcome and result
 //	POST /v1/resolve/incremental  resolve the store, reusing clean blocks
 //	GET  /v1/entities/{id}        cluster members by stable entity ID
 //	POST /v1/entities/lookup      batch entity/doc lookup, one index pass
@@ -437,7 +439,8 @@ type IngestResult struct {
 	Store store.Stats `json:"store"`
 }
 
-// CollectionsResponse acknowledges an enqueued ingest job.
+// CollectionsResponse acknowledges an ingest whose job has finished: its
+// record, done or failed, is at StatusURL.
 type CollectionsResponse struct {
 	JobID     string `json:"job_id"`
 	StatusURL string `json:"status_url"`
@@ -704,45 +707,36 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "request has no collections"})
 		return
 	}
-	// Fail fast in the request, not the job: the store's validation is
-	// cheap enough to run twice, and sharing ValidateBatch keeps this
-	// fast path from ever drifting out of sync with what Append accepts.
+	// A malformed batch is a 400, not a failed job: the store's validation
+	// is cheap enough to run twice, and sharing ValidateBatch keeps this
+	// check from ever drifting out of sync with what Append accepts.
 	if err := store.ValidateBatch(req.Collections); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 
 	// An ingest is journal + merge only: the indexes catch up inside the
-	// next resolve that reads them.
-	job, err := s.jobs.Enqueue("ingest", func(context.Context) (any, error) {
+	// next resolve that reads them. The 202 goes out after the append
+	// returns, so it acknowledges a merged (and, over a durable store,
+	// fsynced) batch, and the job it names has already finished.
+	enqueued := time.Now()
+	s.ingestMu.Lock()
+	job := s.jobs.Run("ingest", enqueued, func() (any, error) {
 		before := s.store.Stats().Version
 		added, err := s.store.Append(req.Collections)
 		if err != nil {
 			// The batch was validated up front, so what remains is a store
-			// gone read-only after a journal fault: the job fails with the
-			// store's error.
+			// gone read-only after a journal fault (or closed at shutdown):
+			// the job fails with the store's error.
 			return nil, err
 		}
 		st := s.store.Stats()
-		// The queue runs one job at a time, so a version move across this
-		// Append is this batch's commit.
 		if st.Version != before {
 			s.counters.ingestBatches.Add(1)
 		}
 		return IngestResult{DocsAdded: added, Store: st}, nil
 	})
-	switch {
-	case errors.Is(err, store.ErrQueueFull):
-		// Backpressure, not failure: the backlog drains at ingest speed, so
-		// tell the client when to come back instead of making it guess.
-		s.counters.ingestThrottled.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: err.Error()})
-		return
-	case err != nil:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		return
-	}
+	s.ingestMu.Unlock()
 	writeJSON(w, http.StatusAccepted, CollectionsResponse{
 		JobID:     job.ID,
 		StatusURL: "/v1/jobs/" + job.ID,

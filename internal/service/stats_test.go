@@ -120,8 +120,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if docs, batches := st.value(t, "ersolve_store_docs"), st.value(t, "ersolve_ingest_batches_total"); docs != 24 || batches != 1 {
 		t.Fatalf("stats store docs / ingest batches = %g / %g", docs, batches)
 	}
-	if depth := st.value(t, "ersolve_queue_depth"); depth != 0 {
-		t.Fatalf("queue depth = %g after drain", depth)
+	if done, failed := st.value(t, "ersolve_queue_jobs_total", "event", "done"), st.value(t, "ersolve_queue_jobs_total", "event", "failed"); done != 1 || failed != 0 {
+		t.Fatalf("ingest jobs done / failed = %g / %g, want 1 / 0", done, failed)
 	}
 	runs, blocks := st.value(t, "ersolve_resolve_runs_total"), st.value(t, "ersolve_resolve_blocks_total")
 	outcomes := 0.0

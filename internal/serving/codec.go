@@ -287,19 +287,15 @@ func DecodeLog(r io.Reader) (x *Index, tail error, err error) {
 	if len(enc.ColNames) != len(enc.ColDocs) {
 		return nil, nil, fmt.Errorf("%w: %d collection names but %d doc counts", ErrCodecCorrupt, len(enc.ColNames), len(enc.ColDocs))
 	}
-	log := replay{epoch: enc.Epoch, storeVersion: enc.StoreVersion,
-		colNames: enc.ColNames, colDocs: enc.ColDocs,
-		live: make(map[uint64]*blockState, len(enc.Blocks))}
-	for _, eb := range enc.Blocks {
-		st, err := decodeBlock(eb, enc.ColNames, enc.ColDocs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrCodecCorrupt, err)
-		}
-		if _, dup := log.live[st.fp]; dup {
-			return nil, nil, fmt.Errorf("%w: block %016x appears twice", ErrCodecCorrupt, st.fp)
-		}
-		log.states = append(log.states, st)
-		log.live[st.fp] = st
+	// The base is the first change to an empty log: every collection new,
+	// every block added, through the checks a commit record gets.
+	base := encodedChange{Cols: make([]encodedCol, len(enc.ColNames)), Added: enc.Blocks}
+	for i, name := range enc.ColNames {
+		base.Cols[i] = encodedCol{Index: i, Name: name, Docs: enc.ColDocs[i]}
+	}
+	log := replay{names: make(map[string]bool, len(enc.ColNames)), live: make(map[uint64]*blockState, len(enc.Blocks))}
+	if err := log.change(enc.Epoch, enc.StoreVersion, base); err != nil {
+		return nil, nil, fmt.Errorf("%w: base: %v", ErrCodecCorrupt, err)
 	}
 
 	for tail == nil {
@@ -331,6 +327,7 @@ type replay struct {
 	epoch, storeVersion uint64
 	colNames            []string
 	colDocs             []int
+	names               map[string]bool        // colNames as a set
 	states              []*blockState          // every block committed, in order
 	live                map[uint64]*blockState // the ones not removed since
 }
@@ -348,6 +345,15 @@ func (l *replay) apply(payload []byte) error {
 			return err
 		}
 	}
+	return l.change(binary.LittleEndian.Uint64(payload[0:8]), binary.LittleEndian.Uint64(payload[8:16]), ch)
+}
+
+// change applies one change — a commit record's, or the base's to the
+// empty log — committed at epoch and storeVersion, or returns an error
+// having changed nothing. A collection is new only at the next unused
+// index and under a name no collection has; an existing one keeps its name
+// and never shrinks.
+func (l *replay) change(epoch, storeVersion uint64, ch encodedChange) error {
 	// The collection tables are shared with nothing yet, but a record that
 	// fails below must leave them as they were: grow copies.
 	colNames, colDocs := l.colNames, l.colDocs
@@ -355,9 +361,11 @@ func (l *replay) apply(payload []byte) error {
 		colNames = append([]string(nil), colNames...)
 		colDocs = append([]int(nil), colDocs...)
 	}
+	newNames := make(map[string]bool)
 	for _, c := range ch.Cols {
 		switch {
-		case c.Index == len(colNames) && c.Docs >= 0:
+		case c.Index == len(colNames) && c.Docs >= 0 && !l.names[c.Name] && !newNames[c.Name]:
+			newNames[c.Name] = true
 			colNames = append(colNames, c.Name)
 			colDocs = append(colDocs, c.Docs)
 		case c.Index >= 0 && c.Index < len(colNames) && c.Name == colNames[c.Index] && c.Docs >= colDocs[c.Index]:
@@ -388,9 +396,11 @@ func (l *replay) apply(payload []byte) error {
 		added[i] = st
 	}
 
-	l.epoch = binary.LittleEndian.Uint64(payload[0:8])
-	l.storeVersion = binary.LittleEndian.Uint64(payload[8:16])
+	l.epoch, l.storeVersion = epoch, storeVersion
 	l.colNames, l.colDocs = colNames, colDocs
+	for name := range newNames {
+		l.names[name] = true
+	}
 	for _, fp := range ch.Removed {
 		delete(l.live, fp)
 	}

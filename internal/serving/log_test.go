@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
+	"repro/internal/framing"
 )
 
 // logModel is a corpus that grows by commits, one block per collection —
@@ -441,6 +443,121 @@ func FuzzDecodeServingLog(f *testing.F) {
 			if len(st.res.Labels) != members {
 				t.Fatalf("block %016x decoded %d labels for %d members", st.fp, len(st.res.Labels), members)
 			}
+		}
+	})
+}
+
+// craftedPayloads are record payloads that pass the checksum and decode as
+// gob yet describe no log: bases, and commits onto the fixture's two
+// collections, that give a collection a negative document count or list a
+// collection name twice. Each base block is a real one over collection 0,
+// so a base that named collection 0 twice would still pass the ref checks.
+func craftedPayloads(tb testing.TB) (bases, commits map[string][]byte) {
+	tb.Helper()
+	payload := func(prefix []byte, v any) []byte {
+		rec, err := gobRecord(prefix, v)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rec[framing.HeaderBytes:]
+	}
+	block := encodedBlock{FP: 0xA, Name: "a", Clusters: []encodedCluster{{Source: "test", Refs: []DocRef{{Col: 0, Doc: 0}}, URLs: []string{"u"}}}}
+	header := make([]byte, commitHeaderBytes)
+	header[0] = 9
+	return map[string][]byte{
+			"negative count": payload(nil, encodedIndex{ColNames: []string{"a"}, ColDocs: []int{-1}}),
+			"name twice":     payload(nil, encodedIndex{ColNames: []string{"a", "a"}, ColDocs: []int{1, 1}, Blocks: []encodedBlock{block}}),
+		}, map[string][]byte{
+			"negative count":         payload(header, encodedChange{Cols: []encodedCol{{Index: 2, Name: "new", Docs: -1}}}),
+			"a held name again":      payload(header, encodedChange{Cols: []encodedCol{{Index: 2, Name: "smith", Docs: 1}}}),
+			"one new name twice":     payload(header, encodedChange{Cols: []encodedCol{{Index: 2, Name: "new", Docs: 1}, {Index: 3, Name: "new", Docs: 1}}}),
+			"a held name, then more": payload(header, encodedChange{Cols: []encodedCol{{Index: 1, Name: "jones", Docs: 5}, {Index: 2, Name: "jones", Docs: 1}}}),
+		}
+}
+
+// frame seals each payload into a record and concatenates them: a log.
+func frame(tb testing.TB, payloads ...[]byte) []byte {
+	tb.Helper()
+	var log []byte
+	for _, p := range payloads {
+		rec, err := framing.Record(func(w io.Writer) error { _, err := w.Write(p); return err })
+		if err != nil {
+			tb.Fatal(err)
+		}
+		log = append(log, rec...)
+	}
+	return log
+}
+
+// TestCraftedLogsAreRefused pins that a base gets the checks a commit
+// record does, because DecodeLog applies it as the first change to an
+// empty log: a crafted base is ErrCodecCorrupt (never a panic, never an
+// index whose collection lookups miss committed documents), and the same
+// change as a commit record ends the replay as the log's tail.
+func TestCraftedLogsAreRefused(t *testing.T) {
+	bases, commits := craftedPayloads(t)
+	for name, p := range bases {
+		x, _, err := DecodeLog(bytes.NewReader(frame(t, p)))
+		if !errors.Is(err, ErrCodecCorrupt) || x != nil {
+			t.Errorf("base with %s: DecodeLog = (%v, %v), want ErrCodecCorrupt", name, x, err)
+		}
+	}
+
+	cols, blocks := fixture()
+	var base bytes.Buffer
+	if err := Build(nil, 1, 10, "knobs", cols, blocks).EncodeTo(&base); err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range commits {
+		x, tail, err := DecodeLog(bytes.NewReader(append(append([]byte(nil), base.Bytes()...), frame(t, p)...)))
+		if err != nil || tail == nil || !strings.Contains(tail.Error(), "does not extend") {
+			t.Errorf("commit with %s: DecodeLog = (tail %v, err %v), want the replay ended at the record", name, tail, err)
+			continue
+		}
+		if err := x.Validate(); err != nil || x.Epoch() != 1 || len(x.colNames) != 2 || x.colDocs[1] != 4 {
+			t.Errorf("commit with %s: decoded epoch %d, collections %v %v (%v); want the base alone", name, x.Epoch(), x.colNames, x.colDocs, err)
+		}
+	}
+}
+
+// FuzzDecodeServingRecords decodes a base and a commit record built from
+// fuzzed payloads, each sealed into a valid record, so the checks behind
+// the checksum are what is exercised (FuzzDecodeServingLog mutates framed
+// bytes, which almost never get past it). DecodeLog must not panic, and an
+// index it returns must be consistent.
+func FuzzDecodeServingRecords(f *testing.F) {
+	cols, blocks := fixture()
+	x := Build(nil, 1, 10, "knobs", cols, blocks)
+	var base bytes.Buffer
+	if err := x.EncodeTo(&base); err != nil {
+		f.Fatal(err)
+	}
+	grown := append([]BlockResolution(nil), blocks...)
+	grown[1].Fingerprint = 0xCCCC
+	rec, ok := Build(x, 2, 11, "knobs", cols, grown).EncodeCommit(x.Manifest())
+	if !ok {
+		f.Fatal("EncodeCommit refused an extension")
+	}
+	realBase, realCommit := base.Bytes()[framing.HeaderBytes:], rec[framing.HeaderBytes:]
+	f.Add(realBase, realCommit)
+	bases, commits := craftedPayloads(f)
+	for _, p := range bases {
+		f.Add(p, realCommit)
+	}
+	for _, p := range commits {
+		f.Add(realBase, p)
+	}
+
+	f.Fuzz(func(t *testing.T, basePayload, commitPayload []byte) {
+		x, _, err := DecodeLog(bytes.NewReader(frame(t, basePayload, commitPayload)))
+		if err != nil {
+			if x != nil {
+				t.Fatal("DecodeLog returned an index with an error")
+			}
+			return
+		}
+		if err := x.Validate(); err != nil {
+			t.Fatalf("decoded index is inconsistent: %v", err)
 		}
 	})
 }

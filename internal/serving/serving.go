@@ -406,11 +406,17 @@ func (x *Index) Search(query string, limit int) []Hit {
 	return hits
 }
 
-// Validate checks the index's internal consistency: every block ref
-// within the recorded snapshot bounds, and its document row naming the
-// cluster its label gives. It exists for tests and the read-after-commit
-// consistency harness; Build always produces a valid index.
+// Validate checks the index's internal consistency: each collection name
+// listed once, every block ref within the recorded snapshot bounds, and
+// its document row naming the cluster its label gives. It exists for tests
+// and the read-after-commit consistency harness; Build always produces a
+// valid index.
 func (x *Index) Validate() error {
+	for i, name := range x.colNames {
+		if x.colIndex[name] != i {
+			return fmt.Errorf("serving: collection %q is listed at %d and %d", name, i, x.colIndex[name])
+		}
+	}
 	for _, st := range x.order {
 		for i, ref := range st.refs {
 			if ref.Col < 0 || ref.Col >= len(x.colDocs) {

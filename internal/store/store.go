@@ -1,7 +1,7 @@
 // Package store holds the server-side ingest state behind `ersolve
 // serve`: a DocumentStore accumulating the crawled corpus across many
-// small POSTs, and a Queue running ingest jobs asynchronously so clients
-// get a job handle back instead of blocking on the write path.
+// small POSTs, and a Queue keeping the records of finished ingest jobs so
+// clients can fetch an ingest's outcome by job handle.
 //
 // An Append only merges the batch: no index, cache or other observer hears
 // of it. Whatever is derived from the corpus (blocking indexes, resolved

@@ -1,10 +1,9 @@
 // Package ctxflow enforces the pipeline's cancellation discipline (PR 2):
 // concurrency must be cancelable. A function that starts goroutines,
 // blocks in a select, or calls a ...Ctx variant needs a context.Context of
-// its own to thread through, and the hot channels in internal/pipeline and
-// internal/store may never block a send without a ctx.Done() (or default)
-// escape — a blocked send with no way out is how a canceled resolve leaks
-// its workers.
+// its own to thread through, and the hot channels in internal/pipeline may
+// never block a send without a ctx.Done() (or default) escape — a blocked
+// send with no way out is how a canceled resolve leaks its workers.
 package ctxflow
 
 import (
@@ -15,27 +14,22 @@ import (
 	"repro/tools/erlint/internal/analysis"
 )
 
-// Analyzer flags concurrency without a context and, in internal/pipeline
-// and internal/store, blocking channel sends outside a cancelable select.
+// Analyzer flags concurrency without a context and, in internal/pipeline,
+// blocking channel sends outside a cancelable select.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "functions that start goroutines, select on channels or call ...Ctx " +
 		"variants must accept a context.Context; blocking sends in " +
-		"internal/pipeline and internal/store must sit in a select with ctx.Done()",
+		"internal/pipeline must sit in a select with ctx.Done()",
 	Run: run,
 }
 
-// sendGuardedPkgs are the import-path suffixes whose channel sends must be
-// cancelable: the streaming pipeline and the ingest job queue.
-var sendGuardedPkgs = []string{"internal/pipeline", "internal/store"}
+// sendGuardedPkg is the import-path suffix of the one package whose channel
+// sends must be cancelable: the streaming pipeline.
+const sendGuardedPkg = "internal/pipeline"
 
 func run(pass *analysis.Pass) (any, error) {
-	guarded := false
-	for _, suffix := range sendGuardedPkgs {
-		if strings.HasSuffix(pass.Pkg.Path(), suffix) {
-			guarded = true
-		}
-	}
+	guarded := strings.HasSuffix(pass.Pkg.Path(), sendGuardedPkg)
 	for _, f := range pass.Files {
 		if strings.HasSuffix(pass.Fset.File(f.Pos()).Name(), "_test.go") {
 			continue

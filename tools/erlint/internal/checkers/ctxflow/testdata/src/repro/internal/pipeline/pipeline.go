@@ -1,6 +1,6 @@
 // Package pipeline exercises the blocking-send rules ctxflow applies
-// inside internal/pipeline (and internal/store): a send must be escapable
-// through ctx.Done() or a default clause.
+// inside internal/pipeline: a send must be escapable through ctx.Done()
+// or a default clause.
 package pipeline
 
 import "context"

@@ -7,9 +7,9 @@ import (
 	"fmt"
 )
 
-// ErrQueueFull mimics a repo sentinel: package-level, error-typed,
+// ErrCodecCorrupt mimics a repo sentinel: package-level, error-typed,
 // Err-prefixed.
-var ErrQueueFull = errors.New("queue full")
+var ErrCodecCorrupt = errors.New("codec corrupt")
 
 // errLocal is package-level but not Err-prefixed, so not a sentinel.
 var errLocal = errors.New("local")
@@ -17,14 +17,14 @@ var errLocal = errors.New("local")
 func flagged(err error) {
 	_ = fmt.Errorf("enqueue: %v", err) // want `fmt.Errorf formats an error argument without %w`
 	_ = fmt.Errorf("enqueue: %s", err) // want `fmt.Errorf formats an error argument without %w`
-	if err == ErrQueueFull {           // want `error compared against sentinel ErrQueueFull with ==`
+	if err == ErrCodecCorrupt {        // want `error compared against sentinel ErrCodecCorrupt with ==`
 		return
 	}
-	if ErrQueueFull != err { // want `error compared against sentinel ErrQueueFull with !=`
+	if ErrCodecCorrupt != err { // want `error compared against sentinel ErrCodecCorrupt with !=`
 		return
 	}
 	switch err {
-	case ErrQueueFull: // want `switch compares error against sentinel ErrQueueFull with ==`
+	case ErrCodecCorrupt: // want `switch compares error against sentinel ErrCodecCorrupt with ==`
 	}
 }
 
@@ -32,13 +32,13 @@ func clean(err error) {
 	_ = fmt.Errorf("enqueue: %w", err)
 	_ = fmt.Errorf("%d items failed: %w", 3, err)
 	_ = fmt.Errorf("no error arguments: %d%%", 7)
-	if errors.Is(err, ErrQueueFull) {
+	if errors.Is(err, ErrCodecCorrupt) {
 		return
 	}
 	if err == nil || err == errLocal {
 		return
 	}
 	switch {
-	case errors.Is(err, ErrQueueFull):
+	case errors.Is(err, ErrCodecCorrupt):
 	}
 }

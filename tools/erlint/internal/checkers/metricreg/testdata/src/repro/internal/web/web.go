@@ -22,6 +22,6 @@ func dynamic() string { return "ersolve_dynamic_total" }
 
 func good() {
 	_ = reg.Counter("ersolve_requests_total")
-	_ = reg.Gauge("ersolve_queue_depth")
+	_ = reg.Gauge("ersolve_store_docs")
 	_ = reg.Histogram("ersolve_resolve_seconds", nil)
 }
