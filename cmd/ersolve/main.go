@@ -8,12 +8,11 @@
 //	ersolve -in dataset.json [-strategy best|threshold|weighted|majority]
 //	        [-clustering closure|correlation]
 //	        [-blocking exact|token|sortedneighborhood|canopy]
-//	        [-blocking-mode exact|ann] [-ann-m 12] [-ann-ef 64]
+//	        [-blocking-mode exact|ann]
 //	        [-keys collection|names|urlhost|phonetic]
 //	        [-train 0.10] [-regions 10] [-seed N] [-score] [-members]
 //	ersolve serve [-addr :8476] [-timeout 30s] [-max-body 33554432]
-//	        [-drain 10s] [-data DIR] [-job-history 1024]
-//	        [-trace-buffer 256]
+//	        [-drain 10s] [-data DIR]
 //
 // The serve mode accepts POST /v1/resolve with an ergen dataset JSON body
 // (plus optional "strategy", "clustering", "blocking", "timeout_ms", …
@@ -33,7 +32,7 @@
 // candidate (blocking) indexes live in memory only: that first resolution
 // keys the replayed store into its configuration's index afresh. GET
 // /metrics exposes every counter and latency histogram in the Prometheus
-// text format, and GET /v1/traces dumps the last -trace-buffer request
+// text format, and GET /v1/traces dumps the last 256 resolve
 // traces with per-stage pipeline spans plus the incremental resolve's lock
 // wait, store snapshot, serving-index load and commit steps. On
 // SIGINT/SIGTERM the server drains in-flight requests, ingests included,
@@ -85,8 +84,6 @@ func main() {
 		clustering = flag.String("clustering", "closure", "closure | correlation")
 		blockingF  = flag.String("blocking", "exact", "exact | token | sortedneighborhood | canopy")
 		modeF      = flag.String("blocking-mode", "exact", "block-stage implementation: exact | ann (ann needs -blocking canopy or sortedneighborhood)")
-		annM       = flag.Int("ann-m", 0, "ANN graph degree bound (0 = default 12; with -blocking-mode ann)")
-		annEf      = flag.Int("ann-ef", 0, "ANN neighbor-query beam width, the recall knob (0 = default 64; with -blocking-mode ann)")
 		keysF      = flag.String("keys", "collection", "blocking keys: collection | names | urlhost | phonetic")
 		train      = flag.Float64("train", 0.10, "training fraction")
 		regionK    = flag.Int("regions", 10, "accuracy-estimation regions")
@@ -124,7 +121,7 @@ func main() {
 	// Key-based schemes block through the key index (the incremental
 	// Block stage); global schemes keep the per-run pass in exact mode
 	// and the approximate candidate graph with -blocking-mode ann.
-	blockingCfg, err := pipeline.ParseBlocking(*blockingF, *keysF, *modeF, *annM, *annEf)
+	blockingCfg, err := pipeline.ParseBlocking(*blockingF, *keysF, *modeF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(2)
@@ -218,10 +215,8 @@ func runServe(ctx context.Context, args []string) error {
 		addr    = fs.String("addr", ":8476", "listen address")
 		timeout = fs.Duration("timeout", 30*time.Second, "maximum per-request resolution time")
 		maxBody = fs.Int64("max-body", 32<<20, "maximum request body bytes")
-		history = fs.Int("job-history", 1024, "finished ingest-job records kept queryable")
 		drain   = fs.Duration("drain", 10*time.Second, "shutdown drain window for in-flight work")
 		dataDir = fs.String("data", "", "durable data directory (default in-memory only)")
-		tbuf    = fs.Int("trace-buffer", 0, "recent request traces kept for GET /v1/traces (0 = default 256, negative disables)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -233,8 +228,6 @@ func runServe(ctx context.Context, args []string) error {
 		return &usageError{fmt.Sprintf("-timeout: %v is out of range; need a positive duration", *timeout)}
 	case *maxBody <= 0:
 		return &usageError{fmt.Sprintf("-max-body: %d is out of range; need a positive byte count", *maxBody)}
-	case *history < 0:
-		return &usageError{fmt.Sprintf("-job-history: %d is out of range; need 0 or a positive record count", *history)}
 	case *drain <= 0:
 		return &usageError{fmt.Sprintf("-drain: %v is out of range; need a positive drain window", *drain)}
 	}
@@ -242,8 +235,6 @@ func runServe(ctx context.Context, args []string) error {
 	cfg := service.Config{
 		DefaultTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		JobHistory:     *history,
-		TraceBuffer:    *tbuf,
 	}
 
 	// The listener comes up immediately with a bootstrap handler that
@@ -264,12 +255,11 @@ func runServe(ctx context.Context, args []string) error {
 		handler.Load().(http.Handler).ServeHTTP(w, r)
 	})}
 
-	// srv and data are published by the opener goroutine and consumed by
-	// the shutdown goroutine; either may still be nil when a very early
-	// signal arrives.
+	// data is published by the opener goroutine and consumed by the
+	// shutdown goroutine; it may still be nil when a very early signal
+	// arrives.
 	var mu sync.Mutex
 	var data *persist.Data
-	var srv *service.Server
 	openFail := make(chan error, 1)
 	go func() {
 		if *dataDir != "" {
@@ -290,11 +280,7 @@ func runServe(ctx context.Context, args []string) error {
 			data = d
 			mu.Unlock()
 		}
-		s := service.New(cfg)
-		mu.Lock()
-		srv = s
-		mu.Unlock()
-		handler.Store(http.Handler(s.Handler()))
+		handler.Store(http.Handler(service.New(cfg).Handler()))
 		fmt.Fprintln(os.Stderr, "ersolve: ready")
 	}()
 
@@ -306,20 +292,16 @@ func runServe(ctx context.Context, args []string) error {
 		defer cancel()
 		// First stop taking requests and let in-flight handlers — ingests
 		// among them, each acknowledged only after its append — finish,
-		// then close the server and flush and close the data directory so
-		// the last journal write and segment state land on disk. An ingest
-		// still running past the drain window holds the store's mutex
-		// until its append returns, and one that starts after Data.Close
-		// fails its job: the store refuses appends once closed.
+		// then flush and close the data directory so the last journal
+		// write and segment state land on disk. The server itself holds
+		// nothing to drain or flush. An ingest still running past the
+		// drain window holds the store's mutex until its append returns,
+		// and one that starts after Data.Close fails its job: the store
+		// refuses appends once closed.
 		err := httpSrv.Shutdown(shutdownCtx)
 		mu.Lock()
-		s, d := srv, data
+		d := data
 		mu.Unlock()
-		if s != nil {
-			if cerr := s.Close(shutdownCtx); err == nil && cerr != nil {
-				err = fmt.Errorf("closing server: %w", cerr)
-			}
-		}
 		if d != nil {
 			if cerr := d.Close(); err == nil && cerr != nil {
 				err = fmt.Errorf("flushing data directory: %w", cerr)

@@ -40,7 +40,7 @@ func main() {
 	}
 
 	for _, scheme := range []string{"exact", "token"} {
-		blocking, err := pipeline.ParseBlocking(scheme, "", "", 0, 0)
+		blocking, err := pipeline.ParseBlocking(scheme, "", "")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -71,8 +71,8 @@ const (
 // any plausible corpus size.
 const maxGraphLevel = 30
 
-// UpdateStats reports what one Update changed; Edges, M and EfSearch are
-// the fields this index fills beyond the tracker's.
+// UpdateStats reports what one Update changed; Edges is the field this
+// index fills beyond the tracker's.
 type UpdateStats = blockindex.UpdateStats
 
 // Config assembles a CandidateIndex.
@@ -230,8 +230,6 @@ func (x *CandidateIndex) update(cols []*corpus.Collection) (UpdateStats, error) 
 
 	stats := x.comps.Commit(cols, delta)
 	stats.Edges = len(x.edges)
-	stats.M = x.m
-	stats.EfSearch = x.efSrch
 	return stats, nil
 }
 

@@ -269,9 +269,6 @@ func TestDirtyBlockAccounting(t *testing.T) {
 	if stats.DeltaDocs != 1 || stats.DirtyBlocks != 1 || stats.Blocks != 2 {
 		t.Fatalf("delta update stats %+v, want 1 dirty of 2", stats)
 	}
-	if stats.M != DefaultM || stats.EfSearch != DefaultEfSearch {
-		t.Fatalf("stats %+v do not echo the graph knobs", stats)
-	}
 }
 
 func TestOutOfSync(t *testing.T) {

@@ -33,9 +33,9 @@ type UpdateStats struct {
 	Blocks int
 	// Keys is the total number of distinct index keys (key index).
 	Keys int
-	// Edges is the total number of component-merging candidate edges; M
-	// and EfSearch echo the graph knobs (ANN index).
-	Edges, M, EfSearch int
+	// Edges is the total number of component-merging candidate edges (ANN
+	// index).
+	Edges int
 }
 
 // NewDoc is one document of an update's delta, already registered with

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ann"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -62,9 +63,21 @@ func annScheme(t testing.TB, name string) blocking.ApproxScheme {
 
 // annBlocker builds a fresh "ann"-mode blocker for scheme through
 // ParseBlocking, as an entry point would.
-func annBlocker(t testing.TB, scheme string, annM, annEf int) *IndexBlocker {
+func annBlocker(t testing.TB, scheme string) *IndexBlocker {
 	t.Helper()
-	return freshBlocker(t, scheme, "", "ann", annM, annEf).(*IndexBlocker)
+	return freshBlocker(t, scheme, "", "ann").(*IndexBlocker)
+}
+
+// annBlockerWith builds an "ann"-mode blocker for scheme over a graph of
+// degree m and beam ef (zero selects the ann package's default), which no
+// entry point configures.
+func annBlockerWith(t testing.TB, scheme string, m, ef int) *IndexBlocker {
+	t.Helper()
+	idx, err := ann.New(ann.Config{Scheme: annScheme(t, scheme), M: m, EfSearch: ef})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewANNBlockerWith(idx)
 }
 
 // TestANNIncrementalEqualsFull extends the equivalence harness to the
@@ -91,7 +104,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%s", scheme, strategy, clustering)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					incremental := incrementalPipelineWith(t, annBlocker(t, scheme, 0, 0), strategy, clustering)
+					incremental := incrementalPipelineWith(t, annBlocker(t, scheme), strategy, clustering)
 
 					var snap *Snapshot
 					var last *IncrementalResult
@@ -110,7 +123,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 						t.Fatal("last batch indexed no documents")
 					}
 
-					full := incrementalPipelineWith(t, annBlocker(t, scheme, 0, 0), strategy, clustering)
+					full := incrementalPipelineWith(t, annBlocker(t, scheme), strategy, clustering)
 					want, err := full.RunIncremental(ctx, flatPrefix(cols, batches-1, batches), nil)
 					if err != nil {
 						t.Fatalf("full: %v", err)
@@ -146,11 +159,11 @@ func TestANNBlockerRestartEqualsFresh(t *testing.T) {
 	first := flatPrefix(cols, 1, 3)
 	union := flatPrefix(cols, 2, 3)
 
-	ab := annBlocker(t, "canopy", 8, 32)
+	ab := annBlockerWith(t, "canopy", 8, 32)
 	if _, err := ab.BlockFingerprints(ctx, first); err != nil {
 		t.Fatal(err)
 	}
-	reopened := annBlocker(t, "canopy", 8, 32)
+	reopened := annBlockerWith(t, "canopy", 8, 32)
 
 	got, err := reopened.BlockFingerprints(ctx, union)
 	if err != nil {
@@ -234,12 +247,9 @@ func TestANNCanopyRecall(t *testing.T) {
 
 	for _, ef := range []int{24, 64, 128} {
 		t.Run(fmt.Sprintf("ef%d", ef), func(t *testing.T) {
-			got, err := annBlocker(t, "canopy", 0, ef).BlockFingerprints(ctx, cols)
+			got, err := annBlockerWith(t, "canopy", 0, ef).BlockFingerprints(ctx, cols)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got.Stats.AnnEf != ef {
-				t.Fatalf("stats %+v do not echo efSearch %d", got.Stats, ef)
 			}
 			recall := eval.CandidateRecall(ref, flatten(cols, got.Members))
 			t.Logf("efSearch=%d: candidate recall %.4f over %d exact blocks", ef, recall, len(ref))
@@ -252,16 +262,16 @@ func TestANNCanopyRecall(t *testing.T) {
 
 // TestNewModeBlockerDispatch pins the mode switch: exact mode keeps
 // today's dispatch bit for bit, ann mode serves global schemes from the
-// candidate index and rejects key-based schemes, unusable or misplaced
-// graph knobs and junk modes.
+// candidate index and rejects key-based schemes, and junk modes are
+// rejected.
 func TestNewModeBlockerDispatch(t *testing.T) {
-	if b, ok := freshBlocker(t, "", "", "", 0, 0).(*IndexBlocker); !ok {
+	if b, ok := freshBlocker(t, "", "", "").(*IndexBlocker); !ok {
 		t.Errorf("default mode: got %T, want *IndexBlocker", b)
 	}
-	if b, ok := freshBlocker(t, "canopy", "", "exact", 0, 0).(SchemeBlocker); !ok {
+	if b, ok := freshBlocker(t, "canopy", "", "exact").(SchemeBlocker); !ok {
 		t.Errorf("exact mode, canopy: got %T, want SchemeBlocker", b)
 	}
-	b := freshBlocker(t, "canopy", "", "ann", 0, 0)
+	b := freshBlocker(t, "canopy", "", "ann")
 	if _, ok := b.(*IndexBlocker); !ok {
 		t.Errorf("ann mode, canopy: got %T, want *IndexBlocker", b)
 	} else if out, err := b.BlockFingerprints(context.Background(), nil); err != nil || out.Stats.Indexer != "ann" {
@@ -270,17 +280,11 @@ func TestNewModeBlockerDispatch(t *testing.T) {
 	for _, bad := range []struct {
 		why          string
 		scheme, mode string
-		annM, annEf  int
 	}{
-		{"ann mode accepted a key-based scheme", "exact", "ann", 0, 0},
-		{"ann mode accepted a degenerate graph degree", "canopy", "ann", 1, 0},
-		{"ann mode accepted a negative graph degree", "canopy", "ann", -4, 0},
-		{"ann mode accepted a negative beam width", "canopy", "ann", 0, -1},
-		{"exact mode accepted graph knobs", "canopy", "exact", 0, 32},
-		{"the default mode accepted graph knobs", "", "", 16, 0},
-		{"unknown mode was accepted", "exact", "fuzzy", 0, 0},
+		{"ann mode accepted a key-based scheme", "exact", "ann"},
+		{"unknown mode was accepted", "exact", "fuzzy"},
 	} {
-		if _, err := ParseBlocking(bad.scheme, "", bad.mode, bad.annM, bad.annEf); err == nil {
+		if _, err := ParseBlocking(bad.scheme, "", bad.mode); err == nil {
 			t.Error(bad.why)
 		}
 	}
@@ -300,7 +304,7 @@ func TestPhoneticKeyMergesSpellings(t *testing.T) {
 			{ID: 0, URL: "http://c.example/1", Text: "Mary Jones founded the lab", PersonaID: 0},
 		}},
 	}
-	out, err := freshBlocker(t, "exact", "phonetic", "", 0, 0).BlockFingerprints(context.Background(), cols)
+	out, err := freshBlocker(t, "exact", "phonetic", "").BlockFingerprints(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,10 +57,6 @@ type BlockingStats struct {
 	DirtyBlocks int `json:"dirty_blocks"`
 	// Keys is the number of distinct index keys.
 	Keys int `json:"keys,omitempty"`
-	// AnnM and AnnEf echo the approximate index's graph knobs when the
-	// indexer is "ann".
-	AnnM  int `json:"ann_m,omitempty"`
-	AnnEf int `json:"ann_ef,omitempty"`
 }
 
 // DocRef locates one ingested document by its position in the ingest: the
@@ -167,21 +163,18 @@ type BlockingConfig struct {
 	SchemeName, KeysName string
 	Scheme               blocking.Scheme
 	Keys                 KeyFunc
-	// ANN selects the approximate candidate graph (blocking mode "ann"); M
-	// and EfSearch are then its effective knobs (defaults resolved), so the
-	// default and its explicit spelling share one graph, and zero otherwise.
-	ANN         bool
-	M, EfSearch int
+	// ANN selects the approximate candidate graph (blocking mode "ann"),
+	// built with the ann package's default degree and beam.
+	ANN bool
 }
 
-// ParseBlocking maps the CLI/API blocking names and knobs to their
-// configuration, rejecting every bad combination up front: an unknown
-// scheme, key function or mode, graph knobs outside "ann" mode, unusable
-// graph knobs, and "ann" mode over a scheme without an approximation policy
+// ParseBlocking maps the CLI/API blocking names to their configuration,
+// rejecting every bad combination up front: an unknown scheme, key function
+// or mode, and "ann" mode over a scheme without an approximation policy
 // (the key-based schemes already have an exact O(delta) index, so
 // approximating them would only lose recall). Empty names select the
 // paper's setup: exact-key blocking over collection names, exact mode.
-func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, error) {
+func ParseBlocking(scheme, keys, mode string) (BlockingConfig, error) {
 	c := BlockingConfig{SchemeName: scheme, KeysName: keys}
 	if c.SchemeName == "" {
 		c.SchemeName = "exact"
@@ -191,23 +184,8 @@ func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, 
 	}
 	switch mode {
 	case "", "exact":
-		if annM != 0 || annEf != 0 {
-			return BlockingConfig{}, fmt.Errorf("pipeline: the ann graph knobs (m %d, ef %d) apply only in blocking mode \"ann\" (mode is %q)", annM, annEf, mode)
-		}
 	case "ann":
-		if annM < 0 || annM == 1 {
-			return BlockingConfig{}, fmt.Errorf("pipeline: ann m %d is not a usable graph degree (0 selects the default %d; otherwise at least 2)", annM, ann.DefaultM)
-		}
-		if annEf < 0 {
-			return BlockingConfig{}, fmt.Errorf("pipeline: ann ef %d is negative (0 selects the default %d)", annEf, ann.DefaultEfSearch)
-		}
-		c.ANN, c.M, c.EfSearch = true, annM, annEf
-		if c.M == 0 {
-			c.M = ann.DefaultM
-		}
-		if c.EfSearch == 0 {
-			c.EfSearch = ann.DefaultEfSearch
-		}
+		c.ANN = true
 	default:
 		return BlockingConfig{}, fmt.Errorf("pipeline: unknown blocking mode %q (valid: exact, ann)", mode)
 	}
@@ -232,7 +210,7 @@ func ParseBlocking(scheme, keys, mode string, annM, annEf int) (BlockingConfig, 
 func (c BlockingConfig) FreshBlocker() (Blocker, error) {
 	if c.ANN {
 		approx, _ := c.Scheme.(blocking.ApproxScheme) // nil is ann.New's to reject
-		idx, err := ann.New(ann.Config{Scheme: approx, Keys: c.Keys, M: c.M, EfSearch: c.EfSearch})
+		idx, err := ann.New(ann.Config{Scheme: approx, Keys: c.Keys})
 		if err != nil {
 			return nil, err
 		}

@@ -55,9 +55,9 @@ func batchPrefix(cols []*corpus.Collection, k, total int) []*corpus.Collection {
 
 // freshBlocker parses a blocking configuration and builds its blocker over
 // a new index, the way every entry point does.
-func freshBlocker(t testing.TB, scheme, keys, mode string, annM, annEf int) Blocker {
+func freshBlocker(t testing.TB, scheme, keys, mode string) Blocker {
 	t.Helper()
-	cfg, err := ParseBlocking(scheme, keys, mode, annM, annEf)
+	cfg, err := ParseBlocking(scheme, keys, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pip
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := New(Config{Options: opts, Strategy: strat, Blocker: freshBlocker(t, scheme, "", "", 0, 0), Score: true})
+	pl, err := New(Config{Options: opts, Strategy: strat, Blocker: freshBlocker(t, scheme, "", ""), Score: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,7 +322,7 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 	ctx := context.Background()
 
 	// Collection-name keys keep the spellings apart…
-	out, err := freshBlocker(t, "exact", "collection", "", 0, 0).BlockFingerprints(ctx, cols)
+	out, err := freshBlocker(t, "exact", "collection", "").BlockFingerprints(ctx, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 	}
 
 	// …person-name keys merge them.
-	out, err = freshBlocker(t, "exact", "names", "", 0, 0).BlockFingerprints(ctx, cols)
+	out, err = freshBlocker(t, "exact", "names", "").BlockFingerprints(ctx, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,12 +350,12 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 // and invalid parameters fail when the pipeline is assembled.
 func TestNewBlockerPicksIndexForKeyedSchemes(t *testing.T) {
 	for _, scheme := range []string{"exact", "token"} {
-		if b, ok := freshBlocker(t, scheme, "", "", 0, 0).(*IndexBlocker); !ok {
+		if b, ok := freshBlocker(t, scheme, "", "").(*IndexBlocker); !ok {
 			t.Errorf("%s: got %T, want *IndexBlocker", scheme, b)
 		}
 	}
 	for _, scheme := range []string{"sortedneighborhood", "canopy"} {
-		if b, ok := freshBlocker(t, scheme, "", "", 0, 0).(SchemeBlocker); !ok {
+		if b, ok := freshBlocker(t, scheme, "", "").(SchemeBlocker); !ok {
 			t.Errorf("%s: got %T, want SchemeBlocker", scheme, b)
 		}
 	}
@@ -393,7 +393,7 @@ func TestURLHostKeyBlocksByHost(t *testing.T) {
 		t.Fatalf("fallback keys = %v, want the collection name", got)
 	}
 
-	out, err := freshBlocker(t, "exact", "urlhost", "", 0, 0).BlockFingerprints(context.Background(), cols)
+	out, err := freshBlocker(t, "exact", "urlhost", "").BlockFingerprints(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}

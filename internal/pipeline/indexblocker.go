@@ -123,8 +123,6 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		DeltaDocs:   stats.DeltaDocs,
 		DirtyBlocks: stats.DirtyBlocks,
 		Keys:        stats.Keys,
-		AnnM:        stats.M,
-		AnnEf:       stats.EfSearch,
 	}
 	if err := ctx.Err(); err != nil {
 		return IndexedBlocks{}, err

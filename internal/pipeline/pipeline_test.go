@@ -249,13 +249,13 @@ func TestParseStrategyAndBlockerErrors(t *testing.T) {
 	if _, err := ParseStrategy("bogus"); err == nil || !strings.Contains(err.Error(), "best, threshold, weighted, majority") {
 		t.Errorf("ParseStrategy error %v does not list valid options", err)
 	}
-	if _, err := ParseBlocking("bogus", "", "", 0, 0); err == nil || !strings.Contains(err.Error(), "exact, token, sortedneighborhood, canopy") {
+	if _, err := ParseBlocking("bogus", "", ""); err == nil || !strings.Contains(err.Error(), "exact, token, sortedneighborhood, canopy") {
 		t.Errorf("ParseBlocking scheme error %v does not list valid options", err)
 	}
-	if _, err := ParseBlocking("", "bogus", "", 0, 0); err == nil || !strings.Contains(err.Error(), "collection, names, urlhost, phonetic") {
+	if _, err := ParseBlocking("", "bogus", ""); err == nil || !strings.Contains(err.Error(), "collection, names, urlhost, phonetic") {
 		t.Errorf("ParseBlocking keys error %v does not list valid options", err)
 	}
-	if _, err := ParseBlocking("", "", "bogus", 0, 0); err == nil || !strings.Contains(err.Error(), "exact, ann") {
+	if _, err := ParseBlocking("", "", "bogus"); err == nil || !strings.Contains(err.Error(), "exact, ann") {
 		t.Errorf("ParseBlocking mode error %v does not list valid options", err)
 	}
 	if _, err := core.ParseClusteringMethod("bogus"); err == nil || !strings.Contains(err.Error(), "closure, correlation") {
@@ -267,7 +267,7 @@ func TestParseStrategyAndBlockerErrors(t *testing.T) {
 		}
 	}
 	for _, name := range blocking.SchemeNames {
-		if _, err := ParseBlocking(name, "", "", 0, 0); err != nil {
+		if _, err := ParseBlocking(name, "", ""); err != nil {
 			t.Errorf("ParseBlocking(%q): %v", name, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,8 +13,7 @@ import (
 
 // TestANNModeIncrementalResolve pins the happy path of blocking_mode
 // "ann": the incremental endpoint serves canopy from the shared ANN
-// candidate index, reports indexer "ann" with the effective graph knobs,
-// pays only the ingest delta on repeat runs, and surfaces the graph in
+// candidate index, reports indexer "ann", pays only the ingest delta on repeat runs, and surfaces the graph in
 // /v1/stats as the ersolve_ann_index_* families.
 func TestANNModeIncrementalResolve(t *testing.T) {
 	ts := testServer(t, Config{})
@@ -29,10 +29,6 @@ func TestANNModeIncrementalResolve(t *testing.T) {
 	if first.Blocking.IndexedDocs != 30 || first.Blocking.DeltaDocs != 30 {
 		t.Fatalf("first run indexed %d docs with delta %d, want 30/30",
 			first.Blocking.IndexedDocs, first.Blocking.DeltaDocs)
-	}
-	if first.Blocking.AnnM != ann.DefaultM || first.Blocking.AnnEf != ann.DefaultEfSearch {
-		t.Fatalf("ann knobs = M %d / ef %d, want the defaults %d / %d",
-			first.Blocking.AnnM, first.Blocking.AnnEf, ann.DefaultM, ann.DefaultEfSearch)
 	}
 
 	// Steady state: nothing ingested since, so the graph serves the whole
@@ -61,10 +57,47 @@ func TestANNModeIncrementalResolve(t *testing.T) {
 	}
 }
 
-// TestANNModeValidation pins the 400 surface of the new knobs on both
-// resolve endpoints: unknown modes, non-approximable schemes, unusable
-// graph knobs, and ann knobs sent without ann mode are all rejected
-// before any shared index entry is created for them.
+// TestANNGraphKeysDoNotSplitStates pins that the graph's degree and beam
+// are not request knobs: a body naming ann_m and ann_ef resolves under the
+// state of the same body without them, so the second run keys nothing new
+// and serves the first run's blocks.
+func TestANNGraphKeysDoNotSplitStates(t *testing.T) {
+	ts := testServer(t, Config{})
+	ingestCollection(t, ts, testCollection(t, 30))
+
+	resolve := func(body string) IncrementalResolveResponse {
+		t.Helper()
+		var out IncrementalResolveResponse
+		if code := postJSON(t, ts, "/v1/resolve/incremental", json.RawMessage(body), &out); code != http.StatusOK {
+			t.Fatalf("%s = %d", body, code)
+		}
+		return out
+	}
+	first := resolve(`{"blocking":"canopy","blocking_mode":"ann","ann_ef":256,"ann_m":4}`)
+	second := resolve(`{"blocking":"canopy","blocking_mode":"ann"}`)
+
+	if states := getStats(t, ts).value(t, "ersolve_snapshot_states"); states != 1 {
+		t.Errorf("%g snapshot states, want 1: ann_m and ann_ef filed a state of their own", states)
+	}
+	if second.Blocking.Indexer != "ann" || second.Blocking.DeltaDocs != 0 {
+		t.Errorf("second run blocking = %+v, want indexer \"ann\" with zero delta", second.Blocking)
+	}
+	firstBlocks, err := json.Marshal(first.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondBlocks, err := json.Marshal(second.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(firstBlocks, secondBlocks) {
+		t.Errorf("second run's blocks differ from the first's:\n%s\n%s", secondBlocks, firstBlocks)
+	}
+}
+
+// TestANNModeValidation pins the 400 surface of blocking_mode on both
+// resolve endpoints: unknown modes and non-approximable schemes are
+// rejected before any shared index entry is created for them.
 func TestANNModeValidation(t *testing.T) {
 	ts := testServer(t, Config{})
 
@@ -75,11 +108,6 @@ func TestANNModeValidation(t *testing.T) {
 		{"unknown mode", resolveKnobs{BlockingMode: "fuzzy"}},
 		{"exact scheme not approximable", resolveKnobs{BlockingMode: "ann"}},
 		{"keyed scheme not approximable", resolveKnobs{BlockingMode: "ann", Blocking: "token"}},
-		{"degree one graph", resolveKnobs{BlockingMode: "ann", Blocking: "canopy", AnnM: 1}},
-		{"negative degree", resolveKnobs{BlockingMode: "ann", Blocking: "canopy", AnnM: -4}},
-		{"negative beam", resolveKnobs{BlockingMode: "ann", Blocking: "canopy", AnnEf: -1}},
-		{"ann knobs without ann mode", resolveKnobs{Blocking: "canopy", AnnEf: 32}},
-		{"ann knobs and nothing else", resolveKnobs{AnnM: 16, AnnEf: 32}},
 	}
 	for _, c := range cases {
 		// The incremental endpoint validates before touching the store, so

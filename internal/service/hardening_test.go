@@ -106,7 +106,8 @@ func TestBlocksNeverNull(t *testing.T) {
 // finished ingest jobs answers 410 Gone (not 404), while truly unknown
 // IDs stay 404.
 func TestJobRecordEvictedIs410(t *testing.T) {
-	ts := testServer(t, Config{JobHistory: 1})
+	srv, ts := serverPair(t, Config{})
+	srv.jobs = store.NewQueue(1)
 	col := testCollection(t, 8)
 
 	postBatch := func(from, to int) string {

@@ -30,6 +30,10 @@ const degradedHelp = "Events where the server kept serving by giving something u
 var stages = slices.Concat(pipeline.Stages,
 	[]string{"lookup", "decode", "state.wait", "store.snapshot", "serving.load", "publish.serving", "persist.serving", "encode"})
 
+// traceRing bounds the ring of recently finished resolve traces GET
+// /v1/traces serves.
+const traceRing = 256
+
 // initObservability wires the metrics registry and the trace ring buffer.
 // Every lifetime counter the server owns is registered here, and both
 // /metrics and /v1/stats render the registry; values owned elsewhere (the
@@ -39,13 +43,7 @@ var stages = slices.Concat(pipeline.Stages,
 func (s *Server) initObservability() {
 	s.started = time.Now()
 	s.registry = metrics.NewRegistry()
-	if s.cfg.TraceBuffer >= 0 {
-		size := s.cfg.TraceBuffer
-		if size == 0 {
-			size = 256
-		}
-		s.traces = tracing.NewBuffer(size)
-	}
+	s.traces = tracing.NewBuffer(traceRing)
 
 	r := s.registry
 	c := &s.counters
@@ -300,9 +298,5 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	traces := s.traces.Traces(limit)
-	if traces == nil {
-		traces = []tracing.Trace{}
-	}
-	writeJSON(w, http.StatusOK, TracesResponse{Traces: traces})
+	writeJSON(w, http.StatusOK, TracesResponse{Traces: s.traces.Traces(limit)})
 }

@@ -401,18 +401,3 @@ func TestRestartDeltaResolveIsObserved(t *testing.T) {
 		}
 	}
 }
-
-// TestTracingDisabled pins the negative-TraceBuffer contract: requests
-// still work and the dump is empty, not an error.
-func TestTracingDisabled(t *testing.T) {
-	_, ts := serverPair(t, Config{TraceBuffer: -1})
-	ingestCollection(t, ts, testCollection(t, 12))
-	resolveOK(t, ts, IncrementalResolveRequest{})
-	var out TracesResponse
-	if code := getJSON(t, ts, "/v1/traces", &out); code != http.StatusOK {
-		t.Fatalf("GET /v1/traces = %d", code)
-	}
-	if len(out.Traces) != 0 {
-		t.Fatalf("disabled tracing returned %d traces", len(out.Traces))
-	}
-}

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -52,10 +53,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxBodyBytes bounds the request body; zero selects 32 MiB.
 	MaxBodyBytes int64
-	// JobHistory bounds how many finished ingest-job records stay
-	// queryable via GET /v1/jobs/{id}; older records answer 410 Gone.
-	// Zero selects 1024.
-	JobHistory int
 	// Store is the document store behind the ingest endpoints; nil
 	// selects a fresh in-memory store.
 	Store store.DocumentStore
@@ -73,10 +70,6 @@ type Config struct {
 	// data) and that run to a full resolution, and is reported through
 	// ErrorLog.
 	Serving ServingStore
-	// TraceBuffer bounds the ring of recently finished request traces
-	// GET /v1/traces serves; zero selects 256, negative disables tracing
-	// (the endpoint then always answers an empty list).
-	TraceBuffer int
 	// ErrorLog receives the failures the server survives, such as a
 	// serving index that did not save or load; nil selects log.Printf.
 	ErrorLog func(format string, args ...any)
@@ -119,8 +112,7 @@ type Server struct {
 
 	// registry renders every instrument above on GET /metrics and GET
 	// /v1/stats; traces is the ring of recently finished request traces
-	// GET /v1/traces dumps (nil when tracing is disabled); started anchors
-	// the uptime gauge.
+	// GET /v1/traces dumps; started anchors the uptime gauge.
 	registry *metrics.Registry
 	traces   *tracing.Buffer
 	started  time.Time
@@ -189,7 +181,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		store:  cfg.Store,
-		jobs:   store.NewQueue(cfg.JobHistory),
+		jobs:   store.NewQueue(jobHistory),
 		states: make(map[string]*incrementalState),
 	}
 	if s.store == nil {
@@ -214,6 +206,10 @@ func New(cfg Config) *Server {
 	}
 	return s
 }
+
+// jobHistory bounds how many finished ingest-job records stay queryable
+// via GET /v1/jobs/{id}; older records answer 410 Gone.
+const jobHistory = 1024
 
 // maxStates caps how many knob configurations keep incremental state (each
 // retains its last committed serving index — every block's labels, score
@@ -256,7 +252,9 @@ func liveIndexes[T pipeline.CandidateIndex](s *Server) []liveIndex[T] {
 // still in flight when the caller closes the data directory is safe too:
 // persist.Store's mutex lets an append that holds it finish before
 // Data.Close, and its closed flag refuses any append after it, so that
-// ingest's job fails instead of writing a closed journal.
+// ingest's job fails instead of writing a closed journal. ersolve serve
+// does not call it; the benchmark's replay probe (bench/probe.go) and the
+// tests do.
 func (s *Server) Close(context.Context) error {
 	return nil
 }
@@ -375,14 +373,8 @@ type resolveKnobs struct {
 	// serves the global schemes (canopy, sortedneighborhood) from the
 	// incremental approximate-nearest-neighbor candidate index — O(delta)
 	// instead of O(corpus) per run, trading a bounded amount of candidate
-	// recall tuned by AnnEf.
+	// recall.
 	BlockingMode string `json:"blocking_mode,omitempty"`
-	// AnnM is the ANN graph's per-node degree bound (default 12); only
-	// meaningful with BlockingMode "ann".
-	AnnM int `json:"ann_m,omitempty"`
-	// AnnEf is the ANN neighbor-query beam width — the recall knob
-	// (default 64); only meaningful with BlockingMode "ann".
-	AnnEf int `json:"ann_ef,omitempty"`
 	// TrainFraction is the labeled fraction (default 0.10).
 	TrainFraction float64 `json:"train_fraction,omitempty"`
 	// Regions is the accuracy-estimation region count (default 10).
@@ -999,16 +991,18 @@ func (s *Server) parseKnobs(req resolveKnobs) (cfg pipeline.Config, bc pipeline.
 	if cfg.Strategy, err = pipeline.ParseStrategy(strategy); err != nil {
 		return cfg, bc, "", err
 	}
-	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys, req.BlockingMode, req.AnnM, req.AnnEf); err != nil {
+	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys, req.BlockingMode); err != nil {
 		return cfg, bc, "", err
 	}
 	key = fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, bc.SchemeName, bc.KeysName,
 		opts.TrainFraction, opts.RegionK, opts.Seed)
 	// The ann section joins the key ONLY in ann mode: exact-mode keys are
 	// byte-identical to previous releases, so existing persisted serving
-	// indexes keep resolving under the same key after an upgrade.
+	// indexes keep resolving under the same key after an upgrade. It still
+	// spells the graph's degree and beam, which are constants now, so an
+	// ann-mode serving file written while they were request knobs loads too.
 	if bc.ANN {
-		key += fmt.Sprintf("|ann|%d|%d", bc.M, bc.EfSearch)
+		key += fmt.Sprintf("|ann|%d|%d", ann.DefaultM, ann.DefaultEfSearch)
 	}
 	return cfg, bc, key, nil
 }

@@ -660,7 +660,9 @@ func TestPersistedKeysAreStable(t *testing.T) {
 		{`{"blocking":"token","keys":"names"}`, "best|closure|token|names|0.1|10|1"},
 		{`{"blocking":"canopy"}`, "best|closure|canopy|collection|0.1|10|1"},
 		{`{"blocking":"canopy","blocking_mode":"ann"}`, "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
-		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "best|closure|sortedneighborhood|collection|0.1|10|1|ann|5|64"},
+		// ann_m and ann_ef are unknown keys: the graph's degree and beam
+		// are fixed, and the key spells them as it did when they were knobs.
+		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "best|closure|sortedneighborhood|collection|0.1|10|1|ann|12|64"},
 		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`,
 			"weighted|correlation|token|urlhost|0.2|5|-1"},
 		// The defaults spelled out file under the keys of their omission.
@@ -689,8 +691,7 @@ func TestPersistedKeysAreStable(t *testing.T) {
 // TestRejectedResolveLeavesNoIndex is the regression test for a request
 // that is answered 400 and still creates (and, with a data directory, loads
 // and later saves) a shared index: each body below is valid in its blocking
-// knobs and invalid elsewhere, and ann_m / ann_ef are client-chosen, so
-// rejected requests could mint graphs without bound.
+// knobs and invalid elsewhere.
 func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 12))
@@ -711,10 +712,10 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"strategy":"bogus","blocking":"token"}`,
-		`{"clustering":"nope","blocking":"canopy","blocking_mode":"ann","ann_ef":33}`,
+		`{"clustering":"nope","blocking":"canopy","blocking_mode":"ann"}`,
 		`{"train_fraction":7,"blocking":"token"}`,
 		`{"regions":1,"blocking":"token","keys":"urlhost"}`,
-		`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5,"strategy":"x"}`,
+		`{"blocking":"sortedneighborhood","blocking_mode":"ann","strategy":"x"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -734,16 +735,17 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 }
 
 // TestIndexesBoundedByStates is the regression test for a candidate index
-// outliving its configuration: ann_m is client-chosen, so every valid
-// value used to mint an ANN graph over the whole store that lived until the
-// process exited. Each index now belongs to one incremental state, and the
-// LRU that caps the states drops their indexes with them.
+// outliving its configuration: every client-chosen ann-mode configuration
+// (here, one per seed) mints an ANN graph over the whole store, and such a
+// graph used to live until the process exited. Each index now belongs to
+// one incremental state, and the LRU that caps the states drops their
+// indexes with them.
 func TestIndexesBoundedByStates(t *testing.T) {
 	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 12))
-	for m := 2; m < 2+2*maxStates; m++ {
+	for seed := int64(2); seed < 2+2*maxStates; seed++ {
 		resolveOK(t, ts, IncrementalResolveRequest{
-			resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann", AnnM: m},
+			resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann", Seed: &seed},
 		})
 	}
 	stats := getStats(t, ts)

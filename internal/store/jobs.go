@@ -62,12 +62,8 @@ type Queue struct {
 }
 
 // NewQueue returns an empty book. history bounds how many finished job
-// records stay queryable (values < 1 select 1024): the oldest record is
-// evicted beyond the cap.
+// records stay queryable: the oldest record is evicted beyond the cap.
 func NewQueue(history int) *Queue {
-	if history < 1 {
-		history = 1024
-	}
 	var eb [4]byte
 	rand.Read(eb[:]) // never fails (crypto/rand contract since Go 1.24)
 	return &Queue{

@@ -14,7 +14,7 @@ func succeed() (any, error) { return nil, nil }
 // record Get serves is the one Run returned, and its timestamps are
 // ordered enqueued ≤ started ≤ finished.
 func TestQueueRunsJobsInOrder(t *testing.T) {
-	q := NewQueue(0)
+	q := NewQueue(8)
 
 	var order []int
 	var ids []string
@@ -47,7 +47,7 @@ func TestQueueRunsJobsInOrder(t *testing.T) {
 }
 
 func TestQueueFailedJob(t *testing.T) {
-	q := NewQueue(0)
+	q := NewQueue(8)
 	job := q.Run("ingest", time.Now(), func() (any, error) {
 		return "partial", fmt.Errorf("boom")
 	})
@@ -63,7 +63,7 @@ func TestQueueFailedJob(t *testing.T) {
 // calls a failing job exactly one time, and its record stays failed with
 // the job's own error text however many jobs are filed after it.
 func TestQueuePermanentFailureDoesNotRetry(t *testing.T) {
-	q := NewQueue(0)
+	q := NewQueue(8)
 	runs := 0
 	job := q.Run("ingest", time.Now(), func() (any, error) {
 		runs++
@@ -80,7 +80,7 @@ func TestQueuePermanentFailureDoesNotRetry(t *testing.T) {
 }
 
 func TestQueueGetUnknown(t *testing.T) {
-	q := NewQueue(0)
+	q := NewQueue(8)
 	if _, outcome := q.Get("nope"); outcome != GetUnknown {
 		t.Fatalf("Get(\"nope\") outcome = %d, want GetUnknown", outcome)
 	}
@@ -97,8 +97,8 @@ func TestQueueGetUnknown(t *testing.T) {
 // an ID issued by one queue (one process lifetime) must be GetUnknown to
 // another queue, never resolve to an unrelated job or report evicted.
 func TestQueueIDsDoNotAliasAcrossEpochs(t *testing.T) {
-	q1 := NewQueue(0)
-	q2 := NewQueue(0)
+	q1 := NewQueue(8)
+	q2 := NewQueue(8)
 	j1 := q1.Run("ingest", time.Now(), succeed)
 	j2 := q2.Run("ingest", time.Now(), succeed)
 	if j1.ID == j2.ID {

@@ -5,159 +5,9 @@ import "math"
 // Retired library surface. Nothing outside this package's tests has called
 // these since the similarity stack was cut down to what Table I needs (PR
 // 19); they are out of the production package and live here only so that
-// the tests written against them (alignment_test.go, levenshtein_test.go,
-// the n-gram half of ngram_test.go, ExampleLevenshtein) keep running. Delete
+// the tests written against them (levenshtein_test.go, the n-gram half of
+// ngram_test.go, ExampleLevenshtein) keep running. Delete
 // a declaration together with its tests; never call one from non-test code.
-
-// Sequence-alignment similarities: Needleman-Wunsch (global alignment),
-// Smith-Waterman (local alignment) and SoftTFIDF (Cohen, Ravikumar,
-// Fienberg's hybrid token/character measure). None of Table I's functions
-// require them.
-
-// AlignmentParams scores an alignment: Match > 0, Mismatch and Gap <= 0.
-type AlignmentParams struct {
-	Match, Mismatch, Gap float64
-}
-
-// DefaultAlignment is the standard +1/−1/−1 scoring.
-var DefaultAlignment = AlignmentParams{Match: 1, Mismatch: -1, Gap: -1}
-
-// NeedlemanWunsch returns the global alignment score of a and b under the
-// given parameters (rune-level).
-func NeedlemanWunsch(a, b string, p AlignmentParams) float64 {
-	ra, rb := []rune(a), []rune(b)
-	prev := make([]float64, len(rb)+1)
-	curr := make([]float64, len(rb)+1)
-	for j := 1; j <= len(rb); j++ {
-		prev[j] = prev[j-1] + p.Gap
-	}
-	for i := 1; i <= len(ra); i++ {
-		curr[0] = prev[0] + p.Gap
-		for j := 1; j <= len(rb); j++ {
-			sub := p.Mismatch
-			if ra[i-1] == rb[j-1] {
-				sub = p.Match
-			}
-			curr[j] = math.Max(prev[j-1]+sub, math.Max(prev[j]+p.Gap, curr[j-1]+p.Gap))
-		}
-		prev, curr = curr, prev
-	}
-	return prev[len(rb)]
-}
-
-// NeedlemanWunschSimilarity normalizes the global alignment score into
-// [0, 1] by dividing by the best attainable score (all-match on the longer
-// string) and clamping negatives to 0. Two empty strings score 1.
-func NeedlemanWunschSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	maxLen := la
-	if lb > maxLen {
-		maxLen = lb
-	}
-	score := NeedlemanWunsch(a, b, DefaultAlignment)
-	norm := score / (DefaultAlignment.Match * float64(maxLen))
-	if norm < 0 {
-		return 0
-	}
-	return norm
-}
-
-// SmithWaterman returns the best local alignment score of a and b under the
-// given parameters (rune-level); the score is never negative.
-func SmithWaterman(a, b string, p AlignmentParams) float64 {
-	ra, rb := []rune(a), []rune(b)
-	prev := make([]float64, len(rb)+1)
-	curr := make([]float64, len(rb)+1)
-	best := 0.0
-	for i := 1; i <= len(ra); i++ {
-		for j := 1; j <= len(rb); j++ {
-			sub := p.Mismatch
-			if ra[i-1] == rb[j-1] {
-				sub = p.Match
-			}
-			v := math.Max(0, math.Max(prev[j-1]+sub, math.Max(prev[j]+p.Gap, curr[j-1]+p.Gap)))
-			curr[j] = v
-			if v > best {
-				best = v
-			}
-		}
-		prev, curr = curr, prev
-		for j := range curr {
-			curr[j] = 0
-		}
-	}
-	return best
-}
-
-// SmithWatermanSimilarity normalizes the local alignment score into [0, 1]
-// by the best attainable score on the shorter string: a string fully
-// contained in the other scores 1. Two empty strings score 1; one empty
-// string scores 0.
-func SmithWatermanSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	minLen := la
-	if lb < minLen {
-		minLen = lb
-	}
-	return SmithWaterman(a, b, DefaultAlignment) / (DefaultAlignment.Match * float64(minLen))
-}
-
-// SoftTFIDF compares two token sequences with TF-IDF-style weights, where
-// tokens "match" when their secondary character-level similarity reaches
-// theta (Cohen, Ravikumar, Fienberg 2003). weights maps tokens to their
-// corpus weight; unknown tokens weigh 1. The result is in [0, 1].
-func SoftTFIDF(a, b []string, weights map[string]float64, sim func(x, y string) float64, theta float64) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	w := func(t string) float64 {
-		if weights != nil {
-			if v, ok := weights[t]; ok {
-				return v
-			}
-		}
-		return 1
-	}
-	var na, nb float64
-	for _, t := range a {
-		na += w(t) * w(t)
-	}
-	for _, t := range b {
-		nb += w(t) * w(t)
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	var dot float64
-	for _, ta := range a {
-		bestSim, bestTok := 0.0, ""
-		for _, tb := range b {
-			if s := sim(ta, tb); s > bestSim {
-				bestSim, bestTok = s, tb
-			}
-		}
-		if bestSim >= theta {
-			dot += w(ta) * w(bestTok) * bestSim
-		}
-	}
-	v := dot / math.Sqrt(na*nb)
-	if v > 1 {
-		v = 1
-	}
-	return v
-}
 
 // Levenshtein returns the edit distance between a and b: the minimum number
 // of single-rune insertions, deletions and substitutions transforming a into

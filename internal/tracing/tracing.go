@@ -3,8 +3,8 @@
 // request's tree of spans (root span plus Block/Prepare/Analyze/Cluster
 // children); finished traces land in a lock-free ring Buffer of recent
 // traces dumped by GET /v1/traces. All builder methods are nil-safe, so
-// code under instrumentation can hold a nil *Active when tracing is
-// disabled and pay only a nil check.
+// code under instrumentation can hold a nil *Active where a request is not
+// traced and pay only a nil check.
 package tracing
 
 import (
@@ -59,7 +59,7 @@ const RootSpanID int64 = 1
 
 // Active is an in-flight trace under construction. The zero value is not
 // useful; obtain one from Buffer.Start. A nil *Active is valid and turns
-// every method into a no-op, which is how disabled tracing costs nothing.
+// every method into a no-op, which is how an untraced handler costs nothing.
 type Active struct {
 	buf    *Buffer
 	id     uint64
@@ -81,21 +81,14 @@ type Buffer struct {
 	ids   atomic.Uint64 // trace ID source
 }
 
-// NewBuffer returns a ring holding up to size traces; sizes below one
-// fall back to 64.
+// NewBuffer returns a ring holding up to size traces; size must be
+// positive.
 func NewBuffer(size int) *Buffer {
-	if size < 1 {
-		size = 64
-	}
 	return &Buffer{slots: make([]atomic.Pointer[Trace], size)}
 }
 
-// Start begins a new trace whose root span carries name. A nil Buffer
-// returns a nil *Active, keeping instrumented code unconditional.
+// Start begins a new trace whose root span carries name.
 func (b *Buffer) Start(name string) *Active {
-	if b == nil {
-		return nil
-	}
 	return &Active{
 		buf:    b,
 		id:     b.ids.Add(1),
@@ -175,9 +168,6 @@ func (a *Active) End() {
 // Traces returns up to limit finished traces, newest first. limit <= 0
 // means all retained traces.
 func (b *Buffer) Traces(limit int) []Trace {
-	if b == nil {
-		return nil
-	}
 	n := len(b.slots)
 	if limit <= 0 || limit > n {
 		limit = n

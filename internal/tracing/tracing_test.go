@@ -57,18 +57,11 @@ func TestTraceSpanTree(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	// A nil buffer and the nil Active it hands out must be inert.
-	var b *Buffer
-	tr := b.Start("x")
-	if tr != nil {
-		t.Fatal("nil buffer returned a live trace")
-	}
+	// The nil Active an untraced handler holds must be inert.
+	var tr *Active
 	tr.SetAttr("k", "v")
 	tr.Span("stage", time.Now(), time.Millisecond)
 	tr.End()
-	if got := b.Traces(10); got != nil {
-		t.Fatalf("nil buffer traces = %v", got)
-	}
 }
 
 func TestRingOverwritesAndOrders(t *testing.T) {
