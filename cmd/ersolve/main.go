@@ -7,8 +7,7 @@
 //
 //	ersolve -in dataset.json [-strategy best|threshold|weighted|majority]
 //	        [-clustering closure|correlation]
-//	        [-blocking exact|token|sortedneighborhood|canopy]
-//	        [-blocking-mode exact|ann]
+//	        [-blocking exact|token]
 //	        [-keys collection|names|urlhost|phonetic]
 //	        [-train 0.10] [-regions 10] [-seed N] [-score] [-members]
 //	ersolve serve [-addr :8476] [-timeout 30s] [-max-body 33554432]
@@ -82,8 +81,7 @@ func main() {
 		in         = flag.String("in", "", "input dataset JSON (required)")
 		strategy   = flag.String("strategy", "best", "best | threshold | weighted | majority")
 		clustering = flag.String("clustering", "closure", "closure | correlation")
-		blockingF  = flag.String("blocking", "exact", "exact | token | sortedneighborhood | canopy")
-		modeF      = flag.String("blocking-mode", "exact", "block-stage implementation: exact | ann (ann needs -blocking canopy or sortedneighborhood)")
+		blockingF  = flag.String("blocking", "exact", "exact | token")
 		keysF      = flag.String("keys", "collection", "blocking keys: collection | names | urlhost | phonetic")
 		train      = flag.Float64("train", 0.10, "training fraction")
 		regionK    = flag.Int("regions", 10, "accuracy-estimation regions")
@@ -118,10 +116,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(2)
 	}
-	// Key-based schemes block through the key index (the incremental
-	// Block stage); global schemes keep the per-run pass in exact mode
-	// and the approximate candidate graph with -blocking-mode ann.
-	blockingCfg, err := pipeline.ParseBlocking(*blockingF, *keysF, *modeF)
+	// Both schemes block through the key index (the incremental Block
+	// stage).
+	blockingCfg, err := pipeline.ParseBlocking(*blockingF, *keysF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ersolve:", err)
 		os.Exit(2)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-seed N] [-runs N] [-quick]
-//	            [-exp all|fig1|fig2|fig3|table2|table3|ablations|incremental|annrecall]
+//	            [-exp all|fig1|fig2|fig3|table2|table3|ablations|incremental]
 //
 // Output is printed as text tables; Table II additionally prints the
 // paper's reported numbers and the shape checks documented in DESIGN.md.
@@ -29,7 +29,7 @@ func main() {
 		seed  = flag.Int64("seed", 2010, "root random seed")
 		runs  = flag.Int("runs", 5, "independent training draws to average")
 		quick = flag.Bool("quick", false, "reduced setup (2 runs) for smoke tests")
-		exp   = flag.String("exp", "all", "experiment: all, fig1, fig2, fig3, table2, table3, ablations, incremental, annrecall")
+		exp   = flag.String("exp", "all", "experiment: all, fig1, fig2, fig3, table2, table3, ablations, incremental")
 	)
 	flag.Parse()
 
@@ -164,26 +164,9 @@ func run(ctx context.Context, cfg experiments.Config, exp string) error {
 			return err
 		}
 	}
-	if exp == "annrecall" {
-		if err := runOne("annrecall", func() error {
-			// Quick configs sweep fewer beam widths.
-			efs := []int{16, 32, 64, 128, 256}
-			if cfg.Runs <= 2 {
-				efs = []int{16, 64}
-			}
-			rep, err := experiments.ANNRecallSweep(ctx, cfg, efs)
-			if err != nil {
-				return err
-			}
-			fmt.Print(rep.Render())
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
 	if !all && exp != "fig1" && exp != "fig2" && exp != "fig3" &&
 		exp != "table2" && exp != "table3" && exp != "ablations" &&
-		exp != "incremental" && exp != "annrecall" {
+		exp != "incremental" {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil

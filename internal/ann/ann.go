@@ -284,45 +284,3 @@ func (x *CandidateIndex) UpdateMembership(cols []*corpus.Collection) (UpdateStat
 	refs, fps := x.comps.Membership()
 	return stats, refs, fps, nil
 }
-
-// Stats describes the index's current shape.
-type Stats struct {
-	// Docs is the number of inserted documents.
-	Docs int `json:"docs"`
-	// Collections is the number of indexed collections.
-	Collections int `json:"collections"`
-	// Blocks is the number of candidate-connected components.
-	Blocks int `json:"blocks"`
-	// Edges is the number of component-merging candidate edges.
-	Edges int `json:"edges"`
-	// Terms is the vocabulary size the vectors are packed over.
-	Terms int `json:"terms"`
-	// MaxLevel is the top graph layer in use.
-	MaxLevel int `json:"max_level"`
-	// M and EfSearch are the graph knobs.
-	M        int `json:"m"`
-	EfSearch int `json:"ef_search"`
-	// Version counts inserted documents.
-	Version uint64 `json:"version"`
-}
-
-// Stats reports the index's current shape.
-func (x *CandidateIndex) Stats() Stats {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	maxLevel := 0
-	if x.entry >= 0 {
-		maxLevel = int(x.maxLevel)
-	}
-	return Stats{
-		Docs:        x.comps.Docs(),
-		Collections: x.comps.Collections(),
-		Blocks:      x.comps.Blocks(),
-		Edges:       len(x.edges),
-		Terms:       x.vocab.Len(),
-		MaxLevel:    maxLevel,
-		M:           x.m,
-		EfSearch:    x.efSrch,
-		Version:     x.comps.Version(),
-	}
-}

@@ -109,8 +109,9 @@ func TestDeterministicRebuild(t *testing.T) {
 	if !reflect.DeepEqual(aRefs, bRefs) || !reflect.DeepEqual(aFps, bFps) {
 		t.Fatal("two builds of the same corpus disagree on membership")
 	}
-	if !reflect.DeepEqual(a.Stats(), b.Stats()) {
-		t.Fatalf("two builds of the same corpus disagree on stats: %+v vs %+v", a.Stats(), b.Stats())
+	if a.entry != b.entry || a.maxLevel != b.maxLevel || a.vocab.Len() != b.vocab.Len() {
+		t.Fatalf("two builds of the same corpus disagree on the graph's entry (%d vs %d), top layer (%d vs %d) or vocabulary (%d vs %d terms)",
+			a.entry, b.entry, a.maxLevel, b.maxLevel, a.vocab.Len(), b.vocab.Len())
 	}
 	if !reflect.DeepEqual(a.edges, b.edges) {
 		t.Fatal("two builds of the same corpus logged different candidate edges")

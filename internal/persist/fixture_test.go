@@ -202,9 +202,9 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 			func() error { _, err := data.Indexes.LoadIndex(fixIdxKey, cfg); return err }, data.Indexes.Quarantined)
 	})
 
-	// An ANN graph an earlier release saved, under the name it derived for
-	// the key the resolve below blocks under, is never read: the resolve
-	// keys the corpus into a fresh graph, nothing is quarantined, logged or
+	// An ANN graph an earlier release saved is never read: no request can
+	// name an ann-mode configuration any more, the default resolve keys the
+	// corpus into a fresh key index, nothing is quarantined, logged or
 	// counted as degraded, and the file is left byte for byte.
 	t.Run("ann", func(t *testing.T) {
 		dir := t.TempDir()
@@ -220,9 +220,9 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		}
 		ts, logged := serveLogged(t, data)
 
-		got := resolve(t, ts, `{"seed": 42, "blocking": "canopy", "blocking_mode": "ann"}`)
-		if b := got.Blocking; b.Indexer != "ann" || b.DeltaDocs != got.Docs || got.Docs != 21 {
-			t.Errorf("resolve over the parent's .ann blocked with %+v over %d documents; want a fresh graph keyed from all 21", b, got.Docs)
+		got := resolve(t, ts, `{"seed": 42}`)
+		if b := got.Blocking; b.Indexer != "index" || b.DeltaDocs != got.Docs || got.Docs != 21 {
+			t.Errorf("resolve beside the parent's .ann blocked with %+v over %d documents; want a fresh key index keyed from all 21", b, got.Docs)
 		}
 		if errs := logged(); len(errs) != 0 {
 			t.Errorf("the service logged %v, want nothing", errs)

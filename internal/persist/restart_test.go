@@ -115,8 +115,8 @@ func postIncremental(t *testing.T, ts *httptest.Server, body string) incResponse
 
 // TestKillAndRestartEqualsFull is the kill-and-restart acceptance test:
 // a server with a -data directory ingests a corpus and resolves it under
-// every blocking scheme × strategy × clustering combination (the grid
-// TestIncrementalEqualsFull pins in-process); the process then "dies"
+// every blocking scheme a request accepts × strategy × clustering (the
+// grid TestIncrementalEqualsFull pins in-process); the process then "dies"
 // (the server is abandoned mid-flight — every durable write was already
 // fsynced at operation time, exactly the crash contract) and a new
 // server reopens the directory. After the restart:
@@ -126,11 +126,10 @@ func postIncremental(t *testing.T, ts *httptest.Server, body string) incResponse
 //     block (reused_blocks == blocks), and
 //   - its clusters equal a fresh full resolution of the reopened store.
 func TestKillAndRestartEqualsFull(t *testing.T) {
-	schemes := []string{"exact", "token", "sortedneighborhood", "canopy"}
+	schemes := []string{"exact", "token"}
 	strategies := []string{"best", "threshold", "weighted", "majority"}
 	clusterings := []string{"closure", "correlation"}
 	if testing.Short() {
-		schemes = []string{"exact", "sortedneighborhood"}
 		strategies = []string{"best", "weighted"}
 		clusterings = []string{"closure"}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ann"
@@ -61,16 +62,9 @@ func annScheme(t testing.TB, name string) blocking.ApproxScheme {
 	return approx
 }
 
-// annBlocker builds a fresh "ann"-mode blocker for scheme through
-// ParseBlocking, as an entry point would.
-func annBlocker(t testing.TB, scheme string) *IndexBlocker {
-	t.Helper()
-	return freshBlocker(t, scheme, "", "ann").(*IndexBlocker)
-}
-
-// annBlockerWith builds an "ann"-mode blocker for scheme over a graph of
-// degree m and beam ef (zero selects the ann package's default), which no
-// entry point configures.
+// annBlockerWith builds an ANN blocker for scheme over a graph of degree m
+// and beam ef (zero selects the ann package's default). No entry point
+// builds one: they block by keys only.
 func annBlockerWith(t testing.TB, scheme string, m, ef int) *IndexBlocker {
 	t.Helper()
 	idx, err := ann.New(ann.Config{Scheme: annScheme(t, scheme), M: m, EfSearch: ef})
@@ -104,7 +98,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/%s", scheme, strategy, clustering)
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					incremental := incrementalPipelineWith(t, annBlocker(t, scheme), strategy, clustering)
+					incremental := incrementalPipelineWith(t, annBlockerWith(t, scheme, 0, 0), strategy, clustering)
 
 					var snap *Snapshot
 					var last *IncrementalResult
@@ -123,7 +117,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 						t.Fatal("last batch indexed no documents")
 					}
 
-					full := incrementalPipelineWith(t, annBlocker(t, scheme), strategy, clustering)
+					full := incrementalPipelineWith(t, annBlockerWith(t, scheme, 0, 0), strategy, clustering)
 					want, err := full.RunIncremental(ctx, flatPrefix(cols, batches-1, batches), nil)
 					if err != nil {
 						t.Fatalf("full: %v", err)
@@ -260,32 +254,21 @@ func TestANNCanopyRecall(t *testing.T) {
 	}
 }
 
-// TestNewModeBlockerDispatch pins the mode switch: exact mode keeps
-// today's dispatch bit for bit, ann mode serves global schemes from the
-// candidate index and rejects key-based schemes, and junk modes are
-// rejected.
+// TestNewModeBlockerDispatch pins that every configuration an entry point
+// accepts blocks through the key index, and that the blocking mode is gone:
+// the global schemes it served are refused, naming the schemes that stay.
 func TestNewModeBlockerDispatch(t *testing.T) {
-	if b, ok := freshBlocker(t, "", "", "").(*IndexBlocker); !ok {
-		t.Errorf("default mode: got %T, want *IndexBlocker", b)
+	for _, scheme := range []string{"", "exact", "token"} {
+		for _, keys := range append([]string{""}, KeyNames...) {
+			out, err := freshBlocker(t, scheme, keys).BlockFingerprints(context.Background(), nil)
+			if err != nil || out.Stats.Indexer != "index" {
+				t.Errorf("%q/%q: stats say indexer %q (err %v), want \"index\"", scheme, keys, out.Stats.Indexer, err)
+			}
+		}
 	}
-	if b, ok := freshBlocker(t, "canopy", "", "exact").(SchemeBlocker); !ok {
-		t.Errorf("exact mode, canopy: got %T, want SchemeBlocker", b)
-	}
-	b := freshBlocker(t, "canopy", "", "ann")
-	if _, ok := b.(*IndexBlocker); !ok {
-		t.Errorf("ann mode, canopy: got %T, want *IndexBlocker", b)
-	} else if out, err := b.BlockFingerprints(context.Background(), nil); err != nil || out.Stats.Indexer != "ann" {
-		t.Errorf("ann mode, canopy: stats say indexer %q (err %v), want \"ann\"", out.Stats.Indexer, err)
-	}
-	for _, bad := range []struct {
-		why          string
-		scheme, mode string
-	}{
-		{"ann mode accepted a key-based scheme", "exact", "ann"},
-		{"unknown mode was accepted", "exact", "fuzzy"},
-	} {
-		if _, err := ParseBlocking(bad.scheme, "", bad.mode); err == nil {
-			t.Error(bad.why)
+	for _, scheme := range []string{"canopy", "sortedneighborhood"} {
+		if _, err := ParseBlocking(scheme, ""); err == nil || !strings.Contains(err.Error(), "(valid: exact, token)") {
+			t.Errorf("ParseBlocking(%q) = %v, want a refusal naming exact, token", scheme, err)
 		}
 	}
 }
@@ -304,7 +287,7 @@ func TestPhoneticKeyMergesSpellings(t *testing.T) {
 			{ID: 0, URL: "http://c.example/1", Text: "Mary Jones founded the lab", PersonaID: 0},
 		}},
 	}
-	out, err := freshBlocker(t, "exact", "phonetic", "").BlockFingerprints(context.Background(), cols)
+	out, err := freshBlocker(t, "exact", "phonetic").BlockFingerprints(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
@@ -43,8 +42,9 @@ type IndexedBlocks struct {
 // the work the incremental index reused.
 type BlockingStats struct {
 	// Indexer names the block stage implementation: "index" for the
-	// incremental key index, "ann" for the approximate candidate
-	// index, "scheme" for the per-run SchemeBlocker.
+	// incremental key index (every entry point's blocker), "ann" for the
+	// approximate candidate index and "scheme" for the per-run
+	// SchemeBlocker, which only the library and the benchmark build.
 	Indexer string `json:"indexer"`
 	// IndexedDocs is the total number of documents in the index after the
 	// run.
@@ -161,20 +161,19 @@ type BlockingConfig struct {
 	// with the defaults ("exact", "collection") resolved — the spellings
 	// index and state keys are built from.
 	SchemeName, KeysName string
-	Scheme               blocking.Scheme
+	Scheme               blocking.KeyedScheme
 	Keys                 KeyFunc
-	// ANN selects the approximate candidate graph (blocking mode "ann"),
-	// built with the ann package's default degree and beam.
-	ANN bool
 }
 
 // ParseBlocking maps the CLI/API blocking names to their configuration,
-// rejecting every bad combination up front: an unknown scheme, key function
-// or mode, and "ann" mode over a scheme without an approximation policy
-// (the key-based schemes already have an exact O(delta) index, so
-// approximating them would only lose recall). Empty names select the
-// paper's setup: exact-key blocking over collection names, exact mode.
-func ParseBlocking(scheme, keys, mode string) (BlockingConfig, error) {
+// rejecting an unknown key function and every scheme but the key-based
+// ones (exact, token) up front. The global schemes (sortedneighborhood,
+// canopy) pair records by a window or canopy, and the connected
+// components of those pairs chain into one corpus-sized block, so no
+// entry point offers them; blocking.ParseScheme still builds them for
+// SchemeBlocker. Empty names select the paper's setup: exact-key blocking
+// over collection names.
+func ParseBlocking(scheme, keys string) (BlockingConfig, error) {
 	c := BlockingConfig{SchemeName: scheme, KeysName: keys}
 	if c.SchemeName == "" {
 		c.SchemeName = "exact"
@@ -182,44 +181,22 @@ func ParseBlocking(scheme, keys, mode string) (BlockingConfig, error) {
 	if c.KeysName == "" {
 		c.KeysName = "collection"
 	}
-	switch mode {
-	case "", "exact":
-	case "ann":
-		c.ANN = true
-	default:
-		return BlockingConfig{}, fmt.Errorf("pipeline: unknown blocking mode %q (valid: exact, ann)", mode)
+	parsed, err := blocking.ParseScheme(c.SchemeName)
+	keyed, ok := parsed.(blocking.KeyedScheme)
+	if err != nil || !ok {
+		return BlockingConfig{}, fmt.Errorf("blocking: unknown scheme %q (valid: exact, token)", c.SchemeName)
 	}
-	var err error
-	if c.Scheme, err = blocking.ParseScheme(c.SchemeName); err != nil {
-		return BlockingConfig{}, err
-	}
+	c.Scheme = keyed
 	if c.Keys, err = ParseKeys(c.KeysName); err != nil {
 		return BlockingConfig{}, err
-	}
-	if _, ok := c.Scheme.(blocking.ApproxScheme); c.ANN && !ok {
-		return BlockingConfig{}, fmt.Errorf("pipeline: blocking mode \"ann\" needs a global scheme with an approximation policy (canopy, sortedneighborhood), not %q — the key-based schemes already have an exact O(delta) index", c.SchemeName)
 	}
 	return c, nil
 }
 
-// FreshBlocker builds the configuration's blocker over a new, empty index:
-// an IndexBlocker over the approximate candidate graph in "ann" mode, over
-// the key index for a scheme whose candidate pairs come purely from
-// shared keys (blocking.KeyedScheme — exact, token), and the stateless
-// per-run SchemeBlocker for a global scheme in exact mode.
-func (c BlockingConfig) FreshBlocker() (Blocker, error) {
-	if c.ANN {
-		approx, _ := c.Scheme.(blocking.ApproxScheme) // nil is ann.New's to reject
-		idx, err := ann.New(ann.Config{Scheme: approx, Keys: c.Keys})
-		if err != nil {
-			return nil, err
-		}
-		return NewANNBlockerWith(idx), nil
-	}
-	if keyed, ok := c.Scheme.(blocking.KeyedScheme); ok {
-		return NewIndexBlocker(keyed, c.Keys, 0)
-	}
-	return SchemeBlocker{Scheme: c.Scheme, Keys: c.Keys}, nil
+// FreshBlocker builds the configuration's blocker: an IndexBlocker over a
+// new, empty key index.
+func (c BlockingConfig) FreshBlocker() (*IndexBlocker, error) {
+	return NewIndexBlocker(c.Scheme, c.Keys, 0)
 }
 
 // SchemeBlocker adapts any blocking.Scheme into the pipeline's block

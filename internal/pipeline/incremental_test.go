@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/corpus"
 )
@@ -55,9 +56,9 @@ func batchPrefix(cols []*corpus.Collection, k, total int) []*corpus.Collection {
 
 // freshBlocker parses a blocking configuration and builds its blocker over
 // a new index, the way every entry point does.
-func freshBlocker(t testing.TB, scheme, keys, mode string) Blocker {
+func freshBlocker(t testing.TB, scheme, keys string) *IndexBlocker {
 	t.Helper()
-	cfg, err := ParseBlocking(scheme, keys, mode)
+	cfg, err := ParseBlocking(scheme, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +69,22 @@ func freshBlocker(t testing.TB, scheme, keys, mode string) Blocker {
 	return b
 }
 
+// incrementalPipeline assembles a scored pipeline over scheme's blocker:
+// the entry points' one for the key-based schemes, and for the global ones,
+// which no entry point accepts, the library's full pass.
 func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pipeline {
 	t.Helper()
+	var blocker Blocker
+	switch scheme {
+	case "sortedneighborhood", "canopy":
+		parsed, err := blocking.ParseScheme(scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocker = SchemeBlocker{Scheme: parsed}
+	default:
+		blocker = freshBlocker(t, scheme, "")
+	}
 	opts := core.DefaultOptions()
 	opts.Seed = 42
 	m, err := core.ParseClusteringMethod(clustering)
@@ -81,7 +96,7 @@ func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pip
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := New(Config{Options: opts, Strategy: strat, Blocker: freshBlocker(t, scheme, "", ""), Score: true})
+	pl, err := New(Config{Options: opts, Strategy: strat, Blocker: blocker, Score: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -322,7 +322,7 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 	ctx := context.Background()
 
 	// Collection-name keys keep the spellings apart…
-	out, err := freshBlocker(t, "exact", "collection", "").BlockFingerprints(ctx, cols)
+	out, err := freshBlocker(t, "exact", "collection").BlockFingerprints(ctx, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 	}
 
 	// …person-name keys merge them.
-	out, err = freshBlocker(t, "exact", "names", "").BlockFingerprints(ctx, cols)
+	out, err = freshBlocker(t, "exact", "names").BlockFingerprints(ctx, cols)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,18 +345,14 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 	}
 }
 
-// TestNewBlockerPicksIndexForKeyedSchemes pins the dispatch: key-based
-// schemes get the incremental index, global schemes the per-run blocker,
-// and invalid parameters fail when the pipeline is assembled.
+// TestNewBlockerPicksIndexForKeyedSchemes pins the dispatch: every scheme
+// an entry point accepts gets the incremental key index, and invalid
+// global-scheme parameters still fail when the pipeline is assembled.
 func TestNewBlockerPicksIndexForKeyedSchemes(t *testing.T) {
 	for _, scheme := range []string{"exact", "token"} {
-		if b, ok := freshBlocker(t, scheme, "", "").(*IndexBlocker); !ok {
-			t.Errorf("%s: got %T, want *IndexBlocker", scheme, b)
-		}
-	}
-	for _, scheme := range []string{"sortedneighborhood", "canopy"} {
-		if b, ok := freshBlocker(t, scheme, "", "").(SchemeBlocker); !ok {
-			t.Errorf("%s: got %T, want SchemeBlocker", scheme, b)
+		out, err := freshBlocker(t, scheme, "").BlockFingerprints(context.Background(), incrementalCollections(t))
+		if err != nil || out.Stats.Indexer != "index" || out.Stats.DeltaDocs == 0 {
+			t.Errorf("%s: blocking stats %+v (err %v), want the key index's", scheme, out.Stats, err)
 		}
 	}
 	if _, err := New(Config{Blocker: NewSchemeBlocker(blocking.SortedNeighborhood{Window: 1})}); err == nil {
@@ -393,7 +389,7 @@ func TestURLHostKeyBlocksByHost(t *testing.T) {
 		t.Fatalf("fallback keys = %v, want the collection name", got)
 	}
 
-	out, err := freshBlocker(t, "exact", "urlhost", "").BlockFingerprints(context.Background(), cols)
+	out, err := freshBlocker(t, "exact", "urlhost").BlockFingerprints(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,10 +31,10 @@ type CandidateIndex interface {
 // keys and hashes only the documents that arrived since the previous call,
 // merges them into the candidate-connected components, and assembles the
 // block collections in parallel. Over the key index it serves the
-// key-based schemes (exact, token) exactly; over the ANN index it serves
-// the global schemes (canopy, sorted neighborhood) approximately,
-// replacing their O(N²) per-run pass; without an index the global schemes
-// keep SchemeBlocker.
+// key-based schemes (exact, token) exactly, and it is what every entry
+// point blocks with (BlockingConfig.FreshBlocker); over the ANN index it
+// serves the global schemes (canopy, sorted neighborhood) approximately,
+// which only the library and the benchmark build (NewANNBlockerWith).
 //
 // An IndexBlocker is bound to one append-only corpus (a document store):
 // every call must present a superset of the previous call's collections,

@@ -26,13 +26,12 @@
 // two implementations: SchemeBlocker, the stateless full pass over any
 // scheme and the reference the other is tested against, and IndexBlocker,
 // which serves a growing corpus in O(delta) from an incremental
-// CandidateIndex — the key index (internal/blockindex) for the
-// key-based schemes, the HNSW candidate index (internal/ann) for the global
-// schemes in "ann" mode. The blocker is the same code over both; only the
-// index differs. Which one a scheme name, key-function name, mode and graph
-// knobs select is decided in one place: ParseBlocking validates them into a
-// BlockingConfig, whose FreshBlocker every entry point (the CLI, both
-// resolve endpoints, the examples) builds its block stage from.
+// CandidateIndex — the key index (internal/blockindex) for the key-based
+// schemes, or the HNSW candidate index (internal/ann) for a global scheme
+// built by hand. Every entry point (the CLI, both resolve endpoints, the
+// examples) blocks by keys: ParseBlocking validates a scheme name (exact,
+// token) and a key-function name into a BlockingConfig, whose FreshBlocker
+// is an IndexBlocker over a new key index.
 //
 // Every stage takes a context.Context threaded down through core.Resolver,
 // simfn.PrepareBlockCtx and simfn.ComputeAllCtx, so cancellation or a timeout

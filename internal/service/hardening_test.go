@@ -175,10 +175,14 @@ func TestStatePinnedDuringSlowRun(t *testing.T) {
 	srv := New(Config{})
 	t.Cleanup(func() { srv.Close(context.Background()) })
 	knobs := func(seed int64) string { return fmt.Sprintf("seed %d", seed) }
-	// acquire takes a configuration's state; the zero blocking
-	// configuration builds a stateless scheme blocker, which cannot fail.
+	// acquire takes a configuration's state; the default blocking
+	// configuration builds an empty key index, which cannot fail.
+	bc, err := pipeline.ParseBlocking("", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	acquire := func(seed int64) *incrementalState {
-		st, err := srv.acquireState(knobs(seed), pipeline.BlockingConfig{})
+		st, err := srv.acquireState(knobs(seed), bc)
 		if err != nil {
 			t.Error(err)
 		}

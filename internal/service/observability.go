@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/blockindex"
 	"repro/internal/faultfs"
 	"repro/internal/metrics"
@@ -155,33 +154,36 @@ func (s *Server) initObservability() {
 	r.GaugeFunc("ersolve_blocking_index_docs", "Documents indexed per blocking index.",
 		indexSamples(s, func(x *blockindex.Index) float64 { return float64(x.Stats().Docs) }))
 
-	// ersolve_ann_* describe every live ANN candidate index (the "ann"
-	// blocking mode): graph size, spanning-forest edges, and the component
-	// count the next resolve will assemble blocks from.
-	annSamples := func(value func(st ann.Stats) float64) func() []metrics.Sample {
-		return indexSamples(s, func(x *ann.CandidateIndex) float64 { return value(x.Stats()) })
-	}
-	r.GaugeFunc("ersolve_ann_index_docs", "Documents inserted into each ANN candidate index.",
-		annSamples(func(st ann.Stats) float64 { return float64(st.Docs) }))
-	r.GaugeFunc("ersolve_ann_index_edges", "Component-merging candidate edges kept by each ANN index.",
-		annSamples(func(st ann.Stats) float64 { return float64(st.Edges) }))
-	r.GaugeFunc("ersolve_ann_index_blocks", "Candidate components (blocks) in each ANN index.",
-		annSamples(func(st ann.Stats) float64 { return float64(st.Blocks) }))
-	r.GaugeFunc("ersolve_ann_index_max_level", "Top populated graph layer of each ANN index.",
-		annSamples(func(st ann.Stats) float64 { return float64(st.MaxLevel) }))
-
 	r.Gauge("ersolve_uptime_seconds", "Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	r.Gauge("ersolve_build_info", "Build information; the value is always 1.",
 		func() float64 { return 1 }, "go_version", runtime.Version())
 }
 
-// indexSamples builds a gauge callback emitting one sample, labelled with
-// the owning configuration's knobs key, per live index of kind T.
-func indexSamples[T pipeline.CandidateIndex](s *Server, value func(T) float64) func() []metrics.Sample {
+// indexSamples builds a gauge callback emitting one sample per live key
+// index, labelled with the owning configuration's knobs key and ordered by
+// it. A state's blocker never changes, so the indexes are listed under
+// statesMu and queried without it: an index's Stats() waits on its own
+// mutex, which an in-flight update can hold for a while, and stalling
+// acquireState (and with it every incremental resolve) on a stats scrape
+// is not worth it.
+func indexSamples(s *Server, value func(*blockindex.Index) float64) func() []metrics.Sample {
+	type liveIndex struct {
+		key string
+		idx *blockindex.Index
+	}
 	return func() []metrics.Sample {
+		var live []liveIndex
+		s.statesMu.Lock()
+		for key, state := range s.states {
+			if idx, ok := state.blocker.Index().(*blockindex.Index); ok {
+				live = append(live, liveIndex{key: key, idx: idx})
+			}
+		}
+		s.statesMu.Unlock()
+		sort.Slice(live, func(i, j int) bool { return live[i].key < live[j].key })
 		var out []metrics.Sample
-		for _, li := range liveIndexes[T](s) {
+		for _, li := range live {
 			out = append(out, metrics.Sample{Labels: []string{"index", li.key}, Value: value(li.idx)})
 		}
 		return out

@@ -210,8 +210,8 @@ func TestStatsMatchesMetrics(t *testing.T) {
 	_, ts := serverPair(t, durableConfig(data))
 	ingestCollection(t, ts, testCollection(t, 24))
 	resolveOK(t, ts, IncrementalResolveRequest{})
-	canopy := IncrementalResolveRequest{resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann"}}
-	resolveOK(t, ts, canopy)
+	token := IncrementalResolveRequest{resolveKnobs: resolveKnobs{Blocking: "token"}}
+	resolveOK(t, ts, token)
 	for _, path := range []string{"/v1/search?name=rivera", "/v1/docs/rivera:0/entity", "/v1/docs/rivera:99/entity"} {
 		getJSON(t, ts, path, nil)
 	}

@@ -22,14 +22,12 @@ import (
 	"log"
 	"mime"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
@@ -146,9 +144,8 @@ type incrementalState struct {
 	// both reuse; guarded by mu.
 	index *serving.Index
 	// blocker is the configuration's block stage, built empty with the
-	// state and never replaced; over an indexed scheme it owns the state's
-	// candidate index.
-	blocker pipeline.Blocker
+	// state and never replaced; it owns the state's key index.
+	blocker *pipeline.IndexBlocker
 	// loadTried marks that the persisted serving index (if any) was
 	// already adopted as index or found unusable, so it is read at most
 	// once per state; guarded by mu.
@@ -217,34 +214,6 @@ const jobHistory = 1024
 // least-recently-used is evicted beyond the cap, except states pinned by an
 // in-flight run.
 const maxStates = 16
-
-// liveIndex is one state's candidate index of kind T with the state's key.
-type liveIndex[T pipeline.CandidateIndex] struct {
-	key string
-	idx T
-}
-
-// liveIndexes lists the states' indexes of kind T — *blockindex.Index or
-// *ann.CandidateIndex — ordered by key: the one place the metrics tell the
-// kinds apart. A state's blocker never changes, so the list is taken under
-// statesMu and the indexes queried without it: an index's Stats() waits on
-// its own mutex, which an in-flight update can hold for a while, and
-// stalling acquireState (and with it every incremental resolve) on a stats
-// scrape is not worth it.
-func liveIndexes[T pipeline.CandidateIndex](s *Server) []liveIndex[T] {
-	var out []liveIndex[T]
-	s.statesMu.Lock()
-	for key, state := range s.states {
-		if ib, ok := state.blocker.(*pipeline.IndexBlocker); ok {
-			if idx, ok := ib.Index().(T); ok {
-				out = append(out, liveIndex[T]{key: key, idx: idx})
-			}
-		}
-	}
-	s.statesMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
-}
 
 // Close returns nil: the server has nothing to drain or flush. An ingest
 // is durable once its 202 is sent, a resolve once it answered, and the
@@ -359,8 +328,8 @@ type resolveKnobs struct {
 	// Clustering is the final clustering step: closure | correlation
 	// (default closure).
 	Clustering string `json:"clustering,omitempty"`
-	// Blocking re-partitions the documents: exact | token |
-	// sortedneighborhood | canopy (default exact, the paper's scheme).
+	// Blocking re-partitions the documents by their keys: exact | token
+	// (default exact, the paper's scheme).
 	Blocking string `json:"blocking,omitempty"`
 	// Keys derives each document's blocking keys: collection | names |
 	// urlhost | phonetic (default collection; names keys documents by
@@ -368,13 +337,6 @@ type resolveKnobs struct {
 	// spelling variants; phonetic additionally soundex-encodes them so
 	// spelling variants share a key).
 	Keys string `json:"keys,omitempty"`
-	// BlockingMode selects the block-stage implementation: exact | ann
-	// (default exact, bit-identical to previous releases). Mode "ann"
-	// serves the global schemes (canopy, sortedneighborhood) from the
-	// incremental approximate-nearest-neighbor candidate index — O(delta)
-	// instead of O(corpus) per run, trading a bounded amount of candidate
-	// recall.
-	BlockingMode string `json:"blocking_mode,omitempty"`
 	// TrainFraction is the labeled fraction (default 0.10).
 	TrainFraction float64 `json:"train_fraction,omitempty"`
 	// Regions is the accuracy-estimation region count (default 10).
@@ -505,7 +467,7 @@ type IncrementalResolveResponse struct {
 	// Blocking reports the block stage's own reuse: how many documents the
 	// key index newly keyed for this run ("delta_docs": 0 means the
 	// whole blocking pass was served from the index) and which
-	// implementation ran ("index" or "scheme").
+	// implementation ran ("index", the key index).
 	Blocking pipeline.BlockingStats `json:"blocking"`
 	// ElapsedMillis is the server-side resolution time: the persisted
 	// serving-index load on the first resolve after a restart, the run, the
@@ -991,19 +953,11 @@ func (s *Server) parseKnobs(req resolveKnobs) (cfg pipeline.Config, bc pipeline.
 	if cfg.Strategy, err = pipeline.ParseStrategy(strategy); err != nil {
 		return cfg, bc, "", err
 	}
-	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys, req.BlockingMode); err != nil {
+	if bc, err = pipeline.ParseBlocking(req.Blocking, req.Keys); err != nil {
 		return cfg, bc, "", err
 	}
 	key = fmt.Sprintf("%s|%s|%s|%s|%g|%d|%d", strategy, clustering, bc.SchemeName, bc.KeysName,
 		opts.TrainFraction, opts.RegionK, opts.Seed)
-	// The ann section joins the key ONLY in ann mode: exact-mode keys are
-	// byte-identical to previous releases, so existing persisted serving
-	// indexes keep resolving under the same key after an upgrade. It still
-	// spells the graph's degree and beam, which are constants now, so an
-	// ann-mode serving file written while they were request knobs loads too.
-	if bc.ANN {
-		key += fmt.Sprintf("|ann|%d|%d", ann.DefaultM, ann.DefaultEfSearch)
-	}
 	return cfg, bc, key, nil
 }
 

@@ -351,7 +351,7 @@ func TestResolveValidation(t *testing.T) {
 			"closure, correlation"},
 		{"bad blocking", ResolveRequest{Collections: []*corpus.Collection{col},
 			resolveKnobs: resolveKnobs{Blocking: "bogus"}},
-			"exact, token, sortedneighborhood, canopy"},
+			"(valid: exact, token)"},
 	}
 	for _, tc := range cases {
 		resp := postResolve(t, ts, tc.req)
@@ -658,17 +658,11 @@ func TestPersistedKeysAreStable(t *testing.T) {
 		{`{}`, "best|closure|exact|collection|0.1|10|1"},
 		{`{"seed":1}`, "best|closure|exact|collection|0.1|10|1"},
 		{`{"blocking":"token","keys":"names"}`, "best|closure|token|names|0.1|10|1"},
-		{`{"blocking":"canopy"}`, "best|closure|canopy|collection|0.1|10|1"},
-		{`{"blocking":"canopy","blocking_mode":"ann"}`, "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
-		// ann_m and ann_ef are unknown keys: the graph's degree and beam
-		// are fixed, and the key spells them as it did when they were knobs.
-		{`{"blocking":"sortedneighborhood","blocking_mode":"ann","ann_m":5}`, "best|closure|sortedneighborhood|collection|0.1|10|1|ann|12|64"},
 		{`{"strategy":"weighted","clustering":"correlation","blocking":"token","keys":"urlhost","train_fraction":0.2,"regions":5,"seed":-1}`,
 			"weighted|correlation|token|urlhost|0.2|5|-1"},
 		// The defaults spelled out file under the keys of their omission.
 		{`{"strategy":"best","clustering":"closure","train_fraction":0.1,"regions":10,"seed":1,"blocking":"exact","keys":"collection","blocking_mode":"exact"}`,
 			"best|closure|exact|collection|0.1|10|1"},
-		{`{"blocking":"canopy","blocking_mode":"ann","ann_m":12,"ann_ef":64}`, "best|closure|canopy|collection|0.1|10|1|ann|12|64"},
 	} {
 		var k resolveKnobs
 		if err := json.Unmarshal([]byte(c.body), &k); err != nil {
@@ -702,9 +696,6 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 		if indexes := stats["ersolve_blocking_index_docs"]; len(indexes) != 0 {
 			t.Errorf("%s: /v1/stats lists %d blocking indexes, want none: %+v", when, len(indexes), indexes)
 		}
-		if graphs := stats["ersolve_ann_index_docs"]; len(graphs) != 0 {
-			t.Errorf("%s: /v1/stats lists %d ann indexes, want none: %+v", when, len(graphs), graphs)
-		}
 		states, runs := stats.value(t, "ersolve_snapshot_states"), stats.value(t, "ersolve_resolve_runs_total")
 		if states != 0 || runs != 0 {
 			t.Errorf("%s: %g snapshot states after %g runs, want 0 and 0", when, states, runs)
@@ -712,10 +703,10 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 	}
 	for _, body := range []string{
 		`{"strategy":"bogus","blocking":"token"}`,
-		`{"clustering":"nope","blocking":"canopy","blocking_mode":"ann"}`,
+		`{"clustering":"nope","blocking":"token","keys":"names"}`,
 		`{"train_fraction":7,"blocking":"token"}`,
 		`{"regions":1,"blocking":"token","keys":"urlhost"}`,
-		`{"blocking":"sortedneighborhood","blocking_mode":"ann","strategy":"x"}`,
+		`{"blocking":"exact","keys":"phonetic","strategy":"x"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/resolve/incremental", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -735,9 +726,9 @@ func TestRejectedResolveLeavesNoIndex(t *testing.T) {
 }
 
 // TestIndexesBoundedByStates is the regression test for a candidate index
-// outliving its configuration: every client-chosen ann-mode configuration
-// (here, one per seed) mints an ANN graph over the whole store, and such a
-// graph used to live until the process exited. Each index now belongs to
+// outliving its configuration: every client-chosen configuration (here, one
+// per seed) keys the whole store into an index of its own, and such an
+// index used to live until the process exited. Each index now belongs to
 // one incremental state, and the LRU that caps the states drops their
 // indexes with them.
 func TestIndexesBoundedByStates(t *testing.T) {
@@ -745,14 +736,14 @@ func TestIndexesBoundedByStates(t *testing.T) {
 	ingestCollection(t, ts, testCollection(t, 12))
 	for seed := int64(2); seed < 2+2*maxStates; seed++ {
 		resolveOK(t, ts, IncrementalResolveRequest{
-			resolveKnobs: resolveKnobs{Blocking: "canopy", BlockingMode: "ann", Seed: &seed},
+			resolveKnobs: resolveKnobs{Blocking: "token", Seed: &seed},
 		})
 	}
 	stats := getStats(t, ts)
-	graphs, states := len(stats["ersolve_ann_index_docs"]), stats.value(t, "ersolve_snapshot_states")
-	if graphs > maxStates || float64(graphs) != states {
-		t.Fatalf("after %d ann configurations: %d ann indexes for %g states, want at most %d and one per state",
-			2*maxStates, graphs, states, maxStates)
+	indexes, states := len(stats["ersolve_blocking_index_docs"]), stats.value(t, "ersolve_snapshot_states")
+	if indexes > maxStates || float64(indexes) != states {
+		t.Fatalf("after %d configurations: %d blocking indexes for %g states, want at most %d and one per state",
+			2*maxStates, indexes, states, maxStates)
 	}
 }
 

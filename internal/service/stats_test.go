@@ -151,24 +151,26 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestIncrementalSchemeFallbackReported pins that global schemes still
-// work and report the scheme path in the blocking stats.
+// TestIncrementalSchemeFallbackReported pins that the incremental endpoint
+// has no per-run scheme pass to fall back to: it refuses a global scheme
+// with a 400 naming the key-based ones, and grows no index or state for it.
 func TestIncrementalSchemeFallbackReported(t *testing.T) {
 	ts := testServer(t, Config{})
 	ingestCollection(t, ts, testCollection(t, 24))
 
-	var run IncrementalResolveResponse
+	var refused errorResponse
 	req := IncrementalResolveRequest{}
 	req.Blocking = "sortedneighborhood"
-	if code := postJSON(t, ts, "/v1/resolve/incremental", req, &run); code != http.StatusOK {
-		t.Fatalf("incremental resolve = %d", code)
-	}
-	if run.Blocking.Indexer != "scheme" {
-		t.Fatalf("blocking stats = %+v, want the scheme path", run.Blocking)
+	if code := postJSON(t, ts, "/v1/resolve/incremental", req, &refused); code != http.StatusBadRequest ||
+		!strings.Contains(refused.Error, "(valid: exact, token)") {
+		t.Fatalf("incremental resolve = %d %q, want 400 naming exact, token", code, refused.Error)
 	}
 	st := getStats(t, ts)
 	if indexes := st["ersolve_blocking_index_docs"]; len(indexes) != 0 {
-		t.Fatalf("a global scheme grew an index: %+v", indexes)
+		t.Fatalf("a refused global scheme grew an index: %+v", indexes)
+	}
+	if states := st.value(t, "ersolve_snapshot_states"); states != 0 {
+		t.Fatalf("a refused global scheme left %g states", states)
 	}
 }
 

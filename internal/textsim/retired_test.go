@@ -1,13 +1,11 @@
 package textsim
 
-import "math"
-
-// Retired library surface. Nothing outside this package's tests has called
-// these since the similarity stack was cut down to what Table I needs (PR
-// 19); they are out of the production package and live here only so that
-// the tests written against them (levenshtein_test.go, the n-gram half of
-// ngram_test.go, ExampleLevenshtein) keep running. Delete
-// a declaration together with its tests; never call one from non-test code.
+// Retired library surface: the edit-distance measures. Nothing outside this
+// package's tests has called them since the similarity stack was cut down
+// to what Table I needs; they are out of the production package and live
+// here only so that the tests written against them (levenshtein_test.go,
+// ExampleLevenshtein) keep running. Delete a declaration together with its
+// tests; never call one from non-test code.
 
 // Levenshtein returns the edit distance between a and b: the minimum number
 // of single-rune insertions, deletions and substitutions transforming a into
@@ -167,124 +165,4 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// NGramProfile is a multiset of character n-grams with occurrence counts.
-type NGramProfile map[string]int
-
-// NGrams returns the profile of character n-grams of s for the given n.
-// The string is padded with n-1 leading and trailing '#' markers so that
-// prefixes and suffixes contribute distinguishable grams, the convention
-// used in approximate string matching. n must be >= 1; for n <= 0 an empty
-// profile is returned.
-func NGrams(s string, n int) NGramProfile {
-	profile := make(NGramProfile)
-	if n <= 0 {
-		return profile
-	}
-	runes := []rune(s)
-	if len(runes) == 0 {
-		return profile
-	}
-	if n == 1 {
-		for _, r := range runes {
-			profile[string(r)]++
-		}
-		return profile
-	}
-	pad := make([]rune, 0, len(runes)+2*(n-1))
-	for i := 0; i < n-1; i++ {
-		pad = append(pad, '#')
-	}
-	pad = append(pad, runes...)
-	for i := 0; i < n-1; i++ {
-		pad = append(pad, '#')
-	}
-	for i := 0; i+n <= len(pad); i++ {
-		profile[string(pad[i:i+n])]++
-	}
-	return profile
-}
-
-// JaccardNGram returns the Jaccard coefficient |A∩B| / |A∪B| over the n-gram
-// sets (counts ignored) of a and b. Two empty strings have similarity 1.
-func JaccardNGram(a, b string, n int) float64 {
-	pa, pb := NGrams(a, n), NGrams(b, n)
-	return SetJaccard(keys(pa), keys(pb))
-}
-
-// DiceNGram returns the Sørensen-Dice coefficient 2|A∩B| / (|A|+|B|) over
-// the n-gram sets of a and b.
-func DiceNGram(a, b string, n int) float64 {
-	pa, pb := NGrams(a, n), NGrams(b, n)
-	inter := setIntersectionSize(pa, pb)
-	if len(pa)+len(pb) == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(len(pa)+len(pb))
-}
-
-// OverlapNGram returns the overlap coefficient |A∩B| / min(|A|, |B|) over
-// the n-gram sets of a and b.
-func OverlapNGram(a, b string, n int) float64 {
-	pa, pb := NGrams(a, n), NGrams(b, n)
-	if len(pa) == 0 && len(pb) == 0 {
-		return 1
-	}
-	if len(pa) == 0 || len(pb) == 0 {
-		return 0
-	}
-	inter := setIntersectionSize(pa, pb)
-	m := len(pa)
-	if len(pb) < m {
-		m = len(pb)
-	}
-	return float64(inter) / float64(m)
-}
-
-// CosineNGram returns the cosine similarity of the n-gram count vectors of
-// a and b, taking multiplicities into account.
-func CosineNGram(a, b string, n int) float64 {
-	pa, pb := NGrams(a, n), NGrams(b, n)
-	if len(pa) == 0 && len(pb) == 0 {
-		return 1
-	}
-	if len(pa) == 0 || len(pb) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for g, ca := range pa {
-		na += float64(ca) * float64(ca)
-		if cb, ok := pb[g]; ok {
-			dot += float64(ca) * float64(cb)
-		}
-	}
-	for _, cb := range pb {
-		nb += float64(cb) * float64(cb)
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}
-
-func keys(p NGramProfile) []string {
-	out := make([]string, 0, len(p))
-	for k := range p {
-		out = append(out, k)
-	}
-	return out
-}
-
-func setIntersectionSize(a, b NGramProfile) int {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	inter := 0
-	for g := range a {
-		if _, ok := b[g]; ok {
-			inter++
-		}
-	}
-	return inter
 }

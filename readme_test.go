@@ -1,0 +1,237 @@
+package repro_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/service"
+)
+
+// TestREADMENamesOnlyWhatExists keeps the README's usage in step with the
+// program. Outside the history it keeps on purpose (the "API changes" and
+// "Performance architecture" sections), every `ersolve …` command, in a
+// backticked span or a code block, may pass only flags that `ersolve -h`
+// (or `ersolve serve -h`, after serve) defines, and every JSON object that
+// names a resolve knob — a request example — may name only keys the
+// resolve endpoints decode.
+func TestREADMENamesOnlyWhatExists(t *testing.T) {
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prose, code := readmeLiveText(string(raw))
+	mainFlags, serveFlags := ersolveFlags(t)
+	knobs, requestKeys := resolveRequestKeys()
+
+	var spans []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(prose, -1) {
+		spans = append(spans, strings.Join(strings.Fields(m[1]), " "))
+	}
+	commands, requests := 0, 0
+	for _, text := range append(spans, code...) {
+		for _, args := range ersolveCommands(text) {
+			commands++
+			flags := mainFlags
+			if len(args) > 0 && args[0] == "serve" {
+				flags = serveFlags
+			}
+			for _, arg := range args {
+				name, ok := strings.CutPrefix(arg, "-")
+				name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+				if !ok || name == "" || !isLetter(name[0]) {
+					continue
+				}
+				if !flags[name] {
+					t.Errorf("README runs %q with -%s, which ersolve does not define", text, name)
+				}
+			}
+		}
+		for _, keys := range jsonObjectKeys(text) {
+			if !slices.ContainsFunc(keys, func(k string) bool { return slices.Contains(knobs, k) }) {
+				continue
+			}
+			requests++
+			for _, k := range keys {
+				if !requestKeys[k] {
+					t.Errorf("README's request example %q names %q, which no resolve endpoint decodes", text, k)
+				}
+			}
+		}
+	}
+	if commands == 0 || requests == 0 {
+		t.Fatalf("the scan found %d ersolve commands and %d request examples; it reads the README wrong", commands, requests)
+	}
+	t.Logf("checked %d ersolve commands and %d request examples", commands, requests)
+}
+
+// readmeLiveText splits the README, less the sections that record history,
+// into its prose (code blocks blanked) and its code-block lines.
+func readmeLiveText(readme string) (prose string, code []string) {
+	var b strings.Builder
+	fenced, skipLevel := false, 0
+	for _, line := range strings.Split(readme, "\n") {
+		if strings.HasPrefix(line, "```") {
+			fenced = !fenced
+			b.WriteString("\n")
+			continue
+		}
+		if !fenced && strings.HasPrefix(line, "#") {
+			level := len(line) - len(strings.TrimLeft(line, "#"))
+			if skipLevel > 0 && level <= skipLevel {
+				skipLevel = 0
+			}
+			switch strings.TrimSpace(line[level:]) {
+			case "API changes", "Performance architecture":
+				skipLevel = level
+			}
+		}
+		switch {
+		case skipLevel > 0:
+			b.WriteString("\n")
+		case fenced:
+			code = append(code, line)
+			b.WriteString("\n")
+		default:
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String(), code
+}
+
+// ersolveCommands returns the arguments of every ersolve invocation in
+// text: the words after "ersolve" (bare, or at the end of a path) up to
+// the first shell operator or comment.
+func ersolveCommands(text string) [][]string {
+	var out [][]string
+	words := strings.Fields(text)
+	for i, w := range words {
+		if w != "ersolve" && !strings.HasSuffix(w, "/ersolve") {
+			continue
+		}
+		var args []string
+		for _, a := range words[i+1:] {
+			if strings.ContainsAny(a[:1], "|&;>#\\") {
+				break
+			}
+			args = append(args, a)
+		}
+		out = append(out, args)
+	}
+	return out
+}
+
+// jsonObjectKeys returns the top-level keys of every JSON object that
+// starts in text, each a `{"` up to its closing brace or the end of text.
+func jsonObjectKeys(text string) [][]string {
+	var out [][]string
+	for start := 0; ; {
+		i := strings.Index(text[start:], `{"`)
+		if i < 0 {
+			return out
+		}
+		start += i + 1
+		var keys []string
+		depth, inString, escaped, stringStart := 1, false, false, 0
+	scan:
+		for j := start; j < len(text); j++ {
+			c := text[j]
+			switch {
+			case inString && escaped:
+				escaped = false
+			case inString && c == '\\':
+				escaped = true
+			case inString && c == '"':
+				inString = false
+				rest := strings.TrimLeft(text[j+1:], " \t\n")
+				if depth == 1 && strings.HasPrefix(rest, ":") {
+					keys = append(keys, text[stringStart:j])
+				}
+			case c == '"':
+				inString, stringStart = true, j+1
+			case c == '{' || c == '[':
+				depth++
+			case c == '}' || c == ']':
+				if depth--; depth == 0 {
+					break scan
+				}
+			}
+		}
+		out = append(out, keys)
+	}
+}
+
+// flagKinds are the flag package's definers, less a "Var" suffix: a
+// definer's first argument (its second, with the suffix) names the flag.
+var flagKinds = []string{"", "Bool", "BoolFunc", "Duration", "Float64", "Func", "Int", "Int64", "String", "Text", "Uint", "Uint64"}
+
+// ersolveFlags reads the flags cmd/ersolve defines: those main declares
+// on the default flag set and those runServe declares for `ersolve serve`,
+// plus the -h and -help every flag set answers.
+func ersolveFlags(t *testing.T) (main, serve map[string]bool) {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), "cmd/ersolve/main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	main, serve = map[string]bool{"h": true, "help": true}, map[string]bool{"h": true, "help": true}
+	defined := map[string]map[string]bool{"main": main, "runServe": serve}
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || defined[fn.Name.Name] == nil {
+			continue
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !slices.Contains(flagKinds, strings.TrimSuffix(sel.Sel.Name, "Var")) {
+				return true
+			}
+			arg := call.Args[0]
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = call.Args[1]
+			}
+			if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					defined[fn.Name.Name][name] = true
+				}
+			}
+			return true
+		})
+	}
+	if len(main) == 2 || len(serve) == 2 {
+		t.Fatalf("found no flags in cmd/ersolve/main.go's main (%d) or runServe (%d)", len(main)-2, len(serve)-2)
+	}
+	return main, serve
+}
+
+// resolveRequestKeys returns the resolve knobs both endpoints share and
+// every key either resolve endpoint decodes.
+func resolveRequestKeys() (knobs []string, keys map[string]bool) {
+	keys = map[string]bool{}
+	for _, req := range []any{service.ResolveRequest{}, service.IncrementalResolveRequest{}} {
+		for _, f := range reflect.VisibleFields(reflect.TypeOf(req)) {
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			if f.Anonymous || name == "" {
+				continue
+			}
+			if len(f.Index) == 2 && !keys[name] {
+				knobs = append(knobs, name)
+			}
+			keys[name] = true
+		}
+	}
+	return knobs, keys
+}
+
+func isLetter(c byte) bool { return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' }
