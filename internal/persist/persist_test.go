@@ -466,6 +466,50 @@ func TestAppendJournalFailureRejectsBatch(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsMalformedBatch pins that the write-ahead store checks a
+// batch before it journals it: a malformed batch is the *store.BatchError
+// ValidateBatch returns, and neither the journal nor the store grows.
+func TestAppendRejectsMalformedBatch(t *testing.T) {
+	dir := t.TempDir()
+	data, err := OpenWithOptions(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer data.Close()
+	batches := testBatches(t)
+	if _, err := data.Store.Append(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	segmentBytes := func() int64 {
+		segs, err := filepath.Glob(filepath.Join(dir, "segments", "*.seg"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments = %v (%v), want one", segs, err)
+		}
+		fi, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size, before := segmentBytes(), data.Store.Stats()
+
+	bad := *batches[1][0]
+	bad.Docs = append([]corpus.Document{{PersonaID: -1}}, bad.Docs...)
+	for _, batch := range [][]*corpus.Collection{{nil}, {{Name: ""}}, {batches[1][1], &bad}} {
+		_, err := data.Store.Append(batch)
+		var invalid *store.BatchError
+		if !errors.As(err, &invalid) || err.Error() != store.ValidateBatch(batch).Error() {
+			t.Errorf("Append err = %v, want the *store.BatchError ValidateBatch returns", err)
+		}
+		if got := segmentBytes(); got != size {
+			t.Errorf("a rejected batch grew the journal: %d bytes, want %d", got, size)
+		}
+		if got := data.Store.Stats(); got != before {
+			t.Errorf("a rejected batch changed the store: %+v, want %+v", got, before)
+		}
+	}
+}
+
 func testPipeline(t *testing.T) *pipeline.Pipeline {
 	t.Helper()
 	opts := core.DefaultOptions()

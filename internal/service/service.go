@@ -661,35 +661,30 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "request has no collections"})
 		return
 	}
-	// A malformed batch is a 400, not a failed job: the store's validation
-	// is cheap enough to run twice, and sharing ValidateBatch keeps this
-	// check from ever drifting out of sync with what Append accepts.
-	if err := store.ValidateBatch(req.Collections); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-
 	// An ingest is journal + merge only: the indexes catch up inside the
 	// next resolve that reads them. The 202 goes out after the append
 	// returns, so it acknowledges a merged (and, over a durable store,
-	// fsynced) batch, and the job it names has already finished.
+	// fsynced) batch, and the job it names has already finished. A batch
+	// Append rejects as malformed is a 400 and files no job; any other error
+	// (a store gone read-only, or closed at shutdown) fails the job.
 	enqueued := time.Now()
 	s.ingestMu.Lock()
-	job := s.jobs.Run("ingest", enqueued, func() (any, error) {
-		before := s.store.Stats().Version
-		added, err := s.store.Append(req.Collections)
-		if err != nil {
-			// The batch was validated up front, so what remains is a store
-			// gone read-only after a journal fault (or closed at shutdown):
-			// the job fails with the store's error.
-			return nil, err
-		}
+	started, before := time.Now(), s.store.Stats().Version
+	added, err := s.store.Append(req.Collections)
+	if invalid := new(store.BatchError); errors.As(err, &invalid) {
+		s.ingestMu.Unlock()
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return
+	}
+	var result any
+	if err == nil {
 		st := s.store.Stats()
 		if st.Version != before {
 			s.counters.ingestBatches.Add(1)
 		}
-		return IngestResult{DocsAdded: added, Store: st}, nil
-	})
+		result = IngestResult{DocsAdded: added, Store: st}
+	}
+	job := s.jobs.File("ingest", enqueued, started, result, err)
 	s.ingestMu.Unlock()
 	writeJSON(w, http.StatusAccepted, CollectionsResponse{
 		JobID:     job.ID,

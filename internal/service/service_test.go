@@ -588,6 +588,19 @@ func TestCollectionsValidation(t *testing.T) {
 		if code := postJSON(t, ts, "/v1/collections", tc.req, &out); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (%+v)", tc.name, code, out)
 		}
+		if err := store.ValidateBatch(tc.req.Collections); err != nil && out.Error != err.Error() {
+			t.Errorf("%s: error = %q, want ValidateBatch's %q", tc.name, out.Error, err.Error())
+		}
+	}
+	// A malformed batch is refused before it becomes a job: no job is
+	// counted, and the next ingest is the server's first job.
+	st := getStats(t, ts)
+	if done, failed := st.value(t, "ersolve_queue_jobs_total", "event", "done"), st.value(t, "ersolve_queue_jobs_total", "event", "failed"); done != 0 || failed != 0 {
+		t.Errorf("after three 400s ersolve_queue_jobs_total = done %v, failed %v; want 0, 0", done, failed)
+	}
+	var ack CollectionsResponse
+	if code := postJSON(t, ts, "/v1/collections", CollectionsRequest{Collections: []*corpus.Collection{testCollection(t, 3)}}, &ack); code != http.StatusAccepted || !strings.HasSuffix(ack.JobID, "-1") {
+		t.Errorf("the first valid ingest = %d, job %q; want 202 and a job ID ending in -1", code, ack.JobID)
 	}
 }
 

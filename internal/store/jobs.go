@@ -20,29 +20,28 @@ const (
 
 // Job is one finished unit of work, as reported to clients. Timestamps use
 // the server clock: EnqueuedAt is when the caller accepted the work,
-// StartedAt when it began running, FinishedAt when it returned. Result is
+// StartedAt when it began running, FinishedAt when it was filed. Result is
 // set when the job succeeds, Error when it fails. A job runs once: the one
 // production job, a store append, fails deterministically, so running it
 // again could not help.
 type Job struct {
-	ID         string     `json:"id"`
-	Kind       string     `json:"kind"`
-	Status     JobStatus  `json:"status"`
-	Error      string     `json:"error,omitempty"`
-	Result     any        `json:"result,omitempty"`
-	EnqueuedAt time.Time  `json:"enqueued_at"`
-	StartedAt  *time.Time `json:"started_at,omitempty"`
-	FinishedAt *time.Time `json:"finished_at,omitempty"`
+	ID         string    `json:"id"`
+	Kind       string    `json:"kind"`
+	Status     JobStatus `json:"status"`
+	Error      string    `json:"error,omitempty"`
+	Result     any       `json:"result,omitempty"`
+	EnqueuedAt time.Time `json:"enqueued_at"`
+	StartedAt  time.Time `json:"started_at"`
+	FinishedAt time.Time `json:"finished_at"`
 }
 
-// Queue is the book of finished job records: Run executes a job in the
-// caller's goroutine and files its record under a fresh ID. Ordering runs
-// is the caller's business (the service holds one mutex across each ingest
-// and its Run, so IDs follow ingest order). Records stay queryable in a
-// bounded ring (completion order, oldest evicted first), so sustained
-// ingest cannot grow the record map without bound; Get reports evicted
-// records distinctly from never-issued IDs. Get never waits on a running
-// job: the book's mutex is held only to file or read a record.
+// Queue is the book of finished job records: File files a job the caller
+// ran under a fresh ID. Ordering jobs is the caller's business (the
+// service holds one mutex across each ingest and its File, so IDs follow
+// ingest order). Records stay queryable in a bounded ring (completion
+// order, oldest evicted first), so sustained ingest cannot grow the record
+// map without bound; Get reports evicted records distinctly from
+// never-issued IDs. The book's mutex is held only to file or read a record.
 type Queue struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -78,18 +77,17 @@ func (q *Queue) jobID(n int) string {
 	return fmt.Sprintf("j%s-%d", q.epoch, n)
 }
 
-// Run runs a job of the given kind, accepted at enqueued, and returns its
-// filed record: done with run's result, or failed with its error's text.
-func (q *Queue) Run(kind string, enqueued time.Time, run func() (any, error)) Job {
-	started := time.Now().UTC()
-	result, err := run()
+// File files a job of the given kind, accepted at enqueued and started at
+// started, that has just returned result and err, and returns its record:
+// done with the result, or failed with the error's text.
+func (q *Queue) File(kind string, enqueued, started time.Time, result any, err error) Job {
 	finished := time.Now().UTC()
 
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.seq++
 	job := &Job{ID: q.jobID(q.seq), Kind: kind, Status: JobDone, Result: result,
-		EnqueuedAt: enqueued.UTC(), StartedAt: &started, FinishedAt: &finished}
+		EnqueuedAt: enqueued.UTC(), StartedAt: started.UTC(), FinishedAt: finished}
 	if err != nil {
 		job.Status, job.Result, job.Error = JobFailed, nil, err.Error()
 		q.counters.Failed++

@@ -6,51 +6,42 @@ import (
 	"time"
 )
 
-// succeed is a job that succeeds with no result.
-func succeed() (any, error) { return nil, nil }
+// succeed files a job that succeeded with no result.
+func succeed(q *Queue) Job { return q.File("ingest", time.Now(), time.Now(), nil, nil) }
 
-// TestQueueRunsJobsInOrder pins that Run runs the job in the caller and
-// files its record before returning: IDs follow the order of the Runs, the
-// record Get serves is the one Run returned, and its timestamps are
-// ordered enqueued ≤ started ≤ finished.
+// TestQueueRunsJobsInOrder pins that File files the record before
+// returning: IDs follow the order of the Files, the record Get serves is
+// the one File returned, and its timestamps are ordered enqueued ≤ started
+// ≤ finished.
 func TestQueueRunsJobsInOrder(t *testing.T) {
 	q := NewQueue(8)
 
-	var order []int
 	var ids []string
 	for i := 0; i < 5; i++ {
 		enqueued := time.Now()
-		job := q.Run("ingest", enqueued, func() (any, error) {
-			order = append(order, i)
-			return i, nil
-		})
-		if len(order) != i+1 {
-			t.Fatalf("Run returned before its job ran (%d runs after job %d)", len(order), i)
-		}
+		started := time.Now()
+		job := q.File("ingest", enqueued, started, i, nil)
 		if job.Status != JobDone || job.Result != i || job.Kind != "ingest" {
 			t.Fatalf("job %d = %+v", i, job)
 		}
-		if job.StartedAt == nil || job.FinishedAt == nil || job.StartedAt.Before(enqueued.UTC()) ||
-			job.FinishedAt.Before(*job.StartedAt) || !job.EnqueuedAt.Equal(enqueued) {
+		if !job.StartedAt.Equal(started) || job.FinishedAt.Before(job.StartedAt) || !job.EnqueuedAt.Equal(enqueued) {
 			t.Errorf("timestamps = %+v", job)
 		}
 		if got, outcome := q.Get(job.ID); outcome != GetFound || got.ID != job.ID || got.Status != JobDone || got.Result != i {
-			t.Errorf("Get(%s) = (%+v, %d), want the record Run returned", job.ID, got, outcome)
+			t.Errorf("Get(%s) = (%+v, %d), want the record File returned", job.ID, got, outcome)
 		}
 		ids = append(ids, job.ID)
 	}
 	for i, id := range ids {
 		if want := q.jobID(i + 1); id != want {
-			t.Fatalf("job IDs = %v, want sequence numbers in Run order", ids)
+			t.Fatalf("job IDs = %v, want sequence numbers in File order", ids)
 		}
 	}
 }
 
 func TestQueueFailedJob(t *testing.T) {
 	q := NewQueue(8)
-	job := q.Run("ingest", time.Now(), func() (any, error) {
-		return "partial", fmt.Errorf("boom")
-	})
+	job := q.File("ingest", time.Now(), time.Now(), "partial", fmt.Errorf("boom"))
 	if job.Status != JobFailed || job.Error != "boom" || job.Result != nil {
 		t.Fatalf("job = %+v, want failed with the job's error and no result", job)
 	}
@@ -59,23 +50,16 @@ func TestQueueFailedJob(t *testing.T) {
 	}
 }
 
-// TestQueuePermanentFailureDoesNotRetry pins that a job runs once: Run
-// calls a failing job exactly one time, and its record stays failed with
-// the job's own error text however many jobs are filed after it.
+// TestQueuePermanentFailureDoesNotRetry pins that a failed record is
+// final: it stays failed with the job's own error text however many jobs
+// are filed after it.
 func TestQueuePermanentFailureDoesNotRetry(t *testing.T) {
 	q := NewQueue(8)
-	runs := 0
-	job := q.Run("ingest", time.Now(), func() (any, error) {
-		runs++
-		return nil, fmt.Errorf("store is read-only")
-	})
-	q.Run("ingest", time.Now(), succeed)
+	job := q.File("ingest", time.Now(), time.Now(), nil, fmt.Errorf("store is read-only"))
+	succeed(q)
 	done, _ := q.Get(job.ID)
 	if done.Status != JobFailed || done.Error != "store is read-only" {
 		t.Fatalf("job = %+v, want failed with the job's error", done)
-	}
-	if runs != 1 {
-		t.Errorf("the failing job ran %d times, want exactly 1", runs)
 	}
 }
 
@@ -99,8 +83,8 @@ func TestQueueGetUnknown(t *testing.T) {
 func TestQueueIDsDoNotAliasAcrossEpochs(t *testing.T) {
 	q1 := NewQueue(8)
 	q2 := NewQueue(8)
-	j1 := q1.Run("ingest", time.Now(), succeed)
-	j2 := q2.Run("ingest", time.Now(), succeed)
+	j1 := succeed(q1)
+	j2 := succeed(q2)
 	if j1.ID == j2.ID {
 		t.Fatalf("two queues issued the same job ID %q", j1.ID)
 	}
@@ -117,7 +101,7 @@ func TestQueueHistoryBound(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 8; i++ {
-		ids = append(ids, q.Run("ingest", time.Now(), succeed).ID)
+		ids = append(ids, succeed(q).ID)
 	}
 	for _, id := range ids[:5] {
 		if _, outcome := q.Get(id); outcome != GetEvicted {
@@ -140,9 +124,9 @@ func TestQueueHistoryBound(t *testing.T) {
 func TestQueueCounters(t *testing.T) {
 	q := NewQueue(1)
 	for i := 0; i < 3; i++ {
-		q.Run("ok", time.Now(), succeed)
+		succeed(q)
 	}
-	q.Run("fail", time.Now(), func() (any, error) { return nil, fmt.Errorf("transient") })
+	q.File("ingest", time.Now(), time.Now(), nil, fmt.Errorf("transient"))
 
 	c := q.Counters()
 	if c.Done != 3 {

@@ -41,8 +41,8 @@ type DocumentStore interface {
 	// document IDs are ignored (the store assigns the next dense position)
 	// and persona labels are remapped densely per collection in
 	// first-seen order, so partially-delivered persona spaces stay valid.
-	// Append is atomic: on a validation error nothing is committed. It
-	// returns the number of documents added.
+	// A malformed batch (see ValidateBatch) is rejected with a *BatchError
+	// and changes nothing. It returns the number of documents added.
 	Append(cols []*corpus.Collection) (int, error)
 	// Snapshot returns the current collections in first-ingested order,
 	// plus the store version it reflects. The collections are fresh but
@@ -76,6 +76,12 @@ func NewMemStore() *MemStore {
 	return &MemStore{byName: make(map[string]*memCollection)}
 }
 
+// BatchError is what ValidateBatch, and so every Append, returns for a
+// malformed batch: a nil collection, an empty name or a negative persona.
+type BatchError struct{ msg string }
+
+func (e *BatchError) Error() string { return e.msg }
+
 // ValidateBatch runs the exact validation Append applies before
 // committing anything. It is exported so write-ahead backends can check
 // a batch BEFORE journaling it: a batch that passes ValidateBatch is
@@ -84,15 +90,15 @@ func NewMemStore() *MemStore {
 func ValidateBatch(cols []*corpus.Collection) error {
 	for _, col := range cols {
 		if col == nil {
-			return fmt.Errorf("store: nil collection")
+			return &BatchError{"store: nil collection"}
 		}
 		if col.Name == "" {
-			return fmt.Errorf("store: collection has empty name")
+			return &BatchError{"store: collection has empty name"}
 		}
 		for i, d := range col.Docs {
 			if d.PersonaID < 0 {
-				return fmt.Errorf("store: collection %q doc %d has negative persona %d",
-					col.Name, i, d.PersonaID)
+				return &BatchError{fmt.Sprintf("store: collection %q doc %d has negative persona %d",
+					col.Name, i, d.PersonaID)}
 			}
 		}
 	}

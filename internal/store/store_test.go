@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -117,18 +118,22 @@ func TestMemStoreSnapshotIsolated(t *testing.T) {
 	}
 }
 
+// TestMemStoreAppendAtomic pins Append's contract for a malformed batch:
+// the error is the *BatchError ValidateBatch returns, and nothing of the
+// batch is committed.
 func TestMemStoreAppendAtomic(t *testing.T) {
 	m := NewMemStore()
 	bad := col("smith", 0)
 	bad.Docs[0].PersonaID = -1
-	if _, err := m.Append([]*corpus.Collection{col("cohen", 0), bad}); err == nil {
-		t.Fatal("Append accepted a negative persona")
-	}
-	if st := m.Stats(); st.Docs != 0 || st.Collections != 0 || st.Version != 0 {
-		t.Fatalf("failed Append committed state: %+v", st)
-	}
-	if _, err := m.Append([]*corpus.Collection{{Name: ""}}); err == nil {
-		t.Fatal("Append accepted an empty collection name")
+	for _, batch := range [][]*corpus.Collection{{col("cohen", 0), bad}, {{Name: ""}}, {nil}} {
+		_, err := m.Append(batch)
+		var invalid *BatchError
+		if !errors.As(err, &invalid) || err.Error() != ValidateBatch(batch).Error() {
+			t.Fatalf("Append err = %v, want the *BatchError ValidateBatch returns", err)
+		}
+		if st := m.Stats(); st.Docs != 0 || st.Collections != 0 || st.Version != 0 {
+			t.Fatalf("failed Append committed state: %+v", st)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -16,25 +17,22 @@ import (
 )
 
 // TestREADMENamesOnlyWhatExists keeps the README's usage in step with the
-// program. Outside the history it keeps on purpose (the "API changes" and
-// "Performance architecture" sections), every `ersolve …` command, in a
-// backticked span or a code block, may pass only flags that `ersolve -h`
-// (or `ersolve serve -h`, after serve) defines, and every JSON object that
-// names a resolve knob — a request example — may name only keys the
-// resolve endpoints decode.
+// program. Every `ersolve …` command, in a backticked span or a code
+// block, may pass only flags that `ersolve -h` (or `ersolve serve -h`,
+// after serve) defines, and every JSON object that names a resolve knob —
+// a request example — may name only keys the resolve endpoints decode.
 func TestREADMENamesOnlyWhatExists(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	prose, code := readmeLiveText(string(raw))
+	spans, code, err := readmeLiveText(string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
 	mainFlags, serveFlags := ersolveFlags(t)
 	knobs, requestKeys := resolveRequestKeys()
 
-	var spans []string
-	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(prose, -1) {
-		spans = append(spans, strings.Join(strings.Fields(m[1]), " "))
-	}
 	commands, requests := 0, 0
 	for _, text := range append(spans, code...) {
 		for _, args := range ersolveCommands(text) {
@@ -72,38 +70,100 @@ func TestREADMENamesOnlyWhatExists(t *testing.T) {
 	t.Logf("checked %d ersolve commands and %d request examples", commands, requests)
 }
 
-// readmeLiveText splits the README, less the sections that record history,
-// into its prose (code blocks blanked) and its code-block lines.
-func readmeLiveText(readme string) (prose string, code []string) {
-	var b strings.Builder
-	fenced, skipLevel := false, 0
-	for _, line := range strings.Split(readme, "\n") {
-		if strings.HasPrefix(line, "```") {
-			fenced = !fenced
-			b.WriteString("\n")
-			continue
+// codeSpan matches one backticked span of prose.
+var codeSpan = regexp.MustCompile("`([^`]+)`")
+
+// readmeLiveText splits a README into the backticked spans of its prose,
+// each with its whitespace collapsed, and the lines of its fenced code
+// blocks. A fence is a line starting with ``` after at most three spaces of
+// indent, as in CommonMark. A span never crosses a blank line, so a prose
+// paragraph holding an odd number of backticks is an error, as is a fence
+// left open: a pairing that slipped by one would read the text between
+// real spans as code and hide the spans themselves.
+func readmeLiveText(readme string) (spans, code []string, err error) {
+	var para []string
+	fenced, paraLine := false, 0
+	endParagraph := func() {
+		text := strings.Join(para, "\n")
+		if err == nil && strings.Count(text, "`")%2 != 0 {
+			err = fmt.Errorf("README.md:%d: the paragraph holds an odd number of backticks", paraLine)
 		}
-		if !fenced && strings.HasPrefix(line, "#") {
-			level := len(line) - len(strings.TrimLeft(line, "#"))
-			if skipLevel > 0 && level <= skipLevel {
-				skipLevel = 0
-			}
-			switch strings.TrimSpace(line[level:]) {
-			case "API changes", "Performance architecture":
-				skipLevel = level
-			}
+		for _, m := range codeSpan.FindAllStringSubmatch(text, -1) {
+			spans = append(spans, strings.Join(strings.Fields(m[1]), " "))
 		}
+		para = nil
+	}
+	for i, line := range strings.Split(readme, "\n") {
+		trimmed := strings.TrimLeft(line, " ")
 		switch {
-		case skipLevel > 0:
-			b.WriteString("\n")
+		case len(line)-len(trimmed) <= 3 && strings.HasPrefix(trimmed, "```"):
+			endParagraph()
+			fenced = !fenced
 		case fenced:
 			code = append(code, line)
-			b.WriteString("\n")
+		case trimmed == "":
+			endParagraph()
 		default:
-			b.WriteString(line + "\n")
+			if para == nil {
+				paraLine = i + 1
+			}
+			para = append(para, line)
 		}
 	}
-	return b.String(), code
+	endParagraph()
+	if fenced && err == nil {
+		err = fmt.Errorf("README.md: a code fence is never closed")
+	}
+	return spans, code, err
+}
+
+// TestREADMESpanScan pins how readmeLiveText reads fences and spans.
+func TestREADMESpanScan(t *testing.T) {
+	fence := "```"
+	cases := []struct {
+		name        string
+		readme      string
+		spans, code []string
+		fails       bool
+	}{
+		{
+			name:   "an indented fence is a fence",
+			readme: "- item:\n\n  " + fence + "\n  a ` b\n  " + fence + "\n\nrun `ersolve -in f`\nand `ersolve\n  serve`\n",
+			spans:  []string{"ersolve -in f", "ersolve serve"},
+			code:   []string{"  a ` b"},
+		},
+		{
+			name:   "four spaces of indent is not a fence",
+			readme: "    " + fence + "\n`x`\n",
+			fails:  true,
+		},
+		{
+			name:   "an odd backtick count fails",
+			readme: "`a` and `b\n\n`c`\n",
+			fails:  true,
+		},
+		{
+			name:   "a fence left open fails",
+			readme: "`a`\n" + fence + "\nx\n",
+			fails:  true,
+		},
+		{
+			name:   "a # inside a fence is code",
+			readme: "# Title\n\n" + fence + "sh\n# `ersolve -x`\n" + fence + "\n## `y`\n",
+			spans:  []string{"y"},
+			code:   []string{"# `ersolve -x`"},
+		},
+	}
+	for _, tc := range cases {
+		spans, code, err := readmeLiveText(tc.readme)
+		if (err != nil) != tc.fails {
+			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.fails)
+			continue
+		}
+		if !tc.fails && (!slices.Equal(spans, tc.spans) || !slices.Equal(code, tc.code)) {
+			t.Errorf("%s: spans %q, code %q; want %q, %q", tc.name, spans, code, tc.spans, tc.code)
+		}
+	}
 }
 
 // ersolveCommands returns the arguments of every ersolve invocation in
