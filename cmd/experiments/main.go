@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-seed N] [-runs N] [-quick]
-//	            [-exp all|fig1|fig2|fig3|table2|table3|ablations|incremental]
+//	            [-exp all|fig1|fig2|fig3|table2|table3|ablations]
 //
 // Output is printed as text tables; Table II additionally prints the
 // paper's reported numbers and the shape checks documented in DESIGN.md.
@@ -29,7 +29,7 @@ func main() {
 		seed  = flag.Int64("seed", 2010, "root random seed")
 		runs  = flag.Int("runs", 5, "independent training draws to average")
 		quick = flag.Bool("quick", false, "reduced setup (2 runs) for smoke tests")
-		exp   = flag.String("exp", "all", "experiment: all, fig1, fig2, fig3, table2, table3, ablations, incremental")
+		exp   = flag.String("exp", "all", "experiment: all, fig1, fig2, fig3, table2, table3, ablations")
 	)
 	flag.Parse()
 
@@ -146,27 +146,8 @@ func run(ctx context.Context, cfg experiments.Config, exp string) error {
 			return err
 		}
 	}
-	if exp == "incremental" {
-		if err := runOne("incremental", func() error {
-			// Quick configs (2 runs) sweep a 4-name subset in 3 batches;
-			// the full sweep staggers all 12 names over 5 batches.
-			batches, names := 5, 0
-			if cfg.Runs <= 2 {
-				batches, names = 3, 4
-			}
-			rows, err := experiments.IncrementalSweep(ctx, cfg, batches, names)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderIncrementalSweep(rows))
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
 	if !all && exp != "fig1" && exp != "fig2" && exp != "fig3" &&
-		exp != "table2" && exp != "table3" && exp != "ablations" &&
-		exp != "incremental" {
+		exp != "table2" && exp != "table3" && exp != "ablations" {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
 	return nil

@@ -31,6 +31,103 @@ var testSeams = map[string]string{
 	"core.Resolver.ResolveCtx": "reference: one collection resolved on its own, Prepare → Run → BestAnyCriterion; TestRunMatchesResolverResolve compares pipeline.Run against it",
 }
 
+// Why bench/ alone keeps a declaration alive: the bench instrument (a
+// metric name) or probe step (a span name) that calls it.
+const (
+	benchANN         = "annInstruments (ann.update_docs_per_s, ann.recall) build a canopy ANN index over 60 name collections whose tokens overlap, and block them"
+	benchIndexCodec  = "probe steps persist.save_index and persist.load_index (persist.IndexDir) and instrument blockindex.encode_ms"
+	benchSnapshot    = "instruments pipeline.snapshot_encode_ms and pipeline.snapshot_decode_ms, and probe steps persist.save_snapshot and persist.load_snapshot"
+	benchIndexPack   = "instruments index.add_us_per_doc and textsim.pack_us_per_doc build the 100-page block's term vectors"
+	benchSchemeBlock = "instruments blocking.exact_block_ms and blocking.canopy_block_ms, and ann.recall's exact canopy"
+	benchProbeWarm   = "the probe's bulk load warms the key index (instrument blockindex.update_docs_per_s)"
+	benchProbeEncode = "probe step service.encode renders the reply with the service's response types"
+	benchQuantile    = "bench/stats.go's quantile summarizes every metric's samples (p50, p99, quartiles)"
+)
+
+// benchOnly are the declarations under internal/ that only bench/ reaches.
+// The declarations test solves liveness a second time without bench/ as a
+// root, and every declaration that pass flags must be covered here, in the
+// key forms of testSeams. The list only shrinks: an entry that covers
+// nothing fails like a stale testSeams entry.
+var benchOnly = map[string]string{
+	"analysis.Analyzer.Analyze": "instrument analysis.terms_us_per_doc (analysis.Standard.Terms)",
+	"analysis.Analyzer.Terms":   "instrument analysis.terms_us_per_doc",
+	"analysis.Tokenize":         "instrument analysis.stem_ns_per_token tokenizes the 100-page block",
+
+	"ann.CandidateIndex":           benchANN,
+	"ann.CandidateIndex.":          benchANN,
+	"ann.Config":                   benchANN,
+	"ann.Config.withDefaults":      benchANN,
+	"ann.DefaultEfConstruction":    benchANN,
+	"ann.DefaultEfSearch":          benchANN,
+	"ann.DefaultM":                 benchANN,
+	"ann.DocRef":                   benchANN,
+	"ann.New":                      benchANN,
+	"ann.UpdateStats":              benchANN,
+	"ann.distNode":                 benchANN,
+	"ann.encodedCol":               benchANN,
+	"ann.encodedIndex":             benchANN,
+	"ann.levelFor":                 benchANN,
+	"ann.maxGraphLevel":            benchANN,
+	"ann.maxQueue":                 benchANN,
+	"ann.maxQueue.":                benchANN,
+	"ann.minQueue":                 benchANN,
+	"ann.minQueue.":                benchANN,
+	"ann.nodeLess":                 benchANN,
+	"ann.vecKey":                   benchANN,
+	"blocking.ApproxPolicy":        benchANN,
+	"blocking.ApproxScheme":        benchANN,
+	"blocking.Canopy.ApproxPolicy": benchANN,
+	"eval.CandidateRecall":         "instrument ann.recall scores the ANN blocks against exact canopy's",
+	"pipeline.NewANNBlockerWith":   benchANN,
+	"textsim.PackedCosine":         benchANN,
+
+	"blockindex.Components.Collection": benchIndexCodec,
+	"blockindex.Components.Hashes":     benchIndexCodec,
+	"blockindex.Components.Refs":       benchIndexCodec,
+	"blockindex.Decode":                benchIndexCodec,
+	"blockindex.ErrCodecCorrupt":       benchIndexCodec,
+	"blockindex.Index.EncodeTo":        benchIndexCodec,
+	"blockindex.Index.Version":         "probe step persist.save_index saves the key index only when its version moved",
+	"blockindex.encodedCol":            benchIndexCodec,
+	"blockindex.encodedIndex":          benchIndexCodec,
+	"framing.ReadOne":                  benchIndexCodec,
+	"persist.IndexDir.LoadIndex":       benchIndexCodec,
+	"persist.IndexDir.SaveIndex":       benchIndexCodec,
+
+	"blockindex.Index.Update":                benchProbeWarm,
+	"pipeline.IndexBlocker.Warm":             benchProbeWarm,
+	"pipeline.IndexBlocker.BlockMembership":  "instrument ann.recall takes the ANN blocker's membership",
+	"pipeline.SchemeBlocker.BlockMembership": benchSchemeBlock,
+
+	"index.Index":               benchIndexPack,
+	"index.Index.":              benchIndexPack,
+	"index.New":                 benchIndexPack,
+	"index.Posting":             benchIndexPack,
+	"textsim.NewSparseVector":   benchIndexPack,
+	"textsim.SparseVector.Pack": benchIndexPack,
+
+	"persist.SnapshotDir.Load":         benchSnapshot,
+	"persist.SnapshotDir.Save":         benchSnapshot,
+	"persist.SnapshotDir.Touch":        "probe step persist.save_snapshot touches an unchanged snapshot instead of rewriting it",
+	"persist.artifactDir.touch":        "probe step persist.save_snapshot, through persist.SnapshotDir.Touch",
+	"pipeline.EncodeSnapshot":          benchSnapshot,
+	"pipeline.ErrSnapshotCorrupt":      benchSnapshot,
+	"pipeline.ErrSnapshotVersion":      benchSnapshot,
+	"pipeline.Pipeline.DecodeSnapshot": benchSnapshot,
+	"pipeline.Snapshot.Blocks":         "probe step persist.save_snapshot compares block counts to skip an unchanged snapshot",
+	"pipeline.SnapshotFormatVersion":   benchSnapshot,
+	"pipeline.snapshotCRC":             benchSnapshot,
+	"pipeline.snapshotMagic":           benchSnapshot,
+
+	"service.BlockScore":    benchProbeEncode,
+	"serving.Decode":        "instrument serving.decode_ms",
+	"simfn.ComputeAllCtx":   "instrument simfn.compute_all_ms",
+	"simfn.PrepareBlockCtx": "instrument simfn.prepare_block_ms",
+	"stats.ErrEmpty":        benchQuantile,
+	"stats.Quantile":        benchQuantile,
+}
+
 // stdlibCalls are the methods the standard library calls through its own
 // interfaces (fmt, errors, sort, container/heap, io, net/http): such a
 // method of a live type is live.
@@ -51,10 +148,15 @@ var stdlibCalls = []string{"String", "Error", "Len", "Less", "Swap", "Push", "Po
 // code refers to it, and a method also when a live type implements an
 // interface whose method live code selects, or when the standard library
 // calls it (stdlibCalls). Liveness grows from those roots to a fixed point,
-// so what only dead code reaches is dead too.
+// so what only dead code reaches is dead too. A second solve drops bench/
+// from the roots, and what only it then leaves dead must be in benchOnly.
 func TestEveryDeclarationHasANonTestCaller(t *testing.T) {
 	tree := &typedTree{fset: token.NewFileSet(), std: importer.Default(), pkgs: map[string]*typedPkg{}}
-	g := &liveness{decls: map[types.Object]*declNode{}, ifaceUsed: map[*types.Func]bool{}}
+	type treePkg struct {
+		pkg  *typedPkg
+		root string
+	}
+	var pkgs []treePkg
 	for _, root := range []string{"internal", "cmd", "bench"} {
 		dirs := map[string]bool{}
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -77,29 +179,60 @@ func TestEveryDeclarationHasANonTestCaller(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.add(tree.fset, p, root == "internal")
+			pkgs = append(pkgs, treePkg{p, root})
 		}
 	}
-	g.solve()
+	solve := func(withBench bool) *liveness {
+		g := &liveness{decls: map[types.Object]*declNode{}, ifaceUsed: map[*types.Func]bool{}}
+		for _, p := range pkgs {
+			if withBench || p.root != "bench" {
+				g.add(tree.fset, p.pkg, p.root == "internal")
+			}
+		}
+		g.solve()
+		return g
+	}
 
-	var dead []string
-	seen := map[string]bool{}
-	for _, d := range g.decls {
-		seen[seam(d.key)] = true
-		if !d.live {
+	g, withoutBench := solve(true), solve(false)
+	var dead, benchKept []string
+	seen, benchCovered := map[string]bool{}, map[string]bool{}
+	for obj, d := range g.decls {
+		seen[covering(testSeams, d.key)] = true
+		switch {
+		case !d.live:
 			dead = append(dead, d.key+"  ("+d.pos.String()+")")
+		case !withoutBench.decls[obj].live:
+			if k := covering(benchOnly, d.key); k != "" {
+				benchCovered[k] = true
+			} else {
+				benchKept = append(benchKept, d.key+"  ("+d.pos.String()+")")
+			}
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("only tests reach %s", d)
 	}
-	for k, why := range testSeams {
-		if !seen[k] {
-			t.Errorf("testSeams lists %s, which is not declared", k)
-		}
-		if strings.TrimSpace(why) == "" {
-			t.Errorf("testSeams[%s] has no reason", k)
+	sort.Strings(benchKept)
+	for _, d := range benchKept {
+		t.Errorf("only bench/ reaches %s, which no benchOnly entry covers", d)
+	}
+	for _, list := range []struct {
+		name    string
+		entries map[string]string
+		used    map[string]bool
+		stale   string
+	}{
+		{"testSeams", testSeams, seen, "which is not declared"},
+		{"benchOnly", benchOnly, benchCovered, "which covers nothing only bench/ reaches"},
+	} {
+		for k, why := range list.entries {
+			if !list.used[k] {
+				t.Errorf("%s lists %s, %s", list.name, k, list.stale)
+			}
+			if strings.TrimSpace(why) == "" {
+				t.Errorf("%s[%s] has no reason", list.name, k)
+			}
 		}
 	}
 }
@@ -108,13 +241,14 @@ func isSource(path string) bool {
 	return strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go")
 }
 
-// seam returns the testSeams key covering a declaration, "" if none does.
-func seam(key string) string {
-	if _, ok := testSeams[key]; ok {
+// covering returns the key of entries covering a declaration, "" if none
+// does.
+func covering(entries map[string]string, key string) string {
+	if _, ok := entries[key]; ok {
 		return key
 	}
 	if i := strings.LastIndexByte(key, '.'); i >= 0 {
-		if _, ok := testSeams[key[:i+1]]; ok {
+		if _, ok := entries[key[:i+1]]; ok {
 			return key[:i+1]
 		}
 	}
@@ -225,7 +359,7 @@ func (g *liveness) add(fset *token.FileSet, p *typedPkg, internal bool) {
 			obj := p.info.Defs[id]
 			d := &declNode{key: p.types.Name() + "." + key, pos: fset.Position(id.Pos()), refs: refs}
 			g.decls[obj] = d
-			if seam(d.key) != "" {
+			if covering(testSeams, d.key) != "" {
 				g.roots = append(g.roots, obj)
 			}
 		}

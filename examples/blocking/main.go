@@ -50,7 +50,6 @@ func main() {
 	}{
 		{"exact-key (the paper's)", blocking.ExactKey{}},
 		{"token blocking", blocking.TokenBlocking{}},
-		{"sorted neighborhood w=3", blocking.SortedNeighborhood{Window: 3}},
 		{"canopy (0.3 / 0.8)", blocking.Canopy{Loose: 0.3, Tight: 0.8}},
 	}
 
@@ -69,9 +68,8 @@ func main() {
 
 	fmt.Println("\nExact-key blocking misses every name-variant pair; token blocking")
 	fmt.Println("and canopy clustering keep them all while leaving a fraction of")
-	fmt.Println("the pairs to compare; the sorted neighborhood chains its windows")
-	fmt.Println("into one block. Within a block the similarity stage prunes false")
-	fmt.Println("candidates, so blocking recall is what counts.")
+	fmt.Println("the pairs to compare. Within a block the similarity stage prunes")
+	fmt.Println("false candidates, so blocking recall is what counts.")
 }
 
 // components blocks the records as the pipeline does: the connected

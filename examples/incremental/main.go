@@ -4,8 +4,8 @@
 // Documents arrive from a crawl in batches, appended to a store — the
 // same append `ersolve serve`'s POST /v1/collections makes before it
 // answers. After each batch, RunIncremental diffs the block
-// membership against the previous run's snapshot and re-prepares only the
-// dirty blocks; at the end the clusters are compared against one full
+// membership against what the previous run committed and re-prepares only
+// the dirty blocks; at the end the clusters are compared against one full
 // resolution of the union, the equivalence the test harness pins for every
 // blocking scheme × strategy × clustering method.
 //
@@ -20,7 +20,9 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/eval"
 	"repro/internal/pipeline"
 	"repro/internal/store"
 )
@@ -55,7 +57,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	var snap *pipeline.Snapshot
+	var prev committed
 	var last *pipeline.IncrementalResult
 	for i, batch := range batches {
 		if _, err := docs.Append(batch); err != nil {
@@ -63,13 +65,13 @@ func main() {
 		}
 
 		cols, version := docs.Snapshot()
-		inc, err := pl.RunIncremental(ctx, cols, snap)
+		inc, err := pl.RunIncremental(ctx, cols, prev)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("batch %d (store v%d): %d blocks, %d prepared, %d reused\n",
 			i+1, version, inc.Stats.Blocks, inc.Stats.Prepared, inc.Stats.Reused)
-		snap, last = inc.Snapshot, inc
+		prev, last = commit(inc), inc
 	}
 
 	// The equivalence the harness pins: the final incremental state equals
@@ -88,4 +90,23 @@ func main() {
 	fmt.Println("reused their batch-1 preparation and clustering. The same flow runs")
 	fmt.Println("over HTTP: POST /v1/collections → GET /v1/jobs/{id} → POST")
 	fmt.Println("/v1/resolve/incremental.")
+}
+
+// committed is the previous run's blocks by membership fingerprint: the
+// pipeline.CommittedRun contract the server's serving index implements too.
+type committed map[uint64]pipeline.Result
+
+// commit keys a run's results by their blocks' fingerprints.
+func commit(inc *pipeline.IncrementalResult) committed {
+	c := make(committed, len(inc.Results))
+	for i, fp := range inc.Fingerprints {
+		c[fp] = inc.Results[i]
+	}
+	return c
+}
+
+// Committed implements pipeline.CommittedRun.
+func (c committed) Committed(fp uint64) (*core.Resolution, *eval.Result, bool) {
+	r, ok := c[fp]
+	return r.Resolution, r.Score, ok
 }

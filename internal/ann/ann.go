@@ -1,6 +1,6 @@
 // Package ann is the incremental approximate-nearest-neighbor candidate
-// index behind the global blocking schemes (canopy, sorted neighborhood).
-// The exact schemes compare every record pair — O(N²) per run, the last
+// index behind canopy, the global blocking scheme. The exact scheme
+// compares every record pair — O(N²) per run, the last
 // O(corpus) path in the Block stage — while this index inserts each new
 // document into a layered proximity graph (HNSW: Malkov & Yashunin) once
 // and discovers its candidate partners with a near-logarithmic neighbor
@@ -250,9 +250,6 @@ func vecKey(p *textsim.PackedVector) string {
 // first) into candidate edges under the scheme's policy, merging the
 // document's component with each accepted neighbor's.
 func (x *CandidateIndex) applyPolicy(id int32, cand []distNode) {
-	if x.policy.MaxNeighbors > 0 && len(cand) > x.policy.MaxNeighbors {
-		cand = cand[:x.policy.MaxNeighbors]
-	}
 	if len(cand) > x.efSrch {
 		cand = cand[:x.efSrch]
 	}

@@ -210,34 +210,6 @@ func TestCanopyBlocksCoverExactBlocks(t *testing.T) {
 	}
 }
 
-// TestSortedNeighborhoodPolicy: the window policy has no similarity
-// floor — like the exact scheme, whose overlapping windows chain the
-// whole sorted order into one component — so everything co-blocks, and
-// each insertion accepts at most window-1 neighbors.
-func TestSortedNeighborhoodPolicy(t *testing.T) {
-	scheme := blocking.SortedNeighborhood{Window: 3}
-	x, err := New(Config{Scheme: scheme})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cols := []*corpus.Collection{
-		{Name: "john smith", NumPersonas: 1, Docs: []corpus.Document{doc(0, "a"), doc(1, "b"), doc(2, "c")}},
-		{Name: "mary jones", NumPersonas: 1, Docs: []corpus.Document{doc(0, "d")}},
-	}
-	stats, err := x.Update(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs, _ := membership(t, x, cols)
-	want := schemeMembership(scheme, blockindex.CollectionNameKey, cols)
-	if !reflect.DeepEqual(refs, want) {
-		t.Fatalf("membership %v, exact sorted neighborhood gives %v", refs, want)
-	}
-	if max := (len(cols[0].Docs) + len(cols[1].Docs)) * (scheme.Window - 1); stats.Edges > max {
-		t.Fatalf("%d candidate edges exceed the window bound %d", stats.Edges, max)
-	}
-}
-
 func TestDirtyBlockAccounting(t *testing.T) {
 	x, err := New(Config{Scheme: testCanopy()})
 	if err != nil {
@@ -330,7 +302,6 @@ func TestNewValidation(t *testing.T) {
 		"negative M":     {Scheme: testCanopy(), M: -3},
 		"negative ef":    {Scheme: testCanopy(), EfSearch: -1},
 		"invalid canopy": {Scheme: blocking.Canopy{Loose: 0.8, Tight: 0.2}},
-		"invalid window": {Scheme: blocking.SortedNeighborhood{Window: 1}},
 	}
 	for name, cfg := range cases {
 		if _, err := New(cfg); err == nil {

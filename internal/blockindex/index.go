@@ -89,11 +89,6 @@ func New(cfg Config) (*Index, error) {
 	if cfg.Scheme == nil {
 		return nil, fmt.Errorf("blockindex: config has no keyed scheme")
 	}
-	if v, ok := cfg.Scheme.(blocking.Validator); ok {
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.Keys == nil {
 		cfg.Keys = CollectionNameKey
 	}

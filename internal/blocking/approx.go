@@ -26,25 +26,10 @@ type ApproxPolicy struct {
 	// approximation can only miss a pair by not surfacing it among the
 	// efSearch nearest, never by mis-scoring it. Zero disables the test.
 	MinSim float64
-	// MaxNeighbors caps accepted neighbors per record. Sorted neighborhood
-	// links each record to its window-1 nearest, mirroring the number of
-	// in-window partners the exact sliding pass gives it. Zero means no
-	// cap.
-	MaxNeighbors int
 }
 
 // ApproxPolicy implements ApproxScheme: gather neighbors at least as
 // similar as the loose threshold, exactly as a canopy gathers its members.
 func (c Canopy) ApproxPolicy() ApproxPolicy {
 	return ApproxPolicy{MinSim: c.Loose}
-}
-
-// ApproxPolicy implements ApproxScheme: link each record to its window-1
-// nearest neighbors, the partner count the exact sliding window yields.
-func (s SortedNeighborhood) ApproxPolicy() ApproxPolicy {
-	w := s.Window
-	if w < 2 {
-		w = 2
-	}
-	return ApproxPolicy{MaxNeighbors: w - 1}
 }

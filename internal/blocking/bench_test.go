@@ -42,7 +42,6 @@ func benchScheme(b *testing.B, s Scheme, n int) {
 	b.ReportMetric(float64(pairs), "pairs")
 }
 
-func BenchmarkExactKey(b *testing.B)           { benchScheme(b, ExactKey{}, 1000) }
-func BenchmarkTokenBlocking(b *testing.B)      { benchScheme(b, TokenBlocking{}, 1000) }
-func BenchmarkSortedNeighborhood(b *testing.B) { benchScheme(b, SortedNeighborhood{Window: 7}, 1000) }
-func BenchmarkCanopy(b *testing.B)             { benchScheme(b, Canopy{Loose: 0.3, Tight: 0.8}, 400) }
+func BenchmarkExactKey(b *testing.B)      { benchScheme(b, ExactKey{}, 1000) }
+func BenchmarkTokenBlocking(b *testing.B) { benchScheme(b, TokenBlocking{}, 1000) }
+func BenchmarkCanopy(b *testing.B)        { benchScheme(b, Canopy{Loose: 0.3, Tight: 0.8}, 400) }

@@ -3,9 +3,8 @@
 // similarity values between documents, which are about a person with the
 // same name") and notes that "in general, one needs to consider the
 // applicable blocking schemes more carefully" — this package provides that
-// generality: exact-key blocking, token blocking, sorted-neighborhood and
-// canopy clustering, all producing candidate pairs for the pairwise
-// similarity stage.
+// generality: exact-key blocking, token blocking and canopy clustering, all
+// producing candidate pairs for the pairwise similarity stage.
 package blocking
 
 import (
@@ -51,9 +50,8 @@ type Scheme interface {
 // appending a record only ever links it to the existing members of its
 // keys' postings, so connected components — and with them the resolution
 // blocks — can be updated in O(delta) instead of rebuilt per run.
-// ExactKey and TokenBlocking are keyed; SortedNeighborhood and Canopy are
-// global (a new record can re-rank or re-seed the whole corpus) and are
-// not.
+// ExactKey and TokenBlocking are keyed; Canopy is global (a new record can
+// re-seed the whole corpus) and is not.
 type KeyedScheme interface {
 	Scheme
 	// IndexKeys derives the deduplicated index keys of one record from its
@@ -65,28 +63,26 @@ type KeyedScheme interface {
 // Validator is implemented by schemes with parameters to sanity-check at
 // construction; pipelines validate before running so a degenerate
 // configuration fails fast instead of silently producing a useless
-// candidate set.
+// candidate set. Canopy implements it; the keyed schemes need no
+// check.
 type Validator interface {
 	Validate() error
 }
 
 // SchemeNames are the accepted ParseScheme spellings, in display order for
 // CLI/API usage messages.
-var SchemeNames = []string{"exact", "token", "sortedneighborhood", "canopy"}
+var SchemeNames = []string{"exact", "token", "canopy"}
 
 // ParseScheme maps a CLI/API name to a scheme with its default parameters:
 // exact-key blocking (the paper's), token blocking with the default minimum
-// token length, sorted neighborhood with a window of 7, and canopy
-// clustering with loose/tight thresholds 0.3/0.8. Unknown names return an
-// error listing every valid spelling.
+// token length, and canopy clustering with loose/tight thresholds 0.3/0.8.
+// Unknown names return an error listing every valid spelling.
 func ParseScheme(name string) (Scheme, error) {
 	switch name {
 	case "exact":
 		return ExactKey{}, nil
 	case "token":
 		return TokenBlocking{}, nil
-	case "sortedneighborhood":
-		return SortedNeighborhood{Window: 7}, nil
 	case "canopy":
 		return Canopy{Loose: 0.3, Tight: 0.8}, nil
 	default:
@@ -164,63 +160,6 @@ func (t TokenBlocking) IndexKeys(keys []string) []string {
 		}
 	}
 	return out
-}
-
-// SortedNeighborhood sorts records by their smallest normalized key and
-// slides a window of the given size; records within a window become
-// candidates (Hernández & Stolfo's merge/purge scheme, reference [2] of
-// the paper).
-type SortedNeighborhood struct {
-	// Window is the sliding window size; values < 2 behave as 2.
-	Window int
-}
-
-// Validate implements Validator: a window below 2 can never pair anything
-// and is a configuration mistake, not a degenerate run.
-func (s SortedNeighborhood) Validate() error {
-	if s.Window < 2 {
-		return fmt.Errorf("blocking: sorted neighborhood window %d cannot pair records (want >= 2)", s.Window)
-	}
-	return nil
-}
-
-// Candidates implements Scheme.
-func (s SortedNeighborhood) Candidates(records []Record) []Pair {
-	window := s.Window
-	if window < 2 {
-		window = 2
-	}
-	type keyed struct {
-		key string
-		id  int
-	}
-	items := make([]keyed, 0, len(records))
-	for _, r := range records {
-		best := ""
-		for _, k := range r.Keys {
-			nk := NormalizeKey(k)
-			if nk == "" {
-				continue
-			}
-			if best == "" || nk < best {
-				best = nk
-			}
-		}
-		items = append(items, keyed{key: best, id: r.ID})
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].key != items[j].key {
-			return items[i].key < items[j].key
-		}
-		return items[i].id < items[j].id
-	})
-	set := make(map[Pair]struct{})
-	for i := range items {
-		for j := i + 1; j < i+window && j < len(items); j++ {
-			set[normalizePair(items[i].id, items[j].id)] = struct{}{}
-		}
-	}
-	return sortedPairs(set)
 }
 
 // KeySimilarity scores two normalized blocking keys in [0, 1]; canopy

@@ -76,27 +76,6 @@ func TestTokenBlockingHigherRecallThanExact(t *testing.T) {
 	}
 }
 
-func TestSortedNeighborhood(t *testing.T) {
-	records := recs("aaa", "aab", "zzz", "aac")
-	pairs := SortedNeighborhood{Window: 2}.Candidates(records)
-	// Sorted keys: aaa(0), aab(1), aac(3), zzz(2); window 2 gives adjacent
-	// pairs only.
-	want := []Pair{{0, 1}, {1, 3}, {2, 3}}
-	if !reflect.DeepEqual(pairs, want) {
-		t.Errorf("pairs = %v, want %v", pairs, want)
-	}
-	// Window defaults to at least 2.
-	def := SortedNeighborhood{}.Candidates(records)
-	if !reflect.DeepEqual(def, pairs) {
-		t.Errorf("default window pairs = %v", def)
-	}
-	// Window covering everything yields all pairs.
-	all := SortedNeighborhood{Window: 4}.Candidates(records)
-	if len(all) != 6 {
-		t.Errorf("full window pairs = %d, want 6", len(all))
-	}
-}
-
 func TestCanopy(t *testing.T) {
 	records := recs("john smith", "john smith jr", "mary cohen", "mary cohen md")
 	pairs := Canopy{Loose: 0.3, Tight: 0.8}.Candidates(records)
@@ -129,7 +108,6 @@ func TestAllSchemesPairInvariantsProperty(t *testing.T) {
 	schemes := map[string]Scheme{
 		"exact":  ExactKey{},
 		"token":  TokenBlocking{},
-		"window": SortedNeighborhood{Window: 3},
 		"canopy": Canopy{Loose: 0.4, Tight: 0.8},
 	}
 	keysets := []string{"john smith", "mary cohen", "j smith", "cohen", "bob lee", ""}
@@ -169,7 +147,6 @@ func TestSchemesDeterministic(t *testing.T) {
 	for name, s := range map[string]Scheme{
 		"exact":  ExactKey{},
 		"token":  TokenBlocking{},
-		"window": SortedNeighborhood{Window: 3},
 		"canopy": Canopy{Loose: 0.3, Tight: 0.7},
 	} {
 		a := s.Candidates(records)

@@ -38,13 +38,7 @@ func TestSoundexKey(t *testing.T) {
 }
 
 func TestApproxPolicies(t *testing.T) {
-	if p := (Canopy{Loose: 0.3, Tight: 0.6}).ApproxPolicy(); p.MinSim != 0.3 || p.MaxNeighbors != 0 {
+	if p := (Canopy{Loose: 0.3, Tight: 0.6}).ApproxPolicy(); p.MinSim != 0.3 {
 		t.Errorf("canopy policy %+v", p)
-	}
-	if p := (SortedNeighborhood{Window: 5}).ApproxPolicy(); p.MaxNeighbors != 4 || p.MinSim != 0 {
-		t.Errorf("sorted neighborhood policy %+v", p)
-	}
-	if p := (SortedNeighborhood{}).ApproxPolicy(); p.MaxNeighbors != 1 {
-		t.Errorf("degenerate window policy %+v", p)
 	}
 }

@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-func TestNewSortedNeighborhoodValidates(t *testing.T) {
-	if err := (SortedNeighborhood{Window: 7}).Validate(); err != nil {
-		t.Fatalf("window 7: %v", err)
-	}
-	for _, window := range []int{1, 0, -3} {
-		if err := (SortedNeighborhood{Window: window}).Validate(); err == nil {
-			t.Errorf("window %d: accepted, want an error", window)
-		} else if !strings.Contains(err.Error(), "window") {
-			t.Errorf("window %d: error %q does not name the window", window, err)
-		}
-	}
-}
-
 func TestNewCanopyValidates(t *testing.T) {
 	if err := (Canopy{Loose: 0.3, Tight: 0.8}).Validate(); err != nil {
 		t.Fatalf("loose 0.3 tight 0.8: %v", err)

@@ -289,3 +289,10 @@ func TestTitleHelper(t *testing.T) {
 		}
 	}
 }
+
+func TestReadJSONRejectsNullCollection(t *testing.T) {
+	_, err := ReadJSON(strings.NewReader(`{"label":"x","collections":[null]}`))
+	if err == nil || !strings.Contains(err.Error(), "nil collection") {
+		t.Fatalf("ReadJSON of a null collection = %v, want a nil-collection error", err)
+	}
+}

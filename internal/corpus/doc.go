@@ -61,8 +61,12 @@ func (c *Collection) GroundTruth() []int {
 }
 
 // Validate checks internal consistency: IDs dense, persona labels within
-// range, and every persona non-empty.
+// range, and every persona non-empty. A nil collection (a JSON null) is an
+// error.
 func (c *Collection) Validate() error {
+	if c == nil {
+		return fmt.Errorf("corpus: nil collection")
+	}
 	if c.Name == "" {
 		return fmt.Errorf("corpus: collection has empty name")
 	}
@@ -105,6 +109,9 @@ func (d *Dataset) Validate() error {
 	names := make(map[string]bool)
 	for _, c := range d.Collections {
 		if err := c.Validate(); err != nil {
+			if c == nil {
+				return err
+			}
 			return fmt.Errorf("collection %q: %w", c.Name, err)
 		}
 		if names[c.Name] {

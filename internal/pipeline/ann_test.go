@@ -48,7 +48,7 @@ func flatPrefix(cols []*corpus.Collection, k, total int) []*corpus.Collection {
 	return out
 }
 
-// annScheme parses one of the approximable global schemes.
+// annScheme parses an approximable global scheme.
 func annScheme(t testing.TB, name string) blocking.ApproxScheme {
 	t.Helper()
 	parsed, err := blocking.ParseScheme(name)
@@ -75,8 +75,7 @@ func annBlockerWith(t testing.TB, scheme string, m, ef int) *IndexBlocker {
 }
 
 // TestANNIncrementalEqualsFull extends the equivalence harness to the
-// ANN path: for canopy and sorted neighborhood × all strategies × both
-// clusterings, K-batch ingest resolved incrementally through the ANN
+// ANN path: for canopy × all strategies × both clusterings, K-batch ingest resolved incrementally through the ANN
 // index yields, after the last batch, clusters identical to one full ANN
 // resolution of the union by a fresh index.
 func TestANNIncrementalEqualsFull(t *testing.T) {
@@ -84,7 +83,7 @@ func TestANNIncrementalEqualsFull(t *testing.T) {
 	const batches = 3
 	ctx := context.Background()
 
-	schemes := []string{"canopy", "sortedneighborhood"}
+	schemes := []string{"canopy"}
 	strategies := []string{"best", "threshold", "weighted", "majority"}
 	clusterings := []string{"closure", "correlation"}
 	if testing.Short() {

@@ -167,12 +167,11 @@ type BlockingConfig struct {
 
 // ParseBlocking maps the CLI/API blocking names to their configuration,
 // rejecting an unknown key function and every scheme but the key-based
-// ones (exact, token) up front. The global schemes (sortedneighborhood,
-// canopy) pair records by a window or canopy, and the connected
-// components of those pairs chain into one corpus-sized block, so no
-// entry point offers them; blocking.ParseScheme still builds them for
-// SchemeBlocker. Empty names select the paper's setup: exact-key blocking
-// over collection names.
+// ones (exact, token) up front. Canopy, the global scheme, gathers records
+// by a cheap key similarity, and the connected components of its pairs
+// chain into corpus-sized blocks, so no entry point offers it;
+// blocking.ParseScheme still builds it for SchemeBlocker. Empty names
+// select the paper's setup: exact-key blocking over collection names.
 func ParseBlocking(scheme, keys string) (BlockingConfig, error) {
 	c := BlockingConfig{SchemeName: scheme, KeysName: keys}
 	if c.SchemeName == "" {
@@ -220,10 +219,9 @@ func NewSchemeBlocker(s blocking.Scheme) SchemeBlocker {
 	return SchemeBlocker{Scheme: s}
 }
 
-// Validate surfaces degenerate scheme parameters (a sorted-neighborhood
-// window that can pair nothing, inverted canopy thresholds) when the
-// pipeline is assembled instead of silently producing a useless candidate
-// set at run time.
+// Validate surfaces degenerate scheme parameters (inverted canopy
+// thresholds) when the pipeline is assembled instead of silently producing
+// a useless candidate set at run time.
 func (sb SchemeBlocker) Validate() error {
 	if v, ok := sb.Scheme.(blocking.Validator); ok {
 		return v.Validate()

@@ -70,13 +70,13 @@ func freshBlocker(t testing.TB, scheme, keys string) *IndexBlocker {
 }
 
 // incrementalPipeline assembles a scored pipeline over scheme's blocker:
-// the entry points' one for the key-based schemes, and for the global ones,
-// which no entry point accepts, the library's full pass.
+// the entry points' one for the key-based schemes, and for canopy, which no
+// entry point accepts, the library's full pass.
 func incrementalPipeline(t testing.TB, scheme, strategy, clustering string) *Pipeline {
 	t.Helper()
 	var blocker Blocker
 	switch scheme {
-	case "sortedneighborhood", "canopy":
+	case "canopy":
 		parsed, err := blocking.ParseScheme(scheme)
 		if err != nil {
 			t.Fatal(err)
@@ -112,11 +112,11 @@ func TestIncrementalEqualsFull(t *testing.T) {
 	cols := incrementalCollections(t)
 	const batches = 3
 
-	schemes := []string{"exact", "token", "sortedneighborhood", "canopy"}
+	schemes := []string{"exact", "token", "canopy"}
 	strategies := []string{"best", "threshold", "weighted", "majority"}
 	clusterings := []string{"closure", "correlation"}
 	if testing.Short() {
-		schemes = []string{"exact", "sortedneighborhood"}
+		schemes = []string{"exact", "canopy"}
 		strategies = []string{"best", "weighted"}
 		clusterings = []string{"closure"}
 	}

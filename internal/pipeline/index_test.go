@@ -355,9 +355,6 @@ func TestNewBlockerPicksIndexForKeyedSchemes(t *testing.T) {
 			t.Errorf("%s: blocking stats %+v (err %v), want the key index's", scheme, out.Stats, err)
 		}
 	}
-	if _, err := New(Config{Blocker: NewSchemeBlocker(blocking.SortedNeighborhood{Window: 1})}); err == nil {
-		t.Error("pipeline.New accepted a degenerate sorted-neighborhood window")
-	}
 	if _, err := New(Config{Blocker: SchemeBlocker{Scheme: blocking.Canopy{Loose: 0.9, Tight: 0.2}}}); err == nil {
 		t.Error("pipeline.New accepted inverted canopy thresholds")
 	}

@@ -33,8 +33,8 @@ type CandidateIndex interface {
 // block collections in parallel. Over the key index it serves the
 // key-based schemes (exact, token) exactly, and it is what every entry
 // point blocks with (BlockingConfig.FreshBlocker); over the ANN index it
-// serves the global schemes (canopy, sorted neighborhood) approximately,
-// which only the library and the benchmark build (NewANNBlockerWith).
+// serves the global scheme (canopy) approximately, which only the library
+// and the benchmark build (NewANNBlockerWith).
 //
 // An IndexBlocker is bound to one append-only corpus (a document store):
 // every call must present a superset of the previous call's collections,

@@ -156,9 +156,8 @@ func New(cfg Config) (*Pipeline, error) {
 		p.blocker = NewSchemeBlocker(blocking.ExactKey{})
 	}
 	// Blockers with tunable parameters validate at assembly, so a
-	// degenerate configuration (a window that can pair nothing, inverted
-	// canopy thresholds) fails here instead of silently producing a
-	// useless candidate set mid-run.
+	// degenerate configuration (inverted canopy thresholds) fails here
+	// instead of silently producing a useless candidate set mid-run.
 	if v, ok := p.blocker.(blocking.Validator); ok {
 		if err := v.Validate(); err != nil {
 			return nil, err

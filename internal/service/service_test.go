@@ -352,6 +352,7 @@ func TestResolveValidation(t *testing.T) {
 		{"bad blocking", ResolveRequest{Collections: []*corpus.Collection{col},
 			resolveKnobs: resolveKnobs{Blocking: "bogus"}},
 			"(valid: exact, token)"},
+		{"null collection", ResolveRequest{Collections: []*corpus.Collection{nil}}, "nil collection"},
 	}
 	for _, tc := range cases {
 		resp := postResolve(t, ts, tc.req)
@@ -366,6 +367,9 @@ func TestResolveValidation(t *testing.T) {
 		if !strings.Contains(out.Error, tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, out.Error, tc.want)
 		}
+	}
+	if n := getStats(t, ts).value(t, "ersolve_degraded_total", "kind", "panics"); n != 0 {
+		t.Errorf("a rejected request counted %g panics, want 0", n)
 	}
 
 	for _, path := range []string{"/v1/resolve", "/v1/resolve/incremental", "/v1/collections"} {

@@ -5,7 +5,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"slices"
@@ -19,8 +21,11 @@ import (
 // TestREADMENamesOnlyWhatExists keeps the README's usage in step with the
 // program. Every `ersolve …` command, in a backticked span or a code
 // block, may pass only flags that `ersolve -h` (or `ersolve serve -h`,
-// after serve) defines, and every JSON object that names a resolve knob —
-// a request example — may name only keys the resolve endpoints decode.
+// after serve) defines, every JSON object that names a resolve knob — a
+// request example — may name only keys the resolve endpoints decode, and
+// every Test…, Benchmark…, Fuzz… or Example… name it cites must be a func
+// of some _test.go file in the repository (a /subtest suffix is not
+// checked).
 func TestREADMENamesOnlyWhatExists(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
@@ -32,9 +37,16 @@ func TestREADMENamesOnlyWhatExists(t *testing.T) {
 	}
 	mainFlags, serveFlags := ersolveFlags(t)
 	knobs, requestKeys := resolveRequestKeys()
+	tests := testFuncs(t)
 
-	commands, requests := 0, 0
+	commands, requests, cited := 0, 0, 0
 	for _, text := range append(spans, code...) {
+		for _, name := range testName.FindAllString(text, -1) {
+			cited++
+			if !tests[name] {
+				t.Errorf("README cites %s, which no _test.go file declares", name)
+			}
+		}
 		for _, args := range ersolveCommands(text) {
 			commands++
 			flags := mainFlags
@@ -64,10 +76,48 @@ func TestREADMENamesOnlyWhatExists(t *testing.T) {
 			}
 		}
 	}
-	if commands == 0 || requests == 0 {
-		t.Fatalf("the scan found %d ersolve commands and %d request examples; it reads the README wrong", commands, requests)
+	if commands == 0 || requests == 0 || cited == 0 {
+		t.Fatalf("the scan found %d ersolve commands, %d request examples and %d test names; it reads the README wrong", commands, requests, cited)
 	}
-	t.Logf("checked %d ersolve commands and %d request examples", commands, requests)
+	t.Logf("checked %d ersolve commands, %d request examples and %d test names", commands, requests, cited)
+}
+
+// testName matches a cited test, benchmark, fuzz target or example; it
+// stops at a subtest's "/".
+var testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z_]\w*`)
+
+// testFuncDecl matches a top-level test function declaration.
+var testFuncDecl = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz|Example)\w*)\(`)
+
+// testFuncs returns the names of the top-level Test, Benchmark, Fuzz and
+// Example funcs of every _test.go file in the repository, the nested
+// tools/erlint module included.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || d.Name() == ".git") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testFuncDecl.FindAllSubmatch(src, -1) {
+			names[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // codeSpan matches one backticked span of prose.

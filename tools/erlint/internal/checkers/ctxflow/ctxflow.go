@@ -1,9 +1,10 @@
 // Package ctxflow enforces the pipeline's cancellation discipline (PR 2):
 // concurrency must be cancelable. A function that starts goroutines,
 // blocks in a select, or calls a ...Ctx variant needs a context.Context of
-// its own to thread through, and the hot channels in internal/pipeline may
-// never block a send without a ctx.Done() (or default) escape — a blocked
-// send with no way out is how a canceled resolve leaks its workers.
+// its own to thread through, and a channel send in internal/fanout, the
+// worker pool every parallel stage runs on, may never block without a
+// ctx.Done() (or default) escape — a blocked send with no way out is how a
+// canceled resolve leaks its workers.
 package ctxflow
 
 import (
@@ -14,19 +15,20 @@ import (
 	"repro/tools/erlint/internal/analysis"
 )
 
-// Analyzer flags concurrency without a context and, in internal/pipeline,
+// Analyzer flags concurrency without a context and, in internal/fanout,
 // blocking channel sends outside a cancelable select.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "functions that start goroutines, select on channels or call ...Ctx " +
 		"variants must accept a context.Context; blocking sends in " +
-		"internal/pipeline must sit in a select with ctx.Done()",
+		"internal/fanout must sit in a select with ctx.Done() or default",
 	Run: run,
 }
 
 // sendGuardedPkg is the import-path suffix of the one package whose channel
-// sends must be cancelable: the streaming pipeline.
-const sendGuardedPkg = "internal/pipeline"
+// sends must be cancelable: the worker pool, whose budget acquire is the
+// one channel send under internal/.
+const sendGuardedPkg = "internal/fanout"
 
 func run(pass *analysis.Pass) (any, error) {
 	guarded := strings.HasSuffix(pass.Pkg.Path(), sendGuardedPkg)

@@ -9,5 +9,5 @@ import (
 
 func TestCtxflow(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), ctxflow.Analyzer,
-		"ctxflow", "repro/internal/pipeline")
+		"ctxflow", "repro/internal/fanout")
 }

@@ -1,7 +1,7 @@
-// Package pipeline exercises the blocking-send rules ctxflow applies
-// inside internal/pipeline: a send must be escapable through ctx.Done()
-// or a default clause.
-package pipeline
+// Package fanout exercises the blocking-send rules ctxflow applies inside
+// internal/fanout: a send must be escapable through ctx.Done() or a
+// default clause.
+package fanout
 
 import "context"
 
