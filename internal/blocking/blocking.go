@@ -61,19 +61,18 @@ type KeyedScheme interface {
 }
 
 // Validator is implemented by schemes with parameters to sanity-check at
-// construction; pipelines validate before running so a degenerate
-// configuration fails fast instead of silently producing a useless
-// candidate set. Canopy implements it; the keyed schemes need no
-// check.
+// construction; ann.New validates its scheme so a degenerate configuration
+// fails fast instead of silently producing a useless candidate set. Canopy
+// implements it; the keyed schemes need no check.
 type Validator interface {
 	Validate() error
 }
 
 // SchemeNames are the accepted ParseScheme spellings, in display order for
-// CLI/API usage messages.
+// its error message.
 var SchemeNames = []string{"exact", "token", "canopy"}
 
-// ParseScheme maps a CLI/API name to a scheme with its default parameters:
+// ParseScheme maps a name to a scheme with its default parameters:
 // exact-key blocking (the paper's), token blocking with the default minimum
 // token length, and canopy clustering with loose/tight thresholds 0.3/0.8.
 // Unknown names return an error listing every valid spelling.

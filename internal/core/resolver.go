@@ -178,17 +178,19 @@ func (p *Prepared) Run(runSeed int64) (*Analysis, error) {
 // It is the decision stage on a fresh workspace, so the Analysis owns all
 // of its memory.
 func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
-	return p.runIn(new(Workspace), runSeed, opts)
+	return p.runIn(context.Background(), new(Workspace), runSeed, opts)
 }
 
 // RunIn is Run on the workspace's memory: the Analysis it returns — its
 // decision graphs, their adjacency rows — is valid until the workspace's
-// next RunIn. The Resolutions its combinations return own their labels.
-func (p *Prepared) RunIn(ws *Workspace, runSeed int64) (*Analysis, error) {
-	return p.runIn(ws, runSeed, p.resolver.opts)
+// next RunIn. The Resolutions its combinations return own their labels. A
+// canceled or timed-out context stops the analysis before the next
+// function's decision graphs, and RunIn returns ctx.Err().
+func (p *Prepared) RunIn(ctx context.Context, ws *Workspace, runSeed int64) (*Analysis, error) {
+	return p.runIn(ctx, ws, runSeed, p.resolver.opts)
 }
 
-func (p *Prepared) runIn(ws *Workspace, runSeed int64, opts Options) (*Analysis, error) {
+func (p *Prepared) runIn(ctx context.Context, ws *Workspace, runSeed int64, opts Options) (*Analysis, error) {
 	if opts.TrainFraction <= 0 || opts.TrainFraction >= 1 {
 		return nil, fmt.Errorf("core: train fraction %v out of (0,1)", opts.TrainFraction)
 	}
@@ -203,6 +205,9 @@ func (p *Prepared) runIn(ws *Workspace, runSeed int64, opts Options) (*Analysis,
 	ws.graphs.Reset()
 	a := &Analysis{Prepared: p, Train: train, opts: opts, rng: rng}
 	for _, f := range p.resolver.funcs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		m := p.Matrices[f.ID]
 		s := newSample(ws, train, m)
 		for _, crit := range AllCriteria {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -73,7 +74,7 @@ func TestWorkspaceMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: matrix %s differs from fresh memory", label, id)
 			}
 		}
-		a, err := prep.RunIn(&ws, seed)
+		a, err := prep.RunIn(ctx, &ws, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestWorkspaceAllocationCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := prep.RunIn(&ws, 1); err != nil {
+		if _, err := prep.RunIn(context.Background(), &ws, 1); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -133,5 +134,25 @@ func TestWorkspaceAllocationCeiling(t *testing.T) {
 	t.Logf("prepare + analyze of 40 pages: %d bytes in a new workspace, %d in the same one again", first, second)
 	if second > first/2 {
 		t.Errorf("the second pass allocated %d bytes, the first %d: want at most half", second, first)
+	}
+}
+
+// TestRunInCanceled: RunIn on a canceled context builds no decision graph
+// and returns the context's error.
+func TestRunInCanceled(t *testing.T) {
+	r, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws Workspace
+	prep, err := r.PrepareIn(context.Background(), &ws, workspaceBlock(t, 20, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := prep.RunIn(ctx, &ws, 1)
+	if !errors.Is(err, context.Canceled) || a != nil {
+		t.Fatalf("RunIn on a canceled context = %v, %v; want no analysis and context.Canceled", a, err)
 	}
 }

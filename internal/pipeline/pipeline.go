@@ -3,8 +3,8 @@
 //
 //	Ingest → Block → Prepare → Analyze → Combine → Cluster → Report
 //
-// Ingest hands raw collections to a pluggable Blocker (any candidate-pair
-// scheme from internal/blocking), which re-partitions the documents into
+// Ingest hands raw collections to a pluggable Blocker (by default the key
+// index over collection names), which re-partitions the documents into
 // resolution blocks. One fan-out (internal/fanout) of up to GOMAXPROCS
 // workers then claims blocks one at a time, and the worker that claimed a
 // block takes it through every later stage: prepare (feature extraction,
@@ -22,21 +22,20 @@
 // freshly allocated.
 //
 // Blocker is the one block-stage interface and BlockFingerprints its one
-// method: blocks, member refs, membership fingerprints and stats. It has
-// two implementations: SchemeBlocker, the stateless full pass over any
-// scheme and the reference the other is tested against, and IndexBlocker,
-// which serves a growing corpus in O(delta) from an incremental
-// CandidateIndex — the key index (internal/blockindex) for the key-based
-// schemes, or the HNSW candidate index (internal/ann) for a global scheme
-// built by hand. Every entry point (the CLI, both resolve endpoints, the
-// examples) blocks by keys: ParseBlocking validates a scheme name (exact,
-// token) and a key-function name into a BlockingConfig, whose FreshBlocker
-// is an IndexBlocker over a new key index.
+// method: blocks, member refs, membership fingerprints and stats. Every
+// caller blocks by keys through IndexBlocker, which serves a growing corpus
+// in O(delta) from the incremental key index (internal/blockindex):
+// ParseBlocking validates a scheme name (exact, token) and a key-function
+// name into a BlockingConfig, whose FreshBlocker is an IndexBlocker over a
+// new key index, and a nil Config.Blocker is that blocker for the paper's
+// exact / collection keys, built afresh for each run. SchemeBlocker, the
+// stateless full pass over any scheme, is the reference the index is
+// tested against; only the benchmark's layer instruments run it.
 //
 // Every stage takes a context.Context threaded down through core.Resolver,
 // simfn.PrepareBlockCtx and simfn.ComputeAllCtx, so cancellation or a timeout
-// aborts an in-flight run mid-extraction or mid-matrix and Run returns
-// ctx.Err().
+// aborts an in-flight run mid-extraction, mid-matrix or between the
+// analysis's similarity functions, and Run returns ctx.Err().
 //
 // With the default configuration (exact-key blocking over collection
 // names, best-any-criterion strategy) the pipeline reproduces the classic
@@ -83,8 +82,11 @@ type Config struct {
 	// (it is a valid seed).
 	Options core.Options
 	// Blocker re-partitions ingested collections into resolution blocks;
-	// nil selects exact-key blocking over collection names, the paper's
-	// scheme, which keeps each collection as one block.
+	// nil selects the paper's exact-key blocking over collection names,
+	// which keeps each collection as one block, through a fresh key index
+	// per Run and RunIncremental call (ParseBlocking("", "").FreshBlocker()):
+	// a key index is bound to one append-only corpus, and one Pipeline may
+	// resolve unrelated corpora.
 	Blocker Blocker
 	// Strategy runs the combine and cluster stages on each analysis; nil
 	// selects (*core.Analysis).BestAnyCriterion, the paper's best-performing
@@ -152,17 +154,6 @@ func New(cfg Config) (*Pipeline, error) {
 		score:    cfg.Score,
 		observeF: cfg.Observe,
 	}
-	if p.blocker == nil {
-		p.blocker = NewSchemeBlocker(blocking.ExactKey{})
-	}
-	// Blockers with tunable parameters validate at assembly, so a
-	// degenerate configuration (inverted canopy thresholds) fails here
-	// instead of silently producing a useless candidate set mid-run.
-	if v, ok := p.blocker.(blocking.Validator); ok {
-		if err := v.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if p.strategy == nil {
 		p.strategy = (*core.Analysis).BestAnyCriterion
 	}
@@ -188,7 +179,7 @@ type Result struct {
 // aborts the in-flight stages promptly and Run returns ctx.Err().
 func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result, error) {
 	blockStart := p.now()
-	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
+	indexed, err := p.block(ctx, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -205,6 +196,19 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 		return nil, err
 	}
 	return results, nil
+}
+
+// block runs the block stage: the configured Blocker, or for a nil one a
+// fresh key index over exact / collection keys (Config.Blocker).
+func (p *Pipeline) block(ctx context.Context, cols []*corpus.Collection) (IndexedBlocks, error) {
+	if p.blocker != nil {
+		return p.blocker.BlockFingerprints(ctx, cols)
+	}
+	ib, err := NewIndexBlocker(blocking.ExactKey{}, nil, 0)
+	if err != nil {
+		return IndexedBlocks{}, err
+	}
+	return ib.BlockFingerprints(ctx, cols)
 }
 
 // stream is the shared prepare → analyze → combine → cluster → report core
@@ -273,7 +277,7 @@ func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus
 		return Result{}, fmt.Errorf("pipeline: preparing block %q: %w", col.Name, err)
 	}
 	p.observe(StagePrepare, col.Name, prepStart)
-	res, err := p.resolveBlock(ws, col, prep, seed)
+	res, err := p.resolveBlock(ctx, ws, col, prep, seed)
 	if err != nil {
 		return Result{}, fmt.Errorf("pipeline: resolving block %q: %w", col.Name, err)
 	}
@@ -281,10 +285,11 @@ func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus
 }
 
 // resolveBlock runs analysis (training draw, decision graphs), combination,
-// clustering and scoring for one prepared block, in the workspace ws.
-func (p *Pipeline) resolveBlock(ws *core.Workspace, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
+// clustering and scoring for one prepared block, in the workspace ws. A
+// canceled context stops the analysis between similarity functions.
+func (p *Pipeline) resolveBlock(ctx context.Context, ws *core.Workspace, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
 	analyzeStart := p.now()
-	a, err := prep.RunIn(ws, seed)
+	a, err := prep.RunIn(ctx, ws, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -319,22 +324,6 @@ func (p *Pipeline) trivial(col *corpus.Collection) (Result, error) {
 		out.Score = &s
 	}
 	return out, nil
-}
-
-// Prepare runs only the ingest, block and prepare stages, returning the
-// blocks and their prepared state in block order. Callers that redraw many
-// training samples over one expensive preparation (the experiment drivers)
-// use this entry point and then AverageRuns.
-func (p *Pipeline) Prepare(ctx context.Context, cols []*corpus.Collection) ([]*corpus.Collection, []*core.Prepared, error) {
-	indexed, err := p.blocker.BlockFingerprints(ctx, cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	prepared, err := p.resolver.PrepareAllCtx(ctx, indexed.Blocks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return indexed.Blocks, prepared, nil
 }
 
 // AverageRuns runs a strategy over every prepared block for several

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,6 +157,33 @@ func TestRunCanceledPromptly(t *testing.T) {
 	cancelNow()
 	if _, err := pl.Run(canceled, cols); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCancelStopsTheAnalysis: a context canceled once a block's matrices
+// are built stops the block before its decision graphs. Run returns
+// context.Canceled and the analyze stage is never observed.
+func TestCancelStopsTheAnalysis(t *testing.T) {
+	cols := www05Subset(t, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var analyzed atomic.Bool
+	pl, err := New(Config{Observe: func(stage, _ string, _ time.Duration) {
+		switch stage {
+		case StagePrepare:
+			cancel()
+		case StageAnalyze:
+			analyzed.Store(true)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Run(ctx, cols); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if analyzed.Load() {
+		t.Error("the analysis ran to its end after the context was canceled")
 	}
 }
 
@@ -322,15 +350,15 @@ func TestNewAllocatesNoTable(t *testing.T) {
 
 func TestAverageRunsCanceled(t *testing.T) {
 	cols := www05Subset(t, 1)
-	pl, err := New(Config{})
+	r, err := core.New(core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, prepared, err := pl.Prepare(context.Background(), cols)
+	prepared, err := r.PrepareAllCtx(context.Background(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	truths := [][]int{blocks[0].GroundTruth()}
+	truths := [][]int{cols[0].GroundTruth()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err = AverageRuns(ctx, prepared, truths, 2,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -103,8 +104,8 @@ func TestBlocksNeverNull(t *testing.T) {
 
 // TestJobRecordEvictedIs410 is the regression test for unbounded job
 // retention at the HTTP layer: with a 1-record history, the older of two
-// finished ingest jobs answers 410 Gone (not 404), while truly unknown
-// IDs stay 404.
+// finished ingest jobs answers 410 Gone (not 404), naming the server's
+// fixed history size, while truly unknown IDs stay 404.
 func TestJobRecordEvictedIs410(t *testing.T) {
 	srv, ts := serverPair(t, Config{})
 	srv.jobs = store.NewQueue(1)
@@ -157,8 +158,22 @@ func TestJobRecordEvictedIs410(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	if code, _ := jobStatus(first); code != http.StatusGone {
-		t.Errorf("evicted job %s status = %d, want 410", first, code)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGone {
+		t.Errorf("evicted job %s status = %d, want 410", first, resp.StatusCode)
+	}
+	// The history is the constant jobHistory, not a setting: the body
+	// names its size and asks for nothing to be raised.
+	if msg := string(body); !strings.Contains(msg, "1024") || strings.Contains(msg, "raise") {
+		t.Errorf("evicted job body %s, want the 1024-record history named and no limit to raise", msg)
 	}
 	if code, _ := jobStatus("j999"); code != http.StatusNotFound {
 		t.Errorf("never-issued job status = %d, want 404", code)

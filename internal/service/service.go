@@ -707,7 +707,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, job)
 	case store.GetEvicted:
 		writeJSON(w, http.StatusGone, errorResponse{
-			Error: fmt.Sprintf("job %q finished and its record aged out of the bounded history; poll jobs sooner or raise the history limit", id)})
+			Error: fmt.Sprintf("job %q finished and its record aged out: the server keeps the last %d job records; poll jobs sooner", id, jobHistory)})
 	default:
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown job %q", id)})
 	}

@@ -95,9 +95,6 @@ func TestStatsEndpoint(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/resolve/incremental", IncrementalResolveRequest{}, &run); code != http.StatusOK {
 		t.Fatalf("incremental resolve = %d", code)
 	}
-	if run.Blocking.Indexer != "index" {
-		t.Fatalf("blocking stats = %+v, want the index path", run.Blocking)
-	}
 	if run.Blocking.DeltaDocs != 24 {
 		t.Fatalf("first resolve delta_docs = %d, want 24: the resolve keys the whole ingest", run.Blocking.DeltaDocs)
 	}
