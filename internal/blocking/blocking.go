@@ -124,10 +124,7 @@ func (ExactKey) IndexKeys(keys []string) []string {
 // TokenBlocking blocks records sharing any key token, a higher-recall
 // scheme tolerant of name variations ("J. Smith" and "John Smith" share
 // the token "smith").
-type TokenBlocking struct {
-	// MinTokenLength drops very short tokens (initials); default 2.
-	MinTokenLength int
-}
+type TokenBlocking struct{}
 
 // Candidates implements Scheme.
 func (t TokenBlocking) Candidates(records []Record) []Pair {
@@ -140,17 +137,12 @@ func (t TokenBlocking) Candidates(records []Record) []Pair {
 	return pairsFromBuckets(buckets)
 }
 
-// IndexKeys implements KeyedScheme: the deduplicated normalized key tokens
-// at or above the minimum length.
+// IndexKeys implements KeyedScheme: the deduplicated KeyTokens of the keys.
 func (t TokenBlocking) IndexKeys(keys []string) []string {
-	minLen := t.MinTokenLength
-	if minLen <= 0 {
-		minLen = 2
-	}
 	var out []string
 	seen := make(map[string]bool)
 	for _, k := range keys {
-		for _, tok := range KeyTokens(k, minLen) {
+		for _, tok := range KeyTokens(k) {
 			if seen[tok] {
 				continue
 			}
@@ -280,14 +272,19 @@ func NormalizeKey(k string) string {
 	return strings.Join(strings.Fields(mapped), " ")
 }
 
-// KeyTokens returns the normalized tokens of one blocking key at or above
-// minLen, in order of appearance — the posting keys of token blocking,
-// shared with the incremental index.
-func KeyTokens(k string, minLen int) []string {
+// minKeyTokenLength is the shortest key token that blocks: shorter ones
+// are initials, the "j" of "J. Smith".
+const minKeyTokenLength = 2
+
+// KeyTokens returns the normalized tokens of one blocking key, initials
+// dropped, in order of appearance — the posting keys of token blocking,
+// shared with the incremental index, the serving index's name search and
+// the service's query check.
+func KeyTokens(k string) []string {
 	fields := strings.Fields(NormalizeKey(k))
 	out := fields[:0]
 	for _, tok := range fields {
-		if len(tok) >= minLen {
+		if len(tok) >= minKeyTokenLength {
 			out = append(out, tok)
 		}
 	}
@@ -323,9 +320,9 @@ func sortedPairs(set map[Pair]struct{}) []Pair {
 }
 
 // The membership-fingerprint helpers below give blocks a stable identity
-// across runs: hash each member's identifying parts with HashKey, combine
-// the member hashes in block order with CombineIDs (or hash string keys
-// directly with BlockID). Incremental resolution keys its per-block cache
+// across runs: hash each member's identifying parts with HashKey (a
+// document's through DocHash), then combine the member hashes in block
+// order with CombineIDs. Incremental resolution keys its per-block cache
 // on the result — a block whose ID is unchanged since the previous run
 // has identical members (up to 64-bit hash collision) and can reuse the
 // previous run's prepared state and clustering. All three fold FNV-1a

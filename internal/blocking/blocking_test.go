@@ -56,11 +56,6 @@ func TestTokenBlocking(t *testing.T) {
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
-	// Min token length honored explicitly.
-	pairs = TokenBlocking{MinTokenLength: 1}.Candidates(recs("j x", "j y"))
-	if len(pairs) != 1 {
-		t.Errorf("min length 1 should block on single letters: %v", pairs)
-	}
 }
 
 func TestTokenBlockingHigherRecallThanExact(t *testing.T) {

@@ -69,12 +69,12 @@ func TestIndexKeysMatchCandidates(t *testing.T) {
 }
 
 func TestKeyTokens(t *testing.T) {
-	got := KeyTokens("Smith, J. von Smith", 2)
+	got := KeyTokens("Smith, J. von Smith")
 	want := []string{"smith", "von", "smith"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("KeyTokens = %v, want %v", got, want)
 	}
-	if toks := KeyTokens("  ", 2); len(toks) != 0 {
+	if toks := KeyTokens("  "); len(toks) != 0 {
 		t.Fatalf("blank key produced tokens %v", toks)
 	}
 }

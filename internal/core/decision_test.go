@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -33,7 +34,7 @@ func TestDecisionStageMatchesReference(t *testing.T) {
 
 		// The first run fits the bounds; planting values on them outside
 		// the training sample leaves every fit as it is.
-		first, err := p.RunWith(seed, opts)
+		first, err := p.RunWith(context.Background(), seed, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestDecisionStageMatchesReference(t *testing.T) {
 			plantOutsideTraining(rng, m, first.Train, edges)
 		}
 
-		got, err := p.RunWith(seed, opts)
+		got, err := p.RunWith(context.Background(), seed, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -162,7 +162,7 @@ type Analysis struct {
 // decision graph. Distinct seeds give the independent runs the paper
 // averages over.
 func (p *Prepared) Run(runSeed int64) (*Analysis, error) {
-	return p.RunWith(runSeed, p.resolver.opts)
+	return p.runIn(context.Background(), new(Workspace), runSeed, p.resolver.opts)
 }
 
 // RunWith is Run with per-run option overrides (training fraction, region
@@ -176,9 +176,10 @@ func (p *Prepared) Run(runSeed int64) (*Analysis, error) {
 // nothing from it.
 //
 // It is the decision stage on a fresh workspace, so the Analysis owns all
-// of its memory.
-func (p *Prepared) RunWith(runSeed int64, opts Options) (*Analysis, error) {
-	return p.runIn(context.Background(), new(Workspace), runSeed, opts)
+// of its memory. A canceled or timed-out context stops the analysis before
+// the next function's decision graphs, and RunWith returns ctx.Err().
+func (p *Prepared) RunWith(ctx context.Context, runSeed int64, opts Options) (*Analysis, error) {
+	return p.runIn(ctx, new(Workspace), runSeed, opts)
 }
 
 // RunIn is Run on the workspace's memory: the Analysis it returns — its

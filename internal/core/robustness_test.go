@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/corpus"
@@ -127,23 +128,46 @@ func TestRunWithValidation(t *testing.T) {
 	}
 	bad := DefaultOptions()
 	bad.TrainFraction = 0
-	if _, err := prep.RunWith(1, bad); err == nil {
+	if _, err := prep.RunWith(context.Background(), 1, bad); err == nil {
 		t.Error("zero train fraction accepted")
 	}
 	bad = DefaultOptions()
 	bad.RegionK = 1
-	if _, err := prep.RunWith(1, bad); err == nil {
+	if _, err := prep.RunWith(context.Background(), 1, bad); err == nil {
 		t.Error("region count 1 accepted")
 	}
 	// Clustering override is honored.
 	cc := DefaultOptions()
 	cc.Clustering = CorrelationClustering
-	a, err := prep.RunWith(1, cc)
+	a, err := prep.RunWith(context.Background(), 1, cc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.BestAnyCriterion(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestRunWithCanceled(t *testing.T) {
+	col, err := corpus.GenerateCollection(corpus.CollectionConfig{
+		Name: "adams", NumDocs: 20, NumPersonas: 3, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := r.PrepareCtx(context.Background(), col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	a, err := prep.RunWith(ctx, 1, DefaultOptions())
+	if !errors.Is(err, context.Canceled) || a != nil {
+		t.Fatalf("RunWith on a canceled context = %v, %v; want no analysis and context.Canceled", a, err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
-	"repro/internal/pipeline"
 	"repro/internal/simfn"
 )
 
@@ -23,12 +22,6 @@ type AblationResult struct {
 	Score eval.Result
 }
 
-// averageWith runs a strategy over all collections and runs using explicit
-// per-run options (the ablation hook).
-func (pd *preparedDataset) averageWith(ctx context.Context, cfg Config, opts core.Options, s strategy) (eval.Result, error) {
-	return pipeline.AverageRuns(ctx, pd.prepared, pd.truths, cfg.Runs, cfg.runSeeds(), opts, s)
-}
-
 // AblationRegionScheme compares decision criteria pools: threshold only,
 // threshold+equal-width bins, threshold+k-means, and all three (the
 // system's default) — isolating what each region scheme contributes over
@@ -38,25 +31,18 @@ func AblationRegionScheme(ctx context.Context, cfg Config) ([]AblationResult, er
 	if err != nil {
 		return nil, err
 	}
-	pools := []struct {
-		name     string
-		criteria []core.CriterionKind
-	}{
-		{"threshold-only", []core.CriterionKind{core.ThresholdCriterion}},
-		{"threshold+equal-bins", []core.CriterionKind{core.ThresholdCriterion, core.EqualBinsCriterion}},
-		{"threshold+kmeans", []core.CriterionKind{core.ThresholdCriterion, core.KMeansCriterion}},
-		{"all-criteria", core.AllCriteria},
-	}
-	var out []AblationResult
-	for _, pool := range pools {
-		crit := pool.criteria
-		score, err := pd.averageStrategy(ctx, cfg, func(a *core.Analysis) (*core.Resolution, error) {
-			return a.BestOver(simfn.SubsetI10, crit...)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", pool.name, err)
+	pool := func(criteria ...core.CriterionKind) strategy {
+		return func(a *core.Analysis) (*core.Resolution, error) {
+			return a.BestOver(simfn.SubsetI10, criteria...)
 		}
-		out = append(out, AblationResult{Name: pool.name, Score: score})
+	}
+	out, err := pd.average(ctx, cfg, cfg.options(),
+		namedStrategy{"threshold-only", pool(core.ThresholdCriterion)},
+		namedStrategy{"threshold+equal-bins", pool(core.ThresholdCriterion, core.EqualBinsCriterion)},
+		namedStrategy{"threshold+kmeans", pool(core.ThresholdCriterion, core.KMeansCriterion)},
+		namedStrategy{"all-criteria", pool(core.AllCriteria...)})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: criteria pools: %w", err)
 	}
 	return out, nil
 }
@@ -71,11 +57,11 @@ func AblationRegionK(ctx context.Context, cfg Config, ks []int) ([]AblationResul
 	for _, k := range ks {
 		opts := cfg.options()
 		opts.RegionK = k
-		score, err := pd.averageWith(ctx, cfg, opts, bestAnyCriterion(simfn.SubsetI10))
+		res, err := pd.average(ctx, cfg, opts, namedStrategy{fmt.Sprintf("k=%d", k), bestAnyCriterion(simfn.SubsetI10)})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation k=%d: %w", k, err)
 		}
-		out = append(out, AblationResult{Name: fmt.Sprintf("k=%d", k), Score: score})
+		out = append(out, res...)
 	}
 	return out, nil
 }
@@ -91,11 +77,13 @@ func AblationClustering(ctx context.Context, cfg Config) ([]AblationResult, erro
 	for _, m := range []core.ClusteringMethod{core.TransitiveClosure, core.CorrelationClustering} {
 		opts := cfg.options()
 		opts.Clustering = m
-		score, err := pd.averageWith(ctx, cfg, opts, bestAnyCriterion(simfn.SubsetI10))
+		// Correlation clustering draws its pivot order from the analysis'
+		// RNG, so this sweep scores one strategy per analysis.
+		res, err := pd.average(ctx, cfg, opts, namedStrategy{m.String(), bestAnyCriterion(simfn.SubsetI10)})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s: %w", m, err)
 		}
-		out = append(out, AblationResult{Name: m.String(), Score: score})
+		out = append(out, res...)
 	}
 	return out, nil
 }
@@ -110,11 +98,11 @@ func AblationTrainFraction(ctx context.Context, cfg Config, fractions []float64)
 	for _, f := range fractions {
 		opts := cfg.options()
 		opts.TrainFraction = f
-		score, err := pd.averageWith(ctx, cfg, opts, bestAnyCriterion(simfn.SubsetI10))
+		res, err := pd.average(ctx, cfg, opts, namedStrategy{fmt.Sprintf("train=%.0f%%", f*100), bestAnyCriterion(simfn.SubsetI10)})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation train=%v: %w", f, err)
 		}
-		out = append(out, AblationResult{Name: fmt.Sprintf("train=%.0f%%", f*100), Score: score})
+		out = append(out, res...)
 	}
 	return out, nil
 }
@@ -127,21 +115,12 @@ func AblationCombination(ctx context.Context, cfg Config) ([]AblationResult, err
 	if err != nil {
 		return nil, err
 	}
-	methods := []struct {
-		name string
-		s    strategy
-	}{
-		{"best-graph", bestAnyCriterion(simfn.SubsetI10)},
-		{"weighted-average", weightedAverage(simfn.SubsetI10)},
-		{"majority-vote", (*core.Analysis).MajorityVote},
-	}
-	var out []AblationResult
-	for _, m := range methods {
-		score, err := pd.averageStrategy(ctx, cfg, m.s)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ablation %s: %w", m.name, err)
-		}
-		out = append(out, AblationResult{Name: m.name, Score: score})
+	out, err := pd.average(ctx, cfg, cfg.options(),
+		namedStrategy{"best-graph", bestAnyCriterion(simfn.SubsetI10)},
+		namedStrategy{"weighted-average", weightedAverage(simfn.SubsetI10)},
+		namedStrategy{"majority-vote", (*core.Analysis).MajorityVote})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: combination: %w", err)
 	}
 	return out, nil
 }

@@ -21,48 +21,34 @@ func BaselineComparison(ctx context.Context, cfg Config) ([]AblationResult, erro
 		return nil, err
 	}
 
-	framework, err := pd.averageStrategy(ctx, cfg, bestAnyCriterion(simfn.SubsetI10))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: framework: %w", err)
-	}
-
-	// R-Swoosh plugs into the pipeline's combine + cluster stage like any
-	// other strategy: it reads the analysis' training sample for its
-	// thresholds and resolves the prepared block directly.
-	baseline, err := pd.averageStrategy(ctx, cfg, func(a *core.Analysis) (*core.Resolution, error) {
-		labels, err := rswooshResolve(a.Prepared, a)
-		if err != nil {
-			return nil, err
-		}
-		return &core.Resolution{Labels: labels, Source: "rswoosh"}, nil
-	})
+	res, err := pd.average(ctx, cfg, cfg.options(),
+		namedStrategy{"framework-C10", bestAnyCriterion(simfn.SubsetI10)},
+		namedStrategy{"rswoosh-baseline", rswoosh})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: baseline: %w", err)
 	}
-
-	return []AblationResult{
-		{Name: "framework-C10", Score: framework},
-		{Name: "rswoosh-baseline", Score: baseline},
-	}, nil
+	return res, nil
 }
 
-// rswooshResolve runs R-Swoosh over a prepared block with thresholds
-// trained from the analysis' training sample.
-func rswooshResolve(p *core.Prepared, a *core.Analysis) ([]int, error) {
-	termTh := trainedThreshold(p, a, "F8")
-	conceptTh := trainedThreshold(p, a, "F1")
-	records := swoosh.FromBlock(p.Block)
+// rswoosh is R-Swoosh as a strategy: it plugs into the pipeline's combine
+// + cluster stage like any other, reads the analysis' training sample for
+// its thresholds and resolves the prepared block directly.
+func rswoosh(a *core.Analysis) (*core.Resolution, error) {
+	block := a.Prepared.Block
+	termTh := trainedThreshold(a, "F8")
+	conceptTh := trainedThreshold(a, "F1")
+	records := swoosh.FromBlock(block)
 	resolved, err := swoosh.RSwoosh(records, swoosh.ThresholdMatch(termTh, conceptTh, 2))
 	if err != nil {
 		return nil, err
 	}
-	return swoosh.Labels(resolved, len(p.Block.Docs)), nil
+	return &core.Resolution{Labels: swoosh.Labels(resolved, len(block.Docs)), Source: "rswoosh"}, nil
 }
 
 // trainedThreshold learns a link threshold for one similarity function from
 // the analysis' training pairs.
-func trainedThreshold(p *core.Prepared, a *core.Analysis, funcID string) float64 {
-	m := p.Matrices[funcID]
+func trainedThreshold(a *core.Analysis, funcID string) float64 {
+	m := a.Prepared.Matrices[funcID]
 	if m == nil {
 		return 0.5
 	}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/eval"
 	"repro/internal/pipeline"
 	"repro/internal/simfn"
 	"repro/internal/stats"
@@ -107,10 +106,31 @@ func wepsACL(ctx context.Context, cfg Config) (*preparedDataset, error) {
 // pipeline's combine + cluster stage.
 type strategy = pipeline.Strategy
 
-// averageStrategy runs a strategy over all collections and runs, returning
-// the macro-averaged metrics.
-func (pd *preparedDataset) averageStrategy(ctx context.Context, cfg Config, s strategy) (eval.Result, error) {
-	return pipeline.AverageRuns(ctx, pd.prepared, pd.truths, cfg.Runs, cfg.runSeeds(), cfg.options(), s)
+// namedStrategy labels one strategy of a sweep: a table column, a figure
+// bar or an ablation row.
+type namedStrategy struct {
+	name string
+	s    strategy
+}
+
+// average scores every strategy of a sweep over all collections and
+// cfg.Runs training draws under the per-run options opts, analyzing each
+// (draw, collection) once, and returns the macro-averaged scores by name in
+// sweep order.
+func (pd *preparedDataset) average(ctx context.Context, cfg Config, opts core.Options, sweep ...namedStrategy) ([]AblationResult, error) {
+	strats := make([]strategy, len(sweep))
+	for i, n := range sweep {
+		strats[i] = n.s
+	}
+	scores, err := pipeline.AverageRuns(ctx, pd.prepared, pd.truths, cfg.Runs, cfg.runSeeds(), opts, strats...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AblationResult, len(sweep))
+	for i, n := range sweep {
+		out[i] = AblationResult{Name: n.name, Score: scores[i]}
+	}
+	return out, nil
 }
 
 // Strategy constructors shared by Table II and the figures; one function

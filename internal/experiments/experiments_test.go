@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/corpus"
 )
 
 // tinyConfig keeps test runtime low: the shape assertions run on the full
@@ -117,6 +121,43 @@ func TestTableIIStructure(t *testing.T) {
 	}
 	if pass*3 < len(checks)*2 {
 		t.Errorf("only %d/%d shape checks pass:\n%s", pass, len(checks), strings.Join(checks, "\n"))
+	}
+}
+
+// TestSweepMatchesOneCallPerStrategy pins what lets a sweep analyze each
+// training draw once: scoring several strategies on one analysis gives, bit
+// for bit, the scores of one AverageRuns call per strategy, because no
+// strategy writes to the analysis or, under transitive closure, draws from
+// its RNG.
+func TestSweepMatchesOneCallPerStrategy(t *testing.T) {
+	cfg := QuickConfig()
+	d, err := corpus.WWW05Profile().Generate(cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := prepareDataset(t.Context(), cfg, d.Subset([]string{"cohen", "mark", "ng"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := append(append([]namedStrategy{}, tableIIStrategies...),
+		namedStrategy{"majority-vote", (*core.Analysis).MajorityVote},
+		namedStrategy{"rswoosh-baseline", rswoosh})
+	together, err := pd.average(t.Context(), cfg, cfg.options(), sweep...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sweep {
+		alone, err := pd.average(t.Context(), cfg, cfg.options(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := together[i].Score, alone[0].Score
+		if together[i].Name != s.name ||
+			math.Float64bits(got.Fp) != math.Float64bits(want.Fp) ||
+			math.Float64bits(got.F) != math.Float64bits(want.F) ||
+			math.Float64bits(got.Rand) != math.Float64bits(want.Rand) {
+			t.Errorf("%s: in the sweep %q %+v, alone %+v", s.name, together[i].Name, got, want)
+		}
 	}
 }
 

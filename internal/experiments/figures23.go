@@ -43,19 +43,19 @@ func Figure3(ctx context.Context, cfg Config) (*FunctionFigure, error) {
 }
 
 func functionFigure(ctx context.Context, cfg Config, pd *preparedDataset, title string) (*FunctionFigure, error) {
-	table := eval.NewTable(title, figureColumns...)
+	var sweep []namedStrategy
 	for _, id := range allFunctionIDs {
-		r, err := pd.averageStrategy(ctx, cfg, bestThreshold([]string{id}))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", id, err)
-		}
-		table.AddRow(id, resultCells(r))
+		sweep = append(sweep, namedStrategy{id, bestThreshold([]string{id})})
 	}
-	combined, err := pd.averageStrategy(ctx, cfg, bestAnyCriterion(allFunctionIDs))
+	sweep = append(sweep, namedStrategy{"Combined", bestAnyCriterion(allFunctionIDs)})
+	bars, err := pd.average(ctx, cfg, cfg.options(), sweep...)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: combined: %w", err)
+		return nil, fmt.Errorf("experiments: %s: %w", title, err)
 	}
-	table.AddRow("Combined", resultCells(combined))
+	table := eval.NewTable(title, figureColumns...)
+	for _, bar := range bars {
+		table.AddRow(bar.Name, resultCells(bar.Score))
+	}
 	return &FunctionFigure{Title: title, Table: table}, nil
 }
 

@@ -56,32 +56,30 @@ func TableII(ctx context.Context, cfg Config) (*eval.Table, error) {
 	return table, nil
 }
 
+// tableIIStrategies are the strategies behind tableIIColumns, in order.
+var tableIIStrategies = []namedStrategy{
+	{"I4", bestThreshold(simfn.SubsetI4)},
+	{"I7", bestThreshold(simfn.SubsetI7)},
+	{"I10", bestThreshold(simfn.SubsetI10)},
+	{"C4", bestAnyCriterion(simfn.SubsetI4)},
+	{"C7", bestAnyCriterion(simfn.SubsetI7)},
+	{"C10", bestAnyCriterion(simfn.SubsetI10)},
+	{"W", weightedAverage(simfn.SubsetI10)},
+}
+
 func tableIIRows(ctx context.Context, cfg Config, table *eval.Table, pd *preparedDataset, dataset string) error {
-	type col struct {
-		name string
-		s    strategy
-	}
-	cols := []col{
-		{"I4", bestThreshold(simfn.SubsetI4)},
-		{"I7", bestThreshold(simfn.SubsetI7)},
-		{"I10", bestThreshold(simfn.SubsetI10)},
-		{"C4", bestAnyCriterion(simfn.SubsetI4)},
-		{"C7", bestAnyCriterion(simfn.SubsetI7)},
-		{"C10", bestAnyCriterion(simfn.SubsetI10)},
-		{"W", weightedAverage(simfn.SubsetI10)},
+	cols, err := pd.average(ctx, cfg, cfg.options(), tableIIStrategies...)
+	if err != nil {
+		return fmt.Errorf("experiments: %s: %w", dataset, err)
 	}
 	// rows[metric][column] accumulated per strategy.
 	rows := map[string]map[string]float64{
 		"Fp-measure": {}, "F-measure": {}, "RandIndex": {},
 	}
 	for _, c := range cols {
-		r, err := pd.averageStrategy(ctx, cfg, c.s)
-		if err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", dataset, c.name, err)
-		}
-		rows["Fp-measure"][c.name] = r.Fp
-		rows["F-measure"][c.name] = r.F
-		rows["RandIndex"][c.name] = r.Rand
+		rows["Fp-measure"][c.Name] = c.Score.Fp
+		rows["F-measure"][c.Name] = c.Score.F
+		rows["RandIndex"][c.Name] = c.Score.Rand
 	}
 	for _, metric := range []string{"Fp-measure", "F-measure", "RandIndex"} {
 		table.AddRow(dataset+"/"+metric, rows[metric])

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/pipeline"
 	"repro/internal/simfn"
-	"repro/internal/stats"
 )
 
 // tableIIIColumns are the paper's Table III columns: every function's
@@ -25,54 +25,26 @@ func TableIII(ctx context.Context, cfg Config) (*eval.Table, error) {
 	}
 	table := eval.NewTable("Table III: Fp measure for each name in WWW'05", tableIIIColumns...)
 
-	for i, p := range pd.prepared {
-		name := pd.dataset.Collections[i].Name
-		truth := pd.dataset.Collections[i].GroundTruth()
+	// One sweep per name, on that name's block alone: over one block,
+	// AverageRuns' per-draw average is the draw's score, so each cell is
+	// the name's Fp summed over the draws and divided by cfg.Runs.
+	var strats []strategy
+	for _, id := range simfn.SubsetI10 {
+		strats = append(strats, bestThreshold([]string{id}))
+	}
+	strats = append(strats, (*core.Analysis).BestAnyCriterion, weightedAverage(nil))
+	seeds := cfg.runSeeds()
+	for i, col := range pd.dataset.Collections {
+		scores, err := pipeline.AverageRuns(ctx, pd.prepared[i:i+1], pd.truths[i:i+1], cfg.Runs,
+			func(run, _ int) int64 { return seeds(run, i) }, cfg.options(), strats...)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", col.Name, err)
+		}
 		cells := make(map[string]float64, len(tableIIIColumns))
-
-		for run := 0; run < cfg.Runs; run++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			a, err := p.Run(stats.SplitSeedN(cfg.Seed, run*1000+i))
-			if err != nil {
-				return nil, err
-			}
-			for _, id := range simfn.SubsetI10 {
-				res, err := a.BestOver([]string{id}, core.ThresholdCriterion)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s/%s: %w", name, id, err)
-				}
-				fp, err := eval.FpMeasure(res.Labels, truth)
-				if err != nil {
-					return nil, err
-				}
-				cells[id] += fp
-			}
-			c10, err := a.BestAnyCriterion()
-			if err != nil {
-				return nil, err
-			}
-			fp, err := eval.FpMeasure(c10.Labels, truth)
-			if err != nil {
-				return nil, err
-			}
-			cells["C10"] += fp
-
-			w, err := a.WeightedAverageOver(nil)
-			if err != nil {
-				return nil, err
-			}
-			fp, err = eval.FpMeasure(w.Labels, truth)
-			if err != nil {
-				return nil, err
-			}
-			cells["W"] += fp
+		for c, column := range tableIIIColumns {
+			cells[column] = scores[c].Fp
 		}
-		for k := range cells {
-			cells[k] /= float64(cfg.Runs)
-		}
-		table.AddRow(name, cells)
+		table.AddRow(col.Name, cells)
 	}
 	return table, nil
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -74,7 +73,7 @@ type IncrementalStats struct {
 	// verbatim and no preparation happened.
 	Reused int
 	// Prepared is the number of dirty blocks that went through the full
-	// prepare → analyze → cluster stages (the prepare-count probe).
+	// prepare → analyze → cluster stages: those of two or more documents.
 	Prepared int
 	// Trivial is the number of dirty blocks below the training size,
 	// resolved trivially without preparation.
@@ -142,19 +141,23 @@ func (p *Pipeline) RunIncremental(ctx context.Context, cols []*corpus.Collection
 		todo = append(todo, i)
 	}
 
-	var prepares atomic.Int64
 	baseSeed := p.resolver.Options().Seed
 	seedOf := func(i int) int64 {
 		return stats.SplitSeed(baseSeed, strconv.FormatUint(fps[i], 16))
 	}
-	if err := p.stream(ctx, blocks, todo, seedOf, results, &prepares); err != nil {
+	if err := p.stream(ctx, blocks, todo, seedOf, results); err != nil {
 		return nil, err
 	}
 
 	for i, res := range results {
 		next.entries[fps[i]] = &cachedBlock{Res: res.Resolution, Score: res.Score}
 	}
-	st.Prepared = int(prepares.Load())
+	// runBlock prepares exactly the blocks of two or more documents.
+	for _, i := range todo {
+		if len(blocks[i].Docs) >= 2 {
+			st.Prepared++
+		}
+	}
 	st.Trivial = len(todo) - st.Prepared
 	return &IncrementalResult{
 		Results:      results,

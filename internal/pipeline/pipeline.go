@@ -46,7 +46,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blocking"
@@ -192,7 +191,7 @@ func (p *Pipeline) Run(ctx context.Context, cols []*corpus.Collection) ([]Result
 	}
 	seed := p.resolver.Options().Seed
 	seedOf := func(i int) int64 { return stats.SplitSeedN(seed, i) }
-	if err := p.stream(ctx, blocks, todo, seedOf, results, nil); err != nil {
+	if err := p.stream(ctx, blocks, todo, seedOf, results); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -217,12 +216,10 @@ func (p *Pipeline) block(ctx context.Context, cols []*corpus.Collection) (Indexe
 // results[i]. seedOf derives a block's training seed from its index. Each
 // worker makes one workspace and resolves every block it claims in it, so
 // a block's Prepared and Analysis live only until the worker's next block;
-// nothing of them reaches results. When prepares is non-nil it counts the
-// preparations made (the prepare-count probe the incremental tests assert
-// against). The first block to fail cancels the others and its error is
-// returned.
+// nothing of them reaches results. The first block to fail cancels the
+// others and its error is returned.
 func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo []int,
-	seedOf func(blockIndex int) int64, results []Result, prepares *atomic.Int64) error {
+	seedOf func(blockIndex int) int64, results []Result) error {
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -235,7 +232,7 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 				return false
 			}
 			i := todo[t]
-			res, err := p.runBlock(runCtx, ws, blocks[i], seedOf(i), prepares)
+			res, err := p.runBlock(runCtx, ws, blocks[i], seedOf(i))
 			if err != nil {
 				failOnce.Do(func() {
 					firstErr = err
@@ -258,18 +255,13 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 // pairwise similarity matrices) to its scored Result, in the worker's
 // workspace ws. Blocks too small to train on resolve trivially and skip
 // every stage.
-func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus.Collection, seed int64,
-	prepares *atomic.Int64) (Result, error) {
-
+func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus.Collection, seed int64) (Result, error) {
 	if len(col.Docs) < 2 {
 		res, err := p.trivial(col)
 		if err != nil {
 			return Result{}, fmt.Errorf("pipeline: block %q: %w", col.Name, err)
 		}
 		return res, nil
-	}
-	if prepares != nil {
-		prepares.Add(1)
 	}
 	prepStart := p.now()
 	prep, err := p.resolver.PrepareIn(ctx, ws, col)
@@ -326,38 +318,50 @@ func (p *Pipeline) trivial(col *corpus.Collection) (Result, error) {
 	return out, nil
 }
 
-// AverageRuns runs a strategy over every prepared block for several
-// independent training draws and macro-averages the scores — the shared
-// report-stage loop of the experiment drivers. truths[i] is block i's
-// ground truth, seeds derives the training seed for (run, block), and opts
-// are the per-run analysis options (region count, clustering, training
-// fraction). The context is checked between blocks so cancellation aborts
-// a long sweep promptly with ctx.Err().
+// AverageRuns scores every strategy over every prepared block for several
+// independent training draws and macro-averages the scores, one Result per
+// strategy in strats' order — the report-stage loop the paper's experiments
+// share. truths[i] is block i's ground truth, seeds derives the training
+// seed for (run, block), and opts are the per-run analysis options (region
+// count, clustering, training fraction). Each (run, block)
+// is analyzed once, every strategy is scored on that analysis, and it is
+// dropped before the next one. The scores equal those of one call per
+// strategy as long as no strategy changes what the next one reads: none
+// writes to an analysis, but under CorrelationClustering each clustering
+// draws its pivot order from the analysis' RNG, so pass one strategy per
+// call there. A canceled context stops the analysis in flight and
+// AverageRuns returns ctx.Err().
 func AverageRuns(ctx context.Context, prepared []*core.Prepared, truths [][]int, runs int,
-	seeds func(run, block int) int64, opts core.Options, strat Strategy) (eval.Result, error) {
+	seeds func(run, block int) int64, opts core.Options, strats ...Strategy) ([]eval.Result, error) {
 
-	var perRun []eval.Result
+	perRun := make([][]eval.Result, len(strats))
+	perBlock := make([][]eval.Result, len(strats))
 	for run := 0; run < runs; run++ {
-		var perCol []eval.Result
 		for i, prep := range prepared {
-			if err := ctx.Err(); err != nil {
-				return eval.Result{}, err
-			}
-			a, err := prep.RunWith(seeds(run, i), opts)
+			a, err := prep.RunWith(ctx, seeds(run, i), opts)
 			if err != nil {
-				return eval.Result{}, err
+				return nil, err
 			}
-			res, err := strat(a)
-			if err != nil {
-				return eval.Result{}, err
+			for s, strat := range strats {
+				res, err := strat(a)
+				if err != nil {
+					return nil, err
+				}
+				score, err := eval.Evaluate(res.Labels, truths[i])
+				if err != nil {
+					return nil, err
+				}
+				perBlock[s] = append(perBlock[s], score)
 			}
-			score, err := eval.Evaluate(res.Labels, truths[i])
-			if err != nil {
-				return eval.Result{}, err
-			}
-			perCol = append(perCol, score)
 		}
-		perRun = append(perRun, eval.Aggregate(perCol))
+		for s := range strats {
+			perRun[s] = append(perRun[s], eval.Aggregate(perBlock[s]))
+			perBlock[s] = perBlock[s][:0]
+		}
 	}
-	return eval.Aggregate(perRun), nil
+	out := make([]eval.Result, len(strats))
+	for s := range strats {
+		out[s] = eval.Aggregate(perRun[s])
+	}
+	return out, nil
 }

@@ -296,7 +296,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// consistent 400: the serving index tokenizes exactly this way, so
 	// such a query could only ever run a zero-token search that matches
 	// nothing.
-	if name == "" || len(blocking.KeyTokens(name, 2)) == 0 {
+	if name == "" || len(blocking.KeyTokens(name)) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "search needs a ?name= query with at least one name token"})
 		return
 	}

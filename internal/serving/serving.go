@@ -186,9 +186,11 @@ func Build(prev *Index, epoch uint64, storeVersion uint64, knobs string,
 }
 
 // materialize builds one block's serving state from scratch over the
-// run's own refs and labels.
+// run's own refs and labels. The block's search tokens are its name's
+// blocking.KeyTokens, as a query's are, so queries and blocks meet in one
+// token space.
 func materialize(cols []*corpus.Collection, br BlockResolution) *blockState {
-	st := &blockState{fp: br.Fingerprint, name: br.Name, tokens: blockTokens(br.Name),
+	st := &blockState{fp: br.Fingerprint, name: br.Name, tokens: blocking.KeyTokens(br.Name),
 		refs: br.Members, res: br.Resolution, score: br.Score}
 	st.fill(func(i int) Member {
 		ref := br.Members[i]
@@ -220,12 +222,6 @@ func (st *blockState) fill(member func(i int) Member) {
 // membership fingerprint in hex plus the cluster's label.
 func ClusterID(fp uint64, label int) string {
 	return fmt.Sprintf("%016x-%d", fp, label)
-}
-
-// blockTokens derives one block's search tokens from its name, normalized
-// exactly like blocking keys so queries and blocks meet in one token space.
-func blockTokens(name string) []string {
-	return blocking.KeyTokens(name, 2)
 }
 
 // assemble rebuilds the index's tables from per-block states — the shared
@@ -366,7 +362,7 @@ func (x *Index) Search(query string, limit int) []Hit {
 	if limit < 1 {
 		limit = 20
 	}
-	toks := blocking.KeyTokens(query, 2)
+	toks := blocking.KeyTokens(query)
 	if len(toks) == 0 {
 		return nil
 	}

@@ -22,10 +22,15 @@ import (
 // program. Every `ersolve …` command, in a backticked span or a code
 // block, may pass only flags that `ersolve -h` (or `ersolve serve -h`,
 // after serve) defines, every JSON object that names a resolve knob — a
-// request example — may name only keys the resolve endpoints decode, and
+// request example — may name only keys the resolve endpoints decode,
 // every Test…, Benchmark…, Fuzz… or Example… name it cites must be a func
 // of some _test.go file in the repository (a /subtest suffix is not
-// checked).
+// checked), and every backticked span that opens with pkg.Name or
+// pkg.Type.Member, pkg a directory under internal/ and Name exported, must
+// name a declaration of that package: for pkg.Name a top-level name or a
+// method or field of one of its types, for pkg.Type.Member a method or
+// field of that type. Other spans, such as ctx.Err or sync.Pool, are not
+// checked.
 func TestREADMENamesOnlyWhatExists(t *testing.T) {
 	raw, err := os.ReadFile("README.md")
 	if err != nil {
@@ -38,7 +43,20 @@ func TestREADMENamesOnlyWhatExists(t *testing.T) {
 	mainFlags, serveFlags := ersolveFlags(t)
 	knobs, requestKeys := resolveRequestKeys()
 	tests := testFuncs(t)
+	decls := internalDecls(t)
 
+	qualified := 0
+	for _, span := range spans {
+		m := qualifiedName.FindStringSubmatch(span)
+		if m == nil || decls[m[1]] == nil {
+			continue
+		}
+		qualified++
+		pkg, name, member := decls[m[1]], m[2], m[3]
+		if member != "" && !pkg[name+"."+member] || member == "" && !pkg[name] && !pkg["."+name] {
+			t.Errorf("README cites %q, which internal/%s does not declare", span, m[1])
+		}
+	}
 	commands, requests, cited := 0, 0, 0
 	for _, text := range append(spans, code...) {
 		for _, name := range testName.FindAllString(text, -1) {
@@ -76,10 +94,84 @@ func TestREADMENamesOnlyWhatExists(t *testing.T) {
 			}
 		}
 	}
-	if commands == 0 || requests == 0 || cited == 0 {
-		t.Fatalf("the scan found %d ersolve commands, %d request examples and %d test names; it reads the README wrong", commands, requests, cited)
+	if commands == 0 || requests == 0 || cited == 0 || qualified == 0 {
+		t.Fatalf("the scan found %d ersolve commands, %d request examples, %d test names and %d package-qualified names; it reads the README wrong",
+			commands, requests, cited, qualified)
 	}
-	t.Logf("checked %d ersolve commands, %d request examples and %d test names", commands, requests, cited)
+	t.Logf("checked %d ersolve commands, %d request examples, %d test names and %d package-qualified names", commands, requests, cited, qualified)
+}
+
+// qualifiedName matches a span that opens with an exported
+// package-qualified name, pkg.Name or pkg.Type.Member, alone or called.
+var qualifiedName = regexp.MustCompile(`^([a-z]\w*)\.([A-Z]\w*)(?:\.(\w+))?(?:\(|$)`)
+
+// internalDecls returns, per package directory under internal/, what its
+// non-test files declare: each top-level name as itself, each method and
+// field as "Type.Member", and each such member's name as ".Member".
+func internalDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob("internal/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		names := decls[pkg]
+		member := func(typ, name string) { names[typ+"."+name], names["."+name] = true, true }
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					member(id.Name, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+						var fields *ast.FieldList
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							fields = typ.Fields
+						case *ast.InterfaceType:
+							fields = typ.Methods
+						default:
+							continue
+						}
+						for _, f := range fields.List {
+							for _, n := range f.Names {
+								member(s.Name.Name, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return decls
 }
 
 // testName matches a cited test, benchmark, fuzz target or example; it
