@@ -6,18 +6,22 @@ import (
 )
 
 // Lexicon is the table of the distinct tokens of the texts fed to it — the
-// pages of one block, or one page. A text is scanned once as it is, and
-// each token is lower-cased on its own into a reused buffer, so a token
-// occurrence costs one map lookup and allocates nothing once the token has
-// been seen; what the chain derives from a token (stopword?, stem, minimum
-// length → index term) is computed once, when it is first seen. Consumers
-// read integers: a page is a []int32 of token IDs, and per-token or
-// per-term facts of their own live in slices that grow with Tokens and
-// Terms, whose IDs are dense and assigned in first-seen order.
+// pages of the blocks one worker prepares, or one page. A text is scanned
+// once as it is, and each token is lower-cased on its own into a reused
+// buffer, so a token occurrence costs one map lookup and allocates nothing
+// once the token has been seen; what the chain derives from a token
+// (stopword?, stem, minimum length → index term) is computed once, when it
+// is first seen. Consumers read integers: a page is a []int32 of token IDs,
+// and per-token or per-term facts of their own live in slices that grow with
+// Tokens and Terms, whose IDs are dense and assigned in first-seen order.
 //
 // A Lexicon belongs to one caller at a time: it is not safe for concurrent
-// use. Its IDs mean something only for the block (or page) it was fed;
-// Reset starts it over for the next one.
+// use. What it derives from a token does not depend on the text the token
+// came from, so it may be fed block after block, its IDs staying valid and
+// its tables growing with every token not seen before; Reset starts it
+// over. extract.Pages keeps one across the blocks of a workspace and starts
+// it over at a block boundary once it holds more than a fixed number of
+// tokens (extract.LexiconCap, 16,384).
 type Lexicon struct {
 	chain *Analyzer
 	ids   map[string]int32 // lower-cased token → token ID
@@ -39,9 +43,8 @@ func (a *Analyzer) NewLexicon() *Lexicon {
 	return &Lexicon{chain: a, ids: make(map[string]int32), terms: make(map[string]int32)}
 }
 
-// Reset empties the lexicon for the next block, keeping the memory of its
-// tables: token and term IDs start again from zero, and every ID handed out
-// before is void.
+// Reset empties the lexicon, keeping the memory of its tables: token and
+// term IDs start again from zero, and every ID handed out before is void.
 func (lx *Lexicon) Reset() {
 	clear(lx.ids)
 	clear(lx.terms)

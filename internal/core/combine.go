@@ -126,6 +126,19 @@ func WeightedAverageGraph(graphs []*DecisionGraph, matrices map[string]*simfn.Ma
 	return thresholdGraph(ergraph.NewGraph(n), scores, bestThreshold), bestThreshold, nil
 }
 
+// thresholdGraph links in g, edgeless on m's documents, every pair whose
+// similarity reaches threshold.
+func thresholdGraph(g *ergraph.Graph, m *simfn.Matrix, threshold float64) *ergraph.Graph {
+	for i, row := range matrixRows(m) {
+		for q, v := range row {
+			if v >= threshold {
+				g.Link(i, i+1+q)
+			}
+		}
+	}
+	return g
+}
+
 // thresholdCandidates returns the candidate thresholds for the combined
 // score: midpoints between adjacent distinct training-pair scores, plus the
 // extremes.

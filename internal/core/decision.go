@@ -66,6 +66,11 @@ type DecisionGraph struct {
 	// Estimate is the fitted region-accuracy estimate (region criteria
 	// only; nil for ThresholdCriterion).
 	Estimate *regions.AccuracyEstimate
+
+	// closure is Graph's transitive closure as ConnectedComponents labels
+	// it, kept from scoring the graph so that resolving with it needs no
+	// second closure.
+	closure []int
 }
 
 // Label renders "F3/threshold" style identifiers.
@@ -92,60 +97,118 @@ func newSample(ws *Workspace, train *Training, m *simfn.Matrix) sample {
 	return sample{values: ws.values, order: ws.regions.Ascending(ws.values), ws: ws}
 }
 
-// buildDecisionGraph fits one criterion to a function's training sample and
-// applies it to the function's similarity matrix, in the sample's
-// workspace: the graph's rows are carved from its arena. TrainAccuracy —
-// the acc(G_{i,Dj}) estimate driving best-graph selection — scores the
-// graph's transitive closure on the training sample (see the comment
-// below).
-func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
-	train *Training, s sample, regionK int) (*DecisionGraph, error) {
+// decisionGraphs fits the criteria crits to a function's training sample,
+// applies all of them to the function's similarity matrix in one scan, and
+// appends the decision graphs to dst in crits order. It works in the
+// sample's workspace: the graphs' rows are carved from its arena and their
+// closures from its label array. TrainAccuracy — the acc(G_{i,Dj})
+// estimate driving best-graph selection — scores each graph's transitive
+// closure on the training sample (see score).
+func decisionGraphs(dst []*DecisionGraph, funcID string, crits []CriterionKind, m *simfn.Matrix,
+	train *Training, s sample, regionK int) ([]*DecisionGraph, error) {
 
-	ws := s.ws
-	dg := &DecisionGraph{FuncID: funcID, Criterion: crit}
-	var err error
-	switch crit {
-	case ThresholdCriterion:
-		dg.Threshold = learnThreshold(s.values, train.Links, s.order)
-		dg.Graph = thresholdGraph(ws.graphs.NewGraph(m.Len()), m, dg.Threshold)
-	case EqualBinsCriterion:
-		bins := regions.NewEqualWidthBins(regionK)
-		if dg.Estimate, err = regions.EstimateAccuracy(bins, s.values, train.Links); err == nil {
-			dg.Graph = binsGraph(ws.graphs.NewGraph(m.Len()), m, bins, dg.Estimate.Linked)
+	ws, n := s.ws, m.Len()
+	var (
+		threshold      float64
+		thG, binG, kmG *ergraph.Graph // nil for a criterion not in crits
+		bins           *regions.EqualWidthBins
+		binLinked      []bool
+		spans          []regions.Span
+		nanLinked      bool
+	)
+	first := len(dst)
+	for _, crit := range crits {
+		dg := &DecisionGraph{FuncID: funcID, Criterion: crit, Graph: ws.graphs.NewGraph(n)}
+		var err error
+		switch crit {
+		case ThresholdCriterion:
+			dg.Threshold = learnThreshold(s.values, train.Links, s.order)
+			threshold, thG = dg.Threshold, dg.Graph
+		case EqualBinsCriterion:
+			bins = regions.NewEqualWidthBins(regionK)
+			if dg.Estimate, err = regions.EstimateAccuracyOrdered(bins, s.values, s.order, train.Links); err == nil {
+				binLinked, binG = dg.Estimate.Linked, dg.Graph
+			}
+		case KMeansCriterion:
+			var km *regions.KMeans1D
+			if km, err = ws.regions.FitKMeans1DOrdered(s.values, s.order, regionK); err == nil {
+				if dg.Estimate, err = regions.EstimateAccuracyOrdered(km, s.values, s.order, train.Links); err == nil {
+					// A NaN similarity falls in the last region and in no
+					// span: it is linked when that region is.
+					linked := dg.Estimate.Linked
+					spans, nanLinked, kmG = km.Spans(linked), linked[len(linked)-1], dg.Graph
+				}
+			}
+		default:
+			err = fmt.Errorf("core: unknown criterion %d", crit)
 		}
-	case KMeansCriterion:
-		var km *regions.KMeans1D
-		if km, err = ws.regions.FitKMeans1DOrdered(s.values, s.order, regionK); err == nil {
-			if dg.Estimate, err = regions.EstimateAccuracy(km, s.values, train.Links); err == nil {
-				linked := dg.Estimate.Linked
-				dg.Graph = spansGraph(ws.graphs.NewGraph(m.Len()), m, km.Spans(linked), linked[len(linked)-1])
+		if err != nil {
+			return nil, fmt.Errorf("core: %s/%s: %w", funcID, crit, err)
+		}
+		dst = append(dst, dg)
+	}
+
+	// One scan decides every pair under every criterion.
+	for i, row := range matrixRows(m) {
+		for q, v := range row {
+			j := i + 1 + q
+			if thG != nil && v >= threshold {
+				thG.Link(i, j)
+			}
+			if binG != nil && binLinked[bins.Region(v)] {
+				binG.Link(i, j)
+			}
+			if kmG != nil {
+				link := nanLinked
+				if v == v {
+					link = false
+					for _, sp := range spans {
+						if !(sp.Lo >= v) && sp.Hi >= v {
+							link = true
+							break
+						}
+					}
+				}
+				if link {
+					kmG.Link(i, j)
+				}
 			}
 		}
-	default:
-		err = fmt.Errorf("core: unknown criterion %d", crit)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("core: %s/%s: %w", funcID, crit, err)
+	if ws.carved+len(crits)*n > len(ws.labels) {
+		ws.labels, ws.carved = make([]int, len(crits)*n), 0
 	}
+	for _, dg := range dst[first:] {
+		ws.score(dg, train)
+	}
+	return dst, nil
+}
 
-	// acc(G_{i,Dj}) is estimated on the training sample, as in the paper
-	// ("we also use accuracy estimations acc(G_{i,Dj}), based on the
-	// training set"). Two refinements over raw pair accuracy:
-	//
-	//  1. Accuracy is measured after transitive closure, not on the raw
-	//     edge decisions — the final resolution is the closure, and a
-	//     graph whose few wrong edges chain whole groups together is far
-	//     worse than its raw pair accuracy suggests.
-	//  2. The pair accuracy is blended with the Fp-measure of the closure
-	//     restricted to the training documents, so selection tracks the
-	//     cluster-quality objective the system is evaluated on, not only
-	//     the pair agreement (which favours over-conservative graphs on
-	//     fragmented blocks).
-	//
-	// (2-fold cross-validation of the raw decisions was evaluated as an
-	// alternative; its fold noise on ~45-pair samples made selection
-	// strictly worse.)
-	closure := ws.closure.Components(dg.Graph)
+// score sets the graph's closure, TrainAccuracy and Calibration.
+//
+// acc(G_{i,Dj}) is estimated on the training sample, as in the paper ("we
+// also use accuracy estimations acc(G_{i,Dj}), based on the training
+// set"). Two refinements over raw pair accuracy:
+//
+//  1. Accuracy is measured after transitive closure, not on the raw edge
+//     decisions — the final resolution is the closure, and a graph whose
+//     few wrong edges chain whole groups together is far worse than its
+//     raw pair accuracy suggests.
+//  2. The pair accuracy is blended with the Fp-measure of the closure
+//     restricted to the training documents, so selection tracks the
+//     cluster-quality objective the system is evaluated on, not only the
+//     pair agreement (which favours over-conservative graphs on fragmented
+//     blocks).
+//
+// (2-fold cross-validation of the raw decisions was evaluated as an
+// alternative; its fold noise on ~45-pair samples made selection strictly
+// worse.)
+func (ws *Workspace) score(dg *DecisionGraph, train *Training) {
+	n := dg.Graph.Len()
+	closure := ws.labels[ws.carved : ws.carved+n : ws.carved+n]
+	ws.carved += n
+	copy(closure, ws.closure.Components(dg.Graph))
+	dg.closure = closure
 	correct, positives := 0, 0
 	for i, p := range train.Pairs {
 		if (closure[p[0]] == closure[p[1]]) == train.Links[i] {
@@ -161,7 +224,6 @@ func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
 		baseRate := float64(positives) / float64(len(train.Pairs))
 		dg.Calibration = absDiff(ws.closureLinkRate(closure), baseRate)
 	}
-	return dg, nil
 }
 
 // trainingFp computes the Fp-measure (harmonic mean of purity and inverse
@@ -251,7 +313,7 @@ func (ws *Workspace) closureLinkRate(labels []int) float64 {
 
 // matrixRows iterates over m one row slice of m.Values() at a time: row i
 // holds the cells (i, i+1) … (i, n−1), so its cell q is the pair
-// (i, i+1+q). The graph builders below test each cell inline.
+// (i, i+1+q).
 func matrixRows(m *simfn.Matrix) iter.Seq2[int, []float64] {
 	return func(yield func(int, []float64) bool) {
 		vals := m.Values()
@@ -263,57 +325,6 @@ func matrixRows(m *simfn.Matrix) iter.Seq2[int, []float64] {
 			vals = vals[w:]
 		}
 	}
-}
-
-// thresholdGraph links in g, edgeless on m's documents, every pair whose
-// similarity reaches threshold.
-func thresholdGraph(g *ergraph.Graph, m *simfn.Matrix, threshold float64) *ergraph.Graph {
-	for i, row := range matrixRows(m) {
-		for q, v := range row {
-			if v >= threshold {
-				g.Link(i, i+1+q)
-			}
-		}
-	}
-	return g
-}
-
-// binsGraph links in g, edgeless on m's documents, every pair whose
-// similarity falls in an equal-width region the estimate links.
-func binsGraph(g *ergraph.Graph, m *simfn.Matrix, bins *regions.EqualWidthBins, linked []bool) *ergraph.Graph {
-	for i, row := range matrixRows(m) {
-		for q, v := range row {
-			if linked[bins.Region(v)] {
-				g.Link(i, i+1+q)
-			}
-		}
-	}
-	return g
-}
-
-// spansGraph links in g, edgeless on m's documents, every pair whose
-// similarity lies in one of the spans of linked k-means regions; a NaN
-// similarity, which falls in the last region and in no span, is linked when
-// that region is.
-func spansGraph(g *ergraph.Graph, m *simfn.Matrix, spans []regions.Span, nanLinked bool) *ergraph.Graph {
-	for i, row := range matrixRows(m) {
-		for q, v := range row {
-			link := nanLinked
-			if v == v {
-				link = false
-				for _, s := range spans {
-					if !(s.Lo >= v) && s.Hi >= v {
-						link = true
-						break
-					}
-				}
-			}
-			if link {
-				g.Link(i, i+1+q)
-			}
-		}
-	}
-	return g
 }
 
 func absDiff(a, b float64) float64 {

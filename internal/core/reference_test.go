@@ -33,6 +33,18 @@ func referenceRunWith(p *Prepared, runSeed int64, opts Options) ([]*DecisionGrap
 	return out, nil
 }
 
+// buildDecisionGraph is decisionGraphs for one criterion, the form the
+// reference and robustness tests build a single graph through.
+func buildDecisionGraph(funcID string, crit CriterionKind, m *simfn.Matrix,
+	train *Training, s sample, regionK int) (*DecisionGraph, error) {
+
+	dgs, err := decisionGraphs(nil, funcID, []CriterionKind{crit}, m, train, s, regionK)
+	if err != nil {
+		return nil, err
+	}
+	return dgs[0], nil
+}
+
 // referenceDecisionGraph is buildDecisionGraph as it ran before the row
 // scan: the training values read per criterion, the threshold learned by
 // referenceLearnThreshold, and every pair decided by a closure over

@@ -69,7 +69,8 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 // matrices, and the decision stage's training values, argsort, k-means
 // tables, graph bitsets, closure labels and Fp tables. Each block reuses
 // what an earlier one grew, so a worker allocates for its largest block
-// rather than once per block. Only memory carries over, never a value:
+// rather than once per block. Apart from simfn's lexicon, whose entries do
+// not depend on the block, only memory carries over, never a value:
 // everything a stage reads it has written or cleared for this block, so
 // results are bit-identical to fresh memory.
 //
@@ -88,6 +89,10 @@ type Workspace struct {
 	regions regions.Scratch
 	graphs  ergraph.Arena
 	closure ergraph.Closure
+	// labels backs the closures of the block's decision graphs, carved one
+	// graph's after another; carved counts the entries taken.
+	labels []int
+	carved int
 	// pred, ids and overlap are trainingFp's tables, sizes
 	// closureLinkRate's.
 	pred, ids, overlap, sizes []int
@@ -203,20 +208,17 @@ func (p *Prepared) runIn(ctx context.Context, ws *Workspace, runSeed int64, opts
 	if err != nil {
 		return nil, err
 	}
-	ws.graphs.Reset()
-	a := &Analysis{Prepared: p, Train: train, opts: opts, rng: rng}
+	n, graphs := len(p.Block.Docs), len(p.resolver.funcs)*len(AllCriteria)
+	ws.graphs.Reset(graphs, n)
+	ws.labels, ws.carved = slices.Grow(ws.labels[:0], graphs*n)[:graphs*n], 0
+	a := &Analysis{Prepared: p, Train: train, Graphs: make([]*DecisionGraph, 0, graphs), opts: opts, rng: rng}
 	for _, f := range p.resolver.funcs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		m := p.Matrices[f.ID]
-		s := newSample(ws, train, m)
-		for _, crit := range AllCriteria {
-			dg, err := buildDecisionGraph(f.ID, crit, m, train, s, opts.RegionK)
-			if err != nil {
-				return nil, err
-			}
-			a.Graphs = append(a.Graphs, dg)
+		if a.Graphs, err = decisionGraphs(a.Graphs, f.ID, AllCriteria, m, train, newSample(ws, train, m), opts.RegionK); err != nil {
+			return nil, err
 		}
 	}
 	return a, nil
@@ -250,6 +252,15 @@ func (a *Analysis) cluster(g *ergraph.Graph) []int {
 	}
 }
 
+// clusterGraph is cluster of one decision graph: its transitive closure is
+// the one it was scored by.
+func (a *Analysis) clusterGraph(dg *DecisionGraph) []int {
+	if a.opts.Clustering == TransitiveClosure {
+		return slices.Clone(dg.closure)
+	}
+	return a.cluster(dg.Graph)
+}
+
 // BestAnyCriterion resolves with the best graph over all decision criteria
 // (the paper's C columns: "chose the best decision criteria, based on
 // accuracy estimation of the regions" — the combination that performed
@@ -260,7 +271,7 @@ func (a *Analysis) BestAnyCriterion() (*Resolution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Resolution{Labels: a.cluster(best.Graph), Source: best.Label()}, nil
+	return &Resolution{Labels: a.clusterGraph(best), Source: best.Label()}, nil
 }
 
 // MajorityVote resolves with the simple majority-vote fusion over each
@@ -299,7 +310,7 @@ func (a *Analysis) BestOver(funcIDs []string, criteria ...CriterionKind) (*Resol
 	if err != nil {
 		return nil, err
 	}
-	return &Resolution{Labels: a.cluster(best.Graph), Source: best.Label()}, nil
+	return &Resolution{Labels: a.clusterGraph(best), Source: best.Label()}, nil
 }
 
 // WeightedAverageOver resolves with the accuracy-weighted average

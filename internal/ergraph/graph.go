@@ -41,9 +41,16 @@ type Arena struct {
 	used int // words of adj carved since the last Reset
 }
 
-// Reset empties the arena for the next block. Every graph carved from it
-// so far becomes invalid.
-func (a *Arena) Reset() { a.used = 0 }
+// Reset empties the arena for the next block, whose decision graphs —
+// graphs of them, on n vertices each — it makes room for in one array,
+// allocating only when the array it has is smaller. Every graph carved from
+// it so far becomes invalid.
+func (a *Arena) Reset(graphs, n int) {
+	a.used = 0
+	if size := graphs * n * ((n + 63) / 64); size > len(a.adj) {
+		a.adj = make([]uint64, size)
+	}
+}
 
 // NewGraph is the package's NewGraph on the arena's memory, valid until the
 // arena's next Reset. It allocates only when the array is used up, and

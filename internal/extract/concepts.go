@@ -22,10 +22,13 @@ type ConceptExtractor struct {
 	// is its index, so walking IDs upwards walks the labels in the order
 	// the packed vectors are summed in.
 	names []string
-	// triggers maps a stemmed trigger term to the IDs of the concepts it
-	// activates with weight 1, one entry per (topic word, concept) pair.
-	triggers map[string][]int32
-	labels   *Gazetteer
+	// triggerOf maps a stemmed trigger term to the index in triggers of
+	// the IDs of the concepts it activates with weight 1, one entry per
+	// (topic word, concept) pair; triggers[0] is empty, the index of a term
+	// that triggers nothing.
+	triggerOf map[string]int32
+	triggers  [][]int32
+	labels    *Gazetteer
 	// labelConcept maps the canonical gazetteer form back to the concept.
 	labelConcept map[string]int32
 }
@@ -36,7 +39,8 @@ type ConceptExtractor struct {
 // literal mention of its own label.
 func NewConceptExtractor(concepts map[string][]string, topicWords map[string][]string) *ConceptExtractor {
 	ce := &ConceptExtractor{
-		triggers:     make(map[string][]int32),
+		triggerOf:    make(map[string]int32),
+		triggers:     [][]int32{nil},
 		labelConcept: make(map[string]int32),
 	}
 	for _, clist := range concepts {
@@ -49,7 +53,13 @@ func NewConceptExtractor(concepts map[string][]string, topicWords map[string][]s
 			id, _ := slices.BinarySearch(ce.names, concept)
 			for _, w := range topicWords[topic] {
 				stem := analysis.PorterStem(strings.ToLower(w))
-				ce.triggers[stem] = append(ce.triggers[stem], int32(id))
+				at, ok := ce.triggerOf[stem]
+				if !ok {
+					at = int32(len(ce.triggers))
+					ce.triggerOf[stem] = at
+					ce.triggers = append(ce.triggers, nil)
+				}
+				ce.triggers[at] = append(ce.triggers[at], int32(id))
 			}
 		}
 	}
@@ -88,7 +98,7 @@ func (p *Pages) conceptVector() {
 	// Trigger-word activation over the analyzed (stemmed) terms.
 	for _, tok := range p.Tokens {
 		if t := p.Lexicon.TermOf[tok]; t >= 0 {
-			for _, c := range p.triggers[t] {
+			for _, c := range ce.triggers[p.triggers[t]] {
 				activate(c, 1)
 			}
 		}

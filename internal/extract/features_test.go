@@ -1,6 +1,9 @@
 package extract
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -90,5 +93,45 @@ func TestContainsToken(t *testing.T) {
 		if got := containsToken(tc.a, tc.b); got != tc.want {
 			t.Errorf("containsToken(%q,%q) = %v, want %v", tc.a, tc.b, got, tc.want)
 		}
+	}
+}
+
+// TestPagesKeepTheLexiconUpToTheCap: Reset keeps the lexicon, its token IDs
+// and the per-token tables from block to block until the lexicon holds
+// more than LexiconCap tokens, and then starts them over. Before and after
+// the restart, a page's features under a new query equal those of a fresh
+// one-page extraction.
+func TestPagesKeepTheLexiconUpToTheCap(t *testing.T) {
+	fe := NewFeatureExtractor(nil, nil)
+	page := "John Smith is a professor at Stanford University. Smith works on machine learning with Mary Johnson."
+	url := "http://cs.stanford.edu/~smith"
+	p := fe.NewPages("smith")
+	p.Extract(page, url)
+	kept := len(p.Lexicon.Tokens)
+	p.Reset("johnson")
+	if len(p.Lexicon.Tokens) != kept {
+		t.Fatalf("Reset below the cap left %d tokens of %d", len(p.Lexicon.Tokens), kept)
+	}
+	if got, want := p.Extract(page, url), fe.Extract(page, url, "johnson"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a kept lexicon extracts %+v, a fresh one %+v", got, want)
+	}
+	if len(p.Lexicon.Tokens) != kept {
+		t.Fatalf("a page read before grew the lexicon from %d to %d tokens", kept, len(p.Lexicon.Tokens))
+	}
+
+	var big strings.Builder
+	for i := 0; i <= LexiconCap; i++ {
+		fmt.Fprintf(&big, "w%d ", i)
+	}
+	p.Extract(big.String(), url)
+	if len(p.Lexicon.Tokens) <= LexiconCap {
+		t.Fatalf("the lexicon holds %d tokens after a page of %d distinct ones", len(p.Lexicon.Tokens), LexiconCap+1)
+	}
+	p.Reset("mary")
+	if len(p.Lexicon.Tokens) != 0 {
+		t.Fatalf("Reset past the cap left %d tokens", len(p.Lexicon.Tokens))
+	}
+	if got, want := p.Extract(page, url), fe.Extract(page, url, "mary"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("a restarted lexicon extracts %+v, a fresh one %+v", got, want)
 	}
 }

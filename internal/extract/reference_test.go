@@ -29,6 +29,9 @@ type Match struct {
 	Start, End int
 }
 
+// entries returns the entries that start with token tok, longest first.
+func (g *Gazetteer) entries(tok string) []entry { return g.lists[g.first[tok]] }
+
 // FindAll scans a lower-cased token sequence and returns all
 // non-overlapping matches, greedily preferring longer matches at each
 // position.
@@ -37,7 +40,7 @@ func (g *Gazetteer) FindAll(lower []string) []Match {
 	i := 0
 	for i < len(lower) {
 		next := i + 1
-		for _, cand := range g.entries[lower[i]] {
+		for _, cand := range g.entries(lower[i]) {
 			if end := i + len(cand.tokens); end <= len(lower) && reflect.DeepEqual(lower[i:end], cand.tokens) {
 				matches = append(matches, Match{Canonical: cand.canonical, Start: i, End: end})
 				next = end
@@ -52,7 +55,7 @@ func (g *Gazetteer) FindAll(lower []string) []Match {
 // hasToken reports whether the single lower-cased token is an entry of its
 // own (not merely the first word of a longer one).
 func (g *Gazetteer) hasToken(tok string) bool {
-	cands := g.entries[tok]
+	cands := g.entries(tok)
 	return len(cands) > 0 && len(cands[len(cands)-1].tokens) == 1
 }
 
@@ -141,7 +144,7 @@ func filterType(entities []Entity, t EntityType) []string {
 func (ce *ConceptExtractor) ExtractTokens(lower, terms []string) textsim.SparseVector {
 	v := textsim.NewSparseVector()
 	for _, term := range terms {
-		for _, c := range ce.triggers[term] {
+		for _, c := range ce.triggers[ce.triggerOf[term]] {
 			v.Add(ce.names[c], 1)
 		}
 	}
@@ -243,7 +246,7 @@ func (ce *ConceptExtractor) Extract(text string) textsim.SparseVector {
 // Size returns the number of dictionary entries.
 func (g *Gazetteer) Size() int {
 	n := 0
-	for _, cands := range g.entries {
+	for _, cands := range g.lists {
 		n += len(cands)
 	}
 	return n

@@ -59,24 +59,61 @@ func ParseURL(raw string) URLFeatures {
 	if i := strings.IndexAny(path, "?#"); i >= 0 {
 		path = path[:i]
 	}
-	for _, seg := range strings.FieldsFunc(path, func(r rune) bool {
-		return r == '/' || r == '.' || r == '-' || r == '_' || r == '~'
-	}) {
-		f.PathTokens = append(f.PathTokens, strings.ToLower(seg))
-	}
+	f.PathTokens = pathTokens(path)
 	return f
 }
 
+// isPathSeparator reports whether c splits a URL path into tokens.
+func isPathSeparator(c byte) bool {
+	return c == '/' || c == '.' || c == '-' || c == '_' || c == '~'
+}
+
+// pathTokens returns the lower-cased runs of path between separators, nil
+// when there are none. The separators are ASCII, so no byte of a
+// multi-byte rune is one, and splitting bytes splits the runes: it is
+// strings.FieldsFunc over the separators, in one allocation.
+func pathTokens(path string) []string {
+	n := 0
+	for i := 0; i < len(path); i++ {
+		if !isPathSeparator(path[i]) && (i == 0 || isPathSeparator(path[i-1])) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for i := 0; i < len(path); {
+		for i < len(path) && isPathSeparator(path[i]) {
+			i++
+		}
+		start := i
+		for i < len(path) && !isPathSeparator(path[i]) {
+			i++
+		}
+		if i > start {
+			out = append(out, strings.ToLower(path[start:i]))
+		}
+	}
+	return out
+}
+
+// registrableDomain is the host from the start of its second-to-last label,
+// or of its third-to-last when the last two are a two-part suffix; a host
+// of at most two labels is its own domain.
 func registrableDomain(host string) string {
-	labels := strings.Split(host, ".")
-	if len(labels) <= 2 {
+	last := strings.LastIndexByte(host, '.')
+	if last < 0 {
 		return host
 	}
-	lastTwo := strings.Join(labels[len(labels)-2:], ".")
-	if _, ok := twoPartTLDs[lastTwo]; ok && len(labels) >= 3 {
-		return strings.Join(labels[len(labels)-3:], ".")
+	second := strings.LastIndexByte(host[:last], '.')
+	if second < 0 {
+		return host
 	}
-	return lastTwo
+	if _, ok := twoPartTLDs[host[second+1:]]; ok {
+		return host[strings.LastIndexByte(host[:second], '.')+1:]
+	}
+	return host[second+1:]
 }
 
 // URLSimilarity compares two URLs for similarity function F2. Same host

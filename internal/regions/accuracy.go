@@ -1,6 +1,9 @@
 package regions
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // AccuracyEstimate is the per-region accuracy of link existence, fitted on
 // a labeled training sample (Section IV-A): for region r, Accuracy[r] is
@@ -36,6 +39,46 @@ const smoothingWeight = 2.0
 // frequency towards the global base rate with a pseudo-count of
 // smoothingWeight.
 func EstimateAccuracy(p Partitioner, values []float64, links []bool) (*AccuracyEstimate, error) {
+	return estimate(p, values, links, func(yield func(int, int) bool) {
+		for i, v := range values {
+			if !yield(i, p.Region(v)) {
+				return
+			}
+		}
+	})
+}
+
+// EstimateAccuracyOrdered is EstimateAccuracy given order =
+// Ascending(values), and returns the same estimate. Over a KMeans1D it
+// finds the values' regions in one sweep of the sample in ascending order
+// against the region bounds, instead of a search per value: Region is the
+// number of bounds below a value, and NaN, which Ascending puts first,
+// falls in the last region.
+func EstimateAccuracyOrdered(p Partitioner, values []float64, order []int32, links []bool) (*AccuracyEstimate, error) {
+	km, ok := p.(*KMeans1D)
+	if !ok {
+		return EstimateAccuracy(p, values, links)
+	}
+	return estimate(p, values, links, func(yield func(int, int) bool) {
+		r := 0
+		for _, at := range order {
+			v, region := values[at], len(km.bounds)
+			if v == v {
+				for r < len(km.bounds) && km.bounds[r] < v {
+					r++
+				}
+				region = r
+			}
+			if !yield(int(at), region) {
+				return
+			}
+		}
+	})
+}
+
+// estimate is EstimateAccuracy given the region of every value, as pairs
+// (position, region) in any order.
+func estimate(p Partitioner, values []float64, links []bool, regions iter.Seq2[int, int]) (*AccuracyEstimate, error) {
 	if len(values) != len(links) {
 		return nil, fmt.Errorf("regions: %d values but %d labels", len(values), len(links))
 	}
@@ -46,8 +89,7 @@ func EstimateAccuracy(p Partitioner, values []float64, links []bool) (*AccuracyE
 	pos := make([]int, k)
 	support := make([]int, k)
 	totalPos := 0
-	for i, v := range values {
-		r := p.Region(v)
+	for i, r := range regions {
 		support[r]++
 		if links[i] {
 			pos[r]++

@@ -99,6 +99,7 @@ func FitKMeans1D(values []float64, k int) (*KMeans1D, error) {
 // ready to use; a Scratch is not safe for concurrent use.
 type Scratch struct {
 	keyed    []keyedPosition
+	spare    []keyedPosition // radixSort's second buffer
 	order    []int32
 	distinct []float64
 	pre      []prefix
@@ -133,18 +134,74 @@ func (s *Scratch) Ascending(values []float64) []int32 {
 	for i, v := range values {
 		keyed[i] = keyedPosition{orderKey(v), int32(i)}
 	}
-	slices.SortFunc(keyed, func(a, b keyedPosition) int {
-		if a.key != b.key {
-			return cmp.Compare(a.key, b.key)
-		}
-		return cmp.Compare(a.at, b.at)
-	})
+	if len(keyed) < radixCutoff {
+		sortKeyed(keyed)
+	} else {
+		keyed = s.radixSort(keyed)
+	}
 	order := slices.Grow(s.order[:0], len(values))[:len(values)]
 	for i, kp := range keyed {
 		order[i] = kp.at
 	}
 	s.keyed, s.order = keyed, order
 	return order
+}
+
+// radixCutoff is the sample size from which Ascending sorts by radix rather
+// than by comparison, where BenchmarkAscending finds the two even (2 cores
+// of a Xeon: 10–14 µs each at 256 values). Below it the radix sort's fixed
+// cost — a 256-entry count per varying key byte — loses: 5.4 µs against
+// the comparator's 3.4 µs at the 78 values of a 40-page block's 10 %
+// sample. Above it the comparator's n log n loses: 35 µs against 21 µs at
+// the 496 values of a 100-page block.
+const radixCutoff = 256
+
+// sortKeyed sorts keyed by key, then position.
+func sortKeyed(keyed []keyedPosition) {
+	slices.SortFunc(keyed, func(a, b keyedPosition) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.at, b.at)
+	})
+}
+
+// radixSort sorts keyed, which is in position order, by key: a stable
+// counting pass per byte of the key, least significant first, skipping the
+// bytes that are the same in every key. Stability keeps equal keys in
+// position order, so the result is sortKeyed's. The sorted pairs are in
+// keyed's memory or in the scratch's second buffer; the other is kept as
+// the next call's second buffer.
+func (s *Scratch) radixSort(keyed []keyedPosition) []keyedPosition {
+	spare := slices.Grow(s.spare[:0], len(keyed))[:len(keyed)]
+	allSet, anySet := ^uint64(0), uint64(0)
+	for _, kp := range keyed {
+		allSet &= kp.key
+		anySet |= kp.key
+	}
+	var count [256]int
+	for shift := 0; shift < 64; shift += 8 {
+		if (allSet^anySet)>>shift&0xff == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, kp := range keyed {
+			count[byte(kp.key>>shift)]++
+		}
+		at := 0
+		for d, c := range count {
+			count[d] = at
+			at += c
+		}
+		for _, kp := range keyed {
+			d := byte(kp.key >> shift)
+			spare[count[d]] = kp
+			count[d]++
+		}
+		keyed, spare = spare, keyed
+	}
+	s.spare = spare
+	return keyed
 }
 
 // orderKey maps v to an integer in Ascending's order: every NaN below −Inf,

@@ -505,7 +505,7 @@ const (
 	allocSlopeBound        = 750
 	allocResidualBound     = 0.02
 	noChangeInterceptBound = 7_200
-	deltaInterceptBound    = 607_000
+	deltaInterceptBound    = 533_000
 )
 
 // TestKillWithoutCloseRestartsFromLastCommit is the restart contract after

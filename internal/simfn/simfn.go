@@ -20,26 +20,29 @@
 //
 // # Preparing a block: the lexicon and the ID-order contract
 //
-// PrepareBlockCtx reads every page through one block-local lexicon
-// (analysis.Lexicon, emptied for every block): a token
-// occurrence is looked up once, everything asked about a distinct token —
-// stopword, stem, dictionary entries, concept triggers — is computed once
-// per block, and term frequencies, document frequencies and weights live in
-// slices indexed by term ID. Strings reappear only at the edges: in
-// Features and in Vocab.
+// PrepareBlockCtx reads every page through a lexicon (analysis.Lexicon)
+// that a Workspace keeps from block to block, starting it over only once it
+// holds more than extract.LexiconCap tokens: a token occurrence is looked
+// up once, everything asked about a distinct token — stopword, stem,
+// dictionary entries, concept triggers — is computed once per workspace,
+// and term frequencies, document frequencies and weights live in slices
+// indexed by the lexicon's term IDs, of which a block writes and reads only
+// its own terms'. Strings reappear only at the edges: in Features and in
+// Vocab.
 //
-// The result is bit-identical to preparing each page from strings because
-// two orders are pinned. Vocab IDs are assigned page by page: the page's
-// terms in lexicographic order, then its concepts, concept set,
-// organizations and other persons. And Σw and Σw² of a packed vector are
-// accumulated in lexicographic order of its terms (or concept labels),
-// not in ID order. Vocab order fixes the order every later merge join
-// multiplies and adds in, and the sums fix the norms, so both decide the
-// last bits of F1 and F8–F10. A page's terms are therefore ordered by
-// their lexicographic rank within the block before they are weighed. Both
-// orders come without a sort per page: the block's postings, grouped by
-// term, are dealt back to their pages rank by rank for weighing, and term
-// by term in ID order to lay the vectors out.
+// The result is bit-identical to preparing each page from strings, and
+// whatever blocks the workspace read before, because no order depends on
+// lexicon IDs — they depend on that history — and two orders are pinned.
+// Vocab IDs are assigned page by page: the page's terms in lexicographic
+// order, then its concepts, concept set, organizations and other persons.
+// And Σw and Σw² of a packed vector are accumulated in lexicographic order
+// of its terms (or concept labels), not in ID order. Vocab order fixes the
+// order every later merge join multiplies and adds in, and the sums fix the
+// norms, so both decide the last bits of F1 and F8–F10. A page's terms are
+// therefore ordered by their lexicographic rank within the block before they
+// are weighed. Both orders come without a sort per page: the block's
+// postings, grouped by term, are dealt back to their pages rank by rank for
+// weighing, and term by term in ID order to lay the vectors out.
 //
 // # Matrices: the ordered memo, the token table and postings
 //
@@ -207,10 +210,14 @@ func (ws *Workspace) PrepareBlock(ctx context.Context, col *corpus.Collection, f
 	}
 	pages, sc := ws.pages, &ws.prep
 	lx := pages.Lexicon
+	// tf, df, rank, idf and vocabID are indexed by lexicon term ID, and
+	// only the block's own terms' entries are written or read. The
+	// lexicon outlives the block, so df starts cleared.
+	clear(sc.df)
 	var (
 		postings = sc.postings[:0]                 // term ID<<32 | tf of every page's distinct terms, page after page
 		ends     = slices.Grow(sc.ends[:0], n)[:n] // where page i's postings end
-		tf, df   = sc.tf[:0], sc.df[:0]            // by term ID; tf is zero between pages
+		tf, df   = sc.tf, sc.df                    // tf is zero between pages
 		entries  int                               // of all the block's packed vectors
 	)
 	for i, d := range col.Docs {
@@ -243,16 +250,20 @@ func (ws *Workspace) PrepareBlock(ctx context.Context, col *corpus.Collection, f
 
 	// byRank lists the block's terms lexicographically and rank inverts it.
 	// A page's terms are weighed, summed and interned in rank order: the
-	// ID-order contract of the package documentation.
-	terms := len(lx.Terms)
-	byRank := slices.Grow(sc.byRank[:0], terms)[:terms]
-	for t := range byRank {
-		byRank[t] = int32(t)
+	// ID-order contract of the package documentation. Which lexicon IDs the
+	// terms carry decides nothing: the strings order them.
+	lexTerms := len(lx.Terms)
+	byRank := slices.Grow(sc.byRank[:0], lexTerms)
+	for t, c := range df {
+		if c > 0 {
+			byRank = append(byRank, int32(t))
+		}
 	}
+	terms := len(byRank)
 	slices.SortFunc(byRank, func(a, b int32) int { return strings.Compare(lx.Terms[a], lx.Terms[b]) })
-	rank := slices.Grow(sc.rank[:0], terms)[:terms]
-	idf := slices.Grow(sc.idf[:0], terms)[:terms]
-	vocabID := slices.Grow(sc.vocabID[:0], terms)[:terms] // of a term, -1 until interned
+	rank := slices.Grow(sc.rank[:0], lexTerms)[:lexTerms]
+	idf := slices.Grow(sc.idf[:0], lexTerms)[:lexTerms]
+	vocabID := slices.Grow(sc.vocabID[:0], lexTerms)[:lexTerms] // of a term, -1 until interned
 	for r, t := range byRank {
 		rank[t] = uint32(r)
 		idf[t] = math.Log(1 + float64(n)/float64(df[t]))
@@ -267,7 +278,7 @@ func (ws *Workspace) PrepareBlock(ctx context.Context, col *corpus.Collection, f
 	// where its posting went in place of its tf.
 	from := slices.Grow(sc.from[:0], terms+1)[:terms+1]
 	from[0] = 0
-	for t, r := range rank {
+	for r, t := range byRank {
 		from[r+1] = int32(df[t])
 	}
 	for r := range byRank {
@@ -339,8 +350,8 @@ func (ws *Workspace) PrepareBlock(ctx context.Context, col *corpus.Collection, f
 	// The terms in ID order, each dealt to its pages, fill every term
 	// vector in ID order without a sort per page.
 	byID := slices.Grow(sc.byID[:0], terms)[:terms]
-	for t, id := range vocabID {
-		byID[t] = uint64(id)<<32 | uint64(rank[t])
+	for r, t := range byRank {
+		byID[r] = uint64(vocabID[t])<<32 | uint64(r)
 	}
 	slices.Sort(byID)
 	sc.byID = byID

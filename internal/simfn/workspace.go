@@ -6,7 +6,8 @@ import (
 )
 
 // Workspace is the memory one block worker reuses across the blocks it
-// prepares, one after another: the extraction tables and lexicon, the
+// prepares, one after another: the lexicon and the extraction tables
+// (kept with their values; see the package documentation), the
 // vocabulary, the documents and packed vectors, PrepareBlock's per-term
 // arrays, every matrix's cells and the kernel's postings, key memos and
 // token table. Each block sizes a buffer to what it needs, reallocating
@@ -15,9 +16,10 @@ import (
 //
 // What a workspace hands out is valid until it is asked for the same kind
 // of thing again: a Block until the next PrepareBlock, matrices until the
-// next ComputeAll. Nothing of a value is reused, only memory: a block
-// prepared in a workspace equals one prepared by PrepareBlockCtx bit for
-// bit. A Workspace belongs to one goroutine at a time and lives as long as
+// next ComputeAll. Of the values, only the lexicon's are reused — what a
+// token is does not depend on the block — and otherwise only memory: a
+// block prepared in a workspace equals one prepared by PrepareBlockCtx bit
+// for bit. A Workspace belongs to one goroutine at a time and lives as long as
 // its owner keeps it — one run of the pipeline, never a process — so the
 // buffers it holds never outlive the run they serve. The zero value is
 // ready to use.

@@ -153,13 +153,23 @@ func JaroWinkler(a, b string) float64 {
 
 // JaroWinklerParams is JaroWinkler with an explicit prefix scaling factor p
 // (commonly 0.1, must not exceed 0.25 to keep the result within [0, 1]) and
-// maximum prefix length maxPrefix.
+// maximum prefix length maxPrefix. Two ASCII strings of at most 64 bytes —
+// as every host, name and name token of the generated corpora is — are
+// matched on their bytes; any other input is decoded into runes first. A
+// byte of an ASCII string is its rune, so both forms give the same bits.
 func JaroWinklerParams(a, b string, p float64, maxPrefix int) float64 {
 	if p < 0 {
 		p = 0
 	}
 	if p > 0.25 {
 		p = 0.25
+	}
+	if j, ok := jaroBytes(a, b); ok {
+		prefix := 0
+		for prefix < len(a) && prefix < len(b) && prefix < maxPrefix && a[prefix] == b[prefix] {
+			prefix++
+		}
+		return j + float64(prefix)*p*(1-j)
 	}
 	var abuf, bbuf [jaroStack]rune
 	ra, rb := appendRunes(abuf[:0], a), appendRunes(bbuf[:0], b)
@@ -169,4 +179,52 @@ func JaroWinklerParams(a, b string, p float64, maxPrefix int) float64 {
 		prefix++
 	}
 	return j + float64(prefix)*p*(1-j)
+}
+
+// jaroBytes is jaro on the bytes of a and b, ok only when both are ASCII
+// and at most 64 bytes long. It is jaroBits without the rune buffers and
+// without a branch on the data: each byte of a takes the lowest free
+// candidate in its window, if any, through masks alone, and the ASCII test
+// rides along in the two scans.
+func jaroBytes(a, b string) (float64, bool) {
+	la, lb := len(a), len(b)
+	if la > jaroStack || lb > jaroStack {
+		return 0, false
+	}
+	var mask [128]uint64
+	var seen byte // the OR of every byte scanned: ASCII while below 0x80
+	for j := 0; j < lb; j++ {
+		seen |= b[j]
+		mask[b[j]&127] |= 1 << j
+	}
+	md := jaroMatchDist(la, lb)
+	var aMatched, bMatched uint64
+	for i := 0; i < la; i++ {
+		c := a[i]
+		seen |= c
+		// Positions i−md … i+md; a shift past 63 reads as all ones.
+		window := (uint64(1)<<uint(i+md+1) - 1) &^ (uint64(1)<<uint(max(i-md, 0)) - 1)
+		m := mask[c&127] & window &^ bMatched
+		m &= -m
+		bMatched |= m
+		aMatched |= (m | -m) >> 63 << i
+	}
+	if seen >= 0x80 {
+		return 0, false
+	}
+	matches := bits.OnesCount64(aMatched)
+	if matches == 0 {
+		// Both empty is 1, as in jaroLoop; one empty matches nothing.
+		if la == 0 && lb == 0 {
+			return 1, true
+		}
+		return 0, true
+	}
+	transpositions := 0
+	for x, y := aMatched, bMatched; x != 0; x, y = x&(x-1), y&(y-1) {
+		if a[bits.TrailingZeros64(x)] != b[bits.TrailingZeros64(y)] {
+			transpositions++
+		}
+	}
+	return jaroScore(la, lb, matches, transpositions), true
 }

@@ -196,10 +196,11 @@ func TestJaroMatchesReference(t *testing.T) {
 }
 
 // TestJaroBitsMatchesLoop is the differential test of jaro's bit-parallel
-// form against the loop it replaces for short ASCII input: on 200,000
-// random pairs over 2- to 8-letter alphabets (so runes repeat inside every
+// forms against the loop they replace for short input: on 200,000 random
+// pairs over 2- to 8-letter alphabets (so runes repeat inside every
 // window), lengths 0 to 70 across the 64-rune edge and a non-ASCII rune
-// mixed into either side, jaro equals jaroLoop bit for bit.
+// mixed into either side, jaro equals jaroLoop, and JaroWinkler — which
+// takes the bytes of two ASCII strings — its loop form, bit for bit.
 func TestJaroBitsMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	word := func(alphabet []rune) []rune {
@@ -229,6 +230,10 @@ func TestJaroBitsMatchesLoop(t *testing.T) {
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("jaro(%q, %q) = %v, loop %v", string(ra), string(rb), got, want)
 		}
+		a, b := string(ra), string(rb)
+		if got, want := JaroWinkler(a, b), loopJaroWinkler(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("JaroWinkler(%q, %q) = %v, loop %v", a, b, got, want)
+		}
 		if _, ok := jaroBits(ra, rb); ok && len(ra) > 0 && len(rb) > 0 && len(ra) <= jaroStack && len(rb) <= jaroStack {
 			bitPath++
 		}
@@ -236,6 +241,45 @@ func TestJaroBitsMatchesLoop(t *testing.T) {
 	if bitPath < pairs/2 {
 		t.Errorf("only %d of %d pairs took the bit-parallel form", bitPath, pairs)
 	}
+}
+
+// loopJaroWinkler is JaroWinkler with jaroLoop for jaro: the oracle of both
+// fast forms, the bit-parallel one on runes and the one on bytes.
+func loopJaroWinkler(a, b string) float64 {
+	ra, rb := []rune(a), []rune(b)
+	j := jaroLoop(ra, rb)
+	prefix := 0
+	for prefix < len(ra) && prefix < len(rb) && prefix < 4 && ra[prefix] == rb[prefix] {
+		prefix++
+	}
+	return j + float64(prefix)*0.1*(1-j)
+}
+
+// FuzzJaroWinklerPaths pins JaroWinkler to the loop oracle by
+// math.Float64bits on whatever path the input takes: two ASCII strings of
+// at most 64 bytes go through jaroBytes, anything else — a non-ASCII or
+// invalid byte on either side, a 65th byte — through the runes. The seeds
+// cover ASCII × ASCII, ASCII × non-ASCII, empty strings and 63-, 64- and
+// 65-byte strings on either side.
+func FuzzJaroWinklerPaths(f *testing.F) {
+	ab := func(n int) string { return strings.Repeat("ab", n)[:n] }
+	ba := func(n int) string { return strings.Repeat("ba", n)[:n] }
+	for _, seed := range [][2]string{
+		{"", ""}, {"", "a"}, {"a", ""}, {"", "é"},
+		{"martha", "marhta"}, {"dwayne", "duane"}, {"www.cs.umass.edu", "people.cs.umass.edu"},
+		{"josé garcía", "jose garcia"}, {"jose garcia", "josé garcía"}, {"\xffbad", "bad"},
+		{ab(63), ba(63)}, {ab(64), ba(64)}, {ab(65), ba(65)}, {ab(64), ba(65)}, {ab(65), ab(63)},
+		{ab(63) + "é", ab(64)}, {"x" + ab(63), "y" + ba(63)}, {ab(64), "b"}, {"a", ba(64)},
+		// The 65th byte is the one match: a bit past the 64 of the bytes' masks.
+		{strings.Repeat("x", 64) + "y", strings.Repeat("z", 60) + "yzzzz"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := JaroWinkler(a, b), loopJaroWinkler(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("JaroWinkler(%q, %q) = %v, loop %v", a, b, got, want)
+		}
+	})
 }
 
 // TestJaroWinklerDoesNotAllocate pins the pair-loop claim: names up to 64

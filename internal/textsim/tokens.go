@@ -1,6 +1,10 @@
 package textsim
 
-import "strings"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+)
 
 // MongeElkan returns the Monge-Elkan similarity of two token sequences: for
 // each token of a it finds the best-matching token of b under the secondary
@@ -80,9 +84,43 @@ func NameSimilarityOf[T any](a, b Name, ta, tb []T, tokenSim func(x, y T) float6
 	return whole
 }
 
+// normalizeName lower-cases s, reads commas and periods as white space and
+// joins the words between white space with single spaces. It is
+// strings.Join(strings.Fields(…), " ") of the lowered, comma- and
+// period-folded name in one pass: each rune is lowered as strings.ToLower
+// lowers it, an invalid byte becoming U+FFFD. A name that is already
+// normal comes back as it is, without allocating.
 func normalizeName(s string) string {
-	s = strings.ToLower(strings.TrimSpace(s))
-	s = strings.ReplaceAll(s, ",", " ")
-	s = strings.ReplaceAll(s, ".", " ")
-	return strings.Join(strings.Fields(s), " ")
+	if isNormalName(s) {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	gap := false
+	for _, r := range s {
+		if r == ',' || r == '.' || unicode.IsSpace(r) {
+			gap = sb.Len() > 0
+			continue
+		}
+		if gap {
+			sb.WriteByte(' ')
+			gap = false
+		}
+		sb.WriteRune(unicode.ToLower(r))
+	}
+	return sb.String()
+}
+
+// isNormalName reports whether s is ASCII without upper-case letters,
+// commas, periods or white space other than single spaces between words.
+func isNormalName(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, 'A' <= c && c <= 'Z', c == ',', c == '.', c == '\t', c == '\n', c == '\v', c == '\f', c == '\r':
+			return false
+		case c == ' ' && (i == 0 || i == len(s)-1 || s[i-1] == ' '):
+			return false
+		}
+	}
+	return true
 }

@@ -3,8 +3,11 @@ package textsim
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
 
 func TestMongeElkan(t *testing.T) {
@@ -85,6 +88,39 @@ func TestNormalizeName(t *testing.T) {
 	for _, tc := range cases {
 		if got := normalizeName(tc.in); got != tc.want {
 			t.Errorf("normalizeName(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestNormalizeNameMatchesComposition pins normalizeName's one pass to the
+// composition it replaced — ToLower(TrimSpace), two ReplaceAlls, Fields
+// and Join — on 50,000 random strings over upper- and lower-case letters
+// of several scripts, every rune unicode.IsSpace accepts, runs of commas
+// and periods, and invalid UTF-8, which strings.ToLower turns into U+FFFD.
+func TestNormalizeNameMatchesComposition(t *testing.T) {
+	composed := func(s string) string {
+		s = strings.ToLower(strings.TrimSpace(s))
+		s = strings.ReplaceAll(s, ",", " ")
+		s = strings.ReplaceAll(s, ".", " ")
+		return strings.Join(strings.Fields(s), " ")
+	}
+	var spaces []string
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if unicode.IsSpace(r) {
+			spaces = append(spaces, string(r))
+		}
+	}
+	pieces := append(spaces, "a", "Z", "smith", "John", "É", "é", "İ", "Σ", "ς", "王", "Ⱥ", "\ufffd",
+		",", ".", ",.", "..", "\xff", "\xe2\x80", "\xc3", "0", "-", "'")
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 50_000; trial++ {
+		var sb strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			sb.WriteString(pieces[rng.Intn(len(pieces))])
+		}
+		s := sb.String()
+		if got, want := normalizeName(s), composed(s); got != want {
+			t.Fatalf("normalizeName(%q) = %q, composition %q", s, got, want)
 		}
 	}
 }
