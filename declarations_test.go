@@ -143,7 +143,6 @@ var benchOnly = map[string]string{
 
 	"service.BlockScore":    benchProbeEncode,
 	"serving.Decode":        "instrument serving.decode_ms",
-	"simfn.ComputeAllCtx":   "instrument simfn.compute_all_ms",
 	"simfn.PrepareBlockCtx": "instrument simfn.prepare_block_ms",
 	"stats.ErrEmpty":        benchQuantile,
 	"stats.Quantile":        benchQuantile,

@@ -18,9 +18,8 @@ import (
 // k-means bound, every equal-width edge r/k, 0 and 1, each also one ulp to
 // either side — every graph of Prepared.RunWith has the reference's edges
 // and the bits of its Threshold, TrainAccuracy, Calibration and estimated
-// Accuracy, for all three criteria. NaN and ±Inf cells then go through the
-// threshold and k-means criteria (equal-width regions have no region for
-// NaN, before and after).
+// Accuracy, for all three criteria. NaN and ±Inf cells then go through all
+// three criteria too; both region schemes put NaN in their last region.
 func TestDecisionStageMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for trial := 0; trial < 40; trial++ {
@@ -68,7 +67,7 @@ func TestDecisionStageMatchesReference(t *testing.T) {
 
 		m := p.Matrices["FA"]
 		plantOutsideTraining(rng, m, got.Train, []float64{math.NaN(), math.Inf(1), math.Inf(-1)})
-		for _, crit := range []CriterionKind{ThresholdCriterion, KMeansCriterion} {
+		for _, crit := range AllCriteria {
 			dg, err := buildDecisionGraph("FA", crit, m, got.Train, newSample(new(Workspace), got.Train, m), opts.RegionK)
 			if err != nil {
 				t.Fatal(err)

@@ -18,7 +18,8 @@ import (
 // collections; each ResolveCtx/PrepareCtx call is independent.
 //
 // A Workspace carries one block worker's memory from block to block:
-// PrepareIn and RunIn are PrepareCtx and Run on it.
+// PrepareIn and RunIn are PrepareCtx and Run on it, except that RunIn,
+// not PrepareIn, computes the matrices, one function group at a time.
 type Resolver struct {
 	opts  Options
 	funcs []simfn.Func
@@ -41,38 +42,51 @@ func (r *Resolver) Options() Options { return r.opts }
 
 // Prepared caches the per-collection work that does not depend on the
 // training split: the prepared block (feature extraction, TF-IDF vectors)
-// and the pairwise similarity matrices of every selected function. Multiple
-// experiment runs with different training samples share one Prepared. One
-// built by PrepareIn lives in its workspace's memory and is valid until
-// that workspace's next PrepareIn.
+// and, when built by PrepareCtx, the pairwise similarity matrices of every
+// selected function. Multiple experiment runs with different training
+// samples share one Prepared. One built by PrepareIn has no matrices: each
+// analysis computes them in its workspace one simfn.Groups group at a
+// time, just before that group's decision graphs. It lives in its
+// workspace's memory and is valid until that workspace's next PrepareIn.
 type Prepared struct {
 	// Block is the prepared blocking unit.
 	Block *simfn.Block
-	// Matrices are the per-function similarity matrices, keyed by ID.
+	// Matrices are the per-function similarity matrices, keyed by ID; nil
+	// for a Prepared built by PrepareIn.
 	Matrices map[string]*simfn.Matrix
 
 	resolver *Resolver
 }
 
 // PrepareCtx extracts features and computes all similarity matrices for one
-// collection (the per-block G_w^fi computation of Algorithm 1). The context
-// is threaded into feature extraction and the pairwise matrix computation,
-// so a canceled or timed-out context aborts mid-extraction or mid-matrix and
-// returns ctx.Err(). It is PrepareIn on a fresh workspace, so the Prepared
-// owns all of its memory.
+// collection (the per-block G_w^fi computation of Algorithm 1), so that
+// every analysis of the Prepared reads them instead of computing them. The
+// context is threaded into feature extraction and the pairwise matrix
+// computation, so a canceled or timed-out context aborts mid-extraction or
+// mid-matrix and returns ctx.Err(). It is PrepareIn on a fresh workspace,
+// followed by the matrices, so the Prepared owns all of its memory.
 func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Prepared, error) {
-	return r.PrepareIn(ctx, new(Workspace), col)
+	ws := new(Workspace)
+	p, err := r.PrepareIn(ctx, ws, col)
+	if err != nil {
+		return nil, err
+	}
+	if p.Matrices, err = ws.sim.ComputeAll(ctx, p.Block, r.funcs); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Workspace is the memory one block worker reuses across the blocks it
 // resolves one after another: simfn's extraction tables, documents and
-// matrices, and the decision stage's training values, argsort, k-means
-// tables, graph bitsets, closure labels and Fp tables. Each block reuses
-// what an earlier one grew, so a worker allocates for its largest block
-// rather than once per block. Apart from simfn's lexicon, whose entries do
-// not depend on the block, only memory carries over, never a value:
-// everything a stage reads it has written or cleared for this block, so
-// results are bit-identical to fresh memory.
+// the matrices of one function group, and the decision stage's RNG,
+// training values, argsort, k-means tables, graph bitsets, closure labels
+// and Fp tables. Each block reuses what an earlier one grew, so a worker
+// allocates for its largest block rather than once per block. Apart from
+// simfn's lexicon, whose entries do not depend on the block, and the RNG,
+// which every analysis seeds afresh, only memory carries over, never a
+// value: everything a stage reads it has written or cleared for this
+// block, so results are bit-identical to fresh memory.
 //
 // A workspace lives as long as its owner keeps it — the pipeline keeps one
 // per worker for one run and drops it with the run; it is never pooled, so
@@ -83,6 +97,10 @@ func (r *Resolver) PrepareCtx(ctx context.Context, col *corpus.Collection) (*Pre
 // to one goroutine at a time.
 type Workspace struct {
 	sim simfn.Workspace
+	// group holds the functions of the group whose matrices are computed.
+	group []simfn.Func
+	// rng is the analysis's RNG, re-seeded by every RunIn.
+	rng *rand.Rand
 	// values are one function's training values, the sample its three
 	// criteria are fitted on.
 	values  []float64
@@ -98,9 +116,12 @@ type Workspace struct {
 	pred, ids, overlap, sizes []int
 }
 
-// PrepareIn is PrepareCtx on the workspace's memory: the Prepared it
-// returns — block, documents and matrices — is valid until the workspace's
-// next PrepareIn.
+// PrepareIn extracts features and packs the vectors of one collection in
+// the workspace's memory, and computes no matrix: RunIn computes them one
+// function group at a time, so a worker holds the cells of one group (at
+// most three functions) instead of every function's. The Prepared it
+// returns — block and documents — is valid until the workspace's next
+// PrepareIn.
 func (r *Resolver) PrepareIn(ctx context.Context, ws *Workspace, col *corpus.Collection) (*Prepared, error) {
 	if len(col.Docs) < 2 {
 		return nil, fmt.Errorf("core: collection %q has %d documents", col.Name, len(col.Docs))
@@ -109,15 +130,7 @@ func (r *Resolver) PrepareIn(ctx context.Context, ws *Workspace, col *corpus.Col
 	if err != nil {
 		return nil, err
 	}
-	matrices, err := ws.sim.ComputeAll(ctx, block, r.funcs)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{
-		Block:    block,
-		Matrices: matrices,
-		resolver: r,
-	}, nil
+	return &Prepared{Block: block, resolver: r}, nil
 }
 
 // PrepareAllCtx prepares independent collections concurrently on one
@@ -161,6 +174,10 @@ type Analysis struct {
 
 	opts Options
 	rng  *rand.Rand
+	// recompute computes the given functions' matrices in fresh memory,
+	// under the context the analysis ran with, for a combination that
+	// reads values the Prepared does not hold.
+	recompute func(funcs []simfn.Func) (map[string]*simfn.Matrix, error)
 }
 
 // Run draws a training sample with the given seed and builds every
@@ -188,9 +205,12 @@ func (p *Prepared) RunWith(ctx context.Context, runSeed int64, opts Options) (*A
 }
 
 // RunIn is Run on the workspace's memory: the Analysis it returns — its
-// decision graphs, their adjacency rows — is valid until the workspace's
-// next RunIn. The Resolutions its combinations return own their labels. A
-// canceled or timed-out context stops the analysis before the next
+// decision graphs, their adjacency rows, its RNG — is valid until the
+// workspace's next RunIn. The Resolutions its combinations return own
+// their labels. On a Prepared without matrices (PrepareIn's), each
+// function group's matrices are computed in the workspace just before the
+// group's decision graphs, and overwrite the previous group's. A canceled
+// or timed-out context stops the analysis mid-matrix or before the next
 // function's decision graphs, and RunIn returns ctx.Err().
 func (p *Prepared) RunIn(ctx context.Context, ws *Workspace, runSeed int64) (*Analysis, error) {
 	return p.runIn(ctx, ws, runSeed, p.resolver.opts)
@@ -203,25 +223,61 @@ func (p *Prepared) runIn(ctx context.Context, ws *Workspace, runSeed int64, opts
 	if opts.RegionK < 2 {
 		return nil, fmt.Errorf("core: region count %d < 2", opts.RegionK)
 	}
-	rng := stats.NewRNG(runSeed)
+	rng := ws.seeded(runSeed)
 	train, err := NewTraining(p.Block, opts.TrainFraction, rng)
 	if err != nil {
 		return nil, err
 	}
-	n, graphs := len(p.Block.Docs), len(p.resolver.funcs)*len(AllCriteria)
+	crits := len(AllCriteria)
+	n, graphs := len(p.Block.Docs), len(p.resolver.funcs)*crits
 	ws.graphs.Reset(graphs, n)
 	ws.labels, ws.carved = slices.Grow(ws.labels[:0], graphs*n)[:graphs*n], 0
-	a := &Analysis{Prepared: p, Train: train, Graphs: make([]*DecisionGraph, 0, graphs), opts: opts, rng: rng}
-	for _, f := range p.resolver.funcs {
+	a := &Analysis{Prepared: p, Train: train, Graphs: make([]*DecisionGraph, graphs), opts: opts, rng: rng,
+		recompute: func(funcs []simfn.Func) (map[string]*simfn.Matrix, error) {
+			return simfn.ComputeAllCtx(ctx, p.Block, funcs)
+		},
+	}
+	for _, group := range simfn.Groups(p.resolver.funcs) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		m := p.Matrices[f.ID]
-		if a.Graphs, err = decisionGraphs(a.Graphs, f.ID, AllCriteria, m, train, newSample(ws, train, m), opts.RegionK); err != nil {
-			return nil, err
+		ms := p.Matrices
+		if ms == nil {
+			ws.group = ws.group[:0]
+			for _, fi := range group {
+				ws.group = append(ws.group, p.resolver.funcs[fi])
+			}
+			if ms, err = ws.sim.ComputeAll(ctx, p.Block, ws.group); err != nil {
+				return nil, err
+			}
+		}
+		for _, fi := range group {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			// decisionGraphs appends in place to the function's own slots,
+			// so the graphs stay in function order — which SelectBestGraph's
+			// ties depend on — whatever order the groups take.
+			id := p.resolver.funcs[fi].ID
+			m := ms[id]
+			slots := a.Graphs[fi*crits : fi*crits : (fi+1)*crits]
+			if _, err = decisionGraphs(slots, id, AllCriteria, m, train, newSample(ws, train, m), opts.RegionK); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return a, nil
+}
+
+// seeded returns the workspace's RNG seeded with seed: its draws are those
+// of a fresh stats.NewRNG(seed), whatever it drew before.
+func (ws *Workspace) seeded(seed int64) *rand.Rand {
+	if ws.rng == nil {
+		ws.rng = stats.NewRNG(seed)
+	} else {
+		ws.rng.Seed(seed)
+	}
+	return ws.rng
 }
 
 // Resolution is one final entity resolution of a block.
@@ -316,9 +372,22 @@ func (a *Analysis) BestOver(funcIDs []string, criteria ...CriterionKind) (*Resol
 // WeightedAverageOver resolves with the accuracy-weighted average
 // combination (the paper's W column) of the given functions, nil for every
 // function; each function is represented by its best criterion's graph.
+// It is the one combination that reads similarity values, so on a
+// Prepared without matrices (PrepareIn's) it computes those functions'
+// matrices again, in fresh memory and under the analysis's context.
 func (a *Analysis) WeightedAverageOver(funcIDs []string) (*Resolution, error) {
 	per := bestPerFunction(a.GraphsFor(funcIDs, AllCriteria...))
-	combined, threshold, err := WeightedAverageGraph(per, a.Prepared.Matrices, a.Train)
+	matrices := a.Prepared.Matrices
+	if matrices == nil {
+		funcs := slices.DeleteFunc(slices.Clone(a.Prepared.resolver.funcs), func(f simfn.Func) bool {
+			return !slices.ContainsFunc(per, func(g *DecisionGraph) bool { return g.FuncID == f.ID })
+		})
+		var err error
+		if matrices, err = a.recompute(funcs); err != nil {
+			return nil, err
+		}
+	}
+	combined, threshold, err := WeightedAverageGraph(per, matrices, a.Train)
 	if err != nil {
 		return nil, err
 	}

@@ -3,23 +3,23 @@
 //
 //	Ingest → Block → Prepare → Analyze → Combine → Cluster → Report
 //
-// Ingest hands raw collections to a pluggable Blocker (by default the key
-// index over collection names), which re-partitions the documents into
-// resolution blocks. One fan-out (internal/fanout) of up to GOMAXPROCS
-// workers then claims blocks one at a time, and the worker that claimed a
-// block takes it through every later stage: prepare (feature extraction,
-// TF-IDF, all pairwise similarity matrices, whose rows fan out again on the
-// same process-wide budget), analyze (training draw, decision graphs), the
-// Strategy's combine and cluster steps, and the report stage's scoring.
-// The stages are all CPU-bound, so handing a block between pools would buy
-// no overlap and only keep more prepared blocks alive; this way at most
-// GOMAXPROCS blocks' matrices exist at once, and there is no all-then-all
-// barrier between the blocks. Each worker owns one core.Workspace for the
-// run: every block it claims is prepared and analyzed in that memory, so a
-// run allocates its scratch once per worker, sized to the largest block
-// the worker saw, instead of once per block. The workspaces are dropped
-// with the run; what a block hands on — its Resolution and Score — is
-// freshly allocated.
+// Ingest hands raw collections to a pluggable Blocker (by default the key index
+// over collection names), which re-partitions the documents into resolution
+// blocks. One fan-out (internal/fanout) of up to GOMAXPROCS workers then claims
+// blocks one at a time, and the worker that claimed a block takes it through
+// every later stage: prepare (feature extraction, TF-IDF), analyze (training
+// draw, then for one function group at a time its pairwise similarity matrices,
+// whose rows fan out again on the same process-wide budget, and its decision
+// graphs), the Strategy's combine and cluster steps, and the report stage's
+// scoring. The stages are all CPU-bound, so handing a block between pools would
+// buy no overlap and only keep more prepared blocks alive; this way at most
+// GOMAXPROCS function groups' matrices — three matrices each at most — exist at
+// once, and there is no all-then-all barrier between the blocks. Each worker
+// owns one core.Workspace for the run: every block it claims is prepared and
+// analyzed in that memory, so a run allocates its scratch once per worker,
+// sized to the largest block the worker saw, instead of once per block. The
+// workspaces are dropped with the run; what a block hands on — its Resolution
+// and Score — is freshly allocated.
 //
 // Blocker is the one block-stage interface and BlockFingerprints its one
 // method: blocks, member refs, membership fingerprints and stats. Every
@@ -59,7 +59,10 @@ import (
 // Stage names passed to Config.Observe, one per instrumented pipeline
 // stage. StageBlock is observed once per run (the block stage is one
 // pass); the others are observed once per non-trivial block, possibly from
-// several workers at once.
+// several workers at once. StagePrepare is feature extraction and packing;
+// StageAnalyze is the similarity matrices and the decision graphs, since
+// an analysis computes each function group's matrices just before the
+// group's graphs.
 const (
 	StageBlock   = "block"
 	StagePrepare = "prepare"
@@ -251,10 +254,9 @@ func (p *Pipeline) stream(ctx context.Context, blocks []*corpus.Collection, todo
 	return firstErr
 }
 
-// runBlock takes one block from prepare (feature extraction, TF-IDF, all
-// pairwise similarity matrices) to its scored Result, in the worker's
-// workspace ws. Blocks too small to train on resolve trivially and skip
-// every stage.
+// runBlock takes one block from prepare (feature extraction, TF-IDF) to its
+// scored Result, in the worker's workspace ws. Blocks too small to train on
+// resolve trivially and skip every stage.
 func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus.Collection, seed int64) (Result, error) {
 	if len(col.Docs) < 2 {
 		res, err := p.trivial(col)
@@ -276,9 +278,10 @@ func (p *Pipeline) runBlock(ctx context.Context, ws *core.Workspace, col *corpus
 	return res, nil
 }
 
-// resolveBlock runs analysis (training draw, decision graphs), combination,
-// clustering and scoring for one prepared block, in the workspace ws. A
-// canceled context stops the analysis between similarity functions.
+// resolveBlock runs analysis (training draw, each function group's matrices
+// and decision graphs), combination, clustering and scoring for one
+// prepared block, in the workspace ws. A canceled context stops the
+// analysis mid-matrix or between similarity functions.
 func (p *Pipeline) resolveBlock(ctx context.Context, ws *core.Workspace, col *corpus.Collection, prep *core.Prepared, seed int64) (Result, error) {
 	analyzeStart := p.now()
 	a, err := prep.RunIn(ctx, ws, seed)

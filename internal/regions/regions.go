@@ -45,12 +45,13 @@ func NewEqualWidthBins(k int) *EqualWidthBins {
 	return &EqualWidthBins{k: k}
 }
 
-// Region implements Partitioner.
+// Region implements Partitioner. A NaN falls in the last region, as in
+// KMeans1D.
 func (b *EqualWidthBins) Region(v float64) int {
 	if v < 0 {
 		v = 0
 	}
-	if v >= 1 {
+	if !(v < 1) {
 		return b.k - 1
 	}
 	return int(v * float64(b.k))

@@ -24,7 +24,7 @@ func TestEqualWidthBins(t *testing.T) {
 		want int
 	}{
 		{0, 0}, {0.05, 0}, {0.1, 1}, {0.55, 5}, {0.99, 9}, {1.0, 9},
-		{-0.5, 0}, {1.5, 9},
+		{-0.5, 0}, {1.5, 9}, {math.Inf(-1), 0}, {math.Inf(1), 9}, {math.NaN(), 9},
 	}
 	for _, tc := range cases {
 		if got := b.Region(tc.v); got != tc.want {

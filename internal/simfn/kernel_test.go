@@ -7,7 +7,9 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -202,10 +204,13 @@ func TestKernelCanceledMidMatrix(t *testing.T) {
 
 // TestTokenTableBoundedByTheCall pins the token table's bound: on a 40-doc
 // block whose names share 40 distinct tokens, T² = 1,600 exceeds the
-// block's 780 document pairs — one matrix, the bound that left the table
-// out — but not the 7,800 cells of the ten matrices, so the table is built,
-// and Jaro-Winkler runs once per distinct ordered token pair the name
-// functions ask for, however many name pairs ask for it.
+// block's 780 document pairs — one matrix — but not the 7,800 cells of the
+// ten matrices, so a call over all ten builds the table, and Jaro-Winkler
+// runs once per distinct ordered token pair the name functions ask for,
+// however many name pairs ask for it. A call of F3 alone has one matrix's
+// 780 cells and leaves the table out; the group an analysis computes the
+// name functions in has three matrices' 2,340 and builds it. The cells keep
+// their bits either way.
 func TestTokenTableBoundedByTheCall(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	tokens := make([]string, 40)
@@ -266,6 +271,96 @@ func TestTokenTableBoundedByTheCall(t *testing.T) {
 		t.Errorf("Jaro-Winkler ran %d times for %d distinct token pairs over %d lookups", runs, len(asked), lookups)
 	}
 	requireBitIdentical(t, "token table", byFuncID(funcs, ms), ComputeAllSerial(b, funcs))
+
+	for _, ids := range [][]string{{"F3"}, {"F3", "F5", "F7"}} {
+		call, err := Subset(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := make([]*Matrix, len(call))
+		for i := range ms {
+			ms[i] = NewMatrix(n)
+		}
+		k.reset(b.Docs, call, ms)
+		if built, want := k.tokens != nil, len(ids) > 1; built != want {
+			t.Errorf("%v: token table built %v, want %v", ids, built, want)
+		}
+		requireBitIdentical(t, fmt.Sprint(ids), computeAll(t, b, call), ComputeAllSerial(b, call))
+	}
+}
+
+// TestGroupsMatchOneCall computes every function group of Table I, and of
+// subsets that reorder or repeat functions, one group at a time in one
+// workspace, and requires each group's cells to have the bits of the same
+// functions' cells from one call over all of them. The groups must cover
+// every position once, in order of their first functions, keep functions
+// that share kernel work together, and hold no more functions than the
+// largest set of those.
+func TestGroupsMatchOneCall(t *testing.T) {
+	var ws Workspace
+	for _, ids := range [][]string{SubsetI10, SubsetI4, SubsetI7, {"F8", "F3", "F9", "F1", "F7", "F10"}, {"F3", "F3", "F2"}} {
+		funcs, err := Subset(ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups := Groups(funcs)
+		in, first := make([]int, len(funcs)), -1
+		for g, group := range groups {
+			if !slices.IsSorted(group) || group[0] <= first {
+				t.Fatalf("%v: groups %v out of order", ids, groups)
+			}
+			first = group[0]
+			for _, fi := range group {
+				in[fi] = g + 1
+			}
+		}
+		largest := 1
+		for i := range funcs {
+			set := 1
+			for j := range funcs {
+				if j != i && sharesWork(&funcs[i], &funcs[j]) {
+					set++
+					if in[i] != in[j] {
+						t.Fatalf("%v: groups %v split %s and %s", ids, groups, ids[i], ids[j])
+					}
+				}
+			}
+			largest = max(largest, set)
+		}
+		if slices.Contains(in, 0) || len(slices.Concat(groups...)) != len(funcs) ||
+			slices.ContainsFunc(groups, func(g []int) bool { return len(g) > largest }) {
+			t.Fatalf("%v: groups %v do not hold each function once, in groups of at most %d", ids, groups, largest)
+		}
+		blocks := []*Block{generatedBlock(t, 60, 1), handBuiltBlock(rand.New(rand.NewSource(2)), 30, 3, 3), generatedBlock(t, 2, 3)}
+		for _, b := range blocks {
+			want := computeAll(t, b, funcs)
+			for _, group := range groups {
+				var members []Func
+				sub := map[string]*Matrix{}
+				for _, fi := range group {
+					members = append(members, funcs[fi])
+					sub[funcs[fi].ID] = want[funcs[fi].ID]
+				}
+				got, err := ws.ComputeAll(context.Background(), b, members)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitIdentical(t, fmt.Sprintf("%v group %v", ids, group), got, sub)
+			}
+		}
+	}
+	if got, want := Groups(tableIFuncs(t)), [][]int{{0, 1, 3}, {2, 4, 6}, {5}, {7, 8, 9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Table I groups %v, want %v", got, want)
+	}
+}
+
+// byFuncID keys ms, parallel to funcs, by function ID.
+func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
+	out := make(map[string]*Matrix, len(funcs))
+	for i, f := range funcs {
+		out[f.ID] = ms[i]
+	}
+	return out
 }
 
 // TestKeyedCompareCount proves what the memo buys: on the serial path a

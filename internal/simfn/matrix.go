@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -87,21 +88,87 @@ func ComputeAllCtx(ctx context.Context, b *Block, funcs []Func) (map[string]*Mat
 }
 
 // ComputeAll is ComputeAllCtx on the workspace's memory: the matrices it
-// returns are valid until the workspace's next ComputeAll.
+// returns, and the map they come in, are valid until the workspace's next
+// ComputeAll. A caller that needs only a few matrices at a time computes
+// them one of Groups at a time and holds that group's cells, not every
+// function's.
 func (ws *Workspace) ComputeAll(ctx context.Context, b *Block, funcs []Func) (map[string]*Matrix, error) {
 	ms := ws.computeMatrices(b, funcs, ctx.Done())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return byFuncID(funcs, ms), nil
+	if ws.byID == nil {
+		ws.byID = make(map[string]*Matrix, len(funcs))
+	}
+	clear(ws.byID)
+	for i, f := range funcs {
+		ws.byID[f.ID] = ms[i]
+	}
+	return ws.byID, nil
 }
 
-func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
-	out := make(map[string]*Matrix, len(funcs))
-	for i, f := range funcs {
-		out[f.ID] = ms[i]
+// Groups partitions funcs into the groups of functions one ComputeAll should
+// compute together, as positions in funcs, each group in funcs order and
+// the groups in the order of their first functions. Functions that share
+// work inside the kernel always share a group: those that read the same
+// packed vectors share one join per pair (F8, F9 and F10 the TF-IDF term
+// vectors), and the name functions (F3 and F7) one token table. The other
+// functions fill groups, first fit, up to the size of the largest set that
+// shares work — for Table I three functions in four groups — so holding one
+// group's matrices at a time takes no more memory than that set needs, and
+// the kernel's per-call cost is paid four times a block, not ten. Computing
+// a function in its group or among all of funcs gives the same bits; only
+// the memory held and the work repeated differ.
+func Groups(funcs []Func) [][]int {
+	// set counts the functions that share work with i, i among them, from
+	// i on.
+	set := func(i int) int {
+		n := 1
+		for j := i + 1; j < len(funcs); j++ {
+			if sharesWork(&funcs[i], &funcs[j]) {
+				n++
+			}
+		}
+		return n
 	}
-	return out
+	size := 1
+	for i := range funcs {
+		size = max(size, set(i))
+	}
+	// of[i] is function i's group, -1 until it is placed; sizes are the
+	// groups' sizes so far.
+	of := make([]int, len(funcs))
+	for i := range of {
+		of[i] = -1
+	}
+	var sizes []int
+	for i := range funcs {
+		if of[i] >= 0 {
+			continue
+		}
+		n := set(i)
+		g := slices.IndexFunc(sizes, func(have int) bool { return have+n <= size })
+		if g < 0 {
+			g, sizes = len(sizes), append(sizes, 0)
+		}
+		for j := i; j < len(funcs); j++ {
+			if j == i || of[j] < 0 && sharesWork(&funcs[i], &funcs[j]) {
+				of[j] = g
+			}
+		}
+		sizes[g] += n
+	}
+	flat, groups := make([]int, 0, len(funcs)), make([][]int, len(sizes))
+	for g := range groups {
+		start := len(flat)
+		for i := range of {
+			if of[i] == g {
+				flat = append(flat, i)
+			}
+		}
+		groups[g] = flat[start:len(flat):len(flat)]
+	}
+	return groups
 }
 
 // computeMatrices fills one matrix per function on one fan-out. The unit of
@@ -113,14 +180,15 @@ func byFuncID(funcs []Func, ms []*Matrix) map[string]*Matrix {
 // the caller is then responsible for discarding the partial matrices.
 //
 // The matrices are carved from one array of the workspace, left as the last
-// block wrote it: fillRow writes every cell of every row, so nothing needs
-// clearing.
+// call wrote it: fillRow writes every cell of every row, so nothing needs
+// clearing. Each worker's join accumulators are carved from two more.
 func (ws *Workspace) computeMatrices(b *Block, funcs []Func, done <-chan struct{}) []*Matrix {
 	n := len(b.Docs)
 	pairs := n * (n - 1) / 2
 	ws.cells = slices.Grow(ws.cells[:0], len(funcs)*pairs)[:len(funcs)*pairs]
 	ws.matrices = slices.Grow(ws.matrices[:0], len(funcs))[:len(funcs)]
-	ms := make([]*Matrix, len(funcs))
+	ws.ms = slices.Grow(ws.ms[:0], len(funcs))[:len(funcs)]
+	ms := ws.ms
 	for i := range funcs {
 		ws.matrices[i] = Matrix{n: n, vals: ws.cells[i*pairs : (i+1)*pairs : (i+1)*pairs]}
 		ms[i] = &ws.matrices[i]
@@ -130,10 +198,25 @@ func (ws *Workspace) computeMatrices(b *Block, funcs []Func, done <-chan struct{
 	}
 	k := &ws.kernel
 	k.reset(b.Docs, funcs, ms)
+	// fanout.Run starts at most this many workers; one that finds no
+	// accumulators left, should GOMAXPROCS have grown meanwhile, makes its
+	// own.
+	workers := min(runtime.GOMAXPROCS(0), n-1)
+	ws.acc = slices.Grow(ws.acc[:0], workers*n)[:workers*n]
+	ws.cnt = slices.Grow(ws.cnt[:0], workers*n)[:workers*n]
+	clear(ws.acc)
+	clear(ws.cnt)
+	var started atomic.Int32
 	// Row n-1 has no upper-triangle entries.
 	fanout.Run(n-1, func() func(row int) bool {
 		// The worker's per-cell join accumulators, all zero between rows.
-		acc, cnt := make([]float64, n), make([]int32, n)
+		var acc []float64
+		var cnt []int32
+		if w := int(started.Add(1)) - 1; w < workers {
+			acc, cnt = ws.acc[w*n:(w+1)*n:(w+1)*n], ws.cnt[w*n:(w+1)*n:(w+1)*n]
+		} else {
+			acc, cnt = make([]float64, n), make([]int32, n)
+		}
 		return func(row int) bool {
 			select {
 			case <-done:
@@ -159,11 +242,11 @@ type kernel struct {
 	// into memos.
 	keys  []*pairMemo
 	memos []pairMemo
-	// joins are the ID lists the joined and overlap functions read, each
-	// with the functions that read it: F1 reads the concept vectors, F8-F10
-	// share the term vectors and so one join per pair, and F4, F5 and F6
-	// each read one entity ID set. Their memory past len(joins) is kept
-	// for the next call.
+	// joins are the ID lists the joined and overlap functions of the call
+	// read, each with the functions that read it: F1 reads the concept
+	// vectors, F8-F10 share the term vectors and so one join per pair, and
+	// F4, F5 and F6 each read one entity ID set. Their memory past
+	// len(joins) is kept for the next call.
 	joins []joinSet
 	// runs is newPostings' scratch while the kernel is built, all zero
 	// between its calls; lists and weights are the per-document lists the
@@ -183,8 +266,10 @@ type kernel struct {
 
 // joinSet is one ascending ID list per document, inverted into postings,
 // and the functions that read the joins of its pairs. vecs holds the packed
-// vectors the lists are the IDs of; it is unused for ID sets.
+// vectors the lists are the IDs of, read through from; both are unused
+// (from nil) for ID sets.
 type joinSet struct {
+	from  *packedVectors
 	vecs  []*textsim.PackedVector
 	post  postings
 	funcs []int
@@ -207,6 +292,7 @@ func (k *kernel) reset(docs []Doc, funcs []Func, ms []*Matrix) {
 				ids[d] = f.set(&docs[d])
 			}
 			js := k.nextJoin()
+			js.from = nil
 			k.newPostings(&js.post, ids, nil)
 			js.funcs = append(js.funcs[:0], fi)
 		case f.Key != nil:
@@ -235,20 +321,21 @@ func (k *kernel) idLists(n int) [][]int32 {
 }
 
 // addJoined files joined function fi under the vectors it reads, a new
-// join set unless an earlier function reads the very same vectors.
+// join set unless an earlier function of the call reads the same ones.
 func (k *kernel) addJoined(fi int) {
+	from := k.funcs[fi].join.vecs
+	for s := range k.joins {
+		if o := &k.joins[s]; o.from == from {
+			o.funcs = append(o.funcs, fi)
+			return
+		}
+	}
 	js := k.nextJoin()
+	js.from = from
 	vecs := slices.Grow(js.vecs[:0], len(k.docs))[:len(k.docs)]
 	js.vecs = vecs
 	for d := range k.docs {
-		vecs[d] = k.funcs[fi].join.vec(&k.docs[d])
-	}
-	for s := range k.joins[:len(k.joins)-1] {
-		if o := &k.joins[s]; k.funcs[o.funcs[0]].join != nil && slices.Equal(o.vecs, vecs) {
-			o.funcs = append(o.funcs, fi)
-			k.joins = k.joins[:len(k.joins)-1]
-			return
-		}
+		vecs[d] = from.of(&k.docs[d])
 	}
 	ids := k.idLists(len(vecs))
 	weights := slices.Grow(k.weights[:0], len(vecs))[:len(vecs)]
@@ -264,12 +351,12 @@ func (k *kernel) addJoined(fi int) {
 }
 
 // postings is the inverted form of one ascending ID list per document: for
-// every ID, the documents whose list holds it, in ascending order, are a run
-// of docs, with their weights at the same positions of weights (nil for
-// unweighted lists). spans[d] lists, for each entry of document d's list in
-// ascending ID order, where d's own posting sits in its ID's run and where
-// the run ends, so a row walks the postings after its document without
-// reading an ID or searching a run.
+// every ID, the documents whose list holds it, in ascending order, are a run of
+// docs, with their weights at the same positions of weights (empty for
+// unweighted lists, its memory kept for a later weighted call). spans[d] lists,
+// for each entry of document d's list in ascending ID order, where d's own
+// posting sits in its ID's run and where the run ends, so a row walks the
+// postings after its document without reading an ID or searching a run.
 type postings struct {
 	docs    []int32
 	weights []float64
@@ -311,10 +398,9 @@ func (k *kernel) newPostings(p *postings, ids [][]int32, weights [][]float64) {
 	}
 	p.docs = slices.Grow(p.docs[:0], total)[:total]
 	p.spans = slices.Grow(p.spans[:0], len(ids))[:len(ids)]
+	p.weights = p.weights[:0]
 	if weights != nil {
-		p.weights = slices.Grow(p.weights[:0], total)[:total]
-	} else {
-		p.weights = nil
+		p.weights = slices.Grow(p.weights, total)[:total]
 	}
 	p.all = slices.Grow(p.all[:0], total)[:total]
 	all := p.all
@@ -345,7 +431,7 @@ func (k *kernel) newPostings(p *postings, ids [][]int32, weights [][]float64) {
 // products a merge join of the two lists multiplies, added in the order it
 // adds them.
 func (p *postings) addRow(i int, acc []float64, cnt []int32) {
-	if p.weights == nil {
+	if len(p.weights) == 0 {
 		for _, s := range p.spans[i] {
 			for _, j := range p.docs[s.self+1 : s.end] {
 				cnt[j]++

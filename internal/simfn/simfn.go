@@ -48,7 +48,12 @@
 //
 // ComputeAllCtx fills one condensed upper-triangle Matrix per function, and a
 // function's Compare is its definition: cell (i, j), i < j, holds the bits
-// of Compare(d_i, d_j), however the kernel got there. Three things let the
+// of Compare(d_i, d_j), however the kernel got there — and whichever other
+// functions share the call. A caller that holds only a few matrices at a
+// time computes the functions one of Groups at a time: F8-F10, which share
+// one join per pair, stay together, so do F3 and F7, which share the token
+// table, and the other functions fill groups up to three, so a block's
+// cells are never more than three matrices' at once. Three things let the
 // kernel get there with less work than one Compare per document pair, and
 // all of their values live and die inside one call — nothing is cached
 // across calls, persisted, or configurable. Their buffers are another
@@ -83,10 +88,10 @@
 // PreparedNameSimilarity runs; the whole-name value still goes through the
 // key memo. The table fills lazily — a cell is computed the first time a
 // pair of names asks for it — so its T² cells cost memory, not
-// evaluations. It is therefore bounded by the call, not by one matrix: it
-// is left out only when T² exceeds the cells of all the call's matrices
-// (the number of functions times the block's document pairs), so it never
-// holds more than the call already allocates.
+// evaluations. It is therefore bounded by the call: it is left out only
+// when T² exceeds the cells of all the call's matrices (the number of
+// functions times the block's document pairs; three matrices for the group
+// of F3 and F7), so it never holds more than the call already allocates.
 //
 // F1 and F8-F10 are measures of two packed vectors' join — F8, F9 and F10
 // of the same two TF-IDF vectors — and F4-F6 count the join of two ID sets.
@@ -472,11 +477,24 @@ type Func struct {
 	set func(*Doc) []int32
 }
 
-// vectorJoin is a vector-space function (F1, F8-F10): which packed vector
+// vectorJoin is a vector-space function (F1, F8-F10): which packed vectors
 // it reads and the measure applied to the pair's join.
 type vectorJoin struct {
-	vec   func(*Doc) *textsim.PackedVector
+	vecs  *packedVectors
 	ofDot func(a, b *textsim.PackedVector, dot float64, inter int) float64
+}
+
+// packedVectors is one kind of packed vector a Doc carries. Joins that read
+// the same *packedVectors share one join per pair.
+type packedVectors struct {
+	of func(*Doc) *textsim.PackedVector
+}
+
+// sharesWork reports whether one kernel call computing a and b does work
+// for both at once: the join of the same packed vectors, or the token table
+// of two name functions.
+func sharesWork(a, b *Func) bool {
+	return a.join != nil && b.join != nil && a.join.vecs == b.join.vecs || a.name != nil && b.name != nil
 }
 
 // value is the function's similarity of two packed vectors given
@@ -493,7 +511,7 @@ func vectorFunc(id, feature, measure string, vj *vectorJoin) Func {
 	return Func{
 		ID: id, Feature: feature, Measure: measure, join: vj,
 		Compare: func(a, b *Doc) float64 {
-			pa, pb := vj.vec(a), vj.vec(b)
+			pa, pb := vj.vecs.of(a), vj.vecs.of(b)
 			dot, inter := pa.DotIntersect(pb)
 			return vj.value(pa, pb, dot, inter)
 		},
@@ -542,11 +560,11 @@ func overlapFunc(id, feature, measure string, set func(*Doc) []int32) Func {
 // F1..F10, built once. ByID and Subset hand out copies of its entries and
 // nothing writes it.
 var tableI = func() []Func {
-	concepts := func(d *Doc) *textsim.PackedVector { return d.ConceptPacked }
-	words := func(d *Doc) *textsim.PackedVector { return d.Packed }
+	concepts := &packedVectors{of: func(d *Doc) *textsim.PackedVector { return d.ConceptPacked }}
+	words := &packedVectors{of: func(d *Doc) *textsim.PackedVector { return d.Packed }}
 	return []Func{
 		vectorFunc("F1", "Weighted Concept Vector", "Cosine Similarity",
-			&vectorJoin{vec: concepts, ofDot: textsim.PackedCosineOfDot}),
+			&vectorJoin{vecs: concepts, ofDot: textsim.PackedCosineOfDot}),
 		{
 			ID: "F2", Feature: "URL of the page", Measure: "String Similarity",
 			// ParseURL derives the domain from the host, and two different
@@ -569,11 +587,11 @@ var tableI = func() []Func {
 			func(d *Doc) string { return d.Features.ClosestName },
 			func(d *Doc) *textsim.Name { return &d.ClosestName }),
 		vectorFunc("F8", "TF-IDF words vector", "Cosine Similarity",
-			&vectorJoin{vec: words, ofDot: textsim.PackedCosineOfDot}),
+			&vectorJoin{vecs: words, ofDot: textsim.PackedCosineOfDot}),
 		vectorFunc("F9", "TF-IDF words vector", "Pearson Correlation similarity",
-			&vectorJoin{vec: words, ofDot: textsim.PackedPearsonSimOfDot}),
+			&vectorJoin{vecs: words, ofDot: textsim.PackedPearsonSimOfDot}),
 		vectorFunc("F10", "TF-IDF words vector", "Extended Jaccard similarity",
-			&vectorJoin{vec: words, ofDot: textsim.PackedExtendedJaccardOfDot}),
+			&vectorJoin{vecs: words, ofDot: textsim.PackedExtendedJaccardOfDot}),
 	}
 }()
 

@@ -6,13 +6,13 @@ import (
 )
 
 // Workspace is the memory one block worker reuses across the blocks it
-// prepares, one after another: the lexicon and the extraction tables
-// (kept with their values; see the package documentation), the
-// vocabulary, the documents and packed vectors, PrepareBlock's per-term
-// arrays, every matrix's cells and the kernel's postings, key memos and
-// token table. Each block sizes a buffer to what it needs, reallocating
-// only when it has outgrown it, so a worker allocates for its largest block
-// and not once per block.
+// prepares, one after another: the lexicon and the extraction tables (kept with
+// their values; see the package documentation), the vocabulary, the documents
+// and packed vectors, PrepareBlock's per-term arrays, the cells of the last
+// ComputeAll's matrices, the kernel's postings, key memos and token table, and
+// its workers' join accumulators. Each block sizes a buffer to what it needs,
+// reallocating only when it has outgrown it, so a worker allocates for its
+// largest block and not once per block.
 //
 // What a workspace hands out is valid until it is asked for the same kind
 // of thing again: a Block until the next PrepareBlock, matrices until the
@@ -31,8 +31,13 @@ type Workspace struct {
 	docs  []Doc
 	prep  prepScratch
 	// cells backs every matrix of the last ComputeAll, one function's
-	// condensed triangle after another.
+	// condensed triangle after another; matrices, ms and byID hand them
+	// out. acc and cnt back the fan-out workers' join accumulators.
 	cells    []float64
 	matrices []Matrix
+	ms       []*Matrix
+	byID     map[string]*Matrix
+	acc      []float64
+	cnt      []int32
 	kernel   kernel
 }
